@@ -7,7 +7,7 @@ enlarges the abortable window.
 
 from repro.experiments import run_blind_merge_ablation
 
-from benchmarks._helpers import bench_tuples, full_scale
+from benchmarks._helpers import bench_config, full_scale
 
 
 def test_ablation_blind_merge(benchmark, save_result):
@@ -19,7 +19,7 @@ def test_ablation_blind_merge(benchmark, save_result):
             "du_count": du_count,
             "sc_count": 8,
             "sc_interval": 17.0,
-            "tuples_per_relation": bench_tuples(),
+            "config": bench_config(),
         },
         rounds=1,
         iterations=1,

@@ -12,14 +12,20 @@ total source round trips, while per-view extents and committed-update
 sets stay byte-identical between the arms.
 """
 
-from repro.experiments import run_group_maintenance_ablation
+from repro.experiments import WarehouseConfig, run_group_maintenance_ablation
+from repro.experiments.ablations import TWO_VIEW_SPANS
 
 from benchmarks._helpers import full_scale
 
 
 def test_ablation_group_maintenance_rounds(benchmark, save_result):
     kwargs = (
-        {"du_counts": (120, 240, 480), "tuples_per_relation": 400}
+        {
+            "du_counts": (120, 240, 480),
+            "config": WarehouseConfig(
+                tuples_per_relation=400, spans=TWO_VIEW_SPANS
+            ),
+        }
         if full_scale()
         else {}
     )

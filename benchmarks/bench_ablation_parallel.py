@@ -10,17 +10,17 @@ while every arm's final extent and committed-update set stay identical
 to the serial scheduler.
 """
 
-from repro.experiments import run_parallel_ablation
+from repro.experiments import WarehouseConfig, run_parallel_ablation
 
 from benchmarks._helpers import full_scale
 
 
 def test_ablation_parallel_makespan(benchmark, save_result):
-    kwargs = (
-        {"du_count": 80, "tuples_per_relation": 400}
-        if full_scale()
-        else {"du_count": 40, "tuples_per_relation": 200}
-    )
+    du_count, tuples = (80, 400) if full_scale() else (40, 200)
+    kwargs = {
+        "du_count": du_count,
+        "config": WarehouseConfig(tuples_per_relation=tuples),
+    }
     result = benchmark.pedantic(
         run_parallel_ablation,
         kwargs=kwargs,

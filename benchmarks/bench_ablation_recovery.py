@@ -11,14 +11,14 @@ grow as the interval tightens, and a tight interval bounds the journal
 suffix a crash has to replay.
 """
 
-from repro.experiments import run_recovery_ablation
+from repro.experiments import WarehouseConfig, run_recovery_ablation
 
 from benchmarks._helpers import full_scale
 
 
 def test_ablation_recovery_overhead(benchmark, save_result):
     kwargs = (
-        {"du_count": 96, "tuples_per_relation": 600}
+        {"du_count": 96, "config": WarehouseConfig(tuples_per_relation=600)}
         if full_scale()
         else {}
     )

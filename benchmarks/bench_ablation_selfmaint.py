@@ -13,14 +13,17 @@ cache-only arm, and the final extents and committed-update sets stay
 byte-identical to the store-off oracle.
 """
 
-from repro.experiments import run_self_maintenance_ablation
+from repro.experiments import WarehouseConfig, run_self_maintenance_ablation
 
 from benchmarks._helpers import full_scale
 
 
 def test_ablation_selfmaint_zero_trip_fraction(benchmark, save_result):
     kwargs = (
-        {"du_counts": (120, 240, 480), "tuples_per_relation": 400}
+        {
+            "du_counts": (120, 240, 480),
+            "config": WarehouseConfig(tuples_per_relation=400),
+        }
         if full_scale()
         else {}
     )

@@ -17,7 +17,7 @@ Acceptance bar asserted here: >= 2x pessimistic aggregate-makespan
 speedup at 4 shards and >= 10^6 reads served per shard count.
 """
 
-from repro.experiments import run_sharding_ablation
+from repro.experiments import run_sharding_ablation, sharded_config
 
 from benchmarks._helpers import full_scale
 
@@ -26,7 +26,11 @@ def test_ablation_sharding_makespan_and_reads(benchmark, save_result):
     kwargs = (
         {}
         if full_scale()
-        else {"du_count": 96, "tuples_per_relation": 120, "reads": 1_000_000}
+        else {
+            "config": sharded_config(tuples_per_relation=120),
+            "du_count": 96,
+            "reads": 1_000_000,
+        }
     )
     result = benchmark.pedantic(
         run_sharding_ablation,

@@ -11,14 +11,17 @@ virtual-clock total, while the final extents and committed-update sets
 stay byte-identical between the arms.
 """
 
-from repro.experiments import run_snapshot_cache_ablation
+from repro.experiments import WarehouseConfig, run_snapshot_cache_ablation
 
 from benchmarks._helpers import full_scale
 
 
 def test_ablation_snapshot_cache_round_trips(benchmark, save_result):
     kwargs = (
-        {"du_counts": (120, 240, 480), "tuples_per_relation": 400}
+        {
+            "du_counts": (120, 240, 480),
+            "config": WarehouseConfig(tuples_per_relation=400),
+        }
         if full_scale()
         else {}
     )

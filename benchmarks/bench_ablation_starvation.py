@@ -6,7 +6,7 @@ up only in a narrow interval band, and the system converges once the
 stream ends.
 """
 
-from repro.experiments import run_starvation_study
+from repro.experiments import WarehouseConfig, run_starvation_study
 
 from benchmarks._helpers import full_scale
 
@@ -21,7 +21,9 @@ def test_ablation_starvation(benchmark, save_result):
             "intervals": intervals,
             "stream_length": 12 if full_scale() else 8,
             "du_count": 60 if full_scale() else 30,
-            "tuples_per_relation": 1000 if full_scale() else 500,
+            "config": WarehouseConfig(
+                tuples_per_relation=1000 if full_scale() else 500
+            ),
         },
         rounds=1,
         iterations=1,

@@ -6,7 +6,7 @@ detection adds almost unobservable overhead to DU-only streams.
 
 from repro.experiments import run_fig08
 
-from benchmarks._helpers import bench_tuples, full_scale
+from benchmarks._helpers import bench_config, full_scale
 
 
 def test_fig08_du_detection(benchmark, save_result):
@@ -19,7 +19,7 @@ def test_fig08_du_detection(benchmark, save_result):
         run_fig08,
         kwargs={
             "du_counts": du_counts,
-            "tuples_per_relation": bench_tuples(),
+            "config": bench_config(),
         },
         rounds=1,
         iterations=1,

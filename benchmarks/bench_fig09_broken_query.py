@@ -7,13 +7,13 @@ the abort entirely when the conflicting updates are already queued.
 
 from repro.experiments import run_fig09
 
-from benchmarks._helpers import bench_tuples
+from benchmarks._helpers import bench_config
 
 
 def test_fig09_broken_query(benchmark, save_result):
     result = benchmark.pedantic(
         run_fig09,
-        kwargs={"tuples_per_relation": bench_tuples()},
+        kwargs={"config": bench_config()},
         rounds=1,
         iterations=1,
     )

@@ -8,7 +8,7 @@ maintenance once the interval exceeds it.
 
 from repro.experiments import run_fig10
 
-from benchmarks._helpers import bench_tuples, full_scale
+from benchmarks._helpers import bench_config, full_scale
 
 
 def test_fig10_sc_interval(benchmark, save_result):
@@ -25,7 +25,7 @@ def test_fig10_sc_interval(benchmark, save_result):
             "intervals": intervals,
             "du_count": du_count,
             "sc_count": 10,
-            "tuples_per_relation": bench_tuples(),
+            "config": bench_config(),
         },
         rounds=1,
         iterations=1,

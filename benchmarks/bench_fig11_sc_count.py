@@ -6,7 +6,7 @@ themselves, so the abort cost (and the total) grows with their number.
 
 from repro.experiments import run_fig11
 
-from benchmarks._helpers import bench_tuples, full_scale
+from benchmarks._helpers import bench_config, full_scale
 
 
 def test_fig11_sc_count(benchmark, save_result):
@@ -18,7 +18,7 @@ def test_fig11_sc_count(benchmark, save_result):
         kwargs={
             "sc_counts": sc_counts,
             "du_count": du_count,
-            "tuples_per_relation": bench_tuples(),
+            "config": bench_config(),
         },
         rounds=1,
         iterations=1,

@@ -7,7 +7,7 @@ maintenance cost grows with the update volume.
 
 from repro.experiments import run_fig12
 
-from benchmarks._helpers import bench_tuples, full_scale
+from benchmarks._helpers import bench_config, full_scale
 
 
 def test_fig12_du_count(benchmark, save_result):
@@ -17,7 +17,7 @@ def test_fig12_du_count(benchmark, save_result):
         run_fig12,
         kwargs={
             "du_counts": du_counts,
-            "tuples_per_relation": bench_tuples(),
+            "config": bench_config(),
         },
         rounds=1,
         iterations=1,

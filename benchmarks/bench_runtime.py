@@ -57,23 +57,15 @@ def _cores() -> int:
 
 
 def _run(full_scale: bool, process_counts=None):
-    from repro.experiments import run_runtime_ablation
+    from repro.experiments import run_runtime_ablation, sharded_config
 
-    kwargs = (
-        {
-            "du_count": 160,
-            "sc_count": 2,
-            "tuples_per_relation": 240,
-            "repeats": 3,
-        }
-        if full_scale
-        else {
-            "du_count": 48,
-            "sc_count": 2,
-            "tuples_per_relation": 120,
-            "repeats": 2,
-        }
-    )
+    du_count, tuples, repeats = (160, 240, 3) if full_scale else (48, 120, 2)
+    kwargs = {
+        "config": sharded_config(tuples_per_relation=tuples, shards=4),
+        "du_count": du_count,
+        "sc_count": 2,
+        "repeats": repeats,
+    }
     if process_counts is not None:
         kwargs["process_counts"] = tuple(process_counts)
     return run_runtime_ablation(**kwargs)

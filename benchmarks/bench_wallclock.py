@@ -47,23 +47,17 @@ MIN_JOIN_HEAVY_SPEEDUP = 2.0
 
 
 def _run(full_scale: bool, profile_dir=None):
-    from repro.experiments import run_wallclock_ablation
+    from repro.experiments import WarehouseConfig, run_wallclock_ablation
 
-    kwargs = (
-        {
-            "du_counts": (60, 120),
-            "tuples_per_relation": 400,
-            "recompute_tuples": 4000,
-            "repeats": 3,
-        }
-        if full_scale
-        else {
-            "du_counts": (30, 60),
-            "tuples_per_relation": 250,
-            "recompute_tuples": 2500,
-            "repeats": 2,
-        }
+    du_counts, tuples, recompute_tuples, repeats = (
+        ((60, 120), 400, 4000, 3) if full_scale else ((30, 60), 250, 2500, 2)
     )
+    kwargs = {
+        "config": WarehouseConfig(tuples_per_relation=tuples),
+        "du_counts": du_counts,
+        "recompute_tuples": recompute_tuples,
+        "repeats": repeats,
+    }
     return run_wallclock_ablation(profile_dir=profile_dir, **kwargs)
 
 

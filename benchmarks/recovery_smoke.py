@@ -30,7 +30,7 @@ from repro.recovery import (
     CRASH_POINTS,
     CrashPlan,
     SchedulerCrash,
-    simulate_crash,
+    recover_in_place,
 )
 
 RESULTS_DIR = Path(__file__).parent / "results"
@@ -75,17 +75,7 @@ def _run_replay_crash(workers: int | None):
     except SchedulerCrash:
         pass
     testbed.engine.crash_injector.arm(CrashPlan("recover.replay", 1))
-    while True:
-        simulate_crash(testbed.engine)
-        try:
-            recovered = testbed.recovery.recover()
-            break
-        except SchedulerCrash:
-            continue  # idempotent replay: retry from durable state
-    testbed.manager = recovered.manager
-    testbed.scheduler = recovered.scheduler
-    testbed.recovery = recovered.harness
-    testbed.crash_reports.append(recovered.report)
+    recover_in_place(testbed)  # retries the crashed replay
     testbed.run()
     return testbed
 

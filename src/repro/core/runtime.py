@@ -5,13 +5,16 @@ steps every shard world interleaved in ONE Python process: the virtual
 clocks interleave but the wall clock pays for every shard serially.
 This module executes the same shard worlds across OS worker processes:
 
-* each worker **rebuilds its shard worlds deterministically** from a
-  picklable :class:`ShardWorldSpec` (spans + seeds + knobs) — the exact
-  construction path ``build_sharded_testbed`` uses inline, via
-  :func:`repro.experiments.testbed.build_shard_world` — and schedules
-  identically-seeded workload copies from :class:`WorkloadSpec`
-  parameters (workload *objects* hold mutable RNGs and are rebuilt
-  fresh, never shipped);
+* each worker **rebuilds its shard worlds deterministically** by
+  calling the ``build_world`` it was handed on each picklable world
+  spec — the very function and specs the caller uses to build the same
+  worlds inline, so they are identical by construction — and schedules
+  identically-seeded workload copies from
+  :class:`~repro.core.sharding.WorkloadSpec` parameters (workload
+  *objects* hold mutable RNGs and are rebuilt fresh, never shipped).
+  Builder and workload factories are module-level callables, pickled
+  by reference under ``fork`` and ``spawn`` alike, so this module knows
+  nothing about what a world is made of;
 * the parent drives the workers over pipes with a small command
   protocol — ``STEP``, ``BARRIER_HOLD`` / ``BARRIER_RELEASE`` (the
   cross-shard SC barrier), ``CRASH``, ``FINISH``, ``COLLECT``,
@@ -56,57 +59,28 @@ import multiprocessing
 import os
 import time
 import traceback
-from dataclasses import dataclass, field
-from typing import Any
+from dataclasses import dataclass
+from typing import Any, Callable
 
 from ..sim.costs import CostModel
 from ..sim.metrics import Metrics
+from .sharding import (
+    Shard,
+    ShardRouter,
+    WorkloadSpec,
+    min_pending_commit,
+    sc_barrier_time,
+    shard_quiescent,
+    step_shard,
+)
+
+#: builds one shard world from its spec, registering its views with the
+#: given router; a spec is any picklable object with ``shard_id`` and
+#: ``view_names``
+WorldBuilder = Callable[[Any, ShardRouter], Shard]
 
 #: worker exit code after a ``CRASH`` command (hard process death)
 _CRASH_EXIT_CODE = 23
-
-
-@dataclass(frozen=True)
-class ShardWorldSpec:
-    """Everything a worker needs to rebuild one shard world.
-
-    Pure picklable data: view definitions travel as testbed relation
-    ``spans`` (rebuilt via ``subview_query``), workloads as
-    :class:`WorkloadSpec` parameters.  ``build_shard_world`` consumes
-    this spec on both sides — inline and in the worker — so the worlds
-    are identical by construction.
-    """
-
-    shard_id: int
-    view_names: tuple[str, ...]
-    spans: tuple[tuple[int, int], ...]
-    strategy: Any  # frozen Strategy dataclass (picklable)
-    tuples_per_relation: int
-    cost_model: CostModel | None
-    seed: int
-    backend: str
-    parallel_workers: int | None
-    snapshot_cache: bool
-    self_maintenance: bool
-    batch_policy: Any | None
-    journal: bool
-    checkpoint_every: int
-    crash_plan: Any | None
-    journal_dir: str | None
-    fault_plan: Any | None
-
-
-@dataclass(frozen=True)
-class WorkloadSpec:
-    """A workload as rebuildable parameters (``kind`` selects the
-    testbed factory: ``"du"`` or ``"sc"``)."""
-
-    kind: str
-    params: dict
-
-    def __post_init__(self) -> None:
-        if self.kind not in ("du", "sc"):
-            raise ValueError(f"unknown workload kind {self.kind!r}")
 
 
 @dataclass(frozen=True)
@@ -147,12 +121,6 @@ class ShardStatus:
 
 def status_of(shard) -> ShardStatus:
     """Snapshot one live shard into a :class:`ShardStatus`."""
-    from .sharding import (
-        min_pending_commit,
-        sc_barrier_time,
-        shard_quiescent,
-    )
-
     pool = getattr(shard.scheduler, "pool", None)
     return ShardStatus(
         shard_id=shard.shard_id,
@@ -243,6 +211,7 @@ def _collect_state(shard) -> dict:
         "extents": extents,
         "committed": sorted(committed),
         "clock_now": shard.engine.clock.now,
+        "cost_model": shard.engine.cost_model,
         "metrics": shard.engine.metrics,
         "install_log": list(shard.engine.install_log),
         "consistent": consistent,
@@ -252,7 +221,8 @@ def _collect_state(shard) -> dict:
 
 def _worker_main(
     conn,
-    specs: list[ShardWorldSpec],
+    build_world: WorldBuilder,
+    specs: list,
     workloads: list[WorkloadSpec],
     executor: str | None,
 ) -> None:
@@ -267,26 +237,17 @@ def _worker_main(
             from ..relational.executor import set_executor_mode
 
             set_executor_mode(executor)
-        from ..experiments.testbed import (
-            build_shard_world,
-            make_du_workload,
-            make_sc_workload,
-        )
-        from .sharding import step_shard
-
-        shards: dict[int, Any] = {}
+        shards: dict[int, Shard] = {}
         ready: dict[int, tuple[dict, ShardStatus]] = {}
         for spec in specs:
-            shard, initial_sizes = build_shard_world(spec)
+            # A worker-local router holding only this shard behaves
+            # exactly like the shared inline one for the shard itself:
+            # a delivery filter reads only its own shard's footprints.
+            shard = build_world(spec, ShardRouter())
             for workload in workloads:
-                factory = (
-                    make_du_workload
-                    if workload.kind == "du"
-                    else make_sc_workload
-                )
-                shard.engine.schedule_workload(factory(**workload.params))
+                shard.engine.schedule_workload(workload.build())
             shards[spec.shard_id] = shard
-            ready[spec.shard_id] = (initial_sizes, status_of(shard))
+            ready[spec.shard_id] = (shard.initial_sizes, status_of(shard))
         conn.send(("READY", ready))
         while True:
             command = conn.recv()
@@ -364,7 +325,8 @@ class ProcessShardRuntime:
 
     def __init__(
         self,
-        specs: list[ShardWorldSpec],
+        specs: list,
+        build_world: WorldBuilder,
         processes: int,
         executor: str | None = None,
         reply_timeout: float = 600.0,
@@ -375,6 +337,7 @@ class ProcessShardRuntime:
         if processes < 1:
             raise ValueError(f"need at least one process, got {processes}")
         self.specs = sorted(specs, key=lambda spec: spec.shard_id)
+        self.build_world = build_world
         self.processes = min(processes, len(self.specs))
         if executor is None:
             from ..relational.executor import executor_mode
@@ -428,7 +391,7 @@ class ProcessShardRuntime:
         context = multiprocessing.get_context(
             "fork" if "fork" in methods else methods[0]
         )
-        assignments: list[list[ShardWorldSpec]] = [
+        assignments: list[list] = [
             [] for _ in range(self.processes)
         ]
         for index, spec in enumerate(self.specs):
@@ -437,7 +400,13 @@ class ProcessShardRuntime:
             parent_conn, child_conn = context.Pipe(duplex=True)
             process = context.Process(
                 target=_worker_main,
-                args=(child_conn, assigned, self._workloads, self.executor),
+                args=(
+                    child_conn,
+                    self.build_world,
+                    assigned,
+                    self._workloads,
+                    self.executor,
+                ),
                 name=f"shard-worker-{index}",
                 daemon=True,
             )
@@ -694,7 +663,4 @@ class ProcessShardRuntime:
         )
 
     def cost_model(self) -> CostModel:
-        spec = self.specs[0]
-        return spec.cost_model or CostModel.calibrated(
-            spec.tuples_per_relation
-        )
+        return self._state(self.specs[0].shard_id)["cost_model"]

@@ -151,6 +151,23 @@ class ShardRouter:
         return accept
 
 
+@dataclass(frozen=True)
+class WorkloadSpec:
+    """A workload as rebuildable parameters: ``factory(**params)``.
+
+    Workload *objects* hold mutable RNGs and materialize against live
+    source state at fire time, so every shard world replays its own
+    freshly built, identically-seeded copy and the objects never travel.
+    ``factory`` must be a module-level callable — it is pickled by
+    reference into the process runtime's workers."""
+
+    factory: Callable[..., object]
+    params: dict
+
+    def build(self):
+        return self.factory(**self.params)
+
+
 def step_shard(shard: "Shard") -> None:
     """Step one shard once, recovering crashes from its own journal.
 
@@ -162,26 +179,14 @@ def step_shard(shard: "Shard") -> None:
     so a crash during recovery is also safe) and swaps the rebuilt
     manager/scheduler/harness into the shard in place.
     """
-    from ..recovery import SchedulerCrash, simulate_crash
+    from ..recovery import SchedulerCrash, recover_in_place
 
     try:
         shard.scheduler.step()
     except SchedulerCrash:
         if shard.recovery is None:
             raise
-        while True:
-            simulate_crash(shard.engine)
-            try:
-                recovered = shard.recovery.recover()
-                break
-            except SchedulerCrash:
-                # Crashed during recovery: idempotent replay makes a
-                # second attempt from the same durable state safe.
-                continue
-        shard.manager = recovered.manager
-        shard.scheduler = recovered.scheduler
-        shard.recovery = recovered.harness
-        shard.crash_reports.append(recovered.report)
+        recover_in_place(shard)
 
 
 def shard_quiescent(shard: "Shard") -> bool:
@@ -268,6 +273,9 @@ class Shard:
     view_names: tuple[str, ...]
     recovery: object | None = None
     crash_reports: list = field(default_factory=list)
+    #: view name -> extent cardinality right after the initial load
+    #: (version 0 of the read front end's timelines)
+    initial_sizes: dict[str, int] = field(default_factory=dict)
 
     def view_managers(self) -> list:
         managers = getattr(self.manager, "managers", None)
@@ -296,16 +304,17 @@ class ShardedWarehouse:
     # workload fan-out
     # ------------------------------------------------------------------
 
-    def schedule_workload(self, factory: Callable[[], object]) -> None:
-        """Schedule one identically-seeded workload copy per shard.
-
-        ``factory`` must build a FRESH workload on every call: workload
-        intents hold mutable RNGs and materialize against live source
-        state at fire time, so sharing one object across engines would
-        interleave draws and diverge the worlds.
-        """
+    def add_workload_spec(self, workload: WorkloadSpec) -> None:
+        """Schedule one identically-seeded workload copy per shard,
+        each built fresh (see :class:`WorkloadSpec`): sharing one
+        object across engines would interleave RNG draws and diverge
+        the worlds."""
         for shard in self.shards:
-            shard.engine.schedule_workload(factory())
+            shard.engine.schedule_workload(workload.build())
+
+    def prepare(self) -> None:
+        """Nothing to launch: the shard worlds were built eagerly (the
+        process runtime forks its workers and builds theirs here)."""
 
     # ------------------------------------------------------------------
     # the coordinator loop
@@ -442,3 +451,23 @@ class ShardedWarehouse:
 
     def crash_report_count(self) -> int:
         return sum(len(shard.crash_reports) for shard in self.shards)
+
+    def consistent(self) -> bool:
+        """Every shard's views converge to the fresh-recompute oracle."""
+        from ..views.consistency import check_convergence
+
+        return all(
+            check_convergence(manager).consistent
+            for shard in self.shards
+            for manager in shard.view_managers()
+        )
+
+    def initial_sizes(self) -> dict[str, int]:
+        return {
+            name: size
+            for shard in self.shards
+            for name, size in shard.initial_sizes.items()
+        }
+
+    def cost_model(self):
+        return self.shards[0].engine.cost_model

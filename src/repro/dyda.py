@@ -25,6 +25,7 @@ from .core.strategies import PESSIMISTIC, Strategy
 from .faults.injector import FaultInjector, FaultStats
 from .faults.plan import FaultPlan
 from .faults.retry import RetryPolicy
+from .recovery import arm_recovery, run_recovering
 from .relational.sql import parse_view
 from .relational.table import Table
 from .sim.costs import CostModel
@@ -76,11 +77,13 @@ class DyDaSystem:
         self._journal = journal or crash_plan is not None
         self._checkpoint_every = checkpoint_every
         self._crash_plan = crash_plan
-        self._recovery = None
-        self.crash_reports: list = []
         self._view_definitions: list[ViewDefinition] = []
-        self._manager: ViewManager | MultiViewManager | None = None
-        self._scheduler: DynoScheduler | None = None
+        # The live warehouse stack, in the shape repro.recovery swaps a
+        # recovered one into: manager, scheduler, recovery harness.
+        self.manager: ViewManager | MultiViewManager | None = None
+        self.scheduler: DynoScheduler | None = None
+        self.recovery = None
+        self.crash_reports: list = []
 
     # ------------------------------------------------------------------
     # setup phase
@@ -90,7 +93,7 @@ class DyDaSystem:
         self, name: str, backend: str = "memory"
     ) -> DataSource:
         """Register an autonomous source (before any view is defined)."""
-        if self._manager is not None:
+        if self.manager is not None:
             raise DyDaError(
                 "add sources before defining views (or use "
                 "manager.connect for late joiners)"
@@ -107,7 +110,7 @@ class DyDaSystem:
         self, view: str | ViewDefinition
     ) -> ViewDefinition:
         """Declare a view (SQL text or a ViewDefinition)."""
-        if self._manager is not None:
+        if self.manager is not None:
             raise DyDaError("define all views before the first run/commit")
         if isinstance(view, str):
             name, query = parse_view(view)
@@ -118,42 +121,29 @@ class DyDaSystem:
         return definition
 
     def _ensure_started(self) -> None:
-        if self._manager is not None:
+        if self.manager is not None:
             return
         if not self._view_definitions:
             raise DyDaError("define at least one view first")
         if len(self._view_definitions) == 1:
-            self._manager = ViewManager(
+            self.manager = ViewManager(
                 self.engine, self._view_definitions[0], self.mkb
             )
         else:
-            self._manager = MultiViewManager(
+            self.manager = MultiViewManager(
                 self.engine, self._view_definitions, self.mkb
             )
-        self._scheduler = DynoScheduler(self._manager, self.strategy)
+        self.scheduler = DynoScheduler(self.manager, self.strategy)
         if self._journal:
-            from .recovery import (
-                CrashInjector,
-                MemoryCheckpointStore,
-                MemoryJournalSink,
-                RecoveryHarness,
-            )
-
-            self._recovery = RecoveryHarness(
+            self.recovery = arm_recovery(
                 self.engine,
-                self._manager,
-                self._scheduler,
-                MemoryJournalSink(),
-                MemoryCheckpointStore(),
-                checkpoint_every=self._checkpoint_every,
+                self.manager,
+                self.scheduler,
                 strategy=self.strategy,
+                checkpoint_every=self._checkpoint_every,
+                crash_plan=self._crash_plan,
                 mkb=self.mkb,
             )
-            self._recovery.attach()
-            if self._crash_plan is not None:
-                self.engine.crash_injector = CrashInjector(
-                    self._crash_plan
-                )
 
     # ------------------------------------------------------------------
     # update stream
@@ -195,35 +185,16 @@ class DyDaSystem:
         the warehouse is rebuilt via :mod:`repro.recovery` and the run
         resumes until genuine quiescence."""
         self._ensure_started()
-        assert self._scheduler is not None
-        if self._recovery is None:
-            return self._scheduler.run()
-        from .recovery import SchedulerCrash, simulate_crash
-
-        while True:
-            try:
-                return self._scheduler.run()
-            except SchedulerCrash:
-                while True:
-                    simulate_crash(self.engine)
-                    try:
-                        recovered = self._recovery.recover()
-                        break
-                    except SchedulerCrash:
-                        continue
-                self._manager = recovered.manager
-                self._scheduler = recovered.scheduler
-                self._recovery = recovered.harness
-                self.crash_reports.append(recovered.report)
+        return run_recovering(self)
 
     def committed_updates(self) -> frozenset:
         """Every (source, seqno) whose maintenance committed, across
         crashes (journal-installed plus live processed messages)."""
         self._ensure_started()
-        assert self._scheduler is not None
-        refs = set(self._scheduler.stats.processed_messages)
-        if self._recovery is not None:
-            refs |= self._recovery.installed_refs()
+        assert self.scheduler is not None
+        refs = set(self.scheduler.stats.processed_messages)
+        if self.recovery is not None:
+            refs |= self.recovery.installed_refs()
         return frozenset(refs)
 
     # ------------------------------------------------------------------
@@ -233,10 +204,10 @@ class DyDaSystem:
     @property
     def managers(self) -> list[ViewManager]:
         self._ensure_started()
-        if isinstance(self._manager, MultiViewManager):
-            return list(self._manager.managers)
-        assert isinstance(self._manager, ViewManager)
-        return [self._manager]
+        if isinstance(self.manager, MultiViewManager):
+            return list(self.manager.managers)
+        assert isinstance(self.manager, ViewManager)
+        return [self.manager]
 
     def _manager_for(self, view_name: str | None) -> ViewManager:
         managers = self.managers
@@ -281,8 +252,8 @@ class DyDaSystem:
     @property
     def stats(self) -> SchedulerStats:
         self._ensure_started()
-        assert self._scheduler is not None
-        return self._scheduler.stats
+        assert self.scheduler is not None
+        return self.scheduler.stats
 
     @property
     def now(self) -> float:

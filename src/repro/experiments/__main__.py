@@ -15,7 +15,11 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from dataclasses import dataclass, fields
+from typing import Callable
 
+from ..maintenance.grouping import BatchPolicy
+from ..recovery import CrashPlan
 from . import (
     run_blind_merge_ablation,
     run_fig08,
@@ -34,194 +38,247 @@ from . import (
     run_snapshot_cache_ablation,
     run_starvation_study,
 )
+from .ablations import TWO_VIEW_SPANS
+from .config import WarehouseConfig
 from .fig08 import QUICK_DU_COUNTS as FIG8_QUICK
 from .fig10 import QUICK_INTERVALS as FIG10_QUICK
 from .fig11 import QUICK_SC_COUNTS as FIG11_QUICK
 from .fig12 import QUICK_DU_COUNTS as FIG12_QUICK
+from .testbed import sharded_config
 
 _QUICK_TUPLES = 500
 _FULL_TUPLES = 2000
 
 
+@dataclass(frozen=True)
+class Flag:
+    """One command-line flag setting one :class:`WarehouseConfig` field.
+
+    ``type=None`` is an on/off flag — ``--name`` alone, or a mutually
+    exclusive ``--name`` / ``--no-name`` pair when ``negatable``;
+    otherwise the flag takes one value of that type.  The parsed value
+    passes through ``convert`` on its way into the field.  Defaults are
+    the dataclass's own."""
+
+    name: str
+    field: str
+    help: str
+    type: type | None = None
+    metavar: str | None = None
+    negatable: bool = False
+    convert: Callable = lambda value: value
+
+
+#: every config field reachable from the command line; the others
+#: (strategy, scale, seeds, backend, ...) are set by the runners
+FLAGS = (
+    Flag(
+        "cache",
+        "snapshot_cache",
+        "run every figure with the snapshot cache enabled",
+        negatable=True,
+    ),
+    Flag(
+        "self-maintenance",
+        "self_maintenance",
+        "run every figure with the auxiliary self-maintenance store "
+        "enabled (covered probes answered with zero round trips)",
+        negatable=True,
+    ),
+    Flag(
+        "batch",
+        "batch_policy",
+        "run every figure with adaptive group maintenance enabled",
+        negatable=True,
+        convert=lambda on: BatchPolicy() if on else None,
+    ),
+    Flag(
+        "journal",
+        "journal",
+        "arm the write-ahead maintenance journal + checkpoints on "
+        "every fig08..fig12 testbed (measures recovery overhead)",
+    ),
+    Flag(
+        "checkpoint-every",
+        "checkpoint_every",
+        "checkpoint every N installed units when the journal is armed",
+        type=int,
+        metavar="N",
+    ),
+    Flag(
+        "crash-seed",
+        "crash_plan",
+        "draw a seeded CrashPlan and kill + recover the warehouse "
+        "mid-run in every fig08..fig12 testbed (implies --journal); "
+        "every run must still converge to the uncrashed view state, "
+        "with the redone work showing up in the cost series",
+        type=int,
+        metavar="SEED",
+        convert=lambda seed: None if seed is None else CrashPlan.random(seed),
+    ),
+    Flag(
+        "shards",
+        "shards",
+        "run every fig08..fig12 testbed through the sharded "
+        "warehouse coordinator with N requested scheduler shards "
+        "(single-view figures collapse to one effective shard; the "
+        "baselines are unchanged at the default of 1 — the multi-view "
+        "shard sweep is the abl-sharding runner)",
+        type=int,
+        metavar="N",
+    ),
+    Flag(
+        "shard-processes",
+        "shard_processes",
+        "execute sharded-warehouse arms across N OS worker "
+        "processes (the multi-core runtime, repro.core.runtime) "
+        "instead of the inline coordinator; results are bit-identical "
+        "— only wall-clock time moves.  Applies to abl-sharding's "
+        "swept arms and narrows abl-runtime's sweep to (0, N); the "
+        "default 0 keeps everything inline",
+        type=int,
+        metavar="N",
+    ),
+)
+
+
+def _add_flags(parser: argparse.ArgumentParser) -> None:
+    defaults = {field.name: field.default for field in fields(WarehouseConfig)}
+    for flag in FLAGS:
+        default = defaults[flag.field]
+        if flag.type is not None:
+            parser.add_argument(
+                f"--{flag.name}",
+                dest=flag.field,
+                type=flag.type,
+                default=default,
+                metavar=flag.metavar,
+                help=f"{flag.help} (default {default})",
+            )
+            continue
+        group = (
+            parser.add_mutually_exclusive_group() if flag.negatable else parser
+        )
+        group.add_argument(
+            f"--{flag.name}",
+            dest=flag.field,
+            action="store_true",
+            help=flag.help,
+        )
+        if flag.negatable:
+            # Shares the dest, so both halves must default to off.
+            group.add_argument(
+                f"--no-{flag.name}",
+                dest=flag.field,
+                action="store_false",
+                default=False,
+                help="the default",
+            )
+
+
+def _config_from(arguments: argparse.Namespace) -> WarehouseConfig:
+    """The flags' config; raises ``ValueError`` on a rejected value."""
+    return WarehouseConfig(
+        **{
+            flag.field: flag.convert(getattr(arguments, flag.field))
+            for flag in FLAGS
+        }
+    )
+
+
 def _runners(
     full: bool,
-    seed: int | None = None,
-    snapshot_cache: bool = False,
-    self_maintenance: bool = False,
-    group_maintenance: bool = False,
-    journal: bool = False,
-    checkpoint_every: int = 8,
-    crash_seed: int | None = None,
-    shards: int = 1,
-    shard_processes: int = 0,
+    config: WarehouseConfig = WarehouseConfig(),
+    workload_seed: int | None = None,
 ) -> dict:
-    tuples = _FULL_TUPLES if full else _QUICK_TUPLES
-    # --seed overrides the workload seed of every runner that draws a
-    # randomized stream (fig09's workload is deterministic); the value
-    # threads through Testbed.random_du_workload and friends.
-    seeded = {} if seed is None else {"seed": seed}
-    # --cache turns the snapshot cache on for every figure runner, so
-    # each chart can be produced in both arms; the ablations manage the
-    # cache themselves (ABL-7 runs both arms internally).
-    cached = {"snapshot_cache": snapshot_cache}
-    # --self-maintenance likewise arms the auxiliary store for every
-    # figure runner; ABL-10 runs its three arms internally.
-    selfmaint = {"self_maintenance": self_maintenance}
-    # --batch likewise arms adaptive group maintenance for every figure
-    # runner; ABL-8 runs both arms internally.
-    batched = {"group_maintenance": group_maintenance}
-    # --journal / --checkpoint-every / --crash-seed arm the crash-
-    # recovery subsystem on every fig08..fig12 testbed; a crash seed
-    # draws one CrashPlan that kills and recovers each run mid-flight.
-    # Crash-anywhere equivalence guarantees the recovered extent and
-    # committed update set match the uncrashed run; the cost series
-    # additionally charge the maintenance work redone after recovery.
-    recovered = {
-        "journal": journal or crash_seed is not None,
-        "checkpoint_every": checkpoint_every,
-        "crash_seed": crash_seed,
-    }
-    # --shards routes every fig08..fig12 testbed through the sharded
-    # warehouse coordinator (single view => one effective shard, same
-    # numbers, exercising the router + coordinator machinery end to
-    # end); ABL-11 runs the real multi-view shard sweep internally.
-    sharded = {"shards": shards}
+    """Figure id -> zero-argument runner.
+
+    ``config`` (the command line's knobs) reaches every fig08..fig12
+    testbed, so each chart can be produced under every mechanism — the
+    numbers are unchanged wherever the mechanism is value-transparent
+    (journal, shards), and the cost series additionally charge, e.g.,
+    the maintenance work redone after a crash.  The ablations build
+    their own arms (ABL-7 runs cache on *and* off) and take only their
+    scale from here.  ``shard_processes`` reaches only the two sharded
+    ablations: a figure testbed is one in-process world, so the figures
+    run inline whatever the flag says.  ``workload_seed`` overrides the
+    update-stream seed of every runner that draws a randomized stream
+    (fig09's is fixed)."""
+    figure = config.replace(
+        tuples_per_relation=_FULL_TUPLES if full else _QUICK_TUPLES,
+        shard_processes=0,
+    )
+    seeded = {} if workload_seed is None else {"workload_seed": workload_seed}
+    processes = config.shard_processes
+
+    def at(quick: dict, paper: dict) -> dict:
+        """This scale's sweep shape, plus the ``--seed`` override."""
+        return {**(paper if full else quick), **seeded}
+
+    def scale(tuples: int) -> WarehouseConfig:
+        return WarehouseConfig(tuples_per_relation=tuples)
+
+    hot_key_sweep = {"config": scale(400), "du_counts": (120, 240, 480)}
     return {
         "fig08": lambda: run_fig08(
-            tuples_per_relation=tuples,
-            **({} if full else {"du_counts": FIG8_QUICK}),
-            **seeded,
-            **cached,
-            **selfmaint,
-            **batched,
-            **recovered,
-            **sharded,
+            figure, **at({"du_counts": FIG8_QUICK}, {})
         ),
-        "fig09": lambda: run_fig09(
-            tuples_per_relation=tuples,
-            **cached,
-            **selfmaint,
-            **batched,
-            **recovered,
-            **sharded,
-        ),
+        "fig09": lambda: run_fig09(figure),
         "fig10": lambda: run_fig10(
-            tuples_per_relation=tuples,
-            **({} if full else {"intervals": FIG10_QUICK, "du_count": 60}),
-            **seeded,
-            **cached,
-            **selfmaint,
-            **batched,
-            **recovered,
-            **sharded,
+            figure, **at({"intervals": FIG10_QUICK, "du_count": 60}, {})
         ),
         "fig11": lambda: run_fig11(
-            tuples_per_relation=tuples,
-            **({} if full else {"sc_counts": FIG11_QUICK, "du_count": 60}),
-            **seeded,
-            **cached,
-            **selfmaint,
-            **batched,
-            **recovered,
-            **sharded,
+            figure, **at({"sc_counts": FIG11_QUICK, "du_count": 60}, {})
         ),
         "fig12": lambda: run_fig12(
-            tuples_per_relation=tuples,
-            **({} if full else {"du_counts": FIG12_QUICK}),
-            **seeded,
-            **cached,
-            **selfmaint,
-            **batched,
-            **recovered,
-            **sharded,
+            figure, **at({"du_counts": FIG12_QUICK}, {})
         ),
         "abl-blind-merge": lambda: run_blind_merge_ablation(
-            tuples_per_relation=tuples,
-            **({} if full else {"du_count": 60}),
-            **seeded,
+            scale(figure.tuples_per_relation), **at({"du_count": 60}, {})
         ),
         "abl-graph-scaling": lambda: run_graph_scaling_ablation(),
         "abl-incremental-detection": lambda: (
             run_incremental_detection_ablation(
-                **({} if full else {"sizes": (50, 100, 200)}),
-                **seeded,
+                **at({"sizes": (50, 100, 200)}, {})
             )
         ),
         "abl-starvation": lambda: run_starvation_study(
-            tuples_per_relation=min(tuples, 1000),
-            **seeded,
+            scale(min(figure.tuples_per_relation, 1000)), **seeded
         ),
         "abl-parallel": lambda: run_parallel_ablation(
-            **(
-                {"du_count": 80, "tuples_per_relation": 400}
-                if full
-                else {}
-            ),
-            **seeded,
+            **at({}, {"config": scale(400), "du_count": 80})
         ),
         "abl-snapshot-cache": lambda: run_snapshot_cache_ablation(
-            **(
-                {"du_counts": (120, 240, 480), "tuples_per_relation": 400}
-                if full
-                else {}
-            ),
-            **seeded,
+            **at({}, hot_key_sweep)
         ),
         "abl-self-maintenance": lambda: run_self_maintenance_ablation(
-            **(
-                {"du_counts": (120, 240, 480), "tuples_per_relation": 400}
-                if full
-                else {}
-            ),
-            **seeded,
+            **at({}, hot_key_sweep)
         ),
         "abl-recovery": lambda: run_recovery_ablation(
-            **(
-                {"du_count": 96, "tuples_per_relation": 600}
-                if full
-                else {}
-            ),
-            **seeded,
+            **at({}, {"config": scale(600), "du_count": 96})
         ),
         "abl-group-maintenance": lambda: run_group_maintenance_ablation(
-            **(
-                {"du_counts": (120, 240, 480), "tuples_per_relation": 400}
-                if full
-                else {}
-            ),
-            **seeded,
+            **at(
+                {},
+                {
+                    **hot_key_sweep,
+                    "config": scale(400).replace(spans=TWO_VIEW_SPANS),
+                },
+            )
         ),
         "abl-sharding": lambda: run_sharding_ablation(
-            **(
-                {}
-                if full
-                else {
-                    "du_count": 96,
-                    "tuples_per_relation": 120,
-                    "reads": 200_000,
-                }
+            sharded_config(
+                tuples_per_relation=160 if full else 120,
+                shard_processes=processes,
             ),
-            **seeded,
-            # --shard-processes executes the swept multi-shard arms on
-            # OS worker processes (results bit-identical to inline).
-            shard_processes=shard_processes,
+            **at({"du_count": 96, "reads": 200_000}, {}),
         ),
         "abl-runtime": lambda: run_runtime_ablation(
-            **(
-                {
-                    "du_count": 160,
-                    "tuples_per_relation": 240,
-                    "repeats": 3,
-                }
-                if full
-                else {}
+            sharded_config(
+                tuples_per_relation=240 if full else 120, shards=4
             ),
-            **seeded,
-            **(
-                {"process_counts": (0, shard_processes)}
-                if shard_processes
-                else {}
-            ),
+            **at({}, {"du_count": 160, "repeats": 3}),
+            **({"process_counts": (0, processes)} if processes else {}),
         ),
     }
 
@@ -247,114 +304,14 @@ def main(argv: list[str] | None = None) -> int:
         default=None,
         help="override the workload seed of every randomized runner",
     )
-    cache_group = parser.add_mutually_exclusive_group()
-    cache_group.add_argument(
-        "--cache",
-        dest="snapshot_cache",
-        action="store_true",
-        help="run every figure with the snapshot cache enabled",
-    )
-    cache_group.add_argument(
-        "--no-cache",
-        dest="snapshot_cache",
-        action="store_false",
-        help="run without the snapshot cache (the default)",
-    )
-    parser.set_defaults(snapshot_cache=False)
-    selfmaint_group = parser.add_mutually_exclusive_group()
-    selfmaint_group.add_argument(
-        "--self-maintenance",
-        dest="self_maintenance",
-        action="store_true",
-        help="run every figure with the auxiliary self-maintenance "
-        "store enabled (covered probes answered with zero round trips)",
-    )
-    selfmaint_group.add_argument(
-        "--no-self-maintenance",
-        dest="self_maintenance",
-        action="store_false",
-        help="run without the auxiliary store (the default)",
-    )
-    parser.set_defaults(self_maintenance=False)
-    batch_group = parser.add_mutually_exclusive_group()
-    batch_group.add_argument(
-        "--batch",
-        dest="group_maintenance",
-        action="store_true",
-        help="run every figure with adaptive group maintenance enabled",
-    )
-    batch_group.add_argument(
-        "--no-batch",
-        dest="group_maintenance",
-        action="store_false",
-        help="run without group maintenance (the default)",
-    )
-    parser.set_defaults(group_maintenance=False)
-    parser.add_argument(
-        "--journal",
-        action="store_true",
-        help="arm the write-ahead maintenance journal + checkpoints on "
-        "every fig08..fig12 testbed (measures recovery overhead)",
-    )
-    parser.add_argument(
-        "--checkpoint-every",
-        type=int,
-        default=8,
-        metavar="N",
-        help="checkpoint every N installed units when the journal is "
-        "armed (default 8)",
-    )
-    parser.add_argument(
-        "--crash-seed",
-        type=int,
-        default=None,
-        metavar="SEED",
-        help="draw a seeded CrashPlan and kill + recover the warehouse "
-        "mid-run in every fig08..fig12 testbed (implies --journal); "
-        "every run must still converge to the uncrashed view state, "
-        "with the redone work showing up in the cost series",
-    )
-    parser.add_argument(
-        "--shards",
-        type=int,
-        default=1,
-        metavar="N",
-        help="run every fig08..fig12 testbed through the sharded "
-        "warehouse coordinator with N requested scheduler shards "
-        "(single-view figures collapse to one effective shard; the "
-        "baselines are unchanged at the default of 1 — the multi-view "
-        "shard sweep is the abl-sharding runner)",
-    )
-    parser.add_argument(
-        "--shard-processes",
-        type=int,
-        default=0,
-        metavar="N",
-        help="execute sharded-warehouse arms across N OS worker "
-        "processes (the multi-core runtime, repro.core.runtime) "
-        "instead of the inline coordinator; results are bit-identical "
-        "— only wall-clock time moves.  Applies to abl-sharding's "
-        "swept arms and narrows abl-runtime's sweep to (0, N); the "
-        "default 0 keeps everything inline",
-    )
+    _add_flags(parser)
     arguments = parser.parse_args(argv)
-    if arguments.shards < 1:
-        parser.error("--shards must be >= 1")
-    if arguments.shard_processes < 0:
-        parser.error("--shard-processes must be >= 0")
+    try:
+        config = _config_from(arguments)
+    except ValueError as error:
+        parser.error(str(error))
 
-    runners = _runners(
-        arguments.full,
-        arguments.seed,
-        arguments.snapshot_cache,
-        arguments.self_maintenance,
-        arguments.group_maintenance,
-        arguments.journal,
-        arguments.checkpoint_every,
-        arguments.crash_seed,
-        arguments.shards,
-        arguments.shard_processes,
-    )
+    runners = _runners(arguments.full, config, arguments.seed)
     requested = (
         list(runners) if "all" in arguments.figures else arguments.figures
     )

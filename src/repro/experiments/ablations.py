@@ -18,7 +18,15 @@ import time
 from ..core.dependencies import find_dependencies
 from ..core.graph import DependencyGraph
 from ..core.incremental import IncrementalDependencyGraph
-from ..core.strategies import BLIND_MERGE, PESSIMISTIC
+from ..core.strategies import BLIND_MERGE, OPTIMISTIC, PESSIMISTIC
+from ..faults.plan import FaultPlan
+from ..frontend.reads import (
+    READ_COMMITTED_VERSION,
+    READ_LATEST,
+    ReadWorkload,
+)
+from ..maintenance.grouping import BatchPolicy
+from ..recovery import CrashPlan
 from ..relational.delta import Delta
 from ..sources.messages import (
     DataUpdate,
@@ -26,22 +34,30 @@ from ..sources.messages import (
     RenameRelation,
     UpdateMessage,
 )
-from ..views.consistency import check_convergence
 from ..views.umq import UpdateMessageQueue
-from .runner import FigureResult
+from .config import WarehouseConfig
+from .runner import FigureResult, ratio, run_arm
 from .testbed import (
-    build_multiview_testbed,
-    build_testbed,
+    SOURCE_NAMES,
+    ShardedTestbed,
+    du_stream,
+    full_join_query,
     relation_schema,
+    sc_stream,
+    sharded_config,
 )
+
+#: the small-scale world most ablations sweep over
+SMALL = WarehouseConfig(tuples_per_relation=200)
+STRATEGY_ARMS = {"pess": PESSIMISTIC, "opt": OPTIMISTIC}
 
 
 def run_blind_merge_ablation(
+    config: WarehouseConfig = WarehouseConfig(),
     du_count: int = 200,
     sc_count: int = 10,
     sc_interval: float = 17.0,
-    tuples_per_relation: int = 2000,
-    seed: int = 7,
+    workload_seed: int = 7,
 ) -> FigureResult:
     result = FigureResult(
         figure_id="ABL-1",
@@ -49,33 +65,21 @@ def run_blind_merge_ablation(
         x_label="strategy",
         series_names=["total_cost", "abort_cost", "view_refreshes"],
     )
+    stream = [
+        du_stream(config, du_count, 0.0, 0.5, seed=workload_seed),
+        sc_stream(sc_count, 0.0, sc_interval, seed=workload_seed + 4),
+    ]
     for label, strategy in (
         ("dyno_cycle_merge", PESSIMISTIC),
         ("blind_merge", BLIND_MERGE),
     ):
-        testbed = build_testbed(
-            strategy, tuples_per_relation=tuples_per_relation
-        )
-        testbed.engine.schedule_workload(
-            testbed.random_du_workload(
-                du_count, start=0.0, interval=0.5, seed=seed
-            )
-        )
-        testbed.engine.schedule_workload(
-            testbed.schema_change_workload(
-                sc_count, start=0.0, interval=sc_interval, seed=seed + 4
-            )
-        )
-        testbed.run()
-        report = check_convergence(testbed.manager)
-        if not report.consistent:
-            result.consistent = False
-            result.notes.append(f"{label}: {report.summary()}")
+        arm = run_arm(config.replace(strategy=strategy), stream)
+        result.require(arm.consistent, f"{label}: failed convergence check")
         result.add(
             label,
-            total_cost=testbed.metrics.maintenance_cost,
-            abort_cost=testbed.metrics.abort_cost,
-            view_refreshes=float(testbed.metrics.view_refreshes),
+            total_cost=arm.metrics.maintenance_cost,
+            abort_cost=arm.metrics.abort_cost,
+            view_refreshes=float(arm.metrics.view_refreshes),
         )
     dyno_refreshes = result.points[0].values["view_refreshes"]
     blind_refreshes = result.points[1].values["view_refreshes"]
@@ -87,10 +91,10 @@ def run_blind_merge_ablation(
 
 
 def _synthetic_queue(
-    n_updates: int, n_schema_changes: int, seed: int = 5
+    n_updates: int, n_schema_changes: int, workload_seed: int = 5
 ) -> list[UpdateMessage]:
     """A UMQ snapshot with the requested DU/SC mixture."""
-    rng = random.Random(seed)
+    rng = random.Random(workload_seed)
     messages: list[UpdateMessage] = []
     sc_positions = set(
         rng.sample(range(n_updates), min(n_schema_changes, n_updates))
@@ -117,13 +121,13 @@ def _synthetic_queue(
 def _du_heavy_queue(
     count: int,
     n_schema_changes: int,
-    seed: int = 9,
+    workload_seed: int = 9,
     first_seqno: int = 1,
 ) -> list[UpdateMessage]:
     """A DU-heavy stream whose schema changes are *non-lineage* drops
     (the workload where incremental detection shines: no rename chains,
     so arrivals never force a resolver rebuild)."""
-    rng = random.Random(seed)
+    rng = random.Random(workload_seed)
     messages: list[UpdateMessage] = []
     sc_positions = set(
         rng.sample(range(count), min(n_schema_changes, count))
@@ -157,7 +161,7 @@ def run_incremental_detection_ablation(
     sizes: tuple[int, ...] = (50, 100, 200, 400),
     rounds: int = 40,
     sc_fraction: float = 0.05,
-    seed: int = 9,
+    workload_seed: int = 9,
 ) -> FigureResult:
     """Per-round detection time: from-scratch rebuild vs the
     incremental substrate, on a DU-heavy stream.
@@ -171,9 +175,7 @@ def run_incremental_detection_ablation(
     arms consume the identical stream, and the final edge sets and
     corrected orders are verified bit-identical.
     """
-    view_query = build_testbed(
-        PESSIMISTIC, tuples_per_relation=4
-    ).manager.view.query
+    view_query = full_join_query()
 
     result = FigureResult(
         figure_id="ABL-5",
@@ -183,11 +185,13 @@ def run_incremental_detection_ablation(
     )
     for n_updates in sizes:
         n_schema_changes = max(1, int(n_updates * sc_fraction))
-        prefill = _du_heavy_queue(n_updates, n_schema_changes, seed)
+        prefill = _du_heavy_queue(
+            n_updates, n_schema_changes, workload_seed
+        )
         arrivals = _du_heavy_queue(
             rounds,
             max(1, int(rounds * sc_fraction)),
-            seed + 1,
+            workload_seed + 1,
             first_seqno=n_updates + 1,
         )
 
@@ -234,7 +238,7 @@ def run_incremental_detection_ablation(
             n_updates,
             full_ms=full_ms,
             incremental_ms=incremental_ms,
-            speedup=full_ms / incremental_ms if incremental_ms else 0.0,
+            speedup=ratio(full_ms, incremental_ms),
         )
     result.notes.append(
         "corrected orders verified identical between both arms"
@@ -252,9 +256,7 @@ def run_graph_scaling_ablation(
     ),
 ) -> FigureResult:
     """Wall-clock scaling of dependency-graph construction (O(mn))."""
-    view_query = build_testbed(
-        PESSIMISTIC, tuples_per_relation=4
-    ).manager.view.query
+    view_query = full_join_query()
 
     result = FigureResult(
         figure_id="ABL-2",
@@ -276,59 +278,24 @@ def run_graph_scaling_ablation(
     return result
 
 
-def _run_parallel_arm(
-    strategy,
-    workers: int | None,
-    du_count: int,
-    tuples_per_relation: int,
-    fault_seed: int | None,
-    seed: int,
-):
-    """One (strategy, worker-count) arm of ABL-6.
-
-    Returns ``(makespan, extent, processed, metrics)`` where *extent*
-    is the final view as a sorted row tuple (byte-comparable across
-    arms) and *processed* is the set of (source, seqno) pairs the
-    scheduler committed.
-    """
-    from ..faults.injector import FaultInjector
-    from ..faults.plan import FaultPlan
-
-    testbed = build_testbed(
-        strategy,
-        tuples_per_relation=tuples_per_relation,
-        parallel_workers=workers,
+def _stream_faults(fault_seed: int) -> FaultPlan:
+    """Transients, one short crash window and link faults inside the
+    first three virtual seconds — where the DU-heavy streams live."""
+    return FaultPlan.random(
+        fault_seed,
+        sources=SOURCE_NAMES,
+        horizon=3.0,
+        max_crashes=1,
+        crash_length=(0.2, 0.8),
     )
-    if fault_seed is not None:
-        plan = FaultPlan.random(
-            fault_seed,
-            sources=list(testbed.engine.sources),
-            horizon=3.0,
-            max_crashes=1,
-            crash_length=(0.2, 0.8),
-        )
-        testbed.engine.install_faults(FaultInjector(plan))
-    workload = testbed.random_du_workload(
-        du_count, start=0.05, interval=0.01, seed=seed
-    )
-    testbed.engine.schedule_workload(workload)
-    testbed.run()
-    metrics = testbed.metrics
-    makespan = metrics.makespan if workers is not None else metrics.elapsed
-    extent = tuple(
-        sorted(map(tuple, testbed.manager.mv.extent.rows()))
-    )
-    processed = set(testbed.scheduler.stats.processed_messages)
-    report = check_convergence(testbed.manager)
-    return makespan, extent, processed, metrics, report
 
 
 def run_parallel_ablation(
+    config: WarehouseConfig = SMALL,
     workers: tuple[int, ...] = (1, 2, 4, 8),
     du_count: int = 40,
-    tuples_per_relation: int = 200,
     fault_seed: int | None = 23,
-    seed: int = 17,
+    workload_seed: int = 17,
 ) -> FigureResult:
     """ABL-6: multi-worker makespan on a DU-heavy multi-source stream.
 
@@ -342,8 +309,6 @@ def run_parallel_ablation(
     committed exactly the same (source, seqno) set — Theorem 2's
     legal-order guarantee, observed end to end.
     """
-    from ..core.strategies import OPTIMISTIC
-
     result = FigureResult(
         figure_id="ABL-6",
         title="Parallel executor makespan vs worker count",
@@ -357,52 +322,35 @@ def run_parallel_ablation(
             "peak_parallelism",
         ],
     )
-    arms = {"pess": PESSIMISTIC, "opt": OPTIMISTIC}
-    baselines: dict[str, tuple] = {}
-    for label, strategy in arms.items():
-        serial = _run_parallel_arm(
-            strategy, None, du_count, tuples_per_relation, fault_seed, seed
-        )
-        baselines[label] = serial
-        if not serial[4].consistent:
-            result.consistent = False
-            result.notes.append(f"{label}: serial arm failed convergence")
+    if fault_seed is not None:
+        config = config.replace(fault_plan=_stream_faults(fault_seed))
+    stream = [du_stream(config, du_count, 0.05, 0.01, seed=workload_seed)]
     rows: dict[int, dict[str, float]] = {}
-    for label, strategy in arms.items():
-        serial_extent = baselines[label][1]
-        serial_processed = baselines[label][2]
+    for label, strategy in STRATEGY_ARMS.items():
+        base = config.replace(strategy=strategy)
+        serial = run_arm(base, stream)
+        result.require(
+            serial.consistent, f"{label}: serial arm failed convergence"
+        )
         one_worker_makespan: float | None = None
         for count in workers:
-            makespan, extent, processed, metrics, report = (
-                _run_parallel_arm(
-                    strategy,
-                    count,
-                    du_count,
-                    tuples_per_relation,
-                    fault_seed,
-                    seed,
-                )
-            )
+            arm = run_arm(base.replace(parallel_workers=count), stream)
             if one_worker_makespan is None:
-                one_worker_makespan = makespan
-            if extent != serial_extent or processed != serial_processed:
-                result.consistent = False
-                result.notes.append(
-                    f"{label} workers={count}: diverged from serial oracle"
-                )
-            if not report.consistent:
-                result.consistent = False
-                result.notes.append(
-                    f"{label} workers={count}: failed convergence check"
-                )
-            row = rows.setdefault(count, {})
-            row[f"{label}_makespan"] = makespan
-            row[f"{label}_speedup"] = (
-                one_worker_makespan / makespan if makespan else 0.0
+                one_worker_makespan = arm.cost
+            result.require(
+                arm.same_outcome(serial),
+                f"{label} workers={count}: diverged from serial oracle",
             )
+            result.require(
+                arm.consistent,
+                f"{label} workers={count}: failed convergence check",
+            )
+            row = rows.setdefault(count, {})
+            row[f"{label}_makespan"] = arm.cost
+            row[f"{label}_speedup"] = ratio(one_worker_makespan, arm.cost)
             if label == "pess":
-                row["batched_queries"] = float(metrics.batched_queries)
-                row["peak_parallelism"] = float(metrics.peak_parallelism)
+                row["batched_queries"] = float(arm.metrics.batched_queries)
+                row["peak_parallelism"] = float(arm.metrics.peak_parallelism)
     for count in workers:
         result.add(count, **rows[count])
     result.notes.append(
@@ -414,76 +362,11 @@ def run_parallel_ablation(
     return result
 
 
-def _run_cache_arm(
-    strategy,
-    snapshot_cache: bool,
-    du_count: int,
-    tuples_per_relation: int,
-    seed: int,
-    key_domain: int,
-    workers: int | None = None,
-    fault_seed: int | None = None,
-    self_maintenance: bool = False,
-):
-    """One (strategy, cache on/off) arm of ABL-7 (and, with
-    ``self_maintenance``, of ABL-10).
-
-    Returns ``(cost, trips, extent, processed, metrics, report)`` where
-    *cost* is the virtual-clock total (makespan under the parallel
-    executor, summed busy time serially), *trips* the number of
-    maintenance queries that actually travelled, *extent* the final view
-    as a sorted row tuple and *processed* the committed (source, seqno)
-    set — the latter two byte-comparable across arms.
-    """
-    from ..faults.injector import FaultInjector
-    from ..faults.plan import FaultPlan
-
-    testbed = build_testbed(
-        strategy,
-        tuples_per_relation=tuples_per_relation,
-        parallel_workers=workers,
-        snapshot_cache=snapshot_cache,
-        self_maintenance=self_maintenance,
-    )
-    if fault_seed is not None:
-        plan = FaultPlan.random(
-            fault_seed,
-            sources=list(testbed.engine.sources),
-            horizon=3.0,
-            max_crashes=1,
-            crash_length=(0.2, 0.8),
-        )
-        testbed.engine.install_faults(FaultInjector(plan))
-    testbed.engine.schedule_workload(
-        testbed.random_du_workload(
-            du_count,
-            start=0.05,
-            interval=0.01,
-            seed=seed,
-            key_domain=key_domain,
-        )
-    )
-    testbed.run()
-    metrics = testbed.metrics
-    cost = metrics.elapsed
-    extent = tuple(sorted(map(tuple, testbed.manager.mv.extent.rows())))
-    processed = set(testbed.scheduler.stats.processed_messages)
-    report = check_convergence(testbed.manager)
-    return (
-        cost,
-        metrics.source_round_trips,
-        extent,
-        processed,
-        metrics,
-        report,
-    )
-
-
 def run_snapshot_cache_ablation(
+    config: WarehouseConfig = SMALL,
     du_counts: tuple[int, ...] = (60, 120, 240),
-    tuples_per_relation: int = 200,
     key_domain: int = 40,
-    seed: int = 5,
+    workload_seed: int = 5,
 ) -> FigureResult:
     """ABL-7: snapshot cache with local delta patching, on vs off.
 
@@ -496,8 +379,6 @@ def run_snapshot_cache_ablation(
     4-worker parallel arm rides along to show hits composing with the
     executor (zero-channel-occupancy answers).
     """
-    from ..core.strategies import OPTIMISTIC
-
     result = FigureResult(
         figure_id="ABL-7",
         title="Snapshot cache: source round trips and cost, on vs off",
@@ -514,56 +395,44 @@ def run_snapshot_cache_ablation(
             "patched_answers",
         ],
     )
-    arms = {"pess": PESSIMISTIC, "opt": OPTIMISTIC}
     for du_count in du_counts:
+        stream = [
+            du_stream(
+                config, du_count, 0.05, 0.01,
+                seed=workload_seed, key_domain=key_domain,
+            )
+        ]
         row: dict[str, float] = {}
-        for label, strategy in arms.items():
-            off = _run_cache_arm(
-                strategy, False, du_count, tuples_per_relation, seed,
-                key_domain,
-            )
-            on = _run_cache_arm(
-                strategy, True, du_count, tuples_per_relation, seed,
-                key_domain,
-            )
+        for label, strategy in STRATEGY_ARMS.items():
+            base = config.replace(strategy=strategy)
+            off = run_arm(base, stream)
+            on = run_arm(base.replace(snapshot_cache=True), stream)
             for name, arm in (("off", off), ("on", on)):
-                if not arm[5].consistent:
-                    result.consistent = False
-                    result.notes.append(
-                        f"{label} cache={name} du={du_count}: "
-                        "failed convergence check"
-                    )
-            if off[2] != on[2] or off[3] != on[3]:
-                result.consistent = False
-                result.notes.append(
-                    f"{label} du={du_count}: cache-on arm diverged from "
-                    "cache-off arm"
+                result.require(
+                    arm.consistent,
+                    f"{label} cache={name} du={du_count}: "
+                    "failed convergence check",
                 )
-            row[f"{label}_trip_speedup"] = (
-                off[1] / on[1] if on[1] else 0.0
+            result.require(
+                on.same_outcome(off),
+                f"{label} du={du_count}: cache-on arm diverged from "
+                "cache-off arm",
             )
-            row[f"{label}_cost_speedup"] = off[0] / on[0] if on[0] else 0.0
+            row[f"{label}_trip_speedup"] = ratio(off.trips, on.trips)
+            row[f"{label}_cost_speedup"] = ratio(off.cost, on.cost)
             if label == "pess":
-                row["pess_trips_off"] = float(off[1])
-                row["pess_trips_on"] = float(on[1])
-                row["cache_hits"] = float(on[4].cache_hits)
-                row["patched_answers"] = float(on[4].patched_answers)
-        par_off = _run_cache_arm(
-            PESSIMISTIC, False, du_count, tuples_per_relation, seed,
-            key_domain, workers=4,
+                row["pess_trips_off"] = float(off.trips)
+                row["pess_trips_on"] = float(on.trips)
+                row["cache_hits"] = float(on.metrics.cache_hits)
+                row["patched_answers"] = float(on.metrics.patched_answers)
+        parallel = config.replace(parallel_workers=4)
+        par_off = run_arm(parallel, stream)
+        par_on = run_arm(parallel.replace(snapshot_cache=True), stream)
+        result.require(
+            par_off.extents == par_on.extents,
+            f"parallel du={du_count}: cache-on arm diverged",
         )
-        par_on = _run_cache_arm(
-            PESSIMISTIC, True, du_count, tuples_per_relation, seed,
-            key_domain, workers=4,
-        )
-        if par_off[2] != par_on[2]:
-            result.consistent = False
-            result.notes.append(
-                f"parallel du={du_count}: cache-on arm diverged"
-            )
-        row["parallel_trip_speedup"] = (
-            par_off[1] / par_on[1] if par_on[1] else 0.0
-        )
+        row["parallel_trip_speedup"] = ratio(par_off.trips, par_on.trips)
         result.add(du_count, **row)
     result.notes.append(
         "extents and committed (source, seqno) sets verified identical "
@@ -571,16 +440,20 @@ def run_snapshot_cache_ablation(
     )
     result.notes.append(
         f"hot-key stream: keys drawn from 1..{key_domain} over "
-        f"{tuples_per_relation}-tuple relations"
+        f"{config.tuples_per_relation}-tuple relations"
     )
     return result
 
 
+def _selfmaint_fraction(metrics) -> float:
+    return ratio(metrics.self_maintained_units, metrics.data_unit_rounds)
+
+
 def run_self_maintenance_ablation(
+    config: WarehouseConfig = SMALL,
     du_counts: tuple[int, ...] = (60, 120, 240),
-    tuples_per_relation: int = 200,
     key_domain: int = 40,
-    seed: int = 5,
+    workload_seed: int = 5,
 ) -> FigureResult:
     """ABL-10: auxiliary self-maintenance store vs cache-only vs bare.
 
@@ -602,8 +475,6 @@ def run_self_maintenance_ablation(
     cost.  A 4-worker parallel aux arm rides along (aux hits occupy no
     source channel, like cache hits).
     """
-    from ..core.strategies import OPTIMISTIC
-
     result = FigureResult(
         figure_id="ABL-10",
         title="Self-maintenance: zero-trip fraction and cost vs cache",
@@ -620,71 +491,51 @@ def run_self_maintenance_ablation(
             "aux_hits",
         ],
     )
-    arms = {"pess": PESSIMISTIC, "opt": OPTIMISTIC}
     for du_count in du_counts:
+        stream = [
+            du_stream(
+                config, du_count, 0.05, 0.01,
+                seed=workload_seed, key_domain=key_domain,
+            )
+        ]
         row: dict[str, float] = {}
-        for label, strategy in arms.items():
-            off = _run_cache_arm(
-                strategy, False, du_count, tuples_per_relation, seed,
-                key_domain,
-            )
-            cache = _run_cache_arm(
-                strategy, True, du_count, tuples_per_relation, seed,
-                key_domain,
-            )
-            aux = _run_cache_arm(
-                strategy, False, du_count, tuples_per_relation, seed,
-                key_domain, self_maintenance=True,
-            )
+        for label, strategy in STRATEGY_ARMS.items():
+            base = config.replace(strategy=strategy)
+            off = run_arm(base, stream)
+            cache = run_arm(base.replace(snapshot_cache=True), stream)
+            aux = run_arm(base.replace(self_maintenance=True), stream)
             for name, arm in (("off", off), ("cache", cache), ("aux", aux)):
-                if not arm[5].consistent:
-                    result.consistent = False
-                    result.notes.append(
-                        f"{label} arm={name} du={du_count}: "
-                        "failed convergence check"
-                    )
-            for name, arm in (("cache", cache), ("aux", aux)):
-                if off[2] != arm[2] or off[3] != arm[3]:
-                    result.consistent = False
-                    result.notes.append(
-                        f"{label} du={du_count}: {name} arm diverged "
-                        "from the off oracle"
-                    )
-            metrics = aux[4]
-            fraction = (
-                metrics.self_maintained_units / metrics.data_unit_rounds
-                if metrics.data_unit_rounds
-                else 0.0
-            )
-            row[f"{label}_selfmaint_fraction"] = fraction
-            row[f"{label}_cost_speedup"] = (
-                off[0] / aux[0] if aux[0] else 0.0
-            )
-            if label == "pess":
-                row["pess_trips_off"] = float(off[1])
-                row["pess_trips_aux"] = float(aux[1])
-                row["pess_cost_speedup_vs_cache"] = (
-                    cache[0] / aux[0] if aux[0] else 0.0
+                result.require(
+                    arm.consistent,
+                    f"{label} arm={name} du={du_count}: "
+                    "failed convergence check",
                 )
-                row["aux_hits"] = float(metrics.aux_hits)
-        par_off = _run_cache_arm(
-            PESSIMISTIC, False, du_count, tuples_per_relation, seed,
-            key_domain, workers=4,
-        )
-        par_aux = _run_cache_arm(
-            PESSIMISTIC, False, du_count, tuples_per_relation, seed,
-            key_domain, workers=4, self_maintenance=True,
-        )
-        if par_off[2] != par_aux[2] or par_off[3] != par_aux[3]:
-            result.consistent = False
-            result.notes.append(
-                f"parallel du={du_count}: aux arm diverged from oracle"
+            for name, arm in (("cache", cache), ("aux", aux)):
+                result.require(
+                    arm.same_outcome(off),
+                    f"{label} du={du_count}: {name} arm diverged "
+                    "from the off oracle",
+                )
+            row[f"{label}_selfmaint_fraction"] = _selfmaint_fraction(
+                aux.metrics
             )
-        par_metrics = par_aux[4]
-        row["parallel_selfmaint_fraction"] = (
-            par_metrics.self_maintained_units / par_metrics.data_unit_rounds
-            if par_metrics.data_unit_rounds
-            else 0.0
+            row[f"{label}_cost_speedup"] = ratio(off.cost, aux.cost)
+            if label == "pess":
+                row["pess_trips_off"] = float(off.trips)
+                row["pess_trips_aux"] = float(aux.trips)
+                row["pess_cost_speedup_vs_cache"] = ratio(
+                    cache.cost, aux.cost
+                )
+                row["aux_hits"] = float(aux.metrics.aux_hits)
+        parallel = config.replace(parallel_workers=4)
+        par_off = run_arm(parallel, stream)
+        par_aux = run_arm(parallel.replace(self_maintenance=True), stream)
+        result.require(
+            par_aux.same_outcome(par_off),
+            f"parallel du={du_count}: aux arm diverged from oracle",
+        )
+        row["parallel_selfmaint_fraction"] = _selfmaint_fraction(
+            par_aux.metrics
         )
         result.add(du_count, **row)
     result.notes.append(
@@ -694,66 +545,20 @@ def run_self_maintenance_ablation(
     )
     result.notes.append(
         f"hot-key stream: keys drawn from 1..{key_domain} over "
-        f"{tuples_per_relation}-tuple relations"
+        f"{config.tuples_per_relation}-tuple relations"
     )
     return result
 
 
-def _run_group_arm(
-    strategy,
-    batching: bool,
-    du_count: int,
-    tuples_per_relation: int,
-    seed: int,
-    workers: int | None = None,
-):
-    """One (strategy, batching on/off) arm of ABL-8.
-
-    Returns ``(cost, trips, rounds, extents, processed, metrics,
-    consistent)`` where *rounds* is the number of maintenance rounds
-    actually paid, *extents* the per-view final extents as sorted row
-    tuples and *processed* the committed (source, seqno) set — the
-    latter two byte-comparable across arms.
-    """
-    from ..maintenance.grouping import BatchPolicy
-
-    testbed = build_multiview_testbed(
-        strategy,
-        tuples_per_relation=tuples_per_relation,
-        parallel_workers=workers,
-        batch_policy=BatchPolicy(max_batch_size=24) if batching else None,
-    )
-    testbed.engine.schedule_workload(
-        testbed.random_du_workload(
-            du_count, start=0.05, interval=0.01, seed=seed
-        )
-    )
-    testbed.run()
-    metrics = testbed.metrics
-    extents = tuple(
-        tuple(sorted(map(tuple, manager.mv.extent.rows())))
-        for manager in testbed.manager.managers
-    )
-    processed = set(testbed.scheduler.stats.processed_messages)
-    consistent = all(
-        check_convergence(manager).consistent
-        for manager in testbed.manager.managers
-    )
-    return (
-        metrics.elapsed,
-        metrics.source_round_trips,
-        metrics.maintenance_rounds,
-        extents,
-        processed,
-        metrics,
-        consistent,
-    )
+#: the two-subview split (R3 shared) of the group-maintenance ablation
+TWO_VIEW_SPANS = ((0, 3), (2, 6))
+GROUP_POLICY = BatchPolicy(max_batch_size=24)
 
 
 def run_group_maintenance_ablation(
+    config: WarehouseConfig = SMALL.replace(spans=TWO_VIEW_SPANS),
     du_counts: tuple[int, ...] = (60, 120, 240),
-    tuples_per_relation: int = 200,
-    seed: int = 5,
+    workload_seed: int = 5,
 ) -> FigureResult:
     """ABL-8: adaptive group maintenance, batching on vs off.
 
@@ -768,8 +573,6 @@ def run_group_maintenance_ablation(
     arm rides along to show DU-only batches staying leapfrog-eligible
     (no barrier) under the parallel executor.
     """
-    from ..core.strategies import OPTIMISTIC
-
     result = FigureResult(
         figure_id="ABL-8",
         title="Group maintenance: rounds and round trips, on vs off",
@@ -790,62 +593,47 @@ def run_group_maintenance_ablation(
             "grouped_messages",
         ],
     )
-    arms = {"pess": PESSIMISTIC, "opt": OPTIMISTIC}
+
+    def rounds(arm) -> int:
+        return arm.metrics.maintenance_rounds
+
     for du_count in du_counts:
+        stream = [du_stream(config, du_count, 0.05, 0.01, seed=workload_seed)]
         row: dict[str, float] = {}
-        for label, strategy in arms.items():
-            off = _run_group_arm(
-                strategy, False, du_count, tuples_per_relation, seed
-            )
-            on = _run_group_arm(
-                strategy, True, du_count, tuples_per_relation, seed
-            )
+        for label, strategy in STRATEGY_ARMS.items():
+            base = config.replace(strategy=strategy)
+            off = run_arm(base, stream)
+            on = run_arm(base.replace(batch_policy=GROUP_POLICY), stream)
             for name, arm in (("off", off), ("on", on)):
-                if not arm[6]:
-                    result.consistent = False
-                    result.notes.append(
-                        f"{label} batching={name} du={du_count}: "
-                        "failed convergence check"
-                    )
-            if off[3] != on[3] or off[4] != on[4]:
-                result.consistent = False
-                result.notes.append(
-                    f"{label} du={du_count}: batching-on arm diverged "
-                    "from batching-off arm"
+                result.require(
+                    arm.consistent,
+                    f"{label} batching={name} du={du_count}: "
+                    "failed convergence check",
                 )
-            row[f"{label}_round_speedup"] = (
-                off[2] / on[2] if on[2] else 0.0
+            result.require(
+                on.same_outcome(off),
+                f"{label} du={du_count}: batching-on arm diverged "
+                "from batching-off arm",
             )
-            row[f"{label}_trip_speedup"] = off[1] / on[1] if on[1] else 0.0
+            row[f"{label}_round_speedup"] = ratio(rounds(off), rounds(on))
+            row[f"{label}_trip_speedup"] = ratio(off.trips, on.trips)
             if label == "pess":
-                row["pess_rounds_off"] = float(off[2])
-                row["pess_rounds_on"] = float(on[2])
-                row["pess_trips_off"] = float(off[1])
-                row["pess_trips_on"] = float(on[1])
-                row["pess_cost_speedup"] = (
-                    off[0] / on[0] if on[0] else 0.0
-                )
-                row["batches_formed"] = float(on[5].batches_formed)
-                row["grouped_messages"] = float(on[5].grouped_messages)
-        par_off = _run_group_arm(
-            PESSIMISTIC, False, du_count, tuples_per_relation, seed,
-            workers=4,
+                row["pess_rounds_off"] = float(rounds(off))
+                row["pess_rounds_on"] = float(rounds(on))
+                row["pess_trips_off"] = float(off.trips)
+                row["pess_trips_on"] = float(on.trips)
+                row["pess_cost_speedup"] = ratio(off.cost, on.cost)
+                row["batches_formed"] = float(on.metrics.batches_formed)
+                row["grouped_messages"] = float(on.metrics.grouped_messages)
+        parallel = config.replace(parallel_workers=4)
+        par_off = run_arm(parallel, stream)
+        par_on = run_arm(parallel.replace(batch_policy=GROUP_POLICY), stream)
+        result.require(
+            par_on.same_outcome(par_off),
+            f"parallel du={du_count}: batching-on arm diverged",
         )
-        par_on = _run_group_arm(
-            PESSIMISTIC, True, du_count, tuples_per_relation, seed,
-            workers=4,
-        )
-        if par_off[3] != par_on[3] or par_off[4] != par_on[4]:
-            result.consistent = False
-            result.notes.append(
-                f"parallel du={du_count}: batching-on arm diverged"
-            )
-        row["par_round_speedup"] = (
-            par_off[2] / par_on[2] if par_on[2] else 0.0
-        )
-        row["par_trip_speedup"] = (
-            par_off[1] / par_on[1] if par_on[1] else 0.0
-        )
+        row["par_round_speedup"] = ratio(rounds(par_off), rounds(par_on))
+        row["par_trip_speedup"] = ratio(par_off.trips, par_on.trips)
         result.add(du_count, **row)
     result.notes.append(
         "per-view extents and committed (source, seqno) sets verified "
@@ -859,46 +647,12 @@ def run_group_maintenance_ablation(
     return result
 
 
-def _run_recovery_arm(
-    du_count: int,
-    sc_count: int,
-    tuples_per_relation: int,
-    seed: int,
-    journal: bool,
-    checkpoint_every: int = 8,
-    crash_plan=None,
-):
-    """One fig12-style run; returns (testbed, extent, committed, ok)."""
-    testbed = build_testbed(
-        PESSIMISTIC,
-        tuples_per_relation=tuples_per_relation,
-        journal=journal,
-        checkpoint_every=checkpoint_every,
-        crash_plan=crash_plan,
-    )
-    testbed.engine.schedule_workload(
-        testbed.random_du_workload(
-            du_count, start=0.0, interval=0.5, seed=seed
-        )
-    )
-    testbed.engine.schedule_workload(
-        testbed.schema_change_workload(
-            sc_count, start=0.0, interval=25.0, seed=seed + 4
-        )
-    )
-    testbed.run()
-    extent = tuple(sorted(map(tuple, testbed.manager.mv.extent.rows())))
-    committed = testbed.committed_updates()
-    ok = check_convergence(testbed.manager).consistent
-    return testbed, extent, committed, ok
-
-
 def run_recovery_ablation(
+    config: WarehouseConfig = WarehouseConfig(tuples_per_relation=300),
     checkpoint_intervals: tuple[int, ...] = (2, 8, 16),
     du_count: int = 48,
     sc_count: int = 3,
-    tuples_per_relation: int = 300,
-    seed: int = 5,
+    workload_seed: int = 5,
     crash_hit: int | None = None,
 ) -> FigureResult:
     """ABL-9: recovery overhead vs checkpoint interval.
@@ -922,8 +676,6 @@ def run_recovery_ablation(
     tightens — a checkpoint bounds the journal suffix a crash replays —
     while journal traffic itself is interval-independent.
     """
-    from ..recovery import CrashPlan
-
     hit = crash_hit if crash_hit is not None else max(du_count // 2, 1)
     result = FigureResult(
         figure_id="ABL-9",
@@ -941,55 +693,40 @@ def run_recovery_ablation(
             "replay_cost",
         ],
     )
-    oracle, oracle_extent, oracle_committed, oracle_ok = _run_recovery_arm(
-        du_count, sc_count, tuples_per_relation, seed, journal=False
-    )
-    if not oracle_ok:
-        result.consistent = False
-        result.notes.append("oracle arm failed convergence check")
+    stream = [
+        du_stream(config, du_count, 0.0, 0.5, seed=workload_seed),
+        sc_stream(sc_count, 0.0, 25.0, seed=workload_seed + 4),
+    ]
+
+    def clock(arm) -> float:
+        return arm.testbed.engine.clock.now
+
+    oracle = run_arm(config, stream)
+    result.require(oracle.consistent, "oracle arm failed convergence check")
     for interval in checkpoint_intervals:
-        journaled, extent, committed, ok = _run_recovery_arm(
-            du_count,
-            sc_count,
-            tuples_per_relation,
-            seed,
-            journal=True,
-            checkpoint_every=interval,
+        durable = config.replace(journal=True, checkpoint_every=interval)
+        journaled = run_arm(durable, stream)
+        result.require(
+            journaled.consistent and journaled.extents == oracle.extents,
+            f"ckpt={interval}: journaled arm diverged from oracle",
         )
-        if not ok or extent != oracle_extent:
-            result.consistent = False
-            result.notes.append(
-                f"ckpt={interval}: journaled arm diverged from oracle"
-            )
-        if journaled.engine.clock.now != oracle.engine.clock.now:
-            result.consistent = False
-            result.notes.append(
-                f"ckpt={interval}: durability advanced the virtual "
-                "clock (must charge busy time only)"
-            )
-        crashed, crashed_extent, crashed_committed, crashed_ok = (
-            _run_recovery_arm(
-                du_count,
-                sc_count,
-                tuples_per_relation,
-                seed,
-                journal=True,
-                checkpoint_every=interval,
-                crash_plan=CrashPlan("serial.pre_maintain", hit),
-            )
+        result.require(
+            clock(journaled) == clock(oracle),
+            f"ckpt={interval}: durability advanced the virtual "
+            "clock (must charge busy time only)",
         )
-        if (
-            not crashed_ok
-            or crashed_extent != oracle_extent
-            or crashed_committed != oracle_committed
-        ):
-            result.consistent = False
-            result.notes.append(
-                f"ckpt={interval}: crashed arm diverged from oracle"
-            )
-        if crashed.metrics.recoveries < 1:
-            result.consistent = False
-            result.notes.append(f"ckpt={interval}: crash never fired")
+        crashed = run_arm(
+            durable.replace(crash_plan=CrashPlan("serial.pre_maintain", hit)),
+            stream,
+        )
+        result.require(
+            crashed.consistent and crashed.same_outcome(oracle),
+            f"ckpt={interval}: crashed arm diverged from oracle",
+        )
+        result.require(
+            crashed.metrics.recoveries >= 1,
+            f"ckpt={interval}: crash never fired",
+        )
         metrics = journaled.metrics
         busy = metrics.busy_time
         result.add(
@@ -1012,61 +749,14 @@ def run_recovery_ablation(
     return result
 
 
-def _run_shard_arm(
-    strategy,
-    shards: int,
-    du_count: int,
-    tuples_per_relation: int,
-    seed: int,
-    sc_count: int = 0,
-    workers: int | None = None,
-    fault_plan=None,
-    crash_plan=None,
-    shard_processes: int = 0,
-):
-    """One sharded-warehouse arm of ABL-11.
-
-    Returns ``(testbed, extents, committed, consistent)`` with extents
-    as a view-name -> sorted-row-tuples dict, byte-comparable across
-    shard counts (and, since results are bit-identical by construction,
-    across ``shard_processes`` — 0 inline, N = OS worker processes).
-    """
-    from .testbed import build_sharded_testbed
-
-    testbed = build_sharded_testbed(
-        strategy,
-        shards=shards,
-        tuples_per_relation=tuples_per_relation,
-        parallel_workers=workers,
-        fault_plan=fault_plan,
-        crash_plan=crash_plan,
-        shard_processes=shard_processes,
-    )
-    testbed.schedule_du_workload(
-        du_count, start=0.05, interval=0.05, seed=seed
-    )
-    if sc_count:
-        testbed.schedule_sc_workload(
-            sc_count, start=1.0, interval=9.0, seed=seed + 4
-        )
-    testbed.run()
-    return (
-        testbed,
-        testbed.extent_rows(),
-        testbed.committed_updates(),
-        testbed.check_consistency(),
-    )
-
-
 def run_sharding_ablation(
+    config: WarehouseConfig = sharded_config(tuples_per_relation=160),
     shard_counts: tuple[int, ...] = (1, 2, 4),
     du_count: int = 160,
-    tuples_per_relation: int = 160,
-    seed: int = 5,
+    workload_seed: int = 5,
     reads: int = 1_000_000,
     crash_seed: int = 1,
     fault_seed: int = 9,
-    shard_processes: int = 0,
 ) -> FigureResult:
     """ABL-11: sharded multi-scheduler warehouse + read front end.
 
@@ -1086,18 +776,11 @@ def run_sharding_ablation(
     levels) are replayed per shard count against the recorded install
     timelines, reporting p50/p99 latency and staleness.
 
-    ``shard_processes=N`` executes the swept multi-shard arms across N
-    OS worker processes (:mod:`repro.core.runtime`); results are
-    bit-identical, so every oracle comparison still holds — ABL-13
+    ``config.shard_processes=N`` executes the swept multi-shard arms
+    across N OS worker processes (:mod:`repro.core.runtime`); results
+    are bit-identical, so every oracle comparison still holds — ABL-13
     owns the wall-clock speedup story.
     """
-    from ..core.strategies import OPTIMISTIC
-    from ..frontend.reads import (
-        READ_COMMITTED_VERSION,
-        READ_LATEST,
-        ReadWorkload,
-    )
-
     result = FigureResult(
         figure_id="ABL-11",
         title="Sharded warehouse: aggregate makespan + read latency",
@@ -1119,41 +802,36 @@ def run_sharding_ablation(
             "stale_fraction_latest",
         ],
     )
-    oracles: dict = {}
-    for label, strategy in (("pess", PESSIMISTIC), ("opt", OPTIMISTIC)):
-        oracles[label] = _run_shard_arm(
-            strategy, 1, du_count, tuples_per_relation, seed
+    du = du_stream(config, du_count, 0.05, 0.05, seed=workload_seed)
+    inline = config.replace(shard_processes=0)
+
+    def arm(base: WarehouseConfig, shard_count: int, *streams):
+        return run_arm(
+            base.replace(shards=shard_count), [du, *streams], ShardedTestbed
         )
+
+    oracles = {
+        label: arm(inline.replace(strategy=strategy), 1)
+        for label, strategy in STRATEGY_ARMS.items()
+    }
     for shards in shard_counts:
         row: dict[str, float] = {}
-        arms = {}
-        for label, strategy in (("pess", PESSIMISTIC), ("opt", OPTIMISTIC)):
-            arm = _run_shard_arm(
-                strategy,
-                shards,
-                du_count,
-                tuples_per_relation,
-                seed,
-                shard_processes=shard_processes,
+        swept = {}
+        for label, strategy in STRATEGY_ARMS.items():
+            swept[label] = this = arm(
+                config.replace(strategy=strategy), shards
             )
-            arms[label] = arm
-            testbed, extents, committed, consistent = arm
-            oracle = oracles[label]
-            if not consistent:
-                result.consistent = False
-                result.notes.append(
-                    f"{label} shards={shards}: failed convergence check"
-                )
-            if extents != oracle[1] or committed != oracle[2]:
-                result.consistent = False
-                result.notes.append(
-                    f"{label} shards={shards}: diverged from 1-shard oracle"
-                )
-            metrics = testbed.metrics
-            row[f"{label}_makespan_speedup"] = (
-                oracle[0].metrics.makespan / metrics.makespan
-                if metrics.makespan
-                else 0.0
+            result.require(
+                this.consistent,
+                f"{label} shards={shards}: failed convergence check",
+            )
+            result.require(
+                this.same_outcome(oracles[label]),
+                f"{label} shards={shards}: diverged from 1-shard oracle",
+            )
+            metrics = this.metrics
+            row[f"{label}_makespan_speedup"] = ratio(
+                oracles[label].metrics.makespan, metrics.makespan
             )
             if label == "pess":
                 row["pess_makespan"] = metrics.makespan
@@ -1163,7 +841,7 @@ def run_sharding_ablation(
                 row["barrier_deferrals"] = float(metrics.barrier_deferrals)
         # Read front end: half the budget per consistency level against
         # the pessimistic arm's install timelines.
-        front_end = arms["pess"][0].read_front_end()
+        front_end = swept["pess"].testbed.read_front_end()
         per_level = max(1, reads // 2)
         latest = front_end.serve(
             ReadWorkload(count=per_level, seed=17), READ_LATEST
@@ -1183,40 +861,31 @@ def run_sharding_ablation(
     # that could break determinism runs against a matching 1-shard
     # oracle and must reproduce its extents + committed sets exactly.
     widest = max(shard_counts)
-    from ..faults.plan import FaultPlan
-    from ..recovery import CrashPlan
-    from .testbed import SOURCE_COUNT, source_name
-
-    fault_plan = FaultPlan.random(
-        fault_seed,
-        sources=tuple(source_name(i) for i in range(SOURCE_COUNT)),
-    )
-    crash_plan = CrashPlan.random(crash_seed)
+    sc = sc_stream(3, 1.0, 9.0, seed=workload_seed + 4)
+    faults = FaultPlan.random(fault_seed, SOURCE_NAMES)
     hardened = (
-        ("faults", {"fault_plan": fault_plan}),
-        ("crash", {"crash_plan": crash_plan}),
-        ("workers", {"workers": 2}),
-        ("sc_barrier", {"sc_count": 3}),
+        ("faults", {"fault_plan": faults}, ()),
+        ("crash", {"crash_plan": CrashPlan.random(crash_seed)}, ()),
+        ("workers", {"parallel_workers": 2}, ()),
+        ("sc_barrier", {}, (sc,)),
     )
-    for name, knobs in hardened:
-        oracle = _run_shard_arm(
-            PESSIMISTIC, 1, du_count, tuples_per_relation, seed, **knobs
+    for name, knobs, streams in hardened:
+        base = inline.replace(**knobs)
+        oracle = arm(base, 1, *streams)
+        wide = arm(base, widest, *streams)
+        result.require(
+            oracle.consistent and wide.consistent,
+            f"{name}: failed convergence check",
         )
-        arm = _run_shard_arm(
-            PESSIMISTIC, widest, du_count, tuples_per_relation, seed, **knobs
+        result.require(
+            wide.same_outcome(oracle),
+            f"{name}: {widest}-shard arm diverged from oracle",
         )
-        if not (oracle[3] and arm[3]):
-            result.consistent = False
-            result.notes.append(f"{name}: failed convergence check")
-        if arm[1] != oracle[1] or arm[2] != oracle[2]:
-            result.consistent = False
-            result.notes.append(
-                f"{name}: {widest}-shard arm diverged from oracle"
+        if name == "crash":
+            result.require(
+                wide.metrics.recoveries >= 1, "crash: plan never fired"
             )
-        if name == "crash" and arm[0].metrics.recoveries < 1:
-            result.consistent = False
-            result.notes.append("crash: plan never fired")
-        if name == "sc_barrier" and arm[0].metrics.barrier_deferrals < 1:
+        if name == "sc_barrier" and wide.metrics.barrier_deferrals < 1:
             result.notes.append("sc_barrier: barrier never deferred")
     result.notes.append(
         "per-view extents and committed (source, seqno) sets verified "

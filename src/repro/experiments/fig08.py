@@ -18,27 +18,19 @@ Expected shape: two nearly identical, linear lines.
 from __future__ import annotations
 
 from ..core.strategies import NAIVE, PESSIMISTIC
-from ..maintenance.grouping import BatchPolicy
-from ..views.consistency import check_convergence
-from .runner import FigureResult
-from .testbed import build_testbed, recovery_knobs
+from .config import WarehouseConfig
+from .runner import FigureResult, run_arm
+from .testbed import du_stream
 
 DEFAULT_DU_COUNTS = (500, 1000, 1500, 2000, 2500, 3000)
 QUICK_DU_COUNTS = (100, 200, 400)
 
 
 def run_figure(
+    config: WarehouseConfig = WarehouseConfig(),
     du_counts: tuple[int, ...] = DEFAULT_DU_COUNTS,
-    tuples_per_relation: int = 2000,
     du_interval: float = 0.2,
-    seed: int = 7,
-    snapshot_cache: bool = False,
-    self_maintenance: bool = False,
-    group_maintenance: bool = False,
-    journal: bool = False,
-    checkpoint_every: int = 8,
-    crash_seed: int | None = None,
-    shards: int = 1,
+    workload_seed: int = 7,
 ) -> FigureResult:
     result = FigureResult(
         figure_id="FIG-8",
@@ -52,26 +44,18 @@ def run_figure(
             ("with_detection", PESSIMISTIC),
             ("without_detection", NAIVE),
         ):
-            testbed = build_testbed(
-                strategy,
-                tuples_per_relation=tuples_per_relation,
-                snapshot_cache=snapshot_cache,
-                self_maintenance=self_maintenance,
-                batch_policy=BatchPolicy() if group_maintenance else None,
-                shards=shards,
-                **recovery_knobs(journal, checkpoint_every, crash_seed),
+            arm = run_arm(
+                config.replace(strategy=strategy),
+                [
+                    du_stream(
+                        config, count, 0.0, du_interval, seed=workload_seed
+                    )
+                ],
             )
-            testbed.engine.schedule_workload(
-                testbed.random_du_workload(
-                    count, start=0.0, interval=du_interval, seed=seed
-                )
+            values[name] = arm.metrics.maintenance_cost
+            result.require(
+                arm.consistent, f"{name} N={count}: failed convergence check"
             )
-            testbed.run()
-            values[name] = testbed.metrics.maintenance_cost
-            report = check_convergence(testbed.manager)
-            if not report.consistent:
-                result.consistent = False
-                result.notes.append(f"{name} N={count}: {report.summary()}")
         result.add(count, **values)
     overheads = [
         point.values["with_detection"] - point.values["without_detection"]

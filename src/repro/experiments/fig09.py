@@ -25,79 +25,45 @@ cheap).  Pessimistic ≈ no-concurrency in both workloads.
 
 from __future__ import annotations
 
-from ..core.strategies import OPTIMISTIC, PESSIMISTIC, Strategy
-from ..maintenance.grouping import BatchPolicy
+from ..core.sharding import WorkloadSpec
+from ..core.strategies import OPTIMISTIC, PESSIMISTIC
 from ..sources.workload import Workload
-from ..views.consistency import check_convergence
-from .runner import FigureResult
+from .config import WarehouseConfig
+from .runner import FigureResult, run_arm
 from .testbed import (
-    build_testbed,
     fixed_drop_attribute,
     fixed_rename_relation,
-    recovery_knobs,
+    make_du_workload,
 )
 
 #: spacing that guarantees no overlap (≫ one SC maintenance time)
 NO_CONCURRENCY_SPACING = 200.0
 
 
-def _run_one(
-    workload_kind: str,
-    strategy: Strategy,
-    spacing: float,
-    tuples_per_relation: int,
-    snapshot_cache: bool = False,
-    self_maintenance: bool = False,
-    group_maintenance: bool = False,
-    recovery: dict | None = None,
-    shards: int = 1,
-) -> tuple[float, float, bool]:
-    testbed = build_testbed(
-        strategy,
-        tuples_per_relation=tuples_per_relation,
-        snapshot_cache=snapshot_cache,
-        self_maintenance=self_maintenance,
-        batch_policy=BatchPolicy() if group_maintenance else None,
-        shards=shards,
-        **(recovery or {}),
-    )
+def conflict_workload(kind: str, spacing: float, key_range: int) -> Workload:
+    """The two conflicting updates of one bar group, ``spacing`` apart."""
     workload = Workload()
-    if workload_kind == "du_sc":
-        du_intent = testbed.random_du_workload(1, 0.0, 1.0).items[0].intent
+    if kind == "du_sc":
+        du_intent = make_du_workload(key_range, 1, 0.0, 1.0).items[0].intent
         workload.add(0.0, "src1", du_intent)
         # Drop a non-key attribute of R6: the last relation the DU sweep
         # probes, so an optimistic break wastes the most probe work.
         workload.add(spacing, "src3", fixed_drop_attribute(5))
-    elif workload_kind == "sc_sc":
+    elif kind == "sc_sc":
         workload.add(0.0, "src1", fixed_drop_attribute(0))
         # Rename R6, scanned last during the first SC's adaptation.
         workload.add(spacing, "src3", fixed_rename_relation(5))
     else:  # pragma: no cover
-        raise ValueError(workload_kind)
-    testbed.engine.schedule_workload(workload)
-    testbed.run()
-    report = check_convergence(testbed.manager)
-    return (
-        testbed.metrics.maintenance_cost,
-        testbed.metrics.abort_cost,
-        report.consistent,
-    )
+        raise ValueError(kind)
+    return workload
 
 
 def run_figure(
-    tuples_per_relation: int = 2000,
+    config: WarehouseConfig = WarehouseConfig(),
     conflict_spacing: float = 0.0,
-    snapshot_cache: bool = False,
-    self_maintenance: bool = False,
-    group_maintenance: bool = False,
-    journal: bool = False,
-    checkpoint_every: int = 8,
-    crash_seed: int | None = None,
-    shards: int = 1,
 ) -> FigureResult:
     """``conflict_spacing`` = 0 commits both updates at the same instant
     (they flood the UMQ together, the paper's conflicting setup)."""
-    recovery = recovery_knobs(journal, checkpoint_every, crash_seed)
     result = FigureResult(
         figure_id="FIG-9",
         title="Cost of broken query (virtual s, total incl. abort)",
@@ -108,48 +74,37 @@ def run_figure(
         ("du_sc", "One DU + One SC"),
         ("sc_sc", "One SC + One SC"),
     ):
-        no_concurrency, _, ok0 = _run_one(
-            kind,
-            PESSIMISTIC,
-            NO_CONCURRENCY_SPACING,
-            tuples_per_relation,
-            snapshot_cache,
-            self_maintenance,
-            group_maintenance,
-            recovery,
-            shards,
-        )
-        pessimistic, _, ok1 = _run_one(
-            kind,
-            PESSIMISTIC,
-            conflict_spacing,
-            tuples_per_relation,
-            snapshot_cache,
-            self_maintenance,
-            group_maintenance,
-            recovery,
-            shards,
-        )
-        optimistic, abort, ok2 = _run_one(
-            kind,
-            OPTIMISTIC,
-            conflict_spacing,
-            tuples_per_relation,
-            snapshot_cache,
-            self_maintenance,
-            group_maintenance,
-            recovery,
-            shards,
-        )
-        if not (ok0 and ok1 and ok2):
+        arms = {
+            name: run_arm(
+                config.replace(strategy=strategy),
+                [
+                    WorkloadSpec(
+                        conflict_workload,
+                        dict(
+                            kind=kind,
+                            spacing=spacing,
+                            key_range=config.tuples_per_relation,
+                        ),
+                    )
+                ],
+            )
+            for name, strategy, spacing in (
+                ("no_concurrency", PESSIMISTIC, NO_CONCURRENCY_SPACING),
+                ("pessimistic", PESSIMISTIC, conflict_spacing),
+                ("optimistic", OPTIMISTIC, conflict_spacing),
+            )
+        }
+        if not all(arm.consistent for arm in arms.values()):
             result.consistent = False
         result.add(
             label,
-            no_concurrency=no_concurrency,
-            pessimistic=pessimistic,
-            optimistic=optimistic,
+            **{
+                name: arm.metrics.maintenance_cost
+                for name, arm in arms.items()
+            },
         )
         result.notes.append(
-            f"{label}: optimistic abort cost {abort:.2f} virtual s"
+            f"{label}: optimistic abort cost "
+            f"{arms['optimistic'].metrics.abort_cost:.2f} virtual s"
         )
     return result

@@ -18,75 +18,30 @@ Expected shape:
 
 from __future__ import annotations
 
-from ..core.strategies import OPTIMISTIC, PESSIMISTIC
-from ..maintenance.grouping import BatchPolicy
-from ..views.consistency import check_convergence
-from .runner import FigureResult
-from .testbed import build_testbed, recovery_knobs
+from .config import WarehouseConfig
+from .runner import FigureResult, abort_cost_sweep
+from .testbed import du_stream, sc_stream
 
 DEFAULT_INTERVALS = (0.0, 3.0, 9.0, 17.0, 23.0, 29.0, 41.0)
 QUICK_INTERVALS = (0.0, 17.0, 41.0)
 
 
 def run_figure(
+    config: WarehouseConfig = WarehouseConfig(),
     intervals: tuple[float, ...] = DEFAULT_INTERVALS,
     du_count: int = 200,
     sc_count: int = 10,
-    tuples_per_relation: int = 2000,
     du_interval: float = 0.5,
-    seed: int = 7,
-    snapshot_cache: bool = False,
-    self_maintenance: bool = False,
-    group_maintenance: bool = False,
-    journal: bool = False,
-    checkpoint_every: int = 8,
-    crash_seed: int | None = None,
-    shards: int = 1,
+    workload_seed: int = 7,
 ) -> FigureResult:
-    result = FigureResult(
-        figure_id="FIG-10",
-        title="Maintenance + abort cost vs SC time interval (virtual s)",
-        x_label="interval_s",
-        series_names=[
-            "optimistic",
-            "abort_of_optimistic",
-            "pessimistic",
-            "abort_of_pessimistic",
+    return abort_cost_sweep(
+        "FIG-10",
+        "Maintenance + abort cost vs SC time interval (virtual s)",
+        "interval_s",
+        config,
+        intervals,
+        lambda interval: [
+            du_stream(config, du_count, 0.0, du_interval, seed=workload_seed),
+            sc_stream(sc_count, 0.0, interval, seed=workload_seed + 4),
         ],
     )
-    for interval in intervals:
-        values: dict[str, float] = {}
-        for name, strategy in (
-            ("optimistic", OPTIMISTIC),
-            ("pessimistic", PESSIMISTIC),
-        ):
-            testbed = build_testbed(
-                strategy,
-                tuples_per_relation=tuples_per_relation,
-                snapshot_cache=snapshot_cache,
-                self_maintenance=self_maintenance,
-                batch_policy=BatchPolicy() if group_maintenance else None,
-                shards=shards,
-                **recovery_knobs(journal, checkpoint_every, crash_seed),
-            )
-            testbed.engine.schedule_workload(
-                testbed.random_du_workload(
-                    du_count, start=0.0, interval=du_interval, seed=seed
-                )
-            )
-            testbed.engine.schedule_workload(
-                testbed.schema_change_workload(
-                    sc_count, start=0.0, interval=interval, seed=seed + 4
-                )
-            )
-            testbed.run()
-            values[name] = testbed.metrics.maintenance_cost
-            values[f"abort_of_{name}"] = testbed.metrics.abort_cost
-            report = check_convergence(testbed.manager)
-            if not report.consistent:
-                result.consistent = False
-                result.notes.append(
-                    f"{name} interval={interval}: {report.summary()}"
-                )
-        result.add(interval, **values)
-    return result

@@ -11,11 +11,9 @@ maintenance cost grows linearly with the number of data updates.
 
 from __future__ import annotations
 
-from ..core.strategies import OPTIMISTIC, PESSIMISTIC
-from ..maintenance.grouping import BatchPolicy
-from ..views.consistency import check_convergence
-from .runner import FigureResult
-from .testbed import build_testbed, recovery_knobs
+from .config import WarehouseConfig
+from .runner import FigureResult, abort_cost_sweep
+from .testbed import du_stream, sc_stream
 
 DEFAULT_DU_COUNTS = (200, 300, 400, 500, 600)
 QUICK_DU_COUNTS = (200, 400)
@@ -24,64 +22,21 @@ SC_INTERVAL = 25.0
 
 
 def run_figure(
+    config: WarehouseConfig = WarehouseConfig(),
     du_counts: tuple[int, ...] = DEFAULT_DU_COUNTS,
     sc_count: int = SC_COUNT,
     sc_interval: float = SC_INTERVAL,
-    tuples_per_relation: int = 2000,
     du_interval: float = 0.5,
-    seed: int = 7,
-    snapshot_cache: bool = False,
-    self_maintenance: bool = False,
-    group_maintenance: bool = False,
-    journal: bool = False,
-    checkpoint_every: int = 8,
-    crash_seed: int | None = None,
-    shards: int = 1,
+    workload_seed: int = 7,
 ) -> FigureResult:
-    result = FigureResult(
-        figure_id="FIG-12",
-        title="Maintenance + abort cost vs #data updates (virtual s)",
-        x_label="#DUs",
-        series_names=[
-            "optimistic",
-            "abort_of_optimistic",
-            "pessimistic",
-            "abort_of_pessimistic",
+    return abort_cost_sweep(
+        "FIG-12",
+        "Maintenance + abort cost vs #data updates (virtual s)",
+        "#DUs",
+        config,
+        du_counts,
+        lambda du_count: [
+            du_stream(config, du_count, 0.0, du_interval, seed=workload_seed),
+            sc_stream(sc_count, 0.0, sc_interval, seed=workload_seed + 4),
         ],
     )
-    for count in du_counts:
-        values: dict[str, float] = {}
-        for name, strategy in (
-            ("optimistic", OPTIMISTIC),
-            ("pessimistic", PESSIMISTIC),
-        ):
-            testbed = build_testbed(
-                strategy,
-                tuples_per_relation=tuples_per_relation,
-                snapshot_cache=snapshot_cache,
-                self_maintenance=self_maintenance,
-                batch_policy=BatchPolicy() if group_maintenance else None,
-                shards=shards,
-                **recovery_knobs(journal, checkpoint_every, crash_seed),
-            )
-            testbed.engine.schedule_workload(
-                testbed.random_du_workload(
-                    count, start=0.0, interval=du_interval, seed=seed
-                )
-            )
-            testbed.engine.schedule_workload(
-                testbed.schema_change_workload(
-                    sc_count, start=0.0, interval=sc_interval, seed=seed + 4
-                )
-            )
-            testbed.run()
-            values[name] = testbed.metrics.maintenance_cost
-            values[f"abort_of_{name}"] = testbed.metrics.abort_cost
-            report = check_convergence(testbed.manager)
-            if not report.consistent:
-                result.consistent = False
-                result.notes.append(
-                    f"{name} #DU={count}: {report.summary()}"
-                )
-        result.add(count, **values)
-    return result

@@ -10,8 +10,15 @@ fall), recorded per figure in ``EXPERIMENTS.md``.
 from __future__ import annotations
 
 import json
+import time
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Iterable, Sequence
+
+from ..core.sharding import WorkloadSpec
+from ..core.strategies import OPTIMISTIC, PESSIMISTIC
+from ..sim.metrics import Metrics
+from .config import WarehouseConfig
+from .testbed import ShardedTestbed, Testbed
 
 
 @dataclass
@@ -42,6 +49,13 @@ class FigureResult:
 
     def add(self, x, **values: float) -> None:
         self.points.append(SeriesPoint(x, dict(values)))
+
+    def require(self, ok: bool, note: str) -> None:
+        """An identity or convergence check of the run: a failed one
+        clears the consistency bit and says why."""
+        if not ok:
+            self.consistent = False
+            self.notes.append(note)
 
     def series(self, name: str) -> list[float]:
         return [point.values[name] for point in self.points]
@@ -100,10 +114,122 @@ class FigureResult:
         print(self.table())
 
 
+def ratio(numerator: float, denominator: float) -> float:
+    """A speedup-style quotient that reads 0 when undefined."""
+    return numerator / denominator if denominator else 0.0
+
+
 def checked(result: FigureResult, reports: Iterable) -> FigureResult:
     """Fold convergence reports into the figure result."""
     for report in reports:
         if not report.consistent:
             result.consistent = False
             result.notes.append(report.summary())
+    return result
+
+
+# ----------------------------------------------------------------------
+# one arm = one config run over one workload
+# ----------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class ArmResult:
+    """What one quiescent run produced; ``extents`` and ``committed``
+    are byte-comparable across arms."""
+
+    #: virtual seconds: makespan under the parallel executor or across
+    #: shards, summed busy time for a serial drain
+    cost: float
+    #: maintenance queries that actually travelled to a source
+    trips: int
+    #: view name -> sorted row tuples
+    extents: dict[str, tuple]
+    #: every maintained ``(source, seqno)``, across crashes
+    committed: frozenset
+    metrics: Metrics
+    #: every view matches its fresh recompute
+    consistent: bool
+    #: the quiescent world, for arm-specific observables (virtual
+    #: clocks, the read front end)
+    testbed: Testbed | ShardedTestbed
+    #: wall seconds to build the world(s) and schedule the workload /
+    #: to drive them to quiescence (the wall-clock figures' raw data)
+    build_s: float
+    run_s: float
+
+    def same_outcome(self, other: "ArmResult") -> bool:
+        return (
+            self.extents == other.extents
+            and self.committed == other.committed
+        )
+
+
+def run_arm(
+    config: WarehouseConfig,
+    workload: Sequence[WorkloadSpec],
+    world: type[Testbed] | type[ShardedTestbed] = Testbed,
+) -> ArmResult:
+    """Build ``config``'s world, play ``workload`` into it, drive it to
+    quiescence and observe.  ``world`` picks the shape: one
+    :class:`Testbed` world, or a :class:`ShardedTestbed` of
+    ``config.shards`` worlds behind the coordinator."""
+    started = time.perf_counter()
+    testbed = world.build(config)
+    testbed.schedule(*workload)
+    testbed.prepare()
+    build_s = time.perf_counter() - started
+    started = time.perf_counter()
+    testbed.run()
+    run_s = time.perf_counter() - started
+    metrics = testbed.metrics
+    return ArmResult(
+        cost=metrics.elapsed,
+        trips=metrics.source_round_trips,
+        extents=testbed.extent_rows(),
+        committed=testbed.committed_updates(),
+        metrics=metrics,
+        consistent=testbed.check_consistency(),
+        testbed=testbed,
+        build_s=build_s,
+        run_s=run_s,
+    )
+
+
+def abort_cost_sweep(
+    figure_id: str,
+    title: str,
+    x_label: str,
+    config: WarehouseConfig,
+    xs: Sequence,
+    stream_of,
+) -> FigureResult:
+    """The loop FIG-10, FIG-11 and FIG-12 share: at every ``x`` an
+    optimistic and a pessimistic arm maintain the same DU + SC stream
+    (``stream_of(x)``); each reports its total and its abort cost."""
+    result = FigureResult(
+        figure_id=figure_id,
+        title=title,
+        x_label=x_label,
+        series_names=[
+            "optimistic",
+            "abort_of_optimistic",
+            "pessimistic",
+            "abort_of_pessimistic",
+        ],
+    )
+    for x in xs:
+        values: dict[str, float] = {}
+        for name, strategy in (
+            ("optimistic", OPTIMISTIC),
+            ("pessimistic", PESSIMISTIC),
+        ):
+            arm = run_arm(config.replace(strategy=strategy), stream_of(x))
+            values[name] = arm.metrics.maintenance_cost
+            values[f"abort_of_{name}"] = arm.metrics.abort_cost
+            result.require(
+                arm.consistent,
+                f"{name} {x_label}={x}: failed convergence check",
+            )
+        result.add(x, **values)
     return result

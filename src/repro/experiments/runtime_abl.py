@@ -37,91 +37,77 @@ machine with >= 4 cores; the benchmark gates its assertion on
 
 from __future__ import annotations
 
-import time
+from dataclasses import replace
 
-from ..core.strategies import OPTIMISTIC, PESSIMISTIC
-from .runner import FigureResult
-from .testbed import build_sharded_testbed, source_name
+from ..core.strategies import OPTIMISTIC
+from ..faults.plan import FaultPlan
+from ..recovery import CrashPlan
+from .config import WarehouseConfig
+from .runner import ArmResult, FigureResult, ratio, run_arm
+from .testbed import (
+    SOURCE_NAMES,
+    ShardedTestbed,
+    du_stream,
+    sc_stream,
+    sharded_config,
+)
 
 
-def _timed_arm(
-    processes: int,
-    strategy,
-    du_count: int,
-    sc_count: int,
-    tuples_per_relation: int,
-    seed: int,
-    fault_plan=None,
-    crash_plan=None,
-    parallel_workers=None,
-):
-    """One full sharded run; returns ``(timings, identity, metrics)``.
-
-    ``timings`` is ``(build_s, exec_s, total_s)``; ``identity`` is the
-    byte-comparable ``(extents, committed, shard_clocks)`` triple.
-    """
-    started = time.perf_counter()
-    testbed = build_sharded_testbed(
-        strategy,
-        shards=4,
-        tuples_per_relation=tuples_per_relation,
-        seed=3,
-        shard_processes=processes,
-        fault_plan=fault_plan,
-        crash_plan=crash_plan,
-        parallel_workers=parallel_workers,
-    )
-    testbed.schedule_du_workload(
-        du_count, start=0.05, interval=0.05, seed=seed
-    )
+def _sharded_arm(
+    config: WarehouseConfig, du_count: int, sc_count: int, workload_seed: int
+) -> ArmResult:
+    """One full run of the 4-shard warehouse, inline or in
+    ``config.shard_processes`` workers.  A process arm is timed by the
+    runtime's own phase clocks: ``build_s`` is its ``prepare`` (fork +
+    per-worker builds), ``run_s`` its ``execute`` + ``collect`` — not
+    planning, scheduling or fleet shutdown."""
+    stream = [du_stream(config, du_count, 0.05, 0.05, seed=workload_seed)]
     if sc_count:
-        testbed.schedule_sc_workload(
-            sc_count, start=1.0, interval=9.0, seed=seed + 4
-        )
-    if processes:
-        testbed.runtime.prepare()
-        build_s = testbed.runtime.timings["prepare"]
-    else:
-        build_s = time.perf_counter() - started
-    exec_started = time.perf_counter()
-    testbed.run()
-    if processes:
-        timings = testbed.runtime.timings
-        exec_s = timings["execute"] + timings["collect"]
-    else:
-        exec_s = time.perf_counter() - exec_started
-    identity = (
-        testbed.extent_rows(),
-        testbed.committed_updates(),
-        testbed.shard_clocks(),
+        stream.append(sc_stream(sc_count, 1.0, 9.0, seed=workload_seed + 4))
+    arm = run_arm(config, stream, ShardedTestbed)
+    if not config.shard_processes:
+        return arm
+    timings = arm.testbed.runtime.timings
+    return replace(
+        arm,
+        build_s=timings["prepare"],
+        run_s=timings["execute"] + timings["collect"],
     )
-    return (build_s, exec_s, build_s + exec_s), identity, testbed.metrics
 
 
-def _check_identity(result, label, oracle, arm) -> None:
-    names = ("extents", "committed set", "shard clocks")
-    for name, expected, actual in zip(names, oracle, arm):
-        if expected != actual:
-            result.consistent = False
-            result.notes.append(
-                f"{label}: {name} diverged from the inline oracle"
-            )
+def _check_identity(result, label, oracle: ArmResult, arm: ArmResult) -> None:
+    for name, expected, actual in (
+        ("extents", oracle.extents, arm.extents),
+        ("committed set", oracle.committed, arm.committed),
+        (
+            "shard clocks",
+            oracle.testbed.shard_clocks(),
+            arm.testbed.shard_clocks(),
+        ),
+    ):
+        result.require(
+            expected == actual,
+            f"{label}: {name} diverged from the inline oracle",
+        )
 
 
+#: label -> config delta of one hardened identity arm
 HARDENED_ARMS = (
     ("optimistic", dict(strategy=OPTIMISTIC)),
-    ("fault-plan", dict(fault_seed=5)),
-    ("crash-plan", dict(crash_seed=9)),
+    ("fault-plan", dict(fault_plan=FaultPlan.random(5, SOURCE_NAMES))),
+    ("crash-plan", dict(crash_plan=CrashPlan.random(9))),
     ("workers=2", dict(parallel_workers=2)),
 )
 
 
 def run_runtime_ablation(
+    config: WarehouseConfig = sharded_config(
+        tuples_per_relation=120, shards=4
+    ),
     process_counts: tuple[int, ...] = (0, 1, 2, 4),
     du_count: int = 48,
     sc_count: int = 2,
-    tuples_per_relation: int = 120,
-    seed: int = 5,
+    workload_seed: int = 5,
     repeats: int = 2,
     identity_arms: bool = True,
 ) -> FigureResult:
@@ -144,71 +130,59 @@ def run_runtime_ablation(
     counts = list(process_counts)
     if 0 not in counts:
         counts.insert(0, 0)  # the oracle arm anchors every comparison
-    inline_timings = None
-    inline_identity = None
+    inline = None
     for processes in counts:
-        best = None
-        identity = None
-        metrics = None
-        for _ in range(repeats):
-            timings, identity, metrics = _timed_arm(
-                processes,
-                PESSIMISTIC,
-                du_count,
-                sc_count,
-                tuples_per_relation,
-                seed,
-            )
-            if best is None or timings[2] < best[2]:
-                best = timings
+        best = min(
+            (
+                _sharded_arm(
+                    config.replace(shard_processes=processes),
+                    du_count,
+                    sc_count,
+                    workload_seed,
+                )
+                for _ in range(repeats)
+            ),
+            key=lambda arm: arm.build_s + arm.run_s,
+        )
         if processes == 0:
-            inline_timings, inline_identity = best, identity
+            inline = best
         else:
-            _check_identity(
-                result, f"{processes} processes", inline_identity, identity
-            )
+            _check_identity(result, f"{processes} processes", inline, best)
+        total_s = best.build_s + best.run_s
         result.add(
             processes,
-            build_s=best[0],
-            exec_s=best[1],
-            total_s=best[2],
-            speedup=inline_timings[2] / best[2] if best[2] else 0.0,
-            exec_speedup=inline_timings[1] / best[1] if best[1] else 0.0,
-            plan_cache_hits=metrics.plan_cache_hits,
-            plan_cache_recompiles=metrics.plan_cache_recompiles,
+            build_s=best.build_s,
+            exec_s=best.run_s,
+            total_s=total_s,
+            speedup=ratio(inline.build_s + inline.run_s, total_s),
+            exec_speedup=ratio(inline.run_s, best.run_s),
+            plan_cache_hits=best.metrics.plan_cache_hits,
+            plan_cache_recompiles=best.metrics.plan_cache_recompiles,
         )
     if identity_arms:
-        _run_hardened_arms(result, seed)
+        _run_hardened_arms(result, config, workload_seed)
     return result
 
 
-def _run_hardened_arms(result: FigureResult, seed: int) -> None:
+def _run_hardened_arms(
+    result: FigureResult, config: WarehouseConfig, workload_seed: int
+) -> None:
     """Re-prove inline/process identity under adversarial configs.
 
     Small scale, 2 processes: the point is configuration coverage
     (strategy x faults x crashes x workers), not timing.
     """
-    from ..faults.plan import FaultPlan
-    from ..recovery import CrashPlan
-
-    sources = [source_name(index) for index in range(3)]
-    for label, config in HARDENED_ARMS:
-        kwargs = dict(
-            strategy=config.get("strategy", PESSIMISTIC),
-            du_count=10,
-            sc_count=1,
-            tuples_per_relation=48,
-            seed=seed,
-            parallel_workers=config.get("parallel_workers"),
-        )
-        if "fault_seed" in config:
-            kwargs["fault_plan"] = FaultPlan.random(
-                config["fault_seed"], sources
+    small = config.replace(tuples_per_relation=48)
+    for label, delta in HARDENED_ARMS:
+        oracle, arm = (
+            _sharded_arm(
+                small.replace(shard_processes=processes, **delta),
+                10,
+                1,
+                workload_seed,
             )
-        if "crash_seed" in config:
-            kwargs["crash_plan"] = CrashPlan.random(config["crash_seed"])
-        _, oracle, _ = _timed_arm(0, **kwargs)
-        _, arm, _ = _timed_arm(2, **kwargs)
+            for processes in (0, 2)
+        )
         _check_identity(result, f"hardened[{label}]", oracle, arm)
         if result.consistent:
             result.notes.append(f"hardened[{label}]: identical")

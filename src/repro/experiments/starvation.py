@@ -13,18 +13,17 @@ stream — the progress metric.
 
 from __future__ import annotations
 
-from ..core.strategies import PESSIMISTIC
-from ..views.consistency import check_convergence
-from .runner import FigureResult
-from .testbed import build_testbed
+from .config import WarehouseConfig
+from .runner import FigureResult, run_arm
+from .testbed import du_stream, sc_stream
 
 
 def run_starvation_study(
+    config: WarehouseConfig = WarehouseConfig(tuples_per_relation=1000),
     intervals: tuple[float, ...] = (1.0, 5.0, 15.0, 23.0, 40.0),
     stream_length: int = 12,
     du_count: int = 60,
-    tuples_per_relation: int = 1000,
-    seed: int = 13,
+    workload_seed: int = 13,
 ) -> FigureResult:
     result = FigureResult(
         figure_id="ABL-3",
@@ -38,36 +37,28 @@ def run_starvation_study(
         ],
     )
     for interval in intervals:
-        testbed = build_testbed(
-            PESSIMISTIC, tuples_per_relation=tuples_per_relation
+        arm = run_arm(
+            config,
+            [
+                du_stream(config, du_count, 0.0, 0.5, seed=workload_seed),
+                sc_stream(
+                    stream_length,
+                    0.0,
+                    interval,
+                    seed=workload_seed + 1,
+                    drop_first=False,
+                ),
+            ],
         )
-        testbed.engine.schedule_workload(
-            testbed.random_du_workload(
-                du_count, start=0.0, interval=0.5, seed=seed
-            )
+        result.require(
+            arm.consistent, f"interval={interval}: failed convergence check"
         )
-        testbed.engine.schedule_workload(
-            testbed.schema_change_workload(
-                stream_length,
-                start=0.0,
-                interval=interval,
-                seed=seed + 1,
-                drop_first=False,
-            )
-        )
-        testbed.run()
-        report = check_convergence(testbed.manager)
-        if not report.consistent:
-            result.consistent = False
-            result.notes.append(
-                f"interval={interval}: {report.summary()}"
-            )
         result.add(
             interval,
-            total_cost=testbed.metrics.maintenance_cost,
-            aborts=float(testbed.metrics.aborts),
-            forced_merges=float(testbed.scheduler.stats.forced_merges),
-            maintained=float(testbed.metrics.maintained_updates),
+            total_cost=arm.metrics.maintenance_cost,
+            aborts=float(arm.metrics.aborts),
+            forced_merges=float(arm.testbed.scheduler.stats.forced_merges),
+            maintained=float(arm.metrics.maintained_updates),
         )
     result.notes.append(
         "every run quiesced and converged: the infinite-wait scenario of "

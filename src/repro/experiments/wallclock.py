@@ -35,61 +35,27 @@ import pstats
 import time
 from pathlib import Path
 
-from ..core.strategies import PESSIMISTIC
 from ..relational.executor import executor_mode, set_executor_mode
-from .runner import FigureResult
-from .testbed import build_testbed
+from .config import WarehouseConfig
+from .runner import ArmResult, FigureResult, ratio, run_arm
+from .testbed import Testbed, du_stream
 
 MODES = ("naive", "compiled")
 
 
-def _maintenance_arm(
-    mode: str,
-    backend: str,
-    du_count: int,
-    tuples_per_relation: int,
-    seed: int,
-    key_domain: int,
-    repeats: int,
-):
-    """Run the DU stream once per repeat; keep the best wall time.
-
-    Returns ``(wall_seconds, virtual_cost, extent, committed)`` with
-    extent/committed byte-comparable across executor modes.
-    """
-    set_executor_mode(mode)
-    best = float("inf")
-    testbed = None
-    for _ in range(repeats):
-        testbed = build_testbed(
-            PESSIMISTIC,
-            tuples_per_relation=tuples_per_relation,
-            backend=backend,
-        )
-        testbed.engine.schedule_workload(
-            testbed.random_du_workload(
-                du_count,
-                start=0.05,
-                interval=0.01,
-                seed=seed,
-                key_domain=key_domain,
-            )
-        )
-        started = time.perf_counter()
-        testbed.run()
-        best = min(best, time.perf_counter() - started)
-    extent = tuple(sorted(map(tuple, testbed.manager.mv.extent.rows())))
-    committed = frozenset(testbed.committed_updates())
-    return best, testbed.metrics.elapsed, extent, committed
-
-
-def _recompute_arm(mode: str, tuples_per_relation: int, repeats: int):
-    """Time a full 6-way join recompute of the view (join-heavy arm)."""
-    set_executor_mode(mode)
-    testbed = build_testbed(
-        PESSIMISTIC, tuples_per_relation=tuples_per_relation
+def _best_of(repeats: int, config: WarehouseConfig, stream) -> ArmResult:
+    """Run the arm ``repeats`` times; keep the fastest drive to
+    quiescence (every repeat's outcome is identical — deterministic
+    virtual time)."""
+    return min(
+        (run_arm(config, stream) for _ in range(repeats)),
+        key=lambda arm: arm.run_s,
     )
-    manager = testbed.manager
+
+
+def _recompute_arm(config: WarehouseConfig, repeats: int):
+    """Time a full 6-way join recompute of the view (join-heavy arm)."""
+    manager = Testbed.build(config).manager
     best = float("inf")
     table = None
     for _ in range(repeats + 1):  # one extra: warm caches/compile once
@@ -115,12 +81,12 @@ def _profiled(callable_, path: Path) -> None:
 
 
 def run_wallclock_ablation(
+    config: WarehouseConfig = WarehouseConfig(tuples_per_relation=300),
     du_counts: tuple[int, ...] = (40, 80),
-    tuples_per_relation: int = 300,
     recompute_tuples: int = 2500,
     backends: tuple[str, ...] = ("memory", "sqlite"),
     key_domain: int = 40,
-    seed: int = 5,
+    workload_seed: int = 5,
     repeats: int = 3,
     profile_dir: str | Path | None = None,
 ) -> FigureResult:
@@ -147,78 +113,74 @@ def run_wallclock_ablation(
         + ["recompute_naive_s", "recompute_compiled_s", "recompute_speedup"],
         timebase="wall",
     )
+
+    def stream(du_count: int):
+        return [
+            du_stream(
+                config, du_count, 0.05, 0.01,
+                seed=workload_seed, key_domain=key_domain,
+            )
+        ]
+
+    recompute = config.replace(tuples_per_relation=recompute_tuples)
     previous_mode = executor_mode()
     try:
         for du_count in du_counts:
             row: dict[str, float] = {}
             for backend in backends:
-                arms = {
-                    mode: _maintenance_arm(
-                        mode,
-                        backend,
-                        du_count,
-                        tuples_per_relation,
-                        seed,
-                        key_domain,
+                naive, compiled = (
+                    _best_of(
                         repeats,
+                        config.replace(backend=backend, executor=mode),
+                        stream(du_count),
                     )
                     for mode in MODES
-                }
-                naive, compiled = arms["naive"], arms["compiled"]
+                )
                 # Identity: extent, committed set, virtual clock.
-                if naive[2] != compiled[2] or naive[3] != compiled[3]:
-                    result.consistent = False
-                    result.notes.append(
-                        f"{backend} du={du_count}: compiled arm diverged "
-                        "from the naive oracle"
-                    )
-                if naive[1] != compiled[1]:
-                    result.consistent = False
-                    result.notes.append(
-                        f"{backend} du={du_count}: virtual clock moved "
-                        f"({naive[1]} -> {compiled[1]}) — the executor "
-                        "must not perturb simulated costs"
-                    )
-                row[f"{backend}_naive_s"] = naive[0]
-                row[f"{backend}_compiled_s"] = compiled[0]
-                row[f"{backend}_maintain_speedup"] = (
-                    naive[0] / compiled[0] if compiled[0] else 0.0
+                result.require(
+                    compiled.same_outcome(naive),
+                    f"{backend} du={du_count}: compiled arm diverged "
+                    "from the naive oracle",
+                )
+                result.require(
+                    naive.cost == compiled.cost,
+                    f"{backend} du={du_count}: virtual clock moved "
+                    f"({naive.cost} -> {compiled.cost}) — the executor "
+                    "must not perturb simulated costs",
+                )
+                row[f"{backend}_naive_s"] = naive.run_s
+                row[f"{backend}_compiled_s"] = compiled.run_s
+                row[f"{backend}_maintain_speedup"] = ratio(
+                    naive.run_s, compiled.run_s
                 )
             if du_count == du_counts[-1]:
                 naive_time, naive_extent = _recompute_arm(
-                    "naive", recompute_tuples, repeats
+                    recompute.replace(executor="naive"), repeats
                 )
                 compiled_time, compiled_extent = _recompute_arm(
-                    "compiled", recompute_tuples, repeats
+                    recompute.replace(executor="compiled"), repeats
                 )
-                if naive_extent != compiled_extent:
-                    result.consistent = False
-                    result.notes.append(
-                        "recompute: compiled extent diverged from naive"
-                    )
+                result.require(
+                    naive_extent == compiled_extent,
+                    "recompute: compiled extent diverged from naive",
+                )
                 row["recompute_naive_s"] = naive_time
                 row["recompute_compiled_s"] = compiled_time
-                row["recompute_speedup"] = (
-                    naive_time / compiled_time if compiled_time else 0.0
-                )
+                row["recompute_speedup"] = ratio(naive_time, compiled_time)
             result.add(du_count, **row)
         if profile_dir is not None:
             profile_dir = Path(profile_dir)
             profile_dir.mkdir(parents=True, exist_ok=True)
             for mode in MODES:
                 _profiled(
-                    lambda m=mode: _recompute_arm(m, recompute_tuples, 1),
+                    lambda m=mode: _recompute_arm(
+                        recompute.replace(executor=m), 1
+                    ),
                     profile_dir / f"recompute_{mode}.prof",
                 )
                 _profiled(
-                    lambda m=mode: _maintenance_arm(
-                        m,
-                        "memory",
-                        du_counts[-1],
-                        tuples_per_relation,
-                        seed,
-                        key_domain,
-                        1,
+                    lambda m=mode: run_arm(
+                        config.replace(executor=m), stream(du_counts[-1])
                     ),
                     profile_dir / f"maintain_memory_{mode}.prof",
                 )

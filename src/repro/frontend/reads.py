@@ -189,29 +189,6 @@ class ReadFrontEnd:
     _global_watermarks: list[float] = field(default_factory=list, repr=False)
 
     @classmethod
-    def for_warehouse(
-        cls, warehouse, initial_sizes: dict[str, int]
-    ) -> "ReadFrontEnd":
-        """Build from a :class:`~repro.core.sharding.ShardedWarehouse`
-        after its run reached quiescence.  ``initial_sizes`` maps view
-        name to the extent cardinality right after the initial load
-        (captured at build time — the install log only records
-        post-install sizes)."""
-        view_shard = {
-            name: shard.shard_id
-            for shard in warehouse.shards
-            for name in shard.view_names
-        }
-        install_logs = {
-            shard.shard_id: shard.engine.install_log
-            for shard in warehouse.shards
-        }
-        cost = warehouse.shards[0].engine.cost_model
-        return cls.from_install_logs(
-            install_logs, view_shard, initial_sizes, cost, warehouse.horizon()
-        )
-
-    @classmethod
     def from_install_logs(
         cls,
         install_logs: dict[int, list[InstallRecord]],
@@ -220,9 +197,12 @@ class ReadFrontEnd:
         cost: CostModel,
         horizon: float,
     ) -> "ReadFrontEnd":
-        """Build from bare per-shard install logs — the process-parallel
-        runtime ships these home at COLLECT time, so the front end needs
-        no live warehouse at all."""
+        """Build from bare per-shard install logs, after the run reached
+        quiescence — the process-parallel runtime ships these home at
+        COLLECT time, so the front end needs no live warehouse at all.
+        ``initial_sizes`` maps view name to the extent cardinality right
+        after the initial load (captured at build time — the install
+        log only records post-install sizes)."""
         shard_views: dict[int, list[str]] = {}
         for name, shard_id in view_shard.items():
             shard_views.setdefault(shard_id, []).append(name)

@@ -14,7 +14,12 @@ package makes the warehouse crash-recoverable:
   points woven through the maintenance loops;
 * :mod:`.recover` — :func:`~repro.recovery.recover.simulate_crash` and
   :func:`~repro.recovery.recover.recover`, with idempotent replay so a
-  crash during recovery is also safe.
+  crash during recovery is also safe; plus the one arming function
+  (:func:`~repro.recovery.recover.arm_recovery`) and the one
+  crash -> recover -> swap loop
+  (:func:`~repro.recovery.recover.recover_in_place`,
+  :func:`~repro.recovery.recover.run_recovering`) every owner of a
+  warehouse stack calls.
 """
 
 from .checkpoint import (
@@ -42,7 +47,10 @@ from .recover import (
     RecoveryError,
     RecoveryHarness,
     RecoveryReport,
+    arm_recovery,
     recover,
+    recover_in_place,
+    run_recovering,
     simulate_crash,
 )
 
@@ -62,11 +70,14 @@ __all__ = [
     "RecoveryHarness",
     "RecoveryReport",
     "SchedulerCrash",
+    "arm_recovery",
     "definition_from_json",
     "definition_to_json",
     "delta_from_json",
     "delta_to_json",
     "recover",
+    "recover_in_place",
+    "run_recovering",
     "simulate_crash",
     "table_from_json",
     "table_to_json",

@@ -304,8 +304,7 @@ class RecoveryHarness:
 
 def recover(harness: RecoveryHarness) -> RecoveredWarehouse:
     """Rebuild a live warehouse from checkpoint + journal replay."""
-    from ..core.parallel import ParallelScheduler
-    from ..core.scheduler import DynoScheduler
+    from ..core.parallel import make_scheduler
     from ..core.strategies import PESSIMISTIC
     from ..maintenance.batch import combine_schema_changes, schema_changes_of
     from ..views.manager import ViewManager
@@ -460,18 +459,12 @@ def recover(harness: RecoveryHarness) -> RecoveredWarehouse:
         aux_restored = engine.selfmaint.restore_entries(keep)
         aux_dropped += len(keep) - aux_restored
 
-    strategy = harness.strategy or PESSIMISTIC
-    if harness.parallel_workers:
-        scheduler = ParallelScheduler(
-            manager,
-            strategy,
-            workers=harness.parallel_workers,
-            batch_policy=harness.batch_policy,
-        )
-    else:
-        scheduler = DynoScheduler(
-            manager, strategy, batch_policy=harness.batch_policy
-        )
+    scheduler = make_scheduler(
+        manager,
+        harness.strategy or PESSIMISTIC,
+        harness.parallel_workers,
+        harness.batch_policy,
+    )
 
     successor = RecoveryHarness(
         engine,
@@ -514,3 +507,93 @@ def recover(harness: RecoveryHarness) -> RecoveredWarehouse:
         aux_dropped=aux_dropped,
     )
     return RecoveredWarehouse(manager, scheduler, successor, report)
+
+
+def arm_recovery(
+    engine,
+    manager,
+    scheduler,
+    *,
+    strategy=None,
+    parallel_workers: int | None = None,
+    batch_policy=None,
+    checkpoint_every: int = 8,
+    crash_plan=None,
+    journal_dir=None,
+    mkb=None,
+) -> RecoveryHarness:
+    """Attach a journal + checkpoint harness (and a crash injector).
+
+    Stores are in memory, or ``journal.jsonl`` / ``checkpoint.json``
+    under ``journal_dir`` (created if missing).  ``strategy``,
+    ``parallel_workers`` and ``batch_policy`` are what ``recover()``
+    rebuilds the scheduler from, ``mkb`` what it hands the rebuilt
+    view managers."""
+    from .checkpoint import FileCheckpointStore, MemoryCheckpointStore
+    from .crash import CrashInjector
+    from .journal import FileJournalSink, MemoryJournalSink
+
+    if journal_dir is not None:
+        from pathlib import Path
+
+        directory = Path(journal_dir)
+        directory.mkdir(parents=True, exist_ok=True)
+        sink = FileJournalSink(directory / "journal.jsonl")
+        store = FileCheckpointStore(directory / "checkpoint.json")
+    else:
+        sink = MemoryJournalSink()
+        store = MemoryCheckpointStore()
+    harness = RecoveryHarness(
+        engine,
+        manager,
+        scheduler,
+        sink,
+        store,
+        checkpoint_every=checkpoint_every,
+        strategy=strategy,
+        parallel_workers=parallel_workers,
+        batch_policy=batch_policy,
+        mkb=mkb,
+    )
+    # Attach (genesis checkpoint) before arming the injector: the plan
+    # starts counting when the scheduler does.
+    harness.attach()
+    if crash_plan is not None:
+        engine.crash_injector = CrashInjector(crash_plan)
+    return harness
+
+
+def recover_in_place(world) -> None:
+    """Tear the crashed warehouse of ``world`` down and swap in the
+    one ``recover()`` rebuilds from checkpoint + journal.
+
+    ``world`` is anything holding one live stack as ``engine``,
+    ``manager``, ``scheduler``, ``recovery`` (its harness) and a
+    ``crash_reports`` list — a testbed, a shard, the DyDa facade."""
+    while True:
+        simulate_crash(world.engine)
+        try:
+            recovered = world.recovery.recover()
+            break
+        except SchedulerCrash:
+            # Crashed during recovery: idempotent replay makes a second
+            # attempt from the same durable state safe.
+            continue
+    world.manager = recovered.manager
+    world.scheduler = recovered.scheduler
+    world.recovery = recovered.harness
+    world.crash_reports.append(recovered.report)
+
+
+def run_recovering(world):
+    """Drive ``world.scheduler`` to quiescence, surviving injected
+    crashes when a recovery harness is armed (including crashes
+    injected during recovery itself).  Returns the final scheduler's
+    stats."""
+    while True:
+        try:
+            return world.scheduler.run()
+        except SchedulerCrash:
+            if world.recovery is None:
+                raise
+            recover_in_place(world)

@@ -1,8 +1,46 @@
 """The ``python -m repro.experiments`` command-line runner."""
 
+from collections import namedtuple
+from dataclasses import fields
+
 import pytest
 
 import repro.experiments.__main__ as cli
+from repro.experiments import WarehouseConfig
+from repro.maintenance.grouping import BatchPolicy
+from repro.recovery import CrashPlan
+
+DEFAULTS = WarehouseConfig()
+
+Call = namedtuple("Call", "name full config workload_seed")
+
+
+class FakeResult:
+    consistent = True
+
+    def table(self):
+        return "FAKE TABLE"
+
+
+@pytest.fixture
+def seen(monkeypatch):
+    """Replace the runner table with one fake ``fig09`` / ``fig10`` that
+    records its name and the ``(full, config, workload_seed)`` it was
+    built from."""
+    calls = []
+
+    def fake_runners(full, config=DEFAULTS, workload_seed=None):
+        def runner(name):
+            calls.append(Call(name, full, config, workload_seed))
+            return FakeResult()
+
+        return {
+            name: lambda name=name: runner(name)
+            for name in ("fig09", "fig10")
+        }
+
+    monkeypatch.setattr(cli, "_runners", fake_runners)
+    return calls
 
 
 class TestArgumentHandling:
@@ -20,120 +58,86 @@ class TestArgumentHandling:
         assert set(cli._runners(False)) == set(cli._runners(True))
 
 
+#: flag name -> (argv, expected field value); one entry per flag row
+FLAG_CASES = {
+    "cache": (["--cache"], True),
+    "self-maintenance": (["--self-maintenance"], True),
+    "batch": (["--batch"], BatchPolicy()),
+    "journal": (["--journal"], True),
+    "checkpoint-every": (["--checkpoint-every", "4"], 4),
+    "crash-seed": (["--crash-seed", "11"], CrashPlan.random(11)),
+    "shards": (["--shards", "4"], 4),
+    "shard-processes": (["--shard-processes", "2"], 2),
+}
+
+#: config fields the command line deliberately does not set: the
+#: runners choose strategy, scale, seeds, backend and views per arm
+NOT_ON_THE_COMMAND_LINE = {
+    "strategy",
+    "tuples_per_relation",
+    "seed",
+    "backend",
+    "cost_model",
+    "executor",
+    "parallel_workers",
+    "journal_dir",
+    "fault_plan",
+    "spans",
+}
+
+
 class TestExecution:
-    def test_runs_requested_figure(self, monkeypatch, capsys):
-        calls = []
-
-        class FakeResult:
-            consistent = True
-
-            def table(self):
-                return "FAKE TABLE"
-
-        def fake_runners(
-            full,
-            seed=None,
-            snapshot_cache=False,
-            self_maintenance=False,
-            group_maintenance=False,
-            journal=False,
-            checkpoint_every=8,
-            crash_seed=None,
-            shards=1,
-            shard_processes=0,
-        ):
-            return {"fig09": lambda: calls.append(full) or FakeResult()}
-
-        monkeypatch.setattr(cli, "_runners", fake_runners)
+    def test_runs_requested_figure(self, seen, capsys):
         assert cli.main(["fig09"]) == 0
-        assert calls == [False]
+        assert seen == [Call("fig09", False, DEFAULTS, None)]
         assert "FAKE TABLE" in capsys.readouterr().out
 
-    def test_full_flag_threaded_through(self, monkeypatch):
-        seen = []
-
-        class FakeResult:
-            consistent = True
-
-            def table(self):
-                return ""
-
-        monkeypatch.setattr(
-            cli,
-            "_runners",
-            lambda full, seed=None, snapshot_cache=False, self_maintenance=False, group_maintenance=False, journal=False, checkpoint_every=8, crash_seed=None, shards=1, shard_processes=0: {
-                "fig09": lambda: seen.append(full) or FakeResult()
-            },
-        )
+    def test_full_flag_threaded_through(self, seen):
         cli.main(["fig09", "--full"])
-        assert seen == [True]
+        assert [call.full for call in seen] == [True]
 
-    def test_seed_flag_threaded_through(self, monkeypatch):
-        seen = []
-
-        class FakeResult:
-            consistent = True
-
-            def table(self):
-                return ""
-
-        monkeypatch.setattr(
-            cli,
-            "_runners",
-            lambda full, seed=None, snapshot_cache=False, self_maintenance=False, group_maintenance=False, journal=False, checkpoint_every=8, crash_seed=None, shards=1, shard_processes=0: {
-                "fig09": lambda: seen.append(seed) or FakeResult()
-            },
-        )
+    def test_seed_flag_threaded_through(self, seen):
         cli.main(["fig09", "--seed", "42"])
         cli.main(["fig09"])
-        assert seen == [42, None]
+        assert [call.workload_seed for call in seen] == [42, None]
 
-    def test_cache_flag_threaded_through(self, monkeypatch):
-        seen = []
-
-        class FakeResult:
-            consistent = True
-
-            def table(self):
-                return ""
-
-        monkeypatch.setattr(
-            cli,
-            "_runners",
-            lambda full, seed=None, snapshot_cache=False, self_maintenance=False, group_maintenance=False, journal=False, checkpoint_every=8, crash_seed=None, shards=1, shard_processes=0: {
-                "fig09": lambda: seen.append(snapshot_cache) or FakeResult()
-            },
-        )
-        cli.main(["fig09", "--cache"])
-        cli.main(["fig09", "--no-cache"])
+    @pytest.mark.parametrize(
+        "field", [field.name for field in fields(WarehouseConfig)]
+    )
+    def test_config_field_reaches_runner(self, seen, field):
+        """Every config field is either set by exactly one flag row —
+        and then reaches the runners' config, leaving every other field
+        at its default — or is listed as not on the command line."""
+        rows = [flag for flag in cli.FLAGS if flag.field == field]
+        if not rows:
+            assert field in NOT_ON_THE_COMMAND_LINE
+            return
+        (flag,) = rows
+        assert field not in NOT_ON_THE_COMMAND_LINE
+        argv, expected = FLAG_CASES[flag.name]
+        cli.main(["fig09", *argv])
         cli.main(["fig09"])
-        assert seen == [True, False, False]
+        flagged, plain = (call.config for call in seen)
+        assert getattr(flagged, field) == expected
+        assert plain == DEFAULTS
+        # --crash-seed implies the journal; nothing else leaks.
+        implied = {"journal": True} if field == "crash_plan" else {}
+        assert flagged == DEFAULTS.replace(**{field: expected}, **implied)
+
+    def test_every_flag_row_is_exercised(self):
+        assert {flag.name for flag in cli.FLAGS} == set(FLAG_CASES)
+
+    @pytest.mark.parametrize(
+        "flag", [flag for flag in cli.FLAGS if flag.negatable],
+        ids=lambda flag: flag.name,
+    )
+    def test_no_flag_is_the_default(self, seen, flag):
+        cli.main(["fig09", f"--no-{flag.name}"])
+        assert seen[0].config == DEFAULTS
 
     def test_cache_flags_mutually_exclusive(self):
         with pytest.raises(SystemExit):
             cli.main(["fig09", "--cache", "--no-cache"])
-
-    def test_self_maintenance_flag_threaded_through(self, monkeypatch):
-        seen = []
-
-        class FakeResult:
-            consistent = True
-
-            def table(self):
-                return ""
-
-        monkeypatch.setattr(
-            cli,
-            "_runners",
-            lambda full, seed=None, snapshot_cache=False, self_maintenance=False, group_maintenance=False, journal=False, checkpoint_every=8, crash_seed=None, shards=1, shard_processes=0: {
-                "fig09": lambda: seen.append(self_maintenance)
-                or FakeResult()
-            },
-        )
-        cli.main(["fig09", "--self-maintenance"])
-        cli.main(["fig09", "--no-self-maintenance"])
-        cli.main(["fig09"])
-        assert seen == [True, False, False]
 
     def test_self_maintenance_flags_mutually_exclusive(self):
         with pytest.raises(SystemExit):
@@ -141,156 +145,71 @@ class TestExecution:
                 ["fig09", "--self-maintenance", "--no-self-maintenance"]
             )
 
-    def test_batch_flag_threaded_through(self, monkeypatch):
-        seen = []
-
-        class FakeResult:
-            consistent = True
-
-            def table(self):
-                return ""
-
-        monkeypatch.setattr(
-            cli,
-            "_runners",
-            lambda full, seed=None, snapshot_cache=False, self_maintenance=False, group_maintenance=False, journal=False, checkpoint_every=8, crash_seed=None, shards=1, shard_processes=0: {
-                "fig09": lambda: seen.append(group_maintenance)
-                or FakeResult()
-            },
-        )
-        cli.main(["fig09", "--batch"])
-        cli.main(["fig09", "--no-batch"])
-        cli.main(["fig09"])
-        assert seen == [True, False, False]
-
     def test_batch_flags_mutually_exclusive(self):
         with pytest.raises(SystemExit):
             cli.main(["fig09", "--batch", "--no-batch"])
 
-    def test_recovery_flags_threaded_through(self, monkeypatch):
-        seen = []
-
-        class FakeResult:
-            consistent = True
-
-            def table(self):
-                return ""
-
-        monkeypatch.setattr(
-            cli,
-            "_runners",
-            lambda full, seed=None, snapshot_cache=False, self_maintenance=False, group_maintenance=False, journal=False, checkpoint_every=8, crash_seed=None, shards=1, shard_processes=0: {
-                "fig09": lambda: seen.append(
-                    (journal, checkpoint_every, crash_seed)
-                )
-                or FakeResult()
-            },
-        )
-        cli.main(["fig09", "--journal", "--checkpoint-every", "4"])
-        cli.main(["fig09", "--crash-seed", "11"])
-        cli.main(["fig09"])
-        assert seen == [(True, 4, None), (False, 8, 11), (False, 8, None)]
-
     def test_crash_seed_implies_journal_in_runners(self):
-        runners = cli._runners(full=False, crash_seed=3)
-        assert "fig12" in runners
+        config = WarehouseConfig(crash_plan=CrashPlan.random(3))
+        assert config.journal
+        assert "fig12" in cli._runners(full=False, config=config)
 
-    def test_shards_flag_threaded_through(self, monkeypatch):
-        seen = []
+    @staticmethod
+    def _rejected_by_the_parser(argv, capsys):
+        """A value the config refuses is a usage error, not a traceback."""
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(["fig09", *argv])
+        assert exit_info.value.code == 2
+        assert "must be >=" in capsys.readouterr().err
 
-        class FakeResult:
-            consistent = True
+    def test_shards_must_be_positive(self, capsys):
+        self._rejected_by_the_parser(["--shards", "0"], capsys)
 
-            def table(self):
-                return ""
+    def test_shard_processes_must_be_nonnegative(self, capsys):
+        self._rejected_by_the_parser(["--shard-processes", "-1"], capsys)
 
-        monkeypatch.setattr(
-            cli,
-            "_runners",
-            lambda full, seed=None, snapshot_cache=False, self_maintenance=False, group_maintenance=False, journal=False, checkpoint_every=8, crash_seed=None, shards=1, shard_processes=0: {
-                "fig09": lambda: seen.append(shards) or FakeResult()
-            },
-        )
-        cli.main(["fig09", "--shards", "4"])
-        cli.main(["fig09"])
-        assert seen == [4, 1]
-
-    def test_shards_must_be_positive(self):
-        with pytest.raises(SystemExit):
-            cli.main(["fig09", "--shards", "0"])
+    def test_checkpoint_every_must_be_positive(self, capsys):
+        self._rejected_by_the_parser(["--checkpoint-every", "0"], capsys)
 
     def test_sharding_ablation_registered(self):
         assert "abl-sharding" in cli._runners(full=False)
 
-    def test_shard_processes_flag_threaded_through(self, monkeypatch):
-        seen = []
-
-        class FakeResult:
-            consistent = True
-
-            def table(self):
-                return ""
-
-        monkeypatch.setattr(
-            cli,
-            "_runners",
-            lambda full, seed=None, snapshot_cache=False, self_maintenance=False, group_maintenance=False, journal=False, checkpoint_every=8, crash_seed=None, shards=1, shard_processes=0: {
-                "fig09": lambda: seen.append(shard_processes)
-                or FakeResult()
-            },
-        )
-        cli.main(["fig09", "--shard-processes", "2"])
-        cli.main(["fig09"])
-        assert seen == [2, 0]
-
-    def test_shard_processes_must_be_nonnegative(self):
-        with pytest.raises(SystemExit):
-            cli.main(["fig09", "--shard-processes", "-1"])
-
     def test_runtime_ablation_registered(self):
         assert "abl-runtime" in cli._runners(full=False)
 
-    def test_batch_and_cache_flags_compose(self, monkeypatch):
-        seen = []
-
-        class FakeResult:
-            consistent = True
-
-            def table(self):
-                return ""
-
-        monkeypatch.setattr(
-            cli,
-            "_runners",
-            lambda full, seed=None, snapshot_cache=False, self_maintenance=False, group_maintenance=False, journal=False, checkpoint_every=8, crash_seed=None, shards=1, shard_processes=0: {
-                "fig09": lambda: seen.append(
-                    (snapshot_cache, group_maintenance)
-                )
-                or FakeResult()
-            },
+    def test_shard_processes_leaves_the_figures_inline(self, monkeypatch):
+        """A figure testbed is one in-process world: the flag reaches
+        only the two sharded ablations."""
+        received = {}
+        for name in ("fig08", "fig09", "fig10", "fig11", "fig12"):
+            monkeypatch.setattr(
+                cli,
+                f"run_{name}",
+                lambda config, name=name, **sweep: received.update(
+                    {name: config}
+                ),
+            )
+        runners = cli._runners(
+            full=False, config=WarehouseConfig(shard_processes=2, shards=2)
         )
+        for name in ("fig08", "fig09", "fig10", "fig11", "fig12"):
+            runners[name]()
+            assert received[name].shard_processes == 0
+            assert received[name].shards == 2
+
+    def test_real_figure_runs_under_shard_processes(self, capsys):
+        assert cli.main(["fig09", "--shard-processes", "2"]) == 0
+        assert "fig09 ran in" in capsys.readouterr().out
+
+    def test_batch_and_cache_flags_compose(self, seen):
         cli.main(["fig09", "--cache", "--batch"])
-        assert seen == [(True, True)]
-
-    def test_all_runs_everything(self, monkeypatch):
-        ran = []
-
-        class FakeResult:
-            consistent = True
-
-            def table(self):
-                return ""
-
-        monkeypatch.setattr(
-            cli,
-            "_runners",
-            lambda full, seed=None, snapshot_cache=False, self_maintenance=False, group_maintenance=False, journal=False, checkpoint_every=8, crash_seed=None, shards=1, shard_processes=0: {
-                name: (lambda n=name: ran.append(n) or FakeResult())
-                for name in ("fig09", "fig10")
-            },
+        assert seen[0].config == DEFAULTS.replace(
+            snapshot_cache=True, batch_policy=BatchPolicy()
         )
+
+    def test_all_runs_everything(self, seen):
         cli.main(["all"])
-        assert ran == ["fig09", "fig10"]
+        assert [call.name for call in seen] == ["fig09", "fig10"]
 
     def test_inconsistent_result_fails(self, monkeypatch):
         class BadResult:
@@ -300,6 +219,8 @@ class TestExecution:
                 return ""
 
         monkeypatch.setattr(
-            cli, "_runners", lambda full, seed=None, snapshot_cache=False, self_maintenance=False, group_maintenance=False, journal=False, checkpoint_every=8, crash_seed=None, shards=1, shard_processes=0: {"fig09": BadResult}
+            cli,
+            "_runners",
+            lambda full, config, workload_seed: {"fig09": BadResult},
         )
         assert cli.main(["fig09"]) == 1

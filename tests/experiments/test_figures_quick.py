@@ -5,9 +5,13 @@ module runs in well under a minute; the benchmark harness runs the
 full-scale versions.
 """
 
+import json
+from pathlib import Path
+
 import pytest
 
 from repro.experiments import (
+    WarehouseConfig,
     run_blind_merge_ablation,
     run_fig08,
     run_fig09,
@@ -19,13 +23,62 @@ from repro.experiments import (
 )
 
 SCALE = 300  # tuples per relation for quick runs
+QUICK = WarehouseConfig(tuples_per_relation=SCALE)
+
+#: FIG-8..12 at exactly the scales below, recorded at commit 159e12e
+#: (the last one with per-builder knob lists) through
+#: ``FigureResult.to_json`` — the virtual-clock figures are the
+#: reproduction's ground truth and no refactor may move them
+GOLDEN = json.loads(
+    (Path(__file__).parent / "golden" / "figures_quick.json").read_text()
+)
+
+
+FIGURES = {
+    "fig08": lambda: run_fig08(QUICK, du_counts=(50, 100, 200)),
+    "fig09": lambda: run_fig09(QUICK),
+    "fig10": lambda: run_fig10(
+        QUICK, intervals=(0.0, 17.0, 41.0), du_count=60, sc_count=6
+    ),
+    "fig11": lambda: run_fig11(QUICK, sc_counts=(3, 9), du_count=60),
+    # sc_interval=8 keeps the SC stream inside the DU window for both
+    # points, as in the paper's full-scale setup.
+    "fig12": lambda: run_fig12(QUICK, du_counts=(100, 200), sc_interval=8.0),
+}
+
+
+@pytest.fixture(scope="module")
+def figures():
+    """Each quick figure, run once for the shape and the golden test."""
+    cache = {}
+
+    def get(name):
+        if name not in cache:
+            cache[name] = FIGURES[name]()
+        return cache[name]
+
+    return get
+
+
+@pytest.mark.parametrize("name", sorted(FIGURES))
+def test_figure_matches_golden(figures, name):
+    result = json.loads(figures(name).to_json())
+    golden = GOLDEN[name]
+    assert result["consistent"] and result["series_names"] == golden[
+        "series_names"
+    ]
+    assert [point["x"] for point in result["points"]] == [
+        point["x"] for point in golden["points"]
+    ]
+    for point, expected in zip(result["points"], golden["points"]):
+        assert point["values"] == pytest.approx(
+            expected["values"], rel=0, abs=1e-9
+        )
 
 
 class TestFig08:
-    def test_detection_overhead_negligible_and_linear(self):
-        result = run_fig08(
-            du_counts=(50, 100, 200), tuples_per_relation=SCALE
-        )
+    def test_detection_overhead_negligible_and_linear(self, figures):
+        result = figures("fig08")
         assert result.consistent
         with_detection = result.series("with_detection")
         without = result.series("without_detection")
@@ -38,8 +91,8 @@ class TestFig08:
 
 
 class TestFig09:
-    def test_bar_pattern(self):
-        result = run_fig09(tuples_per_relation=SCALE)
+    def test_bar_pattern(self, figures):
+        result = figures("fig09")
         assert result.consistent
         du_sc = result.points[0].values
         sc_sc = result.points[1].values
@@ -59,13 +112,8 @@ class TestFig09:
 
 
 class TestFig10:
-    def test_interval_shape(self):
-        result = run_fig10(
-            intervals=(0.0, 17.0, 41.0),
-            du_count=60,
-            sc_count=6,
-            tuples_per_relation=SCALE,
-        )
+    def test_interval_shape(self, figures):
+        result = figures("fig10")
         assert result.consistent
         for name in ("pessimistic", "optimistic"):
             series = dict(zip(result.xs(), result.series(name)))
@@ -83,12 +131,8 @@ class TestFig10:
 
 
 class TestFig11:
-    def test_abort_grows_with_sc_count(self):
-        result = run_fig11(
-            sc_counts=(3, 9),
-            du_count=60,
-            tuples_per_relation=SCALE,
-        )
+    def test_abort_grows_with_sc_count(self, figures):
+        result = figures("fig11")
         assert result.consistent
         for name in ("pessimistic", "optimistic"):
             aborts = result.series(f"abort_of_{name}")
@@ -98,14 +142,8 @@ class TestFig11:
 
 
 class TestFig12:
-    def test_abort_flat_in_du_count(self):
-        # sc_interval=8 keeps the SC stream inside the DU window for
-        # both points, as in the paper's full-scale setup.
-        result = run_fig12(
-            du_counts=(100, 200),
-            sc_interval=8.0,
-            tuples_per_relation=SCALE,
-        )
+    def test_abort_flat_in_du_count(self, figures):
+        result = figures("fig12")
         assert result.consistent
         for name in ("pessimistic", "optimistic"):
             aborts = result.series(f"abort_of_{name}")
@@ -120,8 +158,7 @@ class TestFig12:
 class TestAblations:
     def test_blind_merge_loses_intermediate_states(self):
         result = run_blind_merge_ablation(
-            du_count=40, sc_count=4, sc_interval=8.0,
-            tuples_per_relation=SCALE,
+            QUICK, du_count=40, sc_count=4, sc_interval=8.0
         )
         assert result.consistent
         dyno = result.points[0].values
@@ -140,10 +177,10 @@ class TestAblations:
 
     def test_starvation_study_always_converges(self):
         result = run_starvation_study(
+            WarehouseConfig(tuples_per_relation=200),
             intervals=(1.0, 20.0),
             stream_length=5,
             du_count=20,
-            tuples_per_relation=200,
         )
         assert result.consistent
         for point in result.points:

@@ -26,8 +26,11 @@ from repro.core.runtime import (
 )
 from repro.core.strategies import OPTIMISTIC, PESSIMISTIC
 from repro.experiments.testbed import (
+    build_shard_world,
     build_sharded_testbed,
-    sharded_world_specs,
+    du_stream,
+    plan_shards,
+    sharded_config,
 )
 from repro.faults.plan import FaultPlan
 from repro.recovery import CrashPlan
@@ -161,15 +164,50 @@ def test_read_front_end_matches_inline():
         )
 
 
+def test_both_drivers_answer_the_same_surface():
+    # ShardedTestbed never asks which driver it has: the inline
+    # coordinator and the process runtime answer every accessor it
+    # delegates to, with equal values.
+    def quiescent(processes):
+        testbed = build_sharded_testbed(
+            PESSIMISTIC,
+            shards=4,
+            tuples_per_relation=24,
+            shard_processes=processes,
+        )
+        testbed.schedule_du_workload(8, start=0.05, interval=0.05, seed=7)
+        testbed.prepare()
+        sizes_before_run = testbed.initial_sizes
+        testbed.run()
+        assert testbed.initial_sizes == sizes_before_run
+        return testbed
+
+    inline, processed = quiescent(0), quiescent(2)
+    assert inline.runtime is None and processed.warehouse is None
+    assert inline.driver is inline.warehouse
+    assert processed.driver is processed.runtime
+    assert inline.initial_sizes == processed.initial_sizes
+    assert inline.check_consistency() and processed.check_consistency()
+    for accessor in (
+        "extent_rows",
+        "committed_updates",
+        "shard_clocks",
+        "cost_model",
+        "horizon",
+        "install_logs",
+        "crash_report_count",
+    ):
+        assert getattr(inline.driver, accessor)() == getattr(
+            processed.driver, accessor
+        )(), accessor
+    assert (
+        inline.metrics.maintenance_cost == processed.metrics.maintenance_cost
+    )
+
+
 # ----------------------------------------------------------------------
 # worker-process death
 # ----------------------------------------------------------------------
-
-
-def _specs():
-    return sharded_world_specs(
-        PESSIMISTIC, shards=4, tuples_per_relation=24
-    )
 
 
 @pytest.mark.parametrize("kill_round", [0, 2])
@@ -178,26 +216,15 @@ def test_worker_death_raises_clean_runtime_error(kill_round):
     # os._exit inside the worker): the coordinator must detect the
     # closed pipe and raise — a WorkerDied (a RuntimeError) naming the
     # worker — not hang.
-    from repro.core.runtime import WorkloadSpec
-
+    config = sharded_config(shards=4, tuples_per_relation=24)
     runtime = ProcessShardRuntime(
-        _specs(),
+        plan_shards(config),
+        build_shard_world,
         processes=2,
         reply_timeout=60.0,
         kill_shard_after=(1, kill_round),
     )
-    runtime.add_workload_spec(
-        WorkloadSpec(
-            "du",
-            {
-                "tuples_per_relation": 24,
-                "count": 8,
-                "start": 0.05,
-                "interval": 0.05,
-                "seed": 7,
-            },
-        )
-    )
+    runtime.add_workload_spec(du_stream(config, 8, 0.05, 0.05, seed=7))
     with pytest.raises(RuntimeError, match="died"):
         runtime.run()
     # The fleet is torn down; no worker is left running.

@@ -21,7 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.strategies import OPTIMISTIC, PESSIMISTIC
-from repro.experiments.testbed import build_testbed, build_multiview_testbed
+from repro.experiments.testbed import build_testbed
 from repro.maintenance.grouping import BatchPolicy
 from repro.recovery import (
     CRASH_POINTS,
@@ -179,7 +179,7 @@ def test_crash_during_replay_recovers():
     except SchedulerCrash:
         pass
     # Re-arm so the recovery attempt itself dies mid-replay, then run
-    # the same loop run_recovering uses.
+    # the same loop recover_in_place uses (counting its retries).
     testbed.engine.crash_injector.arm(CrashPlan("recover.replay", 2))
     attempts = 0
     while True:
@@ -201,9 +201,10 @@ def test_crash_during_replay_recovers():
 
 def test_crash_recovery_multiview():
     def run_multi(crash_plan=None):
-        testbed = build_multiview_testbed(
+        testbed = build_testbed(
             PESSIMISTIC,
             tuples_per_relation=20,
+            spans=((0, 3), (2, 6)),
             journal=True,
             checkpoint_every=2,
             crash_plan=crash_plan,
