@@ -110,7 +110,7 @@ from .views import (
 
 # after .views: the cache rides on maintenance/compensation, which the
 # views package is mid-way through importing at the top of this module
-from .cache import CacheHit, SnapshotCache
+from .cache import SnapshotCache
 from .maintenance.grouping import BatchPolicy
 from .recovery import (
     CRASH_POINTS,
@@ -142,7 +142,6 @@ __all__ = [
     "BatchPolicy",
     "BrokenQueryError",
     "CRASH_POINTS",
-    "CacheHit",
     "Comparison",
     "ConsistencyReport",
     "CostModel",

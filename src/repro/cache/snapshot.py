@@ -18,8 +18,9 @@ exact single-relation evaluation compensation relies on, run in the
 opposite direction (forward in time instead of backward).  No round
 trip, no channel occupancy, no fault exposure.
 
-Broken-query semantics (Theorem 1) are preserved by construction: any
-schema change in the gap invalidates the entry, because a real query
+Broken-query semantics (Theorem 1) are preserved by construction (the
+shared gap rule of :mod:`repro.sources.replica`): any schema change in
+the gap invalidates the entry, because a real query
 shipped now could have broken on the changed metadata and serving a
 stale answer would mask the in-exec detection path.  A DU-only gap means
 the source's schema at the stamp and now are identical, so a query that
@@ -34,13 +35,12 @@ the LRU without any cross-layer invalidation protocol.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from ..maintenance.compensation import effect_on_answer
-from ..relational.errors import RelationalError
+from ..relational.delta import Delta
 from ..relational.query import SPJQuery
 from ..relational.table import Table
 from ..sim.metrics import Metrics
+from ..sources.replica import LocalHit, VersionedEntry, VersionedStore
 from ..sources.source import DataSource
 
 #: default bound on resident entries (FIFO-recency eviction)
@@ -59,62 +59,42 @@ def normalized_query_key(query: SPJQuery) -> str:
     return query.sql()
 
 
-@dataclass(frozen=True)
-class CacheHit:
-    """One served answer plus the patch work it took to produce it."""
-
-    table: Table
-    #: signed tuples applied while patching the entry forward (0 for an
-    #: exact-version hit); the caller charges ``patch_per_row`` each
-    patched_rows: int
-
-    @property
-    def patched(self) -> bool:
-        return self.patched_rows > 0
-
-
-@dataclass
-class _Entry:
-    version: int
-    table: Table
-
-
-class SnapshotCache:
+class SnapshotCache(VersionedStore):
     """Per-source memo of maintenance-query answers, patchable in place.
 
-    Only single-relation queries are cacheable: patching needs the exact
+    The ``"cache"`` coverage policy over the shared versioned-entry core
+    (:mod:`repro.sources.replica`): one entry per ``(source, normalized
+    query)``, insertion-ordered for recency eviction.  Only
+    single-relation queries are cacheable: patching needs the exact
     effect of a gap delta on the answer, which is computable locally iff
     the query binds no other relation (the same property that makes
     SWEEP compensation exact — see :mod:`repro.maintenance.compensation`).
     """
+
+    tier = "cache"
 
     def __init__(
         self,
         metrics: Metrics | None = None,
         max_entries: int = DEFAULT_MAX_ENTRIES,
     ) -> None:
-        self.metrics = metrics
-        self.max_entries = max(1, max_entries)
-        #: (source name, normalized query) -> entry, insertion-ordered
-        #: for recency eviction (served entries are re-inserted)
-        self._entries: dict[tuple[str, str], _Entry] = {}
-
-    def __len__(self) -> int:
-        return len(self._entries)
+        if max_entries < 1:
+            raise ValueError(
+                f"max_entries must be at least 1, got {max_entries}"
+            )
+        super().__init__(metrics)
+        self.max_entries = max_entries
 
     @staticmethod
     def cacheable(query: SPJQuery) -> bool:
         return len(query.relations) == 1
 
-    # ------------------------------------------------------------------
-    # metrics plumbing (all counters live on the engine Metrics)
-    # ------------------------------------------------------------------
-
-    def _count(self, counter: str, amount: int = 1) -> None:
-        if self.metrics is not None:
-            setattr(
-                self.metrics, counter, getattr(self.metrics, counter) + amount
-            )
+    def _put(self, key: tuple[str, str], version: int, table: Table) -> None:
+        # Refresh recency on overwrite, then evict the oldest.
+        self._entries.pop(key, None)
+        super()._put(key, version, table)
+        while len(self._entries) > self.max_entries:
+            self._entries.pop(next(iter(self._entries)))
 
     # ------------------------------------------------------------------
     # store / serve
@@ -135,86 +115,57 @@ class SnapshotCache:
         """
         if not self.cacheable(query):
             return
-        key = (source.name, normalized_query_key(query))
-        stamped = source.commit_version if version is None else version
-        # Refresh recency on overwrite.
-        self._entries.pop(key, None)
-        self._entries[key] = _Entry(stamped, answer.copy())
-        while len(self._entries) > self.max_entries:
-            self._entries.pop(next(iter(self._entries)))
+        self._put(
+            (source.name, normalized_query_key(query)),
+            source.commit_version if version is None else version,
+            answer.copy(),
+        )
 
-    def serve(self, source: DataSource, query: SPJQuery) -> CacheHit | None:
+    def serve(self, source: DataSource, query: SPJQuery) -> LocalHit | None:
         """Answer ``query`` from the cache, patching forward if stale.
 
-        Returns ``None`` on a genuine miss *or* when a schema change
-        committed since the stamp (the entry is dropped: serving it
-        could mask a broken query, violating Theorem 1's reading of the
-        flag).  A returned hit reflects every update the source has
-        committed up to *now* — byte-equal to a zero-latency round trip.
+        Returns ``None`` on a genuine miss *or* when the entry had to be
+        dropped (a schema change in the gap — see
+        :meth:`~repro.sources.replica.VersionedStore._roll_forward`).  A
+        returned hit reflects every update the source has committed up
+        to *now* — byte-equal to a zero-latency round trip.
         """
         if not self.cacheable(query):
             return None
         key = (source.name, normalized_query_key(query))
-        entry = self._entries.get(key)
-        if entry is None:
+        if key not in self._entries:
             self._count("cache_misses")
             return None
-        current = source.commit_version
-        gap = source.updates_since(entry.version)
-        if any(message.is_schema_change for message in gap):
-            del self._entries[key]
-            self._count("cache_invalidations_sc")
-            self._count("cache_misses")
+        rows = self._roll_forward(source, key, query)
+        if rows is None:
             return None
-        ref = query.relations[0]
-        patched_rows = 0
-        table = entry.table
-        relevant = [
-            message
-            for message in gap
-            if message.is_data_update
-            and message.payload.relation == ref.relation
-        ]
-        if relevant:
-            corrected = table.as_delta()
-            for message in relevant:
-                try:
-                    effect = effect_on_answer(
-                        query, ref.alias, message.payload.delta
-                    )
-                except RelationalError:
-                    # Schema drift the gap scan did not explain: be
-                    # conservative, drop the entry, go remote.
-                    del self._entries[key]
-                    self._count("cache_misses")
-                    return None
-                patched_rows += sum(
-                    abs(count) for _row, count in effect.items()
-                )
-                corrected.merge(effect)
-            # Rows already passed validation on the way into the cache
-            # and the deltas came from committed updates — adopt the
-            # positive part in bulk rather than re-validating per row.
-            table = Table.from_counts(
-                table.schema,
-                {row: count for row, count in corrected.items() if count > 0},
-            )
-            self._count("patched_answers")
         # Move-to-end on *every* hit, not just after a non-empty gap: the
         # insertion-ordered dict doubles as the recency order, so an
         # exact hit left in place would age like an untouched entry and
         # the ``max_entries`` loop would evict the hottest keys
-        # FIFO-style.  (A non-empty gap additionally re-stamps at
-        # ``current`` so the next serve is an exact hit.)
-        del self._entries[key]
-        self._entries[key] = _Entry(current, table)
-        self._count("cache_hits")
-        self._count("saved_round_trips")
-        return CacheHit(table.copy(), patched_rows)
+        # FIFO-style.
+        entry = self._entries[key] = self._entries.pop(key)
+        return self._hit(entry.table.copy(), rows)
 
-    # ------------------------------------------------------------------
-    # maintenance
-    # ------------------------------------------------------------------
+    def _fold(
+        self, entry: VersionedEntry, query: SPJQuery, deltas: list[Delta]
+    ) -> int:
+        alias = query.relations[0].alias
+        corrected = entry.table.as_delta()
+        rows = 0
+        for delta in deltas:
+            effect = effect_on_answer(query, alias, delta)
+            rows += sum(abs(count) for _row, count in effect.items())
+            corrected.merge(effect)
+        # Rows already passed validation on the way into the cache
+        # and the deltas came from committed updates — adopt the
+        # positive part in bulk rather than re-validating per row.
+        entry.table = Table.from_counts(
+            entry.table.schema,
+            {row: count for row, count in corrected.items() if count > 0},
+        )
+        self._count("patched_answers")
+        return rows
 
     def invalidate_source(self, source_name: str) -> int:
         """Drop every entry of one source (e.g. on reconnect after an
@@ -226,39 +177,3 @@ class SnapshotCache:
         for key in stale:
             del self._entries[key]
         return len(stale)
-
-    def clear(self) -> None:
-        self._entries.clear()
-
-    # ------------------------------------------------------------------
-    # checkpoint / recovery plumbing
-    # ------------------------------------------------------------------
-
-    def export_entries(self) -> list[tuple[str, str, int, Table]]:
-        """Snapshot the resident entries for a warehouse checkpoint.
-
-        Returns ``(source name, query key, version stamp, answer)``
-        rows in recency order; tables are copied so the checkpoint
-        cannot alias live state.  JSON encoding is the checkpoint
-        layer's business, not the cache's.
-        """
-        return [
-            (source, key, entry.version, entry.table.copy())
-            for (source, key), entry in self._entries.items()
-        ]
-
-    def restore_entries(
-        self, entries: list[tuple[str, str, int, Table]]
-    ) -> int:
-        """Re-seed the cache from checkpointed entries (post-recovery).
-
-        The caller filters by watermark — entries stamped newer than the
-        committed-update watermark must not be passed in.  Returns how
-        many entries were installed.
-        """
-        for source, key, version, table in entries:
-            self._entries.pop((source, key), None)
-            self._entries[(source, key)] = _Entry(version, table.copy())
-            while len(self._entries) > self.max_entries:
-                self._entries.pop(next(iter(self._entries)))
-        return len(entries)

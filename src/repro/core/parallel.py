@@ -75,7 +75,6 @@ from ..sim.effects import Checkpoint, Delay, SourceQuery
 from ..sim.workers import QueryJob, SourceChannel, Trip, WorkerPool, WorkerState
 from ..sources.errors import (
     BrokenQueryError,
-    SourceError,
     SourceUnavailableError,
     TransientSourceError,
 )
@@ -84,7 +83,7 @@ from ..views.manager import ViewManager
 from ..views.umq import MaintenanceUnit
 from .anomalies import AnomalyType
 from .scheduler import DynoScheduler, SchedulerStats
-from .strategies import PESSIMISTIC, BrokenQueryPolicy, Strategy
+from .strategies import PESSIMISTIC, Strategy
 
 
 class ParallelScheduler(DynoScheduler):
@@ -108,7 +107,6 @@ class ParallelScheduler(DynoScheduler):
             manager,
             strategy,
             max_iterations=max_iterations,
-            incremental_detection=True,
             batch_policy=batch_policy,
         )
         self.pool = WorkerPool(workers)
@@ -121,20 +119,20 @@ class ParallelScheduler(DynoScheduler):
         self._coordinator_free_at = 0.0
         #: aborted units awaiting policy application at the next
         #: all-idle point (queue-wide surgery needs a quiet queue)
-        self._pending_policies: list[tuple[MaintenanceUnit, SourceError]] = []
+        self._pending_policies: list[
+            tuple[MaintenanceUnit, BrokenQueryError]
+        ] = []
         #: an SC-bearing or batch unit is running solo
         self._barrier_in_flight = False
         #: dispatch audit for the safety property tests: one record per
         #: dispatch with the unit and everything in flight at that point
         self.dispatch_audit: list[dict] = []
-        #: cache audit extending the dispatch invariants: one record per
-        #: snapshot-cache serve, proving hits bypassed channel admission
-        #: (no slot held) yet were answered at a single instant like any
-        #: trip — replayed by the equivalence property tests
-        self.cache_audit: list[dict] = []
-        #: same audit for self-maintenance aux serves (channel-free,
-        #: single-instant answers, zero trips)
-        self.aux_audit: list[dict] = []
+        #: local-answer audit extending the dispatch invariants: one
+        #: record per aux/cache serve (``tier`` says which), proving the
+        #: hit bypassed channel admission (no slot held, zero trips) yet
+        #: was answered at a single instant like any trip — replayed by
+        #: the equivalence property tests
+        self.local_audit: list[dict] = []
         self.umq.add_listener(self)
 
     def detach(self) -> None:
@@ -288,7 +286,7 @@ class ParallelScheduler(DynoScheduler):
         # The ready-set scan: drained substrate mutations plus one
         # incremental-rate sweep of the live graph.
         self._charge(
-            self._detection_work_cost(0, 0)
+            self._detection_work_cost()
             + cost.detection_incremental(
                 self.substrate.node_count, self.substrate.edge_count
             ),
@@ -430,44 +428,42 @@ class ParallelScheduler(DynoScheduler):
             raise TypeError(f"unknown effect {effect!r}")
 
     def _submit_query(self, worker: WorkerState, effect: SourceQuery) -> None:
-        if self._serve_from_aux(worker, effect):
-            return
-        if self._serve_from_cache(worker, effect):
-            return
-        job = QueryJob(
-            worker,
-            effect,
-            RetryState(self.engine, effect),
-            self.engine.query_request_cost(effect),
-            generation=worker.generation,
-        )
-        self._enqueue_job(job)
+        """Local tier first (:meth:`~repro.sim.engine.SimEngine
+        .serve_local`), else the source channel.
 
-    def _serve_from_cache(
-        self, worker: WorkerState, effect: SourceQuery
-    ) -> bool:
-        """A cache hit never touches the source channel: no admission,
-        no slot, no batching — the worker gets its answer after the
-        (tiny) local serve cost.  ``answered_at`` is the serve instant,
-        so the pending-overlay compensation treats the answer exactly
-        like a real trip evaluated now: each concurrent message is
-        compensated exactly once (the PR 3 invariant, extended)."""
-        cache = self.engine.snapshot_cache
-        if cache is None or not effect.cacheable:
-            return False
-        hit = cache.serve(
-            self.engine.sources[effect.source_name], effect.query
-        )
-        if hit is None:
-            return False
+        A local hit never touches the channel: no admission, no slot,
+        no batching — the worker resumes after the (tiny) serve cost
+        with an answer pinned at the serve instant, so the
+        pending-overlay compensation and the dispatch-order install +
+        taint-restart discipline treat it exactly like a real trip
+        evaluated now: each concurrent message is compensated exactly
+        once (the PR 3 invariant, extended)."""
+        metrics = self.engine.metrics
+        trips_before = metrics.source_round_trips
+        served = self.engine.serve_local(effect)
+        if served is None:
+            self._enqueue_job(
+                QueryJob(
+                    worker,
+                    effect,
+                    RetryState(self.engine, effect),
+                    self.engine.query_request_cost(effect),
+                    generation=worker.generation,
+                )
+            )
+            return
+        answer, serve_cost, hit = served
         now = self.engine.clock.now
         channel = self.channels.get(effect.source_name)
-        self.cache_audit.append(
+        self.local_audit.append(
             {
                 "at": now,
+                "answered_at": answer.answered_at,
                 "worker": worker.index,
                 "source": effect.source_name,
-                "patched_rows": hit.patched_rows,
+                "tier": hit.tier,
+                "rows": hit.rows,
+                "trips": metrics.source_round_trips - trips_before,
                 "channel_in_flight": (
                     channel.in_flight if channel is not None else 0
                 ),
@@ -476,69 +472,11 @@ class ParallelScheduler(DynoScheduler):
                 ),
             }
         )
-        worker.cache_serves += 1
-        self.engine.tracer.record(
-            now,
-            trace_kinds.QUERY,
-            f"{effect.source_name} -> {len(hit.table)} tuples "
-            f"(cache, worker {worker.index})",
-        )
-        serve_cost = self.engine.cost_model.cache_serve(hit.patched_rows)
         self._charge_worker(worker, effect.kind, serve_cost)
-        answer = QueryAnswer(hit.table, now)
         if serve_cost > 0:
             self._resume_later(now + serve_cost, worker, answer)
         else:
             self._advance_process(worker, payload=answer)
-        return True
-
-    def _serve_from_aux(
-        self, worker: WorkerState, effect: SourceQuery
-    ) -> bool:
-        """An aux hit is channel-free exactly like a cache hit: no
-        admission, no slot, no batching — the worker resumes after the
-        (tiny) local serve cost with an answer pinned at the serve
-        instant, so compensation and the dispatch-order install +
-        taint-restart discipline treat it like any real trip's answer."""
-        store = self.engine.selfmaint
-        if store is None or not effect.cacheable:
-            return False
-        hit = store.serve(
-            self.engine.sources[effect.source_name], effect.query
-        )
-        if hit is None:
-            return False
-        now = self.engine.clock.now
-        channel = self.channels.get(effect.source_name)
-        self.aux_audit.append(
-            {
-                "at": now,
-                "worker": worker.index,
-                "source": effect.source_name,
-                "applied_rows": hit.applied_rows,
-                "channel_in_flight": (
-                    channel.in_flight if channel is not None else 0
-                ),
-                "channel_waiting": (
-                    len(channel.waiting) if channel is not None else 0
-                ),
-            }
-        )
-        worker.aux_serves += 1
-        self.engine.tracer.record(
-            now,
-            trace_kinds.QUERY,
-            f"{effect.source_name} -> {len(hit.table)} tuples "
-            f"(aux, worker {worker.index})",
-        )
-        serve_cost = self.engine.cost_model.aux_serve(hit.applied_rows)
-        self._charge_worker(worker, effect.kind, serve_cost)
-        answer = QueryAnswer(hit.table, now)
-        if serve_cost > 0:
-            self._resume_later(now + serve_cost, worker, answer)
-        else:
-            self._advance_process(worker, payload=answer)
-        return True
 
     def _enqueue_job(self, job: QueryJob) -> None:
         channel = self._channel(job.effect.source_name)
@@ -775,40 +713,17 @@ class ParallelScheduler(DynoScheduler):
     def _apply_pending_policies(self) -> None:
         """All workers idle: apply the broken-query policy for each
         abort that happened since the last quiet point, in abort order
-        (the serial ``_handle_broken_query`` tail, minus classification
-        — only genuine broken queries are parked here)."""
+        (only genuine broken queries are parked here — outages went
+        through :meth:`_abandon`)."""
         pending = self._pending_policies
         self._pending_policies = []
         for unit, broken in pending:
             self.stats.genuine_broken_flags += 1
-            assert isinstance(broken, BrokenQueryError)
-            policy = self.strategy.on_broken_query
-            if unit not in self.umq.units:
-                # A previous policy in this drain absorbed the unit
-                # (merge-all / correction cycle-merge); nothing left to
-                # act on.
-                continue
-            if policy is BrokenQueryPolicy.SKIP:
-                self.umq.remove_unit(unit)
-                journal = getattr(self.manager, "journal", None)
-                if journal is not None:
-                    journal.record_skip(unit)
-                self.stats.skipped_updates += 1
-                continue
-            if policy is BrokenQueryPolicy.MERGE_ALL:
-                self._merge_whole_queue()
-                continue
-            unit_ids = tuple(id(message) for message in unit)
-            repeat = unit_ids == self._last_broken_unit_ids
-            self._last_broken_unit_ids = unit_ids
-            self.detect_and_correct()
-            still_head = (
-                not self.umq.is_empty()
-                and tuple(id(message) for message in self.umq.head())
-                == unit_ids
-            )
-            if repeat and still_head:
-                self._force_progress(broken.source)
+            # A previous policy in this drain may have absorbed the
+            # unit (merge-all / correction cycle-merge): nothing left
+            # to act on.
+            if unit in self.umq.units:
+                self._apply_broken_query_policy(unit, broken)
 
     # ------------------------------------------------------------------
     # the event loop

@@ -67,10 +67,9 @@ from ..sim.metrics import Metrics
 from .sharding import (
     Shard,
     ShardRouter,
+    ShardStatus,
     WorkloadSpec,
-    min_pending_commit,
-    sc_barrier_time,
-    shard_quiescent,
+    status_of,
     step_shard,
 )
 
@@ -81,56 +80,6 @@ WorldBuilder = Callable[[Any, ShardRouter], Shard]
 
 #: worker exit code after a ``CRASH`` command (hard process death)
 _CRASH_EXIT_CODE = 23
-
-
-@dataclass(frozen=True)
-class ShardStatus:
-    """One shard's coordinator-visible state after a step.
-
-    Exactly the observables the inline coordinator reads from live
-    shards — enough to replicate its quiescence, barrier-deferral and
-    earliest-SC-release decisions remotely.
-    """
-
-    shard_id: int
-    quiescent: bool
-    clock_now: float
-    #: commit time of the head unit's earliest SC (None: head not
-    #: SC-bearing) — the cross-shard barrier time
-    barrier_at: float | None
-    #: earliest commit this shard still holds (queued + wrapper
-    #: backlog); None when it holds nothing
-    min_pending_commit: float | None
-    #: parallel executor has in-flight dispatches
-    pool_busy: bool
-    #: the shard's event heap is non-empty
-    has_next_event: bool
-
-    def blocks_barrier(self, barrier_at: float) -> bool:
-        """Status-snapshot twin of
-        :func:`repro.core.sharding.shard_blocks_barrier`."""
-        if (
-            self.min_pending_commit is not None
-            and self.min_pending_commit < barrier_at
-        ):
-            return True
-        if self.pool_busy:
-            return True
-        return self.clock_now < barrier_at and self.has_next_event
-
-
-def status_of(shard) -> ShardStatus:
-    """Snapshot one live shard into a :class:`ShardStatus`."""
-    pool = getattr(shard.scheduler, "pool", None)
-    return ShardStatus(
-        shard_id=shard.shard_id,
-        quiescent=shard_quiescent(shard),
-        clock_now=shard.engine.clock.now,
-        barrier_at=sc_barrier_time(shard),
-        min_pending_commit=min_pending_commit(shard),
-        pool_busy=pool is not None and pool.any_busy,
-        has_next_event=shard.engine.next_event_time() is not None,
-    )
 
 
 def plan_round(

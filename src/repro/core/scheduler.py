@@ -42,7 +42,6 @@ from ..views.manager import ViewManager
 from ..views.umq import MaintenanceUnit
 from .anomalies import AnomalyType
 from .correction import CorrectionResult, correct, merge_all
-from .dependencies import NameResolver, find_dependencies, footprint_of_update
 from .incremental import IncrementalDependencyGraph
 from .strategies import PESSIMISTIC, BrokenQueryPolicy, Strategy
 
@@ -90,28 +89,6 @@ class SchedulerStats:
     #: they depend on a quarantined source (each unit counted once per
     #: stay in the deferred set, not once per deferral round)
     deferred_units: int = 0
-    # -- snapshot cache (mirrors of engine metrics) --------------------
-    #: maintenance queries answered without a round trip
-    cache_hits: int = 0
-    #: cacheable queries that paid a real trip
-    cache_misses: int = 0
-    #: cache answers patched forward through gap deltas
-    patched_answers: int = 0
-    #: cache entries dropped by a schema change in the version gap
-    cache_invalidations_sc: int = 0
-    #: maintenance queries that actually travelled to a source
-    source_round_trips: int = 0
-    # -- self-maintenance aux store (mirrors of engine metrics) --------
-    #: maintenance queries answered by the auxiliary store
-    aux_hits: int = 0
-    #: aux-eligible queries the store could not cover
-    aux_misses: int = 0
-    #: aux replicas dropped by a schema change in the version gap
-    aux_invalidations_sc: int = 0
-    #: data-update units maintained with zero source round trips
-    self_maintained_units: int = 0
-    #: committed data-update maintenance rounds (the denominator)
-    data_unit_rounds: int = 0
 
 
 class DynoScheduler:
@@ -123,7 +100,6 @@ class DynoScheduler:
         strategy: Strategy = PESSIMISTIC,
         max_iterations: int = 1_000_000,
         defer_du_interval: float | None = None,
-        incremental_detection: bool = True,
         batch_policy: BatchPolicy | None = None,
     ) -> None:
         """``defer_du_interval`` enables *deferred* data-update
@@ -133,12 +109,6 @@ class DynoScheduler:
         refreshes, trading staleness for refresh cost.  Schema changes
         are never deferred: the moment one is queued, ordinary Dyno
         processing takes over.
-
-        ``incremental_detection`` maintains the dependency graph and the
-        footprint cache alongside the UMQ so each detection round costs
-        what *changed* since the last round, not the queue size; pass
-        ``False`` to rebuild from scratch every round (the paper's
-        original cost profile, kept for ablation).
 
         ``batch_policy`` arms adaptive group maintenance
         (:mod:`repro.maintenance.grouping`): before picking the head,
@@ -171,24 +141,24 @@ class DynoScheduler:
         #: unit ids already counted in ``stats.deferred_units`` for the
         #: current outage (cleared when the deferred set empties)
         self._counted_deferred_ids: set[int] = set()
-        self.substrate: IncrementalDependencyGraph | None = None
-        if incremental_detection:
-            self.substrate = IncrementalDependencyGraph(
-                self.umq,
-                view_queries=lambda: self.manager.maintenance_queries,
-                rewritten_query=self._speculative_rewrite,
-                epoch=lambda: (
-                    self.manager.detection_epoch,
-                    self.umq.received_schema_changes,
-                ),
-                metrics=self.manager.metrics,
-            )
+        #: the dependency graph and footprint cache maintained alongside
+        #: the UMQ, so each detection round costs what *changed* since
+        #: the last round, not the queue size
+        self.substrate = IncrementalDependencyGraph(
+            self.umq,
+            view_queries=lambda: self.manager.maintenance_queries,
+            rewritten_query=self._speculative_rewrite,
+            epoch=lambda: (
+                self.manager.detection_epoch,
+                self.umq.received_schema_changes,
+            ),
+            metrics=self.manager.metrics,
+        )
 
     def detach(self) -> None:
         """Unhook the substrate's UMQ listener (when this scheduler is
         replaced by another on the same queue)."""
-        if self.substrate is not None:
-            self.substrate.detach()
+        self.substrate.detach()
 
     # ------------------------------------------------------------------
     # helpers
@@ -219,17 +189,12 @@ class DynoScheduler:
     # detection + correction round
     # ------------------------------------------------------------------
 
-    def _detection_work_cost(self, nodes: int, edges: int) -> float:
-        """Virtual time for this round's detection work.
-
-        With the incremental substrate, charge the work it actually
-        performed since the last round (full-rate for rebuild fallbacks,
-        incremental-rate for cached/remap work); without it, charge a
-        from-scratch build over the whole graph.
-        """
+    def _detection_work_cost(self) -> float:
+        """Virtual time for this round's detection work: what the
+        incremental substrate actually performed since the last round
+        (full-rate for rebuild fallbacks, incremental-rate for
+        cached/remap work)."""
         cost = self.manager.cost
-        if self.substrate is None:
-            return cost.detection(nodes, edges)
         full_nodes, full_edges, inc_nodes, inc_edges = (
             self.substrate.consume_work()
         )
@@ -244,11 +209,7 @@ class DynoScheduler:
             messages,
             self.manager.maintenance_queries,
             rewritten_query=self._speculative_rewrite,
-            detection=(
-                self.substrate.detection()
-                if self.substrate is not None
-                else None
-            ),
+            detection=self.substrate.detection(),
         )
         # Install the corrected order before charging the detection
         # delay: commits firing inside the delay window must append
@@ -256,7 +217,7 @@ class DynoScheduler:
         self.umq.replace_order(result.units)
         cost = self.manager.cost
         self._charge(
-            self._detection_work_cost(result.node_count, result.edge_count)
+            self._detection_work_cost()
             + cost.correction(result.node_count, result.edge_count),
             "detection",
         )
@@ -277,11 +238,7 @@ class DynoScheduler:
         result = merge_all(
             self.umq.messages(),
             self.manager.maintenance_queries,
-            detection=(
-                self.substrate.detection()
-                if self.substrate is not None
-                else None
-            ),
+            detection=self.substrate.detection(),
         )
         # Install before charging: commits firing inside the charge
         # window must append behind the merged order, not invalidate it
@@ -316,14 +273,8 @@ class DynoScheduler:
             # CD edges need a schema-change endpoint and SC-bearing
             # units are never admitted: no edge set to consult.
             dependencies = ()
-        elif self.substrate is not None:
-            dependencies = self.substrate.dependencies()
         else:
-            dependencies = find_dependencies(
-                self.umq.messages(),
-                self.manager.maintenance_queries,
-                rewritten_query=self._speculative_rewrite,
-            )
+            dependencies = self.substrate.dependencies()
         runs = find_safe_runs(units, policy, dependencies)
         if not runs:
             return
@@ -453,31 +404,14 @@ class DynoScheduler:
             for message in unit:
                 messages.append(message)
                 unit_of.append(unit_index)
-        if self.substrate is not None:
-            # Footprints and dependencies are served from the live
-            # substrate: one cached lookup per message instead of a
-            # full recomputation per deferral pass.
-            footprints = [
-                self.substrate.footprint_at(index)
-                for index in range(len(messages))
-            ]
-            dependencies = self.substrate.dependencies()
-        else:
-            resolver = NameResolver(messages)
-            footprints = [
-                footprint_of_update(
-                    message,
-                    self.manager.maintenance_queries,
-                    self._speculative_rewrite,
-                    resolver,
-                )
-                for message in messages
-            ]
-            dependencies = find_dependencies(
-                messages,
-                self.manager.maintenance_queries,
-                rewritten_query=self._speculative_rewrite,
-            )
+        # Footprints and dependencies are served from the live
+        # substrate: one cached lookup per message instead of a full
+        # recomputation per deferral pass.
+        footprints = [
+            self.substrate.footprint_at(index)
+            for index in range(len(messages))
+        ]
+        dependencies = self.substrate.dependencies()
         deferred: set[int] = set()
         for index, footprint in enumerate(footprints):
             if any(
@@ -500,20 +434,19 @@ class DynoScheduler:
         """Move quarantine-independent units ahead of deferred ones.
 
         Returns False when *every* queued unit depends on a quarantined
-        source — nothing is runnable until recovery.  Every pass builds
-        (or consults) the dependency graph, so every pass charges
-        detection time and counts a graph build — detection work is
-        never free virtual time, demotion or not.
+        source — nothing is runnable until recovery.  Every pass
+        consults the dependency graph, so every pass charges detection
+        time and counts a graph build — detection work is never free
+        virtual time, demotion or not.
         """
         deferred, nodes, edges = self._deferred_unit_indices()
         self.manager.metrics.graph_builds += 1
-        detection_cost = self._detection_work_cost(nodes, edges)
-        if self.substrate is not None:
-            # The pass itself sweeps cached footprints and propagates
-            # deferral along the edges: incremental-rate work.
-            detection_cost += self.manager.cost.detection_incremental(
-                nodes, edges
-            )
+        # The pass itself sweeps cached footprints and propagates
+        # deferral along the edges: incremental-rate work.
+        detection_cost = (
+            self._detection_work_cost()
+            + self.manager.cost.detection_incremental(nodes, edges)
+        )
         if not deferred:
             self._counted_deferred_ids.clear()
             self._charge(detection_cost, "detection")
@@ -570,16 +503,6 @@ class DynoScheduler:
         self.stats.retries = metrics.retries
         self.stats.backoff_time = metrics.backoff_time
         self.stats.transient_failures = metrics.transient_failures
-        self.stats.cache_hits = metrics.cache_hits
-        self.stats.cache_misses = metrics.cache_misses
-        self.stats.patched_answers = metrics.patched_answers
-        self.stats.cache_invalidations_sc = metrics.cache_invalidations_sc
-        self.stats.source_round_trips = metrics.source_round_trips
-        self.stats.aux_hits = metrics.aux_hits
-        self.stats.aux_misses = metrics.aux_misses
-        self.stats.aux_invalidations_sc = metrics.aux_invalidations_sc
-        self.stats.self_maintained_units = metrics.self_maintained_units
-        self.stats.data_unit_rounds = metrics.data_unit_rounds
 
     # ------------------------------------------------------------------
     # the Dyno loop
@@ -755,12 +678,21 @@ class DynoScheduler:
             return
         self.stats.genuine_broken_flags += 1
         assert isinstance(broken, BrokenQueryError)
+        self._apply_broken_query_policy(unit, broken)
+
+    def _apply_broken_query_policy(
+        self, unit: MaintenanceUnit, broken: BrokenQueryError
+    ) -> None:
+        """The strategy's answer to a genuine broken query on ``unit``
+        (still queued): skip it, merge the whole queue, or correct the
+        order.  Shared by the serial abort handler and the parallel
+        executor's quiet-point policy drain."""
         policy = self.strategy.on_broken_query
         if policy is BrokenQueryPolicy.SKIP:
-            skipped = self.umq.remove_head()
+            self.umq.remove_unit(unit)
             journal = getattr(self.manager, "journal", None)
             if journal is not None:
-                journal.record_skip(skipped)
+                journal.record_skip(unit)
             self.stats.skipped_updates += 1
             return
         if policy is BrokenQueryPolicy.MERGE_ALL:

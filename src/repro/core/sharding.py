@@ -234,24 +234,59 @@ def min_pending_commit(shard: "Shard") -> float | None:
     return min(commits) if commits else None
 
 
-def shard_blocks_barrier(shard: "Shard", barrier_at: float) -> bool:
-    """Does this shard (as a *peer*) still hold maintenance committed
-    before a schema change at ``barrier_at``?
+@dataclass(frozen=True)
+class ShardStatus:
+    """One shard's coordinator-visible state after a step.
 
-    Checks the shard's queued units and wrapper backlog (via
-    :func:`min_pending_commit`), its in-flight parallel dispatches, and
-    — conservatively — whether its clock could still reach a commit
-    before the barrier time.
+    Exactly the observables a coordinator needs for its quiescence,
+    barrier-deferral and earliest-SC-release decisions: the inline
+    coordinator snapshots live shards, the process runtime
+    (:mod:`repro.core.runtime`) ships these home over its pipes.
     """
-    pending = min_pending_commit(shard)
-    if pending is not None and pending < barrier_at:
-        return True
+
+    shard_id: int
+    quiescent: bool
+    clock_now: float
+    #: commit time of the head unit's earliest SC (None: head not
+    #: SC-bearing) — the cross-shard barrier time
+    barrier_at: float | None
+    #: earliest commit this shard still holds (queued + wrapper
+    #: backlog); None when it holds nothing
+    min_pending_commit: float | None
+    #: parallel executor has in-flight dispatches
+    pool_busy: bool
+    #: the shard's event heap is non-empty
+    has_next_event: bool
+
+    def blocks_barrier(self, barrier_at: float) -> bool:
+        """Does this shard (as a *peer*) still hold maintenance
+        committed before a schema change at ``barrier_at``?
+
+        Checks the shard's queued units and wrapper backlog, its
+        in-flight parallel dispatches, and — conservatively — whether
+        its clock could still reach a commit before the barrier time.
+        """
+        if (
+            self.min_pending_commit is not None
+            and self.min_pending_commit < barrier_at
+        ):
+            return True
+        if self.pool_busy:
+            return True
+        return self.clock_now < barrier_at and self.has_next_event
+
+
+def status_of(shard: "Shard") -> ShardStatus:
+    """Snapshot one live shard into a :class:`ShardStatus`."""
     pool = getattr(shard.scheduler, "pool", None)
-    if pool is not None and pool.any_busy:
-        return True
-    return (
-        shard.engine.clock.now < barrier_at
-        and shard.engine.next_event_time() is not None
+    return ShardStatus(
+        shard_id=shard.shard_id,
+        quiescent=shard_quiescent(shard),
+        clock_now=shard.engine.clock.now,
+        barrier_at=sc_barrier_time(shard),
+        min_pending_commit=min_pending_commit(shard),
+        pool_busy=pool is not None and pool.any_busy,
+        has_next_event=shard.engine.next_event_time() is not None,
     )
 
 
@@ -333,14 +368,14 @@ class ShardedWarehouse:
         """
         while True:
             active = [
-                shard for shard in self.shards if not self._quiescent(shard)
+                shard for shard in self.shards if not shard_quiescent(shard)
             ]
             if not active:
                 break
             runnable: list[Shard] = []
             deferred: list[tuple[float, Shard]] = []
             for shard in active:
-                barrier_at = self._sc_barrier_time(shard)
+                barrier_at = sc_barrier_time(shard)
                 if barrier_at is not None and self._peer_holds_earlier_work(
                     shard, barrier_at
                 ):
@@ -358,29 +393,20 @@ class ShardedWarehouse:
                 runnable,
                 key=lambda s: (s.engine.clock.now, s.shard_id),
             )
-            self._step(shard)
+            step_shard(shard)
         for shard in self.shards:
             shard.scheduler.finish()
-
-    def _step(self, shard: Shard) -> None:
-        step_shard(shard)
-
-    def _quiescent(self, shard: Shard) -> bool:
-        return shard_quiescent(shard)
-
-    def _sc_barrier_time(self, shard: Shard) -> float | None:
-        return sc_barrier_time(shard)
 
     def _peer_holds_earlier_work(
         self, shard: Shard, barrier_at: float
     ) -> bool:
         """Does any peer still hold maintenance committed before the
         schema change at ``barrier_at``?  (The per-peer predicate is
-        :func:`shard_blocks_barrier`, shared with the process runtime's
-        coordinator which evaluates it from shipped status snapshots.)
+        :meth:`ShardStatus.blocks_barrier`, which the process runtime's
+        coordinator evaluates on the snapshots its workers ship.)
         """
         return any(
-            shard_blocks_barrier(peer, barrier_at)
+            status_of(peer).blocks_barrier(barrier_at)
             for peer in self.shards
             if peer is not shard
         )

@@ -23,10 +23,11 @@ Exactness rests on two linearity facts the executor guarantees:
   delta onto the stored columns and sign-merging it into the replica
   reproduces the projection of the new relation state exactly.
 
-Broken-query semantics (Theorem 1) mirror the cache rule: any schema
-change in the version gap invalidates the entry (drop/rename could have
-broken a real query shipped now; serving locally would mask in-exec
-detection).  The entry is rebuilt for free the next time a full scan of
+Broken-query semantics (Theorem 1) are the shared gap rule of
+:mod:`repro.sources.replica`: any schema change in the version gap
+invalidates the entry (drop/rename could have broken a real query
+shipped now; serving locally would mask in-exec detection).  The entry
+is rebuilt for free the next time a full scan of
 the relation travels on the wire — view adaptation's scans are exactly
 such queries — or re-seeded from the catalog when a view (re)registers.
 
@@ -49,63 +50,37 @@ from __future__ import annotations
 
 import operator
 from collections import Counter
-from dataclasses import dataclass
 
 from ..relational.delta import Delta
-from ..relational.errors import RelationalError
 from ..relational.executor import execute
 from ..relational.predicate import TruePredicate
 from ..relational.query import SPJQuery
 from ..relational.schema import RelationSchema
 from ..relational.table import Table
 from ..sim.metrics import Metrics
+from ..sources.replica import LocalHit, VersionedEntry, VersionedStore
 from ..sources.source import DataSource
 from .decompose import needed_columns
 
 
-@dataclass(frozen=True)
-class AuxHit:
-    """One locally answered query plus the sync work it took."""
-
-    table: Table
-    #: signed tuples folded into the replica while syncing it through
-    #: the source-log gap; the caller charges ``aux_update_per_row`` each
-    applied_rows: int
-
-
-@dataclass
-class _Replica:
-    """One per-(source, relation) projected replica."""
-
-    version: int
-    #: stored column names (a cover of every registered requirement)
-    columns: tuple[str, ...]
-    table: Table
-
-
-class SelfMaintenanceStore:
+class SelfMaintenanceStore(VersionedStore):
     """Projected per-relation replicas, synced from the committed log.
 
-    Keys are ``(source name, relation name)`` — relation-versioned, not
-    query-versioned: one replica answers *every* covered probe over the
-    relation, which is what makes first-time probes free.
+    The ``"aux"`` coverage policy over the shared versioned-entry core
+    (:mod:`repro.sources.replica`).  Keys are ``(source name, relation
+    name)`` — relation-versioned, not query-versioned: one replica
+    answers *every* covered probe over the relation, which is what
+    makes first-time probes free.  A replica's table holds exactly its
+    stored columns (a cover of every registered requirement).
     """
 
+    tier = "aux"
+
     def __init__(self, metrics: Metrics | None = None) -> None:
-        self.metrics = metrics
+        super().__init__(metrics)
         #: (source, relation) -> union of column names any registered
         #: view's maintenance can reference on that relation
         self._required: dict[tuple[str, str], set[str]] = {}
-        self._replicas: dict[tuple[str, str], _Replica] = {}
-
-    def __len__(self) -> int:
-        return len(self._replicas)
-
-    def _count(self, counter: str, amount: int = 1) -> None:
-        if self.metrics is not None:
-            setattr(
-                self.metrics, counter, getattr(self.metrics, counter) + amount
-            )
 
     # ------------------------------------------------------------------
     # registration / seeding
@@ -124,11 +99,11 @@ class SelfMaintenanceStore:
             columns = set(needed_columns(query, ref.alias))
             required = self._required.setdefault(key, set())
             required |= columns
-            replica = self._replicas.get(key)
+            replica = self._entries.get(key)
             if replica is not None and not required.issubset(
-                replica.columns
+                replica.table.schema.attribute_names
             ):
-                del self._replicas[key]
+                del self._entries[key]
 
     def seed_from_source(self, source: DataSource) -> int:
         """Build replicas from the source's live catalog (free, like the
@@ -150,9 +125,7 @@ class SelfMaintenanceStore:
             table = _project_table(
                 source.catalog.table(relation), schema, columns, relation
             )
-            self._replicas[(source_name, relation)] = _Replica(
-                version, columns, table
-            )
+            self._put((source_name, relation), version, table)
             built += 1
         return built
 
@@ -160,15 +133,14 @@ class SelfMaintenanceStore:
     # serving
     # ------------------------------------------------------------------
 
-    def covers(self, query: SPJQuery) -> bool:
-        """Is ``query`` answerable locally right now (modulo the gap)?"""
-        return self._lookup(query) is not None
-
-    def _lookup(self, query: SPJQuery) -> _Replica | None:
+    def _covering_key(self, query: SPJQuery) -> tuple[str, str] | None:
+        """Key of the replica that can answer ``query`` (modulo the
+        version gap), or ``None``."""
         if len(query.relations) != 1 or query.joins:
             return None
         ref = query.relations[0]
-        replica = self._replicas.get((ref.source, ref.relation))
+        key = (ref.source, ref.relation)
+        replica = self._entries.get(key)
         if replica is None:
             return None
         referenced = {
@@ -176,61 +148,42 @@ class SelfMaintenanceStore:
             for attr in query.all_attribute_refs()
             if attr.relation == ref.alias
         }
-        if not referenced.issubset(replica.columns):
+        if not referenced.issubset(replica.table.schema.attribute_names):
             return None
-        return replica
+        return key
 
-    def serve(self, source: DataSource, query: SPJQuery) -> AuxHit | None:
+    def serve(self, source: DataSource, query: SPJQuery) -> LocalHit | None:
         """Answer ``query`` from the replica, syncing it forward first.
 
-        Returns ``None`` when coverage fails or a schema change
-        committed since the stamp (the replica is dropped — Theorem 1's
-        rule, identical to the snapshot cache).  A returned hit reflects
-        every update committed up to *now*, byte-identical to a
-        zero-latency round trip.
+        Returns ``None`` when coverage fails or the replica had to be
+        dropped (a schema change in the gap — see
+        :meth:`~repro.sources.replica.VersionedStore._roll_forward`).  A
+        returned hit reflects every update committed up to *now*,
+        byte-identical to a zero-latency round trip.
         """
-        replica = self._lookup(query)
-        if replica is None:
+        key = self._covering_key(query)
+        if key is None:
             self._count("aux_misses")
             return None
-        ref = query.relations[0]
-        key = (ref.source, ref.relation)
-        gap = source.updates_since(replica.version)
-        if any(message.is_schema_change for message in gap):
-            del self._replicas[key]
-            self._count("aux_invalidations_sc")
-            self._count("aux_misses")
+        applied = self._roll_forward(source, key, query)
+        if applied is None:
             return None
-        applied = 0
-        if gap:
-            projected = Delta(replica.table.schema)
-            try:
-                for message in gap:
-                    if not message.is_data_update:
-                        continue
-                    payload = message.payload
-                    if payload.relation != ref.relation:
-                        continue
-                    _project_delta(
-                        payload.delta, replica.columns, projected
-                    )
-                applied = sum(
-                    abs(count) for _row, count in projected.items()
-                )
-                if applied:
-                    replica.table.apply_delta(projected)
-            except RelationalError:
-                # Schema drift the gap scan did not explain: drop the
-                # replica, go remote (the cache or the wire answers).
-                del self._replicas[key]
-                self._count("aux_misses")
-                return None
-            replica.version = source.commit_version
-        answer = execute(query, {ref.alias: replica.table})
-        self._count("aux_hits")
-        self._count("saved_round_trips")
         self._count("aux_applied_rows", applied)
-        return AuxHit(answer, applied)
+        alias = query.relations[0].alias
+        answer = execute(query, {alias: self._entries[key].table})
+        return self._hit(answer, applied)
+
+    def _fold(
+        self, entry: VersionedEntry, query: SPJQuery, deltas: list[Delta]
+    ) -> int:
+        columns = entry.table.schema.attribute_names
+        projected = Delta(entry.table.schema)
+        for delta in deltas:
+            _project_delta(delta, columns, projected)
+        applied = sum(abs(count) for _row, count in projected.items())
+        if applied:
+            entry.table.apply_delta(projected)
+        return applied
 
     # ------------------------------------------------------------------
     # observation (free rebuild from travelling full scans)
@@ -258,58 +211,29 @@ class SelfMaintenanceStore:
         ref = query.relations[0]
         key = (ref.source, ref.relation)
         required = self._required.get(key)
-        if required is None:
+        if required is None or not required.issubset(
+            answer.schema.attribute_names
+        ):
             return False
-        columns = tuple(answer.schema.attribute_names)
-        if not required.issubset(columns):
-            return False
-        self._replicas[key] = _Replica(
-            source.commit_version, columns, answer.copy()
-        )
+        self._put(key, source.commit_version, answer.copy())
         return True
 
-    # ------------------------------------------------------------------
-    # maintenance / checkpoint plumbing
-    # ------------------------------------------------------------------
-
-    def clear(self) -> None:
-        """Drop every replica (the store is volatile across crashes);
-        registrations survive — they describe the views, not the data."""
-        self._replicas.clear()
-
-    def export_entries(self) -> list[tuple[str, str, int, list, Table]]:
-        """Snapshot replicas for a warehouse checkpoint:
-        ``(source, relation, version, columns, table)`` rows."""
-        return [
-            (
-                source,
-                relation,
-                replica.version,
-                list(replica.columns),
-                replica.table.copy(),
-            )
-            for (source, relation), replica in self._replicas.items()
-        ]
-
     def restore_entries(
-        self, entries: list[tuple[str, str, int, list, Table]]
+        self, entries: list[tuple[str, str, int, Table]]
     ) -> int:
-        """Re-seed replicas from checkpointed entries (post-recovery).
-
-        The caller filters by the committed-update watermark; entries
-        narrower than the (re-registered) requirement are skipped — they
-        would fail coverage on every serve anyway.
-        """
-        restored = 0
-        for source, relation, version, columns, table in entries:
-            required = self._required.get((source, relation), set())
-            if not required.issubset(columns):
-                continue
-            self._replicas[(source, relation)] = _Replica(
-                version, tuple(columns), table.copy()
-            )
-            restored += 1
-        return restored
+        """As the base, but entries narrower than the (re-registered)
+        requirement are skipped — they would fail coverage on every
+        serve anyway.  Registrations describe the views, not the data,
+        so they survive :meth:`clear`."""
+        return super().restore_entries(
+            [
+                (source, relation, version, table)
+                for source, relation, version, table in entries
+                if self._required.get((source, relation), set()).issubset(
+                    table.schema.attribute_names
+                )
+            ]
+        )
 
 
 def _projector(indexes: list[int]):

@@ -9,7 +9,7 @@ machinery — survives.  :func:`simulate_crash` models the death: it
 purges every warehouse-owned event from the engine queue (in-flight
 wrapper deliveries, worker resumptions, round trips), severs all source
 subscriptions (the dead warehouse's wrappers), and drops the volatile
-snapshot cache.  What remains durable is exactly the journal sink and
+local-answer stores.  What remains durable is exactly the journal sink and
 the checkpoint store.
 
 Recovery
@@ -28,8 +28,9 @@ Recovery
 3. schema history is re-derived from the resolved install units' own
    messages (the logs survive), so translation of old pending updates
    behaves exactly as live;
-4. snapshot-cache entries are restored only up to the committed-update
-   watermark; anything newer is invalidated;
+4. local-answer store entries (aux replicas, cached answers) are
+   restored only up to the committed-update watermark; anything newer
+   is invalidated;
 5. a fresh scheduler + journal + checkpoint are installed; the recovery
    checkpoint truncates the journal.
 
@@ -61,7 +62,8 @@ class RecoveryError(Exception):
 
 
 def simulate_crash(engine) -> int:
-    """Kill the warehouse: purge its events, subscriptions, and cache.
+    """Kill the warehouse: purge its events, subscriptions, and local
+    stores.
 
     Idempotent — crashing an already-dead warehouse changes nothing.
     Returns the number of purged in-flight events.
@@ -71,10 +73,8 @@ def simulate_crash(engine) -> int:
     purged = engine.purge_owned_events(WAREHOUSE_OWNER)
     for source in engine.sources.values():
         source.clear_subscribers()
-    if engine.snapshot_cache is not None:
-        engine.snapshot_cache.clear()
-    if engine.selfmaint is not None:
-        engine.selfmaint.clear()
+    for store in engine.local_stores:
+        store.clear()
     return purged
 
 
@@ -104,13 +104,11 @@ class RecoveryReport:
     replayed_installs: int
     replayed_skips: int
     reenqueued: int
-    cache_restored: int
-    cache_dropped: int
     watermark: dict[str, int] = field(default_factory=dict)
-    #: auxiliary self-maintenance replicas restored / dropped (stamped
-    #: past the committed watermark) at recovery
-    aux_restored: int = 0
-    aux_dropped: int = 0
+    #: tier -> local-store entries restored / dropped (stamped past the
+    #: committed watermark, or no longer covering the views) at recovery
+    local_restored: dict[str, int] = field(default_factory=dict)
+    local_dropped: dict[str, int] = field(default_factory=dict)
 
     def describe(self) -> str:
         return (
@@ -232,20 +230,11 @@ class RecoveryHarness:
                 }
             )
             tuples += len(manager.mv.extent)
-        cache = []
-        if self.engine.snapshot_cache is not None:
-            for entry in self.engine.snapshot_cache.export_entries():
-                source, key, version, table = entry
-                cache.append([source, key, version, table_to_json(table)])
-                tuples += len(table)
-        aux = []
-        if self.engine.selfmaint is not None:
-            for entry in self.engine.selfmaint.export_entries():
-                source, relation, version, columns, table = entry
-                aux.append(
-                    [source, relation, version, list(columns),
-                     table_to_json(table)]
-                )
+        local: dict[str, list] = {}
+        for store in self.engine.local_stores:
+            rows = local[store.tier] = []
+            for source, key, version, table in store.export_entries():
+                rows.append([source, key, version, table_to_json(table)])
                 tuples += len(table)
         installed = (
             self.base_installed_units + self.journal.installed_units_since
@@ -267,8 +256,7 @@ class RecoveryHarness:
                 [[m.source, m.seqno] for m in unit.messages]
                 for unit in self.manager.umq.units
             ],
-            "cache": cache,
-            "aux": aux,
+            "local": local,
         }
         return state, tuples
 
@@ -415,49 +403,29 @@ def recover(harness: RecoveryHarness) -> RecoveredWarehouse:
     for message in pending:
         manager.umq.receive(message)
 
-    # Snapshot cache: only entries at or below the committed watermark
-    # survive; newer stamps may outrun what the recovered warehouse has
-    # maintained, so they are invalidated.
+    # Local-answer stores: only entries stamped at or below the
+    # committed watermark survive; newer stamps may outrun what the
+    # recovered warehouse has maintained, so they are invalidated.  The
+    # aux store's requirements are re-registered from the *recovered*
+    # view definitions first, so its restore skips any replica whose
+    # columns no longer cover the (possibly rewritten) views' needs.
     watermark = _contiguous_watermark(resolved, engine.sources)
-    cache_restored = cache_dropped = 0
-    if engine.snapshot_cache is not None and state.get("cache"):
-        keep = []
-        for source, key, version, table_json in state["cache"]:
-            if version <= watermark.get(source, 0):
-                keep.append(
-                    (source, key, version, table_from_json(table_json))
-                )
-                cache_restored += 1
-            else:
-                cache_dropped += 1
-        engine.snapshot_cache.restore_entries(keep)
-
-    # Auxiliary self-maintenance replicas: same watermark rule as the
-    # cache.  Requirements are re-registered from the *recovered* view
-    # definitions first, so restore_entries drops any replica whose
-    # columns no longer cover the (possibly rewritten) view's needs.
-    aux_restored = aux_dropped = 0
     if engine.selfmaint is not None:
         for view_manager in managers:
             engine.selfmaint.register_view(view_manager.view.query)
-        keep = []
-        for source, relation, version, columns, table_json in state.get(
-            "aux", []
-        ):
-            if version <= watermark.get(source, 0):
-                keep.append(
-                    (
-                        source,
-                        relation,
-                        version,
-                        tuple(columns),
-                        table_from_json(table_json),
-                    )
-                )
-            else:
-                aux_dropped += 1
-        aux_restored = engine.selfmaint.restore_entries(keep)
-        aux_dropped += len(keep) - aux_restored
+    local_restored: dict[str, int] = {}
+    local_dropped: dict[str, int] = {}
+    for store in engine.local_stores:
+        saved = state["local"].get(store.tier, [])
+        restored = store.restore_entries(
+            [
+                (source, key, version, table_from_json(table_json))
+                for source, key, version, table_json in saved
+                if version <= watermark.get(source, 0)
+            ]
+        )
+        local_restored[store.tier] = restored
+        local_dropped[store.tier] = len(saved) - restored
 
     scheduler = make_scheduler(
         manager,
@@ -500,11 +468,9 @@ def recover(harness: RecoveryHarness) -> RecoveredWarehouse:
         replayed_installs=replayed_installs,
         replayed_skips=replayed_skips,
         reenqueued=len(pending),
-        cache_restored=cache_restored,
-        cache_dropped=cache_dropped,
         watermark=watermark,
-        aux_restored=aux_restored,
-        aux_dropped=aux_dropped,
+        local_restored=local_restored,
+        local_dropped=local_dropped,
     )
     return RecoveredWarehouse(manager, scheduler, successor, report)
 

@@ -101,14 +101,13 @@ class SimEngine:
         self.tracer = Tracer(enabled=trace)
         self.injector: "FaultInjector | None" = None
         self.retry_policy: "RetryPolicy | None" = retry_policy
-        #: optional snapshot cache; ``None`` means every maintenance
-        #: query pays a real round trip (the default — callers opt in
-        #: via :meth:`install_snapshot_cache`)
-        self.snapshot_cache: "SnapshotCache | None" = None
-        #: optional self-maintenance auxiliary store; consulted *before*
-        #: the snapshot cache (callers opt in via
-        #: :meth:`install_self_maintenance`)
+        #: the local-answer stores (:mod:`repro.sources.replica`), both
+        #: opt-in: the self-maintenance auxiliary store
+        #: (:meth:`install_self_maintenance`) and the snapshot cache
+        #: (:meth:`install_snapshot_cache`).  With neither armed every
+        #: maintenance query pays a real round trip.
         self.selfmaint: "SelfMaintenanceStore | None" = None
+        self.snapshot_cache: "SnapshotCache | None" = None
         #: per-install version timeline — one record per committed unit
         #: install, consumed by the read front end to serve versioned
         #: reads post hoc (empty unless a manager runs in this engine)
@@ -171,34 +170,34 @@ class SimEngine:
         if self.injector is not None:
             self.injector.on_query(source_name, self.clock.now)
 
-    def install_snapshot_cache(
-        self, cache: "SnapshotCache | None" = None
-    ) -> "SnapshotCache":
-        """Arm the self-maintenance fast path: cacheable maintenance
-        queries are answered from a version-stamped local snapshot (see
+    def install_snapshot_cache(self) -> "SnapshotCache":
+        """Arm the snapshot cache: cacheable maintenance queries are
+        answered from a version-stamped memo of earlier answers (see
         :mod:`repro.cache.snapshot`) whenever possible, skipping the
-        round trip entirely.  Serial and parallel query paths both
-        consult the installed cache."""
+        round trip entirely."""
         from ..cache.snapshot import SnapshotCache
 
-        self.snapshot_cache = cache or SnapshotCache(metrics=self.metrics)
-        if self.snapshot_cache.metrics is None:
-            self.snapshot_cache.metrics = self.metrics
+        self.snapshot_cache = SnapshotCache(metrics=self.metrics)
         return self.snapshot_cache
 
-    def install_self_maintenance(
-        self, store: "SelfMaintenanceStore | None" = None
-    ) -> "SelfMaintenanceStore":
+    def install_self_maintenance(self) -> "SelfMaintenanceStore":
         """Arm self-maintaining views: per-relation projected replicas
         (:mod:`repro.maintenance.selfmaint`) answer covered maintenance
-        queries with zero round trips, ahead of the snapshot cache.
-        Serial and parallel query paths both consult the store."""
+        queries with zero round trips, ahead of the snapshot cache."""
         from ..maintenance.selfmaint import SelfMaintenanceStore
 
-        self.selfmaint = store or SelfMaintenanceStore(metrics=self.metrics)
-        if self.selfmaint.metrics is None:
-            self.selfmaint.metrics = self.metrics
+        self.selfmaint = SelfMaintenanceStore(metrics=self.metrics)
         return self.selfmaint
+
+    @property
+    def local_stores(self) -> list:
+        """The armed local-answer stores, in consult order: aux (it
+        answers first-time probes too), then cache."""
+        return [
+            store
+            for store in (self.selfmaint, self.snapshot_cache)
+            if store is not None
+        ]
 
     def source(self, name: str) -> DataSource:
         return self.sources[name]
@@ -336,11 +335,12 @@ class SimEngine:
         """
         from ..sources.errors import TransientSourceError
 
-        hit = self.aux_answer(effect)
-        if hit is None:
-            hit = self.cached_answer(effect)
-        if hit is not None:
-            return hit
+        served = self.serve_local(effect)
+        if served is not None:
+            answer, serve_cost, _hit = served
+            self.metrics.charge(effect.kind, serve_cost)
+            self.advance_by(serve_cost)
+            return answer
         state = RetryState(self, effect)
         while True:
             try:
@@ -359,63 +359,49 @@ class SimEngine:
 
     # -- query-path building blocks (shared with the parallel workers) --
 
-    def cached_answer(self, effect: SourceQuery) -> QueryAnswer | None:
-        """Serve a cacheable query from the snapshot cache, if armed.
+    def serve_local(
+        self, effect: SourceQuery
+    ) -> "tuple[QueryAnswer, float, LocalHit] | None":
+        """Answer ``effect`` from the local tier, or ``None`` to ship it.
 
-        The answer is pinned at the *entry* instant — the cache patches
-        it forward through every commit `<= now`, so it equals what a
-        zero-latency round trip would have returned — and only then is
-        the (tiny) serve cost charged, exactly like the transfer window
-        of a real trip: commits firing during the charge have
-        ``committed_at > answered_at`` and are correctly neither in the
-        answer nor compensated.
+        The one resolve-and-serve path of both schedulers: walks the
+        armed stores in order (aux, then cache) and returns the answer,
+        its virtual serve cost and the hit record; the *caller* charges
+        the cost and resumes the process (blocking on the serial path,
+        per worker on the parallel one).  A store that finds a schema
+        change in its entry's version gap drops the entry and misses
+        (Theorem 1), so the probe falls through to the wire where
+        in-exec detection sees it.
+
+        The answer is pinned at the *entry* instant — a hit is rolled
+        forward through every commit ``<= now``, so it equals what a
+        zero-latency round trip would have returned — and the (tiny)
+        serve cost is charged only after, exactly like the transfer
+        window of a real trip: commits firing during the charge have
+        ``committed_at > answered_at`` and are correctly neither in
+        the answer nor compensated.
         """
-        if self.snapshot_cache is None or not effect.cacheable:
+        if not effect.cacheable:
             return None
-        hit = self.snapshot_cache.serve(
-            self.sources[effect.source_name], effect.query
-        )
-        if hit is None:
+        for store in self.local_stores:
+            hit = store.serve(self.sources[effect.source_name], effect.query)
+            if hit is not None:
+                break
+        else:
             return None
         answered_at = self.clock.now
         self.tracer.record(
             answered_at,
             trace_kinds.QUERY,
             f"{effect.source_name} -> {len(hit.table)} tuples "
-            f"(cache{', patched' if hit.patched else ''})",
+            f"({hit.tier}, {hit.rows} rolled forward)",
         )
-        serve_cost = self.cost_model.cache_serve(hit.patched_rows)
-        self.metrics.charge(effect.kind, serve_cost)
-        self.advance_by(serve_cost)
-        return QueryAnswer(hit.table, answered_at)
-
-    def aux_answer(self, effect: SourceQuery) -> QueryAnswer | None:
-        """Serve a query from the self-maintenance aux store, if armed.
-
-        Tried *before* the snapshot cache: a covered probe is answered
-        from the synced replica even on its first occurrence.  The same
-        answered-at pinning as :meth:`cached_answer` applies — the
-        replica is synced through every commit ``<= now``, so the
-        answer equals a zero-latency round trip's.
-        """
-        if self.selfmaint is None or not effect.cacheable:
-            return None
-        hit = self.selfmaint.serve(
-            self.sources[effect.source_name], effect.query
+        price = (
+            self.cost_model.aux_serve
+            if hit.tier == "aux"
+            else self.cost_model.cache_serve
         )
-        if hit is None:
-            return None
-        answered_at = self.clock.now
-        self.tracer.record(
-            answered_at,
-            trace_kinds.QUERY,
-            f"{effect.source_name} -> {len(hit.table)} tuples "
-            f"(aux{', synced' if hit.applied_rows else ''})",
-        )
-        serve_cost = self.cost_model.aux_serve(hit.applied_rows)
-        self.metrics.charge(effect.kind, serve_cost)
-        self.advance_by(serve_cost)
-        return QueryAnswer(hit.table, answered_at)
+        return QueryAnswer(hit.table, answered_at), price(hit.rows), hit
 
     def query_request_cost(self, effect: SourceQuery) -> float:
         """Virtual cost of shipping+executing the request at the source

@@ -56,11 +56,6 @@ class WorkerState:
     _pending_ids: set[int] = field(default_factory=set)
     #: total busy virtual time across all units (utilization metric)
     busy_time: float = 0.0
-    #: maintenance queries this worker had answered by the snapshot
-    #: cache (zero channel occupancy, no trip)
-    cache_serves: int = 0
-    #: maintenance queries answered by the self-maintenance aux store
-    aux_serves: int = 0
     #: wire round trips paid for the *current* unit (retries and batch
     #: participations included) — zero at install means the unit was
     #: fully self-maintained

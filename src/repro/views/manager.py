@@ -168,35 +168,12 @@ class ViewManager:
     def metrics(self) -> Metrics:
         return self.engine.metrics
 
-    @property
-    def snapshot_cache(self):
-        """The engine's snapshot cache (``None`` when not armed).
-
-        The cache lives on the engine so that every view manager sharing
-        the engine — e.g. the views of a
-        :class:`~repro.views.multi.MultiViewManager` — shares one memo:
-        a probe paid for by one view's maintenance answers the same
-        probe from every other view.
-        """
-        return self.engine.snapshot_cache
-
-    def install_snapshot_cache(self):
-        """Arm the self-maintenance fast path (delegates to the engine;
-        see :meth:`~repro.sim.engine.SimEngine.install_snapshot_cache`)."""
-        return self.engine.install_snapshot_cache()
-
-    @property
-    def selfmaint(self):
-        """The engine's auxiliary self-maintenance store (``None`` when
-        not armed).  Like the snapshot cache, it lives on the engine so
-        every view manager sharing the engine shares one set of
-        replicas."""
-        return self.engine.selfmaint
-
     def install_self_maintenance(self):
         """Arm the auxiliary store and register this view's coverage
-        requirements (delegates to the engine; see
-        :meth:`~repro.sim.engine.SimEngine.install_self_maintenance`)."""
+        requirements.  Like the snapshot cache, the store lives on the
+        engine (:meth:`~repro.sim.engine.SimEngine
+        .install_self_maintenance`), so every view manager sharing the
+        engine shares one set of replicas."""
         store = self.engine.install_self_maintenance()
         store.register_view(self.view.query)
         return store

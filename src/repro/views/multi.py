@@ -103,23 +103,9 @@ class MultiViewManager:
     def metrics(self) -> Metrics:
         return self.engine.metrics
 
-    @property
-    def snapshot_cache(self):
-        """The shared snapshot cache (one memo across all views): a
-        probe answered for one view's maintenance serves the identical
-        probe issued by every sibling view."""
-        return self.engine.snapshot_cache
-
-    def install_snapshot_cache(self):
-        return self.engine.install_snapshot_cache()
-
-    @property
-    def selfmaint(self):
-        """The shared auxiliary store: replicas cover the union of all
-        views' requirements, so one store serves every sibling view."""
-        return self.engine.selfmaint
-
     def install_self_maintenance(self):
+        """Arm the shared auxiliary store: replicas cover the union of
+        all views' requirements, so one store serves every sibling."""
         store = self.engine.install_self_maintenance()
         for manager in self.managers:
             store.register_view(manager.view.query)

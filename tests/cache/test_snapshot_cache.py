@@ -1,6 +1,8 @@
 """SnapshotCache: versioned hits, local patching, SC invalidation."""
 
-from repro.cache import CacheHit, SnapshotCache, normalized_query_key
+import pytest
+
+from repro.cache import SnapshotCache, normalized_query_key
 from repro.relational.executor import execute
 from repro.relational.predicate import InPredicate, attr
 from repro.relational.query import RelationRef, SPJQuery
@@ -8,6 +10,7 @@ from repro.relational.schema import RelationSchema
 from repro.relational.types import AttributeType
 from repro.sim.metrics import Metrics
 from repro.sources.messages import DataUpdate, DropAttribute
+from repro.sources.replica import LocalHit
 from repro.sources.source import DataSource
 
 R = RelationSchema.of("R", [("k", AttributeType.INT), "a"])
@@ -53,8 +56,8 @@ class TestVersioning:
         answer = evaluate(source, query)
         cache.store(source, query, answer)
         hit = cache.serve(source, query)
-        assert isinstance(hit, CacheHit)
-        assert not hit.patched
+        assert isinstance(hit, LocalHit)
+        assert (hit.tier, hit.rows) == ("cache", 0)
         assert counted(hit.table) == counted(answer)
 
     def test_miss_on_unknown_key(self):
@@ -75,7 +78,7 @@ class TestPatching:
         source.commit(DataUpdate.insert(R, [(5, "new"), (9, "other")]))
         source.commit(DataUpdate.delete(R, [(2, "q")]))
         hit = cache.serve(source, query)
-        assert hit is not None and hit.patched
+        assert hit is not None and hit.rows > 0
         assert counted(hit.table) == counted(evaluate(source, query))
 
     def test_patched_entry_is_restamped(self):
@@ -84,9 +87,9 @@ class TestPatching:
         cache.store(source, query, evaluate(source, query))
         source.commit(DataUpdate.insert(R, [(1, "dup")]))
         first = cache.serve(source, query)
-        assert first is not None and first.patched
+        assert first is not None and first.rows > 0
         second = cache.serve(source, query)
-        assert second is not None and not second.patched
+        assert second is not None and second.rows == 0
         assert counted(second.table) == counted(first.table)
 
     def test_gap_du_on_other_relation_is_free(self):
@@ -97,7 +100,7 @@ class TestPatching:
         metrics = Metrics()
         cache.metrics = metrics
         hit = cache.serve(source, query)
-        assert hit is not None and not hit.patched
+        assert hit is not None and hit.rows == 0
         assert metrics.patched_answers == 0
         assert counted(hit.table) == counted(evaluate(source, query))
 
@@ -159,6 +162,11 @@ class TestPolicy:
         assert len(cache) == 2
         assert cache.serve(source, queries[0]) is None  # evicted
         assert cache.serve(source, queries[2]) is not None
+
+    @pytest.mark.parametrize("bound", [0, -3])
+    def test_non_positive_bound_is_rejected(self, bound):
+        with pytest.raises(ValueError, match="max_entries"):
+            SnapshotCache(max_entries=bound)
 
     def test_hot_key_survives_churn_of_cold_keys(self):
         """LRU regression: an exact hit must refresh recency.  A hot

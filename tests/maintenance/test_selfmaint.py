@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.maintenance.selfmaint import AuxHit, SelfMaintenanceStore
+from repro.maintenance.selfmaint import SelfMaintenanceStore
 from repro.relational.executor import execute
 from repro.relational.predicate import InPredicate, attr
 from repro.relational.query import JoinCondition, RelationRef, SPJQuery
@@ -14,6 +14,7 @@ from repro.sources.messages import (
     DropAttribute,
     RenameRelation,
 )
+from repro.sources.replica import LocalHit
 from repro.sources.source import DataSource
 
 R = RelationSchema.of(
@@ -67,7 +68,8 @@ class TestCoverage:
         source = make_source()
         store = armed_store(source)
         hit = store.serve(source, probe(frozenset({1, 2})))
-        assert isinstance(hit, AuxHit)
+        assert isinstance(hit, LocalHit)
+        assert hit.tier == "aux"
         assert dict(hit.table.items()) == dict(
             wire_answer(source, probe(frozenset({1, 2}))).items()
         )
@@ -106,7 +108,7 @@ class TestLocalSync:
         assert dict(hit.table.items()) == dict(
             wire_answer(source, probe(frozenset({1, 2}))).items()
         )
-        assert hit.applied_rows == 2
+        assert hit.rows == 2
         assert store.metrics.aux_applied_rows == 2
 
     def test_resync_is_incremental(self):
@@ -114,9 +116,9 @@ class TestLocalSync:
         store = armed_store(source)
         source.commit(DataUpdate.insert(R, [(1, "new", 99)]))
         first = store.serve(source, probe(frozenset({1})))
-        assert first.applied_rows == 1
+        assert first.rows == 1
         again = store.serve(source, probe(frozenset({1})))
-        assert again.applied_rows == 0  # gap already consumed
+        assert again.rows == 0  # gap already consumed
 
     def test_unrelated_relation_updates_are_skipped(self):
         source = make_source()
@@ -124,7 +126,7 @@ class TestLocalSync:
         source.commit(DataUpdate.insert(S, [(2, "w")]))
         hit = store.serve(source, probe(frozenset({1})))
         assert hit is not None
-        assert hit.applied_rows == 0
+        assert hit.rows == 0
 
 
 class TestInvalidation:

@@ -20,6 +20,9 @@ from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan
 from repro.maintenance.grouping import BatchPolicy
 from repro.views.consistency import check_convergence
+from tests.property.test_snapshot_cache_equivalence import (
+    assert_local_serves_are_free,
+)
 
 strategies = st.sampled_from([PESSIMISTIC, OPTIMISTIC])
 
@@ -144,10 +147,17 @@ def test_aux_matches_bare_parallel(
     assert committed_on == committed_off
     report = check_convergence(on.manager)
     assert report.consistent, report.summary()
-    # Every aux serve bypassed the channel admission path; the audit
-    # records the channel state it skipped past.
-    for record in on.scheduler.aux_audit:
-        assert record["applied_rows"] >= 0
+    assert_local_serves_are_free(on)
+    if snapshot_cache:
+        # Tier order: the cache is consulted exactly when aux missed.
+        assert (
+            on.metrics.cache_hits + on.metrics.cache_misses
+            == on.metrics.aux_misses
+        )
+    else:
+        assert {record["tier"] for record in on.scheduler.local_audit} <= {
+            "aux"
+        }
 
 
 @given(

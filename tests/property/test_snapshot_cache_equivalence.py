@@ -10,6 +10,8 @@ with the cache ON must be identical to the cache-OFF run.  Only the
 cost/round-trip metrics may differ.
 """
 
+from collections import Counter
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -20,6 +22,29 @@ from repro.faults.plan import FaultPlan
 from repro.views.consistency import check_convergence
 
 strategies = st.sampled_from([PESSIMISTIC, OPTIMISTIC])
+
+
+def assert_local_serves_are_free(testbed):
+    """Every record of the parallel scheduler's ``local_audit`` is a
+    channel-free, single-instant, zero-trip answer, and the audit
+    accounts for every hit the metrics counted, tier by tier."""
+    audit = testbed.scheduler.local_audit
+    metrics = testbed.metrics
+    limit = max(1, testbed.engine.cost_model.source_channel_limit)
+    for record in audit:
+        assert record["tier"] in ("aux", "cache")
+        assert record["rows"] >= 0
+        # single instant: the answer is pinned where the serve began
+        assert record["answered_at"] == record["at"]
+        # zero trips, and no slot taken on the channel it skipped past
+        assert record["trips"] == 0
+        assert 0 <= record["channel_in_flight"] <= limit
+        assert record["channel_waiting"] >= 0
+    served = Counter(record["tier"] for record in audit)
+    assert served["aux"] == metrics.aux_hits
+    assert served["cache"] == metrics.cache_hits
+    assert len(audit) == metrics.saved_round_trips
+
 
 #: keys drawn from a narrow domain so probes repeat (cache hits) while
 #: the relation extents keep churning (patch work)
@@ -120,10 +145,10 @@ def test_cache_matches_uncached_parallel(
     assert processed_on == processed_off
     report = check_convergence(on.manager)
     assert report.consistent, report.summary()
-    # Every cache serve bypassed the channel admission path; the audit
-    # records the channel state it skipped past.
-    for record in on.scheduler.cache_audit:
-        assert record["patched_rows"] >= 0
+    assert_local_serves_are_free(on)
+    assert {record["tier"] for record in on.scheduler.local_audit} <= {
+        "cache"
+    }
 
 
 @given(
