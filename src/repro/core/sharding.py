@@ -23,16 +23,29 @@ snapshot cache, self-maintenance store and journal — across N scheduler
   (the source commit itself is untouched, so maintenance queries still
   observe full source state and SWEEP compensation stays exact).
 
-* :class:`ShardedWarehouse` — interleaved min-virtual-clock stepping of
-  all shard schedulers, with SC-bearing units acting as a cross-shard
-  barrier: a shard whose head unit carries a schema change defers while
-  any peer still holds messages committed before the SC, so the global
+* :class:`ShardCoordinator` — the coordinator, written once.  Each
+  round, :func:`plan_round` decides from :class:`ShardStatus` snapshots
+  which shards step (every runnable one, by ``(virtual clock, shard
+  id)``), which are held at the cross-shard SC barrier and which is
+  released; the round goes to a *transport* as ``(shard id, command)``
+  pairs, the statuses that come back are merged, and the loop repeats
+  until nothing is active, then ``FINISH``.  What a command means is
+  :func:`execute_command`, against a live :class:`Shard`.  The barrier:
+  a shard whose head unit carries a schema change defers while any peer
+  still holds messages committed before the SC, so the global
   interleaving respects the broken-query semantics of Theorem 1 (a
   query spanning shards never observes a schema change applied on one
-  shard while a peer still maintains pre-SC updates).  The barrier is a
+  shard while a peer still maintains pre-SC updates).  It is a
   scheduling *preference*, not a correctness crutch: shard worlds are
   independent, so every interleaving converges to the same extents; an
-  earliest-SC release rule breaks any circular wait.
+  earliest-SC release rule breaks any circular wait.  The accessors a
+  caller observes a run through are written here too, over the
+  per-shard state records ``COLLECT`` returns.
+
+* :class:`ShardedWarehouse` — the coordinator over the in-process
+  transport: commands are executed directly against the live shards.
+  (:class:`~repro.core.runtime.ProcessShardRuntime` is the same
+  coordinator over pipes to worker processes.)
 
 Per-shard legal orders are exactly the single-scheduler legal orders of
 Theorem 2 restricted to the shard's footprint, which is why the final
@@ -124,17 +137,6 @@ class ShardRouter:
             footprint.add((message.source, message.payload.new))
         return True
 
-    def shards_for(self, message: UpdateMessage) -> tuple[int, ...]:
-        """Every shard whose footprint covers the message (sorted)."""
-        return tuple(
-            shard_id
-            for shard_id in sorted(self._footprints)
-            if any(
-                (message.source, relation) in self._footprints[shard_id]
-                for relation in message.payload.touched_relations()
-            )
-        )
-
     def delivery_filter(
         self, shard_id: int, metrics: Metrics
     ) -> Callable[[UpdateMessage], bool]:
@@ -171,10 +173,7 @@ class WorkloadSpec:
 def step_shard(shard: "Shard") -> None:
     """Step one shard once, recovering crashes from its own journal.
 
-    Shared by the inline coordinator (:meth:`ShardedWarehouse.run`) and
-    the process runtime's workers (:mod:`repro.core.runtime`), so both
-    execute byte-identical per-shard work: a
-    :class:`~repro.recovery.SchedulerCrash` raised mid-step tears the
+    A :class:`~repro.recovery.SchedulerCrash` raised mid-step tears the
     shard's warehouse down, replays checkpoint + journal (idempotently,
     so a crash during recovery is also safe) and swaps the rebuilt
     manager/scheduler/harness into the shard in place.
@@ -238,10 +237,9 @@ def min_pending_commit(shard: "Shard") -> float | None:
 class ShardStatus:
     """One shard's coordinator-visible state after a step.
 
-    Exactly the observables a coordinator needs for its quiescence,
-    barrier-deferral and earliest-SC-release decisions: the inline
-    coordinator snapshots live shards, the process runtime
-    (:mod:`repro.core.runtime`) ships these home over its pipes.
+    Exactly the observables :func:`plan_round` needs for its
+    quiescence, barrier-deferral and earliest-SC-release decisions;
+    every command that can change them is answered with a fresh one.
     """
 
     shard_id: int
@@ -316,15 +314,249 @@ class Shard:
         managers = getattr(self.manager, "managers", None)
         return list(managers) if managers is not None else [self.manager]
 
-    def manager_for(self, view_name: str):
-        for manager in self.view_managers():
-            if manager.view.name == view_name:
-                return manager
-        raise KeyError(view_name)
+
+def plan_round(
+    statuses: dict[int, ShardStatus],
+) -> tuple[list[int], list[int], int | None]:
+    """One coordinator round decision from status snapshots.
+
+    Returns ``(steps, holds, release)``: shard ids to ``STEP`` (every
+    runnable shard, ordered by ``(virtual clock, shard id)`` — the
+    concurrent generalization of min-clock stepping), shard ids held at
+    the SC barrier, and the earliest-SC shard released when *every*
+    active shard is deferred (circular wait), or ``None``.  Pure
+    function of the statuses, unit-testable without a warehouse.
+    """
+    active = [
+        status for status in statuses.values() if not status.quiescent
+    ]
+    runnable: list[ShardStatus] = []
+    deferred: list[ShardStatus] = []
+    for status in active:
+        barrier_at = status.barrier_at
+        if barrier_at is not None and any(
+            peer.blocks_barrier(barrier_at)
+            for peer in statuses.values()
+            if peer.shard_id != status.shard_id
+        ):
+            deferred.append(status)
+        else:
+            runnable.append(status)
+    release: int | None = None
+    if not runnable and deferred:
+        released = min(
+            deferred, key=lambda status: (status.barrier_at, status.shard_id)
+        )
+        deferred = [
+            status for status in deferred if status is not released
+        ]
+        release = released.shard_id
+    steps = [
+        status.shard_id
+        for status in sorted(
+            runnable,
+            key=lambda status: (status.clock_now, status.shard_id),
+        )
+    ]
+    holds = sorted(status.shard_id for status in deferred)
+    return steps, holds, release
 
 
-class ShardedWarehouse:
-    """Coordinates N shard schedulers to global quiescence."""
+def execute_command(shard: Shard, op: str) -> ShardStatus | dict | None:
+    """What one coordinator command means, against a live shard.
+
+    Called for every ``(shard id, command)`` pair of a round — directly
+    by the in-process transport, by a worker process for each pipe
+    message — so both execute byte-identical per-shard work.  Answers
+    the shard's fresh :class:`ShardStatus`, or ``None`` where nothing a
+    status reports can have changed (``BARRIER_HOLD``), or the shard's
+    state record (``COLLECT``).
+    """
+    if op == "BARRIER_HOLD":
+        shard.engine.metrics.barrier_deferrals += 1
+        return None
+    if op == "COLLECT":
+        return _collect_state(shard)
+    if op == "BARRIER_RELEASE":
+        shard.engine.metrics.barrier_releases += 1
+        step_shard(shard)
+    elif op == "STEP":
+        step_shard(shard)
+    elif op == "FINISH":
+        shard.scheduler.finish()
+    else:
+        raise ValueError(f"unknown command {op!r}")
+    return status_of(shard)
+
+
+def _collect_state(shard: Shard) -> dict:
+    """One shard's state record: everything a caller may observe of it
+    once it is quiescent, as plain picklable values (a worker process
+    ships this home; its live sources stay behind, so convergence is
+    checked here, against them)."""
+    from ..views.consistency import check_convergence
+
+    managers = shard.view_managers()
+    committed = set(shard.scheduler.stats.processed_messages)
+    if shard.recovery is not None:
+        committed |= shard.recovery.installed_refs()
+    return {
+        #: view name -> canonical (sorted row tuples) extent
+        "extents": {
+            manager.view.name: tuple(
+                sorted(map(tuple, manager.mv.extent.rows()))
+            )
+            for manager in managers
+        },
+        #: every maintained ``(source, seqno)``, across crashes
+        "committed": frozenset(committed),
+        "clock_now": shard.engine.clock.now,
+        "cost_model": shard.engine.cost_model,
+        "metrics": shard.engine.metrics,
+        "install_log": list(shard.engine.install_log),
+        "consistent": all(
+            check_convergence(manager).consistent for manager in managers
+        ),
+        "crash_reports": len(shard.crash_reports),
+    }
+
+
+class ShardCoordinator:
+    """Drives N shard worlds to global quiescence over a transport.
+
+    A transport (:meth:`_exchange`) takes one round of ``(shard id,
+    command)`` pairs to the shards, has :func:`execute_command` run
+    each, and brings the answers back keyed by shard id, in the order
+    sent.  The round policy, the loop and the observable surface are
+    here, so two warehouses that differ in their transport differ in
+    nothing else: per-shard results *and* counters are identical.
+
+    Subclasses set ``shard_ids`` (ascending), ``_initial_sizes`` once
+    the worlds exist, and ``_statuses`` before :meth:`_drive`.
+    """
+
+    shard_ids: tuple[int, ...]
+    _statuses: dict[int, ShardStatus]
+    _initial_sizes: dict[str, int]
+    #: ``{shard_id: state record}`` once collected (see :meth:`_states`)
+    _collected: dict[int, dict] | None = None
+
+    def prepare(self) -> None:
+        """Make the shard worlds exist (idempotent)."""
+        raise NotImplementedError
+
+    def _exchange(self, commands: list[tuple[int, str]]) -> dict:
+        raise NotImplementedError
+
+    def _drive(self) -> None:
+        """The round loop: plan, exchange, merge, repeat; then FINISH.
+
+        Only the shards a round stepped are refreshed: worlds are
+        independent, so no other status can have changed.
+        """
+        statuses = self._statuses
+        while True:
+            steps, holds, release = plan_round(statuses)
+            if not steps and not holds and release is None:
+                break
+            commands = [(shard_id, "BARRIER_HOLD") for shard_id in holds]
+            if release is not None:
+                commands.append((release, "BARRIER_RELEASE"))
+            commands.extend((shard_id, "STEP") for shard_id in steps)
+            for shard_id, status in self._exchange(commands).items():
+                if status is not None:
+                    statuses[shard_id] = status
+        statuses.update(
+            self._exchange(
+                [(shard_id, "FINISH") for shard_id in self.shard_ids]
+            )
+        )
+
+    def _states(self) -> dict[int, dict]:
+        """Every shard's state record, collected on first use — so a
+        run that is never observed never pays for the convergence
+        check."""
+        if self._collected is None:
+            self._collected = self._exchange(
+                [(shard_id, "COLLECT") for shard_id in self.shard_ids]
+            )
+        return self._collected
+
+    # ------------------------------------------------------------------
+    # the observable surface, over the collected state
+    # ------------------------------------------------------------------
+
+    def extent_rows(self) -> dict[str, tuple]:
+        """Canonical (sorted row tuples) extents, for oracle compares."""
+        return {
+            name: rows
+            for state in self._states().values()
+            for name, rows in state["extents"].items()
+        }
+
+    def committed_updates(self) -> frozenset:
+        """Union over shards of every maintained ``(source, seqno)``."""
+        return frozenset().union(
+            *(state["committed"] for state in self._states().values())
+        )
+
+    def shard_clocks(self) -> dict[int, float]:
+        """Per-shard virtual clock at quiescence (interleaving- and
+        transport-invariant because shard worlds are independent)."""
+        return {
+            shard_id: state["clock_now"]
+            for shard_id, state in self._states().items()
+        }
+
+    def horizon(self) -> float:
+        """Largest virtual clock across shard worlds at quiescence."""
+        return max(self.shard_clocks().values())
+
+    def aggregate_makespan(self) -> float:
+        """Completion time of the slowest shard (the scale-out headline:
+        serial shards report summed busy time, parallel shards their
+        makespan — the aggregate is the max across shards because the
+        shards run side by side)."""
+        return max(
+            state["metrics"].elapsed for state in self._states().values()
+        )
+
+    def aggregate_metrics(self) -> Metrics:
+        merged = Metrics.merge(
+            state["metrics"] for state in self._states().values()
+        )
+        merged.makespan = self.aggregate_makespan()
+        return merged
+
+    def install_logs(self) -> dict[int, list]:
+        return {
+            shard_id: state["install_log"]
+            for shard_id, state in self._states().items()
+        }
+
+    def initial_sizes(self) -> dict[str, int]:
+        """View name -> extent cardinality right after the initial
+        load; known as soon as the worlds exist, before any run."""
+        self.prepare()
+        return dict(self._initial_sizes)
+
+    def consistent(self) -> bool:
+        """Every shard's views converge to the fresh-recompute oracle."""
+        return all(
+            state["consistent"] for state in self._states().values()
+        )
+
+    def crash_report_count(self) -> int:
+        return sum(
+            state["crash_reports"] for state in self._states().values()
+        )
+
+    def cost_model(self):
+        return self._states()[self.shard_ids[0]]["cost_model"]
+
+
+class ShardedWarehouse(ShardCoordinator):
+    """The coordinator over live, in-process shards."""
 
     def __init__(self, shards: list[Shard], router: ShardRouter) -> None:
         if not shards:
@@ -334,10 +566,13 @@ class ShardedWarehouse:
             raise ValueError(f"view registered on several shards: {names}")
         self.shards = shards
         self.router = router
-
-    # ------------------------------------------------------------------
-    # workload fan-out
-    # ------------------------------------------------------------------
+        self._shard_of = {shard.shard_id: shard for shard in shards}
+        self.shard_ids = tuple(sorted(self._shard_of))
+        self._initial_sizes = {
+            name: size
+            for shard in shards
+            for name, size in shard.initial_sizes.items()
+        }
 
     def add_workload_spec(self, workload: WorkloadSpec) -> None:
         """Schedule one identically-seeded workload copy per shard,
@@ -351,149 +586,22 @@ class ShardedWarehouse:
         """Nothing to launch: the shard worlds were built eagerly (the
         process runtime forks its workers and builds theirs here)."""
 
-    # ------------------------------------------------------------------
-    # the coordinator loop
-    # ------------------------------------------------------------------
-
     def run(self) -> None:
-        """Drive every shard to quiescence (min-clock interleaving).
+        """Drive every shard to quiescence.  Crashes raised by a
+        shard's step are recovered per shard from its own journal."""
+        self._collected = None
+        self._statuses = {
+            shard.shard_id: status_of(shard) for shard in self.shards
+        }
+        self._drive()
 
-        Each round picks the runnable shard with the smallest virtual
-        clock and steps it once.  SC-barrier rule: a shard whose head
-        unit is SC-bearing is deferred while some peer still holds
-        messages committed before the schema change; if *every* active
-        shard is deferred (circular wait), the shard with the earliest
-        SC commit time is released.  Crashes raised by a shard's step
-        are recovered per shard from its own journal.
-        """
-        while True:
-            active = [
-                shard for shard in self.shards if not shard_quiescent(shard)
-            ]
-            if not active:
-                break
-            runnable: list[Shard] = []
-            deferred: list[tuple[float, Shard]] = []
-            for shard in active:
-                barrier_at = sc_barrier_time(shard)
-                if barrier_at is not None and self._peer_holds_earlier_work(
-                    shard, barrier_at
-                ):
-                    shard.engine.metrics.barrier_deferrals += 1
-                    deferred.append((barrier_at, shard))
-                else:
-                    runnable.append(shard)
-            if not runnable:
-                barrier_at, released = min(
-                    deferred, key=lambda pair: (pair[0], pair[1].shard_id)
-                )
-                released.engine.metrics.barrier_releases += 1
-                runnable = [released]
-            shard = min(
-                runnable,
-                key=lambda s: (s.engine.clock.now, s.shard_id),
-            )
-            step_shard(shard)
-        for shard in self.shards:
-            shard.scheduler.finish()
-
-    def _peer_holds_earlier_work(
-        self, shard: Shard, barrier_at: float
-    ) -> bool:
-        """Does any peer still hold maintenance committed before the
-        schema change at ``barrier_at``?  (The per-peer predicate is
-        :meth:`ShardStatus.blocks_barrier`, which the process runtime's
-        coordinator evaluates on the snapshots its workers ship.)
-        """
-        return any(
-            status_of(peer).blocks_barrier(barrier_at)
-            for peer in self.shards
-            if peer is not shard
-        )
-
-    # ------------------------------------------------------------------
-    # aggregate observability
-    # ------------------------------------------------------------------
-
-    def aggregate_makespan(self) -> float:
-        """Completion time of the slowest shard (the scale-out headline:
-        serial shards report summed busy time, parallel shards their
-        makespan — the aggregate is the max across shards because the
-        shards run side by side)."""
-        return max(shard.engine.metrics.elapsed for shard in self.shards)
-
-    def aggregate_metrics(self) -> Metrics:
-        merged = Metrics.merge(shard.engine.metrics for shard in self.shards)
-        merged.makespan = self.aggregate_makespan()
-        return merged
-
-    def committed_updates(self) -> frozenset:
-        """Union over shards of every maintained ``(source, seqno)``."""
-        refs: set = set()
-        for shard in self.shards:
-            refs.update(shard.scheduler.stats.processed_messages)
-            if shard.recovery is not None:
-                refs |= shard.recovery.installed_refs()
-        return frozenset(refs)
-
-    def manager_for(self, view_name: str):
-        for shard in self.shards:
-            if view_name in shard.view_names:
-                return shard.manager_for(view_name)
-        raise KeyError(view_name)
+    def _exchange(self, commands: list[tuple[int, str]]) -> dict:
+        return {
+            shard_id: execute_command(self._shard_of[shard_id], op)
+            for shard_id, op in commands
+        }
 
     def view_names(self) -> tuple[str, ...]:
         return tuple(
             name for shard in self.shards for name in shard.view_names
         )
-
-    def extent_rows(self) -> dict[str, tuple]:
-        """Canonical (sorted row tuples) extents, for oracle compares."""
-        return {
-            name: tuple(
-                sorted(map(tuple, self.manager_for(name).mv.extent.rows()))
-            )
-            for name in self.view_names()
-        }
-
-    def horizon(self) -> float:
-        """Largest virtual clock across shard worlds at quiescence."""
-        return max(shard.engine.clock.now for shard in self.shards)
-
-    def shard_clocks(self) -> dict[int, float]:
-        """Per-shard virtual clock, for oracle compares against the
-        process runtime (clocks are interleaving-invariant because
-        shard worlds are independent)."""
-        return {
-            shard.shard_id: shard.engine.clock.now
-            for shard in self.shards
-        }
-
-    def install_logs(self) -> dict[int, list]:
-        return {
-            shard.shard_id: shard.engine.install_log
-            for shard in self.shards
-        }
-
-    def crash_report_count(self) -> int:
-        return sum(len(shard.crash_reports) for shard in self.shards)
-
-    def consistent(self) -> bool:
-        """Every shard's views converge to the fresh-recompute oracle."""
-        from ..views.consistency import check_convergence
-
-        return all(
-            check_convergence(manager).consistent
-            for shard in self.shards
-            for manager in shard.view_managers()
-        )
-
-    def initial_sizes(self) -> dict[str, int]:
-        return {
-            name: size
-            for shard in self.shards
-            for name, size in shard.initial_sizes.items()
-        }
-
-    def cost_model(self):
-        return self.shards[0].engine.cost_model

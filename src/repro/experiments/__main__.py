@@ -132,7 +132,7 @@ FLAGS = (
         "shard_processes",
         "execute sharded-warehouse arms across N OS worker "
         "processes (the multi-core runtime, repro.core.runtime) "
-        "instead of the inline coordinator; results are bit-identical "
+        "instead of in this one; results are bit-identical "
         "— only wall-clock time moves.  Applies to abl-sharding's "
         "swept arms and narrows abl-runtime's sweep to (0, N); the "
         "default 0 keeps everything inline",

@@ -557,12 +557,12 @@ class Testbed:
 class ShardedTestbed:
     """A sharded multi-view warehouse plus its read front end.
 
-    One ``driver`` runs it — the inline
-    :class:`~repro.core.sharding.ShardedWarehouse` coordinator (the
-    oracle) or a :class:`~repro.core.runtime.ProcessShardRuntime`
-    (``config.shard_processes`` OS workers).  Both answer the same
-    accessors identically — that equivalence *is* the runtime's
-    acceptance criterion — so nothing here asks which one it has.
+    One ``driver`` runs it: the
+    :class:`~repro.core.sharding.ShardCoordinator` over in-process
+    shards (:class:`~repro.core.sharding.ShardedWarehouse`) or over
+    ``config.shard_processes`` OS workers
+    (:class:`~repro.core.runtime.ProcessShardRuntime`).  The accessors
+    are the coordinator's, so nothing here asks which one it has.
     """
 
     def __init__(

@@ -219,61 +219,16 @@ class Metrics:
         }
 
     def summary(self) -> dict[str, float]:
+        """Every scalar field by name (floats rounded), after the
+        headline cost; the ``Counter`` fields in their renderings."""
+        values = {spec.name: getattr(self, spec.name) for spec in fields(self)}
         return {
             "maintenance_cost": round(self.maintenance_cost, 6),
-            "abort_cost": round(self.abort_cost, 6),
-            "aborts": self.aborts,
-            "broken_queries": self.broken_queries,
-            "maintained_updates": self.maintained_updates,
-            "maintenance_rounds": self.maintenance_rounds,
-            "grouped_messages": self.grouped_messages,
-            "batches_formed": self.batches_formed,
-            "view_refreshes": self.view_refreshes,
-            "detection_rounds": self.detection_rounds,
-            "graph_builds": self.graph_builds,
-            "graph_rebuilds": self.graph_rebuilds,
-            "incremental_graph_updates": self.incremental_graph_updates,
-            "footprint_cache_hits": self.footprint_cache_hits,
-            "footprint_cache_misses": self.footprint_cache_misses,
-            "cycle_merges": self.cycle_merges,
-            "transient_failures": self.transient_failures,
-            "retries": self.retries,
-            "backoff_time": round(self.backoff_time, 6),
-            "exhausted_queries": self.exhausted_queries,
-            "makespan": round(self.makespan, 6),
-            "dispatched_units": self.dispatched_units,
-            "peak_parallelism": self.peak_parallelism,
-            "batched_queries": self.batched_queries,
-            "batch_round_trips": self.batch_round_trips,
-            "source_round_trips": self.source_round_trips,
-            "cache_hits": self.cache_hits,
-            "cache_misses": self.cache_misses,
-            "patched_answers": self.patched_answers,
-            "saved_round_trips": self.saved_round_trips,
-            "cache_invalidations_sc": self.cache_invalidations_sc,
-            "aux_hits": self.aux_hits,
-            "aux_misses": self.aux_misses,
-            "aux_invalidations_sc": self.aux_invalidations_sc,
-            "aux_applied_rows": self.aux_applied_rows,
-            "data_unit_rounds": self.data_unit_rounds,
-            "self_maintained_units": self.self_maintained_units,
-            "journal_entries": self.journal_entries,
-            "journal_bytes": self.journal_bytes,
-            "checkpoints_taken": self.checkpoints_taken,
-            "recoveries": self.recoveries,
-            "replayed_entries": self.replayed_entries,
-            "router_delivered": self.router_delivered,
-            "router_dropped": self.router_dropped,
-            "barrier_deferrals": self.barrier_deferrals,
-            "barrier_releases": self.barrier_releases,
-            "plan_cache_hits": self.plan_cache_hits,
-            "plan_cache_recompiles": self.plan_cache_recompiles,
-            "plan_cache_evictions": self.plan_cache_evictions,
-            "reads_served": self.reads_served,
-            "read_latency_time": round(self.read_latency_time, 6),
-            "read_wait_time": round(self.read_wait_time, 6),
-            "stale_reads": self.stale_reads,
-            "staleness_time": round(self.staleness_time, 6),
+            **{
+                name: round(value, 6) if isinstance(value, float) else value
+                for name, value in values.items()
+                if not isinstance(value, Counter)
+            },
             "worker_utilization": self.worker_utilization(),
             "anomalies": {
                 kind.name: count for kind, count in self.anomalies.items()

@@ -120,12 +120,6 @@ class TestShardRouter:
         assert not router.accepts(1, _rename("src1", "R1", "R1x"))
         assert ("src1", "R1x") not in router.footprint(1)
 
-    def test_shards_for_lists_every_covering_shard(self):
-        router = self._router()
-        router.register_relation(1, "src1", "R1")
-        assert router.shards_for(_du("src1", "R1")) == (0, 1)
-        assert router.shards_for(_du("src3", "R9")) == ()
-
     def test_delivery_filter_counts_into_metrics(self):
         router = self._router()
         metrics = Metrics()

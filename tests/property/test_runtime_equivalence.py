@@ -2,8 +2,9 @@
 
 Shard worlds are interleaving-invariant (each owns its whole world; the
 cross-shard SC barrier is a scheduling preference, not a correctness
-dependency), so executing them across OS worker processes with the
-BSP coordinator of :mod:`repro.core.runtime` must reproduce the inline
+dependency), and one coordinator drives them over either transport, so
+executing them across OS worker processes (:mod:`repro.core.runtime`)
+must reproduce the in-process
 :class:`~repro.core.sharding.ShardedWarehouse` results byte for byte:
 per-view extents, the union of committed ``(source, seqno)`` sets, and
 every shard's final virtual clock — across strategies x fault plans x
@@ -14,16 +15,14 @@ recovers from its journal inside the worker) must surface as a clean
 ``RuntimeError`` in the parent, never a hang.
 """
 
+from dataclasses import fields
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.runtime import (
-    ProcessShardRuntime,
-    ShardStatus,
-    WorkerDied,
-    plan_round,
-)
+from repro.core.runtime import ProcessShardRuntime, WorkerDied
+from repro.core.sharding import ShardStatus, plan_round
 from repro.core.strategies import OPTIMISTIC, PESSIMISTIC
 from repro.experiments.testbed import (
     build_shard_world,
@@ -34,6 +33,7 @@ from repro.experiments.testbed import (
 )
 from repro.faults.plan import FaultPlan
 from repro.recovery import CrashPlan
+from repro.sim.metrics import Metrics
 
 strategies = st.sampled_from([PESSIMISTIC, OPTIMISTIC])
 
@@ -119,6 +119,20 @@ def test_transient_faults_match_inline(processes, seed, fault_seed):
     )
 
 
+def test_spawned_workers_match_inline(monkeypatch):
+    # Only ``fork`` runs elsewhere on Linux.  ``prepare`` picks the
+    # start method from what the platform offers, so offering only
+    # ``spawn`` exercises the pickled-by-reference builder and workload
+    # factories end to end.
+    import multiprocessing
+
+    oracle = _run(PESSIMISTIC, 0, 3, 8, sc_count=1)
+    monkeypatch.setattr(
+        multiprocessing, "get_all_start_methods", lambda: ["spawn"]
+    )
+    assert _run(PESSIMISTIC, 2, 3, 8, sc_count=1) == oracle
+
+
 def test_crash_recovery_inside_workers_matches_inline(tmp_path):
     # CrashPlan.random(1) fires at this scale; the scheduler crash
     # recovers from the shard's own journal INSIDE the worker process,
@@ -167,42 +181,57 @@ def test_read_front_end_matches_inline():
 def test_both_drivers_answer_the_same_surface():
     # ShardedTestbed never asks which driver it has: the inline
     # coordinator and the process runtime answer every accessor it
-    # delegates to, with equal values.
-    def quiescent(processes):
+    # delegates to, with equal values.  They are one coordinator over
+    # two transports, so on a DU+SC stream that crosses the barrier
+    # even the counters agree.
+    def quiescent(strategy, processes):
         testbed = build_sharded_testbed(
-            PESSIMISTIC,
+            strategy,
             shards=4,
             tuples_per_relation=24,
             shard_processes=processes,
         )
-        testbed.schedule_du_workload(8, start=0.05, interval=0.05, seed=7)
+        testbed.schedule_du_workload(12, start=0.05, interval=0.05, seed=7)
+        testbed.schedule_sc_workload(2, start=0.6, interval=4.0, seed=11)
         testbed.prepare()
         sizes_before_run = testbed.initial_sizes
         testbed.run()
         assert testbed.initial_sizes == sizes_before_run
         return testbed
 
-    inline, processed = quiescent(0), quiescent(2)
-    assert inline.runtime is None and processed.warehouse is None
-    assert inline.driver is inline.warehouse
-    assert processed.driver is processed.runtime
-    assert inline.initial_sizes == processed.initial_sizes
-    assert inline.check_consistency() and processed.check_consistency()
-    for accessor in (
-        "extent_rows",
-        "committed_updates",
-        "shard_clocks",
-        "cost_model",
-        "horizon",
-        "install_logs",
-        "crash_report_count",
-    ):
-        assert getattr(inline.driver, accessor)() == getattr(
-            processed.driver, accessor
-        )(), accessor
-    assert (
-        inline.metrics.maintenance_cost == processed.metrics.maintenance_cost
-    )
+    # The compiled-plan cache is process-global: what a shard is
+    # charged for it depends on which shards share its process.
+    process_global = {
+        "plan_cache_hits",
+        "plan_cache_recompiles",
+        "plan_cache_evictions",
+    }
+    for strategy in (PESSIMISTIC, OPTIMISTIC):
+        inline, processed = quiescent(strategy, 0), quiescent(strategy, 2)
+        assert inline.runtime is None and processed.warehouse is None
+        assert inline.driver is inline.warehouse
+        assert processed.driver is processed.runtime
+        assert inline.initial_sizes == processed.initial_sizes
+        assert inline.check_consistency() and processed.check_consistency()
+        for accessor in (
+            "extent_rows",
+            "committed_updates",
+            "shard_clocks",
+            "cost_model",
+            "horizon",
+            "install_logs",
+            "crash_report_count",
+            "aggregate_makespan",
+        ):
+            assert getattr(inline.driver, accessor)() == getattr(
+                processed.driver, accessor
+            )(), accessor
+        assert inline.metrics.barrier_deferrals > 0
+        for spec in fields(Metrics):
+            if spec.name not in process_global:
+                assert getattr(inline.metrics, spec.name) == getattr(
+                    processed.metrics, spec.name
+                ), (strategy.name, spec.name)
 
 
 # ----------------------------------------------------------------------

@@ -1,5 +1,8 @@
 """Metrics accumulation."""
 
+from collections import Counter
+from dataclasses import fields
+
 from repro.sim.metrics import Metrics
 
 
@@ -24,6 +27,24 @@ def test_summary_keys():
     assert summary["aborts"] == 1
     assert "view_refreshes" in summary
     assert "cycle_merges" in summary
+
+
+def test_summary_reports_every_scalar_field():
+    # The summary is derived from the dataclass, so a counter added
+    # later cannot go unreported (failed_commits and view_delta_tuples
+    # once did).
+    metrics = Metrics(failed_commits=2, view_delta_tuples=7)
+    metrics.backoff_time = 0.123456789
+    summary = metrics.summary()
+    for spec in fields(Metrics):
+        if not isinstance(getattr(metrics, spec.name), Counter):
+            assert spec.name in summary, spec.name
+    assert summary["failed_commits"] == 2
+    assert summary["view_delta_tuples"] == 7
+    assert summary["backoff_time"] == 0.123457
+    for rendering in ("busy_breakdown", "anomalies", "worker_utilization"):
+        assert isinstance(summary[rendering], dict)
+    assert not {"busy_time", "worker_busy_time"} & set(summary)
 
 
 def test_fresh_metrics_zero():
