@@ -10,8 +10,11 @@ from repro.experiments import (
 )
 from repro.experiments.ablations import _synthetic_queue
 from repro.core.dependencies import find_dependencies
+from repro.core.incremental import IncrementalDependencyGraph
 from repro.core.strategies import PESSIMISTIC
 from repro.experiments.testbed import build_testbed
+from repro.sources.messages import RenameRelation, UpdateMessage
+from repro.views.umq import UpdateMessageQueue
 
 from benchmarks._helpers import full_scale
 
@@ -76,3 +79,30 @@ def test_micro_legal_order(benchmark):
     messages = _synthetic_queue(400, 20)
     graph = detect(messages, view_query).graph
     benchmark(graph.legal_order)
+
+
+def test_micro_rename_arrival(benchmark):
+    """One ``RenameRelation`` arrival into a 400-message queue holding
+    20 renames: the live graph's rebuild fallback, which is what an
+    arrival costs on rename-heavy traffic (the spine's ``sc_mixed``)."""
+    view_query = build_testbed(
+        PESSIMISTIC, tuples_per_relation=4
+    ).manager.view.query
+    prefill = _synthetic_queue(400, 20)
+    arrival = UpdateMessage(
+        "src1", 401, 401.0, RenameRelation("R1", "R1__arrival")
+    )
+
+    def queue_of_400():
+        umq = UpdateMessageQueue()
+        graph = IncrementalDependencyGraph(umq, lambda: (view_query,))
+        for message in prefill:
+            umq.receive(message)
+        return (umq, graph), {}
+
+    def arrive(umq, graph):
+        umq.receive(arrival)
+        return graph.edge_count
+
+    edges = benchmark.pedantic(arrive, setup=queue_of_400, rounds=25)
+    assert edges == len(find_dependencies([*prefill, arrival], view_query))

@@ -4,44 +4,71 @@ Every detection round — pessimistic pre-exec (Figure 6 line 1), every
 broken-query abort, and every quarantine-deferral pass — used to rebuild
 the full dependency graph from scratch: recompute every message
 footprint and re-run the O(mn) CD sweep of Section 4.1.1.  This module
-makes the cost of a round proportional to what *changed* since the last
-round instead:
+keeps the graph alive beside the UMQ and makes a queue mutation cost
+schema changes x footprint *classes*, not schema changes x queue length:
 
-* :class:`FootprintCache` memoizes each message's normalized maintenance
-  footprint under an *epoch* key (the view-definition versions plus the
-  count of schema changes ever received).  A data update's footprint
-  depends only on the view queries and the rename lineages, so in
-  DU-heavy streams it is computed once per message, not once per round.
+* :class:`FootprintCache` memoizes normalized maintenance footprints
+  under an *epoch* key (the view-definition versions plus the count of
+  schema changes ever received).  A data update's footprint is a
+  function of its ``(source, relation)`` alone, so every DU on a
+  relation shares one entry (and one :class:`Footprint` object); a
+  schema change's footprint is per message.
 * :class:`IncrementalDependencyGraph` mirrors the UMQ through its
-  mutation-listener hooks: ``receive`` adds one node and only the edges
-  touching the new message (O(m) conflict tests for a DU, O(n) for a
-  schema change), ``remove_head``/``remove_unit`` drop the departing
-  nodes and splice the per-relation semantic chains around the gap (the
-  parallel executor removes units from *any* position at dispatch), and
-  ``replace_order`` remaps indices and recomputes only the
-  (order-dependent) semantic edges.  A from-scratch rebuild — identical
-  to :func:`~repro.core.dependencies.find_dependencies` and kept as the
+  mutation-listener hooks and stores no edge at all:
+
+  - *semantic* edges are the consecutive pairs of the
+    per-``(source, relation)`` touch chains;
+  - *concurrent* edges are a function of footprint values: every queued
+    node is filed under its normalized footprint (its *class*), and
+    each queued schema change memoizes one ``conflicted_by`` verdict per
+    class.  The verdict depends only on the footprint value, the change
+    and the :class:`~repro.core.dependencies.NameResolver`, and the
+    resolver is replaced only by a rebuild — so the memo lives exactly
+    as long as the resolver.
+
+  ``dependencies()`` / ``detection()`` expand ``(schema change, class
+  member)`` pairs on demand; ``edge_count``, the edge tally of a removal
+  and every modelled-work counter are arithmetic over class sizes.  The
+  *modelled* work (``consume_work``) is still the paper's O(mn) — a DU
+  arrival is charged m conflict tests, a rebuild n nodes plus every
+  edge — because the scheduler turns it into virtual time; the *wall*
+  work of a mutation is O(n + m * (classes + m)).
+
+  ``receive`` files one node (a DU arrival runs no conflict test at
+  all), ``remove_head``/``remove_unit`` unfile the departing nodes and
+  take them out of their chains (the parallel executor removes units
+  from *any* position at dispatch), and ``replace_order`` re-derives
+  only the (order-dependent) chains.  A from-scratch rebuild — identical
+  to :func:`~repro.core.dependencies.find_dependencies`, which stays the
   property-test oracle — remains the fallback for the cases incremental
   maintenance cannot shortcut:
 
   - a *lineage-affecting* message (rename/restructure) arrives, leaves,
-    or is reordered: the :class:`~repro.core.dependencies.NameResolver`
-    changes, so every normalized footprint may change;
+    or is reordered: the resolver changes, so every normalized footprint
+    and every verdict may change;
   - a unit containing any schema change is removed from the head: its
     maintenance may have rewritten the view definition(s), so every
-    footprint may change (the epoch catches the version bump and the
-    rebuild re-derives the edges).  Mid-queue removal at *dispatch* time
-    precedes the rewrite, so it only drops nodes; the scheduler calls
+    footprint may change (the epoch catches the version bump).
+    Mid-queue removal at *dispatch* time precedes the rewrite, so it
+    only drops nodes; the scheduler calls
     :meth:`IncrementalDependencyGraph.rebuild` once the unit's rewrite
     actually commits.
 
+  A rebuild re-files n nodes and asks m * classes verdicts; it no
+  longer tests every schema change against every message.
+
   One subtlety: a schema change *committing at its source* can drift the
   source schemas that speculative rewrites consult, which can silently
-  change the footprint of an *already queued* schema change.  On every
-  (non-lineage) SC arrival the substrate therefore drops and re-tests
-  all concurrent edges whose dependent endpoint is a schema change —
-  O(m^2) conflict tests — while data-update footprints, which never
-  consult source schemas, stay cached.
+  change the footprint of an *already queued* schema change.  The epoch
+  counts received schema changes, so every SC arrival clears the cache
+  wholesale — data-update footprints included — and the substrate
+  re-files every queued node under its fresh footprint.  That is cheap
+  again because recomputation is once per class, not once per message;
+  what remains is one speculative rewrite per queued schema change.  A
+  node whose footprint value did change (only possible between an
+  in-flight view rewrite and the rebuild that follows it) thereby gets
+  *all* its concurrent edges re-derived, those from older queued schema
+  changes included — as :func:`find_dependencies` would.
 
 The substrate also answers the parallel executor's scheduling questions
 (Definition 7 / Theorem 2: *any* topological order is legal, so units
@@ -72,7 +99,7 @@ from .dependencies import (
 from .detection import DetectionResult
 from .graph import DependencyGraph
 
-#: internal edge tags (absolute-index edge tuples carry one of these)
+#: edge kinds of the expanded ``Dependency`` tuples
 _CD = DependencyKind.CONCURRENT
 _SD = DependencyKind.SEMANTIC
 
@@ -86,7 +113,12 @@ def lineage_affecting(message: UpdateMessage) -> bool:
 
 
 class FootprintCache:
-    """Normalized maintenance footprints, memoized per (message, epoch).
+    """Normalized maintenance footprints, memoized per epoch.
+
+    A data update is keyed by its ``(source, relation)`` — its footprint
+    depends on nothing else, so all DUs on one relation share one entry
+    and one :class:`Footprint` object; a schema change is keyed by
+    message identity.
 
     ``epoch`` is a zero-argument callable returning a hashable key that
     must change whenever cached footprints could change for reasons the
@@ -96,6 +128,9 @@ class FootprintCache:
     drift when a schema change commits).  A changed epoch clears the
     cache wholesale; the substrate additionally clears it explicitly
     when the rename lineage set changes (normalization input).
+    :meth:`footprint` checks the epoch on every call; a caller sweeping
+    many messages inside one queue mutation calls :meth:`validate` once
+    and then :meth:`lookup`.
     """
 
     def __init__(
@@ -109,7 +144,9 @@ class FootprintCache:
         self._rewritten = rewritten_query
         self._epoch_fn = epoch
         self._epoch = epoch() if epoch is not None else None
-        self._entries: dict[int, tuple[UpdateMessage, Footprint]] = {}
+        #: key -> (message, footprint); holding the message pins the
+        #: ``id`` a schema change is keyed by
+        self._entries: dict[object, tuple[UpdateMessage, Footprint]] = {}
         self._metrics = metrics
         self.hits = 0
         self.misses = 0
@@ -118,7 +155,8 @@ class FootprintCache:
     def __len__(self) -> int:
         return len(self._entries)
 
-    def _validate_epoch(self) -> None:
+    def validate(self) -> None:
+        """Clear the cache if the epoch moved since the last check."""
         if self._epoch_fn is None:
             return
         current = self._epoch_fn()
@@ -132,17 +170,28 @@ class FootprintCache:
         self._entries.clear()
 
     def discard(self, message: UpdateMessage) -> None:
-        entry = self._entries.get(id(message))
-        if entry is not None and entry[0] is message:
-            del self._entries[id(message)]
+        """Forget a departing schema change (DU entries are shared by
+        the relation's other updates and stay)."""
+        self._entries.pop(id(message), None)
 
     def footprint(
         self, message: UpdateMessage, resolver: NameResolver
     ) -> Footprint:
         """The normalized footprint of ``message`` (cached)."""
-        self._validate_epoch()
-        entry = self._entries.get(id(message))
-        if entry is not None and entry[0] is message:
+        self.validate()
+        return self.lookup(message, resolver)
+
+    def lookup(
+        self, message: UpdateMessage, resolver: NameResolver
+    ) -> Footprint:
+        """:meth:`footprint` without the epoch check."""
+        key = (
+            id(message)
+            if message.is_schema_change
+            else (message.source, message.payload.relation)
+        )
+        entry = self._entries.get(key)
+        if entry is not None:
             self.hits += 1
             if self._metrics is not None:
                 self._metrics.footprint_cache_hits += 1
@@ -153,7 +202,7 @@ class FootprintCache:
         footprint = footprint_of_update(
             message, self._view_queries(), self._rewritten, resolver
         ).normalized(resolver)
-        self._entries[id(message)] = (message, footprint)
+        self._entries[key] = (message, footprint)
         return footprint
 
 
@@ -161,14 +210,13 @@ class IncrementalDependencyGraph:
     """A dependency graph maintained alongside the UMQ.
 
     Registers as a mutation listener on the queue and keeps a mirror of
-    the flattened message list plus the CD/SD edge sets, in *absolute*
-    node ids (``self._order`` lists the live ids in queue order, so
-    removals anywhere never renumber surviving edges).  Semantic edges
-    are derived from per-``(source, relation)`` touch chains, which lets
-    a mid-queue departure splice its chain neighbours back together —
-    exactly what a from-scratch build over the surviving messages would
-    produce.  ``dependencies()`` exposes the edges in current queue
-    positions, bit-identical to a from-scratch
+    the flattened message list in *absolute* node ids (``self._order``
+    lists the live ids in queue order, so removals and reorders never
+    renumber a surviving node), the per-``(source, relation)`` touch
+    chains whose consecutive pairs are the semantic edges, and the
+    footprint classes from which the concurrent edges follow (see the
+    module docstring).  ``dependencies()`` expands the edges in current
+    queue positions, bit-identical to a from-scratch
     :func:`~repro.core.dependencies.find_dependencies` over the same
     messages.
     """
@@ -183,7 +231,6 @@ class IncrementalDependencyGraph:
         attach: bool = True,
     ) -> None:
         self._umq = umq
-        self._rewritten = rewritten_query
         self._metrics = metrics
         self.cache = FootprintCache(
             view_queries, rewritten_query, epoch, metrics
@@ -198,13 +245,16 @@ class IncrementalDependencyGraph:
         self._pos: dict[int, int] | None = None
         self._resolver = NameResolver([])
         self._lineage_count = 0
-        #: absolute-index edges and the incident-edge registry
-        self._cd: set[tuple[int, int]] = set()
-        self._sd: set[tuple[int, int]] = set()
-        self._by_node: dict[int, set[tuple[int, int, DependencyKind]]] = {}
         #: (source, relation) -> absolute ids touching it, queue order
         self._chains: dict[tuple[str, str], list[int]] = {}
-        self._sc_by_abs: dict[int, UpdateMessage] = {}
+        #: lazy set of the chains' consecutive pairs (semantic edges)
+        self._sd: set[tuple[int, int]] | None = None
+        #: absolute id -> the footprint value the node is filed under
+        self._filed: dict[int, Footprint] = {}
+        #: footprint value -> the absolute ids filed under it (a class)
+        self._classes: dict[Footprint, set[int]] = {}
+        #: queued schema change -> {footprint value: does it conflict?}
+        self._verdicts: dict[int, dict[Footprint, bool]] = {}
         # -- counters ---------------------------------------------------
         self.rebuilds = 0
         self.incremental_updates = 0
@@ -245,7 +295,7 @@ class IncrementalDependencyGraph:
 
     @property
     def edge_count(self) -> int:
-        return len(self._cd) + len(self._sd)
+        return len(self._semantic()) + self._concurrent_count()
 
     def _positions(self) -> dict[int, int]:
         if self._pos is None:
@@ -255,17 +305,63 @@ class IncrementalDependencyGraph:
             }
         return self._pos
 
+    def _semantic(self) -> set[tuple[int, int]]:
+        """Semantic edges: consecutive touches of one relation (a set —
+        a rename touches two relations and may repeat a pair)."""
+        if self._sd is None:
+            self._sd = {
+                pair
+                for chain in self._chains.values()
+                for pair in zip(chain, chain[1:])
+            }
+        return self._sd
+
+    def _conflicts(self, sc_abs: int, footprint: Footprint) -> bool:
+        """Does the queued schema change ``sc_abs`` invalidate the class
+        ``footprint``?  One real test per (change, class, resolver)."""
+        memo = self._verdicts[sc_abs]
+        verdict = memo.get(footprint)
+        if verdict is None:
+            change = self._message_of[sc_abs]
+            verdict = memo[footprint] = footprint.conflicted_by(
+                change.source, change.payload, self._resolver
+            )
+        return verdict
+
+    def _invalidated(self, sc_abs: int) -> list[set[int]]:
+        """The classes (as member sets) a queued schema change conflicts
+        with; their members, itself excepted, are its dependents."""
+        return [
+            members
+            for footprint, members in self._classes.items()
+            if self._conflicts(sc_abs, footprint)
+        ]
+
+    def _dependents(self, sc_abs: int) -> int:
+        """Concurrent out-degree of a queued schema change."""
+        return sum(
+            len(members) - (sc_abs in members)
+            for members in self._invalidated(sc_abs)
+        )
+
+    def _concurrent_count(self) -> int:
+        return sum(self._dependents(sc_abs) for sc_abs in self._verdicts)
+
     def dependencies(self) -> list[Dependency]:
         """Edges in current queue positions (Definition 6 indices)."""
         position_of = self._positions()
         edges = [
             Dependency(position_of[before], position_of[after], _SD)
-            for before, after in self._sd
+            for before, after in self._semantic()
         ]
-        edges.extend(
-            Dependency(position_of[before], position_of[after], _CD)
-            for before, after in self._cd
-        )
+        for sc_abs in self._verdicts:
+            sc_position = position_of[sc_abs]
+            for members in self._invalidated(sc_abs):
+                edges.extend(
+                    Dependency(sc_position, position_of[member], _CD)
+                    for member in members
+                    if member != sc_abs
+                )
         return edges
 
     def detection(self) -> DetectionResult:
@@ -291,7 +387,8 @@ class IncrementalDependencyGraph:
         nodes/edges processed by from-scratch rebuild fallbacks versus
         by incremental updates (node insertions, conflict tests, edge
         remaps).  The scheduler charges virtual detection time from
-        these so the cost model keeps reflecting the work performed.
+        these, so they count what the paper's explicit O(mn) algorithm
+        would touch — not the class-level work actually performed.
         """
         drained = (
             self._work_full_nodes,
@@ -350,72 +447,37 @@ class IncrementalDependencyGraph:
         }
 
     # ------------------------------------------------------------------
-    # edge bookkeeping (absolute indices)
+    # chains and classes
     # ------------------------------------------------------------------
 
-    def _edge_set(self, kind: DependencyKind) -> set[tuple[int, int]]:
-        return self._cd if kind is _CD else self._sd
+    def _relink(self) -> None:
+        """Re-derive the (order-dependent) touch chains."""
+        self._chains = {}
+        self._pos = self._sd = None
+        for absolute in self._order:
+            self._link(absolute)
 
-    def _add_edge(
-        self, before: int, after: int, kind: DependencyKind
-    ) -> None:
-        edges = self._edge_set(kind)
-        if (before, after) in edges:
-            return
-        edges.add((before, after))
-        record = (before, after, kind)
-        self._by_node.setdefault(before, set()).add(record)
-        self._by_node.setdefault(after, set()).add(record)
+    def _link(self, absolute: int) -> None:
+        message = self._message_of[absolute]
+        for relation in message.touched_relations():
+            self._chains.setdefault((message.source, relation), []).append(
+                absolute
+            )
 
-    def _drop_edge(
-        self, before: int, after: int, kind: DependencyKind
-    ) -> None:
-        self._edge_set(kind).discard((before, after))
-        record = (before, after, kind)
-        for node in (before, after):
-            incident = self._by_node.get(node)
-            if incident is not None:
-                incident.discard(record)
-                if not incident:
-                    del self._by_node[node]
-
-    def _drop_node(self, absolute: int) -> int:
-        """Remove every edge incident to ``absolute``; return count."""
-        incident = self._by_node.pop(absolute, set())
-        for before, after, kind in incident:
-            self._edge_set(kind).discard((before, after))
-            other = after if before == absolute else before
-            other_incident = self._by_node.get(other)
-            if other_incident is not None:
-                other_incident.discard((before, after, kind))
-                if not other_incident:
-                    del self._by_node[other]
-        return len(incident)
-
-    def _splice_chain(self, key: tuple[str, str], absolute: int) -> None:
-        """Remove ``absolute`` from a touch chain, relinking neighbours.
-
-        Dropping a mid-chain node turns its predecessor and successor
-        into *consecutive* touches, which a from-scratch build would
-        connect with a semantic edge — so we do too.
-        """
-        chain = self._chains.get(key)
-        if chain is None:
-            return
-        position = chain.index(absolute)
-        previous = chain[position - 1] if position > 0 else None
-        following = (
-            chain[position + 1] if position + 1 < len(chain) else None
+    def _file(self, absolute: int) -> None:
+        """File a node under its (cached) footprint value."""
+        footprint = self._filed[absolute] = self.cache.lookup(
+            self._message_of[absolute], self._resolver
         )
-        if previous is not None:
-            self._drop_edge(previous, absolute, _SD)
-        if following is not None:
-            self._drop_edge(absolute, following, _SD)
-        if previous is not None and following is not None:
-            self._add_edge(previous, following, _SD)
-        del chain[position]
-        if not chain:
-            del self._chains[key]
+        self._classes.setdefault(footprint, set()).add(absolute)
+
+    def _refile(self) -> None:
+        """File every queued node afresh (the cache decides what is
+        recomputed: a DU footprint once per relation)."""
+        self._filed = {}
+        self._classes = {}
+        for absolute in self._order:
+            self._file(absolute)
 
     # ------------------------------------------------------------------
     # from-scratch rebuild (the fallback and the oracle's twin)
@@ -430,43 +492,21 @@ class IncrementalDependencyGraph:
         """
         if clear_cache:
             self.cache.clear()
+        self.cache.validate()
         messages = self._umq.messages()
         self._order = list(range(len(messages)))
         self._message_of = dict(enumerate(messages))
         self._next_abs = len(messages)
-        self._pos = None
         self._resolver = NameResolver(messages)
-        self._lineage_count = sum(
-            1 for message in messages if lineage_affecting(message)
-        )
-        self._cd = set()
-        self._sd = set()
-        self._by_node = {}
-        self._chains = {}
-        self._sc_by_abs = {}
-
-        for index, message in enumerate(messages):
-            for relation in message.touched_relations():
-                chain = self._chains.setdefault(
-                    (message.source, relation), []
-                )
-                if chain:
-                    self._add_edge(chain[-1], index, _SD)
-                chain.append(index)
-            if message.is_schema_change:
-                self._sc_by_abs[index] = message
-
-        for sc_abs, sc_message in self._sc_by_abs.items():
-            change = sc_message.payload
-            assert isinstance(change, SchemaChange)
-            for other_abs, other in enumerate(messages):
-                if other_abs == sc_abs:
-                    continue
-                if self.cache.footprint(other, self._resolver).conflicted_by(
-                    sc_message.source, change, self._resolver
-                ):
-                    self._add_edge(sc_abs, other_abs, _CD)
-
+        self._lineage_count = sum(map(lineage_affecting, messages))
+        # A new resolver: every memoized verdict dies with the old one.
+        self._verdicts = {
+            absolute: {}
+            for absolute, message in enumerate(messages)
+            if message.is_schema_change
+        }
+        self._relink()
+        self._refile()
         self.rebuilds += 1
         if self._metrics is not None:
             self._metrics.graph_rebuilds += 1
@@ -477,129 +517,92 @@ class IncrementalDependencyGraph:
     # UMQ listener protocol
     # ------------------------------------------------------------------
 
+    def _charge_incremental(self, nodes: int, edges: int) -> None:
+        """Count one incremental update and its modelled work."""
+        self.incremental_updates += 1
+        if self._metrics is not None:
+            self._metrics.incremental_graph_updates += 1
+        self._work_inc_nodes += nodes
+        self._work_inc_edges += edges
+
     def umq_received(self, message: UpdateMessage) -> None:
         if lineage_affecting(message):
             # The resolver gains a lineage link: every normalized
             # footprint may change, so may every concurrent edge.
             self._rebuild(clear_cache=True)
             return
+        self.cache.validate()
         absolute = self._next_abs
         self._next_abs += 1
         self._order.append(absolute)
         self._message_of[absolute] = message
         if self._pos is not None:
             self._pos[absolute] = len(self._order) - 1
-        self.incremental_updates += 1
-        if self._metrics is not None:
-            self._metrics.incremental_graph_updates += 1
-        self._work_inc_nodes += 1
-
-        for relation in message.touched_relations():
-            chain = self._chains.setdefault(
-                (message.source, relation), []
-            )
-            if chain:
-                self._add_edge(chain[-1], absolute, _SD)
-            chain.append(absolute)
-
-        if message.is_schema_change:
-            self._receive_schema_change(message, absolute)
-        else:
-            # O(m): only the queued schema changes can depend on a DU.
-            footprint = self.cache.footprint(message, self._resolver)
-            for sc_abs, sc_message in self._sc_by_abs.items():
-                self._work_inc_edges += 1
-                if footprint.conflicted_by(
-                    sc_message.source, sc_message.payload, self._resolver
-                ):
-                    self._add_edge(sc_abs, absolute, _CD)
-
-    def _receive_schema_change(
-        self, message: UpdateMessage, absolute: int
-    ) -> None:
-        """O(n) sweep for a new (non-lineage) schema change.
-
-        The arrival's source commit may have drifted the source schemas
-        that speculative rewrites consult, so every edge whose dependent
-        endpoint is a schema change is dropped and re-tested against a
-        fresh footprint (the epoch already cleared the cache).
-        """
-        for sc_abs in self._sc_by_abs:
-            for before, after, kind in list(
-                self._by_node.get(sc_abs, ())
-            ):
-                if kind is _CD and after == sc_abs:
-                    self._drop_edge(before, after, kind)
-        change = message.payload
-        assert isinstance(change, SchemaChange)
-        # New SC against every queued footprint (O(n))...
-        for other_abs in self._order[:-1]:
-            other = self._message_of[other_abs]
-            self._work_inc_edges += 1
-            if self.cache.footprint(other, self._resolver).conflicted_by(
-                message.source, change, self._resolver
-            ):
-                self._add_edge(absolute, other_abs, _CD)
-        # ...every queued SC against the new footprint (O(m))...
-        footprint = self.cache.footprint(message, self._resolver)
-        for sc_abs, sc_message in self._sc_by_abs.items():
-            self._work_inc_edges += 1
-            if footprint.conflicted_by(
-                sc_message.source, sc_message.payload, self._resolver
-            ):
-                self._add_edge(sc_abs, absolute, _CD)
-        # ...and the queued-SC pairs re-tested with fresh footprints
-        # (O(m^2)).
-        for target_abs, target_sc in self._sc_by_abs.items():
-            target_footprint = self.cache.footprint(
-                target_sc, self._resolver
-            )
-            for source_abs, source_sc in self._sc_by_abs.items():
-                if source_abs == target_abs:
-                    continue
-                self._work_inc_edges += 1
-                if target_footprint.conflicted_by(
-                    source_sc.source, source_sc.payload, self._resolver
-                ):
-                    self._add_edge(source_abs, target_abs, _CD)
-        self._sc_by_abs[absolute] = message
+        self._sd = None
+        self._link(absolute)
+        queued_changes = len(self._verdicts)
+        if not message.is_schema_change:
+            # Charged O(m) — only the queued schema changes can depend
+            # on a DU — but nothing is tested until an edge is asked for.
+            self._charge_incremental(1, queued_changes)
+            self._file(absolute)
+            return
+        # A (non-lineage) schema change.  Its source commit may have
+        # drifted the source schemas that speculative rewrites consult
+        # (the epoch just cleared the cache), so every node is re-filed
+        # under a fresh footprint.  Charged as the explicit sweep: the
+        # new change against every queued footprint (O(n)), every queued
+        # change against the new footprint (O(m)), and the queued-change
+        # pairs re-tested (O(m^2)).
+        self._charge_incremental(
+            1, len(self._order) - 1 + queued_changes * queued_changes
+        )
+        self._verdicts[absolute] = {}
+        self._refile()
 
     def _remove_span(self, index: int, count: int) -> None:
-        """Drop the ``count`` nodes at queue positions ``index``.. and
-        splice their chains; O(deg + chain length) per node."""
+        """Drop the ``count`` nodes at queue positions ``index``..;
+        O(m + classes + chain length) per node."""
         dropped = 0
-        removed = self._order[index : index + count]
-        for absolute in removed:
+        for absolute in self._order[index : index + count]:
+            # Concurrent degree of the departing node; an edge to a
+            # co-removed node is gone before its other end is counted.
+            footprint = self._filed.pop(absolute)
+            if absolute in self._verdicts:
+                dropped += self._dependents(absolute)
+                del self._verdicts[absolute]
+            dropped += sum(
+                self._conflicts(sc_abs, footprint)
+                for sc_abs in self._verdicts
+            )
+            members = self._classes[footprint]
+            members.discard(absolute)
+            if not members:
+                del self._classes[footprint]
             message = self._message_of.pop(absolute)
             for relation in message.touched_relations():
-                self._splice_chain((message.source, relation), absolute)
-            dropped += self._drop_node(absolute)
-            self._sc_by_abs.pop(absolute, None)
+                self._chains[message.source, relation].remove(absolute)
         del self._order[index : index + count]
-        self._pos = None
-        self.incremental_updates += 1
-        if self._metrics is not None:
-            self._metrics.incremental_graph_updates += 1
-        self._work_inc_nodes += count
-        self._work_inc_edges += dropped
+        self._pos = self._sd = None
+        self._charge_incremental(count, dropped)
+
+    def _departed(self, unit: MaintenanceUnit) -> bool:
+        """Forget a departing unit's cached footprints; did it carry a
+        lineage link (so the resolver changes for the survivors)?"""
+        for message in unit:
+            self.cache.discard(message)
+        return any(lineage_affecting(message) for message in unit)
 
     def umq_removed_head(self, unit: MaintenanceUnit) -> None:
+        lineage = self._departed(unit)
         if unit.has_schema_change:
             # The unit's maintenance may have rewritten the view
             # definition(s): every footprint may change.  The epoch
-            # check inside the cache spots the version bump; lineage
-            # departures additionally change the resolver.
-            for message in unit:
-                self.cache.discard(message)
-            self._rebuild(
-                clear_cache=any(
-                    lineage_affecting(message) for message in unit
-                )
-            )
-            return
-        for message in unit:
-            self.cache.discard(message)
-        self._remove_span(0, len(unit.messages))
+            # check spots the version bump; lineage departures
+            # additionally change the resolver.
+            self._rebuild(clear_cache=lineage)
+        else:
+            self._remove_span(0, len(unit.messages))
 
     def umq_removed_unit(
         self, unit: MaintenanceUnit, index: int
@@ -613,18 +616,14 @@ class IncrementalDependencyGraph:
         lineage link, however, changes the resolver for the survivors
         immediately, so that case falls back to a rebuild.
         """
-        if any(lineage_affecting(message) for message in unit):
-            for message in unit:
-                self.cache.discard(message)
+        if self._departed(unit):
             self._rebuild(clear_cache=True)
             return
-        for message in unit:
-            self.cache.discard(message)
+        # The unit already left the queue, but our mirror still holds
+        # it: its span starts where the survivors at ``index`` now sit.
         start = sum(
             len(earlier) for earlier in self._umq.units[:index]
         )
-        # The unit already left the queue, but our mirror still holds
-        # it: its span starts where the survivors at ``index`` now sit.
         self._remove_span(start, len(unit.messages))
 
     def umq_requeued_front(self, unit: MaintenanceUnit) -> None:
@@ -641,47 +640,14 @@ class IncrementalDependencyGraph:
             # reorder can change every normalized footprint.
             self._rebuild(clear_cache=True)
             return
-        new_messages = [
-            message for unit in units for message in unit
+        # Classes and verdicts are order-free: only the order itself
+        # and the semantic chains change (O(n)).
+        absolute_of = {
+            id(message): absolute
+            for absolute, message in self._message_of.items()
+        }
+        self._order = [
+            absolute_of[id(message)] for unit in units for message in unit
         ]
-        new_abs = {
-            id(message): index
-            for index, message in enumerate(new_messages)
-        }
-        old_to_new = {
-            absolute: new_abs[id(self._message_of[absolute])]
-            for absolute in self._order
-        }
-        remapped_cd = {
-            (old_to_new[before], old_to_new[after])
-            for before, after in self._cd
-        }
-        self._order = list(range(len(new_messages)))
-        self._message_of = dict(enumerate(new_messages))
-        self._next_abs = len(new_messages)
-        self._pos = None
-        self._cd = remapped_cd
-        self._sd = set()
-        self._by_node = {}
-        self._chains = {}
-        self._sc_by_abs = {}
-        for before, after in remapped_cd:
-            record = (before, after, _CD)
-            self._by_node.setdefault(before, set()).add(record)
-            self._by_node.setdefault(after, set()).add(record)
-        # Semantic edges are order-dependent: recompute (O(n)).
-        for index, message in enumerate(new_messages):
-            for relation in message.touched_relations():
-                chain = self._chains.setdefault(
-                    (message.source, relation), []
-                )
-                if chain:
-                    self._add_edge(chain[-1], index, _SD)
-                chain.append(index)
-            if message.is_schema_change:
-                self._sc_by_abs[index] = message
-        self.incremental_updates += 1
-        if self._metrics is not None:
-            self._metrics.incremental_graph_updates += 1
-        self._work_inc_nodes += len(new_messages)
-        self._work_inc_edges += len(remapped_cd)
+        self._relink()
+        self._charge_incremental(len(self._order), self._concurrent_count())

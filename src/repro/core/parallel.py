@@ -225,8 +225,9 @@ class ParallelScheduler(DynoScheduler):
         if not self._quarantined:
             return False
         substrate = self.substrate
+        substrate.cache.validate()
         for message in unit:
-            footprint = substrate.cache.footprint(
+            footprint = substrate.cache.lookup(
                 message, substrate.resolver
             )
             if any(

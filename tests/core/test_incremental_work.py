@@ -1,0 +1,295 @@
+"""What the incremental substrate *charges* and what it *executes*.
+
+Two deterministic checks, both independent of the figures:
+
+* the modelled work — the ``(full_nodes, full_edges, inc_nodes,
+  inc_edges)`` that ``consume_work()`` drains — after every step of one
+  fixed, seeded interleaving equals the fixture recorded at 3ad7cc1
+  (``tests/experiments/golden/incremental_work.json``).  The scheduler
+  turns these tallies into virtual detection time, so a counting slip
+  shows up here as "step 37, inc_edges 212 != 209" rather than as a
+  moved FIG-10 point.  To re-record after a deliberate change of the
+  cost model: ``json.dump({name: run_tally(flag) for name, flag in
+  ARMS.items()}, ...)``.
+* the executed work — counted ``Footprint.conflicted_by`` and
+  ``footprint_of_update`` calls of one rename arrival into a deep queue
+  — is bounded by schema changes x footprint *classes*, not by schema
+  changes x queue length.
+"""
+
+from __future__ import annotations
+
+import json
+import random
+from pathlib import Path
+
+import pytest
+
+import repro.core.incremental as incremental_module
+from repro.core.dependencies import Footprint
+from repro.core.incremental import IncrementalDependencyGraph
+from repro.experiments.ablations import _synthetic_queue
+from repro.experiments.testbed import (
+    RELATION_COUNT,
+    SOURCE_NAMES,
+    full_join_query,
+    relation_name,
+    source_of_relation,
+)
+from repro.relational.query import RelationRef
+from repro.relational.schema import RelationSchema
+from repro.sources.messages import (
+    DataUpdate,
+    DropAttribute,
+    RenameAttribute,
+    RenameRelation,
+    RestructureRelations,
+    UpdateMessage,
+)
+from repro.views.umq import MaintenanceUnit, UpdateMessageQueue
+
+QUERY = full_join_query()
+FIXTURE = (
+    Path(__file__).parent.parent
+    / "experiments"
+    / "golden"
+    / "incremental_work.json"
+)
+SEED = 20040330
+STEPS = 240
+FIELDS = ("full_nodes", "full_edges", "inc_nodes", "inc_edges")
+#: fixture arm -> whether the graph is handed a ``rewritten_query``
+ARMS = {"plain": False, "rewritten": True}
+
+
+#: (source, root relation) -> alias in ``QUERY``
+ALIASES = {(ref.source, ref.relation): ref.alias for ref in QUERY.relations}
+
+
+def _speculative(message: UpdateMessage):
+    """A pure stand-in for view synchronization: what ``QUERY`` would
+    look like after ``message`` (only root names are recognised)."""
+    payload = message.payload
+    if isinstance(payload, RenameRelation):
+        return (
+            QUERY.with_relation_renamed(
+                message.source, payload.old, payload.new
+            ),
+        )
+    if isinstance(payload, RestructureRelations):
+        # The merged relation stands in for the first dropped one (a
+        # name no view query holds: only the rewrite's footprint can
+        # make a later change of it conflict); the second is pruned.
+        query = QUERY
+        for relation, merged in zip(
+            payload.dropped, (payload.new_schema.name, None)
+        ):
+            alias = ALIASES.get((message.source, relation))
+            if alias is None:
+                continue
+            query = (
+                query.with_relation_replaced(
+                    alias, RelationRef(message.source, merged, alias)
+                )
+                if merged
+                else query.without_relation(alias)
+            )
+        return (query,)
+    alias = ALIASES.get((message.source, payload.relation))
+    if alias is None:
+        return (QUERY,)
+    if isinstance(payload, RenameAttribute):
+        return (QUERY.with_attribute_renamed(alias, payload.old, payload.new),)
+    # A dropped attribute is repaired by swapping in the source's spare
+    # relation (an MKB replacement): a name only the rewrite reads.
+    return (
+        QUERY.with_relation_replaced(
+            alias, RelationRef(message.source, spare_of(message.source), alias)
+        ),
+    )
+
+
+def spare_of(source: str) -> str:
+    return f"Spare_{source}"
+
+
+#: the six view relations, then one spare relation per source
+OWNERS = [source_of_relation(i) for i in range(RELATION_COUNT)] + list(
+    SOURCE_NAMES
+)
+
+
+class _World:
+    """Message factory tracking the current name of every relation and
+    attribute, so rename chains and restructures stay plausible."""
+
+    def __init__(self) -> None:
+        self._seqno: dict[str, int] = {}
+        self._relation = [
+            relation_name(i) for i in range(RELATION_COUNT)
+        ] + [spare_of(source) for source in SOURCE_NAMES]
+        self._attribute = [f"A{i + 1}" for i in range(len(OWNERS))]
+        self._fresh = 0
+
+    def _message(self, index: int, payload) -> UpdateMessage:
+        source = OWNERS[index]
+        seqno = self._seqno[source] = self._seqno.get(source, 0) + 1
+        return UpdateMessage(source, seqno, float(seqno), payload)
+
+    def _next(self, stem: str) -> str:
+        self._fresh += 1
+        return f"{stem}__v{self._fresh}"
+
+    def du(self, index: int) -> UpdateMessage:
+        schema = RelationSchema.of(self._relation[index], ["K"])
+        return self._message(index, DataUpdate.insert(schema, []))
+
+    def drop_attribute(self, index: int) -> UpdateMessage:
+        return self._message(
+            index, DropAttribute(self._relation[index], f"C{index + 1}")
+        )
+
+    def rename_relation(self, index: int) -> UpdateMessage:
+        old = self._relation[index]
+        new = self._relation[index] = self._next(f"N{index + 1}")
+        return self._message(index, RenameRelation(old, new))
+
+    def rename_attribute(self, index: int) -> UpdateMessage:
+        old = self._attribute[index]
+        new = self._attribute[index] = self._next(f"A{index + 1}")
+        return self._message(
+            index, RenameAttribute(self._relation[index], old, new)
+        )
+
+    def restructure(self, index: int) -> UpdateMessage:
+        index %= RELATION_COUNT
+        first = index - index % 2  # both view relations of one source
+        dropped = (self._relation[first], self._relation[first + 1])
+        merged = self._next("M")
+        self._relation[first] = self._relation[first + 1] = merged
+        return self._message(
+            first,
+            RestructureRelations(dropped, RelationSchema.of(merged, ["K"])),
+        )
+
+
+#: (op, weight) — arrivals dominate so several schema changes share
+#: the queue with several data updates of one relation
+OPS = (
+    ("du", 40),
+    ("drop_attribute", 7),
+    ("rename_relation", 7),
+    ("rename_attribute", 5),
+    ("restructure", 4),
+    ("remove_head", 12),
+    ("remove_sc_unit", 5),
+    ("remove_du_unit", 6),
+    ("requeue_front", 5),
+    ("reorder_merged", 9),
+)
+
+
+#: the ops that are ``_World`` message factories
+ARRIVALS = tuple(name for name, _weight in OPS[:5])
+
+
+def run_tally(rewritten: bool) -> list[list]:
+    """``[op, full_nodes, full_edges, inc_nodes, inc_edges]`` per step
+    of the fixed interleaving."""
+    rng = random.Random(SEED)
+    umq = UpdateMessageQueue()
+    graph = IncrementalDependencyGraph(
+        umq, lambda: (QUERY,), _speculative if rewritten else None
+    )
+    world = _World()
+    removed: list[MaintenanceUnit] = []
+    rows = [["construct", *graph.consume_work()]]
+    names, weights = zip(*OPS)
+    for _step in range(STEPS):
+        op = rng.choices(names, weights)[0]
+        index = rng.randrange(len(OWNERS))
+        # mid-queue units that do / do not carry a schema change
+        pool = [
+            unit
+            for unit in list(umq.units)[1:]
+            if unit.has_schema_change == (op == "remove_sc_unit")
+        ]
+        if op in ARRIVALS:
+            umq.receive(getattr(world, op)(index))
+        elif op == "remove_head" and not umq.is_empty():
+            removed.append(umq.remove_head())
+        elif op in ("remove_sc_unit", "remove_du_unit") and pool:
+            removed.append(umq.remove_unit(rng.choice(pool)))
+        elif op == "requeue_front" and removed:
+            umq.requeue_front(removed.pop())
+        elif op == "reorder_merged" and len(umq) >= 2:
+            units = list(umq.units)
+            rng.shuffle(units)
+            umq.replace_order(
+                [MaintenanceUnit.merged(units[:2]), *units[2:]]
+            )
+        else:
+            op = "skipped"
+        rows.append([op, *graph.consume_work()])
+    return rows
+
+
+@pytest.mark.parametrize("arm", ARMS)
+def test_modelled_work_matches_fixture(arm):
+    expected = json.loads(FIXTURE.read_text())[arm]
+    got = run_tally(ARMS[arm])
+    assert len(got) == len(expected) == STEPS + 1 >= 150
+    for step, (want, have) in enumerate(zip(expected, got)):
+        assert have[0] == want[0], f"step {step}: op {have[0]} != {want[0]}"
+        for name, wanted, had in zip(FIELDS, want[1:], have[1:]):
+            assert had == wanted, (
+                f"{arm} step {step} ({have[0]}), {name} {had} != {wanted}"
+            )
+
+
+def test_fixture_interleaving_covers_every_path():
+    rows = json.loads(FIXTURE.read_text())["plain"]
+    assert {op for op, *_ in rows} >= {"construct", *dict(OPS)}
+    # Both the rebuild fallback and the incremental path are charged.
+    assert sum(row[1] for row in rows) and sum(row[3] for row in rows)
+
+
+def test_rename_arrival_work_is_per_class_not_per_message(monkeypatch):
+    """200 DUs over the six view relations + 10 queued renames: one
+    more rename arrival (a rebuild) runs at most ``m * (classes + m)``
+    conflict tests and ``classes + m`` footprint computations — at
+    3ad7cc1 it ran ~``m * n`` and ``n + m``."""
+    umq = UpdateMessageQueue()
+    graph = IncrementalDependencyGraph(umq, lambda: (QUERY,))
+    queue = _synthetic_queue(210, 10)
+    for message in queue:
+        umq.receive(message)
+    classes = RELATION_COUNT
+    assert sum(m.is_schema_change for m in queue) == 10
+
+    counts = {"conflicted_by": 0, "footprint_of_update": 0}
+    real_conflicted_by = Footprint.conflicted_by
+    real_footprint_of_update = incremental_module.footprint_of_update
+
+    def counting_conflicted_by(self, *args, **kwargs):
+        counts["conflicted_by"] += 1
+        return real_conflicted_by(self, *args, **kwargs)
+
+    def counting_footprint_of_update(*args, **kwargs):
+        counts["footprint_of_update"] += 1
+        return real_footprint_of_update(*args, **kwargs)
+
+    monkeypatch.setattr(Footprint, "conflicted_by", counting_conflicted_by)
+    monkeypatch.setattr(
+        incremental_module,
+        "footprint_of_update",
+        counting_footprint_of_update,
+    )
+    umq.receive(
+        UpdateMessage("src1", 1000, 1000.0, RenameRelation("R1", "R1__w"))
+    )
+    graph.dependencies()
+    m = 11
+    assert graph.node_count == 211
+    assert 0 < counts["conflicted_by"] <= m * (classes + m)
+    assert 0 < counts["footprint_of_update"] <= classes + m

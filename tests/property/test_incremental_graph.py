@@ -24,6 +24,7 @@ from repro.core.incremental import FootprintCache, IncrementalDependencyGraph
 from repro.sources.messages import (
     DataUpdate,
     DropAttribute,
+    RenameAttribute,
     RenameRelation,
     UpdateMessage,
 )
@@ -57,6 +58,10 @@ class _Stream:
             (source, schema.name): schema.name
             for source, schema, _attr in RELATIONS
         }
+        self._attributes = {
+            (source, schema.name): attribute
+            for source, schema, attribute in RELATIONS
+        }
         self._rename_count = 0
 
     def _message(self, source: str, payload) -> UpdateMessage:
@@ -82,6 +87,18 @@ class _Stream:
         self._names[key] = new
         return self._message(source, RenameRelation(old, new))
 
+    def rename_attribute(self, relation_index: int) -> UpdateMessage:
+        """Rename the droppable attribute, addressed through the
+        relation's *current* name (both lineages chain)."""
+        source, schema, attribute = RELATIONS[relation_index]
+        key = (source, schema.name)
+        self._rename_count += 1
+        old = self._attributes[key]
+        new = self._attributes[key] = f"{attribute}__v{self._rename_count}"
+        return self._message(
+            source, RenameAttribute(self._names[key], old, new)
+        )
+
 
 @st.composite
 def op_sequences(draw):
@@ -102,6 +119,10 @@ def op_sequences(draw):
                 ),
                 st.tuples(
                     st.just("rename"), st.integers(min_value=0, max_value=2)
+                ),
+                st.tuples(
+                    st.just("rename_attribute"),
+                    st.integers(min_value=0, max_value=2),
                 ),
                 st.tuples(st.just("remove_head"), st.just(0)),
                 st.tuples(
@@ -140,11 +161,15 @@ def _check_equivalence(
         (dep.before_index, dep.after_index, dep.kind)
         for dep in find_dependencies(messages, QUERY)
     }
-    got = {
+    edges = [
         (dep.before_index, dep.after_index, dep.kind)
         for dep in incremental.dependencies()
-    }
+    ]
+    got = set(edges)
     assert got == expected
+    # Edges are expanded on demand and counted arithmetically: the two
+    # must agree, and the expansion must not repeat an edge.
+    assert len(edges) == len(got) == incremental.edge_count
     assert incremental.node_count == len(messages)
     # The corrected schedule must also match (legal_order is
     # deterministic given the same node/edge sets).
@@ -157,16 +182,15 @@ def _check_equivalence(
     )
 
 
-@given(op_sequences())
-@settings(max_examples=60, deadline=None)
-def test_incremental_graph_matches_from_scratch_oracle(ops):
-    """Every mutation path — including the parallel dispatcher's
-    mid-queue ``remove_unit`` and the abort path's ``requeue_front`` —
-    must leave the substrate bit-identical to a from-scratch rebuild."""
+def _drive(ops, prefill: int) -> None:
+    """Interpret ``ops`` against a fresh UMQ holding ``prefill`` DUs,
+    checking the oracle contract after every single mutation."""
     umq = UpdateMessageQueue()
     incremental = IncrementalDependencyGraph(umq, lambda: (QUERY,))
     stream = _Stream()
     removed: list[MaintenanceUnit] = []
+    for index in range(prefill):
+        umq.receive(stream.data_update(index % len(RELATIONS)))
     for kind, argument in ops:
         if kind == "du":
             umq.receive(stream.data_update(argument))
@@ -174,6 +198,8 @@ def test_incremental_graph_matches_from_scratch_oracle(ops):
             umq.receive(stream.drop_attribute(argument))
         elif kind == "rename":
             umq.receive(stream.rename_relation(argument))
+        elif kind == "rename_attribute":
+            umq.receive(stream.rename_attribute(argument))
         elif kind == "remove_head":
             if not umq.is_empty():
                 removed.append(umq.remove_head())
@@ -193,6 +219,24 @@ def test_incremental_graph_matches_from_scratch_oracle(ops):
 
 
 @given(op_sequences())
+@settings(max_examples=60, deadline=None)
+def test_incremental_graph_matches_from_scratch_oracle(ops):
+    """Every mutation path — including the parallel dispatcher's
+    mid-queue ``remove_unit`` and the abort path's ``requeue_front`` —
+    must leave the substrate bit-identical to a from-scratch rebuild."""
+    _drive(ops, prefill=0)
+
+
+@given(op_sequences())
+@settings(max_examples=40, deadline=None)
+def test_deep_classes_match_from_scratch_oracle(ops):
+    """The same contract with 30 DUs queued first, so every footprint
+    class holds several members while the random tail queues (and
+    removes, and reorders) schema changes."""
+    _drive(ops, prefill=30)
+
+
+@given(op_sequences())
 @settings(max_examples=40, deadline=None)
 def test_unit_removal_with_schema_changes_rebuilds_consistently(ops):
     """remove_head of multi-message (merged) units — the path where an
@@ -201,11 +245,12 @@ def test_unit_removal_with_schema_changes_rebuilds_consistently(ops):
     incremental = IncrementalDependencyGraph(umq, lambda: (QUERY,))
     stream = _Stream()
     for kind, argument in ops:
-        if kind in ("du", "drop", "rename"):
+        if kind in ("du", "drop", "rename", "rename_attribute"):
             maker = {
                 "du": stream.data_update,
                 "drop": stream.drop_attribute,
                 "rename": stream.rename_relation,
+                "rename_attribute": stream.rename_attribute,
             }[kind]
             umq.receive(maker(argument))
             continue
