@@ -2,14 +2,20 @@
 
 These are classic repeated-timing benchmarks (unlike the figure benches,
 which run a whole simulated experiment once): the hash-join executor,
-delta application, probe compensation, and one end-to-end DU
-maintenance.
+delta application, probe compensation, one end-to-end DU maintenance,
+and the detection substrate (graph build, legal order, one rename
+arrival).
 """
 
 import random
 
+from repro.core.dependencies import find_dependencies
+from repro.core.detection import detect
+from repro.core.incremental import IncrementalDependencyGraph
 from repro.core.scheduler import DynoScheduler
 from repro.core.strategies import PESSIMISTIC
+from repro.experiments.ablations import _synthetic_queue
+from repro.experiments.testbed import full_join_query
 from repro.maintenance.compensation import compensate_answer
 from repro.relational.delta import Delta
 from repro.relational.executor import execute
@@ -18,8 +24,9 @@ from repro.relational.query import JoinCondition, RelationRef, SPJQuery
 from repro.relational.schema import RelationSchema
 from repro.relational.table import Table
 from repro.relational.types import AttributeType
-from repro.sources.messages import DataUpdate, UpdateMessage
+from repro.sources.messages import DataUpdate, RenameRelation, UpdateMessage
 from repro.experiments.testbed import build_testbed
+from repro.views.umq import UpdateMessageQueue
 
 R = RelationSchema.of("R", [("k", AttributeType.INT), "a"])
 T = RelationSchema.of("T", [("k", AttributeType.INT), "x"])
@@ -94,3 +101,41 @@ def test_micro_single_du_maintenance(benchmark):
         DynoScheduler(testbed.manager, PESSIMISTIC).run()
 
     benchmark.pedantic(run_one, rounds=3, iterations=1)
+
+
+def test_micro_graph_build(benchmark):
+    """Steady-state timing of one pre-exec detection round."""
+    messages = _synthetic_queue(400, 20)
+    benchmark(find_dependencies, messages, full_join_query())
+
+
+def test_micro_legal_order(benchmark):
+    """Cycle merge + topological sort on a 400-update queue."""
+    messages = _synthetic_queue(400, 20)
+    graph = detect(messages, full_join_query()).graph
+    benchmark(graph.legal_order)
+
+
+def test_micro_rename_arrival(benchmark):
+    """One ``RenameRelation`` arrival into a 400-message queue holding
+    20 renames: the live graph's rebuild fallback, which is what an
+    arrival costs on rename-heavy traffic (the spine's ``sc_mixed``)."""
+    view_query = full_join_query()
+    prefill = _synthetic_queue(400, 20)
+    arrival = UpdateMessage(
+        "src1", 401, 401.0, RenameRelation("R1", "R1__arrival")
+    )
+
+    def queue_of_400():
+        umq = UpdateMessageQueue()
+        graph = IncrementalDependencyGraph(umq, lambda: (view_query,))
+        for message in prefill:
+            umq.receive(message)
+        return (umq, graph), {}
+
+    def arrive(umq, graph):
+        umq.receive(arrival)
+        return graph.edge_count
+
+    edges = benchmark.pedantic(arrive, setup=queue_of_400, rounds=25)
+    assert edges == len(find_dependencies([*prefill, arrival], view_query))

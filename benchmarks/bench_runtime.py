@@ -56,19 +56,21 @@ def _cores() -> int:
         return os.cpu_count() or 1
 
 
-def _run(full_scale: bool, process_counts=None):
-    from repro.experiments import run_runtime_ablation, sharded_config
+def _row():
+    """ABL-13's row of the experiment table: its sweep shape at either
+    scale and the identity half of its bar."""
+    from repro.experiments.table import BY_ID
 
-    du_count, tuples, repeats = (160, 240, 3) if full_scale else (48, 120, 2)
-    kwargs = {
-        "config": sharded_config(tuples_per_relation=tuples, shards=4),
-        "du_count": du_count,
-        "sc_count": 2,
-        "repeats": repeats,
-    }
-    if process_counts is not None:
-        kwargs["process_counts"] = tuple(process_counts)
-    return run_runtime_ablation(**kwargs)
+    return BY_ID["abl-runtime"]
+
+
+def _run(full_scale: bool, process_counts=None):
+    overrides = (
+        {}
+        if process_counts is None
+        else {"process_counts": tuple(process_counts)}
+    )
+    return _row()(full_scale, **overrides)
 
 
 def _speedup_at(result, processes: int) -> float | None:
@@ -82,7 +84,7 @@ def _assert_acceptance(result, full_scale: bool) -> None:
     # Identity between every process arm and the inline oracle
     # (including the hardened arms) is folded into the bit —
     # asserted unconditionally: determinism needs no hardware.
-    assert result.consistent, "\n".join(result.notes)
+    _row().check(result)
     cores = _cores()
     if not full_scale:
         result.notes.append(

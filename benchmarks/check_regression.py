@@ -5,19 +5,19 @@ against the checked-in ``benchmarks/baselines/*.json`` and fails when a
 speedup series regressed beyond tolerance or a run lost its
 consistency bit.  Run by CI after the benchmark smoke steps::
 
-    python benchmarks/check_regression.py [--tolerance 0.5]
+    python benchmarks/check_regression.py [--wall-tolerance 0.75]
 
 Rules, per figure present in *both* directories:
 
 * every series whose name ends in ``speedup`` must stay within
   tolerance of the baseline at every shared x (new >= old * (1 -
-  tolerance)).  The tolerance is **timebase-aware**, read from the
-  baseline figure's ``timebase`` key: ``"wall"`` figures
-  (``perf_counter`` measurements, e.g. abl-12-wallclock) get the
-  generous ``--wall-tolerance`` band because CI-runner load makes them
-  jitter; ``"virtual"`` figures are cost-model deterministic and are
-  held to (near-)exact reproduction; figures that declare no timebase
-  keep the legacy ``--tolerance``;
+  tolerance)).  The tolerance follows the baseline figure's
+  ``timebase`` key (every row of the experiment table declares one):
+  ``"wall"`` figures (``perf_counter`` measurements — abl-2, abl-5,
+  abl-12-wallclock, abl-13-runtime) get the generous
+  ``--wall-tolerance`` band because CI-runner load makes them jitter;
+  ``"virtual"`` figures are cost-model deterministic and are held to
+  (near-)exact reproduction.  A baseline declaring neither is an error;
 * ``consistent`` must not flip from true to false.
 
 Figures without a baseline are reported but never fail the check (new
@@ -31,8 +31,9 @@ summary lists exactly which ablations were compared.
 As a side effect the checker consolidates every ``abl-*.json`` result
 into ``BENCH_ablations.json`` at the repository root — one record per
 ablation run (name, key metric and its value at the heaviest x,
-consistency bit, commit) — which CI uploads as the perf-trajectory
-artifact.
+consistency bit, and the commit that value was *measured* at: a record
+whose value did not move keeps its commit) — which CI uploads as the
+perf-trajectory artifact.
 """
 
 from __future__ import annotations
@@ -100,7 +101,7 @@ VIRTUAL_EPSILON = 1e-9
 
 
 def figure_tolerance(
-    baseline: dict, tolerance: float, wall_tolerance: float
+    name: str, baseline: dict, wall_tolerance: float
 ) -> float:
     """Pick the band for one figure from its declared timebase."""
     timebase = baseline.get("timebase")
@@ -108,19 +109,16 @@ def figure_tolerance(
         return wall_tolerance
     if timebase == "virtual":
         return VIRTUAL_EPSILON
-    return tolerance
+    raise BaselineError(
+        f"{name}: baseline declares timebase {timebase!r}, expected "
+        "'virtual' or 'wall'"
+    )
 
 
 def check_figure(
-    name: str,
-    baseline: dict,
-    current: dict,
-    tolerance: float,
-    wall_tolerance: float | None = None,
+    name: str, baseline: dict, current: dict, wall_tolerance: float
 ) -> list[str]:
-    if wall_tolerance is None:
-        wall_tolerance = tolerance
-    tolerance = figure_tolerance(baseline, tolerance, wall_tolerance)
+    tolerance = figure_tolerance(name, baseline, wall_tolerance)
     failures: list[str] = []
     if baseline.get("consistent", True) and not current.get(
         "consistent", True
@@ -167,11 +165,17 @@ def write_trajectory(results_dir: Path, output_path: Path) -> int:
 
     Each record carries the figure's *key metric*: the first speedup
     series (evaluated at the heaviest x), or — for figures with no
-    speedup series — the last series at the heaviest x.  Returns the
-    number of records written.
+    speedup series — the last series at the heaviest x.  A record
+    equal to the one ``output_path`` already holds keeps that record's
+    ``commit``, so the stamp says where the number was measured, not
+    where the guard last ran.  Returns the number of records written.
     """
     commit = _current_commit()
     records = []
+    measured = {}
+    if output_path.exists():
+        for entry in _load(output_path).get("ablations", []):
+            measured[entry["name"]] = entry
 
     def record_of(name: str, figure: dict) -> dict | None:
         points = figure.get("points", [])
@@ -194,6 +198,11 @@ def write_trajectory(results_dir: Path, output_path: Path) -> int:
         }
         if figure.get("timebase") is not None:
             entry["timebase"] = figure["timebase"]
+        before = measured.get(name)
+        if before and all(
+            before.get(key) == entry[key] for key in ("value", "x")
+        ):
+            entry["commit"] = before.get("commit", commit)
         return entry
 
     for result_path in sorted(results_dir.glob("abl-*.json")):
@@ -227,15 +236,6 @@ def write_trajectory(results_dir: Path, output_path: Path) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--tolerance",
-        type=float,
-        default=0.5,
-        help="allowed fractional speedup drop (default 0.5: abl-2/abl-5 "
-        "speedups are wall-clock and jitter with machine load; abl-6 is "
-        "virtual-time deterministic and would catch any real break even "
-        "at this tolerance)",
-    )
     parser.add_argument(
         "--wall-tolerance",
         type=float,
@@ -301,18 +301,15 @@ def main(argv: list[str] | None = None) -> int:
             )
             continue
         try:
-            baseline = _load(baseline_path)
-            current = _load(result_path)
+            figure_failures = check_figure(
+                baseline_path.stem,
+                _load(baseline_path),
+                _load(result_path),
+                arguments.wall_tolerance,
+            )
         except BaselineError as error:
             failures.append(str(error))
             continue
-        figure_failures = check_figure(
-            baseline_path.stem,
-            baseline,
-            current,
-            arguments.tolerance,
-            arguments.wall_tolerance,
-        )
         failures.extend(figure_failures)
         compared.append(baseline_path.stem)
         status = "FAIL" if figure_failures else "ok"

@@ -1,16 +1,9 @@
-"""Experiment harnesses reproducing the paper's evaluation (Section 6)."""
+"""Experiment harnesses reproducing the paper's evaluation (Section 6).
 
-from .ablations import (
-    run_blind_merge_ablation,
-    run_graph_scaling_ablation,
-    run_group_maintenance_ablation,
-    run_incremental_detection_ablation,
-    run_parallel_ablation,
-    run_recovery_ablation,
-    run_self_maintenance_ablation,
-    run_sharding_ablation,
-    run_snapshot_cache_ablation,
-)
+:data:`EXPERIMENTS` (:mod:`.table`) lists every figure and ablation
+with its runner, sweep shapes and acceptance bar; the ablation runners
+themselves live in :mod:`.ablations` and :mod:`.runtime_abl`."""
+
 from .config import WarehouseConfig
 from .fig08 import run_figure as run_fig08
 from .fig09 import run_figure as run_fig09
@@ -18,7 +11,7 @@ from .fig10 import run_figure as run_fig10
 from .fig11 import run_figure as run_fig11
 from .fig12 import run_figure as run_fig12
 from .runner import ArmResult, FigureResult, SeriesPoint, run_arm
-from .starvation import run_starvation_study
+from .table import EXPERIMENTS, Experiment
 from .testbed import (
     ShardedTestbed,
     Testbed,
@@ -26,11 +19,12 @@ from .testbed import (
     build_testbed,
     sharded_config,
 )
-from .runtime_abl import run_runtime_ablation
 from .wallclock import run_wallclock_ablation
 
 __all__ = [
     "ArmResult",
+    "EXPERIMENTS",
+    "Experiment",
     "FigureResult",
     "SeriesPoint",
     "ShardedTestbed",
@@ -39,22 +33,11 @@ __all__ = [
     "build_sharded_testbed",
     "build_testbed",
     "run_arm",
-    "run_blind_merge_ablation",
     "run_fig08",
     "run_fig09",
     "run_fig10",
     "run_fig11",
     "run_fig12",
-    "run_graph_scaling_ablation",
-    "run_group_maintenance_ablation",
-    "run_incremental_detection_ablation",
-    "run_parallel_ablation",
-    "run_recovery_ablation",
-    "run_runtime_ablation",
-    "run_self_maintenance_ablation",
-    "run_sharding_ablation",
-    "run_snapshot_cache_ablation",
-    "run_starvation_study",
     "run_wallclock_ablation",
     "sharded_config",
 ]

@@ -16,38 +16,13 @@ import argparse
 import sys
 import time
 from dataclasses import dataclass, fields
+from functools import partial
 from typing import Callable
 
 from ..maintenance.grouping import BatchPolicy
 from ..recovery import CrashPlan
-from . import (
-    run_blind_merge_ablation,
-    run_fig08,
-    run_fig09,
-    run_fig10,
-    run_fig11,
-    run_fig12,
-    run_graph_scaling_ablation,
-    run_group_maintenance_ablation,
-    run_incremental_detection_ablation,
-    run_parallel_ablation,
-    run_recovery_ablation,
-    run_runtime_ablation,
-    run_self_maintenance_ablation,
-    run_sharding_ablation,
-    run_snapshot_cache_ablation,
-    run_starvation_study,
-)
-from .ablations import TWO_VIEW_SPANS
+from . import table
 from .config import WarehouseConfig
-from .fig08 import QUICK_DU_COUNTS as FIG8_QUICK
-from .fig10 import QUICK_INTERVALS as FIG10_QUICK
-from .fig11 import QUICK_SC_COUNTS as FIG11_QUICK
-from .fig12 import QUICK_DU_COUNTS as FIG12_QUICK
-from .testbed import sharded_config
-
-_QUICK_TUPLES = 500
-_FULL_TUPLES = 2000
 
 
 @dataclass(frozen=True)
@@ -191,95 +166,14 @@ def _runners(
     config: WarehouseConfig = WarehouseConfig(),
     workload_seed: int | None = None,
 ) -> dict:
-    """Figure id -> zero-argument runner.
-
-    ``config`` (the command line's knobs) reaches every fig08..fig12
-    testbed, so each chart can be produced under every mechanism — the
-    numbers are unchanged wherever the mechanism is value-transparent
-    (journal, shards), and the cost series additionally charge, e.g.,
-    the maintenance work redone after a crash.  The ablations build
-    their own arms (ABL-7 runs cache on *and* off) and take only their
-    scale from here.  ``shard_processes`` reaches only the two sharded
-    ablations: a figure testbed is one in-process world, so the figures
-    run inline whatever the flag says.  ``workload_seed`` overrides the
-    update-stream seed of every runner that draws a randomized stream
-    (fig09's is fixed)."""
-    figure = config.replace(
-        tuples_per_relation=_FULL_TUPLES if full else _QUICK_TUPLES,
-        shard_processes=0,
-    )
-    seeded = {} if workload_seed is None else {"workload_seed": workload_seed}
-    processes = config.shard_processes
-
-    def at(quick: dict, paper: dict) -> dict:
-        """This scale's sweep shape, plus the ``--seed`` override."""
-        return {**(paper if full else quick), **seeded}
-
-    def scale(tuples: int) -> WarehouseConfig:
-        return WarehouseConfig(tuples_per_relation=tuples)
-
-    hot_key_sweep = {"config": scale(400), "du_counts": (120, 240, 480)}
+    """Figure id -> zero-argument runner, one per row of the experiment
+    table at this scale.  Each row says which of ``config``'s fields
+    (the command line's knobs) reach it; ``workload_seed`` overrides
+    the update-stream seed of every runner that draws a randomized
+    stream (fig09's is fixed)."""
     return {
-        "fig08": lambda: run_fig08(
-            figure, **at({"du_counts": FIG8_QUICK}, {})
-        ),
-        "fig09": lambda: run_fig09(figure),
-        "fig10": lambda: run_fig10(
-            figure, **at({"intervals": FIG10_QUICK, "du_count": 60}, {})
-        ),
-        "fig11": lambda: run_fig11(
-            figure, **at({"sc_counts": FIG11_QUICK, "du_count": 60}, {})
-        ),
-        "fig12": lambda: run_fig12(
-            figure, **at({"du_counts": FIG12_QUICK}, {})
-        ),
-        "abl-blind-merge": lambda: run_blind_merge_ablation(
-            scale(figure.tuples_per_relation), **at({"du_count": 60}, {})
-        ),
-        "abl-graph-scaling": lambda: run_graph_scaling_ablation(),
-        "abl-incremental-detection": lambda: (
-            run_incremental_detection_ablation(
-                **at({"sizes": (50, 100, 200)}, {})
-            )
-        ),
-        "abl-starvation": lambda: run_starvation_study(
-            scale(min(figure.tuples_per_relation, 1000)), **seeded
-        ),
-        "abl-parallel": lambda: run_parallel_ablation(
-            **at({}, {"config": scale(400), "du_count": 80})
-        ),
-        "abl-snapshot-cache": lambda: run_snapshot_cache_ablation(
-            **at({}, hot_key_sweep)
-        ),
-        "abl-self-maintenance": lambda: run_self_maintenance_ablation(
-            **at({}, hot_key_sweep)
-        ),
-        "abl-recovery": lambda: run_recovery_ablation(
-            **at({}, {"config": scale(600), "du_count": 96})
-        ),
-        "abl-group-maintenance": lambda: run_group_maintenance_ablation(
-            **at(
-                {},
-                {
-                    **hot_key_sweep,
-                    "config": scale(400).replace(spans=TWO_VIEW_SPANS),
-                },
-            )
-        ),
-        "abl-sharding": lambda: run_sharding_ablation(
-            sharded_config(
-                tuples_per_relation=160 if full else 120,
-                shard_processes=processes,
-            ),
-            **at({"du_count": 96, "reads": 200_000}, {}),
-        ),
-        "abl-runtime": lambda: run_runtime_ablation(
-            sharded_config(
-                tuples_per_relation=240 if full else 120, shards=4
-            ),
-            **at({}, {"du_count": 160, "repeats": 3}),
-            **({"process_counts": (0, processes)} if processes else {}),
-        ),
+        row.id: partial(row, full, config, workload_seed)
+        for row in table.EXPERIMENTS
     }
 
 

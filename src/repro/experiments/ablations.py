@@ -1,19 +1,14 @@
-"""Ablation studies for Dyno's design choices.
-
-* **Blind merge vs cycle-only merge** (Section 4.2's argument): the
-  simplistic alternative merges the *whole* UMQ whenever a query breaks.
-  The paper argues this loses intermediate view states and enlarges the
-  abortable window.  We measure total cost, abort cost, and the number
-  of view refreshes (a proxy for intermediate states preserved).
-* **Dependency-graph construction scaling** (Section 4.1.1's O(mn)
-  claim): wall-clock time of ``find_dependencies`` as the number of
-  updates and schema changes grows.
+"""The ablation runners (ABL-1..3, 5..11) and, beside each, its
+acceptance bar: ``run_*`` measures, ``check_*(result)`` asserts the
+claimed shape.  :mod:`.table` states which sweep each runs at which
+scale; the runners' own defaults are what no scale varies.
 """
 
 from __future__ import annotations
 
 import random
 import time
+from types import SimpleNamespace
 
 from ..core.dependencies import find_dependencies
 from ..core.graph import DependencyGraph
@@ -36,7 +31,14 @@ from ..sources.messages import (
 )
 from ..views.umq import UpdateMessageQueue
 from .config import WarehouseConfig
-from .runner import FigureResult, ratio, run_arm
+from .runner import (
+    FigureResult,
+    arm_sweep,
+    ratio,
+    read_columns,
+    require_identical,
+    run_arm,
+)
 from .testbed import (
     SOURCE_NAMES,
     ShardedTestbed,
@@ -44,17 +46,15 @@ from .testbed import (
     full_join_query,
     relation_schema,
     sc_stream,
-    sharded_config,
 )
 
-#: the small-scale world most ablations sweep over
-SMALL = WarehouseConfig(tuples_per_relation=200)
 STRATEGY_ARMS = {"pess": PESSIMISTIC, "opt": OPTIMISTIC}
+PARALLEL_FAULT_SEED = 23
 
 
 def run_blind_merge_ablation(
-    config: WarehouseConfig = WarehouseConfig(),
-    du_count: int = 200,
+    config: WarehouseConfig,
+    du_count: int,
     sc_count: int = 10,
     sc_interval: float = 17.0,
     workload_seed: int = 7,
@@ -63,7 +63,6 @@ def run_blind_merge_ablation(
         figure_id="ABL-1",
         title="Cycle-only merge (Dyno) vs blind whole-queue merge",
         x_label="strategy",
-        series_names=["total_cost", "abort_cost", "view_refreshes"],
     )
     stream = [
         du_stream(config, du_count, 0.0, 0.5, seed=workload_seed),
@@ -81,52 +80,99 @@ def run_blind_merge_ablation(
             abort_cost=arm.metrics.abort_cost,
             view_refreshes=float(arm.metrics.view_refreshes),
         )
-    dyno_refreshes = result.points[0].values["view_refreshes"]
-    blind_refreshes = result.points[1].values["view_refreshes"]
+    dyno, blind = result.series("view_refreshes")
     result.notes.append(
         "intermediate view states preserved: "
-        f"Dyno {dyno_refreshes:.0f} vs blind merge {blind_refreshes:.0f}"
+        f"Dyno {dyno:.0f} vs blind merge {blind:.0f}"
     )
     return result
 
 
-def _synthetic_queue(
-    n_updates: int, n_schema_changes: int, workload_seed: int = 5
-) -> list[UpdateMessage]:
-    """A UMQ snapshot with the requested DU/SC mixture."""
-    rng = random.Random(workload_seed)
-    messages: list[UpdateMessage] = []
-    sc_positions = set(
-        rng.sample(range(n_updates), min(n_schema_changes, n_updates))
+def check_blind_merge(result: FigureResult) -> None:
+    """Section 4.2: Dyno preserves strictly more intermediate view
+    states (more, smaller refreshes) than merging the whole queue."""
+    dyno, blind = result.series("view_refreshes")
+    assert dyno > blind
+
+
+def run_starvation_study(
+    config: WarehouseConfig,
+    intervals: tuple[float, ...] = (1.0, 5.0, 15.0, 23.0, 40.0),
+    stream_length: int = 12,
+    du_count: int = 60,
+    workload_seed: int = 13,
+) -> FigureResult:
+    """ABL-3: termination under an adversarial stream (Section 4.4).
+
+    Dyno could in principle loop forever if a continuous stream of
+    schema changes kept breaking the ongoing maintenance; the paper
+    argues aborts only pile up when they arrive at intervals close to
+    one maintenance time.  Fires view-conflicting renames at a fixed
+    interval and measures whether the view still converges once the
+    stream stops and how many updates were maintained meanwhile."""
+    result = arm_sweep(
+        "ABL-3",
+        "Progress under an adversarial schema-change stream",
+        "sc_interval_s",
+        intervals,
+        lambda interval: [
+            du_stream(config, du_count, 0.0, 0.5, seed=workload_seed),
+            sc_stream(
+                stream_length,
+                0.0,
+                interval,
+                seed=workload_seed + 1,
+                drop_first=False,
+            ),
+        ],
+        {"dyno": (config, {})},
+        (
+            ("total_cost", "dyno", "off.metrics.maintenance_cost"),
+            ("aborts", "dyno", "off.metrics.aborts"),
+            (
+                "forced_merges",
+                "dyno",
+                "off.testbed.scheduler.stats.forced_merges",
+            ),
+            ("maintained", "dyno", "off.metrics.maintained_updates"),
+        ),
     )
-    for position in range(n_updates):
-        relation_index = rng.randrange(6)
-        schema = relation_schema(relation_index)
-        source = f"src{relation_index // 2 + 1}"
-        if position in sc_positions:
-            payload = RenameRelation(
-                schema.name, f"{schema.name}__v{position}"
-            )
-        else:
-            delta = Delta.insertion(
-                schema, [(position, "x", 1.0, position)]
-            )
-            payload = DataUpdate(schema.name, delta)
-        messages.append(
-            UpdateMessage(source, position + 1, float(position), payload)
-        )
-    return messages
+    result.notes.append(
+        "every run quiesced and converged: the infinite-wait scenario of "
+        "Section 4.4 did not materialize at any interval"
+    )
+    return result
 
 
-def _du_heavy_queue(
+def check_starvation(result: FigureResult) -> None:
+    """Progress at every interval: no stream starves maintenance."""
+    for point in result.points:
+        assert point.values["maintained"] > 0
+
+
+def _renamed(schema, relation_index: int, position: int):
+    """A lineage-building schema change: rename chains force resolver
+    rebuilds (the O(mn) worst case ABL-2 measures)."""
+    return RenameRelation(schema.name, f"{schema.name}__v{position}")
+
+
+def _dropped(schema, relation_index: int, position: int):
+    """A *non-lineage* schema change (the workload where incremental
+    detection shines: no rename chains, so arrivals never force a
+    resolver rebuild)."""
+    return DropAttribute(schema.name, f"C{relation_index + 1}")
+
+
+def _synthetic_queue(
     count: int,
     n_schema_changes: int,
-    workload_seed: int = 9,
+    workload_seed: int = 5,
+    schema_change=_renamed,
     first_seqno: int = 1,
 ) -> list[UpdateMessage]:
-    """A DU-heavy stream whose schema changes are *non-lineage* drops
-    (the workload where incremental detection shines: no rename chains,
-    so arrivals never force a resolver rebuild)."""
+    """A UMQ snapshot of ``count`` messages: single-row inserts, with
+    ``n_schema_changes`` of them replaced by
+    ``schema_change(schema, relation_index, position)``."""
     rng = random.Random(workload_seed)
     messages: list[UpdateMessage] = []
     sc_positions = set(
@@ -137,7 +183,7 @@ def _du_heavy_queue(
         schema = relation_schema(relation_index)
         source = f"src{relation_index // 2 + 1}"
         if position in sc_positions:
-            payload = DropAttribute(schema.name, f"C{relation_index + 1}")
+            payload = schema_change(schema, relation_index, position)
         else:
             delta = Delta.insertion(
                 schema, [(position, "x", 1.0, position)]
@@ -158,40 +204,32 @@ def _edge_set(dependencies):
 
 
 def run_incremental_detection_ablation(
-    sizes: tuple[int, ...] = (50, 100, 200, 400),
+    sizes: tuple[int, ...],
     rounds: int = 40,
     sc_fraction: float = 0.05,
     workload_seed: int = 9,
 ) -> FigureResult:
-    """Per-round detection time: from-scratch rebuild vs the
-    incremental substrate, on a DU-heavy stream.
-
-    A *round* models one scheduler step at steady queue length ``n``:
-    one arrival, a detection pass, one head removal, another detection
-    pass.  The from-scratch arm runs :func:`find_dependencies` over the
-    whole queue each pass (what every detection round cost before the
-    substrate existed); the incremental arm reads the live
-    :class:`~repro.core.incremental.IncrementalDependencyGraph`.  Both
-    arms consume the identical stream, and the final edge sets and
-    corrected orders are verified bit-identical.
-    """
+    """ABL-5: per-round detection time, from-scratch rebuild vs the
+    incremental substrate.  A *round* is one scheduler step at steady
+    queue length ``n``: one arrival, a detection pass, one head
+    removal, another detection pass.  Both arms consume the identical
+    stream; final edge sets and corrected orders must be identical."""
     view_query = full_join_query()
-
     result = FigureResult(
         figure_id="ABL-5",
         title="Incremental vs from-scratch detection (per-round ms)",
         x_label="n_updates",
-        series_names=["full_ms", "incremental_ms", "speedup"],
     )
     for n_updates in sizes:
         n_schema_changes = max(1, int(n_updates * sc_fraction))
-        prefill = _du_heavy_queue(
-            n_updates, n_schema_changes, workload_seed
+        prefill = _synthetic_queue(
+            n_updates, n_schema_changes, workload_seed, _dropped
         )
-        arrivals = _du_heavy_queue(
+        arrivals = _synthetic_queue(
             rounds,
             max(1, int(rounds * sc_fraction)),
             workload_seed + 1,
+            _dropped,
             first_seqno=n_updates + 1,
         )
 
@@ -225,14 +263,12 @@ def run_incremental_detection_ablation(
         # Both arms saw the same stream: outputs must be bit-identical.
         oracle = find_dependencies(umq.messages(), view_query)
         live = incremental.dependencies()
-        if _edge_set(oracle) != _edge_set(live) or (
-            DependencyGraph(len(queue), oracle).legal_order()
-            != incremental.detection().graph.legal_order()
-        ):
-            result.consistent = False
-            result.notes.append(
-                f"n={n_updates}: incremental output diverged from oracle"
-            )
+        result.require(
+            _edge_set(oracle) == _edge_set(live)
+            and DependencyGraph(len(queue), oracle).legal_order()
+            == incremental.detection().graph.legal_order(),
+            f"n={n_updates}: incremental output diverged from oracle",
+        )
 
         result.add(
             n_updates,
@@ -246,23 +282,23 @@ def run_incremental_detection_ablation(
     return result
 
 
+def check_incremental_detection(result: FigureResult) -> None:
+    """The substrate's contract: from queue length 200 on, per-round
+    detection is at least 2x cheaper than a from-scratch build."""
+    for point in result.points:
+        if point.x >= 200:
+            assert point.values["speedup"] >= 2.0
+
+
 def run_graph_scaling_ablation(
-    sizes: tuple[tuple[int, int], ...] = (
-        (100, 5),
-        (200, 10),
-        (400, 20),
-        (800, 40),
-        (1600, 80),
-    ),
+    sizes: tuple[tuple[int, int], ...],
 ) -> FigureResult:
     """Wall-clock scaling of dependency-graph construction (O(mn))."""
     view_query = full_join_query()
-
     result = FigureResult(
         figure_id="ABL-2",
         title="Dependency graph construction scaling (wall-clock ms)",
         x_label="n_updates",
-        series_names=["m_schema_changes", "edges", "build_ms"],
     )
     for n_updates, n_schema_changes in sizes:
         messages = _synthetic_queue(n_updates, n_schema_changes)
@@ -278,276 +314,244 @@ def run_graph_scaling_ablation(
     return result
 
 
-def _stream_faults(fault_seed: int) -> FaultPlan:
-    """Transients, one short crash window and link faults inside the
-    first three virtual seconds — where the DU-heavy streams live."""
-    return FaultPlan.random(
-        fault_seed,
-        sources=SOURCE_NAMES,
-        horizon=3.0,
-        max_crashes=1,
-        crash_length=(0.2, 0.8),
-    )
+def check_graph_scaling(result: FigureResult) -> None:
+    """O(mn): 2x n and 2x m -> ~4x edges between consecutive points."""
+    edges = result.series("edges")
+    for previous, current in zip(edges, edges[1:]):
+        assert 2.0 < current / previous < 8.0
+
+
+def _du_heavy_stream(config: WarehouseConfig, workload_seed: int, **stream):
+    """``du_count -> workload``: the DU-only multi-source burst ABL-6,
+    7, 8 and 10 maintain (``stream``: ``key_domain`` for hot keys)."""
+    return lambda du_count: [
+        du_stream(config, du_count, 0.05, 0.01, seed=workload_seed, **stream)
+    ]
 
 
 def run_parallel_ablation(
-    config: WarehouseConfig = SMALL,
+    config: WarehouseConfig,
+    du_count: int,
     workers: tuple[int, ...] = (1, 2, 4, 8),
-    du_count: int = 40,
-    fault_seed: int | None = 23,
     workload_seed: int = 17,
 ) -> FigureResult:
-    """ABL-6: multi-worker makespan on a DU-heavy multi-source stream.
+    """ABL-6: multi-worker makespan on a DU-heavy multi-source stream
+    with a fault plan injected, under both conflict strategies.
 
-    Sweeps the parallel executor's worker count under both conflict
-    strategies, with a PR 1 fault plan injected (transients, one short
-    crash window, link faults).  ``workers=1`` is the honest serial
-    baseline: same dispatch overheads and event machinery, zero
-    concurrency.  Every arm must end with a view extent byte-identical
-    to its strategy's 1-worker arm *and* to the plain serial
-    :class:`~repro.core.scheduler.DynoScheduler`, and must have
-    committed exactly the same (source, seqno) set — Theorem 2's
-    legal-order guarantee, observed end to end.
-    """
+    ``workers`` must start at 1: the 1-worker arm is the serial
+    baseline of every speedup column (same dispatch overheads, zero
+    concurrency).  Every arm must be identical to the plain serial
+    scheduler: Theorem 2's legal-order guarantee, end to end."""
+    if not workers or workers[0] != 1:
+        raise ValueError(
+            "workers must start with the 1-worker arm the speedup "
+            f"columns are relative to, got {workers!r}"
+        )
     result = FigureResult(
         figure_id="ABL-6",
         title="Parallel executor makespan vs worker count",
         x_label="workers",
-        series_names=[
-            "pess_makespan",
-            "pess_speedup",
-            "opt_makespan",
-            "opt_speedup",
-            "batched_queries",
-            "peak_parallelism",
-        ],
     )
-    if fault_seed is not None:
-        config = config.replace(fault_plan=_stream_faults(fault_seed))
-    stream = [du_stream(config, du_count, 0.05, 0.01, seed=workload_seed)]
-    rows: dict[int, dict[str, float]] = {}
+    config = config.replace(
+        fault_plan=FaultPlan.random(
+            PARALLEL_FAULT_SEED,
+            sources=SOURCE_NAMES,
+            horizon=3.0,
+            max_crashes=1,
+            crash_length=(0.2, 0.8),
+        )
+    )
+    stream = _du_heavy_stream(config, workload_seed)(du_count)
+    arms = {}
     for label, strategy in STRATEGY_ARMS.items():
         base = config.replace(strategy=strategy)
         serial = run_arm(base, stream)
         result.require(
-            serial.consistent, f"{label}: serial arm failed convergence"
+            serial.consistent, f"{label} serial: failed convergence check"
         )
-        one_worker_makespan: float | None = None
         for count in workers:
             arm = run_arm(base.replace(parallel_workers=count), stream)
-            if one_worker_makespan is None:
-                one_worker_makespan = arm.cost
-            result.require(
-                arm.same_outcome(serial),
-                f"{label} workers={count}: diverged from serial oracle",
-            )
-            result.require(
-                arm.consistent,
-                f"{label} workers={count}: failed convergence check",
-            )
-            row = rows.setdefault(count, {})
-            row[f"{label}_makespan"] = arm.cost
-            row[f"{label}_speedup"] = ratio(one_worker_makespan, arm.cost)
-            if label == "pess":
-                row["batched_queries"] = float(arm.metrics.batched_queries)
-                row["peak_parallelism"] = float(arm.metrics.peak_parallelism)
+            require_identical(result, f"{label} workers={count}", arm, serial)
+            arms[label, count] = arm
     for count in workers:
-        result.add(count, **rows[count])
+        pess, opt = arms["pess", count], arms["opt", count]
+        result.add(
+            count,
+            pess_makespan=pess.cost,
+            pess_speedup=ratio(arms["pess", 1].cost, pess.cost),
+            opt_makespan=opt.cost,
+            opt_speedup=ratio(arms["opt", 1].cost, opt.cost),
+            batched_queries=float(pess.metrics.batched_queries),
+            peak_parallelism=float(pess.metrics.peak_parallelism),
+        )
     result.notes.append(
         "extents and committed (source, seqno) sets verified identical "
         "to the serial scheduler in every arm"
     )
-    if fault_seed is not None:
-        result.notes.append(f"fault plan seed={fault_seed}")
+    result.notes.append(f"fault plan seed={PARALLEL_FAULT_SEED}")
     return result
 
 
+def check_parallel(result: FigureResult) -> None:
+    """Four workers buy >= 2x over the 1-worker arm, eight never hurt,
+    and channel contention actually coalesced probes at four."""
+    by_workers = {point.x: point.values for point in result.points}
+    assert by_workers[1]["pess_speedup"] == 1.0
+    for label in STRATEGY_ARMS:
+        assert by_workers[4][f"{label}_speedup"] >= 2.0
+        assert (
+            by_workers[8][f"{label}_makespan"]
+            <= by_workers[4][f"{label}_makespan"] * 1.05
+        )
+    assert by_workers[4]["batched_queries"] > 0
+
+
+# ----------------------------------------------------------------------
+# ABL-7 / ABL-8 / ABL-10: one mechanism off vs on, as rows over
+# ``arm_sweep``
+# ----------------------------------------------------------------------
+
+
+def _mechanism_groups(
+    config: WarehouseConfig, variants: dict, parallel_variants: dict
+) -> dict:
+    """Both strategies serially, plus a 4-worker parallel group riding
+    along to show the mechanism composing with the executor."""
+    return {
+        "pess": (config.replace(strategy=PESSIMISTIC), variants),
+        "opt": (config.replace(strategy=OPTIMISTIC), variants),
+        "parallel": (config.replace(parallel_workers=4), parallel_variants),
+    }
+
+
+#: quotient readings: how much the ``on`` arm saved over ``off``
+TRIPS_SAVED = ("off.trips", "on.trips")
+COST_SAVED = ("off.cost", "on.cost")
+
+
+def _hot_key_note(config: WarehouseConfig, key_domain: int) -> str:
+    return (
+        f"hot-key stream: keys drawn from 1..{key_domain} over "
+        f"{config.tuples_per_relation}-tuple relations"
+    )
+
+
 def run_snapshot_cache_ablation(
-    config: WarehouseConfig = SMALL,
-    du_counts: tuple[int, ...] = (60, 120, 240),
+    config: WarehouseConfig,
+    du_counts: tuple[int, ...],
     key_domain: int = 40,
     workload_seed: int = 5,
 ) -> FigureResult:
-    """ABL-7: snapshot cache with local delta patching, on vs off.
-
-    A DU-heavy hot-key stream (keys drawn from a small domain, so
-    adjacent maintenance passes probe the same join keys) under both
-    conflict strategies.  The cache-on arm must produce a view extent
-    and a committed (source, seqno) set byte-identical to the cache-off
-    arm — the cache is a pure fast path — while cutting total source
-    round trips by >= 1.5x and lowering the virtual-clock total.  A
-    4-worker parallel arm rides along to show hits composing with the
-    executor (zero-channel-occupancy answers).
-    """
-    result = FigureResult(
-        figure_id="ABL-7",
-        title="Snapshot cache: source round trips and cost, on vs off",
-        x_label="data updates",
-        series_names=[
-            "pess_trips_off",
-            "pess_trips_on",
-            "pess_trip_speedup",
-            "pess_cost_speedup",
-            "opt_trip_speedup",
-            "opt_cost_speedup",
-            "parallel_trip_speedup",
-            "cache_hits",
-            "patched_answers",
-        ],
+    """ABL-7: snapshot cache with local delta patching, on vs off, on
+    a DU-heavy hot-key stream (keys from a small domain, so adjacent
+    maintenance passes probe the same join keys).  The cache is a pure
+    fast path: every cache-on arm must be identical to its cache-off
+    arm, the 4-worker pair included."""
+    cache_on = {"on": {"snapshot_cache": True}}
+    result = arm_sweep(
+        "ABL-7",
+        "Snapshot cache: source round trips and cost, on vs off",
+        "data updates",
+        du_counts,
+        _du_heavy_stream(config, workload_seed, key_domain=key_domain),
+        _mechanism_groups(config, cache_on, cache_on),
+        (
+            ("pess_trips_off", "pess", "off.trips"),
+            ("pess_trips_on", "pess", "on.trips"),
+            ("pess_trip_speedup", "pess", TRIPS_SAVED),
+            ("pess_cost_speedup", "pess", COST_SAVED),
+            ("opt_trip_speedup", "opt", TRIPS_SAVED),
+            ("opt_cost_speedup", "opt", COST_SAVED),
+            ("parallel_trip_speedup", "parallel", TRIPS_SAVED),
+            ("cache_hits", "pess", "on.metrics.cache_hits"),
+            ("patched_answers", "pess", "on.metrics.patched_answers"),
+        ),
     )
-    for du_count in du_counts:
-        stream = [
-            du_stream(
-                config, du_count, 0.05, 0.01,
-                seed=workload_seed, key_domain=key_domain,
-            )
-        ]
-        row: dict[str, float] = {}
-        for label, strategy in STRATEGY_ARMS.items():
-            base = config.replace(strategy=strategy)
-            off = run_arm(base, stream)
-            on = run_arm(base.replace(snapshot_cache=True), stream)
-            for name, arm in (("off", off), ("on", on)):
-                result.require(
-                    arm.consistent,
-                    f"{label} cache={name} du={du_count}: "
-                    "failed convergence check",
-                )
-            result.require(
-                on.same_outcome(off),
-                f"{label} du={du_count}: cache-on arm diverged from "
-                "cache-off arm",
-            )
-            row[f"{label}_trip_speedup"] = ratio(off.trips, on.trips)
-            row[f"{label}_cost_speedup"] = ratio(off.cost, on.cost)
-            if label == "pess":
-                row["pess_trips_off"] = float(off.trips)
-                row["pess_trips_on"] = float(on.trips)
-                row["cache_hits"] = float(on.metrics.cache_hits)
-                row["patched_answers"] = float(on.metrics.patched_answers)
-        parallel = config.replace(parallel_workers=4)
-        par_off = run_arm(parallel, stream)
-        par_on = run_arm(parallel.replace(snapshot_cache=True), stream)
-        result.require(
-            par_off.extents == par_on.extents,
-            f"parallel du={du_count}: cache-on arm diverged",
-        )
-        row["parallel_trip_speedup"] = ratio(par_off.trips, par_on.trips)
-        result.add(du_count, **row)
     result.notes.append(
         "extents and committed (source, seqno) sets verified identical "
         "between cache-on and cache-off arms in every row"
     )
-    result.notes.append(
-        f"hot-key stream: keys drawn from 1..{key_domain} over "
-        f"{config.tuples_per_relation}-tuple relations"
-    )
+    result.notes.append(_hot_key_note(config, key_domain))
     return result
 
 
-def _selfmaint_fraction(metrics) -> float:
-    return ratio(metrics.self_maintained_units, metrics.data_unit_rounds)
+def check_snapshot_cache(result: FigureResult) -> None:
+    """At the DU-heavy end the cache buys >= 1.5x fewer round trips in
+    every group and a lower virtual-clock total; the fast path fired
+    and stale entries were patched forward rather than re-fetched."""
+    heaviest = result.points[-1].values
+    for label in ("pess", "opt", "parallel"):
+        assert heaviest[f"{label}_trip_speedup"] >= 1.5
+    assert heaviest["pess_cost_speedup"] > 1.0
+    assert heaviest["opt_cost_speedup"] > 1.0
+    assert heaviest["cache_hits"] > 0
+    assert heaviest["patched_answers"] > 0
 
 
 def run_self_maintenance_ablation(
-    config: WarehouseConfig = SMALL,
-    du_counts: tuple[int, ...] = (60, 120, 240),
+    config: WarehouseConfig,
+    du_counts: tuple[int, ...],
     key_domain: int = 40,
     workload_seed: int = 5,
 ) -> FigureResult:
     """ABL-10: auxiliary self-maintenance store vs cache-only vs bare.
 
-    The same DU-heavy hot-key stream as ABL-7, three arms per strategy:
-
-    * **off** — no local answering at all (the oracle);
-    * **cache** — the PR 4 snapshot cache alone (the arm to beat);
-    * **aux** — the self-maintenance store alone: per-relation
-      projections of the view's needed columns, seeded free from the
-      initial load and synced from committed deltas, answer every
-      covered probe with **zero** source round trips.
-
-    The aux arm must produce a view extent and a committed
-    (source, seqno) set byte-identical to the off arm — replica-served
-    answers are exact because projection commutes with the probe's
-    select/project and is linear in deltas — while self-maintaining
-    >= 80% of data-update units (zero wire trips from dispatch to
-    install) and beating the cache-only arm on total virtual-clock
-    cost.  A 4-worker parallel aux arm rides along (aux hits occupy no
-    source channel, like cache hits).
-    """
-    result = FigureResult(
-        figure_id="ABL-10",
-        title="Self-maintenance: zero-trip fraction and cost vs cache",
-        x_label="data updates",
-        series_names=[
-            "pess_trips_off",
-            "pess_trips_aux",
-            "pess_selfmaint_fraction",
-            "pess_cost_speedup",
-            "pess_cost_speedup_vs_cache",
-            "opt_selfmaint_fraction",
-            "opt_cost_speedup",
-            "parallel_selfmaint_fraction",
-            "aux_hits",
-        ],
+    The ABL-7 stream, three arms per strategy: **off** (no local
+    answering, the oracle), **cache** (the snapshot cache alone, the
+    arm to beat) and **aux** (the store alone, answering every covered
+    probe with zero round trips).  Both must be identical to off."""
+    aux = {"aux": {"self_maintenance": True}}
+    aux_cost_saved = ("off.cost", "aux.cost")
+    selfmaint_fraction = (
+        "aux.metrics.self_maintained_units",
+        "aux.metrics.data_unit_rounds",
     )
-    for du_count in du_counts:
-        stream = [
-            du_stream(
-                config, du_count, 0.05, 0.01,
-                seed=workload_seed, key_domain=key_domain,
-            )
-        ]
-        row: dict[str, float] = {}
-        for label, strategy in STRATEGY_ARMS.items():
-            base = config.replace(strategy=strategy)
-            off = run_arm(base, stream)
-            cache = run_arm(base.replace(snapshot_cache=True), stream)
-            aux = run_arm(base.replace(self_maintenance=True), stream)
-            for name, arm in (("off", off), ("cache", cache), ("aux", aux)):
-                result.require(
-                    arm.consistent,
-                    f"{label} arm={name} du={du_count}: "
-                    "failed convergence check",
-                )
-            for name, arm in (("cache", cache), ("aux", aux)):
-                result.require(
-                    arm.same_outcome(off),
-                    f"{label} du={du_count}: {name} arm diverged "
-                    "from the off oracle",
-                )
-            row[f"{label}_selfmaint_fraction"] = _selfmaint_fraction(
-                aux.metrics
-            )
-            row[f"{label}_cost_speedup"] = ratio(off.cost, aux.cost)
-            if label == "pess":
-                row["pess_trips_off"] = float(off.trips)
-                row["pess_trips_aux"] = float(aux.trips)
-                row["pess_cost_speedup_vs_cache"] = ratio(
-                    cache.cost, aux.cost
-                )
-                row["aux_hits"] = float(aux.metrics.aux_hits)
-        parallel = config.replace(parallel_workers=4)
-        par_off = run_arm(parallel, stream)
-        par_aux = run_arm(parallel.replace(self_maintenance=True), stream)
-        result.require(
-            par_aux.same_outcome(par_off),
-            f"parallel du={du_count}: aux arm diverged from oracle",
-        )
-        row["parallel_selfmaint_fraction"] = _selfmaint_fraction(
-            par_aux.metrics
-        )
-        result.add(du_count, **row)
+    result = arm_sweep(
+        "ABL-10",
+        "Self-maintenance: zero-trip fraction and cost vs cache",
+        "data updates",
+        du_counts,
+        _du_heavy_stream(config, workload_seed, key_domain=key_domain),
+        _mechanism_groups(
+            config, {"cache": {"snapshot_cache": True}, **aux}, aux
+        ),
+        (
+            ("pess_trips_off", "pess", "off.trips"),
+            ("pess_trips_aux", "pess", "aux.trips"),
+            ("pess_selfmaint_fraction", "pess", selfmaint_fraction),
+            ("pess_cost_speedup", "pess", aux_cost_saved),
+            (
+                "pess_cost_speedup_vs_cache",
+                "pess",
+                ("cache.cost", "aux.cost"),
+            ),
+            ("opt_selfmaint_fraction", "opt", selfmaint_fraction),
+            ("opt_cost_speedup", "opt", aux_cost_saved),
+            ("parallel_selfmaint_fraction", "parallel", selfmaint_fraction),
+            ("aux_hits", "pess", "aux.metrics.aux_hits"),
+        ),
+    )
     result.notes.append(
         "extents and committed (source, seqno) sets verified identical "
         "between the aux, cache-only and off arms in every row "
         "(serial both strategies, plus a 4-worker aux arm)"
     )
-    result.notes.append(
-        f"hot-key stream: keys drawn from 1..{key_domain} over "
-        f"{config.tuples_per_relation}-tuple relations"
-    )
+    result.notes.append(_hot_key_note(config, key_domain))
     return result
+
+
+def check_self_maintenance(result: FigureResult) -> None:
+    """At the heaviest end >= 80% of DU units are maintained with zero
+    source round trips in every group, zero-trip answering beats both
+    the bare and the cache-only configuration on virtual-clock cost,
+    and the store actually answered."""
+    heaviest = result.points[-1].values
+    for label in ("pess", "opt", "parallel"):
+        assert heaviest[f"{label}_selfmaint_fraction"] >= 0.8
+    assert heaviest["pess_cost_speedup"] > 1.0
+    assert heaviest["opt_cost_speedup"] > 1.0
+    assert heaviest["pess_cost_speedup_vs_cache"] > 1.0
+    assert heaviest["aux_hits"] > 0
 
 
 #: the two-subview split (R3 shared) of the group-maintenance ablation
@@ -556,85 +560,44 @@ GROUP_POLICY = BatchPolicy(max_batch_size=24)
 
 
 def run_group_maintenance_ablation(
-    config: WarehouseConfig = SMALL.replace(spans=TWO_VIEW_SPANS),
-    du_counts: tuple[int, ...] = (60, 120, 240),
+    config: WarehouseConfig,
+    du_counts: tuple[int, ...],
     workload_seed: int = 5,
 ) -> FigureResult:
-    """ABL-8: adaptive group maintenance, batching on vs off.
-
-    A DU-heavy stream against the two-subview multi-view testbed (every
-    update fans out to the views that join its relation).  The
-    batching-on arm merges safe runs of the corrected UMQ into single
-    batched maintenance rounds — one coalesced delta per touched
-    relation, one probe set per source per batch — and must produce
-    per-view extents and a committed (source, seqno) set byte-identical
-    to the off arm, while cutting both maintenance rounds and source
-    round trips by >= 2x at the heaviest stream.  A 4-worker parallel
-    arm rides along to show DU-only batches staying leapfrog-eligible
-    (no barrier) under the parallel executor.
-    """
-    result = FigureResult(
-        figure_id="ABL-8",
-        title="Group maintenance: rounds and round trips, on vs off",
-        x_label="data updates",
-        series_names=[
-            "pess_rounds_off",
-            "pess_rounds_on",
-            "pess_round_speedup",
-            "pess_trips_off",
-            "pess_trips_on",
-            "pess_trip_speedup",
-            "pess_cost_speedup",
-            "opt_round_speedup",
-            "opt_trip_speedup",
-            "par_round_speedup",
-            "par_trip_speedup",
-            "batches_formed",
-            "grouped_messages",
-        ],
+    """ABL-8: adaptive group maintenance, batching on vs off, on a
+    DU-heavy stream against ``config``'s world split into the two
+    subviews of ``TWO_VIEW_SPANS``.  The batching-on arm merges safe
+    runs of the corrected UMQ into single batched rounds and must be
+    identical to the off arm, the 4-worker pair included."""
+    config = config.replace(spans=TWO_VIEW_SPANS)
+    batching = {"on": {"batch_policy": GROUP_POLICY}}
+    rounds_saved = (
+        "off.metrics.maintenance_rounds",
+        "on.metrics.maintenance_rounds",
     )
-
-    def rounds(arm) -> int:
-        return arm.metrics.maintenance_rounds
-
-    for du_count in du_counts:
-        stream = [du_stream(config, du_count, 0.05, 0.01, seed=workload_seed)]
-        row: dict[str, float] = {}
-        for label, strategy in STRATEGY_ARMS.items():
-            base = config.replace(strategy=strategy)
-            off = run_arm(base, stream)
-            on = run_arm(base.replace(batch_policy=GROUP_POLICY), stream)
-            for name, arm in (("off", off), ("on", on)):
-                result.require(
-                    arm.consistent,
-                    f"{label} batching={name} du={du_count}: "
-                    "failed convergence check",
-                )
-            result.require(
-                on.same_outcome(off),
-                f"{label} du={du_count}: batching-on arm diverged "
-                "from batching-off arm",
-            )
-            row[f"{label}_round_speedup"] = ratio(rounds(off), rounds(on))
-            row[f"{label}_trip_speedup"] = ratio(off.trips, on.trips)
-            if label == "pess":
-                row["pess_rounds_off"] = float(rounds(off))
-                row["pess_rounds_on"] = float(rounds(on))
-                row["pess_trips_off"] = float(off.trips)
-                row["pess_trips_on"] = float(on.trips)
-                row["pess_cost_speedup"] = ratio(off.cost, on.cost)
-                row["batches_formed"] = float(on.metrics.batches_formed)
-                row["grouped_messages"] = float(on.metrics.grouped_messages)
-        parallel = config.replace(parallel_workers=4)
-        par_off = run_arm(parallel, stream)
-        par_on = run_arm(parallel.replace(batch_policy=GROUP_POLICY), stream)
-        result.require(
-            par_on.same_outcome(par_off),
-            f"parallel du={du_count}: batching-on arm diverged",
-        )
-        row["par_round_speedup"] = ratio(rounds(par_off), rounds(par_on))
-        row["par_trip_speedup"] = ratio(par_off.trips, par_on.trips)
-        result.add(du_count, **row)
+    result = arm_sweep(
+        "ABL-8",
+        "Group maintenance: rounds and round trips, on vs off",
+        "data updates",
+        du_counts,
+        _du_heavy_stream(config, workload_seed),
+        _mechanism_groups(config, batching, batching),
+        (
+            ("pess_rounds_off", "pess", rounds_saved[0]),
+            ("pess_rounds_on", "pess", rounds_saved[1]),
+            ("pess_round_speedup", "pess", rounds_saved),
+            ("pess_trips_off", "pess", "off.trips"),
+            ("pess_trips_on", "pess", "on.trips"),
+            ("pess_trip_speedup", "pess", TRIPS_SAVED),
+            ("pess_cost_speedup", "pess", COST_SAVED),
+            ("opt_round_speedup", "opt", rounds_saved),
+            ("opt_trip_speedup", "opt", TRIPS_SAVED),
+            ("par_round_speedup", "parallel", rounds_saved),
+            ("par_trip_speedup", "parallel", TRIPS_SAVED),
+            ("batches_formed", "pess", "on.metrics.batches_formed"),
+            ("grouped_messages", "pess", "on.metrics.grouped_messages"),
+        ),
+    )
     result.notes.append(
         "per-view extents and committed (source, seqno) sets verified "
         "identical between batching-on and batching-off arms in every "
@@ -647,81 +610,58 @@ def run_group_maintenance_ablation(
     return result
 
 
+def check_group_maintenance(result: FigureResult) -> None:
+    """At the heaviest stream batching buys >= 2x fewer maintenance
+    rounds and source round trips in every group, the saved rounds show
+    up on the virtual clock, and grouping actually fired."""
+    heaviest = result.points[-1].values
+    for label in ("pess", "opt", "par"):
+        assert heaviest[f"{label}_round_speedup"] >= 2.0
+        assert heaviest[f"{label}_trip_speedup"] >= 2.0
+    assert heaviest["pess_cost_speedup"] > 1.0
+    assert heaviest["batches_formed"] > 0
+    assert heaviest["grouped_messages"] > 0
+
+
 def run_recovery_ablation(
-    config: WarehouseConfig = WarehouseConfig(tuples_per_relation=300),
+    config: WarehouseConfig,
+    du_count: int,
     checkpoint_intervals: tuple[int, ...] = (2, 8, 16),
-    du_count: int = 48,
     sc_count: int = 3,
     workload_seed: int = 5,
-    crash_hit: int | None = None,
 ) -> FigureResult:
-    """ABL-9: recovery overhead vs checkpoint interval.
-
-    A fig12-style mixed workload (DUs at 0.5 s plus a short
-    schema-change train) runs three ways per checkpoint interval:
-
-    * **oracle** — journal off: the no-overhead, no-crash reference;
-    * **journaled** — journal + checkpoints on, no crash: measures the
-      write amplification (journal bytes per data update), checkpoint
-      count, and the busy-time cost of both.  Durability charges busy
-      time only, never the virtual clock, so this arm must land on the
-      *same* virtual clock and extent as the oracle;
-    * **crashed** — same, plus a crash at a fixed mid-run point
-      (``serial.pre_maintain`` hit ``crash_hit``, default half the
-      stream): measures replayed entries and replay cost.  The
-      recovered extent and committed (source, seqno) set must equal
-      the oracle's.
-
-    Expected shape: checkpoints grow and replay shrinks as the interval
-    tightens — a checkpoint bounds the journal suffix a crash replays —
-    while journal traffic itself is interval-independent.
-    """
-    hit = crash_hit if crash_hit is not None else max(du_count // 2, 1)
+    """ABL-9: recovery overhead vs checkpoint interval, on a
+    fig12-style mixed workload.  Against one journal-off **oracle**,
+    per interval: **journaled** (journal + checkpoints: write
+    amplification; durability charges busy time only, so the virtual
+    clock must equal the oracle's) and **crashed** (the same plus a
+    crash at ``serial.pre_maintain`` half-way: replay cost)."""
+    hit = max(du_count // 2, 1)
     result = FigureResult(
         figure_id="ABL-9",
         title="Recovery overhead vs checkpoint interval",
         x_label="checkpoint_every",
-        series_names=[
-            "journal_entries",
-            "journal_kb",
-            "kb_per_du",
-            "journal_cost",
-            "checkpoints_taken",
-            "checkpoint_cost",
-            "recoveries",
-            "replayed_entries",
-            "replay_cost",
-        ],
     )
     stream = [
         du_stream(config, du_count, 0.0, 0.5, seed=workload_seed),
         sc_stream(sc_count, 0.0, 25.0, seed=workload_seed + 4),
     ]
-
-    def clock(arm) -> float:
-        return arm.testbed.engine.clock.now
-
     oracle = run_arm(config, stream)
-    result.require(oracle.consistent, "oracle arm failed convergence check")
+    result.require(oracle.consistent, "oracle: failed convergence check")
+    crash = CrashPlan("serial.pre_maintain", hit)
     for interval in checkpoint_intervals:
         durable = config.replace(journal=True, checkpoint_every=interval)
         journaled = run_arm(durable, stream)
+        crashed = run_arm(durable.replace(crash_plan=crash), stream)
+        for label, arm in (("journaled", journaled), ("crashed", crashed)):
+            require_identical(
+                result, f"{label} ckpt={interval}", arm, oracle
+            )
         result.require(
-            journaled.consistent and journaled.extents == oracle.extents,
-            f"ckpt={interval}: journaled arm diverged from oracle",
-        )
-        result.require(
-            clock(journaled) == clock(oracle),
+            journaled.testbed.engine.clock.now
+            == oracle.testbed.engine.clock.now,
             f"ckpt={interval}: durability advanced the virtual "
             "clock (must charge busy time only)",
-        )
-        crashed = run_arm(
-            durable.replace(crash_plan=CrashPlan("serial.pre_maintain", hit)),
-            stream,
-        )
-        result.require(
-            crashed.consistent and crashed.same_outcome(oracle),
-            f"ckpt={interval}: crashed arm diverged from oracle",
         )
         result.require(
             crashed.metrics.recoveries >= 1,
@@ -749,58 +689,67 @@ def run_recovery_ablation(
     return result
 
 
+def check_recovery(result: FigureResult) -> None:
+    """The overhead shape: journal traffic is interval-independent,
+    checkpoints (and their cost) grow as the interval tightens, a tight
+    interval bounds the journal suffix a crash replays — and the
+    planned crash fired and was recovered in every row."""
+    rows = {point.x: point.values for point in result.points}
+    tightest, loosest = rows[min(rows)], rows[max(rows)]
+    assert len({row["journal_entries"] for row in rows.values()}) == 1
+    assert tightest["checkpoints_taken"] > loosest["checkpoints_taken"]
+    assert tightest["checkpoint_cost"] > loosest["checkpoint_cost"]
+    assert tightest["replayed_entries"] <= loosest["replayed_entries"]
+    for row in rows.values():
+        assert row["recoveries"] >= 1.0
+        assert row["journal_kb"] > 0.0
+
+
+def hardened_arms(fault_seed: int, crash_seed: int) -> tuple:
+    """The ``(label, config delta, extra streams)`` identity matrix
+    ABL-11 and ABL-13 share: every knob that could break determinism,
+    each run against an oracle under the same delta."""
+    faults = FaultPlan.random(fault_seed, SOURCE_NAMES)
+    return (
+        ("fault-plan", {"fault_plan": faults}, ()),
+        ("crash-plan", {"crash_plan": CrashPlan.random(crash_seed)}, ()),
+        ("workers=2", {"parallel_workers": 2}, ()),
+    )
+
+
+#: point/scan reads replayed per shard count by ABL-11 (and its bar)
+READS = 1_000_000
+
+
 def run_sharding_ablation(
-    config: WarehouseConfig = sharded_config(tuples_per_relation=160),
+    config: WarehouseConfig,
+    du_count: int,
     shard_counts: tuple[int, ...] = (1, 2, 4),
-    du_count: int = 160,
     workload_seed: int = 5,
-    reads: int = 1_000_000,
-    crash_seed: int = 1,
-    fault_seed: int = 9,
 ) -> FigureResult:
     """ABL-11: sharded multi-scheduler warehouse + read front end.
 
-    The four-subview workload of ``SHARDED_SPANS`` (every relation in at
-    most two views) under a DU-heavy stream, swept over shard counts.
-    Each shard owns its own scheduler/UMQ/substrate world; the footprint
-    router delivers each update only to shards whose views reference the
-    touched relation; the aggregate makespan is the completion time of
-    the slowest shard.  Acceptance bar: >= 2x aggregate-makespan
-    improvement at 4 shards, with per-view extents and committed
-    (source, seqno) sets byte-identical to the 1-shard oracle — also
-    under the optimistic strategy, a seeded fault plan, a seeded crash
-    plan (per-shard journals + recovery), a 2-worker parallel executor,
-    and an SC-bearing stream exercising the cross-shard barrier.
-
-    On top, ``reads`` point/scan reads (split over the two consistency
-    levels) are replayed per shard count against the recorded install
-    timelines, reporting p50/p99 latency and staleness.
-
-    ``config.shard_processes=N`` executes the swept multi-shard arms
-    across N OS worker processes (:mod:`repro.core.runtime`); results
-    are bit-identical, so every oracle comparison still holds — ABL-13
-    owns the wall-clock speedup story.
-    """
+    ``config``'s subviews under a DU-heavy stream, swept over shard
+    counts.  Every arm must be identical to the 1-shard oracle — at the
+    widest count also under the :func:`hardened_arms` matrix and an SC
+    stream crossing the shard barrier.  ``READS`` point/scan reads are
+    replayed per shard count against the recorded install timelines.
+    ``config.shard_processes=N`` executes the swept arms in N OS worker
+    processes, bit-identically."""
     result = FigureResult(
         figure_id="ABL-11",
         title="Sharded warehouse: aggregate makespan + read latency",
         x_label="shards",
-        series_names=[
-            "pess_makespan_speedup",
-            "opt_makespan_speedup",
-            "pess_makespan",
-            "pess_busy_time",
-            "router_delivered",
-            "router_dropped",
-            "barrier_deferrals",
-            "reads_served",
-            "read_p50_latest",
-            "read_p99_latest",
-            "read_p99_committed",
-            "staleness_latest",
-            "staleness_committed",
-            "stale_fraction_latest",
-        ],
+    )
+    makespan_saved = ("off.metrics.makespan", "on.metrics.makespan")
+    columns = (
+        ("pess_makespan_speedup", "pess", makespan_saved),
+        ("opt_makespan_speedup", "opt", makespan_saved),
+        ("pess_makespan", "pess", "on.metrics.makespan"),
+        ("pess_busy_time", "pess", "on.metrics.total_busy_time"),
+        ("router_delivered", "pess", "on.metrics.router_delivered"),
+        ("router_dropped", "pess", "on.metrics.router_dropped"),
+        ("barrier_deferrals", "pess", "on.metrics.barrier_deferrals"),
     )
     du = du_stream(config, du_count, 0.05, 0.05, seed=workload_seed)
     inline = config.replace(shard_processes=0)
@@ -815,78 +764,53 @@ def run_sharding_ablation(
         for label, strategy in STRATEGY_ARMS.items()
     }
     for shards in shard_counts:
-        row: dict[str, float] = {}
-        swept = {}
+        arms = {}
         for label, strategy in STRATEGY_ARMS.items():
-            swept[label] = this = arm(
-                config.replace(strategy=strategy), shards
+            this = arm(config.replace(strategy=strategy), shards)
+            require_identical(
+                result, f"{label} shards={shards}", this, oracles[label]
             )
-            result.require(
-                this.consistent,
-                f"{label} shards={shards}: failed convergence check",
-            )
-            result.require(
-                this.same_outcome(oracles[label]),
-                f"{label} shards={shards}: diverged from 1-shard oracle",
-            )
-            metrics = this.metrics
-            row[f"{label}_makespan_speedup"] = ratio(
-                oracles[label].metrics.makespan, metrics.makespan
-            )
-            if label == "pess":
-                row["pess_makespan"] = metrics.makespan
-                row["pess_busy_time"] = metrics.total_busy_time
-                row["router_delivered"] = float(metrics.router_delivered)
-                row["router_dropped"] = float(metrics.router_dropped)
-                row["barrier_deferrals"] = float(metrics.barrier_deferrals)
+            arms[label] = SimpleNamespace(off=oracles[label], on=this)
         # Read front end: half the budget per consistency level against
         # the pessimistic arm's install timelines.
-        front_end = swept["pess"].testbed.read_front_end()
-        per_level = max(1, reads // 2)
-        latest = front_end.serve(
-            ReadWorkload(count=per_level, seed=17), READ_LATEST
+        front_end = arms["pess"].on.testbed.read_front_end()
+        reads = ReadWorkload(count=READS // 2, seed=17)
+        latest = front_end.serve(reads, READ_LATEST)
+        committed = front_end.serve(reads, READ_COMMITTED_VERSION)
+        result.add(
+            shards,
+            **read_columns(arms, columns),
+            reads_served=float(latest.count + committed.count),
+            read_p50_latest=latest.p50_latency,
+            read_p99_latest=latest.p99_latency,
+            read_p99_committed=committed.p99_latency,
+            staleness_latest=latest.mean_staleness,
+            staleness_committed=committed.mean_staleness,
+            stale_fraction_latest=latest.stale_fraction,
         )
-        committed_level = front_end.serve(
-            ReadWorkload(count=per_level, seed=17), READ_COMMITTED_VERSION
-        )
-        row["reads_served"] = float(latest.count + committed_level.count)
-        row["read_p50_latest"] = latest.p50_latency
-        row["read_p99_latest"] = latest.p99_latency
-        row["read_p99_committed"] = committed_level.p99_latency
-        row["staleness_latest"] = latest.mean_staleness
-        row["staleness_committed"] = committed_level.mean_staleness
-        row["stale_fraction_latest"] = latest.stale_fraction
-        result.add(shards, **row)
-    # Equivalence cross-product at the widest shard count: every knob
-    # that could break determinism runs against a matching 1-shard
-    # oracle and must reproduce its extents + committed sets exactly.
+    # The identity matrix at the widest shard count, each row against a
+    # matching 1-shard oracle (the optimistic row is the sweep's own).
     widest = max(shard_counts)
     sc = sc_stream(3, 1.0, 9.0, seed=workload_seed + 4)
-    faults = FaultPlan.random(fault_seed, SOURCE_NAMES)
-    hardened = (
-        ("faults", {"fault_plan": faults}, ()),
-        ("crash", {"crash_plan": CrashPlan.random(crash_seed)}, ()),
-        ("workers", {"parallel_workers": 2}, ()),
-        ("sc_barrier", {}, (sc,)),
-    )
-    for name, knobs, streams in hardened:
-        base = inline.replace(**knobs)
+    for label, delta, streams in (
+        *hardened_arms(fault_seed=9, crash_seed=1),
+        ("sc-barrier", {}, (sc,)),
+    ):
+        base = inline.replace(**delta)
         oracle = arm(base, 1, *streams)
         wide = arm(base, widest, *streams)
         result.require(
-            oracle.consistent and wide.consistent,
-            f"{name}: failed convergence check",
+            oracle.consistent, f"{label}: oracle failed convergence check"
         )
-        result.require(
-            wide.same_outcome(oracle),
-            f"{name}: {widest}-shard arm diverged from oracle",
+        require_identical(
+            result, f"{label} shards={widest}", wide, oracle
         )
-        if name == "crash":
+        if "crash_plan" in delta:
             result.require(
-                wide.metrics.recoveries >= 1, "crash: plan never fired"
+                wide.metrics.recoveries >= 1, f"{label}: plan never fired"
             )
-        if name == "sc_barrier" and wide.metrics.barrier_deferrals < 1:
-            result.notes.append("sc_barrier: barrier never deferred")
+        if streams and wide.metrics.barrier_deferrals < 1:
+            result.notes.append(f"{label}: barrier never deferred")
     result.notes.append(
         "per-view extents and committed (source, seqno) sets verified "
         "byte-identical to the 1-shard oracle at every shard count, and "
@@ -901,3 +825,19 @@ def run_sharding_ablation(
         "min-across-shards commit watermark"
     )
     return result
+
+
+def check_sharding(result: FigureResult) -> None:
+    """>= 2x aggregate-makespan speedup at the widest shard count under
+    both strategies, the full read budget served, the router actually
+    filtered, and no maintenance work lost or duplicated: summed serial
+    busy time within 1% of the 1-shard arm's."""
+    single, widest = result.points[0].values, result.points[-1].values
+    assert widest["pess_makespan_speedup"] >= 2.0
+    assert widest["opt_makespan_speedup"] >= 2.0
+    assert widest["reads_served"] >= READS
+    assert widest["router_dropped"] > 0
+    assert (
+        abs(widest["pess_busy_time"] - single["pess_busy_time"])
+        <= 0.01 * single["pess_busy_time"]
+    )

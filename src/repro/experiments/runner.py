@@ -12,7 +12,9 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from operator import attrgetter
+from types import SimpleNamespace
+from typing import Callable, Iterable, Mapping, Sequence
 
 from ..core.sharding import WorkloadSpec
 from ..core.strategies import OPTIMISTIC, PESSIMISTIC
@@ -36,18 +38,20 @@ class FigureResult:
     figure_id: str
     title: str
     x_label: str
-    series_names: list[str]
+    #: column order of ``table()``; left empty, the first point's
+    series_names: list[str] = field(default_factory=list)
     points: list[SeriesPoint] = field(default_factory=list)
     notes: list[str] = field(default_factory=list)
     consistent: bool = True
-    #: what the numbers are measured in: ``"virtual"`` (cost-model
-    #: seconds — deterministic, regression-checked exactly), ``"wall"``
-    #: (``time.perf_counter`` seconds — jittery, regression-checked
-    #: against a generous tolerance band) or ``None`` (legacy figures,
-    #: checked with the guard's default tolerance)
+    #: ``"virtual"`` (cost-model seconds, regression-checked exactly) or
+    #: ``"wall"`` (``perf_counter`` seconds, checked against a band):
+    #: stamped by the figure's row of the experiment table, so ``None``
+    #: only on the result of a runner called directly
     timebase: str | None = None
 
     def add(self, x, **values: float) -> None:
+        if not self.series_names:
+            self.series_names = list(values)
         self.points.append(SeriesPoint(x, dict(values)))
 
     def require(self, ok: bool, note: str) -> None:
@@ -109,9 +113,6 @@ class FigureResult:
         if self.timebase is not None:
             document["timebase"] = self.timebase
         return json.dumps(document, indent=indent, sort_keys=True)
-
-    def print(self) -> None:  # pragma: no cover - console convenience
-        print(self.table())
 
 
 def ratio(numerator: float, denominator: float) -> float:
@@ -196,6 +197,75 @@ def run_arm(
     )
 
 
+def require_identical(
+    result: FigureResult, label: str, arm: ArmResult, oracle: ArmResult
+) -> None:
+    """The one "identical to oracle" check: ``arm`` converged, and its
+    extents and committed ``(source, seqno)`` set are byte-identical to
+    ``oracle``'s."""
+    result.require(arm.consistent, f"{label}: failed convergence check")
+    result.require(
+        arm.same_outcome(oracle), f"{label}: diverged from the oracle arm"
+    )
+
+
+Reading = str | tuple[str, str]
+
+
+def read_columns(
+    arms: Mapping[str, SimpleNamespace],
+    columns: Sequence[tuple[str, str, Reading]],
+) -> dict[str, float]:
+    """One point of a figure from ``(series, group label, reading)``
+    rows: a reading is a dotted path into that group's arms
+    (``"on.metrics.cache_hits"``) or a ``(numerator, denominator)``
+    pair of paths (``("off.trips", "on.trips")``)."""
+
+    def read(group: SimpleNamespace, reading: Reading) -> float:
+        if isinstance(reading, str):
+            return float(attrgetter(reading)(group))
+        return ratio(*(attrgetter(path)(group) for path in reading))
+
+    return {
+        series: read(arms[label], reading)
+        for series, label, reading in columns
+    }
+
+
+def arm_sweep(
+    figure_id: str,
+    title: str,
+    x_label: str,
+    xs: Sequence,
+    stream_of: Callable[[object], Sequence[WorkloadSpec]],
+    groups: Mapping[str, tuple[WarehouseConfig, Mapping[str, dict]]],
+    columns: Sequence[tuple[str, str, Reading]],
+) -> FigureResult:
+    """The one paired-arm sweep: at every ``x``, each labelled ``(base
+    config, {variant: config delta})`` group maintains ``stream_of(x)``
+    once as the reference arm ``off`` and once per
+    ``base.replace(**delta)`` variant.  Every arm must converge, every
+    variant must be identical to its reference, and ``columns`` reads
+    the point off the arms (:func:`read_columns`)."""
+    result = FigureResult(figure_id, title, x_label)
+    for x in xs:
+        stream = stream_of(x)
+        arms = {}
+        where = f"{x_label}={x}"
+        for label, (base, variants) in groups.items():
+            off = run_arm(base, stream)
+            result.require(
+                off.consistent, f"{label} {where}: failed convergence check"
+            )
+            arms[label] = group = SimpleNamespace(off=off)
+            for name, delta in variants.items():
+                arm = run_arm(base.replace(**delta), stream)
+                require_identical(result, f"{label} {name} {where}", arm, off)
+                setattr(group, name, arm)
+        result.add(x, **read_columns(arms, columns))
+    return result
+
+
 def abort_cost_sweep(
     figure_id: str,
     title: str,
@@ -204,32 +274,16 @@ def abort_cost_sweep(
     xs: Sequence,
     stream_of,
 ) -> FigureResult:
-    """The loop FIG-10, FIG-11 and FIG-12 share: at every ``x`` an
+    """The sweep FIG-10, FIG-11 and FIG-12 share: at every ``x`` an
     optimistic and a pessimistic arm maintain the same DU + SC stream
     (``stream_of(x)``); each reports its total and its abort cost."""
-    result = FigureResult(
-        figure_id=figure_id,
-        title=title,
-        x_label=x_label,
-        series_names=[
-            "optimistic",
-            "abort_of_optimistic",
-            "pessimistic",
-            "abort_of_pessimistic",
-        ],
-    )
-    for x in xs:
-        values: dict[str, float] = {}
-        for name, strategy in (
-            ("optimistic", OPTIMISTIC),
-            ("pessimistic", PESSIMISTIC),
-        ):
-            arm = run_arm(config.replace(strategy=strategy), stream_of(x))
-            values[name] = arm.metrics.maintenance_cost
-            values[f"abort_of_{name}"] = arm.metrics.abort_cost
-            result.require(
-                arm.consistent,
-                f"{name} {x_label}={x}: failed convergence check",
-            )
-        result.add(x, **values)
-    return result
+    strategies = {"optimistic": OPTIMISTIC, "pessimistic": PESSIMISTIC}
+    groups = {
+        name: (config.replace(strategy=strategy), {})
+        for name, strategy in strategies.items()
+    }
+    columns = []
+    for name in strategies:
+        columns.append((name, name, "off.metrics.maintenance_cost"))
+        columns.append((f"abort_of_{name}", name, "off.metrics.abort_cost"))
+    return arm_sweep(figure_id, title, x_label, xs, stream_of, groups, columns)

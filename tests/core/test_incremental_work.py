@@ -14,7 +14,8 @@ Two deterministic checks, both independent of the figures:
 * the executed work — counted ``Footprint.conflicted_by`` and
   ``footprint_of_update`` calls of one rename arrival into a deep queue
   — is bounded by schema changes x footprint *classes*, not by schema
-  changes x queue length.
+  changes x queue length; and a DU-only burst executes none at all
+  (Fig. 8 in wall time).
 """
 
 from __future__ import annotations
@@ -28,11 +29,15 @@ import pytest
 import repro.core.incremental as incremental_module
 from repro.core.dependencies import Footprint
 from repro.core.incremental import IncrementalDependencyGraph
+from repro.core.scheduler import DynoScheduler
+from repro.core.strategies import PESSIMISTIC
 from repro.experiments.ablations import _synthetic_queue
 from repro.experiments.testbed import (
     RELATION_COUNT,
     SOURCE_NAMES,
+    build_testbed,
     full_join_query,
+    make_du_workload,
     relation_name,
     source_of_relation,
 )
@@ -293,3 +298,33 @@ def test_rename_arrival_work_is_per_class_not_per_message(monkeypatch):
     assert graph.node_count == 211
     assert 0 < counts["conflicted_by"] <= m * (classes + m)
     assert 0 < counts["footprint_of_update"] <= classes + m
+
+
+def test_du_only_burst_never_enters_detection(monkeypatch):
+    """Fig. 8 in wall time, by construction: on the spine's
+    ``du_burst`` shape (pessimistic, DUs every 0.01 s so the queue runs
+    deep; here at small scale) the schema-change flag is never raised,
+    so ``detect_and_correct`` is never entered and not one
+    ``conflicted_by`` test runs — detection costs a DU-only stream the
+    O(1) flag check and nothing else."""
+    counts = {"conflicted_by": 0, "detect_and_correct": 0}
+
+    def counting(owner, name):
+        real = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            counts[name] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+
+    counting(Footprint, "conflicted_by")
+    counting(DynoScheduler, "detect_and_correct")
+    testbed = build_testbed(PESSIMISTIC, tuples_per_relation=200)
+    testbed.engine.schedule_workload(
+        make_du_workload(testbed.tuples_per_relation, 60, 0.05, 0.01, seed=5)
+    )
+    testbed.run()
+    assert testbed.metrics.maintained_updates == 60
+    assert testbed.check_consistency()
+    assert counts == {"conflicted_by": 0, "detect_and_correct": 0}

@@ -1,7 +1,7 @@
 """The ``python -m repro.experiments`` command-line runner."""
 
 from collections import namedtuple
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import pytest
 
@@ -181,18 +181,24 @@ class TestExecution:
         """A figure testbed is one in-process world: the flag reaches
         only the two sharded ablations."""
         received = {}
-        for name in ("fig08", "fig09", "fig10", "fig11", "fig12"):
-            monkeypatch.setattr(
-                cli,
-                f"run_{name}",
-                lambda config, name=name, **sweep: received.update(
-                    {name: config}
-                ),
-            )
+        figures = ("fig08", "fig09", "fig10", "fig11", "fig12")
+        monkeypatch.setattr(
+            cli.table,
+            "EXPERIMENTS",
+            [
+                replace(
+                    cli.table.BY_ID[name],
+                    run=lambda config, name=name, **sweep: (
+                        received.update({name: config}) or FakeResult()
+                    ),
+                )
+                for name in figures
+            ],
+        )
         runners = cli._runners(
             full=False, config=WarehouseConfig(shard_processes=2, shards=2)
         )
-        for name in ("fig08", "fig09", "fig10", "fig11", "fig12"):
+        for name in figures:
             runners[name]()
             assert received[name].shard_processes == 0
             assert received[name].shards == 2

@@ -12,12 +12,14 @@ import pytest
 
 from repro.experiments import (
     WarehouseConfig,
-    run_blind_merge_ablation,
     run_fig08,
     run_fig09,
     run_fig10,
     run_fig11,
     run_fig12,
+)
+from repro.experiments.ablations import (
+    run_blind_merge_ablation,
     run_graph_scaling_ablation,
     run_starvation_study,
 )

@@ -62,3 +62,39 @@ def test_checked_all_good_keeps_consistent():
     result = make_result()
     checked(result, [ConsistencyReport(True, 1, 1)])
     assert result.consistent
+
+
+def test_arm_sweep_holds_every_variant_to_its_reference_arm():
+    """A variant that is a pure fast path passes; one whose outcome
+    differs (here: other initial data) clears the consistency bit and
+    says which arm, at which x."""
+    from repro.experiments import WarehouseConfig
+    from repro.experiments.runner import arm_sweep
+    from repro.experiments.testbed import du_stream
+
+    config = WarehouseConfig(tuples_per_relation=40)
+    result = arm_sweep(
+        "T-1",
+        "a test sweep",
+        "dus",
+        (4,),
+        lambda count: [du_stream(config, count, 0.0, 0.5, seed=1)],
+        {
+            "g": (
+                config,
+                {
+                    "cache": {"snapshot_cache": True},
+                    "reseeded": {"seed": config.seed + 1},
+                },
+            )
+        },
+        (
+            ("trips", "g", "off.trips"),
+            ("trips_saved", "g", ("off.trips", "cache.trips")),
+        ),
+    )
+    assert result.series_names == ["trips", "trips_saved"]
+    assert result.xs() == [4]
+    assert result.points[0].values["trips"] > 0
+    assert not result.consistent
+    assert result.notes == ["g reseeded dus=4: diverged from the oracle arm"]
