@@ -9,6 +9,8 @@ arrival).
 
 import random
 
+import pytest
+
 from repro.core.dependencies import find_dependencies
 from repro.core.detection import detect
 from repro.core.incremental import IncrementalDependencyGraph
@@ -71,23 +73,28 @@ def test_micro_delta_apply(benchmark):
     benchmark(apply_round)
 
 
-def test_micro_compensation(benchmark):
+@pytest.mark.parametrize("pending", [1, 20, 200])
+def test_micro_compensation(benchmark, pending):
+    """One probe answer compensated for ``pending`` leaked updates of
+    mixed sign (every third one a delete): the spine's ``du_burst``
+    compensates ~20 deep, a full-size burst hundreds."""
     answer = _table(R, 1_000, 5)
     query = SPJQuery(
         relations=(RelationRef("s", "R", "R"),),
         projection=(attr("R", "k"), attr("R", "a")),
         selection=InPredicate(attr("R", "k"), frozenset(range(1000))),
     )
-    leaked = [
-        UpdateMessage(
-            "s",
-            index,
-            0.0,
-            DataUpdate.insert(R, [(index, f"v{index}")]),
-        )
-        for index in range(20)
-    ]
-    benchmark(compensate_answer, answer, query, "R", leaked)
+    leaked = []
+    for index in range(pending):
+        row = (index, f"n{index}")
+        if index % 3:
+            answer.insert(row)
+            update = DataUpdate.insert(R, [row])
+        else:
+            update = DataUpdate.delete(R, [row])
+        leaked.append(UpdateMessage("s", index, 0.0, update))
+    corrected = benchmark(compensate_answer, answer, query, "R", leaked)
+    assert len(corrected) == 1_000 + len(range(0, pending, 3))
 
 
 def test_micro_single_du_maintenance(benchmark):

@@ -33,6 +33,7 @@ from .compensation import (
     CompensationLog,
     compensate_answer,
     pending_data_updates,
+    sign_parts,
 )
 from .decompose import (
     bfs_alias_order,
@@ -41,14 +42,6 @@ from .decompose import (
     scan_query,
     subquery_over,
 )
-
-
-def _delta_part_as_table(delta: Delta, positive: bool) -> Table:
-    part = delta.insertions if positive else delta.deletions
-    table = Table(part.schema)
-    for row, count in part.items():
-        table.insert(row, count)
-    return table
 
 
 def _abs_table(delta: Delta) -> Table:
@@ -89,6 +82,7 @@ def maintain_data_update(
     ]
     if not occurrences or payload.delta.is_empty():
         return None
+    occurrence_aliases = [ref.alias for ref in occurrences]
 
     total: Delta | None = None
     for k_ref in occurrences:
@@ -145,7 +139,6 @@ def maintain_data_update(
             # update's own delta is compensated away there; earlier
             # occurrences keep the post-update state.
             extra: list[Delta] = []
-            occurrence_aliases = [other.alias for other in occurrences]
             if alias in occurrence_aliases:
                 own_position = occurrence_aliases.index(delta_alias)
                 alias_position = occurrence_aliases.index(alias)
@@ -157,25 +150,15 @@ def maintain_data_update(
             )
             visited.add(alias)
 
-        positive = execute(
-            query,
-            {
-                **bindings,
-                delta_alias: _delta_part_as_table(payload.delta, True),
-            },
-        )
-        negative = execute(
-            query,
-            {
-                **bindings,
-                delta_alias: _delta_part_as_table(payload.delta, False),
-            },
-        )
-        contribution = positive.as_delta()
-        contribution.merge(negative.as_delta().negated())
-        if total is None:
-            total = contribution
-        else:
-            total.merge(contribution)
+        # Every workload DU is single-signed: the absent sign would run
+        # the whole view query over an empty table, so it is skipped.
+        for sign, part in sign_parts(
+            payload.delta.schema, payload.delta.items()
+        ):
+            result = execute(query, {**bindings, delta_alias: part})
+            if total is None:
+                total = Delta(result.schema)
+            for row, count in result.items():
+                total.add(row, sign * count)
 
     return total

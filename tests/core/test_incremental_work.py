@@ -328,3 +328,40 @@ def test_du_only_burst_never_enters_detection(monkeypatch):
     assert testbed.metrics.maintained_updates == 60
     assert testbed.check_consistency()
     assert counts == {"conflicted_by": 0, "detect_and_correct": 0}
+
+
+def test_du_only_burst_executes_per_probe_not_per_pending(monkeypatch):
+    """The same burst, one layer down: the queue runs ~20 deep behind
+    every probe, and SWEEP compensation evaluates each probe answer once
+    per sign of the *netted* pending deltas, not once per pending delta.
+    Kernel executes — counted, as the spine's tracer counts them, at
+    every module that binds ``execute`` by name — stay within 5 per
+    source round trip (source answer + partial join + at most two
+    compensation signs + the final assembly's share), where per-delta
+    compensation took over 20."""
+    import sys
+
+    from repro.relational.executor import execute
+
+    counts = {"execute": 0}
+
+    def counted(query, tables):
+        counts["execute"] += 1
+        return execute(query, tables)
+
+    for name, module in list(sys.modules.items()):
+        if not name.startswith("repro."):
+            continue
+        if vars(module).get("execute") is execute:
+            monkeypatch.setattr(module, "execute", counted)
+    testbed = build_testbed(PESSIMISTIC, tuples_per_relation=200)
+    testbed.engine.schedule_workload(
+        make_du_workload(testbed.tuples_per_relation, 60, 0.05, 0.01, seed=5)
+    )
+    testbed.run()
+    executes = counts["execute"]  # before the convergence recompute
+    assert testbed.metrics.maintained_updates == 60
+    assert testbed.check_consistency()
+    round_trips = testbed.metrics.source_round_trips
+    assert round_trips >= 60
+    assert round_trips < executes <= 5 * round_trips

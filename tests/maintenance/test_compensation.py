@@ -196,3 +196,94 @@ class TestCompensateAnswer:
         leaked = [message(1, 0.5, DataUpdate.insert(R, [("1", "x")]))]
         compensate_answer(answer, probe(), "R", leaked)
         assert ("1", "x") in answer
+
+
+class TestFusedEvaluation:
+    """The probe is evaluated once per sign of each schema's net bag,
+    however many deltas leaked."""
+
+    WIDE = RelationSchema.of("R", ["k", "v", "w"])
+
+    @pytest.mark.parametrize("pending", [1, 20, 200])
+    def test_executes_bounded_by_schemas_not_by_pending(
+        self, monkeypatch, pending
+    ):
+        from repro.maintenance import compensation
+
+        calls = []
+
+        def counted(query, tables):
+            calls.append(query)
+            return real(query, tables)
+
+        real = compensation.execute
+        monkeypatch.setattr(compensation, "execute", counted)
+
+        # Mixed signs over two schemas; R's twin is an equal but
+        # distinct schema object and must share R's bag.
+        twin = RelationSchema.of("R", ["k", "v"])
+        leaked, expected = [], Table(R, [("1", "kept")])
+        answer = expected.copy()
+        for index in range(pending):
+            schema = (R, self.WIDE, twin)[index % 3]
+            row = ("1", f"v{index}") + ("w",) * (schema.arity - 2)
+            if index % 2:
+                # leaked delete: absent from the answer, restored
+                update = DataUpdate.delete(schema, [row])
+                expected.insert(row[:2])
+            else:
+                # leaked insert: present in the answer, removed
+                update = DataUpdate.insert(schema, [row])
+                answer.insert(row[:2])
+            leaked.append(message(index, 0.5, update))
+        schemas = {m.payload.delta.schema for m in leaked}
+        assert len(schemas) == min(pending, 2)
+
+        log = CompensationLog(strict=True)
+        corrected = compensate_answer(answer, probe(), "R", leaked, log)
+        assert corrected == expected
+        assert 1 <= len(calls) <= 2 * len(schemas)
+        assert log.compensated_tuples == pending
+
+    def test_cancelling_deltas_never_reach_the_kernel_as_rows(self):
+        """Insert-then-delete of one row nets to nothing: the answer is
+        returned as it is and the log counts no compensated tuple."""
+        answer = Table(R, [("1", "a")])
+        leaked = [
+            message(1, 0.5, DataUpdate.insert(R, [("1", "x")])),
+            message(2, 0.6, DataUpdate.delete(R, [("1", "x")])),
+        ]
+        log = CompensationLog(strict=True)
+        corrected = compensate_answer(answer, probe(), "R", leaked, log)
+        assert corrected == answer
+        assert log.compensated_tuples == 0
+        assert log.compensated_queries == 1
+
+    def test_failing_group_applies_neither_sign(self, monkeypatch):
+        """A bag whose second sign cannot be evaluated folds nothing of
+        its first sign either, and skips every member delta."""
+        from repro.maintenance import compensation
+        from repro.relational.errors import QueryError
+
+        real = compensation.execute
+        seen = []
+
+        def second_call_fails(query, tables):
+            seen.append(query)
+            if len(seen) == 2:
+                raise QueryError("drift")
+            return real(query, tables)
+
+        monkeypatch.setattr(compensation, "execute", second_call_fails)
+        answer = Table(R, [("1", "a"), ("1", "leaked")])
+        leaked = [
+            message(1, 0.5, DataUpdate.insert(R, [("1", "leaked")])),
+            message(2, 0.6, DataUpdate.delete(R, [("2", "gone")])),
+        ]
+        log = CompensationLog()
+        corrected = compensate_answer(answer, probe(), "R", leaked, log)
+        assert len(seen) == 2
+        assert corrected == answer
+        assert log.skipped_incompatible == 2
+        assert len(log.notes) == 2
+        assert log.compensated_tuples == 0

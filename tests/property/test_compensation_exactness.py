@@ -6,16 +6,29 @@ the source would have given *before* those deltas committed.  We
 generate a base table, a set of concurrent deltas and a probe, apply
 the deltas, compensate the polluted answer, and require equality with
 the clean answer.
+
+``compensate_answer`` nets the leaked deltas per schema and evaluates
+the probe once per sign.  The per-delta evaluation it replaced lives on
+below as the oracle: one ``effect_on_answer`` per leaked delta, each
+effect merged through validated ``Delta`` / ``Table`` copies.  The
+fused path must agree with it as bags, in what it skips, in what it
+clamps and in whether strict mode raises.
 """
+
+import re
 
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.maintenance.compensation import (
+    CompensationLog,
+    OverCompensationError,
     compensate_answer,
     pending_data_updates,
 )
 from repro.relational.delta import Delta
+from repro.relational.errors import RelationalError
+from repro.relational.executor import execute
 from repro.relational.predicate import InPredicate, attr
 from repro.relational.query import RelationRef, SPJQuery
 from repro.relational.schema import RelationSchema
@@ -71,7 +84,6 @@ def scenario(draw):
 def test_compensation_reconstructs_clean_answer(data):
     table, deltas, probe_values = data
     query = probe(probe_values)
-    from repro.relational.executor import execute
 
     clean = execute(query, {"R": table.copy()})
 
@@ -100,7 +112,6 @@ def test_compensation_ignores_post_answer_deltas(data):
     table, deltas, probe_values = data
     assume(deltas)
     query = probe(probe_values)
-    from repro.relational.executor import execute
 
     # Only the first half of the deltas committed before the answer.
     cutoff = len(deltas) // 2
@@ -118,3 +129,225 @@ def test_compensation_ignores_post_answer_deltas(data):
     )
     corrected = compensate_answer(answer, query, "R", leaked)
     assert corrected == execute(query, {"R": table.copy()})
+
+
+# ----------------------------------------------------------------------
+# the oracle: per-delta compensation, verbatim from before the fusion
+# ----------------------------------------------------------------------
+
+
+def _oracle_effect_of_part(
+    query: SPJQuery, alias: str, part: Delta
+) -> Table:
+    table = Table(part.schema)
+    for row, count in part.items():
+        table.insert(row, count)
+    return execute(query, {alias: table})
+
+
+def oracle_effect_on_answer(
+    query: SPJQuery, alias: str, delta: Delta
+) -> Delta:
+    """Signed effect of ``delta`` on the answer of probe ``query``."""
+    positive = delta.insertions
+    negative = delta.deletions
+    effect: Delta | None = None
+    if len(positive):
+        inserted = _oracle_effect_of_part(query, alias, positive)
+        effect = inserted.as_delta()
+    if len(negative):
+        deleted = _oracle_effect_of_part(query, alias, negative)
+        if effect is None:
+            effect = deleted.as_delta().negated()
+        else:
+            effect.merge(deleted.as_delta().negated())
+    if effect is None:
+        # Empty delta: produce an empty effect with the right arity by
+        # executing over an empty table.
+        empty = _oracle_effect_of_part(query, alias, delta)
+        effect = empty.as_delta()
+    return effect
+
+
+def oracle_compensate_answer(
+    answer: Table,
+    query: SPJQuery,
+    alias: str,
+    leaked: list[UpdateMessage],
+    log: CompensationLog | None = None,
+    extra_deltas: list[Delta] | None = None,
+) -> Table:
+    corrected = answer.as_delta()
+    deltas: list[Delta] = [
+        message.payload.delta  # type: ignore[union-attr]
+        for message in leaked
+    ]
+    if extra_deltas:
+        deltas.extend(extra_deltas)
+    for delta in deltas:
+        if delta.is_empty():
+            continue
+        try:
+            effect = oracle_effect_on_answer(query, alias, delta)
+        except RelationalError as exc:
+            if log is not None:
+                log.skipped_incompatible += 1
+                log.notes.append(f"skipped incompatible delta: {exc}")
+            continue
+        if not effect.is_empty():
+            corrected.merge(effect.negated())
+            if log is not None:
+                log.compensated_tuples += effect.net_size()
+    if log is not None:
+        log.compensated_queries += 1
+
+    table = Table(answer.schema)
+    for row, count in corrected.items():
+        if count < 0:
+            # A negative corrected count means we subtracted an effect
+            # that was not actually in the answer — possible only when
+            # maintenance ordering is broken (baseline strategies).
+            if log is not None and log.strict:
+                raise OverCompensationError(
+                    f"over-compensation on {row!r} (count {count})"
+                )
+            if log is not None:
+                log.notes.append(
+                    f"over-compensation on {row!r} (count {count})"
+                )
+            continue
+        table.insert(row, count)
+    return table
+
+
+# ----------------------------------------------------------------------
+# fused == oracle
+# ----------------------------------------------------------------------
+
+#: equal to SCHEMA but a distinct object, as a delta translated through
+#: the schema history carries: must net into SCHEMA's bag
+SCHEMA_TWIN = RelationSchema.of(
+    "R", [("k", AttributeType.INT), ("v", AttributeType.STRING)]
+)
+#: a second schema the probe can be evaluated over: its own bag
+WIDE = RelationSchema.of(
+    "R",
+    [
+        ("k", AttributeType.INT),
+        ("v", AttributeType.STRING),
+        ("w", AttributeType.STRING),
+    ],
+)
+#: schema drift: the probe projects ``v``, which is gone
+NARROW = RelationSchema.of("R", [("k", AttributeType.INT)])
+
+_SHAPES = {
+    SCHEMA: lambda k, v: (k, v),
+    SCHEMA_TWIN: lambda k, v: (k, v),
+    WIDE: lambda k, v: (k, v, "w"),
+    NARROW: lambda k, v: (k,),
+}
+_SCHEMAS = [SCHEMA, SCHEMA_TWIN, WIDE, NARROW]
+
+signed_counts = st.integers(min_value=-2, max_value=3).filter(bool)
+
+
+@st.composite
+def leaked_sets(draw):
+    """An arbitrary answer and leaked deltas over up to four schemas.
+
+    Rows come from a 15-value domain with signed multiplicities, so a
+    drawn set routinely holds an update (delete + insert in one delta),
+    counts above one and the same row inserted here and deleted there;
+    ``undo`` appends a delta's exact negation so whole deltas cancel
+    too — in the incompatible schema as well.  The answer is unrelated
+    to the deltas, so over-compensation is common.
+    """
+    answer = Table(SCHEMA, draw(st.lists(rows, max_size=8)))
+    deltas: list[Delta] = []
+    for _ in range(draw(st.integers(min_value=0, max_value=6))):
+        schema = _SCHEMAS[draw(st.integers(min_value=0, max_value=3))]
+        delta = Delta(schema)
+        for _ in range(draw(st.integers(min_value=1, max_value=3))):
+            delta.add(_SHAPES[schema](*draw(rows)), draw(signed_counts))
+        deltas.append(delta)
+        if draw(st.booleans()):
+            undo_at = draw(st.integers(min_value=0, max_value=len(deltas)))
+            deltas.insert(undo_at, delta.negated())
+    extras = draw(st.integers(min_value=0, max_value=min(2, len(deltas))))
+    probe_values = draw(
+        st.frozensets(st.integers(min_value=0, max_value=4), min_size=1)
+    )
+    return answer, deltas[extras:], deltas[:extras], probe_values
+
+
+def _run(compensate, data, strict):
+    answer, deltas, extras, probe_values = data
+    leaked = [
+        UpdateMessage("s", seqno, float(seqno), DataUpdate("R", delta.copy()))
+        for seqno, delta in enumerate(deltas, start=1)
+    ]
+    log = CompensationLog(strict=strict)
+    try:
+        corrected = compensate(
+            answer, probe(probe_values), "R", leaked, log,
+            [delta.copy() for delta in extras],
+        )
+    except OverCompensationError:
+        corrected = None
+    return corrected, log
+
+
+def _clamped(log):
+    return sorted(
+        note for note in log.notes if note.startswith("over-compensation")
+    )
+
+
+@given(leaked_sets())
+@settings(max_examples=300, deadline=None)
+def test_fused_compensation_equals_per_delta_oracle(data):
+    fused, fused_log = _run(compensate_answer, data, strict=False)
+    oracle, oracle_log = _run(oracle_compensate_answer, data, strict=False)
+    assert fused == oracle
+    assert fused_log.skipped_incompatible == oracle_log.skipped_incompatible
+    # one note per skipped delta, not per skipped schema group
+    skipped_notes = [
+        note for note in fused_log.notes if note.startswith("skipped")
+    ]
+    assert len(skipped_notes) == fused_log.skipped_incompatible
+    # the same rows clamped at the same negative counts
+    assert _clamped(fused_log) == _clamped(oracle_log)
+    assert fused_log.compensated_queries == oracle_log.compensated_queries
+    # the log counts the net effect: never more than the per-delta sum
+    assert fused_log.compensated_tuples <= oracle_log.compensated_tuples
+
+    strict_fused, _ = _run(compensate_answer, data, strict=True)
+    strict_oracle, _ = _run(oracle_compensate_answer, data, strict=True)
+    assert (strict_fused is None) == (strict_oracle is None)
+    assert (strict_fused is None) == bool(_clamped(oracle_log))
+    if strict_fused is not None:
+        assert strict_fused == strict_oracle
+
+
+def test_mixed_call_compensates_the_compatible_schema_and_skips_the_other():
+    """One call, two schemas: the bag the probe can be evaluated over is
+    compensated, every delta of the drifted one is skipped with a note
+    each — also the pair that nets to nothing."""
+    answer = Table(SCHEMA, [(1, "a"), (1, "leaked"), (1, "leaked")])
+    gone = Delta.insertion(NARROW, [(1,)])
+    deltas = [
+        Delta(SCHEMA, {(1, "leaked"): 2}),
+        gone,
+        Delta(WIDE, {(2, "back", "w"): -1}),
+        gone.negated(),
+        Delta.insertion(NARROW, [(2,)]),
+    ]
+    data = (answer, deltas, [], frozenset({1, 2}))
+    fused, log = _run(compensate_answer, data, strict=True)
+    oracle, oracle_log = _run(oracle_compensate_answer, data, strict=True)
+    assert fused == oracle == Table(SCHEMA, [(1, "a"), (2, "back")])
+    assert log.skipped_incompatible == oracle_log.skipped_incompatible == 3
+    assert len(log.notes) == 3
+    assert all(re.match("skipped incompatible delta: ", n) for n in log.notes)
+    assert log.compensated_tuples == 3
