@@ -8,6 +8,7 @@ arrival).
 """
 
 import random
+from collections import Counter
 
 import pytest
 
@@ -19,6 +20,7 @@ from repro.core.strategies import PESSIMISTIC
 from repro.experiments.ablations import _synthetic_queue
 from repro.experiments.testbed import full_join_query
 from repro.maintenance.compensation import compensate_answer
+from repro.maintenance.decompose import probe_query
 from repro.relational.delta import Delta
 from repro.relational.executor import execute
 from repro.relational.predicate import InPredicate, attr
@@ -60,6 +62,35 @@ def test_micro_probe_scan_10k(benchmark):
         selection=InPredicate(attr("R", "k"), frozenset(range(50))),
     )
     benchmark(execute, query, {"R": table})
+
+
+def test_micro_fresh_probes(benchmark):
+    """1 000 probes of one shape, each a query nobody has executed
+    before: distinct 1-3-value IN-lists over a 2 000-row table, built
+    and executed as a probe sweep does once per data update.  More
+    probes than the plan cache holds plans, so a cache keyed on the
+    values stays cold however many rounds run."""
+    table = _table(R, 2_000, 7)
+    view = SPJQuery(
+        relations=(RelationRef("s", "R", "R"), RelationRef("s", "T", "T")),
+        projection=(attr("R", "a"), attr("T", "x")),
+        joins=(JoinCondition(attr("R", "k"), attr("T", "k")),),
+    )
+    rng = random.Random(8)
+    lists = set()
+    while len(lists) < 1_000:
+        lists.add(frozenset(rng.sample(range(2_000), rng.randint(1, 3))))
+
+    def sweep():
+        rows = 0
+        for values in lists:
+            probe = probe_query(view, "R", {"k": values})
+            rows += len(execute(probe, {"R": table}))
+        return rows
+
+    rows_of_key = Counter(row[0] for row in table)
+    expected = sum(rows_of_key[key] for values in lists for key in values)
+    assert benchmark(sweep) == expected
 
 
 def test_micro_delta_apply(benchmark):

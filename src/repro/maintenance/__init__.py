@@ -22,6 +22,7 @@ from .decompose import (
     bfs_alias_order,
     needed_columns,
     probe_query,
+    probe_sweep,
     pushdown_selection,
     scan_query,
     subquery_over,
@@ -56,6 +57,7 @@ __all__ = [
     "needed_columns",
     "pending_data_updates",
     "probe_query",
+    "probe_sweep",
     "pushdown_selection",
     "scan_query",
     "schema_changes_of",

@@ -6,11 +6,19 @@ source, and assembling the answers locally.  This module owns the
 decomposition: which columns of each relation the view manager needs,
 which selection conjuncts can be pushed to a source, and how to build
 probe (IN-list) and scan queries for one alias.
+
+All of it follows from the view query alone, so it is *prepared*:
+:func:`probe_sweep` derives the whole sweep for one updated alias once
+per query object — view synchronization replaces the definition
+wholesale, so a new view version is a new object and nothing is ever
+invalidated — and a data update only binds its join values into the
+prepared probes (:func:`probe_template`).
 """
 
 from __future__ import annotations
 
 from collections import deque
+from typing import Callable, NamedTuple
 
 from ..relational.predicate import (
     TRUE,
@@ -70,6 +78,55 @@ def selection_within(query: SPJQuery, aliases: set[str]) -> Predicate:
     return conjunction(terms)
 
 
+def _read_query(
+    query: SPJQuery, alias: str, selection: Predicate
+) -> SPJQuery:
+    """The needed columns of ``alias`` where ``selection`` holds."""
+    return SPJQuery(
+        relations=(query.relation_ref(alias),),
+        projection=tuple(
+            AttrRef(alias, name) for name in needed_columns(query, alias)
+        ),
+        joins=(),
+        selection=selection,
+    )
+
+
+def probe_template(
+    query: SPJQuery, alias: str, attributes: tuple[str, ...]
+) -> Callable[[tuple[frozenset, ...]], SPJQuery]:
+    """The probe of ``alias`` on ``attributes`` with its IN-lists left
+    open: ``value lists -> probe``, one list per attribute, in order.
+
+    Needed columns, pushdown selection and the probe's shape are worked
+    out once per query object; binding builds the IN-lists and nothing
+    else, and every probe bound from one template — whichever updated
+    relation's sweep asks — shares its shape object, the plan-cache key
+    (:attr:`SPJQuery.prepared`).
+    """
+    return query.derived(_derive_template, alias, attributes)
+
+
+def _derive_template(
+    query: SPJQuery, alias: str, attributes: tuple[str, ...]
+) -> Callable[[tuple[frozenset, ...]], SPJQuery]:
+    shape, lists = _read_query(
+        query,
+        alias,
+        conjunction(
+            [pushdown_selection(query, alias)]
+            + [
+                InPredicate(AttrRef(alias, attribute), frozenset())
+                for attribute in attributes
+            ]
+        ),
+    ).prepared
+    # IN-lists of the view's own selection come first in parameter
+    # order and are the same in every probe; the probe's own follow.
+    fixed = lists[: len(lists) - len(attributes)]
+    return lambda values: shape.bind(fixed + values)
+
+
 def probe_query(
     query: SPJQuery,
     alias: str,
@@ -77,31 +134,15 @@ def probe_query(
 ) -> SPJQuery:
     """A single-relation probe: needed columns of ``alias`` where each
     probe attribute is IN its value list, plus pushdown selection."""
-    ref = query.relation_ref(alias)
-    predicates: list[Predicate] = [pushdown_selection(query, alias)]
-    for attribute, values in sorted(probes.items()):
-        predicates.append(InPredicate(AttrRef(alias, attribute), values))
-    return SPJQuery(
-        relations=(ref,),
-        projection=tuple(
-            AttrRef(alias, name) for name in needed_columns(query, alias)
-        ),
-        joins=(),
-        selection=conjunction(predicates),
+    attributes = tuple(sorted(probes))
+    return probe_template(query, alias, attributes)(
+        tuple(probes[attribute] for attribute in attributes)
     )
 
 
 def scan_query(query: SPJQuery, alias: str) -> SPJQuery:
     """A full single-relation read of the needed columns of ``alias``."""
-    ref = query.relation_ref(alias)
-    return SPJQuery(
-        relations=(ref,),
-        projection=tuple(
-            AttrRef(alias, name) for name in needed_columns(query, alias)
-        ),
-        joins=(),
-        selection=pushdown_selection(query, alias),
-    )
+    return _read_query(query, alias, pushdown_selection(query, alias))
 
 
 def subquery_over(
@@ -170,5 +211,62 @@ def connecting_joins(
     ]
 
 
-def owner_ref(query: SPJQuery, alias: str) -> RelationRef:
-    return query.relation_ref(alias)
+class SweepStep(NamedTuple):
+    """One relation of the probe sweep, prepared."""
+
+    ref: RelationRef
+    #: the view query over the aliases visited so far, projecting the
+    #: join values to probe with; ``None`` for a disconnected relation,
+    #: which is read with a full scan
+    partial: SPJQuery | None
+    #: distinct values per column of the partial's answer -> the query
+    #: to ship
+    source_query: Callable[[list[frozenset]], SPJQuery]
+
+
+def probe_sweep(query: SPJQuery, delta_alias: str) -> tuple[SweepStep, ...]:
+    """The sweep maintaining a delta on ``delta_alias``: every other
+    relation in breadth-first order from it, each probed with the join
+    values of the partial result so far.  Derived once per query object.
+    """
+    return query.derived(_derive_sweep, delta_alias)
+
+
+def _derive_sweep(
+    query: SPJQuery, delta_alias: str
+) -> tuple[SweepStep, ...]:
+    steps: list[SweepStep] = []
+    visited = {delta_alias}
+    for alias in bfs_alias_order(query, delta_alias)[1:]:
+        joins = connecting_joins(query, alias, visited)
+        if joins:
+            partial = subquery_over(
+                query,
+                sorted(visited),
+                tuple(join.other_side(alias) for join in joins),
+            )
+            # Two joins on one attribute of ``alias`` probe it once,
+            # with the later join's values.
+            column_of = {
+                join.attr_of(alias).name: column
+                for column, join in enumerate(joins)
+            }
+            attributes = tuple(sorted(column_of))
+            columns = [column_of[attribute] for attribute in attributes]
+            bind = probe_template(query, alias, attributes)
+
+            def source_query(value_sets, _bind=bind, _columns=columns):
+                return _bind(tuple(value_sets[c] for c in _columns))
+
+        else:
+            partial = None
+            scan = scan_query(query, alias)
+
+            def source_query(value_sets, _scan=scan):
+                return _scan
+
+        steps.append(
+            SweepStep(query.relation_ref(alias), partial, source_query)
+        )
+        visited.add(alias)
+    return tuple(steps)

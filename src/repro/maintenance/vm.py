@@ -13,6 +13,10 @@ Given a data update Δ on one relation, the maintenance process (the
 5. returns the delta for the scheduler to write and commit (``w(MV)``,
    ``c(MV)``).
 
+Steps 1 and 2 depend on the view version only, so the decomposition is
+prepared (:func:`~repro.maintenance.decompose.probe_sweep`): an update
+brings its delta table and the IN-list values, nothing else is rebuilt.
+
 The process is a generator of effects; a concurrent schema change makes
 one of the probes raise
 :class:`~repro.sources.errors.BrokenQueryError`, which propagates out of
@@ -35,13 +39,7 @@ from .compensation import (
     pending_data_updates,
     sign_parts,
 )
-from .decompose import (
-    bfs_alias_order,
-    connecting_joins,
-    probe_query,
-    scan_query,
-    subquery_over,
-)
+from .decompose import probe_sweep
 
 
 def _abs_table(delta: Delta) -> Table:
@@ -51,12 +49,13 @@ def _abs_table(delta: Delta) -> Table:
     return table
 
 
-def _distinct_values(table: Table, column_positions: list[int]) -> list[frozenset]:
-    values: list[set] = [set() for _ in column_positions]
-    for row in table:
-        for index, position in enumerate(column_positions):
-            values[index].add(row[position])
-    return [frozenset(collected) for collected in values]
+def _distinct_values(table: Table) -> list[frozenset]:
+    """The distinct values of every column of ``table``."""
+    columns: list[set] = [set() for _ in range(table.schema.arity)]
+    for row, _count in table.items():
+        for values, value in zip(columns, row):
+            values.add(value)
+    return [frozenset(values) for values in columns]
 
 
 def maintain_data_update(
@@ -88,33 +87,17 @@ def maintain_data_update(
     for k_ref in occurrences:
         delta_alias = k_ref.alias
         bindings: dict[str, Table] = {delta_alias: _abs_table(payload.delta)}
-        order = bfs_alias_order(query, delta_alias)
-        visited: set[str] = {delta_alias}
 
-        for alias in order[1:]:
-            ref = query.relation_ref(alias)
-            joins = connecting_joins(query, alias, visited)
-            if joins:
-                # IN-list values come from the partial join over what we
-                # have so far.
-                target_attrs = tuple(
-                    join.other_side(alias) for join in joins
-                )
-                partial = subquery_over(query, sorted(visited), target_attrs)
-                context = execute(
-                    partial,
-                    {a: bindings[a] for a in visited},
-                )
-                positions = list(range(len(target_attrs)))
-                value_sets = _distinct_values(context, positions)
-                probes = {
-                    join.attr_of(alias).name: value_sets[index]
-                    for index, join in enumerate(joins)
-                }
-                source_query = probe_query(query, alias, probes)
-            else:
-                # Disconnected relation: full scan.
-                source_query = scan_query(query, alias)
+        for step in probe_sweep(query, delta_alias):
+            ref = step.ref
+            alias = ref.alias
+            # IN-list values come from the partial join over what we
+            # have so far (``bindings`` holds exactly the visited
+            # aliases); a disconnected relation is read with a full scan.
+            value_sets: list[frozenset] = []
+            if step.partial is not None:
+                value_sets = _distinct_values(execute(step.partial, bindings))
+            source_query = step.source_query(value_sets)
 
             # Indexed IN-list probes may coalesce with probes from other
             # concurrently maintained units against the same source.
@@ -123,7 +106,7 @@ def maintain_data_update(
             answer = yield SourceQuery(
                 ref.source,
                 source_query,
-                batchable=bool(joins),
+                batchable=step.partial is not None,
                 cacheable=True,
             )
             assert isinstance(answer, QueryAnswer)
@@ -148,7 +131,6 @@ def maintain_data_update(
             bindings[alias] = compensate_answer(
                 answer.table, source_query, alias, leaked, log, extra
             )
-            visited.add(alias)
 
         # Every workload DU is single-signed: the absent sign would run
         # the whole view query over an empty table, so it is skipped.

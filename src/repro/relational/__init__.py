@@ -42,6 +42,7 @@ from .predicate import (
     AttrRef,
     Comparison,
     Conjunction,
+    InParameter,
     InPredicate,
     Negation,
     Predicate,
@@ -76,6 +77,7 @@ __all__ = [
     "Delta",
     "DuplicateAttributeError",
     "DuplicateRelationError",
+    "InParameter",
     "InPredicate",
     "JoinCondition",
     "Negation",

@@ -10,7 +10,7 @@ semantics all of that is pure interpretation overhead — counted distinct
 rows mean one kernel application per *distinct* row, so the work that
 remains is exactly the part worth compiling.
 
-A :class:`CompiledPlan` precomputes, once per ``(SPJQuery, schema
+A :class:`CompiledPlan` precomputes, once per ``(query shape, schema
 epoch)``:
 
 * the greedy connected join order and every intermediate column layout
@@ -20,6 +20,23 @@ epoch)``:
   rows directly — no per-row ``AttrRef`` dict bindings;
 * join/probe key extractors as :func:`operator.itemgetter` (C-speed);
 * the projection itemgetter and the result schema.
+
+**Plans are prepared statements.**  A plan is compiled from, and cached
+under, the query's *shape* (:attr:`SPJQuery.prepared`): the query with
+every ``InPredicate`` value list lifted into a positional parameter.  A
+maintenance probe ships the delta's join values as IN-lists, so every
+data update asks a query nobody has asked before — of a shape that is as
+old as the view definition.  What is a parameter: the value list of each
+``InPredicate``, wherever it stands (pushed down, residual, under a
+``Negation``).  What is not: ``Comparison`` constants — they belong to
+the view definition — and everything structural.  The compiled plan
+holds no values; :meth:`CompiledPlan.execute` receives the lists and
+binds them then: a filter that tests membership is closed over its list
+per execute (:class:`_Late`), and the probe-versus-scan choice of
+:meth:`_ScanStage.run` is made per execute too, because it compares the
+*bound* list's size with the table's — a plan that froze the choice of
+its first binding would scan 2 000 rows for a one-value probe, or probe
+a list as long as the table.
 
 Execution then runs a **columnar hash join** over distinct ``(row,
 count)`` pairs, multiplying multiplicities in bulk, and materializes
@@ -39,8 +56,8 @@ equivalence over random queries × bag tables × deltas × schema changes.
 **Plan-cache invalidation rule (schema epoch).**  Schemas are immutable
 values: every physical schema change replaces a table's
 :class:`RelationSchema` with a new object (and bumps
-``Table.schema_epoch``).  Plans are cached under ``(query, bound schema
-tuple)``, so a schema change can never serve a stale plan — the old
+``Table.schema_epoch``).  Plans are cached under ``(shape, bound
+schemas)``, so a schema change can never serve a stale plan — the old
 epoch's entry simply ages out of the LRU.
 """
 
@@ -61,7 +78,7 @@ from .predicate import (
     AttrRef,
     Comparison,
     Conjunction,
-    InPredicate,
+    InParameter,
     Negation,
     Predicate,
     TruePredicate,
@@ -125,32 +142,69 @@ def _raiser(exc: RelationalError):
     return deferred
 
 
+class _Late:
+    """A filter that exists only once the IN-lists are bound.
+
+    ``bind(parameters)`` returns the ``row -> bool`` closed over its
+    value lists — built per execute, so the per-row test costs what it
+    did when the list was compiled in, and the plan keeps no values.
+    """
+
+    __slots__ = ("bind",)
+
+    def __init__(self, bind) -> None:
+        self.bind = bind
+
+
+def _bound(accept, parameters):
+    """``accept`` ready to call: a late filter bound to ``parameters``."""
+    return accept.bind(parameters) if type(accept) is _Late else accept
+
+
+def _all_of(filters):
+    """AND of compiled filters; ``None`` members accept everything."""
+    filters = tuple(accept for accept in filters if accept is not None)
+    if not filters:
+        return None
+    if len(filters) == 1:
+        return filters[0]
+
+    def conjunction_filter(row, _filters=filters):
+        for accept in _filters:
+            if not accept(row):
+                return False
+        return True
+
+    return conjunction_filter
+
+
+def _negated(child):
+    """NOT of a compiled filter."""
+    if child is None:
+        return lambda row: False
+    return lambda row, _child=child: not _child(row)
+
+
 def _compile_filter(predicate: Predicate, resolve):
-    """Compile to ``row -> bool`` (``None`` means "accepts everything").
+    """Compile to ``row -> bool`` (``None`` means "accepts everything"),
+    or to a :class:`_Late` filter when an IN-list parameter is involved.
 
     Resolution failures become deferred raisers at the granularity the
     naive evaluator exhibits: per conjunct, so an earlier ``False``
     conjunct still short-circuits past a dangling reference.
     """
     if isinstance(predicate, Conjunction):
-        filters = []
-        for child in predicate.children:
-            compiled = _compile_filter_deferred(child, resolve)
-            if compiled is not None:
-                filters.append(compiled)
-        if not filters:
-            return None
-        if len(filters) == 1:
-            return filters[0]
-        filters = tuple(filters)
-
-        def conjunction_filter(row, _filters=filters):
-            for accept in _filters:
-                if not accept(row):
-                    return False
-            return True
-
-        return conjunction_filter
+        filters = [
+            _compile_filter_deferred(child, resolve)
+            for child in predicate.children
+        ]
+        if any(type(accept) is _Late for accept in filters):
+            return _Late(
+                lambda parameters: _all_of(
+                    [_bound(accept, parameters) for accept in filters]
+                )
+            )
+        return _all_of(filters)
     return _compile_filter_deferred(predicate, resolve)
 
 
@@ -198,18 +252,28 @@ def _compile_leaf(predicate: Predicate, resolve):
             )
 
         return attr_comparison
-    if isinstance(predicate, InPredicate):
+    if isinstance(predicate, InParameter):
         position = resolve(predicate.attr)
 
-        def membership(row, _position=position, _values=predicate.values):
-            return row[_position] in _values
+        def bind(parameters, _position=position, _index=predicate.index):
+            try:
+                values = parameters[_index]
+            except IndexError:
+                raise QueryError(
+                    f"unbound parameter in {predicate.sql()}"
+                ) from None
+            return lambda row: row[_position] in values
 
-        return membership
+        return _Late(bind)
     if isinstance(predicate, Negation):
         child = _compile_leaf(predicate.child, resolve)
-        if child is None:
-            return lambda row: False
-        return lambda row, _child=child: not _child(row)
+        if type(child) is _Late:
+            return _Late(
+                lambda parameters, _bind=child.bind: _negated(
+                    _bind(parameters)
+                )
+            )
+        return _negated(child)
     # Unknown predicate subclass: fall back to its own evaluate() with a
     # positional binding (slow path, exact semantics).
     def generic(row, _predicate=predicate, _resolve=resolve):
@@ -231,11 +295,11 @@ class _ScanStage:
     def __init__(self, alias, filter_, probes):
         self.alias = alias
         self.filter = filter_
-        self.probes = probes  # tuple of (attribute name, value frozenset)
+        self.probes = probes  # tuple of (attribute name, parameter index)
 
-    def run(self, table: Table) -> dict:
-        accept = self.filter
-        probe = self._choose_probe(table)
+    def run(self, table: Table, parameters: tuple) -> dict:
+        accept = _bound(self.filter, parameters)
+        probe = self._choose_probe(table, parameters)
         if probe is not None:
             attribute_name, values = probe
             rows: dict = {}
@@ -249,10 +313,12 @@ class _ScanStage:
             return counts
         return {row: count for row, count in counts.items() if accept(row)}
 
-    def _choose_probe(self, table: Table):
-        """Same selectivity rule as the naive ``_pick_probe``."""
+    def _choose_probe(self, table: Table, parameters: tuple):
+        """Same selectivity rule as the naive ``_pick_probe``, decided
+        from the lists bound to this execute."""
         best = None
-        for attribute_name, values in self.probes:
+        for attribute_name, index in self.probes:
+            values = parameters[index]
             if best is None or len(values) < len(best[1]):
                 best = (attribute_name, values)
         if best is None:
@@ -315,10 +381,10 @@ class _JoinStage:
 
 
 class CompiledPlan:
-    """A fully resolved execution strategy for one (query, schemas)."""
+    """A fully resolved execution strategy for one (shape, schemas)."""
 
     __slots__ = (
-        "query",
+        "shape",
         "first_scan",
         "join_stages",
         "residual",
@@ -329,7 +395,7 @@ class CompiledPlan:
 
     def __init__(
         self,
-        query,
+        shape,
         first_scan,
         join_stages,
         residual,
@@ -337,7 +403,7 @@ class CompiledPlan:
         project,
         result_schema,
     ):
-        self.query = query
+        self.shape = shape
         self.first_scan = first_scan
         self.join_stages = join_stages
         self.residual = residual
@@ -345,17 +411,20 @@ class CompiledPlan:
         self.project = project
         self.result_schema = result_schema
 
-    def execute(self, tables: dict[str, Table]) -> Table:
-        """Evaluate against tables bound to the compiled schemas.
+    def execute(
+        self, tables: dict[str, Table], parameters: tuple = ()
+    ) -> Table:
+        """Evaluate against tables bound to the compiled schemas, with
+        the shape's IN-lists bound to ``parameters``.
 
         The caller (plan cache) guarantees each table's schema equals
         the one the plan was compiled for.
         """
-        rows = self.first_scan.run(tables[self.first_scan.alias])
+        rows = self.first_scan.run(tables[self.first_scan.alias], parameters)
         for stage in self.join_stages:
-            right_rows = stage.scan.run(tables[stage.scan.alias])
+            right_rows = stage.scan.run(tables[stage.scan.alias], parameters)
             rows = stage.run(rows, right_rows)
-        accept = self.residual
+        accept = _bound(self.residual, parameters)
         if accept is not None:
             rows = {row: count for row, count in rows.items() if accept(row)}
         if self.projection_error is not None:
@@ -390,9 +459,9 @@ def _compile_scan(
     resolve = _resolver(columns)
     accept = _compile_filter(conjunction(predicates), resolve)
     probes = tuple(
-        (predicate.attr.name, predicate.values)
+        (predicate.attr.name, predicate.index)
         for predicate in predicates
-        if isinstance(predicate, InPredicate)
+        if isinstance(predicate, InParameter)
         and predicate.attr.relation in (None, alias)
         and predicate.attr.name in schema
     )
@@ -402,12 +471,13 @@ def _compile_scan(
 def compile_plan(
     query: SPJQuery, schemas: dict[str, RelationSchema]
 ) -> CompiledPlan:
-    """Compile ``query`` against per-alias relation schemas.
+    """Compile the shape of ``query`` against per-alias relation schemas.
 
     Replicates the naive executor's greedy connected join order and
     column layouts exactly; see the module docstring for the deferred
     error discipline.
     """
+    query = query.prepared[0]
     pushdown, residual_terms = _single_alias_conjuncts(query.selection)
 
     remaining = list(query.aliases)
@@ -505,17 +575,27 @@ def compile_plan(
 
 
 class PlanCache:
-    """LRU of compiled plans keyed by ``(query, bound schema tuple)``.
+    """LRU of compiled plans keyed by ``(shape, bound schemas)``.
+
+    The shape (:attr:`SPJQuery.prepared`) carries everything of a query
+    but its IN-lists, so the probes of one view version over one updated
+    relation share a plan however many deltas go by, and the cache holds
+    tens of plans, not one per update.  Shapes and schemas remember their
+    hash, and queries bound from one template share the template's shape
+    object: a hit is one dict probe that compares by identity.
 
     Immutable schemas *are* the epoch: any physical schema change swaps
     a table's schema object, so the lookup key changes and the stale
-    plan can never be served (it ages out of the LRU).
+    plan can never be served (it ages out of the LRU).  ``max_plans``
+    bounds memory; nothing depends on it for correctness.
     """
 
     __slots__ = ("max_plans", "_plans", "hits", "misses", "evictions")
 
     def __init__(self, max_plans: int = DEFAULT_MAX_PLANS) -> None:
-        self.max_plans = max(1, max_plans)
+        if max_plans < 1:
+            raise ValueError(f"max_plans must be at least 1, got {max_plans}")
+        self.max_plans = max_plans
         self._plans: OrderedDict = OrderedDict()
         self.hits = 0
         self.misses = 0
@@ -527,7 +607,8 @@ class PlanCache:
     def plan_for(
         self, query: SPJQuery, tables: dict[str, Table]
     ) -> CompiledPlan:
-        key = (query, tuple(tables[alias].schema for alias in query.aliases))
+        shape = query.prepared[0]
+        key = (shape, *[tables[alias].schema for alias in shape.aliases])
         plan = self._plans.get(key)
         if plan is not None:
             self.hits += 1
@@ -535,8 +616,8 @@ class PlanCache:
             return plan
         self.misses += 1
         plan = compile_plan(
-            query,
-            {alias: tables[alias].schema for alias in query.aliases},
+            shape,
+            {alias: tables[alias].schema for alias in shape.aliases},
         )
         self._plans[key] = plan
         while len(self._plans) > self.max_plans:
@@ -575,7 +656,9 @@ def execute_compiled(query: SPJQuery, tables: dict[str, Table]) -> Table:
     equality *and* result schema), same exception classes at the same
     stages.
     """
-    for ref in query.relations:
-        if ref.alias not in tables:
-            raise QueryError(f"alias {ref.alias!r} not bound to a table")
-    return PLAN_CACHE.plan_for(query, tables).execute(tables)
+    for alias in query.aliases:
+        if alias not in tables:
+            raise QueryError(f"alias {alias!r} not bound to a table")
+    return PLAN_CACHE.plan_for(query, tables).execute(
+        tables, query.prepared[1]
+    )

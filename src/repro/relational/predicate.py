@@ -10,6 +10,12 @@ manager relies on:
   changed metadata is "included in the view query").
 * ``substituted()`` — rewriting attribute references, used by view
   synchronization when relations or attributes are renamed or replaced.
+
+``lifted()`` / ``bound()`` move a tree between its concrete form and its
+*shape*: the same tree with every IN-list replaced by a positional
+:class:`InParameter`.  The shape is what a compiled plan is keyed on and
+compiled from (:mod:`repro.relational.plan`); comparison constants are
+part of the view definition and stay in it.
 """
 
 from __future__ import annotations
@@ -73,6 +79,17 @@ class Predicate:
 
     def sql(self) -> str:
         raise NotImplementedError
+
+    def lifted(self, values: list[frozenset]) -> "Predicate":
+        """This tree with every IN-list replaced by an
+        :class:`InParameter`; the lists are appended to ``values`` in
+        parameter order."""
+        return self
+
+    def bound(self, values: tuple[frozenset, ...]) -> "Predicate":
+        """Inverse of :meth:`lifted`: parameter ``i`` becomes the
+        IN-list ``values[i]``."""
+        return self
 
     def __and__(self, other: "Predicate") -> "Predicate":
         return conjunction([self, other])
@@ -201,6 +218,35 @@ class InPredicate(Predicate):
         )
         return f"{self.attr.qualified()} IN ({rendered})"
 
+    def lifted(self, values: list[frozenset]) -> Predicate:
+        values.append(self.values)
+        return InParameter(self.attr, len(values) - 1)
+
+
+@dataclass(frozen=True)
+class InParameter(Predicate):
+    """``attr IN ?index`` — an :class:`InPredicate` with its value list
+    lifted out, as it stands in a query shape.
+
+    A shape is bound before it is evaluated (and is its own shape:
+    lifting leaves it as it is).
+    """
+
+    attr: AttrRef
+    index: int
+
+    def evaluate(self, binding: Binding) -> bool:
+        raise QueryError(f"unbound parameter in {self.sql()}")
+
+    def references(self) -> frozenset[AttrRef]:
+        return frozenset({self.attr})
+
+    def sql(self) -> str:
+        return f"{self.attr.qualified()} IN (?{self.index})"
+
+    def bound(self, values: tuple[frozenset, ...]) -> Predicate:
+        return InPredicate(self.attr, values[self.index])
+
 
 @dataclass(frozen=True)
 class Conjunction(Predicate):
@@ -225,6 +271,16 @@ class Conjunction(Predicate):
     def sql(self) -> str:
         return " AND ".join(child.sql() for child in self.children)
 
+    def lifted(self, values: list[frozenset]) -> Predicate:
+        return Conjunction(
+            tuple(child.lifted(values) for child in self.children)
+        )
+
+    def bound(self, values: tuple[frozenset, ...]) -> Predicate:
+        return Conjunction(
+            tuple(child.bound(values) for child in self.children)
+        )
+
 
 @dataclass(frozen=True)
 class Negation(Predicate):
@@ -243,6 +299,12 @@ class Negation(Predicate):
 
     def sql(self) -> str:
         return f"NOT ({self.child.sql()})"
+
+    def lifted(self, values: list[frozenset]) -> Predicate:
+        return Negation(self.child.lifted(values))
+
+    def bound(self, values: tuple[frozenset, ...]) -> Predicate:
+        return Negation(self.child.bound(values))
 
 
 def conjunction(predicates: list[Predicate]) -> Predicate:

@@ -10,11 +10,17 @@ evaluates them against bags of rows.
 The AST supports the structural rewrites view synchronization needs:
 renaming relations/attributes, replacing a relation wholesale, dropping
 attributes from the projection and pruning join conditions.
+
+A query is immutable, so what follows from its fields alone — its
+aliases, the attributes it mentions, its hash, its *shape* (see
+:attr:`SPJQuery.prepared`) — is computed once per object and remembered
+beside the fields (:class:`~repro.relational.types.Memoised`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 from .errors import QueryError, UnknownAttributeError
 from .predicate import (
@@ -24,6 +30,7 @@ from .predicate import (
     Substitution,
     conjunction,
 )
+from .types import Memoised
 
 
 @dataclass(frozen=True)
@@ -84,7 +91,7 @@ class JoinCondition:
 
 
 @dataclass(frozen=True)
-class SPJQuery:
+class SPJQuery(Memoised):
     """A select-project-join query over distributed relations."""
 
     relations: tuple[RelationRef, ...]
@@ -95,10 +102,10 @@ class SPJQuery:
     def __post_init__(self) -> None:
         if not self.relations:
             raise QueryError("a query needs at least one relation")
-        aliases = [ref.alias for ref in self.relations]
-        if len(set(aliases)) != len(aliases):
-            raise QueryError(f"duplicate aliases in query: {aliases}")
+        aliases = self.aliases
         known = set(aliases)
+        if len(known) != len(aliases):
+            raise QueryError(f"duplicate aliases in query: {list(aliases)}")
         for ref in self.all_attribute_refs():
             if ref.relation is not None and ref.relation not in known:
                 raise QueryError(
@@ -106,11 +113,76 @@ class SPJQuery:
                     f"alias {ref.relation!r}"
                 )
 
+    def __hash__(self) -> int:
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash(
+            (self.relations, self.projection, self.joins, self.selection)
+        )
+
+    # ------------------------------------------------------------------
+    # shape and parameters (what a compiled plan is keyed on)
+    # ------------------------------------------------------------------
+
+    @cached_property
+    def prepared(self) -> tuple["SPJQuery", tuple[frozenset, ...]]:
+        """``(shape, parameters)``: this query with every IN-list lifted
+        into a positional parameter, and the lifted lists in order.
+
+        The shape is the plan-cache key: two probes that differ only in
+        the join values they ship share one compiled plan.  A query
+        without IN-lists is its own shape; one made by :meth:`bind`
+        shares its template's shape object, so looking its plan up
+        compares by identity.
+        """
+        values: list[frozenset] = []
+        selection = self.selection.lifted(values)
+        if not values:
+            return self, ()
+        return replace(self, selection=selection), tuple(values)
+
+    def bind(self, parameters: tuple[frozenset, ...]) -> "SPJQuery":
+        """The query of shape ``self`` whose IN-lists are ``parameters``
+        (inverse of :attr:`prepared`).
+
+        Binding changes no alias and no attribute reference, so there
+        is nothing for ``__post_init__`` to validate again and the memos
+        that follow from the references carry over; this is the one
+        per-probe construction of a maintenance sweep.
+        """
+        query = object.__new__(type(self))
+        vars(query).update(
+            self.__getstate__(),  # the fields
+            selection=self.selection.bound(parameters),
+            aliases=self.aliases,
+            _attribute_refs=self._attribute_refs,
+            prepared=(self, parameters),
+        )
+        return query
+
+    def derived(self, derive, *arguments):
+        """``derive(self, *arguments)``, computed once per query object:
+        for what other layers work out from this query alone (the
+        maintenance layer's prepared probe sweep)."""
+        memo = self._derived
+        key = (derive, *arguments)
+        try:
+            return memo[key]
+        except KeyError:
+            value = memo[key] = derive(self, *arguments)
+            return value
+
+    @cached_property
+    def _derived(self) -> dict:
+        return {}
+
     # ------------------------------------------------------------------
     # introspection
     # ------------------------------------------------------------------
 
-    @property
+    @cached_property
     def aliases(self) -> tuple[str, ...]:
         return tuple(ref.alias for ref in self.relations)
 
@@ -128,6 +200,10 @@ class SPJQuery:
 
     def all_attribute_refs(self) -> frozenset[AttrRef]:
         """Every attribute the query mentions anywhere."""
+        return self._attribute_refs
+
+    @cached_property
+    def _attribute_refs(self) -> frozenset[AttrRef]:
         refs = set(self.projection)
         refs |= self.selection.references()
         for join in self.joins:

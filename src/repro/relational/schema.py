@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator
 
 from .errors import (
@@ -20,7 +21,7 @@ from .errors import (
     SchemaError,
     UnknownAttributeError,
 )
-from .types import AttributeType
+from .types import AttributeType, Memoised
 
 _IDENTIFIER = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
 
@@ -49,11 +50,20 @@ class Attribute:
 
 
 @dataclass(frozen=True)
-class RelationSchema:
+class RelationSchema(Memoised):
     """Immutable schema of one relation: a name and ordered attributes."""
 
     name: str
     attributes: tuple[Attribute, ...]
+
+    def __hash__(self) -> int:
+        # Every plan-cache lookup hashes one schema per alias; the tree
+        # hash (attribute type enums included) is paid once per object.
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.name, self.attributes))
 
     def __post_init__(self) -> None:
         _check_identifier(self.name, "relation")

@@ -19,6 +19,25 @@ from .errors import TypeMismatchError
 Value = int | float | str | bool | None
 
 
+class Memoised:
+    """Mixin for frozen dataclasses that remember what they derive from
+    their own fields (a hash, a tuple of aliases, a query shape).
+
+    The memos are :func:`functools.cached_property` values: they sit in
+    the instance ``__dict__`` beside the fields, never among them, so
+    ``==``, ``repr`` and :func:`dataclasses.replace` do not see them.
+    Pickling ships the fields only — string hashes differ per
+    interpreter, so a cached hash that crossed into a spawned worker
+    would silently miss in every dict there.
+    """
+
+    __slots__ = ()
+
+    def __getstate__(self) -> dict:
+        state = self.__dict__
+        return {name: state[name] for name in self.__dataclass_fields__}
+
+
 class AttributeType(enum.Enum):
     """Scalar type of a relation attribute."""
 

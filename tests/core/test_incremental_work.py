@@ -365,3 +365,96 @@ def test_du_only_burst_executes_per_probe_not_per_pending(monkeypatch):
     round_trips = testbed.metrics.source_round_trips
     assert round_trips >= 60
     assert round_trips < executes <= 5 * round_trips
+
+
+def _counted_du_run(monkeypatch, du_count, renames=0):
+    """Run the same DU-only burst (optionally with relation renames
+    mid-stream) from a cold plan cache and count what depends on the
+    view version only: plan compilations and the sweep's decomposition.
+    Returns ``(counts, view versions maintained under)``."""
+    import repro.maintenance.decompose as decompose_module
+    import repro.relational.plan as plan_module
+    from repro.experiments.testbed import make_sc_workload
+
+    counts = {"compile_plan": 0, "needed_columns": 0, "bfs_alias_order": 0}
+
+    def counting(patch, module, name):
+        real = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            counts[name] += 1
+            return real(*args, **kwargs)
+
+        patch.setattr(module, name, counted)
+
+    plan_module.clear_plan_cache()
+    evictions = plan_module.plan_cache_stats()["evictions"]
+    with monkeypatch.context() as patch:
+        counting(patch, plan_module, "compile_plan")
+        counting(patch, decompose_module, "needed_columns")
+        counting(patch, decompose_module, "bfs_alias_order")
+        testbed = build_testbed(PESSIMISTIC, tuples_per_relation=200)
+        testbed.engine.schedule_workload(
+            make_du_workload(
+                testbed.tuples_per_relation, du_count, 0.05, 0.01, seed=5
+            )
+        )
+        if renames:
+            testbed.engine.schedule_workload(
+                make_sc_workload(renames, 0.3, 1.0, seed=9, drop_first=False)
+            )
+        testbed.run()
+    assert testbed.metrics.maintained_updates == du_count + renames
+    assert testbed.check_consistency()
+    counts["evictions"] = (
+        plan_module.plan_cache_stats()["evictions"] - evictions
+    )
+    return counts, testbed.manager.view.version
+
+
+#: plans one view version can need: per updated relation, one partial
+#: join and one probe per other relation, plus the final assembly
+PLAN_SET = RELATION_COUNT * (2 * (RELATION_COUNT - 1) + 1)
+
+
+def test_du_only_burst_compiles_per_view_version_not_per_update(monkeypatch):
+    """A probe ships the delta's join values as IN-lists, but its plan
+    is keyed on the query's *shape*: 60 and 240 data updates compile the
+    same plans — at most one set per view version — and evict none."""
+    short, versions = _counted_du_run(monkeypatch, 60)
+    long, _ = _counted_du_run(monkeypatch, 240)
+    assert versions == 1
+    assert short["compile_plan"] == long["compile_plan"]
+    # + 1: the initial load runs the view query over the base tables
+    assert 0 < long["compile_plan"] <= PLAN_SET + 1 == 67
+    assert short["evictions"] == long["evictions"] == 0
+
+
+def test_du_only_burst_decomposes_per_view_version_not_per_update(
+    monkeypatch,
+):
+    """What the sweep derives from the view query alone — probe order,
+    needed columns, partial joins, probe templates — is derived once per
+    (view version, updated relation), however many updates follow."""
+    short, _ = _counted_du_run(monkeypatch, 60)
+    long, _ = _counted_du_run(monkeypatch, 240)
+    for name in ("bfs_alias_order", "needed_columns"):
+        assert short[name] == long[name]
+    assert 0 < long["bfs_alias_order"] <= RELATION_COUNT
+    assert 0 < long["needed_columns"] <= RELATION_COUNT * (RELATION_COUNT - 1)
+
+
+def test_one_rename_adds_at_most_one_further_set(monkeypatch):
+    """A schema change makes a new view version: its definition object
+    is replaced wholesale, so one rename mid-stream costs at most one
+    further set of plans and one further decomposition, not a cold
+    start per update after it."""
+    base, _ = _counted_du_run(monkeypatch, 240)
+    renamed, versions = _counted_du_run(monkeypatch, 240, renames=1)
+    assert versions == 2
+    assert renamed["compile_plan"] <= base["compile_plan"] + PLAN_SET
+    assert renamed["bfs_alias_order"] <= 2 * RELATION_COUNT
+    assert renamed["needed_columns"] <= (
+        2 * RELATION_COUNT * (RELATION_COUNT - 1)
+    )
+    assert renamed["evictions"] == 0

@@ -8,9 +8,14 @@ queries (joins, pushdown-able and residual selections, IN-lists,
 unqualified and dangling references) over bag tables with duplicates
 and NULLs, then keep checking equivalence as signed deltas and
 drop/rename schema changes mutate the tables underneath the plan cache.
+
+A plan is compiled from the query's *shape* and its IN-lists are bound
+per execute, so one cached plan must answer every rebinding exactly,
+index-probe choice included (``test_one_plan_rebinds_exactly``).
 """
 
 from collections import Counter
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -19,11 +24,16 @@ from hypothesis import strategies as st
 from repro.relational.delta import Delta
 from repro.relational.errors import RelationalError
 from repro.relational.executor import execute_naive
-from repro.relational.plan import execute_compiled
+from repro.relational.plan import (
+    clear_plan_cache,
+    execute_compiled,
+    plan_cache_stats,
+)
 from repro.relational.predicate import (
     AttrComparison,
     Comparison,
     InPredicate,
+    Negation,
     attr,
     conjunction,
 )
@@ -226,3 +236,152 @@ def test_error_classes_match_exactly(projection_kind):
     compiled = _outcome(execute_compiled, query, tables)
     assert naive[0] == "raised"
     assert naive == compiled
+
+
+# ----------------------------------------------------------------------
+# rebinding: one cached plan, many IN-lists
+# ----------------------------------------------------------------------
+
+#: where the IN-list(s) stand in a query over R join S; each takes two
+#: lists (single-list placements ignore the second)
+PLACEMENTS = {
+    # pushed down to one side of the join
+    "pushdown": lambda first, second: InPredicate(attr("R", "k"), first),
+    "negated": lambda first, second: Negation(
+        InPredicate(attr("R", "k"), first)
+    ),
+    "beside_comparison": lambda first, second: conjunction(
+        [
+            Comparison(attr("R", "k"), ">=", 1),
+            InPredicate(attr("R", "k"), first),
+        ]
+    ),
+    # dangling attribute: a deferred raiser, whatever is bound
+    "dangling": lambda first, second: InPredicate(
+        attr("R", "missing"), first
+    ),
+    # unqualified reference: evaluated as a residual after the join
+    "residual": lambda first, second: InPredicate(attr("a"), first),
+    # two lists in one query, one per side of the join
+    "two_lists": lambda first, second: conjunction(
+        [
+            InPredicate(attr("R", "k"), first),
+            InPredicate(attr("S", "k"), second),
+        ]
+    ),
+    "two_lists_one_scan": lambda first, second: conjunction(
+        [
+            InPredicate(attr("R", "k"), first),
+            Negation(InPredicate(attr("R", "a"), frozenset({"p"}))),
+            InPredicate(attr("R", "k"), second),
+        ]
+    ),
+}
+
+wide_key = st.one_of(st.integers(min_value=0, max_value=11), st.none())
+#: at least eight *distinct* rows, so a one-value list is under a
+#: quarter of the table (index probe) and a wide one is not (scan)
+distinct_r_rows = st.lists(
+    st.tuples(wide_key, word, price), min_size=8, max_size=20, unique=True
+)
+distinct_s_rows = st.lists(
+    st.tuples(wide_key, word), min_size=8, max_size=20, unique=True
+)
+copies = st.lists(
+    st.integers(min_value=1, max_value=3), min_size=20, max_size=20
+)
+
+
+def _rebinding_query(placement: str, first, second) -> SPJQuery:
+    return SPJQuery(
+        relations=(RelationRef("s", "R", "R"), RelationRef("s", "S", "S")),
+        projection=(attr("R", "a"), attr("S", "c"), attr("R", "k")),
+        joins=(JoinCondition(attr("R", "k"), attr("S", "k")),),
+        selection=PLACEMENTS[placement](first, second),
+    )
+
+
+def _outcome_and_probes(executor, query, tables):
+    """``_outcome`` plus every index probe the executor made, as
+    ``(relation, attribute, values)``."""
+    probes = []
+    real_probe = Table.probe
+
+    def spying_probe(self, attribute_name, values):
+        probes.append((self.schema.name, attribute_name, frozenset(values)))
+        return real_probe(self, attribute_name, values)
+
+    with mock.patch.object(Table, "probe", spying_probe):
+        outcome = _outcome(executor, query, tables)
+    return outcome, probes
+
+
+@given(
+    distinct_r_rows,
+    distinct_s_rows,
+    copies,
+    st.sampled_from(sorted(PLACEMENTS)),
+    st.data(),
+)
+@settings(max_examples=150, deadline=None)
+def test_one_plan_rebinds_exactly(r_data, s_data, counts, placement, data):
+    """Empty, one-value (index probe) and wide (scan) lists through one
+    cached plan, in sequence and in swapped order: every binding equals
+    the naive oracle in bag, result schema and exception class, *and*
+    probes the index exactly when the oracle does — a plan that kept
+    its first binding fails the former, one that froze its first probe
+    choice the latter."""
+    tables = {
+        name: Table(
+            schema, [row for row, n in zip(rows, counts) for _ in range(n)]
+        )
+        for name, schema, rows in (("R", R, r_data), ("S", S, s_data))
+    }
+    keys = sorted(
+        {row[0] for row in r_data + s_data if row[0] is not None}
+    ) or [0]
+    one = frozenset({data.draw(st.sampled_from(keys))})
+    other = frozenset({data.draw(st.sampled_from(keys))})
+    # covers at least a quarter of either table's distinct rows
+    wide = frozenset(range(-1, 7)) | one
+    empty = frozenset()
+    bindings = [
+        (empty, wide),
+        (one, wide),
+        (wide, one),  # the same two lists, swapped
+        (other, other),
+        (wide, empty),
+        (one, wide),  # and back: nothing of (wide, empty) may linger
+    ]
+    for table in tables.values():
+        assert len(wide) * 4 >= table.distinct_count() > len(one) * 4
+
+    clear_plan_cache()
+    misses = plan_cache_stats()["misses"]
+    for first, second in bindings:
+        query = _rebinding_query(placement, first, second)
+        naive = _outcome_and_probes(execute_naive, query, tables)
+        compiled = _outcome_and_probes(execute_compiled, query, tables)
+        assert naive == compiled
+    assert plan_cache_stats()["misses"] == misses + 1  # one plan did it all
+
+
+def test_rebinding_takes_both_scan_paths():
+    """The property above is not vacuous: on one plan a one-value list
+    goes through the index and a wide one does not, in either order."""
+    rows = [(key, "p", 0.5) for key in range(12)]
+    clear_plan_cache()
+    for lists in ([{3}, set(range(6)), {4}], [set(range(6)), {3}]):
+        table = Table(R, rows)  # fresh: no index yet
+        for values in lists:
+            query = SPJQuery(
+                relations=(RelationRef("s", "R", "R"),),
+                projection=(attr("R", "k"),),
+                selection=InPredicate(attr("R", "k"), frozenset(values)),
+            )
+            (outcome, probes) = _outcome_and_probes(
+                execute_compiled, query, {"R": table}
+            )
+            assert outcome[1] == Counter({(key,): 1 for key in values})
+            assert bool(probes) == (len(values) == 1)
+    assert plan_cache_stats()["plans"] == 1

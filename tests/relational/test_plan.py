@@ -118,6 +118,52 @@ class TestPlanCache:
         assert cache.stats()["misses"] == 5
         del schemas
 
+    def test_max_plans_below_one_is_refused(self):
+        for max_plans in (0, -2):
+            with pytest.raises(ValueError, match="max_plans"):
+                PlanCache(max_plans=max_plans)
+
+    def test_in_lists_are_parameters_not_part_of_the_key(self):
+        """Probes that differ only in their IN-list share one plan; a
+        comparison constant is part of the shape and does not."""
+        cache = PlanCache(max_plans=2)
+        bound = {"R": Table(R, [(i % 50, "v") for i in range(200)])}
+
+        def probe(values, threshold=0):
+            return SPJQuery(
+                relations=(RelationRef("s", "R", "R"),),
+                projection=(attr("R", "a"),),
+                selection=Comparison(attr("R", "k"), ">=", threshold)
+                & InPredicate(attr("R", "k"), frozenset(values)),
+            )
+
+        plans = {id(cache.plan_for(probe({v}), bound)) for v in range(40)}
+        assert len(plans) == 1
+        assert cache.stats() == {
+            "plans": 1, "hits": 39, "misses": 1, "evictions": 0
+        }
+        assert cache.plan_for(probe({1}, threshold=7), bound).shape == (
+            probe({2, 3}, threshold=7).prepared[0]
+        )
+        assert cache.stats()["misses"] == 2
+
+    def test_executing_an_unbound_shape_is_an_error(self):
+        from repro.relational.errors import QueryError
+        from repro.relational.executor import execute_naive
+
+        query = SPJQuery(
+            relations=(RelationRef("s", "R", "R"),),
+            projection=(attr("R", "a"),),
+            selection=InPredicate(attr("R", "k"), frozenset({1})),
+        )
+        shape, parameters = query.prepared
+        assert parameters == (frozenset({1}),)
+        assert shape.bind(parameters) == query
+        bound = {"R": Table(R, [(1, "p")])}
+        for executor in (execute_compiled, execute_naive):
+            with pytest.raises(QueryError, match="unbound parameter"):
+                executor(shape, bound)
+
     def test_probe_path_used_for_small_in_lists(self):
         clear_plan_cache()
         big = Table(R, [(i % 50, "v") for i in range(200)])

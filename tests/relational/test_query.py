@@ -1,11 +1,24 @@
 """SPJ query AST: validation, introspection, structural rewrites."""
 
+import os
+import pickle
+import subprocess
+import sys
+from dataclasses import fields, replace
+from pathlib import Path
+
 import pytest
 
 from repro.relational.errors import QueryError
-from repro.relational.predicate import Comparison, attr, conjunction
+from repro.relational.predicate import (
+    Comparison,
+    InPredicate,
+    attr,
+    conjunction,
+)
 from repro.relational.query import JoinCondition, RelationRef, SPJQuery
 from repro.relational.schema import RelationSchema
+from repro.relational.types import AttributeType
 
 
 def two_way() -> SPJQuery:
@@ -219,3 +232,130 @@ class TestRendering:
             projection=(attr("R", "a"),),
         )
         assert "WHERE" not in query.sql()
+
+
+def probing(values) -> SPJQuery:
+    """``two_way`` restricted by an IN-list (a maintenance probe's form)."""
+    return two_way().with_extra_selection(
+        InPredicate(attr("R", "k"), frozenset(values))
+    )
+
+
+SCHEMAS = {
+    "R": RelationSchema.of("R", [("a", AttributeType.INT), "k"]),
+    "T": RelationSchema.of("T", ["x", "k"]),
+}
+
+
+def _memoise(query: SPJQuery) -> None:
+    """Touch everything a query or a schema remembers."""
+    hash(query)
+    query.aliases
+    query.all_attribute_refs()
+    hash(query.prepared[0])
+    query.derived(lambda query, tag: object(), "anything")
+    for schema in SCHEMAS.values():
+        hash(schema)
+
+
+class TestMemos:
+    """Aliases, attribute refs, hash and shape are computed once per
+    object — beside the fields, never among them, never shipped."""
+
+    def test_memos_are_not_fields(self):
+        cold, warm = probing({"u", "v"}), probing({"u", "v"})
+        text, shown = warm.sql(), repr(warm)
+        _memoise(warm)
+        assert warm == cold and hash(warm) == hash(cold)
+        assert warm.sql() == text and repr(warm) == shown == repr(cold)
+        assert warm.aliases == cold.aliases == ("R", "T")
+        assert warm.all_attribute_refs() == cold.all_attribute_refs()
+        # replace() starts afresh: nothing derived is carried over
+        narrowed = replace(warm, projection=(attr("R", "a"),))
+        assert not {"_hash", "prepared", "_derived"} & set(vars(narrowed))
+        assert narrowed.all_attribute_refs() < warm.all_attribute_refs()
+        assert hash(narrowed) != hash(warm)
+        schema = SCHEMAS["R"]
+        renamed = replace(schema, name="Q")
+        assert set(vars(renamed)) == {"name", "attributes"}
+        assert hash(renamed) == hash(RelationSchema("Q", schema.attributes))
+
+    def test_shape_lifts_in_lists_and_nothing_else(self):
+        first, second = probing({"u"}), probing({"v", "w"})
+        assert first.prepared[0] == second.prepared[0]
+        assert first.prepared[1] == (frozenset({"u"}),)
+        assert "R.a > 0 AND R.k IN (?0)" in first.prepared[0].sql()
+        # a query without IN-lists is its own shape, constants included
+        assert two_way().prepared == (two_way(), ())
+        assert replace(
+            two_way(), selection=Comparison(attr("R", "a"), ">", 1)
+        ).prepared[0] != two_way().prepared[0]
+
+    def test_bound_queries_equal_constructed_ones(self):
+        shape, parameters = probing({"u"}).prepared
+        bound = shape.bind((frozenset({"v", "w"}),))
+        built = probing({"v", "w"})
+        assert bound == built and hash(bound) == hash(built)
+        assert bound.sql() == built.sql() and repr(bound) == repr(built)
+        assert bound.prepared[0] is shape  # shared, not rebuilt
+        assert bound.prepared == built.prepared
+        assert shape.bind(parameters) == probing({"u"})
+
+    def test_pickling_ships_fields_only(self):
+        query = probing({"u"})
+        _memoise(query)
+        for value in (query, SCHEMAS["R"]):
+            copy = pickle.loads(pickle.dumps(value))
+            assert copy == value
+            assert set(vars(copy)) == {f.name for f in fields(value)}
+
+    def test_memos_do_not_cross_into_another_interpreter(self):
+        """String hashes differ per interpreter: a pickled cached hash
+        would make an equal key miss in a ``spawn``ed worker.  The child
+        runs under another ``PYTHONHASHSEED``, looks the shipped query
+        and schemas up in dicts keyed by freshly built equals, and runs
+        the query through its own plan cache."""
+        query = probing({"u"})
+        _memoise(query)
+        seed = "1" if os.environ.get("PYTHONHASHSEED") != "1" else "2"
+        root = Path(__file__).resolve().parents[2]
+        child = subprocess.run(
+            [sys.executable, "-c", _CHILD],
+            input=pickle.dumps((query, SCHEMAS)),
+            capture_output=True,
+            cwd=root,
+            env={
+                **os.environ,
+                "PYTHONHASHSEED": seed,
+                "PYTHONPATH": os.pathsep.join([str(root / "src"), str(root)]),
+            },
+            timeout=60,
+        )
+        assert child.returncode == 0, child.stderr.decode()
+        theirs = int(child.stdout.split()[-1])
+        assert theirs != hash("R.k")  # the child really hashed otherwise
+
+
+_CHILD = """
+import pickle, sys
+from repro.relational.plan import (
+    clear_plan_cache, execute_compiled, plan_cache_stats,
+)
+from repro.relational.table import Table
+from tests.relational.test_query import SCHEMAS, probing
+
+query, schemas = pickle.loads(sys.stdin.buffer.read())
+assert {probing({"u"}): "found"}[query] == "found"
+for alias, schema in schemas.items():
+    assert {SCHEMAS[alias]: alias}[schema] == alias
+clear_plan_cache()
+fresh = {alias: Table(schema) for alias, schema in SCHEMAS.items()}
+shipped = {alias: Table(schema) for alias, schema in schemas.items()}
+fresh["R"].insert((1, "u")), fresh["T"].insert(("x", "u"))
+shipped["R"].insert((1, "u")), shipped["T"].insert(("x", "u"))
+assert execute_compiled(probing({"v"}), fresh).rows() == []
+assert execute_compiled(query, shipped).rows() == [(1, "x")]
+stats = plan_cache_stats()
+assert (stats["plans"], stats["misses"]) == (1, 1), stats
+print(hash("R.k"))
+"""
