@@ -5,10 +5,13 @@ points on the serial scheduler, ``parallel.*`` points on a 2-worker
 executor, ``recover.replay`` via a staged crash-during-recovery — and
 checks crash-anywhere equivalence against a journal-off oracle: the
 recovered extent and committed (source, seqno) set must match, and
-every targeted point must actually have fired.  Writes per-point
-journal/checkpoint/replay statistics to
-``benchmarks/results/recovery_stats.json`` (uploaded by CI alongside
-the benchmark results)::
+every targeted point must actually have fired.  One sharded arm (4
+shards, one crash per shard) checks what the union-of-shards compares
+cannot see: every recovered shard maintains exactly what its uncrashed
+twin maintains (a recovered shard keeps its delivery filter).  Writes
+per-point journal/checkpoint/replay statistics and both sharded runs'
+per-shard counters to ``benchmarks/results/recovery_stats.json``
+(uploaded by CI alongside the benchmark results)::
 
     PYTHONPATH=src python benchmarks/recovery_smoke.py
 
@@ -25,7 +28,7 @@ import sys
 from pathlib import Path
 
 from repro.core.strategies import PESSIMISTIC
-from repro.experiments.testbed import build_testbed
+from repro.experiments.testbed import build_sharded_testbed, build_testbed
 from repro.recovery import (
     CRASH_POINTS,
     CrashPlan,
@@ -39,6 +42,9 @@ STATS_PATH = RESULTS_DIR / "recovery_stats.json"
 TUPLES = 120
 DU_COUNT = 12
 SC_COUNT = 2
+#: per-shard counters a crash must not move, and those only recorded
+SHARD_IDENTICAL = ("maintained_updates", "router_delivered", "router_dropped")
+SHARD_REPORTED = ("recoveries", "journal_entries", "checkpoints_taken")
 
 
 def _testbed(workers: int | None, **recovery_kwargs):
@@ -78,6 +84,52 @@ def _run_replay_crash(workers: int | None):
     recover_in_place(testbed)  # retries the crashed replay
     testbed.run()
     return testbed
+
+
+def _sharded_arm(failures: list[str]) -> dict:
+    """4 shards, each crashed once, against the no-crash twin: equal
+    per-shard ``maintained_updates`` and delivery counts."""
+    runs = {}
+    for name, crash_plan in (
+        ("uncrashed", None),
+        ("crashed", CrashPlan("serial.post_commit", 3)),
+    ):
+        testbed = build_sharded_testbed(
+            PESSIMISTIC,
+            shards=4,
+            tuples_per_relation=TUPLES,
+            journal=True,
+            checkpoint_every=2,
+            crash_plan=crash_plan,
+        )
+        testbed.schedule_du_workload(4 * DU_COUNT, start=0.0, interval=0.5)
+        testbed.schedule_sc_workload(SC_COUNT, start=1.0, interval=25.0)
+        testbed.run()
+        if not testbed.check_consistency():
+            failures.append(f"sharded {name}: diverged from recompute")
+        runs[name] = {
+            str(shard.shard_id): {
+                counter: getattr(shard.engine.metrics, counter)
+                for counter in SHARD_IDENTICAL + SHARD_REPORTED
+            }
+            for shard in testbed.warehouse.shards
+        }
+    for shard_id, crashed in runs["crashed"].items():
+        twin = runs["uncrashed"][shard_id]
+        if crashed["recoveries"] != 1:
+            failures.append(f"shard {shard_id}: crash never fired")
+        for counter in SHARD_IDENTICAL:
+            if crashed[counter] != twin[counter]:
+                failures.append(
+                    f"shard {shard_id}: {counter} {crashed[counter]} "
+                    f"after recovery, {twin[counter]} without the crash"
+                )
+        print(
+            f"shard {shard_id:<17} recoveries={crashed['recoveries']} "
+            f"maintained={crashed['maintained_updates']} "
+            f"(uncrashed {twin['maintained_updates']})"
+        )
+    return runs
 
 
 def main() -> int:
@@ -131,10 +183,12 @@ def main() -> int:
             f"replayed={metrics.replayed_entries}"
         )
 
+    sharded = _sharded_arm(failures)
+
     RESULTS_DIR.mkdir(exist_ok=True)
     STATS_PATH.write_text(
         json.dumps(
-            {"points": stats, "failures": failures},
+            {"points": stats, "sharded": sharded, "failures": failures},
             indent=2,
             sort_keys=True,
         )

@@ -772,21 +772,3 @@ class ParallelScheduler(DynoScheduler):
         metrics.peak_parallelism = self.pool.peak_parallelism
         self._sync_fault_stats()
         return self.stats
-
-
-def make_scheduler(
-    manager,
-    strategy: Strategy,
-    workers: int | None = None,
-    batch_policy=None,
-) -> DynoScheduler:
-    """The scheduler for ``manager``: serial Dyno loop when ``workers``
-    is ``None``, the parallel executor with that many workers otherwise.
-
-    The one place that choice is made — warehouse construction and
-    crash recovery both rebuild their scheduler through it."""
-    if workers is None:
-        return DynoScheduler(manager, strategy, batch_policy=batch_policy)
-    return ParallelScheduler(
-        manager, strategy, workers=workers, batch_policy=batch_policy
-    )

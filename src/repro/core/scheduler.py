@@ -123,7 +123,7 @@ class DynoScheduler:
         # hide a real ordering bug.  Baselines (skip / merge-all) keep
         # the historical clamp — broken ordering is their design.
         if strategy.on_broken_query is BrokenQueryPolicy.CORRECT:
-            for inner in getattr(manager, "managers", None) or [manager]:
+            for inner in manager.view_managers():
                 inner.compensation_log.strict = True
         self.max_iterations = max_iterations
         self.defer_du_interval = defer_du_interval

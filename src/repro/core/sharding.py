@@ -21,7 +21,11 @@ snapshot cache, self-maintenance store and journal — across N scheduler
   the new name keep flowing before the view rewrite installs.  Messages
   matching no footprint of a shard are dropped *for that shard only*
   (the source commit itself is untouched, so maintenance queries still
-  observe full source state and SWEEP compensation stays exact).
+  observe full source state and SWEEP compensation stays exact).  The
+  router only *decides* (:meth:`ShardRouter.accepts`, the ``accepts``
+  of the shard's stack description); a delivery is *counted* where it
+  happens, in the wrapper sink
+  (:func:`~repro.views.manager.filtered_sink`).
 
 * :class:`ShardCoordinator` — the coordinator, written once.  Each
   round, :func:`plan_round` decides from :class:`ShardStatus` snapshots
@@ -136,21 +140,6 @@ class ShardRouter:
         if isinstance(message.payload, RenameRelation):
             footprint.add((message.source, message.payload.new))
         return True
-
-    def delivery_filter(
-        self, shard_id: int, metrics: Metrics
-    ) -> Callable[[UpdateMessage], bool]:
-        """A wrapper-sink predicate for one shard (counts into
-        ``metrics.router_delivered`` / ``router_dropped``)."""
-
-        def accept(message: UpdateMessage) -> bool:
-            if self.accepts(shard_id, message):
-                metrics.router_delivered += 1
-                return True
-            metrics.router_dropped += 1
-            return False
-
-        return accept
 
 
 @dataclass(frozen=True)
@@ -310,10 +299,6 @@ class Shard:
     #: (version 0 of the read front end's timelines)
     initial_sizes: dict[str, int] = field(default_factory=dict)
 
-    def view_managers(self) -> list:
-        managers = getattr(self.manager, "managers", None)
-        return list(managers) if managers is not None else [self.manager]
-
 
 def plan_round(
     statuses: dict[int, ShardStatus],
@@ -394,12 +379,10 @@ def _collect_state(shard: Shard) -> dict:
     once it is quiescent, as plain picklable values (a worker process
     ships this home; its live sources stay behind, so convergence is
     checked here, against them)."""
+    from ..recovery import committed_updates
     from ..views.consistency import check_convergence
 
-    managers = shard.view_managers()
-    committed = set(shard.scheduler.stats.processed_messages)
-    if shard.recovery is not None:
-        committed |= shard.recovery.installed_refs()
+    managers = shard.manager.view_managers()
     return {
         #: view name -> canonical (sorted row tuples) extent
         "extents": {
@@ -409,7 +392,7 @@ def _collect_state(shard: Shard) -> dict:
             for manager in managers
         },
         #: every maintained ``(source, seqno)``, across crashes
-        "committed": frozenset(committed),
+        "committed": committed_updates(shard),
         "clock_now": shard.engine.clock.now,
         "cost_model": shard.engine.cost_model,
         "metrics": shard.engine.metrics,

@@ -21,11 +21,12 @@ updates can be committed immediately or scheduled at virtual times.
 from __future__ import annotations
 
 from .core.scheduler import DynoScheduler, SchedulerStats
+from .core.stack import StackDescription, build_stack
 from .core.strategies import PESSIMISTIC, Strategy
 from .faults.injector import FaultInjector, FaultStats
 from .faults.plan import FaultPlan
 from .faults.retry import RetryPolicy
-from .recovery import arm_recovery, run_recovering
+from .recovery import arm_recovery, committed_updates, run_recovering
 from .relational.sql import parse_view
 from .relational.table import Table
 from .sim.costs import CostModel
@@ -125,24 +126,18 @@ class DyDaSystem:
             return
         if not self._view_definitions:
             raise DyDaError("define at least one view first")
-        if len(self._view_definitions) == 1:
-            self.manager = ViewManager(
-                self.engine, self._view_definitions[0], self.mkb
-            )
-        else:
-            self.manager = MultiViewManager(
-                self.engine, self._view_definitions, self.mkb
-            )
-        self.scheduler = DynoScheduler(self.manager, self.strategy)
+        description = StackDescription(self.strategy, mkb=self.mkb)
+        self.manager, self.scheduler = build_stack(
+            self.engine, self._view_definitions, description
+        )
         if self._journal:
             self.recovery = arm_recovery(
                 self.engine,
                 self.manager,
                 self.scheduler,
-                strategy=self.strategy,
+                description,
                 checkpoint_every=self._checkpoint_every,
                 crash_plan=self._crash_plan,
-                mkb=self.mkb,
             )
 
     # ------------------------------------------------------------------
@@ -189,13 +184,9 @@ class DyDaSystem:
 
     def committed_updates(self) -> frozenset:
         """Every (source, seqno) whose maintenance committed, across
-        crashes (journal-installed plus live processed messages)."""
+        crashes."""
         self._ensure_started()
-        assert self.scheduler is not None
-        refs = set(self.scheduler.stats.processed_messages)
-        if self.recovery is not None:
-            refs |= self.recovery.installed_refs()
-        return frozenset(refs)
+        return committed_updates(self)
 
     # ------------------------------------------------------------------
     # inspection
@@ -204,10 +195,8 @@ class DyDaSystem:
     @property
     def managers(self) -> list[ViewManager]:
         self._ensure_started()
-        if isinstance(self.manager, MultiViewManager):
-            return list(self.manager.managers)
-        assert isinstance(self.manager, ViewManager)
-        return [self.manager]
+        assert self.manager is not None
+        return self.manager.view_managers()
 
     def _manager_for(self, view_name: str | None) -> ViewManager:
         managers = self.managers

@@ -14,7 +14,7 @@ import time
 from dataclasses import dataclass, field
 from operator import attrgetter
 from types import SimpleNamespace
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from ..core.sharding import WorkloadSpec
 from ..core.strategies import OPTIMISTIC, PESSIMISTIC
@@ -118,15 +118,6 @@ class FigureResult:
 def ratio(numerator: float, denominator: float) -> float:
     """A speedup-style quotient that reads 0 when undefined."""
     return numerator / denominator if denominator else 0.0
-
-
-def checked(result: FigureResult, reports: Iterable) -> FigureResult:
-    """Fold convergence reports into the figure result."""
-    for report in reports:
-        if not report.consistent:
-            result.consistent = False
-            result.notes.append(report.summary())
-    return result
 
 
 # ----------------------------------------------------------------------

@@ -24,10 +24,10 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from ..core.parallel import make_scheduler
 from ..core.scheduler import DynoScheduler
 from ..core.sharding import (
     Shard,
@@ -36,10 +36,11 @@ from ..core.sharding import (
     WorkloadSpec,
     assign_views,
 )
+from ..core.stack import StackDescription, build_stack
 from ..core.strategies import Strategy
 from ..faults.injector import FaultInjector
 from ..frontend.reads import ReadFrontEnd
-from ..recovery import arm_recovery, run_recovering
+from ..recovery import arm_recovery, committed_updates, run_recovering
 from ..relational.executor import set_executor_mode
 from ..relational.predicate import AttrRef
 from ..relational.query import JoinCondition, RelationRef, SPJQuery
@@ -289,9 +290,9 @@ def build_shard_world(
     The only constructor of testbed worlds — single-scheduler testbeds,
     inline shards and worker-process shards all come from here, so they
     are identical **by construction**.  With a ``router`` the world's
-    views are registered under ``plan.shard_id`` and its wrappers
-    deliver through the footprint filter; without one every message is
-    delivered (the classic unrouted testbed).
+    views are registered under ``plan.shard_id`` and its stack is
+    delivered only what the shard's footprint accepts; without one
+    every message is delivered (the classic unrouted testbed).
     """
     config = plan.config
     if config.executor is not None:
@@ -305,37 +306,32 @@ def build_shard_world(
     if config.fault_plan is not None:
         engine.install_faults(FaultInjector(config.fault_plan))
     views = _views(config, plan.view_names)
-    message_filter = None
+    accepts = None
     if router is not None:
         for view in views:
             router.register_view(plan.shard_id, view)
-        message_filter = router.delivery_filter(plan.shard_id, engine.metrics)
-    if len(views) == 1:
-        manager = ViewManager(engine, views[0], message_filter=message_filter)
-    else:
-        manager = MultiViewManager(
-            engine, views, message_filter=message_filter
-        )
+        accepts = partial(router.accepts, plan.shard_id)
+    description = StackDescription(
+        config.strategy,
+        config.parallel_workers,
+        config.batch_policy,
+        accepts=accepts,
+    )
+    manager, scheduler = build_stack(engine, views, description)
     if config.self_maintenance:
         store = manager.install_self_maintenance()
         for source in engine.sources.values():
             store.seed_from_source(source)
-    scheduler = make_scheduler(
-        manager, config.strategy, config.parallel_workers, config.batch_policy
-    )
     recovery = None
     if config.journal:
         recovery = arm_recovery(
             engine,
             manager,
             scheduler,
-            strategy=config.strategy,
-            parallel_workers=config.parallel_workers,
-            batch_policy=config.batch_policy,
+            description,
             checkpoint_every=config.checkpoint_every,
             crash_plan=config.crash_plan,
             journal_dir=config.journal_dir,
-            mkb=getattr(manager, "mkb", None),
         )
     shard = Shard(
         plan.shard_id,
@@ -347,7 +343,7 @@ def build_shard_world(
     )
     shard.initial_sizes = {
         view_manager.view.name: len(view_manager.mv.extent)
-        for view_manager in shard.view_managers()
+        for view_manager in manager.view_managers()
     }
     return shard
 
@@ -527,30 +523,23 @@ class Testbed:
         self.scheduler = world.scheduler
         self.recovery = world.recovery
 
-    def view_managers(self) -> list[ViewManager]:
-        return getattr(self.manager, "managers", None) or [self.manager]
-
     def extent_rows(self) -> dict[str, tuple]:
         """Canonical (sorted row tuples) extents, for oracle compares."""
         return {
             manager.view.name: _extent_rows(manager)
-            for manager in self.view_managers()
+            for manager in self.manager.view_managers()
         }
 
     def committed_updates(self) -> frozenset:
         """Every (source, seqno) whose maintenance committed, across
-        crashes: journal-installed units from all epochs plus the live
-        scheduler's processed messages."""
-        refs = set(self.scheduler.stats.processed_messages)
-        if self.recovery is not None:
-            refs |= self.recovery.installed_refs()
-        return frozenset(refs)
+        crashes."""
+        return committed_updates(self)
 
     def check_consistency(self) -> bool:
         """Every view converges to the fresh-recompute oracle."""
         return all(
             check_convergence(manager).consistent
-            for manager in self.view_managers()
+            for manager in self.manager.view_managers()
         )
 
 

@@ -8,7 +8,7 @@ package makes the warehouse crash-recoverable:
 * :mod:`.journal` — write-ahead maintenance journal (UMQ mutations,
   per-unit install commits, committed-update watermark) through
   pluggable sinks;
-* :mod:`.checkpoint` — periodic snapshots of extents + UMQ + resolved
+* :mod:`.checkpoint` — periodic snapshots of extents + resolved
   history + cache stamps, with journal truncation;
 * :mod:`.crash` — seeded crash plans killing the scheduler at named
   points woven through the maintenance loops;
@@ -48,6 +48,7 @@ from .recover import (
     RecoveryHarness,
     RecoveryReport,
     arm_recovery,
+    committed_updates,
     recover,
     recover_in_place,
     run_recovering,
@@ -71,6 +72,7 @@ __all__ = [
     "RecoveryReport",
     "SchedulerCrash",
     "arm_recovery",
+    "committed_updates",
     "definition_from_json",
     "definition_to_json",
     "delta_from_json",

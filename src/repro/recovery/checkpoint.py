@@ -2,10 +2,11 @@
 
 A checkpoint is a single JSON document capturing everything the
 warehouse owns: view definitions and extents, the resolved-unit history
-(installed and skipped), the UMQ contents (by reference, for
-observability), the snapshot-cache entries with their version stamps,
-and — crucially — ``journal_seq``, the last journal sequence number the
-checkpoint subsumes.  Recovery loads the latest checkpoint and replays
+(installed and skipped), the local-store entries with their version
+stamps, and — crucially — ``journal_seq``, the last journal sequence
+number the checkpoint subsumes (the queue itself is not stored: what is
+unresolved in the surviving source logs *is* the queue, and recovery
+re-enqueues it).  Recovery loads the latest checkpoint and replays
 only journal entries with ``seq > journal_seq``, which is what makes
 replay idempotent when a crash lands anywhere inside the
 save → truncate window.

@@ -49,10 +49,6 @@ def refs_of(unit) -> list[list]:
     return [ref_of(message) for message in unit]
 
 
-def decode_refs(data: list) -> list[Ref]:
-    return [(source, seqno) for source, seqno in data]
-
-
 # ----------------------------------------------------------------------
 # schemas / tables / deltas
 # ----------------------------------------------------------------------

@@ -21,10 +21,12 @@ Recovery
    ``seq > checkpoint.journal_seq`` over its view extents (write-ahead
    install entries carry the per-view effects);
 2. the union of checkpointed + replayed install/skip refs is the
-   **resolved set**; every source-log message outside it is re-enqueued
-   (covering units lost from the UMQ, units orphaned on dead workers,
-   and deliveries purged in flight) — correction re-derives any legal
-   order, so re-enqueueing sorted by commit time is sound (Theorem 2);
+   **resolved set**; every source-log message outside it *that the
+   stack's delivery predicate admits* is re-enqueued (covering units
+   lost from the UMQ, units orphaned on dead workers, and deliveries
+   purged in flight; what a shard's router dropped before the crash
+   stays dropped) — correction re-derives any legal order, so
+   re-enqueueing sorted by commit time is sound (Theorem 2);
 3. schema history is re-derived from the resolved install units' own
    messages (the logs survive), so translation of old pending updates
    behaves exactly as live;
@@ -33,6 +35,11 @@ Recovery
    is invalidated;
 5. a fresh scheduler + journal + checkpoint are installed; the recovery
    checkpoint truncates the journal.
+
+The warehouse is rebuilt by the constructor that built it
+(:func:`~repro.core.stack.build_stack` over the harness's stack
+description), so Theorem 2's argument is about the warehouse that
+crashed: same strategy, workers, batch policy, MKB, delivery predicate.
 
 Replay mutates nothing durable until that final checkpoint, and the
 ``seq`` filter makes re-replay a no-op — so a crash *during* recovery
@@ -135,7 +142,8 @@ class RecoveryHarness:
     One harness serves one (manager, scheduler) incarnation; each
     ``recover()`` builds a successor harness whose journal continues the
     sequence numbering and whose base unit lists accumulate everything
-    resolved in previous epochs.
+    resolved in previous epochs.  ``description`` is what the stack was
+    built from, and so what ``recover()`` rebuilds it from.
     """
 
     def __init__(
@@ -143,14 +151,11 @@ class RecoveryHarness:
         engine,
         manager,
         scheduler,
+        description,
         sink: JournalSink,
         store: CheckpointStore,
         *,
         checkpoint_every: int = 8,
-        strategy=None,
-        parallel_workers: int | None = None,
-        batch_policy=None,
-        mkb=None,
         start_seq: int = 1,
         base_installed_units: list[list[Ref]] | None = None,
         base_skipped_units: list[list[Ref]] | None = None,
@@ -160,11 +165,8 @@ class RecoveryHarness:
         self.scheduler = scheduler
         self.sink = sink
         self.store = store
+        self.description = description
         self.checkpoint_every = checkpoint_every
-        self.strategy = strategy
-        self.parallel_workers = parallel_workers
-        self.batch_policy = batch_policy
-        self.mkb = mkb
         self.base_installed_units = list(base_installed_units or [])
         self.base_skipped_units = list(base_skipped_units or [])
         resolved = [
@@ -193,17 +195,9 @@ class RecoveryHarness:
         if force_checkpoint or self.store.load() is None:
             self.checkpoint()
 
-    def detach(self) -> None:
-        self.manager.umq.remove_listener(self.journal)
-        self.manager.journal = None
-        self.scheduler.recovery = None
-
     # ------------------------------------------------------------------
     # checkpointing
     # ------------------------------------------------------------------
-
-    def _managers(self) -> list:
-        return getattr(self.manager, "managers", None) or [self.manager]
 
     def installed_refs(self) -> frozenset[Ref]:
         """Every (source, seqno) installed across all epochs so far."""
@@ -222,7 +216,7 @@ class RecoveryHarness:
         """The checkpoint document and its billable tuple count."""
         views = []
         tuples = 0
-        for manager in self._managers():
+        for manager in self.manager.view_managers():
             views.append(
                 {
                     "definition": definition_to_json(manager.view),
@@ -243,18 +237,12 @@ class RecoveryHarness:
         state = {
             "journal_seq": self.journal.last_seq,
             "at": self.engine.clock.now,
-            "multi": len(self._managers()) > 1
-            or hasattr(self.manager, "managers"),
             "views": views,
             "installed_units": [
                 [list(ref) for ref in unit] for unit in installed
             ],
             "skipped_units": [
                 [list(ref) for ref in unit] for unit in skipped
-            ],
-            "umq": [
-                [[m.source, m.seqno] for m in unit.messages]
-                for unit in self.manager.umq.units
             ],
             "local": local,
         }
@@ -292,11 +280,8 @@ class RecoveryHarness:
 
 def recover(harness: RecoveryHarness) -> RecoveredWarehouse:
     """Rebuild a live warehouse from checkpoint + journal replay."""
-    from ..core.parallel import make_scheduler
-    from ..core.strategies import PESSIMISTIC
+    from ..core.stack import build_stack
     from ..maintenance.batch import combine_schema_changes, schema_changes_of
-    from ..views.manager import ViewManager
-    from ..views.multi import MultiViewManager
     from ..views.umq import MaintenanceUnit
 
     engine = harness.engine
@@ -354,26 +339,25 @@ def recover(harness: RecoveryHarness) -> RecoveredWarehouse:
     } | {ref for unit in skipped_units for ref in unit}
 
     # ------------------------------------------------- rebuild warehouse
-    definitions = [vs[0] for vs in view_states]
-    extents = [vs[1] for vs in view_states]
-    if state["multi"]:
-        manager = MultiViewManager(
-            engine,
-            definitions,
-            mkb=harness.mkb,
-            initial_extents={
-                definition.name: extent
-                for definition, extent in zip(definitions, extents)
-            },
-        )
-    else:
-        manager = ViewManager(
-            engine,
-            definitions[0],
-            mkb=harness.mkb,
-            initial_extent=extents[0],
-        )
-    managers = getattr(manager, "managers", None) or [manager]
+    # Everything unresolved that this stack is delivered, in commit
+    # order: lost UMQ units, units orphaned on dead workers, deliveries
+    # purged in flight.  The predicate is asked in that order too —
+    # admitting a rename admits later updates under the new name.
+    accepts = harness.description.accepts
+    pending = [
+        message
+        for source in engine.sources.values()
+        for message in source.log
+        if (message.source, message.seqno) not in resolved
+    ]
+    pending.sort(key=lambda m: (m.committed_at, m.seqno, m.source))
+    if accepts is not None:
+        pending = [message for message in pending if accepts(message)]
+    definitions, extents = zip(*view_states)
+    manager, scheduler = build_stack(
+        engine, definitions, harness.description, extents, backlog=pending
+    )
+    managers = manager.view_managers()
 
     # Schema lineage: re-derive each installed unit's combined changes
     # from its own messages (still in the surviving source logs) — the
@@ -390,18 +374,6 @@ def recover(harness: RecoveryHarness) -> RecoveredWarehouse:
         for view_manager in managers:
             for source, change in combined:
                 view_manager.schema_history.record(source, change)
-
-    # Re-enqueue everything unresolved, in commit order: lost UMQ units,
-    # units orphaned on dead workers, deliveries purged in flight.
-    pending = [
-        message
-        for source in engine.sources.values()
-        for message in source.log
-        if (message.source, message.seqno) not in resolved
-    ]
-    pending.sort(key=lambda m: (m.committed_at, m.seqno, m.source))
-    for message in pending:
-        manager.umq.receive(message)
 
     # Local-answer stores: only entries stamped at or below the
     # committed watermark survive; newer stamps may outrun what the
@@ -427,24 +399,14 @@ def recover(harness: RecoveryHarness) -> RecoveredWarehouse:
         local_restored[store.tier] = restored
         local_dropped[store.tier] = len(saved) - restored
 
-    scheduler = make_scheduler(
-        manager,
-        harness.strategy or PESSIMISTIC,
-        harness.parallel_workers,
-        harness.batch_policy,
-    )
-
     successor = RecoveryHarness(
         engine,
         manager,
         scheduler,
+        harness.description,
         harness.sink,
         harness.store,
         checkpoint_every=harness.checkpoint_every,
-        strategy=harness.strategy,
-        parallel_workers=harness.parallel_workers,
-        batch_policy=harness.batch_policy,
-        mkb=harness.mkb,
         start_seq=max_seq + 1,
         base_installed_units=installed_units,
         base_skipped_units=skipped_units,
@@ -479,22 +441,18 @@ def arm_recovery(
     engine,
     manager,
     scheduler,
+    description,
     *,
-    strategy=None,
-    parallel_workers: int | None = None,
-    batch_policy=None,
     checkpoint_every: int = 8,
     crash_plan=None,
     journal_dir=None,
-    mkb=None,
 ) -> RecoveryHarness:
     """Attach a journal + checkpoint harness (and a crash injector).
 
     Stores are in memory, or ``journal.jsonl`` / ``checkpoint.json``
-    under ``journal_dir`` (created if missing).  ``strategy``,
-    ``parallel_workers`` and ``batch_policy`` are what ``recover()``
-    rebuilds the scheduler from, ``mkb`` what it hands the rebuilt
-    view managers."""
+    under ``journal_dir`` (created if missing).  ``description`` is the
+    :class:`~repro.core.stack.StackDescription` ``manager`` and
+    ``scheduler`` were built from; ``recover()`` rebuilds from it."""
     from .checkpoint import FileCheckpointStore, MemoryCheckpointStore
     from .crash import CrashInjector
     from .journal import FileJournalSink, MemoryJournalSink
@@ -513,13 +471,10 @@ def arm_recovery(
         engine,
         manager,
         scheduler,
+        description,
         sink,
         store,
         checkpoint_every=checkpoint_every,
-        strategy=strategy,
-        parallel_workers=parallel_workers,
-        batch_policy=batch_policy,
-        mkb=mkb,
     )
     # Attach (genesis checkpoint) before arming the injector: the plan
     # starts counting when the scheduler does.
@@ -549,6 +504,17 @@ def recover_in_place(world) -> None:
     world.scheduler = recovered.scheduler
     world.recovery = recovered.harness
     world.crash_reports.append(recovered.report)
+
+
+def committed_updates(world) -> frozenset:
+    """Every ``(source, seqno)`` whose maintenance committed in
+    ``world`` (same shape as for :func:`recover_in_place`), across
+    crashes: the live scheduler's processed messages plus the units the
+    journal saw installed in every epoch."""
+    refs = set(world.scheduler.stats.processed_messages)
+    if world.recovery is not None:
+        refs |= world.recovery.installed_refs()
+    return frozenset(refs)
 
 
 def run_recovering(world):

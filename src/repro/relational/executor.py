@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from typing import Sequence
 
 from .delta import Row
 from .errors import AmbiguousAttributeError, QueryError, UnknownAttributeError
@@ -235,12 +236,14 @@ def _hash_join(
     return _Intermediate(columns, joined)
 
 
-def _result_schema(
-    query: SPJQuery,
+def result_schema(
     schemas: dict[str, RelationSchema],
-    projection_columns: list[AttrRef],
+    projection_columns: Sequence[AttrRef],
 ) -> RelationSchema:
-    """Derive the output schema, qualifying names only on collision."""
+    """Derive the output schema of a projection over ``{alias: schema}``,
+    qualifying names only on collision.  ``projection_columns`` must be
+    alias-qualified.  The one naming rule of every executor and every
+    source backend."""
     names = [column.name for column in projection_columns]
     attributes: list[Attribute] = []
     used: set[str] = set()
@@ -366,8 +369,7 @@ def execute_naive(query: SPJQuery, tables: dict[str, Table]) -> Table:
         for ref in query.projection
     ]
     positions = [intermediate.index_of(ref) for ref in query.projection]
-    schema = _result_schema(
-        query,
+    schema = result_schema(
         {alias: table.schema for alias, table in tables.items()},
         projection_columns,
     )

@@ -72,7 +72,7 @@ from .errors import (
     RelationalError,
     UnknownAttributeError,
 )
-from .executor import _result_schema, _single_alias_conjuncts
+from .executor import _single_alias_conjuncts, result_schema
 from .predicate import (
     AttrComparison,
     AttrRef,
@@ -544,7 +544,7 @@ def compile_plan(
 
     projection_error = None
     project = None
-    result_schema = None
+    schema = None
     try:
         positions = [resolve_final(ref) for ref in query.projection]
     except RelationalError as exc:
@@ -556,7 +556,7 @@ def compile_plan(
             position = positions[0]
             project = lambda row, _position=position: (row[_position],)
         projection_columns = [columns[position] for position in positions]
-        result_schema = _result_schema(query, schemas, projection_columns)
+        schema = result_schema(schemas, projection_columns)
 
     return CompiledPlan(
         query,
@@ -565,7 +565,7 @@ def compile_plan(
         residual,
         projection_error,
         project,
-        result_schema,
+        schema,
     )
 
 

@@ -168,7 +168,21 @@ class DataSource:
         query was built from outdated schema knowledge.
         """
         self.admit_query()
-        tables: dict[str, Table] = {}
+        self.admitted_schemas(query)
+        return execute(
+            query,
+            {
+                ref.alias: self.catalog.table(ref.relation)
+                for ref in query.relations
+            },
+        )
+
+    def admitted_schemas(self, query: SPJQuery) -> dict[str, RelationSchema]:
+        """What makes a query broken (Theorem 1), decided once for every
+        backend: ``{alias: current schema}`` of the query's relations,
+        or :class:`BrokenQueryError` when one belongs to another source,
+        no longer exists, or lacks an attribute the query mentions."""
+        schemas: dict[str, RelationSchema] = {}
         for ref in query.relations:
             if ref.source != self.name:
                 raise BrokenQueryError(
@@ -178,7 +192,7 @@ class DataSource:
                     f"{ref.source!r}, not {self.name!r}",
                 )
             try:
-                tables[ref.alias] = self.catalog.table(ref.relation)
+                schemas[ref.alias] = self.catalog.schema(ref.relation)
             except UnknownRelationError as exc:
                 raise BrokenQueryError(
                     self.name, query.sql(), str(exc)
@@ -190,16 +204,15 @@ class DataSource:
         for ref in query.all_attribute_refs():
             if ref.relation is None:
                 continue
-            table = tables.get(ref.relation)
-            if table is not None and ref.name not in table.schema:
+            schema = schemas.get(ref.relation)
+            if schema is not None and ref.name not in schema:
                 raise BrokenQueryError(
                     self.name,
                     query.sql(),
                     f"attribute {ref.name!r} missing from relation "
-                    f"{table.schema.name!r}",
+                    f"{schema.name!r}",
                 )
-
-        return execute(query, tables)
+        return schemas
 
     def admit_query(self) -> None:
         """Fault-injection checkpoint shared by every query entry point.

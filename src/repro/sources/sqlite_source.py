@@ -23,11 +23,12 @@ from typing import Iterable, Iterator
 
 from ..relational.delta import Row
 from ..relational.errors import UnknownRelationError
+from ..relational.executor import result_schema
 from ..relational.query import SPJQuery
-from ..relational.schema import Attribute, RelationSchema
+from ..relational.schema import RelationSchema
 from ..relational.table import Table
 from ..relational.types import AttributeType
-from .errors import BrokenQueryError, UpdateApplicationError
+from .errors import UpdateApplicationError
 from .messages import (
     AddAttribute,
     CreateRelation,
@@ -271,67 +272,18 @@ class SqliteDataSource(DataSource):
         self.admit_query()
         # Metadata validation first: outdated schema knowledge must
         # surface as a broken query, not as a SQL syntax error.
-        alias_schemas: dict[str, RelationSchema] = {}
-        for ref in query.relations:
-            if ref.source != self.name:
-                raise BrokenQueryError(
-                    self.name,
-                    query.sql(),
-                    f"relation {ref.relation!r} belongs to source "
-                    f"{ref.source!r}, not {self.name!r}",
-                )
-            schema = self._schemas.get(ref.relation)
-            if schema is None:
-                raise BrokenQueryError(
-                    self.name,
-                    query.sql(),
-                    f"unknown relation {ref.relation!r}",
-                )
-            alias_schemas[ref.alias] = schema
-        for attr_ref in query.all_attribute_refs():
-            if attr_ref.relation is None:
-                continue
-            schema = alias_schemas.get(attr_ref.relation)
-            if schema is not None and attr_ref.name not in schema:
-                raise BrokenQueryError(
-                    self.name,
-                    query.sql(),
-                    f"attribute {attr_ref.name!r} missing from relation "
-                    f"{schema.name!r}",
-                )
-
-        result_schema = self._result_schema(query, alias_schemas)
-        table = Table(result_schema)
+        schema = result_schema(
+            self.admitted_schemas(query), query.projection
+        )
+        table = Table(schema)
         for raw in self._db.execute(query.sql()):
             table.insert(
                 tuple(
                     _from_sqlite(value, attribute.type)
-                    for value, attribute in zip(
-                        raw, result_schema.attributes
-                    )
+                    for value, attribute in zip(raw, schema.attributes)
                 )
             )
         return table
-
-    @staticmethod
-    def _result_schema(
-        query: SPJQuery, alias_schemas: dict[str, RelationSchema]
-    ) -> RelationSchema:
-        names = [ref.name for ref in query.projection]
-        attributes: list[Attribute] = []
-        used: set[str] = set()
-        for ref in query.projection:
-            attribute = alias_schemas[ref.relation].attribute(ref.name)  # type: ignore[index]
-            if names.count(ref.name) > 1:
-                attribute = attribute.renamed(f"{ref.relation}_{ref.name}")
-            if attribute.name in used:
-                suffix = 2
-                while f"{attribute.name}_{suffix}" in used:
-                    suffix += 1
-                attribute = attribute.renamed(f"{attribute.name}_{suffix}")
-            used.add(attribute.name)
-            attributes.append(attribute)
-        return RelationSchema("result", tuple(attributes))
 
     # ------------------------------------------------------------------
     # introspection

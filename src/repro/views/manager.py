@@ -44,7 +44,7 @@ from ..maintenance.grouping import coalesce_data_updates
 from ..maintenance.history import SchemaHistory
 from ..maintenance.va import adapt_view
 from ..maintenance.vm import maintain_data_update
-from ..maintenance.vs import ViewSynchronizer
+from ..maintenance.vs import ViewSynchronizationError, ViewSynchronizer
 from .definition import ViewDefinition
 from .materialized import MaterializedView
 from .umq import MaintenanceUnit, UpdateMessageQueue
@@ -75,19 +75,27 @@ class MaintenanceOutcome:
     applied_changes: list = None  # list[(source, SchemaChange)] | None
 
 
-def filtered_sink(umq: UpdateMessageQueue, message_filter):
+def filtered_sink(umq: UpdateMessageQueue, message_filter, metrics: Metrics):
     """Wrapper sink delivering into ``umq`` through an optional filter.
 
     With ``message_filter=None`` this is exactly ``umq.receive``; with a
-    predicate, messages the filter rejects are silently not enqueued
-    (the source commit itself is untouched — filtering is a delivery
-    concern, so maintenance queries still observe full source state)."""
+    predicate, messages the filter rejects are not enqueued (the source
+    commit itself is untouched — filtering is a delivery concern, so
+    maintenance queries still observe full source state).  The filter
+    must be pure up to idempotent effects: crash recovery asks it again
+    about every unresolved log message.  So a routed delivery is counted
+    here (``metrics.router_delivered`` / ``router_dropped``), once per
+    commit that reaches the sink, never in the predicate (a delivery a
+    crash purged in flight re-enters past the sink, uncounted)."""
     if message_filter is None:
         return umq.receive
 
     def sink(message) -> None:
         if message_filter(message):
+            metrics.router_delivered += 1
             umq.receive(message)
+        else:
+            metrics.router_dropped += 1
 
     return sink
 
@@ -125,7 +133,7 @@ class ViewManager:
         sits between the wrappers and the UMQ: a message is enqueued
         only when the filter accepts it.  Shard routers use this to
         deliver each shard only the slice of the committed stream its
-        registered views reference."""
+        registered views reference (see :func:`filtered_sink`)."""
         self.engine = engine
         self.view = view
         #: write-ahead maintenance journal (armed by a RecoveryHarness)
@@ -139,7 +147,7 @@ class ViewManager:
         )
         self.compensation_log = CompensationLog()
         self.schema_history = SchemaHistory()
-        self._sink = filtered_sink(self.umq, message_filter)
+        self._sink = filtered_sink(self.umq, message_filter, engine.metrics)
         self.wrappers: list[Wrapper] = []
         if attach_wrappers:
             for source in engine.sources.values():
@@ -167,6 +175,11 @@ class ViewManager:
     @property
     def metrics(self) -> Metrics:
         return self.engine.metrics
+
+    def view_managers(self) -> "list[ViewManager]":
+        """The per-view managers of this stack (same call on
+        :class:`~repro.views.multi.MultiViewManager`)."""
+        return [self]
 
     def install_self_maintenance(self):
         """Arm the auxiliary store and register this view's coverage
@@ -253,10 +266,12 @@ class ViewManager:
 
     def speculative_queries(self, message) -> tuple:
         """What the view queries would look like after this schema
-        change — VS is pure, so we can ask without committing."""
+        change — VS is pure, so we can ask without committing.  Only
+        VS's own "cannot repair" means "no rewrite"; any other error is
+        a bug and propagates."""
         try:
             result = self.synchronizer.synchronize(self.view, message)
-        except Exception:
+        except ViewSynchronizationError:
             return (self.view.query,)
         return (result.definition.query,)
 

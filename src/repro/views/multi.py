@@ -69,7 +69,7 @@ class MultiViewManager:
         #: write-ahead maintenance journal (armed by a RecoveryHarness)
         self.journal = None
         self.umq = UpdateMessageQueue()
-        self._sink = filtered_sink(self.umq, message_filter)
+        self._sink = filtered_sink(self.umq, message_filter, engine.metrics)
         self.wrappers: list[Wrapper] = [
             Wrapper(source, self._sink, engine=engine)
             for source in engine.sources.values()
@@ -102,6 +102,11 @@ class MultiViewManager:
     @property
     def metrics(self) -> Metrics:
         return self.engine.metrics
+
+    def view_managers(self) -> list[ViewManager]:
+        """The per-view managers of this stack (same call on
+        :class:`~repro.views.manager.ViewManager`)."""
+        return list(self.managers)
 
     def install_self_maintenance(self):
         """Arm the shared auxiliary store: replicas cover the union of

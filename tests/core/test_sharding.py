@@ -1,6 +1,8 @@
 """Unit tests for view placement, the footprint router, and the
 sharded-warehouse coordinator."""
 
+from functools import partial
+
 import pytest
 
 from repro.core.sharding import ShardedWarehouse, ShardRouter, assign_views
@@ -12,6 +14,8 @@ from repro.experiments.testbed import (
 from repro.sim.metrics import Metrics
 from repro.sources.messages import DataUpdate, RenameRelation, UpdateMessage
 from repro.views.definition import ViewDefinition
+from repro.views.manager import filtered_sink
+from repro.views.umq import UpdateMessageQueue
 
 
 def _views(*spans):
@@ -121,13 +125,22 @@ class TestShardRouter:
         assert ("src1", "R1x") not in router.footprint(1)
 
     def test_delivery_filter_counts_into_metrics(self):
+        """The router only decides; the wrapper sink a shard's stack
+        delivers through counts what it delivered and what it kept
+        out."""
         router = self._router()
         metrics = Metrics()
-        accept = router.delivery_filter(0, metrics)
-        assert accept(_du("src1", "R1"))
-        assert not accept(_du("src1", "R3", seqno=2))
+        umq = UpdateMessageQueue()
+        sink = filtered_sink(umq, partial(router.accepts, 0), metrics)
+        delivered = _du("src1", "R1")
+        sink(delivered)
+        sink(_du("src1", "R3", seqno=2))
+        assert umq.messages() == [delivered]
         assert metrics.router_delivered == 1
         assert metrics.router_dropped == 1
+        # Asking the predicate itself (what recovery does) counts nothing.
+        assert router.accepts(0, delivered)
+        assert (metrics.router_delivered, metrics.router_dropped) == (1, 1)
 
 
 class TestShardedWarehouse:

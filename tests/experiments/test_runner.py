@@ -44,24 +44,25 @@ def test_notes_and_warnings_rendered():
 
 
 def test_checked_folds_reports():
-    from repro.experiments.runner import checked
-    from repro.views.consistency import ConsistencyReport
-
+    """``FigureResult.require`` is the fold every runner puts its
+    identity and convergence checks through: a failed check clears the
+    consistency bit and appends its note."""
     result = make_result()
-    good = ConsistencyReport(True, 1, 1)
-    bad = ConsistencyReport(False, 2, 1)
-    checked(result, [good, bad])
+    result.require(True, "arm a diverged")
+    result.require(False, "arm b diverged")
+    result.require(True, "arm c diverged")
     assert not result.consistent
-    assert any("INCONSISTENT" in note for note in result.notes)
+    assert result.notes == ["arm b diverged"]
+    assert "note: arm b diverged" in result.table()
 
 
 def test_checked_all_good_keeps_consistent():
-    from repro.experiments.runner import checked
-    from repro.views.consistency import ConsistencyReport
-
+    """A passing check changes nothing."""
     result = make_result()
-    checked(result, [ConsistencyReport(True, 1, 1)])
-    assert result.consistent
+    before = result.to_json()
+    result.require(True, "never shown")
+    assert result.consistent and result.notes == []
+    assert result.to_json() == before
 
 
 def test_arm_sweep_holds_every_variant_to_its_reference_arm():

@@ -21,7 +21,6 @@ from repro.recovery import (
     SchedulerCrash,
 )
 from repro.recovery.codec import (
-    decode_refs,
     definition_from_json,
     definition_to_json,
     delta_from_json,
@@ -78,10 +77,6 @@ def test_definition_roundtrip_through_sourced_sql():
     assert back.name == definition.name
     assert back.version == definition.version
     assert back.query == definition.query
-
-
-def test_decode_refs():
-    assert decode_refs([["a", 1], ["b", 2]]) == [("a", 1), ("b", 2)]
 
 
 # ----------------------------------------------------------------------

@@ -137,6 +137,42 @@ class TestSchemaUnitMaintenance:
         assert manager.mv.extent == manager.recompute_reference()
 
 
+class TestSpeculativeQueries:
+    """Detection asks VS what a queued schema change would do to the
+    view.  Only VS's documented "cannot repair" may answer "no
+    rewrite"; anything else swallowed here would be a stale footprint
+    and a missed dependency, paid for later as an abort."""
+
+    class _Failing:
+        def __init__(self, error):
+            self.error = error
+
+        def synchronize(self, view, message):
+            raise self.error
+
+    def _message(self, engine):
+        return engine.source("library").commit(
+            DropAttribute("Catalog", "Review"), at=0.0
+        )
+
+    def test_cannot_repair_means_no_rewrite(self):
+        from repro.maintenance.vs import ViewSynchronizationError
+
+        engine, manager = build_bookstore(CostModel.free())
+        manager.synchronizer = self._Failing(
+            ViewSynchronizationError("no replacement")
+        )
+        assert manager.speculative_queries(self._message(engine)) == (
+            manager.view.query,
+        )
+
+    def test_any_other_error_propagates(self):
+        engine, manager = build_bookstore(CostModel.free())
+        manager.synchronizer = self._Failing(RuntimeError("a bug in VS"))
+        with pytest.raises(RuntimeError, match="a bug in VS"):
+            manager.speculative_queries(self._message(engine))
+
+
 class TestConnect:
     def test_late_source_joins(self):
         from repro.relational.schema import RelationSchema
