@@ -9,6 +9,7 @@ arrival).
 
 import random
 from collections import Counter
+from types import SimpleNamespace
 
 import pytest
 
@@ -21,6 +22,7 @@ from repro.experiments.ablations import _synthetic_queue
 from repro.experiments.testbed import full_join_query
 from repro.maintenance.compensation import compensate_answer
 from repro.maintenance.decompose import probe_query
+from repro.maintenance.history import SchemaHistory
 from repro.relational.delta import Delta
 from repro.relational.executor import execute
 from repro.relational.predicate import InPredicate, attr
@@ -30,6 +32,7 @@ from repro.relational.table import Table
 from repro.relational.types import AttributeType
 from repro.sources.messages import DataUpdate, RenameRelation, UpdateMessage
 from repro.experiments.testbed import build_testbed
+from repro.views.manager import _UMQView
 from repro.views.umq import UpdateMessageQueue
 
 R = RelationSchema.of("R", [("k", AttributeType.INT), "a"])
@@ -126,6 +129,37 @@ def test_micro_compensation(benchmark, pending):
         leaked.append(UpdateMessage("s", index, 0.0, update))
     corrected = benchmark(compensate_answer, answer, query, "R", leaked)
     assert len(corrected) == 1_000 + len(range(0, pending, 3))
+
+
+@pytest.mark.parametrize("history", ["plain", "renamed"])
+@pytest.mark.parametrize("depth", [1, 20, 200])
+def test_micro_leak_lookup(benchmark, depth, history):
+    """One probe's question — which queued updates leaked into this
+    answer — with ``depth`` updates queued behind the head, spread over
+    six relations; ``renamed``: the probed relation was renamed after
+    they committed, so every match is translated (once: the steady
+    state is the memo)."""
+    relations = [RelationSchema.of(f"R{i}", ["k", "a"]) for i in range(6)]
+    umq = UpdateMessageQueue()
+    for index in range(depth + 1):
+        schema = relations[index % 6]
+        update = DataUpdate.insert(schema, [(str(index), "n")])
+        umq.receive(UpdateMessage("s", index, float(index), update))
+    schema_history = SchemaHistory()
+    probed = "R1"
+    if history == "renamed":
+        schema_history.record("s", RenameRelation("R1", "R1b"))
+        probed = "R1b"
+    manager = SimpleNamespace(
+        umq=umq, schema_history=schema_history, _in_flight_messages=list
+    )
+    head = umq.head()
+    facade = _UMQView(manager, head, [])
+    leaked = benchmark(facade.leaked, head, "s", probed, float(depth))
+    assert [message.seqno for message in leaked] == list(
+        range(1, depth + 1, 6)
+    )
+    assert {message.payload.relation for message in leaked} == {probed}
 
 
 def test_micro_single_du_maintenance(benchmark):

@@ -10,7 +10,6 @@ from .compensation import (
     CompensationLog,
     compensate_answer,
     effect_on_answer,
-    pending_data_updates,
 )
 from .grouping import (
     BatchPolicy,
@@ -55,7 +54,6 @@ __all__ = [
     "homogenize_data_updates",
     "maintain_data_update",
     "needed_columns",
-    "pending_data_updates",
     "probe_query",
     "probe_sweep",
     "pushdown_selection",

@@ -29,7 +29,7 @@ from ..relational.executor import execute
 from ..relational.query import SPJQuery
 from ..relational.schema import RelationSchema
 from ..relational.table import Table
-from ..sources.messages import DataUpdate, UpdateMessage
+from ..sources.messages import UpdateMessage
 
 
 class OverCompensationError(RelationalError):
@@ -65,35 +65,46 @@ def sign_parts(
 ) -> list[tuple[int, Table]]:
     """The non-empty sign parts of a signed bag, as ``(sign, table)``.
 
-    Every row is validated against ``schema`` on the way in, so the
-    kernel only ever sees rows typed for the schema its plan was
-    compiled against.
+    ``items`` are adopted, not validated: they are (sums of) a delta's
+    :meth:`~repro.relational.delta.Delta.validated_items`, distinct rows
+    already typed for ``schema``, so the kernel still only ever sees
+    rows typed for the schema its plan was compiled against.
     """
-    positive = Table(schema)
-    negative = Table(schema)
-    for row, count in items:
-        if count > 0:
-            positive.insert(row, count)
-        elif count < 0:
-            negative.insert(row, -count)
+    positive = {row: count for row, count in items if count > 0}
+    negative = {row: -count for row, count in items if count < 0}
     return [
-        (sign, part)
+        (sign, Table.from_counts(schema, part))
         for sign, part in ((1, positive), (-1, negative))
-        if part.distinct_count()
+        if part
     ]
 
 
+def _netted(deltas: list[Delta]) -> Iterable[tuple[Row, int]]:
+    """The validated items of ``deltas`` (one schema) as one signed bag.
+
+    Each delta validates its rows against its own schema, once, however
+    many answers it leaks into; a delta that fails raises here, on every
+    use.  A row inserted by one delta and deleted by another cancels
+    (zero counts possible) and never reaches the kernel; a single delta
+    nets nothing and is used as it is.
+    """
+    if len(deltas) == 1:
+        return deltas[0].validated_items()
+    net: dict[Row, int] = {}
+    for delta in deltas:
+        for row, count in delta.validated_items():
+            net[row] = net.get(row, 0) + count
+    return net.items()
+
+
 def _signed_effect(
-    query: SPJQuery,
-    alias: str,
-    schema: RelationSchema,
-    items: Iterable[tuple[Row, int]],
+    query: SPJQuery, alias: str, deltas: list[Delta]
 ) -> tuple[RelationSchema, dict[Row, int]]:
-    """Signed effect of a signed bag over ``schema`` on probe ``query``.
+    """Signed effect of ``deltas``, all of one schema, on probe ``query``.
 
     A single-relation select-project query is linear over signed bags,
-    so the bag is evaluated once per sign, whatever number of deltas it
-    nets.  An empty bag is evaluated over an empty table: schema drift
+    so the deltas are netted and evaluated once per sign, whatever their
+    number.  An empty bag is evaluated over an empty table: schema drift
     still surfaces, and the caller learns the answer's schema.  Raises
     before anything is returned, so a caller never folds half a bag.
     The effect is a plain count map (zero counts possible), not a
@@ -101,7 +112,9 @@ def _signed_effect(
     200-deep compensation.
     """
     effect: dict[Row, int] = {}
-    for sign, part in sign_parts(schema, items) or [(1, Table(schema))]:
+    schema = deltas[0].schema
+    parts = sign_parts(schema, _netted(deltas)) or [(1, Table(schema))]
+    for sign, part in parts:
         result = execute(query, {alias: part})
         for row, count in result.items():
             effect[row] = effect.get(row, 0) + sign * count
@@ -110,67 +123,29 @@ def _signed_effect(
 
 def effect_on_answer(query: SPJQuery, alias: str, delta: Delta) -> Delta:
     """Signed effect of ``delta`` on the answer of probe ``query``."""
-    return Delta(*_signed_effect(query, alias, delta.schema, delta.items()))
+    return Delta(*_signed_effect(query, alias, [delta]))
 
 
-def pending_data_updates(
-    messages_behind: list[UpdateMessage],
-    source: str,
-    relation: str,
-    answered_at: float,
-) -> list[UpdateMessage]:
-    """Which queued updates leaked into an answer from ``source``.
+def _by_schema(deltas: list[Delta]) -> list[list[Delta]]:
+    """The non-empty ``deltas`` grouped by schema, first use first.
 
-    An update leaked iff it is a data update on the probed relation of
-    the probed source and it committed no later than the answer was
-    evaluated.  Updates committed *after* evaluation (e.g. during result
-    transfer) did not affect the answer and must not be compensated.
+    Schemas group by equality (translated deltas carry equal but
+    distinct schema objects); identity is tried first because hashing or
+    comparing a schema costs more than netting a one-row delta.
     """
-    leaked: list[UpdateMessage] = []
-    for message in messages_behind:
-        if not message.is_data_update:
-            continue
-        payload = message.payload
-        assert isinstance(payload, DataUpdate)
-        if (
-            message.source == source
-            and payload.relation == relation
-            and message.committed_at <= answered_at + 1e-12
-        ):
-            leaked.append(message)
-    return leaked
-
-
-def _net_by_schema(
-    deltas: list[Delta],
-) -> list[tuple[RelationSchema, int, Iterable[tuple[Row, int]]]]:
-    """Net ``deltas`` into one signed bag per distinct schema.
-
-    Returns ``(schema, member deltas, signed items)`` per bag.  Schemas
-    group by equality (translated deltas carry equal but distinct schema
-    objects); identity is tried first because hashing or comparing a
-    schema costs more than netting a one-row delta.  A row inserted by
-    one delta and deleted by another cancels here and never reaches the
-    kernel.  Zero or one delta is the common case off a burst and nets
-    nothing: the delta is used as it is.
-    """
-    deltas = [delta for delta in deltas if not delta.is_empty()]
-    if len(deltas) <= 1:
-        return [(delta.schema, 1, delta.items()) for delta in deltas]
-    bags: list[list] = []  # [schema, members, net counts]
+    groups: list[list[Delta]] = []
     for delta in deltas:
+        if delta.is_empty():
+            continue
         schema = delta.schema
-        for bag in bags:
-            if bag[0] is schema or bag[0] == schema:
+        for members in groups:
+            known = members[0].schema
+            if known is schema or known == schema:
+                members.append(delta)
                 break
         else:
-            bag = [schema, 0, {}]
-            bags.append(bag)
-        bag[1] += 1
-        net = bag[2]
-        for row, count in delta.items():
-            net[row] = net.get(row, 0) + count
-    return [(schema, members, net.items()) for schema, members, net in bags]
+            groups.append([delta])
+    return groups
 
 
 def compensate_answer(
@@ -189,7 +164,7 @@ def compensate_answer(
 
     The probe is linear over signed bags, so the leaked deltas are
     netted per schema and evaluated once per sign, not once each (see
-    :func:`_net_by_schema`).
+    :func:`_signed_effect`).
 
     Returns a fresh table; the input answer is not modified.  If the
     probe cannot be evaluated over a schema's deltas (schema drift),
@@ -205,14 +180,14 @@ def compensate_answer(
     if extra_deltas:
         deltas.extend(extra_deltas)
     corrected: dict[Row, int] = dict(answer.items())
-    for schema, members, items in _net_by_schema(deltas):
+    for members in _by_schema(deltas):
         try:
-            _, effect = _signed_effect(query, alias, schema, items)
+            _, effect = _signed_effect(query, alias, members)
         except RelationalError as exc:
             if log is not None:
-                log.skipped_incompatible += members
+                log.skipped_incompatible += len(members)
                 log.notes.extend(
-                    [f"skipped incompatible delta: {exc}"] * members
+                    [f"skipped incompatible delta: {exc}"] * len(members)
                 )
             continue
         for row, count in effect.items():

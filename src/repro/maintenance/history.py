@@ -25,7 +25,7 @@ outright.  The strong-consistency integration tests pin this behaviour.
 from __future__ import annotations
 
 from ..relational.delta import Delta
-from ..relational.schema import RelationSchema
+from ..relational.schema import Attribute, RelationSchema
 from ..sources.messages import (
     AddAttribute,
     CreateRelation,
@@ -36,7 +36,12 @@ from ..sources.messages import (
     RenameRelation,
     RestructureRelations,
     SchemaChange,
+    UpdateMessage,
 )
+
+#: translations remembered before the memo starts over (it is a
+#: convenience, bounded like the row pool: reset, not grown)
+MEMO_CAPACITY = 1 << 12
 
 
 class SchemaHistory:
@@ -49,6 +54,14 @@ class SchemaHistory:
         self._attribute_now: dict[tuple[str, str], dict[str, str | None]] = {}
         #: (source, current relation) -> attributes added after the fact
         self._added: dict[tuple[str, str], list] = {}
+        #: id(message) -> (message, its translation) under the changes
+        #: recorded so far: :meth:`record` starts it over, so a message
+        #: is translated once per installed change, not once per probe
+        #: answer it leaked into (the entry holds the message, so its id
+        #: is not reused)
+        self._translated: dict[
+            int, tuple[UpdateMessage, UpdateMessage | None]
+        ] = {}
 
     def is_empty(self) -> bool:
         return not self._relation_now and not self._attribute_now
@@ -58,6 +71,7 @@ class SchemaHistory:
     # ------------------------------------------------------------------
 
     def record(self, source: str, change: SchemaChange) -> None:
+        self._translated.clear()
         if isinstance(change, RenameRelation):
             self._rename_relation(source, change.old, change.new)
         elif isinstance(change, RenameAttribute):
@@ -136,6 +150,19 @@ class SchemaHistory:
         """The relation's current name, or None if it was dropped."""
         return self._relation_now.get((source, name), name)
 
+    def committed_names(self, source: str, relation: str) -> list[str]:
+        """Every name an update on what is now ``relation`` can have
+        committed under: the names whose :meth:`current_relation` is
+        ``relation``.  A dropped name is nobody's past."""
+        names = [
+            past
+            for (owner, past), now in self._relation_now.items()
+            if owner == source and now == relation
+        ]
+        if (source, relation) not in self._relation_now:
+            names.append(relation)
+        return names
+
     def current_attribute(
         self, source: str, current_relation: str, past_attribute: str
     ) -> str | None:
@@ -158,8 +185,6 @@ class SchemaHistory:
         current_name = self.current_relation(source, update.relation)
         if current_name is None:
             return None
-
-        from ..relational.schema import Attribute
 
         stale = update.delta.schema
         attributes: list[Attribute] = []
@@ -197,3 +222,30 @@ class SchemaHistory:
                 count,
             )
         return DataUpdate(current_name, translated)
+
+    def translate_message(
+        self, message: UpdateMessage
+    ) -> UpdateMessage | None:
+        """The data-update ``message`` with its payload speaking the
+        current schema: ``message`` itself when nothing recorded affects
+        it (always, while nothing was recorded), ``None`` when its
+        relation no longer exists.  Remembered per message until the
+        next :meth:`record`; the result is shared, never mutate it."""
+        if self.is_empty():
+            return message
+        known = self._translated.get(id(message))
+        if known is not None:
+            return known[1]
+        payload = self.translate_data_update(message.source, message.payload)
+        if payload is None:
+            translated = None
+        elif payload is message.payload:
+            translated = message
+        else:
+            translated = UpdateMessage(
+                message.source, message.seqno, message.committed_at, payload
+            )
+        if len(self._translated) >= MEMO_CAPACITY:
+            self._translated.clear()
+        self._translated[id(message)] = (message, translated)
+        return translated

@@ -33,11 +33,7 @@ from ..sim.effects import Delay, SourceQuery
 from ..sim.engine import MaintenanceProcess, QueryAnswer
 from ..views.definition import ViewDefinition
 from ..views.umq import MaintenanceUnit, UpdateMessageQueue
-from .compensation import (
-    CompensationLog,
-    compensate_answer,
-    pending_data_updates,
-)
+from .compensation import CompensationLog, compensate_answer
 from .decompose import scan_query
 
 
@@ -106,11 +102,8 @@ def adapt_view(
             source_query = scan_query(query, alias)
             answer = yield SourceQuery(ref.source, source_query)
             assert isinstance(answer, QueryAnswer)
-            leaked = pending_data_updates(
-                umq.messages_behind(unit),
-                ref.source,
-                ref.relation,
-                answer.answered_at,
+            leaked = umq.leaked(
+                unit, ref.source, ref.relation, answer.answered_at
             )
             fetched[alias] = compensate_answer(
                 answer.table, source_query, alias, leaked, log

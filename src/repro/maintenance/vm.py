@@ -33,20 +33,15 @@ from ..sim.engine import MaintenanceProcess, QueryAnswer
 from ..sources.messages import DataUpdate
 from ..views.definition import ViewDefinition
 from ..views.umq import MaintenanceUnit, UpdateMessageQueue
-from .compensation import (
-    CompensationLog,
-    compensate_answer,
-    pending_data_updates,
-    sign_parts,
-)
+from .compensation import CompensationLog, compensate_answer, sign_parts
 from .decompose import probe_sweep
 
 
 def _abs_table(delta: Delta) -> Table:
-    table = Table(delta.schema)
-    for row, count in delta.items():
-        table.insert(row, abs(count))
-    return table
+    return Table.from_counts(
+        delta.schema,
+        {row: abs(count) for row, count in delta.validated_items()},
+    )
 
 
 def _distinct_values(table: Table) -> list[frozenset]:
@@ -111,11 +106,8 @@ def maintain_data_update(
             )
             assert isinstance(answer, QueryAnswer)
 
-            leaked = pending_data_updates(
-                umq.messages_behind(unit),
-                ref.source,
-                ref.relation,
-                answer.answered_at,
+            leaked = umq.leaked(
+                unit, ref.source, ref.relation, answer.answered_at
             )
             # Self-join rule: probes of *later* occurrences of the
             # updated relation must see the pre-update state, so the
@@ -135,7 +127,7 @@ def maintain_data_update(
         # Every workload DU is single-signed: the absent sign would run
         # the whole view query over an empty table, so it is skipped.
         for sign, part in sign_parts(
-            payload.delta.schema, payload.delta.items()
+            payload.delta.schema, payload.delta.validated_items()
         ):
             result = execute(query, {**bindings, delta_alias: part})
             if total is None:

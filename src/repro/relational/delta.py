@@ -17,7 +17,7 @@ from collections import Counter
 from typing import Iterable, Iterator
 
 from .errors import ArityError
-from .rows import intern_row
+from .rows import intern_row, validated_row
 from .schema import RelationSchema
 
 Row = tuple
@@ -29,9 +29,14 @@ class Delta:
     Counts may be any nonzero integer; entries whose count reaches zero are
     removed eagerly so that two deltas are equal iff they have the same
     net effect.
+
+    A delta also remembers :meth:`validated_items` — its rows typed for
+    its own schema — beside the fields: mutation drops the memo,
+    :meth:`copy` shares it, and equality, ``repr`` and pickling never
+    see it.
     """
 
-    __slots__ = ("schema", "_counts")
+    __slots__ = ("schema", "_counts", "_validated")
 
     def __init__(
         self,
@@ -40,6 +45,7 @@ class Delta:
     ) -> None:
         self.schema = schema
         self._counts: Counter[Row] = Counter()
+        self._validated: tuple[tuple[Row, int], ...] | None = None
         if counts:
             for row, count in counts.items():
                 self.add(row, count)
@@ -75,6 +81,7 @@ class Delta:
             )
         if count == 0:
             return
+        self._validated = None
         # Intern through the shared row pool: the same distinct row
         # recurs across deltas, cache patches, journal replays and shard
         # replicas, and an identical object makes every downstream dict
@@ -102,6 +109,32 @@ class Delta:
 
     def items(self) -> Iterator[tuple[Row, int]]:
         return iter(self._counts.items())
+
+    def validated_items(self) -> tuple[tuple[Row, int], ...]:
+        """The ``(row, count)`` items with every row validated against
+        this delta's own schema, coerced and interned — what
+        :meth:`Table.insert <repro.relational.table.Table.insert>` would
+        store — in :meth:`items` order.
+
+        Remembered until the next mutation, so a table built from them
+        (:meth:`Table.from_counts <repro.relational.table.Table
+        .from_counts>`) costs no second validation pass however many
+        probe answers the delta leaks into.  A row that fails raises
+        :class:`~repro.relational.errors.TypeMismatchError` and nothing
+        is remembered: the next call raises again.  Rows that coerce to
+        one row (integers beyond 2**53 in a FLOAT column) are summed.
+        """
+        items = self._validated
+        if items is None:
+            attributes = self.schema.attributes
+            net: dict[Row, int] = {}
+            for row, count in self._counts.items():
+                row = validated_row(attributes, row)
+                net[row] = net.get(row, 0) + count
+            items = self._validated = tuple(
+                item for item in net.items() if item[1]
+            )
+        return items
 
     def count(self, row: Row) -> int:
         return self._counts.get(tuple(row), 0)
@@ -149,6 +182,13 @@ class Delta:
     def __hash__(self) -> int:  # pragma: no cover - deltas are not hashable
         raise TypeError("Delta is mutable and unhashable")
 
+    def __getstate__(self) -> tuple:
+        return self.schema, self._counts
+
+    def __setstate__(self, state: tuple) -> None:
+        self.schema, self._counts = state
+        self._validated = None
+
     def __repr__(self) -> str:
         preview = dict(list(self._counts.items())[:4])
         suffix = "..." if len(self._counts) > 4 else ""
@@ -168,6 +208,7 @@ class Delta:
     def copy(self) -> "Delta":
         duplicate = Delta(self.schema)
         duplicate._counts = Counter(self._counts)
+        duplicate._validated = self._validated
         return duplicate
 
     def scaled(self, factor: int) -> "Delta":

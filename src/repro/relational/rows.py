@@ -67,6 +67,19 @@ def intern_row(row: tuple) -> tuple:
     return row
 
 
+def validated_row(attributes, row: tuple) -> tuple:
+    """``row`` as a table over ``attributes`` stores it: every value
+    validated and coerced for its attribute's type (raising
+    :class:`~repro.relational.errors.TypeMismatchError`), the tuple
+    interned.  The caller has checked the arity."""
+    return intern_row(
+        tuple(
+            attribute.type.validate(value)
+            for attribute, value in zip(attributes, row)
+        )
+    )
+
+
 def set_interning(enabled: bool) -> None:
     """Globally enable/disable the pool (tests and micro-benchmarks)."""
     global _enabled

@@ -17,7 +17,7 @@ from typing import Iterable, Iterator
 
 from .delta import Delta, Row
 from .errors import ArityError, DataError
-from .rows import intern_row
+from .rows import validated_row
 from .schema import Attribute, RelationSchema
 from .types import Value
 
@@ -82,12 +82,7 @@ class Table:
                 f"row of width {len(row)} does not match relation "
                 f"{self.schema.name!r} of arity {self.schema.arity}"
             )
-        return intern_row(
-            tuple(
-                attribute.type.validate(value)
-                for attribute, value in zip(self.schema.attributes, row)
-            )
-        )
+        return validated_row(self.schema.attributes, row)
 
     def insert(self, row: Row, count: int = 1) -> None:
         """Insert ``count`` copies of ``row`` after validation."""

@@ -24,9 +24,15 @@ import itertools
 from dataclasses import dataclass
 from typing import Callable, Generator, Iterable
 
-from ..relational.predicate import InPredicate
+from ..relational.predicate import Conjunction, InPredicate
 from ..relational.query import SPJQuery
 from ..relational.table import Table
+from ..sources.errors import (
+    BrokenQueryError,
+    SourceUnavailableError,
+    TransientSourceError,
+    UpdateApplicationError,
+)
 from ..sources.source import DataSource
 from ..sources.workload import Workload, WorkloadItem
 from .clock import SimClock
@@ -241,7 +247,6 @@ class SimEngine:
         — autonomous sources do not consult anyone — so it is counted
         and traced but never propagates into the view manager.
         """
-        from ..sources.errors import UpdateApplicationError
 
         def fire() -> None:
             source = self.sources[item.source_name]
@@ -333,8 +338,6 @@ class SimEngine:
         :class:`BrokenQueryError`, so in-exec detection never mistakes
         an outage for a broken-query anomaly.
         """
-        from ..sources.errors import TransientSourceError
-
         served = self.serve_local(effect)
         if served is not None:
             answer, serve_cost, _hit = served
@@ -469,8 +472,6 @@ class SimEngine:
         can handle them (abort, flag, compensate); an unhandled
         BrokenQueryError propagates to the caller.
         """
-        from ..sources.errors import BrokenQueryError
-
         try:
             effect = next(process)
         except StopIteration as stop:
@@ -521,8 +522,6 @@ class RetryState:
         backoff pause before the next attempt, or raise
         :class:`~repro.sources.errors.SourceUnavailableError` when the
         retry budget or the per-query deadline is exhausted."""
-        from ..sources.errors import SourceUnavailableError
-
         engine = self._engine
         effect = self._effect
         policy = self._policy
@@ -561,8 +560,6 @@ class RetryState:
 
 def _probe_value_count(query: SPJQuery) -> int | None:
     """Total IN-list size if the query is probe-style, else ``None``."""
-    from ..relational.predicate import Conjunction
-
     predicates = []
     selection = query.selection
     if isinstance(selection, Conjunction):

@@ -47,7 +47,7 @@ from ..maintenance.vm import maintain_data_update
 from ..maintenance.vs import ViewSynchronizationError, ViewSynchronizer
 from .definition import ViewDefinition
 from .materialized import MaterializedView
-from .umq import MaintenanceUnit, UpdateMessageQueue
+from .umq import COMMIT_EPSILON, MaintenanceUnit, UpdateMessageQueue
 
 
 from dataclasses import dataclass
@@ -220,31 +220,6 @@ class ViewManager:
             pending.extend(wrapper.pending_messages())
         return pending
 
-    def _translated(self, message):
-        """Map a data-update message through the schema history.
-
-        Returns a message whose payload speaks the *current* schema
-        (identity fast path when nothing ever changed), or ``None`` when
-        the updated relation no longer exists.
-        """
-        from ..sources.messages import UpdateMessage
-
-        if self.schema_history.is_empty():
-            return message
-        translated = self.schema_history.translate_data_update(
-            message.source, message.payload
-        )
-        if translated is None:
-            return None
-        if translated is message.payload:
-            return message
-        return UpdateMessage(
-            message.source,
-            message.seqno,
-            message.committed_at,
-            translated,
-        )
-
     # ------------------------------------------------------------------
     # the scheduler protocol (shared with MultiViewManager)
     # ------------------------------------------------------------------
@@ -313,8 +288,8 @@ class ViewManager:
         ``pending_feed`` (zero-argument callable) overrides where
         compensation finds the messages pending *behind* this unit: the
         parallel executor removes a unit from the UMQ at dispatch, so
-        ``umq.messages_behind`` no longer answers for it — the executor
-        supplies the dispatch-time snapshot plus later arrivals instead.
+        the queue no longer answers for it — the executor supplies the
+        dispatch-time snapshot plus later arrivals instead.
         """
         outcome = yield from self.compute_unit(unit, pending_feed)
         self.install_unit(outcome, unit)
@@ -402,11 +377,12 @@ class ViewManager:
         out for sequential VM (the anchor stays the batch).
         """
         anchor = anchor or unit
+        translate = self.schema_history.translate_message
         messages = [
             translated
             for m in unit.messages
             if m.is_data_update
-            for translated in [self._translated(m)]
+            for translated in [translate(m)]
             if translated is not None
         ]
         # Batch preprocessing (Section 5, voluntary flavour): merge
@@ -497,16 +473,30 @@ class ViewManager:
 
 
 class _UMQView:
-    """UMQ facade: in-unit pending messages plus stale-name translation.
+    """What compensation may ask the UMQ while one unit is maintained.
 
-    When a batch's data updates are maintained sequentially, updates
-    later *within the same unit* must be compensated away exactly like
-    queued updates behind the unit; this facade makes them visible to
-    :func:`~repro.maintenance.compensation.pending_data_updates` without
-    mutating the real queue.  It also translates every pending data
-    update through the manager's schema history, so compensation matches
-    updates committed under old relation/attribute names against the
-    current-name queries.
+    One question, :meth:`leaked`: which committed-but-unmaintained data
+    updates are in this probe answer?  Four feeds can hold one; they are
+    asked, and compensation nets them, in this order:
+
+    * the *in-unit extras* — when a batch's data updates are maintained
+      sequentially, updates later within the same unit are pending
+      exactly like queued updates behind it;
+    * the *queue* behind the unit, through its ``(source, relation)``
+      buckets (:meth:`~repro.views.umq.UpdateMessageQueue
+      .data_updates_behind`), in queue order; or,
+    * for a unit the parallel executor took off the queue at dispatch,
+      the worker's live ``pending_feed`` overlay in the queue's place;
+    * the wrappers' *in-flight* messages, committed but not delivered.
+
+    An update matches by the name it committed under: the manager's
+    schema history says which past names are the probed relation today
+    (a dropped relation's updates match nothing).  Only the matches that
+    had committed when the answer was evaluated are then translated to
+    the current names and layout — once per message and installed
+    schema change (:meth:`~repro.maintenance.history.SchemaHistory
+    .translate_message`), not once per answer — so compensation
+    evaluates current-name probes over them.
     """
 
     def __init__(
@@ -519,25 +509,33 @@ class _UMQView:
         #: dispatch, so the executor supplies its pending overlay
         self._pending_feed = pending_feed
 
-    def messages_behind(self, _sub_unit) -> list:
+    def leaked(
+        self, _sub_unit, source: str, relation: str, answered_at: float
+    ) -> list:
+        manager = self._manager
+        history = manager.schema_history
+        names = history.committed_names(source, relation)
+
+        def on_relation(messages) -> list:
+            return [
+                message
+                for message in messages
+                if message.is_data_update
+                and message.source == source
+                and message.payload.relation in names
+            ]
+
         behind = (
-            self._pending_feed()
+            on_relation(self._pending_feed())
             if self._pending_feed is not None
-            else self._manager.umq.messages_behind(self._unit)
+            else manager.umq.data_updates_behind(self._unit, source, names)
         )
-        pending = (
-            self._extra
+        cutoff = answered_at + COMMIT_EPSILON
+        leaked = [
+            message
+            for message in on_relation(self._extra)
             + behind
-            + self._manager._in_flight_messages()
-        )
-        if self._manager.schema_history.is_empty():
-            return pending
-        translated = []
-        for message in pending:
-            if not message.is_data_update:
-                translated.append(message)
-                continue
-            mapped = self._manager._translated(message)
-            if mapped is not None:
-                translated.append(mapped)
-        return translated
+            + on_relation(manager._in_flight_messages())
+            if message.committed_at <= cutoff
+        ]
+        return list(map(history.translate_message, leaked))

@@ -14,10 +14,18 @@ skipped.
 
 Hot-path layout: the unit store is a deque (O(1) ``remove_head``), the
 flat message list is cached and patched on mutation instead of being
-rebuilt per call, and ``position_of``/``messages_behind`` resolve
-through identity maps plus a monotone base offset instead of scanning.
-Observers (the incremental detection substrate) register as *mutation
-listeners* and are notified after every structural change.
+rebuilt per call, and ``position_of`` resolves through identity maps
+plus a monotone base offset instead of scanning.  The queued data
+updates are also bucketed by ``(source, relation as committed)``, each
+bucket in queue order, so the question every maintenance probe asks —
+which queued updates leaked into this answer
+(:meth:`UpdateMessageQueue.data_updates_behind`) — costs the bucket, not
+the queue.  All of it is derived state kept by the five mutators
+(``receive``, ``remove_head``, ``remove_unit``, ``requeue_front``,
+``replace_order``): nothing of it is checkpointed, whatever refills the
+queue rebuilds it.  Observers (the incremental detection substrate)
+register as *mutation listeners* and are notified after every
+structural change.
 """
 
 from __future__ import annotations
@@ -29,6 +37,12 @@ from typing import Iterable, Iterator, Protocol
 
 from ..relational.errors import ReproError
 from ..sources.messages import UpdateMessage
+
+#: slack on "committed no later than the answer was evaluated": an
+#: update leaked into an answer iff ``committed_at <= answered_at +
+#: COMMIT_EPSILON`` (one committed *after* evaluation, e.g. during the
+#: result transfer, did not affect the answer and is not compensated)
+COMMIT_EPSILON = 1e-12
 
 
 class UMQError(ReproError):
@@ -81,6 +95,19 @@ class MaintenanceUnit:
         return iter(self.messages)
 
 
+def _by_relation(
+    messages: Iterable[UpdateMessage],
+) -> dict[tuple[str, str], list[UpdateMessage]]:
+    """The data updates among ``messages`` per ``(source, relation as
+    committed)``, each list in the order given."""
+    buckets: dict[tuple[str, str], list[UpdateMessage]] = {}
+    for message in messages:
+        if message.is_data_update:
+            key = (message.source, message.payload.relation)
+            buckets.setdefault(key, []).append(message)
+    return buckets
+
+
 class UMQListener(Protocol):
     """Observer of UMQ structural mutations (notified *after* each)."""
 
@@ -119,6 +146,9 @@ class UpdateMessageQueue:
         self._owner: dict[int, MaintenanceUnit] = {}
         #: absolute position of the current head
         self._base = 0
+        #: (source, relation as committed) -> queued data updates, in
+        #: queue order
+        self._data_updates: dict[tuple[str, str], list[UpdateMessage]] = {}
 
     # ------------------------------------------------------------------
     # listeners
@@ -148,6 +178,8 @@ class UpdateMessageQueue:
         if message.is_schema_change:
             self.new_schema_change_flag = True
             self.received_schema_changes += 1
+        for key, arrived in _by_relation(unit).items():
+            self._data_updates.setdefault(key, []).extend(arrived)
         for listener in self._listeners:
             listener.umq_received(message)
 
@@ -193,6 +225,9 @@ class UpdateMessageQueue:
             self._owner.pop(id(message), None)
         if self._messages_cache is not None:
             del self._messages_cache[: len(unit)]
+        # Buckets are in queue order: the head's updates lead theirs.
+        for key, gone in _by_relation(unit).items():
+            del self._data_updates[key][: len(gone)]
         for listener in self._listeners:
             listener.umq_removed_head(unit)
         return unit
@@ -219,6 +254,14 @@ class UpdateMessageQueue:
             self._owner.pop(id(message), None)
         if self._messages_cache is not None:
             del self._messages_cache[before : before + len(unit)]
+        for key, gone in _by_relation(unit).items():
+            # By identity: a message compares by value.
+            mine = set(map(id, gone))
+            self._data_updates[key][:] = [
+                message
+                for message in self._data_updates[key]
+                if id(message) not in mine
+            ]
         # Positions after the gap all shift down by one.
         self._unit_pos = {
             id(survivor): self._base + position
@@ -247,6 +290,8 @@ class UpdateMessageQueue:
             self._owner[id(message)] = unit
         if self._messages_cache is not None:
             self._messages_cache[:0] = unit.messages
+        for key, back in _by_relation(unit).items():
+            self._data_updates.setdefault(key, [])[:0] = back
         for listener in self._listeners:
             listener.umq_requeued_front(unit)
 
@@ -257,18 +302,61 @@ class UpdateMessageQueue:
             raise UMQError(f"message not in UMQ: {message.describe()}")
         return self._unit_pos[id(unit)] - self._base
 
-    def messages_behind(
-        self, unit: MaintenanceUnit
+    def data_updates_behind(
+        self, unit: MaintenanceUnit, source: str, relations: Iterable[str]
     ) -> list[UpdateMessage]:
-        """All messages in units strictly after ``unit``."""
+        """Queued data updates of ``source`` committed under any of the
+        names ``relations``, in units strictly after ``unit``, in queue
+        order (a fresh list).  Costs the buckets asked for, not the
+        queue."""
         absolute = self._unit_pos.get(id(unit))
         if absolute is None:
             raise UMQError("unit not in UMQ")
-        index = absolute - self._base
+        owner, position = self._owner, self._unit_pos
+        runs: list[list[UpdateMessage]] = []
+        for relation in relations:
+            bucket = self._data_updates.get((source, relation), ())
+            # Queue order: what is not behind ``unit`` leads the bucket.
+            for skip, message in enumerate(bucket):
+                if position[id(owner[id(message)])] > absolute:
+                    runs.append(bucket[skip:])
+                    break
+        if len(runs) <= 1:
+            return runs[0] if runs else []
+        # One relation queued under several names (a rename overtook
+        # updates committed before it): interleave by queue position.
+        return sorted(
+            (message for run in runs for message in run),
+            key=self._queue_rank,
+        )
+
+    def _queue_rank(self, message: UpdateMessage) -> tuple[int, int]:
+        unit = self._owner[id(message)]
+        within = next(
+            index for index, member in enumerate(unit) if member is message
+        )
+        return self._unit_pos[id(unit)], within
+
+    def leaked(
+        self,
+        unit: MaintenanceUnit,
+        source: str,
+        relation: str,
+        answered_at: float,
+    ) -> list[UpdateMessage]:
+        """Which queued updates leaked into an answer of ``source`` on
+        ``relation`` evaluated at ``answered_at`` while ``unit`` is
+        maintained: the data updates on that relation behind ``unit``
+        that had committed by then.  Names are taken as committed and
+        only the queue is asked; the view manager's facade widens both.
+        """
+        cutoff = answered_at + COMMIT_EPSILON
         return [
             message
-            for later in islice(self._units, index + 1, None)
-            for message in later
+            for message in self.data_updates_behind(
+                unit, source, (relation,)
+            )
+            if message.committed_at <= cutoff
         ]
 
     def replace_order(self, units: list[MaintenanceUnit]) -> None:
@@ -290,6 +378,9 @@ class UpdateMessageQueue:
         self._owner = {
             id(message): unit for unit in units for message in unit
         }
+        self._data_updates = _by_relation(
+            message for unit in units for message in unit
+        )
         for listener in self._listeners:
             listener.umq_reordered(list(units))
 

@@ -6,7 +6,6 @@ from repro.maintenance.compensation import (
     CompensationLog,
     compensate_answer,
     effect_on_answer,
-    pending_data_updates,
 )
 from repro.relational.delta import Delta
 from repro.relational.predicate import Comparison, InPredicate, attr, conjunction
@@ -18,6 +17,7 @@ from repro.sources.messages import (
     DropAttribute,
     UpdateMessage,
 )
+from tests.leak_oracle import leaked_behind_head
 
 R = RelationSchema.of("R", ["k", "v"])
 
@@ -87,15 +87,18 @@ class TestPendingSelection:
         du_other = UpdateMessage(
             "other", 3, 1.0, DataUpdate.insert(R, [("1", "a")])
         )
-        sc = message(4, 1.0, DropAttribute("R", "v"))
-        leaked = pending_data_updates(
-            [du_r, du_late, du_other, sc], "s", "R", answered_at=2.0
+        du_elsewhere = message(
+            5, 1.0, DataUpdate.insert(R.renamed("T"), [("1", "a")])
         )
+        sc = message(4, 1.0, DropAttribute("R", "v"))
+        behind = [du_r, du_late, du_other, du_elsewhere, sc]
+        leaked = leaked_behind_head(behind, "s", "R", answered_at=2.0)
         assert leaked == [du_r]
 
     def test_boundary_inclusive(self):
         du = message(1, 2.0, DataUpdate.insert(R, [("1", "a")]))
-        assert pending_data_updates([du], "s", "R", 2.0) == [du]
+        assert leaked_behind_head([du], "s", "R", 2.0) == [du]
+        assert leaked_behind_head([du], "s", "R", 2.0 - 1e-6) == []
 
 
 class TestCompensateAnswer:

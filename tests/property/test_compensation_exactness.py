@@ -24,7 +24,7 @@ from repro.maintenance.compensation import (
     CompensationLog,
     OverCompensationError,
     compensate_answer,
-    pending_data_updates,
+    effect_on_answer,
 )
 from repro.relational.delta import Delta
 from repro.relational.errors import RelationalError
@@ -35,6 +35,7 @@ from repro.relational.schema import RelationSchema
 from repro.relational.table import Table
 from repro.relational.types import AttributeType
 from repro.sources.messages import DataUpdate, UpdateMessage
+from tests.leak_oracle import leaked_behind_head
 
 SCHEMA = RelationSchema.of(
     "R", [("k", AttributeType.INT), ("v", AttributeType.STRING)]
@@ -98,7 +99,7 @@ def test_compensation_reconstructs_clean_answer(data):
         )
     polluted = execute(query, {"R": polluted_table})
 
-    leaked = pending_data_updates(
+    leaked = leaked_behind_head(
         messages, "s", "R", answered_at=float(len(deltas)) + 1
     )
     assert leaked == messages  # all committed before the answer
@@ -124,7 +125,7 @@ def test_compensation_ignores_post_answer_deltas(data):
         UpdateMessage("s", i + 1, float(i + 1), DataUpdate("R", d.copy()))
         for i, d in enumerate(deltas)
     ]
-    leaked = pending_data_updates(
+    leaked = leaked_behind_head(
         messages, "s", "R", answered_at=float(cutoff) + 0.5
     )
     corrected = compensate_answer(answer, query, "R", leaked)
@@ -351,3 +352,158 @@ def test_mixed_call_compensates_the_compatible_schema_and_skips_the_other():
     assert len(log.notes) == 3
     assert all(re.match("skipped incompatible delta: ", n) for n in log.notes)
     assert log.compensated_tuples == 3
+
+
+# ----------------------------------------------------------------------
+# validated once: same coercion, same errors, same counts
+# ----------------------------------------------------------------------
+
+PRICED = RelationSchema.of(
+    "R",
+    [
+        ("k", AttributeType.INT),
+        ("v", AttributeType.STRING),
+        ("price", AttributeType.FLOAT),
+    ],
+)
+
+
+def _typed(bag) -> list[str]:
+    """The bag's items with their value types visible (1 vs 1.0)."""
+    return sorted(repr(item) for item in bag.items())
+
+
+def _priced_probe() -> SPJQuery:
+    return SPJQuery(
+        relations=(RelationRef("s", "R", "R"),),
+        projection=(attr("R", "k"), attr("R", "v"), attr("R", "price")),
+        selection=InPredicate(attr("R", "k"), frozenset({1, 2, 3})),
+    )
+
+
+def _priced_deltas() -> list[Delta]:
+    """Deltas as a source commits them: raw, an ``int`` in the FLOAT
+    column and a NULL — validation is what makes them ``50.0``."""
+    update = Delta(PRICED)
+    update.add((2, "c", 7), -1)
+    update.add((2, "c", 8), 1)
+    return [
+        Delta(PRICED, {(1, "a", 50): 1}),
+        Delta(PRICED, {(3, "gone", None): -1}),
+        update,
+    ]
+
+
+def test_validated_once_keeps_the_coerced_rows():
+    """A delta remembers its validated rows: whatever is built from
+    them — compensated answers, patched-forward effects — carries the
+    coerced value, cold and warm, exactly as validating on every use."""
+    answer = Table(PRICED, [(1, "a", 50.0), (1, "b", None), (2, "c", 8.0)])
+    query, deltas = _priced_probe(), _priced_deltas()
+    leaked = [
+        UpdateMessage("s", seqno, float(seqno), DataUpdate("R", delta))
+        for seqno, delta in enumerate(deltas, start=1)
+    ]
+    expected = _typed(oracle_compensate_answer(answer, query, "R", leaked))
+    assert expected == [
+        "((1, 'b', None), 1)",
+        "((2, 'c', 7.0), 1)",
+        "((3, 'gone', None), 1)",
+    ]
+    for _memo in ("cold", "warm"):
+        assert _typed(compensate_answer(answer, query, "R", leaked)) == expected
+        for delta in deltas:
+            assert _typed(effect_on_answer(query, "R", delta)) == _typed(
+                oracle_effect_on_answer(query, "R", delta)
+            )
+    # a one-delta call adopts the delta's own items: coerced too
+    assert _typed(compensate_answer(answer, query, "R", leaked[:1])) == [
+        "((1, 'b', None), 1)",
+        "((2, 'c', 8.0), 1)",
+    ]
+
+
+def test_cache_fold_and_installed_extent_keep_the_coerced_rows():
+    from repro.cache import SnapshotCache
+    from repro.sim.costs import CostModel
+    from repro.sources.source import DataSource
+    from tests.conftest import ITEM_SCHEMA, build_bookstore
+
+    source, cache = DataSource("s"), SnapshotCache()
+    source.create_relation(PRICED, [(1, "b", None), (2, "c", 7.0)])
+    query = _priced_probe()
+    current = lambda: execute(query, {"R": source.catalog.table("R")})
+    cache.store(source, query, current())
+    for delta in _priced_deltas()[::2]:
+        source.commit(DataUpdate("R", delta))
+    assert _typed(cache.serve(source, query).table) == _typed(current())
+    assert "((1, 'a', 50.0), 1)" in _typed(current())
+
+    engine, manager = build_bookstore(CostModel.free())
+    engine.source("retailer").commit(
+        DataUpdate.insert(
+            ITEM_SCHEMA,
+            [(2, "Databases", "Gray", 60), (1, "Compilers", "Aho", None)],
+        ),
+        at=0.0,
+    )
+    engine.run_process(manager.build_maintenance(manager.umq.head()))
+    assert _typed(manager.mv.extent) == _typed(manager.recompute_reference())
+    assert any("60.0" in item for item in _typed(manager.mv.extent))
+
+
+def test_a_row_failing_its_own_schema_fails_every_time_and_is_skipped():
+    """A failed validation is never half-remembered: the same error on
+    every use, and ``compensate_answer`` skips the whole schema group,
+    one count and one note per member delta, every time."""
+    from repro.relational.errors import TypeMismatchError
+    import pytest
+
+    bad = Delta(SCHEMA, {(1, "a"): 1, ("one", "a"): 1})
+    good = Delta(SCHEMA_TWIN, {(1, "leaked"): 1})
+    query = probe(frozenset({1}))
+    for _ in range(2):
+        with pytest.raises(TypeMismatchError):
+            effect_on_answer(query, "R", bad)
+    answer = Table(SCHEMA, [(1, "kept"), (1, "leaked")])
+    leaked = [
+        UpdateMessage("s", seqno, 1.0, DataUpdate("R", delta))
+        for seqno, delta in enumerate([good, bad], start=1)
+    ]
+    for _ in range(2):
+        for compensate in (compensate_answer, oracle_compensate_answer):
+            log = CompensationLog(strict=True)
+            corrected = compensate(answer, query, "R", leaked[1:], log)
+            assert corrected == answer
+            assert log.skipped_incompatible == 1
+            assert len(log.notes) == 1 and "expected INT" in log.notes[0]
+        # netted with a sound delta of the same schema, the group goes
+        # as one: nothing of it is applied
+        log = CompensationLog(strict=True)
+        assert compensate_answer(answer, query, "R", leaked, log) == answer
+        assert log.skipped_incompatible == 2
+        assert len(log.notes) == 2
+        assert log.compensated_tuples == 0
+
+
+@given(leaked_sets())
+@settings(max_examples=100, deadline=None)
+def test_log_counts_do_not_depend_on_the_memo(data):
+    """``compensated_tuples`` / ``compensated_queries`` / skips with the
+    deltas' memos cold equal those with every memo warm."""
+    answer, deltas, extras, probe_values = data
+    leaked = [
+        UpdateMessage("s", seqno, float(seqno), DataUpdate("R", delta))
+        for seqno, delta in enumerate(deltas, start=1)
+    ]
+    logs, results = [], []
+    for _memo in ("cold", "warm"):
+        log = CompensationLog()
+        results.append(
+            compensate_answer(
+                answer, probe(probe_values), "R", leaked, log, list(extras)
+            )
+        )
+        logs.append(log)
+    assert results[0] == results[1]
+    assert logs[0] == logs[1]

@@ -1,0 +1,332 @@
+"""The indexed leak lookup equals the linear scan it replaced.
+
+``UpdateMessageQueue`` buckets its queued data updates by ``(source,
+relation as committed)`` and the view manager's facade filters the four
+feeds *before* translating; the old path flattened the queue tail,
+translated every pending data update and filtered afterwards.  That old
+path is the oracle (``tests/leak_oracle.py``).  Worlds are random: all
+five UMQ mutators (merged batch units, mid-queue removal, requeue after
+abort, reorders with merges) interleaved with installed schema changes
+(relation renames and chains, drops, attribute renames / drops /
+additions), with in-unit extras, in-flight messages and a parallel
+worker's overlay, asked at cut-offs either side of a commit.
+"""
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.maintenance.history import SchemaHistory
+from repro.relational.delta import Delta
+from repro.relational.schema import Attribute, RelationSchema
+from repro.relational.types import AttributeType
+from repro.sources.messages import (
+    AddAttribute,
+    DataUpdate,
+    DropAttribute,
+    DropRelation,
+    RenameAttribute,
+    RenameRelation,
+    UpdateMessage,
+)
+from repro.views.manager import _UMQView
+from repro.views.umq import MaintenanceUnit, UpdateMessageQueue
+from tests.leak_oracle import (
+    assert_index_consistent,
+    bare_manager,
+    facade_messages_behind,
+    messages_behind,
+    pending_data_updates,
+)
+
+SOURCES = ("s", "t")
+FRESH_NAMES = ("B", "C", "D", "E", "F")
+FRESH_ATTRIBUTES = ("p", "q", "r")
+
+
+class World:
+    """Sources, a shared UMQ and a view manager's schema history, driven
+    by a ``random.Random``.  The history never lags its sources: a
+    schema change is recorded the moment it commits, so every data
+    update committed before it and still queued is stale."""
+
+    def __init__(self, rnd) -> None:
+        self.rnd = rnd
+        self.umq = UpdateMessageQueue()
+        self.history = SchemaHistory()
+        self.clock = 0
+        self.seqno = 0
+        #: source -> current relation name -> attribute names
+        self.live = {
+            source: {"A": ["a", "b"], "X": ["a", "b"]} for source in SOURCES
+        }
+        #: every relation name ever used, per source (dropped included)
+        self.names = {source: {"A", "X"} for source in SOURCES}
+        self.removed: list[MaintenanceUnit] = []
+        self.in_flight: list[UpdateMessage] = []
+        self.manager = bare_manager(
+            self.umq, self.history, lambda: list(self.in_flight)
+        )
+
+    # -- messages ------------------------------------------------------
+
+    def _stamp(self) -> tuple[int, float]:
+        self.seqno += 1
+        self.clock += 1
+        return self.seqno, float(self.clock)
+
+    def data_update(self) -> UpdateMessage | None:
+        source = self.rnd.choice(SOURCES)
+        if not self.live[source]:
+            return None
+        relation = self.rnd.choice(sorted(self.live[source]))
+        schema = RelationSchema.of(relation, self.live[source][relation])
+        delta = Delta(schema)
+        for _ in range(self.rnd.randint(1, 2)):
+            row = tuple(
+                str(self.rnd.randint(0, 3)) for _ in schema.attributes
+            )
+            delta.add(row, self.rnd.choice((-1, 1, 2)))
+        return UpdateMessage(
+            source, *self._stamp(), DataUpdate(relation, delta)
+        )
+
+    def schema_change(self) -> UpdateMessage | None:
+        """Commit a schema change and record it as installed."""
+        source = self.rnd.choice(SOURCES)
+        live = self.live[source]
+        if not live:
+            return None
+        relation = self.rnd.choice(sorted(live))
+        attributes = live[relation]
+        kind = self.rnd.choice(
+            ("rename", "rename", "drop", "rename_attr", "drop_attr", "add")
+        )
+        unused = [n for n in FRESH_NAMES if n not in self.names[source]]
+        spare = [a for a in FRESH_ATTRIBUTES if a not in attributes]
+        if kind == "rename" and unused:
+            new = self.rnd.choice(unused)
+            change = RenameRelation(relation, new)
+            live[new] = live.pop(relation)
+            self.names[source].add(new)
+        elif kind == "drop":
+            change = DropRelation(relation)
+            del live[relation]
+        elif kind == "rename_attr" and spare:
+            old = self.rnd.choice(attributes)
+            new = self.rnd.choice(spare)
+            change = RenameAttribute(relation, old, new)
+            attributes[attributes.index(old)] = new
+        elif kind == "drop_attr" and len(attributes) > 1:
+            gone = self.rnd.choice(attributes)
+            change = DropAttribute(relation, gone)
+            attributes.remove(gone)
+        elif kind == "add" and spare:
+            added = self.rnd.choice(spare)
+            change = AddAttribute(
+                relation, Attribute(added, AttributeType.STRING)
+            )
+            attributes.append(added)
+        else:
+            return None
+        self.history.record(source, change)
+        return UpdateMessage(source, *self._stamp(), change)
+
+    # -- the five mutators --------------------------------------------
+
+    def mutate(self) -> None:
+        umq, rnd = self.umq, self.rnd
+        step = rnd.choice(
+            (
+                "receive", "receive", "receive", "schema_change",
+                "remove_head", "remove_unit", "requeue_front",
+                "replace_order", "in_flight",
+            )
+        )
+        if step in ("receive", "in_flight"):
+            message = self.data_update()
+            if message is None:
+                return
+            if step == "in_flight":
+                self.in_flight.append(message)
+            else:
+                umq.receive(message)
+        elif step == "schema_change":
+            message = self.schema_change()
+            if message is not None:
+                umq.receive(message)
+        elif step == "remove_head" and len(umq):
+            umq.remove_head()
+        elif step == "remove_unit" and len(umq):
+            self.removed.append(umq.remove_unit(rnd.choice(umq.units)))
+        elif step == "requeue_front" and self.removed:
+            umq.requeue_front(self.removed.pop(rnd.randrange(len(self.removed))))
+        elif step == "replace_order" and len(umq):
+            units = list(umq.units)
+            rnd.shuffle(units)
+            order: list[MaintenanceUnit] = []
+            while units:
+                # a cycle merge: several units become one batch unit
+                take = rnd.randint(1, min(3, len(units)))
+                group, units = units[:take], units[take:]
+                order.append(
+                    group[0] if take == 1 else MaintenanceUnit.merged(group)
+                )
+            umq.replace_order(order)
+
+    # -- questions -----------------------------------------------------
+
+    def questions(self):
+        """Every (source, name ever used) — dropped and renamed-away
+        names included — before everything, after everything and either
+        side of one commit instant."""
+        cutoffs = [0.0, self.clock + 1.0]
+        if self.clock:
+            instant = float(self.rnd.randint(1, self.clock))
+            cutoffs += [instant - 0.5, instant, instant + 0.5]
+        for source in SOURCES:
+            for relation in sorted(self.names[source]):
+                for answered_at in cutoffs:
+                    yield source, relation, answered_at
+
+    def extras(self) -> list[UpdateMessage]:
+        """In-unit extras speak the current language already."""
+        drawn = [self.data_update() for _ in range(self.rnd.randint(0, 2))]
+        return [message for message in drawn if message is not None]
+
+
+def assert_same_leak(found, expected) -> None:
+    """Same messages in the same order, modulo translation: a message
+    nothing translated is the very object, a translated one is equal in
+    envelope, relation, layout and rows."""
+    assert len(found) == len(expected)
+    for ours, theirs in zip(found, expected):
+        if ours is theirs:
+            continue
+        assert (ours.source, ours.seqno, ours.committed_at) == (
+            theirs.source, theirs.seqno, theirs.committed_at
+        )
+        assert ours.payload.relation == theirs.payload.relation
+        assert ours.payload.delta.schema == theirs.payload.delta.schema
+        assert ours.payload.delta == theirs.payload.delta
+
+
+@given(st.randoms(use_true_random=False), st.integers(5, 40))
+@settings(max_examples=120, deadline=None)
+def test_queue_buckets_equal_the_tail_scan(rnd, steps):
+    world = World(rnd)
+    umq = world.umq
+    for _ in range(steps):
+        world.mutate()
+        assert_index_consistent(umq)
+        for unit in umq.units:
+            behind = messages_behind(umq, unit)
+            for source in SOURCES:
+                names = sorted(world.names[source])
+                asked = names[: rnd.randint(1, len(names))]
+                expected = [
+                    message
+                    for message in behind
+                    if message.is_data_update
+                    and message.source == source
+                    and message.payload.relation in asked
+                ]
+                found = umq.data_updates_behind(unit, source, asked)
+                assert [id(m) for m in found] == [id(m) for m in expected]
+
+
+@given(st.randoms(use_true_random=False), st.integers(5, 40))
+@settings(max_examples=120, deadline=None)
+def test_leaked_equals_flatten_translate_then_filter(rnd, steps):
+    world = World(rnd)
+    umq, manager = world.umq, world.manager
+    for _ in range(steps):
+        world.mutate()
+        if umq.is_empty():
+            continue
+        unit = rnd.choice(umq.units)
+        extras = world.extras()
+        # A parallel worker's overlay: whatever was queued without the
+        # unit itself, schema changes and all, plus later arrivals.
+        overlay = [
+            message
+            for queued in umq.units
+            if queued is not unit
+            for message in queued
+        ] + world.extras()
+        for feed in (None, lambda: list(overlay)):
+            facade = _UMQView(manager, unit, extras, feed)
+            pending = facade_messages_behind(manager, unit, extras, feed)
+            for source, relation, answered_at in world.questions():
+                assert_same_leak(
+                    facade.leaked(unit, source, relation, answered_at),
+                    pending_data_updates(
+                        pending, source, relation, answered_at
+                    ),
+                )
+
+
+def _stale_world():
+    """``s.A`` renamed to ``B`` with two updates still queued under the
+    old name, one under the new, behind a head."""
+    history = SchemaHistory()
+    umq = UpdateMessageQueue()
+    old = RelationSchema.of("A", ["a"])
+    new = RelationSchema.of("B", ["a"])
+    messages = [
+        UpdateMessage("s", 1, 1.0, DataUpdate.insert(old, [("head",)])),
+        UpdateMessage("s", 2, 2.0, DataUpdate.insert(old, [("x",)])),
+        UpdateMessage("s", 3, 3.0, DataUpdate.insert(new, [("y",)])),
+        UpdateMessage("s", 4, 4.0, DataUpdate.insert(old, [("z",)])),
+    ]
+    for message in messages:
+        umq.receive(message)
+    history.record("s", RenameRelation("A", "B"))
+    return bare_manager(umq, history), messages
+
+
+def test_two_committed_names_interleave_in_queue_order():
+    manager, messages = _stale_world()
+    umq = manager.umq
+    # the reorder moves the late stale update ahead of the fresh one and
+    # merges the other two: queue order is no longer commit order
+    head, x, y, z = umq.units
+    umq.replace_order([head, z, MaintenanceUnit.merged([y, x])])
+    found = umq.data_updates_behind(head, "s", ["A", "B"])
+    assert [m.seqno for m in found] == [4, 3, 2]
+    leaked = _UMQView(manager, head, []).leaked(head, "s", "B", 9.0)
+    assert [m.seqno for m in leaked] == [4, 3, 2]
+    assert [m.payload.relation for m in leaked] == ["B", "B", "B"]
+    assert leaked[1] is messages[2]  # committed under the current name
+    assert _UMQView(manager, head, []).leaked(head, "s", "A", 9.0) == []
+
+
+def test_a_message_is_translated_once_per_installed_change(monkeypatch):
+    manager, _ = _stale_world()
+    history, head = manager.schema_history, manager.umq.head()
+    calls = []
+    translate = history.translate_data_update
+    monkeypatch.setattr(
+        history,
+        "translate_data_update",
+        lambda source, update: calls.append(update) or translate(source, update),
+    )
+    facade = _UMQView(manager, head, [])
+    first = facade.leaked(head, "s", "B", 9.0)
+    assert len(calls) == 3
+    # asked again — by this probe or any later unit's — nothing is
+    # translated again and the same (shared) messages come back
+    again = _UMQView(manager, head, []).leaked(head, "s", "B", 9.0)
+    assert len(calls) == 3
+    assert [id(m) for m in again] == [id(m) for m in first]
+    # filter first: the cut-off and the relation keep a message from
+    # being translated at all
+    history.record("s", RenameAttribute("B", "a", "a2"))
+    assert facade.leaked(head, "s", "X", 9.0) == []
+    assert len(facade.leaked(head, "s", "B", 2.5)) == 1
+    assert len(calls) == 4
+    # an installed change starts the memo over
+    fresh = facade.leaked(head, "s", "B", 9.0)
+    assert len(calls) == 6
+    assert [m.payload.delta.schema.attribute_names for m in fresh] == [
+        ("a2",)
+    ] * 3

@@ -1,12 +1,21 @@
 """Signed-multiset deltas."""
 
+import copy
+import pickle
+
 import pytest
 
+from repro.recovery.codec import delta_from_json, delta_to_json
 from repro.relational.delta import Delta
-from repro.relational.errors import ArityError
+from repro.relational.errors import ArityError, TypeMismatchError
 from repro.relational.schema import RelationSchema
+from repro.relational.table import Table
+from repro.relational.types import AttributeType
 
 R = RelationSchema.of("R", ["a", "b"])
+PRICED = RelationSchema.of(
+    "P", [("k", AttributeType.INT), ("price", AttributeType.FLOAT)]
+)
 
 
 class TestConstruction:
@@ -115,3 +124,88 @@ class TestInspection:
 
     def test_repr_mentions_schema(self):
         assert "R" in repr(Delta(R))
+
+
+class TestValidatedItems:
+    """The rows typed for the delta's own schema, remembered beside the
+    fields: never compared, printed, pickled or journalled."""
+
+    def _priced(self) -> Delta:
+        delta = Delta(PRICED)
+        delta.add((1, 50), 2)  # an int in a FLOAT column
+        delta.add((2, None), -1)  # and a NULL
+        return delta
+
+    def test_holds_what_a_table_would_store(self):
+        delta = self._priced()
+        items = delta.validated_items()
+        assert repr(items) == "(((1, 50.0), 2), ((2, None), -1))"
+        stored = Table(PRICED)
+        stored.insert((1, 50), 2)
+        assert repr(list(stored.items())) == repr([items[0]])
+        # the raw rows are still what the delta itself holds
+        assert repr(list(delta.items())) == "[((1, 50), 2), ((2, None), -1)]"
+        assert delta.validated_items() is items
+
+    def test_mutation_drops_it(self):
+        delta = self._priced()
+        before = delta.validated_items()
+        delta.add((3, 7), 1)
+        assert delta.validated_items() == before + (((3, 7.0), 1),)
+        delta.merge(Delta(PRICED, {(3, 7): -1}))
+        again = delta.validated_items()
+        assert again == before and again is not before
+        delta.add((4, 1), 0)  # adds nothing: nothing to forget
+        assert delta.validated_items() is again
+
+    def test_copy_shares_it_and_derived_deltas_start_cold(self):
+        delta = self._priced()
+        items = delta.validated_items()
+        duplicate = delta.copy()
+        assert duplicate.validated_items() is items
+        duplicate.add((9, 9), 1)
+        assert delta.validated_items() is items
+        assert len(duplicate.validated_items()) == 3
+        for derived in (delta.negated(), delta.scaled(2), delta.insertions):
+            assert derived._validated is None
+        assert delta.negated().validated_items() == (
+            ((1, 50.0), -2), ((2, None), 1),
+        )
+        assert delta.scaled(2).validated_items()[0] == ((1, 50.0), 4)
+
+    def test_equality_and_repr_do_not_see_it(self):
+        warm, cold = self._priced(), self._priced()
+        warm.validated_items()
+        assert warm == cold
+        assert repr(warm) == repr(cold)
+
+    def test_never_shipped(self):
+        warm, cold = self._priced(), self._priced()
+        warm.validated_items()
+        assert pickle.dumps(warm) == pickle.dumps(cold)
+        for clone in (pickle.loads(pickle.dumps(warm)), copy.deepcopy(warm)):
+            assert clone == warm and clone.schema == PRICED
+            assert clone._validated is None
+            assert clone.validated_items() == warm.validated_items()
+        assert delta_to_json(warm) == delta_to_json(cold)
+        assert delta_from_json(delta_to_json(warm))._validated is None
+
+    def test_a_failing_row_is_never_half_remembered(self):
+        delta = Delta(PRICED)
+        delta.add((1, 5), 1)
+        delta.add(("one", 5), 1)  # a string in an INT column
+        for _ in range(2):
+            with pytest.raises(TypeMismatchError):
+                delta.validated_items()
+            assert delta._validated is None
+        delta.add(("one", 5), -1)
+        assert delta.validated_items() == (((1, 5.0), 1),)
+
+    def test_rows_that_coerce_together_are_summed(self):
+        big = 2**53
+        delta = Delta(PRICED)
+        delta.add((1, big), 1)
+        delta.add((1, big + 1), 2)  # float(big + 1) == float(big)
+        delta.add((2, big), 1)
+        delta.add((2, big + 1), -1)
+        assert delta.validated_items() == (((1, float(big)), 3),)

@@ -3,9 +3,12 @@
 import pytest
 
 from repro.sim.costs import CostModel
+from repro.maintenance.grouping import coalesce_data_updates
+from repro.recovery.codec import delta_to_json
 from repro.sources.messages import (
     DataUpdate,
     DropAttribute,
+    RenameAttribute,
     RenameRelation,
 )
 from repro.views.umq import MaintenanceUnit
@@ -135,6 +138,61 @@ class TestSchemaUnitMaintenance:
         engine.run_process(manager.build_maintenance(manager.umq.head()))
         assert manager.view.version == 2
         assert manager.mv.extent == manager.recompute_reference()
+
+
+class TestSharedTranslations:
+    """A translated message comes out of the schema history's memo and
+    is shared by every probe it leaks into and by the unit that finally
+    maintains it: whoever is handed one builds new deltas."""
+
+    def test_stale_batch_is_maintained_without_touching_a_payload(self):
+        engine, manager = build_bookstore(CostModel.free())
+        retailer = engine.source("retailer")
+        retailer.commit(RenameAttribute("Item", "Price", "Cost"), at=0.0)
+        engine.run_process(manager.build_maintenance(manager.umq.head()))
+        manager.umq.remove_head()
+        # Two updates still speaking the layout from before the rename
+        # (a source applies a delta by position), one that needs no
+        # translation; maintained as one batch.
+        for author in ("Y", "Z"):
+            retailer.commit(
+                DataUpdate.insert(
+                    ITEM_SCHEMA, [(1, "Databases", author, 3.0)]
+                ),
+                at=0.0,
+            )
+        engine.source("library").commit(
+            DataUpdate.insert(
+                CATALOG_SCHEMA, [("Compilers", "Aho", "CS", "AW", "again")]
+            ),
+            at=0.0,
+        )
+        batch = MaintenanceUnit.merged(manager.umq.units)
+        manager.umq.replace_order([batch])
+
+        history = manager.schema_history
+        translated = [history.translate_message(m) for m in batch]
+        assert [t is m for t, m in zip(translated, batch)] == [
+            False, False, True,
+        ]
+        assert "Cost" in translated[0].payload.delta.schema
+        handed = [delta_to_json(t.payload.delta) for t in translated]
+        raw = [delta_to_json(m.payload.delta) for m in batch]
+
+        merged = coalesce_data_updates(translated)
+        assert len(merged) == 2 and merged[0].payload.delta.net_size() == 2
+        assert all(
+            merged[0].payload.delta is not t.payload.delta
+            for t in translated
+        )
+        engine.run_process(manager.build_maintenance(batch))
+        assert manager.mv.extent == manager.recompute_reference()
+
+        # the same shared objects, as they were handed out
+        again = [history.translate_message(m) for m in batch]
+        assert [id(t) for t in again] == [id(t) for t in translated]
+        assert [delta_to_json(t.payload.delta) for t in again] == handed
+        assert [delta_to_json(m.payload.delta) for m in batch] == raw
 
 
 class TestSpeculativeQueries:

@@ -5,6 +5,7 @@ import pytest
 from repro.relational.schema import RelationSchema
 from repro.sources.messages import DataUpdate, DropAttribute, UpdateMessage
 from repro.views.umq import MaintenanceUnit, UMQError, UpdateMessageQueue
+from tests.leak_oracle import assert_index_consistent, messages_behind
 
 R = RelationSchema.of("R", ["a"])
 
@@ -77,13 +78,21 @@ class TestQueueOps:
         for message in (a, b, c):
             umq.receive(message)
         head = umq.head()
-        assert umq.messages_behind(head) == [b, c]
+        assert messages_behind(umq, head) == [b, c]
+        assert umq.data_updates_behind(head, "s", ["R"]) == [b, c]
+        assert umq.data_updates_behind(head, "s", ["T"]) == []
+        assert umq.data_updates_behind(head, "other", ["R"]) == []
+        # committed no later than the answer was evaluated, inclusive
+        assert umq.leaked(head, "s", "R", answered_at=2.0) == [b]
 
     def test_messages_behind_unknown_unit(self):
         umq = UpdateMessageQueue()
         umq.receive(du(1))
+        stranger = MaintenanceUnit([du(9)])
         with pytest.raises(UMQError):
-            umq.messages_behind(MaintenanceUnit([du(9)]))
+            messages_behind(umq, stranger)
+        with pytest.raises(UMQError):
+            umq.data_updates_behind(stranger, "s", ["R"])
 
 
 class TestReorder:
@@ -193,7 +202,12 @@ class TestListeners:
         assert umq.messages() == [messages[1], messages[0], messages[2]]
         assert umq.position_of(messages[1]) == 0
         assert umq.position_of(messages[0]) == 1
-        assert umq.messages_behind(middle) == [messages[0], messages[2]]
+        assert messages_behind(umq, middle) == [messages[0], messages[2]]
+        assert umq.data_updates_behind(middle, "s", ["R"]) == [
+            messages[0],
+            messages[2],
+        ]
+        assert_index_consistent(umq)
 
     def test_requeue_of_queued_messages_rejected_without_event(self):
         umq, _, recorder = self._queue(1)
