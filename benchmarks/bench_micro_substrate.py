@@ -31,6 +31,7 @@ from repro.relational.schema import RelationSchema
 from repro.relational.table import Table
 from repro.relational.types import AttributeType
 from repro.sources.messages import DataUpdate, RenameRelation, UpdateMessage
+from repro.sources.sqlite_source import SqliteDataSource
 from repro.experiments.testbed import build_testbed
 from repro.views.manager import _UMQView
 from repro.views.umq import UpdateMessageQueue
@@ -94,6 +95,35 @@ def test_micro_fresh_probes(benchmark):
     rows_of_key = Counter(row[0] for row in table)
     expected = sum(rows_of_key[key] for values in lists for key in values)
     assert benchmark(sweep) == expected
+
+
+def test_micro_sqlite_probe(benchmark):
+    """3 000 single-key probes of one shape against a 2 000-row
+    relation through ``SqliteDataSource.execute`` — the spine's
+    ``sqlite_parallel`` per-probe floor, outside the spine: fault gate,
+    Theorem-1 admission, one prepared text, one index lookup, the answer
+    adopted."""
+    table = _table(R, 2_000, 7)
+    source = SqliteDataSource("s")
+    source.create_relation(R, table)
+    view = SPJQuery(
+        relations=(RelationRef("s", "R", "R"), RelationRef("s", "T", "T")),
+        projection=(attr("R", "a"), attr("T", "x")),
+        joins=(JoinCondition(attr("R", "k"), attr("T", "k")),),
+    )
+    rng = random.Random(9)
+    keys = [rng.randrange(2_000) for _ in range(3_000)]
+
+    def sweep():
+        rows = 0
+        for key in keys:
+            probe = probe_query(view, "R", {"k": frozenset((key,))})
+            rows += len(source.execute(probe))
+        return rows
+
+    rows_of_key = Counter(row[0] for row in table)
+    assert benchmark(sweep) == sum(rows_of_key[key] for key in keys)
+    assert len(source._statements) == 1
 
 
 def test_micro_delta_apply(benchmark):

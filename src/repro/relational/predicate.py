@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from typing import Callable, Mapping
+from typing import Callable, Mapping, Sequence
 
 from .errors import QueryError
 from .types import Value
@@ -77,7 +77,9 @@ class Predicate:
     def substituted(self, substitution: Substitution) -> "Predicate":
         raise NotImplementedError
 
-    def sql(self) -> str:
+    def sql(self, marks: Sequence[str] | None = None) -> str:
+        """SQL text; ``marks[i]``, when given, is what stands for the
+        value list of parameter ``i`` (a source's ``?`` placeholders)."""
         raise NotImplementedError
 
     def lifted(self, values: list[frozenset]) -> "Predicate":
@@ -108,14 +110,15 @@ class TruePredicate(Predicate):
     def substituted(self, substitution: Substitution) -> Predicate:
         return self
 
-    def sql(self) -> str:
+    def sql(self, marks: Sequence[str] | None = None) -> str:
         return "TRUE"
 
 
 TRUE = TruePredicate()
 
 
-def _render_value(value: Value) -> str:
+def sql_literal(value: Value) -> str:
+    """``value`` as SQL text renders it."""
     if isinstance(value, str):
         escaped = value.replace("'", "''")
         return f"'{escaped}'"
@@ -152,8 +155,8 @@ class Comparison(Predicate):
             substitution.get(self.attr, self.attr), self.op, self.value
         )
 
-    def sql(self) -> str:
-        return f"{self.attr.qualified()} {self.op} {_render_value(self.value)}"
+    def sql(self, marks: Sequence[str] | None = None) -> str:
+        return f"{self.attr.qualified()} {self.op} {sql_literal(self.value)}"
 
 
 @dataclass(frozen=True)
@@ -185,7 +188,7 @@ class AttrComparison(Predicate):
             substitution.get(self.right, self.right),
         )
 
-    def sql(self) -> str:
+    def sql(self, marks: Sequence[str] | None = None) -> str:
         return f"{self.left.qualified()} {self.op} {self.right.qualified()}"
 
 
@@ -212,9 +215,9 @@ class InPredicate(Predicate):
             substitution.get(self.attr, self.attr), self.values
         )
 
-    def sql(self) -> str:
+    def sql(self, marks: Sequence[str] | None = None) -> str:
         rendered = ", ".join(
-            _render_value(value) for value in sorted(self.values, key=repr)
+            sql_literal(value) for value in sorted(self.values, key=repr)
         )
         return f"{self.attr.qualified()} IN ({rendered})"
 
@@ -241,8 +244,9 @@ class InParameter(Predicate):
     def references(self) -> frozenset[AttrRef]:
         return frozenset({self.attr})
 
-    def sql(self) -> str:
-        return f"{self.attr.qualified()} IN (?{self.index})"
+    def sql(self, marks: Sequence[str] | None = None) -> str:
+        values = f"?{self.index}" if marks is None else marks[self.index]
+        return f"{self.attr.qualified()} IN ({values})"
 
     def bound(self, values: tuple[frozenset, ...]) -> Predicate:
         return InPredicate(self.attr, values[self.index])
@@ -268,8 +272,8 @@ class Conjunction(Predicate):
             [child.substituted(substitution) for child in self.children]
         )
 
-    def sql(self) -> str:
-        return " AND ".join(child.sql() for child in self.children)
+    def sql(self, marks: Sequence[str] | None = None) -> str:
+        return " AND ".join(child.sql(marks) for child in self.children)
 
     def lifted(self, values: list[frozenset]) -> Predicate:
         return Conjunction(
@@ -297,8 +301,8 @@ class Negation(Predicate):
     def substituted(self, substitution: Substitution) -> Predicate:
         return Negation(self.child.substituted(substitution))
 
-    def sql(self) -> str:
-        return f"NOT ({self.child.sql()})"
+    def sql(self, marks: Sequence[str] | None = None) -> str:
+        return f"NOT ({self.child.sql(marks)})"
 
     def lifted(self, values: list[frozenset]) -> Predicate:
         return Negation(self.child.lifted(values))

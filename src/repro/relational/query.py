@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import cached_property
+from typing import Sequence
 
 from .errors import QueryError, UnknownAttributeError
 from .predicate import (
@@ -339,12 +340,13 @@ class SPJQuery(Memoised):
     # rendering
     # ------------------------------------------------------------------
 
-    def sql(self) -> str:
+    def sql(self, marks: Sequence[str] | None = None) -> str:
+        """SQL text; ``marks`` as in :meth:`Predicate.sql`."""
         select = ", ".join(ref.qualified() for ref in self.projection)
         from_clause = ", ".join(ref.sql() for ref in self.relations)
         where_terms = [join.sql() for join in self.joins]
         if self.selection is not TRUE:
-            where_terms.append(self.selection.sql())
+            where_terms.append(self.selection.sql(marks))
         sql = f"SELECT {select} FROM {from_clause}"
         if where_terms:
             sql += " WHERE " + " AND ".join(where_terms)

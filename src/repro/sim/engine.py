@@ -581,5 +581,5 @@ def _scanned_tuples(source: DataSource, query: SPJQuery) -> int:
     scanned = 0
     for ref in query.relations:
         if ref.source == source.name and source.has_relation(ref.relation):
-            scanned += len(source.catalog.table(ref.relation))
+            scanned += source.row_count(ref.relation)
     return scanned

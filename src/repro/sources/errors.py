@@ -33,6 +33,24 @@ class UpdateApplicationError(SourceError):
     """A source update could not be applied to the local catalog."""
 
 
+class ProbeArityError(SourceError):
+    """A query's IN-lists bind more values than the source's SQL engine
+    takes in one statement (``arity`` counts the values, not the
+    placeholders their bucket pads them to).  Neither transient nor
+    broken: the same query fails the same way until the engine's limit
+    is raised, so nothing retries or reorders around it — it ends the
+    run."""
+
+    def __init__(self, source: str, arity: int, limit: int) -> None:
+        self.source = source
+        self.arity = arity
+        self.limit = limit
+        super().__init__(
+            f"query at source {source!r} binds {arity} IN-list values; "
+            f"the engine's limit is {limit}"
+        )
+
+
 class TransientSourceError(SourceError):
     """A maintenance query failed for a *transient* reason.
 

@@ -16,9 +16,11 @@ compensation must undo).
 
 from __future__ import annotations
 
+import itertools
 from typing import Callable, Iterable
 
 from ..relational.catalog import Catalog
+from ..relational.delta import Row
 from ..relational.errors import SchemaError, UnknownRelationError
 from ..relational.executor import execute
 from ..relational.query import SPJQuery
@@ -251,8 +253,19 @@ class DataSource:
     def has_relation(self, relation: str) -> bool:
         return relation in self.catalog
 
+    def row_count(self, relation: str, distinct: bool = False) -> int:
+        """Rows of ``relation``: every copy, or the ``distinct`` ones."""
+        table = self.catalog.table(relation)
+        return table.distinct_count() if distinct else len(table)
+
+    def distinct_row(self, relation: str, index: int) -> Row:
+        """The ``index``-th distinct row of ``relation`` in
+        first-occurrence order (what a delete intent picks from)."""
+        rows = self.catalog.table(relation).items()
+        return next(itertools.islice(rows, index, None))[0]
+
     def total_rows(self) -> int:
-        return sum(len(table) for table in self.catalog)
+        return sum(map(self.row_count, self.catalog.relation_names))
 
     def __repr__(self) -> str:
         return (

@@ -8,8 +8,10 @@ that the view manager, Dyno, and all maintenance algorithms are
 independent of the source implementation (they only see
 :class:`UpdateMessage` streams and SPJ query answers).
 
-Maintenance queries are rendered to SQL (``SPJQuery.sql()``) and
-executed by SQLite; schema changes become ``ALTER TABLE`` statements.
+Maintenance queries are *prepared*: one ``?``-placeholder text per
+query shape with the IN-lists bound at execute, answered from indexes
+built lazily per probed column (docs/ALGORITHMS.md, *View maintenance*);
+schema changes become ``ALTER TABLE`` statements.
 Broken queries surface exactly like on the in-memory source: the schema
 dictionary is checked before dispatching SQL, so a query built from
 outdated metadata raises
@@ -18,17 +20,20 @@ outdated metadata raises
 
 from __future__ import annotations
 
+import itertools
 import sqlite3
+from collections import Counter
 from typing import Iterable, Iterator
 
 from ..relational.delta import Row
-from ..relational.errors import UnknownRelationError
+from ..relational.errors import ArityError, UnknownRelationError
 from ..relational.executor import result_schema
+from ..relational.predicate import Conjunction, InParameter, sql_literal
 from ..relational.query import SPJQuery
 from ..relational.schema import RelationSchema
 from ..relational.table import Table
 from ..relational.types import AttributeType
-from .errors import UpdateApplicationError
+from .errors import ProbeArityError, UpdateApplicationError
 from .messages import (
     AddAttribute,
     CreateRelation,
@@ -49,21 +54,59 @@ _SQL_TYPE = {
     AttributeType.BOOL: "INTEGER",  # SQLite stores booleans as 0/1
 }
 
+#: what turns a stored value back into its attribute's type; INT and
+#: STRING come back as they went in (and ``sqlite3`` binds a ``bool`` as
+#: 0/1 by itself, so nothing is converted on the way in)
+_FROM_SQLITE = {AttributeType.BOOL: bool, AttributeType.FLOAT: float}
 
-def _from_sqlite(value, attr_type: AttributeType):
-    if value is None:
-        return None
-    if attr_type is AttributeType.BOOL:
-        return bool(value)
-    if attr_type is AttributeType.FLOAT:
-        return float(value)
-    return value
+def _converters(schema: RelationSchema) -> tuple | None:
+    """One converter per column, or ``None`` when no column needs one."""
+    converters = tuple(
+        _FROM_SQLITE.get(attribute.type) for attribute in schema.attributes
+    )
+    return converters if any(converters) else None
 
 
-def _to_sqlite(value):
-    if isinstance(value, bool):
-        return int(value)
-    return value
+def _typed_rows(cursor, converters: tuple | None) -> list[Row]:
+    rows = cursor.fetchall()
+    if converters is None:
+        return rows
+    return [
+        tuple(
+            value if convert is None or value is None else convert(value)
+            for value, convert in zip(row, converters)
+        )
+        for row in rows
+    ]
+
+
+def _adopt(cursor, schema: RelationSchema, converters: tuple | None) -> Table:
+    """The cursor's rows as a table over ``schema``: typed by the deltas
+    and loads that wrote them, so adopted like the in-memory executor's
+    answer rows, not validated one by one."""
+    return Table.from_counts(schema, Counter(_typed_rows(cursor, converters)))
+
+
+def _validated(schema: RelationSchema, rows: Iterable[Row]) -> Iterator[Row]:
+    """A load's rows as ``Table.insert`` would store them — its checks,
+    its errors — so what ``_adopt`` hands out later was typed on its way
+    in; not pooled: this process keys no dict by them."""
+    validators = [attribute.type.validate for attribute in schema.attributes]
+    for row in rows:
+        if len(row) != len(validators):
+            raise ArityError(
+                f"row of width {len(row)} does not match relation "
+                f"{schema.name!r} of arity {len(validators)}"
+            )
+        yield tuple(
+            [validate(value) for validate, value in zip(validators, row)]
+        )
+
+
+def _bucket(arity: int) -> int:
+    """IN-list arity as a statement text carries it: the next power of
+    two, so a sweep of probes shares a handful of texts."""
+    return 1 << (arity - 1).bit_length() if arity else 0
 
 
 class SqliteCatalog:
@@ -101,15 +144,7 @@ class SqliteCatalog:
         """Materialize the relation's current extent from SQLite."""
         schema = self.schema(relation_name)
         cursor = self._source._db.execute(f"SELECT * FROM {relation_name}")
-        table = Table(schema)
-        for raw in cursor:
-            table.insert(
-                tuple(
-                    _from_sqlite(value, attribute.type)
-                    for value, attribute in zip(raw, schema.attributes)
-                )
-            )
-        return table
+        return _adopt(cursor, schema, _converters(schema))
 
     def snapshot(self):
         from ..relational.catalog import Catalog
@@ -127,6 +162,9 @@ class SqliteDataSource(DataSource):
         super().__init__(name)
         self._db = sqlite3.connect(":memory:")
         self._schemas: dict[str, RelationSchema] = {}
+        #: (shape, IN-list arity buckets, *admitted schemas) ->
+        #: (statement text, result schema, converters); see _prepare
+        self._statements: dict[tuple, tuple] = {}
         self.catalog = SqliteCatalog(self)  # type: ignore[assignment]
 
     # ------------------------------------------------------------------
@@ -142,14 +180,13 @@ class SqliteDataSource(DataSource):
         )
         self._db.execute(f"CREATE TABLE {schema.name} ({columns})")
         self._schemas[schema.name] = schema
-        self._insert_rows(schema.name, rows)
+        self._insert_rows(schema.name, _validated(schema, rows))
 
     def _insert_rows(self, relation: str, rows: Iterable[Row]) -> None:
         schema = self._schemas[relation]
         placeholders = ", ".join("?" for _ in schema.attributes)
         self._db.executemany(
-            f"INSERT INTO {relation} VALUES ({placeholders})",
-            [tuple(_to_sqlite(value) for value in row) for row in rows],
+            f"INSERT INTO {relation} VALUES ({placeholders})", rows
         )
 
     # ------------------------------------------------------------------
@@ -168,87 +205,62 @@ class SqliteDataSource(DataSource):
     def _dispatch_sql(self, update: SourceUpdate) -> None:
         if isinstance(update, DataUpdate):
             schema = self._require(update.relation)
-            inserts = [
-                row
-                for row, count in update.delta.items()
-                for _ in range(max(count, 0))
-            ]
-            self._insert_rows(update.relation, inserts)
+            items = update.delta.validated_items()
+            self._insert_rows(
+                update.relation,
+                [row for row, count in items for _ in range(count)],
+            )
             predicate = " AND ".join(
                 f"{attribute.name} IS ?" for attribute in schema.attributes
             )
-            for row, count in update.delta.items():
-                for _ in range(max(-count, 0)):
-                    cursor = self._db.execute(
-                        f"DELETE FROM {update.relation} WHERE rowid IN ("
-                        f"SELECT rowid FROM {update.relation} "
-                        f"WHERE {predicate} LIMIT 1)",
-                        tuple(_to_sqlite(value) for value in row),
+            for row, count in items:
+                if count > 0:
+                    continue
+                cursor = self._db.execute(
+                    f"DELETE FROM {update.relation} WHERE rowid IN ("
+                    f"SELECT rowid FROM {update.relation} "
+                    f"WHERE {predicate} LIMIT ?)",
+                    (*row, -count),
+                )
+                if cursor.rowcount != -count:
+                    raise UpdateApplicationError(
+                        f"cannot delete {-count} x {row!r} from "
+                        f"{update.relation!r}: only {cursor.rowcount} "
+                        f"present"
                     )
-                    if cursor.rowcount != 1:
-                        raise UpdateApplicationError(
-                            f"cannot delete absent row {row!r} "
-                            f"from {update.relation!r}"
-                        )
         elif isinstance(update, RenameRelation):
-            self._require(update.old)
-            self._db.execute(
-                f"ALTER TABLE {update.old} RENAME TO {update.new}"
-            )
-            self._schemas[update.new] = self._schemas.pop(
-                update.old
-            ).renamed(update.new)
+            schema = self._alter(update.old, f"RENAME TO {update.new}")
+            del self._schemas[update.old]
+            self._schemas[update.new] = schema.renamed(update.new)
         elif isinstance(update, RenameAttribute):
-            schema = self._require(update.relation)
-            self._db.execute(
-                f"ALTER TABLE {update.relation} "
-                f"RENAME COLUMN {update.old} TO {update.new}"
+            schema = self._alter(
+                update.relation, f"RENAME COLUMN {update.old} TO {update.new}"
             )
             self._schemas[update.relation] = schema.rename_attribute(
                 update.old, update.new
             )
         elif isinstance(update, DropAttribute):
-            schema = self._require(update.relation)
-            self._db.execute(
-                f"ALTER TABLE {update.relation} "
-                f"DROP COLUMN {update.attribute}"
+            schema = self._alter(
+                update.relation, f"DROP COLUMN {update.attribute}"
             )
             self._schemas[update.relation] = schema.drop_attribute(
                 update.attribute
             )
         elif isinstance(update, AddAttribute):
-            schema = self._require(update.relation)
-            sql_type = _SQL_TYPE[update.attribute.type]
-            default = _to_sqlite(update.default)
-            if default is None:
-                clause = ""
-            elif isinstance(default, str):
-                escaped = default.replace("'", "''")
-                clause = f" DEFAULT '{escaped}'"
-            else:
-                clause = f" DEFAULT {default}"
-            self._db.execute(
-                f"ALTER TABLE {update.relation} "
-                f"ADD COLUMN {update.attribute.name} {sql_type}{clause}"
+            attribute = update.attribute
+            schema = self._alter(
+                update.relation,
+                f"ADD COLUMN {attribute.name} {_SQL_TYPE[attribute.type]} "
+                f"DEFAULT {sql_literal(update.default)}",
             )
-            self._schemas[update.relation] = schema.add_attribute(
-                update.attribute
-            )
+            self._schemas[update.relation] = schema.add_attribute(attribute)
         elif isinstance(update, DropRelation):
-            self._require(update.relation)
-            update.dropped_extent = self.catalog.table(update.relation)
-            self._db.execute(f"DROP TABLE {update.relation}")
-            del self._schemas[update.relation]
+            update.dropped_extent = self._drop(update.relation)
         elif isinstance(update, CreateRelation):
             self.create_relation(update.schema, update.rows)
         elif isinstance(update, RestructureRelations):
             for relation in update.dropped:
-                self._require(relation)
-                update.dropped_extents[relation] = self.catalog.table(
-                    relation
-                )
-                self._db.execute(f"DROP TABLE {relation}")
-                del self._schemas[relation]
+                update.dropped_extents[relation] = self._drop(relation)
             self.create_relation(update.new_schema, update.new_rows)
         else:
             raise UpdateApplicationError(
@@ -264,40 +276,112 @@ class SqliteDataSource(DataSource):
             )
         return schema
 
+    def _alter(self, relation: str, clause: str) -> RelationSchema:
+        """``ALTER TABLE relation clause``; returns the schema it had.
+
+        The relation's lazily built indexes go first (SQLite refuses
+        ``DROP COLUMN`` on an indexed column) and every prepared record
+        is forgotten; both come back with the next probe.
+        """
+        schema = self._require(relation)
+        for (index,) in self._db.execute(
+            "SELECT name FROM sqlite_master "
+            "WHERE type = 'index' AND tbl_name = ?",
+            (relation,),
+        ).fetchall():
+            self._db.execute(f'DROP INDEX "{index}"')
+        self._statements.clear()
+        self._db.execute(f"ALTER TABLE {relation} {clause}")
+        return schema
+
+    def _drop(self, relation: str) -> Table:
+        self._require(relation)
+        extent = self.catalog.table(relation)
+        self._db.execute(f"DROP TABLE {relation}")  # its indexes with it
+        del self._schemas[relation]
+        self._statements.clear()
+        return extent
+
     # ------------------------------------------------------------------
-    # query answering (real SQL execution)
+    # query answering (prepared SQL execution)
     # ------------------------------------------------------------------
 
     def execute(self, query: SPJQuery) -> Table:
         self.admit_query()
         # Metadata validation first: outdated schema knowledge must
         # surface as a broken query, not as a SQL syntax error.
-        schema = result_schema(
-            self.admitted_schemas(query), query.projection
+        schemas = self.admitted_schemas(query)
+        shape, parameters = query.prepared
+        buckets = self._buckets([len(values) for values in parameters])
+        key = (shape, buckets, *schemas.values())
+        statement = self._statements.get(key)
+        if statement is None:
+            statement = self._prepare(shape, buckets, schemas)
+            self._statements[key] = statement
+        bindings: list = []
+        for values, bucket in zip(parameters, buckets):
+            bindings.extend(values)
+            if len(values) < bucket:  # K IN (5, 5) is K IN (5)
+                bindings.extend([next(iter(values))] * (bucket - len(values)))
+        sql, schema, converters = statement
+        return _adopt(self._db.execute(sql, bindings), schema, converters)
+
+    def _buckets(self, arities: list[int]) -> tuple[int, ...]:
+        """Placeholders per IN-list: each arity padded to its bucket,
+        unpadded where the padding alone would cross the engine's
+        variable limit — only the values a query binds can be refused."""
+        buckets = tuple([_bucket(arity) for arity in arities])
+        limit = self._db.getlimit(sqlite3.SQLITE_LIMIT_VARIABLE_NUMBER)
+        if sum(buckets) <= limit:
+            return buckets
+        if sum(arities) > limit:
+            raise ProbeArityError(self.name, sum(arities), limit)
+        return tuple(arities)
+
+    def _prepare(
+        self,
+        shape: SPJQuery,
+        buckets: tuple[int, ...],
+        schemas: dict[str, RelationSchema],
+    ) -> tuple[str, RelationSchema, tuple | None]:
+        """``(sql, result schema, converters)``: ``shape`` rendered once
+        for these IN-list arities, after indexing the columns it probes
+        (the lazy rule of ``Table.probe``)."""
+        numbers = itertools.count(1)
+        marks = [
+            ", ".join(f"?{next(numbers)}" for _ in range(bucket))
+            for bucket in buckets
+        ]
+        selection = shape.selection
+        conjuncts = (
+            selection.children
+            if isinstance(selection, Conjunction)
+            else (selection,)
         )
-        table = Table(schema)
-        for raw in self._db.execute(query.sql()):
-            table.insert(
-                tuple(
-                    _from_sqlite(value, attribute.type)
-                    for value, attribute in zip(raw, schema.attributes)
+        for term in conjuncts:
+            if isinstance(term, InParameter) and term.attr.relation:
+                relation = shape.relation_ref(term.attr.relation).relation
+                self._db.execute(
+                    f'CREATE INDEX IF NOT EXISTS "{relation}.{term.attr.name}"'
+                    f" ON {relation} ({term.attr.name})"
                 )
-            )
-        return table
+        schema = result_schema(schemas, shape.projection)
+        return shape.sql(marks), schema, _converters(schema)
 
     # ------------------------------------------------------------------
     # introspection
     # ------------------------------------------------------------------
 
-    def schema_of(self, relation: str) -> RelationSchema:
-        return self.catalog.schema(relation)
+    def row_count(self, relation: str, distinct: bool = False) -> int:
+        rows = f"(SELECT DISTINCT * FROM {relation})" if distinct else relation
+        return self._db.execute(f"SELECT COUNT(*) FROM {rows}").fetchone()[0]
 
-    def has_relation(self, relation: str) -> bool:
-        return relation in self._schemas
-
-    def total_rows(self) -> int:
-        total = 0
-        for relation in self._schemas:
-            cursor = self._db.execute(f"SELECT COUNT(*) FROM {relation}")
-            total += cursor.fetchone()[0]
-        return total
+    def distinct_row(self, relation: str, index: int) -> Row:
+        schema = self.catalog.schema(relation)
+        columns = ", ".join(schema.attribute_names)
+        cursor = self._db.execute(
+            f"SELECT {columns} FROM {relation} GROUP BY {columns} "
+            f"ORDER BY MIN(rowid) LIMIT 1 OFFSET ?",
+            (index,),
+        )
+        return _typed_rows(cursor, _converters(schema))[0]

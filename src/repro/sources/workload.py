@@ -116,33 +116,32 @@ class DeleteRandomRow(UpdateIntent):
         names = [
             name
             for name in source.catalog.relation_names
-            if len(source.catalog.table(name)) > 0
+            if source.row_count(name) > 0
         ]
         if not names:
             return None
         relation = self.relation
         if relation is None or relation not in names:
             relation = self.rng.choice(names)
-        table = source.catalog.table(relation)
+        schema = source.schema_of(relation)
         if self.key_filter is not None:
             candidates = [
                 row
-                for row, _count in table.items()
+                for row, _count in source.catalog.table(relation).items()
                 if row and self.key_filter(row[0])
             ]
             if not candidates:
                 return None
-            return DataUpdate.delete(
-                table.schema, [self.rng.choice(candidates)]
-            )
+            return DataUpdate.delete(schema, [self.rng.choice(candidates)])
         # Pick a deterministic "random" row without materializing the bag.
-        target_index = self.rng.randrange(table.distinct_count())
-        for index, (row, _count) in enumerate(table.items()):
-            if index == target_index:
-                return DataUpdate.delete(table.schema, [row])
-        return None  # pragma: no cover
+        target_index = self.rng.randrange(
+            source.row_count(relation, distinct=True)
+        )
+        return DataUpdate.delete(
+            schema, [source.distinct_row(relation, target_index)]
+        )
 
-    # NOTE: iteration order of the underlying Counter is insertion order,
+    # NOTE: both backends count distinct rows in first-occurrence order,
     # so given a fixed seed the choice is reproducible.
 
 

@@ -28,27 +28,38 @@ SCHEMA = RelationSchema.of(
     [("k", AttributeType.INT), ("v", AttributeType.STRING)],
 )
 
-rows = st.tuples(
-    st.integers(min_value=0, max_value=5),
-    st.sampled_from(["a", "b", "c"]),
-)
+KEYS = st.integers(min_value=0, max_value=5)
+TEXTS = st.sampled_from(["a", "b", "c"])
 
 
 @st.composite
 def update_scripts(draw):
-    """A list of update operations expressed backend-independently."""
+    """A list of update operations expressed backend-independently.
+
+    ``probe`` actions interleave with the updates: a probe is what makes
+    the sqlite source build an index, and every later schema change has
+    to get past it.
+    """
     script = []
     live_rows: list = []
-    attributes = ["k", "v"]
+    #: (attribute name, the strategy its non-null values come from)
+    columns = [("k", KEYS), ("v", TEXTS)]
     added = 0
     for _ in range(draw(st.integers(min_value=0, max_value=8))):
         kind = draw(
             st.sampled_from(
-                ["insert", "delete", "rename_attr", "add_attr"]
+                [
+                    "insert",
+                    "delete",
+                    "rename_attr",
+                    "add_attr",
+                    "drop_attr",
+                    "probe",
+                ]
             )
         )
         if kind == "insert":
-            row = draw(rows)
+            row = tuple(draw(values) for _name, values in columns)
             script.append(("insert", row))
             live_rows.append(row)
         elif kind == "delete" and live_rows:
@@ -57,30 +68,50 @@ def update_scripts(draw):
             )
             script.append(("delete", live_rows.pop(index)))
         elif kind == "rename_attr":
-            old = draw(st.sampled_from(attributes))
+            index = draw(st.integers(0, len(columns) - 1))
+            old, values = columns[index]
             new = f"{old}x"
-            if new in attributes:
+            if any(name == new for name, _values in columns):
                 continue
-            attributes[attributes.index(old)] = new
+            columns[index] = (new, values)
             script.append(("rename_attr", (old, new)))
         elif kind == "add_attr":
             added += 1
             name = f"extra{added}"
-            attributes.append(name)
+            columns.append((name, TEXTS))
+            live_rows = [row + (None,) for row in live_rows]
             script.append(("add_attr", name))
+        elif kind == "drop_attr" and len(columns) > 1:
+            index = draw(st.integers(0, len(columns) - 1))
+            name, _values = columns.pop(index)
+            live_rows = [row[:index] + row[index + 1 :] for row in live_rows]
+            script.append(("drop_attr", name))
+        elif kind == "probe":
+            name, values = draw(st.sampled_from(columns))
+            wanted = draw(st.frozensets(values, max_size=3))
+            script.append(("probe", (name, wanted)))
     return script
 
 
-def replay(source, script):
-    """Apply a script, tracking the evolving schema for row widths."""
+def probe_query(schema, attribute, values) -> SPJQuery:
+    return SPJQuery(
+        relations=(RelationRef("s", "R", "R"),),
+        projection=tuple(
+            attr("R", name) for name in schema.attribute_names
+        ),
+        selection=InPredicate(attr("R", attribute), frozenset(values)),
+    )
+
+
+def replay(source, script) -> list:
+    """Apply a script; returns what its probes answered, in order."""
+    answers = []
     for action, payload in script:
         schema = source.schema_of("R")
         if action == "insert":
-            row = payload + (None,) * (schema.arity - 2)
-            source.commit(DataUpdate.insert(schema, [row]))
+            source.commit(DataUpdate.insert(schema, [payload]))
         elif action == "delete":
-            row = payload + (None,) * (schema.arity - 2)
-            source.commit(DataUpdate.delete(schema, [row]))
+            source.commit(DataUpdate.delete(schema, [payload]))
         elif action == "rename_attr":
             old, new = payload
             source.commit(RenameAttribute("R", old, new))
@@ -88,6 +119,12 @@ def replay(source, script):
             source.commit(
                 AddAttribute("R", Attribute(payload, AttributeType.STRING))
             )
+        elif action == "drop_attr":
+            source.commit(DropAttribute("R", payload))
+        elif action == "probe":
+            answer = source.execute(probe_query(schema, *payload))
+            answers.append(sorted(answer.rows(), key=repr))
+    return answers
 
 
 @given(update_scripts())
@@ -98,8 +135,7 @@ def test_extents_identical(script):
     sqlite = SqliteDataSource("s")
     sqlite.create_relation(SCHEMA, [(1, "a"), (2, "b")])
 
-    replay(memory, script)
-    replay(sqlite, script)
+    assert replay(memory, script) == replay(sqlite, script)
 
     assert memory.schema_of("R").attribute_names == (
         sqlite.schema_of("R").attribute_names
@@ -114,18 +150,10 @@ def test_probe_answers_identical(script, probe_values):
     memory.create_relation(SCHEMA, [(1, "a"), (2, "b"), (3, "c")])
     sqlite = SqliteDataSource("s")
     sqlite.create_relation(SCHEMA, [(1, "a"), (2, "b"), (3, "c")])
-    replay(memory, script)
-    replay(sqlite, script)
+    assert replay(memory, script) == replay(sqlite, script)
 
     schema = memory.schema_of("R")
-    key = schema.attribute_names[0]
-    query = SPJQuery(
-        relations=(RelationRef("s", "R", "R"),),
-        projection=tuple(
-            attr("R", name) for name in schema.attribute_names
-        ),
-        selection=InPredicate(attr("R", key), frozenset(probe_values)),
-    )
+    query = probe_query(schema, schema.attribute_names[0], probe_values)
     assert memory.execute(query) == sqlite.execute(query)
 
 

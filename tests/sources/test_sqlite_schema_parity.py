@@ -19,16 +19,19 @@ hold regardless of which evaluator is active.
 import pytest
 
 from repro.relational.executor import executor_mode, set_executor_mode
-from repro.relational.predicate import attr
+from repro.relational.predicate import InPredicate, attr
 from repro.relational.query import RelationRef, SPJQuery
 from repro.relational.schema import RelationSchema
 from repro.relational.types import AttributeType
 from repro.sources.errors import BrokenQueryError
 from repro.sources.messages import (
+    AddAttribute,
+    DataUpdate,
     DropAttribute,
     DropRelation,
     RenameAttribute,
     RenameRelation,
+    RestructureRelations,
 )
 from repro.sources.source import DataSource
 from repro.sources.sqlite_source import SqliteDataSource
@@ -180,3 +183,88 @@ def test_dropped_relation_breaks_identically():
             memory.execute(probe)
         with pytest.raises(BrokenQueryError):
             sqlite.execute(probe)
+
+
+# ----------------------------------------------------------------------
+# schema changes over lazily built indexes
+# ----------------------------------------------------------------------
+#
+# The sqlite source indexes a column on its first probe.  SQLite refuses
+# DROP COLUMN on an indexed column, so every schema change must take the
+# relation's indexes (and the prepared records rendered for the old
+# schema) down first; both come back with the next probe.
+
+
+def probe_on(relation: str, column: str, *attributes: str) -> SPJQuery:
+    return SPJQuery(
+        relations=(RelationRef("retailer", relation, "I"),),
+        projection=tuple(attr("I", name) for name in attributes),
+        selection=InPredicate(attr("I", column), frozenset({40.0, 50.0})),
+    )
+
+
+def index_names(sqlite) -> set[str]:
+    return {
+        name
+        for (name,) in sqlite._db.execute(
+            "SELECT name FROM sqlite_master WHERE type = 'index'"
+        )
+    }
+
+
+STOCK = RelationSchema.of("Stock", [("SID", AttributeType.INT), "Book"])
+
+AFTER_PROBE = {
+    "drop-attr": (DropAttribute("Item", "Price"), "Item", "SID"),
+    "rename-attr": (RenameAttribute("Item", "Price", "Cost"), "Item", "Cost"),
+    "rename-rel": (RenameRelation("Item", "Stock"), "Stock", "Price"),
+    "add-attr": (
+        AddAttribute("Item", ITEM.attribute("Book").renamed("Note")),
+        "Item",
+        "Price",
+    ),
+    "drop-rel": (DropRelation("Item"), None, None),
+    "restructure": (
+        RestructureRelations(("Item",), STOCK, ((1, "Databases"),)),
+        "Stock",
+        "SID",
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", AFTER_PROBE)
+def test_schema_change_applies_after_a_probe_built_an_index(kind):
+    update, relation, column = AFTER_PROBE[kind]
+    memory, sqlite = twins()
+    stale = probe_on("Item", "Price", "Book", "Price")
+    assert assert_parity(memory, sqlite, stale) is not None
+    assert index_names(sqlite) == {"Item.Price"}
+
+    apply_both(memory, sqlite, update)  # no UpdateApplicationError
+    assert index_names(sqlite) == set()
+    assert sqlite._statements == {}
+
+    if not isinstance(update, AddAttribute):  # the old probe is broken
+        with pytest.raises(BrokenQueryError) as from_memory:
+            memory.execute(stale)
+        with pytest.raises(BrokenQueryError) as from_sqlite:
+            sqlite.execute(stale)
+        assert from_sqlite.value.reason == from_memory.value.reason
+    if relation is not None:  # and a probe of the new schema answers
+        fresh = probe_on(relation, column, "Book", column)
+        assert assert_parity(memory, sqlite, fresh) is not None
+        assert index_names(sqlite) == {f"{relation}.{column}"}
+
+
+def test_indexes_follow_data_updates():
+    """An index is SQLite's to keep: rows committed after it was built
+    are found through it, deleted ones are not."""
+    memory, sqlite = twins()
+    probe = probe_on("Item", "Price", "Book", "Price")
+    assert_parity(memory, sqlite, probe)
+    apply_both(memory, sqlite, DataUpdate.insert(ITEM, [(3, "Datalog", 40.0)]))
+    apply_both(memory, sqlite, DataUpdate.delete(ITEM, [ROWS[0]]))
+    assert assert_parity(memory, sqlite, probe) == [
+        ("Compilers", 40.0),
+        ("Datalog", 40.0),
+    ]

@@ -25,6 +25,7 @@ from repro.sources.workload import (
     random_row,
     random_value,
 )
+from repro.views.consistency import check_convergence
 
 R = RelationSchema.of(
     "R",
@@ -246,3 +247,63 @@ class TestPoissonArrivals:
 
         with pytest.raises(ValueError):
             poisson_arrival_times(random.Random(1), rate=0.0, count=1)
+
+
+class TestDeletesAcrossBackends:
+    """A delete intent asks its source for counts and for the n-th
+    distinct row; it never pulls a relation out of SQLite to pick."""
+
+    def test_seeded_stream_commits_one_log_on_both_backends(
+        self, monkeypatch
+    ):
+        from repro.core.strategies import PESSIMISTIC
+        from repro.experiments.testbed import build_testbed, make_du_workload
+        from repro.sources.sqlite_source import SqliteCatalog
+
+        logs = {}
+        for backend in ("memory", "sqlite"):
+            testbed = build_testbed(
+                PESSIMISTIC, tuples_per_relation=60, backend=backend
+            )
+            testbed.engine.schedule_workload(
+                make_du_workload(60, 80, 0.0, 0.2, insert_fraction=0.4, seed=3)
+            )
+            if backend == "sqlite":
+                monkeypatch.setattr(
+                    SqliteCatalog, "table", lambda *_: pytest.fail("scanned")
+                )
+            testbed.run()
+            monkeypatch.undo()
+            logs[backend] = [
+                (message.source, message.seqno, message.payload)
+                for source in testbed.engine.sources.values()
+                for message in source.log
+            ]
+            assert check_convergence(testbed.manager).consistent
+        assert logs["memory"] == logs["sqlite"]
+        deletes = [
+            payload
+            for _source, _seqno, payload in logs["sqlite"]
+            if any(count < 0 for _row, count in payload.delta.items())
+        ]
+        assert len(deletes) > 30
+
+    def test_copies_are_deleted_by_one_statement_per_row(self):
+        from repro.relational.errors import DataError
+        from repro.sources.errors import UpdateApplicationError
+        from repro.sources.sqlite_source import SqliteDataSource
+
+        row, other = (1, "x", 1.5, True), (2, None, None, False)
+        for make in (DataSource, SqliteDataSource):
+            source = make("s")
+            source.create_relation(R, [row, other, row, row, other])
+            update = DataUpdate.delete(R, [row, row, other])
+            source.commit(update)
+            table = source.catalog.table("R")
+            assert (table.count(row), table.count(other)) == (1, 1)
+            assert source.row_count("R") == 2
+            assert source.row_count("R", distinct=True) == 2
+            assert source.distinct_row("R", 1) == other
+            # short by one copy: refused (each backend with its own error)
+            with pytest.raises((UpdateApplicationError, DataError)):
+                source.commit(DataUpdate.delete(R, [row, row]))
