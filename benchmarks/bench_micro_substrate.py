@@ -2,7 +2,8 @@
 
 These are classic repeated-timing benchmarks (unlike the figure benches,
 which run a whole simulated experiment once): the hash-join executor,
-delta application, probe compensation, one end-to-end DU maintenance,
+delta application, probe compensation, the snapshot cache's fold, one
+end-to-end DU maintenance,
 and the detection substrate (graph build, legal order, one rename
 arrival).
 """
@@ -13,6 +14,7 @@ from types import SimpleNamespace
 
 import pytest
 
+from repro.cache import SnapshotCache
 from repro.core.dependencies import find_dependencies
 from repro.core.detection import detect
 from repro.core.incremental import IncrementalDependencyGraph
@@ -31,6 +33,7 @@ from repro.relational.schema import RelationSchema
 from repro.relational.table import Table
 from repro.relational.types import AttributeType
 from repro.sources.messages import DataUpdate, RenameRelation, UpdateMessage
+from repro.sources.replica import VersionedEntry
 from repro.sources.sqlite_source import SqliteDataSource
 from repro.experiments.testbed import build_testbed
 from repro.views.manager import _UMQView
@@ -159,6 +162,31 @@ def test_micro_compensation(benchmark, pending):
         leaked.append(UpdateMessage("s", index, 0.0, update))
     corrected = benchmark(compensate_answer, answer, query, "R", leaked)
     assert len(corrected) == 1_000 + len(range(0, pending, 3))
+
+
+@pytest.mark.parametrize("gap", [1, 20, 200])
+def test_micro_cache_fold(benchmark, gap):
+    """One cached probe answer patched forward through ``gap`` committed
+    updates of its relation (every third one a delete): the spine's
+    ``du_local`` folds ~25 deep, a cold key hundreds."""
+    answer = _table(R, 1_000, 5)
+    query = SPJQuery(
+        relations=(RelationRef("s", "R", "R"),),
+        projection=(attr("R", "k"), attr("R", "a")),
+        selection=InPredicate(attr("R", "k"), frozenset(range(0, 1000, 2))),
+    )
+    deltas = []
+    for index in range(gap):
+        row = (index, f"n{index}")
+        if index % 3:
+            deltas.append(Delta.insertion(R, [row]))
+        else:
+            answer.insert(row)
+            deltas.append(Delta.deletion(R, [row]))
+    cache = SnapshotCache()
+    # every other key is probed: half the gap's rows are effect rows
+    folded = lambda: cache._fold(VersionedEntry(0, answer), query, deltas)
+    assert benchmark(folded) == len(range(0, gap, 2))
 
 
 @pytest.mark.parametrize("history", ["plain", "renamed"])

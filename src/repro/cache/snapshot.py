@@ -12,11 +12,13 @@ The core trick is **local delta patching**: a cached answer stamped at
 version *v* < current is not a miss.  The committed updates in the gap
 ``(v, current]`` are exactly the source's log suffix — state the view
 manager already holds for SWEEP compensation — so the answer is brought
-forward *locally* by applying each gap delta's effect on the probe query
-(:func:`~repro.maintenance.compensation.effect_on_answer`), the same
-exact single-relation evaluation compensation relies on, run in the
+forward *locally* by applying the gap deltas' effect on the probe query,
+the same exact single-relation evaluation compensation relies on
+(:func:`~repro.maintenance.compensation.part_effects`), run in the
 opposite direction (forward in time instead of backward).  No round
-trip, no channel occupancy, no fault exposure.
+trip, no channel occupancy, no fault exposure.  The gap is pooled per
+sign, never netted across signs: the tally a fold returns is the gross
+number of effect rows, which is priced (docs/ALGORITHMS.md §Compensation).
 
 Broken-query semantics (Theorem 1) are preserved by construction (the
 shared gap rule of :mod:`repro.sources.replica`): any schema change in
@@ -35,8 +37,13 @@ the LRU without any cross-layer invalidation protocol.
 
 from __future__ import annotations
 
-from ..maintenance.compensation import effect_on_answer
-from ..relational.delta import Delta
+from ..maintenance.compensation import (
+    by_schema,
+    effect_on_answer,
+    part_effects,
+)
+from ..relational.delta import Delta, Row
+from ..relational.errors import ArityError
 from ..relational.query import SPJQuery
 from ..relational.table import Table
 from ..sim.metrics import Metrics
@@ -151,12 +158,40 @@ class SnapshotCache(VersionedStore):
         self, entry: VersionedEntry, query: SPJQuery, deltas: list[Delta]
     ) -> int:
         alias = query.relations[0].alias
-        corrected = entry.table.as_delta()
+        effects: list[tuple[int, Table | Delta]] = []
+        for members in by_schema(deltas):
+            positive: dict[Row, int] = {}
+            negative: dict[Row, int] = {}
+            for delta in members:
+                items = delta.validated_items()
+                signs = {count > 0 for _row, count in items}
+                if len(signs) > 1:
+                    # Both signs in one delta: its halves may cancel on
+                    # an answer row, which the tally must see.
+                    effects.append((1, effect_on_answer(query, alias, delta)))
+                    continue
+                bag = positive if True in signs else negative
+                for row, count in items:
+                    bag[row] = bag.get(row, 0) + count
+            effects += part_effects(
+                query,
+                alias,
+                members[0].schema,
+                [*positive.items(), *negative.items()],
+            )
+        # Every bag is evaluated: only now may the entry change.
+        arity = entry.table.schema.arity
+        corrected = dict(entry.table.items())
         rows = 0
-        for delta in deltas:
-            effect = effect_on_answer(query, alias, delta)
-            rows += sum(abs(count) for _row, count in effect.items())
-            corrected.merge(effect)
+        for sign, effect in effects:
+            if effect.schema.arity != arity:
+                raise ArityError(
+                    f"cannot fold effect of arity {effect.schema.arity} "
+                    f"into answer of arity {arity}"
+                )
+            for row, count in effect.items():
+                corrected[row] = corrected.get(row, 0) + sign * count
+                rows += abs(count)
         # Rows already passed validation on the way into the cache
         # and the deltas came from committed updates — adopt the
         # positive part in bulk rather than re-validating per row.

@@ -101,11 +101,7 @@ def make_du_workload(
     """
     rng = random.Random(seed)
     n = key_domain or tuples_per_relation
-    key_filter = (
-        None
-        if key_domain is None
-        else (lambda key, n=n: isinstance(key, int) and 1 <= key <= n)
-    )
+    key_range = None if key_domain is None else (1, n)
     workload = Workload()
     for index in range(count):
         at = start + index * interval
@@ -116,7 +112,7 @@ def make_du_workload(
                 rng, key_factory=lambda r, n=n: r.randrange(1, n + 1)
             )
         else:
-            intent = DeleteRandomRow(rng, key_filter=key_filter)
+            intent = DeleteRandomRow(rng, key_range=key_range)
         workload.add(at, source, intent)
     return workload
 

@@ -97,6 +97,24 @@ def _netted(deltas: list[Delta]) -> Iterable[tuple[Row, int]]:
     return net.items()
 
 
+def part_effects(
+    query: SPJQuery,
+    alias: str,
+    schema: RelationSchema,
+    items: Iterable[tuple[Row, int]],
+) -> list[tuple[int, Table]]:
+    """Probe ``query`` over each sign part of ``items``: ``(sign, answer)``.
+
+    The one place a signed bag meets the kernel (compensation nets its
+    bag, the snapshot cache pools it per sign).  An empty bag is
+    evaluated over an empty table: schema drift still surfaces, and the
+    caller learns the answer's schema.  Every part is evaluated before
+    anything is returned, so a caller never folds half a bag.
+    """
+    parts = sign_parts(schema, items) or [(1, Table(schema))]
+    return [(sign, execute(query, {alias: part})) for sign, part in parts]
+
+
 def _signed_effect(
     query: SPJQuery, alias: str, deltas: list[Delta]
 ) -> tuple[RelationSchema, dict[Row, int]]:
@@ -104,21 +122,16 @@ def _signed_effect(
 
     A single-relation select-project query is linear over signed bags,
     so the deltas are netted and evaluated once per sign, whatever their
-    number.  An empty bag is evaluated over an empty table: schema drift
-    still surfaces, and the caller learns the answer's schema.  Raises
-    before anything is returned, so a caller never folds half a bag.
-    The effect is a plain count map (zero counts possible), not a
-    :class:`Delta`: interning every effect row costs a fifth of a
-    200-deep compensation.
+    number (:func:`part_effects`).  The effect is a plain count map
+    (zero counts possible), not a :class:`Delta`: interning every effect
+    row costs a fifth of a 200-deep compensation.
     """
     effect: dict[Row, int] = {}
-    schema = deltas[0].schema
-    parts = sign_parts(schema, _netted(deltas)) or [(1, Table(schema))]
-    for sign, part in parts:
-        result = execute(query, {alias: part})
-        for row, count in result.items():
+    answers = part_effects(query, alias, deltas[0].schema, _netted(deltas))
+    for sign, answer in answers:
+        for row, count in answer.items():
             effect[row] = effect.get(row, 0) + sign * count
-    return result.schema, effect
+    return answer.schema, effect
 
 
 def effect_on_answer(query: SPJQuery, alias: str, delta: Delta) -> Delta:
@@ -126,8 +139,8 @@ def effect_on_answer(query: SPJQuery, alias: str, delta: Delta) -> Delta:
     return Delta(*_signed_effect(query, alias, [delta]))
 
 
-def _by_schema(deltas: list[Delta]) -> list[list[Delta]]:
-    """The non-empty ``deltas`` grouped by schema, first use first.
+def by_schema(deltas: list[Delta]) -> list[list[Delta]]:
+    """``deltas`` grouped by schema, first use first.
 
     Schemas group by equality (translated deltas carry equal but
     distinct schema objects); identity is tried first because hashing or
@@ -135,8 +148,6 @@ def _by_schema(deltas: list[Delta]) -> list[list[Delta]]:
     """
     groups: list[list[Delta]] = []
     for delta in deltas:
-        if delta.is_empty():
-            continue
         schema = delta.schema
         for members in groups:
             known = members[0].schema
@@ -180,7 +191,8 @@ def compensate_answer(
     if extra_deltas:
         deltas.extend(extra_deltas)
     corrected: dict[Row, int] = dict(answer.items())
-    for members in _by_schema(deltas):
+    # An empty delta leaked nothing: it is neither evaluated nor skipped.
+    for members in by_schema([d for d in deltas if not d.is_empty()]):
         try:
             _, effect = _signed_effect(query, alias, members)
         except RelationalError as exc:

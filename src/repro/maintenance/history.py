@@ -45,7 +45,13 @@ MEMO_CAPACITY = 1 << 12
 
 
 class SchemaHistory:
-    """Per-source record of installed schema changes."""
+    """Per-source record of installed schema changes.
+
+    Keyed by name, not by commit era: a relation or attribute name is
+    assumed never to be reused within a lineage (the workload
+    generators version every rename, ``R__v2``).  A reused name is
+    ambiguous — an update committed under the later use reads as stale.
+    """
 
     def __init__(self) -> None:
         #: (source, past name) -> current name, or None if dropped
@@ -199,10 +205,12 @@ class SchemaHistory:
             positions.append(index)
         present = {attribute.name for attribute in attributes}
         for added in self._added.get((source, current_name), []):
-            if added.name not in present:
-                attributes.append(added)
+            # an added attribute is renamed and dropped like any other
+            mapped = self.current_attribute(source, current_name, added.name)
+            if mapped is not None and mapped not in present:
+                attributes.append(added.renamed(mapped))
                 positions.append(None)
-                present.add(added.name)
+                present.add(mapped)
 
         unchanged = (
             current_name == update.relation

@@ -102,16 +102,13 @@ class VersionedStore:
         scan did not explain (be conservative, go remote).
         """
         entry = self._entries[key]
-        gap = source.updates_since(entry.version)
-        if any(message.is_schema_change for message in gap):
-            return self._drop(key, f"{self.tier}_invalidations_sc")
         relation = query.relations[0].relation
-        deltas = [
-            message.payload.delta
-            for message in gap
-            if message.is_data_update
-            and message.payload.relation == relation
-        ]
+        deltas: list[Delta] = []
+        for message in source.updates_since(entry.version):
+            if message.is_schema_change:
+                return self._drop(key, f"{self.tier}_invalidations_sc")
+            if message.is_data_update and message.payload.relation == relation:
+                deltas.append(message.payload.delta)
         try:
             rows = self._fold(entry, query, deltas) if deltas else 0
         except RelationalError:

@@ -26,6 +26,7 @@ from ..relational.executor import execute
 from ..relational.query import SPJQuery
 from ..relational.schema import RelationSchema
 from ..relational.table import Table
+from ..relational.types import Value
 from .errors import BrokenQueryError, UpdateApplicationError
 from .messages import (
     AddAttribute,
@@ -41,6 +42,18 @@ from .messages import (
 )
 
 Subscriber = Callable[[UpdateMessage], None]
+#: closed ``(lo, hi)`` range over a relation's first attribute, its key
+KeyRange = tuple[Value, Value]
+
+
+def _in_key_range(table: Table, key_range: KeyRange) -> list[tuple[Row, int]]:
+    """The ``(row, count)`` items of ``table`` whose key lies in the range."""
+    lo, hi = key_range
+    return [
+        item
+        for item in table.items()
+        if (key := item[0][0]) is not None and lo <= key <= hi
+    ]
 
 
 class DataSource:
@@ -253,16 +266,31 @@ class DataSource:
     def has_relation(self, relation: str) -> bool:
         return relation in self.catalog
 
-    def row_count(self, relation: str, distinct: bool = False) -> int:
-        """Rows of ``relation``: every copy, or the ``distinct`` ones."""
+    def row_count(
+        self,
+        relation: str,
+        distinct: bool = False,
+        key_range: KeyRange | None = None,
+    ) -> int:
+        """Rows of ``relation``: every copy, or the ``distinct`` ones —
+        with a ``key_range``, only those whose first attribute lies in
+        the closed range (a NULL key lies in none)."""
         table = self.catalog.table(relation)
+        if key_range is not None:
+            items = _in_key_range(table, key_range)
+            return len(items) if distinct else sum(n for _row, n in items)
         return table.distinct_count() if distinct else len(table)
 
-    def distinct_row(self, relation: str, index: int) -> Row:
-        """The ``index``-th distinct row of ``relation`` in
+    def distinct_row(
+        self, relation: str, index: int, key_range: KeyRange | None = None
+    ) -> Row:
+        """The ``index``-th distinct row of ``relation`` (of those in
+        ``key_range``, as :meth:`row_count` counts them) in
         first-occurrence order (what a delete intent picks from)."""
-        rows = self.catalog.table(relation).items()
-        return next(itertools.islice(rows, index, None))[0]
+        table = self.catalog.table(relation)
+        if key_range is not None:
+            return _in_key_range(table, key_range)[index][0]
+        return next(itertools.islice(table.items(), index, None))[0]
 
     def total_rows(self) -> int:
         return sum(map(self.row_count, self.catalog.relation_names))

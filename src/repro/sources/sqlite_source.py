@@ -45,7 +45,7 @@ from .messages import (
     RestructureRelations,
     SourceUpdate,
 )
-from .source import DataSource
+from .source import DataSource, KeyRange
 
 _SQL_TYPE = {
     AttributeType.INT: "INTEGER",
@@ -372,16 +372,38 @@ class SqliteDataSource(DataSource):
     # introspection
     # ------------------------------------------------------------------
 
-    def row_count(self, relation: str, distinct: bool = False) -> int:
-        rows = f"(SELECT DISTINCT * FROM {relation})" if distinct else relation
-        return self._db.execute(f"SELECT COUNT(*) FROM {rows}").fetchone()[0]
+    def _keyed(
+        self, relation: str, key_range: KeyRange | None
+    ) -> tuple[str, tuple]:
+        """``relation`` as a FROM clause restricted to ``key_range``,
+        plus the values it binds."""
+        if key_range is None:
+            return relation, ()
+        key = self.catalog.schema(relation).attribute_names[0]
+        return f"{relation} WHERE {key} BETWEEN ? AND ?", tuple(key_range)
 
-    def distinct_row(self, relation: str, index: int) -> Row:
+    def row_count(
+        self,
+        relation: str,
+        distinct: bool = False,
+        key_range: KeyRange | None = None,
+    ) -> int:
+        rows, bound = self._keyed(relation, key_range)
+        if distinct:
+            rows = f"(SELECT DISTINCT * FROM {rows})"
+        return self._db.execute(
+            f"SELECT COUNT(*) FROM {rows}", bound
+        ).fetchone()[0]
+
+    def distinct_row(
+        self, relation: str, index: int, key_range: KeyRange | None = None
+    ) -> Row:
         schema = self.catalog.schema(relation)
         columns = ", ".join(schema.attribute_names)
+        rows, bound = self._keyed(relation, key_range)
         cursor = self._db.execute(
-            f"SELECT {columns} FROM {relation} GROUP BY {columns} "
+            f"SELECT {columns} FROM {rows} GROUP BY {columns} "
             f"ORDER BY MIN(rowid) LIMIT 1 OFFSET ?",
-            (index,),
+            (*bound, index),
         )
         return _typed_rows(cursor, _converters(schema))[0]

@@ -23,7 +23,7 @@ from .messages import (
     RenameRelation,
     SourceUpdate,
 )
-from .source import DataSource
+from .source import DataSource, KeyRange
 
 
 class UpdateIntent:
@@ -102,15 +102,16 @@ class InsertRandomRow(UpdateIntent):
 class DeleteRandomRow(UpdateIntent):
     """Delete one random existing row from a (random) relation.
 
-    ``key_filter`` restricts the choice to rows whose first attribute
-    (the join key) passes the predicate, so testbeds that narrow
-    *inserted* keys to a hot domain can draw deletes from the same
-    domain instead of the full key range.
+    ``key_range`` restricts the choice to rows whose first attribute
+    (the join key) lies in the closed range ``(lo, hi)``, so testbeds
+    that narrow *inserted* keys to a hot domain can draw deletes from
+    the same domain instead of the full key range.  Declarative, so the
+    source counts and picks where the rows live (in SQL on sqlite).
     """
 
     rng: random.Random
     relation: str | None = None
-    key_filter: Callable[[Value], bool] | None = None
+    key_range: KeyRange | None = None
 
     def materialize(self, source: DataSource) -> SourceUpdate | None:
         names = [
@@ -123,22 +124,16 @@ class DeleteRandomRow(UpdateIntent):
         relation = self.relation
         if relation is None or relation not in names:
             relation = self.rng.choice(names)
-        schema = source.schema_of(relation)
-        if self.key_filter is not None:
-            candidates = [
-                row
-                for row, _count in source.catalog.table(relation).items()
-                if row and self.key_filter(row[0])
-            ]
-            if not candidates:
-                return None
-            return DataUpdate.delete(schema, [self.rng.choice(candidates)])
         # Pick a deterministic "random" row without materializing the bag.
-        target_index = self.rng.randrange(
-            source.row_count(relation, distinct=True)
+        candidates = source.row_count(
+            relation, distinct=True, key_range=self.key_range
         )
+        if not candidates:
+            return None
+        target_index = self.rng.randrange(candidates)
         return DataUpdate.delete(
-            schema, [source.distinct_row(relation, target_index)]
+            source.schema_of(relation),
+            [source.distinct_row(relation, target_index, self.key_range)],
         )
 
     # NOTE: both backends count distinct rows in first-occurrence order,

@@ -106,20 +106,70 @@ class TestDeleteIntent:
         empty.create_relation(R)
         assert DeleteRandomRow(random.Random(1)).materialize(empty) is None
 
-    def test_key_filter_restricts_victims(self, source):
-        intent = DeleteRandomRow(
-            random.Random(3), key_filter=lambda key: key == 2
-        )
-        for _ in range(5):
+    def test_key_range_restricts_victims(self, backend="memory"):
+        source = _keyed_source(backend)
+        intent = DeleteRandomRow(random.Random(3), key_range=(2, 3))
+        seen = set()
+        for _ in range(12):
             update = intent.materialize(source)
-            row = next(iter(update.delta.rows()))
-            assert row[0] == 2
+            seen.add(next(iter(update.delta.rows())))
+        assert seen == {(2, "b", 2.0, False), (3, "c", 3.0, True)}
 
-    def test_key_filter_with_no_candidates_returns_none(self, source):
-        intent = DeleteRandomRow(
-            random.Random(3), key_filter=lambda key: key == 99
-        )
-        assert intent.materialize(source) is None
+    def test_key_range_with_no_candidates_returns_none(self, backend="memory"):
+        intent = DeleteRandomRow(random.Random(3), "R", key_range=(99, 120))
+        state = intent.rng.getstate()
+        assert intent.materialize(_keyed_source(backend)) is None
+        # an impossible delete draws no victim index
+        assert intent.rng.getstate() == state
+
+    def test_key_range_on_sqlite(self):
+        """The sqlite twins: counted and picked in SQL."""
+        self.test_key_range_restricts_victims("sqlite")
+        self.test_key_range_with_no_candidates_returns_none("sqlite")
+
+    def test_key_range_picks_one_victim_on_both_backends(self):
+        """Count and pick agree across backends: copies count once, a
+        NULL key lies in no range, order is first occurrence — also
+        after a row is deleted to nothing and comes back."""
+        victims = {}
+        for backend in ("memory", "sqlite"):
+            source = _keyed_source(backend)
+            source.commit(DataUpdate.delete(R, [(2, "b", 2.0, False)]))
+            source.commit(DataUpdate.insert(R, [(2, "b", 2.0, False)]))
+            assert source.row_count("R", key_range=(1, 3)) == 4
+            assert source.row_count("R", distinct=True, key_range=(1, 3)) == 3
+            assert source.row_count("R", distinct=True, key_range=(4, 6)) == 0
+            assert [
+                source.distinct_row("R", index, (1, 3)) for index in range(3)
+            ] == [
+                (1, "a", 1.0, True),
+                (3, "c", 3.0, True),
+                (2, "b", 2.0, False),
+            ]
+            rng = random.Random(11)
+            victims[backend] = [
+                DeleteRandomRow(rng, key_range=(2, 3)).materialize(source)
+                for _ in range(8)
+            ]
+        assert victims["memory"] == victims["sqlite"]
+
+
+def _keyed_source(backend: str) -> DataSource:
+    from repro.sources.sqlite_source import SqliteDataSource
+
+    source = (SqliteDataSource if backend == "sqlite" else DataSource)("s")
+    source.create_relation(
+        R,
+        [
+            (1, "a", 1.0, True),
+            (2, "b", 2.0, False),
+            (None, "n", 0.0, True),
+            (3, "c", 3.0, True),
+            (1, "a", 1.0, True),
+            (7, "cold", 7.0, False),
+        ],
+    )
+    return source
 
 
 class TestHotKeyDomainDeletes:
