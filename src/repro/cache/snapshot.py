@@ -201,14 +201,3 @@ class SnapshotCache(VersionedStore):
         )
         self._count("patched_answers")
         return rows
-
-    def invalidate_source(self, source_name: str) -> int:
-        """Drop every entry of one source (e.g. on reconnect after an
-        outage whose commits the view manager cannot enumerate).
-        Returns the number of entries dropped.  Ordinary schema changes
-        need no eager call — the per-entry gap scan invalidates lazily.
-        """
-        stale = [key for key in self._entries if key[0] == source_name]
-        for key in stale:
-            del self._entries[key]
-        return len(stale)

@@ -81,7 +81,6 @@ from ..sources.errors import (
 from ..sources.messages import UpdateMessage
 from ..views.manager import ViewManager
 from ..views.umq import MaintenanceUnit
-from .anomalies import AnomalyType
 from .scheduler import DynoScheduler, SchedulerStats
 from .strategies import PESSIMISTIC, Strategy
 
@@ -272,12 +271,7 @@ class ParallelScheduler(DynoScheduler):
             self._apply_pending_policies()
         if self._barrier_in_flight or self.umq.is_empty():
             return 0
-        cost = self.manager.cost
-        metrics = self.engine.metrics
-        if self.strategy.pre_exec:
-            self._charge(cost.detection_flag_check, "detection")
-            if self.umq.test_and_clear_schema_change_flag():
-                self.detect_and_correct()
+        self._pre_exec_round()
         # Group safe runs across the whole queue (not just the head):
         # several workers can each take a batch this round.  In-flight
         # units already left the queue, so their overlays are untouched.
@@ -288,7 +282,7 @@ class ParallelScheduler(DynoScheduler):
         # incremental-rate sweep of the live graph.
         self._charge(
             self._detection_work_cost()
-            + cost.detection_incremental(
+            + self.manager.cost.detection_incremental(
                 self.substrate.node_count, self.substrate.edge_count
             ),
             "detection",
@@ -607,15 +601,8 @@ class ParallelScheduler(DynoScheduler):
             self.engine.crash_point("parallel.pre_install")
             self._commit_order.pop(0)
             self.manager.install_unit(worker.outcome, unit)
-            if not unit.has_schema_change:
-                self.engine.metrics.data_unit_rounds += 1
-                if worker.wire_trips == 0:
-                    self.engine.metrics.self_maintained_units += 1
+            self._record_commit(unit, worker.wire_trips == 0)
             worker.release()
-            self.engine.metrics.maintenance_rounds += 1
-            self.stats.processed_messages.extend(
-                (message.source, message.seqno) for message in unit
-            )
             self.engine.crash_point("parallel.post_install")
             self._finish_barrier(unit)
             if unit.has_schema_change:
@@ -625,27 +612,13 @@ class ParallelScheduler(DynoScheduler):
                 # dispatch removed this unit before its maintenance
                 # ran).
                 self.substrate.rebuild()
-            self._last_broken_unit_ids = None
             self._maybe_checkpoint()
 
     def _abort(self, worker: WorkerState, broken: BrokenQueryError) -> None:
-        now = self.engine.clock.now
         unit = worker.unit
         assert unit is not None
-        metrics = self.engine.metrics
-        wasted = now - worker.dispatched_at
-        metrics.aborts += 1
-        metrics.abort_cost += wasted
-        metrics.anomalies[
-            AnomalyType.SC_CONFLICTS_WITH_M_SC
-            if unit.has_schema_change
-            else AnomalyType.SC_CONFLICTS_WITH_M_DU
-        ] += 1
-        self.stats.abort_events.append((now, unit.describe()))
-        self.engine.tracer.record(
-            now,
-            trace_kinds.ABORT,
-            f"wasted {wasted:.3f}s on {unit.describe()}",
+        self._record_abort(
+            unit, self.engine.clock.now - worker.dispatched_at
         )
         self._teardown(worker)
         self._restart_tainted()
@@ -755,12 +728,6 @@ class ParallelScheduler(DynoScheduler):
                 self._wait_for_recovery()
                 return True
         return False
-
-    def run(self) -> SchedulerStats:
-        while self.stats.iterations < self.max_iterations:
-            if not self.step():
-                break
-        return self.finish()
 
     def finish(self) -> SchedulerStats:
         """Post-quiescence epilogue (see

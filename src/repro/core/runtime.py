@@ -40,8 +40,8 @@ result *and* counter is identical.  The one exception is the
 ``plan_cache_*`` trio of :class:`~repro.sim.metrics.Metrics`: the
 compiled-plan cache is process-global, so how many compilations a shard
 is charged depends on which shards share its process.  The cache is
-value-transparent (as is tuple interning), and all virtual costs come
-from the cost model inside each world, so the virtual clock cannot move.
+value-transparent, and all virtual costs come from the cost model
+inside each world, so the virtual clock cannot move.
 
 Crashed *schedulers* (seeded :class:`~repro.recovery.crash.CrashPlan`)
 recover inside the worker from the shard's own journal, exactly as

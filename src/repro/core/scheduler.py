@@ -186,6 +186,54 @@ class DynoScheduler:
             self.recovery.maybe_checkpoint()
 
     # ------------------------------------------------------------------
+    # stated once for the serial loop and the parallel executor
+    # ------------------------------------------------------------------
+
+    def _pre_exec_round(self) -> None:
+        """Line 1 of Figure 6: a pessimistic strategy pays the flag
+        check and, if a schema change arrived since the last one,
+        detects and corrects over the whole UMQ."""
+        if self.strategy.pre_exec:
+            self._charge(self.manager.cost.detection_flag_check, "detection")
+            if self.umq.test_and_clear_schema_change_flag():
+                self.detect_and_correct()
+
+    def _record_abort(self, unit: MaintenanceUnit, wasted: float) -> None:
+        """A query of ``unit`` broke after ``wasted`` virtual seconds of
+        maintenance: the paper's abort metrics and anomaly type 3 / 4."""
+        now = self.engine.clock.now
+        metrics = self.manager.metrics
+        metrics.aborts += 1
+        metrics.abort_cost += wasted
+        metrics.anomalies[
+            AnomalyType.SC_CONFLICTS_WITH_M_SC
+            if unit.has_schema_change
+            else AnomalyType.SC_CONFLICTS_WITH_M_DU
+        ] += 1
+        self.stats.abort_events.append((now, unit.describe()))
+        self.engine.tracer.record(
+            now,
+            trace_kinds.ABORT,
+            f"wasted {wasted:.3f}s on {unit.describe()}",
+        )
+
+    def _record_commit(
+        self, unit: MaintenanceUnit, self_maintained: bool
+    ) -> None:
+        """``unit``'s maintenance committed; ``self_maintained`` says
+        it took no wire trip."""
+        metrics = self.manager.metrics
+        self._last_broken_unit_ids = None
+        if not unit.has_schema_change:
+            metrics.data_unit_rounds += 1
+            if self_maintained:
+                metrics.self_maintained_units += 1
+        metrics.maintenance_rounds += 1
+        self.stats.processed_messages.extend(
+            (message.source, message.seqno) for message in unit
+        )
+
+    # ------------------------------------------------------------------
     # detection + correction round
     # ------------------------------------------------------------------
 
@@ -259,23 +307,15 @@ class DynoScheduler:
         reorders the queue at unit granularity, and folding a blocked
         unit into a batch would block the whole batch.  The merge
         itself preserves legality (see :mod:`repro.maintenance
-        .grouping`): admitted units are SC-free by default, so no
-        concurrent edge can terminate inside a batch and Theorem 1's
-        broken-query detection is untouched.
+        .grouping`): admitted units are SC-free, so no concurrent edge
+        can terminate inside a batch and Theorem 1's broken-query
+        detection is untouched.
         """
         policy = self.batch_policy
-        if policy is None or not policy.enabled or len(self.umq) < 2:
-            return
-        if self._quarantined:
+        if policy is None or len(self.umq) < 2 or self._quarantined:
             return
         units = list(self.umq.units)
-        if policy.du_only:
-            # CD edges need a schema-change endpoint and SC-bearing
-            # units are never admitted: no edge set to consult.
-            dependencies = ()
-        else:
-            dependencies = self.substrate.dependencies()
-        runs = find_safe_runs(units, policy, dependencies)
+        runs = find_safe_runs(units, policy)
         if not runs:
             return
         order, grouped = merge_runs(units, runs)
@@ -536,7 +576,6 @@ class DynoScheduler:
 
     def _step_impl(self) -> bool:
         metrics = self.manager.metrics
-        cost = self.manager.cost
         self._sync_fault_stats()
         self._lift_due_quarantines()
         if self.umq.is_empty():
@@ -547,12 +586,9 @@ class DynoScheduler:
         self.engine.crash_point("serial.pre_detect")
 
         # Line 1: pessimistic pre-exec detection behind the flag.
-        if self.strategy.pre_exec:
-            self._charge(cost.detection_flag_check, "detection")
-            if self.umq.test_and_clear_schema_change_flag():
-                self.detect_and_correct()
-                if self.umq.is_empty():
-                    return True
+        self._pre_exec_round()
+        if self.umq.is_empty():
+            return True
 
         # Graceful degradation: with sources in quarantine, run only
         # maintenance that does not depend on them; park the rest.
@@ -571,22 +607,7 @@ class DynoScheduler:
         try:
             self.engine.run_process(process)
         except BrokenQueryError as broken:
-            wasted = self.engine.clock.now - started_at
-            metrics.aborts += 1
-            metrics.abort_cost += wasted
-            metrics.anomalies[
-                AnomalyType.SC_CONFLICTS_WITH_M_SC
-                if unit.has_schema_change
-                else AnomalyType.SC_CONFLICTS_WITH_M_DU
-            ] += 1
-            self.stats.abort_events.append(
-                (self.engine.clock.now, unit.describe())
-            )
-            self.engine.tracer.record(
-                self.engine.clock.now,
-                trace_kinds.ABORT,
-                f"wasted {wasted:.3f}s on {unit.describe()}",
-            )
+            self._record_abort(unit, self.engine.clock.now - started_at)
             self._handle_broken_query(unit, broken)
             return True
         except SourceUnavailableError as down:
@@ -603,14 +624,8 @@ class DynoScheduler:
             return True
         # Success: line 12, remove the head.
         self.engine.crash_point("serial.pre_commit")
-        self._last_broken_unit_ids = None
-        if not unit.has_schema_change:
-            metrics.data_unit_rounds += 1
-            if metrics.source_round_trips == trips_before:
-                metrics.self_maintained_units += 1
-        metrics.maintenance_rounds += 1
-        self.stats.processed_messages.extend(
-            (message.source, message.seqno) for message in unit
+        self._record_commit(
+            unit, metrics.source_round_trips == trips_before
         )
         self.umq.remove_head()
         self.engine.crash_point("serial.post_commit")

@@ -3,7 +3,6 @@
 from .batch import (
     combine_schema_changes,
     data_updates_of,
-    homogenize_data_updates,
     schema_changes_of,
 )
 from .compensation import (
@@ -51,7 +50,6 @@ __all__ = [
     "effect_on_answer",
     "find_safe_runs",
     "merge_runs",
-    "homogenize_data_updates",
     "maintain_data_update",
     "needed_columns",
     "probe_query",

@@ -12,7 +12,10 @@ source into a data-update subgroup and a schema-change subgroup, then
   schema versions are projected onto the attributes of the final
   (rewritten) schema so they can be merged into one delta per relation
   ("insert (3,4)", drop first attribute, "insert (5)" becomes
-  "insert (4),(5)").
+  "insert (4),(5)"): :meth:`SchemaHistory.translate_data_update
+  <repro.maintenance.history.SchemaHistory.translate_data_update>`
+  projects, :func:`~repro.maintenance.grouping.coalesce_data_updates`
+  merges.
 
 Combination falls back to the original sequence whenever a change type
 it cannot compose symbolically (restructure/create) is present; applying
@@ -24,12 +27,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..relational.delta import Delta
-from ..relational.schema import RelationSchema
 from ..sources.messages import (
     AddAttribute,
     CreateRelation,
-    DataUpdate,
     DropAttribute,
     DropRelation,
     RenameAttribute,
@@ -222,47 +222,3 @@ def data_updates_of(unit: MaintenanceUnit) -> list[UpdateMessage]:
     return [
         message for message in unit.messages if message.is_data_update
     ]
-
-
-def homogenize_data_updates(
-    updates: list[UpdateMessage],
-    final_schemas: dict[tuple[str, str], RelationSchema],
-    name_map: dict[tuple[str, str], str],
-) -> dict[tuple[str, str], Delta]:
-    """Merge per-relation data updates across schema versions.
-
-    ``final_schemas`` maps ``(source, final_relation_name)`` to the
-    relation's final schema; ``name_map`` maps ``(source,
-    commit_time_name)`` to the final name.  Each delta row is projected
-    by *attribute name* onto the final schema (missing attributes become
-    NULL, dropped ones disappear), then merged into one delta per final
-    relation — the "homogeneous update tuples that can be merged" of
-    Section 5.
-    """
-    merged: dict[tuple[str, str], Delta] = {}
-    for message in updates:
-        payload = message.payload
-        assert isinstance(payload, DataUpdate)
-        final_name = name_map.get(
-            (message.source, payload.relation), payload.relation
-        )
-        key = (message.source, final_name)
-        final_schema = final_schemas.get(key)
-        if final_schema is None:
-            continue  # relation dropped without replacement
-        target = merged.setdefault(key, Delta(final_schema))
-        source_names = payload.delta.schema.attribute_names
-        positions: list[int | None] = []
-        for attribute in final_schema.attribute_names:
-            positions.append(
-                source_names.index(attribute)
-                if attribute in source_names
-                else None
-            )
-        for row, count in payload.delta.items():
-            projected = tuple(
-                row[position] if position is not None else None
-                for position in positions
-            )
-            target.add(projected, count)
-    return merged

@@ -123,8 +123,8 @@ def _signed_effect(
     A single-relation select-project query is linear over signed bags,
     so the deltas are netted and evaluated once per sign, whatever their
     number (:func:`part_effects`).  The effect is a plain count map
-    (zero counts possible), not a :class:`Delta`: interning every effect
-    row costs a fifth of a 200-deep compensation.
+    (zero counts possible), not a :class:`Delta`: the rows come out of
+    the executor and need none of ``Delta.add``'s per-row checks.
     """
     effect: dict[Row, int] = {}
     answers = part_effects(query, alias, deltas[0].schema, _netted(deltas))

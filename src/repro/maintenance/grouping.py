@@ -9,20 +9,14 @@ adds the *voluntary* counterpart: a :class:`BatchPolicy` scans the
 (corrected) queue for maximal **safe runs** and coalesces each into one
 batch unit maintained in a single round.
 
-A *safe run* is a maximal sequence of **consecutive** queue units such
-that merging them preserves a legal order (Definition 7 / Theorem 2):
-
-* every member is admitted by the policy — by default only SC-free
-  units (``du_only``), so Theorem 1's broken-query detection keeps its
-  meaning: a schema change is never silently folded into a voluntary
-  batch, and a query broken by a concurrent SC still aborts and
-  reorders exactly as before;
-* no concurrent dependency (CD, Definition 6) connects a member to any
-  other member.  CD edges originate at schema changes, so under
-  ``du_only`` this holds vacuously; in mixed mode the check consults
-  the live edge set (O(deg) per candidate, no graph rebuild);
-* the merged unit respects ``max_batch_size`` (messages) and
-  ``batch_window`` (committed-at span).
+A *safe run* is a maximal sequence of **consecutive** SC-free queue
+units whose messages fit ``max_batch_size``, and merging one preserves
+a legal order (Definition 7 / Theorem 2): a schema change is never
+folded into a voluntary batch, so Theorem 1's broken-query detection
+keeps its meaning — a query broken by a concurrent SC still aborts and
+reorders exactly as before — and since every concurrent dependency (CD,
+Definition 6) originates at a schema change, no CD edge can connect two
+members of a run.
 
 Why merging a safe run is legal: the batch occupies the run's position,
 so every edge *crossing* the run keeps its relative order unchanged.
@@ -45,9 +39,8 @@ batch simply drop out of the probe traffic.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
-from ..core.dependencies import Dependency, DependencyKind
 from ..relational.delta import Delta
 from ..sources.messages import DataUpdate, UpdateMessage
 from ..views.umq import MaintenanceUnit
@@ -55,98 +48,45 @@ from ..views.umq import MaintenanceUnit
 
 @dataclass(frozen=True)
 class BatchPolicy:
-    """Knobs for voluntary group maintenance.
+    """Voluntary group maintenance; ``batch_policy=None`` is "off".
 
     ``max_batch_size`` caps the *messages* per voluntary batch (latency
     bound: one huge batch would delay every member's visibility until
-    the last probe answers).  ``batch_window`` caps the committed-at
-    span a batch may cover (staleness bound; ``None`` = unlimited).
-    ``du_only`` admits only SC-free units — the safe default; mixed
-    mode additionally admits SC-bearing units with no concurrent edge
-    into the run, trading detection transparency for fewer VS rounds.
+    the last probe answers).
     """
 
-    enabled: bool = True
     max_batch_size: int = 16
-    batch_window: float | None = None
-    du_only: bool = True
-
-    def admits(self, unit: MaintenanceUnit) -> bool:
-        """May ``unit`` join a voluntary batch at all?"""
-        if not self.enabled:
-            return False
-        return not (self.du_only and unit.has_schema_change)
-
-
-def _span(unit: MaintenanceUnit) -> tuple[float, float]:
-    stamps = [message.committed_at for message in unit]
-    return min(stamps), max(stamps)
 
 
 def find_safe_runs(
-    units: Sequence[MaintenanceUnit],
-    policy: BatchPolicy,
-    dependencies: Iterable[Dependency] = (),
+    units: Sequence[MaintenanceUnit], policy: BatchPolicy
 ) -> list[tuple[int, int]]:
     """Maximal safe runs as ``[start, end)`` unit-index ranges.
 
     Only runs of two or more units are returned (a single unit is
-    already its own maintenance round).  ``dependencies`` are
-    message-level edges in *current queue positions* (the incremental
-    substrate's :meth:`dependencies`); only concurrent edges matter —
-    semantic edges between consecutive units point forward and are
-    preserved by in-batch commit order.  Under ``du_only`` the edge set
-    may be empty: CD edges need a schema-change endpoint and SC-bearing
-    units are never admitted.
+    already its own maintenance round).  An SC-bearing unit is never
+    admitted and ends the run before it.
     """
-    if not policy.enabled or len(units) < 2:
-        return []
-    unit_of: list[int] = []
-    for index, unit in enumerate(units):
-        unit_of.extend([index] * len(unit))
-    # Unordered CD partnership per unit: merging two partners would
-    # hide the very conflict Theorem 1 detects.
-    partners: dict[int, set[int]] = {}
-    for dependency in dependencies:
-        if dependency.kind is not DependencyKind.CONCURRENT:
-            continue
-        before = unit_of[dependency.before_index]
-        after = unit_of[dependency.after_index]
-        if before == after:
-            continue
-        partners.setdefault(before, set()).add(after)
-        partners.setdefault(after, set()).add(before)
-
     runs: list[tuple[int, int]] = []
     index = 0
     while index < len(units):
-        if not policy.admits(units[index]):
+        if units[index].has_schema_change:
             index += 1
             continue
         start = index
-        members = {index}
         size = len(units[index])
-        low, high = _span(units[index])
         index += 1
-        while index < len(units) and size < policy.max_batch_size:
+        while index < len(units):
             candidate = units[index]
-            if not policy.admits(candidate):
-                break
-            if size + len(candidate) > policy.max_batch_size:
-                break
-            c_low, c_high = _span(candidate)
-            if policy.batch_window is not None and (
-                max(high, c_high) - min(low, c_low) > policy.batch_window
+            if (
+                candidate.has_schema_change
+                or size + len(candidate) > policy.max_batch_size
             ):
                 break
-            if partners.get(index, set()) & members:
-                break
-            members.add(index)
             size += len(candidate)
-            low, high = min(low, c_low), max(high, c_high)
             index += 1
-        if len(members) >= 2:
-            runs.append((start, start + len(members)))
+        if index - start >= 2:
+            runs.append((start, index))
     return runs
 
 

@@ -40,7 +40,7 @@ from ..sources.messages import (
 )
 
 #: translations remembered before the memo starts over (it is a
-#: convenience, bounded like the row pool: reset, not grown)
+#: convenience: reset, not grown)
 MEMO_CAPACITY = 1 << 12
 
 
@@ -70,7 +70,9 @@ class SchemaHistory:
         ] = {}
 
     def is_empty(self) -> bool:
-        return not self._relation_now and not self._attribute_now
+        return not (
+            self._relation_now or self._attribute_now or self._added
+        )
 
     # ------------------------------------------------------------------
     # recording installed changes

@@ -50,13 +50,6 @@ from .predicate import (
     conjunction,
 )
 from .query import JoinCondition, RelationRef, SPJQuery
-from .rows import (
-    clear_pool,
-    intern_row,
-    interning_enabled,
-    pool_stats,
-    set_interning,
-)
 from .schema import Attribute, RelationSchema
 from .sql import parse_query, parse_view
 from .table import Table
@@ -99,19 +92,14 @@ __all__ = [
     "Value",
     "attr",
     "clear_plan_cache",
-    "clear_pool",
     "compile_plan",
     "conjunction",
     "execute",
     "execute_compiled",
     "execute_naive",
     "executor_mode",
-    "intern_row",
-    "interning_enabled",
     "parse_query",
     "parse_view",
     "plan_cache_stats",
-    "pool_stats",
     "set_executor_mode",
-    "set_interning",
 ]

@@ -17,7 +17,7 @@ from collections import Counter
 from typing import Iterable, Iterator
 
 from .errors import ArityError
-from .rows import intern_row, validated_row
+from .rows import validated_row
 from .schema import RelationSchema
 
 Row = tuple
@@ -82,11 +82,7 @@ class Delta:
         if count == 0:
             return
         self._validated = None
-        # Intern through the shared row pool: the same distinct row
-        # recurs across deltas, cache patches, journal replays and shard
-        # replicas, and an identical object makes every downstream dict
-        # lookup an identity hit.
-        row = intern_row(tuple(row))
+        row = tuple(row)
         new_count = self._counts[row] + count
         if new_count == 0:
             del self._counts[row]
@@ -112,7 +108,7 @@ class Delta:
 
     def validated_items(self) -> tuple[tuple[Row, int], ...]:
         """The ``(row, count)`` items with every row validated against
-        this delta's own schema, coerced and interned — what
+        this delta's own schema and coerced — what
         :meth:`Table.insert <repro.relational.table.Table.insert>` would
         store — in :meth:`items` order.
 
@@ -126,10 +122,10 @@ class Delta:
         """
         items = self._validated
         if items is None:
-            attributes = self.schema.attributes
+            schema = self.schema
             net: dict[Row, int] = {}
             for row, count in self._counts.items():
-                row = validated_row(attributes, row)
+                row = validated_row(schema, row)
                 net[row] = net.get(row, 0) + count
             items = self._validated = tuple(
                 item for item in net.items() if item[1]

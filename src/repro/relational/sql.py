@@ -93,14 +93,6 @@ class _Tokens:
             return True
         return False
 
-    def at_keyword(self, *keywords: str) -> bool:
-        token = self.peek()
-        return bool(
-            token
-            and token[0] == "name"
-            and token[1].lower() in keywords
-        )
-
 
 def _tokenize(text: str) -> Iterator[tuple[str, str]]:
     position = 0

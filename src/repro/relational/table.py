@@ -76,19 +76,11 @@ class Table:
     # data manipulation
     # ------------------------------------------------------------------
 
-    def _validated(self, row: Row) -> Row:
-        if len(row) != self.schema.arity:
-            raise ArityError(
-                f"row of width {len(row)} does not match relation "
-                f"{self.schema.name!r} of arity {self.schema.arity}"
-            )
-        return validated_row(self.schema.attributes, row)
-
     def insert(self, row: Row, count: int = 1) -> None:
         """Insert ``count`` copies of ``row`` after validation."""
         if count <= 0:
             raise DataError(f"insert count must be positive, got {count}")
-        row = self._validated(row)
+        row = validated_row(self.schema, row)
         self._counts[row] += count
         for position, buckets in self._indexes.values():
             buckets.setdefault(row[position], set()).add(row)
@@ -97,7 +89,7 @@ class Table:
         """Delete ``count`` copies of ``row``; raise if not present."""
         if count <= 0:
             raise DataError(f"delete count must be positive, got {count}")
-        row = self._validated(row)
+        row = validated_row(self.schema, row)
         present = self._counts.get(row, 0)
         if present < count:
             raise DataError(

@@ -89,10 +89,6 @@ class DataSource:
         """Register a wrapper callback invoked after every commit."""
         self._subscribers.append(subscriber)
 
-    def unsubscribe(self, subscriber: Subscriber) -> None:
-        if subscriber in self._subscribers:
-            self._subscribers.remove(subscriber)
-
     def clear_subscribers(self) -> int:
         """Sever every subscription (a crashed warehouse's wrappers are
         gone; the autonomous source keeps committing regardless).

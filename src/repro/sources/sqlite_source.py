@@ -26,10 +26,11 @@ from collections import Counter
 from typing import Iterable, Iterator
 
 from ..relational.delta import Row
-from ..relational.errors import ArityError, UnknownRelationError
+from ..relational.errors import UnknownRelationError
 from ..relational.executor import result_schema
 from ..relational.predicate import Conjunction, InParameter, sql_literal
 from ..relational.query import SPJQuery
+from ..relational.rows import validated_row
 from ..relational.schema import RelationSchema
 from ..relational.table import Table
 from ..relational.types import AttributeType
@@ -90,17 +91,8 @@ def _adopt(cursor, schema: RelationSchema, converters: tuple | None) -> Table:
 def _validated(schema: RelationSchema, rows: Iterable[Row]) -> Iterator[Row]:
     """A load's rows as ``Table.insert`` would store them — its checks,
     its errors — so what ``_adopt`` hands out later was typed on its way
-    in; not pooled: this process keys no dict by them."""
-    validators = [attribute.type.validate for attribute in schema.attributes]
-    for row in rows:
-        if len(row) != len(validators):
-            raise ArityError(
-                f"row of width {len(row)} does not match relation "
-                f"{schema.name!r} of arity {len(validators)}"
-            )
-        yield tuple(
-            [validate(value) for validate, value in zip(validators, row)]
-        )
+    in."""
+    return (validated_row(schema, row) for row in rows)
 
 
 def _bucket(arity: int) -> int:

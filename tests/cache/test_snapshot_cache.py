@@ -183,22 +183,6 @@ class TestPolicy:
             cache.store(source, cold, evaluate(source, cold))
         assert cache.serve(source, hot) is not None
 
-    def test_invalidate_source_is_scoped(self):
-        source, cache = make_source(), SnapshotCache()
-        other = DataSource("t")
-        other.create_relation(R, [(1, "p")])
-        query = probe(frozenset({1}))
-        other_query = SPJQuery(
-            relations=(RelationRef("t", "R", "R"),),
-            projection=(attr("R", "k"),),
-            selection=InPredicate(attr("R", "k"), frozenset({1})),
-        )
-        cache.store(source, query, evaluate(source, query))
-        cache.store(other, other_query, evaluate(other, other_query))
-        assert cache.invalidate_source("s") == 1
-        assert cache.serve(source, query) is None
-        assert cache.serve(other, other_query) is not None
-
     def test_metrics_counters(self):
         metrics = Metrics()
         source, cache = make_source(), SnapshotCache(metrics=metrics)

@@ -9,7 +9,6 @@ still fires with batching armed.
 
 import pytest
 
-from repro.core.dependencies import Dependency, DependencyKind
 from repro.core.strategies import OPTIMISTIC, PESSIMISTIC
 from repro.experiments.testbed import (
     build_testbed,
@@ -73,10 +72,6 @@ class TestFindSafeRuns:
         units = [du(1), sc(2), du(3)]
         assert find_safe_runs(units, BatchPolicy()) == []
 
-    def test_disabled_policy_forms_nothing(self):
-        units = [du(1), du(2)]
-        assert find_safe_runs(units, BatchPolicy(enabled=False)) == []
-
     def test_max_batch_size_caps_messages_not_units(self):
         units = [du(n) for n in range(1, 6)]
         runs = find_safe_runs(units, BatchPolicy(max_batch_size=2))
@@ -88,33 +83,17 @@ class TestFindSafeRuns:
         runs = find_safe_runs(units, BatchPolicy(max_batch_size=4))
         assert runs == [(0, 2)]
 
-    def test_batch_window_caps_committed_at_span(self):
-        units = [du(1), du(2), du(30)]
-        runs = find_safe_runs(units, BatchPolicy(batch_window=5.0))
-        assert runs == [(0, 2)]
-
-    def test_mixed_mode_admits_sc_without_partners(self):
-        units = [du(1), sc(2), du(3)]
-        runs = find_safe_runs(units, BatchPolicy(du_only=False))
-        assert runs == [(0, 3)]
-
-    def test_mixed_mode_concurrent_partners_never_merge(self):
-        """A CD edge between two units blocks their run even when the
-        policy would otherwise admit both members."""
-        units = [du(1), sc(2), du(3)]
-        edge = Dependency(2, 1, DependencyKind.CONCURRENT)
-        runs = find_safe_runs(
-            units, BatchPolicy(du_only=False), [edge]
-        )
-        # Message index 1 (the SC) and 2 (the second DU) are partners:
-        # the run starting at unit 0 may absorb the SC but must stop
-        # before the partnered DU.
-        assert runs == [(0, 2)]
+    def test_sc_bearing_batch_unit_splits_a_run(self):
+        """A cycle batch holding a schema change is no more admitted
+        than a lone SC: the runs on either side stay apart."""
+        cycle = MaintenanceUnit.merged([du(3), sc(4)])
+        units = [du(1), du(2), cycle, du(5), du(6)]
+        assert find_safe_runs(units, BatchPolicy()) == [(0, 2), (3, 5)]
 
     def test_semantic_edges_do_not_block(self):
-        units = [du(1), du(2)]
-        edge = Dependency(0, 1, DependencyKind.SEMANTIC)
-        assert find_safe_runs(units, BatchPolicy(), [edge]) == [(0, 2)]
+        """Two updates of one relation (a semantic edge, which the
+        batch's commit order satisfies) still form a run."""
+        assert find_safe_runs([du(1), du(2)], BatchPolicy()) == [(0, 2)]
 
 
 class TestMergeRuns:

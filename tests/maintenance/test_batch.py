@@ -1,11 +1,13 @@
-"""Section 5 batch preprocessing: combining SCs, homogenizing DUs."""
+"""Section 5 batch preprocessing: combining SCs, homogenizing DUs
+(the translate + coalesce pair)."""
 
 from repro.maintenance.batch import (
     combine_schema_changes,
     data_updates_of,
-    homogenize_data_updates,
     schema_changes_of,
 )
+from repro.maintenance.grouping import coalesce_data_updates
+from repro.maintenance.history import SchemaHistory
 from repro.relational.delta import Delta
 from repro.relational.schema import Attribute, RelationSchema
 from repro.sources.messages import (
@@ -139,6 +141,23 @@ class TestUnitPartitioning:
         assert updates[0].is_data_update
 
 
+def homogenized(changes, updates):
+    """Section 5's homogenisation as the warehouse performs it: every
+    update translated through the installed ``changes``
+    (:class:`SchemaHistory`), same-relation deltas coalesced."""
+    history = SchemaHistory()
+    for source, change in changes:
+        history.record(source, change)
+    translated = [history.translate_message(update) for update in updates]
+    merged = coalesce_data_updates(
+        [message for message in translated if message is not None]
+    )
+    return {
+        (message.source, message.payload.relation): message.payload.delta
+        for message in merged
+    }
+
+
 class TestHomogenize:
     def test_projection_across_schema_versions(self):
         """insert (3,4); drop first attribute; insert (5) -> (4),(5)."""
@@ -150,49 +169,39 @@ class TestHomogenize:
         du_new = UpdateMessage(
             "s", 3, 2.0, DataUpdate.insert(narrow, [("5",)])
         )
-        merged = homogenize_data_updates(
-            [du_old, du_new],
-            final_schemas={("s", "R"): narrow},
-            name_map={},
+        merged = homogenized(
+            [("s", DropAttribute("R", "x"))], [du_old, du_new]
         )
         delta = merged[("s", "R")]
+        assert delta.schema == narrow
         assert delta.count(("4",)) == 1
         assert delta.count(("5",)) == 1
 
     def test_renamed_relation_mapped(self):
         schema = RelationSchema.of("R", ["a"])
-        final = RelationSchema.of("R2", ["a"])
         du = UpdateMessage("s", 1, 0.0, DataUpdate.insert(schema, [("v",)]))
-        merged = homogenize_data_updates(
-            [du],
-            final_schemas={("s", "R2"): final},
-            name_map={("s", "R"): "R2"},
-        )
+        merged = homogenized([("s", RenameRelation("R", "R2"))], [du])
         assert merged[("s", "R2")].count(("v",)) == 1
 
     def test_missing_attribute_becomes_null(self):
         old = RelationSchema.of("R", ["a"])
-        final = RelationSchema.of("R", ["a", "b"])
         du = UpdateMessage("s", 1, 0.0, DataUpdate.insert(old, [("v",)]))
-        merged = homogenize_data_updates(
-            [du], final_schemas={("s", "R"): final}, name_map={}
+        merged = homogenized(
+            [("s", AddAttribute("R", Attribute("b")))], [du]
         )
         assert merged[("s", "R")].count(("v", None)) == 1
 
     def test_dropped_relation_skipped(self):
         schema = RelationSchema.of("R", ["a"])
         du = UpdateMessage("s", 1, 0.0, DataUpdate.insert(schema, [("v",)]))
-        merged = homogenize_data_updates([du], final_schemas={}, name_map={})
-        assert merged == {}
+        assert homogenized([("s", DropRelation("R"))], [du]) == {}
 
     def test_deletes_merge_with_inserts(self):
+        """A cancelling pair leaves nothing to probe for."""
         schema = RelationSchema.of("R", ["a"])
         du1 = UpdateMessage("s", 1, 0.0, DataUpdate.insert(schema, [("v",)]))
         du2 = UpdateMessage("s", 2, 1.0, DataUpdate.delete(schema, [("v",)]))
-        merged = homogenize_data_updates(
-            [du1, du2], final_schemas={("s", "R"): schema}, name_map={}
-        )
-        assert merged[("s", "R")].is_empty()
+        assert homogenized([], [du1, du2]) == {}
 
     def test_delete_then_reinsert_across_rename_and_drop_gap(self):
         """A row deleted under the old wide schema and reinserted under
@@ -201,27 +210,24 @@ class TestHomogenize:
         holds the surviving projection of the row)."""
         wide = RelationSchema.of("R", ["k", "b"])
         narrow = RelationSchema.of("R2", ["k"])
+        changes = [
+            ("s", RenameRelation("R", "R2")),
+            ("s", DropAttribute("R2", "b")),
+        ]
         delete_old = UpdateMessage(
             "s", 1, 0.0, DataUpdate.delete(wide, [("1", "x")])
         )
         reinsert_new = UpdateMessage(
             "s", 3, 2.0, DataUpdate.insert(narrow, [("1",)])
         )
-        merged = homogenize_data_updates(
-            [delete_old, reinsert_new],
-            final_schemas={("s", "R2"): narrow},
-            name_map={("s", "R"): "R2"},
-        )
-        assert merged[("s", "R2")].is_empty()
+        assert homogenized(changes, [delete_old, reinsert_new]) == {}
         # A sibling key deleted but *not* reinserted must survive as a
         # net deletion in the homogenized delta.
         delete_other = UpdateMessage(
             "s", 2, 1.0, DataUpdate.delete(wide, [("9", "y")])
         )
-        merged = homogenize_data_updates(
-            [delete_old, delete_other, reinsert_new],
-            final_schemas={("s", "R2"): narrow},
-            name_map={("s", "R"): "R2"},
+        merged = homogenized(
+            changes, [delete_old, delete_other, reinsert_new]
         )
         assert merged[("s", "R2")].count(("9",)) == -1
         assert merged[("s", "R2")].count(("1",)) == 0
@@ -239,14 +245,7 @@ class TestHomogenize:
             ("s", DropAttribute("R", "b")),
             ("s", RenameRelation("R", "R2")),
         ]
-        merged = homogenize_data_updates(
-            data_updates_of(unit),
-            final_schemas={
-                ("s", "R2"): RelationSchema.of("R2", ["a", "c"])
-            },
-            name_map={("s", "R"): "R2"},
-        )
-        assert merged == {}
+        assert homogenized(schema_changes_of(unit), data_updates_of(unit)) == {}
 
 
 class TestCombineEmissionHazards:

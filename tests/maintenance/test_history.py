@@ -15,6 +15,7 @@ from repro.sources.messages import (
     RenameAttribute,
     RenameRelation,
     RestructureRelations,
+    UpdateMessage,
 )
 
 R = RelationSchema.of("R", [("k", AttributeType.INT), "a", "b"])
@@ -121,6 +122,22 @@ class TestTranslation:
         translated = history.translate_data_update("s", du([(1, "x", "y")]))
         assert translated.delta.schema.attribute_names == ("k", "a", "b", "c")
         assert translated.delta.count((1, "x", "y", None)) == 1
+
+    def test_history_of_adds_alone_still_translates_messages(self):
+        """``translate_message`` short-circuits on an empty history; a
+        history holding only an ``AddAttribute`` is not empty, and a
+        data update committed before the add comes back NULL-padded."""
+        history = SchemaHistory()
+        history.record(
+            "s", AddAttribute("R", Attribute("c", AttributeType.STRING))
+        )
+        assert not history.is_empty()
+        stale = UpdateMessage("s", 1, 0.0, du([(1, "x", "y")]))
+        translated = history.translate_message(stale)
+        assert translated.payload.delta.schema.attribute_names == (
+            "k", "a", "b", "c",
+        )
+        assert translated.payload.delta.count((1, "x", "y", None)) == 1
 
     def test_dropped_relation_translates_to_none(self):
         history = SchemaHistory()

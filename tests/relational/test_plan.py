@@ -1,10 +1,9 @@
-"""Compiled plan cache, row interning, and index-maintenance mechanics."""
+"""Compiled plan cache and index-maintenance mechanics."""
 
 from collections import Counter
 
 import pytest
 
-from repro.relational import rows as rowpool
 from repro.relational.errors import DataError
 from repro.relational.plan import (
     PLAN_CACHE,
@@ -177,52 +176,6 @@ class TestPlanCache:
         assert big.has_index("k")  # the compiled scan probed the index
         assert set(result.rows()) == {(3, "v")}
         assert result.count((3, "v")) == 4
-
-
-class TestRowInterning:
-    def setup_method(self):
-        rowpool.clear_pool()
-
-    def test_equal_rows_become_identical_objects(self):
-        first = Table(R, [(1, "p")])
-        second = Table(R, [(1, "p")])
-        (row_a,) = first.rows()
-        (row_b,) = second.rows()
-        assert row_a is row_b
-
-    def test_type_twins_are_never_substituted(self):
-        F = RelationSchema.of("F", [("x", AttributeType.FLOAT)])
-        I = RelationSchema.of("I", [("x", AttributeType.INT)])
-        int_table = Table(I, [(1,)])
-        float_table = Table(F, [(1.0,)])
-        (int_row,) = int_table.rows()
-        (float_row,) = float_table.rows()
-        assert int_row == float_row  # Python: 1 == 1.0
-        assert type(int_row[0]) is int
-        assert type(float_row[0]) is float  # NOT the pooled int twin
-        assert rowpool.pool_stats()["type_conflicts"] >= 1
-
-    def test_pool_reset_keeps_correctness(self):
-        rowpool.set_pool_capacity(4)
-        try:
-            table = Table(R, [(i, "w") for i in range(20)])
-            assert sorted(table.rows()) == [(i, "w") for i in range(20)]
-            assert rowpool.pool_stats()["resets"] >= 1
-        finally:
-            rowpool.set_pool_capacity(rowpool.DEFAULT_POOL_CAPACITY)
-            rowpool.clear_pool()
-
-    def test_interning_can_be_disabled(self):
-        rowpool.set_interning(False)
-        try:
-            first = Table(R, [(7, "z")])
-            second = Table(R, [(7, "z")])
-            (row_a,) = first.rows()
-            (row_b,) = second.rows()
-            assert row_a == row_b
-            assert row_a is not row_b
-        finally:
-            rowpool.set_interning(True)
 
 
 class TestIndexMaintenance:

@@ -25,6 +25,20 @@ class TestDataManipulation:
         with pytest.raises(ArityError):
             table.insert((1,))
 
+    def test_type_twins_keep_their_types(self):
+        """Python holds ``1 == 1.0``: an INT row and a FLOAT row that
+        compare equal must each keep the type its column declares (the
+        sqlite backend round-trips values by type)."""
+        ints = Table(RelationSchema.of("I", [("x", AttributeType.INT)]), [(1,)])
+        floats = Table(
+            RelationSchema.of("F", [("x", AttributeType.FLOAT)]), [(1.0,)]
+        )
+        (int_row,) = ints.rows()
+        (float_row,) = floats.rows()
+        assert int_row == float_row
+        assert type(int_row[0]) is int
+        assert type(float_row[0]) is float
+
     def test_bag_semantics(self, table):
         table.insert((1, "a"))
         assert table.count((1, "a")) == 2
