@@ -4,8 +4,8 @@ These are classic repeated-timing benchmarks (unlike the figure benches,
 which run a whole simulated experiment once): the hash-join executor,
 delta application, probe compensation, the snapshot cache's fold, one
 end-to-end DU maintenance,
-and the detection substrate (graph build, legal order, one rename
-arrival).
+the detection substrate (graph build, legal order, one rename
+arrival, a burst of forty) and a seven-round view adaptation.
 """
 
 import random
@@ -14,6 +14,7 @@ from types import SimpleNamespace
 
 import pytest
 
+import repro.maintenance.va as va_module
 from repro.cache import SnapshotCache
 from repro.core.dependencies import find_dependencies
 from repro.core.detection import detect
@@ -25,6 +26,7 @@ from repro.experiments.testbed import full_join_query
 from repro.maintenance.compensation import compensate_answer
 from repro.maintenance.decompose import probe_query
 from repro.maintenance.history import SchemaHistory
+from repro.maintenance.vs import ViewSynchronizer
 from repro.relational.delta import Delta
 from repro.relational.executor import execute
 from repro.relational.predicate import InPredicate, attr
@@ -269,3 +271,86 @@ def test_micro_rename_arrival(benchmark):
 
     edges = benchmark.pedantic(arrive, setup=queue_of_400, rounds=25)
     assert edges == len(find_dependencies([*prefill, arrival], view_query))
+
+
+def test_micro_sc_burst_arrivals(benchmark, monkeypatch):
+    """40 ``RenameRelation``s arriving one by one into a 500-message
+    queue, through a scheduler's own substrate (speculative rewrites
+    live): the whole burst ``test_micro_rename_arrival`` times one
+    arrival of — the spine's ``sc_mixed``, whose stream ends up queued
+    behind view adaptation.  An arrival costs one rewrite, its own."""
+    prefill = _synthetic_queue(500, 0)
+    names = [f"R{relation + 1}" for relation in range(6)]
+    burst = []
+    for index in range(40):  # six rename chains, names minted once
+        relation = index % 6
+        old, names[relation] = names[relation], f"R{relation + 1}__b{index}"
+        burst.append(
+            UpdateMessage(
+                f"src{relation // 2 + 1}",
+                1_000 + index,
+                1_000.0 + index,
+                RenameRelation(old, names[relation]),
+            )
+        )
+    rewrites = []
+    synchronize_change = ViewSynchronizer.synchronize_change
+
+    def counted(self, view, source, change):
+        rewrites.append(change)
+        return synchronize_change(self, view, source, change)
+
+    monkeypatch.setattr(ViewSynchronizer, "synchronize_change", counted)
+
+    def queue_of_500():
+        testbed = build_testbed(PESSIMISTIC, tuples_per_relation=10)
+        for message in prefill:
+            testbed.manager.umq.receive(message)
+        del rewrites[:]
+        return (testbed,), {}
+
+    def arrive(testbed):
+        for message in burst:
+            testbed.manager.umq.receive(message)
+        return testbed.scheduler.substrate.edge_count
+
+    edges = benchmark.pedantic(arrive, setup=queue_of_500, rounds=5)
+    assert len(rewrites) == len(burst)
+    assert edges == len(
+        find_dependencies([*prefill, *burst], full_join_query())
+    )
+
+
+def test_micro_va_rounds(benchmark, monkeypatch):
+    """``adapt_view`` with ``rounds=7`` over the six 2 000-tuple
+    relations of the testbed view: 42 compensated scans and — nothing
+    committing in between — one 6-way join."""
+    testbed = build_testbed(PESSIMISTIC, tuples_per_relation=2_000)
+    engine, manager = testbed.engine, testbed.manager
+    message = engine.source("src1").commit(
+        RenameRelation("R1", "R1__v2"), at=0.0
+    )
+    adapted = manager.synchronizer.synchronize(manager.view, message)
+    joins = []
+
+    def counted(query, tables):
+        joins.append(query)
+        return execute(query, tables)
+
+    monkeypatch.setattr(va_module, "execute", counted)
+
+    def adapt():
+        del joins[:]
+        return engine.run_process(
+            va_module.adapt_view(
+                adapted.definition,
+                manager.umq.head(),
+                manager.umq,
+                engine.cost_model,
+                rounds=7,
+            )
+        )
+
+    extent = benchmark.pedantic(adapt, rounds=3, iterations=1)
+    assert len(joins) == 1
+    assert len(extent) == 2_000

@@ -214,6 +214,7 @@ def footprint_of_update(
     view_queries,
     rewritten_queries: Callable[[UpdateMessage], object] | None = None,
     resolver: NameResolver = _IDENTITY_RESOLVER,
+    of_query=footprint_of_query,
 ) -> Footprint:
     """The maintenance footprint of one queued update.
 
@@ -226,13 +227,15 @@ def footprint_of_update(
       the caller can synchronize speculatively it supplies
       ``rewritten_queries`` and the footprint covers old and new
       definitions; otherwise the current definitions are used.
+
+    ``of_query`` derives one query's footprint; the cache memoises it.
     """
     queries = _as_queries(view_queries)
     if message.is_schema_change:
-        footprints = [footprint_of_query(query) for query in queries]
+        footprints = [of_query(query) for query in queries]
         if rewritten_queries is not None:
             for rewritten in _as_queries(rewritten_queries(message)):
-                footprints.append(footprint_of_query(rewritten))
+                footprints.append(of_query(rewritten))
         return _union(footprints)
 
     payload = message.payload
@@ -254,9 +257,7 @@ def footprint_of_update(
             continue
         if len(own_aliases) != 1:
             own_aliases = frozenset()  # self-join: everything is probed
-        footprints.append(
-            footprint_of_query(query, exclude_aliases=own_aliases)
-        )
+        footprints.append(of_query(query, own_aliases))
     return _union(footprints)
 
 

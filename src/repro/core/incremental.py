@@ -35,40 +35,18 @@ schema changes x footprint *classes*, not schema changes x queue length:
   work of a mutation is O(n + m * (classes + m)).
 
   ``receive`` files one node (a DU arrival runs no conflict test at
-  all), ``remove_head``/``remove_unit`` unfile the departing nodes and
-  take them out of their chains (the parallel executor removes units
-  from *any* position at dispatch), and ``replace_order`` re-derives
-  only the (order-dependent) chains.  A from-scratch rebuild — identical
-  to :func:`~repro.core.dependencies.find_dependencies`, which stays the
-  property-test oracle — remains the fallback for the cases incremental
-  maintenance cannot shortcut:
+  all), ``remove_head``/``remove_unit`` unfile the departing nodes, and
+  ``replace_order`` re-derives only the (order-dependent) chains.  A
+  from-scratch rebuild — the twin of
+  :func:`~repro.core.dependencies.find_dependencies`, which stays the
+  property-test oracle — is the fallback when the resolver changes (a
+  rename/restructure arrives, leaves or is reordered) and when the view
+  definitions may have (an SC-bearing unit leaves the head, or commits
+  after the parallel executor dispatched it mid-queue).
 
-  - a *lineage-affecting* message (rename/restructure) arrives, leaves,
-    or is reordered: the resolver changes, so every normalized footprint
-    and every verdict may change;
-  - a unit containing any schema change is removed from the head: its
-    maintenance may have rewritten the view definition(s), so every
-    footprint may change (the epoch catches the version bump).
-    Mid-queue removal at *dispatch* time precedes the rewrite, so it
-    only drops nodes; the scheduler calls
-    :meth:`IncrementalDependencyGraph.rebuild` once the unit's rewrite
-    actually commits.
-
-  A rebuild re-files n nodes and asks m * classes verdicts; it no
-  longer tests every schema change against every message.
-
-  One subtlety: a schema change *committing at its source* can drift the
-  source schemas that speculative rewrites consult, which can silently
-  change the footprint of an *already queued* schema change.  The epoch
-  counts received schema changes, so every SC arrival clears the cache
-  wholesale — data-update footprints included — and the substrate
-  re-files every queued node under its fresh footprint.  That is cheap
-  again because recomputation is once per class, not once per message;
-  what remains is one speculative rewrite per queued schema change.  A
-  node whose footprint value did change (only possible between an
-  in-flight view rewrite and the rebuild that follows it) thereby gets
-  *all* its concurrent edges re-derived, those from older queued schema
-  changes included — as :func:`find_dependencies` would.
+  Invalidation is one rule — a derived value is recomputed only when
+  something it read changed; what each memo reads, and the rest of the
+  derivation, is docs/ALGORITHMS.md §Incremental detection substrate.
 
 The substrate also answers the parallel executor's scheduling questions
 (Definition 7 / Theorem 2: *any* topological order is legal, so units
@@ -94,6 +72,7 @@ from .dependencies import (
     DependencyKind,
     Footprint,
     NameResolver,
+    footprint_of_query,
     footprint_of_update,
 )
 from .detection import DetectionResult
@@ -102,6 +81,11 @@ from .graph import DependencyGraph
 #: edge kinds of the expanded ``Dependency`` tuples
 _CD = DependencyKind.CONCURRENT
 _SD = DependencyKind.SEMANTIC
+
+
+def _footprint_once(query, exclude_aliases=frozenset()) -> Footprint:
+    """:func:`footprint_of_query`, once per (immutable) query object."""
+    return query.derived(footprint_of_query, exclude_aliases)
 
 
 def lineage_affecting(message: UpdateMessage) -> bool:
@@ -131,6 +115,10 @@ class FootprintCache:
     :meth:`footprint` checks the epoch on every call; a caller sweeping
     many messages inside one queue mutation calls :meth:`validate` once
     and then :meth:`lookup`.
+
+    A miss after a clear is cheap: a raw footprint lives on its query
+    object, a speculative rewrite is kept per (view queries, message)
+    unless ``source_reads`` (VS's live-schema reads) moved in making it.
     """
 
     def __init__(
@@ -139,14 +127,21 @@ class FootprintCache:
         rewritten_query: Callable[[UpdateMessage], object] | None = None,
         epoch: Callable[[], object] | None = None,
         metrics=None,
+        source_reads: Callable[[], int] = lambda: 0,
     ) -> None:
         self._view_queries = view_queries
         self._rewritten = rewritten_query
+        self._source_reads = source_reads
         self._epoch_fn = epoch
         self._epoch = epoch() if epoch is not None else None
         #: key -> (message, footprint); holding the message pins the
         #: ``id`` a schema change is keyed by
         self._entries: dict[object, tuple[UpdateMessage, Footprint]] = {}
+        #: id(schema change) -> (message, view queries read, rewrite);
+        #: pins the message: a leaked entry is memory, not a reused id
+        self._rewrites: dict[int, tuple[UpdateMessage, object, object]] = {}
+        #: raw footprint -> normalized; cleared with ``_entries``
+        self._normalized: dict[Footprint, Footprint] = {}
         self._metrics = metrics
         self.hits = 0
         self.misses = 0
@@ -168,11 +163,13 @@ class FootprintCache:
         if self._entries:
             self.invalidations += 1
         self._entries.clear()
+        self._normalized.clear()
 
     def discard(self, message: UpdateMessage) -> None:
         """Forget a departing schema change (DU entries are shared by
         the relation's other updates and stay)."""
         self._entries.pop(id(message), None)
+        self._rewrites.pop(id(message), None)
 
     def footprint(
         self, message: UpdateMessage, resolver: NameResolver
@@ -199,11 +196,31 @@ class FootprintCache:
         self.misses += 1
         if self._metrics is not None:
             self._metrics.footprint_cache_misses += 1
-        footprint = footprint_of_update(
-            message, self._view_queries(), self._rewritten, resolver
-        ).normalized(resolver)
+        raw = footprint_of_update(
+            message,
+            self._view_queries(),
+            None if self._rewritten is None else self._rewrite,
+            resolver,
+            _footprint_once,
+        )
+        footprint = self._normalized.get(raw)
+        if footprint is None:
+            footprint = self._normalized[raw] = raw.normalized(resolver)
         self._entries[key] = (message, footprint)
         return footprint
+
+    def _rewrite(self, message: UpdateMessage) -> object:
+        """A queued schema change's speculative rewrite, made again only
+        if the view queries changed (per epoch, if VS read live schemas)."""
+        queries = self._view_queries()
+        entry = self._rewrites.get(id(message))
+        if entry is not None and entry[1] == queries:
+            return entry[2]
+        before = self._source_reads()
+        rewritten = self._rewritten(message)
+        if self._source_reads() == before:
+            self._rewrites[id(message)] = (message, queries, rewritten)
+        return rewritten
 
 
 class IncrementalDependencyGraph:
@@ -229,11 +246,12 @@ class IncrementalDependencyGraph:
         epoch: Callable[[], object] | None = None,
         metrics=None,
         attach: bool = True,
+        source_reads: Callable[[], int] = lambda: 0,
     ) -> None:
         self._umq = umq
         self._metrics = metrics
         self.cache = FootprintCache(
-            view_queries, rewritten_query, epoch, metrics
+            view_queries, rewritten_query, epoch, metrics, source_reads
         )
         #: live absolute node ids in queue order
         self._order: list[int] = []

@@ -153,6 +153,9 @@ class DynoScheduler:
                 self.umq.received_schema_changes,
             ),
             metrics=self.manager.metrics,
+            source_reads=lambda: sum(
+                m.synchronizer.consults for m in self.manager.view_managers()
+            ),
         )
 
     def detach(self) -> None:
@@ -173,8 +176,9 @@ class DynoScheduler:
         return self.manager.umq
 
     def _speculative_rewrite(self, message: UpdateMessage):
-        """Footprint helper: what would the view(s) look like after this
-        schema change?  VS is pure, so we can ask without committing."""
+        """Footprint helper: the view(s) after this schema change, asked
+        without committing — VS is pure but for a relation replacement's
+        live-schema reads, counted in ``ViewSynchronizer.consults``."""
         return self.manager.speculative_queries(message)
 
     def _charge(self, duration: float, kind: str) -> None:

@@ -91,11 +91,14 @@ def adapt_view(
     ``rounds`` scan passes are performed (one per combined schema change
     in the unit); each pass reads every relation of the rewritten
     definition, so a schema change committing concurrently breaks the
-    pass and aborts the maintenance — in-exec detection at work.
+    pass and aborts the maintenance — in-exec detection at work.  The
+    join runs only in a round whose compensated tables differ, by value,
+    from the round before (docs/ALGORITHMS.md §View adaptation).
     """
     query = view.query
     extent: Table | None = None
-    for round_index in range(max(1, rounds)):
+    joined: dict[str, Table] | None = None
+    for _ in range(max(1, rounds)):
         fetched: dict[str, Table] = {}
         for alias in query.aliases:
             ref = query.relation_ref(alias)
@@ -108,7 +111,9 @@ def adapt_view(
             fetched[alias] = compensate_answer(
                 answer.table, source_query, alias, leaked, log
             )
-        extent = execute(query, fetched)
+        if fetched != joined:
+            extent = execute(query, fetched)
+            joined = fetched
         yield Delay(
             cost.va_base + cost.va_per_tuple * len(extent),
             "va_install",

@@ -13,9 +13,10 @@ paper) definition, in the spirit of the EVE system [9]:
   ``Store ⋈ Item → StoreItems`` rewriting of Query (3) — otherwise the
   relation is evolved out of the view.
 
-The synchronizer is pure: it maps (definition, schema change) to a new
-definition plus a :class:`RewriteReport`; all timing is charged by the
-scheduler.
+The synchronizer is pure — it maps (definition, schema change) to a new
+definition plus a :class:`RewriteReport` — except where a relation
+replacement validates against live schemas (counted in ``consults``);
+all timing is charged by the scheduler.
 """
 
 from __future__ import annotations
@@ -82,8 +83,17 @@ class ViewSynchronizer:
         ignored, preserving the original projection).
         """
         self.mkb = mkb or MetaKnowledgeBase()
-        self.schema_lookup = schema_lookup
+        self.schema_lookup = schema_lookup and self._counted(schema_lookup)
         self.extend_on_add = extend_on_add
+        #: live-schema reads so far, counted in the accessor itself
+        self.consults = 0
+
+    def _counted(self, lookup):
+        def counted(source: str, relation: str):
+            self.consults += 1
+            return lookup(source, relation)
+
+        return counted
 
     # ------------------------------------------------------------------
     # entry point

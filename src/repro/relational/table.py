@@ -207,7 +207,8 @@ class Table:
         """Extent equality: same bag of rows (schema names may differ)."""
         if not isinstance(other, Table):
             return NotImplemented
-        return self._counts == other._counts
+        # Invariant: no zero count is stored, so dict == is Counter ==.
+        return dict.__eq__(self._counts, other._counts)
 
     def __hash__(self) -> int:  # pragma: no cover
         raise TypeError("Table is mutable and unhashable")

@@ -61,7 +61,10 @@ class AttributeReplacement:
 
 
 class MetaKnowledgeBase:
-    """Registry of replacement rules consulted by view synchronization."""
+    """Registry of replacement rules consulted by view synchronization.
+
+    Register rules before the first update arrives: a queued schema
+    change's remembered speculative rewrite never sees a later rule."""
 
     def __init__(self) -> None:
         self._relation_rules: list[RelationReplacement] = []

@@ -241,9 +241,10 @@ class ViewManager:
 
     def speculative_queries(self, message) -> tuple:
         """What the view queries would look like after this schema
-        change — VS is pure, so we can ask without committing.  Only
-        VS's own "cannot repair" means "no rewrite"; any other error is
-        a bug and propagates."""
+        change — asked without committing: VS is pure but for a relation
+        replacement's live-schema reads (``ViewSynchronizer.consults``).
+        Only VS's own "cannot repair" means "no rewrite"; any other
+        error is a bug and propagates."""
         try:
             result = self.synchronizer.synchronize(self.view, message)
         except ViewSynchronizationError:

@@ -27,11 +27,11 @@ from pathlib import Path
 import pytest
 
 import repro.core.incremental as incremental_module
-from repro.core.dependencies import Footprint
+from repro.core.dependencies import Footprint, find_dependencies
 from repro.core.incremental import IncrementalDependencyGraph
 from repro.core.scheduler import DynoScheduler
 from repro.core.strategies import PESSIMISTIC
-from repro.experiments.ablations import _synthetic_queue
+from repro.experiments.ablations import _edge_set, _synthetic_queue
 from repro.experiments.testbed import (
     RELATION_COUNT,
     SOURCE_NAMES,
@@ -41,17 +41,26 @@ from repro.experiments.testbed import (
     relation_name,
     source_of_relation,
 )
+from repro.maintenance.vs import ViewSynchronizer
 from repro.relational.query import RelationRef
 from repro.relational.schema import RelationSchema
+from repro.sim.costs import CostModel
 from repro.sources.messages import (
     DataUpdate,
     DropAttribute,
+    DropRelation,
     RenameAttribute,
     RenameRelation,
     RestructureRelations,
     UpdateMessage,
 )
+from repro.sources.mkb import AttributeReplacement
 from repro.views.umq import MaintenanceUnit, UpdateMessageQueue
+from tests.conftest import (
+    STORE_SCHEMA,
+    STOREITEMS_SCHEMA,
+    build_bookstore,
+)
 
 QUERY = full_join_query()
 FIXTURE = (
@@ -458,3 +467,161 @@ def test_one_rename_adds_at_most_one_further_set(monkeypatch):
         2 * RELATION_COUNT * (RELATION_COUNT - 1)
     )
     assert renamed["evictions"] == 0
+
+
+def test_rename_arrival_through_a_scheduler_rewrites_once(monkeypatch):
+    """The shape above through a ``DynoScheduler``'s own substrate,
+    where speculative rewrites are live: a rename arriving into 200 DUs
+    + 10 queued renames runs view synchronization once — for the
+    arrival; the ten queued rewrites read nothing that changed — and
+    derives a raw footprint at most once per query object."""
+    rewrites: list = []
+    derived: list = []
+    real_synchronize = ViewSynchronizer.synchronize_change
+    real_footprint_of_query = incremental_module.footprint_of_query
+
+    def counting_synchronize(self, view, source, change):
+        rewrites.append(change)
+        return real_synchronize(self, view, source, change)
+
+    def counting_footprint_of_query(query, exclude_aliases=frozenset()):
+        derived.append((id(query), exclude_aliases, query))
+        return real_footprint_of_query(query, exclude_aliases)
+
+    monkeypatch.setattr(
+        ViewSynchronizer, "synchronize_change", counting_synchronize
+    )
+    monkeypatch.setattr(
+        incremental_module, "footprint_of_query", counting_footprint_of_query
+    )
+    testbed = build_testbed(PESSIMISTIC, tuples_per_relation=20)
+    umq = testbed.manager.umq
+    substrate = testbed.scheduler.substrate
+    queue = _synthetic_queue(210, 10)
+    for message in queue:
+        umq.receive(message)
+    substrate.dependencies()
+    assert len(rewrites) >= 10
+    del rewrites[:]
+    seen = len(derived)
+
+    arrival = RenameRelation("R1", "R1__w")
+    umq.receive(UpdateMessage("src1", 1000, 1000.0, arrival))
+    got = _edge_set(substrate.dependencies())
+    assert rewrites == [arrival]
+    # The arrival's own rewritten query, and nothing already derived.
+    assert len(derived) - seen == 1
+    keys = [key[:2] for key in derived]
+    assert len(keys) == len(set(keys))
+    assert testbed.manager.synchronizer.consults == 0
+    assert got == _edge_set(
+        find_dependencies(
+            umq.messages(),
+            testbed.manager.maintenance_queries,
+            testbed.manager.speculative_queries,
+        )
+    )
+
+
+def _bookstore_with_replacement():
+    """The bookstore stack with the MKB's ``StoreItems`` stand-in live
+    at the retailer, so a relation replacement validates against it."""
+    engine, manager = build_bookstore(CostModel.free())
+    engine.source("retailer").create_relation(
+        STOREITEMS_SCHEMA, [("Amazon", "Databases", "Gray", 50.0)]
+    )
+    return engine, manager, DynoScheduler(manager, PESSIMISTIC)
+
+
+def test_a_rewrite_that_consulted_live_schemas_is_not_kept():
+    """The case the memo must not serve.  ``DropRelation(Item)`` is
+    rewritten through the MKB's relation replacement, which validates
+    the stand-in's attributes against its *live* schema
+    (``schema_lookup``); the next schema change drops one of them.  The
+    queued drop's footprint is re-derived and agrees with the oracle —
+    a rewrite kept across that arrival would still read
+    ``StoreItems.Price``."""
+    engine, manager, scheduler = _bookstore_with_replacement()
+    substrate = scheduler.substrate
+    retailer = engine.source("retailer")
+    price = ("retailer", "StoreItems", "Price")
+
+    retailer.commit(DropRelation("Item"), at=0.0)
+    assert price in substrate.footprint_at(0).attributes
+    consults = manager.synchronizer.consults
+    assert consults >= 1
+    # A DU arrival changes nothing the rewrite read: served.
+    retailer.commit(DataUpdate.insert(STORE_SCHEMA, [(3, "Powell")]), at=0.0)
+    substrate.dependencies()
+    assert manager.synchronizer.consults == consults
+
+    retailer.commit(DropAttribute("StoreItems", "Price"), at=0.0)
+    assert price not in substrate.footprint_at(0).attributes
+    assert manager.synchronizer.consults > consults
+    assert _edge_set(substrate.dependencies()) == _edge_set(
+        find_dependencies(
+            manager.umq.messages(),
+            manager.maintenance_queries,
+            manager.speculative_queries,
+        )
+    )
+
+
+def test_a_departing_schema_change_takes_its_rewrite_along():
+    """``FootprintCache.discard`` drops the remembered rewrite with the
+    footprint: the entry pins its message, so one left behind would be
+    a leak (never a stale answer for a reused ``id``)."""
+    engine, manager, scheduler = _bookstore_with_replacement()
+    cache = scheduler.substrate.cache
+    engine.source("library").commit(DropAttribute("Catalog", "Review"), at=0.0)
+    engine.source("library").commit(
+        RenameRelation("Catalog", "Catalog__v2"), at=0.0
+    )
+    scheduler.substrate.dependencies()
+    first, second = manager.umq.messages()
+    assert set(cache._rewrites) == {id(first), id(second)}
+    assert cache._rewrites[id(first)][0] is first
+    manager.umq.remove_unit(manager.umq.units[1])
+    assert set(cache._rewrites) == {id(first)}
+    manager.umq.remove_head()
+    assert not cache._rewrites
+
+
+def test_mkb_rules_are_read_when_a_rewrite_is_made():
+    """``MetaKnowledgeBase``'s stated contract: rules are registered
+    before the first update.  A rule present then is in the rewrite; one
+    registered while a change it would repair is already queued is not
+    seen by that change's remembered rewrite (the rule set is not part
+    of what the memo is keyed on) — only by the real synchronization
+    when the unit is maintained, which still converges."""
+    engine, manager, scheduler = _bookstore_with_replacement()
+    substrate = scheduler.substrate
+    library = engine.source("library")
+    digest = ("digest", "ReaderDigest")
+
+    library.commit(DropAttribute("Catalog", "Review"), at=0.0)
+    assert digest in substrate.footprint_at(0).relations  # bookstore_mkb's
+
+    library.commit(DropAttribute("Catalog", "Category"), at=0.0)
+    assert digest not in substrate.footprint_at(1).relations  # no rule: pruned
+    manager.mkb.add_attribute_replacement(
+        AttributeReplacement(
+            source="library",
+            relation="Catalog",
+            attribute="Category",
+            new_source="digest",
+            new_relation="ReaderDigest",
+            new_attribute="Comments",
+            join_on=("Catalog", "Title"),
+            join_attribute="Article",
+        )
+    )
+    # An arrival clears every footprint; the rewrite is served as made.
+    engine.source("retailer").commit(
+        DropAttribute("StoreItems", "Price"), at=0.0
+    )
+    assert digest not in substrate.footprint_at(1).relations
+
+    scheduler.run()
+    assert manager.mv.extent == manager.recompute_reference()
+    assert manager.view.query.references_relation(*digest)

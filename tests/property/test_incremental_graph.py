@@ -9,32 +9,45 @@ bit-identical to a from-scratch
 messages.  These tests drive random interleavings and check that
 contract after every single mutation, plus the footprint-cache epoch
 (view-version) invalidation rules.
+
+Speculative rewrites are live: the substrate is wired as a scheduler
+wires it (a real :class:`~repro.maintenance.vs.ViewSynchronizer` over
+the bookstore MKB, its consult counter, the arrival-count epoch), so
+every check runs with a warm rewrite memo against an oracle that
+synchronizes afresh — including relation-replacement drops, whose
+rewrite reads the stand-in's *live* schema, and drops of the stand-in's
+attributes, which change it.
 """
 
 from __future__ import annotations
 
 import random
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.dependencies import NameResolver, find_dependencies
 from repro.core.graph import DependencyGraph
 from repro.core.incremental import FootprintCache, IncrementalDependencyGraph
+from repro.maintenance.vs import ViewSynchronizationError, ViewSynchronizer
 from repro.sources.messages import (
     DataUpdate,
     DropAttribute,
+    DropRelation,
     RenameAttribute,
     RenameRelation,
     UpdateMessage,
 )
+from repro.views.definition import ViewDefinition
 from repro.views.umq import MaintenanceUnit, UpdateMessageQueue
 
 from tests.conftest import (
     CATALOG_SCHEMA,
     ITEM_SCHEMA,
     STORE_SCHEMA,
+    STOREITEMS_SCHEMA,
     bookinfo_query,
+    bookstore_mkb,
 )
 
 QUERY = bookinfo_query()
@@ -49,9 +62,15 @@ RELATIONS = (
 
 class _Stream:
     """Builds messages with monotone per-source sequence numbers and
-    tracks the current (possibly renamed) name of each relation."""
+    tracks the current (possibly renamed) name of each relation — and,
+    as the sources would, the live schema of the MKB's ``StoreItems``
+    stand-in, which view synchronization consults."""
 
     def __init__(self) -> None:
+        self.stand_in = STOREITEMS_SCHEMA
+        self.synchronizer = ViewSynchronizer(
+            bookstore_mkb(), schema_lookup=self._schema_lookup
+        )
         self._seqno: dict[str, int] = {}
         self._clock = 0.0
         self._names = {
@@ -63,6 +82,31 @@ class _Stream:
             for source, schema, attribute in RELATIONS
         }
         self._rename_count = 0
+
+    def _schema_lookup(self, source: str, relation: str):
+        if (source, relation) == ("retailer", self.stand_in.name):
+            return self.stand_in
+        return None
+
+    def rewritten(self, message: UpdateMessage):
+        """What ``ViewManager.speculative_queries`` answers, afresh."""
+        try:
+            result = self.synchronizer.synchronize(
+                ViewDefinition("BookInfo", QUERY), message
+            )
+        except ViewSynchronizationError:
+            return (QUERY,)
+        return (result.definition.query,)
+
+    def substrate(self, umq: UpdateMessageQueue):
+        """The graph under test, wired as ``DynoScheduler`` wires it."""
+        return IncrementalDependencyGraph(
+            umq,
+            lambda: (QUERY,),
+            rewritten_query=self.rewritten,
+            epoch=lambda: umq.received_schema_changes,
+            source_reads=lambda: self.synchronizer.consults,
+        )
 
     def _message(self, source: str, payload) -> UpdateMessage:
         seqno = self._seqno.get(source, 0) + 1
@@ -77,6 +121,29 @@ class _Stream:
     def drop_attribute(self, relation_index: int) -> UpdateMessage:
         source, schema, attribute = RELATIONS[relation_index]
         return self._message(source, DropAttribute(schema.name, attribute))
+
+    def drop_relation(self, relation_index: int) -> UpdateMessage:
+        """Drop a view relation under its current name: ``Store`` and
+        ``Item`` are covered by the MKB's relation replacement (the
+        rewrite consults the stand-in's live schema), ``Catalog`` is
+        evolved out of the view."""
+        source, schema, _attr = RELATIONS[relation_index]
+        return self._message(
+            source, DropRelation(self._names[source, schema.name])
+        )
+
+    def drop_stand_in_attribute(self, pick: int) -> UpdateMessage:
+        """Commit a drop of one of the stand-in's remaining attributes:
+        the live schema every replacement rewrite validates against
+        changes.  (Its last attribute stays; a DU is sent instead.)"""
+        names = self.stand_in.attribute_names
+        if len(names) == 1:
+            return self.data_update(pick)
+        attribute = names[pick % len(names)]
+        self.stand_in = self.stand_in.drop_attribute(attribute)
+        return self._message(
+            "retailer", DropAttribute(self.stand_in.name, attribute)
+        )
 
     def rename_relation(self, relation_index: int) -> UpdateMessage:
         source, schema, _attr = RELATIONS[relation_index]
@@ -118,6 +185,14 @@ def op_sequences(draw):
                     st.just("drop"), st.integers(min_value=0, max_value=2)
                 ),
                 st.tuples(
+                    st.just("drop_relation"),
+                    st.integers(min_value=0, max_value=2),
+                ),
+                st.tuples(
+                    st.just("drop_stand_in_attribute"),
+                    st.integers(min_value=0, max_value=2),
+                ),
+                st.tuples(
                     st.just("rename"), st.integers(min_value=0, max_value=2)
                 ),
                 st.tuples(
@@ -154,12 +229,14 @@ def _reordered_units(umq: UpdateMessageQueue, seed: int):
 
 
 def _check_equivalence(
-    umq: UpdateMessageQueue, incremental: IncrementalDependencyGraph
+    umq: UpdateMessageQueue,
+    incremental: IncrementalDependencyGraph,
+    rewritten=None,
 ) -> None:
     messages = umq.messages()
+    oracle = find_dependencies(messages, QUERY, rewritten)
     expected = {
-        (dep.before_index, dep.after_index, dep.kind)
-        for dep in find_dependencies(messages, QUERY)
+        (dep.before_index, dep.after_index, dep.kind) for dep in oracle
     }
     edges = [
         (dep.before_index, dep.after_index, dep.kind)
@@ -173,33 +250,36 @@ def _check_equivalence(
     assert incremental.node_count == len(messages)
     # The corrected schedule must also match (legal_order is
     # deterministic given the same node/edge sets).
-    oracle_graph = DependencyGraph(
-        len(messages), find_dependencies(messages, QUERY)
-    )
+    oracle_graph = DependencyGraph(len(messages), oracle)
     assert (
         incremental.detection().graph.legal_order()
         == oracle_graph.legal_order()
     )
 
 
+#: op kind -> the ``_Stream`` method that makes (and "commits") it
+MAKERS = {
+    "du": "data_update",
+    "drop": "drop_attribute",
+    "drop_relation": "drop_relation",
+    "drop_stand_in_attribute": "drop_stand_in_attribute",
+    "rename": "rename_relation",
+    "rename_attribute": "rename_attribute",
+}
+
+
 def _drive(ops, prefill: int) -> None:
     """Interpret ``ops`` against a fresh UMQ holding ``prefill`` DUs,
     checking the oracle contract after every single mutation."""
     umq = UpdateMessageQueue()
-    incremental = IncrementalDependencyGraph(umq, lambda: (QUERY,))
     stream = _Stream()
+    incremental = stream.substrate(umq)
     removed: list[MaintenanceUnit] = []
     for index in range(prefill):
         umq.receive(stream.data_update(index % len(RELATIONS)))
     for kind, argument in ops:
-        if kind == "du":
-            umq.receive(stream.data_update(argument))
-        elif kind == "drop":
-            umq.receive(stream.drop_attribute(argument))
-        elif kind == "rename":
-            umq.receive(stream.rename_relation(argument))
-        elif kind == "rename_attribute":
-            umq.receive(stream.rename_attribute(argument))
+        if kind in MAKERS:
+            umq.receive(getattr(stream, MAKERS[kind])(argument))
         elif kind == "remove_head":
             if not umq.is_empty():
                 removed.append(umq.remove_head())
@@ -215,10 +295,20 @@ def _drive(ops, prefill: int) -> None:
         elif kind == "reorder":
             if not umq.is_empty():
                 umq.replace_order(_reordered_units(umq, argument))
-        _check_equivalence(umq, incremental)
+        _check_equivalence(umq, incremental, stream.rewritten)
 
 
 @given(op_sequences())
+@example([("drop_relation", 1), ("drop_stand_in_attribute", 3)])
+@example(
+    [
+        ("drop_relation", 0),
+        ("du", 1),
+        ("drop_stand_in_attribute", 0),
+        ("reorder", 7),
+        ("drop_stand_in_attribute", 1),
+    ]
+)
 @settings(max_examples=60, deadline=None)
 def test_incremental_graph_matches_from_scratch_oracle(ops):
     """Every mutation path — including the parallel dispatcher's
@@ -242,27 +332,21 @@ def test_unit_removal_with_schema_changes_rebuilds_consistently(ops):
     """remove_head of multi-message (merged) units — the path where an
     SC-bearing unit forces the rebuild fallback."""
     umq = UpdateMessageQueue()
-    incremental = IncrementalDependencyGraph(umq, lambda: (QUERY,))
     stream = _Stream()
+    incremental = stream.substrate(umq)
     for kind, argument in ops:
-        if kind in ("du", "drop", "rename", "rename_attribute"):
-            maker = {
-                "du": stream.data_update,
-                "drop": stream.drop_attribute,
-                "rename": stream.rename_relation,
-                "rename_attribute": stream.rename_attribute,
-            }[kind]
-            umq.receive(maker(argument))
+        if kind in MAKERS:
+            umq.receive(getattr(stream, MAKERS[kind])(argument))
             continue
         if umq.is_empty():
             continue
         # Merge everything into one unit, then remove it: exercises
         # multi-message head removal (with and without schema changes).
         umq.replace_order([MaintenanceUnit.merged(list(umq.units))])
-        _check_equivalence(umq, incremental)
+        _check_equivalence(umq, incremental, stream.rewritten)
         umq.remove_head()
-        _check_equivalence(umq, incremental)
-    _check_equivalence(umq, incremental)
+        _check_equivalence(umq, incremental, stream.rewritten)
+    _check_equivalence(umq, incremental, stream.rewritten)
 
 
 class TestFootprintCacheEpoch:

@@ -10,14 +10,23 @@ what its router dropped before the crash stays dropped.
 
 import pytest
 
+from repro.core.dependencies import find_dependencies
 from repro.core.strategies import PESSIMISTIC
-from repro.experiments.testbed import build_sharded_testbed, build_testbed
+from repro.experiments.ablations import _edge_set
+from repro.experiments.testbed import (
+    build_sharded_testbed,
+    build_testbed,
+    fixed_rename_relation,
+)
 from repro.recovery import (
     CrashPlan,
     SchedulerCrash,
     recover,
     recover_in_place,
 )
+
+from repro.sources.messages import RenameRelation
+from repro.sources.workload import FixedUpdate, Workload
 
 SHARDS = 4
 DU_COUNT = 96
@@ -175,3 +184,56 @@ def test_a_checkpoint_written_before_the_one_constructor_still_loads():
         "V2",
     ]
     assert recovered.report.reenqueued == 0
+
+
+def test_a_recovered_substrate_derives_everything_afresh():
+    """The crash lands between the two links of a rename chain: the
+    first rename is installed, ``R1__v2 -> R1__v3`` is queued with its
+    speculative rewrite remembered.  ``recover()`` replaces manager and
+    scheduler through ``build_stack``, so the substrate's memos — what
+    a footprint, a normalization and a rewrite remember — are instance
+    state that dies with the crashed stack: the recovered substrate
+    shares none of it and agrees with the memo-free oracle.  (Anything
+    module-level would survive the crash and meet a manager whose
+    definitions and version counters were rebuilt from the journal.)"""
+    testbed = build_testbed(
+        PESSIMISTIC,
+        tuples_per_relation=20,
+        journal=True,
+        crash_plan=CrashPlan("serial.post_commit", 1),
+    )
+    chain = Workload()
+    chain.add(0.0, "src1", fixed_rename_relation(0, 2))
+    chain.add(20.0, "src1", FixedUpdate(RenameRelation("R1__v2", "R1__v3")))
+    chain.add(20.01, "src1", FixedUpdate(RenameRelation("R2", "R2__v2")))
+    testbed.engine.schedule_workload(chain)
+    testbed.engine.schedule_workload(
+        testbed.random_du_workload(6, 0.0, 0.5, seed=1)
+    )
+    with pytest.raises(SchedulerCrash):
+        testbed.scheduler.run()
+    crashed = testbed.scheduler.substrate.cache
+    assert testbed.manager.view.query.references_relation("src1", "R1__v2")
+    assert len(crashed._rewrites) == 2  # both queued renames, remembered
+
+    recover_in_place(testbed)
+    manager, substrate = testbed.manager, testbed.scheduler.substrate
+    queued = manager.umq.messages()
+    assert [m.payload for m in queued if m.is_schema_change] == [
+        RenameRelation("R1__v2", "R1__v3"),
+        RenameRelation("R2", "R2__v2"),
+    ]
+    recovered = substrate.cache
+    for memo in ("_entries", "_rewrites", "_normalized"):
+        assert getattr(recovered, memo) is not getattr(crashed, memo)
+    assert {id(entry[0]) for entry in recovered._rewrites.values()} <= {
+        id(message) for message in queued
+    }
+    assert _edge_set(substrate.dependencies()) == _edge_set(
+        find_dependencies(
+            queued, manager.maintenance_queries, manager.speculative_queries
+        )
+    )
+    testbed.run()
+    assert testbed.check_consistency()
+    assert manager.view.query.references_relation("src1", "R1__v3")

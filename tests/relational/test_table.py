@@ -104,6 +104,40 @@ class TestInspection:
         other = Table(R.renamed("R2"), [(1, "a"), (2, "b")])
         assert table == other
 
+    def test_equality_is_the_counter_comparison(self, table):
+        """``Table.__eq__`` compares the count dicts in C.  That is
+        ``Counter.__eq__`` (missing == 0) only while no zero count is
+        stored — which every way in keeps: ``insert`` / ``from_counts``
+        take positive counts, ``delete`` removes the key at zero."""
+        from collections import Counter
+
+        deleted_back = Table(R, [(1, "a"), (2, "b"), (3, "c"), (3, "c")])
+        deleted_back.delete((3, "c"))
+        deleted_back.delete((3, "c"))
+        patched = Table(R, [(1, "a")])
+        patched.apply_delta(Delta.insertion(R, [(2, "b"), (4, "d")]))
+        patched.apply_delta(Delta.deletion(R, [(4, "d")]))
+        others = [
+            table.copy(),  # equal
+            Table(R, [(2, "b"), (1, "a")]),  # equal, other insert order
+            Table(R.renamed("R2"), [(1, "a"), (2, "b")]),  # other name
+            Table.from_counts(R, {(1, "a"): 1, (2, "b"): 1}),  # adopted
+            deleted_back,  # a row deleted back to absent
+            patched,
+            Table(R, [(1, "a")]),  # unequal: a row missing
+            Table(R, [(1, "a"), (2, "b"), (2, "b")]),  # unequal: a count
+            Table(R, [(1, "a"), (2, "x")]),  # unequal: a value
+            Table(R),
+        ]
+        for other in others:
+            assert 0 not in other._counts.values()
+            expected = Counter.__eq__(table._counts, other._counts)
+            assert (table == other) is expected
+            assert (other == table) is expected
+            assert (table != other) is not expected
+        assert [table == other for other in others] == [True] * 6 + [False] * 4
+        assert table.__eq__(object()) is NotImplemented
+
     def test_copy_independent(self, table):
         duplicate = table.copy()
         duplicate.insert((9, "z"))
