@@ -23,6 +23,7 @@ from repro.core.scheduler import DynoScheduler
 from repro.core.strategies import PESSIMISTIC
 from repro.experiments.ablations import _synthetic_queue
 from repro.experiments.testbed import full_join_query
+from repro.maintenance.batch import combine_schema_changes
 from repro.maintenance.compensation import compensate_answer
 from repro.maintenance.decompose import probe_query
 from repro.maintenance.history import SchemaHistory
@@ -31,10 +32,17 @@ from repro.relational.delta import Delta
 from repro.relational.executor import execute
 from repro.relational.predicate import InPredicate, attr
 from repro.relational.query import JoinCondition, RelationRef, SPJQuery
-from repro.relational.schema import RelationSchema
+from repro.relational.schema import Attribute, RelationSchema
 from repro.relational.table import Table
 from repro.relational.types import AttributeType
-from repro.sources.messages import DataUpdate, RenameRelation, UpdateMessage
+from repro.sources.messages import (
+    AddAttribute,
+    DataUpdate,
+    DropRelation,
+    RenameAttribute,
+    RenameRelation,
+    UpdateMessage,
+)
 from repro.sources.replica import VersionedEntry
 from repro.sources.sqlite_source import SqliteDataSource
 from repro.experiments.testbed import build_testbed
@@ -191,14 +199,16 @@ def test_micro_cache_fold(benchmark, gap):
     assert benchmark(folded) == len(range(0, gap, 2))
 
 
-@pytest.mark.parametrize("history", ["plain", "renamed"])
+@pytest.mark.parametrize("history", ["plain", "renamed", "crowded"])
 @pytest.mark.parametrize("depth", [1, 20, 200])
 def test_micro_leak_lookup(benchmark, depth, history):
     """One probe's question — which queued updates leaked into this
     answer — with ``depth`` updates queued behind the head, spread over
     six relations; ``renamed``: the probed relation was renamed after
     they committed, so every match is translated (once: the steady
-    state is the memo)."""
+    state is the memo); ``crowded``: forty renames of other relations
+    were recorded first, which the committed-name lookup asked once per
+    answer must not walk."""
     relations = [RelationSchema.of(f"R{i}", ["k", "a"]) for i in range(6)]
     umq = UpdateMessageQueue()
     for index in range(depth + 1):
@@ -207,7 +217,12 @@ def test_micro_leak_lookup(benchmark, depth, history):
         umq.receive(UpdateMessage("s", index, float(index), update))
     schema_history = SchemaHistory()
     probed = "R1"
-    if history == "renamed":
+    if history == "crowded":
+        for index in range(40):
+            schema_history.record(
+                "s", RenameRelation(f"Q{index}", f"Q{index}b")
+            )
+    if history != "plain":
         schema_history.record("s", RenameRelation("R1", "R1b"))
         probed = "R1b"
     manager = SimpleNamespace(
@@ -220,6 +235,43 @@ def test_micro_leak_lookup(benchmark, depth, history):
         range(1, depth + 1, 6)
     )
     assert {message.payload.relation for message in leaked} == {probed}
+
+
+def test_micro_combine(benchmark):
+    """Section 5's combination of a 40-change batch, four relations
+    round-robin: a rename chain, an attribute rename chain, additions
+    renamed after the fact, and a rename chain ending in a drop."""
+    batch = []
+    for step in range(10):
+        batch += [
+            RenameRelation(_versioned("R1", step), _versioned("R1", step + 1)),
+            RenameAttribute(
+                "R2", _versioned("A2", step), _versioned("A2", step + 1)
+            ),
+            AddAttribute("R3", Attribute(f"e{step // 2}"))
+            if step % 2 == 0
+            else RenameAttribute("R3", f"e{step // 2}", f"f{step // 2}"),
+            RenameRelation(_versioned("R4", step), _versioned("R4", step + 1))
+            if step < 9
+            else DropRelation(_versioned("R4", step)),
+        ]
+    combined = benchmark(
+        combine_schema_changes, [("s", change) for change in batch]
+    )
+    assert combined == [
+        ("s", RenameRelation("R1", "R1__v11")),
+        ("s", RenameAttribute("R2", "A2", "A2__v11")),
+        ("s", AddAttribute("R3", Attribute("f0"))),
+        ("s", AddAttribute("R3", Attribute("f1"))),
+        ("s", AddAttribute("R3", Attribute("f2"))),
+        ("s", AddAttribute("R3", Attribute("f3"))),
+        ("s", AddAttribute("R3", Attribute("f4"))),
+        ("s", DropRelation("R4")),
+    ]
+
+
+def _versioned(name: str, step: int) -> str:
+    return name if step == 0 else f"{name}__v{step + 1}"
 
 
 def test_micro_single_du_maintenance(benchmark):

@@ -92,17 +92,6 @@ FLAGS = (
         convert=lambda seed: None if seed is None else CrashPlan.random(seed),
     ),
     Flag(
-        "shards",
-        "shards",
-        "run every fig08..fig12 testbed through the sharded "
-        "warehouse coordinator with N requested scheduler shards "
-        "(single-view figures collapse to one effective shard; the "
-        "baselines are unchanged at the default of 1 — the multi-view "
-        "shard sweep is the abl-sharding runner)",
-        type=int,
-        metavar="N",
-    ),
-    Flag(
         "shard-processes",
         "shard_processes",
         "execute sharded-warehouse arms across N OS worker "

@@ -22,12 +22,12 @@ from .testbed import sharded_config
 
 
 #: every flag reaches a figure's world, at the row's scale, so each
-#: chart can be produced under every mechanism — except
-#: ``shard_processes``: a figure testbed is one in-process world
+#: chart can be produced under every mechanism — except the shard
+#: knobs: a figure testbed is one in-process world
 FIGURE_KNOBS = tuple(
     field.name
     for field in fields(WarehouseConfig)
-    if field.name not in ("tuples_per_relation", "shard_processes")
+    if field.name not in ("tuples_per_relation", "shards", "shard_processes")
 )
 #: ... which is the one flag to reach the two sharded ablations: ABL-11
 #: executes its swept arms in N worker processes, ABL-13 narrows its

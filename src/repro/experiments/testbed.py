@@ -394,32 +394,17 @@ class Testbed:
     recovery: object | None = None
     #: one report per recovery performed during :meth:`run`
     crash_reports: list = field(default_factory=list)
-    #: the coordinator driving the run when ``config.shards > 1``: one
-    #: world is one effective shard, but the run then goes through the
-    #: footprint router and :class:`~repro.core.sharding
-    #: .ShardedWarehouse` end to end
-    warehouse: ShardedWarehouse | None = None
 
     @classmethod
     def build(cls, config: WarehouseConfig) -> "Testbed":
-        if config.shard_processes:
+        if config.shards > 1 or config.shard_processes:
             raise ValueError(
-                "a Testbed is one in-process world; shard_processes "
-                "needs build_sharded_testbed"
+                "a Testbed is one in-process world; shards and "
+                "shard_processes need build_sharded_testbed"
             )
-        router = ShardRouter() if config.shards > 1 else None
-        world = build_shard_world(
-            ShardPlan(0, config.view_names(), config), router
-        )
+        world = build_shard_world(ShardPlan(0, config.view_names(), config))
         return cls(
-            config,
-            world.engine,
-            world.manager,
-            world.scheduler,
-            world.recovery,
-            # Shared, so the coordinator's recoveries surface here too.
-            world.crash_reports,
-            ShardedWarehouse([world], router) if router else None,
+            config, world.engine, world.manager, world.scheduler, world.recovery
         )
 
     @property
@@ -508,16 +493,7 @@ class Testbed:
         survived: the dead warehouse is torn down, ``recover()`` rebuilds
         it from checkpoint + journal, and the run resumes — including
         crashes injected during recovery itself."""
-        if self.warehouse is None:
-            run_recovering(self)
-            return
-        # The coordinator recovers its shard in place; re-point at the
-        # (possibly rebuilt) stack afterwards.
-        self.warehouse.run()
-        world = self.warehouse.shards[0]
-        self.manager = world.manager
-        self.scheduler = world.scheduler
-        self.recovery = world.recovery
+        run_recovering(self)
 
     def extent_rows(self) -> dict[str, tuple]:
         """Canonical (sorted row tuples) extents, for oracle compares."""

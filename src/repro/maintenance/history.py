@@ -1,4 +1,4 @@
-"""Schema history: translating stale update names forward.
+"""Schema history: how each name evolved, read by every consumer.
 
 Correction can legally move a schema-change batch *ahead* of a data
 update that committed under the old schema (the CD edge of another
@@ -13,7 +13,8 @@ updates forward before maintaining or compensating them: relation names
 follow rename chains, attribute values are projected onto the current
 layout (renamed attributes follow, dropped ones disappear, added ones
 become NULL), and updates whose relation was dropped translate to
-nothing.
+nothing.  Section 5's combination of a batch's schema changes reads the
+same record (:func:`~repro.maintenance.batch.combine_schema_changes`).
 
 Without this, a stale update is silently absorbed by the batch's
 adaptation scans (convergence survives) but the view's *intermediate*
@@ -23,6 +24,8 @@ outright.  The strong-consistency integration tests pin this behaviour.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass, field
 
 from ..relational.delta import Delta
 from ..relational.schema import Attribute, RelationSchema
@@ -44,22 +47,89 @@ from ..sources.messages import (
 MEMO_CAPACITY = 1 << 12
 
 
-class SchemaHistory:
-    """Per-source record of installed schema changes.
+class Lineages:
+    """The lineages of one namespace, in first-touch order.  A name is
+    looked up in its latest holder: the lineage that took it last."""
 
-    Keyed by name, not by commit era: a relation or attribute name is
-    assumed never to be reused within a lineage (the workload
-    generators version every rename, ``R__v2``).  A reused name is
-    ambiguous — an update committed under the later use reads as stale.
+    def __init__(self) -> None:
+        self.lineages: list[Lineage] = []
+        self._holder: dict[tuple[str, str], Lineage] = {}
+
+    def is_empty(self) -> bool:
+        return not self._holder
+
+    def holder(self, source: str, name: str) -> Lineage | None:
+        return self._holder.get((source, name))
+
+    def now(self, source: str, name: str) -> str | None:
+        """What ``name`` is called now: itself if never recorded, None
+        if its holder ended."""
+        lineage = self._holder.get((source, name))
+        return name if lineage is None else lineage.name
+
+    def live(
+        self, source: str, name: str, added: AddAttribute | None = None
+    ) -> Lineage:
+        """The lineage called ``name`` now, or a new one starting at it
+        (always new for an addition)."""
+        lineage = self._holder.get((source, name))
+        if added is not None or lineage is None or lineage.name != name:
+            lineage = Lineage(source, [name], added)
+            self.lineages.append(lineage)
+            self._holder[(source, name)] = lineage
+        return lineage
+
+    def rename(self, source: str, old: str, new: str) -> None:
+        lineage = self.live(source, old)
+        lineage.names.append(new)
+        self._holder[(source, new)] = lineage
+
+    def end(self, source: str, name: str, change: SchemaChange) -> None:
+        self.live(source, name).ended = change
+
+    def release(self, source: str, name: str) -> None:
+        """A created name starts over: no recorded change reaches it."""
+        self._holder.pop((source, name), None)
+
+
+@dataclass(eq=False)
+class Lineage:
+    """One relation or attribute through the recorded changes."""
+
+    source: str
+    #: every name it has had, oldest first
+    names: list[str]
+    #: how an added attribute began, its default included
+    added: AddAttribute | None = None
+    #: the change that ended it (a drop keeps its extent)
+    ended: SchemaChange | None = None
+    #: a relation's attributes
+    attributes: Lineages = field(default_factory=Lineages)
+
+    @property
+    def name(self) -> str | None:
+        """The current name; None once ended."""
+        return None if self.ended is not None else self.names[-1]
+
+
+class SchemaHistory:
+    """Per-source record of installed schema changes, one lineage per
+    relation and per attribute.
+
+    A reused name follows its latest holder: after ``drop R; rename S ->
+    R`` (or ``drop R; create R``) the name ``R`` is the new relation's,
+    and likewise for an attribute added, renamed away and added again.
+    The rule reads every update committed under a name's *current*
+    holder correctly.  One committed under an earlier holder is never
+    pending once the reuse is installed: the reuse touches the name, so
+    a semantic dependency orders every update on the earlier holder
+    before the change that ended or renamed it, and that change before
+    the reuse.
     """
 
     def __init__(self) -> None:
-        #: (source, past name) -> current name, or None if dropped
-        self._relation_now: dict[tuple[str, str], str | None] = {}
-        #: (source, current relation) -> {past attribute -> current or None}
-        self._attribute_now: dict[tuple[str, str], dict[str, str | None]] = {}
-        #: (source, current relation) -> attributes added after the fact
-        self._added: dict[tuple[str, str], list] = {}
+        #: relation lineages of every source, in first-touch order
+        self.relations = Lineages()
         #: id(message) -> (message, its translation) under the changes
         #: recorded so far: :meth:`record` starts it over, so a message
         #: is translated once per installed change, not once per probe
@@ -70,85 +140,31 @@ class SchemaHistory:
         ] = {}
 
     def is_empty(self) -> bool:
-        return not (
-            self._relation_now or self._attribute_now or self._added
-        )
-
-    # ------------------------------------------------------------------
-    # recording installed changes
-    # ------------------------------------------------------------------
+        """True while no recorded change reaches any name."""
+        return self.relations.is_empty()
 
     def record(self, source: str, change: SchemaChange) -> None:
         self._translated.clear()
+        relations = self.relations
         if isinstance(change, RenameRelation):
-            self._rename_relation(source, change.old, change.new)
-        elif isinstance(change, RenameAttribute):
-            relation = self.current_relation(source, change.relation)
-            if relation is None:
-                return
-            attributes = self._attribute_now.setdefault(
-                (source, relation), {}
-            )
-            # re-point every past name that currently maps to `old`
-            for past, now in attributes.items():
-                if now == change.old:
-                    attributes[past] = change.new
-            attributes.setdefault(change.old, change.new)
-        elif isinstance(change, DropAttribute):
-            relation = self.current_relation(source, change.relation)
-            if relation is None:
-                return
-            attributes = self._attribute_now.setdefault(
-                (source, relation), {}
-            )
-            for past, now in attributes.items():
-                if now == change.attribute:
-                    attributes[past] = None
-            attributes.setdefault(change.attribute, None)
+            relations.rename(source, change.old, change.new)
         elif isinstance(change, DropRelation):
-            self._drop_relation(source, change.relation)
+            relations.end(source, change.relation, change)
         elif isinstance(change, RestructureRelations):
             for relation in change.dropped:
-                self._drop_relation(source, relation)
-            # the created relation starts a fresh lineage
-            self._relation_now.pop(
-                (source, change.new_schema.name), None
-            )
-        elif isinstance(change, AddAttribute):
-            relation = self.current_relation(source, change.relation)
-            if relation is None:
-                return
-            self._added.setdefault((source, relation), []).append(
-                change.attribute
-            )
+                relations.end(source, relation, change)
+            relations.release(source, change.new_schema.name)
         elif isinstance(change, CreateRelation):
-            pass  # a brand-new relation needs no translation
+            relations.release(source, change.schema.name)
+        elif isinstance(change, (RenameAttribute, DropAttribute, AddAttribute)):
+            attributes = relations.live(source, change.relation).attributes
+            if isinstance(change, RenameAttribute):
+                attributes.rename(source, change.old, change.new)
+            elif isinstance(change, DropAttribute):
+                attributes.end(source, change.attribute, change)
+            else:
+                attributes.live(source, change.attribute.name, change)
         # unknown change kinds are ignored: translation is best-effort
-
-    def _rename_relation(self, source: str, old: str, new: str) -> None:
-        current_old = self.current_relation(source, old)
-        for key, now in list(self._relation_now.items()):
-            if key[0] == source and now == old:
-                self._relation_now[key] = new
-        self._relation_now[(source, old)] = new
-        # attribute maps are keyed by current relation name: re-key
-        if current_old is not None:
-            attributes = self._attribute_now.pop(
-                (source, current_old), None
-            )
-            if attributes is not None:
-                self._attribute_now[(source, new)] = attributes
-            added = self._added.pop((source, current_old), None)
-            if added is not None:
-                self._added[(source, new)] = added
-
-    def _drop_relation(self, source: str, relation: str) -> None:
-        for key, now in list(self._relation_now.items()):
-            if key[0] == source and now == relation:
-                self._relation_now[key] = None
-        self._relation_now[(source, relation)] = None
-        self._attribute_now.pop((source, relation), None)
-        self._added.pop((source, relation), None)
 
     # ------------------------------------------------------------------
     # translation
@@ -156,28 +172,30 @@ class SchemaHistory:
 
     def current_relation(self, source: str, name: str) -> str | None:
         """The relation's current name, or None if it was dropped."""
-        return self._relation_now.get((source, name), name)
+        return self.relations.now(source, name)
 
     def committed_names(self, source: str, relation: str) -> list[str]:
         """Every name an update on what is now ``relation`` can have
         committed under: the names whose :meth:`current_relation` is
         ``relation``.  A dropped name is nobody's past."""
-        names = [
-            past
-            for (owner, past), now in self._relation_now.items()
-            if owner == source and now == relation
+        lineage = self.relations.holder(source, relation)
+        if lineage is None:
+            return [relation]
+        if lineage.name != relation:
+            return []
+        return [
+            name
+            for name in dict.fromkeys(lineage.names)
+            if self.relations.holder(source, name) is lineage
         ]
-        if (source, relation) not in self._relation_now:
-            names.append(relation)
-        return names
 
     def current_attribute(
         self, source: str, current_relation: str, past_attribute: str
     ) -> str | None:
-        attributes = self._attribute_now.get((source, current_relation))
-        if attributes is None:
+        lineage = self.relations.holder(source, current_relation)
+        if lineage is None or lineage.name != current_relation:
             return past_attribute
-        return attributes.get(past_attribute, past_attribute)
+        return lineage.attributes.now(source, past_attribute)
 
     def translate_data_update(
         self, source: str, update: DataUpdate
@@ -190,27 +208,29 @@ class SchemaHistory:
         queued).  Returns ``None`` when the relation was dropped;
         returns the update unchanged when nothing recorded affects it.
         """
-        current_name = self.current_relation(source, update.relation)
+        lineage = self.relations.holder(source, update.relation)
+        if lineage is None:
+            return update
+        current_name = lineage.name
         if current_name is None:
             return None
 
+        recorded = lineage.attributes
         stale = update.delta.schema
         attributes: list[Attribute] = []
         positions: list[int | None] = []
         for index, attribute in enumerate(stale.attributes):
-            mapped = self.current_attribute(
-                source, current_name, attribute.name
-            )
+            mapped = recorded.now(source, attribute.name)
             if mapped is None:
                 continue  # dropped since the commit
             attributes.append(Attribute(mapped, attribute.type))
             positions.append(index)
         present = {attribute.name for attribute in attributes}
-        for added in self._added.get((source, current_name), []):
+        for added in recorded.lineages:
             # an added attribute is renamed and dropped like any other
-            mapped = self.current_attribute(source, current_name, added.name)
-            if mapped is not None and mapped not in present:
-                attributes.append(added.renamed(mapped))
+            mapped = added.name
+            if added.added is not None and mapped and mapped not in present:
+                attributes.append(added.added.attribute.renamed(mapped))
                 positions.append(None)
                 present.add(mapped)
 

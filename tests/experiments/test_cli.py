@@ -66,12 +66,12 @@ FLAG_CASES = {
     "journal": (["--journal"], True),
     "checkpoint-every": (["--checkpoint-every", "4"], 4),
     "crash-seed": (["--crash-seed", "11"], CrashPlan.random(11)),
-    "shards": (["--shards", "4"], 4),
     "shard-processes": (["--shard-processes", "2"], 2),
 }
 
 #: config fields the command line deliberately does not set: the
-#: runners choose strategy, scale, seeds, backend and views per arm
+#: runners choose strategy, scale, seeds, backend, views and shards per
+#: arm
 NOT_ON_THE_COMMAND_LINE = {
     "strategy",
     "tuples_per_relation",
@@ -83,6 +83,7 @@ NOT_ON_THE_COMMAND_LINE = {
     "journal_dir",
     "fault_plan",
     "spans",
+    "shards",
 }
 
 
@@ -162,9 +163,6 @@ class TestExecution:
         assert exit_info.value.code == 2
         assert "must be >=" in capsys.readouterr().err
 
-    def test_shards_must_be_positive(self, capsys):
-        self._rejected_by_the_parser(["--shards", "0"], capsys)
-
     def test_shard_processes_must_be_nonnegative(self, capsys):
         self._rejected_by_the_parser(["--shard-processes", "-1"], capsys)
 
@@ -178,8 +176,8 @@ class TestExecution:
         assert "abl-runtime" in cli._runners(full=False)
 
     def test_shard_processes_leaves_the_figures_inline(self, monkeypatch):
-        """A figure testbed is one in-process world: the flag reaches
-        only the two sharded ablations."""
+        """A figure testbed is one in-process world: no shard knob
+        reaches it, the flag reaches only the two sharded ablations."""
         received = {}
         figures = ("fig08", "fig09", "fig10", "fig11", "fig12")
         monkeypatch.setattr(
@@ -201,7 +199,7 @@ class TestExecution:
         for name in figures:
             runners[name]()
             assert received[name].shard_processes == 0
-            assert received[name].shards == 2
+            assert received[name].shards == 1
 
     def test_real_figure_runs_under_shard_processes(self, capsys):
         assert cli.main(["fig09", "--shard-processes", "2"]) == 0

@@ -61,6 +61,11 @@ class TestValidation:
         with pytest.raises(ValueError, match="build_sharded_testbed"):
             build_testbed(PESSIMISTIC, shard_processes=2)
 
+    def test_single_world_testbed_rejects_shards(self):
+        with pytest.raises(ValueError, match="build_sharded_testbed"):
+            build_testbed(PESSIMISTIC, shards=3)
+        build_testbed(PESSIMISTIC, tuples_per_relation=10, shards=1)
+
 
 class TestDerivation:
     def test_crash_plan_implies_journal(self):
@@ -101,7 +106,6 @@ class TestEntryPoints:
         assert testbed.config == config.replace(tuples_per_relation=10)
         assert testbed.manager.view.name == "V"
         assert len(testbed.manager.view.query.relations) == 6
-        assert testbed.warehouse is None  # unrouted single scheduler
 
     def test_sharded_defaults(self):
         config = sharded_config()
@@ -120,8 +124,3 @@ class TestEntryPoints:
             PESSIMISTIC, tuples_per_relation=10, spans=((0, 3), (2, 6))
         )
         assert [m.view.name for m in testbed.manager.managers] == ["V1", "V2"]
-
-    def test_shards_flag_routes_the_single_world(self):
-        testbed = build_testbed(PESSIMISTIC, tuples_per_relation=10, shards=3)
-        assert len(testbed.warehouse.shards) == 1
-        assert testbed.warehouse.shards[0].engine is testbed.engine

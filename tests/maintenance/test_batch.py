@@ -1,6 +1,8 @@
 """Section 5 batch preprocessing: combining SCs, homogenizing DUs
 (the translate + coalesce pair)."""
 
+import pytest
+
 from repro.maintenance.batch import (
     combine_schema_changes,
     data_updates_of,
@@ -10,6 +12,7 @@ from repro.maintenance.grouping import coalesce_data_updates
 from repro.maintenance.history import SchemaHistory
 from repro.relational.delta import Delta
 from repro.relational.schema import Attribute, RelationSchema
+from repro.sources.errors import UpdateApplicationError
 from repro.sources.messages import (
     AddAttribute,
     CreateRelation,
@@ -262,6 +265,7 @@ class TestCombineEmissionHazards:
             ),
             [(1, "v")],
         )
+        source.create_relation(RelationSchema.of("U", ["u"]), [("w",)])
         for _source, change in combined:
             source.commit(change)
         return source
@@ -381,3 +385,29 @@ class TestCombineEmissionHazards:
         assert combined == sequence  # uncombined: always applicable
         source = self.apply_to_source(combined)
         assert source.schema_of("T").attribute_names == ("x", "k")
+
+    @pytest.mark.xfail(
+        strict=True,
+        raises=UpdateApplicationError,
+        reason="the emission order vacates a name early only for an "
+        "attribute rename",
+    )
+    @pytest.mark.parametrize(
+        "sequence",
+        [
+            [DropAttribute("T", "x"), AddAttribute("T", Attribute("x"))],
+            [
+                AddAttribute("U", Attribute("extra")),
+                DropRelation("T"),
+                RenameRelation("U", "T"),
+            ],
+        ],
+        ids=["re-added attribute", "relation renamed into a dropped name"],
+    )
+    def test_a_reused_name_can_outrun_its_vacating_change(self, sequence):
+        """Pinned limitation: a dropped attribute name added again, or a
+        relation touched first and renamed into a name dropped later,
+        combines to a list whose reuse precedes the drop."""
+        self.apply_to_source(
+            combine_schema_changes([("s", change) for change in sequence])
+        )

@@ -64,6 +64,35 @@ class TestRelationLineage:
         assert history.current_relation("s2", "R") == "R"
 
 
+class TestReusedNames:
+    """A reused name is its latest holder's."""
+
+    def test_a_relation_renamed_into_a_dropped_name_holds_it(self):
+        history = SchemaHistory()
+        history.record("s", DropRelation("R"))
+        history.record("s", RenameRelation("S", "R"))
+        assert history.current_relation("s", "R") == "R"
+        assert history.current_relation("s", "S") == "R"
+        assert sorted(history.committed_names("s", "R")) == ["R", "S"]
+        update = du([(1, "x", "y")])
+        assert history.translate_data_update("s", update) is update
+
+    def test_a_recreated_relation_is_not_the_dropped_one(self):
+        history = SchemaHistory()
+        history.record("s", RenameAttribute("R", "a", "a2"))
+        history.record("s", DropRelation("R"))
+        history.record("s", CreateRelation(R))
+        update = du([(1, "x", "y")])
+        assert history.translate_data_update("s", update) is update
+        assert history.committed_names("s", "R") == ["R"]
+
+    def test_a_renamed_away_name_is_nobodys_committed_name(self):
+        history = SchemaHistory()
+        history.record("s", RenameRelation("R", "S"))
+        assert history.committed_names("s", "R") == []
+        assert history.committed_names("s", "S") == ["R", "S"]
+
+
 class TestAttributeLineage:
     def test_attribute_rename_chain(self):
         history = SchemaHistory()

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.strategies import OPTIMISTIC, PESSIMISTIC
-from repro.experiments.testbed import build_testbed
+from repro.experiments.testbed import build_sharded_testbed, build_testbed
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan
 from repro.relational.executor import executor_mode, set_executor_mode
@@ -40,14 +40,10 @@ def _run(
     sc_count,
     workers=None,
     fault_seed=None,
-    shards=1,
 ):
     set_executor_mode(mode)
     testbed = build_testbed(
-        strategy,
-        tuples_per_relation=30,
-        parallel_workers=workers,
-        shards=shards,
+        strategy, tuples_per_relation=30, parallel_workers=workers
     )
     if fault_seed is not None:
         plan = FaultPlan.random(
@@ -127,6 +123,28 @@ def test_mode_invariance_parallel_and_faulted(
     )
 
 
+def _run_sharded(mode, strategy, seed, du_count, sc_count):
+    """Two shard worlds of span subviews behind the coordinator."""
+    set_executor_mode(mode)
+    testbed = build_sharded_testbed(
+        strategy, shards=2, tuples_per_relation=30
+    )
+    testbed.schedule_du_workload(
+        du_count, start=0.0, interval=0.01, seed=seed, key_domain=8
+    )
+    if sc_count:
+        testbed.schedule_sc_workload(
+            sc_count, start=0.05, interval=0.07, seed=seed + 1
+        )
+    testbed.run()
+    assert testbed.check_consistency()
+    return (
+        testbed.extent_rows(),
+        testbed.committed_updates(),
+        testbed.shard_clocks(),
+    )
+
+
 @given(
     strategy=strategies,
     seed=st.integers(min_value=0, max_value=10_000),
@@ -135,12 +153,5 @@ def test_mode_invariance_parallel_and_faulted(
 )
 @settings(max_examples=8, deadline=None)
 def test_mode_invariance_sharded(strategy, seed, du_count, sc_count):
-    assert_invariant(
-        dict(
-            strategy=strategy,
-            seed=seed,
-            du_count=du_count,
-            sc_count=sc_count,
-            shards=2,
-        )
-    )
+    arm = (strategy, seed, du_count, sc_count)
+    assert _run_sharded("compiled", *arm) == _run_sharded("naive", *arm)

@@ -11,18 +11,20 @@ abort, reorders with merges) interleaved with installed schema changes
 additions), with in-unit extras, in-flight messages and a parallel
 worker's overlay, asked at cut-offs either side of a commit.
 
-Names are minted once, relation and attribute names alike: the schema
-history is keyed by name (``SchemaHistory``: "a name is never reused"),
-as the workload generators guarantee by versioning every rename
-(``R__v2``).  The world used to hand a renamed-away attribute name out
-again; about one run in several then translated two stale attributes
-onto one name (``DuplicateAttributeError``).  The seeds that did are
-pinned as examples below, the smallest such world as its own test.
+Names are minted once, relation and attribute names alike.  The schema
+history reads a reused name as its latest holder's (``SchemaHistory``),
+which is right for every update a legal schedule can still hold
+pending; this world records a change the moment it commits while
+updates under the earlier holder stay queued, an order semantic
+dependencies never allow, so it does not reuse names.  It used to hand
+a renamed-away attribute name out again, and under the old name-keyed
+history about one run in several translated two stale attributes onto
+one name (``DuplicateAttributeError``).  The seeds that did are pinned
+as examples below, the smallest such world as its own test.
 """
 
 import random
 
-import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -297,15 +299,18 @@ def _added_then_renamed(readded: str):
     ]
 
 
-def test_a_reused_attribute_name_is_outside_the_history_contract():
-    """The smallest world that failed: with ``q`` handed out twice, an
-    update committed under the last layout names the second ``q``, and a
-    name-keyed history reads it as the first: both land on ``p``."""
-    from repro.relational.errors import DuplicateAttributeError
-
+def test_a_reused_attribute_name_follows_its_latest_holder():
+    """The smallest world that failed under a name-keyed history: with
+    ``q`` added, renamed to ``p`` and added again, an update committed
+    under the last layout ``[a, b, p, q]`` names the second ``q`` and
+    translates to itself (the name-keyed history put both ``p`` and
+    ``q`` on ``p``: ``DuplicateAttributeError``); one committed before
+    either addition is padded to that layout."""
     history, updates = _added_then_renamed("q")
-    with pytest.raises(DuplicateAttributeError, match="'p' in relation 'X'"):
-        history.translate_data_update("s", updates[-1])
+    assert history.translate_data_update("s", updates[-1]) is updates[-1]
+    padded = history.translate_data_update("s", updates[0])
+    assert padded.delta.schema.attribute_names == ("a", "b", "p", "q")
+    assert list(padded.delta.items()) == [(("a", "b", None, None), 1)]
 
 
 def test_an_added_attribute_is_renamed_and_dropped_like_any_other():
