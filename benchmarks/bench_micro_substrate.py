@@ -4,8 +4,8 @@ These are classic repeated-timing benchmarks (unlike the figure benches,
 which run a whole simulated experiment once): the hash-join executor,
 delta application, probe compensation, the snapshot cache's fold, one
 end-to-end DU maintenance,
-the detection substrate (graph build, legal order, one rename
-arrival, a burst of forty) and a seven-round view adaptation.
+the detection substrate (graph build, legal order, the class-graph
+order, one rename arrival, a burst of forty) and a seven-round view adaptation.
 """
 
 import random
@@ -298,6 +298,21 @@ def test_micro_legal_order(benchmark):
     messages = _synthetic_queue(400, 20)
     graph = detect(messages, full_join_query()).graph
     benchmark(graph.legal_order)
+
+
+def test_micro_class_order(benchmark):
+    """The same queue ordered as the live substrate orders it: over the
+    class graph, no message-level edge built; groups equal the
+    message-level order."""
+    messages = _synthetic_queue(400, 20)
+    umq = UpdateMessageQueue()
+    substrate = IncrementalDependencyGraph(
+        umq, lambda query=full_join_query(): (query,)
+    )
+    for message in messages:
+        umq.receive(message)
+    groups = benchmark(lambda: substrate.detection().groups)
+    assert groups == detect(messages, full_join_query()).groups
 
 
 def test_micro_rename_arrival(benchmark):

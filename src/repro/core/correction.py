@@ -51,12 +51,13 @@ def correct(
     The returned units preserve FIFO order wherever dependencies allow;
     messages inside a merged batch keep their commit order so batch
     preprocessing (Section 5) can combine them correctly.  A caller
-    holding an already-built graph (the incremental detection substrate)
-    passes it as ``detection`` to skip the from-scratch build.
+    holding a detection round already (the incremental detection
+    substrate's class-graph order) passes it as ``detection`` to skip
+    the from-scratch build.
     """
     if detection is None:
         detection = detect(messages, view_query, rewritten_query)
-    groups = detection.graph.legal_order()
+    groups = detection.groups
     units = [
         MaintenanceUnit([messages[index] for index in group])
         for group in groups

@@ -27,22 +27,23 @@ from .graph import DependencyGraph
 
 @dataclass
 class DetectionResult:
-    """The dependency graph of the current UMQ plus derived facts."""
+    """What correction reads of a detection round: the graph's size
+    (the cost model charges it) and its legal order."""
 
-    graph: DependencyGraph
-    unsafe: list[Dependency]
+    node_count: int
+    edge_count: int
+    groups: list[list[int]]
+    #: the message-level graph; :func:`detect` builds one, the live
+    #: substrate never does
+    graph: DependencyGraph | None = None
+
+    @property
+    def unsafe(self) -> list[Dependency]:
+        return self.graph.unsafe_dependencies()
 
     @property
     def has_unsafe(self) -> bool:
-        return bool(self.unsafe)
-
-    @property
-    def node_count(self) -> int:
-        return self.graph.node_count
-
-    @property
-    def edge_count(self) -> int:
-        return self.graph.edge_count
+        return self.graph.has_unsafe()
 
 
 def detect(
@@ -58,4 +59,6 @@ def detect(
     """
     dependencies = find_dependencies(messages, view_query, rewritten_query)
     graph = DependencyGraph(len(messages), dependencies)
-    return DetectionResult(graph, graph.unsafe_dependencies())
+    return DetectionResult(
+        graph.node_count, graph.edge_count, graph.legal_order(), graph
+    )

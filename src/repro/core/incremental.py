@@ -26,9 +26,11 @@ schema changes x footprint *classes*, not schema changes x queue length:
     resolver is replaced only by a rebuild — so the memo lives exactly
     as long as the resolver.
 
-  ``dependencies()`` / ``detection()`` expand ``(schema change, class
-  member)`` pairs on demand; ``edge_count``, the edge tally of a removal
-  and every modelled-work counter are arithmetic over class sizes.  The
+  No scheduler path builds a ``Dependency`` (``dependencies()`` expands
+  them for tests and ABL-5): ``detection()`` orders a *class graph*,
+  ``ready_units()`` reads chains and classes, and ``edge_count``, the
+  edge tally of a removal and every modelled-work counter are
+  arithmetic over class sizes.  The
   *modelled* work (``consume_work``) is still the paper's O(mn) — a DU
   arrival is charged m conflict tests, a rebuild n nodes plus every
   edge — because the scheduler turns it into virtual time; the *wall*
@@ -40,9 +42,10 @@ schema changes x footprint *classes*, not schema changes x queue length:
   from-scratch rebuild — the twin of
   :func:`~repro.core.dependencies.find_dependencies`, which stays the
   property-test oracle — is the fallback when the resolver changes (a
-  rename/restructure arrives, leaves or is reordered) and when the view
-  definitions may have (an SC-bearing unit leaves the head, or commits
-  after the parallel executor dispatched it mid-queue).
+  rename/restructure leaves or is reordered; one that arrives keeps the
+  mirror and only re-files) and when the view definitions may have (an
+  SC-bearing unit leaves the head, or commits after the parallel
+  executor dispatched it mid-queue).
 
   Invalidation is one rule — a derived value is recomputed only when
   something it read changed; what each memo reads, and the rest of the
@@ -76,7 +79,7 @@ from .dependencies import (
     footprint_of_update,
 )
 from .detection import DetectionResult
-from .graph import DependencyGraph
+from .graph import legal_order
 
 #: edge kinds of the expanded ``Dependency`` tuples
 _CD = DependencyKind.CONCURRENT
@@ -86,6 +89,14 @@ _SD = DependencyKind.SEMANTIC
 def _footprint_once(query, exclude_aliases=frozenset()) -> Footprint:
     """:func:`footprint_of_query`, once per (immutable) query object."""
     return query.derived(footprint_of_query, exclude_aliases)
+
+
+def _unfile(groups: dict, key, absolute: int) -> None:
+    """Drop ``absolute`` from ``groups[key]``, and an emptied group."""
+    members = groups[key]
+    members.discard(absolute)
+    if not members:
+        del groups[key]
 
 
 def lineage_affecting(message: UpdateMessage) -> bool:
@@ -178,15 +189,18 @@ class FootprintCache:
         self.validate()
         return self.lookup(message, resolver)
 
+    @staticmethod
+    def key(message: UpdateMessage) -> object:
+        """What a footprint is a function of, beyond the epoch."""
+        if message.is_schema_change:
+            return id(message)
+        return message.source, message.payload.relation
+
     def lookup(
         self, message: UpdateMessage, resolver: NameResolver
     ) -> Footprint:
         """:meth:`footprint` without the epoch check."""
-        key = (
-            id(message)
-            if message.is_schema_change
-            else (message.source, message.payload.relation)
-        )
+        key = self.key(message)
         entry = self._entries.get(key)
         if entry is not None:
             self.hits += 1
@@ -271,6 +285,8 @@ class IncrementalDependencyGraph:
         self._filed: dict[int, Footprint] = {}
         #: footprint value -> the absolute ids filed under it (a class)
         self._classes: dict[Footprint, set[int]] = {}
+        #: cache key -> the absolute ids under it (one lookup files all)
+        self._keyed: dict[object, set[int]] = {}
         #: queued schema change -> {footprint value: does it conflict?}
         self._verdicts: dict[int, dict[Footprint, bool]] = {}
         # -- counters ---------------------------------------------------
@@ -383,9 +399,22 @@ class IncrementalDependencyGraph:
         return edges
 
     def detection(self) -> DetectionResult:
-        """A :class:`DetectionResult` served from the live graph."""
-        graph = DependencyGraph(self.node_count, self.dependencies())
-        return DetectionResult(graph, graph.unsafe_dependencies())
+        """The round's size, and its legal order over the class graph:
+        a conflicting class is one node between its changes and members."""
+        position_of = self._positions()
+        adjacency: list[list[int]] = [[] for _ in self._order]
+        for before, after in self._semantic():
+            adjacency[position_of[before]].append(position_of[after])
+        class_node: dict[int, int] = {}
+        for sc_abs in self._verdicts:
+            for members in self._invalidated(sc_abs):
+                node = class_node.get(id(members))
+                if node is None:
+                    node = class_node[id(members)] = len(adjacency)
+                    adjacency.append([position_of[m] for m in members])
+                adjacency[position_of[sc_abs]].append(node)
+        order = legal_order(adjacency, self.node_count)
+        return DetectionResult(self.node_count, self.edge_count, order)
 
     def footprint_at(self, index: int) -> Footprint:
         """Cached normalized footprint of the message at queue position
@@ -425,21 +454,22 @@ class IncrementalDependencyGraph:
     # ------------------------------------------------------------------
 
     def unit_dependencies(self) -> set[tuple[int, int]]:
-        """Inter-unit ``(before_unit, after_unit)`` index pairs.
-
-        A message-level edge between two messages of the *same* unit is
-        internal (the unit is maintained atomically) and dropped.
-        """
-        unit_of: list[int] = []
-        for unit_index, unit in enumerate(self._umq.units):
-            unit_of.extend([unit_index] * len(unit))
-        pairs: set[tuple[int, int]] = set()
-        for dependency in self.dependencies():
-            before = unit_of[dependency.before_index]
-            after = unit_of[dependency.after_index]
-            if before != after:
-                pairs.add((before, after))
-        return pairs
+        """Inter-unit ``(before_unit, after_unit)`` index pairs, read off
+        the chains and the conflicting classes; a pair inside one unit is
+        internal (the unit is maintained atomically) and dropped."""
+        units = self._umq.units
+        if len(units) < 2:
+            return set()
+        indices = (i for i, unit in enumerate(units) for _ in unit.messages)
+        unit_of = dict(zip(self._order, indices))
+        pairs = {(unit_of[a], unit_of[b]) for a, b in self._semantic()}
+        for sc_abs in self._verdicts:
+            pairs.update(
+                (unit_of[sc_abs], unit_of[member])
+                for members in self._invalidated(sc_abs)
+                for member in members
+            )
+        return {(before, after) for before, after in pairs if before != after}
 
     def ready_units(self) -> list[int]:
         """Queue indices of units with no queued predecessor.
@@ -468,6 +498,21 @@ class IncrementalDependencyGraph:
     # chains and classes
     # ------------------------------------------------------------------
 
+    def _append(self, message: UpdateMessage) -> int:
+        """Mirror a message at the tail of the queue (unfiled)."""
+        absolute = self._next_abs
+        self._next_abs += 1
+        self._order.append(absolute)
+        self._message_of[absolute] = message
+        if self._pos is not None:
+            self._pos[absolute] = len(self._order) - 1
+        self._keyed.setdefault(self.cache.key(message), set()).add(absolute)
+        if message.is_schema_change:
+            self._verdicts[absolute] = {}
+        self._lineage_count += lineage_affecting(message)
+        self._link(absolute)
+        return absolute
+
     def _relink(self) -> None:
         """Re-derive the (order-dependent) touch chains."""
         self._chains = {}
@@ -476,33 +521,48 @@ class IncrementalDependencyGraph:
             self._link(absolute)
 
     def _link(self, absolute: int) -> None:
+        """Append a node to its chains (a known pair set gains the new
+        consecutive pairs)."""
         message = self._message_of[absolute]
         for relation in message.touched_relations():
-            self._chains.setdefault((message.source, relation), []).append(
-                absolute
-            )
+            chain = self._chains.setdefault((message.source, relation), [])
+            if chain and self._sd is not None:
+                self._sd.add((chain[-1], absolute))
+            chain.append(absolute)
 
-    def _file(self, absolute: int) -> None:
-        """File a node under its (cached) footprint value."""
-        footprint = self._filed[absolute] = self.cache.lookup(
-            self._message_of[absolute], self._resolver
+    def _file(self, absolutes) -> None:
+        """File nodes of one cache key under their (cached) footprint
+        value: one lookup, however many nodes."""
+        footprint = self.cache.lookup(
+            self._message_of[next(iter(absolutes))], self._resolver
         )
-        self._classes.setdefault(footprint, set()).add(absolute)
+        self._filed.update(dict.fromkeys(absolutes, footprint))
+        self._classes.setdefault(footprint, set()).update(absolutes)
 
     def _refile(self) -> None:
-        """File every queued node afresh (the cache decides what is
-        recomputed: a DU footprint once per relation)."""
+        """File every queued node afresh, one lookup per cache key (the
+        DUs of one relation together, a schema change alone)."""
         self._filed = {}
         self._classes = {}
-        for absolute in self._order:
-            self._file(absolute)
+        for group in self._keyed.values():
+            self._file(group)
 
     # ------------------------------------------------------------------
     # from-scratch rebuild (the fallback and the oracle's twin)
     # ------------------------------------------------------------------
 
     def _rebuild(self, clear_cache: bool) -> None:
-        """Recompute the mirror from the queue, footprints via cache.
+        """Recompute the mirror from the queue, then :meth:`_resolve`."""
+        self._order, self._message_of, self._keyed = [], {}, {}
+        self._chains, self._verdicts, self._pos, self._sd = {}, {}, None, None
+        self._lineage_count = 0
+        for message in self._umq.messages():
+            self._append(message)
+        self._resolve(clear_cache)
+
+    def _resolve(self, clear_cache: bool) -> None:
+        """A new resolver over the mirrored queue: every node re-filed,
+        every verdict dropped; charged as a from-scratch build.
 
         ``clear_cache`` is set when the rename lineage set changed (the
         resolver is a normalization input the epoch cannot see); view
@@ -511,24 +571,13 @@ class IncrementalDependencyGraph:
         if clear_cache:
             self.cache.clear()
         self.cache.validate()
-        messages = self._umq.messages()
-        self._order = list(range(len(messages)))
-        self._message_of = dict(enumerate(messages))
-        self._next_abs = len(messages)
-        self._resolver = NameResolver(messages)
-        self._lineage_count = sum(map(lineage_affecting, messages))
-        # A new resolver: every memoized verdict dies with the old one.
-        self._verdicts = {
-            absolute: {}
-            for absolute, message in enumerate(messages)
-            if message.is_schema_change
-        }
-        self._relink()
+        self._resolver = NameResolver(self._umq.messages())
+        self._verdicts = {sc_abs: {} for sc_abs in self._verdicts}
         self._refile()
         self.rebuilds += 1
         if self._metrics is not None:
             self._metrics.graph_rebuilds += 1
-        self._work_full_nodes += len(messages)
+        self._work_full_nodes += len(self._order)
         self._work_full_edges += self.edge_count
 
     # ------------------------------------------------------------------
@@ -544,26 +593,20 @@ class IncrementalDependencyGraph:
         self._work_inc_edges += edges
 
     def umq_received(self, message: UpdateMessage) -> None:
+        queued_changes = len(self._verdicts)
+        absolute = self._append(message)
         if lineage_affecting(message):
             # The resolver gains a lineage link: every normalized
-            # footprint may change, so may every concurrent edge.
-            self._rebuild(clear_cache=True)
+            # footprint may change, so may every concurrent edge.  The
+            # chains only grew at the tail, so they stay.
+            self._resolve(clear_cache=True)
             return
         self.cache.validate()
-        absolute = self._next_abs
-        self._next_abs += 1
-        self._order.append(absolute)
-        self._message_of[absolute] = message
-        if self._pos is not None:
-            self._pos[absolute] = len(self._order) - 1
-        self._sd = None
-        self._link(absolute)
-        queued_changes = len(self._verdicts)
         if not message.is_schema_change:
             # Charged O(m) — only the queued schema changes can depend
             # on a DU — but nothing is tested until an edge is asked for.
             self._charge_incremental(1, queued_changes)
-            self._file(absolute)
+            self._file((absolute,))
             return
         # A (non-lineage) schema change.  Its source commit may have
         # drifted the source schemas that speculative rewrites consult
@@ -575,7 +618,6 @@ class IncrementalDependencyGraph:
         self._charge_incremental(
             1, len(self._order) - 1 + queued_changes * queued_changes
         )
-        self._verdicts[absolute] = {}
         self._refile()
 
     def _remove_span(self, index: int, count: int) -> None:
@@ -593,11 +635,9 @@ class IncrementalDependencyGraph:
                 self._conflicts(sc_abs, footprint)
                 for sc_abs in self._verdicts
             )
-            members = self._classes[footprint]
-            members.discard(absolute)
-            if not members:
-                del self._classes[footprint]
             message = self._message_of.pop(absolute)
+            _unfile(self._classes, footprint, absolute)
+            _unfile(self._keyed, self.cache.key(message), absolute)
             for relation in message.touched_relations():
                 self._chains[message.source, relation].remove(absolute)
         del self._order[index : index + count]

@@ -430,49 +430,33 @@ class DynoScheduler:
             # units afresh.
             self._counted_deferred_ids.clear()
 
-    def _deferred_unit_indices(self) -> tuple[set[int], int, int]:
+    def _deferred_unit_indices(self) -> set[int]:
         """Units that must wait for a quarantined source to recover.
 
         Reuses the Definition 3/4 machinery: a unit is *directly*
         deferred when any of its messages' maintenance footprints reads
-        a quarantined source; deferral then propagates along dependency
-        edges (``before`` deferred => ``after`` deferred) so demoting
-        active units past deferred ones can never violate a CD or SD.
-        Returns (deferred unit indices, node count, edge count) for cost
-        accounting.
+        a quarantined source; deferral then propagates along the
+        unit-level blocking relation ``ready_units`` reads (``before``
+        deferred => ``after`` deferred) so demoting active units past
+        deferred ones can never violate a CD or SD.
         """
-        units = list(self.umq.units)
-        messages: list[UpdateMessage] = []
-        unit_of: list[int] = []
-        for unit_index, unit in enumerate(units):
-            for message in unit:
-                messages.append(message)
-                unit_of.append(unit_index)
-        # Footprints and dependencies are served from the live
-        # substrate: one cached lookup per message instead of a full
-        # recomputation per deferral pass.
-        footprints = [
-            self.substrate.footprint_at(index)
-            for index in range(len(messages))
-        ]
-        dependencies = self.substrate.dependencies()
-        deferred: set[int] = set()
-        for index, footprint in enumerate(footprints):
+        # Footprints and unit pairs are served from the live substrate:
+        # one cached lookup per message, no message-level edge.
+        unit_of = [i for i, unit in enumerate(self.umq.units) for _ in unit]
+        deferred = {
+            unit_index
+            for index, unit_index in enumerate(unit_of)
             if any(
                 source in self._quarantined
-                for source, _relation in footprint.relations
-            ):
-                deferred.add(unit_of[index])
-        changed = True
-        while changed:
-            changed = False
-            for dependency in dependencies:
-                before = unit_of[dependency.before_index]
-                after = unit_of[dependency.after_index]
-                if before in deferred and after not in deferred:
-                    deferred.add(after)
-                    changed = True
-        return deferred, len(messages), len(dependencies)
+                for source, _ in self.substrate.footprint_at(index).relations
+            )
+        }
+        pairs = self.substrate.unit_dependencies()
+        while True:
+            reached = {after for before, after in pairs if before in deferred}
+            if reached <= deferred:
+                return deferred
+            deferred |= reached
 
     def _make_runnable_head(self) -> bool:
         """Move quarantine-independent units ahead of deferred ones.
@@ -483,13 +467,15 @@ class DynoScheduler:
         time and counts a graph build — detection work is never free
         virtual time, demotion or not.
         """
-        deferred, nodes, edges = self._deferred_unit_indices()
+        deferred = self._deferred_unit_indices()
         self.manager.metrics.graph_builds += 1
         # The pass itself sweeps cached footprints and propagates
         # deferral along the edges: incremental-rate work.
         detection_cost = (
             self._detection_work_cost()
-            + self.manager.cost.detection_incremental(nodes, edges)
+            + self.manager.cost.detection_incremental(
+                self.substrate.node_count, self.substrate.edge_count
+            )
         )
         if not deferred:
             self._counted_deferred_ids.clear()

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import settings
 
 from repro import (
     AttributeReplacement,
@@ -20,6 +21,31 @@ from repro import (
     ViewManager,
     attr,
 )
+
+# Two Hypothesis profiles.  ``tier1`` (the default) draws the same
+# examples on every run, so two runs report the same pass set.
+# ``explore`` (``pytest --hypothesis-profile explore``) draws fresh ones,
+# ten times each test's ``max_examples``; a failure prints its falsifying
+# example, which is the ``@example`` line to pin.
+settings.register_profile("tier1", derandomize=True, database=None)
+settings.register_profile("explore", derandomize=False)
+settings.load_profile("tier1")
+
+EXPLORE_FACTOR = 10
+
+
+def pytest_collection_modifyitems(config, items):
+    """Under ``explore``, scale every property test's own budget (the
+    profile cannot: a test's ``@settings`` overrides it)."""
+    if config.getoption("hypothesis_profile", None) != "explore":
+        return
+    for test in {getattr(item.obj, "__func__", item.obj) for item in items}:
+        own = getattr(test, "_hypothesis_internal_use_settings", None)
+        if own is not None and hasattr(test, "hypothesis"):
+            test._hypothesis_internal_use_settings = settings(
+                own, max_examples=own.max_examples * EXPLORE_FACTOR
+            )
+
 
 STORE_SCHEMA = RelationSchema.of(
     "Store", [("SID", AttributeType.INT), "Store"]

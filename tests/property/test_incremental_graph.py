@@ -8,7 +8,11 @@ bit-identical to a from-scratch
 :func:`~repro.core.dependencies.find_dependencies` over the same
 messages.  These tests drive random interleavings and check that
 contract after every single mutation, plus the footprint-cache epoch
-(view-version) invalidation rules.
+(view-version) invalidation rules.  The scheduler's two questions are
+answered without that edge set — ``detection()`` orders a class graph,
+``ready_units()`` reads chains and classes — so both are checked against
+the oracle too: the legal order of the message-level graph, and the
+unit fold of its edges (:func:`unit_fold`).
 
 Speculative rewrites are live: the substrate is wired as a scheduler
 wires it (a real :class:`~repro.maintenance.vs.ViewSynchronizer` over
@@ -228,6 +232,39 @@ def _reordered_units(umq: UpdateMessageQueue, seed: int):
     return units
 
 
+def unit_fold(umq: UpdateMessageQueue, dependencies) -> set[tuple[int, int]]:
+    """Inter-unit ``(before_unit, after_unit)`` pairs of message-level
+    edges; an edge inside one unit is internal and dropped."""
+    unit_of: list[int] = []
+    for unit_index, unit in enumerate(umq.units):
+        unit_of.extend([unit_index] * len(unit))
+    pairs: set[tuple[int, int]] = set()
+    for dependency in dependencies:
+        before = unit_of[dependency.before_index]
+        after = unit_of[dependency.after_index]
+        if before != after:
+            pairs.add((before, after))
+    return pairs
+
+
+def _check_scheduling(umq, incremental, oracle) -> None:
+    """The class-graph order and the class-read ready set equal what the
+    message-level ``oracle`` edges give."""
+    messages = umq.messages()
+    detection = incremental.detection()
+    assert detection.groups == (
+        DependencyGraph(len(messages), oracle).legal_order()
+    )
+    assert detection.node_count == len(messages)
+    assert detection.edge_count == len(oracle)
+    fold = unit_fold(umq, oracle)
+    assert incremental.unit_dependencies() == fold
+    blocked = {after for _before, after in fold}
+    assert incremental.ready_units() == [
+        index for index in range(len(umq.units)) if index not in blocked
+    ]
+
+
 def _check_equivalence(
     umq: UpdateMessageQueue,
     incremental: IncrementalDependencyGraph,
@@ -248,13 +285,7 @@ def _check_equivalence(
     # must agree, and the expansion must not repeat an edge.
     assert len(edges) == len(got) == incremental.edge_count
     assert incremental.node_count == len(messages)
-    # The corrected schedule must also match (legal_order is
-    # deterministic given the same node/edge sets).
-    oracle_graph = DependencyGraph(len(messages), oracle)
-    assert (
-        incremental.detection().graph.legal_order()
-        == oracle_graph.legal_order()
-    )
+    _check_scheduling(umq, incremental, oracle)
 
 
 #: op kind -> the ``_Stream`` method that makes (and "commits") it
@@ -347,6 +378,61 @@ def test_unit_removal_with_schema_changes_rebuilds_consistently(ops):
         umq.remove_head()
         _check_equivalence(umq, incremental, stream.rewritten)
     _check_equivalence(umq, incremental, stream.rewritten)
+
+
+class TestClassGraph:
+    """The class graph's corner cases, each against the oracle."""
+
+    def _queue(self, *ops):
+        umq = UpdateMessageQueue()
+        stream = _Stream()
+        incremental = stream.substrate(umq)
+        for kind, argument in ops:
+            umq.receive(getattr(stream, MAKERS[kind])(argument))
+        return umq, incremental, stream
+
+    @staticmethod
+    def _in_own_conflicting_class(incremental, position: int) -> bool:
+        absolute = incremental._order[position]
+        return incremental._conflicts(absolute, incremental._filed[absolute])
+
+    def test_a_change_in_its_own_conflicting_class_merges_nothing(self):
+        """``s -> C -> s`` is a cycle holding one real node."""
+        umq, incremental, stream = self._queue(("du", 2), ("drop", 0))
+        assert self._in_own_conflicting_class(incremental, 1)
+        _check_equivalence(umq, incremental, stream.rewritten)
+        assert incremental.detection().groups == [[1], [0]]
+
+    def test_a_cycle_through_one_class_node_merges_its_changes(self):
+        """Two drops pruned out of the view share the view's footprint
+        and each conflicts with it: their only cycle runs through the
+        one class node, and it merges them."""
+        umq, incremental, stream = self._queue(
+            ("drop", 0), ("du", 0), ("drop", 1)
+        )
+        assert incremental._filed[0] is incremental._filed[2]
+        assert self._in_own_conflicting_class(incremental, 0)
+        assert self._in_own_conflicting_class(incremental, 2)
+        _check_equivalence(umq, incremental, stream.rewritten)
+        assert [0, 2] in incremental.detection().groups
+
+    def test_du_only_batch_units(self):
+        """Voluntary DU batches: a chain pair inside a batch is internal,
+        one across batches blocks the later batch."""
+        umq, incremental, stream = self._queue(
+            *[("du", relation) for relation in (0, 1, 0, 1, 2, 0)]
+        )
+        units = umq.units
+        umq.replace_order(
+            [
+                MaintenanceUnit.merged(units[0:3]),
+                MaintenanceUnit.merged(units[3:5]),
+                units[5],
+            ]
+        )
+        _check_equivalence(umq, incremental, stream.rewritten)
+        assert incremental.unit_dependencies() == {(0, 1), (0, 2)}
+        assert incremental.ready_units() == [0]
 
 
 class TestFootprintCacheEpoch:

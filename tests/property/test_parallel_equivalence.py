@@ -13,6 +13,7 @@ relation) keys, and SC-bearing or batch units must have run solo
 (the barrier rule that covers all conflict-dependency edges).
 """
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -133,3 +134,18 @@ def test_parallel_matches_serial_oracle_under_faults(
     report = check_convergence(parallel.manager)
     assert report.consistent, report.summary()
     _audit(parallel.scheduler)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="known bug: under this draw's fault plan the *serial* arm "
+    "ends INCONSISTENT (39 rows against a 37-row recompute); the "
+    "parallel arm converges",
+)
+def test_under_faults_pessimistic_seed_15():
+    """A draw of :func:`test_parallel_matches_serial_oracle_under_faults`
+    that fails, found by the ``explore`` profile and pinned here."""
+    test_parallel_matches_serial_oracle_under_faults.hypothesis.inner_test(
+        strategy=PESSIMISTIC, seed=15, workers=2, du_count=11, sc_count=2
+    )

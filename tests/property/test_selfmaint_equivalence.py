@@ -11,6 +11,7 @@ the committed (source, seqno) set with the store ON must be identical
 to the store-OFF run.  Only the cost/round-trip metrics may differ.
 """
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -183,6 +184,21 @@ def test_aux_matches_bare_under_faults(
     assert committed_on == committed_off
     report = check_convergence(on.manager)
     assert report.consistent, report.summary()
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="known bug: the aux-on view keeps one extra row after R6.A6 "
+    "is dropped and R5 renamed under faults (fault seed 886); the "
+    "aux-off arm converges",
+)
+def test_aux_under_faults_pessimistic_seed_809():
+    """The draw of :func:`test_aux_matches_bare_under_faults` that fails,
+    pinned so a fresh draw cannot hide it."""
+    test_aux_matches_bare_under_faults.hypothesis.inner_test(
+        strategy=PESSIMISTIC, seed=809, workers=3, du_count=11, sc_count=2
+    )
 
 
 @given(
