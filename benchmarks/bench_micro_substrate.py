@@ -150,8 +150,14 @@ def test_micro_delta_apply(benchmark):
     benchmark(apply_round)
 
 
+#: ``miss``: a one-value IN-list no leaked or gap row matches — the
+#: spine's shape (on ``du_local`` over 99 % of gap rows miss the probe)
+_MISS = frozenset({-1})
+
+
+@pytest.mark.parametrize("miss", [False, True], ids=["hit", "miss"])
 @pytest.mark.parametrize("pending", [1, 20, 200])
-def test_micro_compensation(benchmark, pending):
+def test_micro_compensation(benchmark, pending, miss):
     """One probe answer compensated for ``pending`` leaked updates of
     mixed sign (every third one a delete): the spine's ``du_burst``
     compensates ~20 deep, a full-size burst hundreds."""
@@ -159,7 +165,9 @@ def test_micro_compensation(benchmark, pending):
     query = SPJQuery(
         relations=(RelationRef("s", "R", "R"),),
         projection=(attr("R", "k"), attr("R", "a")),
-        selection=InPredicate(attr("R", "k"), frozenset(range(1000))),
+        selection=InPredicate(
+            attr("R", "k"), _MISS if miss else frozenset(range(1000))
+        ),
     )
     leaked = []
     for index in range(pending):
@@ -171,11 +179,15 @@ def test_micro_compensation(benchmark, pending):
             update = DataUpdate.delete(R, [row])
         leaked.append(UpdateMessage("s", index, 0.0, update))
     corrected = benchmark(compensate_answer, answer, query, "R", leaked)
-    assert len(corrected) == 1_000 + len(range(0, pending, 3))
+    if miss:
+        assert corrected == answer
+    else:
+        assert len(corrected) == 1_000 + len(range(0, pending, 3))
 
 
+@pytest.mark.parametrize("miss", [False, True], ids=["hit", "miss"])
 @pytest.mark.parametrize("gap", [1, 20, 200])
-def test_micro_cache_fold(benchmark, gap):
+def test_micro_cache_fold(benchmark, gap, miss):
     """One cached probe answer patched forward through ``gap`` committed
     updates of its relation (every third one a delete): the spine's
     ``du_local`` folds ~25 deep, a cold key hundreds."""
@@ -183,7 +195,9 @@ def test_micro_cache_fold(benchmark, gap):
     query = SPJQuery(
         relations=(RelationRef("s", "R", "R"),),
         projection=(attr("R", "k"), attr("R", "a")),
-        selection=InPredicate(attr("R", "k"), frozenset(range(0, 1000, 2))),
+        selection=InPredicate(
+            attr("R", "k"), _MISS if miss else frozenset(range(0, 1000, 2))
+        ),
     )
     deltas = []
     for index in range(gap):
@@ -196,7 +210,7 @@ def test_micro_cache_fold(benchmark, gap):
     cache = SnapshotCache()
     # every other key is probed: half the gap's rows are effect rows
     folded = lambda: cache._fold(VersionedEntry(0, answer), query, deltas)
-    assert benchmark(folded) == len(range(0, gap, 2))
+    assert benchmark(folded) == (0 if miss else len(range(0, gap, 2)))
 
 
 @pytest.mark.parametrize("history", ["plain", "renamed", "crowded"])

@@ -3,6 +3,6 @@
 See :mod:`repro.cache.snapshot` for the versioning and patching rules.
 """
 
-from .snapshot import SnapshotCache, normalized_query_key
+from .snapshot import SnapshotCache
 
-__all__ = ["SnapshotCache", "normalized_query_key"]
+__all__ = ["SnapshotCache"]

@@ -14,18 +14,21 @@ All maintenance probes in this library are single-relation queries,
 which makes local compensation *exact*: the effect of a pending delta on
 a probe answer is simply the probe query evaluated over the delta.  It
 also makes it *linear* over signed bags — the summed effect of the
-pending deltas is the effect of their sum — so a probe answer costs two
-kernel executes per delta schema however deep the queue is.
+pending deltas is the effect of their sum — so a probe answer costs at
+most two kernel executes per delta schema however deep the queue is, and
+none for a schema none of whose leaked rows the probe's IN-list admits
+(docs/ALGORITHMS.md §Compensation states why reading only those rows is
+exact).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable
+from itertools import chain
 
 from ..relational.delta import Delta, Row
 from ..relational.errors import RelationalError
-from ..relational.executor import execute
+from ..relational.executor import BagProbe
 from ..relational.query import SPJQuery
 from ..relational.schema import RelationSchema
 from ..relational.table import Table
@@ -60,75 +63,32 @@ class CompensationLog:
     strict: bool = False
 
 
-def sign_parts(
-    schema: RelationSchema, items: Iterable[tuple[Row, int]]
-) -> list[tuple[int, Table]]:
-    """The non-empty sign parts of a signed bag, as ``(sign, table)``.
-
-    ``items`` are adopted, not validated: they are (sums of) a delta's
-    :meth:`~repro.relational.delta.Delta.validated_items`, distinct rows
-    already typed for ``schema``, so the kernel still only ever sees
-    rows typed for the schema its plan was compiled against.
-    """
-    positive = {row: count for row, count in items if count > 0}
-    negative = {row: -count for row, count in items if count < 0}
-    return [
-        (sign, Table.from_counts(schema, part))
-        for sign, part in ((1, positive), (-1, negative))
-        if part
-    ]
-
-
-def _netted(deltas: list[Delta]) -> Iterable[tuple[Row, int]]:
-    """The validated items of ``deltas`` (one schema) as one signed bag.
-
-    Each delta validates its rows against its own schema, once, however
-    many answers it leaks into; a delta that fails raises here, on every
-    use.  A row inserted by one delta and deleted by another cancels
-    (zero counts possible) and never reaches the kernel; a single delta
-    nets nothing and is used as it is.
-    """
-    if len(deltas) == 1:
-        return deltas[0].validated_items()
-    net: dict[Row, int] = {}
-    for delta in deltas:
-        for row, count in delta.validated_items():
-            net[row] = net.get(row, 0) + count
-    return net.items()
-
-
-def part_effects(
-    query: SPJQuery,
-    alias: str,
-    schema: RelationSchema,
-    items: Iterable[tuple[Row, int]],
-) -> list[tuple[int, Table]]:
-    """Probe ``query`` over each sign part of ``items``: ``(sign, answer)``.
-
-    The one place a signed bag meets the kernel (compensation nets its
-    bag, the snapshot cache pools it per sign).  An empty bag is
-    evaluated over an empty table: schema drift still surfaces, and the
-    caller learns the answer's schema.  Every part is evaluated before
-    anything is returned, so a caller never folds half a bag.
-    """
-    parts = sign_parts(schema, items) or [(1, Table(schema))]
-    return [(sign, execute(query, {alias: part})) for sign, part in parts]
-
-
 def _signed_effect(
     query: SPJQuery, alias: str, deltas: list[Delta]
 ) -> tuple[RelationSchema, dict[Row, int]]:
     """Signed effect of ``deltas``, all of one schema, on probe ``query``.
 
     A single-relation select-project query is linear over signed bags,
-    so the deltas are netted and evaluated once per sign, whatever their
-    number (:func:`part_effects`).  The effect is a plain count map
+    so the deltas' kept rows are netted and evaluated once per sign,
+    whatever their number (:class:`~repro.relational.executor.BagProbe`
+    keeps them; docs/ALGORITHMS.md §Compensation says why filtering
+    first changes nothing).  Each delta validates its rows against its
+    own schema, once, however many answers it leaks into; a delta that
+    fails raises here, on every use.  The effect is a plain count map
     (zero counts possible), not a :class:`Delta`: the rows come out of
     the executor and need none of ``Delta.add``'s per-row checks.
     """
+    probe = BagProbe(query, alias, deltas[0].schema)
+    if len(deltas) == 1:
+        items = probe.keep(deltas[0].validated_items())
+    else:
+        net: dict[Row, int] = {}
+        read = chain.from_iterable(delta.validated_items() for delta in deltas)
+        for row, count in probe.keep(read):
+            net[row] = net.get(row, 0) + count
+        items = net.items()
     effect: dict[Row, int] = {}
-    answers = part_effects(query, alias, deltas[0].schema, _netted(deltas))
-    for sign, answer in answers:
+    for sign, answer in probe.parts(items):
         for row, count in answer.items():
             effect[row] = effect.get(row, 0) + sign * count
     return answer.schema, effect

@@ -27,13 +27,13 @@ from __future__ import annotations
 
 from ..relational.delta import Delta
 from ..relational.table import Table
-from ..relational.executor import execute
+from ..relational.executor import execute, signed_parts
 from ..sim.effects import SourceQuery
 from ..sim.engine import MaintenanceProcess, QueryAnswer
 from ..sources.messages import DataUpdate
 from ..views.definition import ViewDefinition
 from ..views.umq import MaintenanceUnit, UpdateMessageQueue
-from .compensation import CompensationLog, compensate_answer, sign_parts
+from .compensation import CompensationLog, compensate_answer
 from .decompose import probe_sweep
 
 
@@ -126,10 +126,11 @@ def maintain_data_update(
 
         # Every workload DU is single-signed: the absent sign would run
         # the whole view query over an empty table, so it is skipped.
-        for sign, part in sign_parts(
-            payload.delta.schema, payload.delta.validated_items()
-        ):
-            result = execute(query, {**bindings, delta_alias: part})
+        # The delta's validated items are adopted, not validated again.
+        schema = payload.delta.schema
+        for sign, part in signed_parts(payload.delta.validated_items()):
+            table = Table.from_counts(schema, part)
+            result = execute(query, {**bindings, delta_alias: table})
             if total is None:
                 total = Delta(result.schema)
             for row, count in result.items():

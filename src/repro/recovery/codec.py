@@ -24,12 +24,10 @@ Design notes:
 from __future__ import annotations
 
 from ..relational.delta import Delta
-from ..relational.predicate import TRUE
-from ..relational.query import SPJQuery
 from ..relational.schema import RelationSchema
 from ..relational.table import Table
 from ..relational.types import AttributeType
-from ..relational.sql import parse_view
+from ..relational.sql import parse_view, sourced_sql
 from ..views.definition import ViewDefinition
 
 Ref = tuple[str, int]
@@ -102,28 +100,6 @@ def delta_from_json(data: dict) -> Delta:
 # ----------------------------------------------------------------------
 # view definitions
 # ----------------------------------------------------------------------
-
-
-def sourced_sql(query: SPJQuery) -> str:
-    """Render with ``source.Relation alias`` FROM items.
-
-    ``SPJQuery.sql()`` drops the source qualifier (it renders plain SQL
-    for a single engine, e.g. the SQLite backend), which the distributed
-    grammar of :func:`parse_query` cannot re-read; this rendering is the
-    parseable one.
-    """
-    select = ", ".join(ref.qualified() for ref in query.projection)
-    from_clause = ", ".join(
-        f"{ref.source}.{ref.relation} {ref.alias}"
-        for ref in query.relations
-    )
-    terms = [join.sql() for join in query.joins]
-    if query.selection is not TRUE:
-        terms.append(query.selection.sql())
-    sql = f"SELECT {select} FROM {from_clause}"
-    if terms:
-        sql += " WHERE " + " AND ".join(terms)
-    return sql
 
 
 def definition_to_json(definition: ViewDefinition) -> dict:

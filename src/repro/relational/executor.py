@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .delta import Row
 from .errors import AmbiguousAttributeError, QueryError, UnknownAttributeError
@@ -297,6 +297,80 @@ def set_executor_mode(mode: str) -> None:
 
 def executor_mode() -> str:
     return _executor_mode
+
+
+def signed_parts(
+    items: Iterable[tuple[Row, int]],
+) -> list[tuple[int, dict[Row, int]]]:
+    """The non-empty sign parts of a signed bag, as ``(sign, row ->
+    positive count)``: tables hold positive counts only."""
+    positive = {row: count for row, count in items if count > 0}
+    negative = {row: -count for row, count in items if count < 0}
+    return [
+        (sign, part)
+        for sign, part in ((1, positive), (-1, negative))
+        if part
+    ]
+
+
+class BagProbe:
+    """``query`` over signed bags of ``schema`` rows bound to ``alias``:
+    the kernel entry of compensation and of the cache fold.
+
+    :meth:`keep` reads a bag once, dropping the rows the smallest
+    IN-list rejects — over a total compiled plan only; :meth:`parts`
+    evaluates what was kept once per sign.  Any other plan (naive mode,
+    one that may raise) keeps everything and takes the table path of
+    :func:`execute`.  docs/ALGORITHMS.md §Compensation, *Read only what
+    the probe admits*, says why this is exact.
+    """
+
+    __slots__ = ("query", "alias", "schema", "_plan", "_parameters", "_probe")
+
+    def __init__(
+        self, query: SPJQuery, alias: str, schema: RelationSchema
+    ) -> None:
+        self.query, self.alias, self.schema = query, alias, schema
+        self._plan = self._probe = None
+        if _executor_mode == "compiled" and query.aliases == (alias,):
+            from .plan import PLAN_CACHE
+
+            shape, parameters = query.prepared
+            plan = PLAN_CACHE.plan_of(shape, schema)
+            if plan.total:
+                self._plan, self._parameters = plan, parameters
+                self._probe = plan.first_scan.smallest_list(parameters)
+
+    def keep(
+        self, items: Iterable[tuple[Row, int]]
+    ) -> Iterable[tuple[Row, int]]:
+        """The items of a bag an answer row can come from, read once:
+        ``items`` itself when nothing can be dropped, else a list."""
+        if self._probe is None:
+            return items
+        _name, position, values = self._probe
+        return [item for item in items if item[0][position] in values]
+
+    def parts(
+        self, items: Iterable[tuple[Row, int]]
+    ) -> list[tuple[int, Table]]:
+        """``(sign, answer)`` for each sign part of kept ``items``; at
+        least one, so the caller learns the answer's schema: an empty bag
+        answers empty (over a total plan, without a kernel call)."""
+        parts = signed_parts(items)
+        plan = self._plan
+        if plan is None:
+            answers = []
+            for sign, part in parts or [(1, {})]:
+                table = Table.from_counts(self.schema, part)
+                answers.append((sign, execute(self.query, {self.alias: table})))
+            return answers
+        if not parts:
+            return [(1, Table(plan.result_schema))]
+        return [
+            (sign, plan.execute_rows(part, self._parameters))
+            for sign, part in parts
+        ]
 
 
 def execute_naive(query: SPJQuery, tables: dict[str, Table]) -> Table:

@@ -185,17 +185,18 @@ def _negated(child):
     return lambda row, _child=child: not _child(row)
 
 
-def _compile_filter(predicate: Predicate, resolve):
+def _compile_filter(predicate: Predicate, resolve, deferred: list):
     """Compile to ``row -> bool`` (``None`` means "accepts everything"),
     or to a :class:`_Late` filter when an IN-list parameter is involved.
 
     Resolution failures become deferred raisers at the granularity the
     naive evaluator exhibits: per conjunct, so an earlier ``False``
-    conjunct still short-circuits past a dangling reference.
+    conjunct still short-circuits past a dangling reference.  Each one
+    installed is recorded in ``deferred``.
     """
     if isinstance(predicate, Conjunction):
         filters = [
-            _compile_filter_deferred(child, resolve)
+            _compile_filter_deferred(child, resolve, deferred)
             for child in predicate.children
         ]
         if any(type(accept) is _Late for accept in filters):
@@ -205,21 +206,22 @@ def _compile_filter(predicate: Predicate, resolve):
                 )
             )
         return _all_of(filters)
-    return _compile_filter_deferred(predicate, resolve)
+    return _compile_filter_deferred(predicate, resolve, deferred)
 
 
-def _compile_filter_deferred(predicate: Predicate, resolve):
+def _compile_filter_deferred(predicate: Predicate, resolve, deferred: list):
     try:
-        return _compile_leaf(predicate, resolve)
+        return _compile_leaf(predicate, resolve, deferred)
     except RelationalError as exc:
+        deferred.append(exc)
         return _raiser(exc)
 
 
-def _compile_leaf(predicate: Predicate, resolve):
+def _compile_leaf(predicate: Predicate, resolve, deferred: list):
     if isinstance(predicate, TruePredicate):
         return None
     if isinstance(predicate, Conjunction):
-        return _compile_filter(predicate, resolve)
+        return _compile_filter(predicate, resolve, deferred)
     if isinstance(predicate, Comparison):
         # Resolve first: the naive binding is invoked before the
         # NULL-operand check, so a dangling reference outranks it.
@@ -266,7 +268,7 @@ def _compile_leaf(predicate: Predicate, resolve):
 
         return _Late(bind)
     if isinstance(predicate, Negation):
-        child = _compile_leaf(predicate.child, resolve)
+        child = _compile_leaf(predicate.child, resolve, deferred)
         if type(child) is _Late:
             return _Late(
                 lambda parameters, _bind=child.bind: _negated(
@@ -275,7 +277,10 @@ def _compile_leaf(predicate: Predicate, resolve):
             )
         return _negated(child)
     # Unknown predicate subclass: fall back to its own evaluate() with a
-    # positional binding (slow path, exact semantics).
+    # positional binding (slow path, exact semantics).  It resolves per
+    # row, so it may raise per row: recorded like a deferred raiser.
+    deferred.append(predicate)
+
     def generic(row, _predicate=predicate, _resolve=resolve):
         return _predicate.evaluate(lambda ref: row[_resolve(ref)])
 
@@ -295,13 +300,14 @@ class _ScanStage:
     def __init__(self, alias, filter_, probes):
         self.alias = alias
         self.filter = filter_
-        self.probes = probes  # tuple of (attribute name, parameter index)
+        #: tuple of (attribute name, column position, parameter index)
+        self.probes = probes
 
     def run(self, table: Table, parameters: tuple) -> dict:
         accept = _bound(self.filter, parameters)
         probe = self._choose_probe(table, parameters)
         if probe is not None:
-            attribute_name, values = probe
+            attribute_name, _position, values = probe
             rows: dict = {}
             get = rows.get
             for row, count in table.probe(attribute_name, values):
@@ -313,17 +319,21 @@ class _ScanStage:
             return counts
         return {row: count for row, count in counts.items() if accept(row)}
 
+    def smallest_list(self, parameters: tuple):
+        """``(attribute name, position, values)`` of the smallest IN-list
+        bound to this execute (the first of equals), or ``None``."""
+        best = None
+        for attribute_name, position, index in self.probes:
+            values = parameters[index]
+            if best is None or len(values) < len(best[2]):
+                best = (attribute_name, position, values)
+        return best
+
     def _choose_probe(self, table: Table, parameters: tuple):
         """Same selectivity rule as the naive ``_pick_probe``, decided
         from the lists bound to this execute."""
-        best = None
-        for attribute_name, index in self.probes:
-            values = parameters[index]
-            if best is None or len(values) < len(best[1]):
-                best = (attribute_name, values)
-        if best is None:
-            return None
-        if len(best[1]) * 4 >= max(table.distinct_count(), 1):
+        best = self.smallest_list(parameters)
+        if best is None or len(best[2]) * 4 >= max(table.distinct_count(), 1):
             return None
         return best
 
@@ -381,7 +391,11 @@ class _JoinStage:
 
 
 class CompiledPlan:
-    """A fully resolved execution strategy for one (shape, schemas)."""
+    """A fully resolved execution strategy for one (shape, schemas).
+
+    ``total``: the plan can never raise — one relation, no deferred
+    raiser, a resolved projection (docs/ALGORITHMS.md §Compensation).
+    """
 
     __slots__ = (
         "shape",
@@ -391,6 +405,7 @@ class CompiledPlan:
         "projection_error",
         "project",
         "result_schema",
+        "total",
     )
 
     def __init__(
@@ -402,6 +417,7 @@ class CompiledPlan:
         projection_error,
         project,
         result_schema,
+        total,
     ):
         self.shape = shape
         self.first_scan = first_scan
@@ -410,6 +426,7 @@ class CompiledPlan:
         self.projection_error = projection_error
         self.project = project
         self.result_schema = result_schema
+        self.total = total
 
     def execute(
         self, tables: dict[str, Table], parameters: tuple = ()
@@ -424,6 +441,18 @@ class CompiledPlan:
         for stage in self.join_stages:
             right_rows = stage.scan.run(tables[stage.scan.alias], parameters)
             rows = stage.run(rows, right_rows)
+        return self._finish(rows, parameters)
+
+    def execute_rows(self, rows: dict, parameters: tuple) -> Table:
+        """Evaluate a total plan over ``rows`` (row -> positive count)
+        of its one alias: :meth:`execute`'s scan filter, residual and
+        projection, with no table to scan and no index to build."""
+        accept = _bound(self.first_scan.filter, parameters)
+        if accept is not None:
+            rows = {row: count for row, count in rows.items() if accept(row)}
+        return self._finish(rows, parameters)
+
+    def _finish(self, rows: dict, parameters: tuple) -> Table:
         accept = _bound(self.residual, parameters)
         if accept is not None:
             rows = {row: count for row, count in rows.items() if accept(row)}
@@ -454,12 +483,17 @@ def _compile_scan(
     alias: str,
     schema: RelationSchema,
     predicates: list[Predicate],
+    deferred: list,
 ) -> tuple[_ScanStage, list[AttrRef]]:
     columns = [AttrRef(alias, attribute.name) for attribute in schema]
     resolve = _resolver(columns)
-    accept = _compile_filter(conjunction(predicates), resolve)
+    accept = _compile_filter(conjunction(predicates), resolve, deferred)
     probes = tuple(
-        (predicate.attr.name, predicate.index)
+        (
+            predicate.attr.name,
+            schema.index_of(predicate.attr.name),
+            predicate.index,
+        )
         for predicate in predicates
         if isinstance(predicate, InParameter)
         and predicate.attr.relation in (None, alias)
@@ -479,11 +513,16 @@ def compile_plan(
     """
     query = query.prepared[0]
     pushdown, residual_terms = _single_alias_conjuncts(query.selection)
+    # the deferred raisers of the first scan and the residual
+    deferred: list = []
 
     remaining = list(query.aliases)
     first_alias = remaining.pop(0)
     first_scan, columns = _compile_scan(
-        first_alias, schemas[first_alias], pushdown.get(first_alias, [])
+        first_alias,
+        schemas[first_alias],
+        pushdown.get(first_alias, []),
+        deferred,
     )
     joined_aliases = {first_alias}
     pending_joins = list(query.joins)
@@ -507,7 +546,7 @@ def compile_plan(
             applicable = []
         remaining.remove(chosen)
         scan, right_columns = _compile_scan(
-            chosen, schemas[chosen], pushdown.get(chosen, [])
+            chosen, schemas[chosen], pushdown.get(chosen, []), []
         )
         left_key = right_key = None
         error = None
@@ -540,7 +579,9 @@ def compile_plan(
     residual_filters: list[Predicate] = residual_terms + [
         AttrComparison(join.left, "=", join.right) for join in pending_joins
     ]
-    residual = _compile_filter(conjunction(residual_filters), resolve_final)
+    residual = _compile_filter(
+        conjunction(residual_filters), resolve_final, deferred
+    )
 
     projection_error = None
     project = None
@@ -566,6 +607,7 @@ def compile_plan(
         projection_error,
         project,
         schema,
+        not join_stages and not deferred and projection_error is None,
     )
 
 
@@ -608,17 +650,23 @@ class PlanCache:
         self, query: SPJQuery, tables: dict[str, Table]
     ) -> CompiledPlan:
         shape = query.prepared[0]
-        key = (shape, *[tables[alias].schema for alias in shape.aliases])
+        return self.plan_of(
+            shape, *[tables[alias].schema for alias in shape.aliases]
+        )
+
+    def plan_of(
+        self, shape: SPJQuery, *schemas: RelationSchema
+    ) -> CompiledPlan:
+        """The plan of ``shape`` over ``schemas``, one per alias in
+        order."""
+        key = (shape, *schemas)
         plan = self._plans.get(key)
         if plan is not None:
             self.hits += 1
             self._plans.move_to_end(key)
             return plan
         self.misses += 1
-        plan = compile_plan(
-            shape,
-            {alias: tables[alias].schema for alias in shape.aliases},
-        )
+        plan = compile_plan(shape, dict(zip(shape.aliases, schemas)))
         self._plans[key] = plan
         while len(self._plans) > self.max_plans:
             self._plans.popitem(last=False)

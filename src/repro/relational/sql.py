@@ -12,7 +12,8 @@ defining views from SQL text, covering exactly the paper's query class
 
 Because relations live at *named sources*, the FROM clause qualifies
 each relation with its source (``source.Relation [alias]``).  Rendering
-(the inverse direction) lives on the AST itself (`SPJQuery.sql()`).
+lives on the AST itself (`SPJQuery.sql()`, plain SQL for one engine);
+:func:`sourced_sql` is the rendering this parser reads back.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from typing import Iterator
 
 from .errors import QueryError
 from .predicate import (
+    TRUE,
     AttrComparison,
     AttrRef,
     Comparison,
@@ -46,7 +48,7 @@ _TOKEN = re.compile(
 
 _KEYWORDS = {
     "create", "view", "as", "select", "from", "where", "and", "in",
-    "true", "not",
+    "true", "false", "null", "not",
 }
 
 
@@ -126,6 +128,28 @@ def parse_view(text: str) -> tuple[str, SPJQuery]:
 def parse_query(text: str) -> SPJQuery:
     """Parse a bare ``SELECT ...`` statement."""
     return _parse_select(_Tokens(text))
+
+
+def sourced_sql(query: SPJQuery) -> str:
+    """Render with ``source.Relation alias`` FROM items.
+
+    ``SPJQuery.sql()`` drops the source qualifier (it renders plain SQL
+    for a single engine, e.g. the SQLite backend), which the distributed
+    grammar of :func:`parse_query` cannot re-read; this rendering is the
+    parseable one.
+    """
+    select = ", ".join(ref.qualified() for ref in query.projection)
+    from_clause = ", ".join(
+        f"{ref.source}.{ref.relation} {ref.alias}"
+        for ref in query.relations
+    )
+    terms = [join.sql() for join in query.joins]
+    if query.selection is not TRUE:
+        terms.append(query.selection.sql())
+    sql = f"SELECT {select} FROM {from_clause}"
+    if terms:
+        sql += " WHERE " + " AND ".join(terms)
+    return sql
 
 
 def _parse_select(tokens: _Tokens) -> SPJQuery:
@@ -210,11 +234,10 @@ def _parse_condition(
     if tokens.accept_keyword("in"):
         tokens.expect_punct("(")
         values = []
-        while True:
+        while not tokens.accept_punct(")"):  # ``IN ()`` is an empty list
+            if values:
+                tokens.expect_punct(",")
             values.append(_parse_literal(tokens))
-            if not tokens.accept_punct(","):
-                break
-        tokens.expect_punct(")")
         predicates.append(InPredicate(left, frozenset(values)))
         return
 
@@ -247,4 +270,6 @@ def _parse_literal(tokens: _Tokens):
         return True
     if kind == "name" and value.lower() == "false":
         return False
+    if kind == "name" and value.lower() == "null":
+        return None
     raise QueryError(f"expected literal, got {value!r}")

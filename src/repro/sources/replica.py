@@ -4,7 +4,8 @@ The view manager can answer a maintenance query *without* shipping it
 whenever it holds a local copy of the relevant source state stamped
 with the source's commit version (:attr:`DataSource.commit_version`):
 the committed updates in the gap ``(stamp, now]`` are exactly the log
-suffix :meth:`DataSource.updates_since` returns, so the copy is rolled
+suffix :meth:`DataSource.updates_since` returns — read per relation
+through :meth:`DataSource.data_deltas_since` — so the copy is rolled
 forward locally and the answer equals a zero-latency round trip's.
 
 Theorem 1 reads "a maintenance query broke => a conflicting schema
@@ -67,7 +68,9 @@ class VersionedStore:
 
     def __init__(self, metrics=None) -> None:
         self.metrics = metrics
-        self._entries: dict[tuple[str, str], VersionedEntry] = {}
+        #: ``(source name, sub-key)`` -> entry; the sub-key is the
+        #: policy's (a relation name, a query's ``prepared`` pair)
+        self._entries: dict[tuple, VersionedEntry] = {}
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -78,7 +81,7 @@ class VersionedStore:
                 self.metrics, counter, getattr(self.metrics, counter) + amount
             )
 
-    def _put(self, key: tuple[str, str], version: int, table: Table) -> None:
+    def _put(self, key: tuple, version: int, table: Table) -> None:
         self._entries[key] = VersionedEntry(version, table)
 
     def _fold(
@@ -90,7 +93,7 @@ class VersionedStore:
         raise NotImplementedError
 
     def _roll_forward(
-        self, source: DataSource, key: tuple[str, str], query: SPJQuery
+        self, source: DataSource, key: tuple, query: SPJQuery
     ) -> int | None:
         """Roll entry ``key`` through the source's log gap and restamp
         it at the current version; return the tuples folded in.
@@ -102,13 +105,11 @@ class VersionedStore:
         scan did not explain (be conservative, go remote).
         """
         entry = self._entries[key]
-        relation = query.relations[0].relation
-        deltas: list[Delta] = []
-        for message in source.updates_since(entry.version):
-            if message.is_schema_change:
-                return self._drop(key, f"{self.tier}_invalidations_sc")
-            if message.is_data_update and message.payload.relation == relation:
-                deltas.append(message.payload.delta)
+        deltas = source.data_deltas_since(
+            query.relations[0].relation, entry.version
+        )
+        if deltas is None:
+            return self._drop(key, f"{self.tier}_invalidations_sc")
         try:
             rows = self._fold(entry, query, deltas) if deltas else 0
         except RelationalError:
@@ -116,7 +117,7 @@ class VersionedStore:
         entry.version = source.commit_version
         return rows
 
-    def _drop(self, key: tuple[str, str], *counters: str) -> None:
+    def _drop(self, key: tuple, *counters: str) -> None:
         del self._entries[key]
         for counter in (*counters, f"{self.tier}_misses"):
             self._count(counter)

@@ -16,11 +16,12 @@ compensation must undo).
 
 from __future__ import annotations
 
+import bisect
 import itertools
 from typing import Callable, Iterable
 
 from ..relational.catalog import Catalog
-from ..relational.delta import Row
+from ..relational.delta import Delta, Row
 from ..relational.errors import SchemaError, UnknownRelationError
 from ..relational.executor import execute
 from ..relational.query import SPJQuery
@@ -46,13 +47,14 @@ Subscriber = Callable[[UpdateMessage], None]
 KeyRange = tuple[Value, Value]
 
 
-def _in_key_range(table: Table, key_range: KeyRange) -> list[tuple[Row, int]]:
-    """The ``(row, count)`` items of ``table`` whose key lies in the range."""
+def _in_key_range(table: Table, key_range: KeyRange) -> list[Row]:
+    """The distinct rows of ``table`` whose key lies in the range, in
+    first-occurrence order."""
     lo, hi = key_range
     return [
-        item
-        for item in table.items()
-        if (key := item[0][0]) is not None and lo <= key <= hi
+        row
+        for row, _count in table.items()
+        if (key := row[0]) is not None and lo <= key <= hi
     ]
 
 
@@ -63,6 +65,13 @@ class DataSource:
         self.name = name
         self.catalog = Catalog(name)
         self.log: list[UpdateMessage] = []
+        #: derived from ``log[:_indexed]``, extended lazily by
+        #: :meth:`data_deltas_since`: relation -> (commit versions,
+        #: deltas) of its data updates, and the version of the latest
+        #: schema change (0: none)
+        self._indexed = 0
+        self._data_log: dict[str, tuple[list[int], list[Delta]]] = {}
+        self._schema_changed_at = 0
         self._subscribers: list[Subscriber] = []
         self._next_seqno = 1
         #: fault-injection hook consulted at every query entry; the
@@ -256,6 +265,35 @@ class DataSource:
         """Committed messages in the gap ``(version, current]``."""
         return self.log[version:]
 
+    def data_deltas_since(
+        self, relation: str, version: int
+    ) -> list[Delta] | None:
+        """The deltas of ``relation``'s data updates committed in the
+        gap ``(version, current]``, in commit order — or ``None`` when a
+        schema change committed in the gap (the local tier must not roll
+        through one: :mod:`repro.sources.replica`).
+
+        Answered from a per-relation index derived from ``log`` up to a
+        high-water mark and extended on demand: the log stays the one
+        truth, and a gap costs a bisection, not a walk over every
+        message committed since ``version``."""
+        log = self.log
+        for index in range(self._indexed, len(log)):
+            message = log[index]
+            if message.is_schema_change:
+                self._schema_changed_at = index + 1
+            elif message.is_data_update:
+                versions, deltas = self._data_log.setdefault(
+                    message.payload.relation, ([], [])
+                )
+                versions.append(index + 1)
+                deltas.append(message.payload.delta)
+        self._indexed = len(log)
+        if self._schema_changed_at > version:
+            return None
+        versions, deltas = self._data_log.get(relation, ([], []))
+        return deltas[bisect.bisect_right(versions, version):]
+
     def schema_of(self, relation: str) -> RelationSchema:
         return self.catalog.schema(relation)
 
@@ -273,8 +311,8 @@ class DataSource:
         the closed range (a NULL key lies in none)."""
         table = self.catalog.table(relation)
         if key_range is not None:
-            items = _in_key_range(table, key_range)
-            return len(items) if distinct else sum(n for _row, n in items)
+            rows = _in_key_range(table, key_range)
+            return len(rows) if distinct else sum(map(table.count, rows))
         return table.distinct_count() if distinct else len(table)
 
     def distinct_row(
@@ -285,8 +323,25 @@ class DataSource:
         first-occurrence order (what a delete intent picks from)."""
         table = self.catalog.table(relation)
         if key_range is not None:
-            return _in_key_range(table, key_range)[index][0]
+            return _in_key_range(table, key_range)[index]
         return next(itertools.islice(table.items(), index, None))[0]
+
+    def pick_distinct_row(
+        self,
+        relation: str,
+        pick: Callable[[int], int],
+        key_range: KeyRange | None = None,
+    ) -> Row | None:
+        """``distinct_row(relation, pick(n), key_range)``, where ``n`` is
+        what ``row_count(relation, distinct=True, key_range=key_range)``
+        counts — or ``None``, without calling ``pick``, when ``n`` is 0.
+        Here one pass over the relation counts and picks."""
+        table = self.catalog.table(relation)
+        if key_range is None:
+            count = table.distinct_count()
+            return self.distinct_row(relation, pick(count)) if count else None
+        rows = _in_key_range(table, key_range)
+        return rows[pick(len(rows))] if rows else None
 
     def total_rows(self) -> int:
         return sum(map(self.row_count, self.catalog.relation_names))

@@ -23,7 +23,7 @@ from __future__ import annotations
 import itertools
 import sqlite3
 from collections import Counter
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from ..relational.delta import Row
 from ..relational.errors import UnknownRelationError
@@ -386,6 +386,17 @@ class SqliteDataSource(DataSource):
         return self._db.execute(
             f"SELECT COUNT(*) FROM {rows}", bound
         ).fetchone()[0]
+
+    def pick_distinct_row(
+        self,
+        relation: str,
+        pick: Callable[[int], int],
+        key_range: KeyRange | None = None,
+    ) -> Row | None:
+        count = self.row_count(relation, distinct=True, key_range=key_range)
+        if not count:
+            return None
+        return self.distinct_row(relation, pick(count), key_range)
 
     def distinct_row(
         self, relation: str, index: int, key_range: KeyRange | None = None

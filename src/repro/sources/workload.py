@@ -125,16 +125,12 @@ class DeleteRandomRow(UpdateIntent):
         if relation is None or relation not in names:
             relation = self.rng.choice(names)
         # Pick a deterministic "random" row without materializing the bag.
-        candidates = source.row_count(
-            relation, distinct=True, key_range=self.key_range
+        row = source.pick_distinct_row(
+            relation, self.rng.randrange, self.key_range
         )
-        if not candidates:
+        if row is None:
             return None
-        target_index = self.rng.randrange(candidates)
-        return DataUpdate.delete(
-            source.schema_of(relation),
-            [source.distinct_row(relation, target_index, self.key_range)],
-        )
+        return DataUpdate.delete(source.schema_of(relation), [row])
 
     # NOTE: both backends count distinct rows in first-occurrence order,
     # so given a fixed seed the choice is reproducible.

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cache import SnapshotCache, normalized_query_key
+from repro.cache import SnapshotCache
 from repro.relational.executor import execute
 from repro.relational.predicate import InPredicate, attr
 from repro.relational.query import RelationRef, SPJQuery
@@ -12,6 +12,7 @@ from repro.sim.metrics import Metrics
 from repro.sources.messages import DataUpdate, DropAttribute
 from repro.sources.replica import LocalHit
 from repro.sources.source import DataSource
+from tests.bag_oracle import normalized_query_key
 
 R = RelationSchema.of("R", [("k", AttributeType.INT), "a"])
 T = RelationSchema.of("T", [("j", AttributeType.INT), "y"])
@@ -68,6 +69,10 @@ class TestVersioning:
         query = probe(frozenset({2, 1}))
         same = probe(frozenset({1, 2}))
         assert normalized_query_key(query) == normalized_query_key(same)
+        assert query.prepared == same.prepared
+        source, cache = make_source(), SnapshotCache()
+        cache.store(source, query, evaluate(source, query))
+        assert cache.serve(source, same) is not None
 
 
 class TestPatching:
@@ -113,14 +118,76 @@ class TestPatching:
         assert hit is not None
         assert counted(hit.table) == {(3, "r"): 3}
 
-    def test_served_table_is_a_copy(self):
+    def test_served_tables_are_shared_and_never_mutated(self):
+        """A hit hands out the entry's own table and ``store`` keeps the
+        answer it is given: no copy either way.  So no stack may mutate
+        a table the cache holds — run the cache with the aux store,
+        serial and parallel, with those tables' mutators raising."""
+        from repro.core.strategies import PESSIMISTIC
+        from repro.experiments.testbed import build_testbed
+        from repro.relational.table import Table
+
         source, cache = make_source(), SnapshotCache()
         query = probe(frozenset({1}))
-        cache.store(source, query, evaluate(source, query))
-        hit = cache.serve(source, query)
-        hit.table.insert((99, "junk"))
-        again = cache.serve(source, query)
-        assert (99, "junk") not in again.table
+        answer = evaluate(source, query)
+        cache.store(source, query, answer)
+        assert cache.serve(source, query).table is answer
+
+        held: dict[int, Table] = {}
+        mutators = (
+            "insert", "delete", "update", "apply_delta", "clear",
+            "rename_attribute", "drop_attribute", "add_attribute",
+        )
+        originals = {name: getattr(Table, name) for name in mutators}
+        store, serve = SnapshotCache.store, SnapshotCache.serve
+
+        def guarded(name):
+            def mutator(table, *arguments, **keywords):
+                if id(table) in held:
+                    raise AssertionError(f"{name} on a cached answer")
+                return originals[name](table, *arguments, **keywords)
+
+            return mutator
+
+        def holding_store(self, source, query, answer, version=None):
+            held[id(answer)] = answer
+            return store(self, source, query, answer, version)
+
+        def holding_serve(self, source, query):
+            hit = serve(self, source, query)
+            if hit is not None:
+                held[id(hit.table)] = hit.table
+            return hit
+
+        try:
+            for name in mutators:
+                setattr(Table, name, guarded(name))
+            SnapshotCache.store = holding_store
+            SnapshotCache.serve = holding_serve
+            for workers in (None, 3):
+                testbed = build_testbed(
+                    PESSIMISTIC,
+                    tuples_per_relation=30,
+                    parallel_workers=workers,
+                    snapshot_cache=True,
+                )
+                # the aux store covers src1 only, so the cache serves
+                # the other sources' probes
+                aux = testbed.manager.install_self_maintenance()
+                aux.seed_from_source(testbed.engine.sources["src1"])
+                testbed.engine.schedule_workload(
+                    testbed.random_du_workload(
+                        40, start=0.0, interval=0.01, seed=7, key_domain=8
+                    )
+                )
+                testbed.run()
+                assert testbed.metrics.cache_hits > 0
+                assert testbed.metrics.aux_hits > 0
+                assert testbed.check_consistency()
+        finally:
+            for name, original in originals.items():
+                setattr(Table, name, original)
+            SnapshotCache.store, SnapshotCache.serve = store, serve
 
 
 class TestSchemaChangeInvalidation:
@@ -196,3 +263,60 @@ class TestPolicy:
         assert metrics.cache_hits == 2
         assert metrics.saved_round_trips == 2
         assert metrics.patched_answers == 1
+
+
+class TestRetriedRollForward:
+    def test_a_retried_probe_folds_each_gap_delta_exactly_once(self):
+        """A transient fault, a commit in the backoff window, a retry:
+        the retried answer holds that commit and is stamped with it, so
+        the next hit folds exactly the deltas committed after it — each
+        once — and ends stamped at ``commit_version``."""
+        from repro.faults.injector import FaultInjector
+        from repro.faults.plan import FaultPlan, TransientFault
+        from repro.faults.retry import RetryPolicy
+        from repro.sim.costs import CostModel
+        from repro.sim.effects import SourceQuery
+        from repro.sim.engine import SimEngine
+
+        engine = SimEngine(CostModel.free())
+        source = engine.add_source(make_source())
+        cache = engine.install_snapshot_cache()
+        engine.install_faults(
+            FaultInjector(FaultPlan(transients=(TransientFault("s", 0),))),
+            RetryPolicy(
+                max_attempts=3, base_backoff=0.1, jitter=0.0, deadline=0.0
+            ),
+        )
+        folded = []
+        fold = cache._fold
+        cache._fold = lambda entry, query, deltas: (
+            folded.extend(deltas) or fold(entry, query, deltas)
+        )
+        during = DataUpdate.insert(R, [(1, "during")])
+        engine.schedule(0.05, lambda: source.commit(during))
+        query = probe(frozenset({1, 2}))
+        effect = SourceQuery("s", query, cacheable=True)
+
+        first = engine.perform(effect)
+        assert engine.metrics.retries == 1
+        assert (1, "during") in first.table
+        (entry,) = cache._entries.values()
+        assert entry.version == source.commit_version == 1
+
+        gap = [
+            DataUpdate.insert(R, [(1, "after")]),
+            DataUpdate.insert(T, [(1, "other relation")]),
+            DataUpdate.delete(R, [(2, "q")]),
+        ]
+        for update in gap:
+            source.commit(update)
+        for _serve in range(2):
+            hit = engine.perform(effect)
+            assert counted(hit.table) == counted(evaluate(source, query))
+            assert entry.version == source.commit_version == 4
+        assert [id(delta) for delta in folded] == [
+            id(gap[0].delta),
+            id(gap[2].delta),
+        ]
+        assert engine.metrics.cache_hits == 2
+        assert engine.metrics.source_round_trips == 2  # fault + retry

@@ -17,6 +17,7 @@ from repro.sources.messages import (
     DropAttribute,
     UpdateMessage,
 )
+from tests.bag_oracle import counted_kernel
 from tests.leak_oracle import leaked_behind_head
 
 R = RelationSchema.of("R", ["k", "v"])
@@ -202,26 +203,14 @@ class TestCompensateAnswer:
 
 
 class TestFusedEvaluation:
-    """The probe is evaluated once per sign of each schema's net bag,
-    however many deltas leaked."""
+    """The probe is evaluated at most once per sign of each schema's net
+    bag, however many deltas leaked — and not at all for a bag none of
+    whose rows the probe's IN-list admits."""
 
     WIDE = RelationSchema.of("R", ["k", "v", "w"])
 
     @pytest.mark.parametrize("pending", [1, 20, 200])
-    def test_executes_bounded_by_schemas_not_by_pending(
-        self, monkeypatch, pending
-    ):
-        from repro.maintenance import compensation
-
-        calls = []
-
-        def counted(query, tables):
-            calls.append(query)
-            return real(query, tables)
-
-        real = compensation.execute
-        monkeypatch.setattr(compensation, "execute", counted)
-
+    def test_executes_bounded_by_schemas_not_by_pending(self, pending):
         # Mixed signs over two schemas; R's twin is an equal but
         # distinct schema object and must share R's bag.
         twin = RelationSchema.of("R", ["k", "v"])
@@ -239,14 +228,34 @@ class TestFusedEvaluation:
                 update = DataUpdate.insert(schema, [row])
                 answer.insert(row[:2])
             leaked.append(message(index, 0.5, update))
+        # leaked rows the probe's IN-list does not admit cost nothing
+        for index, schema in enumerate((R, self.WIDE, twin)):
+            row = ("9", f"cold{index}") + ("w",) * (schema.arity - 2)
+            leaked.append(message(index, 0.5, DataUpdate.insert(schema, [row])))
         schemas = {m.payload.delta.schema for m in leaked}
-        assert len(schemas) == min(pending, 2)
+        assert len(schemas) == 2
 
         log = CompensationLog(strict=True)
-        corrected = compensate_answer(answer, probe(), "R", leaked, log)
+        with counted_kernel() as calls:
+            corrected = compensate_answer(answer, probe(), "R", leaked, log)
         assert corrected == expected
-        assert 1 <= len(calls) <= 2 * len(schemas)
+        hot = {m.payload.delta.schema for m in leaked[:pending]}
+        assert 1 <= len(calls) <= 2 * len(hot)
         assert log.compensated_tuples == pending
+
+    def test_a_bag_with_no_admitted_row_costs_no_execute(self):
+        """One pass over the leaked rows and no kernel execute: the
+        answer comes back as it was, the call still counted."""
+        answer = Table(R, [("1", "a")])
+        leaked = [
+            message(1, 0.5, DataUpdate.insert(R, [("7", "x")])),
+            message(2, 0.6, DataUpdate.delete(self.WIDE, [("8", "y", "z")])),
+        ]
+        log = CompensationLog(strict=True)
+        with counted_kernel() as calls:
+            corrected = compensate_answer(answer, probe(), "R", leaked, log)
+        assert (corrected, calls) == (answer, [])
+        assert (log.compensated_tuples, log.compensated_queries) == (0, 1)
 
     def test_cancelling_deltas_never_reach_the_kernel_as_rows(self):
         """Insert-then-delete of one row nets to nothing: the answer is
@@ -262,30 +271,18 @@ class TestFusedEvaluation:
         assert log.compensated_tuples == 0
         assert log.compensated_queries == 1
 
-    def test_failing_group_applies_neither_sign(self, monkeypatch):
+    def test_failing_group_applies_neither_sign(self):
         """A bag whose second sign cannot be evaluated folds nothing of
         its first sign either, and skips every member delta."""
-        from repro.maintenance import compensation
-        from repro.relational.errors import QueryError
-
-        real = compensation.execute
-        seen = []
-
-        def second_call_fails(query, tables):
-            seen.append(query)
-            if len(seen) == 2:
-                raise QueryError("drift")
-            return real(query, tables)
-
-        monkeypatch.setattr(compensation, "execute", second_call_fails)
         answer = Table(R, [("1", "a"), ("1", "leaked")])
         leaked = [
             message(1, 0.5, DataUpdate.insert(R, [("1", "leaked")])),
             message(2, 0.6, DataUpdate.delete(R, [("2", "gone")])),
         ]
         log = CompensationLog()
-        corrected = compensate_answer(answer, probe(), "R", leaked, log)
-        assert len(seen) == 2
+        with counted_kernel(fail_at=2) as calls:
+            corrected = compensate_answer(answer, probe(), "R", leaked, log)
+        assert len(calls) == 2
         assert corrected == answer
         assert log.skipped_incompatible == 2
         assert len(log.notes) == 2

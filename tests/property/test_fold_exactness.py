@@ -2,22 +2,19 @@
 
 ``SnapshotCache._fold`` pools the gap's single-signed deltas into one
 positive and one negative bag per schema and evaluates each bag once;
-it used to call ``effect_on_answer`` once per gap delta.  That loop
-lives on below as the oracle, verbatim.  The pooled fold must leave the
-same ``entry.table`` *and return the same tally* — the gross number of
+it used to evaluate every gap delta on its own.  That loop lives on
+below as the oracle, over the table-based evaluation of
+``tests/bag_oracle.py``.  The pooled fold must leave the same
+``entry.table`` *and return the same tally* — the gross number of
 effect rows, which ``CostModel.cache_serve`` prices on the virtual
 clock: an insert the same gap later deletes counts two rows, not none.
 """
-
-from contextlib import contextmanager
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cache import SnapshotCache
-from repro.maintenance import compensation
-from repro.maintenance.compensation import effect_on_answer
 from repro.relational.delta import Delta
 from repro.relational.errors import ArityError, RelationalError
 from repro.relational.executor import execute
@@ -30,6 +27,7 @@ from repro.sim.metrics import Metrics
 from repro.sources.messages import DataUpdate, UpdateMessage
 from repro.sources.replica import VersionedEntry
 from repro.sources.source import DataSource
+from tests.bag_oracle import counted_kernel, table_part_effects
 
 SCHEMA = RelationSchema.of(
     "R", [("k", AttributeType.INT), ("v", AttributeType.STRING)]
@@ -79,7 +77,13 @@ def oracle_fold(entry: VersionedEntry, query: SPJQuery, deltas) -> int:
     corrected = entry.table.as_delta()
     rows = 0
     for delta in deltas:
-        effect = effect_on_answer(query, alias, delta)
+        parts = table_part_effects(
+            query, alias, delta.schema, delta.validated_items()
+        )
+        effect = Delta(parts[0][1].schema)
+        for sign, answer in parts:
+            for row, count in answer.items():
+                effect.add(row, sign * count)
         rows += sum(abs(count) for _row, count in effect.items())
         corrected.merge(effect)
     entry.table = Table.from_counts(
@@ -170,24 +174,6 @@ def test_pooled_fold_equals_per_delta_oracle(data):
 # ----------------------------------------------------------------------
 
 
-@contextmanager
-def counted_executes():
-    """The kernel executes made through ``compensation.execute`` — the
-    name the fold reaches the kernel by, and the spine's tracer rebinds."""
-    calls: list = []
-    original = compensation.execute
-
-    def counted(query, tables):
-        calls.append(query)
-        return original(query, tables)
-
-    compensation.execute = counted
-    try:
-        yield calls
-    finally:
-        compensation.execute = original
-
-
 def test_an_insert_the_gap_later_deletes_counts_two_rows_and_leaves_none():
     """The tally is gross: the bags are summed within a sign, never
     cancelled across signs."""
@@ -230,21 +216,22 @@ def test_translated_deltas_pool_with_their_equal_schema():
         Delta.insertion(schema, [(1, f"v{index}")])
         for index, schema in enumerate([SCHEMA, SCHEMA_TWIN] * 3)
     ]
-    with counted_executes() as executes:
+    with counted_kernel() as executes:
         table, tally = _folded(
             SnapshotCache()._fold, Table(SCHEMA), probe({1}), gap
         )
     assert (len(table), tally, len(executes)) == (6, 6, 1)
 
 
-def test_an_all_filtered_out_gap_is_still_evaluated():
+def test_an_all_filtered_out_gap_costs_no_kernel_execute():
     answer = Table(SCHEMA, [(1, "a")])
     gap = [Delta.insertion(SCHEMA, [(4, "cold")]) for _ in range(3)]
-    with counted_executes() as executes:
-        table, tally = assert_same_fold(answer, probe({1}), gap)
-    assert (table, tally) == ({(1, "a"): 1}, 0)
-    # ... so that a drifted schema surfaces though no row would match
-    assert len(executes) == 1 + 3  # pooled, then the oracle
+    with counted_kernel() as executes:
+        table, tally = _folded(SnapshotCache()._fold, answer, probe({1}), gap)
+    assert (table, tally, executes) == ({(1, "a"): 1}, 0, [])
+    assert (table, tally) == assert_same_fold(answer, probe({1}), gap)
+    # ... yet a drifted schema surfaces though no row would match: its
+    # plan may raise, so it takes the table path, empty bag and all
     drifted = [Delta.insertion(NARROW, [(4,)])]
     outcome = assert_same_fold(answer, probe({1}), drifted)
     assert issubclass(outcome, RelationalError)
@@ -298,13 +285,11 @@ def test_a_200_delta_gap_costs_two_executes_per_schema():
         gap.append(Delta.deletion(schema, [row]))
     answer = Table(SCHEMA, [(1, "a")])
     query = probe({0, 1, 2})
-    with counted_executes() as executes:
+    with counted_kernel() as executes:
         pooled = _folded(SnapshotCache()._fold, answer, query, gap)
     # two schemas by equality (SCHEMA == SCHEMA_TWIN), two signs each
     assert len(executes) == 4
-    with counted_executes() as executes:
-        assert pooled == _folded(oracle_fold, answer, query, gap)
-    assert len(executes) == 200
+    assert pooled == _folded(oracle_fold, answer, query, gap)
     assert pooled == ({(1, "a"): 1}, 120)
 
 

@@ -79,12 +79,20 @@ def spj_queries(draw) -> SPJQuery:
                 )
             )
         else:
-            values = draw(
-                st.frozensets(
-                    st.integers(min_value=0, max_value=9),
-                    min_size=1,
-                    max_size=4,
+            # empty lists, NULL, negative numbers and floats render too
+            # (a list's values share a type, as a column's do)
+            element = draw(
+                st.sampled_from(
+                    [
+                        st.integers(min_value=-9, max_value=9),
+                        st.sampled_from([-2.5, 0.25, 1.0, 37.75]),
+                        st.sampled_from(["a", "o'hara", "x y"]),
+                        st.booleans(),
+                    ]
                 )
+            )
+            values = draw(
+                st.frozensets(element | st.none(), min_size=0, max_size=4)
             )
             terms.append(InPredicate(attr(owner, name), values))
     return SPJQuery(relations, projection, joins, conjunction(terms))

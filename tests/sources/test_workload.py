@@ -153,6 +153,42 @@ class TestDeleteIntent:
             ]
         assert victims["memory"] == victims["sqlite"]
 
+    @pytest.mark.parametrize("key_range", [None, (1, 3), (2, 2), (4, 6)])
+    @pytest.mark.parametrize("backend", ["memory", "sqlite"])
+    def test_victims_per_seed_are_those_count_then_pick_chose(
+        self, backend, key_range
+    ):
+        """One pick per delete draws the victims counting then picking
+        by index drew, on both backends: same seed, same rows."""
+        source, twin = _keyed_source(backend), _keyed_source(backend)
+        intent = DeleteRandomRow(random.Random(5), "R", key_range=key_range)
+        rng = random.Random(5)
+        for _ in range(4):
+            count = twin.row_count("R", distinct=True, key_range=key_range)
+            update = intent.materialize(source)
+            if not count:
+                assert update is None
+                continue
+            row = twin.distinct_row("R", rng.randrange(count), key_range)
+            assert update == DataUpdate.delete(R, [row])
+            for copy in (source, twin):
+                copy.commit(update)
+        assert intent.rng.getstate() == rng.getstate()
+
+    def test_a_key_range_delete_reads_the_relation_once(self, monkeypatch):
+        """In memory, counting the candidates and picking one is a
+        single pass over the relation."""
+        from repro.relational.table import Table
+
+        source, reads = _keyed_source("memory"), []
+        items = Table.items
+        monkeypatch.setattr(
+            Table, "items", lambda table: reads.append(table) or items(table)
+        )
+        intent = DeleteRandomRow(random.Random(3), "R", key_range=(1, 3))
+        assert intent.materialize(source) is not None
+        assert len(reads) == 1
+
 
 def _keyed_source(backend: str) -> DataSource:
     from repro.sources.sqlite_source import SqliteDataSource
