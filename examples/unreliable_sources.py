@@ -88,14 +88,14 @@ def main() -> None:
     system = build(fault_plan=plan, retry_policy=policy)
     system.run()
 
-    stats = system.stats
+    stats, metrics = system.stats, system.metrics
     print(f"faulty:     {system.check().summary()}")
     print(f"faulty maintenance ended at t={system.now:.3f}")
     print(f"injected faults: {system.fault_stats.summary()}")
     print(
-        f"retries={stats.retries}  "
-        f"backoff={stats.backoff_time:.3f}s  "
-        f"transient failures={stats.transient_failures}"
+        f"retries={metrics.retries}  "
+        f"backoff={metrics.backoff_time:.3f}s  "
+        f"transient failures={metrics.transient_failures}"
     )
     print(
         f"quarantines={len(stats.quarantine_events)}  "

@@ -1,6 +1,6 @@
 """Dyno: dependency detection and correction (the paper's contribution)."""
 
-from .anomalies import AnomalyType, classify
+from .anomalies import AnomalyType
 from .correction import CorrectionResult, correct, merge_all
 from .dependencies import (
     Dependency,
@@ -57,7 +57,6 @@ __all__ = [
     "ShardedWarehouse",
     "Strategy",
     "assign_views",
-    "classify",
     "correct",
     "detect",
     "find_dependencies",

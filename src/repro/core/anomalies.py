@@ -15,14 +15,13 @@ Type conflicting update       maintenance process
 ==== ======================= =============================
 
 Types 1-2 corrupt query answers (solved by compensation); types 3-4 are
-*broken query* anomalies (solved by Dyno).
+*broken query* anomalies (solved by Dyno): the scheduler records the
+type of every abort by the unit whose maintenance broke.
 """
 
 from __future__ import annotations
 
 import enum
-
-from ..sources.messages import UpdateMessage
 
 
 class AnomalyType(enum.Enum):
@@ -30,29 +29,3 @@ class AnomalyType(enum.Enum):
     DU_CONFLICTS_WITH_M_SC = 2
     SC_CONFLICTS_WITH_M_DU = 3
     SC_CONFLICTS_WITH_M_SC = 4
-
-    @property
-    def is_broken_query(self) -> bool:
-        """Types 3 and 4 may break maintenance queries outright."""
-        return self in (
-            AnomalyType.SC_CONFLICTS_WITH_M_DU,
-            AnomalyType.SC_CONFLICTS_WITH_M_SC,
-        )
-
-    @property
-    def is_compensatable(self) -> bool:
-        """Types 1 and 2 are handled by compensation algorithms [1, 20]."""
-        return not self.is_broken_query
-
-
-def classify(
-    conflicting: UpdateMessage, maintained: UpdateMessage
-) -> AnomalyType:
-    """Classify the anomaly of ``conflicting`` vs ``M(maintained)``."""
-    if conflicting.is_schema_change:
-        if maintained.is_schema_change:
-            return AnomalyType.SC_CONFLICTS_WITH_M_SC
-        return AnomalyType.SC_CONFLICTS_WITH_M_DU
-    if maintained.is_schema_change:
-        return AnomalyType.DU_CONFLICTS_WITH_M_SC
-    return AnomalyType.DU_CONFLICTS_WITH_M_DU

@@ -62,6 +62,7 @@ from __future__ import annotations
 
 from typing import Callable
 
+from ..sim.metrics import Metrics
 from ..sources.messages import (
     RenameAttribute,
     RenameRelation,
@@ -153,10 +154,7 @@ class FootprintCache:
         self._rewrites: dict[int, tuple[UpdateMessage, object, object]] = {}
         #: raw footprint -> normalized; cleared with ``_entries``
         self._normalized: dict[Footprint, Footprint] = {}
-        self._metrics = metrics
-        self.hits = 0
-        self.misses = 0
-        self.invalidations = 0
+        self.metrics = metrics if metrics is not None else Metrics()
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -171,8 +169,6 @@ class FootprintCache:
             self._epoch = current
 
     def clear(self) -> None:
-        if self._entries:
-            self.invalidations += 1
         self._entries.clear()
         self._normalized.clear()
 
@@ -203,13 +199,9 @@ class FootprintCache:
         key = self.key(message)
         entry = self._entries.get(key)
         if entry is not None:
-            self.hits += 1
-            if self._metrics is not None:
-                self._metrics.footprint_cache_hits += 1
+            self.metrics.footprint_cache_hits += 1
             return entry[1]
-        self.misses += 1
-        if self._metrics is not None:
-            self._metrics.footprint_cache_misses += 1
+        self.metrics.footprint_cache_misses += 1
         raw = footprint_of_update(
             message,
             self._view_queries(),
@@ -263,10 +255,10 @@ class IncrementalDependencyGraph:
         source_reads: Callable[[], int] = lambda: 0,
     ) -> None:
         self._umq = umq
-        self._metrics = metrics
         self.cache = FootprintCache(
             view_queries, rewritten_query, epoch, metrics, source_reads
         )
+        self.metrics = self.cache.metrics
         #: live absolute node ids in queue order
         self._order: list[int] = []
         #: absolute id -> message
@@ -289,9 +281,6 @@ class IncrementalDependencyGraph:
         self._keyed: dict[object, set[int]] = {}
         #: queued schema change -> {footprint value: does it conflict?}
         self._verdicts: dict[int, dict[Footprint, bool]] = {}
-        # -- counters ---------------------------------------------------
-        self.rebuilds = 0
-        self.incremental_updates = 0
         #: modeled work since the last ``consume_work`` drain
         self._work_full_nodes = 0
         self._work_full_edges = 0
@@ -574,9 +563,7 @@ class IncrementalDependencyGraph:
         self._resolver = NameResolver(self._umq.messages())
         self._verdicts = {sc_abs: {} for sc_abs in self._verdicts}
         self._refile()
-        self.rebuilds += 1
-        if self._metrics is not None:
-            self._metrics.graph_rebuilds += 1
+        self.metrics.graph_rebuilds += 1
         self._work_full_nodes += len(self._order)
         self._work_full_edges += self.edge_count
 
@@ -586,9 +573,7 @@ class IncrementalDependencyGraph:
 
     def _charge_incremental(self, nodes: int, edges: int) -> None:
         """Count one incremental update and its modelled work."""
-        self.incremental_updates += 1
-        if self._metrics is not None:
-            self._metrics.incremental_graph_updates += 1
+        self.metrics.incremental_graph_updates += 1
         self._work_inc_nodes += nodes
         self._work_inc_edges += edges
 

@@ -123,15 +123,6 @@ class ParallelScheduler(DynoScheduler):
         ] = []
         #: an SC-bearing or batch unit is running solo
         self._barrier_in_flight = False
-        #: dispatch audit for the safety property tests: one record per
-        #: dispatch with the unit and everything in flight at that point
-        self.dispatch_audit: list[dict] = []
-        #: local-answer audit extending the dispatch invariants: one
-        #: record per aux/cache serve (``tier`` says which), proving the
-        #: hit bypassed channel admission (no slot held, zero trips) yet
-        #: was answered at a single instant like any trip — replayed by
-        #: the equivalence property tests
-        self.local_audit: list[dict] = []
         self.umq.add_listener(self)
 
     def detach(self) -> None:
@@ -319,19 +310,8 @@ class ParallelScheduler(DynoScheduler):
         return dispatched
 
     def _dispatch(self, worker: WorkerState, unit: MaintenanceUnit) -> None:
-        now = self.engine.clock.now
         self.stats.iterations += 1
         self.engine.crash_point("parallel.pre_dispatch")
-        self.dispatch_audit.append(
-            {
-                "at": now,
-                "unit": list(unit.messages),
-                "in_flight": [
-                    list(running.messages)
-                    for running in self.pool.in_flight_units()
-                ],
-            }
-        )
         self._charge(self.manager.cost.dispatch_overhead, "dispatch")
         self.umq.remove_unit(unit)
         # Everything still queued is serialized behind this unit.
@@ -433,8 +413,6 @@ class ParallelScheduler(DynoScheduler):
         taint-restart discipline treat it exactly like a real trip
         evaluated now: each concurrent message is compensated exactly
         once (the PR 3 invariant, extended)."""
-        metrics = self.engine.metrics
-        trips_before = metrics.source_round_trips
         served = self.engine.serve_local(effect)
         if served is None:
             self._enqueue_job(
@@ -447,26 +425,8 @@ class ParallelScheduler(DynoScheduler):
                 )
             )
             return
-        answer, serve_cost, hit = served
+        answer, serve_cost = served
         now = self.engine.clock.now
-        channel = self.channels.get(effect.source_name)
-        self.local_audit.append(
-            {
-                "at": now,
-                "answered_at": answer.answered_at,
-                "worker": worker.index,
-                "source": effect.source_name,
-                "tier": hit.tier,
-                "rows": hit.rows,
-                "trips": metrics.source_round_trips - trips_before,
-                "channel_in_flight": (
-                    channel.in_flight if channel is not None else 0
-                ),
-                "channel_waiting": (
-                    len(channel.waiting) if channel is not None else 0
-                ),
-            }
-        )
         self._charge_worker(worker, effect.kind, serve_cost)
         if serve_cost > 0:
             self._resume_later(now + serve_cost, worker, answer)
@@ -710,7 +670,6 @@ class ParallelScheduler(DynoScheduler):
         queued and dispatchable, nothing scheduled).  Invoked through
         the base class's :meth:`~repro.core.scheduler.DynoScheduler
         .step`, which wraps every step with plan-cache accounting."""
-        self._sync_fault_stats()
         self._lift_due_quarantines()
         progressed = self._dispatch_round() > 0
         if self.engine.advance_to_next_event():
@@ -737,5 +696,4 @@ class ParallelScheduler(DynoScheduler):
         metrics = self.engine.metrics
         metrics.makespan = self.engine.clock.now
         metrics.peak_parallelism = self.pool.peak_parallelism
-        self._sync_fault_stats()
         return self.stats

@@ -50,6 +50,24 @@ from .strategies import PESSIMISTIC, BrokenQueryPolicy, Strategy
 DEFAULT_QUARANTINE_PROBE = 2.0
 
 
+def closure(
+    seeds: set[int], pairs: set[tuple[int, int]], forward: bool = True
+) -> set[int]:
+    """``seeds`` and every unit reachable from them over the
+    ``(before, after)`` unit pairs: successors when ``forward``,
+    predecessors otherwise."""
+    reached = set(seeds)
+    while True:
+        grown = {
+            (after if forward else before)
+            for before, after in pairs
+            if (before if forward else after) in reached
+        }
+        if grown <= reached:
+            return reached
+        reached |= grown
+
+
 @dataclass
 class SchedulerStats:
     """Dyno-level counters complementing the engine metrics."""
@@ -63,13 +81,7 @@ class SchedulerStats:
     #: (order = commit order; the parallel equivalence tests compare the
     #: *sets* against the serial oracle)
     processed_messages: list[tuple[str, int]] = field(default_factory=list)
-    # -- fault handling (mirrors of engine metrics + scheduler-only) ---
-    #: maintenance-query retries performed by the engine
-    retries: int = 0
-    #: virtual time spent in retry backoff sleeps
-    backoff_time: float = 0.0
-    #: transient failures observed at the query path
-    transient_failures: int = 0
+    # -- fault handling (retries and backoff are counted on Metrics) --
     #: transient failures that reached the abort handler and were
     #: classified as outages instead of broken-query flags — each one a
     #: spurious abort/reorder avoided
@@ -351,28 +363,31 @@ class DynoScheduler:
         against the *rewritten* definition mid-flight), merge the head
         with the schema changes of the breaking source so the batch is
         maintained atomically.  This preserves Dyno's termination
-        argument (Section 4.4) under adversarial interleavings.
+        argument (Section 4.4) under adversarial interleavings.  Every
+        queued unit that must precede an absorbed one is absorbed too,
+        so the merge never puts a unit ahead of what committed before it.
         """
         units = list(self.umq.units)
-        head = units[0]
-        absorbed: list[MaintenanceUnit] = [head]
-        rest: list[MaintenanceUnit] = []
-        for unit in units[1:]:
+        seeds = {0} | {
+            index
+            for index, unit in enumerate(units)
             if any(
                 message.is_schema_change and message.source == broken_source
                 for message in unit
-            ):
-                absorbed.append(unit)
-            else:
-                rest.append(unit)
-        if len(absorbed) == 1:
+            )
+        }
+        if len(seeds) == 1:
             # Nothing to absorb (the breaking change is not queued yet):
             # wait for it to arrive before retrying; with nothing even
             # scheduled there is nothing to merge either, so just retry
             # (the max_iterations guard bounds the degenerate case).
             self.engine.advance_to_next_event()
             return
-        merged = MaintenanceUnit.merged(absorbed)
+        absorbed = closure(
+            seeds, self.substrate.unit_dependencies(), forward=False
+        )
+        merged = MaintenanceUnit.merged([units[i] for i in sorted(absorbed)])
+        rest = [unit for i, unit in enumerate(units) if i not in absorbed]
         self.umq.replace_order([merged] + rest)
         self.stats.forced_merges += 1
 
@@ -451,12 +466,7 @@ class DynoScheduler:
                 for source, _ in self.substrate.footprint_at(index).relations
             )
         }
-        pairs = self.substrate.unit_dependencies()
-        while True:
-            reached = {after for before, after in pairs if before in deferred}
-            if reached <= deferred:
-                return deferred
-            deferred |= reached
+        return closure(deferred, self.substrate.unit_dependencies())
 
     def _make_runnable_head(self) -> bool:
         """Move quarantine-independent units ahead of deferred ones.
@@ -528,12 +538,6 @@ class DynoScheduler:
             self.engine.advance_to(next_probe)
         self._lift_due_quarantines()
 
-    def _sync_fault_stats(self) -> None:
-        metrics = self.manager.metrics
-        self.stats.retries = metrics.retries
-        self.stats.backoff_time = metrics.backoff_time
-        self.stats.transient_failures = metrics.transient_failures
-
     # ------------------------------------------------------------------
     # the Dyno loop
     # ------------------------------------------------------------------
@@ -566,7 +570,6 @@ class DynoScheduler:
 
     def _step_impl(self) -> bool:
         metrics = self.manager.metrics
-        self._sync_fault_stats()
         self._lift_due_quarantines()
         if self.umq.is_empty():
             return self.engine.advance_to_next_event()
@@ -662,13 +665,12 @@ class DynoScheduler:
         return self.finish()
 
     def finish(self) -> SchedulerStats:
-        """Post-quiescence epilogue.
+        """Post-quiescence epilogue; returns the stats.
 
         Callers that drive the scheduler via :meth:`step` themselves —
         the :class:`~repro.core.sharding.ShardedWarehouse` coordinator
-        interleaves many schedulers — must call this once at the end to
-        get the same bookkeeping :meth:`run` performs."""
-        self._sync_fault_stats()
+        interleaves many schedulers — call this once at the end, as
+        :meth:`run` does (the parallel executor stamps its makespan)."""
         return self.stats
 
     def _handle_broken_query(

@@ -113,11 +113,6 @@ class ShardRouter:
         for ref in view.query.relations:
             footprint.add((ref.source, ref.relation))
 
-    def register_relation(
-        self, shard_id: int, source: str, relation: str
-    ) -> None:
-        self._footprints.setdefault(shard_id, set()).add((source, relation))
-
     def footprint(self, shard_id: int) -> frozenset[tuple[str, str]]:
         return frozenset(self._footprints.get(shard_id, ()))
 
@@ -527,11 +522,6 @@ class ShardCoordinator:
         """Every shard's views converge to the fresh-recompute oracle."""
         return all(
             state["consistent"] for state in self._states().values()
-        )
-
-    def crash_report_count(self) -> int:
-        return sum(
-            state["crash_reports"] for state in self._states().values()
         )
 
     def cost_model(self):

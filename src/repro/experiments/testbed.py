@@ -419,16 +419,6 @@ class Testbed:
     # workload helpers
     # ------------------------------------------------------------------
 
-    def current_source_of(self, base_relation: str) -> str:
-        """Which source hosts (a possibly renamed version of) R_i."""
-        for source in self.engine.sources.values():
-            for name in source.catalog.relation_names:
-                if name == base_relation or name.startswith(
-                    base_relation + "__v"
-                ):
-                    return source.name
-        raise KeyError(base_relation)
-
     def random_du_workload(
         self,
         count: int,

@@ -41,14 +41,6 @@ class FaultStats:
     #: wrapper message drop events (each redelivered)
     dropped_messages: int = 0
 
-    @property
-    def total_injected(self) -> int:
-        return (
-            self.injected_transients
-            + self.injected_timeouts
-            + self.crash_rejections
-        )
-
     def summary(self) -> dict[str, int]:
         return {
             "injected_transients": self.injected_transients,
@@ -131,10 +123,6 @@ class FaultInjector:
     # ------------------------------------------------------------------
     # introspection
     # ------------------------------------------------------------------
-
-    def query_attempts(self, source: str) -> int:
-        """Query attempts counted against ``source`` so far."""
-        return self._query_attempts[source]
 
     def describe(self) -> str:
         return f"FaultInjector({self.plan.describe()})"

@@ -69,14 +69,3 @@ class RetryPolicy:
     def none(cls) -> "RetryPolicy":
         """Retries disabled: the first transient failure is terminal."""
         return cls(max_attempts=1, deadline=0.0)
-
-    @classmethod
-    def aggressive(cls) -> "RetryPolicy":
-        """Many fast retries — for chaos suites with dense fault plans."""
-        return cls(
-            max_attempts=8,
-            base_backoff=0.02,
-            max_backoff=0.5,
-            deadline=30.0,
-            quarantine_probe=1.0,
-        )

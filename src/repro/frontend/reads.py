@@ -29,9 +29,10 @@ visible in the served version, zero for a fully-fresh answer.
 
 Latency is a queueing simulation: each shard serves reads with
 ``cost.read_servers`` concurrent servers; a read waits for a free
-server, then pays the cost-model service time (``point_read`` or
-``scan_read`` over the served version's extent size).  The p99 tail is
-therefore a real queueing effect, not a constant.
+server, then pays the cost-model service time (``point_read``, or
+``read_scan_base`` plus ``read_scan_per_tuple`` per row of the served
+version's extent).  The p99 tail is therefore a real queueing effect,
+not a constant.
 """
 
 from __future__ import annotations
@@ -120,15 +121,6 @@ class ShardTimeline:
         as observed at time ``at`` (0.0 when fully fresh).  O(1): the
         first-invisible commit was precomputed per version."""
         index = self.first_invisible[version]
-        if index < len(self.commits) and self.commits[index] <= at:
-            return at - self.commits[index]
-        return 0.0
-
-    def staleness(self, watermark: float, at: float) -> float:
-        """Staleness at an arbitrary ``watermark`` (bisecting flavour
-        for ad-hoc queries; the serving loop uses
-        :meth:`staleness_of`)."""
-        index = bisect_right(self.commits, watermark)
         if index < len(self.commits) and self.commits[index] <= at:
             return at - self.commits[index]
         return 0.0
@@ -238,13 +230,6 @@ class ReadFrontEnd:
         self._global_times = times
         self._global_watermarks = watermarks
         return times, watermarks
-
-    def global_watermark_at(self, at: float) -> float:
-        """The coordinated cut: every commit at or below this time is
-        installed on *every* shard at virtual time ``at``."""
-        times, watermarks = self._global_watermark_steps()
-        index = bisect_right(times, at) - 1
-        return watermarks[index] if index >= 0 else 0.0
 
     def serve(
         self,

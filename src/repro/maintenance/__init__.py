@@ -25,7 +25,7 @@ from .decompose import (
     scan_query,
     subquery_over,
 )
-from .va import adapt_view, telescoping_delta
+from .va import adapt_view
 from .vm import maintain_data_update
 from .vs import (
     RewriteReport,
@@ -58,5 +58,4 @@ __all__ = [
     "scan_query",
     "schema_changes_of",
     "subquery_over",
-    "telescoping_delta",
 ]

@@ -170,14 +170,10 @@ class SchemaHistory:
     # translation
     # ------------------------------------------------------------------
 
-    def current_relation(self, source: str, name: str) -> str | None:
-        """The relation's current name, or None if it was dropped."""
-        return self.relations.now(source, name)
-
     def committed_names(self, source: str, relation: str) -> list[str]:
         """Every name an update on what is now ``relation`` can have
-        committed under: the names whose :meth:`current_relation` is
-        ``relation``.  A dropped name is nobody's past."""
+        committed under: the names that are called ``relation`` now
+        (``relations.now``).  A dropped name is nobody's past."""
         lineage = self.relations.holder(source, relation)
         if lineage is None:
             return [relation]
@@ -188,14 +184,6 @@ class SchemaHistory:
             for name in dict.fromkeys(lineage.names)
             if self.relations.holder(source, name) is lineage
         ]
-
-    def current_attribute(
-        self, source: str, current_relation: str, past_attribute: str
-    ) -> str | None:
-        lineage = self.relations.holder(source, current_relation)
-        if lineage is None or lineage.name != current_relation:
-            return past_attribute
-        return lineage.attributes.now(source, past_attribute)
 
     def translate_data_update(
         self, source: str, update: DataUpdate

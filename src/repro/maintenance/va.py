@@ -9,9 +9,9 @@ the telescoping sum of Equation 6:
         + ...
         + R1' ⋈ R2'  ⋈ ... ⋈ ΔRn
 
-(primes are post-change states).  :func:`telescoping_delta` implements
-that formula exactly over locally bound tables, and the test suite
-proves it equal to the recompute diff for arbitrary inputs.
+(primes are post-change states).  That formula over locally bound
+tables lives in ``tests/property/test_equation6.py``, which proves it
+equal to the recompute diff for arbitrary inputs.
 
 The *effectful* adaptation process (:func:`adapt_view`) obtains each
 relation's post-change target state with one compensated scan per alias
@@ -24,9 +24,7 @@ atomic batch); only the final round's extent is installed.
 
 from __future__ import annotations
 
-from ..relational.delta import Delta
 from ..relational.executor import execute
-from ..relational.query import SPJQuery
 from ..relational.table import Table
 from ..sim.costs import CostModel
 from ..sim.effects import Delay, SourceQuery
@@ -35,47 +33,6 @@ from ..views.definition import ViewDefinition
 from ..views.umq import MaintenanceUnit, UpdateMessageQueue
 from .compensation import CompensationLog, compensate_answer
 from .decompose import scan_query
-
-
-def telescoping_delta(
-    query: SPJQuery,
-    old_tables: dict[str, Table],
-    new_tables: dict[str, Table],
-) -> Delta | None:
-    """Equation 6: the signed view delta from old to new source states.
-
-    ``old_tables`` and ``new_tables`` bind every alias of ``query``.
-    Returns ``None`` when no relation changed.
-    """
-    total: Delta | None = None
-    aliases = list(query.aliases)
-    for index, alias in enumerate(aliases):
-        delta_i = new_tables[alias].as_delta()
-        delta_i.merge(old_tables[alias].as_delta().negated())
-        if delta_i.is_empty():
-            continue
-        bindings: dict[str, Table] = {}
-        for j, other in enumerate(aliases):
-            if j < index:
-                bindings[other] = new_tables[other]
-            elif j > index:
-                bindings[other] = old_tables[other]
-        positive = Table(delta_i.schema)
-        negative = Table(delta_i.schema)
-        for row, count in delta_i.items():
-            if count > 0:
-                positive.insert(row, count)
-            else:
-                negative.insert(row, -count)
-        plus = execute(query, {**bindings, alias: positive})
-        minus = execute(query, {**bindings, alias: negative})
-        contribution = plus.as_delta()
-        contribution.merge(minus.as_delta().negated())
-        if total is None:
-            total = contribution
-        else:
-            total.merge(contribution)
-    return total
 
 
 def adapt_view(

@@ -31,7 +31,6 @@ from .executor import (
 from .plan import (
     CompiledPlan,
     PlanCache,
-    clear_plan_cache,
     compile_plan,
     execute_compiled,
     plan_cache_stats,
@@ -91,7 +90,6 @@ __all__ = [
     "UnknownRelationError",
     "Value",
     "attr",
-    "clear_plan_cache",
     "compile_plan",
     "conjunction",
     "execute",

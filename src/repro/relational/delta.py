@@ -141,24 +141,6 @@ class Delta:
             for _ in range(abs(count)):
                 yield row
 
-    @property
-    def insertions(self) -> "Delta":
-        """The positive part of this delta."""
-        positive = Delta(self.schema)
-        for row, count in self._counts.items():
-            if count > 0:
-                positive.add(row, count)
-        return positive
-
-    @property
-    def deletions(self) -> "Delta":
-        """The negative part, returned with positive counts."""
-        negative = Delta(self.schema)
-        for row, count in self._counts.items():
-            if count < 0:
-                negative.add(row, -count)
-        return negative
-
     def is_empty(self) -> bool:
         return not self._counts
 

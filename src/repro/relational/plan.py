@@ -53,12 +53,11 @@ raiser* installed at the stage where the naive evaluator would have
 raised.  ``tests/property/test_executor_equivalence.py`` proves the
 equivalence over random queries × bag tables × deltas × schema changes.
 
-**Plan-cache invalidation rule (schema epoch).**  Schemas are immutable
-values: every physical schema change replaces a table's
-:class:`RelationSchema` with a new object (and bumps
-``Table.schema_epoch``).  Plans are cached under ``(shape, bound
-schemas)``, so a schema change can never serve a stale plan — the old
-epoch's entry simply ages out of the LRU.
+**Plan-cache invalidation rule.**  Schemas are immutable values: every
+physical schema change replaces a table's :class:`RelationSchema` with
+a new object, so the bound schemas *are* the epoch.  Plans are cached
+under ``(shape, bound schemas)``, so a schema change can never serve a
+stale plan — the old schema's entry simply ages out of the LRU.
 """
 
 from __future__ import annotations
@@ -687,10 +686,6 @@ class PlanCache:
 
 #: the process-wide plan cache used by :func:`execute_compiled`
 PLAN_CACHE = PlanCache()
-
-
-def clear_plan_cache() -> None:
-    PLAN_CACHE.clear()
 
 
 def plan_cache_stats() -> dict[str, int]:

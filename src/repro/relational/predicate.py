@@ -42,9 +42,6 @@ class AttrRef:
     def qualified(self) -> str:
         return f"{self.relation}.{self.name}" if self.relation else self.name
 
-    def with_relation(self, relation: str) -> "AttrRef":
-        return AttrRef(relation, self.name)
-
     def renamed(self, name: str) -> "AttrRef":
         return AttrRef(self.relation, name)
 

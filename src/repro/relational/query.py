@@ -8,8 +8,8 @@ are all SPJ queries; the executor (:mod:`repro.relational.executor`)
 evaluates them against bags of rows.
 
 The AST supports the structural rewrites view synchronization needs:
-renaming relations/attributes, replacing a relation wholesale, dropping
-attributes from the projection and pruning join conditions.
+renaming relations/attributes, substituting attribute references and
+removing a relation with every term that touches it.
 
 A query is immutable, so what follows from its fields alone — its
 aliases, the attributes it mentions, its hash, its *shape* (see
@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Sequence
 
-from .errors import QueryError, UnknownAttributeError
+from .errors import QueryError
 from .predicate import (
     TRUE,
     AttrRef,
@@ -196,9 +196,6 @@ class SPJQuery(Memoised):
     def sources(self) -> frozenset[str]:
         return frozenset(ref.source for ref in self.relations)
 
-    def relations_of_source(self, source: str) -> tuple[RelationRef, ...]:
-        return tuple(ref for ref in self.relations if ref.source == source)
-
     def all_attribute_refs(self) -> frozenset[AttrRef]:
         """Every attribute the query mentions anywhere."""
         return self._attribute_refs
@@ -233,9 +230,6 @@ class SPJQuery(Memoised):
             for ref in self.all_attribute_refs()
         )
 
-    def joins_touching(self, alias: str) -> tuple[JoinCondition, ...]:
-        return tuple(join for join in self.joins if join.touches(alias))
-
     # ------------------------------------------------------------------
     # structural rewrites (used by view synchronization)
     # ------------------------------------------------------------------
@@ -248,21 +242,6 @@ class SPJQuery(Memoised):
             replace(ref, relation=new)
             if ref.source == source and ref.relation == old
             else ref
-            for ref in self.relations
-        )
-        return replace(self, relations=relations)
-
-    def with_relation_replaced(
-        self, alias: str, replacement: RelationRef
-    ) -> "SPJQuery":
-        """Swap the relation behind ``alias`` for another (same alias)."""
-        if replacement.alias != alias:
-            raise QueryError(
-                "replacement must keep the alias so attribute references "
-                f"remain valid (got {replacement.alias!r} for {alias!r})"
-            )
-        relations = tuple(
-            replacement if ref.alias == alias else ref
             for ref in self.relations
         )
         return replace(self, relations=relations)
@@ -285,13 +264,6 @@ class SPJQuery(Memoised):
             self, projection=projection, joins=joins, selection=selection
         )
 
-    def without_projection_attribute(self, target: AttrRef) -> "SPJQuery":
-        """Drop one attribute from the projection (view evolution)."""
-        projection = tuple(ref for ref in self.projection if ref != target)
-        if not projection:
-            raise QueryError("cannot drop the last projected attribute")
-        return replace(self, projection=projection)
-
     def without_relation(self, alias: str) -> "SPJQuery":
         """Remove a relation plus every join/projection/selection term
         touching it.  This is the last-resort view evolution when a
@@ -311,30 +283,6 @@ class SPJQuery(Memoised):
             )
         selection = _prune_selection(self.selection, alias)
         return SPJQuery(relations, projection, joins, selection)
-
-    def with_extra_selection(self, predicate: Predicate) -> "SPJQuery":
-        return replace(
-            self, selection=conjunction([self.selection, predicate])
-        )
-
-    # ------------------------------------------------------------------
-    # validation against live schemas
-    # ------------------------------------------------------------------
-
-    def validate_against(self, schemas: dict[str, "object"]) -> None:
-        """Check all attribute refs resolve in ``schemas`` (alias→schema).
-
-        Raises :class:`UnknownAttributeError` on the first dangling
-        reference; used by tests and the consistency oracle.
-        """
-        for ref in self.all_attribute_refs():
-            if ref.relation is None:
-                continue
-            schema = schemas.get(ref.relation)
-            if schema is None:
-                raise QueryError(f"no schema bound for alias {ref.relation!r}")
-            if ref.name not in schema:  # type: ignore[operator]
-                raise UnknownAttributeError(ref.name, ref.relation)
 
     # ------------------------------------------------------------------
     # rendering

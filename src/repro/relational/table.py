@@ -11,7 +11,6 @@ source drops an attribute, every stored row is projected accordingly.
 
 from __future__ import annotations
 
-import itertools
 from collections import Counter
 from typing import Iterable, Iterator
 
@@ -20,12 +19,6 @@ from .errors import ArityError, DataError
 from .rows import validated_row
 from .schema import Attribute, RelationSchema
 from .types import Value
-
-#: global monotone schema-epoch sequence; every (table, schema version)
-#: pair gets a unique stamp, so compiled-plan caches keyed by epoch are
-#: invalidated by *any* physical schema change (and never collide
-#: across tables)
-_EPOCHS = itertools.count(1)
 
 
 class Table:
@@ -41,7 +34,7 @@ class Table:
     attribute name against the schema.
     """
 
-    __slots__ = ("schema", "_counts", "_indexes", "_schema_epoch")
+    __slots__ = ("schema", "_counts", "_indexes")
 
     def __init__(
         self,
@@ -52,7 +45,6 @@ class Table:
         self._counts: Counter[Row] = Counter()
         #: attribute name -> (column position, value -> set of rows)
         self._indexes: dict[str, tuple[int, dict]] = {}
-        self._schema_epoch = next(_EPOCHS)
         for row in rows:
             self.insert(row)
 
@@ -155,17 +147,6 @@ class Table:
     def rows(self) -> list[Row]:
         return list(self)
 
-    @property
-    def schema_epoch(self) -> int:
-        """Monotone stamp identifying this table's current physical
-        schema version.  Bumped by every schema mutation
-        (:meth:`rename_attribute`, :meth:`drop_attribute`,
-        :meth:`add_attribute`) — the compiled-plan cache invalidation
-        rule: a plan is valid exactly as long as every bound table
-        keeps its epoch.
-        """
-        return self._schema_epoch
-
     def as_delta(self) -> Delta:
         """The whole extent as an insertion delta."""
         delta = Delta(self.schema)
@@ -193,9 +174,6 @@ class Table:
                 count = counts.get(row, 0)
                 if count:
                     yield row, count
-
-    def has_index(self, attribute_name: str) -> bool:
-        return attribute_name in self._indexes
 
     def copy(self, name: str | None = None) -> "Table":
         schema = self.schema if name is None else self.schema.renamed(name)
@@ -229,7 +207,6 @@ class Table:
     def rename_attribute(self, old: str, new: str) -> None:
         """In-place attribute rename; rows are untouched."""
         self.schema = self.schema.rename_attribute(old, new)
-        self._schema_epoch = next(_EPOCHS)
         if old in self._indexes:
             self._indexes[new] = self._indexes.pop(old)
 
@@ -237,7 +214,6 @@ class Table:
         """Drop the attribute and project every stored row."""
         index = self.schema.index_of(attribute_name)
         self.schema = self.schema.drop_attribute(attribute_name)
-        self._schema_epoch = next(_EPOCHS)
         projected: Counter[Row] = Counter()
         for row, count in self._counts.items():
             projected[row[:index] + row[index + 1 :]] += count
@@ -250,7 +226,6 @@ class Table:
         """Append the attribute, filling existing rows with ``default``."""
         default = attribute.type.validate(default)
         self.schema = self.schema.add_attribute(attribute)
-        self._schema_epoch = next(_EPOCHS)
         extended: Counter[Row] = Counter()
         for row, count in self._counts.items():
             extended[row + (default,)] += count

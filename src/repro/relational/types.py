@@ -10,7 +10,6 @@ an attribute to an existing relation.
 from __future__ import annotations
 
 import enum
-from typing import Any
 
 from .errors import TypeMismatchError
 
@@ -77,24 +76,6 @@ class AttributeType(enum.Enum):
     def default(self) -> Value:
         """Deterministic default used when an attribute is added."""
         return None
-
-    @classmethod
-    def infer(cls, value: Any) -> "AttributeType":
-        """Infer the attribute type of a Python value.
-
-        Used by convenience constructors that build schemas from sample
-        rows (tests and examples); production schemas are declared
-        explicitly.
-        """
-        if isinstance(value, bool):
-            return cls.BOOL
-        if isinstance(value, int):
-            return cls.INT
-        if isinstance(value, float):
-            return cls.FLOAT
-        if isinstance(value, str):
-            return cls.STRING
-        raise TypeMismatchError(f"cannot infer attribute type for {value!r}")
 
     def sql_name(self) -> str:
         """Render the type as it would appear in a DDL statement."""

@@ -182,10 +182,6 @@ class CostModel:
         """One front-end point read served off a view extent."""
         return self.read_point_base
 
-    def scan_read(self, extent_tuples: int) -> float:
-        """One front-end scan read over ``extent_tuples`` view rows."""
-        return self.read_scan_base + extent_tuples * self.read_scan_per_tuple
-
     @classmethod
     def paper_default(cls) -> "CostModel":
         """The calibrated default used by all figure reproductions."""

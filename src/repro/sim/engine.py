@@ -275,9 +275,6 @@ class SimEngine:
     # time control
     # ------------------------------------------------------------------
 
-    def has_pending_events(self) -> bool:
-        return bool(self._events)
-
     def next_event_time(self) -> float | None:
         return self._events[0][0] if self._events else None
 
@@ -298,10 +295,6 @@ class SimEngine:
             return False
         self.advance_to(self._events[0][0])
         return True
-
-    def drain_events(self) -> None:
-        while self.advance_to_next_event():
-            pass
 
     # ------------------------------------------------------------------
     # effect interpretation
@@ -340,7 +333,7 @@ class SimEngine:
         """
         served = self.serve_local(effect)
         if served is not None:
-            answer, serve_cost, _hit = served
+            answer, serve_cost = served
             self.metrics.charge(effect.kind, serve_cost)
             self.advance_by(serve_cost)
             return answer
@@ -364,12 +357,12 @@ class SimEngine:
 
     def serve_local(
         self, effect: SourceQuery
-    ) -> "tuple[QueryAnswer, float, LocalHit] | None":
+    ) -> "tuple[QueryAnswer, float] | None":
         """Answer ``effect`` from the local tier, or ``None`` to ship it.
 
         The one resolve-and-serve path of both schedulers: walks the
-        armed stores in order (aux, then cache) and returns the answer,
-        its virtual serve cost and the hit record; the *caller* charges
+        armed stores in order (aux, then cache) and returns the answer
+        and its virtual serve cost; the *caller* charges
         the cost and resumes the process (blocking on the serial path,
         per worker on the parallel one).  A store that finds a schema
         change in its entry's version gap drops the entry and misses
@@ -404,7 +397,7 @@ class SimEngine:
             if hit.tier == "aux"
             else self.cost_model.cache_serve
         )
-        return QueryAnswer(hit.table, answered_at), price(hit.rows), hit
+        return QueryAnswer(hit.table, answered_at), price(hit.rows)
 
     def query_request_cost(self, effect: SourceQuery) -> float:
         """Virtual cost of shipping+executing the request at the source

@@ -34,12 +34,10 @@ from .workload import (
     DropRandomAttribute,
     FixedUpdate,
     InsertRandomRow,
-    RenameRandomAttribute,
     RenameRandomRelation,
     UpdateIntent,
     Workload,
     WorkloadItem,
-    poisson_arrival_times,
     random_row,
     random_value,
 )
@@ -63,7 +61,6 @@ __all__ = [
     "QueryTimeoutError",
     "RelationReplacement",
     "RenameAttribute",
-    "RenameRandomAttribute",
     "RenameRandomRelation",
     "RenameRelation",
     "RestructureRelations",
@@ -80,7 +77,6 @@ __all__ = [
     "Workload",
     "WorkloadItem",
     "Wrapper",
-    "poisson_arrival_times",
     "random_row",
     "random_value",
 ]

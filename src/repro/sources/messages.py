@@ -13,22 +13,19 @@ attribute or relation, that is included in the view query".
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable
+from typing import Iterable
 
 from ..relational.delta import Delta, Row
 from ..relational.schema import Attribute, RelationSchema
 from ..relational.table import Table
 from ..relational.types import Value
 
-if TYPE_CHECKING:  # pragma: no cover
-    from ..relational.query import SPJQuery
-
 
 class SourceUpdate:
     """Abstract payload of one committed source transaction."""
 
     #: relation names this update touches at its source (for semantic
-    #: dependency bucketing and conflict tests).
+    #: dependency bucketing).
     def touched_relations(self) -> frozenset[str]:
         raise NotImplementedError
 
@@ -75,15 +72,9 @@ class DataUpdate(SourceUpdate):
 
 
 class SchemaChange(SourceUpdate):
-    """Abstract schema-change payload (SC)."""
-
-    def conflicts_with_query(self, source: str, query: "SPJQuery") -> bool:
-        """Would this change invalidate ``query``'s schema knowledge?
-
-        Only metadata *removed or renamed away* can invalidate a query;
-        additions never do.
-        """
-        raise NotImplementedError
+    """Abstract schema-change payload (SC).  Whether one invalidates a
+    query (Definition 3) is :meth:`repro.core.dependencies.Footprint
+    .conflicted_by` over the query's footprint."""
 
 
 @dataclass
@@ -93,9 +84,6 @@ class RenameRelation(SchemaChange):
 
     def touched_relations(self) -> frozenset[str]:
         return frozenset({self.old, self.new})
-
-    def conflicts_with_query(self, source: str, query: "SPJQuery") -> bool:
-        return query.references_relation(source, self.old)
 
     def describe(self) -> str:
         return f"SC(rename relation {self.old} -> {self.new})"
@@ -110,9 +98,6 @@ class RenameAttribute(SchemaChange):
     def touched_relations(self) -> frozenset[str]:
         return frozenset({self.relation})
 
-    def conflicts_with_query(self, source: str, query: "SPJQuery") -> bool:
-        return query.references_attribute(source, self.relation, self.old)
-
     def describe(self) -> str:
         return f"SC(rename {self.relation}.{self.old} -> {self.new})"
 
@@ -124,11 +109,6 @@ class DropAttribute(SchemaChange):
 
     def touched_relations(self) -> frozenset[str]:
         return frozenset({self.relation})
-
-    def conflicts_with_query(self, source: str, query: "SPJQuery") -> bool:
-        return query.references_attribute(
-            source, self.relation, self.attribute
-        )
 
     def describe(self) -> str:
         return f"SC(drop {self.relation}.{self.attribute})"
@@ -142,9 +122,6 @@ class AddAttribute(SchemaChange):
 
     def touched_relations(self) -> frozenset[str]:
         return frozenset({self.relation})
-
-    def conflicts_with_query(self, source: str, query: "SPJQuery") -> bool:
-        return False  # additions cannot invalidate existing queries
 
     def describe(self) -> str:
         return f"SC(add {self.relation}.{self.attribute.name})"
@@ -167,9 +144,6 @@ class DropRelation(SchemaChange):
     def touched_relations(self) -> frozenset[str]:
         return frozenset({self.relation})
 
-    def conflicts_with_query(self, source: str, query: "SPJQuery") -> bool:
-        return query.references_relation(source, self.relation)
-
     def describe(self) -> str:
         return f"SC(drop relation {self.relation})"
 
@@ -181,9 +155,6 @@ class CreateRelation(SchemaChange):
 
     def touched_relations(self) -> frozenset[str]:
         return frozenset({self.schema.name})
-
-    def conflicts_with_query(self, source: str, query: "SPJQuery") -> bool:
-        return False
 
     def describe(self) -> str:
         return f"SC(create relation {self.schema.name})"
@@ -211,12 +182,6 @@ class RestructureRelations(SchemaChange):
 
     def touched_relations(self) -> frozenset[str]:
         return frozenset(self.dropped) | {self.new_schema.name}
-
-    def conflicts_with_query(self, source: str, query: "SPJQuery") -> bool:
-        return any(
-            query.references_relation(source, relation)
-            for relation in self.dropped
-        )
 
     def describe(self) -> str:
         return (
@@ -249,12 +214,6 @@ class UpdateMessage:
 
     def touched_relations(self) -> frozenset[str]:
         return self.payload.touched_relations()
-
-    def conflicts_with_query(self, query: "SPJQuery") -> bool:
-        """Schema-change conflict test against a view/maintenance query."""
-        if not isinstance(self.payload, SchemaChange):
-            return False
-        return self.payload.conflicts_with_query(self.source, query)
 
     def describe(self) -> str:
         return (

@@ -32,6 +32,7 @@ from ..relational.delta import Delta
 from ..relational.errors import RelationalError
 from ..relational.query import SPJQuery
 from ..relational.table import Table
+from ..sim.metrics import Metrics
 from .source import DataSource
 
 
@@ -66,8 +67,8 @@ class VersionedStore:
 
     tier: str
 
-    def __init__(self, metrics=None) -> None:
-        self.metrics = metrics
+    def __init__(self, metrics: Metrics | None = None) -> None:
+        self.metrics = metrics if metrics is not None else Metrics()
         #: ``(source name, sub-key)`` -> entry; the sub-key is the
         #: policy's (a relation name, a query's ``prepared`` pair)
         self._entries: dict[tuple, VersionedEntry] = {}
@@ -76,10 +77,7 @@ class VersionedStore:
         return len(self._entries)
 
     def _count(self, counter: str, amount: int = 1) -> None:
-        if self.metrics is not None:
-            setattr(
-                self.metrics, counter, getattr(self.metrics, counter) + amount
-            )
+        setattr(self.metrics, counter, getattr(self.metrics, counter) + amount)
 
     def _put(self, key: tuple, version: int, table: Table) -> None:
         self._entries[key] = VersionedEntry(version, table)

@@ -343,9 +343,6 @@ class DataSource:
         rows = _in_key_range(table, key_range)
         return rows[pick(len(rows))] if rows else None
 
-    def total_rows(self) -> int:
-        return sum(map(self.row_count, self.catalog.relation_names))
-
     def __repr__(self) -> str:
         return (
             f"DataSource({self.name!r}, relations="

@@ -19,7 +19,6 @@ from ..relational.types import AttributeType, Value
 from .messages import (
     DataUpdate,
     DropAttribute,
-    RenameAttribute,
     RenameRelation,
     SourceUpdate,
 )
@@ -179,27 +178,6 @@ class RenameRandomRelation(UpdateIntent):
 
 
 @dataclass
-class RenameRandomAttribute(UpdateIntent):
-    """Rename a random attribute of a random relation."""
-
-    rng: random.Random
-    relation: str | None = None
-
-    def materialize(self, source: DataSource) -> SourceUpdate | None:
-        names = list(source.catalog.relation_names)
-        if not names:
-            return None
-        relation = self.relation
-        if relation is None or relation not in source.catalog:
-            relation = self.rng.choice(names)
-        schema = source.schema_of(relation)
-        attribute = self.rng.choice(list(schema.attribute_names))
-        base, _, version = attribute.partition("__v")
-        next_version = int(version) + 1 if version.isdigit() else 2
-        return RenameAttribute(relation, attribute, f"{base}__v{next_version}")
-
-
-@dataclass
 class FixedUpdate(UpdateIntent):
     """An intent wrapping an already-concrete update."""
 
@@ -212,25 +190,6 @@ class FixedUpdate(UpdateIntent):
 # ----------------------------------------------------------------------
 # timed workloads
 # ----------------------------------------------------------------------
-
-
-def poisson_arrival_times(
-    rng: random.Random, rate: float, count: int, start: float = 0.0
-) -> list[float]:
-    """``count`` arrival instants of a Poisson process with ``rate``
-    events per virtual second (exponential inter-arrival gaps).
-
-    Uniform spacing is what the paper's experiments use; Poisson
-    arrivals model the burstier traffic of real autonomous sources.
-    """
-    if rate <= 0:
-        raise ValueError(f"rate must be positive, got {rate}")
-    times: list[float] = []
-    at = start
-    for _ in range(count):
-        at += rng.expovariate(rate)
-        times.append(at)
-    return times
 
 
 @dataclass

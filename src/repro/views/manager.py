@@ -100,12 +100,31 @@ def filtered_sink(umq: UpdateMessageQueue, message_filter, metrics: Metrics):
     return sink
 
 
-def install_messages(unit: MaintenanceUnit) -> tuple:
-    """The ``(source, seqno, committed_at)`` triples a unit covers, in
-    the shape :meth:`~repro.sim.engine.SimEngine.record_install` wants."""
-    return tuple(
-        (m.source, m.seqno, m.committed_at) for m in unit.messages
+def install_write_ahead(
+    manager, outcomes: list, unit: MaintenanceUnit
+) -> None:
+    """Install one prepared outcome per view of ``manager`` atomically.
+
+    Write-ahead rule: with a maintenance journal armed, one entry covering
+    the whole unit across every view hits the sink *before* any extent
+    is touched, so a crash at any point here is recoverable (either the
+    entry is absent and the unit re-runs, or it is present and replay
+    re-applies every recorded effect)."""
+    engine = manager.engine
+    engine.crash_point("install.pre_journal")
+    if manager.journal is not None:
+        manager.journal.record_install(unit, outcomes)
+        engine.crash_point("install.post_journal")
+    views = manager.view_managers()
+    for index, (view, outcome) in enumerate(zip(views, outcomes)):
+        view.apply_outcome(
+            outcome, counted_updates=len(unit) if index == 0 else 0
+        )
+    engine.record_install(
+        {view.view.name: len(view.mv.extent) for view in views},
+        tuple((m.source, m.seqno, m.committed_at) for m in unit.messages),
     )
+    engine.crash_point("install.post_apply")
 
 
 class ViewManager:
@@ -307,22 +326,9 @@ class ViewManager:
         return self.compute_maintenance(unit, pending_feed)
 
     def install_unit(self, prepared, unit: MaintenanceUnit) -> None:
-        """Install a prepared outcome from :meth:`compute_unit`.
-
-        Write-ahead rule: when a maintenance journal is armed, the
-        install entry hits the sink *before* the extent is touched, so
-        a crash at any point here is recoverable (either the entry is
-        absent and the unit re-runs, or it is present and replay
-        re-applies the recorded effect)."""
-        self.engine.crash_point("install.pre_journal")
-        if self.journal is not None:
-            self.journal.record_install(unit, [prepared])
-            self.engine.crash_point("install.post_journal")
-        self.apply_outcome(prepared, counted_updates=len(unit))
-        self.engine.record_install(
-            {self.view.name: len(self.mv.extent)}, install_messages(unit)
-        )
-        self.engine.crash_point("install.post_apply")
+        """Install a prepared outcome from :meth:`compute_unit`
+        (:func:`install_write_ahead`)."""
+        install_write_ahead(self, [prepared], unit)
 
     def compute_maintenance(
         self, unit: MaintenanceUnit, pending_feed=None

@@ -32,7 +32,7 @@ from .manager import (
     MaintenanceOutcome,
     ViewManager,
     filtered_sink,
-    install_messages,
+    install_write_ahead,
 )
 from .umq import MaintenanceUnit, UpdateMessageQueue
 
@@ -180,28 +180,6 @@ class MultiViewManager:
     def install_unit(
         self, prepared: list[MaintenanceOutcome], unit: MaintenanceUnit
     ) -> None:
-        """Install every view's prepared outcome atomically.
-
-        With a journal armed, one write-ahead entry covers the whole
-        unit across every view *before* any extent is touched: a crash
-        between per-view applies is repaired by replay, which re-applies
-        all recorded effects — restoring the atomicity a live run gets
-        from compute-then-install."""
-        self.engine.crash_point("install.pre_journal")
-        if self.journal is not None:
-            self.journal.record_install(unit, list(prepared))
-            self.engine.crash_point("install.post_journal")
-        for index, (manager, outcome) in enumerate(
-            zip(self.managers, prepared)
-        ):
-            manager.apply_outcome(
-                outcome, counted_updates=len(unit) if index == 0 else 0
-            )
-        self.engine.record_install(
-            {
-                manager.view.name: len(manager.mv.extent)
-                for manager in self.managers
-            },
-            install_messages(unit),
-        )
-        self.engine.crash_point("install.post_apply")
+        """Install every view's prepared outcome atomically
+        (:func:`~repro.views.manager.install_write_ahead`)."""
+        install_write_ahead(self, list(prepared), unit)

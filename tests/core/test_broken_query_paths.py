@@ -28,8 +28,10 @@ from repro.sources.messages import (
     RestructureRelations,
 )
 from repro.sources.workload import FixedUpdate, Workload
+from tests.builders import drain_events
 from tests.conftest import (
     CATALOG_SCHEMA,
+    ITEM_SCHEMA,
     STOREITEMS_SCHEMA,
     build_bookstore,
 )
@@ -44,7 +46,7 @@ def queue(engine, payloads):
     for source, payload in payloads:
         workload.add(0.0, source, FixedUpdate(payload))
     engine.schedule_workload(workload)
-    engine.drain_events()
+    drain_events(engine)
 
 
 def catalog_insert() -> DataUpdate:
@@ -52,6 +54,10 @@ def catalog_insert() -> DataUpdate:
         CATALOG_SCHEMA,
         [("Data Integration Guide", "Adams", "Eng", "P", "new")],
     )
+
+
+def item_insert() -> DataUpdate:
+    return DataUpdate.insert(ITEM_SCHEMA, [(1, "Networks", "Tan", 30.0)])
 
 
 def broken(source: str) -> BrokenQueryError:
@@ -161,6 +167,33 @@ class TestForcedProgress:
         assert merged.is_batch
         assert len(merged) == 2  # DU + absorbed SC
         assert len(list(manager.umq.units)) == 1
+
+    @BOTH
+    def test_repeat_break_absorbs_what_must_precede_the_change(
+        self, strategy
+    ):
+        """A same-relation update queued between the head and the
+        breaking source's schema change committed before the change:
+        the forced batch absorbs it too, so no update is queued behind
+        a change that committed after it."""
+        engine, manager = build_bookstore(CostModel.free())
+        queue(
+            engine,
+            [
+                ("library", catalog_insert()),
+                ("retailer", item_insert()),
+                ("library", catalog_insert()),
+                ("library", DropAttribute("Catalog", "Author")),
+            ],
+        )
+        first, unrelated, earlier, change = manager.umq.messages()
+        scheduler = DynoScheduler(manager, strategy)
+        scheduler._handle_broken_query(manager.umq.head(), broken("library"))
+        scheduler._handle_broken_query(manager.umq.head(), broken("library"))
+        assert scheduler.stats.forced_merges == 1
+        merged, *rest = manager.umq.units
+        assert list(merged) == [first, earlier, change]
+        assert [list(unit) for unit in rest] == [[unrelated]]
 
     @BOTH
     def test_cyclic_dependencies_merge_into_batch(self, strategy):

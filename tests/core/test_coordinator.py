@@ -22,7 +22,6 @@ ACCESSORS = (
     "install_logs",
     "initial_sizes",
     "consistent",
-    "crash_report_count",
     "cost_model",
 )
 

@@ -56,6 +56,7 @@ from repro.sources.messages import (
 )
 from repro.sources.mkb import AttributeReplacement
 from repro.views.umq import MaintenanceUnit, UpdateMessageQueue
+from tests.builders import with_relation_replaced
 from tests.conftest import (
     STORE_SCHEMA,
     STOREITEMS_SCHEMA,
@@ -102,8 +103,8 @@ def _speculative(message: UpdateMessage):
             if alias is None:
                 continue
             query = (
-                query.with_relation_replaced(
-                    alias, RelationRef(message.source, merged, alias)
+                with_relation_replaced(
+                    query, alias, RelationRef(message.source, merged, alias)
                 )
                 if merged
                 else query.without_relation(alias)
@@ -117,8 +118,10 @@ def _speculative(message: UpdateMessage):
     # A dropped attribute is repaired by swapping in the source's spare
     # relation (an MKB replacement): a name only the rewrite reads.
     return (
-        QUERY.with_relation_replaced(
-            alias, RelationRef(message.source, spare_of(message.source), alias)
+        with_relation_replaced(
+            QUERY,
+            alias,
+            RelationRef(message.source, spare_of(message.source), alias),
         ),
     )
 
@@ -396,7 +399,7 @@ def _counted_du_run(monkeypatch, du_count, renames=0):
 
         patch.setattr(module, name, counted)
 
-    plan_module.clear_plan_cache()
+    plan_module.PLAN_CACHE.clear()
     evictions = plan_module.plan_cache_stats()["evictions"]
     with monkeypatch.context() as patch:
         counting(patch, plan_module, "compile_plan")

@@ -10,6 +10,7 @@ from repro.experiments.testbed import (
     fixed_rename_relation,
 )
 from repro.views.consistency import check_convergence
+from tests.recorders import record_dispatches
 
 
 def _du_testbed(workers, du_count=24, tuples=60, seed=11):
@@ -78,9 +79,10 @@ def test_sc_units_run_as_barriers():
     workload.add(0.11, "src1", fixed_drop_attribute(0))
     workload.add(0.14, "src2", fixed_rename_relation(2))
     testbed.engine.schedule_workload(workload)
+    dispatches = record_dispatches(testbed.scheduler)
     testbed.run()
     barrier_dispatches = 0
-    for record in testbed.scheduler.dispatch_audit:
+    for record in dispatches:
         if any(not message.is_data_update for message in record["unit"]):
             barrier_dispatches += 1
             assert record["in_flight"] == []
@@ -122,7 +124,9 @@ def test_dispatch_accounting():
 def test_workers_one_is_serial_semantics():
     """The 1-worker arm must process units strictly one at a time."""
     testbed = _du_testbed(1)
+    dispatches = record_dispatches(testbed.scheduler)
     testbed.run()
-    for record in testbed.scheduler.dispatch_audit:
+    assert dispatches
+    for record in dispatches:
         assert record["in_flight"] == []
     assert testbed.metrics.peak_parallelism == 1

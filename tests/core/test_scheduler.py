@@ -13,6 +13,7 @@ from repro.sim.costs import CostModel
 from repro.sources.messages import DataUpdate, DropAttribute, RenameRelation
 from repro.sources.workload import FixedUpdate, Workload
 from repro.views.consistency import check_convergence
+from tests.builders import drain_events
 from tests.conftest import CATALOG_SCHEMA, ITEM_SCHEMA, build_bookstore
 
 
@@ -259,7 +260,7 @@ class TestForceProgressPreservesQueue:
                 (0.0, "library", catalog_insert()),
             ],
         )
-        engine.drain_events()
+        drain_events(engine)
         scheduler = DynoScheduler(manager, PESSIMISTIC)
         before = list(manager.umq.messages())
         scheduler._force_progress("retailer")  # no retailer SC queued
@@ -275,7 +276,7 @@ class TestForceProgressPreservesQueue:
                 (0.0, "library", catalog_insert()),
             ],
         )
-        engine.drain_events()
+        drain_events(engine)
         scheduler = DynoScheduler(manager, PESSIMISTIC)
         before = set(id(m) for m in manager.umq.messages())
         scheduler._force_progress("retailer")

@@ -11,6 +11,8 @@ from repro.experiments.testbed import (
     build_sharded_testbed,
     subview_query,
 )
+from repro.relational.predicate import attr
+from repro.relational.query import RelationRef, SPJQuery
 from repro.sim.metrics import Metrics
 from repro.sources.messages import DataUpdate, RenameRelation, UpdateMessage
 from repro.views.definition import ViewDefinition
@@ -105,7 +107,8 @@ class TestShardRouter:
 
     def test_source_distinguishes_identical_relation_names(self):
         router = ShardRouter()
-        router.register_relation(0, "srcA", "R")
+        query = SPJQuery((RelationRef("srcA", "R", "R"),), (attr("R", "a"),))
+        router.register_view(0, ViewDefinition("V", query))
         assert router.accepts(0, _du("srcA", "R"))
         assert not router.accepts(0, _du("srcB", "R"))
 

@@ -21,6 +21,7 @@ from repro import (
     RetryPolicy,
 )
 from repro.views.consistency import check_convergence
+from tests.builders import aggressive_retry_policy
 
 R = RelationSchema.of("R", ["k", "v"])
 Q = RelationSchema.of("Q", ["k", "w"])
@@ -66,7 +67,7 @@ def test_chaos_converges_to_fault_free_extent(strategy):
     total_faulty_cost = 0.0
     for seed in SEEDS:
         plan = FaultPlan.random(seed, ["a", "b"], horizon=5.0)
-        system = run_scenario(strategy, plan, RetryPolicy.aggressive())
+        system = run_scenario(strategy, plan, aggressive_retry_policy())
         manager = system.managers[0]
 
         # Convergence: final extent equals the fault-free run exactly.
@@ -86,7 +87,12 @@ def test_chaos_converges_to_fault_free_extent(strategy):
         # Determinism: the same seed reproduces the same plan.
         assert FaultPlan.random(seed, ["a", "b"], horizon=5.0) == plan
 
-        total_faults += system.fault_stats.total_injected
+        faults = system.fault_stats
+        total_faults += (
+            faults.injected_transients
+            + faults.injected_timeouts
+            + faults.crash_rejections
+        )
         total_transients += system.metrics.transient_failures
         total_faulty_cost += system.now
 

@@ -18,9 +18,9 @@ from repro import (
     OPTIMISTIC,
     PESSIMISTIC,
     RelationSchema,
-    RetryPolicy,
 )
 from repro.views.consistency import check_convergence
+from tests.builders import aggressive_retry_policy
 
 R = RelationSchema.of("R", ["k", "v"])
 Q = RelationSchema.of("Q", ["k", "w"])
@@ -89,7 +89,7 @@ def test_source_faults_and_warehouse_crashes_compose(strategy):
         system = run_scenario(
             strategy,
             fault_plan,
-            RetryPolicy.aggressive(),
+            aggressive_retry_policy(),
             crash_plan,
         )
         key = f"seed {seed}: {fault_plan.describe()} + {crash_plan.describe()}"
@@ -106,7 +106,12 @@ def test_source_faults_and_warehouse_crashes_compose(strategy):
         assert len(system.crash_reports) == system.metrics.recoveries
 
         crashes_survived += len(system.crash_reports)
-        faults_injected += system.fault_stats.total_injected
+        faults = system.fault_stats
+        faults_injected += (
+            faults.injected_transients
+            + faults.injected_timeouts
+            + faults.crash_rejections
+        )
 
     # Both chaos dimensions actually bit during the sweep.
     assert crashes_survived > 0
@@ -129,7 +134,7 @@ def test_crash_during_source_outage_window(strategy):
         system = run_scenario(
             strategy,
             fault_plan,
-            RetryPolicy.aggressive(),
+            aggressive_retry_policy(),
             CrashPlan("serial.pre_commit", 2),
         )
         assert system.check().consistent, f"seed {seed}"

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.faults.retry import RetryPolicy
+from tests.builders import aggressive_retry_policy
 
 
 class TestBackoff:
@@ -57,6 +58,6 @@ class TestPresets:
         assert policy.deadline == 0.0
 
     def test_aggressive_retries_fast_and_often(self):
-        policy = RetryPolicy.aggressive()
+        policy = aggressive_retry_policy()
         assert policy.max_attempts > RetryPolicy().max_attempts
         assert policy.base_backoff < RetryPolicy().base_backoff

@@ -99,7 +99,7 @@ class TestFifo:
         assert received == []  # second waits for first
         engine.advance_to(1.0)
         assert [
-            next(iter(m.payload.delta.insertions.rows()))[0]
+            next(iter(m.payload.delta.items()))[0][0]
             for m in received
         ] == ["first", "second"]
 

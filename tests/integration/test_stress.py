@@ -28,11 +28,8 @@ def test_poisson_arrival_storm():
     """Bursty Poisson arrivals instead of uniform spacing."""
     import random
 
-    from repro.sources.workload import (
-        InsertRandomRow,
-        Workload,
-        poisson_arrival_times,
-    )
+    from repro.sources.workload import InsertRandomRow, Workload
+    from tests.builders import poisson_arrival_times
     from repro.experiments.testbed import source_name
 
     testbed = build_testbed(PESSIMISTIC, tuples_per_relation=60, seed=21)

@@ -19,6 +19,7 @@ from repro.relational.predicate import (
     conjunction,
 )
 from repro.relational.query import JoinCondition, RelationRef, SPJQuery
+from tests.builders import with_extra_selection
 from tests.conftest import bookinfo_query
 
 QUERY = bookinfo_query()
@@ -41,13 +42,14 @@ class TestNeededColumns:
 
 class TestSelectionSplitting:
     def selective(self) -> SPJQuery:
-        return QUERY.with_extra_selection(
+        return with_extra_selection(
+            QUERY,
             conjunction(
                 [
                     Comparison(attr("I", "Price"), "<", 100.0),
                     AttrComparison(attr("S", "Store"), "!=", attr("C", "Publisher")),
                 ]
-            )
+            ),
         )
 
     def test_pushdown_single_alias(self):

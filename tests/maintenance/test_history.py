@@ -31,21 +31,21 @@ class TestRelationLineage:
     def test_identity_when_empty(self):
         history = SchemaHistory()
         assert history.is_empty()
-        assert history.current_relation("s", "R") == "R"
+        assert history.relations.now("s", "R") == "R"
 
     def test_rename_chain(self):
         history = SchemaHistory()
         history.record("s", RenameRelation("R", "R2"))
         history.record("s", RenameRelation("R2", "R3"))
-        assert history.current_relation("s", "R") == "R3"
-        assert history.current_relation("s", "R2") == "R3"
+        assert history.relations.now("s", "R") == "R3"
+        assert history.relations.now("s", "R2") == "R3"
 
     def test_drop_terminates_lineage(self):
         history = SchemaHistory()
         history.record("s", RenameRelation("R", "R2"))
         history.record("s", DropRelation("R2"))
-        assert history.current_relation("s", "R") is None
-        assert history.current_relation("s", "R2") is None
+        assert history.relations.now("s", "R") is None
+        assert history.relations.now("s", "R2") is None
 
     def test_restructure_drops_and_fresh_lineage(self):
         history = SchemaHistory()
@@ -55,13 +55,13 @@ class TestRelationLineage:
                 dropped=("R",), new_schema=RelationSchema.of("Flat", ["x"])
             ),
         )
-        assert history.current_relation("s", "R") is None
-        assert history.current_relation("s", "Flat") == "Flat"
+        assert history.relations.now("s", "R") is None
+        assert history.relations.now("s", "Flat") == "Flat"
 
     def test_sources_independent(self):
         history = SchemaHistory()
         history.record("s1", RenameRelation("R", "R2"))
-        assert history.current_relation("s2", "R") == "R"
+        assert history.relations.now("s2", "R") == "R"
 
 
 class TestReusedNames:
@@ -71,8 +71,8 @@ class TestReusedNames:
         history = SchemaHistory()
         history.record("s", DropRelation("R"))
         history.record("s", RenameRelation("S", "R"))
-        assert history.current_relation("s", "R") == "R"
-        assert history.current_relation("s", "S") == "R"
+        assert history.relations.now("s", "R") == "R"
+        assert history.relations.now("s", "S") == "R"
         assert sorted(history.committed_names("s", "R")) == ["R", "S"]
         update = du([(1, "x", "y")])
         assert history.translate_data_update("s", update) is update
@@ -93,25 +93,34 @@ class TestReusedNames:
         assert history.committed_names("s", "S") == ["R", "S"]
 
 
+def layout(history, update) -> tuple:
+    """``(relation, attribute names)`` a stale ``update`` translates to."""
+    translated = history.translate_data_update("s", update)
+    return translated.relation, translated.delta.schema.attribute_names
+
+
 class TestAttributeLineage:
     def test_attribute_rename_chain(self):
         history = SchemaHistory()
         history.record("s", RenameAttribute("R", "a", "a2"))
         history.record("s", RenameAttribute("R", "a2", "a3"))
-        assert history.current_attribute("s", "R", "a") == "a3"
-        assert history.current_attribute("s", "R", "a2") == "a3"
+        middle = R.rename_attribute("a", "a2")
+        assert layout(history, du([(1, "x", "y")])) == ("R", ("k", "a3", "b"))
+        assert layout(history, du([(1, "x", "y")], middle)) == (
+            "R", ("k", "a3", "b")
+        )
 
     def test_attribute_map_survives_relation_rename(self):
         history = SchemaHistory()
         history.record("s", RenameAttribute("R", "a", "a2"))
         history.record("s", RenameRelation("R", "R2"))
-        assert history.current_attribute("s", "R2", "a") == "a2"
+        assert layout(history, du([(1, "x", "y")])) == ("R2", ("k", "a2", "b"))
 
     def test_drop_attribute_tombstones(self):
         history = SchemaHistory()
         history.record("s", RenameAttribute("R", "a", "a2"))
         history.record("s", DropAttribute("R", "a2"))
-        assert history.current_attribute("s", "R", "a") is None
+        assert layout(history, du([(1, "x", "y")])) == ("R", ("k", "b"))
 
 
 class TestTranslation:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.maintenance.va import adapt_view, telescoping_delta
+from repro.maintenance.va import adapt_view
 from repro.relational.executor import execute
 from repro.relational.predicate import attr
 from repro.relational.query import JoinCondition, RelationRef, SPJQuery
@@ -12,6 +12,7 @@ from repro.sim.costs import CostModel
 from repro.sources.messages import DataUpdate, DropAttribute
 from repro.views.umq import MaintenanceUnit
 from tests.conftest import build_bookstore
+from tests.property.test_equation6 import telescoping_delta
 
 R = RelationSchema.of("R", ["k", "a"])
 T = RelationSchema.of("T", ["k", "x"])

@@ -21,6 +21,7 @@ from repro.sources.messages import (
     UpdateMessage,
 )
 from repro.views.definition import ViewDefinition
+from tests.builders import with_extra_selection
 from tests.conftest import (
     ITEM_SCHEMA,
     STOREITEMS_SCHEMA,
@@ -137,8 +138,9 @@ class TestDropAttribute:
     def test_prune_removes_selection_terms(self):
         selective = ViewDefinition(
             "V",
-            bookinfo_query().with_extra_selection(
-                Comparison(attr("C", "Publisher"), "=", "MIT")
+            with_extra_selection(
+                bookinfo_query(),
+                Comparison(attr("C", "Publisher"), "=", "MIT"),
             ),
         )
         result = synchronizer().synchronize(

@@ -150,8 +150,9 @@ def oracle_effect_on_answer(
     query: SPJQuery, alias: str, delta: Delta
 ) -> Delta:
     """Signed effect of ``delta`` on the answer of probe ``query``."""
-    positive = delta.insertions
-    negative = delta.deletions
+    positive, negative = Delta(delta.schema), Delta(delta.schema)
+    for row, count in delta.items():
+        (positive if count > 0 else negative).add(row, abs(count))
     effect: Delta | None = None
     if len(positive):
         inserted = _oracle_effect_of_part(query, alias, positive)

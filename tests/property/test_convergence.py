@@ -5,7 +5,8 @@ order, so after quiescence the materialized view reflects the final
 source states — for *any* interleaving of data updates and schema
 changes, under both the pessimistic and the optimistic strategy.  The
 blind-merge baseline must also converge (it merges more than needed but
-never reorders illegally).
+never reorders illegally).  No run may queue two updates of one
+relation against their commit order (``tests/recorders.py``).
 """
 
 from hypothesis import given, settings
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 from repro.core.strategies import BLIND_MERGE, OPTIMISTIC, PESSIMISTIC
 from repro.experiments.testbed import build_testbed
 from repro.views.consistency import check_convergence
+from tests.recorders import commit_order_guarded
 
 strategies = st.sampled_from([PESSIMISTIC, OPTIMISTIC, BLIND_MERGE])
 
@@ -30,18 +32,20 @@ strategies = st.sampled_from([PESSIMISTIC, OPTIMISTIC, BLIND_MERGE])
 def test_mixed_workload_converges(
     strategy, seed, du_count, sc_count, du_interval, sc_interval
 ):
-    testbed = build_testbed(strategy, tuples_per_relation=30, seed=seed)
-    testbed.engine.schedule_workload(
-        testbed.random_du_workload(
-            du_count, start=0.0, interval=du_interval, seed=seed
+    with commit_order_guarded() as inversions:
+        testbed = build_testbed(strategy, tuples_per_relation=30, seed=seed)
+        testbed.engine.schedule_workload(
+            testbed.random_du_workload(
+                du_count, start=0.0, interval=du_interval, seed=seed
+            )
         )
-    )
-    testbed.engine.schedule_workload(
-        testbed.schema_change_workload(
-            sc_count, start=0.0, interval=sc_interval, seed=seed + 1
+        testbed.engine.schedule_workload(
+            testbed.schema_change_workload(
+                sc_count, start=0.0, interval=sc_interval, seed=seed + 1
+            )
         )
-    )
-    testbed.run()
+        testbed.run()
+    assert not inversions, inversions
     assert testbed.manager.umq.is_empty()
     report = check_convergence(testbed.manager)
     assert report.consistent, report.summary()
@@ -54,14 +58,16 @@ def test_mixed_workload_converges(
 @settings(max_examples=25, deadline=None)
 def test_du_only_stream_converges_with_compensation(seed, du_count):
     """Types (1)-(2) anomalies only: compensation must be exact."""
-    testbed = build_testbed(PESSIMISTIC, tuples_per_relation=30, seed=seed)
-    # Dense arrivals maximize the concurrency windows.
-    testbed.engine.schedule_workload(
-        testbed.random_du_workload(
-            du_count, start=0.0, interval=0.01, seed=seed
+    with commit_order_guarded() as inversions:
+        testbed = build_testbed(PESSIMISTIC, tuples_per_relation=30, seed=seed)
+        # Dense arrivals maximize the concurrency windows.
+        testbed.engine.schedule_workload(
+            testbed.random_du_workload(
+                du_count, start=0.0, interval=0.01, seed=seed
+            )
         )
-    )
-    testbed.run()
+        testbed.run()
+    assert not inversions, inversions
     report = check_convergence(testbed.manager)
     assert report.consistent, report.summary()
     assert testbed.metrics.aborts == 0  # DUs never break queries
@@ -75,12 +81,14 @@ def test_du_only_stream_converges_with_compensation(seed, du_count):
 @settings(max_examples=25, deadline=None)
 def test_sc_only_stream_converges(seed, sc_count, sc_interval):
     """Types (3)-(4): schema-change storms still converge."""
-    testbed = build_testbed(OPTIMISTIC, tuples_per_relation=30, seed=seed)
-    testbed.engine.schedule_workload(
-        testbed.schema_change_workload(
-            sc_count, start=0.0, interval=sc_interval, seed=seed
+    with commit_order_guarded() as inversions:
+        testbed = build_testbed(OPTIMISTIC, tuples_per_relation=30, seed=seed)
+        testbed.engine.schedule_workload(
+            testbed.schema_change_workload(
+                sc_count, start=0.0, interval=sc_interval, seed=seed
+            )
         )
-    )
-    testbed.run()
+        testbed.run()
+    assert not inversions, inversions
     report = check_convergence(testbed.manager)
     assert report.consistent, report.summary()

@@ -4,6 +4,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.relational.delta import Delta
+from repro.relational.executor import signed_parts
 from repro.relational.schema import RelationSchema
 from repro.relational.table import Table
 
@@ -55,19 +56,29 @@ def test_merge_associates(a_items, b_items, c_items):
     assert left == right
 
 
+def split(delta):
+    """``delta``'s sign parts as the kernel reads them
+    (:func:`~repro.relational.executor.signed_parts`)."""
+    return dict(signed_parts(delta.validated_items()))
+
+
 @given(entries)
 def test_split_recombines(items):
     delta = delta_of(items)
-    recombined = delta.insertions
-    recombined.merge(delta.deletions.negated())
+    recombined = Delta(SCHEMA)
+    for sign, part in split(delta).items():
+        for row, count in part.items():
+            assert count > 0
+            recombined.add(row, sign * count)
     assert recombined == delta
 
 
 @given(entries)
 def test_net_size_is_sum_of_parts(items):
     delta = delta_of(items)
-    assert delta.net_size() == (
-        delta.insertions.net_size() + delta.deletions.net_size()
+    parts = split(delta)
+    assert delta.net_size() == sum(
+        sum(part.values()) for part in parts.values()
     )
 
 

@@ -3,7 +3,7 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.maintenance.va import telescoping_delta
+from repro.relational.delta import Delta
 from repro.relational.executor import execute
 from repro.relational.predicate import attr
 from repro.relational.query import JoinCondition, RelationRef, SPJQuery
@@ -14,6 +14,48 @@ from repro.relational.types import AttributeType
 R = RelationSchema.of("R", [("k", AttributeType.INT), "a"])
 T = RelationSchema.of("T", [("k", AttributeType.INT), "x"])
 U = RelationSchema.of("U", [("k", AttributeType.INT), "y"])
+
+
+def telescoping_delta(
+    query: SPJQuery,
+    old_tables: dict[str, Table],
+    new_tables: dict[str, Table],
+) -> Delta | None:
+    """Equation 6 verbatim: the signed view delta from old to new source
+    states, ``Σ_i new-prefix ⋈ ΔR_i ⋈ old-suffix``.  ``old_tables`` and
+    ``new_tables`` bind every alias of ``query``; ``None`` when no
+    relation changed.  View adaptation computes the same delta in closed
+    form (recompute and diff); this is its oracle."""
+    total: Delta | None = None
+    aliases = list(query.aliases)
+    for index, alias in enumerate(aliases):
+        delta_i = new_tables[alias].as_delta()
+        delta_i.merge(old_tables[alias].as_delta().negated())
+        if delta_i.is_empty():
+            continue
+        bindings: dict[str, Table] = {}
+        for j, other in enumerate(aliases):
+            if j < index:
+                bindings[other] = new_tables[other]
+            elif j > index:
+                bindings[other] = old_tables[other]
+        positive = Table(delta_i.schema)
+        negative = Table(delta_i.schema)
+        for row, count in delta_i.items():
+            if count > 0:
+                positive.insert(row, count)
+            else:
+                negative.insert(row, -count)
+        plus = execute(query, {**bindings, alias: positive})
+        minus = execute(query, {**bindings, alias: negative})
+        contribution = plus.as_delta()
+        contribution.merge(minus.as_delta().negated())
+        if total is None:
+            total = contribution
+        else:
+            total.merge(contribution)
+    return total
+
 
 small_int = st.integers(min_value=0, max_value=3)
 word = st.sampled_from(["p", "q"])

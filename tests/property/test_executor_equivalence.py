@@ -25,7 +25,7 @@ from repro.relational.delta import Delta
 from repro.relational.errors import RelationalError
 from repro.relational.executor import execute_naive
 from repro.relational.plan import (
-    clear_plan_cache,
+    PLAN_CACHE,
     execute_compiled,
     plan_cache_stats,
 )
@@ -356,7 +356,7 @@ def test_one_plan_rebinds_exactly(r_data, s_data, counts, placement, data):
     for table in tables.values():
         assert len(wide) * 4 >= table.distinct_count() > len(one) * 4
 
-    clear_plan_cache()
+    PLAN_CACHE.clear()
     misses = plan_cache_stats()["misses"]
     for first, second in bindings:
         query = _rebinding_query(placement, first, second)
@@ -370,7 +370,7 @@ def test_rebinding_takes_both_scan_paths():
     """The property above is not vacuous: on one plan a one-value list
     goes through the index and a wide one does not, in either order."""
     rows = [(key, "p", 0.5) for key in range(12)]
-    clear_plan_cache()
+    PLAN_CACHE.clear()
     for lists in ([{3}, set(range(6)), {4}], [set(range(6)), {3}]):
         table = Table(R, rows)  # fresh: no index yet
         for values in lists:

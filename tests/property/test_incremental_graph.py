@@ -445,16 +445,19 @@ class TestFootprintCacheEpoch:
         message = stream.data_update(0)
         resolver = NameResolver([])
 
+        def counts():
+            metrics = cache.metrics
+            return metrics.footprint_cache_hits, metrics.footprint_cache_misses
+
         first = cache.footprint(message, resolver)
-        assert (cache.hits, cache.misses) == (0, 1)
+        assert counts() == (0, 1)
         second = cache.footprint(message, resolver)
-        assert (cache.hits, cache.misses) == (1, 1)
+        assert counts() == (1, 1)
         assert second == first
 
         epoch[0] += 1  # a view-version bump
         third = cache.footprint(message, resolver)
-        assert (cache.hits, cache.misses) == (1, 2)
-        assert cache.invalidations == 1
+        assert counts() == (1, 2)
         assert third == first  # same view query -> same footprint
 
     def test_substrate_recomputes_footprints_after_version_bump(self):
@@ -467,15 +470,15 @@ class TestFootprintCacheEpoch:
         umq.receive(stream.data_update(0))
         umq.receive(stream.data_update(1))
 
+        metrics = incremental.metrics
         incremental.footprint_at(0)
-        misses_before = incremental.cache.misses
+        misses_before = metrics.footprint_cache_misses
         incremental.footprint_at(0)
-        assert incremental.cache.misses == misses_before  # cached
+        assert metrics.footprint_cache_misses == misses_before  # cached
 
         epoch[0] += 1
         incremental.footprint_at(0)
-        assert incremental.cache.misses == misses_before + 1
-        assert incremental.cache.invalidations >= 1
+        assert metrics.footprint_cache_misses == misses_before + 1
 
     def test_lineage_arrival_clears_cache_and_stays_correct(self):
         umq = UpdateMessageQueue()
@@ -483,7 +486,7 @@ class TestFootprintCacheEpoch:
         stream = _Stream()
         umq.receive(stream.data_update(1))
         incremental.footprint_at(0)
-        rebuilds_before = incremental.rebuilds
+        rebuilds_before = incremental.metrics.graph_rebuilds
         umq.receive(stream.rename_relation(1))
-        assert incremental.rebuilds == rebuilds_before + 1
+        assert incremental.metrics.graph_rebuilds == rebuilds_before + 1
         _check_equivalence(umq, incremental)

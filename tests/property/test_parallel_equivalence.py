@@ -7,13 +7,12 @@ and the committed (source, seqno) set must be byte-identical to the
 serial scheduler's — that is the whole correctness claim of the
 executor, checked here end to end on randomized streams.
 
-The dispatch audit is also replayed: no unit may ever have been
+The dispatches are also replayed (``tests/recorders.py``): no unit may ever have been
 dispatched while an in-flight unit touched one of its (source,
 relation) keys, and SC-bearing or batch units must have run solo
 (the barrier rule that covers all conflict-dependency edges).
 """
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -22,35 +21,40 @@ from repro.experiments.testbed import build_testbed
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan
 from repro.views.consistency import check_convergence
+from tests.recorders import commit_order_guarded, record_dispatches
 
 strategies = st.sampled_from([PESSIMISTIC, OPTIMISTIC])
 
 
 def _run(strategy, workers, seed, du_count, sc_count, fault_seed=None):
-    testbed = build_testbed(
-        strategy, tuples_per_relation=30, parallel_workers=workers
-    )
-    if fault_seed is not None:
-        plan = FaultPlan.random(
-            fault_seed,
-            sources=list(testbed.engine.sources),
-            horizon=2.0,
-            max_crashes=1,
-            crash_length=(0.1, 0.5),
+    with commit_order_guarded() as inversions:
+        testbed = build_testbed(
+            strategy, tuples_per_relation=30, parallel_workers=workers
         )
-        testbed.engine.install_faults(FaultInjector(plan))
-    testbed.engine.schedule_workload(
-        testbed.random_du_workload(
-            du_count, start=0.0, interval=0.01, seed=seed
-        )
-    )
-    if sc_count:
+        if fault_seed is not None:
+            plan = FaultPlan.random(
+                fault_seed,
+                sources=list(testbed.engine.sources),
+                horizon=2.0,
+                max_crashes=1,
+                crash_length=(0.1, 0.5),
+            )
+            testbed.engine.install_faults(FaultInjector(plan))
         testbed.engine.schedule_workload(
-            testbed.schema_change_workload(
-                sc_count, start=0.05, interval=0.07, seed=seed + 1
+            testbed.random_du_workload(
+                du_count, start=0.0, interval=0.01, seed=seed
             )
         )
-    testbed.run()
+        if sc_count:
+            testbed.engine.schedule_workload(
+                testbed.schema_change_workload(
+                    sc_count, start=0.05, interval=0.07, seed=seed + 1
+                )
+            )
+        if workers is not None:
+            testbed.dispatches = record_dispatches(testbed.scheduler)
+        testbed.run()
+    assert not inversions, inversions
     extent = tuple(sorted(map(tuple, testbed.manager.mv.extent.rows())))
     processed = frozenset(testbed.scheduler.stats.processed_messages)
     return testbed, extent, processed
@@ -64,9 +68,9 @@ def _touched_keys(messages):
     }
 
 
-def _audit(scheduler):
+def _audit(testbed):
     """Replay the dispatch log against the gating invariants."""
-    for record in scheduler.dispatch_audit:
+    for record in testbed.dispatches:
         unit_messages = record["unit"]
         in_flight = record["in_flight"]
         is_barrier = len(unit_messages) > 1 or any(
@@ -106,7 +110,7 @@ def test_parallel_matches_serial_oracle(
     assert processed == serial_processed
     report = check_convergence(parallel.manager)
     assert report.consistent, report.summary()
-    _audit(parallel.scheduler)
+    _audit(parallel)
 
 
 @given(
@@ -133,19 +137,14 @@ def test_parallel_matches_serial_oracle_under_faults(
     assert processed == serial_processed
     report = check_convergence(parallel.manager)
     assert report.consistent, report.summary()
-    _audit(parallel.scheduler)
+    _audit(parallel)
 
 
-@pytest.mark.xfail(
-    strict=True,
-    raises=AssertionError,
-    reason="known bug: under this draw's fault plan the *serial* arm "
-    "ends INCONSISTENT (39 rows against a 37-row recompute); the "
-    "parallel arm converges",
-)
 def test_under_faults_pessimistic_seed_15():
     """A draw of :func:`test_parallel_matches_serial_oracle_under_faults`
-    that fails, found by the ``explore`` profile and pinned here."""
+    found by the ``explore`` profile: a repeat break's forced merge once
+    put two of ``src2``'s ``R4`` inserts behind its ``R4`` rename, and the
+    serial arm kept 39 rows against a 37-row recompute."""
     test_parallel_matches_serial_oracle_under_faults.hypothesis.inner_test(
         strategy=PESSIMISTIC, seed=15, workers=2, du_count=11, sc_count=2
     )

@@ -220,7 +220,6 @@ def test_both_drivers_answer_the_same_surface():
             "cost_model",
             "horizon",
             "install_logs",
-            "crash_report_count",
             "aggregate_makespan",
         ):
             assert getattr(inline.driver, accessor)() == getattr(

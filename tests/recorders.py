@@ -1,0 +1,120 @@
+"""Test-side recorders.  Each hooks a public seam a run already goes
+through and keeps one record per event, so the package itself keeps no
+per-event log that only tests read."""
+
+from __future__ import annotations
+
+from contextlib import contextmanager
+
+from repro.views.umq import UpdateMessageQueue
+
+
+def record_dispatches(scheduler) -> list[dict]:
+    """One record per unit a parallel scheduler dispatches: the unit's
+    messages and those of every unit in flight beside it.  Hooks
+    ``manager.compute_unit``, which the executor calls once per
+    dispatch, right after assigning the unit to its worker."""
+    records: list[dict] = []
+    manager = scheduler.manager
+    compute = manager.compute_unit
+
+    def recording(unit, pending_feed=None):
+        records.append(
+            {
+                "unit": list(unit.messages),
+                "in_flight": [
+                    list(running.messages)
+                    for running in scheduler.pool.in_flight_units()
+                    if running is not unit
+                ],
+            }
+        )
+        return compute(unit, pending_feed=pending_feed)
+
+    manager.compute_unit = recording
+    return records
+
+
+def record_local_serves(engine, scheduler=lambda: None) -> list[dict]:
+    """One record per maintenance query the local tier answered
+    (``engine.serve_local`` hit): the tier, the serve and answer
+    instants, round trips spent, and the occupancy of the source
+    channel the hit skipped (``scheduler()`` supplies the channels)."""
+    records: list[dict] = []
+    serve = engine.serve_local
+
+    def recording(effect):
+        metrics = engine.metrics
+        trips_before, aux_before = metrics.source_round_trips, metrics.aux_hits
+        served = serve(effect)
+        if served is not None:
+            answer, _cost = served
+            channels = getattr(scheduler(), "channels", {})
+            channel = channels.get(effect.source_name)
+            records.append(
+                {
+                    "at": engine.clock.now,
+                    "answered_at": answer.answered_at,
+                    "source": effect.source_name,
+                    "tier": (
+                        "aux" if metrics.aux_hits > aux_before else "cache"
+                    ),
+                    "trips": metrics.source_round_trips - trips_before,
+                    "channel_in_flight": (
+                        channel.in_flight if channel is not None else 0
+                    ),
+                    "channel_waiting": (
+                        len(channel.waiting) if channel is not None else 0
+                    ),
+                }
+            )
+        return served
+
+    engine.serve_local = recording
+    return records
+
+
+class CommitOrderGuard:
+    """A UMQ listener checking, after every mutation, that the queued
+    messages of each ``(source, relation)`` stay in commit (seqno)
+    order — Definition 4's semantic dependencies, which no reorder,
+    merge or requeue may invert.  Inversions are collected, not raised,
+    so a run reports all of them."""
+
+    def __init__(self, umq: UpdateMessageQueue, violations: list) -> None:
+        self._umq = umq
+        self.violations = violations
+
+    def _check(self, *_args) -> None:
+        latest: dict[tuple[str, str], object] = {}
+        for message in self._umq.messages():
+            for relation in message.touched_relations():
+                key = (message.source, relation)
+                ahead = latest.get(key)
+                if ahead is None or ahead.seqno < message.seqno:
+                    latest[key] = message
+                    continue
+                inversion = (ahead.describe(), message.describe())
+                if inversion not in self.violations:
+                    self.violations.append(inversion)
+
+    umq_received = umq_removed_head = umq_reordered = _check
+    umq_removed_unit = umq_requeued_front = _check
+
+
+@contextmanager
+def commit_order_guarded():
+    """Guard every UMQ built inside the block (recovered and per-shard
+    queues included); yields the list of inversions seen."""
+    violations: list = []
+    original = UpdateMessageQueue.__init__
+
+    def guarded_init(umq, *args, **kwargs):
+        original(umq, *args, **kwargs)
+        umq.add_listener(CommitOrderGuard(umq, violations))
+
+    UpdateMessageQueue.__init__ = guarded_init
+    try:
+        yield violations
+    finally:
+        UpdateMessageQueue.__init__ = original

@@ -29,6 +29,7 @@ from repro.recovery import (
     SchedulerCrash,
     simulate_crash,
 )
+from tests.recorders import commit_order_guarded
 
 SERIAL_POINTS = tuple(
     p for p in CRASH_POINTS if not p.startswith("parallel.")
@@ -46,26 +47,28 @@ def run_config(
     checkpoint_every=2,
     schema_changes=False,
 ):
-    testbed = build_testbed(
-        strategy,
-        tuples_per_relation=20,
-        snapshot_cache=cache,
-        parallel_workers=workers,
-        batch_policy=BatchPolicy(max_batch_size=3) if batch else None,
-        journal=True,
-        checkpoint_every=checkpoint_every,
-        crash_plan=crash_plan,
-    )
-    testbed.engine.schedule_workload(
-        testbed.random_du_workload(8, start=0.0, interval=0.01, seed=1)
-    )
-    if schema_changes:
-        testbed.engine.schedule_workload(
-            testbed.schema_change_workload(
-                3, start=0.02, interval=0.03, seed=5
-            )
+    with commit_order_guarded() as inversions:
+        testbed = build_testbed(
+            strategy,
+            tuples_per_relation=20,
+            snapshot_cache=cache,
+            parallel_workers=workers,
+            batch_policy=BatchPolicy(max_batch_size=3) if batch else None,
+            journal=True,
+            checkpoint_every=checkpoint_every,
+            crash_plan=crash_plan,
         )
-    testbed.run()
+        testbed.engine.schedule_workload(
+            testbed.random_du_workload(8, start=0.0, interval=0.01, seed=1)
+        )
+        if schema_changes:
+            testbed.engine.schedule_workload(
+                testbed.schema_change_workload(
+                    3, start=0.02, interval=0.03, seed=5
+                )
+            )
+        testbed.run()
+    assert not inversions, inversions
     extent = tuple(sorted(map(tuple, testbed.manager.mv.extent.rows())))
     return extent, testbed.committed_updates(), testbed
 

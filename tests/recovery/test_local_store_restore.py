@@ -7,6 +7,7 @@ from repro.experiments.testbed import build_testbed
 from repro.recovery import recover_in_place
 from repro.relational.predicate import attr
 from repro.relational.query import RelationRef, SPJQuery
+from tests.builders import drain_events
 
 
 def _scan(source: str, relation: str, column: str) -> SPJQuery:
@@ -56,7 +57,7 @@ def test_both_stores_restore_only_up_to_the_watermark():
             12, start=engine.clock.now + 0.01, interval=0.01, seed=2
         )
     )
-    engine.drain_events()
+    drain_events(engine)
     src1, src2 = engine.sources["src1"], engine.sources["src2"]
     assert src1.commit_version > maintained["src1"]
     assert src2.commit_version > maintained["src2"]

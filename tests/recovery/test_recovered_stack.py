@@ -64,9 +64,14 @@ def _per_shard(testbed):
     }
 
 
+def _crash_reports(testbed) -> int:
+    states = testbed.driver._states().values()
+    return sum(state["crash_reports"] for state in states)
+
+
 def _assert_same_shards(crashed, twin):
-    assert crashed.driver.crash_report_count() == SHARDS
-    assert twin.driver.crash_report_count() == 0
+    assert _crash_reports(crashed) == SHARDS
+    assert _crash_reports(twin) == 0
     crashed, twin = _per_shard(crashed), _per_shard(twin)
     assert crashed == twin
     for shard in crashed.values():

@@ -7,6 +7,7 @@ import pytest
 
 from repro.recovery.codec import delta_from_json, delta_to_json
 from repro.relational.delta import Delta
+from repro.relational.executor import signed_parts
 from repro.relational.errors import ArityError, TypeMismatchError
 from repro.relational.schema import RelationSchema
 from repro.relational.table import Table
@@ -65,9 +66,9 @@ class TestParts:
         delta = Delta(R)
         delta.add(("i", "i"), 3)
         delta.add(("d", "d"), -2)
-        assert delta.insertions.count(("i", "i")) == 3
-        assert delta.insertions.count(("d", "d")) == 0
-        assert delta.deletions.count(("d", "d")) == 2  # positive counts
+        # the kernel's sign split (tables hold positive counts only)
+        parts = dict(signed_parts(delta.validated_items()))
+        assert parts == {1: {("i", "i"): 3}, -1: {("d", "d"): 2}}
 
     def test_negated(self):
         delta = Delta(R)
@@ -166,7 +167,7 @@ class TestValidatedItems:
         duplicate.add((9, 9), 1)
         assert delta.validated_items() is items
         assert len(duplicate.validated_items()) == 3
-        for derived in (delta.negated(), delta.scaled(2), delta.insertions):
+        for derived in (delta.negated(), delta.scaled(2)):
             assert derived._validated is None
         assert delta.negated().validated_items() == (
             ((1, 50.0), -2), ((2, None), 1),

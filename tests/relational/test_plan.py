@@ -8,14 +8,13 @@ from repro.relational.errors import DataError
 from repro.relational.plan import (
     PLAN_CACHE,
     PlanCache,
-    clear_plan_cache,
     compile_plan,
     execute_compiled,
     plan_cache_stats,
 )
 from repro.relational.predicate import Comparison, InPredicate, attr
 from repro.relational.query import JoinCondition, RelationRef, SPJQuery
-from repro.relational.schema import RelationSchema
+from repro.relational.schema import Attribute, RelationSchema
 from repro.relational.table import Table
 from repro.relational.types import AttributeType
 
@@ -41,7 +40,7 @@ def tables():
 
 class TestPlanCache:
     def test_same_query_and_schemas_reuse_the_compiled_plan(self):
-        clear_plan_cache()
+        PLAN_CACHE.clear()
         bound = tables()
         query = two_way_query()
         before = plan_cache_stats()
@@ -55,7 +54,7 @@ class TestPlanCache:
         assert list(PLAN_CACHE._plans.values()) == list(first.values())
 
     def test_equal_schemas_share_plans_across_table_objects(self):
-        clear_plan_cache()
+        PLAN_CACHE.clear()
         query = two_way_query()
         before = plan_cache_stats()
         execute_compiled(query, tables())
@@ -66,15 +65,13 @@ class TestPlanCache:
         assert stats["misses"] == before["misses"] + 1
 
     def test_schema_change_compiles_a_fresh_plan(self):
-        clear_plan_cache()
+        PLAN_CACHE.clear()
         bound = tables()
         query = two_way_query()
         before = execute_compiled(query, bound)
         assert sorted(before.rows()) == [("p", "x"), ("q", "y"), ("q", "y")]
         misses_before = plan_cache_stats()["misses"]
-        epoch_before = bound["S"].schema_epoch
         bound["S"].rename_attribute("c", "c2")
-        assert bound["S"].schema_epoch > epoch_before
         # the old plan keys on the old schema object — a new one compiles
         query2 = SPJQuery(
             relations=query.relations,
@@ -85,9 +82,13 @@ class TestPlanCache:
         after = execute_compiled(query2, bound)
         assert sorted(after.rows()) == sorted(before.rows())
         assert plan_cache_stats()["misses"] == misses_before + 1
+        # a change the query survives: the very same query recompiles
+        bound["R"].add_attribute(Attribute("d"))
+        assert execute_compiled(query2, bound) == after
+        assert plan_cache_stats()["misses"] == misses_before + 2
 
     def test_stale_plan_never_served_after_schema_change(self):
-        clear_plan_cache()
+        PLAN_CACHE.clear()
         bound = tables()
         query = two_way_query()
         execute_compiled(query, bound)
@@ -164,7 +165,7 @@ class TestPlanCache:
                 executor(shape, bound)
 
     def test_probe_path_used_for_small_in_lists(self):
-        clear_plan_cache()
+        PLAN_CACHE.clear()
         big = Table(R, [(i % 50, "v") for i in range(200)])
         bound = {"R": big}
         query = SPJQuery(
@@ -173,7 +174,7 @@ class TestPlanCache:
             selection=InPredicate(attr("R", "k"), frozenset({3})),
         )
         result = execute_compiled(query, bound)
-        assert big.has_index("k")  # the compiled scan probed the index
+        assert "k" in big._indexes  # the compiled scan probed the index
         assert set(result.rows()) == {(3, "v")}
         assert result.count((3, "v")) == 4
 

@@ -34,9 +34,6 @@ class TestAttrRef:
         assert A.qualified() == "R.a"
         assert attr("a").qualified() == "a"
 
-    def test_with_relation(self):
-        assert attr("a").with_relation("R") == A
-
     def test_renamed(self):
         assert A.renamed("z") == attr("R", "z")
 

@@ -9,7 +9,9 @@ from pathlib import Path
 
 import pytest
 
-from repro.relational.errors import QueryError
+from repro.maintenance.vs import ViewSynchronizationError, ViewSynchronizer
+from repro.relational.errors import QueryError, UnknownAttributeError
+from repro.relational.executor import execute
 from repro.relational.predicate import (
     Comparison,
     InPredicate,
@@ -18,7 +20,11 @@ from repro.relational.predicate import (
 )
 from repro.relational.query import JoinCondition, RelationRef, SPJQuery
 from repro.relational.schema import RelationSchema
+from repro.relational.table import Table
 from repro.relational.types import AttributeType
+from repro.sources.messages import DropAttribute
+from repro.views.definition import ViewDefinition
+from tests.builders import with_extra_selection, with_relation_replaced
 
 
 def two_way() -> SPJQuery:
@@ -31,6 +37,15 @@ def two_way() -> SPJQuery:
         joins=(JoinCondition(attr("R", "k"), attr("T", "k")),),
         selection=Comparison(attr("R", "a"), ">", 0),
     )
+
+
+def _dropped(query, source, relation, attribute) -> SPJQuery:
+    """``query`` as view synchronization rewrites it when ``source``
+    drops ``relation.attribute`` (no MKB replacement)."""
+    change = DropAttribute(relation, attribute)
+    view = ViewDefinition("V", query)
+    synchronized = ViewSynchronizer().synchronize_change(view, source, change)
+    return synchronized.definition.query
 
 
 class TestValidation:
@@ -67,10 +82,6 @@ class TestIntrospection:
     def test_sources(self):
         assert two_way().sources() == frozenset({"s1", "s2"})
 
-    def test_relations_of_source(self):
-        refs = two_way().relations_of_source("s2")
-        assert [ref.relation for ref in refs] == ["T"]
-
     def test_relation_ref_unknown_raises(self):
         with pytest.raises(QueryError):
             two_way().relation_ref("Z")
@@ -94,9 +105,6 @@ class TestIntrospection:
         assert not query.references_attribute("s1", "R", "zz")
         assert not query.references_attribute("s2", "R", "a")
 
-    def test_joins_touching(self):
-        assert len(two_way().joins_touching("R")) == 1
-
     def test_join_condition_helpers(self):
         join = two_way().joins[0]
         assert join.touches("R") and join.touches("T")
@@ -117,13 +125,13 @@ class TestRewrites:
 
     def test_with_relation_replaced_keeps_alias(self):
         replacement = RelationRef("s3", "NewR", "R")
-        replaced = two_way().with_relation_replaced("R", replacement)
+        replaced = with_relation_replaced(two_way(), "R", replacement)
         assert replaced.relation_ref("R").source == "s3"
 
     def test_with_relation_replaced_alias_mismatch_rejected(self):
         with pytest.raises(QueryError):
-            two_way().with_relation_replaced(
-                "R", RelationRef("s3", "NewR", "Other")
+            with_relation_replaced(
+                two_way(), "R", RelationRef("s3", "NewR", "Other")
             )
 
     def test_with_attribute_renamed(self):
@@ -132,7 +140,8 @@ class TestRewrites:
         assert renamed.selection == Comparison(attr("R", "a2"), ">", 0)
 
     def test_without_projection_attribute(self):
-        pruned = two_way().without_projection_attribute(attr("T", "x"))
+        # View synchronization prunes a dropped, non-join attribute.
+        pruned = _dropped(two_way(), "s2", "T", "x")
         assert pruned.projection == (attr("R", "a"),)
 
     def test_without_last_projection_attribute_rejected(self):
@@ -140,8 +149,8 @@ class TestRewrites:
             relations=(RelationRef("s", "R", "R"),),
             projection=(attr("R", "a"),),
         )
-        with pytest.raises(QueryError):
-            query.without_projection_attribute(attr("R", "a"))
+        with pytest.raises(ViewSynchronizationError):
+            _dropped(query, "s", "R", "a")
 
     def test_without_relation(self):
         pruned = two_way().without_relation("T")
@@ -152,8 +161,8 @@ class TestRewrites:
         assert pruned.selection == Comparison(attr("R", "a"), ">", 0)
 
     def test_without_relation_prunes_its_selection(self):
-        query = two_way().with_extra_selection(
-            Comparison(attr("T", "x"), "=", "q")
+        query = with_extra_selection(
+            two_way(), Comparison(attr("T", "x"), "=", "q")
         )
         pruned = query.without_relation("T")
         assert pruned.selection == Comparison(attr("R", "a"), ">", 0)
@@ -179,8 +188,8 @@ class TestRewrites:
             query.without_relation("T")
 
     def test_with_extra_selection(self):
-        query = two_way().with_extra_selection(
-            Comparison(attr("T", "x"), "=", "q")
+        query = with_extra_selection(
+            two_way(), Comparison(attr("T", "x"), "=", "q")
         )
         assert len(query.selection.children) == 2  # type: ignore[attr-defined]
 
@@ -192,24 +201,31 @@ class TestRewrites:
 
 
 class TestValidationAgainstSchemas:
+    """Every attribute reference must resolve in the schema bound to its
+    alias: the executor checks it as it evaluates."""
+
+    @staticmethod
+    def bound(**schemas) -> dict[str, Table]:
+        return {alias: Table(schema) for alias, schema in schemas.items()}
+
     def test_valid(self):
-        schemas = {
-            "R": RelationSchema.of("R", ["a", "k"]),
-            "T": RelationSchema.of("T", ["x", "k"]),
-        }
-        two_way().validate_against(schemas)  # no raise
+        tables = self.bound(
+            R=RelationSchema.of("R", ["a", "k"]),
+            T=RelationSchema.of("T", ["x", "k"]),
+        )
+        assert len(execute(two_way(), tables)) == 0  # no raise
 
     def test_missing_attribute(self):
-        schemas = {
-            "R": RelationSchema.of("R", ["a"]),  # no k
-            "T": RelationSchema.of("T", ["x", "k"]),
-        }
-        with pytest.raises(Exception):
-            two_way().validate_against(schemas)
+        tables = self.bound(
+            R=RelationSchema.of("R", ["a"]),  # no k
+            T=RelationSchema.of("T", ["x", "k"]),
+        )
+        with pytest.raises(UnknownAttributeError):
+            execute(two_way(), tables)
 
     def test_missing_alias_binding(self):
         with pytest.raises(QueryError):
-            two_way().validate_against({})
+            execute(two_way(), {})
 
 
 class TestRendering:
@@ -236,8 +252,8 @@ class TestRendering:
 
 def probing(values) -> SPJQuery:
     """``two_way`` restricted by an IN-list (a maintenance probe's form)."""
-    return two_way().with_extra_selection(
-        InPredicate(attr("R", "k"), frozenset(values))
+    return with_extra_selection(
+        two_way(), InPredicate(attr("R", "k"), frozenset(values))
     )
 
 
@@ -339,7 +355,7 @@ class TestMemos:
 _CHILD = """
 import pickle, sys
 from repro.relational.plan import (
-    clear_plan_cache, execute_compiled, plan_cache_stats,
+    PLAN_CACHE, execute_compiled, plan_cache_stats,
 )
 from repro.relational.table import Table
 from tests.relational.test_query import SCHEMAS, probing
@@ -348,7 +364,7 @@ query, schemas = pickle.loads(sys.stdin.buffer.read())
 assert {probing({"u"}): "found"}[query] == "found"
 for alias, schema in schemas.items():
     assert {SCHEMAS[alias]: alias}[schema] == alias
-clear_plan_cache()
+PLAN_CACHE.clear()
 fresh = {alias: Table(schema) for alias, schema in SCHEMAS.items()}
 shipped = {alias: Table(schema) for alias, schema in schemas.items()}
 fresh["R"].insert((1, "u")), fresh["T"].insert(("x", "u"))

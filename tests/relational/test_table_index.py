@@ -19,11 +19,11 @@ class TestProbe:
         table = big_table()
         hits = dict(table.probe("k", [5, 7, 999]))
         assert hits == {(5, "v5"): 1, (7, "v0"): 1}
-        assert table.has_index("k")
+        assert "k" in table._indexes
 
     def test_index_lazy(self):
         table = big_table()
-        assert not table.has_index("k")
+        assert "k" not in table._indexes
 
     def test_index_tracks_inserts(self):
         table = big_table()
@@ -49,20 +49,20 @@ class TestProbe:
         table = big_table()
         list(table.probe("k", [1]))
         table.rename_attribute("k", "key")
-        assert table.has_index("key")
+        assert "key" in table._indexes
         assert dict(table.probe("key", [1])) == {(1, "v1"): 1}
 
     def test_drop_attribute_discards_indexes(self):
         table = big_table()
         list(table.probe("v", ["v1"]))
         table.drop_attribute("v")
-        assert not table.has_index("v")
+        assert "v" not in table._indexes
 
     def test_clear_discards_indexes(self):
         table = big_table()
         list(table.probe("k", [1]))
         table.clear()
-        assert not table.has_index("k")
+        assert "k" not in table._indexes
         assert dict(table.probe("k", [1])) == {}
 
     def test_copy_has_no_stale_index(self):
@@ -86,7 +86,7 @@ class TestExecutorProbePath:
         query = self.query(InPredicate(attr("R", "k"), frozenset({1, 2})))
         result = execute(query, {"R": table})
         assert sorted(result.rows()) == [(1, "v1"), (2, "v2")]
-        assert table.has_index("k")
+        assert "k" in table._indexes
 
     def test_residual_conjuncts_still_applied(self):
         table = big_table(500)
@@ -108,7 +108,7 @@ class TestExecutorProbePath:
         )
         result = execute(query, {"R": table})
         assert len(result) == 9
-        assert not table.has_index("k")  # scan path: no index built
+        assert "k" not in table._indexes  # scan path: no index built
 
     def test_probe_result_matches_scan_result(self):
         table = big_table(500)

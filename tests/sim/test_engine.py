@@ -12,6 +12,7 @@ from repro.sources.errors import BrokenQueryError
 from repro.sources.messages import DataUpdate, RenameRelation
 from repro.sources.source import DataSource
 from repro.sources.workload import FixedUpdate, Workload, WorkloadItem
+from tests.builders import drain_events
 
 R = RelationSchema.of("R", ["a"])
 
@@ -58,9 +59,9 @@ class TestEventOrdering:
     def test_drain(self, engine):
         engine.schedule(1.0, lambda: None)
         engine.schedule(7.0, lambda: None)
-        engine.drain_events()
+        drain_events(engine)
         assert engine.clock.now == 7.0
-        assert not engine.has_pending_events()
+        assert engine.next_event_time() is None
 
 
 class TestEffects:
@@ -141,7 +142,7 @@ class TestWorkloadScheduling:
             1.0, "s", FixedUpdate(DataUpdate.insert(R, [("w",)]))
         )
         engine.schedule_workload(workload)
-        engine.drain_events()
+        drain_events(engine)
         assert ("w",) in engine.source("s").catalog.table("R")
 
     def test_none_intents_skipped(self, engine):
@@ -150,7 +151,7 @@ class TestWorkloadScheduling:
                 return None
 
         engine.schedule_commit(WorkloadItem(1.0, "s", NullIntent()))
-        engine.drain_events()
+        drain_events(engine)
         assert len(engine.source("s").log) == 0
 
     def test_trace_records_commits(self):
@@ -160,7 +161,7 @@ class TestWorkloadScheduling:
         workload = Workload()
         workload.add(0.0, "s", FixedUpdate(DataUpdate.insert(R, [("t",)])))
         engine.schedule_workload(workload)
-        engine.drain_events()
+        drain_events(engine)
         commits = engine.tracer.of_kind("commit")
         assert len(commits) == 1
         assert "DU(R" in commits[0].detail

@@ -1,5 +1,8 @@
-"""Update messages: conflict tests and envelopes."""
+"""Update messages: conflict tests and envelopes.  A schema change's
+conflict with a query (Definition 3) is the one test detection runs:
+:meth:`Footprint.conflicted_by` over the query's footprint."""
 
+from repro.core.dependencies import footprint_of_query
 from repro.relational.schema import Attribute, RelationSchema
 from repro.relational.types import AttributeType
 from repro.sources.messages import (
@@ -16,11 +19,16 @@ from repro.sources.messages import (
 from tests.conftest import bookinfo_query
 
 QUERY = bookinfo_query()
+FOOTPRINT = footprint_of_query(QUERY)
 ITEM = RelationSchema.of("Item", ["SID", "Book"])
 
 
 def envelope(source: str, payload) -> UpdateMessage:
     return UpdateMessage(source, 1, 0.0, payload)
+
+
+def conflicts(message: UpdateMessage) -> bool:
+    return FOOTPRINT.conflicted_by(message.source, message.payload)
 
 
 class TestDataUpdate:
@@ -45,67 +53,67 @@ class TestDataUpdate:
 
     def test_never_conflicts_with_query(self):
         message = envelope("retailer", DataUpdate.insert(ITEM, []))
-        assert not message.conflicts_with_query(QUERY)
+        assert not conflicts(message)
         assert message.is_data_update and not message.is_schema_change
 
 
 class TestSchemaChangeConflicts:
     def test_rename_relation_in_view_conflicts(self):
         message = envelope("retailer", RenameRelation("Store", "Shops"))
-        assert message.conflicts_with_query(QUERY)
+        assert conflicts(message)
 
     def test_rename_relation_not_in_view(self):
         message = envelope("retailer", RenameRelation("Other", "Other2"))
-        assert not message.conflicts_with_query(QUERY)
+        assert not conflicts(message)
 
     def test_rename_relation_wrong_source(self):
         message = envelope("library", RenameRelation("Store", "Shops"))
-        assert not message.conflicts_with_query(QUERY)
+        assert not conflicts(message)
 
     def test_drop_attribute_in_view_conflicts(self):
         message = envelope("library", DropAttribute("Catalog", "Review"))
-        assert message.conflicts_with_query(QUERY)
+        assert conflicts(message)
 
     def test_drop_attribute_not_in_view(self):
         # Catalog.Year is not referenced by the view query.
         message = envelope("library", DropAttribute("Catalog", "Year"))
-        assert not message.conflicts_with_query(QUERY)
+        assert not conflicts(message)
 
     def test_rename_attribute_join_attr_conflicts(self):
         message = envelope(
             "retailer", RenameAttribute("Item", "SID", "StoreId")
         )
-        assert message.conflicts_with_query(QUERY)
+        assert conflicts(message)
 
     def test_add_attribute_never_conflicts(self):
         message = envelope(
             "library", AddAttribute("Catalog", Attribute("Year"))
         )
-        assert not message.conflicts_with_query(QUERY)
+        assert not conflicts(message)
 
     def test_create_relation_never_conflicts(self):
         message = envelope(
             "library", CreateRelation(RelationSchema.of("New", ["a"]))
         )
-        assert not message.conflicts_with_query(QUERY)
+        assert not conflicts(message)
 
     def test_drop_relation_conflicts(self):
         message = envelope("retailer", DropRelation("Item"))
-        assert message.conflicts_with_query(QUERY)
+        assert conflicts(message)
 
     def test_restructure_conflicts_if_any_dropped_in_view(self):
         change = RestructureRelations(
             dropped=("Store", "Item"),
             new_schema=RelationSchema.of("StoreItems", ["Store", "Book"]),
         )
-        assert envelope("retailer", change).conflicts_with_query(QUERY)
+        assert conflicts(envelope("retailer", change))
 
     def test_restructure_unrelated(self):
         change = RestructureRelations(
             dropped=("Other",),
             new_schema=RelationSchema.of("Other2", ["a"]),
         )
-        assert not envelope("retailer", change).conflicts_with_query(QUERY)
+        assert not conflicts(envelope("retailer", change))
 
 
 class TestTouchedRelations:

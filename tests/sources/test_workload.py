@@ -9,7 +9,6 @@ from repro.relational.types import AttributeType
 from repro.sources.messages import (
     DataUpdate,
     DropAttribute,
-    RenameAttribute,
     RenameRelation,
 )
 from repro.sources.source import DataSource
@@ -18,7 +17,6 @@ from repro.sources.workload import (
     DropRandomAttribute,
     FixedUpdate,
     InsertRandomRow,
-    RenameRandomAttribute,
     RenameRandomRelation,
     Workload,
     WorkloadItem,
@@ -26,6 +24,7 @@ from repro.sources.workload import (
     random_value,
 )
 from repro.views.consistency import check_convergence
+from tests.builders import poisson_arrival_times
 
 R = RelationSchema.of(
     "R",
@@ -99,7 +98,7 @@ class TestDeleteIntent:
         update = DeleteRandomRow(random.Random(2)).materialize(source)
         assert isinstance(update, DataUpdate)
         source.commit(update)
-        assert source.total_rows() == 1
+        assert source.row_count("R") == 1
 
     def test_empty_table_returns_none(self):
         empty = DataSource("e")
@@ -269,11 +268,6 @@ class TestSchemaChangeIntents:
         update2 = RenameRandomRelation(random.Random(1)).materialize(source)
         assert update2.old == "R__v2" and update2.new == "R__v3"
 
-    def test_rename_attribute_versions(self, source):
-        update = RenameRandomAttribute(random.Random(3)).materialize(source)
-        assert isinstance(update, RenameAttribute)
-        assert update.new.endswith("__v2")
-
     def test_fixed_update_passthrough(self, source):
         payload = DropAttribute("R", "s")
         assert FixedUpdate(payload).materialize(source) is payload
@@ -302,17 +296,15 @@ class TestWorkload:
 
 
 class TestPoissonArrivals:
-    def test_count_and_monotonicity(self):
-        from repro.sources.workload import poisson_arrival_times
+    """The stress suite's arrival stream (a test-side builder)."""
 
+    def test_count_and_monotonicity(self):
         times = poisson_arrival_times(random.Random(1), rate=2.0, count=50)
         assert len(times) == 50
         assert all(b > a for a, b in zip(times, times[1:]))
         assert times[0] > 0.0
 
     def test_mean_interarrival_close_to_rate(self):
-        from repro.sources.workload import poisson_arrival_times
-
         rate = 4.0
         times = poisson_arrival_times(
             random.Random(2), rate=rate, count=2000
@@ -321,16 +313,12 @@ class TestPoissonArrivals:
         assert abs(mean_gap - 1.0 / rate) < 0.02
 
     def test_start_offset(self):
-        from repro.sources.workload import poisson_arrival_times
-
         times = poisson_arrival_times(
             random.Random(3), rate=1.0, count=5, start=100.0
         )
         assert all(at > 100.0 for at in times)
 
     def test_invalid_rate_rejected(self):
-        from repro.sources.workload import poisson_arrival_times
-
         with pytest.raises(ValueError):
             poisson_arrival_times(random.Random(1), rate=0.0, count=1)
 
