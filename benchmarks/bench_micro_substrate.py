@@ -3,7 +3,7 @@
 These are classic repeated-timing benchmarks (unlike the figure benches,
 which run a whole simulated experiment once): the hash-join executor,
 delta application, probe compensation, the snapshot cache's fold, one
-end-to-end DU maintenance,
+DU's probe sweep over prepared answers, one end-to-end DU maintenance,
 the detection substrate (graph build, legal order, the class-graph
 order, one rename arrival, a burst of forty) and a seven-round view adaptation.
 """
@@ -27,6 +27,7 @@ from repro.maintenance.batch import combine_schema_changes
 from repro.maintenance.compensation import compensate_answer
 from repro.maintenance.decompose import probe_query
 from repro.maintenance.history import SchemaHistory
+from repro.maintenance.vm import maintain_data_update
 from repro.maintenance.vs import ViewSynchronizer
 from repro.relational.delta import Delta
 from repro.relational.executor import execute
@@ -44,6 +45,7 @@ from repro.sources.messages import (
     UpdateMessage,
 )
 from repro.sources.replica import VersionedEntry
+from repro.sim.engine import QueryAnswer
 from repro.sources.sqlite_source import SqliteDataSource
 from repro.experiments.testbed import build_testbed
 from repro.views.manager import _UMQView
@@ -299,6 +301,54 @@ def test_micro_single_du_maintenance(benchmark):
         DynoScheduler(testbed.manager, PESSIMISTIC).run()
 
     benchmark.pedantic(run_one, rounds=3, iterations=1)
+
+
+@pytest.mark.parametrize("width", [1, 20, 200])
+def test_micro_probe_sweep(benchmark, width):
+    """One DU of ``width`` rows through the 6-relation testbed view's
+    probe sweep: the running join, its IN-lists, probe binding,
+    compensation with nothing leaked and the signed view delta.  Every
+    answer is a table prepared beforehand, so neither the testbed build
+    nor the sources' execution is timed: what remains is the sweep's
+    per-call floor and its cost per delta row."""
+    testbed = build_testbed(PESSIMISTIC, tuples_per_relation=500)
+    view = testbed.manager.view
+    ref = view.query.relations[0]
+    sources = testbed.engine.sources
+    table = sources[ref.source].catalog.table(ref.relation)
+    delta = Delta.insertion(table.schema, sorted(table.rows())[:width])
+    unit = SimpleNamespace(
+        head_message=UpdateMessage(
+            ref.source, 1, 0.0, DataUpdate(ref.relation, delta)
+        )
+    )
+    nothing_leaked = SimpleNamespace(leaked=lambda *_args: [])
+
+    def sweep(answer):
+        process = maintain_data_update(view, unit, nothing_leaked)
+        try:
+            effect = next(process)
+            while True:
+                effect = process.send(answer(effect))
+        except StopIteration as stop:
+            return stop.value
+
+    answers = []
+
+    def recorded(effect):
+        table = sources[effect.source_name].execute(effect.query)
+        answers.append(QueryAnswer(table, 0.0))
+        return answers[-1]
+
+    expected = sweep(recorded)
+    assert len(answers) == len(view.query.relations) - 1
+    assert not expected.is_empty()
+
+    def replayed():
+        answered = iter(answers)
+        return sweep(lambda _effect: next(answered))
+
+    assert benchmark(replayed) == expected
 
 
 def test_micro_graph_build(benchmark):

@@ -6,6 +6,7 @@ scale; the runners' own defaults are what no scale varies.
 
 from __future__ import annotations
 
+import gc
 import random
 import time
 from types import SimpleNamespace
@@ -302,6 +303,9 @@ def run_graph_scaling_ablation(
     )
     for n_updates, n_schema_changes in sizes:
         messages = _synthetic_queue(n_updates, n_schema_changes)
+        # Time the build alone: a full collection of garbage left by
+        # earlier code would otherwise land in whichever build it hits.
+        gc.collect()
         started = time.perf_counter()
         dependencies = find_dependencies(messages, view_query)
         elapsed_ms = (time.perf_counter() - started) * 1000

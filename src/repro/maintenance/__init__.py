@@ -16,15 +16,6 @@ from .grouping import (
     find_safe_runs,
     merge_runs,
 )
-from .decompose import (
-    bfs_alias_order,
-    needed_columns,
-    probe_query,
-    probe_sweep,
-    pushdown_selection,
-    scan_query,
-    subquery_over,
-)
 from .va import adapt_view
 from .vm import maintain_data_update
 from .vs import (
@@ -42,7 +33,6 @@ __all__ = [
     "ViewSynchronizationError",
     "ViewSynchronizer",
     "adapt_view",
-    "bfs_alias_order",
     "coalesce_data_updates",
     "combine_schema_changes",
     "compensate_answer",
@@ -51,11 +41,5 @@ __all__ = [
     "find_safe_runs",
     "merge_runs",
     "maintain_data_update",
-    "needed_columns",
-    "probe_query",
-    "probe_sweep",
-    "pushdown_selection",
-    "scan_query",
     "schema_changes_of",
-    "subquery_over",
 ]

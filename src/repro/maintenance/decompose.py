@@ -12,7 +12,10 @@ All of it follows from the view query alone, so it is *prepared*:
 per query object — view synchronization replaces the definition
 wholesale, so a new view version is a new object and nothing is ever
 invalidated — and a data update only binds its join values into the
-prepared probes (:func:`probe_template`).
+prepared probes (:func:`probe_template`).  Each step carries the stage
+that folds its answer into the sweep's running join: its joins and the
+conjuncts it completes (docs/ALGORITHMS.md §"View maintenance: the
+probe sweep").
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Callable, NamedTuple
 
+from ..relational.executor import _single_alias_conjuncts
 from ..relational.predicate import (
     TRUE,
     AttrRef,
@@ -28,7 +32,9 @@ from ..relational.predicate import (
     Predicate,
     conjunction,
 )
+from ..relational.plan import Fold, SweepStage
 from ..relational.query import RelationRef, SPJQuery
+from ..relational.schema import RelationSchema
 
 
 def needed_columns(query: SPJQuery, alias: str) -> tuple[str, ...]:
@@ -60,22 +66,8 @@ def selection_conjuncts(query: SPJQuery) -> list[Predicate]:
 
 def pushdown_selection(query: SPJQuery, alias: str) -> Predicate:
     """Conjuncts of the view selection referencing only ``alias``."""
-    terms = [
-        term
-        for term in selection_conjuncts(query)
-        if {ref.relation for ref in term.references()} == {alias}
-    ]
-    return conjunction(terms)
-
-
-def selection_within(query: SPJQuery, aliases: set[str]) -> Predicate:
-    """Conjuncts whose references fall entirely inside ``aliases``."""
-    terms = [
-        term
-        for term in selection_conjuncts(query)
-        if {ref.relation for ref in term.references()} <= aliases
-    ]
-    return conjunction(terms)
+    pushdown, _rest = _single_alias_conjuncts(query.selection)
+    return conjunction(pushdown.get(alias, []))
 
 
 def _read_query(
@@ -145,29 +137,6 @@ def scan_query(query: SPJQuery, alias: str) -> SPJQuery:
     return _read_query(query, alias, pushdown_selection(query, alias))
 
 
-def subquery_over(
-    query: SPJQuery,
-    aliases: list[str],
-    projection: tuple[AttrRef, ...],
-) -> SPJQuery:
-    """The view query restricted to a subset of aliases."""
-    alias_set = set(aliases)
-    relations = tuple(
-        ref for ref in query.relations if ref.alias in alias_set
-    )
-    joins = tuple(
-        join
-        for join in query.joins
-        if join.left.relation in alias_set and join.right.relation in alias_set
-    )
-    return SPJQuery(
-        relations=relations,
-        projection=projection,
-        joins=joins,
-        selection=selection_within(query, alias_set),
-    )
-
-
 def bfs_alias_order(query: SPJQuery, start_alias: str) -> list[str]:
     """Aliases in breadth-first order over the join graph from ``start``.
 
@@ -215,41 +184,73 @@ class SweepStep(NamedTuple):
     """One relation of the probe sweep, prepared."""
 
     ref: RelationRef
-    #: the view query over the aliases visited so far, projecting the
-    #: join values to probe with; ``None`` for a disconnected relation,
-    #: which is read with a full scan
-    partial: SPJQuery | None
-    #: distinct values per column of the partial's answer -> the query
-    #: to ship
+    #: how the running join folds this relation's answer in; a stage
+    #: with no joins is a disconnected relation, read with a full scan
+    stage: Fold
+    #: IN-lists read off the running join, one per join -> the query to
+    #: ship
     source_query: Callable[[list[frozenset]], SPJQuery]
 
 
-def probe_sweep(query: SPJQuery, delta_alias: str) -> tuple[SweepStep, ...]:
+class ProbeSweep(NamedTuple):
+    """The sweep maintaining a delta on one alias, prepared."""
+
+    start: Fold
+    steps: tuple[SweepStep, ...]
+    projection: tuple[AttrRef, ...]
+    parameters: tuple
+    #: delta schema -> compiled first stage
+    stages: dict
+
+    def stage(self, schema: RelationSchema) -> SweepStage:
+        """The running join's first stage over a delta in ``schema``."""
+        stage = self.stages.get(schema)
+        if stage is None:
+            stage = SweepStage(None, self.start, schema, self.parameters)
+            self.stages[schema] = stage
+        return stage
+
+
+def probe_sweep(query: SPJQuery, delta_alias: str) -> ProbeSweep:
     """The sweep maintaining a delta on ``delta_alias``: every other
     relation in breadth-first order from it, each probed with the join
-    values of the partial result so far.  Derived once per query object.
+    values of the running join so far.  Derived once per query object.
     """
     return query.derived(_derive_sweep, delta_alias)
 
 
-def _derive_sweep(
-    query: SPJQuery, delta_alias: str
-) -> tuple[SweepStep, ...]:
+def _derive_sweep(query: SPJQuery, delta_alias: str) -> ProbeSweep:
+    shape, parameters = query.prepared
+    pushdown, rest = _single_alias_conjuncts(shape.selection)
+    order = bfs_alias_order(query, delta_alias)
+    # A conjunct applies at the stage that folds the last of its
+    # relations in, so the join each probe reads is the view over the
+    # visited prefix; one naming an unqualified attribute, at the end.
+    position = {alias: index for index, alias in enumerate(order)}
+    placed: list[list[Predicate]] = [[] for _ in order]
+    for term in rest:
+        aliases = {ref.relation for ref in term.references()}
+        if None in aliases:
+            placed[-1].append(term)
+        else:
+            placed[max(map(position.get, aliases), default=0)].append(term)
+    folds = [
+        Fold(
+            alias,
+            tuple(connecting_joins(query, alias, set(order[:index]))),
+            tuple(pushdown.get(alias, ())),
+            tuple(placed[index]),
+        )
+        for index, alias in enumerate(order)
+    ]
     steps: list[SweepStep] = []
-    visited = {delta_alias}
-    for alias in bfs_alias_order(query, delta_alias)[1:]:
-        joins = connecting_joins(query, alias, visited)
-        if joins:
-            partial = subquery_over(
-                query,
-                sorted(visited),
-                tuple(join.other_side(alias) for join in joins),
-            )
+    for alias, fold in zip(order[1:], folds[1:]):
+        if fold.joins:
             # Two joins on one attribute of ``alias`` probe it once,
             # with the later join's values.
             column_of = {
                 join.attr_of(alias).name: column
-                for column, join in enumerate(joins)
+                for column, join in enumerate(fold.joins)
             }
             attributes = tuple(sorted(column_of))
             columns = [column_of[attribute] for attribute in attributes]
@@ -259,14 +260,10 @@ def _derive_sweep(
                 return _bind(tuple(value_sets[c] for c in _columns))
 
         else:
-            partial = None
             scan = scan_query(query, alias)
 
             def source_query(value_sets, _scan=scan):
                 return _scan
 
-        steps.append(
-            SweepStep(query.relation_ref(alias), partial, source_query)
-        )
-        visited.add(alias)
-    return tuple(steps)
+        steps.append(SweepStep(query.relation_ref(alias), fold, source_query))
+    return ProbeSweep(folds[0], tuple(steps), shape.projection, parameters, {})

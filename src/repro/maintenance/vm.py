@@ -5,17 +5,19 @@ Given a data update Δ on one relation, the maintenance process (the
 
 1. reads the view definition,
 2. walks the view's join graph breadth-first from the updated relation,
-   probing each other relation with an IN-list built from the partially
-   joined result so far (the per-source queries ``r(DS1)..r(DSn)``),
+   probing each other relation with IN-lists read off the running join
+   so far (the per-source queries ``r(DS1)..r(DSn)``),
 3. compensates every answer for concurrent data updates that leaked in
    (SWEEP-style, see :mod:`repro.maintenance.compensation`),
-4. assembles the view delta locally with the bag-semantics executor, and
+4. folds each answer into the running join, which starts from Δ's
+   signed rows: the view delta is its projection, one signed pass, and
 5. returns the delta for the scheduler to write and commit (``w(MV)``,
    ``c(MV)``).
 
 Steps 1 and 2 depend on the view version only, so the decomposition is
-prepared (:func:`~repro.maintenance.decompose.probe_sweep`): an update
-brings its delta table and the IN-list values, nothing else is rebuilt.
+prepared (:func:`~repro.maintenance.decompose.probe_sweep`), and the
+running join's stages are compiled once per schema; docs/ALGORITHMS.md
+§"View maintenance: the probe sweep" says why both are exact.
 
 The process is a generator of effects; a concurrent schema change makes
 one of the probes raise
@@ -26,8 +28,9 @@ the generator — the scheduler's in-exec detection.
 from __future__ import annotations
 
 from ..relational.delta import Delta
-from ..relational.table import Table
-from ..relational.executor import execute, signed_parts
+# Not called here any more; the spine's smoke test pins the binding
+# (benchmarks/spine/test_spine_smoke.py).
+from ..relational.executor import execute  # noqa: F401
 from ..sim.effects import SourceQuery
 from ..sim.engine import MaintenanceProcess, QueryAnswer
 from ..sources.messages import DataUpdate
@@ -37,20 +40,13 @@ from .compensation import CompensationLog, compensate_answer
 from .decompose import probe_sweep
 
 
-def _abs_table(delta: Delta) -> Table:
-    return Table.from_counts(
-        delta.schema,
-        {row: abs(count) for row, count in delta.validated_items()},
-    )
-
-
-def _distinct_values(table: Table) -> list[frozenset]:
-    """The distinct values of every column of ``table``."""
-    columns: list[set] = [set() for _ in range(table.schema.arity)]
-    for row, _count in table.items():
-        for values, value in zip(columns, row):
-            values.add(value)
-    return [frozenset(values) for values in columns]
+def _fold(stage, rows, answers):
+    """Fold the pending ``(fold, answer)`` pairs into the running join."""
+    for fold, table in answers:
+        stage = stage.then(fold, table.schema)
+        rows = stage.run(rows, table)
+    answers.clear()
+    return stage, rows
 
 
 def maintain_data_update(
@@ -81,17 +77,22 @@ def maintain_data_update(
     total: Delta | None = None
     for k_ref in occurrences:
         delta_alias = k_ref.alias
-        bindings: dict[str, Table] = {delta_alias: _abs_table(payload.delta)}
+        sweep = probe_sweep(query, delta_alias)
+        stage = sweep.stage(payload.delta.schema)
+        # The running join starts from the delta's signed rows; answers
+        # wait in ``answers`` until a probe reads its IN-lists off it.
+        rows = stage.begin(payload.delta.validated_items())
+        answers: list = []
 
-        for step in probe_sweep(query, delta_alias):
+        for step in sweep.steps:
             ref = step.ref
             alias = ref.alias
-            # IN-list values come from the partial join over what we
-            # have so far (``bindings`` holds exactly the visited
-            # aliases); a disconnected relation is read with a full scan.
+            # A disconnected relation is read with a full scan.
+            probed = bool(step.stage.joins)
             value_sets: list[frozenset] = []
-            if step.partial is not None:
-                value_sets = _distinct_values(execute(step.partial, bindings))
+            if probed:
+                stage, rows = _fold(stage, rows, answers)
+                value_sets = stage.in_lists(rows, step.stage)
             source_query = step.source_query(value_sets)
 
             # Indexed IN-list probes may coalesce with probes from other
@@ -101,7 +102,7 @@ def maintain_data_update(
             answer = yield SourceQuery(
                 ref.source,
                 source_query,
-                batchable=step.partial is not None,
+                batchable=probed,
                 cacheable=True,
             )
             assert isinstance(answer, QueryAnswer)
@@ -120,20 +121,20 @@ def maintain_data_update(
                 if alias_position > own_position:
                     extra.append(payload.delta)
 
-            bindings[alias] = compensate_answer(
-                answer.table, source_query, alias, leaked, log, extra
-            )
+            answers.append((
+                step.stage,
+                compensate_answer(
+                    answer.table, source_query, alias, leaked, log, extra
+                ),
+            ))
 
-        # Every workload DU is single-signed: the absent sign would run
-        # the whole view query over an empty table, so it is skipped.
-        # The delta's validated items are adopted, not validated again.
-        schema = payload.delta.schema
-        for sign, part in signed_parts(payload.delta.validated_items()):
-            table = Table.from_counts(schema, part)
-            result = execute(query, {**bindings, delta_alias: table})
-            if total is None:
-                total = Delta(result.schema)
-            for row, count in result.items():
-                total.add(row, sign * count)
+        # One signed pass: every row carries its delta row's columns, so
+        # no two delta rows meet before the projection.
+        stage, rows = _fold(stage, rows, answers)
+        schema, result = stage.result(rows, sweep.projection)
+        if total is None:
+            total = Delta(schema)
+        for row, count in result.items():
+            total.add(row, count)
 
     return total

@@ -224,10 +224,12 @@ def _hash_join(
                 joined[left_row + right_row] += left_count * right_count
         return _Intermediate(columns, joined)
 
+    # A key holding NULL matches nothing (SQL ``=``), so it is not built.
     index: dict[tuple, list[tuple[Row, int]]] = {}
     for right_row, right_count in right.rows.items():
         key = tuple(right_row[position] for position in right_keys)
-        index.setdefault(key, []).append((right_row, right_count))
+        if None not in key:
+            index.setdefault(key, []).append((right_row, right_count))
 
     for left_row, left_count in left.rows.items():
         key = tuple(left_row[position] for position in left_keys)

@@ -64,6 +64,7 @@ from __future__ import annotations
 
 import operator
 from collections import Counter, OrderedDict
+from typing import NamedTuple
 
 from .errors import (
     AmbiguousAttributeError,
@@ -313,10 +314,7 @@ class _ScanStage:
                 if accept is None or accept(row):
                     rows[row] = get(row, 0) + count
             return rows
-        counts = table._counts  # package-internal: zero-copy scan
-        if accept is None:
-            return counts
-        return {row: count for row, count in counts.items() if accept(row)}
+        return _filtered(table._counts, accept)  # package-internal: zero-copy
 
     def smallest_list(self, parameters: tuple):
         """``(attribute name, position, values)`` of the smallest IN-list
@@ -360,11 +358,14 @@ class _JoinStage:
                     joined[row] = get(row, 0) + left_count * right_count
             return joined
         # Columnar build: one bucket per distinct key holding parallel
-        # row/count columns, multiplied in bulk at probe time.
+        # row/count columns, multiplied in bulk at probe time.  A key
+        # holding NULL is never built, so it matches nothing (SQL ``=``).
         right_key = self.right_key
         index: dict = {}
         for right_row, right_count in right_rows.items():
             key = right_key(right_row)
+            if key is None or type(key) is tuple and None in key:
+                continue
             bucket = index.get(key)
             if bucket is None:
                 index[key] = ([right_row], [right_count])
@@ -446,24 +447,33 @@ class CompiledPlan:
         """Evaluate a total plan over ``rows`` (row -> positive count)
         of its one alias: :meth:`execute`'s scan filter, residual and
         projection, with no table to scan and no index to build."""
-        accept = _bound(self.first_scan.filter, parameters)
-        if accept is not None:
-            rows = {row: count for row, count in rows.items() if accept(row)}
+        rows = _filtered(rows, _bound(self.first_scan.filter, parameters))
         return self._finish(rows, parameters)
 
     def _finish(self, rows: dict, parameters: tuple) -> Table:
-        accept = _bound(self.residual, parameters)
-        if accept is not None:
-            rows = {row: count for row, count in rows.items() if accept(row)}
+        rows = _filtered(rows, _bound(self.residual, parameters))
         if self.projection_error is not None:
             raise self.projection_error
-        project = self.project
-        projected: Counter = Counter()
-        get = projected.get
-        for row, count in rows.items():
-            key = project(row)
-            projected[key] = get(key, 0) + count
-        return Table.from_counts(self.result_schema, projected)
+        return Table.from_counts(
+            self.result_schema, _projected(rows, self.project)
+        )
+
+
+def _filtered(rows: dict, accept) -> dict:
+    """The ``rows`` a bound filter accepts (``None``: all of them)."""
+    if accept is None:
+        return rows
+    return {row: count for row, count in rows.items() if accept(row)}
+
+
+def _projected(rows: dict, project) -> Counter:
+    """``rows`` projected, the counts of rows projecting alike summed."""
+    projected: Counter = Counter()
+    get = projected.get
+    for row, count in rows.items():
+        key = project(row)
+        projected[key] = get(key, 0) + count
+    return projected
 
 
 # ----------------------------------------------------------------------
@@ -499,6 +509,48 @@ def _compile_scan(
         and predicate.attr.name in schema
     )
     return _ScanStage(alias, accept, probes), columns
+
+
+def _join_stage(scan, conditions, joined_aliases, columns, right_columns):
+    """Fold ``scan`` into the intermediate laid out as ``columns`` over
+    ``joined_aliases`` on ``conditions`` (none: a product)."""
+    if not conditions:
+        return _JoinStage(scan, None, None, None)
+    resolve_left = _resolver(columns)
+    resolve_right = _resolver(right_columns)
+    left_positions: list[int] = []
+    right_positions: list[int] = []
+    try:
+        for condition in conditions:
+            if condition.left.relation in joined_aliases:
+                left_ref, right_ref = condition.left, condition.right
+            else:
+                left_ref, right_ref = condition.right, condition.left
+            left_positions.append(resolve_left(left_ref))
+            right_positions.append(resolve_right(right_ref))
+    except RelationalError as exc:
+        # Raised when the join stage runs — after the right side's
+        # scan, exactly like the naive executor.
+        return _JoinStage(scan, None, None, exc)
+    return _JoinStage(
+        scan, _itemgetter(left_positions), _itemgetter(right_positions), None
+    )
+
+
+def _projection(projection, columns, resolve, schemas):
+    """``(row -> projected row, result schema, None)``, or ``(None, None,
+    error)`` when a reference does not resolve (raised after filtering)."""
+    try:
+        positions = [resolve(ref) for ref in projection]
+    except RelationalError as exc:
+        return None, None, exc
+    project = _itemgetter(positions)
+    if len(positions) == 1:
+        # itemgetter with one key returns a scalar; rows are tuples
+        position = positions[0]
+        project = lambda row, _position=position: (row[_position],)
+    projection_columns = [columns[position] for position in positions]
+    return project, result_schema(schemas, projection_columns), None
 
 
 def compile_plan(
@@ -547,28 +599,11 @@ def compile_plan(
         scan, right_columns = _compile_scan(
             chosen, schemas[chosen], pushdown.get(chosen, []), []
         )
-        left_key = right_key = None
-        error = None
-        if applicable:
-            resolve_left = _resolver(columns)
-            resolve_right = _resolver(right_columns)
-            left_positions: list[int] = []
-            right_positions: list[int] = []
-            try:
-                for condition in applicable:
-                    if condition.left.relation in joined_aliases:
-                        left_ref, right_ref = condition.left, condition.right
-                    else:
-                        left_ref, right_ref = condition.right, condition.left
-                    left_positions.append(resolve_left(left_ref))
-                    right_positions.append(resolve_right(right_ref))
-                left_key = _itemgetter(left_positions)
-                right_key = _itemgetter(right_positions)
-            except RelationalError as exc:
-                # Raised when the join stage runs — after the right
-                # side's scan, exactly like the naive executor.
-                error = exc
-        join_stages.append(_JoinStage(scan, left_key, right_key, error))
+        join_stages.append(
+            _join_stage(
+                scan, applicable, joined_aliases, columns, right_columns
+            )
+        )
         columns = columns + right_columns
         joined_aliases.add(chosen)
         for join in applicable:
@@ -582,22 +617,9 @@ def compile_plan(
         conjunction(residual_filters), resolve_final, deferred
     )
 
-    projection_error = None
-    project = None
-    schema = None
-    try:
-        positions = [resolve_final(ref) for ref in query.projection]
-    except RelationalError as exc:
-        projection_error = exc
-    else:
-        project = _itemgetter(positions)
-        if len(positions) == 1:
-            # itemgetter with one key returns a scalar; rows are tuples
-            position = positions[0]
-            project = lambda row, _position=position: (row[_position],)
-        projection_columns = [columns[position] for position in positions]
-        schema = result_schema(schemas, projection_columns)
-
+    project, schema, projection_error = _projection(
+        query.projection, columns, resolve_final, schemas
+    )
     return CompiledPlan(
         query,
         first_scan,
@@ -608,6 +630,110 @@ def compile_plan(
         schema,
         not join_stages and not deferred and projection_error is None,
     )
+
+
+# ----------------------------------------------------------------------
+# the probe sweep's running join
+# ----------------------------------------------------------------------
+
+
+class Fold(NamedTuple):
+    """One relation as a probe sweep's running join folds it in, read
+    off the view's shape (docs/ALGORITHMS.md §View maintenance)."""
+
+    alias: str
+    #: the view's joins to the relations folded before (none: a product)
+    joins: tuple[JoinCondition, ...]
+    #: the view's conjuncts on ``alias`` alone, applied at its scan
+    pushdown: tuple[Predicate, ...]
+    #: the view's other conjuncts, applied once this relation is joined
+    conjuncts: tuple[Predicate, ...]
+
+
+class SweepStage:
+    """A probe sweep's running join once ``fold`` is folded in, compiled
+    for the schemas of the relations folded so far.  Its rows are the
+    delta's signed rows, each extended by what it joins.
+
+    The next stage is compiled on first use per answer schema and kept
+    here (:meth:`then`): immutable schemas are the epoch, as for
+    :class:`PlanCache`.  Errors are deferred as :func:`compile_plan`
+    defers them, to the scan row, the join or the read that meets them.
+    """
+
+    __slots__ = (
+        "columns", "schemas", "parameters", "scan", "join", "accept",
+        "_next", "_probe", "_result",
+    )
+
+    def __init__(self, previous, fold: Fold, schema, parameters) -> None:
+        self.scan, right = _compile_scan(
+            fold.alias, schema, list(fold.pushdown), []
+        )
+        self.columns, self.schemas, self.join = right, {}, None
+        if previous is not None:
+            self.join = _join_stage(
+                self.scan, fold.joins, previous.schemas,
+                previous.columns, right,
+            )
+            self.columns = previous.columns + right
+            self.schemas = dict(previous.schemas)
+        self.schemas[fold.alias] = schema
+        self.parameters = parameters
+        self.accept = _bound(
+            _compile_filter(
+                conjunction(list(fold.conjuncts)), _resolver(self.columns), []
+            ),
+            parameters,
+        )
+        self._next: dict = {}
+        self._probe = self._result = None
+
+    def then(self, fold: Fold, schema: RelationSchema) -> "SweepStage":
+        """The stage folding in ``fold``, its relation answered in
+        ``schema`` (a stage has one successor fold)."""
+        stage = self._next.get(schema)
+        if stage is None:
+            stage = SweepStage(self, fold, schema, self.parameters)
+            self._next[schema] = stage
+        return stage
+
+    def begin(self, items) -> dict:
+        """A first stage's rows: the delta's signed ``items`` it admits."""
+        accept = _bound(self.scan.filter, self.parameters)
+        return _filtered(_filtered(dict(items), accept), self.accept)
+
+    def run(self, rows: dict, table: Table) -> dict:
+        """``rows`` of the previous stage joined with ``table``."""
+        right = self.scan.run(table, self.parameters)
+        return _filtered(self.join.run(rows, right), self.accept)
+
+    def in_lists(self, rows: dict, fold: Fold) -> list[frozenset]:
+        """The IN-lists ``fold``'s relation is probed with: the distinct
+        values of ``rows`` at the other side of each of its joins, NULL
+        left out (an IN-list never matches it)."""
+        if self._probe is None:
+            resolve = _resolver(self.columns)
+            self._probe = [
+                resolve(join.other_side(fold.alias)) for join in fold.joins
+            ]
+        return [
+            frozenset({row[position] for row in rows} - {None})
+            for position in self._probe
+        ]
+
+    def result(self, rows: dict, projection: tuple) -> tuple:
+        """The last stage's ``rows`` projected: ``(schema, projected row
+        -> signed count)``."""
+        if self._result is None:
+            resolve = _resolver(self.columns)
+            self._result = _projection(
+                projection, self.columns, resolve, self.schemas
+            )
+        project, schema, error = self._result
+        if error is not None:
+            raise error
+        return schema, _projected(rows, project)
 
 
 # ----------------------------------------------------------------------

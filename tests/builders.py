@@ -7,8 +7,9 @@ import random
 from dataclasses import replace
 
 from repro.faults.retry import RetryPolicy
+from repro.maintenance.decompose import selection_conjuncts
 from repro.relational.errors import QueryError
-from repro.relational.predicate import Predicate, conjunction
+from repro.relational.predicate import AttrRef, Predicate, conjunction
 from repro.relational.query import RelationRef, SPJQuery
 
 
@@ -64,3 +65,37 @@ def with_relation_replaced(
         replacement if ref.alias == alias else ref for ref in query.relations
     )
     return replace(query, relations=relations)
+
+
+def selection_within(query: SPJQuery, aliases: set[str]) -> Predicate:
+    """Conjuncts whose references fall entirely inside ``aliases``."""
+    terms = [
+        term
+        for term in selection_conjuncts(query)
+        if {ref.relation for ref in term.references()} <= aliases
+    ]
+    return conjunction(terms)
+
+
+def subquery_over(
+    query: SPJQuery,
+    aliases: list[str],
+    projection: tuple[AttrRef, ...],
+) -> SPJQuery:
+    """The view query restricted to a subset of aliases: the partial
+    join a probe sweep used to re-run over every visited prefix."""
+    alias_set = set(aliases)
+    relations = tuple(
+        ref for ref in query.relations if ref.alias in alias_set
+    )
+    joins = tuple(
+        join
+        for join in query.joins
+        if join.left.relation in alias_set and join.right.relation in alias_set
+    )
+    return SPJQuery(
+        relations=relations,
+        projection=projection,
+        joins=joins,
+        selection=selection_within(query, alias_set),
+    )

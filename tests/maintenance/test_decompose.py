@@ -7,8 +7,6 @@ from repro.maintenance.decompose import (
     probe_query,
     pushdown_selection,
     scan_query,
-    selection_within,
-    subquery_over,
 )
 from repro.relational.predicate import (
     TRUE,
@@ -19,7 +17,11 @@ from repro.relational.predicate import (
     conjunction,
 )
 from repro.relational.query import JoinCondition, RelationRef, SPJQuery
-from tests.builders import with_extra_selection
+from tests.builders import (
+    selection_within,
+    subquery_over,
+    with_extra_selection,
+)
 from tests.conftest import bookinfo_query
 
 QUERY = bookinfo_query()
