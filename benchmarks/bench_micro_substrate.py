@@ -5,7 +5,8 @@ which run a whole simulated experiment once): the hash-join executor,
 delta application, probe compensation, the snapshot cache's fold, one
 DU's probe sweep over prepared answers, one end-to-end DU maintenance,
 the detection substrate (graph build, legal order, the class-graph
-order, one rename arrival, a burst of forty) and a seven-round view adaptation.
+order, one rename arrival, a burst of forty), a seven-round view
+adaptation and one of its compensated full-relation reads.
 """
 
 import random
@@ -25,12 +26,13 @@ from repro.experiments.ablations import _synthetic_queue
 from repro.experiments.testbed import full_join_query
 from repro.maintenance.batch import combine_schema_changes
 from repro.maintenance.compensation import compensate_answer
-from repro.maintenance.decompose import probe_query
+from repro.maintenance.decompose import probe_query, scan_query
 from repro.maintenance.history import SchemaHistory
 from repro.maintenance.vm import maintain_data_update
 from repro.maintenance.vs import ViewSynchronizer
 from repro.relational.delta import Delta
 from repro.relational.executor import execute
+from repro.relational.plan import PLAN_CACHE
 from repro.relational.predicate import InPredicate, attr
 from repro.relational.query import JoinCondition, RelationRef, SPJQuery
 from repro.relational.schema import Attribute, RelationSchema
@@ -485,3 +487,35 @@ def test_micro_va_rounds(benchmark, monkeypatch):
     extent = benchmark.pedantic(adapt, rounds=3, iterations=1)
     assert len(joins) == 1
     assert len(extent) == 2_000
+
+
+@pytest.mark.parametrize("leaked", [0, 6, 60])
+def test_micro_full_scan_read(benchmark, leaked):
+    """One read of a view adaptation round: the full scan of a 2 000-row
+    testbed relation through ``DataSource.execute``, compensated for
+    ``leaked`` one-row updates (every third a delete) the answer saw.
+    The scan keeps every column in place, so the kernel adopts it."""
+    testbed = build_testbed(PESSIMISTIC, tuples_per_relation=2_000)
+    view = full_join_query()
+    alias = view.aliases[0]
+    ref = view.relation_ref(alias)
+    source = testbed.engine.source(ref.source)
+    table = source.catalog.table(ref.relation)
+    scan = scan_query(view, alias)
+    assert PLAN_CACHE.plan_for(scan, {alias: table}).project is None
+    clean = source.execute(scan)
+    resident = sorted(table.items())
+    messages = []
+    for index in range(leaked):
+        if index % 3:
+            update = DataUpdate.insert(
+                table.schema, [(10_000 + index, *resident[index][0][1:])]
+            )
+        else:
+            update = DataUpdate.delete(table.schema, [resident[index][0]])
+        messages.append(source.commit(update, at=0.0))
+
+    def read():
+        return compensate_answer(source.execute(scan), scan, alias, messages)
+
+    assert benchmark(read) == clean

@@ -23,6 +23,7 @@ exact).
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from itertools import chain
 
@@ -137,12 +138,12 @@ def compensate_answer(
     netted per schema and evaluated once per sign, not once each (see
     :func:`_signed_effect`).
 
-    Returns a fresh table; the input answer is not modified.  If the
-    probe cannot be evaluated over a schema's deltas (schema drift),
-    every one of them is skipped and counted in the log, and none of
-    their effect is applied — under Dyno's corrected orders this never
-    happens (see tests), but baseline strategies that skip correction
-    can hit it.
+    Returns a fresh table at the price of one copy of the answer plus
+    the rows the effects touch.  If the probe cannot be evaluated over
+    a schema's deltas (schema drift), every one of them is skipped and
+    counted in the log, and none of their effect is applied — under
+    Dyno's corrected orders this never happens (see tests), but
+    baseline strategies that skip correction can hit it.
     """
     deltas: list[Delta] = [
         message.payload.delta  # type: ignore[union-attr]
@@ -150,7 +151,9 @@ def compensate_answer(
     ]
     if extra_deltas:
         deltas.extend(extra_deltas)
-    corrected: dict[Row, int] = dict(answer.items())
+    # One C-level copy (the cache shares answers); effects apply in place.
+    corrected: Counter[Row] = Counter(answer._counts)
+    touched: set[Row] = set()
     # An empty delta leaked nothing: it is neither evaluated nor skipped.
     for members in by_schema([d for d in deltas if not d.is_empty()]):
         try:
@@ -164,13 +167,20 @@ def compensate_answer(
             continue
         for row, count in effect.items():
             corrected[row] = corrected.get(row, 0) - count
+        touched.update(effect)
         if log is not None:
             log.compensated_tuples += sum(map(abs, effect.values()))
     if log is not None:
         log.compensated_queries += 1
 
-    # Answer rows came out of a validated table and effect rows out of
-    # the kernel over validated parts: adopt them, do not re-validate.
+    # Rows came out of a validated table or the kernel: adopt them.  The
+    # answer's counts are positive, so only a touched row can end <= 0
+    # (docs/ALGORITHMS.md §Compensation); none negative: drop the zeros.
+    spent = [row for row in touched if corrected[row] <= 0]
+    if not any(corrected[row] for row in spent):
+        for row in spent:
+            del corrected[row]
+        return Table.from_counts(answer.schema, corrected)
     kept: dict[Row, int] = {}
     for row, count in corrected.items():
         if count > 0:

@@ -178,57 +178,90 @@ def _all_of(filters):
     return conjunction_filter
 
 
-def _negated(child):
-    """NOT of a compiled filter."""
-    if child is None:
-        return lambda row: False
-    return lambda row, _child=child: not _child(row)
+def _any_of(filters):
+    """OR of compiled filters, in order; ``None`` accepts everything."""
+    filters = tuple(
+        _always if accept is None else accept for accept in filters
+    )
+
+    def disjunction_filter(row, _filters=filters):
+        for accept in _filters:
+            if accept(row):
+                return True
+        return False
+
+    return disjunction_filter
 
 
-def _compile_filter(predicate: Predicate, resolve, deferred: list):
+def _always(row):
+    return True
+
+
+def _never(row):
+    return False
+
+
+def _comparator(op: str, refute: bool):
+    """``op`` over two non-NULL values, or its complement to refute."""
+    compare = _COMPARATORS[op]
+    if refute:
+        return lambda left, right, _compare=compare: not _compare(left, right)
+    return compare
+
+
+def _compile_filter(
+    predicate: Predicate, resolve, deferred: list, refute: bool = False
+):
     """Compile to ``row -> bool`` (``None`` means "accepts everything"),
     or to a :class:`_Late` filter when an IN-list parameter is involved.
+    With ``refute``, the filter passes the rows ``predicate`` is FALSE
+    on, not merely not TRUE (:meth:`Predicate.refuted`): NOT's child.
 
     Resolution failures become deferred raisers at the granularity the
-    naive evaluator exhibits: per conjunct, so an earlier ``False``
+    naive evaluator exhibits: per conjunct, so an earlier deciding
     conjunct still short-circuits past a dangling reference.  Each one
     installed is recorded in ``deferred``.
     """
     if isinstance(predicate, Conjunction):
+        combine = _any_of if refute else _all_of
         filters = [
-            _compile_filter_deferred(child, resolve, deferred)
+            _compile_filter_deferred(child, resolve, deferred, refute)
             for child in predicate.children
         ]
         if any(type(accept) is _Late for accept in filters):
             return _Late(
-                lambda parameters: _all_of(
+                lambda parameters: combine(
                     [_bound(accept, parameters) for accept in filters]
                 )
             )
-        return _all_of(filters)
-    return _compile_filter_deferred(predicate, resolve, deferred)
+        return combine(filters)
+    return _compile_filter_deferred(predicate, resolve, deferred, refute)
 
 
-def _compile_filter_deferred(predicate: Predicate, resolve, deferred: list):
+def _compile_filter_deferred(predicate, resolve, deferred: list, refute):
     try:
-        return _compile_leaf(predicate, resolve, deferred)
+        return _compile_leaf(predicate, resolve, deferred, refute)
     except RelationalError as exc:
         deferred.append(exc)
         return _raiser(exc)
 
 
-def _compile_leaf(predicate: Predicate, resolve, deferred: list):
+def _compile_leaf(predicate: Predicate, resolve, deferred: list, refute):
     if isinstance(predicate, TruePredicate):
-        return None
+        return _never if refute else None
     if isinstance(predicate, Conjunction):
-        return _compile_filter(predicate, resolve, deferred)
+        return _compile_filter(predicate, resolve, deferred, refute)
+    if isinstance(predicate, Negation):
+        return _compile_filter(
+            predicate.child, resolve, deferred, not refute
+        )
     if isinstance(predicate, Comparison):
         # Resolve first: the naive binding is invoked before the
         # NULL-operand check, so a dangling reference outranks it.
         position = resolve(predicate.attr)
         if predicate.value is None:
-            return lambda row: False
-        compare = _COMPARATORS[predicate.op]
+            return _never
+        compare = _comparator(predicate.op, refute)
 
         def comparison(
             row, _position=position, _compare=compare, _value=predicate.value
@@ -240,7 +273,7 @@ def _compile_leaf(predicate: Predicate, resolve, deferred: list):
     if isinstance(predicate, AttrComparison):
         left = resolve(predicate.left)
         right = resolve(predicate.right)
-        compare = _COMPARATORS[predicate.op]
+        compare = _comparator(predicate.op, refute)
 
         def attr_comparison(
             row, _left=left, _right=right, _compare=compare
@@ -264,25 +297,26 @@ def _compile_leaf(predicate: Predicate, resolve, deferred: list):
                 raise QueryError(
                     f"unbound parameter in {predicate.sql()}"
                 ) from None
+            if refute:  # a miss of a list holding NULL is UNKNOWN
+                if None in values:
+                    return _never
+                return lambda row: (
+                    (value := row[_position]) is not None
+                    and value not in values
+                )
+            if None in values:  # NULL is in no list
+                values = values - {None}
             return lambda row: row[_position] in values
 
         return _Late(bind)
-    if isinstance(predicate, Negation):
-        child = _compile_leaf(predicate.child, resolve, deferred)
-        if type(child) is _Late:
-            return _Late(
-                lambda parameters, _bind=child.bind: _negated(
-                    _bind(parameters)
-                )
-            )
-        return _negated(child)
     # Unknown predicate subclass: fall back to its own evaluate() with a
     # positional binding (slow path, exact semantics).  It resolves per
     # row, so it may raise per row: recorded like a deferred raiser.
     deferred.append(predicate)
+    test = predicate.refuted if refute else predicate.evaluate
 
-    def generic(row, _predicate=predicate, _resolve=resolve):
-        return _predicate.evaluate(lambda ref: row[_resolve(ref)])
+    def generic(row, _test=test, _resolve=resolve):
+        return _test(lambda ref: row[_resolve(ref)])
 
     return generic
 
@@ -467,7 +501,10 @@ def _filtered(rows: dict, accept) -> dict:
 
 
 def _projected(rows: dict, project) -> Counter:
-    """``rows`` projected, the counts of rows projecting alike summed."""
+    """``rows`` projected, the counts of rows projecting alike summed;
+    ``None`` (identity) copies: ``rows`` may be a table's own counts."""
+    if project is None:
+        return Counter(rows)
     projected: Counter = Counter()
     get = projected.get
     for row, count in rows.items():
@@ -539,16 +576,20 @@ def _join_stage(scan, conditions, joined_aliases, columns, right_columns):
 
 def _projection(projection, columns, resolve, schemas):
     """``(row -> projected row, result schema, None)``, or ``(None, None,
-    error)`` when a reference does not resolve (raised after filtering)."""
+    error)`` when a reference does not resolve (raised after filtering);
+    keeping every column in place is ``None`` (ALGORITHMS.md §Wall-clock)."""
     try:
         positions = [resolve(ref) for ref in projection]
     except RelationalError as exc:
         return None, None, exc
-    project = _itemgetter(positions)
-    if len(positions) == 1:
+    if positions == list(range(len(columns))):
+        project = None
+    elif len(positions) == 1:
         # itemgetter with one key returns a scalar; rows are tuples
         position = positions[0]
         project = lambda row, _position=position: (row[_position],)
+    else:
+        project = operator.itemgetter(*positions)
     projection_columns = [columns[position] for position in positions]
     return project, result_schema(schemas, projection_columns), None
 

@@ -66,6 +66,12 @@ class Predicate:
     """Abstract base of all predicate nodes."""
 
     def evaluate(self, binding: Binding) -> bool:
+        """Whether the predicate is TRUE (a row passes only then)."""
+        raise NotImplementedError
+
+    def refuted(self, binding: Binding) -> bool:
+        """Whether it is FALSE, not UNKNOWN, under SQL's three-valued
+        logic: what its :class:`Negation` passes."""
         raise NotImplementedError
 
     def references(self) -> frozenset[AttrRef]:
@@ -100,6 +106,9 @@ class TruePredicate(Predicate):
 
     def evaluate(self, binding: Binding) -> bool:
         return True
+
+    def refuted(self, binding: Binding) -> bool:
+        return False
 
     def references(self) -> frozenset[AttrRef]:
         return frozenset()
@@ -139,10 +148,14 @@ class Comparison(Predicate):
     def evaluate(self, binding: Binding) -> bool:
         actual = binding(self.attr)
         if actual is None or self.value is None:
-            # SQL three-valued logic collapsed to False for NULL operands,
-            # except IS-style equality on two NULLs which we do not need.
-            return False
+            return False  # UNKNOWN: a NULL operand (no IS-style equality)
         return _COMPARATORS[self.op](actual, self.value)
+
+    def refuted(self, binding: Binding) -> bool:
+        actual = binding(self.attr)
+        if actual is None or self.value is None:
+            return False
+        return not _COMPARATORS[self.op](actual, self.value)
 
     def references(self) -> frozenset[AttrRef]:
         return frozenset({self.attr})
@@ -175,6 +188,13 @@ class AttrComparison(Predicate):
             return False
         return _COMPARATORS[self.op](left, right)
 
+    def refuted(self, binding: Binding) -> bool:
+        left = binding(self.left)
+        right = binding(self.right)
+        if left is None or right is None:
+            return False
+        return not _COMPARATORS[self.op](left, right)
+
     def references(self) -> frozenset[AttrRef]:
         return frozenset({self.left, self.right})
 
@@ -202,7 +222,15 @@ class InPredicate(Predicate):
     values: frozenset
 
     def evaluate(self, binding: Binding) -> bool:
-        return binding(self.attr) in self.values
+        value = binding(self.attr)
+        return value is not None and value in self.values
+
+    def refuted(self, binding: Binding) -> bool:
+        # UNKNOWN, not FALSE, on a NULL value or a miss of a list with NULL
+        value = binding(self.attr)
+        return value is not None and None not in self.values and (
+            value not in self.values
+        )
 
     def references(self) -> frozenset[AttrRef]:
         return frozenset({self.attr})
@@ -238,6 +266,8 @@ class InParameter(Predicate):
     def evaluate(self, binding: Binding) -> bool:
         raise QueryError(f"unbound parameter in {self.sql()}")
 
+    refuted = evaluate
+
     def references(self) -> frozenset[AttrRef]:
         return frozenset({self.attr})
 
@@ -257,6 +287,9 @@ class Conjunction(Predicate):
 
     def evaluate(self, binding: Binding) -> bool:
         return all(child.evaluate(binding) for child in self.children)
+
+    def refuted(self, binding: Binding) -> bool:
+        return any(child.refuted(binding) for child in self.children)
 
     def references(self) -> frozenset[AttrRef]:
         refs: frozenset[AttrRef] = frozenset()
@@ -285,12 +318,16 @@ class Conjunction(Predicate):
 
 @dataclass(frozen=True)
 class Negation(Predicate):
-    """NOT of a child predicate."""
+    """NOT of a child predicate: TRUE where the child is FALSE, so NOT
+    of UNKNOWN (a NULL operand) is UNKNOWN, as in SQL."""
 
     child: Predicate
 
     def evaluate(self, binding: Binding) -> bool:
-        return not self.child.evaluate(binding)
+        return self.child.refuted(binding)
+
+    def refuted(self, binding: Binding) -> bool:
+        return self.child.evaluate(binding)
 
     def references(self) -> frozenset[AttrRef]:
         return self.child.references()

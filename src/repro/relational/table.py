@@ -158,7 +158,8 @@ class Table:
         """Index lookup: rows whose ``attribute_name`` is in ``values``.
 
         Builds (and thereafter incrementally maintains) a hash index on
-        the attribute.  Yields ``(row, count)`` pairs.
+        the attribute.  Yields ``(row, count)`` pairs; a NULL value
+        matches nothing, as in SQL's ``IN``.
         """
         entry = self._indexes.get(attribute_name)
         if entry is None:
@@ -170,6 +171,8 @@ class Table:
             self._indexes[attribute_name] = entry
         counts = self._counts
         for value in values:
+            if value is None:
+                continue
             for row in entry[1].get(value, ()):
                 count = counts.get(row, 0)
                 if count:

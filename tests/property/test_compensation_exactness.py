@@ -13,16 +13,28 @@ below as the oracle: one ``effect_on_answer`` per leaked delta, each
 effect merged through validated ``Delta`` / ``Table`` copies.  The
 fused path must agree with it as bags, in what it skips, in what it
 clamps and in whether strict mode raises.
+
+``compensate_answer`` copies the answer once and then visits only the
+rows an effect touched.  The full pass over every answer row it
+replaced is the second oracle, ``full_pass_compensate_answer``: the two
+must agree in iteration order, in the log (notes in order) and in the
+row the strict raise names.
 """
 
 import re
+from collections import Counter
 
-from hypothesis import assume, given, settings
+import pytest
+
+from hypothesis import Phase, assume, given, settings
 from hypothesis import strategies as st
 
+from repro.maintenance import compensation
 from repro.maintenance.compensation import (
     CompensationLog,
     OverCompensationError,
+    _signed_effect,
+    by_schema,
     compensate_answer,
     effect_on_answer,
 )
@@ -222,6 +234,56 @@ def oracle_compensate_answer(
     return table
 
 
+def full_pass_compensate_answer(
+    answer: Table,
+    query: SPJQuery,
+    alias: str,
+    leaked: list[UpdateMessage],
+    log: CompensationLog | None = None,
+    extra_deltas: list[Delta] | None = None,
+) -> Table:
+    """Fused compensation as it stood before it visited only the touched
+    rows: every answer row is copied, then every row is read again."""
+    deltas: list[Delta] = [
+        message.payload.delta  # type: ignore[union-attr]
+        for message in leaked
+    ]
+    if extra_deltas:
+        deltas.extend(extra_deltas)
+    corrected: dict = dict(answer.items())
+    for members in by_schema([d for d in deltas if not d.is_empty()]):
+        try:
+            _, effect = _signed_effect(query, alias, members)
+        except RelationalError as exc:
+            if log is not None:
+                log.skipped_incompatible += len(members)
+                log.notes.extend(
+                    [f"skipped incompatible delta: {exc}"] * len(members)
+                )
+            continue
+        for row, count in effect.items():
+            corrected[row] = corrected.get(row, 0) - count
+        if log is not None:
+            log.compensated_tuples += sum(map(abs, effect.values()))
+    if log is not None:
+        log.compensated_queries += 1
+
+    kept: dict = {}
+    for row, count in corrected.items():
+        if count > 0:
+            kept[row] = count
+        elif count < 0:
+            if log is not None and log.strict:
+                raise OverCompensationError(
+                    f"over-compensation on {row!r} (count {count})"
+                )
+            if log is not None:
+                log.notes.append(
+                    f"over-compensation on {row!r} (count {count})"
+                )
+    return Table.from_counts(answer.schema, kept)
+
+
 # ----------------------------------------------------------------------
 # fused == oracle
 # ----------------------------------------------------------------------
@@ -262,10 +324,20 @@ def leaked_sets(draw):
     drawn set routinely holds an update (delete + insert in one delta),
     counts above one and the same row inserted here and deleted there;
     ``undo`` appends a delta's exact negation so whole deltas cancel
-    too — in the incompatible schema as well.  The answer is unrelated
-    to the deltas, so over-compensation is common.
+    too — in the incompatible schema as well — and a delta may be taken
+    back by the other compatible schema group, so a row one group nets
+    out the next adds back.  The answer is unrelated
+    to the deltas, so over-compensation is common.  Up to 192 rows no
+    probe admits surround the answer's drawn ones, so an answer holds up
+    to 200 rows and what compensation touches sits among them.
     """
-    answer = Table(SCHEMA, draw(st.lists(rows, max_size=8)))
+    drawn = draw(st.lists(rows, max_size=8))
+    untouched = [
+        (5 + index, "abc"[index % 3])
+        for index in range(draw(st.integers(min_value=0, max_value=192)))
+    ]
+    split = draw(st.integers(min_value=0, max_value=len(untouched)))
+    answer = Table(SCHEMA, untouched[:split] + drawn + untouched[split:])
     deltas: list[Delta] = []
     for _ in range(draw(st.integers(min_value=0, max_value=6))):
         schema = _SCHEMAS[draw(st.integers(min_value=0, max_value=3))]
@@ -273,6 +345,18 @@ def leaked_sets(draw):
         for _ in range(draw(st.integers(min_value=1, max_value=3))):
             delta.add(_SHAPES[schema](*draw(rows)), draw(signed_counts))
         deltas.append(delta)
+        if schema is not NARROW and draw(st.booleans()):
+            # the other compatible schema group takes it back
+            back = SCHEMA if schema is WIDE else WIDE
+            deltas.append(
+                Delta(
+                    back,
+                    {
+                        _SHAPES[back](*row[:2]): -count
+                        for row, count in delta.items()
+                    },
+                )
+            )
         if draw(st.booleans()):
             undo_at = draw(st.integers(min_value=0, max_value=len(deltas)))
             deltas.insert(undo_at, delta.negated())
@@ -306,9 +390,41 @@ def _clamped(log):
     )
 
 
+def _exactly(compensate, data, strict):
+    """The corrected rows in iteration order, or the strict raise's
+    message (it names the row), and the log."""
+    answer, deltas, extras, probe_values = data
+    leaked = [
+        UpdateMessage("s", seqno, float(seqno), DataUpdate("R", delta.copy()))
+        for seqno, delta in enumerate(deltas, start=1)
+    ]
+    log = CompensationLog(strict=strict)
+    try:
+        corrected = compensate(
+            answer, probe(probe_values), "R", leaked, log,
+            [delta.copy() for delta in extras],
+        )
+    except OverCompensationError as exc:
+        return ("raised", str(exc)), log
+    return list(corrected.items()), log
+
+
 @given(leaked_sets())
 @settings(max_examples=300, deadline=None)
 def test_fused_compensation_equals_per_delta_oracle(data):
+    _check_against_oracles(data)
+
+
+def _check_against_oracles(data):
+    answer_before = list(data[0].items())
+    for strict in (False, True):
+        touched = _exactly(compensate_answer, data, strict)
+        full = _exactly(full_pass_compensate_answer, data, strict)
+        # same rows in the same order (or the same row raised), same log
+        assert touched[0] == full[0]
+        assert touched[1] == full[1]
+    assert list(data[0].items()) == answer_before  # the answer is shared
+
     fused, fused_log = _run(compensate_answer, data, strict=False)
     oracle, oracle_log = _run(oracle_compensate_answer, data, strict=False)
     assert fused == oracle
@@ -330,6 +446,54 @@ def test_fused_compensation_equals_per_delta_oracle(data):
     assert (strict_fused is None) == bool(_clamped(oracle_log))
     if strict_fused is not None:
         assert strict_fused == strict_oracle
+
+
+class _ZerosKept(Counter):
+    """Mutation: the touched rows netted to 0 are never deleted."""
+
+    def __delitem__(self, row):
+        pass
+
+
+class _DeletedEagerly(Counter):
+    """Mutation: a row is deleted the moment it nets to 0, so a later
+    schema group that adds it back appends it at the end."""
+
+    def __setitem__(self, row, count):
+        if count == 0:
+            dict.pop(self, row, None)
+        else:
+            super().__setitem__(row, count)
+
+
+@pytest.mark.parametrize("mutant", [_ZerosKept, _DeletedEagerly])
+def test_the_oracles_catch_a_mutated_touched_row_pass(mutant, monkeypatch):
+    monkeypatch.setattr(compensation, "Counter", mutant)
+    # generation only: the first counterexample is the verdict
+    check = settings(
+        max_examples=300,
+        phases=[Phase.generate],
+        database=None,
+        derandomize=True,
+        deadline=None,
+    )(given(leaked_sets())(_check_against_oracles))
+    with pytest.raises(AssertionError):
+        check()
+
+
+def test_a_row_netted_to_zero_and_back_keeps_its_place():
+    """Netted out by one schema group, added back by the next: the row
+    stays where the answer had it, as the full pass leaves it."""
+    answer = Table(SCHEMA, [(1, "a"), (1, "b"), (7, "c")])
+    deltas = [
+        Delta(SCHEMA, {(1, "a"): 1}),
+        Delta(WIDE, {(1, "a", "w"): -1}),
+    ]
+    data = (answer, deltas, [], frozenset({1, 2}))
+    touched = _exactly(compensate_answer, data, strict=True)
+    assert touched == _exactly(full_pass_compensate_answer, data, True)
+    assert touched[0] == [((1, "a"), 1), ((1, "b"), 1), ((7, "c"), 1)]
+    assert touched[1].notes == []
 
 
 def test_mixed_call_compensates_the_compatible_schema_and_skips_the_other():

@@ -12,8 +12,15 @@ drop/rename schema changes mutate the tables underneath the plan cache.
 A plan is compiled from the query's *shape* and its IN-lists are bound
 per execute, so one cached plan must answer every rebinding exactly,
 index-probe choice included (``test_one_plan_rebinds_exactly``).
+
+A projection that keeps every column in place adopts one copy of the
+rows instead of projecting each: the answer must equal the per-row loop
+in iteration order too, and must never share a dict with a source table
+or with another answer (``test_identity_projections_adopt_exactly``,
+``test_an_adopted_answer_never_aliases_source_state``).
 """
 
+import operator
 from collections import Counter
 from unittest import mock
 
@@ -21,9 +28,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.cache import SnapshotCache
+from repro.relational import plan
 from repro.relational.delta import Delta
 from repro.relational.errors import RelationalError
-from repro.relational.executor import execute_naive
+from repro.relational.executor import execute_naive, result_schema
 from repro.relational.plan import (
     PLAN_CACHE,
     execute_compiled,
@@ -41,6 +50,8 @@ from repro.relational.query import JoinCondition, RelationRef, SPJQuery
 from repro.relational.schema import RelationSchema
 from repro.relational.table import Table
 from repro.relational.types import AttributeType
+from repro.sources.messages import DataUpdate
+from repro.sources.source import DataSource
 
 R = RelationSchema.of(
     "R", [("k", AttributeType.INT), "a", ("b", AttributeType.FLOAT)]
@@ -385,3 +396,174 @@ def test_rebinding_takes_both_scan_paths():
             assert outcome[1] == Counter({(key,): 1 for key in values})
             assert bool(probes) == (len(values) == 1)
     assert plan_cache_stats()["plans"] == 1
+
+
+# ----------------------------------------------------------------------
+# identity projections: adopted, never aliased, in the same order
+# ----------------------------------------------------------------------
+
+U = RelationSchema.of("U", [("k", AttributeType.INT)])
+
+#: name -> (aliases, projection); an identity keeps every column of the
+#: final layout in place, anything else goes through the per-row loop
+SHAPED_PROJECTIONS = {
+    "identity": (("R",), (attr("R", "k"), attr("R", "a"), attr("R", "b"))),
+    "identity_unqualified": (("R",), (attr("k"), attr("a"), attr("b"))),
+    "permutation": (
+        ("R",), (attr("R", "a"), attr("R", "k"), attr("R", "b"))
+    ),
+    "prefix": (("R",), (attr("R", "k"), attr("R", "a"))),
+    "repeat": (("R",), (attr("R", "k"), attr("R", "a"), attr("R", "a"))),
+    "single_of_one": (("U",), (attr("U", "k"),)),
+    "single_of_wider": (("R",), (attr("R", "a"),)),
+    "join_in_layout": (
+        ("R", "S"),
+        (
+            attr("R", "k"), attr("R", "a"), attr("R", "b"),
+            attr("S", "k"), attr("S", "c"),
+        ),
+    ),
+    "join_out_of_layout": (
+        ("R", "S"),
+        (
+            attr("S", "k"), attr("S", "c"),
+            attr("R", "k"), attr("R", "a"), attr("R", "b"),
+        ),
+    ),
+    "dangling": (
+        ("R",), (attr("R", "k"), attr("R", "a"), attr("R", "gone"))
+    ),
+}
+IDENTITIES = {
+    "identity", "identity_unqualified", "single_of_one", "join_in_layout"
+}
+
+
+def _shaped_query(shape: str, selection: int, threshold: int) -> SPJQuery:
+    aliases, projection = SHAPED_PROJECTIONS[shape]
+    first = attr(aliases[0], "k")
+    return SPJQuery(
+        relations=tuple(RelationRef("s", alias, alias) for alias in aliases),
+        projection=projection,
+        joins=(
+            (JoinCondition(attr("R", "k"), attr("S", "k")),)
+            if len(aliases) > 1
+            else ()
+        ),
+        selection=[
+            conjunction([]),
+            Comparison(first, ">=", threshold),
+            InPredicate(first, frozenset({threshold})),  # index probe
+        ][selection],
+    )
+
+
+def _per_row_projection(projection, columns, resolve, schemas):
+    """The projection compiler before identities were adopted: every
+    projection, an identity too, is a per-row getter."""
+    try:
+        positions = [resolve(ref) for ref in projection]
+    except RelationalError as exc:
+        return None, None, exc
+    if len(positions) == 1:
+        project = lambda row, _position=positions[0]: (row[_position],)
+    else:
+        project = operator.itemgetter(*positions)
+    kept = [columns[position] for position in positions]
+    return project, result_schema(schemas, kept), None
+
+
+def _ordered(query, tables):
+    try:
+        table = execute_compiled(query, tables)
+    except RelationalError as error:
+        return ("raised", type(error).__name__)
+    return list(table.items()), tuple(table.schema.attribute_names)
+
+
+@given(
+    st.lists(st.tuples(wide_key, word, price), max_size=16),
+    s_rows,
+    st.lists(st.tuples(wide_key), max_size=16),
+    st.sampled_from(sorted(SHAPED_PROJECTIONS)),
+    st.integers(min_value=0, max_value=2),
+    st.integers(min_value=0, max_value=11),
+)
+@settings(max_examples=200, deadline=None)
+def test_identity_projections_adopt_exactly(
+    r_data, s_data, u_data, shape, selection, threshold
+):
+    """Every projection shape: compiled == naive in bag, result schema
+    and error class, and the same rows in the same order as the
+    per-row projection loop gives."""
+    tables = {
+        "R": Table(R, r_data),
+        "S": Table(S, s_data),
+        "U": Table(U, u_data),
+    }
+    query = _shaped_query(shape, selection, threshold)
+    assert_equivalent(query, tables)
+    PLAN_CACHE.clear()
+    adopted = _ordered(query, tables)
+    PLAN_CACHE.clear()
+    with mock.patch.object(plan, "_projection", _per_row_projection):
+        looped = _ordered(query, tables)
+    PLAN_CACHE.clear()
+    assert adopted == looped
+
+
+@pytest.mark.parametrize("shape", sorted(SHAPED_PROJECTIONS))
+def test_only_identities_are_adopted(shape):
+    """The property above is not vacuous: exactly the identities
+    compile to an adopting plan."""
+    tables = {"R": Table(R), "S": Table(S), "U": Table(U)}
+    compiled = PLAN_CACHE.plan_for(_shaped_query(shape, 0, 0), tables)
+    if shape == "dangling":
+        assert compiled.projection_error is not None
+    else:
+        assert (compiled.project is None) == (shape in IDENTITIES)
+
+
+def _assert_answers_own_their_rows():
+    """An unfiltered identity scan hands the kernel the table's own
+    counts: neither a source commit after ``execute`` nor a write to an
+    answer the snapshot cache stored may reach another answer."""
+    source = DataSource("s")
+    source.create_relation(R, [(1, "p", 0.5), (2, "q", 1.5), (2, "q", 1.5)])
+    query = _shaped_query("identity", 0, 0)
+    table = source.catalog.table("R")
+    stored = execute_compiled(query, {"R": table})
+    rows = list(stored.items())
+    cache = SnapshotCache()
+    cache.store(source, query, stored)
+    source.commit(DataUpdate.insert(R, [(3, "r", 2.5)]))
+    source.commit(DataUpdate.delete(R, [(1, "p", 0.5)]))
+    assert list(stored.items()) == rows
+    fresh = execute_compiled(query, {"R": table})
+    extent = list(table.items())
+    assert list(fresh.items()) == extent
+    stored.insert((9, "z", 0.5))
+    stored.delete((2, "q", 1.5))
+    assert list(fresh.items()) == extent
+    assert list(table.items()) == extent
+
+
+def test_an_adopted_answer_never_aliases_source_state():
+    PLAN_CACHE.clear()
+    _assert_answers_own_their_rows()
+
+
+def test_the_aliasing_guard_catches_an_uncopied_adoption(monkeypatch):
+    """Seeded mutation: adopt the rows as handed over, uncopied."""
+    projected = plan._projected
+    monkeypatch.setattr(
+        plan,
+        "_projected",
+        lambda rows, project: (
+            rows if project is None else projected(rows, project)
+        ),
+    )
+    PLAN_CACHE.clear()
+    with pytest.raises(AssertionError):
+        _assert_answers_own_their_rows()
+    PLAN_CACHE.clear()

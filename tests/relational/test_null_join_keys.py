@@ -1,4 +1,4 @@
-"""A NULL join key matches nothing, as in SQL.
+"""A NULL join key matches nothing, and NULL is never TRUE, as in SQL.
 
 Both hash joins used to bucket ``None`` like any other value, so
 ``NULL = NULL`` joined; the same join written as a residual
@@ -7,6 +7,11 @@ and ``IN``.  stdlib ``sqlite3`` is the independent evaluator here: it
 runs the query's own ``.sql()`` over the same rows, for the compiled
 kernel, the naive kernel, and a probe sweep over an in-memory and a
 sqlite source.
+
+A selection passes a row only when it is TRUE under three-valued logic:
+``x IN L`` is UNKNOWN when ``x`` is NULL, or when ``x`` misses ``L``
+and ``L`` holds NULL; NOT of UNKNOWN is UNKNOWN.  The same cases run
+through both kernels, an index probe, and a memory and a sqlite source.
 """
 
 import sqlite3
@@ -17,7 +22,13 @@ import pytest
 from repro.maintenance.vm import maintain_data_update
 from repro.relational.executor import execute_naive
 from repro.relational.plan import execute_compiled
-from repro.relational.predicate import attr
+from repro.relational.predicate import (
+    Comparison,
+    InPredicate,
+    Negation,
+    attr,
+    conjunction,
+)
 from repro.relational.query import JoinCondition, RelationRef, SPJQuery
 from repro.relational.schema import Attribute, RelationSchema
 from repro.relational.table import Table
@@ -103,3 +114,105 @@ def test_a_probe_sweep_agrees_with_sqlite(backend):
     assert Counter(dict(delta.items())) == _sqlite(
         QUERY, {R: R_ROWS, T: T_ROWS}
     )
+
+
+# --- three-valued logic under IN and NOT ---------------------------------
+
+#: ``R(k, a)`` with a NULL key between two others
+K_ROWS = [(1, "x"), (None, "n"), (2, "y")]
+K = attr("R", "k")
+
+#: selection -> what sqlite answers over ``K_ROWS`` (checked below)
+THREE_VALUED = {
+    "in_with_null": (InPredicate(K, frozenset({1, None})), {"x"}),
+    "not_in": (Negation(InPredicate(K, frozenset({1}))), {"y"}),
+    "not_equal": (Negation(Comparison(K, "=", 1)), {"y"}),
+    "not_in_with_null": (
+        Negation(InPredicate(K, frozenset({1, None}))),
+        set(),
+    ),
+    "not_not_in": (
+        Negation(Negation(InPredicate(K, frozenset({1})))),
+        {"x"},
+    ),
+    # FALSE AND UNKNOWN is FALSE, so its NOT passes the NULL row too
+    "not_false_and_unknown": (
+        Negation(
+            conjunction(
+                [Comparison(attr("R", "a"), "=", "x"), Comparison(K, ">", 1)]
+            )
+        ),
+        {"x", "n", "y"},
+    ),
+    # TRUE AND UNKNOWN is UNKNOWN, and so is its NOT
+    "not_true_and_unknown": (
+        Negation(
+            conjunction(
+                [Comparison(attr("R", "a"), "!=", "y"), Comparison(K, ">", 1)]
+            )
+        ),
+        {"x", "y"},
+    ),
+    "not_and_with_null_list": (
+        Negation(
+            conjunction(
+                [
+                    InPredicate(K, frozenset({2, None})),
+                    Comparison(attr("R", "a"), "!=", "y"),
+                ]
+            )
+        ),
+        {"y"},
+    ),
+    "not_null_literal": (Negation(Comparison(K, "=", None)), set()),
+}
+
+
+def _selecting(selection) -> SPJQuery:
+    return SPJQuery(
+        relations=(RelationRef("s", "R", "R"),),
+        projection=(attr("R", "a"),),
+        selection=selection,
+    )
+
+
+def _answered(table) -> Counter:
+    return Counter(dict(table.items()))
+
+
+@pytest.mark.parametrize("case", sorted(THREE_VALUED))
+def test_sqlite_answers_three_valued(case):
+    selection, expected = THREE_VALUED[case]
+    answer = _sqlite(_selecting(selection), {R: K_ROWS})
+    assert answer == Counter({(a,): 1 for a in expected})
+
+
+@pytest.mark.parametrize("kernel", [execute_compiled, execute_naive])
+@pytest.mark.parametrize("case", sorted(THREE_VALUED))
+def test_kernels_pass_only_true_rows(kernel, case):
+    query = _selecting(THREE_VALUED[case][0])
+    assert _answered(kernel(query, {"R": Table(R, K_ROWS)})) == _sqlite(
+        query, {R: K_ROWS}
+    )
+
+
+@pytest.mark.parametrize("kernel", [execute_compiled, execute_naive])
+def test_an_index_probe_serves_no_null(kernel):
+    """A one-value-plus-NULL list over a wider table takes the index
+    probe: the NULL rows must not come back through it."""
+    rows = [(key, f"r{key}") for key in range(12)] + [(None, "n")] * 3
+    query = _selecting(InPredicate(K, frozenset({3, None})))
+    table = Table(R, rows)
+    assert list(table.probe("k", [None, 3])) == [((3, "r3"), 1)]
+    assert _answered(kernel(query, {"R": table})) == _sqlite(query, {R: rows})
+
+
+@pytest.mark.parametrize("case", sorted(THREE_VALUED))
+def test_memory_and_sqlite_sources_agree(case):
+    query = _selecting(THREE_VALUED[case][0])
+    answers = []
+    for backend in (DataSource, SqliteDataSource):
+        source = backend("s")
+        source.create_relation(R, K_ROWS)
+        answers.append(_answered(source.execute(query)))
+    assert answers[0] == answers[1] == _sqlite(query, {R: K_ROWS})
