@@ -5,8 +5,9 @@ which run a whole simulated experiment once): the hash-join executor,
 delta application, probe compensation, the snapshot cache's fold, one
 DU's probe sweep over prepared answers, one end-to-end DU maintenance,
 the detection substrate (graph build, legal order, the class-graph
-order, one rename arrival, a burst of forty), a seven-round view
-adaptation and one of its compensated full-relation reads.
+order, one rename arrival, a legal reorder, a burst of forty), a
+seven-round view adaptation and one of its compensated full-relation
+reads.
 """
 
 import random
@@ -17,6 +18,7 @@ import pytest
 
 import repro.maintenance.va as va_module
 from repro.cache import SnapshotCache
+from repro.core.correction import correct
 from repro.core.dependencies import find_dependencies
 from repro.core.detection import detect
 from repro.core.incremental import IncrementalDependencyGraph
@@ -404,6 +406,34 @@ def test_micro_rename_arrival(benchmark):
 
     edges = benchmark.pedantic(arrive, setup=queue_of_400, rounds=25)
     assert edges == len(find_dependencies([*prefill, arrival], view_query))
+
+
+def test_micro_legal_reorder(benchmark):
+    """``replace_order`` with the order ``correct`` returns, on a
+    400-message queue holding 20 renames: a legal order keeps every
+    rename lineage's order, so the live graph keeps its mirror (the
+    reorder a detection round with renames queued applies)."""
+    view_query = full_join_query()
+    prefill = _synthetic_queue(400, 20)
+
+    def queue_of_400():
+        umq = UpdateMessageQueue()
+        graph = IncrementalDependencyGraph(umq, lambda: (view_query,))
+        for message in prefill:
+            umq.receive(message)
+        units = correct(
+            umq.messages(), view_query, detection=graph.detection()
+        ).units
+        return (umq, graph, units), {}
+
+    def reorder(umq, graph, units):
+        umq.replace_order(units)
+        return umq, graph
+
+    umq, graph = benchmark.pedantic(reorder, setup=queue_of_400, rounds=25)
+    assert graph.edge_count == len(
+        find_dependencies(umq.messages(), view_query)
+    )
 
 
 def test_micro_sc_burst_arrivals(benchmark, monkeypatch):

@@ -54,28 +54,51 @@ class NameResolver:
     name appearing in the queue back to the root name of its lineage so
     conflict tests compare like with like.  Names introduced by
     create/restructure start fresh lineages.
+
+    A *name* is a key of the two maps: ``(source, relation)`` or
+    ``(source, root relation, attribute)``.
     """
 
-    def __init__(self, messages: list[UpdateMessage]) -> None:
+    def __init__(self, messages) -> None:
         self._relation_root: dict[tuple[str, str], str] = {}
         self._attribute_root: dict[tuple[str, str, str], str] = {}
         for message in messages:
-            payload = message.payload
-            source = message.source
-            if isinstance(payload, RenameRelation):
-                root = self.relation(source, payload.old)
-                self._relation_root[(source, payload.new)] = root
-            elif isinstance(payload, RenameAttribute):
-                relation_root = self.relation(source, payload.relation)
-                attribute_root = self.attribute(
-                    source, payload.relation, payload.old
-                )[1]
-                self._attribute_root[
-                    (source, relation_root, payload.new)
-                ] = attribute_root
-            elif isinstance(payload, RestructureRelations):
-                created = payload.new_schema.name
-                self._relation_root[(source, created)] = created
+            self.extend(message)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, NameResolver):
+            return NotImplemented
+        return (
+            self._relation_root == other._relation_root
+            and self._attribute_root == other._attribute_root
+        )
+
+    def extend(self, message: UpdateMessage) -> tuple | None:
+        """Fold one more queued message in; return the one name whose
+        root that changed (every other name keeps its root), if any."""
+        payload = message.payload
+        source = message.source
+        if isinstance(payload, RenameRelation):
+            roots = self._relation_root
+            name = (source, payload.new)
+            root = self.relation(source, payload.old)
+        elif isinstance(payload, RenameAttribute):
+            roots = self._attribute_root
+            name = (
+                source,
+                self.relation(source, payload.relation),
+                payload.new,
+            )
+            root = self.attribute(source, payload.relation, payload.old)[1]
+        elif isinstance(payload, RestructureRelations):
+            roots = self._relation_root
+            created = payload.new_schema.name
+            name, root = (source, created), created
+        else:
+            return None
+        moved = roots.get(name, name[-1]) != root
+        roots[name] = root
+        return name if moved else None
 
     def relation(self, source: str, name: str) -> str:
         return self._relation_root.get((source, name), name)
@@ -126,6 +149,14 @@ class Footprint:
         )
         return Footprint(relations, attributes)
 
+    def names_read(self, resolver: NameResolver) -> set[tuple]:
+        """The resolver names :meth:`normalized` reads."""
+        names: set[tuple] = set(self.relations)
+        for source, relation, attribute in self.attributes:
+            names.add((source, relation))
+            names.add((source, resolver.relation(source, relation), attribute))
+        return names
+
     def conflicted_by(
         self,
         source: str,
@@ -134,33 +165,46 @@ class Footprint:
     ) -> bool:
         """Does ``change`` invalidate this (already normalized)
         footprint?  The change's names are rooted via ``resolver``."""
-        if isinstance(change, RenameRelation):
-            return (
-                source,
-                resolver.relation(source, change.old),
-            ) in self.relations
-        if isinstance(change, DropRelation):
-            return (
-                source,
-                resolver.relation(source, change.relation),
-            ) in self.relations
-        if isinstance(change, RestructureRelations):
+        relations, attribute = _named(change)
+        if attribute is None:
             return any(
                 (source, resolver.relation(source, relation))
                 in self.relations
-                for relation in change.dropped
+                for relation in relations
             )
-        if isinstance(change, (RenameAttribute, DropAttribute)):
-            attribute = (
-                change.old
-                if isinstance(change, RenameAttribute)
-                else change.attribute
-            )
-            return (
-                source,
-                *resolver.attribute(source, change.relation, attribute),
-            ) in self.attributes
-        return False  # additions never conflict
+        return (
+            source,
+            *resolver.attribute(source, relations[0], attribute),
+        ) in self.attributes
+
+
+def _named(change: SchemaChange) -> tuple[tuple[str, ...], str | None]:
+    """The relations a change invalidates, and the attribute of the one
+    it names, if it invalidates an attribute (additions: nothing)."""
+    if isinstance(change, RenameRelation):
+        return (change.old,), None
+    if isinstance(change, DropRelation):
+        return (change.relation,), None
+    if isinstance(change, RestructureRelations):
+        return change.dropped, None
+    if isinstance(change, RenameAttribute):
+        return (change.relation,), change.old
+    if isinstance(change, DropAttribute):
+        return (change.relation,), change.attribute
+    return (), None
+
+
+def names_read_by_change(
+    source: str, change: SchemaChange, resolver: NameResolver
+) -> set[tuple]:
+    """The resolver names :meth:`Footprint.conflicted_by` reads for
+    ``change``: its verdicts hold while none of them is re-rooted."""
+    relations, attribute = _named(change)
+    names: set[tuple] = {(source, relation) for relation in relations}
+    if attribute is not None:
+        root = resolver.relation(source, relations[0])
+        names.add((source, root, attribute))
+    return names
 
 
 def footprint_of_query(
@@ -259,6 +303,19 @@ def footprint_of_update(
             own_aliases = frozenset()  # self-join: everything is probed
         footprints.append(of_query(query, own_aliases))
     return _union(footprints)
+
+
+def names_read_by_update(message: UpdateMessage, view_queries) -> set[tuple]:
+    """The resolver names :func:`footprint_of_update` roots for a data
+    update: its own relation and every view relation at its source."""
+    names = {(message.source, message.payload.relation)}
+    names.update(
+        (ref.source, ref.relation)
+        for query in _as_queries(view_queries)
+        for ref in query.relations
+        if ref.source == message.source
+    )
+    return names
 
 
 def find_dependencies(

@@ -1,61 +1,8 @@
-"""Incremental detection substrate: footprint cache + live graph.
+"""Incremental detection substrate: a footprint cache and a live graph
+kept beside the UMQ, so a mutation pays for what it changed.
 
-Every detection round — pessimistic pre-exec (Figure 6 line 1), every
-broken-query abort, and every quarantine-deferral pass — used to rebuild
-the full dependency graph from scratch: recompute every message
-footprint and re-run the O(mn) CD sweep of Section 4.1.1.  This module
-keeps the graph alive beside the UMQ and makes a queue mutation cost
-schema changes x footprint *classes*, not schema changes x queue length:
-
-* :class:`FootprintCache` memoizes normalized maintenance footprints
-  under an *epoch* key (the view-definition versions plus the count of
-  schema changes ever received).  A data update's footprint is a
-  function of its ``(source, relation)`` alone, so every DU on a
-  relation shares one entry (and one :class:`Footprint` object); a
-  schema change's footprint is per message.
-* :class:`IncrementalDependencyGraph` mirrors the UMQ through its
-  mutation-listener hooks and stores no edge at all:
-
-  - *semantic* edges are the consecutive pairs of the
-    per-``(source, relation)`` touch chains;
-  - *concurrent* edges are a function of footprint values: every queued
-    node is filed under its normalized footprint (its *class*), and
-    each queued schema change memoizes one ``conflicted_by`` verdict per
-    class.  The verdict depends only on the footprint value, the change
-    and the :class:`~repro.core.dependencies.NameResolver`, and the
-    resolver is replaced only by a rebuild — so the memo lives exactly
-    as long as the resolver.
-
-  No scheduler path builds a ``Dependency`` (``dependencies()`` expands
-  them for tests and ABL-5): ``detection()`` orders a *class graph*,
-  ``ready_units()`` reads chains and classes, and ``edge_count``, the
-  edge tally of a removal and every modelled-work counter are
-  arithmetic over class sizes.  The
-  *modelled* work (``consume_work``) is still the paper's O(mn) — a DU
-  arrival is charged m conflict tests, a rebuild n nodes plus every
-  edge — because the scheduler turns it into virtual time; the *wall*
-  work of a mutation is O(n + m * (classes + m)).
-
-  ``receive`` files one node (a DU arrival runs no conflict test at
-  all), ``remove_head``/``remove_unit`` unfile the departing nodes, and
-  ``replace_order`` re-derives only the (order-dependent) chains.  A
-  from-scratch rebuild — the twin of
-  :func:`~repro.core.dependencies.find_dependencies`, which stays the
-  property-test oracle — is the fallback when the resolver changes (a
-  rename/restructure leaves or is reordered; one that arrives keeps the
-  mirror and only re-files) and when the view definitions may have (an
-  SC-bearing unit leaves the head, or commits after the parallel
-  executor dispatched it mid-queue).
-
-  Invalidation is one rule — a derived value is recomputed only when
-  something it read changed; what each memo reads, and the rest of the
-  derivation, is docs/ALGORITHMS.md §Incremental detection substrate.
-
-The substrate also answers the parallel executor's scheduling questions
-(Definition 7 / Theorem 2: *any* topological order is legal, so units
-with no path between them may run concurrently): :meth:`ready_units`
-returns the antichain of units with no unfinished predecessor still in
-the queue, and :meth:`unit_successors` the units a given unit blocks.
+Every memo here is invalidated by what it read, per key: see
+docs/ALGORITHMS.md §Incremental detection substrate.
 """
 
 from __future__ import annotations
@@ -67,7 +14,6 @@ from ..sources.messages import (
     RenameAttribute,
     RenameRelation,
     RestructureRelations,
-    SchemaChange,
     UpdateMessage,
 )
 from ..views.umq import MaintenanceUnit, UpdateMessageQueue
@@ -78,6 +24,8 @@ from .dependencies import (
     NameResolver,
     footprint_of_query,
     footprint_of_update,
+    names_read_by_change,
+    names_read_by_update,
 )
 from .detection import DetectionResult
 from .graph import legal_order
@@ -92,14 +40,6 @@ def _footprint_once(query, exclude_aliases=frozenset()) -> Footprint:
     return query.derived(footprint_of_query, exclude_aliases)
 
 
-def _unfile(groups: dict, key, absolute: int) -> None:
-    """Drop ``absolute`` from ``groups[key]``, and an emptied group."""
-    members = groups[key]
-    members.discard(absolute)
-    if not members:
-        del groups[key]
-
-
 def lineage_affecting(message: UpdateMessage) -> bool:
     """Does this message extend a rename lineage (resolver input)?"""
     return isinstance(
@@ -108,29 +48,40 @@ def lineage_affecting(message: UpdateMessage) -> bool:
     )
 
 
+def _index(readers: dict, names, reader) -> None:
+    """File ``reader`` under each of ``names``."""
+    for name in names:
+        readers.setdefault(name, set()).add(reader)
+
+
+def _unindex(readers: dict, names, reader) -> None:
+    """Undo :func:`_index`, dropping an emptied group (a name already
+    popped is skipped)."""
+    for name in names:
+        group = readers.get(name)
+        if group is not None:
+            group.discard(reader)
+            if not group:
+                del readers[name]
+
+
+class _Class(set):
+    """The queued nodes filed under one footprint value, and how many
+    queued schema changes conflict with it."""
+
+    __slots__ = ("conflicting",)
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.conflicting = 0
+
+
 class FootprintCache:
-    """Normalized maintenance footprints, memoized per epoch.
+    """Normalized maintenance footprints, one entry per :meth:`key`,
+    each kept until something it read changes.
 
-    A data update is keyed by its ``(source, relation)`` — its footprint
-    depends on nothing else, so all DUs on one relation share one entry
-    and one :class:`Footprint` object; a schema change is keyed by
-    message identity.
-
-    ``epoch`` is a zero-argument callable returning a hashable key that
-    must change whenever cached footprints could change for reasons the
-    owner cannot see locally: the view-definition versions (bumped by
-    every committed or speculative schema rewrite installed on the view)
-    and the number of schema changes ever received (source schemas only
-    drift when a schema change commits).  A changed epoch clears the
-    cache wholesale; the substrate additionally clears it explicitly
-    when the rename lineage set changes (normalization input).
-    :meth:`footprint` checks the epoch on every call; a caller sweeping
-    many messages inside one queue mutation calls :meth:`validate` once
-    and then :meth:`lookup`.
-
-    A miss after a clear is cheap: a raw footprint lives on its query
-    object, a speculative rewrite is kept per (view queries, message)
-    unless ``source_reads`` (VS's live-schema reads) moved in making it.
+    What an entry reads and what drops it: docs/ALGORITHMS.md
+    §Incremental detection substrate, *Footprint cache*.
     """
 
     def __init__(
@@ -146,14 +97,21 @@ class FootprintCache:
         self._source_reads = source_reads
         self._epoch_fn = epoch
         self._epoch = epoch() if epoch is not None else None
-        #: key -> (message, footprint); holding the message pins the
-        #: ``id`` a schema change is keyed by
-        self._entries: dict[object, tuple[UpdateMessage, Footprint]] = {}
+        self.generation = 0
+        #: key -> (message, footprint, resolver names read); holding the
+        #: message pins the ``id`` a schema change is keyed by
+        self._entries: dict[object, tuple] = {}
         #: id(schema change) -> (message, view queries read, rewrite);
         #: pins the message: a leaked entry is memory, not a reused id
         self._rewrites: dict[int, tuple[UpdateMessage, object, object]] = {}
-        #: raw footprint -> normalized; cleared with ``_entries``
-        self._normalized: dict[Footprint, Footprint] = {}
+        #: raw footprint -> (normalized, resolver names read); kept after
+        #: its keys leave, so indexed like the entries
+        self._normalized: dict[Footprint, tuple[Footprint, set]] = {}
+        #: resolver name -> the keys / raw footprints that read it
+        self._key_readers: dict[tuple, set] = {}
+        self._raw_readers: dict[tuple, set[Footprint]] = {}
+        #: schema-change keys whose rewrite read live source schemas
+        self._volatile: set[int] = set()
         self.metrics = metrics if metrics is not None else Metrics()
 
     def __len__(self) -> int:
@@ -171,12 +129,40 @@ class FootprintCache:
     def clear(self) -> None:
         self._entries.clear()
         self._normalized.clear()
+        self._key_readers.clear()
+        self._raw_readers.clear()
+        self._volatile.clear()
+        self.generation += 1
+
+    def _drop(self, key) -> None:
+        entry = self._entries.pop(key, None)
+        if entry is not None:
+            _unindex(self._key_readers, entry[2], key)
+        self._volatile.discard(key)
 
     def discard(self, message: UpdateMessage) -> None:
         """Forget a departing schema change (DU entries are shared by
         the relation's other updates and stay)."""
-        self._entries.pop(id(message), None)
-        self._rewrites.pop(id(message), None)
+        if message.is_schema_change:
+            self._drop(id(message))
+            self._rewrites.pop(id(message), None)
+
+    def invalidate(self, name: tuple) -> set:
+        """``name`` was re-rooted: drop what read it; the dropped keys."""
+        for raw in self._raw_readers.pop(name, ()):
+            _unindex(self._raw_readers, self._normalized.pop(raw)[1], raw)
+        keys = self._key_readers.pop(name, set())
+        for key in keys:
+            self._drop(key)
+        return keys
+
+    def drop_volatile(self) -> set:
+        """A schema change arrived (source schemas may have drifted):
+        drop the entries that read them; the dropped keys."""
+        keys, self._volatile = self._volatile, set()
+        for key in keys:
+            self._drop(key)
+        return keys
 
     def footprint(
         self, message: UpdateMessage, resolver: NameResolver
@@ -202,22 +188,33 @@ class FootprintCache:
             self.metrics.footprint_cache_hits += 1
             return entry[1]
         self.metrics.footprint_cache_misses += 1
+        queries = self._view_queries()
         raw = footprint_of_update(
             message,
-            self._view_queries(),
+            queries,
             None if self._rewritten is None else self._rewrite,
             resolver,
             _footprint_once,
         )
-        footprint = self._normalized.get(raw)
-        if footprint is None:
-            footprint = self._normalized[raw] = raw.normalized(resolver)
-        self._entries[key] = (message, footprint)
+        normalized = self._normalized.get(raw)
+        if normalized is None:
+            names = raw.names_read(resolver)
+            normalized = self._normalized[raw] = (
+                raw.normalized(resolver),
+                names,
+            )
+            _index(self._raw_readers, names, raw)
+        footprint, names = normalized
+        if not message.is_schema_change:
+            names = names | names_read_by_update(message, queries)
+        self._entries[key] = (message, footprint, names)
+        _index(self._key_readers, names, key)
         return footprint
 
     def _rewrite(self, message: UpdateMessage) -> object:
         """A queued schema change's speculative rewrite, made again only
-        if the view queries changed (per epoch, if VS read live schemas)."""
+        if the view queries changed; one that read live source schemas
+        is not kept, and marks its entry volatile."""
         queries = self._view_queries()
         entry = self._rewrites.get(id(message))
         if entry is not None and entry[1] == queries:
@@ -226,6 +223,8 @@ class FootprintCache:
         rewritten = self._rewritten(message)
         if self._source_reads() == before:
             self._rewrites[id(message)] = (message, queries, rewritten)
+        else:
+            self._volatile.add(id(message))
         return rewritten
 
 
@@ -237,11 +236,13 @@ class IncrementalDependencyGraph:
     lists the live ids in queue order, so removals and reorders never
     renumber a surviving node), the per-``(source, relation)`` touch
     chains whose consecutive pairs are the semantic edges, and the
-    footprint classes from which the concurrent edges follow (see the
-    module docstring).  ``dependencies()`` expands the edges in current
-    queue positions, bit-identical to a from-scratch
+    footprint classes from which the concurrent edges follow.
+    ``dependencies()`` expands the edges in current queue positions,
+    bit-identical to a from-scratch
     :func:`~repro.core.dependencies.find_dependencies` over the same
-    messages.
+    messages.  It also answers the parallel executor's questions
+    (Definition 7 / Theorem 2): :meth:`ready_units` and
+    :meth:`unit_successors`.
     """
 
     def __init__(
@@ -268,7 +269,8 @@ class IncrementalDependencyGraph:
         #: lazy absolute id -> queue position map
         self._pos: dict[int, int] | None = None
         self._resolver = NameResolver([])
-        self._lineage_count = 0
+        #: the queued lineage links (resolver inputs), as absolute ids
+        self._lineage: set[int] = set()
         #: (source, relation) -> absolute ids touching it, queue order
         self._chains: dict[tuple[str, str], list[int]] = {}
         #: lazy set of the chains' consecutive pairs (semantic edges)
@@ -276,11 +278,21 @@ class IncrementalDependencyGraph:
         #: absolute id -> the footprint value the node is filed under
         self._filed: dict[int, Footprint] = {}
         #: footprint value -> the absolute ids filed under it (a class)
-        self._classes: dict[Footprint, set[int]] = {}
+        self._classes: dict[Footprint, _Class] = {}
         #: cache key -> the absolute ids under it (one lookup files all)
         self._keyed: dict[object, set[int]] = {}
-        #: queued schema change -> {footprint value: does it conflict?}
+        #: the cache generation of the last full refile: until the cache
+        #: is cleared again, every node is filed under its key's entry
+        self._filed_generation = -1
+        #: queued schema change -> {class footprint: does it conflict?},
+        #: a verdict for every class
         self._verdicts: dict[int, dict[Footprint, bool]] = {}
+        #: the concurrent edges: sum over classes of conflicting changes
+        #: x members, less each change in its own conflicting class
+        self._cd_edges = 0
+        #: resolver name -> the queued changes whose verdicts read it
+        self._change_readers: dict[tuple, set[int]] = {}
+        self._change_names: dict[int, set[tuple]] = {}
         #: modeled work since the last ``consume_work`` drain
         self._work_full_nodes = 0
         self._work_full_edges = 0
@@ -318,7 +330,7 @@ class IncrementalDependencyGraph:
 
     @property
     def edge_count(self) -> int:
-        return len(self._semantic()) + self._concurrent_count()
+        return len(self._semantic()) + self._cd_edges
 
     def _positions(self) -> dict[int, int]:
         if self._pos is None:
@@ -341,7 +353,7 @@ class IncrementalDependencyGraph:
 
     def _conflicts(self, sc_abs: int, footprint: Footprint) -> bool:
         """Does the queued schema change ``sc_abs`` invalidate the class
-        ``footprint``?  One real test per (change, class, resolver)."""
+        ``footprint``?  One real test per (change, class, names read)."""
         memo = self._verdicts[sc_abs]
         verdict = memo.get(footprint)
         if verdict is None:
@@ -355,20 +367,10 @@ class IncrementalDependencyGraph:
         """The classes (as member sets) a queued schema change conflicts
         with; their members, itself excepted, are its dependents."""
         return [
-            members
-            for footprint, members in self._classes.items()
-            if self._conflicts(sc_abs, footprint)
+            self._classes[footprint]
+            for footprint, verdict in self._verdicts[sc_abs].items()
+            if verdict
         ]
-
-    def _dependents(self, sc_abs: int) -> int:
-        """Concurrent out-degree of a queued schema change."""
-        return sum(
-            len(members) - (sc_abs in members)
-            for members in self._invalidated(sc_abs)
-        )
-
-    def _concurrent_count(self) -> int:
-        return sum(self._dependents(sc_abs) for sc_abs in self._verdicts)
 
     def dependencies(self) -> list[Dependency]:
         """Edges in current queue positions (Definition 6 indices)."""
@@ -488,7 +490,8 @@ class IncrementalDependencyGraph:
     # ------------------------------------------------------------------
 
     def _append(self, message: UpdateMessage) -> int:
-        """Mirror a message at the tail of the queue (unfiled)."""
+        """Mirror a message at the tail of the queue (unfiled, and a
+        schema change not yet counted)."""
         absolute = self._next_abs
         self._next_abs += 1
         self._order.append(absolute)
@@ -496,9 +499,8 @@ class IncrementalDependencyGraph:
         if self._pos is not None:
             self._pos[absolute] = len(self._order) - 1
         self._keyed.setdefault(self.cache.key(message), set()).add(absolute)
-        if message.is_schema_change:
-            self._verdicts[absolute] = {}
-        self._lineage_count += lineage_affecting(message)
+        if lineage_affecting(message):
+            self._lineage.add(absolute)
         self._link(absolute)
         return absolute
 
@@ -522,50 +524,155 @@ class IncrementalDependencyGraph:
     def _file(self, absolutes) -> None:
         """File nodes of one cache key under their (cached) footprint
         value: one lookup, however many nodes."""
-        footprint = self.cache.lookup(
-            self._message_of[next(iter(absolutes))], self._resolver
+        self._place(
+            absolutes,
+            self.cache.lookup(
+                self._message_of[next(iter(absolutes))], self._resolver
+            ),
         )
+
+    def _place(self, absolutes, footprint: Footprint) -> None:
+        """File the unfiled nodes of one cache key under ``footprint``;
+        each gains an edge from every counted change conflicting with
+        its class (a schema change's key holds it alone)."""
+        members = self._classes.get(footprint)
+        if members is None:
+            members = self._classes[footprint] = _Class()
+            if self._verdicts:
+                members.conflicting = sum(
+                    self._conflicts(sc_abs, footprint)
+                    for sc_abs in self._verdicts
+                )
+        members.update(absolutes)
         self._filed.update(dict.fromkeys(absolutes, footprint))
-        self._classes.setdefault(footprint, set()).update(absolutes)
+        if members.conflicting:
+            self._cd_edges += members.conflicting * len(absolutes)
+            memo = self._verdicts.get(next(iter(absolutes)))
+            if memo is not None:
+                self._cd_edges -= memo[footprint]
+
+    def _unplace(self, absolute: int) -> None:
+        """Undo :meth:`_place` for one node; an emptied class leaves
+        every verdict memo."""
+        footprint = self._filed.pop(absolute)
+        members = self._classes[footprint]
+        if members.conflicting:
+            memo = self._verdicts.get(absolute)
+            self._cd_edges -= members.conflicting - (
+                memo is not None and memo[footprint]
+            )
+        members.discard(absolute)
+        if not members:
+            del self._classes[footprint]
+            for memo in self._verdicts.values():
+                del memo[footprint]
+
+    def _count_change(self, sc_abs: int, known=None) -> None:
+        """Count a queued change's concurrent edges: a verdict on every
+        class (``known`` ones reused), filed under the names it read."""
+        change = self._message_of[sc_abs]
+        memo = self._verdicts[sc_abs] = {}
+        for footprint, members in self._classes.items():
+            verdict = None if known is None else known.get(footprint)
+            if verdict is None:
+                verdict = footprint.conflicted_by(
+                    change.source, change.payload, self._resolver
+                )
+            memo[footprint] = verdict
+            if verdict:
+                members.conflicting += 1
+                self._cd_edges += len(members) - (sc_abs in members)
+        names = self._change_names[sc_abs] = names_read_by_change(
+            change.source, change.payload, self._resolver
+        )
+        _index(self._change_readers, names, sc_abs)
+
+    def _uncount_change(self, sc_abs: int) -> None:
+        """Undo :meth:`_count_change`."""
+        for footprint, verdict in self._verdicts.pop(sc_abs).items():
+            if verdict:
+                members = self._classes[footprint]
+                members.conflicting -= 1
+                self._cd_edges -= len(members) - (sc_abs in members)
+        _unindex(
+            self._change_readers, self._change_names.pop(sc_abs), sc_abs
+        )
 
     def _refile(self) -> None:
         """File every queued node afresh, one lookup per cache key (the
-        DUs of one relation together, a schema change alone)."""
-        self._filed = {}
-        self._classes = {}
+        DUs of one relation together, a schema change alone), then count
+        every change, reusing the verdicts it remembers."""
+        known, self._verdicts = self._verdicts, {}
+        self._filed, self._classes = {}, {}
+        self._change_readers, self._change_names = {}, {}
+        self._cd_edges = 0
         for group in self._keyed.values():
             self._file(group)
+        for sc_abs, memo in known.items():
+            self._count_change(sc_abs, memo)
+        self._filed_generation = self.cache.generation
+
+    def _rederive(self, keys, changes=(), arrival: int | None = None):
+        """Re-file the nodes of the cache ``keys`` whose entries were
+        dropped, re-test the ``changes`` whose names were re-rooted,
+        then file and count a schema-change ``arrival`` — or refile
+        everything, if the cache was cleared since the last full refile
+        (its nodes may be filed under another epoch's value)."""
+        if self.cache.generation != self._filed_generation:
+            for sc_abs in changes:
+                self._verdicts[sc_abs] = {}
+            if arrival is not None:
+                self._verdicts[arrival] = {}
+            self._refile()
+            return
+        for sc_abs in changes:
+            self._uncount_change(sc_abs)
+        for key in keys:
+            group = self._keyed.get(key)
+            if not group:
+                continue  # a departed relation's DU entry
+            footprint = self.cache.lookup(
+                self._message_of[next(iter(group))], self._resolver
+            )
+            if footprint != self._filed[next(iter(group))]:
+                for absolute in group:
+                    self._unplace(absolute)
+                self._place(group, footprint)
+        for sc_abs in changes:
+            self._count_change(sc_abs)
+        if arrival is not None:
+            self._file((arrival,))
+            self._count_change(arrival)
 
     # ------------------------------------------------------------------
     # from-scratch rebuild (the fallback and the oracle's twin)
     # ------------------------------------------------------------------
 
     def _rebuild(self, clear_cache: bool) -> None:
-        """Recompute the mirror from the queue, then :meth:`_resolve`."""
+        """Recompute the mirror and the resolver from the queue; charged
+        as a from-scratch build.
+
+        ``clear_cache`` is set when the rename lineage set changed
+        otherwise than by an arrival (the resolver is a normalization
+        input the epoch cannot see); view version bumps clear the cache
+        through the epoch check instead.
+        """
         self._order, self._message_of, self._keyed = [], {}, {}
-        self._chains, self._verdicts, self._pos, self._sd = {}, {}, None, None
-        self._lineage_count = 0
+        self._chains, self._pos, self._sd = {}, None, None
+        self._lineage = set()
         for message in self._umq.messages():
             self._append(message)
-        self._resolve(clear_cache)
-
-    def _resolve(self, clear_cache: bool) -> None:
-        """A new resolver over the mirrored queue: every node re-filed,
-        every verdict dropped; charged as a from-scratch build.
-
-        ``clear_cache`` is set when the rename lineage set changed (the
-        resolver is a normalization input the epoch cannot see); view
-        version bumps clear the cache through the epoch check instead.
-        """
         if clear_cache:
             self.cache.clear()
         self.cache.validate()
         self._resolver = NameResolver(self._umq.messages())
-        self._verdicts = {sc_abs: {} for sc_abs in self._verdicts}
+        self._verdicts = {
+            absolute: {}
+            for absolute in self._order
+            if self._message_of[absolute].is_schema_change
+        }
         self._refile()
-        self.metrics.graph_rebuilds += 1
-        self._work_full_nodes += len(self._order)
-        self._work_full_edges += self.edge_count
+        self._charge_rebuild()
 
     # ------------------------------------------------------------------
     # UMQ listener protocol
@@ -577,57 +684,60 @@ class IncrementalDependencyGraph:
         self._work_inc_nodes += nodes
         self._work_inc_edges += edges
 
+    def _charge_rebuild(self) -> None:
+        """Count a mutation charged as a from-scratch build: every node,
+        every edge."""
+        self.metrics.graph_rebuilds += 1
+        self._work_full_nodes += len(self._order)
+        self._work_full_edges += self.edge_count
+
     def umq_received(self, message: UpdateMessage) -> None:
         queued_changes = len(self._verdicts)
         absolute = self._append(message)
-        if lineage_affecting(message):
-            # The resolver gains a lineage link: every normalized
-            # footprint may change, so may every concurrent edge.  The
-            # chains only grew at the tail, so they stay.
-            self._resolve(clear_cache=True)
-            return
         self.cache.validate()
         if not message.is_schema_change:
             # Charged O(m) — only the queued schema changes can depend
-            # on a DU — but nothing is tested until an edge is asked for.
+            # on a DU — and tested only against a class it founds.
             self._charge_incremental(1, queued_changes)
             self._file((absolute,))
             return
-        # A (non-lineage) schema change.  Its source commit may have
-        # drifted the source schemas that speculative rewrites consult
-        # (the epoch just cleared the cache), so every node is re-filed
-        # under a fresh footprint.  Charged as the explicit sweep: the
-        # new change against every queued footprint (O(n)), every queued
-        # change against the new footprint (O(m)), and the queued-change
-        # pairs re-tested (O(m^2)).
+        # Its source commit may have drifted the live schemas a
+        # speculative rewrite read; a lineage link re-roots one name.
+        keys = self.cache.drop_volatile()
+        changes: set[int] = set()
+        name = self._resolver.extend(message)
+        if name is not None:
+            keys |= self.cache.invalidate(name)
+            changes = self._change_readers.get(name, set()).copy()
+        self._rederive(keys, changes, arrival=absolute)
+        if lineage_affecting(message):
+            # Charged as the from-scratch build it replaces.
+            self._charge_rebuild()
+            return
+        # Charged as the explicit sweep: the new change against every
+        # queued footprint (O(n)), every queued change against the new
+        # footprint (O(m)), and the queued-change pairs re-tested
+        # (O(m^2)).
         self._charge_incremental(
             1, len(self._order) - 1 + queued_changes * queued_changes
         )
-        self._refile()
 
     def _remove_span(self, index: int, count: int) -> None:
         """Drop the ``count`` nodes at queue positions ``index``..;
-        O(m + classes + chain length) per node."""
-        dropped = 0
+        O(classes + chain length) per node.  The edge tally is the fall
+        of the running total: an edge between two co-removed nodes once."""
+        edges_before = self._cd_edges
         for absolute in self._order[index : index + count]:
-            # Concurrent degree of the departing node; an edge to a
-            # co-removed node is gone before its other end is counted.
-            footprint = self._filed.pop(absolute)
             if absolute in self._verdicts:
-                dropped += self._dependents(absolute)
-                del self._verdicts[absolute]
-            dropped += sum(
-                self._conflicts(sc_abs, footprint)
-                for sc_abs in self._verdicts
-            )
+                self._uncount_change(absolute)
+            self._unplace(absolute)
             message = self._message_of.pop(absolute)
-            _unfile(self._classes, footprint, absolute)
-            _unfile(self._keyed, self.cache.key(message), absolute)
+            _unindex(self._keyed, (self.cache.key(message),), absolute)
             for relation in message.touched_relations():
                 self._chains[message.source, relation].remove(absolute)
         del self._order[index : index + count]
         self._pos = self._sd = None
-        self._charge_incremental(count, dropped)
+        self._charge_incremental(count, edges_before - self._cd_edges)
 
     def _departed(self, unit: MaintenanceUnit) -> bool:
         """Forget a departing unit's cached footprints; did it carry a
@@ -678,19 +788,41 @@ class IncrementalDependencyGraph:
         )
 
     def umq_reordered(self, units: list[MaintenanceUnit]) -> None:
-        if self._lineage_count:
-            # Rename chains make the resolver order-dependent; a
-            # reorder can change every normalized footprint.
-            self._rebuild(clear_cache=True)
-            return
-        # Classes and verdicts are order-free: only the order itself
-        # and the semantic chains change (O(n)).
         absolute_of = {
             id(message): absolute
             for absolute, message in self._message_of.items()
         }
-        self._order = [
+        order = [
             absolute_of[id(message)] for unit in units for message in unit
         ]
-        self._relink()
-        self._charge_incremental(len(self._order), self._concurrent_count())
+        if self._lineage and self._resolver != NameResolver(
+            self._message_of[absolute]
+            for absolute in order
+            if absolute in self._lineage
+        ):
+            # Rename chains make the resolver order-dependent.  A legal
+            # order keeps each lineage's order (its links are chained
+            # by semantic edges), so this is a reorder that broke one.
+            self._rebuild(clear_cache=True)
+            return
+        # Classes and verdicts are order-free: only the order itself
+        # and the semantic chains change (O(n)) — and a legal order
+        # keeps every chain's order, hence the chains themselves.
+        self._order = order
+        position_of = self._pos = {
+            absolute: position for position, absolute in enumerate(order)
+        }
+        if not all(
+            position_of[before] < position_of[after]
+            for before, after in self._semantic()
+        ):
+            self._relink()
+        if not self._lineage:
+            self._charge_incremental(len(self._order), self._cd_edges)
+            return
+        # Charged as the rebuild it replaces, and re-deriving what that
+        # rebuild's cache clear would have: the volatile entries (and
+        # everything, after a view-version bump).
+        self.cache.validate()
+        self._rederive(self.cache.drop_volatile())
+        self._charge_rebuild()

@@ -160,10 +160,7 @@ class DynoScheduler:
             self.umq,
             view_queries=lambda: self.manager.maintenance_queries,
             rewritten_query=self._speculative_rewrite,
-            epoch=lambda: (
-                self.manager.detection_epoch,
-                self.umq.received_schema_changes,
-            ),
+            epoch=lambda: self.manager.detection_epoch,
             metrics=self.manager.metrics,
             source_reads=lambda: sum(
                 m.synchronizer.consults for m in self.manager.view_managers()

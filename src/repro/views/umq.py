@@ -131,10 +131,6 @@ class UpdateMessageQueue:
         self._units: deque[MaintenanceUnit] = deque()
         self.new_schema_change_flag = False
         self.received_messages = 0
-        #: schema-change messages ever received (monotone; part of the
-        #: footprint-cache epoch — source schemas only drift when an SC
-        #: commits, and every committed SC passes through here)
-        self.received_schema_changes = 0
         self._listeners: list[UMQListener] = []
         # -- O(1) lookup bookkeeping -----------------------------------
         #: flat message list, patched incrementally (None = rebuild)
@@ -177,7 +173,6 @@ class UpdateMessageQueue:
         self.received_messages += 1
         if message.is_schema_change:
             self.new_schema_change_flag = True
-            self.received_schema_changes += 1
         for key, arrived in _by_relation(unit).items():
             self._data_updates.setdefault(key, []).extend(arrived)
         for listener in self._listeners:

@@ -14,8 +14,10 @@ Two deterministic checks, both independent of the figures:
 * the executed work — counted ``Footprint.conflicted_by`` and
   ``footprint_of_update`` calls of one rename arrival into a deep queue
   — is bounded by schema changes x footprint *classes*, not by schema
-  changes x queue length; and a DU-only burst executes none at all
-  (Fig. 8 in wall time).
+  changes x queue length, and is per change: a rename derives only its
+  own footprint and tests only verdicts not seen before, a drop derives
+  no DU footprint, a legal reorder derives nothing; a DU-only burst
+  executes none at all (Fig. 8 in wall time).
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from pathlib import Path
 import pytest
 
 import repro.core.incremental as incremental_module
+from repro.core.correction import correct
 from repro.core.dependencies import Footprint, find_dependencies
 from repro.core.incremental import IncrementalDependencyGraph
 from repro.core.scheduler import DynoScheduler
@@ -310,6 +313,107 @@ def test_rename_arrival_work_is_per_class_not_per_message(monkeypatch):
     assert graph.node_count == 211
     assert 0 < counts["conflicted_by"] <= m * (classes + m)
     assert 0 < counts["footprint_of_update"] <= classes + m
+
+
+def _warm_queue():
+    """200 DUs over the six view relations + 10 queued renames, every
+    verdict already tested."""
+    umq = UpdateMessageQueue()
+    graph = IncrementalDependencyGraph(umq, lambda: (QUERY,))
+    for message in _synthetic_queue(210, 10):
+        umq.receive(message)
+    graph.dependencies()
+    return umq, graph
+
+
+def _count_calls(monkeypatch, owner, name, counts):
+    real = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        counts[name] = counts.get(name, 0) + 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+
+
+def _verdicts_held(graph) -> set:
+    return {
+        (change, footprint)
+        for change, memo in graph._verdicts.items()
+        for footprint in memo
+    }
+
+
+def test_rename_arrival_pays_for_its_own_key(monkeypatch):
+    """A rename into a warm queue extends the resolver (no
+    ``NameResolver`` is built from the queue), derives one footprint —
+    its own — and tests only verdicts it has not seen; it is still
+    charged as a from-scratch build."""
+    umq, graph = _warm_queue()
+    counts: dict[str, int] = {}
+    _count_calls(monkeypatch, incremental_module, "NameResolver", counts)
+    _count_calls(
+        monkeypatch, incremental_module, "footprint_of_update", counts
+    )
+    _count_calls(monkeypatch, Footprint, "conflicted_by", counts)
+    held = _verdicts_held(graph)
+    rebuilds = graph.metrics.graph_rebuilds
+    graph.consume_work()
+
+    umq.receive(
+        UpdateMessage("src1", 1000, 1000.0, RenameRelation("R1", "R1__w"))
+    )
+    assert "NameResolver" not in counts
+    assert counts["footprint_of_update"] == 1
+    assert counts["conflicted_by"] == len(_verdicts_held(graph) - held) > 0
+    assert graph.metrics.graph_rebuilds == rebuilds + 1
+    assert graph.consume_work()[:2] == (211, graph.edge_count)
+    assert _edge_set(graph.dependencies()) == _edge_set(
+        find_dependencies(umq.messages(), QUERY)
+    )
+
+
+def test_drop_attribute_arrival_rederives_no_data_update(monkeypatch):
+    """A non-lineage schema change re-derives no DU entry: a DU's
+    footprint reads the view queries and the resolver, and neither
+    moved."""
+    umq, graph = _warm_queue()
+    derived: list[UpdateMessage] = []
+    real = incremental_module.footprint_of_update
+
+    def recording(message, *args, **kwargs):
+        derived.append(message)
+        return real(message, *args, **kwargs)
+
+    monkeypatch.setattr(incremental_module, "footprint_of_update", recording)
+    umq.receive(
+        UpdateMessage("src2", 1000, 1000.0, DropAttribute("R3", "C3"))
+    )
+    assert [message.is_schema_change for message in derived] == [True]
+    assert _edge_set(graph.dependencies()) == _edge_set(
+        find_dependencies(umq.messages(), QUERY)
+    )
+
+
+def test_legal_reorder_with_renames_queued_keeps_the_mirror(monkeypatch):
+    """``replace_order`` with the order ``correct`` returns keeps every
+    rename lineage's order, so the resolver is unchanged: no footprint
+    is missed and no rebuild runs — though one is charged."""
+    umq, graph = _warm_queue()
+    units = correct(umq.messages(), QUERY, detection=graph.detection()).units
+    assert len(units) < len(umq.units)  # the renames merged something
+    counts: dict[str, int] = {}
+    _count_calls(monkeypatch, IncrementalDependencyGraph, "_rebuild", counts)
+    misses = graph.metrics.footprint_cache_misses
+    rebuilds = graph.metrics.graph_rebuilds
+
+    umq.replace_order(units)
+    assert "_rebuild" not in counts
+    assert graph.metrics.footprint_cache_misses == misses
+    assert graph.metrics.graph_rebuilds == rebuilds + 1
+    assert _edge_set(graph.dependencies()) == _edge_set(
+        find_dependencies(umq.messages(), QUERY)
+    )
 
 
 def test_du_only_burst_never_enters_detection(monkeypatch):
@@ -619,7 +723,8 @@ def test_mkb_rules_are_read_when_a_rewrite_is_made():
             join_attribute="Article",
         )
     )
-    # An arrival clears every footprint; the rewrite is served as made.
+    # An arrival drops only volatile entries; this rewrite read no live
+    # schema, so it is served as made.
     engine.source("retailer").commit(
         DropAttribute("StoreItems", "Price"), at=0.0
     )

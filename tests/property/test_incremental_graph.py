@@ -16,23 +16,32 @@ unit fold of its edges (:func:`unit_fold`).
 
 Speculative rewrites are live: the substrate is wired as a scheduler
 wires it (a real :class:`~repro.maintenance.vs.ViewSynchronizer` over
-the bookstore MKB, its consult counter, the arrival-count epoch), so
-every check runs with a warm rewrite memo against an oracle that
+the bookstore MKB, its consult counter, an epoch of view versions only),
+so every check runs with a warm rewrite memo against an oracle that
 synchronizes afresh — including relation-replacement drops, whose
 rewrite reads the stand-in's *live* schema, and drops of the stand-in's
-attributes, which change it.
+attributes, which change it.  Names are reused (a rename back into an
+earlier name of its lineage, or into a name the view or a queued
+message still reads), and schema changes arrive that no queued
+footprint reads; ``TestSeededMutations`` breaks each per-name
+invalidation rule in turn and checks that the oracle notices.
 """
 
 from __future__ import annotations
 
 import random
 
-from hypothesis import example, given, settings
+import pytest
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.dependencies import NameResolver, find_dependencies
 from repro.core.graph import DependencyGraph
-from repro.core.incremental import FootprintCache, IncrementalDependencyGraph
+from repro.core.incremental import (
+    FootprintCache,
+    IncrementalDependencyGraph,
+    _unindex,
+)
 from repro.maintenance.vs import ViewSynchronizationError, ViewSynchronizer
 from repro.sources.messages import (
     DataUpdate,
@@ -63,6 +72,9 @@ RELATIONS = (
     ("library", CATALOG_SCHEMA, "Review"),
 )
 
+#: a relation at each source that neither the view nor any rewrite reads
+UNREAD = (("retailer", "Ledger"), ("library", "Archive"), ("digest", "Log"))
+
 
 class _Stream:
     """Builds messages with monotone per-source sequence numbers and
@@ -85,7 +97,16 @@ class _Stream:
             (source, schema.name): attribute
             for source, schema, attribute in RELATIONS
         }
+        #: every name each relation / droppable attribute has held
+        self._lineage = {key: [name] for key, name in self._names.items()}
+        self._attribute_lineage = {
+            key: [name] for key, name in self._attributes.items()
+        }
         self._rename_count = 0
+        #: schema changes made so far (the spurious epoch's input)
+        self.schema_changes = 0
+        #: reuse ops that did rename into a name already in use
+        self.reused = 0
 
     def _schema_lookup(self, source: str, relation: str):
         if (source, relation) == ("retailer", self.stand_in.name):
@@ -102,13 +123,18 @@ class _Stream:
             return (QUERY,)
         return (result.definition.query,)
 
-    def substrate(self, umq: UpdateMessageQueue):
-        """The graph under test, wired as ``DynoScheduler`` wires it."""
+    def substrate(self, umq: UpdateMessageQueue, spurious: bool = False):
+        """The graph under test, wired as ``DynoScheduler`` wires it:
+        the epoch is the view version (never bumped here).  With
+        ``spurious``, the epoch also moves on every schema change, as
+        it once did; a spurious clear must stay sound."""
         return IncrementalDependencyGraph(
             umq,
             lambda: (QUERY,),
             rewritten_query=self.rewritten,
-            epoch=lambda: umq.received_schema_changes,
+            epoch=(
+                (lambda: (1, self.schema_changes)) if spurious else lambda: 1
+            ),
             source_reads=lambda: self.synchronizer.consults,
         )
 
@@ -116,6 +142,7 @@ class _Stream:
         seqno = self._seqno.get(source, 0) + 1
         self._seqno[source] = seqno
         self._clock += 1.0
+        self.schema_changes += not isinstance(payload, DataUpdate)
         return UpdateMessage(source, seqno, self._clock, payload)
 
     def data_update(self, relation_index: int) -> UpdateMessage:
@@ -149,26 +176,80 @@ class _Stream:
             "retailer", DropAttribute(self.stand_in.name, attribute)
         )
 
-    def rename_relation(self, relation_index: int) -> UpdateMessage:
+    def rename_relation(
+        self, relation_index: int, new: str | None = None
+    ) -> UpdateMessage:
         source, schema, _attr = RELATIONS[relation_index]
         key = (source, schema.name)
         self._rename_count += 1
         old = self._names[key]
-        new = f"{schema.name}__v{self._rename_count}"
+        if new is None:
+            new = f"{schema.name}__v{self._rename_count}"
         self._names[key] = new
+        self._lineage[key].append(new)
         return self._message(source, RenameRelation(old, new))
 
-    def rename_attribute(self, relation_index: int) -> UpdateMessage:
+    def rename_attribute(
+        self, relation_index: int, new: str | None = None
+    ) -> UpdateMessage:
         """Rename the droppable attribute, addressed through the
         relation's *current* name (both lineages chain)."""
         source, schema, attribute = RELATIONS[relation_index]
         key = (source, schema.name)
         self._rename_count += 1
         old = self._attributes[key]
-        new = self._attributes[key] = f"{attribute}__v{self._rename_count}"
+        if new is None:
+            new = f"{attribute}__v{self._rename_count}"
+        self._attributes[key] = new
+        self._attribute_lineage[key].append(new)
         return self._message(
             source, RenameAttribute(self._names[key], old, new)
         )
+
+    def _reuse(self, current: str, candidates, pick: int) -> str | None:
+        """One of ``candidates`` other than ``current`` (counted), or
+        ``None`` — a fresh name — when there is none."""
+        names = sorted(set(candidates) - {current})
+        if not names:
+            return None
+        self.reused += 1
+        return names[pick % len(names)]
+
+    def rename_relation_reuse(self, pick: int) -> UpdateMessage:
+        """Rename a view relation into a name already held: an earlier
+        name of its lineage, or a name the view (or a queued message)
+        still reads at that source."""
+        source, schema, _attr = RELATIONS[pick % len(RELATIONS)]
+        key = (source, schema.name)
+        candidates = [*self._lineage[key]]
+        for other_source, other, _ in RELATIONS:
+            if other_source == source:
+                candidates += [other.name, self._names[source, other.name]]
+        new = self._reuse(self._names[key], candidates, pick // 3)
+        return self.rename_relation(pick % len(RELATIONS), new)
+
+    def rename_attribute_reuse(self, pick: int) -> UpdateMessage:
+        """Rename the droppable attribute into a name already held: an
+        earlier name of its lineage, or another attribute of that
+        relation (the view reads several)."""
+        source, schema, _attr = RELATIONS[pick % len(RELATIONS)]
+        key = (source, schema.name)
+        candidates = [*self._attribute_lineage[key], *schema.attribute_names]
+        new = self._reuse(self._attributes[key], candidates, pick // 3)
+        return self.rename_attribute(pick % len(RELATIONS), new)
+
+    def unread_change(self, pick: int) -> UpdateMessage:
+        """A schema change on a relation no queued footprint reads: a
+        drop of one of its attributes, a rename (a lineage link nobody
+        reads) or a drop of it."""
+        source, relation = UNREAD[pick % len(UNREAD)]
+        self._rename_count += 1
+        payload = (
+            DropAttribute(relation, "Note"),
+            RenameRelation(relation, f"{relation}__v{self._rename_count}"),
+            DropRelation(relation),
+        )[pick // len(UNREAD) % 3]
+        return self._message(source, payload)
 
 
 @st.composite
@@ -202,6 +283,17 @@ def op_sequences(draw):
                 st.tuples(
                     st.just("rename_attribute"),
                     st.integers(min_value=0, max_value=2),
+                ),
+                st.tuples(
+                    st.just("rename_reuse"),
+                    st.integers(min_value=0, max_value=17),
+                ),
+                st.tuples(
+                    st.just("rename_attribute_reuse"),
+                    st.integers(min_value=0, max_value=17),
+                ),
+                st.tuples(
+                    st.just("unread"), st.integers(min_value=0, max_value=8)
                 ),
                 st.tuples(st.just("remove_head"), st.just(0)),
                 st.tuples(
@@ -296,15 +388,19 @@ MAKERS = {
     "drop_stand_in_attribute": "drop_stand_in_attribute",
     "rename": "rename_relation",
     "rename_attribute": "rename_attribute",
+    "rename_reuse": "rename_relation_reuse",
+    "rename_attribute_reuse": "rename_attribute_reuse",
+    "unread": "unread_change",
 }
 
 
-def _drive(ops, prefill: int) -> None:
+def _drive(ops, prefill: int, spurious: bool = False) -> int:
     """Interpret ``ops`` against a fresh UMQ holding ``prefill`` DUs,
-    checking the oracle contract after every single mutation."""
+    checking the oracle contract after every single mutation; how many
+    renames reused a name."""
     umq = UpdateMessageQueue()
     stream = _Stream()
-    incremental = stream.substrate(umq)
+    incremental = stream.substrate(umq, spurious)
     removed: list[MaintenanceUnit] = []
     for index in range(prefill):
         umq.receive(stream.data_update(index % len(RELATIONS)))
@@ -327,10 +423,26 @@ def _drive(ops, prefill: int) -> None:
             if not umq.is_empty():
                 umq.replace_order(_reordered_units(umq, argument))
         _check_equivalence(umq, incremental, stream.rewritten)
+    return stream.reused
+
+
+#: one stream per per-name invalidation rule, each the shortest that a
+#: seeded mutation of that rule fails (``TestSeededMutations``)
+RENAME_INTO_A_READ_NAME = [("du", 0), ("rename_reuse", 0)]
+REUSED_RAW_AFTER_DEPARTURE = [
+    ("drop_relation", 0),
+    ("drop", 1),
+    ("remove_head", 0),
+    ("drop_relation", 0),
+    ("rename_reuse", 0),
+]
+LIVE_SCHEMA_DRIFT = [("drop_relation", 1), ("drop_stand_in_attribute", 3)]
 
 
 @given(op_sequences())
-@example([("drop_relation", 1), ("drop_stand_in_attribute", 3)])
+@example(RENAME_INTO_A_READ_NAME)
+@example(REUSED_RAW_AFTER_DEPARTURE)
+@example(LIVE_SCHEMA_DRIFT)
 @example(
     [
         ("drop_relation", 0),
@@ -345,7 +457,8 @@ def test_incremental_graph_matches_from_scratch_oracle(ops):
     """Every mutation path — including the parallel dispatcher's
     mid-queue ``remove_unit`` and the abort path's ``requeue_front`` —
     must leave the substrate bit-identical to a from-scratch rebuild."""
-    _drive(ops, prefill=0)
+    if _drive(ops, prefill=0):
+        event("a name was reused")
 
 
 @given(op_sequences())
@@ -354,7 +467,19 @@ def test_deep_classes_match_from_scratch_oracle(ops):
     """The same contract with 30 DUs queued first, so every footprint
     class holds several members while the random tail queues (and
     removes, and reorders) schema changes."""
-    _drive(ops, prefill=30)
+    if _drive(ops, prefill=30):
+        event("a name was reused")
+
+
+@given(op_sequences())
+@settings(max_examples=40, deadline=None)
+def test_spurious_epoch_bumps_stay_sound(ops):
+    """The same contract when the epoch moves on every schema-change
+    arrival (the cache is cleared more often than needed): the clear
+    must refile every node, never leave one under another epoch's
+    value."""
+    if _drive(ops, prefill=6, spurious=True):
+        event("a name was reused")
 
 
 @given(op_sequences())
@@ -378,6 +503,64 @@ def test_unit_removal_with_schema_changes_rebuilds_consistently(ops):
         umq.remove_head()
         _check_equivalence(umq, incremental, stream.rewritten)
     _check_equivalence(umq, incremental, stream.rewritten)
+
+
+def _mutate_name_test(patch) -> None:
+    """(i) A lineage arrival re-roots no name: nothing is re-derived."""
+    extend = NameResolver.extend
+    patch.setattr(
+        NameResolver,
+        "extend",
+        lambda self, message: extend(self, message) and None,
+    )
+
+
+def _mutate_departed_raws(patch) -> None:
+    """(ii) A departing change's normalization escapes the name index
+    unless a live entry holds the same value (a scan of live keys)."""
+    discard = FootprintCache.discard
+
+    def leaky(self, message):
+        entry = self._entries.get(id(message))
+        discard(self, message)
+        if entry is None:
+            return
+        live = {footprint for _m, footprint, _n in self._entries.values()}
+        for raw, (footprint, names) in self._normalized.items():
+            if footprint == entry[1] and footprint not in live:
+                _unindex(self._raw_readers, names, raw)
+
+    patch.setattr(FootprintCache, "discard", leaky)
+
+
+def _mutate_volatile(patch) -> None:
+    """(iii) A schema-change arrival keeps the entries whose rewrite
+    read live source schemas."""
+    patch.setattr(FootprintCache, "drop_volatile", lambda self: set())
+
+
+class TestSeededMutations:
+    """Each per-name invalidation rule, broken on purpose, fails the
+    oracle on the stream pinned for it.  At the tier-1 budget the drawn
+    streams alone kill (i) and (iii); (ii) needs a departed change's
+    raw footprint to come back after a reuse, which the pinned
+    ``@example`` supplies."""
+
+    @pytest.mark.parametrize(
+        "mutate, ops",
+        [
+            (_mutate_name_test, RENAME_INTO_A_READ_NAME),
+            (_mutate_departed_raws, REUSED_RAW_AFTER_DEPARTURE),
+            (_mutate_volatile, LIVE_SCHEMA_DRIFT),
+        ],
+        ids=["name_test", "departed_raws", "volatile"],
+    )
+    def test_mutation_fails_the_oracle(self, monkeypatch, mutate, ops):
+        _drive(ops, prefill=0)
+        with monkeypatch.context() as patch:
+            mutate(patch)
+            with pytest.raises(AssertionError):
+                _drive(ops, prefill=0)
 
 
 class TestClassGraph:
