@@ -88,7 +88,6 @@ def _worker_main(
     build_world: WorldBuilder,
     specs: list,
     workloads: list[WorkloadSpec],
-    executor: str | None,
 ) -> None:
     """One worker process: build assigned shard worlds, serve commands.
 
@@ -97,10 +96,6 @@ def _worker_main(
     and read the replies back in order.
     """
     try:
-        if executor is not None:
-            from ..relational.executor import set_executor_mode
-
-            set_executor_mode(executor)
         shards: dict[int, Shard] = {}
         ready: dict[int, tuple[dict, ShardStatus]] = {}
         for spec in specs:
@@ -173,7 +168,6 @@ class ProcessShardRuntime(ShardCoordinator):
         specs: list,
         build_world: WorldBuilder,
         processes: int,
-        executor: str | None = None,
         reply_timeout: float = 600.0,
         kill_shard_after: tuple[int, int] | None = None,
     ) -> None:
@@ -185,11 +179,6 @@ class ProcessShardRuntime(ShardCoordinator):
         self.shard_ids = tuple(spec.shard_id for spec in self.specs)
         self.build_world = build_world
         self.processes = min(processes, len(self.specs))
-        if executor is None:
-            from ..relational.executor import executor_mode
-
-            executor = executor_mode()
-        self.executor = executor
         self.reply_timeout = reply_timeout
         #: test/chaos knob: ``(shard_id, round_index)`` — at the start
         #: of that coordinator round the shard's worker is sent CRASH
@@ -245,7 +234,6 @@ class ProcessShardRuntime(ShardCoordinator):
                     self.build_world,
                     assigned,
                     self._workloads,
-                    self.executor,
                 ),
                 name=f"shard-worker-{index}",
                 daemon=True,

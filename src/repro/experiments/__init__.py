@@ -19,7 +19,6 @@ from .testbed import (
     build_testbed,
     sharded_config,
 )
-from .wallclock import run_wallclock_ablation
 
 __all__ = [
     "ArmResult",
@@ -38,6 +37,5 @@ __all__ = [
     "run_fig10",
     "run_fig11",
     "run_fig12",
-    "run_wallclock_ablation",
     "sharded_config",
 ]

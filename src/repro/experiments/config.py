@@ -20,7 +20,6 @@ from ..recovery.crash import CrashPlan
 from ..sim.costs import CostModel
 
 BACKENDS = ("memory", "sqlite")
-EXECUTORS = ("compiled", "naive")
 
 
 @dataclass(frozen=True)
@@ -41,9 +40,6 @@ class WarehouseConfig:
     backend: str = "memory"
     #: virtual-cost model; ``None`` calibrates one to the scale
     cost_model: CostModel | None = None
-    #: process-wide relational evaluator (``"compiled"`` / ``"naive"``);
-    #: moves wall-clock time only, ``None`` leaves the mode untouched
-    executor: str | None = None
     #: ``None`` = serial Dyno loop, N = parallel executor with N workers
     #: (1 is the honest serial arm of the parallel model)
     parallel_workers: int | None = None
@@ -79,8 +75,6 @@ class WarehouseConfig:
     def __post_init__(self) -> None:
         if self.backend not in BACKENDS:
             raise ValueError(f"unknown backend {self.backend!r}")
-        if self.executor is not None and self.executor not in EXECUTORS:
-            raise ValueError(f"unknown executor mode {self.executor!r}")
         if self.parallel_workers is not None and self.parallel_workers < 1:
             raise ValueError(
                 f"parallel_workers must be >= 1, got {self.parallel_workers}"

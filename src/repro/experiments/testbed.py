@@ -41,7 +41,6 @@ from ..core.strategies import Strategy
 from ..faults.injector import FaultInjector
 from ..frontend.reads import ReadFrontEnd
 from ..recovery import arm_recovery, committed_updates, run_recovering
-from ..relational.executor import set_executor_mode
 from ..relational.predicate import AttrRef
 from ..relational.query import JoinCondition, RelationRef, SPJQuery
 from ..relational.schema import RelationSchema
@@ -291,8 +290,6 @@ def build_shard_world(
     every message is delivered (the classic unrouted testbed).
     """
     config = plan.config
-    if config.executor is not None:
-        set_executor_mode(config.executor)
     engine = SimEngine(
         config.cost_model or CostModel.calibrated(config.tuples_per_relation)
     )

@@ -23,7 +23,6 @@ from __future__ import annotations
 from collections import deque
 from typing import Callable, NamedTuple
 
-from ..relational.executor import _single_alias_conjuncts
 from ..relational.predicate import (
     TRUE,
     AttrRef,
@@ -32,7 +31,7 @@ from ..relational.predicate import (
     Predicate,
     conjunction,
 )
-from ..relational.plan import Fold, SweepStage
+from ..relational.plan import Fold, SweepStage, _single_alias_conjuncts
 from ..relational.query import RelationRef, SPJQuery
 from ..relational.schema import RelationSchema
 

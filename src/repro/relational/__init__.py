@@ -3,7 +3,7 @@
 This package implements everything the paper's Oracle8i testbed provided:
 typed schemas, bag-semantics tables, deltas with signed multiplicities,
 an SPJ query AST with the structural rewrites view synchronization needs,
-and a hash-join executor.
+and a compiled hash-join kernel.
 """
 
 from .catalog import Catalog
@@ -22,12 +22,7 @@ from .errors import (
     UnknownAttributeError,
     UnknownRelationError,
 )
-from .executor import (
-    execute,
-    execute_naive,
-    executor_mode,
-    set_executor_mode,
-)
+from .executor import execute
 from .plan import (
     CompiledPlan,
     PlanCache,
@@ -94,10 +89,7 @@ __all__ = [
     "conjunction",
     "execute",
     "execute_compiled",
-    "execute_naive",
-    "executor_mode",
     "parse_query",
     "parse_view",
     "plan_cache_stats",
-    "set_executor_mode",
 ]

@@ -1,70 +1,21 @@
-"""Compiled query plans and the columnar hash-join kernel.
+"""The relational kernel: compiled query plans and the columnar hash join.
 
-This is the wall-clock performance layer of the relational engine.  The
-naive evaluator (:func:`repro.relational.executor.execute_naive`)
-re-derives everything per call and per row: it rebuilds ``positions``
-dicts, resolves attribute references through closure-allocating
-*bindings*, extracts join keys with per-row generator expressions and
-re-validates every projected value on result insertion.  Under bag
-semantics all of that is pure interpretation overhead — counted distinct
-rows mean one kernel application per *distinct* row, so the work that
-remains is exactly the part worth compiling.
-
-A :class:`CompiledPlan` precomputes, once per ``(query shape, schema
-epoch)``:
-
-* the greedy connected join order and every intermediate column layout
-  (identical to the naive executor's, so results and error behavior
-  match bag-for-bag);
-* selection/join predicates as *closed-over Python functions* indexing
-  rows directly — no per-row ``AttrRef`` dict bindings;
-* join/probe key extractors as :func:`operator.itemgetter` (C-speed);
-* the projection itemgetter and the result schema.
-
-**Plans are prepared statements.**  A plan is compiled from, and cached
-under, the query's *shape* (:attr:`SPJQuery.prepared`): the query with
-every ``InPredicate`` value list lifted into a positional parameter.  A
-maintenance probe ships the delta's join values as IN-lists, so every
-data update asks a query nobody has asked before — of a shape that is as
-old as the view definition.  What is a parameter: the value list of each
-``InPredicate``, wherever it stands (pushed down, residual, under a
-``Negation``).  What is not: ``Comparison`` constants — they belong to
-the view definition — and everything structural.  The compiled plan
-holds no values; :meth:`CompiledPlan.execute` receives the lists and
-binds them then: a filter that tests membership is closed over its list
-per execute (:class:`_Late`), and the probe-versus-scan choice of
-:meth:`_ScanStage.run` is made per execute too, because it compares the
-*bound* list's size with the table's — a plan that froze the choice of
-its first binding would scan 2 000 rows for a one-value probe, or probe
-a list as long as the table.
-
-Execution then runs a **columnar hash join** over distinct ``(row,
-count)`` pairs, multiplying multiplicities in bulk, and materializes
-the result through :meth:`Table.from_counts` (rows coming out of
-validated tables are not re-validated on the way back in).
-
-**Error parity with the oracle.**  A reference that no longer resolves
-(the engine-level face of a broken query) must raise the same exception
-class at the same stage as the naive evaluator — scan-predicate errors
-per filtered row, join-condition errors at the join step, residual
-errors per row, projection errors after filtering.  Compilation
-therefore never fails on a dangling reference: it produces a *deferred
-raiser* installed at the stage where the naive evaluator would have
-raised.  ``tests/property/test_executor_equivalence.py`` proves the
-equivalence over random queries × bag tables × deltas × schema changes.
-
-**Plan-cache invalidation rule.**  Schemas are immutable values: every
-physical schema change replaces a table's :class:`RelationSchema` with
-a new object, so the bound schemas *are* the epoch.  Plans are cached
-under ``(shape, bound schemas)``, so a schema change can never serve a
-stale plan — the old schema's entry simply ages out of the LRU.
+:func:`repro.relational.execute` runs every query through here.  A
+:class:`CompiledPlan` is compiled once per ``(query shape, bound
+schemas)`` — the shape (:attr:`SPJQuery.prepared`) lifts every IN-list
+into a parameter bound per execute, and immutable schemas are the
+cache's epoch.  A reference that does not resolve compiles to a
+*deferred raiser* at the stage that meets it.  docs/ALGORITHMS.md
+§Wall-clock kernel says why each piece is exact; the oracles are
+test-side (``tests/kernel_oracle.py``) and stdlib ``sqlite3``
+(``tests/property/test_sqlite_differential.py``).
 """
 
 from __future__ import annotations
 
 import operator
 from collections import Counter, OrderedDict
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 from .errors import (
     AmbiguousAttributeError,
@@ -72,8 +23,8 @@ from .errors import (
     RelationalError,
     UnknownAttributeError,
 )
-from .executor import _single_alias_conjuncts, result_schema
 from .predicate import (
+    TRUE,
     AttrComparison,
     AttrRef,
     Comparison,
@@ -86,7 +37,7 @@ from .predicate import (
     conjunction,
 )
 from .query import JoinCondition, SPJQuery
-from .schema import RelationSchema
+from .schema import Attribute, RelationSchema
 from .table import Table
 
 #: default bound on resident compiled plans (LRU eviction)
@@ -98,10 +49,57 @@ DEFAULT_MAX_PLANS = 512
 # ----------------------------------------------------------------------
 
 
-def _resolver(columns: list[AttrRef]):
-    """Position resolver over a column layout.
+def _single_alias_conjuncts(
+    selection: Predicate,
+) -> tuple[dict[str, list[Predicate]], list[Predicate]]:
+    """Split a selection into per-alias pushdown terms and residual terms."""
+    conjuncts: list[Predicate]
+    if isinstance(selection, Conjunction):
+        conjuncts = list(selection.children)
+    elif selection is TRUE:
+        conjuncts = []
+    else:
+        conjuncts = [selection]
 
-    Mirrors ``_Intermediate.index_of`` exactly: unqualified names resolve
+    pushdown: dict[str, list[Predicate]] = {}
+    residual: list[Predicate] = []
+    for term in conjuncts:
+        aliases = {ref.relation for ref in term.references()}
+        if len(aliases) == 1 and None not in aliases:
+            pushdown.setdefault(next(iter(aliases)), []).append(term)
+        else:
+            residual.append(term)
+    return pushdown, residual
+
+
+def result_schema(
+    schemas: dict[str, RelationSchema],
+    projection_columns: Sequence[AttrRef],
+) -> RelationSchema:
+    """Derive the output schema of a projection over ``{alias: schema}``,
+    qualifying names only on collision.  ``projection_columns`` must be
+    alias-qualified.  The one naming rule of the kernel and of every
+    source backend."""
+    names = [column.name for column in projection_columns]
+    attributes: list[Attribute] = []
+    used: set[str] = set()
+    for column in projection_columns:
+        schema = schemas[column.relation]  # resolved refs are qualified
+        attribute = schema.attribute(column.name)
+        if names.count(column.name) > 1:
+            attribute = attribute.renamed(f"{column.relation}_{column.name}")
+        if attribute.name in used:
+            suffix = 2
+            while f"{attribute.name}_{suffix}" in used:
+                suffix += 1
+            attribute = attribute.renamed(f"{attribute.name}_{suffix}")
+        used.add(attribute.name)
+        attributes.append(attribute)
+    return RelationSchema("result", tuple(attributes))
+
+
+def _resolver(columns: list[AttrRef]):
+    """Position resolver over a column layout: unqualified names resolve
     through a name→positions map (Unknown on zero, Ambiguous on many),
     qualified references through a column→position map.
     """
@@ -134,7 +132,7 @@ def _resolver(columns: list[AttrRef]):
 
 
 def _raiser(exc: RelationalError):
-    """A per-row filter that raises where the naive binding would have."""
+    """A per-row filter that raises where a row meets the reference."""
 
     def deferred(row, _exc=exc):
         raise _exc
@@ -215,12 +213,11 @@ def _compile_filter(
     """Compile to ``row -> bool`` (``None`` means "accepts everything"),
     or to a :class:`_Late` filter when an IN-list parameter is involved.
     With ``refute``, the filter passes the rows ``predicate`` is FALSE
-    on, not merely not TRUE (:meth:`Predicate.refuted`): NOT's child.
+    on, not merely not TRUE under SQL's three-valued logic: NOT's child.
 
-    Resolution failures become deferred raisers at the granularity the
-    naive evaluator exhibits: per conjunct, so an earlier deciding
-    conjunct still short-circuits past a dangling reference.  Each one
-    installed is recorded in ``deferred``.
+    Resolution failures become deferred raisers per conjunct, so an
+    earlier deciding conjunct still short-circuits past a dangling
+    reference.  Each one installed is recorded in ``deferred``.
     """
     if isinstance(predicate, Conjunction):
         combine = _any_of if refute else _all_of
@@ -256,8 +253,7 @@ def _compile_leaf(predicate: Predicate, resolve, deferred: list, refute):
             predicate.child, resolve, deferred, not refute
         )
     if isinstance(predicate, Comparison):
-        # Resolve first: the naive binding is invoked before the
-        # NULL-operand check, so a dangling reference outranks it.
+        # Resolve first: a dangling reference outranks a NULL operand.
         position = resolve(predicate.attr)
         if predicate.value is None:
             return _never
@@ -309,16 +305,7 @@ def _compile_leaf(predicate: Predicate, resolve, deferred: list, refute):
             return lambda row: row[_position] in values
 
         return _Late(bind)
-    # Unknown predicate subclass: fall back to its own evaluate() with a
-    # positional binding (slow path, exact semantics).  It resolves per
-    # row, so it may raise per row: recorded like a deferred raiser.
-    deferred.append(predicate)
-    test = predicate.refuted if refute else predicate.evaluate
-
-    def generic(row, _test=test, _resolve=resolve):
-        return _test(lambda ref: row[_resolve(ref)])
-
-    return generic
+    raise TypeError(f"not a predicate node: {predicate!r}")
 
 
 # ----------------------------------------------------------------------
@@ -361,8 +348,8 @@ class _ScanStage:
         return best
 
     def _choose_probe(self, table: Table, parameters: tuple):
-        """Same selectivity rule as the naive ``_pick_probe``, decided
-        from the lists bound to this execute."""
+        """Probe the index only when the smallest list bound to this
+        execute is under a quarter of the table's distinct rows."""
         best = self.smallest_list(parameters)
         if best is None or len(best[2]) * 4 >= max(table.distinct_count(), 1):
             return None
@@ -566,8 +553,7 @@ def _join_stage(scan, conditions, joined_aliases, columns, right_columns):
             left_positions.append(resolve_left(left_ref))
             right_positions.append(resolve_right(right_ref))
     except RelationalError as exc:
-        # Raised when the join stage runs — after the right side's
-        # scan, exactly like the naive executor.
+        # Raised when the join stage runs — after the right side's scan.
         return _JoinStage(scan, None, None, exc)
     return _JoinStage(
         scan, _itemgetter(left_positions), _itemgetter(right_positions), None
@@ -597,11 +583,9 @@ def _projection(projection, columns, resolve, schemas):
 def compile_plan(
     query: SPJQuery, schemas: dict[str, RelationSchema]
 ) -> CompiledPlan:
-    """Compile the shape of ``query`` against per-alias relation schemas.
-
-    Replicates the naive executor's greedy connected join order and
-    column layouts exactly; see the module docstring for the deferred
-    error discipline.
+    """Compile the shape of ``query`` against per-alias relation schemas:
+    a greedy connected join order, folding in first the next relation a
+    join condition reaches (a product when none does).
     """
     query = query.prepared[0]
     pushdown, residual_terms = _single_alias_conjuncts(query.selection)
@@ -860,12 +844,8 @@ def plan_cache_stats() -> dict[str, int]:
 
 
 def execute_compiled(query: SPJQuery, tables: dict[str, Table]) -> Table:
-    """Evaluate ``query`` through the compiled/columnar kernel.
-
-    Drop-in replacement for the naive ``execute``: same results (bag
-    equality *and* result schema), same exception classes at the same
-    stages.
-    """
+    """Evaluate ``query`` with each alias bound to a table: a counted
+    result, a row derivable in *k* ways appearing *k* times."""
     for alias in query.aliases:
         if alias not in tables:
             raise QueryError(f"alias {alias!r} not bound to a table")

@@ -1,8 +1,8 @@
 """Predicate AST for selections and join conditions.
 
-Predicates are immutable trees over :class:`AttrRef` leaves.  Besides
-evaluation, every node supports two introspection operations the view
-manager relies on:
+Predicates are immutable trees over :class:`AttrRef` leaves; the kernel
+compiles them to row filters (:mod:`repro.relational.plan`).  Every node
+supports two introspection operations the view manager relies on:
 
 * ``references()`` — which attributes the predicate touches.  This is how
   dependency detection decides whether a schema change *conflicts* with
@@ -50,7 +50,6 @@ class AttrRef:
 
 
 Substitution = Mapping[AttrRef, AttrRef]
-Binding = Callable[[AttrRef], Value]
 
 _COMPARATORS: dict[str, Callable[[Value, Value], bool]] = {
     "=": operator.eq,
@@ -64,15 +63,6 @@ _COMPARATORS: dict[str, Callable[[Value, Value], bool]] = {
 
 class Predicate:
     """Abstract base of all predicate nodes."""
-
-    def evaluate(self, binding: Binding) -> bool:
-        """Whether the predicate is TRUE (a row passes only then)."""
-        raise NotImplementedError
-
-    def refuted(self, binding: Binding) -> bool:
-        """Whether it is FALSE, not UNKNOWN, under SQL's three-valued
-        logic: what its :class:`Negation` passes."""
-        raise NotImplementedError
 
     def references(self) -> frozenset[AttrRef]:
         raise NotImplementedError
@@ -103,12 +93,6 @@ class Predicate:
 @dataclass(frozen=True)
 class TruePredicate(Predicate):
     """The neutral predicate; selects everything."""
-
-    def evaluate(self, binding: Binding) -> bool:
-        return True
-
-    def refuted(self, binding: Binding) -> bool:
-        return False
 
     def references(self) -> frozenset[AttrRef]:
         return frozenset()
@@ -145,18 +129,6 @@ class Comparison(Predicate):
         if self.op not in _COMPARATORS:
             raise QueryError(f"unknown comparison operator {self.op!r}")
 
-    def evaluate(self, binding: Binding) -> bool:
-        actual = binding(self.attr)
-        if actual is None or self.value is None:
-            return False  # UNKNOWN: a NULL operand (no IS-style equality)
-        return _COMPARATORS[self.op](actual, self.value)
-
-    def refuted(self, binding: Binding) -> bool:
-        actual = binding(self.attr)
-        if actual is None or self.value is None:
-            return False
-        return not _COMPARATORS[self.op](actual, self.value)
-
     def references(self) -> frozenset[AttrRef]:
         return frozenset({self.attr})
 
@@ -180,20 +152,6 @@ class AttrComparison(Predicate):
     def __post_init__(self) -> None:
         if self.op not in _COMPARATORS:
             raise QueryError(f"unknown comparison operator {self.op!r}")
-
-    def evaluate(self, binding: Binding) -> bool:
-        left = binding(self.left)
-        right = binding(self.right)
-        if left is None or right is None:
-            return False
-        return _COMPARATORS[self.op](left, right)
-
-    def refuted(self, binding: Binding) -> bool:
-        left = binding(self.left)
-        right = binding(self.right)
-        if left is None or right is None:
-            return False
-        return not _COMPARATORS[self.op](left, right)
 
     def references(self) -> frozenset[AttrRef]:
         return frozenset({self.left, self.right})
@@ -220,17 +178,6 @@ class InPredicate(Predicate):
 
     attr: AttrRef
     values: frozenset
-
-    def evaluate(self, binding: Binding) -> bool:
-        value = binding(self.attr)
-        return value is not None and value in self.values
-
-    def refuted(self, binding: Binding) -> bool:
-        # UNKNOWN, not FALSE, on a NULL value or a miss of a list with NULL
-        value = binding(self.attr)
-        return value is not None and None not in self.values and (
-            value not in self.values
-        )
 
     def references(self) -> frozenset[AttrRef]:
         return frozenset({self.attr})
@@ -263,11 +210,6 @@ class InParameter(Predicate):
     attr: AttrRef
     index: int
 
-    def evaluate(self, binding: Binding) -> bool:
-        raise QueryError(f"unbound parameter in {self.sql()}")
-
-    refuted = evaluate
-
     def references(self) -> frozenset[AttrRef]:
         return frozenset({self.attr})
 
@@ -284,12 +226,6 @@ class Conjunction(Predicate):
     """AND of child predicates."""
 
     children: tuple[Predicate, ...]
-
-    def evaluate(self, binding: Binding) -> bool:
-        return all(child.evaluate(binding) for child in self.children)
-
-    def refuted(self, binding: Binding) -> bool:
-        return any(child.refuted(binding) for child in self.children)
 
     def references(self) -> frozenset[AttrRef]:
         refs: frozenset[AttrRef] = frozenset()
@@ -322,12 +258,6 @@ class Negation(Predicate):
     of UNKNOWN (a NULL operand) is UNKNOWN, as in SQL."""
 
     child: Predicate
-
-    def evaluate(self, binding: Binding) -> bool:
-        return self.child.refuted(binding)
-
-    def refuted(self, binding: Binding) -> bool:
-        return self.child.evaluate(binding)
 
     def references(self) -> frozenset[AttrRef]:
         return self.child.references()

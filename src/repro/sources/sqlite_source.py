@@ -27,7 +27,7 @@ from typing import Callable, Iterable, Iterator
 
 from ..relational.delta import Row
 from ..relational.errors import UnknownRelationError
-from ..relational.executor import result_schema
+from ..relational.plan import result_schema
 from ..relational.predicate import Conjunction, InParameter, sql_literal
 from ..relational.query import SPJQuery
 from ..relational.rows import validated_row

@@ -455,9 +455,8 @@ def test_du_only_burst_executes_per_probe_not_per_pending(monkeypatch):
     source round trip (source answer + partial join + at most two
     compensation signs + the final assembly's share), where per-delta
     compensation took over 20."""
-    import sys
-
     from repro.relational.executor import execute
+    from tests.kernel_oracle import bindings_of
 
     counts = {"execute": 0}
 
@@ -465,11 +464,8 @@ def test_du_only_burst_executes_per_probe_not_per_pending(monkeypatch):
         counts["execute"] += 1
         return execute(query, tables)
 
-    for name, module in list(sys.modules.items()):
-        if not name.startswith("repro."):
-            continue
-        if vars(module).get("execute") is execute:
-            monkeypatch.setattr(module, "execute", counted)
+    for module, name in bindings_of(execute):
+        monkeypatch.setattr(module, name, counted)
     testbed = build_testbed(PESSIMISTIC, tuples_per_relation=200)
     testbed.engine.schedule_workload(
         make_du_workload(testbed.tuples_per_relation, 60, 0.05, 0.01, seed=5)

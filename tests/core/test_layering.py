@@ -2,7 +2,7 @@
 not even a lazy import inside a worker process — may reach up into
 ``repro.experiments``.  The process runtime is handed its world builder
 and workload factories as callables instead.  Three census guards ride
-along: module-level switches, ``BatchPolicy`` knobs, and definitions
+along: no module-level switches, ``BatchPolicy`` knobs, and definitions
 that only tests reach."""
 
 import ast
@@ -51,9 +51,9 @@ def test_the_walk_resolves_relative_imports():
     assert "repro.core.scheduler" in modules
 
 
-def test_the_executor_mode_is_the_only_module_level_switch():
-    """One process-global mutable setting, ``set_executor_mode``'s: a
-    second ``global`` statement under ``src/repro`` is a new switch."""
+def test_no_module_level_switch_under_src():
+    """No process-global mutable setting: a ``global`` statement under
+    ``src/repro`` is a switch every caller in the process shares."""
     globals_declared = {
         f"{path.relative_to(CORE.parent)}: {name}"
         for path in sorted(CORE.parent.rglob("*.py"))
@@ -61,7 +61,7 @@ def test_the_executor_mode_is_the_only_module_level_switch():
         if isinstance(node, ast.Global)
         for name in node.names
     }
-    assert globals_declared == {"relational/executor.py: _executor_mode"}
+    assert not globals_declared
 
 
 def test_batch_policy_has_one_knob():
@@ -74,7 +74,7 @@ def test_batch_policy_has_one_knob():
 TEST_ONLY_ALLOWED = {
     "views/audit.py: AuditingScheduler":
         "the spine's tracer imports repro.views.audit; an independent "
-        "oracle replaces its body (ROADMAP 4(a))",
+        "oracle replaces its body (ROADMAP 1(b))",
     "core/graph.py: DependencyGraph.edges_of_kind":
         "from-scratch detection API, kept for tests and ABL-5",
     "core/graph.py: DependencyGraph.cycle_count":

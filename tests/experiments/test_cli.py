@@ -78,7 +78,6 @@ NOT_ON_THE_COMMAND_LINE = {
     "seed",
     "backend",
     "cost_model",
-    "executor",
     "parallel_workers",
     "journal_dir",
     "fault_plan",

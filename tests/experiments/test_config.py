@@ -23,7 +23,6 @@ class TestValidation:
         "knobs",
         [
             {"backend": "oracle8i"},
-            {"executor": "vectorized"},
             {"parallel_workers": 0},
             {"checkpoint_every": 0},
             {"shards": 0},
@@ -91,8 +90,9 @@ class TestDerivation:
             config.shards = 2
 
     def test_option_count_does_not_grow(self):
-        # The distinct knob names the three pre-config builders took.
-        assert len(dataclasses.fields(WarehouseConfig)) <= 18
+        # The distinct knob names the three pre-config builders took,
+        # less the evaluator switch (one relational kernel ships).
+        assert len(dataclasses.fields(WarehouseConfig)) <= 17
 
 
 class TestEntryPoints:

@@ -5,15 +5,16 @@ rows its IN-list admits, and evaluates what it kept once per sign — but
 only over a *total* plan, one that cannot raise.  A plan that may raise
 (a dangling reference in the pushed-down selection, in the residual or
 in the projection; a bag whose schema drifted) takes the table path of
-``tests/bag_oracle.py``, so it raises what it always raised.  Both
-executor modes, the same answers.
+``tests/bag_oracle.py``, so it raises what it always raised.  The
+shipped kernel and the naive oracle (``tests/kernel_oracle.py``), the
+same answers.
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.relational.errors import RelationalError
-from repro.relational.executor import BagProbe, set_executor_mode
+from repro.relational.executor import BagProbe
 from repro.relational.plan import PLAN_CACHE
 from repro.relational.predicate import (
     Comparison,
@@ -25,6 +26,7 @@ from repro.relational.query import RelationRef, SPJQuery
 from repro.relational.schema import RelationSchema
 from repro.relational.types import AttributeType
 from tests.bag_oracle import counted_kernel, table_part_effects
+from tests.kernel_oracle import MODES, kernel
 
 INT, STRING = AttributeType.INT, AttributeType.STRING
 FULL = RelationSchema.of("R", [("k", INT), ("n", INT), ("v", STRING)])
@@ -108,13 +110,10 @@ def test_bag_probe_equals_the_table_path(data, query, schema):
     expected = _outcome(
         lambda: table_part_effects(query, "R", schema, items)
     )
-    for mode in ("compiled", "naive"):
-        set_executor_mode(mode)
-        try:
+    for mode in MODES:
+        with kernel(mode):
             probe = BagProbe(query, "R", schema)
             assert _outcome(lambda: probe.parts(probe.keep(items))) == expected
-        finally:
-            set_executor_mode("compiled")
 
 
 @given(data=st.data(), query=probes())

@@ -1,13 +1,14 @@
-"""Compiled kernel vs naive executor over random queries (hypothesis).
+"""Compiled kernel vs the naive oracle over random queries (hypothesis).
 
-The compiled/columnar kernel (:mod:`repro.relational.plan`) must be a
-*drop-in* replacement for the naive evaluator: identical bags, identical
-result-schema names, and — when a query dangles after a schema change —
-the identical exception class.  These properties drive random SPJ
-queries (joins, pushdown-able and residual selections, IN-lists,
-unqualified and dangling references) over bag tables with duplicates
-and NULLs, then keep checking equivalence as signed deltas and
-drop/rename schema changes mutate the tables underneath the plan cache.
+The compiled/columnar kernel (:mod:`repro.relational.plan`) must answer
+as the naive evaluator of ``tests/kernel_oracle.py`` does: identical
+bags, identical result-schema names, and — when a query dangles after a
+schema change — the identical exception class.  These properties drive
+random SPJ queries (joins, pushdown-able and residual selections,
+IN-lists, unqualified and dangling references) over bag tables with
+duplicates and NULLs, then keep checking equivalence as signed deltas
+and drop/rename schema changes mutate the tables underneath the plan
+cache.
 
 A plan is compiled from the query's *shape* and its IN-lists are bound
 per execute, so one cached plan must answer every rebinding exactly,
@@ -32,11 +33,11 @@ from repro.cache import SnapshotCache
 from repro.relational import plan
 from repro.relational.delta import Delta
 from repro.relational.errors import RelationalError
-from repro.relational.executor import execute_naive, result_schema
 from repro.relational.plan import (
     PLAN_CACHE,
     execute_compiled,
     plan_cache_stats,
+    result_schema,
 )
 from repro.relational.predicate import (
     AttrComparison,
@@ -52,6 +53,7 @@ from repro.relational.table import Table
 from repro.relational.types import AttributeType
 from repro.sources.messages import DataUpdate
 from repro.sources.source import DataSource
+from tests.kernel_oracle import execute_naive
 
 R = RelationSchema.of(
     "R", [("k", AttributeType.INT), "a", ("b", AttributeType.FLOAT)]

@@ -1,17 +1,17 @@
 """The compiled kernel is observationally invisible to the simulation.
 
-The executor behind :func:`repro.relational.execute` is a wall-clock
+The kernel behind :func:`repro.relational.execute` is a wall-clock
 optimization only: virtual costs are charged from the cost model, so a
 full Dyno run — any strategy, with faults, with parallel workers, with
 the sharded coordinator, with schema changes conflicting mid-stream —
 must produce the identical final view extent, the identical committed
 ``(source, seqno)`` set *and the identical final virtual clock* whether
-the compiled plans or the naive oracle evaluate every query.  This is
+the compiled plans or the naive oracle (bound by
+``tests/kernel_oracle.naive_kernel()``) evaluate every query.  This is
 the run-level face of the per-query equivalence proven in
 ``test_executor_equivalence.py``.
 """
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -19,17 +19,10 @@ from repro.core.strategies import OPTIMISTIC, PESSIMISTIC
 from repro.experiments.testbed import build_sharded_testbed, build_testbed
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan
-from repro.relational.executor import executor_mode, set_executor_mode
 from repro.views.consistency import check_convergence
+from tests.kernel_oracle import kernel
 
 strategies = st.sampled_from([PESSIMISTIC, OPTIMISTIC])
-
-
-@pytest.fixture(autouse=True)
-def restore_executor_mode():
-    previous = executor_mode()
-    yield
-    set_executor_mode(previous)
 
 
 def _run(
@@ -41,7 +34,11 @@ def _run(
     workers=None,
     fault_seed=None,
 ):
-    set_executor_mode(mode)
+    with kernel(mode):
+        return _drive(strategy, seed, du_count, sc_count, workers, fault_seed)
+
+
+def _drive(strategy, seed, du_count, sc_count, workers, fault_seed):
     testbed = build_testbed(
         strategy, tuples_per_relation=30, parallel_workers=workers
     )
@@ -125,19 +122,19 @@ def test_mode_invariance_parallel_and_faulted(
 
 def _run_sharded(mode, strategy, seed, du_count, sc_count):
     """Two shard worlds of span subviews behind the coordinator."""
-    set_executor_mode(mode)
-    testbed = build_sharded_testbed(
-        strategy, shards=2, tuples_per_relation=30
-    )
-    testbed.schedule_du_workload(
-        du_count, start=0.0, interval=0.01, seed=seed, key_domain=8
-    )
-    if sc_count:
-        testbed.schedule_sc_workload(
-            sc_count, start=0.05, interval=0.07, seed=seed + 1
+    with kernel(mode):
+        testbed = build_sharded_testbed(
+            strategy, shards=2, tuples_per_relation=30
         )
-    testbed.run()
-    assert testbed.check_consistency()
+        testbed.schedule_du_workload(
+            du_count, start=0.0, interval=0.01, seed=seed, key_domain=8
+        )
+        if sc_count:
+            testbed.schedule_sc_workload(
+                sc_count, start=0.05, interval=0.07, seed=seed + 1
+            )
+        testbed.run()
+        assert testbed.check_consistency()
     return (
         testbed.extent_rows(),
         testbed.committed_updates(),

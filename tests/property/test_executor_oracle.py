@@ -1,4 +1,5 @@
-"""Executor vs a brute-force nested-loop oracle (hypothesis)."""
+"""Executor vs a brute-force nested-loop oracle (hypothesis); selections
+are read by the oracle's three-valued ``holds``."""
 
 from collections import Counter
 
@@ -11,6 +12,7 @@ from repro.relational.query import JoinCondition, RelationRef, SPJQuery
 from repro.relational.schema import RelationSchema
 from repro.relational.table import Table
 from repro.relational.types import AttributeType
+from tests.kernel_oracle import holds
 
 R = RelationSchema.of("R", [("k", AttributeType.INT), "a"])
 T = RelationSchema.of("T", [("k", AttributeType.INT), "x"])
@@ -65,7 +67,7 @@ def brute_force(query: SPJQuery, tables: dict[str, Table]) -> Counter:
             for join in query.joins
         ):
             continue
-        if not query.selection.evaluate(binding):
+        if not holds(query.selection, binding):
             continue
         projected = tuple(binding(ref) for ref in query.projection)
         result[projected] += 1

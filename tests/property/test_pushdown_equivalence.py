@@ -1,23 +1,28 @@
-"""Executor pushdown vs residual-only evaluation (hypothesis).
+"""Kernel pushdown vs residual-only evaluation (hypothesis).
 
-The executor splits the selection into per-alias conjuncts pushed down
-to the scans (``_single_alias_conjuncts``) and lets ``_scan`` answer
-small IN-lists through the table's hash index (``_pick_probe``).  Both
-are pure optimizations: evaluating every conjunct as a post-join
-residual filter over full scans must produce the identical counted
-result.  These tests run the same query through both paths — pushdown
-enabled (the real executor) and forcibly disabled — and require
+The compiled kernel (``repro.relational.plan``) splits the selection
+into per-alias conjuncts pushed down to the scans
+(``_single_alias_conjuncts``) and lets ``_ScanStage.run`` answer small
+IN-lists through the table's hash index (``_choose_probe``).  Both are
+pure optimizations: evaluating every conjunct as a post-join residual
+filter over full scans must produce the identical counted result.
+These tests run the same query through both plans — the shipped one,
+and one compiled with nothing pushed down and so no probe — and require
 bag-equality, so a conjunct lost or double-applied during the split, or
-a probe that misses rows the scan would keep, shows up immediately.
+a probe that keeps rows the scan's filter would drop, shows up
+immediately (``test_a_probe_that_skips_the_scan_filter_is_caught``).
 """
 
 from collections import Counter
 from unittest import mock
 
-from hypothesis import given, settings
+import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.relational.executor import _pick_probe, execute
+from repro.relational import plan
+from repro.relational.executor import execute
+from repro.relational.plan import PLAN_CACHE
 from repro.relational.predicate import (
     TRUE,
     Comparison,
@@ -53,14 +58,31 @@ def _no_split(selection: Predicate):
 
 
 def _without_pushdown(query: SPJQuery, tables: dict[str, Table]) -> Counter:
-    """Evaluate with selection pushdown and index probing disabled."""
-    with mock.patch(
-        "repro.relational.executor._single_alias_conjuncts", _no_split
-    ), mock.patch(
-        "repro.relational.executor._pick_probe",
-        lambda table, alias, predicates: None,
-    ):
-        return as_counter(execute(query, tables))
+    """Evaluate through a plan compiled with nothing pushed down: no
+    scan filters, so no probe candidates (checked)."""
+    PLAN_CACHE.clear()
+    try:
+        with mock.patch.object(plan, "_single_alias_conjuncts", _no_split):
+            compiled = PLAN_CACHE.plan_for(query, tables)
+            scans = [compiled.first_scan] + [
+                stage.scan for stage in compiled.join_stages
+            ]
+            assert all(
+                scan.filter is None and not scan.probes for scan in scans
+            )
+            return as_counter(execute(query, tables))
+    finally:
+        PLAN_CACHE.clear()
+
+
+def _probe_choice(table: Table, alias: str, predicates: list[Predicate]):
+    """``(attribute, values)`` the kernel's scan of ``alias`` probes the
+    index with under ``predicates`` (pushed down to it), or ``None``."""
+    parameters: list[frozenset] = []
+    lifted = [predicate.lifted(parameters) for predicate in predicates]
+    scan, _columns = plan._compile_scan(alias, table.schema, lifted, [])
+    choice = scan._choose_probe(table, tuple(parameters))
+    return None if choice is None else (choice[0], choice[2])
 
 
 def as_counter(table: Table) -> Counter:
@@ -92,6 +114,15 @@ def test_join_selection_pushdown_matches_residual(
     )
 
 
+#: a probe whose candidates the scan's other conjunct must filter:
+#: key 1 comes back with ``a`` = "p" and "q", and only "p" passes
+PROBED_AND_FILTERED = (
+    [(key, "p") for key in range(20)] + [(1, "q"), (1, "q")],
+    frozenset({1}),
+    "p",
+)
+
+
 @given(
     st.lists(
         st.tuples(st.integers(min_value=0, max_value=40), word),
@@ -100,33 +131,68 @@ def test_join_selection_pushdown_matches_residual(
     ),
     st.frozensets(st.integers(min_value=0, max_value=40), min_size=1,
                   max_size=2),
+    st.one_of(st.none(), word),
 )
+@example(*PROBED_AND_FILTERED)
 @settings(max_examples=80, deadline=None)
-def test_in_list_probe_matches_full_scan(rows, values):
-    """Wide key domain + tiny IN-list: the regime where ``_pick_probe``
-    elects the indexed probe (this is exactly the maintenance-query
-    shape the snapshot cache memoizes)."""
+def test_in_list_probe_matches_full_scan(rows, values, also):
+    """Wide key domain + tiny IN-list: the regime where the scan elects
+    the indexed probe (this is exactly the maintenance-query shape the
+    snapshot cache memoizes); ``also`` adds a second conjunct on the
+    probed scan, which must filter the probe's candidates."""
     tables = {"R": Table(R, rows)}
+    terms = [InPredicate(attr("R", "k"), values)]
+    if also is not None:
+        terms.append(Comparison(attr("R", "a"), "=", also))
     query = SPJQuery(
         relations=(RelationRef("s", "R", "R"),),
         projection=(attr("R", "k"), attr("R", "a")),
-        selection=InPredicate(attr("R", "k"), values),
+        selection=conjunction(terms),
     )
     assert as_counter(execute(query, tables)) == _without_pushdown(
         query, tables
     )
 
 
+def test_a_probe_that_skips_the_scan_filter_is_caught(monkeypatch):
+    """Seeded mutation: ``_ScanStage.run``'s probe path returns the
+    index's candidates unfiltered."""
+    rows, values, also = PROBED_AND_FILTERED
+    table = Table(R, rows)
+    terms = [
+        InPredicate(attr("R", "k"), values),
+        Comparison(attr("R", "a"), "=", also),
+    ]
+    assert _probe_choice(table, "R", terms) == ("k", values)
+
+    def unfiltered_probe(self, table, parameters):
+        probe = self._choose_probe(table, parameters)
+        if probe is None:
+            return plan._filtered(
+                table._counts, plan._bound(self.filter, parameters)
+            )
+        found: dict = {}
+        for row, count in table.probe(probe[0], probe[2]):
+            found[row] = found.get(row, 0) + count
+        return found
+
+    monkeypatch.setattr(plan._ScanStage, "run", unfiltered_probe)
+    PLAN_CACHE.clear()
+    with pytest.raises(AssertionError):
+        test_in_list_probe_matches_full_scan()
+    PLAN_CACHE.clear()
+
+
 def test_pick_probe_fires_only_when_selective():
     table = Table(R, [(key, "p") for key in range(40)])
     small = [InPredicate(attr("R", "k"), frozenset({1, 2}))]
-    assert _pick_probe(table, "R", small) == ("k", frozenset({1, 2}))
+    assert _probe_choice(table, "R", small) == ("k", frozenset({1, 2}))
     # An IN-list covering a quarter of the table is not worth probing.
     wide = [InPredicate(attr("R", "k"), frozenset(range(10)))]
-    assert _pick_probe(table, "R", wide) is None
+    assert _probe_choice(table, "R", wide) is None
     # Qualified to a different alias: unusable for this scan.
     other = [InPredicate(attr("T", "k"), frozenset({1}))]
-    assert _pick_probe(table, "R", other) is None
+    assert _probe_choice(table, "R", other) is None
 
 
 def test_pick_probe_prefers_smallest_in_list():
@@ -135,4 +201,4 @@ def test_pick_probe_prefers_smallest_in_list():
         InPredicate(attr("R", "k"), frozenset({1, 2, 3})),
         InPredicate(attr("R", "k"), frozenset({7})),
     ]
-    assert _pick_probe(table, "R", predicates) == ("k", frozenset({7}))
+    assert _probe_choice(table, "R", predicates) == ("k", frozenset({7}))

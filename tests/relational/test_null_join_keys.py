@@ -5,13 +5,14 @@ Both hash joins used to bucket ``None`` like any other value, so
 ``AttrComparison`` is false for NULL operands, and so are sqlite's ``=``
 and ``IN``.  stdlib ``sqlite3`` is the independent evaluator here: it
 runs the query's own ``.sql()`` over the same rows, for the compiled
-kernel, the naive kernel, and a probe sweep over an in-memory and a
-sqlite source.
+kernel, the naive oracle of ``tests/kernel_oracle.py``, and a probe
+sweep over an in-memory and a sqlite source.
 
 A selection passes a row only when it is TRUE under three-valued logic:
 ``x IN L`` is UNKNOWN when ``x`` is NULL, or when ``x`` misses ``L``
 and ``L`` holds NULL; NOT of UNKNOWN is UNKNOWN.  The same cases run
-through both kernels, an index probe, and a memory and a sqlite source.
+through the kernel and the oracle, an index probe, and a memory and a
+sqlite source.
 """
 
 import sqlite3
@@ -20,7 +21,6 @@ from collections import Counter
 import pytest
 
 from repro.maintenance.vm import maintain_data_update
-from repro.relational.executor import execute_naive
 from repro.relational.plan import execute_compiled
 from repro.relational.predicate import (
     Comparison,
@@ -40,6 +40,7 @@ from repro.sources.source import DataSource
 from repro.sources.sqlite_source import SqliteDataSource
 from repro.views.definition import ViewDefinition
 from repro.views.manager import ViewManager
+from tests.kernel_oracle import execute_naive
 
 R = RelationSchema(
     "R",

@@ -17,6 +17,7 @@ from repro.relational.query import JoinCondition, RelationRef, SPJQuery
 from repro.relational.schema import Attribute, RelationSchema
 from repro.relational.table import Table
 from repro.relational.types import AttributeType
+from tests.kernel_oracle import execute_naive
 
 R = RelationSchema.of("R", [("k", AttributeType.INT), "a"])
 S = RelationSchema.of("S", [("k", AttributeType.INT), "c"])
@@ -96,7 +97,6 @@ class TestPlanCache:
         # same query object, changed schema: recompiles (cache miss) and
         # reports the dangling projection exactly like the naive oracle
         from repro.relational.errors import UnknownAttributeError
-        from repro.relational.executor import execute_naive
 
         with pytest.raises(UnknownAttributeError):
             execute_compiled(query, bound)
@@ -149,7 +149,6 @@ class TestPlanCache:
 
     def test_executing_an_unbound_shape_is_an_error(self):
         from repro.relational.errors import QueryError
-        from repro.relational.executor import execute_naive
 
         query = SPJQuery(
             relations=(RelationRef("s", "R", "R"),),
@@ -163,6 +162,26 @@ class TestPlanCache:
         for executor in (execute_compiled, execute_naive):
             with pytest.raises(QueryError, match="unbound parameter"):
                 executor(shape, bound)
+
+    def test_a_predicate_outside_the_node_set_is_refused(self):
+        """The predicate nodes are a closed set: compiling anything else
+        is a ``TypeError``, not a slow per-row fallback."""
+        from repro.relational.predicate import Predicate
+
+        class Unknown(Predicate):
+            def references(self):
+                return frozenset({attr("R", "k")})
+
+            def lifted(self, values):
+                return self
+
+        query = SPJQuery(
+            relations=(RelationRef("s", "R", "R"),),
+            projection=(attr("R", "a"),),
+            selection=Unknown(),
+        )
+        with pytest.raises(TypeError, match="not a predicate node"):
+            compile_plan(query, {"R": R})
 
     def test_probe_path_used_for_small_in_lists(self):
         PLAN_CACHE.clear()

@@ -1,4 +1,5 @@
-"""Predicate evaluation, substitution and rendering."""
+"""Predicate evaluation (by the oracle's ``holds``), substitution and
+rendering."""
 
 import pytest
 
@@ -15,6 +16,7 @@ from repro.relational.predicate import (
     attr,
     conjunction,
 )
+from tests.kernel_oracle import holds
 
 
 def binding_from(values: dict):
@@ -44,13 +46,13 @@ class TestAttrRef:
 class TestComparison:
     def test_operators(self):
         binding = binding_from({A: 5})
-        assert Comparison(A, "=", 5).evaluate(binding)
-        assert Comparison(A, "!=", 4).evaluate(binding)
-        assert Comparison(A, "<", 6).evaluate(binding)
-        assert Comparison(A, "<=", 5).evaluate(binding)
-        assert Comparison(A, ">", 4).evaluate(binding)
-        assert Comparison(A, ">=", 5).evaluate(binding)
-        assert not Comparison(A, "=", 6).evaluate(binding)
+        assert holds(Comparison(A, "=", 5), binding)
+        assert holds(Comparison(A, "!=", 4), binding)
+        assert holds(Comparison(A, "<", 6), binding)
+        assert holds(Comparison(A, "<=", 5), binding)
+        assert holds(Comparison(A, ">", 4), binding)
+        assert holds(Comparison(A, ">=", 5), binding)
+        assert not holds(Comparison(A, "=", 6), binding)
 
     def test_unknown_operator_rejected(self):
         with pytest.raises(QueryError):
@@ -58,8 +60,8 @@ class TestComparison:
 
     def test_null_compares_false(self):
         binding = binding_from({A: None})
-        assert not Comparison(A, "=", None).evaluate(binding)
-        assert not Comparison(A, "=", 5).evaluate(binding)
+        assert not holds(Comparison(A, "=", None), binding)
+        assert not holds(Comparison(A, "=", 5), binding)
 
     def test_references(self):
         assert Comparison(A, "=", 1).references() == frozenset({A})
@@ -78,12 +80,12 @@ class TestComparison:
 class TestAttrComparison:
     def test_evaluate(self):
         binding = binding_from({A: 1, C: 1})
-        assert AttrComparison(A, "=", C).evaluate(binding)
-        assert not AttrComparison(A, "!=", C).evaluate(binding)
+        assert holds(AttrComparison(A, "=", C), binding)
+        assert not holds(AttrComparison(A, "!=", C), binding)
 
     def test_null_operand_false(self):
         binding = binding_from({A: None, C: 1})
-        assert not AttrComparison(A, "=", C).evaluate(binding)
+        assert not holds(AttrComparison(A, "=", C), binding)
 
     def test_references_both_sides(self):
         assert AttrComparison(A, "=", C).references() == frozenset({A, C})
@@ -99,8 +101,8 @@ class TestAttrComparison:
 class TestInPredicate:
     def test_evaluate(self):
         predicate = InPredicate(A, frozenset({1, 2}))
-        assert predicate.evaluate(binding_from({A: 1}))
-        assert not predicate.evaluate(binding_from({A: 3}))
+        assert holds(predicate, binding_from({A: 1}))
+        assert not holds(predicate, binding_from({A: 3}))
 
     def test_sql_lists_values(self):
         sql = InPredicate(A, frozenset({2, 1})).sql()
@@ -117,8 +119,8 @@ class TestCombinators:
         predicate = conjunction(
             [Comparison(A, ">", 0), Comparison(A, "<", 10)]
         )
-        assert predicate.evaluate(binding_from({A: 5}))
-        assert not predicate.evaluate(binding_from({A: 50}))
+        assert holds(predicate, binding_from({A: 5}))
+        assert not holds(predicate, binding_from({A: 50}))
 
     def test_conjunction_flattens(self):
         inner = conjunction([Comparison(A, ">", 0), Comparison(B, ">", 0)])
@@ -140,8 +142,8 @@ class TestCombinators:
 
     def test_negation(self):
         predicate = Negation(Comparison(A, "=", 1))
-        assert not predicate.evaluate(binding_from({A: 1}))
-        assert predicate.evaluate(binding_from({A: 2}))
+        assert not holds(predicate, binding_from({A: 1}))
+        assert holds(predicate, binding_from({A: 2}))
         assert predicate.references() == frozenset({A})
         assert predicate.sql() == "NOT (R.a = 1)"
 
@@ -150,7 +152,7 @@ class TestCombinators:
         assert negation == Negation(Comparison(C, "=", 1))
 
     def test_true_predicate(self):
-        assert TRUE.evaluate(binding_from({}))
+        assert holds(TRUE, binding_from({}))
         assert TRUE.references() == frozenset()
         assert TRUE.substituted({A: C}) is TRUE
         assert TRUE.sql() == "TRUE"

@@ -10,15 +10,14 @@ both backends agree query-by-query: same answers where the query still
 parses against the live schema, and :class:`BrokenQueryError` from both
 (never just one) where it does not.
 
-The whole module runs twice — once per relational executor (the naive
-oracle and the compiled/columnar kernel) — because the in-memory twin
+The whole module runs twice — on the shipped kernel and under
+``tests/kernel_oracle.naive_kernel()`` — because the in-memory twin
 answers through :func:`repro.relational.execute`: backend parity must
-hold regardless of which evaluator is active.
+hold whichever evaluator answers.
 """
 
 import pytest
 
-from repro.relational.executor import executor_mode, set_executor_mode
 from repro.relational.predicate import InPredicate, attr
 from repro.relational.query import RelationRef, SPJQuery
 from repro.relational.schema import RelationSchema
@@ -35,6 +34,7 @@ from repro.sources.messages import (
 )
 from repro.sources.source import DataSource
 from repro.sources.sqlite_source import SqliteDataSource
+from tests.kernel_oracle import MODES, kernel
 
 ITEM = RelationSchema.of(
     "Item",
@@ -47,13 +47,11 @@ ITEM = RelationSchema.of(
 ROWS = [(1, "Databases", 50.0), (2, "Compilers", 40.0)]
 
 
-@pytest.fixture(autouse=True, params=["naive", "compiled"])
+@pytest.fixture(autouse=True, params=MODES)
 def each_executor(request):
-    """Run every parity test under both relational executors."""
-    previous = executor_mode()
-    set_executor_mode(request.param)
-    yield request.param
-    set_executor_mode(previous)
+    """Run every parity test on the kernel and on the naive oracle."""
+    with kernel(request.param):
+        yield request.param
 
 
 def twins():

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.dyda import DyDaError, DyDaSystem
+from repro.relational.errors import QueryError
 from repro.relational.schema import RelationSchema
 from repro.relational.types import AttributeType
 from repro.sim.costs import CostModel
@@ -70,6 +71,45 @@ class TestLifecycle:
         system = DyDaSystem(cost_model=CostModel.free())
         source = system.add_source("retailer", backend="sqlite")
         assert isinstance(source, SqliteDataSource)
+
+
+class TestOrderingTypes:
+    """An ordering between a string and a number is refused where the
+    view first meets its sources' schemas, naming the predicate and both
+    types — not a ``TypeError`` from inside the kernel."""
+
+    @pytest.mark.parametrize(
+        "condition, message",
+        [
+            ("I.Book < 45", r"I\.Book < 45 orders STRING against INT"),
+            (
+                "I.Book >= I.Price",
+                r"I\.Book >= I\.Price orders STRING against FLOAT",
+            ),
+        ],
+    )
+    def test_mistyped_ordering_is_a_query_error(self, condition, message):
+        system = build(
+            f"CREATE VIEW Bad AS SELECT I.Book FROM retailer.Item I "
+            f"WHERE {condition}"
+        )
+        with pytest.raises(QueryError, match=message):
+            system.commit(
+                "retailer", DataUpdate.insert(ITEM, [(3, "Networks", 9.0)])
+            )
+
+    def test_int_and_float_still_order(self):
+        system = build(
+            "CREATE VIEW Cheap AS SELECT I.Book FROM retailer.Item I "
+            "WHERE I.Price < 45 AND I.SID > 1.5"
+        )
+        system.commit(
+            "retailer", DataUpdate.insert(ITEM, [(3, "Networks", 9.0)])
+        )
+        system.run()
+        assert sorted(system.extent().rows()) == [
+            ("Compilers",), ("Networks",)
+        ]
 
 
 class TestSingleView:
