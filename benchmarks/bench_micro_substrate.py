@@ -6,12 +6,14 @@ delta application, probe compensation, the snapshot cache's fold, one
 DU's probe sweep over prepared answers, one end-to-end DU maintenance,
 the detection substrate (graph build, legal order, the class-graph
 order, one rename arrival, a legal reorder, a burst of forty), a
-seven-round view adaptation and one of its compensated full-relation
-reads.
+seven-round view adaptation, one of its compensated full-relation
+reads, and the read front end's replay of 50 000 reads.
 """
 
 import random
+import sys
 from collections import Counter
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -51,9 +53,18 @@ from repro.sources.messages import (
 from repro.sources.replica import VersionedEntry
 from repro.sim.engine import QueryAnswer
 from repro.sources.sqlite_source import SqliteDataSource
-from repro.experiments.testbed import build_testbed
+from repro.experiments.testbed import build_sharded_testbed, build_testbed
+from repro.frontend.reads import CONSISTENCY_LEVELS, ReadWorkload
 from repro.views.manager import _UMQView
 from repro.views.umq import UpdateMessageQueue
+
+# Run as a script, sys.path[0] is this directory: the read replay's
+# oracle lives in the repository's test package.
+REPO_ROOT = Path(__file__).resolve().parent.parent
+if str(REPO_ROOT) not in sys.path:
+    sys.path.insert(0, str(REPO_ROOT))
+
+from tests.read_oracle import serve_reference  # noqa: E402
 
 R = RelationSchema.of("R", [("k", AttributeType.INT), "a"])
 T = RelationSchema.of("T", [("k", AttributeType.INT), "x"])
@@ -549,3 +560,27 @@ def test_micro_full_scan_read(benchmark, leaked):
         return compensate_answer(source.execute(scan), scan, alias, messages)
 
     assert benchmark(read) == clean
+
+
+@pytest.mark.parametrize("shards", [1, 4])
+def test_micro_read_replay(benchmark, shards):
+    """50 000 reads replayed at both consistency levels over a
+    ``shards``-shard run's install logs; every report must equal the
+    per-read loop's (``tests/read_oracle.serve_reference``)."""
+    testbed = build_sharded_testbed(
+        PESSIMISTIC, shards=shards, tuples_per_relation=60
+    )
+    testbed.schedule_du_workload(60, start=0.05, interval=0.05)
+    testbed.run()
+    front_end = testbed.read_front_end()
+    workload = ReadWorkload(count=50_000, seed=17)
+
+    def replay():
+        return [
+            front_end.serve(workload, level) for level in CONSISTENCY_LEVELS
+        ]
+
+    assert benchmark(replay) == [
+        serve_reference(front_end, workload, level)
+        for level in CONSISTENCY_LEVELS
+    ]

@@ -1,46 +1,24 @@
 """Versioned read serving against the maintained view extents.
 
-The warehouse exists to answer reads; the paper's evaluation (and every
-prior PR here) only measured the *maintenance* side.  This module adds
-the missing half: a seeded workload of point and scan reads replayed —
-post hoc, so the read path never perturbs maintenance — against the
-version timeline each engine records at unit-install time
-(:class:`~repro.sim.engine.InstallRecord`).
-
-Consistency levels
-------------------
-
-``read-latest``
-    Serve the newest version installed on the owning shard at the read
-    time.  Freshest answers; staleness is whatever the shard's
-    maintenance lag happens to be.
-
-``read-committed-version``
-    Serve the newest version whose commit *watermark* (the longest
-    prefix of the commit-ordered delivered stream fully installed) does
-    not exceed the global watermark — the minimum across shards, the
-    same coordinated-checkpoint-style cut per-shard recovery uses.
-    Cross-shard consistent answers; staleness grows with the slowest
-    shard.
-
-Both levels report the same staleness definition: the age (read time
-minus commit time) of the *oldest* delivered committed update not yet
-visible in the served version, zero for a fully-fresh answer.
-
-Latency is a queueing simulation: each shard serves reads with
-``cost.read_servers`` concurrent servers; a read waits for a free
-server, then pays the cost-model service time (``point_read``, or
-``read_scan_base`` plus ``read_scan_per_tuple`` per row of the served
-version's extent).  The p99 tail is therefore a real queueing effect,
-not a constant.
+A seeded workload of point and scan reads is replayed after the run, so
+reading never perturbs maintenance, against the version timeline each
+engine records at unit-install time
+(:class:`~repro.sim.engine.InstallRecord`), at ``read_latest`` or
+``read_committed_version``.  docs/ALGORITHMS.md,
+*The read-serving front end*, states the two levels, the staleness rule,
+the queueing model, and why the one-pass replay equals the per-read loop
+kept in ``tests/read_oracle.py``.
 """
 
 from __future__ import annotations
 
-import heapq
 import random
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from heapq import heapreplace
+from itertools import islice
+from math import inf
+from operator import eq, itemgetter
 
 from ..sim.costs import CostModel
 from ..sim.engine import InstallRecord
@@ -57,7 +35,9 @@ class ShardTimeline:
 
     Version ``k`` (0-based; 0 is the initial load) is described by
     ``times[k]`` (virtual install time; 0.0 for the initial load),
-    ``watermarks[k]`` (commit watermark visible at that version) and a
+    ``watermarks[k]`` (commit watermark visible at that version),
+    ``first_invisible[k]`` (the install frontier: index in ``commits``
+    of the oldest delivered commit not visible at that version) and a
     per-view extent cardinality.  ``commits`` is the commit-ordered
     stream the shard's router delivered, used for staleness.
     """
@@ -70,6 +50,7 @@ class ShardTimeline:
         self.views = tuple(sorted(initial_sizes))
         self.times: list[float] = [0.0]
         self.watermarks: list[float] = [0.0]
+        self.first_invisible: list[int] = [0]
         self.view_sizes: dict[str, list[int]] = {
             view: [size] for view, size in initial_sizes.items()
         }
@@ -97,33 +78,12 @@ class ShardTimeline:
             watermark = self.commits[frontier - 1] if frontier else 0.0
             self.times.append(record.at)
             self.watermarks.append(watermark)
+            # The frontier itself, not a bisect of the watermark time:
+            # two commits may share an instant on either side of it.
+            self.first_invisible.append(frontier)
             for view in self.views:
                 sizes = self.view_sizes[view]
                 sizes.append(record.view_sizes.get(view, sizes[-1]))
-        # Per-version index of the first delivered commit NOT visible at
-        # that version's watermark: one bisect per *version* here buys
-        # O(1) staleness per *read* in the serving loop (reads outnumber
-        # versions by orders of magnitude — ABL-11 replays >= 10^6).
-        self.first_invisible: list[int] = [
-            bisect_right(self.commits, watermark)
-            for watermark in self.watermarks
-        ]
-
-    def version_at(self, at: float) -> int:
-        """Newest version installed at or before ``at``."""
-        return bisect_right(self.times, at) - 1
-
-    def watermark_at(self, at: float) -> float:
-        return self.watermarks[self.version_at(at)]
-
-    def staleness_of(self, version: int, at: float) -> float:
-        """Age of the oldest delivered commit invisible at ``version``
-        as observed at time ``at`` (0.0 when fully fresh).  O(1): the
-        first-invisible commit was precomputed per version."""
-        index = self.first_invisible[version]
-        if index < len(self.commits) and self.commits[index] <= at:
-            return at - self.commits[index]
-        return 0.0
 
 
 @dataclass(frozen=True)
@@ -222,7 +182,7 @@ class ReadFrontEnd:
         watermarks: list[float] = []
         for at in events:
             value = min(
-                timeline.watermark_at(at)
+                timeline.watermarks[bisect_right(timeline.times, at) - 1]
                 for timeline in self.timelines.values()
             )
             times.append(at)
@@ -231,13 +191,45 @@ class ReadFrontEnd:
         self._global_watermarks = watermarks
         return times, watermarks
 
+    def _committed_steps(
+        self, timeline: ShardTimeline
+    ) -> tuple[list[float], list[int]]:
+        """The version ``read_committed_version`` serves on ``timeline``
+        as a step function of the read time: ``versions[0]`` before
+        ``bounds[0]``, ``versions[i + 1]`` from ``bounds[i]`` on.  Each
+        step is the newest version at or behind the shard's latest whose
+        watermark does not exceed the global cut."""
+        global_times, global_watermarks = self._global_watermark_steps()
+        times, watermarks = timeline.times, timeline.watermarks
+        bounds = sorted({*times[1:], *global_times[1:]})
+        versions: list[int] = []
+        version = cut = cap = 0
+        for bound in (-inf, *bounds):
+            while version + 1 < len(times) and times[version + 1] <= bound:
+                version += 1
+            while (
+                cut + 1 < len(global_times)
+                and global_times[cut + 1] <= bound
+            ):
+                cut += 1
+            while (
+                cap < len(watermarks)
+                and watermarks[cap] <= global_watermarks[cut]
+            ):
+                cap += 1
+            versions.append(max(0, min(cap - 1, version)))
+        return bounds, versions
+
     def serve(
         self,
         workload: ReadWorkload,
         level: str = READ_LATEST,
         metrics: Metrics | None = None,
     ) -> ReadReport:
-        """Serve one seeded workload at the given consistency level."""
+        """Serve one seeded workload at the given consistency level, in
+        one pass per shard over its reads in arrival order.  Why each
+        step equals the per-read loop (same draws, same order, same
+        float sums): docs/ALGORITHMS.md, *The read-serving front end*."""
         if level not in CONSISTENCY_LEVELS:
             raise ValueError(
                 f"unknown consistency level {level!r}; "
@@ -249,102 +241,118 @@ class ReadFrontEnd:
             else self.default_horizon
         )
         span = max(horizon - workload.start, 0.0)
-        views = sorted(self.view_shard)
-        rng = random.Random(workload.seed)
-        uniform = rng.random
-        pick_view = rng.randrange
-        view_count = len(views)
-        # Generate, then bucket reads per owning shard: the queueing
-        # simulation needs arrival order per shard.
-        per_shard: dict[int, list[tuple[float, str, bool]]] = {
+        # A read is ``(at, kind)`` on its shard's list, ``kind`` being
+        # ``2 * i + scan`` for the shard's ``i``-th view by name, so it
+        # sorts like ``(at, view, scan)``.
+        per_shard: dict[int, list[tuple[float, int]]] = {
             shard_id: [] for shard_id in self.timelines
         }
+        targets = [
+            (
+                2 * self.timelines[shard_id].views.index(view),
+                per_shard[shard_id].append,
+            )
+            for view, shard_id in sorted(self.view_shard.items())
+        ]
+        view_count = len(targets)
+        if workload.count and not view_count:
+            raise ValueError("a read workload needs at least one view")
+        rng = random.Random(workload.seed)
+        uniform = rng.random
+        bits = rng.getrandbits
+        width = view_count.bit_length()
         scan_fraction = workload.scan_fraction
         start = workload.start
         for _ in range(workload.count):
             at = start + uniform() * span
-            view = views[pick_view(view_count)]
-            per_shard[self.view_shard[view]].append(
-                (at, view, uniform() < scan_fraction)
-            )
+            # ``Random._randbelow(view_count)`` inlined: the draw
+            # ``randrange`` and ``choice`` make.
+            drawn = bits(width)
+            while drawn >= view_count:
+                drawn = bits(width)
+            kind, append = targets[drawn]
+            append((at, kind + (uniform() < scan_fraction)))
         committed = level == READ_COMMITTED_VERSION
-        if committed:
-            global_times, global_watermarks = self._global_watermark_steps()
+        cost = self.cost
+        point_cost = cost.point_read()
+        scan_base = cost.read_scan_base
+        scan_per_tuple = cost.read_scan_per_tuple
+        servers = max(1, cost.read_servers)
         latencies: list[float] = []
+        add_latency = latencies.append
         total_wait = 0.0
         total_staleness = 0.0
         max_staleness = 0.0
         stale_reads = 0
-        point_cost = self.cost.point_read()
-        scan_base = self.cost.read_scan_base
-        scan_per_tuple = self.cost.read_scan_per_tuple
-        servers = max(1, self.cost.read_servers)
+        at_of = itemgetter(0)
         for shard_id, reads in per_shard.items():
             if not reads:
                 continue
-            reads.sort()
+            # Arrival order is ``(at, kind)`` order; reads sharing an
+            # instant stay in draw order under the key sort.
+            reads.sort(key=at_of)
+            later = map(at_of, islice(reads, 1, None))
+            if any(map(eq, map(at_of, reads), later)):
+                reads.sort()
             timeline = self.timelines[shard_id]
-            times = timeline.times
-            watermarks = timeline.watermarks
-            view_sizes = timeline.view_sizes
+            if committed:
+                bounds, versions = self._committed_steps(timeline)
+            else:
+                bounds = timeline.times[1:]
+                versions = range(len(timeline.times))
+            bounds.append(inf)
+            commits = timeline.commits
+            stale_from = [
+                commits[index] if index < len(commits) else inf
+                for index in timeline.first_invisible
+            ]
+            sizes = [timeline.view_sizes[view] for view in timeline.views]
+            services = [
+                [
+                    service
+                    for view_sizes in sizes
+                    for service in (
+                        point_cost,
+                        scan_base + view_sizes[version] * scan_per_tuple,
+                    )
+                ]
+                for version in range(len(timeline.times))
+            ]
+            steps = [
+                (services[version], stale_from[version])
+                for version in versions
+            ]
+            step = 0
+            next_at = bounds[0]
+            row, stale = steps[0]
             free_at = [0.0] * servers  # heap of server-free times
-            # Reads are served in ``at`` order and every lookup target
-            # is monotone in ``at`` (install times, the global
-            # watermark step function, and — because the cut is
-            # nondecreasing — the watermark cap), so all three
-            # per-read binary searches collapse to pointers that only
-            # ever advance: O(reads + versions) per shard instead of
-            # O(reads * log versions).  test_reads asserts the loop
-            # performs zero bisect calls.
-            version_count = len(times)
-            version_ptr = 0  # newest version with times[ptr] <= at
-            cut_ptr = 0  # steps into the global watermark function
-            cap_count = len(global_times) if committed else 0
-            cap_ptr = 0  # count of watermarks <= current global cut
-            for at, view, scan in reads:
-                while (
-                    version_ptr + 1 < version_count
-                    and times[version_ptr + 1] <= at
-                ):
-                    version_ptr += 1
-                version = version_ptr
-                if committed:
-                    while (
-                        cut_ptr + 1 < cap_count
-                        and global_times[cut_ptr + 1] <= at
-                    ):
-                        cut_ptr += 1
-                    cut = global_watermarks[cut_ptr]
-                    while (
-                        cap_ptr < version_count
-                        and watermarks[cap_ptr] <= cut
-                    ):
-                        cap_ptr += 1
-                    # Newest version <= ``version`` whose watermark
-                    # does not exceed the global cut — identical to
-                    # ``bisect_right(watermarks, cut, hi=version + 1)
-                    # - 1`` clamped at 0.
-                    version = max(0, min(cap_ptr - 1, version))
-                staleness = timeline.staleness_of(version, at)
-                if staleness > 0.0:
+            for at, kind in reads:
+                if at >= next_at:
+                    step += 1
+                    while at >= bounds[step]:
+                        step += 1
+                    next_at = bounds[step]
+                    row, stale = steps[step]
+                service = row[kind]
+                if stale < at:
+                    staleness = at - stale
                     stale_reads += 1
                     total_staleness += staleness
                     if staleness > max_staleness:
                         max_staleness = staleness
-                if scan:
-                    service = (
-                        scan_base
-                        + view_sizes[view][version] * scan_per_tuple
-                    )
-                else:
-                    service = point_cost
                 earliest = free_at[0]
-                wait = earliest - at if earliest > at else 0.0
-                heapq.heapreplace(free_at, at + wait + service)
-                total_wait += wait
-                latencies.append(wait + service)
+                if earliest > at:
+                    wait = earliest - at
+                    heapreplace(free_at, at + wait + service)
+                    total_wait += wait
+                    add_latency(wait + service)
+                else:  # ``at + 0.0 + service`` and ``0.0 + service``
+                    heapreplace(free_at, at + service)
+                    add_latency(service)
+            reads.clear()
         latencies.sort()
         count = len(latencies)
+        total_latency = sum(latencies)
         report = ReadReport(
             level=level,
             count=count,
@@ -352,7 +360,7 @@ class ReadFrontEnd:
             p99_latency=latencies[min(count - 1, (count * 99) // 100)]
             if count
             else 0.0,
-            mean_latency=sum(latencies) / count if count else 0.0,
+            mean_latency=total_latency / count if count else 0.0,
             max_latency=latencies[-1] if count else 0.0,
             mean_wait=total_wait / count if count else 0.0,
             mean_staleness=total_staleness / count if count else 0.0,
@@ -361,7 +369,7 @@ class ReadFrontEnd:
         )
         if metrics is not None:
             metrics.reads_served += count
-            metrics.read_latency_time += sum(latencies)
+            metrics.read_latency_time += total_latency
             metrics.read_wait_time += total_wait
             metrics.stale_reads += stale_reads
             metrics.staleness_time += total_staleness

@@ -17,6 +17,12 @@ from repro.frontend.reads import (
 from repro.sim.costs import CostModel
 from repro.sim.engine import InstallRecord
 from repro.sim.metrics import Metrics
+from tests.read_oracle import (
+    serve_reference,
+    staleness_of,
+    version_at,
+    watermark_at,
+)
 
 
 def _record(at, size, *messages, view="A"):
@@ -24,8 +30,9 @@ def _record(at, size, *messages, view="A"):
 
 
 def _bisecting_staleness(timeline, watermark: float, at: float) -> float:
-    """The oracle of ``staleness_of``: age of the oldest commit above
-    ``watermark`` delivered by ``at``, found by bisection."""
+    """Age of the oldest commit above ``watermark`` delivered by ``at``,
+    found by bisection: ``staleness_of`` wherever no two commits share
+    an instant at the frontier."""
     index = bisect_right(timeline.commits, watermark)
     if index < len(timeline.commits) and timeline.commits[index] <= at:
         return at - timeline.commits[index]
@@ -35,9 +42,9 @@ def _bisecting_staleness(timeline, watermark: float, at: float) -> float:
 class TestShardTimeline:
     def test_initial_version_only(self):
         timeline = ShardTimeline([], {"A": 10})
-        assert timeline.version_at(0.0) == 0
-        assert timeline.version_at(99.0) == 0
-        assert timeline.watermark_at(99.0) == 0.0
+        assert version_at(timeline, 0.0) == 0
+        assert version_at(timeline, 99.0) == 0
+        assert watermark_at(timeline, 99.0) == 0.0
         assert timeline.view_sizes["A"] == [10]
 
     def test_in_order_installs_advance_watermark(self):
@@ -51,8 +58,8 @@ class TestShardTimeline:
         assert timeline.times == [0.0, 1.5, 2.5]
         assert timeline.watermarks == [0.0, 1.0, 2.0]
         assert timeline.view_sizes["A"] == [10, 11, 12]
-        assert timeline.version_at(2.0) == 1
-        assert timeline.watermark_at(2.0) == 1.0
+        assert version_at(timeline, 2.0) == 1
+        assert watermark_at(timeline, 2.0) == 1.0
 
     def test_out_of_order_install_blocks_watermark_until_gap_fills(self):
         # seqno 2 (commit 2.0) installs before seqno 1 (commit 1.0):
@@ -78,11 +85,35 @@ class TestShardTimeline:
             [_record(1.5, 11, ("src1", 1, 1.0))], {"A": 10}
         )
         # At time 1.2 the commit at 1.0 is delivered but not installed.
-        assert timeline.staleness_of(0, 1.2) == pytest.approx(0.2)
+        assert staleness_of(timeline, 0, 1.2) == pytest.approx(0.2)
         # Fully fresh once installed.
-        assert timeline.staleness_of(1, 2.0) == 0.0
+        assert staleness_of(timeline, 1, 2.0) == 0.0
         # A commit in the future of the read is not staleness yet.
-        assert timeline.staleness_of(0, 0.5) == 0.0
+        assert staleness_of(timeline, 0, 0.5) == 0.0
+
+    def test_frontier_between_commits_sharing_an_instant(self):
+        # Both commits are at 1.0; after the first install the frontier
+        # sits between them.  The watermark (1.0) cannot say which of
+        # the two it passed, so staleness reads the frontier itself.
+        timeline = ShardTimeline(
+            [
+                _record(1.5, 11, ("src1", 1, 1.0)),
+                _record(3.0, 12, ("src2", 1, 1.0)),
+            ],
+            {"A": 10},
+        )
+        assert timeline.watermarks == [0.0, 1.0, 1.0]
+        assert timeline.first_invisible == [0, 1, 2]
+        assert staleness_of(timeline, 1, 2.0) == 1.0
+        assert staleness_of(timeline, 2, 4.0) == 0.0
+        # ``serve`` reads the same rule: every read in [2, 2.5) lands on
+        # version 1 and is stale by ``at - 1.0``.
+        frontend = ReadFrontEnd({0: timeline}, {"A": 0}, CostModel(), 2.5)
+        report = frontend.serve(
+            ReadWorkload(count=200, seed=4, start=2.0, horizon=2.5)
+        )
+        assert report.stale_fraction == 1.0
+        assert 1.0 <= report.mean_staleness < 1.5
 
 
 def _two_shard_frontend(servers=4):
@@ -132,6 +163,12 @@ class TestReadFrontEnd:
         frontend = _two_shard_frontend()
         with pytest.raises(ValueError):
             frontend.serve(ReadWorkload(count=1), "read_dirty")
+
+    def test_reads_need_a_view(self):
+        frontend = ReadFrontEnd({}, {}, CostModel(), 1.0)
+        assert frontend.serve(ReadWorkload(count=0)).count == 0
+        with pytest.raises(ValueError):
+            frontend.serve(ReadWorkload(count=1))
 
     def test_same_seed_same_report(self):
         frontend = _two_shard_frontend()
@@ -252,15 +289,16 @@ class TestServeIsBisectFree:
         for version in range(len(timeline.times)):
             watermark = timeline.watermarks[version]
             for at in (0.5, 1.2, 1.8, 2.6, 4.0):
-                assert timeline.staleness_of(version, at) == (
+                assert staleness_of(timeline, version, at) == (
                     _bisecting_staleness(timeline, watermark, at)
                 )
 
     def test_pointer_merge_matches_bisect_reports(self):
-        # Belt and braces: the pointer-based serve must produce the
-        # exact same report a from-scratch front end does on a real
-        # sharded run at both consistency levels (the values, not just
-        # the complexity, are preserved).
+        # Belt and braces: the one-pass serve must produce the exact
+        # same report the per-read loop (``serve_reference``) does over
+        # a from-scratch front end on a real sharded run at both
+        # consistency levels (the values, not just the complexity, are
+        # preserved).
         testbed = build_sharded_testbed(
             PESSIMISTIC, shards=2, tuples_per_relation=40
         )
@@ -270,6 +308,6 @@ class TestServeIsBisectFree:
         again = testbed.read_front_end()
         for level in (READ_LATEST, READ_COMMITTED_VERSION):
             workload = ReadWorkload(count=3000, seed=23)
-            assert frontend.serve(workload, level) == again.serve(
-                workload, level
+            assert frontend.serve(workload, level) == serve_reference(
+                again, workload, level
             )

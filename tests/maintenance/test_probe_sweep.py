@@ -15,13 +15,21 @@ visited prefix to read each probe's IN-lists, then the whole view query
 once per sign.  Every probe must be the same query, and the signed view
 delta the same bag — and the property must catch three seeded mutations
 of the running join.
+
+stdlib ``sqlite3`` is the independent reference: over the same
+NULL-bearing draws, the view delta must be the view after the update
+minus the view before it, each the bag sqlite answers for ``q.sql()``.
+One seeded NULL mutation fails that property on its own: IN-lists read
+off only the rows holding no NULL.  NULL join keys kept in a sweep join
+cannot show there: every probed relation arrives filtered by IN-lists
+that hold no NULL, so no NULL key reaches a join's build side.
 """
 
 from collections import Counter
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import Phase, assume, given, settings
+from hypothesis import Phase, assume, example, given, settings
 from hypothesis import strategies as st
 
 import repro.maintenance.decompose as decompose
@@ -63,6 +71,7 @@ from repro.sources.source import DataSource
 from repro.views.definition import ViewDefinition
 from repro.views.manager import ViewManager
 from tests.builders import subquery_over
+from tests.property.test_sqlite_differential import _sqlite
 
 ALIASES = ("R", "S", "T", "U")
 
@@ -624,3 +633,88 @@ def test_an_emptied_running_join_still_issues_every_probe(maintain):
     assert delta is not None and delta.is_empty()
     # S, T and U each probed once, T and U with empty IN-lists
     assert engine.metrics.source_round_trips == 3
+
+
+# --- the running join against sqlite -----------------------------------
+
+
+def _sqlite_view(query: SPJQuery, tables: dict) -> Counter:
+    """The bag ``query.sql()`` answers on an untyped sqlite database
+    loaded with ``tables``."""
+    return _sqlite(
+        query,
+        {
+            table.schema: [
+                row for row, count in table.items() for _ in range(count)
+            ]
+            for table in tables.values()
+        },
+    )
+
+
+def _check_against_sqlite(case) -> None:
+    """The view delta is the view after the update minus the view
+    before it, both evaluated by sqlite."""
+    view, unit, tables = case
+    payload = unit.head_message.payload
+    _probes, delta = _outcome(vm.maintain_data_update, view, unit, tables)
+    before = Counter(dict(tables[payload.relation].items()))
+    before.subtract(dict(payload.delta.items()))
+    expected = _sqlite_view(view.query, tables)
+    expected.subtract(
+        _sqlite_view(
+            view.query,
+            {
+                **tables,
+                payload.relation: Table.from_counts(
+                    SCHEMAS[payload.relation], +before
+                ),
+            },
+        )
+    )
+    assert isinstance(delta, Delta)
+    assert {row: count for row, count in delta.items() if count} == {
+        row: count for row, count in expected.items() if count
+    }, view.query.sql()
+
+
+def _null_outside_the_keys():
+    """A one-row insert into ``r`` whose only NULL, ``R.a``, is in no
+    join column: it still probes ``S`` with its key and joins through
+    the chain ``R - S - T - U``."""
+    view, unit, tables = _chain_case(0)
+    row = (1, 0, None)
+    delta = Delta.insertion(SCHEMAS["r"], [row])
+    message = UpdateMessage("src0", 1, 0.0, DataUpdate("r", delta))
+    tables = {**tables, "r": Table(SCHEMAS["r"], [row])}
+    return view, SimpleNamespace(head_message=message), tables
+
+
+@given(sweeps())
+@example(_null_outside_the_keys())
+@settings(max_examples=200, deadline=None)
+def test_the_running_join_answers_what_sqlite_answers(case):
+    _check_against_sqlite(case)
+
+
+def test_sqlite_catches_in_lists_that_drop_null_rows(monkeypatch):
+    """Seeded NULL mutation: IN-lists read off only the rows holding no
+    NULL, instead of leaving out just the NULL values."""
+    in_lists = SweepStage.in_lists
+
+    def mutated(self, rows, fold):
+        kept = {row: count for row, count in rows.items() if None not in row}
+        return in_lists(self, kept, fold)
+
+    monkeypatch.setattr(SweepStage, "in_lists", mutated)
+    prop = test_the_running_join_answers_what_sqlite_answers
+    monkeypatch.setattr(
+        prop,
+        "_hypothesis_internal_use_settings",
+        settings(
+            prop._hypothesis_internal_use_settings, phases=(Phase.explicit,)
+        ),
+    )
+    with pytest.raises(AssertionError):
+        prop()
+
