@@ -41,10 +41,6 @@ class DetectionResult:
     def unsafe(self) -> list[Dependency]:
         return self.graph.unsafe_dependencies()
 
-    @property
-    def has_unsafe(self) -> bool:
-        return self.graph.has_unsafe()
-
 
 def detect(
     messages: list[UpdateMessage],

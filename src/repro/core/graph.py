@@ -21,7 +21,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, field
 
-from .dependencies import Dependency, DependencyKind
+from .dependencies import Dependency
 
 
 @dataclass
@@ -65,12 +65,6 @@ class DependencyGraph:
             if dependency.is_unsafe()
         ]
 
-    def has_unsafe(self) -> bool:
-        return any(d.is_unsafe() for d in self.dependencies)
-
-    def edges_of_kind(self, kind: DependencyKind) -> list[Dependency]:
-        return [d for d in self.dependencies if d.kind is kind]
-
     def strongly_connected_components(self) -> list[list[int]]:
         """SCCs in reverse topological order, members sorted ascending."""
         return strongly_connected_components(self.successors())
@@ -78,14 +72,6 @@ class DependencyGraph:
     def legal_order(self) -> list[list[int]]:
         """The corrected order (Theorem 2 + cycle merge) of this graph."""
         return legal_order(self.successors(), self.node_count)
-
-    def cycle_count(self) -> int:
-        """Number of non-trivial SCCs (merged batches)."""
-        return sum(
-            1
-            for component in self.strongly_connected_components()
-            if len(component) > 1
-        )
 
 
 def strongly_connected_components(

@@ -12,7 +12,7 @@ import time
 from types import SimpleNamespace
 
 from ..core.dependencies import find_dependencies
-from ..core.graph import DependencyGraph
+from ..core.detection import detect
 from ..core.incremental import IncrementalDependencyGraph
 from ..core.strategies import BLIND_MERGE, OPTIMISTIC, PESSIMISTIC
 from ..faults.plan import FaultPlan
@@ -213,8 +213,11 @@ def run_incremental_detection_ablation(
     """ABL-5: per-round detection time, from-scratch rebuild vs the
     incremental substrate.  A *round* is one scheduler step at steady
     queue length ``n``: one arrival, a detection pass, one head
-    removal, another detection pass.  Both arms consume the identical
-    stream; final edge sets and corrected orders must be identical."""
+    removal, another detection pass.  Each pass is what the scheduler
+    would run: :func:`detect` (edges and legal order) from scratch,
+    against the substrate's ``detection()`` that ``detect_and_correct``
+    calls.  Both arms consume the identical stream; final edge sets and
+    corrected orders must be identical."""
     view_query = full_join_query()
     result = FigureResult(
         figure_id="ABL-5",
@@ -239,9 +242,9 @@ def run_incremental_detection_ablation(
         started = time.perf_counter()
         for message in arrivals:
             queue.append(message)
-            find_dependencies(queue, view_query)
+            detect(queue, view_query)
             del queue[0]
-            find_dependencies(queue, view_query)
+            detect(queue, view_query)
         full_ms = (time.perf_counter() - started) * 1000 / (2 * rounds)
 
         # -- incremental arm -------------------------------------------
@@ -254,20 +257,19 @@ def run_incremental_detection_ablation(
         started = time.perf_counter()
         for message in arrivals:
             umq.receive(message)
-            incremental.dependencies()
+            incremental.detection()
             umq.remove_head()
-            incremental.dependencies()
+            incremental.detection()
         incremental_ms = (
             (time.perf_counter() - started) * 1000 / (2 * rounds)
         )
 
         # Both arms saw the same stream: outputs must be bit-identical.
-        oracle = find_dependencies(umq.messages(), view_query)
-        live = incremental.dependencies()
+        rebuilt = detect(umq.messages(), view_query)
         result.require(
-            _edge_set(oracle) == _edge_set(live)
-            and DependencyGraph(len(queue), oracle).legal_order()
-            == incremental.detection().groups,
+            _edge_set(rebuilt.graph.dependencies)
+            == _edge_set(incremental.dependencies())
+            and rebuilt.groups == incremental.detection().groups,
             f"n={n_updates}: incremental output diverged from oracle",
         )
 

@@ -31,7 +31,7 @@ from ..relational.predicate import (
     Predicate,
     conjunction,
 )
-from ..relational.plan import Fold, SweepStage, _single_alias_conjuncts
+from ..relational.plan import Fold, Stage, _single_alias_conjuncts
 from ..relational.query import RelationRef, SPJQuery
 from ..relational.schema import RelationSchema
 
@@ -197,15 +197,16 @@ class ProbeSweep(NamedTuple):
     start: Fold
     steps: tuple[SweepStep, ...]
     projection: tuple[AttrRef, ...]
+    #: the view's IN-lists, bound to the stages per call
     parameters: tuple
     #: delta schema -> compiled first stage
     stages: dict
 
-    def stage(self, schema: RelationSchema) -> SweepStage:
+    def stage(self, schema: RelationSchema) -> Stage:
         """The running join's first stage over a delta in ``schema``."""
         stage = self.stages.get(schema)
         if stage is None:
-            stage = SweepStage(None, self.start, schema, self.parameters)
+            stage = Stage(None, self.start, schema)
             self.stages[schema] = stage
         return stage
 

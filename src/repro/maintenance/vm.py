@@ -40,11 +40,11 @@ from .compensation import CompensationLog, compensate_answer
 from .decompose import probe_sweep
 
 
-def _fold(stage, rows, answers):
+def _fold(stage, rows, answers, parameters):
     """Fold the pending ``(fold, answer)`` pairs into the running join."""
     for fold, table in answers:
         stage = stage.then(fold, table.schema)
-        rows = stage.run(rows, table)
+        rows = stage.run(rows, table, parameters)
     answers.clear()
     return stage, rows
 
@@ -81,7 +81,9 @@ def maintain_data_update(
         stage = sweep.stage(payload.delta.schema)
         # The running join starts from the delta's signed rows; answers
         # wait in ``answers`` until a probe reads its IN-lists off it.
-        rows = stage.begin(payload.delta.validated_items())
+        rows = stage.begin(
+            dict(payload.delta.validated_items()), sweep.parameters
+        )
         answers: list = []
 
         for step in sweep.steps:
@@ -91,7 +93,7 @@ def maintain_data_update(
             probed = bool(step.stage.joins)
             value_sets: list[frozenset] = []
             if probed:
-                stage, rows = _fold(stage, rows, answers)
+                stage, rows = _fold(stage, rows, answers, sweep.parameters)
                 value_sets = stage.in_lists(rows, step.stage)
             source_query = step.source_query(value_sets)
 
@@ -130,7 +132,7 @@ def maintain_data_update(
 
         # One signed pass: every row carries its delta row's columns, so
         # no two delta rows meet before the projection.
-        stage, rows = _fold(stage, rows, answers)
+        stage, rows = _fold(stage, rows, answers, sweep.parameters)
         schema, result = stage.result(rows, sweep.projection)
         if total is None:
             total = Delta(schema)

@@ -66,7 +66,7 @@ class BagProbe:
             plan = PLAN_CACHE.plan_of(shape, schema)
             if plan.total:
                 self._plan, self._parameters = plan, parameters
-                self._probe = plan.first_scan.smallest_list(parameters)
+                self._probe = plan.stages[0].scan.smallest_list(parameters)
 
     def keep(
         self, items: Iterable[tuple[Row, int]]

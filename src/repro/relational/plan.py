@@ -4,11 +4,12 @@
 :class:`CompiledPlan` is compiled once per ``(query shape, bound
 schemas)`` — the shape (:attr:`SPJQuery.prepared`) lifts every IN-list
 into a parameter bound per execute, and immutable schemas are the
-cache's epoch.  A reference that does not resolve compiles to a
-*deferred raiser* at the stage that meets it.  docs/ALGORITHMS.md
-§Wall-clock kernel says why each piece is exact; the oracles are
-test-side (``tests/kernel_oracle.py``) and stdlib ``sqlite3``
-(``tests/property/test_sqlite_differential.py``).
+cache's epoch.  A plan is a chain of stages (:class:`Stage`, the one
+stage type, which a probe sweep chains too).  A reference that does
+not resolve compiles to a *deferred raiser* at the stage that meets
+it.  docs/ALGORITHMS.md §Wall-clock kernel says why each piece is
+exact; the oracles are test-side (``tests/kernel_oracle.py``) and
+stdlib ``sqlite3`` (``tests/property/test_sqlite_differential.py``).
 """
 
 from __future__ import annotations
@@ -313,7 +314,7 @@ def _compile_leaf(predicate: Predicate, resolve, deferred: list, refute):
 # ----------------------------------------------------------------------
 
 
-class _ScanStage:
+class _Scan:
     """One base-table scan: pushed-down filter plus probe candidates."""
 
     __slots__ = ("alias", "filter", "probes")
@@ -356,13 +357,12 @@ class _ScanStage:
         return best
 
 
-class _JoinStage:
+class _Join:
     """Fold one scanned relation into the accumulated intermediate."""
 
-    __slots__ = ("scan", "left_key", "right_key", "error")
+    __slots__ = ("left_key", "right_key", "error")
 
-    def __init__(self, scan, left_key, right_key, error):
-        self.scan = scan
+    def __init__(self, left_key, right_key, error):
         self.left_key = left_key
         self.right_key = right_key
         self.error = error
@@ -411,41 +411,137 @@ class _JoinStage:
         return joined
 
 
-class CompiledPlan:
-    """A fully resolved execution strategy for one (shape, schemas).
+class Fold(NamedTuple):
+    """One relation as a left-deep join folds it in: a compiled plan's
+    folds are derived by :func:`_plan_folds`, a probe sweep's off the
+    view's shape (docs/ALGORITHMS.md §Wall-clock kernel)."""
 
-    ``total``: the plan can never raise — one relation, no deferred
-    raiser, a resolved projection (docs/ALGORITHMS.md §Compensation).
+    alias: str
+    #: the joins to the relations folded before (none: a product)
+    joins: tuple[JoinCondition, ...]
+    #: the conjuncts on ``alias`` alone, applied at its scan
+    pushdown: tuple[Predicate, ...]
+    #: the other conjuncts, applied once this relation is joined
+    conjuncts: tuple[Predicate, ...]
+
+
+class Stage:
+    """A left-deep join once ``fold`` is folded in, compiled for the
+    schemas of the relations folded so far: the scan of ``fold``'s
+    relation, its join to the previous stage's rows (none on a first
+    stage) and the conjuncts it completes.  A compiled plan runs a
+    chain of stages over base tables; a probe sweep runs one over a
+    delta's signed rows, compiling the next stage on first use per
+    answer schema and keeping it here (:meth:`then`) — immutable schemas
+    are the epoch, as for :class:`PlanCache`.
+
+    A reference that does not resolve becomes a deferred raiser at the
+    scan row, the join or the read that meets it; each one installed is
+    recorded in ``deferred``.  IN-lists are bound per call.
     """
 
     __slots__ = (
-        "shape",
-        "first_scan",
-        "join_stages",
-        "residual",
-        "projection_error",
-        "project",
-        "result_schema",
-        "total",
+        "columns", "schemas", "scan", "join", "accept",
+        "_next", "_probe", "_result",
     )
 
     def __init__(
-        self,
-        shape,
-        first_scan,
-        join_stages,
-        residual,
-        projection_error,
-        project,
-        result_schema,
-        total,
-    ):
+        self, previous, fold: Fold, schema, deferred: list | None = None
+    ) -> None:
+        deferred = [] if deferred is None else deferred
+        self.scan, right = _compile_scan(
+            fold.alias, schema, list(fold.pushdown), deferred
+        )
+        self.columns, self.schemas, self.join = right, {}, None
+        if previous is not None:
+            self.join = _compile_join(
+                fold.joins, previous.schemas, previous.columns, right
+            )
+            self.columns = previous.columns + right
+            self.schemas = dict(previous.schemas)
+        self.schemas[fold.alias] = schema
+        self.accept = _compile_filter(
+            conjunction(list(fold.conjuncts)),
+            _resolver(self.columns),
+            deferred,
+        )
+        self._next: dict = {}
+        self._probe = self._result = None
+
+    def then(self, fold: Fold, schema: RelationSchema) -> "Stage":
+        """The stage folding in ``fold``, its relation answered in
+        ``schema`` (a sweep's stage has one successor fold)."""
+        stage = self._next.get(schema)
+        if stage is None:
+            stage = Stage(self, fold, schema)
+            self._next[schema] = stage
+        return stage
+
+    def begin(self, rows: dict, parameters: tuple) -> dict:
+        """A first stage's rows read off ``rows`` (row -> count) instead
+        of a scan: the ones its filters admit."""
+        rows = _filtered(rows, _bound(self.scan.filter, parameters))
+        return _filtered(rows, _bound(self.accept, parameters))
+
+    def run(self, rows, table: Table, parameters: tuple) -> dict:
+        """``rows`` of the previous stage joined with ``table`` (a first
+        stage: ``table`` scanned)."""
+        joined = self.scan.run(table, parameters)
+        if self.join is not None:
+            joined = self.join.run(rows, joined)
+        accept = self.accept
+        if accept is None:
+            return joined
+        if type(accept) is _Late:
+            accept = accept.bind(parameters)
+        return {row: count for row, count in joined.items() if accept(row)}
+
+    def in_lists(self, rows: dict, fold: Fold) -> list[frozenset]:
+        """The IN-lists ``fold``'s relation is probed with: the distinct
+        values of ``rows`` at the other side of each of its joins, NULL
+        left out (an IN-list never matches it)."""
+        if self._probe is None:
+            resolve = _resolver(self.columns)
+            self._probe = [
+                resolve(join.other_side(fold.alias)) for join in fold.joins
+            ]
+        return [
+            frozenset({row[position] for row in rows} - {None})
+            for position in self._probe
+        ]
+
+    def projection(self, projection: tuple) -> tuple:
+        """``projection`` over this stage's columns, compiled on first
+        use: ``(row -> projected row, result schema, error)``."""
+        if self._result is None:
+            self._result = _projection(
+                projection, self.columns, _resolver(self.columns), self.schemas
+            )
+        return self._result
+
+    def result(self, rows: dict, projection: tuple) -> tuple:
+        """The last stage's ``rows`` projected: ``(schema, projected row
+        -> count)``; an unresolved projection raises here, after every
+        filter ran."""
+        project, schema, error = self._result or self.projection(projection)
+        if error is not None:
+            raise error
+        return schema, _projected(rows, project)
+
+
+class CompiledPlan:
+    """A fully resolved execution strategy for one (shape, schemas): a
+    chain of stages (:class:`Stage`).
+
+    ``total``: the plan can never raise — one stage, no deferred
+    raiser, a resolved projection (docs/ALGORITHMS.md §Compensation).
+    """
+
+    __slots__ = ("shape", "stages", "result_schema", "total")
+
+    def __init__(self, shape, stages, result_schema, total):
         self.shape = shape
-        self.first_scan = first_scan
-        self.join_stages = join_stages
-        self.residual = residual
-        self.projection_error = projection_error
-        self.project = project
+        self.stages = stages
         self.result_schema = result_schema
         self.total = total
 
@@ -458,26 +554,18 @@ class CompiledPlan:
         The caller (plan cache) guarantees each table's schema equals
         the one the plan was compiled for.
         """
-        rows = self.first_scan.run(tables[self.first_scan.alias], parameters)
-        for stage in self.join_stages:
-            right_rows = stage.scan.run(tables[stage.scan.alias], parameters)
-            rows = stage.run(rows, right_rows)
-        return self._finish(rows, parameters)
+        rows = None
+        for stage in self.stages:
+            rows = stage.run(rows, tables[stage.scan.alias], parameters)
+        return Table.from_counts(*stage.result(rows, self.shape.projection))
 
     def execute_rows(self, rows: dict, parameters: tuple) -> Table:
         """Evaluate a total plan over ``rows`` (row -> positive count)
-        of its one alias: :meth:`execute`'s scan filter, residual and
-        projection, with no table to scan and no index to build."""
-        rows = _filtered(rows, _bound(self.first_scan.filter, parameters))
-        return self._finish(rows, parameters)
-
-    def _finish(self, rows: dict, parameters: tuple) -> Table:
-        rows = _filtered(rows, _bound(self.residual, parameters))
-        if self.projection_error is not None:
-            raise self.projection_error
-        return Table.from_counts(
-            self.result_schema, _projected(rows, self.project)
-        )
+        of its one alias: :meth:`execute` with no table to scan and no
+        index to build."""
+        stage = self.stages[0]
+        rows = stage.begin(rows, parameters)
+        return Table.from_counts(*stage.result(rows, self.shape.projection))
 
 
 def _filtered(rows: dict, accept) -> dict:
@@ -517,7 +605,7 @@ def _compile_scan(
     schema: RelationSchema,
     predicates: list[Predicate],
     deferred: list,
-) -> tuple[_ScanStage, list[AttrRef]]:
+) -> tuple[_Scan, list[AttrRef]]:
     columns = [AttrRef(alias, attribute.name) for attribute in schema]
     resolve = _resolver(columns)
     accept = _compile_filter(conjunction(predicates), resolve, deferred)
@@ -532,14 +620,15 @@ def _compile_scan(
         and predicate.attr.relation in (None, alias)
         and predicate.attr.name in schema
     )
-    return _ScanStage(alias, accept, probes), columns
+    return _Scan(alias, accept, probes), columns
 
 
-def _join_stage(scan, conditions, joined_aliases, columns, right_columns):
-    """Fold ``scan`` into the intermediate laid out as ``columns`` over
-    ``joined_aliases`` on ``conditions`` (none: a product)."""
+def _compile_join(conditions, joined_aliases, columns, right_columns):
+    """The join of rows laid out as ``right_columns`` to the intermediate
+    laid out as ``columns`` over ``joined_aliases`` on ``conditions``
+    (none: a product)."""
     if not conditions:
-        return _JoinStage(scan, None, None, None)
+        return _Join(None, None, None)
     resolve_left = _resolver(columns)
     resolve_right = _resolver(right_columns)
     left_positions: list[int] = []
@@ -553,10 +642,10 @@ def _join_stage(scan, conditions, joined_aliases, columns, right_columns):
             left_positions.append(resolve_left(left_ref))
             right_positions.append(resolve_right(right_ref))
     except RelationalError as exc:
-        # Raised when the join stage runs — after the right side's scan.
-        return _JoinStage(scan, None, None, exc)
-    return _JoinStage(
-        scan, _itemgetter(left_positions), _itemgetter(right_positions), None
+        # Raised when the join runs — after the right side's scan.
+        return _Join(None, None, exc)
+    return _Join(
+        _itemgetter(left_positions), _itemgetter(right_positions), None
     )
 
 
@@ -580,185 +669,56 @@ def _projection(projection, columns, resolve, schemas):
     return project, result_schema(schemas, projection_columns), None
 
 
+def _plan_folds(query: SPJQuery) -> list[Fold]:
+    """A greedy connected join order, folding in first the next relation
+    a join condition reaches (a product when none does): single-alias
+    conjuncts at each scan, every other conjunct and every join condition
+    no fold applied on the last fold, so a dangling reference raises only
+    for a row the whole join keeps."""
+    pushdown, residual = _single_alias_conjuncts(query.selection)
+    remaining = list(query.aliases)
+    joined = [remaining.pop(0)]
+    pending = list(query.joins)
+    folds = [Fold(joined[0], (), tuple(pushdown.get(joined[0], ())), ())]
+    while remaining:
+        for alias in remaining:
+            joins = tuple(
+                join
+                for join in pending
+                if join.touches(alias)
+                and join.other_side(alias).relation in joined
+            )
+            if joins:
+                break
+        else:
+            alias, joins = remaining[0], ()
+        remaining.remove(alias)
+        joined.append(alias)
+        for join in joins:
+            pending.remove(join)
+        folds.append(Fold(alias, joins, tuple(pushdown.get(alias, ())), ()))
+    folds[-1] = folds[-1]._replace(
+        conjuncts=tuple(residual)
+        + tuple(AttrComparison(join.left, "=", join.right) for join in pending)
+    )
+    return folds
+
+
 def compile_plan(
     query: SPJQuery, schemas: dict[str, RelationSchema]
 ) -> CompiledPlan:
-    """Compile the shape of ``query`` against per-alias relation schemas:
-    a greedy connected join order, folding in first the next relation a
-    join condition reaches (a product when none does).
-    """
+    """Compile the shape of ``query`` against per-alias relation schemas
+    into a chain of stages over :func:`_plan_folds`."""
     query = query.prepared[0]
-    pushdown, residual_terms = _single_alias_conjuncts(query.selection)
-    # the deferred raisers of the first scan and the residual
     deferred: list = []
-
-    remaining = list(query.aliases)
-    first_alias = remaining.pop(0)
-    first_scan, columns = _compile_scan(
-        first_alias,
-        schemas[first_alias],
-        pushdown.get(first_alias, []),
-        deferred,
-    )
-    joined_aliases = {first_alias}
-    pending_joins = list(query.joins)
-    join_stages: list[_JoinStage] = []
-
-    while remaining:
-        applicable: list[JoinCondition] = []
-        chosen: str | None = None
-        for alias in remaining:
-            applicable = [
-                join
-                for join in pending_joins
-                if join.touches(alias)
-                and join.other_side(alias).relation in joined_aliases
-            ]
-            if applicable:
-                chosen = alias
-                break
-        if chosen is None:
-            chosen = remaining[0]
-            applicable = []
-        remaining.remove(chosen)
-        scan, right_columns = _compile_scan(
-            chosen, schemas[chosen], pushdown.get(chosen, []), []
-        )
-        join_stages.append(
-            _join_stage(
-                scan, applicable, joined_aliases, columns, right_columns
-            )
-        )
-        columns = columns + right_columns
-        joined_aliases.add(chosen)
-        for join in applicable:
-            pending_joins.remove(join)
-
-    resolve_final = _resolver(columns)
-    residual_filters: list[Predicate] = residual_terms + [
-        AttrComparison(join.left, "=", join.right) for join in pending_joins
-    ]
-    residual = _compile_filter(
-        conjunction(residual_filters), resolve_final, deferred
-    )
-
-    project, schema, projection_error = _projection(
-        query.projection, columns, resolve_final, schemas
-    )
-    return CompiledPlan(
-        query,
-        first_scan,
-        tuple(join_stages),
-        residual,
-        projection_error,
-        project,
-        schema,
-        not join_stages and not deferred and projection_error is None,
-    )
-
-
-# ----------------------------------------------------------------------
-# the probe sweep's running join
-# ----------------------------------------------------------------------
-
-
-class Fold(NamedTuple):
-    """One relation as a probe sweep's running join folds it in, read
-    off the view's shape (docs/ALGORITHMS.md §View maintenance)."""
-
-    alias: str
-    #: the view's joins to the relations folded before (none: a product)
-    joins: tuple[JoinCondition, ...]
-    #: the view's conjuncts on ``alias`` alone, applied at its scan
-    pushdown: tuple[Predicate, ...]
-    #: the view's other conjuncts, applied once this relation is joined
-    conjuncts: tuple[Predicate, ...]
-
-
-class SweepStage:
-    """A probe sweep's running join once ``fold`` is folded in, compiled
-    for the schemas of the relations folded so far.  Its rows are the
-    delta's signed rows, each extended by what it joins.
-
-    The next stage is compiled on first use per answer schema and kept
-    here (:meth:`then`): immutable schemas are the epoch, as for
-    :class:`PlanCache`.  Errors are deferred as :func:`compile_plan`
-    defers them, to the scan row, the join or the read that meets them.
-    """
-
-    __slots__ = (
-        "columns", "schemas", "parameters", "scan", "join", "accept",
-        "_next", "_probe", "_result",
-    )
-
-    def __init__(self, previous, fold: Fold, schema, parameters) -> None:
-        self.scan, right = _compile_scan(
-            fold.alias, schema, list(fold.pushdown), []
-        )
-        self.columns, self.schemas, self.join = right, {}, None
-        if previous is not None:
-            self.join = _join_stage(
-                self.scan, fold.joins, previous.schemas,
-                previous.columns, right,
-            )
-            self.columns = previous.columns + right
-            self.schemas = dict(previous.schemas)
-        self.schemas[fold.alias] = schema
-        self.parameters = parameters
-        self.accept = _bound(
-            _compile_filter(
-                conjunction(list(fold.conjuncts)), _resolver(self.columns), []
-            ),
-            parameters,
-        )
-        self._next: dict = {}
-        self._probe = self._result = None
-
-    def then(self, fold: Fold, schema: RelationSchema) -> "SweepStage":
-        """The stage folding in ``fold``, its relation answered in
-        ``schema`` (a stage has one successor fold)."""
-        stage = self._next.get(schema)
-        if stage is None:
-            stage = SweepStage(self, fold, schema, self.parameters)
-            self._next[schema] = stage
-        return stage
-
-    def begin(self, items) -> dict:
-        """A first stage's rows: the delta's signed ``items`` it admits."""
-        accept = _bound(self.scan.filter, self.parameters)
-        return _filtered(_filtered(dict(items), accept), self.accept)
-
-    def run(self, rows: dict, table: Table) -> dict:
-        """``rows`` of the previous stage joined with ``table``."""
-        right = self.scan.run(table, self.parameters)
-        return _filtered(self.join.run(rows, right), self.accept)
-
-    def in_lists(self, rows: dict, fold: Fold) -> list[frozenset]:
-        """The IN-lists ``fold``'s relation is probed with: the distinct
-        values of ``rows`` at the other side of each of its joins, NULL
-        left out (an IN-list never matches it)."""
-        if self._probe is None:
-            resolve = _resolver(self.columns)
-            self._probe = [
-                resolve(join.other_side(fold.alias)) for join in fold.joins
-            ]
-        return [
-            frozenset({row[position] for row in rows} - {None})
-            for position in self._probe
-        ]
-
-    def result(self, rows: dict, projection: tuple) -> tuple:
-        """The last stage's ``rows`` projected: ``(schema, projected row
-        -> signed count)``."""
-        if self._result is None:
-            resolve = _resolver(self.columns)
-            self._result = _projection(
-                projection, self.columns, resolve, self.schemas
-            )
-        project, schema, error = self._result
-        if error is not None:
-            raise error
-        return schema, _projected(rows, project)
+    stage = None
+    stages = []
+    for fold in _plan_folds(query):
+        stage = Stage(stage, fold, schemas[fold.alias], deferred)
+        stages.append(stage)
+    _project, schema, error = stage.projection(query.projection)
+    total = len(stages) == 1 and not deferred and error is None
+    return CompiledPlan(query, tuple(stages), schema, total)
 
 
 # ----------------------------------------------------------------------

@@ -14,8 +14,8 @@ skipped.
 
 Hot-path layout: the unit store is a deque (O(1) ``remove_head``), the
 flat message list is cached and patched on mutation instead of being
-rebuilt per call, and ``position_of`` resolves through identity maps
-plus a monotone base offset instead of scanning.  The queued data
+rebuilt per call, and a unit's position resolves through identity
+maps plus a monotone base offset instead of scanning.  The queued data
 updates are also bucketed by ``(source, relation as committed)``, each
 bucket in queue order, so the question every maintenance probe asks —
 which queued updates leaked into this answer
@@ -290,13 +290,6 @@ class UpdateMessageQueue:
         for listener in self._listeners:
             listener.umq_requeued_front(unit)
 
-    def position_of(self, message: UpdateMessage) -> int:
-        """Queue position of the unit containing ``message`` (O(1))."""
-        unit = self._owner.get(id(message))
-        if unit is None:
-            raise UMQError(f"message not in UMQ: {message.describe()}")
-        return self._unit_pos[id(unit)] - self._base
-
     def data_updates_behind(
         self, unit: MaintenanceUnit, source: str, relations: Iterable[str]
     ) -> list[UpdateMessage]:
@@ -331,28 +324,6 @@ class UpdateMessageQueue:
             index for index, member in enumerate(unit) if member is message
         )
         return self._unit_pos[id(unit)], within
-
-    def leaked(
-        self,
-        unit: MaintenanceUnit,
-        source: str,
-        relation: str,
-        answered_at: float,
-    ) -> list[UpdateMessage]:
-        """Which queued updates leaked into an answer of ``source`` on
-        ``relation`` evaluated at ``answered_at`` while ``unit`` is
-        maintained: the data updates on that relation behind ``unit``
-        that had committed by then.  Names are taken as committed and
-        only the queue is asked; the view manager's facade widens both.
-        """
-        cutoff = answered_at + COMMIT_EPSILON
-        return [
-            message
-            for message in self.data_updates_behind(
-                unit, source, (relation,)
-            )
-            if message.committed_at <= cutoff
-        ]
 
     def replace_order(self, units: list[MaintenanceUnit]) -> None:
         """Install a corrected order; the message multiset must match."""

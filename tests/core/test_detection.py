@@ -24,7 +24,7 @@ def message(source, seqno, payload) -> UpdateMessage:
 class TestDetect:
     def test_empty_queue(self):
         result = detect([], QUERY)
-        assert not result.has_unsafe
+        assert not result.unsafe
         assert result.node_count == 0
         assert result.edge_count == 0
 
@@ -34,14 +34,14 @@ class TestDetect:
             for i in range(1, 4)
         ]
         result = detect(messages, QUERY)
-        assert not result.has_unsafe
+        assert not result.unsafe
         assert result.node_count == 3
 
     def test_unsafe_reported(self):
         du = message("library", 1, DataUpdate.insert(CATALOG_SCHEMA, []))
         sc = message("retailer", 2, DropRelation("Store"))
         result = detect([du, sc], QUERY)
-        assert result.has_unsafe
+        assert result.unsafe
         assert any(
             dep.before_index == 1 and dep.after_index == 0
             for dep in result.unsafe
@@ -51,7 +51,7 @@ class TestDetect:
         du = message("library", 1, DataUpdate.insert(CATALOG_SCHEMA, []))
         sc = message("retailer", 2, DropRelation("Store"))
         result = detect([du, sc], (QUERY, QUERY))
-        assert result.has_unsafe
+        assert result.unsafe
 
 
 class TestNameResolver:

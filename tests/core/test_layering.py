@@ -75,12 +75,6 @@ TEST_ONLY_ALLOWED = {
     "views/audit.py: AuditingScheduler":
         "the spine's tracer imports repro.views.audit; an independent "
         "oracle replaces its body (ROADMAP 1(b))",
-    "core/graph.py: DependencyGraph.edges_of_kind":
-        "from-scratch detection API, kept for tests and ABL-5",
-    "core/graph.py: DependencyGraph.cycle_count":
-        "from-scratch detection API, kept for tests and ABL-5",
-    "core/detection.py: DetectionResult.has_unsafe":
-        "from-scratch detection API, kept for tests and ABL-5",
 }
 
 _DOTTED = re.compile(r"[A-Za-z_]\w*(?:\.[A-Za-z_]\w*)+")

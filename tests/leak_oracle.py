@@ -18,7 +18,12 @@ from types import SimpleNamespace
 from repro.relational.delta import Delta
 from repro.relational.schema import RelationSchema
 from repro.sources.messages import DataUpdate, UpdateMessage
-from repro.views.umq import MaintenanceUnit, UMQError, UpdateMessageQueue
+from repro.views.umq import (
+    COMMIT_EPSILON,
+    MaintenanceUnit,
+    UMQError,
+    UpdateMessageQueue,
+)
 
 
 def messages_behind(
@@ -119,7 +124,11 @@ def leaked_behind_head(
     umq.receive(UpdateMessage(source, 0, 0.0, head))
     for message in behind:
         umq.receive(message)
-    leaked = umq.leaked(umq.head(), source, relation, answered_at)
+    leaked = [
+        message
+        for message in umq.data_updates_behind(umq.head(), source, (relation,))
+        if message.committed_at <= answered_at + COMMIT_EPSILON
+    ]
     scanned = pending_data_updates(behind, source, relation, answered_at)
     assert [id(m) for m in leaked] == [id(m) for m in scanned]
     return leaked
@@ -147,6 +156,8 @@ def assert_index_consistent(umq: UpdateMessageQueue) -> None:
     }
     assert actual == expected
     assert set(umq._owner) == {id(message) for message in umq.messages()}
-    assert [umq.position_of(unit.head_message) for unit in umq.units] == list(
-        range(len(umq))
-    )
+    assert [
+        umq._unit_pos[id(umq._owner[id(message)])] - umq._base
+        for unit in umq.units
+        for message in unit
+    ] == [index for index, unit in enumerate(umq.units) for _ in unit]

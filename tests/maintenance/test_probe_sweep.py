@@ -9,7 +9,7 @@ form must produce the *same queries*: ``==``, same hash, same ``.sql()``
 (the snapshot-cache key and the sqlite statement), same shape and
 parameters as a query built field by field.
 
-The running join (``SweepStage``) is held against the loop it replaced,
+The running join (``Stage``) is held against the loop it replaced,
 ``_per_prefix_maintenance``: a partial view query re-run over every
 visited prefix to read each probe's IN-lists, then the whole view query
 once per sign.  Every probe must be the same query, and the signed view
@@ -48,7 +48,7 @@ from repro.maintenance.decompose import (
 from repro.relational.delta import Delta
 from repro.relational.errors import RelationalError, UnknownAttributeError
 from repro.relational.executor import execute, signed_parts
-from repro.relational.plan import SweepStage
+from repro.relational.plan import Stage
 from repro.relational.predicate import (
     AttrComparison,
     AttrRef,
@@ -69,7 +69,7 @@ from repro.sim.engine import QueryAnswer, SimEngine
 from repro.sources.messages import DataUpdate, UpdateMessage
 from repro.sources.source import DataSource
 from repro.views.definition import ViewDefinition
-from repro.views.manager import ViewManager
+from repro.views.manager import ViewManager, _UMQView
 from tests.builders import subquery_over
 from tests.property.test_sqlite_differential import _sqlite
 
@@ -451,12 +451,12 @@ def test_the_running_join_probes_and_answers_as_the_per_prefix_loop(case):
 
 
 def _absolute_counts(monkeypatch):
-    begin = SweepStage.begin
+    begin = Stage.begin
     monkeypatch.setattr(
-        SweepStage,
+        Stage,
         "begin",
-        lambda self, items: begin(
-            self, [(row, abs(count)) for row, count in items]
+        lambda self, rows, parameters: begin(
+            self, {row: abs(count) for row, count in rows.items()}, parameters
         ),
     )
 
@@ -483,14 +483,14 @@ def _cross_alias_conjuncts_at_the_end(monkeypatch):
 
 def _no_probe_after_an_empty_stage(monkeypatch):
     emptied: list[bool] = []
-    in_lists = SweepStage.in_lists
+    in_lists = Stage.in_lists
 
     def watched(self, rows, fold):
         if not rows:
             emptied.append(True)
         return in_lists(self, rows, fold)
 
-    monkeypatch.setattr(SweepStage, "in_lists", watched)
+    monkeypatch.setattr(Stage, "in_lists", watched)
     maintain = vm.maintain_data_update
 
     def skipping(view, unit, umq, log=None):
@@ -624,11 +624,12 @@ def test_an_emptied_running_join_still_issues_every_probe(maintain):
     engine.source("src0").commit(
         DataUpdate.insert(SCHEMAS["r"], [(7, 1, 1)]), at=engine.clock.now
     )
+    head = manager.umq.head()
     process = (
         vm.maintain_data_update
         if maintain == "running"
         else _per_prefix_maintenance
-    )(manager.view, manager.umq.head(), manager.umq)
+    )(manager.view, head, _UMQView(manager, head, []))
     delta = engine.run_process(process)
     assert delta is not None and delta.is_empty()
     # S, T and U each probed once, T and U with empty IN-lists
@@ -700,13 +701,13 @@ def test_the_running_join_answers_what_sqlite_answers(case):
 def test_sqlite_catches_in_lists_that_drop_null_rows(monkeypatch):
     """Seeded NULL mutation: IN-lists read off only the rows holding no
     NULL, instead of leaving out just the NULL values."""
-    in_lists = SweepStage.in_lists
+    in_lists = Stage.in_lists
 
     def mutated(self, rows, fold):
         kept = {row: count for row, count in rows.items() if None not in row}
         return in_lists(self, kept, fold)
 
-    monkeypatch.setattr(SweepStage, "in_lists", mutated)
+    monkeypatch.setattr(Stage, "in_lists", mutated)
     prop = test_the_running_join_answers_what_sqlite_answers
     monkeypatch.setattr(
         prop,

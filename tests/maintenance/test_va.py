@@ -10,6 +10,7 @@ from repro.relational.schema import RelationSchema
 from repro.relational.table import Table
 from repro.sim.costs import CostModel
 from repro.sources.messages import DataUpdate, DropAttribute
+from repro.views.manager import _UMQView
 from repro.views.umq import MaintenanceUnit
 from tests.conftest import build_bookstore
 from tests.property.test_equation6 import telescoping_delta
@@ -99,7 +100,10 @@ class TestAdaptView:
         result = manager.synchronizer.synchronize(manager.view, message)
         extent = engine.run_process(
             adapt_view(
-                result.definition, unit, manager.umq, engine.cost_model
+                result.definition,
+                unit,
+                _UMQView(manager, unit, []),
+                engine.cost_model,
             )
         )
         # Adapted extent must match the NEW definition's recompute:
@@ -124,7 +128,7 @@ class TestAdaptView:
             adapt_view(
                 result.definition,
                 unit,
-                manager.umq,
+                _UMQView(manager, unit, []),
                 engine.cost_model,
                 rounds=3,
             )
@@ -151,7 +155,12 @@ class TestAdaptView:
         manager.umq.replace_order([batch])
         result = manager.synchronizer.synchronize(manager.view, sc_message)
         extent = engine.run_process(
-            adapt_view(result.definition, batch, manager.umq, engine.cost_model)
+            adapt_view(
+                result.definition,
+                batch,
+                _UMQView(manager, batch, []),
+                engine.cost_model,
+            )
         )
         manager.view = result.definition
         assert extent == manager.recompute_reference()

@@ -8,6 +8,7 @@ from repro.sim.costs import CostModel
 from repro.sim.engine import SimEngine
 from repro.sources.errors import BrokenQueryError
 from repro.sources.messages import DataUpdate, DropAttribute
+from repro.views.manager import _UMQView
 from repro.views.umq import MaintenanceUnit
 from tests.conftest import (
     CATALOG_SCHEMA,
@@ -22,7 +23,9 @@ def run_du(engine, manager, payload, source_name, extra_events=()):
         engine.schedule(at, action)
     message = engine.source(source_name).commit(payload, at=engine.clock.now)
     unit = manager.umq.head()
-    process = maintain_data_update(manager.view, unit, manager.umq)
+    process = maintain_data_update(
+        manager.view, unit, _UMQView(manager, unit, [])
+    )
     return engine.run_process(process)
 
 
@@ -113,6 +116,8 @@ class TestConcurrencyCompensation:
         )
         message = engine.source("library").commit(catalog_du, at=0.0)
         unit = manager.umq.head()
-        process = maintain_data_update(manager.view, unit, manager.umq)
+        process = maintain_data_update(
+            manager.view, unit, _UMQView(manager, unit, [])
+        )
         with pytest.raises(BrokenQueryError):
             engine.run_process(process)

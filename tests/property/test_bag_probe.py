@@ -129,7 +129,7 @@ def test_a_total_plan_reads_only_admitted_rows(data, query):
     kept = probe.keep(items)
     with counted_kernel() as executes:
         parts = probe.parts(kept)
-    listed = plan.first_scan.smallest_list(query.prepared[1])
+    listed = plan.stages[0].scan.smallest_list(query.prepared[1])
     if listed is not None:
         _name, position, admitted = listed
         assert kept == [

@@ -520,10 +520,13 @@ def test_only_identities_are_adopted(shape):
     compile to an adopting plan."""
     tables = {"R": Table(R), "S": Table(S), "U": Table(U)}
     compiled = PLAN_CACHE.plan_for(_shaped_query(shape, 0, 0), tables)
+    project, _schema, error = compiled.stages[-1].projection(
+        compiled.shape.projection
+    )
     if shape == "dangling":
-        assert compiled.projection_error is not None
+        assert error is not None
     else:
-        assert (compiled.project is None) == (shape in IDENTITIES)
+        assert (project is None) == (shape in IDENTITIES)
 
 
 def _assert_answers_own_their_rows():

@@ -2,7 +2,7 @@
 
 The compiled kernel (``repro.relational.plan``) splits the selection
 into per-alias conjuncts pushed down to the scans
-(``_single_alias_conjuncts``) and lets ``_ScanStage.run`` answer small
+(``_single_alias_conjuncts``) and lets ``_Scan.run`` answer small
 IN-lists through the table's hash index (``_choose_probe``).  Both are
 pure optimizations: evaluating every conjunct as a post-join residual
 filter over full scans must produce the identical counted result.
@@ -64,9 +64,7 @@ def _without_pushdown(query: SPJQuery, tables: dict[str, Table]) -> Counter:
     try:
         with mock.patch.object(plan, "_single_alias_conjuncts", _no_split):
             compiled = PLAN_CACHE.plan_for(query, tables)
-            scans = [compiled.first_scan] + [
-                stage.scan for stage in compiled.join_stages
-            ]
+            scans = [stage.scan for stage in compiled.stages]
             assert all(
                 scan.filter is None and not scan.probes for scan in scans
             )
@@ -155,7 +153,7 @@ def test_in_list_probe_matches_full_scan(rows, values, also):
 
 
 def test_a_probe_that_skips_the_scan_filter_is_caught(monkeypatch):
-    """Seeded mutation: ``_ScanStage.run``'s probe path returns the
+    """Seeded mutation: ``_Scan.run``'s probe path returns the
     index's candidates unfiltered."""
     rows, values, also = PROBED_AND_FILTERED
     table = Table(R, rows)
@@ -176,7 +174,7 @@ def test_a_probe_that_skips_the_scan_filter_is_caught(monkeypatch):
             found[row] = found.get(row, 0) + count
         return found
 
-    monkeypatch.setattr(plan._ScanStage, "run", unfiltered_probe)
+    monkeypatch.setattr(plan._Scan, "run", unfiltered_probe)
     PLAN_CACHE.clear()
     with pytest.raises(AssertionError):
         test_in_list_probe_matches_full_scan()

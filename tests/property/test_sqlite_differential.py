@@ -362,7 +362,7 @@ def _mutated(function, old: str, new: str):
 
 MUTATIONS = {
     "null_keys_built": (
-        plan._JoinStage,
+        plan._Join,
         "run",
         "if key is None or type(key) is tuple and None in key:",
         "if False:",

@@ -27,7 +27,7 @@ class _TheoremCheckingScheduler(DynoScheduler):
             self.manager.view.query,
             rewritten_query=self._speculative_rewrite,
         )
-        assert result.has_unsafe, (
+        assert result.unsafe, (
             f"broken query at {broken.source} without any unsafe "
             f"dependency in the UMQ — Theorem 1 violated"
         )

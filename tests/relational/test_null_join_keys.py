@@ -39,7 +39,7 @@ from repro.sources.messages import DataUpdate
 from repro.sources.source import DataSource
 from repro.sources.sqlite_source import SqliteDataSource
 from repro.views.definition import ViewDefinition
-from repro.views.manager import ViewManager
+from repro.views.manager import ViewManager, _UMQView
 from tests.kernel_oracle import execute_naive
 
 R = RelationSchema(
@@ -107,8 +107,9 @@ def test_a_probe_sweep_agrees_with_sqlite(backend):
     source.create_relation(T, T_ROWS)
     manager = ViewManager(engine, ViewDefinition("V", QUERY))
     source.commit(DataUpdate.insert(R, R_ROWS), at=engine.clock.now)
+    head = manager.umq.head()
     process = maintain_data_update(
-        manager.view, manager.umq.head(), manager.umq
+        manager.view, head, _UMQView(manager, head, [])
     )
     delta = engine.run_process(process)
     # the view delta of an insert into an empty R: the view over it

@@ -4,7 +4,7 @@ from collections import Counter
 
 import pytest
 
-from repro.relational.errors import DataError
+from repro.relational.errors import DataError, UnknownAttributeError
 from repro.relational.plan import (
     PLAN_CACHE,
     PlanCache,
@@ -12,7 +12,12 @@ from repro.relational.plan import (
     execute_compiled,
     plan_cache_stats,
 )
-from repro.relational.predicate import Comparison, InPredicate, attr
+from repro.relational.predicate import (
+    AttrComparison,
+    Comparison,
+    InPredicate,
+    attr,
+)
 from repro.relational.query import JoinCondition, RelationRef, SPJQuery
 from repro.relational.schema import Attribute, RelationSchema
 from repro.relational.table import Table
@@ -196,6 +201,53 @@ class TestPlanCache:
         assert "k" in big._indexes  # the compiled scan probed the index
         assert set(result.rows()) == {(3, "v")}
         assert result.count((3, "v")) == 4
+
+
+class TestPlacement:
+    """A plan applies every multi-alias conjunct after its last join, as
+    ``execute_naive`` does; a probe sweep applies it at the stage that
+    completes it.  The two differ only for a dangling reference that a
+    later join decides never to read."""
+
+    T1 = RelationSchema.of("T1", [("A", AttributeType.INT), "B"])
+    T2 = RelationSchema.of("T2", [("A", AttributeType.INT), "C"])
+    T3 = RelationSchema.of("T3", ["C", "D"])
+
+    QUERY = SPJQuery(
+        relations=(
+            RelationRef("s", "T1", "T1"),
+            RelationRef("s", "T2", "T2"),
+            RelationRef("s", "T3", "T3"),
+        ),
+        projection=(attr("T1", "B"), attr("T3", "D")),
+        joins=(
+            JoinCondition(attr("T1", "A"), attr("T2", "A")),
+            JoinCondition(attr("T2", "C"), attr("T3", "C")),
+        ),
+        # T1 has no X: the term dangles once T1 and T2 are joined
+        selection=AttrComparison(attr("T1", "X"), "=", attr("T2", "A")),
+    )
+
+    def tables(self, third):
+        return {
+            "T1": Table(self.T1, [(1, "b")]),
+            "T2": Table(self.T2, [(1, "c")]),
+            "T3": Table(self.T3, third),
+        }
+
+    def test_a_later_empty_join_reads_no_dangling_reference(self):
+        PLAN_CACHE.clear()
+        bound = self.tables([])
+        assert list(execute_compiled(self.QUERY, bound).items()) == []
+        assert list(execute_naive(self.QUERY, bound).items()) == []
+
+    def test_a_row_the_whole_join_keeps_raises(self):
+        PLAN_CACHE.clear()
+        bound = self.tables([("c", "d")])
+        with pytest.raises(UnknownAttributeError):
+            execute_compiled(self.QUERY, bound)
+        with pytest.raises(UnknownAttributeError):
+            execute_naive(self.QUERY, bound)
 
 
 class TestIndexMaintenance:

@@ -234,4 +234,4 @@ class TestMaintenance:
             DropAttribute("Catalog", "Publisher"), at=0.0
         )
         result = detect(multi.umq.messages(), multi.maintenance_queries)
-        assert result.has_unsafe
+        assert result.unsafe

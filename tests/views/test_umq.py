@@ -2,10 +2,16 @@
 
 import pytest
 
+from repro.maintenance.history import SchemaHistory
 from repro.relational.schema import RelationSchema
 from repro.sources.messages import DataUpdate, DropAttribute, UpdateMessage
+from repro.views.manager import _UMQView
 from repro.views.umq import MaintenanceUnit, UMQError, UpdateMessageQueue
-from tests.leak_oracle import assert_index_consistent, messages_behind
+from tests.leak_oracle import (
+    assert_index_consistent,
+    bare_manager,
+    messages_behind,
+)
 
 R = RelationSchema.of("R", ["a"])
 
@@ -68,9 +74,8 @@ class TestQueueOps:
         a, b = du(1), du(2)
         umq.receive(a)
         umq.receive(b)
-        assert umq.position_of(b) == 1
-        with pytest.raises(UMQError):
-            umq.position_of(du(9))
+        assert [unit.messages for unit in umq.units] == [[a], [b]]
+        assert_index_consistent(umq)
 
     def test_messages_behind(self):
         umq = UpdateMessageQueue()
@@ -83,7 +88,8 @@ class TestQueueOps:
         assert umq.data_updates_behind(head, "s", ["T"]) == []
         assert umq.data_updates_behind(head, "other", ["R"]) == []
         # committed no later than the answer was evaluated, inclusive
-        assert umq.leaked(head, "s", "R", answered_at=2.0) == [b]
+        facade = _UMQView(bare_manager(umq, SchemaHistory()), head, [])
+        assert facade.leaked(head, "s", "R", answered_at=2.0) == [b]
 
     def test_messages_behind_unknown_unit(self):
         umq = UpdateMessageQueue()
@@ -172,8 +178,11 @@ class TestListeners:
         assert recorder.events == [("removed_unit", middle, 1)]
         # Survivors keep consistent positions and flat-message cache.
         assert umq.messages() == [messages[0], messages[2]]
-        assert umq.position_of(messages[0]) == 0
-        assert umq.position_of(messages[2]) == 1
+        assert [unit.messages for unit in umq.units] == [
+            [messages[0]],
+            [messages[2]],
+        ]
+        assert_index_consistent(umq)
 
     def test_remove_unit_at_head_fires_head_event(self):
         umq, _, recorder = self._queue(2)
@@ -200,8 +209,11 @@ class TestListeners:
         ]
         assert umq.head() is middle
         assert umq.messages() == [messages[1], messages[0], messages[2]]
-        assert umq.position_of(messages[1]) == 0
-        assert umq.position_of(messages[0]) == 1
+        assert [unit.messages for unit in umq.units] == [
+            [messages[1]],
+            [messages[0]],
+            [messages[2]],
+        ]
         assert messages_behind(umq, middle) == [messages[0], messages[2]]
         assert umq.data_updates_behind(middle, "s", ["R"]) == [
             messages[0],
