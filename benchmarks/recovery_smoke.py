@@ -4,8 +4,10 @@ Runs a small mixed workload once per registered crash point — serial
 points on the serial scheduler, ``parallel.*`` points on a 2-worker
 executor, ``recover.replay`` via a staged crash-during-recovery — and
 checks crash-anywhere equivalence against a journal-off oracle: the
-recovered extent and committed (source, seqno) set must match, and
-every targeted point must actually have fired.  One sharded arm (4
+recovered extent and committed (source, seqno) set must match, every
+targeted point must actually have fired, and the engine's install log
+(what the read front end's timeline is built from) must hold every
+unit the journal saw installed, in every epoch.  One sharded arm (4
 shards, one crash per shard) checks what the union-of-shards compares
 cannot see: every recovered shard maintains exactly what its uncrashed
 twin maintains (a recovered shard keeps its delivery filter).  Writes
@@ -15,7 +17,8 @@ per-shard counters to ``benchmarks/results/recovery_stats.json``
 
     PYTHONPATH=src python benchmarks/recovery_smoke.py
 
-Exit status 0 iff every point fired and recovered to the oracle state.
+Exit status 0 iff every point fired, recovered to the oracle state and
+left no installed unit out of the install log.
 This is a smoke, not the proof — the exhaustive sweep (every point x
 strategy x cache x batching x workers 1..8) lives in
 ``tests/recovery/test_crash_anywhere.py``.
@@ -66,6 +69,15 @@ def _testbed(workers: int | None, **recovery_kwargs):
 def _state(testbed):
     extent = tuple(sorted(map(tuple, testbed.manager.mv.extent.rows())))
     return extent, testbed.committed_updates()
+
+
+def _install_log_short(testbed) -> int:
+    """Installed refs the journal's history holds and the engine's
+    install log (which ``committed_updates()`` reads) does not."""
+    journaled = {
+        ref for unit in testbed.recovery.installed_units for ref in unit
+    }
+    return len(journaled - testbed.committed_updates())
 
 
 def _run_replay_crash(workers: int | None):
@@ -159,6 +171,7 @@ def main() -> int:
             and injector.fired.point == point
         )
         match = _state(testbed) == oracles[workers]
+        short = _install_log_short(testbed)
         metrics = testbed.metrics
         stats.append(
             {
@@ -166,6 +179,7 @@ def main() -> int:
                 "workers": workers or 1,
                 "fired": fired,
                 "match": match,
+                "install_log_short": short,
                 "recoveries": metrics.recoveries,
                 "journal_entries": metrics.journal_entries,
                 "journal_bytes": metrics.journal_bytes,
@@ -177,8 +191,13 @@ def main() -> int:
             failures.append(f"{point}: crash point never fired")
         if not match:
             failures.append(f"{point}: recovered state diverged")
+        if short:
+            failures.append(
+                f"{point}: install log misses {short} installed update(s)"
+            )
         print(
             f"{point:<22} fired={fired} match={match} "
+            f"install_log_short={short} "
             f"recoveries={metrics.recoveries} "
             f"replayed={metrics.replayed_entries}"
         )

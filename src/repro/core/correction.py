@@ -15,7 +15,6 @@ the dynamic context exactly this way).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 from ..sources.messages import UpdateMessage
 from ..views.umq import MaintenanceUnit
@@ -43,7 +42,6 @@ class CorrectionResult:
 def correct(
     messages: list[UpdateMessage],
     view_query,
-    rewritten_query: Callable[[UpdateMessage], object] | None = None,
     detection: DetectionResult | None = None,
 ) -> CorrectionResult:
     """Detect dependencies and compute a legal maintenance order.
@@ -56,7 +54,7 @@ def correct(
     the from-scratch build.
     """
     if detection is None:
-        detection = detect(messages, view_query, rewritten_query)
+        detection = detect(messages, view_query)
     groups = detection.groups
     units = [
         MaintenanceUnit([messages[index] for index in group])

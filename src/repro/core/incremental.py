@@ -252,7 +252,6 @@ class IncrementalDependencyGraph:
         rewritten_query: Callable[[UpdateMessage], object] | None = None,
         epoch: Callable[[], object] | None = None,
         metrics=None,
-        attach: bool = True,
         source_reads: Callable[[], int] = lambda: 0,
     ) -> None:
         self._umq = umq
@@ -298,8 +297,7 @@ class IncrementalDependencyGraph:
         self._work_full_edges = 0
         self._work_inc_nodes = 0
         self._work_inc_edges = 0
-        if attach:
-            umq.add_listener(self)
+        umq.add_listener(self)
         self._rebuild(clear_cache=False)
 
     # ------------------------------------------------------------------

@@ -77,10 +77,6 @@ class SchedulerStats:
     forced_merges: int = 0
     skipped_updates: int = 0
     abort_events: list[tuple[float, str]] = field(default_factory=list)
-    #: ``(source, seqno)`` of every message whose maintenance committed
-    #: (order = commit order; the parallel equivalence tests compare the
-    #: *sets* against the serial oracle)
-    processed_messages: list[tuple[str, int]] = field(default_factory=list)
     # -- fault handling (retries and backoff are counted on Metrics) --
     #: transient failures that reached the abort handler and were
     #: classified as outages instead of broken-query flags — each one a
@@ -242,9 +238,6 @@ class DynoScheduler:
             if self_maintained:
                 metrics.self_maintained_units += 1
         metrics.maintenance_rounds += 1
-        self.stats.processed_messages.extend(
-            (message.source, message.seqno) for message in unit
-        )
 
     # ------------------------------------------------------------------
     # detection + correction round
@@ -269,7 +262,6 @@ class DynoScheduler:
         result = correct(
             messages,
             self.manager.maintenance_queries,
-            rewritten_query=self._speculative_rewrite,
             detection=self.substrate.detection(),
         )
         # Install the corrected order before charging the detection

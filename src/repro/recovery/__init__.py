@@ -6,17 +6,19 @@ update logs are not (they are autonomous systems of their own).  This
 package makes the warehouse crash-recoverable:
 
 * :mod:`.journal` — write-ahead maintenance journal (UMQ mutations,
-  per-unit install commits, committed-update watermark) through
-  pluggable sinks;
+  per-unit install and skip entries holding only what replay reads)
+  through pluggable sinks;
 * :mod:`.checkpoint` — periodic snapshots of extents + resolved
   history + cache stamps, with journal truncation;
 * :mod:`.crash` — seeded crash plans killing the scheduler at named
   points woven through the maintenance loops;
 * :mod:`.recover` — :func:`~repro.recovery.recover.simulate_crash` and
   :func:`~repro.recovery.recover.recover`, with idempotent replay so a
-  crash during recovery is also safe; plus the one arming function
-  (:func:`~repro.recovery.recover.arm_recovery`) and the one
-  crash -> recover -> swap loop
+  crash during recovery is also safe (replay derives the committed
+  watermark and completes the engine's install log, which
+  :func:`~repro.recovery.recover.committed_updates` reads); plus the
+  one arming function (:func:`~repro.recovery.recover.arm_recovery`)
+  and the one crash -> recover -> swap loop
   (:func:`~repro.recovery.recover.recover_in_place`,
   :func:`~repro.recovery.recover.run_recovering`) every owner of a
   warehouse stack calls.

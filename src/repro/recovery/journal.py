@@ -14,10 +14,10 @@ continues from ``start_seq``).  Checkpoints remember the last journaled
 idempotent: a crash landing between checkpoint save and journal
 truncation merely leaves stale entries that the seq filter skips.
 
-Install entries also carry the **committed-update watermark**: for each
-source, the largest ``n`` such that updates ``1..n`` are all resolved
-(installed or skipped).  The watermark is monotone by construction and
-is what bounds which snapshot-cache entries survive recovery.
+Install and skip entries carry only what replay reads: the unit's
+``refs`` and, for an install, its per-view ``effects``.  Replay derives
+the committed-update watermark from the resolved refs
+(:func:`~repro.recovery.recover.recover`); no entry stores one.
 
 Sinks are pluggable: :class:`MemoryJournalSink` for tests,
 :class:`FileJournalSink` (append-only JSONL) for real durability.
@@ -31,7 +31,7 @@ from __future__ import annotations
 import json
 import os
 from pathlib import Path
-from typing import Iterable, Protocol
+from typing import Protocol
 
 from .codec import Ref, effect_to_json, refs_of
 
@@ -115,56 +115,24 @@ class FileJournalSink:
 class MaintenanceJournal:
     """UMQ listener + install recorder writing through a sink.
 
-    ``resolved`` seeds the per-source resolved-seqno sets (from the
-    checkpoint this journal succeeds); the watermark advances over them.
+    ``installed_units`` / ``skipped_units`` are the owning harness's
+    resolved-unit history across every epoch; each install and skip
+    appends its unit's refs there once its entry is written.
     """
 
     def __init__(
         self,
         sink: JournalSink,
         engine,
+        installed_units: list[list[Ref]],
+        skipped_units: list[list[Ref]],
         start_seq: int = 1,
-        resolved: Iterable[Ref] = (),
     ):
         self.sink = sink
         self.engine = engine
         self.last_seq = start_seq - 1
-        self.installs_since_checkpoint = 0
-        self.installed_units_since: list[list[Ref]] = []
-        self.skipped_units_since: list[list[Ref]] = []
-        self._resolved: dict[str, set[int]] = {}
-        self._watermark: dict[str, int] = {}
-        for source, seqno in resolved:
-            self._resolved.setdefault(source, set()).add(seqno)
-        for source in self._resolved:
-            self._advance_watermark(source)
-
-    # ------------------------------------------------------------------
-    # watermark
-    # ------------------------------------------------------------------
-
-    def _advance_watermark(self, source: str) -> None:
-        seen = self._resolved.get(source, set())
-        mark = self._watermark.get(source, 0)
-        while mark + 1 in seen:
-            mark += 1
-        self._watermark[source] = mark
-
-    def watermark(self) -> dict[str, int]:
-        """Per-source contiguous committed-update prefix."""
-        return dict(self._watermark)
-
-    def _resolve(self, unit) -> None:
-        for message in unit:
-            self._resolved.setdefault(message.source, set()).add(
-                message.seqno
-            )
-        for message in unit:
-            self._advance_watermark(message.source)
-
-    # ------------------------------------------------------------------
-    # writing
-    # ------------------------------------------------------------------
+        self.installed_units = installed_units
+        self.skipped_units = skipped_units
 
     def _write(self, entry: dict) -> None:
         self.last_seq += 1
@@ -181,43 +149,23 @@ class MaintenanceJournal:
 
     def record_install(self, unit, outcomes) -> None:
         """WAL entry for a unit install — written *before* any apply."""
-        self._resolve(unit)
         self._write(
             {
                 "kind": "install",
                 "refs": refs_of(unit),
                 "effects": [effect_to_json(outcome) for outcome in outcomes],
-                "watermark": self.watermark(),
             }
         )
-        self.installed_units_since.append(
+        self.installed_units.append(
             [(message.source, message.seqno) for message in unit]
         )
-        self.installs_since_checkpoint += 1
 
     def record_skip(self, unit) -> None:
         """A policy dropped the unit (SKIP); resolves it like an install."""
-        self._resolve(unit)
-        self._write(
-            {
-                "kind": "skip",
-                "refs": refs_of(unit),
-                "watermark": self.watermark(),
-            }
-        )
-        self.skipped_units_since.append(
+        self._write({"kind": "skip", "refs": refs_of(unit)})
+        self.skipped_units.append(
             [(message.source, message.seqno) for message in unit]
         )
-        self.installs_since_checkpoint += 1
-
-    def roll_since(self) -> tuple[list[list[Ref]], list[list[Ref]]]:
-        """Hand the since-checkpoint unit lists to the caller and reset."""
-        installed = self.installed_units_since
-        skipped = self.skipped_units_since
-        self.installed_units_since = []
-        self.skipped_units_since = []
-        self.installs_since_checkpoint = 0
-        return installed, skipped
 
     # ------------------------------------------------------------------
     # UMQ listener protocol (PR 2)

@@ -19,7 +19,8 @@ Recovery
 
 1. load the latest checkpoint; replay journal entries with
    ``seq > checkpoint.journal_seq`` over its view extents (write-ahead
-   install entries carry the per-view effects);
+   install entries carry the per-view effects), logging each replayed
+   install the engine's install log does not hold yet;
 2. the union of checkpointed + replayed install/skip refs is the
    **resolved set**; every source-log message outside it *that the
    stack's delivery predicate admits* is re-enqueued (covering units
@@ -141,9 +142,12 @@ class RecoveryHarness:
 
     One harness serves one (manager, scheduler) incarnation; each
     ``recover()`` builds a successor harness whose journal continues the
-    sequence numbering and whose base unit lists accumulate everything
-    resolved in previous epochs.  ``description`` is what the stack was
-    built from, and so what ``recover()`` rebuilds it from.
+    sequence numbering.  ``installed_units`` / ``skipped_units`` are the
+    one resolved-unit history across every epoch: the journal appends to
+    it, each checkpoint serialises it, and the successor starts from the
+    checkpointed history plus the replayed entries.  ``description`` is
+    what the stack was built from, and so what ``recover()`` rebuilds it
+    from.
     """
 
     def __init__(
@@ -157,8 +161,8 @@ class RecoveryHarness:
         *,
         checkpoint_every: int = 8,
         start_seq: int = 1,
-        base_installed_units: list[list[Ref]] | None = None,
-        base_skipped_units: list[list[Ref]] | None = None,
+        installed_units: list[list[Ref]] | None = None,
+        skipped_units: list[list[Ref]] | None = None,
     ):
         self.engine = engine
         self.manager = manager
@@ -167,15 +171,16 @@ class RecoveryHarness:
         self.store = store
         self.description = description
         self.checkpoint_every = checkpoint_every
-        self.base_installed_units = list(base_installed_units or [])
-        self.base_skipped_units = list(base_skipped_units or [])
-        resolved = [
-            ref
-            for unit in self.base_installed_units + self.base_skipped_units
-            for ref in unit
-        ]
+        self.installed_units = list(installed_units or [])
+        self.skipped_units = list(skipped_units or [])
+        #: resolved units the last checkpoint covered
+        self._checkpointed = self._resolved_count()
         self.journal = MaintenanceJournal(
-            sink, engine, start_seq=start_seq, resolved=resolved
+            sink,
+            engine,
+            self.installed_units,
+            self.skipped_units,
+            start_seq=start_seq,
         )
 
     # ------------------------------------------------------------------
@@ -199,17 +204,16 @@ class RecoveryHarness:
     # checkpointing
     # ------------------------------------------------------------------
 
-    def installed_refs(self) -> frozenset[Ref]:
-        """Every (source, seqno) installed across all epochs so far."""
-        units = self.base_installed_units + self.journal.installed_units_since
-        return frozenset(ref for unit in units for ref in unit)
-
     def skipped_refs(self) -> frozenset[Ref]:
-        units = self.base_skipped_units + self.journal.skipped_units_since
-        return frozenset(ref for unit in units for ref in unit)
+        """Every (source, seqno) a policy skipped across all epochs."""
+        return frozenset(ref for unit in self.skipped_units for ref in unit)
+
+    def _resolved_count(self) -> int:
+        return len(self.installed_units) + len(self.skipped_units)
 
     def maybe_checkpoint(self) -> None:
-        if self.journal.installs_since_checkpoint >= self.checkpoint_every:
+        resolved = self._resolved_count() - self._checkpointed
+        if resolved >= self.checkpoint_every:
             self.checkpoint()
 
     def _build_state(self) -> tuple[dict, int]:
@@ -230,19 +234,15 @@ class RecoveryHarness:
             for source, key, version, table in store.export_entries():
                 rows.append([source, key, version, table_to_json(table)])
                 tuples += len(table)
-        installed = (
-            self.base_installed_units + self.journal.installed_units_since
-        )
-        skipped = self.base_skipped_units + self.journal.skipped_units_since
         state = {
             "journal_seq": self.journal.last_seq,
             "at": self.engine.clock.now,
             "views": views,
             "installed_units": [
-                [list(ref) for ref in unit] for unit in installed
+                [list(ref) for ref in unit] for unit in self.installed_units
             ],
             "skipped_units": [
-                [list(ref) for ref in unit] for unit in skipped
+                [list(ref) for ref in unit] for unit in self.skipped_units
             ],
             "local": local,
         }
@@ -261,9 +261,7 @@ class RecoveryHarness:
         self.store.save(state)
         engine.crash_point("checkpoint.mid")
         self.sink.truncate()
-        installed, skipped = self.journal.roll_since()
-        self.base_installed_units.extend(installed)
-        self.base_skipped_units.extend(skipped)
+        self._checkpointed = self._resolved_count()
         engine.metrics.checkpoints_taken += 1
         engine.metrics.charge(
             "checkpoint", engine.cost_model.checkpoint(tuples)
@@ -305,6 +303,11 @@ def recover(harness: RecoveryHarness) -> RecoveredWarehouse:
     skipped_units: list[list[Ref]] = [
         [tuple(ref) for ref in unit] for unit in state["skipped_units"]
     ]
+    # The install log is the one record of what committed: a unit whose
+    # entry was written but whose apply the crash cut off is logged here,
+    # at the recovery instant.  Checked on refs, so a retried replay
+    # adds no duplicate.
+    logged = committed_updates(harness)  # the harness's engine's log
     replayed_installs = replayed_skips = 0
     for entry in fresh:
         kind = entry["kind"]
@@ -323,6 +326,21 @@ def recover(harness: RecoveryHarness) -> RecoveredWarehouse:
                     view_state[1].apply_delta(
                         delta_from_json(effect["delta"])
                     )
+            if not logged.issuperset(refs):
+                engine.record_install(
+                    {
+                        definition.name: len(extent)
+                        for definition, extent in view_states
+                    },
+                    tuple(
+                        (
+                            source,
+                            seqno,
+                            engine.sources[source].log[seqno - 1].committed_at,
+                        )
+                        for source, seqno in refs
+                    ),
+                )
             installed_units.append(refs)
             replayed_installs += 1
         else:
@@ -408,8 +426,8 @@ def recover(harness: RecoveryHarness) -> RecoveredWarehouse:
         harness.store,
         checkpoint_every=harness.checkpoint_every,
         start_seq=max_seq + 1,
-        base_installed_units=installed_units,
-        base_skipped_units=skipped_units,
+        installed_units=installed_units,
+        skipped_units=skipped_units,
     )
     # The recovery checkpoint: persists the rebuilt state and truncates
     # the replayed journal.  Crash points inside fire like any other —
@@ -509,12 +527,13 @@ def recover_in_place(world) -> None:
 def committed_updates(world) -> frozenset:
     """Every ``(source, seqno)`` whose maintenance committed in
     ``world`` (same shape as for :func:`recover_in_place`), across
-    crashes: the live scheduler's processed messages plus the units the
-    journal saw installed in every epoch."""
-    refs = set(world.scheduler.stats.processed_messages)
-    if world.recovery is not None:
-        refs |= world.recovery.installed_refs()
-    return frozenset(refs)
+    crashes: the refs of its engine's install log, which replay
+    completes."""
+    return frozenset(
+        (source, seqno)
+        for record in world.engine.install_log
+        for source, seqno, _ in record.messages
+    )
 
 
 def run_recovering(world):

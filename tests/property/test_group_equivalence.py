@@ -69,7 +69,7 @@ def _run(
         )
     testbed.run()
     extent = tuple(sorted(map(tuple, testbed.manager.mv.extent.rows())))
-    processed = frozenset(testbed.scheduler.stats.processed_messages)
+    processed = testbed.committed_updates()
     return testbed, extent, processed
 
 

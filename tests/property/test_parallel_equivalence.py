@@ -56,7 +56,7 @@ def _run(strategy, workers, seed, du_count, sc_count, fault_seed=None):
         testbed.run()
     assert not inversions, inversions
     extent = tuple(sorted(map(tuple, testbed.manager.mv.extent.rows())))
-    processed = frozenset(testbed.scheduler.stats.processed_messages)
+    processed = testbed.committed_updates()
     return testbed, extent, processed
 
 

@@ -97,7 +97,7 @@ def _run(
         testbed.run()
     assert not inversions, inversions
     extent = tuple(sorted(map(tuple, testbed.manager.mv.extent.rows())))
-    processed = frozenset(testbed.scheduler.stats.processed_messages)
+    processed = testbed.committed_updates()
     return testbed, extent, processed
 
 

@@ -17,16 +17,19 @@ from __future__ import annotations
 
 import itertools
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.strategies import OPTIMISTIC, PESSIMISTIC
 from repro.experiments.testbed import build_testbed
+from repro.frontend.reads import ShardTimeline
 from repro.maintenance.grouping import BatchPolicy
 from repro.recovery import (
     CRASH_POINTS,
     CrashPlan,
     SchedulerCrash,
+    recover_in_place,
     simulate_crash,
 )
 from tests.recorders import commit_order_guarded
@@ -282,8 +285,93 @@ def test_journal_on_no_crash_run_is_bit_identical_to_journal_off():
     assert tuple(sorted(map(tuple, plain.manager.mv.extent.rows()))) == (
         tuple(sorted(map(tuple, journaled.manager.mv.extent.rows())))
     )
-    assert frozenset(plain.scheduler.stats.processed_messages) == (
-        journaled.committed_updates()
-    )
+    assert plain.committed_updates() == journaled.committed_updates()
     assert plain.engine.clock.now == journaled.engine.clock.now
     assert journaled.metrics.journal_entries > 0
+
+
+def _crash_in_recovery(workers, point, hit):
+    """Crash the run right after an install's journal entry, then crash
+    the first recovery attempt at ``point`` (``recover.replay`` fires
+    only inside ``recover()``; a ``checkpoint.*`` point here hits the
+    recovery checkpoint, after replay has logged the cut-off unit)."""
+    testbed = build_testbed(
+        PESSIMISTIC,
+        tuples_per_relation=20,
+        parallel_workers=workers,
+        journal=True,
+        checkpoint_every=100,
+        crash_plan=CrashPlan("install.post_journal", 3),
+    )
+    testbed.engine.schedule_workload(
+        testbed.random_du_workload(8, start=0.0, interval=0.01, seed=1)
+    )
+    with pytest.raises(SchedulerCrash):
+        testbed.scheduler.run()
+    testbed.engine.crash_injector.arm(CrashPlan(point, hit))
+    recover_in_place(testbed)
+    assert testbed.engine.crash_injector.fired.point == point
+    testbed.run()
+    return testbed
+
+
+def _assert_install_log_is_committed_set(testbed, oracle_committed):
+    """The install log's refs are the crash-free committed set, each
+    logged once, and the read timeline sees every committed update."""
+    engine = testbed.engine
+    logged = [
+        (source, seqno)
+        for record in engine.install_log
+        for source, seqno, _ in record.messages
+    ]
+    assert len(logged) == len(set(logged))
+    assert frozenset(logged) == testbed.committed_updates()
+    assert testbed.committed_updates() == oracle_committed
+    timeline = ShardTimeline(
+        engine.install_log, {testbed.manager.view.name: 0}
+    )
+    assert timeline.commits == sorted(
+        engine.sources[source].log[seqno - 1].committed_at
+        for source, seqno in oracle_committed
+    )
+
+
+#: every crash point with the worker counts that reach it
+REACHABLE = [
+    (point, workers)
+    for point in CRASH_POINTS
+    for workers in (None, 2)
+    if not point.startswith("parallel." if workers is None else "serial.")
+]
+
+
+@pytest.mark.parametrize(("point", "workers"), REACHABLE)
+def test_install_log_is_the_committed_set_after_every_crash_point(
+    point, workers
+):
+    """The engine's install log says what committed, crash or not: a
+    unit the crash cut off between its journal entry and its apply is
+    logged by replay, stamped at the recovery instant."""
+    _, oracle_committed, _ = run_config(PESSIMISTIC, workers=workers)
+    if point == "recover.replay":
+        testbed = _crash_in_recovery(workers, point, 2)
+    else:
+        _, _, testbed = run_config(
+            PESSIMISTIC, CrashPlan(point, 1), workers=workers
+        )
+    assert testbed.crash_reports, "the crash never fired"
+    _assert_install_log_is_committed_set(testbed, oracle_committed)
+    if point in ("install.post_journal", "recover.replay"):
+        recovered_at = {report.at for report in testbed.crash_reports}
+        assert any(
+            record.at in recovered_at for record in testbed.engine.install_log
+        )
+
+
+@pytest.mark.parametrize(
+    "point", ("checkpoint.pre", "checkpoint.mid", "checkpoint.post")
+)
+def test_a_crash_inside_recovery_logs_the_replayed_unit_once(point):
+    _, oracle_committed, _ = run_config(PESSIMISTIC)
+    testbed = _crash_in_recovery(None, point, 1)
+    _assert_install_log_is_committed_set(testbed, oracle_committed)

@@ -7,7 +7,7 @@ import json
 
 import pytest
 
-from repro.core.strategies import PESSIMISTIC
+from repro.core.strategies import NAIVE, PESSIMISTIC
 from repro.experiments.testbed import build_testbed
 from repro.recovery import (
     CRASH_POINTS,
@@ -159,15 +159,30 @@ def test_journal_records_receive_and_install_kinds():
     assert "install" in kinds
 
 
-def test_install_entries_carry_monotone_watermark():
-    testbed = run_journaled()
-    last: dict[str, int] = {}
-    for entry in testbed.recovery.sink.entries():
-        if entry["kind"] not in ("install", "skip"):
-            continue
-        for source, mark in entry["watermark"].items():
-            assert mark >= last.get(source, 0)
-            last[source] = mark
+def test_install_and_skip_entries_carry_only_what_replay_reads():
+    """Replay reads an install's refs and effects and a skip's refs; it
+    derives the watermark from the resolved refs, so no entry stores
+    one.  NAIVE skips the units a schema change broke, so the run
+    writes both kinds."""
+    keys = {
+        "install": {"kind", "seq", "refs", "effects"},
+        "skip": {"kind", "seq", "refs"},
+    }
+    testbed = build_testbed(
+        NAIVE, tuples_per_relation=10, journal=True, checkpoint_every=100
+    )
+    testbed.engine.schedule_workload(
+        testbed.random_du_workload(6, start=0.0, interval=0.01, seed=3)
+    )
+    testbed.engine.schedule_workload(
+        testbed.schema_change_workload(2, start=0.005, interval=0.01, seed=0)
+    )
+    testbed.run()
+    entries = testbed.recovery.sink.entries()
+    assert {"install", "skip"} <= {entry["kind"] for entry in entries}
+    for entry in entries:
+        if entry["kind"] in keys:
+            assert set(entry) == keys[entry["kind"]], entry
 
 
 def test_checkpoint_truncates_and_seq_survives():
@@ -182,7 +197,7 @@ def test_checkpoint_truncates_and_seq_survives():
     checkpointed = {
         tuple(ref) for unit in state["installed_units"] for ref in unit
     }
-    assert checkpointed <= testbed.recovery.installed_refs()
+    assert checkpointed <= testbed.committed_updates()
 
 
 def test_journal_metrics_accumulate():
