@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from ..relational.plan import PLAN_CACHE
 from ..sim import trace as trace_kinds
 from ..sim.effects import Delay
 from ..sim.engine import SimEngine
@@ -421,6 +422,8 @@ class DynoScheduler:
         )
 
     def _lift_due_quarantines(self) -> None:
+        if not self._quarantined:
+            return  # the lift that emptied it cleared the counted ids
         now = self.engine.clock.now
         for source, until in list(self._quarantined.items()):
             if now >= until:
@@ -546,8 +549,6 @@ class DynoScheduler:
         into this scheduler's metrics, so interleaved multi-shard runs
         attribute kernel cache efficiency to the shard that stepped.
         """
-        from ..relational.plan import PLAN_CACHE
-
         before = (PLAN_CACHE.hits, PLAN_CACHE.misses, PLAN_CACHE.evictions)
         try:
             return self._step_impl()

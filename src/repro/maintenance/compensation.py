@@ -15,10 +15,11 @@ which makes local compensation *exact*: the effect of a pending delta on
 a probe answer is simply the probe query evaluated over the delta.  It
 also makes it *linear* over signed bags — the summed effect of the
 pending deltas is the effect of their sum — so a probe answer costs at
-most two kernel executes per delta schema however deep the queue is, and
-none for a schema none of whose leaked rows the probe's IN-list admits
-(docs/ALGORITHMS.md §Compensation states why reading only those rows is
-exact).
+most two kernel executes per delta schema however deep the queue is.
+
+Only the deltas with a row the probe's IN-list admits are netted, and an
+answer nothing admitted into comes back as it is, never to be mutated
+(docs/ALGORITHMS.md §Compensation, *Read only what the probe admits*).
 """
 
 from __future__ import annotations
@@ -64,28 +65,25 @@ class CompensationLog:
     strict: bool = False
 
 
-def _signed_effect(
-    query: SPJQuery, alias: str, deltas: list[Delta]
+def _effect(
+    probe: BagProbe, bags: list[tuple[tuple[Row, int], ...]]
 ) -> tuple[RelationSchema, dict[Row, int]]:
-    """Signed effect of ``deltas``, all of one schema, on probe ``query``.
+    """Signed effect of ``bags`` — validated items of deltas of the
+    probe's schema — on the probe's answer.
 
     A single-relation select-project query is linear over signed bags,
-    so the deltas' kept rows are netted and evaluated once per sign,
+    so the bags' kept rows are netted and evaluated once per sign,
     whatever their number (:class:`~repro.relational.executor.BagProbe`
     keeps them; docs/ALGORITHMS.md §Compensation says why filtering
-    first changes nothing).  Each delta validates its rows against its
-    own schema, once, however many answers it leaks into; a delta that
-    fails raises here, on every use.  The effect is a plain count map
-    (zero counts possible), not a :class:`Delta`: the rows come out of
-    the executor and need none of ``Delta.add``'s per-row checks.
+    first changes nothing).  The effect is a plain count map (zero
+    counts possible), not a :class:`Delta`: the rows come out of the
+    executor and need none of ``Delta.add``'s per-row checks.
     """
-    probe = BagProbe(query, alias, deltas[0].schema)
-    if len(deltas) == 1:
-        items = probe.keep(deltas[0].validated_items())
+    if len(bags) == 1:
+        items = probe.keep(bags[0])
     else:
         net: dict[Row, int] = {}
-        read = chain.from_iterable(delta.validated_items() for delta in deltas)
-        for row, count in probe.keep(read):
+        for row, count in probe.keep(chain.from_iterable(bags)):
             net[row] = net.get(row, 0) + count
         items = net.items()
     effect: dict[Row, int] = {}
@@ -97,7 +95,8 @@ def _signed_effect(
 
 def effect_on_answer(query: SPJQuery, alias: str, delta: Delta) -> Delta:
     """Signed effect of ``delta`` on the answer of probe ``query``."""
-    return Delta(*_signed_effect(query, alias, [delta]))
+    probe = BagProbe(query, alias, delta.schema)
+    return Delta(*_effect(probe, [delta.validated_items()]))
 
 
 def by_schema(deltas: list[Delta]) -> list[list[Delta]]:
@@ -120,6 +119,21 @@ def by_schema(deltas: list[Delta]) -> list[list[Delta]]:
     return groups
 
 
+def _admitted_effect(
+    query: SPJQuery, alias: str, members: list[Delta]
+) -> dict[Row, int]:
+    """The effect of ``members`` (non-empty deltas of one schema) on the
+    probe's answer, read from the members with a row the probe admits.
+
+    Every member is validated first, admitted or not, so a row failing
+    its schema raises here as it does on every use; none admitted: an
+    empty effect, without a kernel call.
+    """
+    probe = BagProbe(query, alias, members[0].schema)
+    bags = probe.admitted([delta.validated_items() for delta in members])
+    return _effect(probe, bags)[1] if bags else {}
+
+
 def compensate_answer(
     answer: Table,
     query: SPJQuery,
@@ -134,16 +148,14 @@ def compensate_answer(
     messages — the self-join case where the update's own delta must be
     removed from probes of later occurrences of the same relation.
 
-    The probe is linear over signed bags, so the leaked deltas are
-    netted per schema and evaluated once per sign, not once each (see
-    :func:`_signed_effect`).
-
-    Returns a fresh table at the price of one copy of the answer plus
-    the rows the effects touch.  If the probe cannot be evaluated over
-    a schema's deltas (schema drift), every one of them is skipped and
-    counted in the log, and none of their effect is applied — under
-    Dyno's corrected orders this never happens (see tests), but
-    baseline strategies that skip correction can hit it.
+    Only the deltas with a row the probe's IN-list admits are netted;
+    with no effect, ``answer`` itself is returned — never mutate the
+    returned table (docs/ALGORITHMS.md §Compensation).  If the probe
+    cannot be evaluated over a schema's deltas (schema drift), every
+    one of them is skipped and counted in the log, and none of their
+    effect is applied — under Dyno's corrected orders this never
+    happens (see tests), but baseline strategies that skip correction
+    can hit it.
     """
     deltas: list[Delta] = [
         message.payload.delta  # type: ignore[union-attr]
@@ -151,13 +163,11 @@ def compensate_answer(
     ]
     if extra_deltas:
         deltas.extend(extra_deltas)
-    # One C-level copy (the cache shares answers); effects apply in place.
-    corrected: Counter[Row] = Counter(answer._counts)
-    touched: set[Row] = set()
+    effects: list[dict[Row, int]] = []
     # An empty delta leaked nothing: it is neither evaluated nor skipped.
     for members in by_schema([d for d in deltas if not d.is_empty()]):
         try:
-            _, effect = _signed_effect(query, alias, members)
+            effect = _admitted_effect(query, alias, members)
         except RelationalError as exc:
             if log is not None:
                 log.skipped_incompatible += len(members)
@@ -165,13 +175,22 @@ def compensate_answer(
                     [f"skipped incompatible delta: {exc}"] * len(members)
                 )
             continue
+        if effect:
+            effects.append(effect)
+            if log is not None:
+                log.compensated_tuples += sum(map(abs, effect.values()))
+    if log is not None:
+        log.compensated_queries += 1
+    if not effects:
+        return answer
+
+    # One C-level copy (the cache shares answers); effects apply in place.
+    corrected: Counter[Row] = Counter(answer._counts)
+    touched: set[Row] = set()
+    for effect in effects:
         for row, count in effect.items():
             corrected[row] = corrected.get(row, 0) - count
         touched.update(effect)
-        if log is not None:
-            log.compensated_tuples += sum(map(abs, effect.values()))
-    if log is not None:
-        log.compensated_queries += 1
 
     # Rows came out of a validated table or the kernel: adopt them.  The
     # answer's counts are positive, so only a touched row can end <= 0

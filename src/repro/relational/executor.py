@@ -78,6 +78,23 @@ class BagProbe:
         _name, position, values = self._probe
         return [item for item in items if item[0][position] in values]
 
+    def admitted(
+        self, bags: list[tuple[tuple[Row, int], ...]]
+    ) -> list[tuple[tuple[Row, int], ...]]:
+        """The bags :meth:`keep` would keep an item of, each read up to
+        its first such item: ``bags`` itself when nothing can be
+        dropped."""
+        if self._probe is None:
+            return bags
+        _name, position, values = self._probe
+        admitted = []
+        for bag in bags:
+            for row, _count in bag:
+                if row[position] in values:
+                    admitted.append(bag)
+                    break
+        return admitted
+
     def parts(
         self, items: Iterable[tuple[Row, int]]
     ) -> list[tuple[int, Table]]:

@@ -114,7 +114,12 @@ class RelationSchema(Memoised):
         return iter(self.attributes)
 
     def __contains__(self, attribute_name: str) -> bool:
-        return any(a.name == attribute_name for a in self.attributes)
+        return attribute_name in self._names
+
+    @cached_property
+    def _names(self) -> frozenset[str]:
+        # Every admitted query asks once per attribute reference.
+        return frozenset(attribute.name for attribute in self.attributes)
 
     def index_of(self, attribute_name: str) -> int:
         """Position of the attribute, raising if absent."""

@@ -45,6 +45,9 @@ from .messages import (
 Subscriber = Callable[[UpdateMessage], None]
 #: closed ``(lo, hi)`` range over a relation's first attribute, its key
 KeyRange = tuple[Value, Value]
+#: admitted ``(query shape, *schemas)`` keys a source remembers before
+#: it starts over (:meth:`DataSource.admitted_schemas`)
+ADMITTED_MEMO_CAPACITY = 1 << 12
 
 
 def _in_key_range(table: Table, key_range: KeyRange) -> list[Row]:
@@ -80,6 +83,8 @@ class DataSource:
         #: raise :class:`~repro.sources.errors.TransientSourceError` to
         #: simulate outages, timeouts and crash windows.
         self.fault_gate: Callable[[str], None] | None = None
+        #: ``(query shape, *current schemas)`` keys already admitted
+        self._admitted: set[tuple] = set()
 
     # ------------------------------------------------------------------
     # setup
@@ -218,6 +223,13 @@ class DataSource:
                     self.name, query.sql(), str(exc)
                 ) from exc
 
+        # Shapes and schemas are immutable, as the plan cache relies on:
+        # a shape admitted over these very schemas stays admitted.  A
+        # failure is never remembered.
+        key = (query.prepared[0], *schemas.values())
+        if key in self._admitted:
+            return schemas
+
         # Attribute-level validation: a schema change that only touched
         # attributes the query does not mention must NOT break it
         # (Section 3.1).
@@ -232,6 +244,9 @@ class DataSource:
                     f"attribute {ref.name!r} missing from relation "
                     f"{schema.name!r}",
                 )
+        if len(self._admitted) >= ADMITTED_MEMO_CAPACITY:
+            self._admitted.clear()
+        self._admitted.add(key)
         return schemas
 
     def admit_query(self) -> None:

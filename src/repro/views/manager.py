@@ -502,8 +502,9 @@ class _UMQView:
     had committed when the answer was evaluated are then translated to
     the current names and layout — once per message and installed
     schema change (:meth:`~repro.maintenance.history.SchemaHistory
-    .translate_message`), not once per answer — so compensation
-    evaluates current-name probes over them.
+    .translate_message`), not once per answer, and not at all while
+    nothing was recorded — so compensation evaluates current-name probes
+    over them.
     """
 
     def __init__(
@@ -522,27 +523,31 @@ class _UMQView:
         manager = self._manager
         history = manager.schema_history
         names = history.committed_names(source, relation)
+        cutoff = answered_at + COMMIT_EPSILON
 
-        def on_relation(messages) -> list:
+        def matching(messages) -> list:
             return [
                 message
                 for message in messages
-                if message.is_data_update
+                if message.committed_at <= cutoff
+                and message.is_data_update
                 and message.source == source
                 and message.payload.relation in names
             ]
 
-        behind = (
-            on_relation(self._pending_feed())
-            if self._pending_feed is not None
-            else manager.umq.data_updates_behind(self._unit, source, names)
-        )
-        cutoff = answered_at + COMMIT_EPSILON
-        leaked = [
-            message
-            for message in on_relation(self._extra)
-            + behind
-            + on_relation(manager._in_flight_messages())
-            if message.committed_at <= cutoff
-        ]
+        leaked = matching(self._extra)
+        if self._pending_feed is not None:
+            leaked += matching(self._pending_feed())
+        else:
+            # A bucket holds this source's data updates under ``names``.
+            leaked += [
+                message
+                for message in manager.umq.data_updates_behind(
+                    self._unit, source, names
+                )
+                if message.committed_at <= cutoff
+            ]
+        leaked += matching(manager._in_flight_messages())
+        if history.is_empty():
+            return leaked
         return list(map(history.translate_message, leaked))

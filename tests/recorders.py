@@ -6,6 +6,9 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 
+from repro.maintenance import compensation, va, vm
+from repro.relational.errors import RelationalError
+from repro.relational.executor import BagProbe
 from repro.views.umq import UpdateMessageQueue
 
 
@@ -118,3 +121,51 @@ def commit_order_guarded():
         yield violations
     finally:
         UpdateMessageQueue.__init__ = original
+
+
+def _keeps_a_row(query, alias, delta) -> bool:
+    """``delta`` has a validated row ``BagProbe.keep`` keeps."""
+    try:
+        probe = BagProbe(query, alias, delta.schema)
+        return bool(probe.keep(delta.validated_items()))
+    except RelationalError:
+        return False
+
+
+@contextmanager
+def recorded_compensations():
+    """One record per ``compensate_answer`` call inside the block: the
+    leaked updates it was handed, how many of them and of the self-join
+    extras have a row the probe keeps, and how many ``BagProbe.parts``
+    calls it made.  Rebinds the name where ``vm`` and ``va`` call it."""
+    records: list[dict] = []
+    shipped, parts = compensation.compensate_answer, BagProbe.parts
+    inside: list[dict] = []
+
+    def recording(answer, query, alias, leaked, log=None, extra=None):
+        deltas = [message.payload.delta for message in leaked]
+        deltas += extra or []
+        record = {
+            "leaked": len(leaked),
+            "admitted": sum(_keeps_a_row(query, alias, d) for d in deltas),
+            "parts": 0,
+        }
+        records.append(record)
+        inside.append(record)
+        try:
+            return shipped(answer, query, alias, leaked, log, extra)
+        finally:
+            inside.pop()
+
+    def counted_parts(probe, items):
+        if inside:
+            inside[-1]["parts"] += 1
+        return parts(probe, items)
+
+    vm.compensate_answer = va.compensate_answer = recording
+    BagProbe.parts = counted_parts
+    try:
+        yield records
+    finally:
+        vm.compensate_answer = va.compensate_answer = shipped
+        BagProbe.parts = parts

@@ -1,5 +1,7 @@
 """Relation schemas: construction, lookups, evolution."""
 
+import pickle
+
 import pytest
 
 from repro.relational.errors import (
@@ -54,6 +56,21 @@ class TestConstruction:
     def test_contains(self, item):
         assert "Book" in item
         assert "Title" not in item
+
+    def test_remembered_names_change_no_pickle_equality_or_hash(self, item):
+        cold = RelationSchema(item.name, item.attributes)
+        shipped = pickle.dumps(cold)
+        assert "Price" in item and "price" not in item
+        assert "_names" in vars(item)
+        assert item == cold and hash(item) == hash(cold)
+        assert repr(item) == repr(cold)
+        assert pickle.dumps(item) == shipped
+        copy = pickle.loads(shipped)
+        assert set(vars(copy)) == {"name", "attributes"}
+        assert copy == item and hash(copy) == hash(item)
+        assert [name in copy for name in ("SID", "Book", "Title")] == [
+            True, True, False,
+        ]
 
     def test_iteration_order(self, item):
         assert [a.name for a in item] == ["SID", "Book", "Author", "Price"]

@@ -266,3 +266,37 @@ def test_indexes_follow_data_updates():
         ("Compilers", 40.0),
         ("Datalog", 40.0),
     ]
+
+
+@pytest.mark.parametrize(
+    "backend", [DataSource, SqliteDataSource], ids=["memory", "sqlite"]
+)
+@pytest.mark.parametrize(
+    "update",
+    [DropAttribute("Item", "Price"), RenameAttribute("Item", "Price", "Cost")],
+    ids=["drop-attr", "rename-attr"],
+)
+def test_an_admitted_probe_is_checked_again_after_a_schema_change(
+    backend, update
+):
+    """A source remembers the probes it admitted per (shape, current
+    schemas): an identical probe after a schema change is checked
+    against the new schema and raises what it always raised, and a
+    failure is not remembered as an admission."""
+    source = backend("retailer")
+    source.create_relation(ITEM, ROWS)
+    first, again = (query_over("Item", "Book", "Price") for _ in range(2))
+    assert sorted(source.execute(first).rows()) == sorted(
+        source.execute(again).rows()
+    )
+    source.commit(update)
+    probe = query_over("Item", "Book", "Price")
+    for _ in range(2):
+        with pytest.raises(BrokenQueryError) as raised:
+            source.execute(probe)
+        assert str(raised.value) == (
+            "broken query at source 'retailer': attribute 'Price' missing "
+            f"from relation 'Item' (query: {probe.sql()})"
+        )
+    # a change the probe does not mention leaves it admitted
+    assert len(source.execute(query_over("Item", "Book"))) == 2
