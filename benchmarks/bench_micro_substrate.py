@@ -21,12 +21,9 @@ import pytest
 import repro.maintenance.va as va_module
 from repro.cache import SnapshotCache
 from repro.core.correction import correct
-from repro.core.dependencies import find_dependencies
-from repro.core.detection import detect
 from repro.core.incremental import IncrementalDependencyGraph
 from repro.core.scheduler import DynoScheduler
 from repro.core.strategies import PESSIMISTIC
-from repro.experiments.ablations import _synthetic_queue
 from repro.experiments.testbed import full_join_query
 from repro.maintenance.batch import combine_schema_changes
 from repro.maintenance.compensation import compensate_answer
@@ -58,12 +55,18 @@ from repro.frontend.reads import CONSISTENCY_LEVELS, ReadWorkload
 from repro.views.manager import _UMQView
 from repro.views.umq import UpdateMessageQueue
 
-# Run as a script, sys.path[0] is this directory: the read replay's
-# oracle lives in the repository's test package.
+# Run as a script, sys.path[0] is this directory: the read replay's and
+# the detection substrate's oracles live in the repository's test
+# package.
 REPO_ROOT = Path(__file__).resolve().parent.parent
 if str(REPO_ROOT) not in sys.path:
     sys.path.insert(0, str(REPO_ROOT))
 
+from tests.detection_oracle import (  # noqa: E402
+    detect,
+    find_dependencies,
+    synthetic_queue,
+)
 from tests.read_oracle import serve_reference  # noqa: E402
 
 R = RelationSchema.of("R", [("k", AttributeType.INT), "a"])
@@ -369,13 +372,13 @@ def test_micro_probe_sweep(benchmark, width):
 
 def test_micro_graph_build(benchmark):
     """Steady-state timing of one pre-exec detection round."""
-    messages = _synthetic_queue(400, 20)
+    messages = synthetic_queue(400, 20)
     benchmark(find_dependencies, messages, full_join_query())
 
 
 def test_micro_legal_order(benchmark):
     """Cycle merge + topological sort on a 400-update queue."""
-    messages = _synthetic_queue(400, 20)
+    messages = synthetic_queue(400, 20)
     graph = detect(messages, full_join_query()).graph
     benchmark(graph.legal_order)
 
@@ -384,7 +387,7 @@ def test_micro_class_order(benchmark):
     """The same queue ordered as the live substrate orders it: over the
     class graph, no message-level edge built; groups equal the
     message-level order."""
-    messages = _synthetic_queue(400, 20)
+    messages = synthetic_queue(400, 20)
     umq = UpdateMessageQueue()
     substrate = IncrementalDependencyGraph(
         umq, lambda query=full_join_query(): (query,)
@@ -400,7 +403,7 @@ def test_micro_rename_arrival(benchmark):
     20 renames: the live graph's rebuild fallback, which is what an
     arrival costs on rename-heavy traffic (the spine's ``sc_mixed``)."""
     view_query = full_join_query()
-    prefill = _synthetic_queue(400, 20)
+    prefill = synthetic_queue(400, 20)
     arrival = UpdateMessage(
         "src1", 401, 401.0, RenameRelation("R1", "R1__arrival")
     )
@@ -426,16 +429,14 @@ def test_micro_legal_reorder(benchmark):
     rename lineage's order, so the live graph keeps its mirror (the
     reorder a detection round with renames queued applies)."""
     view_query = full_join_query()
-    prefill = _synthetic_queue(400, 20)
+    prefill = synthetic_queue(400, 20)
 
     def queue_of_400():
         umq = UpdateMessageQueue()
         graph = IncrementalDependencyGraph(umq, lambda: (view_query,))
         for message in prefill:
             umq.receive(message)
-        units = correct(
-            umq.messages(), view_query, detection=graph.detection()
-        ).units
+        units = correct(umq.messages(), graph.detection()).units
         return (umq, graph, units), {}
 
     def reorder(umq, graph, units):
@@ -454,7 +455,7 @@ def test_micro_sc_burst_arrivals(benchmark, monkeypatch):
     live): the whole burst ``test_micro_rename_arrival`` times one
     arrival of — the spine's ``sc_mixed``, whose stream ends up queued
     behind view adaptation.  An arrival costs one rewrite, its own."""
-    prefill = _synthetic_queue(500, 0)
+    prefill = synthetic_queue(500, 0)
     names = [f"R{relation + 1}" for relation in range(6)]
     burst = []
     for index in range(40):  # six rename chains, names minted once

@@ -157,16 +157,18 @@ def main() -> None:
     )
     engine.schedule_workload(workload)
 
-    # Peek at the dependency graph before running: there is a cycle.
+    # Peek at the scheduler's dependency graph before running: there
+    # is a cycle.
     engine.advance_to_next_event()
-    result = correct(manager.umq.messages(), manager.view.query)
+    scheduler = DynoScheduler(manager, PESSIMISTIC)
+    result = correct(manager.umq.messages(), scheduler.substrate.detection())
     print("\ndependency analysis of the queue:")
     print(f"  nodes: {result.node_count}, edges: {result.edge_count}")
     print(f"  cycles merged into batches: {result.merges}")
     for unit in result.units:
         print("  scheduled unit:", unit.describe())
 
-    DynoScheduler(manager, PESSIMISTIC).run()
+    scheduler.run()
 
     print("\nrewritten definition (Query 5):")
     print(" ", manager.view.sql())

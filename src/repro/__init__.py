@@ -27,7 +27,6 @@ from .core import (
     PESSIMISTIC,
     AnomalyType,
     Dependency,
-    DependencyGraph,
     DependencyKind,
     DynoScheduler,
     ParallelScheduler,
@@ -37,7 +36,6 @@ from .core import (
     Strategy,
     assign_views,
     correct,
-    detect,
 )
 from .frontend import (
     READ_COMMITTED_VERSION,
@@ -153,7 +151,6 @@ __all__ = [
     "DataUpdate",
     "Delta",
     "Dependency",
-    "DependencyGraph",
     "DependencyKind",
     "DropAttribute",
     "DropRelation",
@@ -210,7 +207,6 @@ __all__ = [
     "attr",
     "check_convergence",
     "correct",
-    "detect",
     "execute",
     "parse_query",
     "parse_view",

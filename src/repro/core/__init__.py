@@ -6,13 +6,11 @@ from .dependencies import (
     Dependency,
     DependencyKind,
     Footprint,
-    find_dependencies,
     footprint_of_query,
     footprint_of_update,
 )
-from .detection import DetectionResult, detect
-from .graph import DependencyGraph
 from .incremental import (
+    DetectionResult,
     FootprintCache,
     IncrementalDependencyGraph,
     lineage_affecting,
@@ -40,7 +38,6 @@ __all__ = [
     "BrokenQueryPolicy",
     "CorrectionResult",
     "Dependency",
-    "DependencyGraph",
     "DependencyKind",
     "DetectionResult",
     "DynoScheduler",
@@ -58,8 +55,6 @@ __all__ = [
     "Strategy",
     "assign_views",
     "correct",
-    "detect",
-    "find_dependencies",
     "footprint_of_query",
     "footprint_of_update",
     "lineage_affecting",

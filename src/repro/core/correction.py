@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from ..sources.messages import UpdateMessage
 from ..views.umq import MaintenanceUnit
-from .detection import DetectionResult, detect
+from .incremental import DetectionResult
 
 
 @dataclass
@@ -40,21 +40,15 @@ class CorrectionResult:
 
 
 def correct(
-    messages: list[UpdateMessage],
-    view_query,
-    detection: DetectionResult | None = None,
+    messages: list[UpdateMessage], detection: DetectionResult
 ) -> CorrectionResult:
-    """Detect dependencies and compute a legal maintenance order.
+    """The legal maintenance order of a detection round over
+    ``messages`` (the substrate's ``detection()``).
 
     The returned units preserve FIFO order wherever dependencies allow;
     messages inside a merged batch keep their commit order so batch
-    preprocessing (Section 5) can combine them correctly.  A caller
-    holding a detection round already (the incremental detection
-    substrate's class-graph order) passes it as ``detection`` to skip
-    the from-scratch build.
+    preprocessing (Section 5) can combine them correctly.
     """
-    if detection is None:
-        detection = detect(messages, view_query)
     groups = detection.groups
     units = [
         MaintenanceUnit([messages[index] for index in group])
@@ -66,9 +60,7 @@ def correct(
 
 
 def merge_all(
-    messages: list[UpdateMessage],
-    view_query,
-    detection: DetectionResult | None = None,
+    messages: list[UpdateMessage], detection: DetectionResult
 ) -> CorrectionResult:
     """The simplistic alternative of Section 4.2: merge *everything*
     into one batch whenever a broken query occurs.
@@ -77,8 +69,6 @@ def merge_all(
     confirms) that it loses intermediate view states and inflates both
     the batch cost and the chance of further aborts.
     """
-    if detection is None:
-        detection = detect(messages, view_query)
     units = [MaintenanceUnit(list(messages))] if messages else []
     return CorrectionResult(
         units, detection, merges=1 if len(messages) > 1 else 0, changed=True

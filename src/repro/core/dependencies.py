@@ -18,8 +18,8 @@ be maintained:
   tuple cannot be replayed backwards).
 
 A :class:`Dependency` is oriented ``before -> after``: ``before`` must
-be maintained first.  Definition 6's *unsafe* test compares that
-requirement with the UMQ positions.
+be maintained first.  The live graph that draws these edges is
+:class:`~repro.core.incremental.IncrementalDependencyGraph`.
 """
 
 from __future__ import annotations
@@ -59,11 +59,9 @@ class NameResolver:
     ``(source, root relation, attribute)``.
     """
 
-    def __init__(self, messages) -> None:
+    def __init__(self) -> None:
         self._relation_root: dict[tuple[str, str], str] = {}
         self._attribute_root: dict[tuple[str, str, str], str] = {}
-        for message in messages:
-            self.extend(message)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, NameResolver):
@@ -113,7 +111,7 @@ class NameResolver:
         )
 
 
-_IDENTITY_RESOLVER: "NameResolver" = NameResolver([])
+_IDENTITY_RESOLVER: "NameResolver" = NameResolver()
 
 
 @dataclass(frozen=True)
@@ -123,11 +121,6 @@ class Dependency:
     before_index: int
     after_index: int
     kind: DependencyKind
-
-    def is_unsafe(self) -> bool:
-        """Definition 6: unsafe iff the queue order contradicts the
-        required order (indices are queue positions)."""
-        return self.before_index > self.after_index
 
 
 @dataclass(frozen=True)
@@ -316,76 +309,3 @@ def names_read_by_update(message: UpdateMessage, view_queries) -> set[tuple]:
         if ref.source == message.source
     )
     return names
-
-
-def find_dependencies(
-    messages: list[UpdateMessage],
-    view_query,
-    rewritten_query: Callable[[UpdateMessage], object] | None = None,
-) -> list[Dependency]:
-    """Build all CD and SD dependencies among queued updates.
-
-    ``messages`` are in UMQ order (which is commit-arrival order), so a
-    dependency's indices double as queue positions for the Definition 6
-    safety test.  Complexity: O(mn) for CDs (m schema changes) plus O(n)
-    for SDs, as analyzed in Section 4.1.1.
-    """
-    dependencies: list[Dependency] = []
-
-    # Semantic dependencies: adjacent updates of the same relation at
-    # the same source, in commit order (single scan with buckets).
-    last_touch: dict[tuple[str, str], int] = {}
-    for index, message in enumerate(messages):
-        for relation in message.touched_relations():
-            key = (message.source, relation)
-            previous = last_touch.get(key)
-            if previous is not None:
-                dependencies.append(
-                    Dependency(previous, index, DependencyKind.SEMANTIC)
-                )
-            last_touch[key] = index
-
-    # Concurrent dependencies: each view-conflicting schema change must
-    # precede every other update whose maintenance footprint it
-    # invalidates.  Rename lineages are resolved so chained renames
-    # (R -> R__v2 -> R__v3) conflict with footprints that still carry
-    # the original names.
-    resolver = NameResolver(messages)
-    footprints: list[Footprint | None] = [None] * len(messages)
-
-    def footprint(index: int) -> Footprint:
-        cached = footprints[index]
-        if cached is None:
-            cached = footprint_of_update(
-                messages[index], view_query, rewritten_query, resolver
-            ).normalized(resolver)
-            footprints[index] = cached
-        return cached
-
-    for sc_index, sc_message in enumerate(messages):
-        if not sc_message.is_schema_change:
-            continue
-        change = sc_message.payload
-        assert isinstance(change, SchemaChange)
-        for other_index, _other in enumerate(messages):
-            if other_index == sc_index:
-                continue
-            if footprint(other_index).conflicted_by(
-                sc_message.source, change, resolver
-            ):
-                dependencies.append(
-                    Dependency(
-                        sc_index, other_index, DependencyKind.CONCURRENT
-                    )
-                )
-
-    # Deduplicate parallel edges of the same kind.
-    unique: dict[tuple[int, int, DependencyKind], Dependency] = {}
-    for dependency in dependencies:
-        key = (
-            dependency.before_index,
-            dependency.after_index,
-            dependency.kind,
-        )
-        unique.setdefault(key, dependency)
-    return list(unique.values())

@@ -1,4 +1,4 @@
-"""The dependency graph and its algorithms.
+"""The dependency graph's algorithms.
 
 Nodes are queue positions of the updates in the UMQ; edges are
 dependencies oriented *must-run-before*.  Two classic algorithms, both
@@ -19,59 +19,6 @@ graph (docs/ALGORITHMS.md §Incremental detection substrate).
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
-
-from .dependencies import Dependency
-
-
-@dataclass
-class DependencyGraph:
-    """A dependency graph over ``node_count`` queued updates."""
-
-    node_count: int
-    dependencies: list[Dependency] = field(default_factory=list)
-
-    def __post_init__(self) -> None:
-        for dependency in self.dependencies:
-            self._check(dependency)
-
-    def _check(self, dependency: Dependency) -> None:
-        for index in (dependency.before_index, dependency.after_index):
-            if not 0 <= index < self.node_count:
-                raise ValueError(
-                    f"dependency touches node {index}, graph has "
-                    f"{self.node_count} nodes"
-                )
-
-    def add(self, dependency: Dependency) -> None:
-        self._check(dependency)
-        self.dependencies.append(dependency)
-
-    @property
-    def edge_count(self) -> int:
-        return len(self.dependencies)
-
-    def successors(self) -> list[list[int]]:
-        adjacency: list[list[int]] = [[] for _ in range(self.node_count)]
-        for dependency in self.dependencies:
-            adjacency[dependency.before_index].append(dependency.after_index)
-        return adjacency
-
-    def unsafe_dependencies(self) -> list[Dependency]:
-        """Dependencies violating the current queue order (Def. 6)."""
-        return [
-            dependency
-            for dependency in self.dependencies
-            if dependency.is_unsafe()
-        ]
-
-    def strongly_connected_components(self) -> list[list[int]]:
-        """SCCs in reverse topological order, members sorted ascending."""
-        return strongly_connected_components(self.successors())
-
-    def legal_order(self) -> list[list[int]]:
-        """The corrected order (Theorem 2 + cycle merge) of this graph."""
-        return legal_order(self.successors(), self.node_count)
 
 
 def strongly_connected_components(

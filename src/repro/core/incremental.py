@@ -7,6 +7,7 @@ docs/ALGORITHMS.md §Incremental detection substrate.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Callable
 
 from ..sim.metrics import Metrics
@@ -27,12 +28,29 @@ from .dependencies import (
     names_read_by_change,
     names_read_by_update,
 )
-from .detection import DetectionResult
 from .graph import legal_order
 
 #: edge kinds of the expanded ``Dependency`` tuples
 _CD = DependencyKind.CONCURRENT
 _SD = DependencyKind.SEMANTIC
+
+
+@dataclass
+class DetectionResult:
+    """What correction reads of a detection round: the graph's size
+    (the cost model charges it) and its legal order."""
+
+    node_count: int
+    edge_count: int
+    groups: list[list[int]]
+
+
+def _resolver_of(messages) -> NameResolver:
+    """A resolver that has folded in ``messages``, in order."""
+    resolver = NameResolver()
+    for message in messages:
+        resolver.extend(message)
+    return resolver
 
 
 def _footprint_once(query, exclude_aliases=frozenset()) -> Footprint:
@@ -238,11 +256,10 @@ class IncrementalDependencyGraph:
     chains whose consecutive pairs are the semantic edges, and the
     footprint classes from which the concurrent edges follow.
     ``dependencies()`` expands the edges in current queue positions,
-    bit-identical to a from-scratch
-    :func:`~repro.core.dependencies.find_dependencies` over the same
-    messages.  It also answers the parallel executor's questions
-    (Definition 7 / Theorem 2): :meth:`ready_units` and
-    :meth:`unit_successors`.
+    bit-identical to the from-scratch §4.1 builder over the same
+    messages (``tests/detection_oracle.py``).  It also answers the
+    parallel executor's questions (Definition 7 / Theorem 2):
+    :meth:`ready_units` and :meth:`unit_successors`.
     """
 
     def __init__(
@@ -267,7 +284,7 @@ class IncrementalDependencyGraph:
         self._next_abs = 0
         #: lazy absolute id -> queue position map
         self._pos: dict[int, int] | None = None
-        self._resolver = NameResolver([])
+        self._resolver = NameResolver()
         #: the queued lineage links (resolver inputs), as absolute ids
         self._lineage: set[int] = set()
         #: (source, relation) -> absolute ids touching it, queue order
@@ -663,7 +680,7 @@ class IncrementalDependencyGraph:
         if clear_cache:
             self.cache.clear()
         self.cache.validate()
-        self._resolver = NameResolver(self._umq.messages())
+        self._resolver = _resolver_of(self._umq.messages())
         self._verdicts = {
             absolute: {}
             for absolute in self._order
@@ -793,7 +810,7 @@ class IncrementalDependencyGraph:
         order = [
             absolute_of[id(message)] for unit in units for message in unit
         ]
-        if self._lineage and self._resolver != NameResolver(
+        if self._lineage and self._resolver != _resolver_of(
             self._message_of[absolute]
             for absolute in order
             if absolute in self._lineage

@@ -259,12 +259,7 @@ class DynoScheduler:
 
     def detect_and_correct(self) -> CorrectionResult:
         """Lines 4-5 of Figure 6: build the graph, fix the order."""
-        messages = self.umq.messages()
-        result = correct(
-            messages,
-            self.manager.maintenance_queries,
-            detection=self.substrate.detection(),
-        )
+        result = correct(self.umq.messages(), self.substrate.detection())
         # Install the corrected order before charging the detection
         # delay: commits firing inside the delay window must append
         # behind the corrected schedule, not invalidate it.
@@ -289,11 +284,7 @@ class DynoScheduler:
         return result
 
     def _merge_whole_queue(self) -> None:
-        result = merge_all(
-            self.umq.messages(),
-            self.manager.maintenance_queries,
-            detection=self.substrate.detection(),
-        )
+        result = merge_all(self.umq.messages(), self.substrate.detection())
         # Install before charging: commits firing inside the charge
         # window must append behind the merged order, not invalidate it
         # (same ordering as detect_and_correct).

@@ -1,4 +1,4 @@
-"""The ablation runners (ABL-1..3, 5..11) and, beside each, its
+"""The ablation runners (ABL-1, 3, 6..11) and, beside each, its
 acceptance bar: ``run_*`` measures, ``check_*(result)`` asserts the
 claimed shape.  :mod:`.table` states which sweep each runs at which
 scale; the runners' own defaults are what no scale varies.
@@ -6,14 +6,8 @@ scale; the runners' own defaults are what no scale varies.
 
 from __future__ import annotations
 
-import gc
-import random
-import time
 from types import SimpleNamespace
 
-from ..core.dependencies import find_dependencies
-from ..core.detection import detect
-from ..core.incremental import IncrementalDependencyGraph
 from ..core.strategies import BLIND_MERGE, OPTIMISTIC, PESSIMISTIC
 from ..faults.plan import FaultPlan
 from ..frontend.reads import (
@@ -23,14 +17,6 @@ from ..frontend.reads import (
 )
 from ..maintenance.grouping import BatchPolicy
 from ..recovery import CrashPlan
-from ..relational.delta import Delta
-from ..sources.messages import (
-    DataUpdate,
-    DropAttribute,
-    RenameRelation,
-    UpdateMessage,
-)
-from ..views.umq import UpdateMessageQueue
 from .config import WarehouseConfig
 from .runner import (
     FigureResult,
@@ -44,8 +30,6 @@ from .testbed import (
     SOURCE_NAMES,
     ShardedTestbed,
     du_stream,
-    full_join_query,
-    relation_schema,
     sc_stream,
 )
 
@@ -149,182 +133,6 @@ def check_starvation(result: FigureResult) -> None:
     """Progress at every interval: no stream starves maintenance."""
     for point in result.points:
         assert point.values["maintained"] > 0
-
-
-def _renamed(schema, relation_index: int, position: int):
-    """A lineage-building schema change: rename chains force resolver
-    rebuilds (the O(mn) worst case ABL-2 measures)."""
-    return RenameRelation(schema.name, f"{schema.name}__v{position}")
-
-
-def _dropped(schema, relation_index: int, position: int):
-    """A *non-lineage* schema change (the workload where incremental
-    detection shines: no rename chains, so arrivals never force a
-    resolver rebuild)."""
-    return DropAttribute(schema.name, f"C{relation_index + 1}")
-
-
-def _synthetic_queue(
-    count: int,
-    n_schema_changes: int,
-    workload_seed: int = 5,
-    schema_change=_renamed,
-    first_seqno: int = 1,
-) -> list[UpdateMessage]:
-    """A UMQ snapshot of ``count`` messages: single-row inserts, with
-    ``n_schema_changes`` of them replaced by
-    ``schema_change(schema, relation_index, position)``."""
-    rng = random.Random(workload_seed)
-    messages: list[UpdateMessage] = []
-    sc_positions = set(
-        rng.sample(range(count), min(n_schema_changes, count))
-    )
-    for position in range(count):
-        relation_index = rng.randrange(6)
-        schema = relation_schema(relation_index)
-        source = f"src{relation_index // 2 + 1}"
-        if position in sc_positions:
-            payload = schema_change(schema, relation_index, position)
-        else:
-            delta = Delta.insertion(
-                schema, [(position, "x", 1.0, position)]
-            )
-            payload = DataUpdate(schema.name, delta)
-        seqno = first_seqno + position
-        messages.append(
-            UpdateMessage(source, seqno, float(seqno), payload)
-        )
-    return messages
-
-
-def _edge_set(dependencies):
-    return {
-        (dep.before_index, dep.after_index, dep.kind)
-        for dep in dependencies
-    }
-
-
-def run_incremental_detection_ablation(
-    sizes: tuple[int, ...],
-    rounds: int = 40,
-    sc_fraction: float = 0.05,
-    workload_seed: int = 9,
-) -> FigureResult:
-    """ABL-5: per-round detection time, from-scratch rebuild vs the
-    incremental substrate.  A *round* is one scheduler step at steady
-    queue length ``n``: one arrival, a detection pass, one head
-    removal, another detection pass.  Each pass is what the scheduler
-    would run: :func:`detect` (edges and legal order) from scratch,
-    against the substrate's ``detection()`` that ``detect_and_correct``
-    calls.  Both arms consume the identical stream; final edge sets and
-    corrected orders must be identical."""
-    view_query = full_join_query()
-    result = FigureResult(
-        figure_id="ABL-5",
-        title="Incremental vs from-scratch detection (per-round ms)",
-        x_label="n_updates",
-    )
-    for n_updates in sizes:
-        n_schema_changes = max(1, int(n_updates * sc_fraction))
-        prefill = _synthetic_queue(
-            n_updates, n_schema_changes, workload_seed, _dropped
-        )
-        arrivals = _synthetic_queue(
-            rounds,
-            max(1, int(rounds * sc_fraction)),
-            workload_seed + 1,
-            _dropped,
-            first_seqno=n_updates + 1,
-        )
-
-        # -- from-scratch arm ------------------------------------------
-        queue: list[UpdateMessage] = list(prefill)
-        started = time.perf_counter()
-        for message in arrivals:
-            queue.append(message)
-            detect(queue, view_query)
-            del queue[0]
-            detect(queue, view_query)
-        full_ms = (time.perf_counter() - started) * 1000 / (2 * rounds)
-
-        # -- incremental arm -------------------------------------------
-        umq = UpdateMessageQueue()
-        incremental = IncrementalDependencyGraph(
-            umq, lambda query=view_query: (query,)
-        )
-        for message in prefill:
-            umq.receive(message)
-        started = time.perf_counter()
-        for message in arrivals:
-            umq.receive(message)
-            incremental.detection()
-            umq.remove_head()
-            incremental.detection()
-        incremental_ms = (
-            (time.perf_counter() - started) * 1000 / (2 * rounds)
-        )
-
-        # Both arms saw the same stream: outputs must be bit-identical.
-        rebuilt = detect(umq.messages(), view_query)
-        result.require(
-            _edge_set(rebuilt.graph.dependencies)
-            == _edge_set(incremental.dependencies())
-            and rebuilt.groups == incremental.detection().groups,
-            f"n={n_updates}: incremental output diverged from oracle",
-        )
-
-        result.add(
-            n_updates,
-            full_ms=full_ms,
-            incremental_ms=incremental_ms,
-            speedup=ratio(full_ms, incremental_ms),
-        )
-    result.notes.append(
-        "corrected orders verified identical between both arms"
-    )
-    return result
-
-
-def check_incremental_detection(result: FigureResult) -> None:
-    """The substrate's contract: from queue length 200 on, per-round
-    detection is at least 2x cheaper than a from-scratch build."""
-    for point in result.points:
-        if point.x >= 200:
-            assert point.values["speedup"] >= 2.0
-
-
-def run_graph_scaling_ablation(
-    sizes: tuple[tuple[int, int], ...],
-) -> FigureResult:
-    """Wall-clock scaling of dependency-graph construction (O(mn))."""
-    view_query = full_join_query()
-    result = FigureResult(
-        figure_id="ABL-2",
-        title="Dependency graph construction scaling (wall-clock ms)",
-        x_label="n_updates",
-    )
-    for n_updates, n_schema_changes in sizes:
-        messages = _synthetic_queue(n_updates, n_schema_changes)
-        # Time the build alone: a full collection of garbage left by
-        # earlier code would otherwise land in whichever build it hits.
-        gc.collect()
-        started = time.perf_counter()
-        dependencies = find_dependencies(messages, view_query)
-        elapsed_ms = (time.perf_counter() - started) * 1000
-        result.add(
-            n_updates,
-            m_schema_changes=float(n_schema_changes),
-            edges=float(len(dependencies)),
-            build_ms=elapsed_ms,
-        )
-    return result
-
-
-def check_graph_scaling(result: FigureResult) -> None:
-    """O(mn): 2x n and 2x m -> ~4x edges between consecutive points."""
-    edges = result.series("edges")
-    for previous, current in zip(edges, edges[1:]):
-        assert 2.0 < current / previous < 8.0
 
 
 def _du_heavy_stream(config: WarehouseConfig, workload_seed: int, **stream):

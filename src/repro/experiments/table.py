@@ -129,24 +129,6 @@ EXPERIMENTS = (
         bar=ablations.check_blind_merge,
     ),
     Experiment(
-        "abl-graph-scaling",
-        ablations.run_graph_scaling_ablation,
-        quick={"sizes": ((100, 5), (200, 10), (400, 20), (800, 40))},
-        full={
-            "sizes": ((100, 5), (200, 10), (400, 20), (800, 40), (1600, 80))
-        },
-        timebase="wall",
-        bar=ablations.check_graph_scaling,
-    ),
-    Experiment(
-        "abl-incremental-detection",
-        ablations.run_incremental_detection_ablation,
-        quick={"sizes": (50, 100, 200, 400)},
-        full={"sizes": (50, 100, 200, 400, 800)},
-        timebase="wall",
-        bar=ablations.check_incremental_detection,
-    ),
-    Experiment(
         "abl-starvation",
         ablations.run_starvation_study,
         quick={"config": _scale(500)},

@@ -189,8 +189,3 @@ class Delta:
         duplicate._validated = self._validated
         return duplicate
 
-    def scaled(self, factor: int) -> "Delta":
-        scaled = Delta(self.schema)
-        for row, count in self._counts.items():
-            scaled.add(row, count * factor)
-        return scaled

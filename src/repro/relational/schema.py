@@ -162,13 +162,6 @@ class RelationSchema(Memoised):
             )
         return RelationSchema(self.name, self.attributes + (attribute,))
 
-    def project(self, attribute_names: Iterable[str]) -> "RelationSchema":
-        """Schema restricted to the given attributes, in the given order."""
-        attributes = tuple(
-            self.attribute(attribute_name) for attribute_name in attribute_names
-        )
-        return RelationSchema(self.name, attributes)
-
     # ------------------------------------------------------------------
     # rendering
     # ------------------------------------------------------------------

@@ -109,22 +109,6 @@ class CostModel:
     # derived costs
     # ------------------------------------------------------------------
 
-    def probe_query(self, probe_values: int, result_tuples: int) -> float:
-        """An indexed maintenance probe (IN-list) query."""
-        return (
-            self.query_base
-            + probe_values * self.query_per_probe_value
-            + result_tuples * self.query_per_result_tuple
-        )
-
-    def scan_query(self, scanned_tuples: int, result_tuples: int) -> float:
-        """A full-relation read (view adaptation)."""
-        return (
-            self.query_base
-            + scanned_tuples * self.query_per_scanned_tuple
-            + result_tuples * self.query_per_result_tuple
-        )
-
     def refresh(self, delta_tuples: int) -> float:
         return self.refresh_base + delta_tuples * self.refresh_per_tuple
 
@@ -216,40 +200,4 @@ class CostModel:
             patch_per_row=0.1 / n,
             aux_hit=0.0015,
             aux_update_per_row=0.08 / n,
-        )
-
-    @classmethod
-    def free(cls) -> "CostModel":
-        """Zero-cost model for pure-logic unit tests."""
-        return cls(
-            query_base=0.0,
-            query_per_probe_value=0.0,
-            query_per_result_tuple=0.0,
-            query_per_scanned_tuple=0.0,
-            refresh_per_tuple=0.0,
-            refresh_base=0.0,
-            vs_rewrite=0.0,
-            va_base=0.0,
-            va_per_tuple=0.0,
-            retry_overhead=0.0,
-            cache_hit=0.0,
-            patch_per_row=0.0,
-            aux_hit=0.0,
-            aux_update_per_row=0.0,
-            detection_flag_check=0.0,
-            detection_per_node=0.0,
-            detection_per_edge=0.0,
-            detection_incremental_per_node=0.0,
-            detection_incremental_per_edge=0.0,
-            correction_per_element=0.0,
-            dispatch_overhead=0.0,
-            batch_merge_per_message=0.0,
-            journal_append_base=0.0,
-            journal_append_per_byte=0.0,
-            checkpoint_base=0.0,
-            checkpoint_per_tuple=0.0,
-            replay_per_entry=0.0,
-            read_point_base=0.0,
-            read_scan_base=0.0,
-            read_scan_per_tuple=0.0,
         )

@@ -56,11 +56,6 @@ class Tracer:
     def of_kind(self, kind: str) -> list[TraceEvent]:
         return [event for event in self.events if event.kind == kind]
 
-    def between(self, start: float, end: float) -> list[TraceEvent]:
-        return [
-            event for event in self.events if start <= event.at <= end
-        ]
-
     def __iter__(self) -> Iterator[TraceEvent]:
         return iter(self.events)
 

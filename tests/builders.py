@@ -4,13 +4,14 @@ package: the warehouse never calls them, so they live here."""
 from __future__ import annotations
 
 import random
-from dataclasses import replace
+from dataclasses import fields, replace
 
 from repro.faults.retry import RetryPolicy
 from repro.maintenance.decompose import selection_conjuncts
 from repro.relational.errors import QueryError
 from repro.relational.predicate import AttrRef, Predicate, conjunction
 from repro.relational.query import RelationRef, SPJQuery
+from repro.sim.costs import CostModel
 
 
 def poisson_arrival_times(
@@ -42,6 +43,15 @@ def aggressive_retry_policy() -> RetryPolicy:
         max_backoff=0.5,
         deadline=30.0,
         quarantine_probe=1.0,
+    )
+
+
+def free_cost_model() -> CostModel:
+    """Zero-cost model for pure-logic unit tests: every duration 0 (the
+    two capacities, channels per source and read servers, keep their
+    defaults)."""
+    return CostModel(
+        **{f.name: 0.0 for f in fields(CostModel) if f.type == "float"}
     )
 
 

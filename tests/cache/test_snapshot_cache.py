@@ -13,6 +13,7 @@ from repro.sources.messages import DataUpdate, DropAttribute
 from repro.sources.replica import LocalHit
 from repro.sources.source import DataSource
 from tests.bag_oracle import normalized_query_key
+from tests.builders import free_cost_model
 
 R = RelationSchema.of("R", [("k", AttributeType.INT), "a"])
 T = RelationSchema.of("T", [("j", AttributeType.INT), "y"])
@@ -274,11 +275,10 @@ class TestRetriedRollForward:
         from repro.faults.injector import FaultInjector
         from repro.faults.plan import FaultPlan, TransientFault
         from repro.faults.retry import RetryPolicy
-        from repro.sim.costs import CostModel
         from repro.sim.effects import SourceQuery
         from repro.sim.engine import SimEngine
 
-        engine = SimEngine(CostModel.free())
+        engine = SimEngine(free_cost_model())
         source = engine.add_source(make_source())
         cache = engine.install_snapshot_cache()
         engine.install_faults(

@@ -21,6 +21,7 @@ from repro import (
     ViewManager,
     attr,
 )
+from tests.builders import free_cost_model
 
 # Two Hypothesis profiles.  ``tier1`` (the default) draws the same
 # examples on every run, so two runs report the same pass set.
@@ -167,4 +168,4 @@ def bookstore() -> tuple[SimEngine, ViewManager]:
 @pytest.fixture
 def bookstore_free() -> tuple[SimEngine, ViewManager]:
     """Bookstore with a zero-cost model (pure-logic tests)."""
-    return build_bookstore(CostModel.free())
+    return build_bookstore(free_cost_model())

@@ -5,13 +5,13 @@ update's, type 4 for a schema change's."""
 from repro.core.anomalies import AnomalyType
 from repro.core.scheduler import DynoScheduler
 from repro.relational.schema import RelationSchema
-from repro.sim.costs import CostModel
 from repro.sources.messages import (
     DataUpdate,
     DropAttribute,
     UpdateMessage,
 )
 from repro.views.umq import MaintenanceUnit
+from tests.builders import free_cost_model
 from tests.conftest import build_bookstore
 
 R = RelationSchema.of("R", ["a"])
@@ -27,7 +27,7 @@ def sc() -> UpdateMessage:
 
 def recorded_on_abort(message: UpdateMessage) -> dict:
     """The anomaly counts after ``M(message)`` aborts once."""
-    _engine, manager = build_bookstore(CostModel.free())
+    _engine, manager = build_bookstore(free_cost_model())
     DynoScheduler(manager)._record_abort(MaintenanceUnit([message]), 0.0)
     return {kind: n for kind, n in manager.metrics.anomalies.items() if n}
 

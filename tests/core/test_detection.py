@@ -1,7 +1,6 @@
 """The pre-exec detection entry point and the rename-lineage resolver."""
 
 from repro.core.dependencies import NameResolver
-from repro.core.detection import detect
 from repro.relational.schema import RelationSchema
 from repro.sources.messages import (
     CreateRelation,
@@ -13,6 +12,7 @@ from repro.sources.messages import (
     UpdateMessage,
 )
 from tests.conftest import CATALOG_SCHEMA, ITEM_SCHEMA, bookinfo_query
+from tests.detection_oracle import detect, resolver_of
 
 QUERY = bookinfo_query()
 
@@ -60,19 +60,19 @@ class TestNameResolver:
             message("s", 1, RenameRelation("R", "R__v2")),
             message("s", 2, RenameRelation("R__v2", "R__v3")),
         ]
-        resolver = NameResolver(messages)
+        resolver = resolver_of(messages)
         assert resolver.relation("s", "R__v3") == "R"
         assert resolver.relation("s", "R__v2") == "R"
         assert resolver.relation("s", "R") == "R"
 
     def test_unrelated_names_identity(self):
-        resolver = NameResolver([])
+        resolver = NameResolver()
         assert resolver.relation("s", "X") == "X"
         assert resolver.attribute("s", "R", "a") == ("R", "a")
 
     def test_per_source_isolation(self):
         messages = [message("s1", 1, RenameRelation("R", "R2"))]
-        resolver = NameResolver(messages)
+        resolver = resolver_of(messages)
         assert resolver.relation("s1", "R2") == "R"
         assert resolver.relation("s2", "R2") == "R2"
 
@@ -82,7 +82,7 @@ class TestNameResolver:
             message("s", 2, RenameRelation("R", "R2")),
             message("s", 3, RenameAttribute("R2", "a2", "a3")),
         ]
-        resolver = NameResolver(messages)
+        resolver = resolver_of(messages)
         assert resolver.attribute("s", "R2", "a3") == ("R", "a")
 
     def test_created_relation_starts_fresh_lineage(self):
@@ -100,7 +100,7 @@ class TestNameResolver:
             ),
             message("s", 3, RenameRelation("Flat2", "Flat3")),
         ]
-        resolver = NameResolver(messages)
+        resolver = resolver_of(messages)
         # Flat3 roots at Flat2 (created), not at anything earlier.
         assert resolver.relation("s", "Flat3") == "Flat2"
 

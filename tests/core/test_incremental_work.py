@@ -30,11 +30,10 @@ import pytest
 
 import repro.core.incremental as incremental_module
 from repro.core.correction import correct
-from repro.core.dependencies import Footprint, find_dependencies
+from repro.core.dependencies import Footprint
 from repro.core.incremental import IncrementalDependencyGraph
 from repro.core.scheduler import DynoScheduler
 from repro.core.strategies import PESSIMISTIC
-from repro.experiments.ablations import _edge_set, _synthetic_queue
 from repro.experiments.testbed import (
     RELATION_COUNT,
     SOURCE_NAMES,
@@ -47,7 +46,6 @@ from repro.experiments.testbed import (
 from repro.maintenance.vs import ViewSynchronizer
 from repro.relational.query import RelationRef
 from repro.relational.schema import RelationSchema
-from repro.sim.costs import CostModel
 from repro.sources.messages import (
     DataUpdate,
     DropAttribute,
@@ -59,12 +57,13 @@ from repro.sources.messages import (
 )
 from repro.sources.mkb import AttributeReplacement
 from repro.views.umq import MaintenanceUnit, UpdateMessageQueue
-from tests.builders import with_relation_replaced
+from tests.builders import free_cost_model, with_relation_replaced
 from tests.conftest import (
     STORE_SCHEMA,
     STOREITEMS_SCHEMA,
     build_bookstore,
 )
+from tests.detection_oracle import edge_set, find_dependencies, synthetic_queue
 
 QUERY = full_join_query()
 FIXTURE = (
@@ -281,7 +280,7 @@ def test_rename_arrival_work_is_per_class_not_per_message(monkeypatch):
     3ad7cc1 it ran ~``m * n`` and ``n + m``."""
     umq = UpdateMessageQueue()
     graph = IncrementalDependencyGraph(umq, lambda: (QUERY,))
-    queue = _synthetic_queue(210, 10)
+    queue = synthetic_queue(210, 10)
     for message in queue:
         umq.receive(message)
     classes = RELATION_COUNT
@@ -320,7 +319,7 @@ def _warm_queue():
     verdict already tested."""
     umq = UpdateMessageQueue()
     graph = IncrementalDependencyGraph(umq, lambda: (QUERY,))
-    for message in _synthetic_queue(210, 10):
+    for message in synthetic_queue(210, 10):
         umq.receive(message)
     graph.dependencies()
     return umq, graph
@@ -368,7 +367,7 @@ def test_rename_arrival_pays_for_its_own_key(monkeypatch):
     assert counts["conflicted_by"] == len(_verdicts_held(graph) - held) > 0
     assert graph.metrics.graph_rebuilds == rebuilds + 1
     assert graph.consume_work()[:2] == (211, graph.edge_count)
-    assert _edge_set(graph.dependencies()) == _edge_set(
+    assert edge_set(graph.dependencies()) == edge_set(
         find_dependencies(umq.messages(), QUERY)
     )
 
@@ -390,7 +389,7 @@ def test_drop_attribute_arrival_rederives_no_data_update(monkeypatch):
         UpdateMessage("src2", 1000, 1000.0, DropAttribute("R3", "C3"))
     )
     assert [message.is_schema_change for message in derived] == [True]
-    assert _edge_set(graph.dependencies()) == _edge_set(
+    assert edge_set(graph.dependencies()) == edge_set(
         find_dependencies(umq.messages(), QUERY)
     )
 
@@ -400,7 +399,7 @@ def test_legal_reorder_with_renames_queued_keeps_the_mirror(monkeypatch):
     rename lineage's order, so the resolver is unchanged: no footprint
     is missed and no rebuild runs — though one is charged."""
     umq, graph = _warm_queue()
-    units = correct(umq.messages(), QUERY, detection=graph.detection()).units
+    units = correct(umq.messages(), graph.detection()).units
     assert len(units) < len(umq.units)  # the renames merged something
     counts: dict[str, int] = {}
     _count_calls(monkeypatch, IncrementalDependencyGraph, "_rebuild", counts)
@@ -411,7 +410,7 @@ def test_legal_reorder_with_renames_queued_keeps_the_mirror(monkeypatch):
     assert "_rebuild" not in counts
     assert graph.metrics.footprint_cache_misses == misses
     assert graph.metrics.graph_rebuilds == rebuilds + 1
-    assert _edge_set(graph.dependencies()) == _edge_set(
+    assert edge_set(graph.dependencies()) == edge_set(
         find_dependencies(umq.messages(), QUERY)
     )
 
@@ -600,7 +599,7 @@ def test_rename_arrival_through_a_scheduler_rewrites_once(monkeypatch):
     testbed = build_testbed(PESSIMISTIC, tuples_per_relation=20)
     umq = testbed.manager.umq
     substrate = testbed.scheduler.substrate
-    queue = _synthetic_queue(210, 10)
+    queue = synthetic_queue(210, 10)
     for message in queue:
         umq.receive(message)
     substrate.dependencies()
@@ -610,14 +609,14 @@ def test_rename_arrival_through_a_scheduler_rewrites_once(monkeypatch):
 
     arrival = RenameRelation("R1", "R1__w")
     umq.receive(UpdateMessage("src1", 1000, 1000.0, arrival))
-    got = _edge_set(substrate.dependencies())
+    got = edge_set(substrate.dependencies())
     assert rewrites == [arrival]
     # The arrival's own rewritten query, and nothing already derived.
     assert len(derived) - seen == 1
     keys = [key[:2] for key in derived]
     assert len(keys) == len(set(keys))
     assert testbed.manager.synchronizer.consults == 0
-    assert got == _edge_set(
+    assert got == edge_set(
         find_dependencies(
             umq.messages(),
             testbed.manager.maintenance_queries,
@@ -629,7 +628,7 @@ def test_rename_arrival_through_a_scheduler_rewrites_once(monkeypatch):
 def _bookstore_with_replacement():
     """The bookstore stack with the MKB's ``StoreItems`` stand-in live
     at the retailer, so a relation replacement validates against it."""
-    engine, manager = build_bookstore(CostModel.free())
+    engine, manager = build_bookstore(free_cost_model())
     engine.source("retailer").create_relation(
         STOREITEMS_SCHEMA, [("Amazon", "Databases", "Gray", 50.0)]
     )
@@ -661,7 +660,7 @@ def test_a_rewrite_that_consulted_live_schemas_is_not_kept():
     retailer.commit(DropAttribute("StoreItems", "Price"), at=0.0)
     assert price not in substrate.footprint_at(0).attributes
     assert manager.synchronizer.consults > consults
-    assert _edge_set(substrate.dependencies()) == _edge_set(
+    assert edge_set(substrate.dependencies()) == edge_set(
         find_dependencies(
             manager.umq.messages(),
             manager.maintenance_queries,

@@ -78,6 +78,9 @@ TEST_ONLY_ALLOWED = {
 }
 
 _DOTTED = re.compile(r"[A-Za-z_]\w*(?:\.[A-Za-z_]\w*)+")
+#: ... and outside the package a bare name too: the spine's tracer binds
+#: methods by name (``vars(cls)[name]``)
+_NAMED = re.compile(r"[A-Za-z_]\w*(?:\.[A-Za-z_]\w*)*")
 
 
 def _definitions(tree):
@@ -95,51 +98,57 @@ def _definitions(tree):
     return walk(tree.body, "")
 
 
-def _uses(tree):
-    """``(name, line)`` for every name the module reads: a loaded
-    ``Name`` or ``Attribute``, or a component of a dotted-path string."""
+def _uses(tree, strings=_DOTTED):
+    """``(name, line, bare)`` for every name the module reads: a loaded
+    ``Name`` (``bare``), an ``Attribute``, or a component of a string
+    that ``strings`` matches (a name looked up by its text)."""
     for node in ast.walk(tree):
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-            yield node.id, node.lineno
+            yield node.id, node.lineno, True
         elif isinstance(node, ast.Attribute) and isinstance(
             node.ctx, ast.Load
         ):
-            yield node.attr, node.lineno
+            yield node.attr, node.lineno, False
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-            if _DOTTED.fullmatch(node.value):
+            if strings.fullmatch(node.value):
                 for part in node.value.split("."):
-                    yield part, node.lineno
+                    yield part, node.lineno, False
 
 
 def _test_only_definitions():
     """Definitions under ``src/repro`` whose name nothing outside
     ``tests/`` reads: not ``src/`` outside the definition's own body,
-    not ``benchmarks/`` or ``examples/``.  By name, so a name defined
-    twice passes when either is used; dunders are implicit protocol."""
+    not ``benchmarks/`` or ``examples/`` (code only: a word in a comment
+    or a docstring reaches nothing).  By name, so a name defined twice
+    passes when either is used; dunders are implicit protocol.  A
+    definition in a class body is reached only through an attribute
+    (``.name``) or a string: a bare name is some other function or
+    variable it shares a name with."""
     trees = {
         path.relative_to(SRC).as_posix(): ast.parse(path.read_text())
         for path in sorted(SRC.rglob("*.py"))
     }
     used_at = defaultdict(list)
     for module, tree in trees.items():
-        for name, line in _uses(tree):
-            used_at[name].append((module, line))
-    outside = set()
+        for name, line, bare in _uses(tree):
+            used_at[name].append((module, line, bare))
     for folder in ("benchmarks", "examples"):
         for path in (REPO / folder).rglob("*.py"):
-            outside.update(re.findall(r"\w+", path.read_text()))
+            tree = ast.parse(path.read_text())
+            for name, _line, bare in _uses(tree, _NAMED):
+                used_at[name].append((folder, 0, bare))
     flagged = {}
     for module, tree in trees.items():
         for qualified, node in _definitions(tree):
             name = node.name
             if name.startswith("__") and name.endswith("__"):
                 continue
-            if name in outside:
-                continue
+            member = "." in qualified
             span = range(node.lineno, node.end_lineno + 1)
             if any(
-                where != module or line not in span
-                for where, line in used_at[name]
+                (where != module or line not in span)
+                and not (member and bare)
+                for where, line, bare in used_at[name]
             ):
                 continue
             flagged[f"{module}: {qualified}"] = span

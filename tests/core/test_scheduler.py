@@ -13,7 +13,7 @@ from repro.sim.costs import CostModel
 from repro.sources.messages import DataUpdate, DropAttribute, RenameRelation
 from repro.sources.workload import FixedUpdate, Workload
 from repro.views.consistency import check_convergence
-from tests.builders import drain_events
+from tests.builders import drain_events, free_cost_model
 from tests.conftest import CATALOG_SCHEMA, ITEM_SCHEMA, build_bookstore
 
 
@@ -33,12 +33,12 @@ def catalog_insert() -> DataUpdate:
 
 class TestQuiescence:
     def test_empty_run_terminates(self):
-        engine, manager = build_bookstore(CostModel.free())
+        engine, manager = build_bookstore(free_cost_model())
         stats = DynoScheduler(manager, PESSIMISTIC).run()
         assert stats.iterations == 0
 
     def test_processes_pending_events(self):
-        engine, manager = build_bookstore(CostModel.free())
+        engine, manager = build_bookstore(free_cost_model())
         schedule(engine, [(5.0, "library", catalog_insert())])
         DynoScheduler(manager, PESSIMISTIC).run()
         assert manager.umq.is_empty()
@@ -62,7 +62,7 @@ class TestPessimistic:
         assert check_convergence(manager).consistent
 
     def test_detection_skipped_without_flag(self):
-        engine, manager = build_bookstore(CostModel.free())
+        engine, manager = build_bookstore(free_cost_model())
         schedule(
             engine,
             [(0.0, "library", catalog_insert()),
@@ -72,7 +72,7 @@ class TestPessimistic:
         assert engine.metrics.detection_rounds == 0  # DU-only: O(1) path
 
     def test_flag_triggers_detection_once(self):
-        engine, manager = build_bookstore(CostModel.free())
+        engine, manager = build_bookstore(free_cost_model())
         schedule(
             engine,
             [
@@ -102,7 +102,7 @@ class TestOptimistic:
         assert check_convergence(manager).consistent
 
     def test_never_checks_flag(self):
-        engine, manager = build_bookstore(CostModel.free())
+        engine, manager = build_bookstore(free_cost_model())
         schedule(engine, [(0.0, "library", catalog_insert())])
         DynoScheduler(manager, OPTIMISTIC).run()
         assert manager.umq.new_schema_change_flag is False
@@ -164,7 +164,7 @@ class TestForcedProgress:
         assert check_convergence(manager).consistent
 
     def test_max_iterations_guard(self):
-        engine, manager = build_bookstore(CostModel.free())
+        engine, manager = build_bookstore(free_cost_model())
         schedule(engine, [(0.0, "library", catalog_insert())])
         scheduler = DynoScheduler(manager, PESSIMISTIC, max_iterations=0)
         stats = scheduler.run()
@@ -192,7 +192,7 @@ class TestAccounting:
         assert len(scheduler.stats.abort_events) == metrics.aborts
 
     def test_stats_iterations_counted(self):
-        engine, manager = build_bookstore(CostModel.free())
+        engine, manager = build_bookstore(free_cost_model())
         schedule(
             engine,
             [(0.0, "library", catalog_insert()) for _ in range(3)],
@@ -204,7 +204,7 @@ class TestAccounting:
 
 class TestStepAPI:
     def test_step_processes_one_unit(self):
-        engine, manager = build_bookstore(CostModel.free())
+        engine, manager = build_bookstore(free_cost_model())
         schedule(
             engine,
             [(0.0, "library", catalog_insert()) for _ in range(3)],
@@ -216,7 +216,7 @@ class TestStepAPI:
         assert len(manager.umq) == 2
 
     def test_step_false_when_quiescent(self):
-        engine, manager = build_bookstore(CostModel.free())
+        engine, manager = build_bookstore(free_cost_model())
         scheduler = DynoScheduler(manager, PESSIMISTIC)
         assert not scheduler.step()
 
@@ -251,7 +251,7 @@ class TestForceProgressPreservesQueue:
     def test_nothing_to_absorb_keeps_other_units(self):
         """The safety valve must never drop queued units when the
         breaking source has no queued schema changes."""
-        engine, manager = build_bookstore(CostModel.free())
+        engine, manager = build_bookstore(free_cost_model())
         schedule(
             engine,
             [
@@ -267,7 +267,7 @@ class TestForceProgressPreservesQueue:
         assert manager.umq.messages() == before  # untouched
 
     def test_absorbing_keeps_unrelated_units(self):
-        engine, manager = build_bookstore(CostModel.free())
+        engine, manager = build_bookstore(free_cost_model())
         schedule(
             engine,
             [

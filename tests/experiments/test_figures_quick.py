@@ -20,9 +20,9 @@ from repro.experiments import (
 )
 from repro.experiments.ablations import (
     run_blind_merge_ablation,
-    run_graph_scaling_ablation,
     run_starvation_study,
 )
+from benchmarks.bench_ablations import run_graph_scaling_ablation
 
 SCALE = 300  # tuples per relation for quick runs
 QUICK = WarehouseConfig(tuples_per_relation=SCALE)

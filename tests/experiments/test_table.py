@@ -22,9 +22,16 @@ BENCHMARKS = Path(check_regression.__file__).parent
 MAY_BRANCH_ON_SCALE = ("_helpers.py", "bench_fig")
 
 ROW_IDS = [row.id for row in EXPERIMENTS]
-#: ... plus the two rows a bench lane declares for itself: ABL-4 (its
-#: deferral interval is not a config field) and ABL-12
-ALL_ROWS = (*EXPERIMENTS, bench_ablations.ABL_4, bench_wallclock._row())
+#: ... plus the rows a bench lane declares for itself: ABL-2 and ABL-5
+#: (they time the test-side detection oracle), ABL-4 (its deferral
+#: interval is not a config field) and ABL-12
+ALL_ROWS = (
+    *EXPERIMENTS,
+    bench_ablations.ABL_2,
+    bench_ablations.ABL_4,
+    bench_ablations.ABL_5,
+    bench_wallclock._row(),
+)
 
 
 def _figure_id(row) -> str:
@@ -38,7 +45,7 @@ def _figure_id(row) -> str:
 
 
 def test_table_ids_are_the_cli_ids():
-    assert len(ROW_IDS) == len(set(ROW_IDS)) == len(BY_ID) == 16
+    assert len(ROW_IDS) == len(set(ROW_IDS)) == len(BY_ID) == 14
     for full in (False, True):
         assert list(cli._runners(full)) == ROW_IDS
 
@@ -68,10 +75,11 @@ def test_row_is_complete_and_binds_to_its_runner(row):
 
 
 def test_row_stamps_its_timebase_on_the_result():
-    result = BY_ID["abl-graph-scaling"](sizes=((20, 2), (40, 4)))
+    row = bench_ablations.ABL_2
+    result = row(sizes=((20, 2), (40, 4)))
     assert result.timebase == "wall"
     assert json.loads(result.to_json())["timebase"] == "wall"
-    BY_ID["abl-graph-scaling"].check(result)
+    row.check(result)
 
 
 def _picks_a_value_by_scale(node: ast.AST) -> bool:

@@ -8,7 +8,6 @@ from repro.faults.retry import RetryPolicy
 from repro.relational.schema import RelationSchema
 from repro.relational.query import RelationRef, SPJQuery
 from repro.relational.predicate import attr
-from repro.sim.costs import CostModel
 from repro.sim.effects import SourceQuery
 from repro.sim.engine import QueryAnswer, SimEngine
 from repro.sources.errors import (
@@ -19,12 +18,13 @@ from repro.sources.errors import (
     TransientSourceError,
 )
 from repro.sources.source import DataSource
+from tests.builders import free_cost_model
 
 R = RelationSchema.of("R", ["a"])
 
 
 def build_engine(plan, policy, cost_model=None):
-    engine = SimEngine(cost_model or CostModel.free())
+    engine = SimEngine(cost_model or free_cost_model())
     source = engine.add_source(DataSource("s"))
     source.create_relation(R, [("x",)])
     engine.install_faults(FaultInjector(plan), policy)
@@ -81,7 +81,7 @@ class TestRetryLoop:
         )
         import dataclasses
 
-        cost = dataclasses.replace(CostModel.free(), retry_overhead=0.05)
+        cost = dataclasses.replace(free_cost_model(), retry_overhead=0.05)
         engine = build_engine(
             FaultPlan(transients=(TransientFault("s", 0),)), policy, cost
         )
@@ -146,7 +146,7 @@ class TestRetryLoop:
         assert engine.metrics.retries == 0
 
     def test_install_faults_arms_future_sources(self):
-        engine = SimEngine(CostModel.free())
+        engine = SimEngine(free_cost_model())
         engine.install_faults(
             FaultInjector(
                 FaultPlan(transients=(TransientFault("late", 0),))

@@ -5,17 +5,17 @@ import pytest
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan, LinkFault
 from repro.relational.schema import RelationSchema
-from repro.sim.costs import CostModel
 from repro.sim.engine import SimEngine
 from repro.sources.messages import DataUpdate
 from repro.sources.source import DataSource
 from repro.sources.wrapper import Wrapper
+from tests.builders import free_cost_model
 
 R = RelationSchema.of("R", ["a"])
 
 
 def build(latency=0.0, plan=None):
-    engine = SimEngine(CostModel.free())
+    engine = SimEngine(free_cost_model())
     source = engine.add_source(DataSource("s"))
     source.create_relation(R)
     if plan is not None:

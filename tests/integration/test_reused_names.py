@@ -9,15 +9,15 @@ dropped name dead forever translated those updates to nothing.
 from repro.dyda import DyDaSystem
 from repro.relational.schema import RelationSchema
 from repro.relational.types import AttributeType
-from repro.sim.costs import CostModel
 from repro.sources.messages import DataUpdate, DropRelation, RenameRelation
+from tests.builders import free_cost_model
 
 R = RelationSchema.of("R", [("k", AttributeType.INT), "a"])
 S = RelationSchema.of("S", [("k", AttributeType.INT), "b"])
 
 
 def test_an_update_on_a_relation_renamed_into_a_dropped_name_is_maintained():
-    system = DyDaSystem(cost_model=CostModel.free())
+    system = DyDaSystem(cost_model=free_cost_model())
     source = system.add_source("s")
     source.create_relation(R, [(1, "x"), (2, "y")])
     source.create_relation(S, [(1, "p"), (2, "q")])

@@ -63,14 +63,13 @@ from repro.relational.query import JoinCondition, RelationRef, SPJQuery
 from repro.relational.schema import Attribute, RelationSchema
 from repro.relational.table import Table
 from repro.relational.types import AttributeType
-from repro.sim.costs import CostModel
 from repro.sim.effects import SourceQuery
 from repro.sim.engine import QueryAnswer, SimEngine
 from repro.sources.messages import DataUpdate, UpdateMessage
 from repro.sources.source import DataSource
 from repro.views.definition import ViewDefinition
 from repro.views.manager import ViewManager, _UMQView
-from tests.builders import subquery_over
+from tests.builders import free_cost_model, subquery_over
 from tests.property.test_sqlite_differential import _sqlite
 
 ALIASES = ("R", "S", "T", "U")
@@ -605,7 +604,7 @@ def test_schema_drift_raises_where_the_per_prefix_loop_raised(
 
 
 def _chain_world():
-    engine = SimEngine(CostModel.free())
+    engine = SimEngine(free_cost_model())
     sources = [engine.add_source(DataSource(f"src{i}")) for i in range(2)]
     for index, name in enumerate("rstu"):
         sources[index % 2].create_relation(

@@ -12,6 +12,7 @@ from repro.sim.costs import CostModel
 from repro.sources.messages import DataUpdate, DropAttribute
 from repro.views.manager import _UMQView
 from repro.views.umq import MaintenanceUnit
+from tests.builders import free_cost_model
 from tests.conftest import build_bookstore
 from tests.property.test_equation6 import telescoping_delta
 
@@ -92,7 +93,7 @@ class TestTelescopingDelta:
 
 class TestAdaptView:
     def test_rebuilds_extent_for_rewritten_definition(self):
-        engine, manager = build_bookstore(CostModel.free())
+        engine, manager = build_bookstore(free_cost_model())
         # Drop Catalog.Review at the source, rewrite the view, adapt.
         change = DropAttribute("Catalog", "Review")
         message = engine.source("library").commit(change, at=0.0)
@@ -137,7 +138,7 @@ class TestAdaptView:
         assert engine.clock.now == pytest.approx(12.0)
 
     def test_adaptation_folds_in_batch_data_updates(self):
-        engine, manager = build_bookstore(CostModel.free())
+        engine, manager = build_bookstore(free_cost_model())
         from tests.conftest import ITEM_SCHEMA
 
         source = engine.source("retailer")

@@ -10,6 +10,7 @@ from repro.sources.errors import BrokenQueryError
 from repro.sources.messages import DataUpdate, DropAttribute
 from repro.views.manager import _UMQView
 from repro.views.umq import MaintenanceUnit
+from tests.builders import free_cost_model
 from tests.conftest import (
     CATALOG_SCHEMA,
     ITEM_SCHEMA,
@@ -31,7 +32,7 @@ def run_du(engine, manager, payload, source_name, extra_events=()):
 
 class TestBasicSweep:
     def test_insert_produces_view_tuple(self):
-        engine, manager = build_bookstore(CostModel.free())
+        engine, manager = build_bookstore(free_cost_model())
         payload = DataUpdate.insert(
             CATALOG_SCHEMA,
             [("Data Integration Guide", "Adams", "Eng", "P", "new")],
@@ -41,7 +42,7 @@ class TestBasicSweep:
         assert delta is None or delta.is_empty()
 
     def test_insert_matching_join(self):
-        engine, manager = build_bookstore(CostModel.free())
+        engine, manager = build_bookstore(free_cost_model())
         payload = DataUpdate.insert(
             ITEM_SCHEMA, [(1, "Databases", "Gray2", 12.0)]
         )
@@ -51,7 +52,7 @@ class TestBasicSweep:
         assert ("Amazon", "Databases", "Gray2", 12.0, "MIT", "CS", "good") in rows
 
     def test_delete_produces_negative_delta(self):
-        engine, manager = build_bookstore(CostModel.free())
+        engine, manager = build_bookstore(free_cost_model())
         payload = DataUpdate.delete(
             ITEM_SCHEMA, [(1, "Databases", "Gray", 50.0)]
         )
@@ -61,7 +62,7 @@ class TestBasicSweep:
         assert negatives == [-1]
 
     def test_update_irrelevant_to_view(self):
-        engine, manager = build_bookstore(CostModel.free())
+        engine, manager = build_bookstore(free_cost_model())
         # ReaderDigest is not part of the initial view definition.
         reader = engine.source("digest").schema_of("ReaderDigest")
         payload = DataUpdate.insert(reader, [("X", "Y")])
@@ -69,7 +70,7 @@ class TestBasicSweep:
         assert delta is None
 
     def test_empty_delta_short_circuits(self):
-        engine, manager = build_bookstore(CostModel.free())
+        engine, manager = build_bookstore(free_cost_model())
         payload = DataUpdate("Item", Delta(ITEM_SCHEMA))
         delta = run_du(engine, manager, payload, "retailer")
         assert delta is None

@@ -5,10 +5,10 @@ from repro.core.strategies import PESSIMISTIC
 from repro.maintenance.vs import ViewSynchronizer
 from repro.relational.predicate import attr
 from repro.relational.schema import Attribute
-from repro.sim.costs import CostModel
 from repro.sources.messages import AddAttribute, UpdateMessage
 from repro.sources.workload import FixedUpdate, Workload
 from repro.views.definition import ViewDefinition
+from tests.builders import free_cost_model
 from tests.conftest import bookinfo_query, build_bookstore
 
 
@@ -68,7 +68,7 @@ class TestPolicyOn:
 
 class TestEndToEnd:
     def test_extension_flows_through_adaptation(self):
-        engine, manager = build_bookstore(CostModel.free())
+        engine, manager = build_bookstore(free_cost_model())
         manager.synchronizer.extend_on_add = True
         workload = Workload()
         workload.add(

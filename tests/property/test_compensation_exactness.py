@@ -60,6 +60,7 @@ from repro.relational.schema import RelationSchema
 from repro.relational.table import Table
 from repro.relational.types import AttributeType
 from repro.sources.messages import DataUpdate, UpdateMessage
+from tests.builders import free_cost_model
 from tests.leak_oracle import leaked_behind_head
 
 SCHEMA = RelationSchema.of(
@@ -837,7 +838,6 @@ def test_validated_once_keeps_the_coerced_rows():
 
 def test_cache_fold_and_installed_extent_keep_the_coerced_rows():
     from repro.cache import SnapshotCache
-    from repro.sim.costs import CostModel
     from repro.sources.source import DataSource
     from tests.conftest import ITEM_SCHEMA, build_bookstore
 
@@ -851,7 +851,7 @@ def test_cache_fold_and_installed_extent_keep_the_coerced_rows():
     assert _typed(cache.serve(source, query).table) == _typed(current())
     assert "((1, 'a', 50.0), 1)" in _typed(current())
 
-    engine, manager = build_bookstore(CostModel.free())
+    engine, manager = build_bookstore(free_cost_model())
     engine.source("retailer").commit(
         DataUpdate.insert(
             ITEM_SCHEMA,

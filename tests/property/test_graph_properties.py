@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.dependencies import Dependency, DependencyKind
-from repro.core.graph import DependencyGraph
+from tests.detection_oracle import DependencyGraph, is_unsafe
 
 
 @st.composite
@@ -93,4 +93,4 @@ def test_no_unsafe_dependencies_after_renumbering(graph):
             position[dependency.after_index],
             dependency.kind,
         )
-        assert not renumbered.is_unsafe()
+        assert not is_unsafe(renumbered)

@@ -4,8 +4,8 @@
 UMQ through its mutation-listener hooks.  Its one correctness contract:
 after *any* interleaving of ``receive`` / ``remove_head`` /
 ``replace_order`` the edge set (and therefore the corrected order) is
-bit-identical to a from-scratch
-:func:`~repro.core.dependencies.find_dependencies` over the same
+bit-identical to the from-scratch builder
+(``tests/detection_oracle.py``'s ``find_dependencies``) over the same
 messages.  These tests drive random interleavings and check that
 contract after every single mutation, plus the footprint-cache epoch
 (view-version) invalidation rules.  The scheduler's two questions are
@@ -35,8 +35,7 @@ import pytest
 from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
-from repro.core.dependencies import NameResolver, find_dependencies
-from repro.core.graph import DependencyGraph
+from repro.core.dependencies import NameResolver
 from repro.core.incremental import (
     FootprintCache,
     IncrementalDependencyGraph,
@@ -62,6 +61,7 @@ from tests.conftest import (
     bookinfo_query,
     bookstore_mkb,
 )
+from tests.detection_oracle import DependencyGraph, find_dependencies
 
 QUERY = bookinfo_query()
 
@@ -626,7 +626,7 @@ class TestFootprintCacheEpoch:
         )
         stream = _Stream()
         message = stream.data_update(0)
-        resolver = NameResolver([])
+        resolver = NameResolver()
 
         def counts():
             metrics = cache.metrics

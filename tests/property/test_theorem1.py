@@ -10,10 +10,10 @@ conflict with something ahead of it in the queue.
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.detection import detect
 from repro.core.scheduler import DynoScheduler
 from repro.core.strategies import OPTIMISTIC, PESSIMISTIC
 from repro.experiments.testbed import build_testbed
+from tests.detection_oracle import detect
 
 
 class _TheoremCheckingScheduler(DynoScheduler):

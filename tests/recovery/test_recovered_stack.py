@@ -10,9 +10,7 @@ what its router dropped before the crash stays dropped.
 
 import pytest
 
-from repro.core.dependencies import find_dependencies
 from repro.core.strategies import PESSIMISTIC
-from repro.experiments.ablations import _edge_set
 from repro.experiments.testbed import (
     build_sharded_testbed,
     build_testbed,
@@ -27,6 +25,7 @@ from repro.recovery import (
 
 from repro.sources.messages import RenameRelation
 from repro.sources.workload import FixedUpdate, Workload
+from tests.detection_oracle import edge_set, find_dependencies
 
 SHARDS = 4
 DU_COUNT = 96
@@ -234,7 +233,7 @@ def test_a_recovered_substrate_derives_everything_afresh():
     assert {id(entry[0]) for entry in recovered._rewrites.values()} <= {
         id(message) for message in queued
     }
-    assert _edge_set(substrate.dependencies()) == _edge_set(
+    assert edge_set(substrate.dependencies()) == edge_set(
         find_dependencies(
             queued, manager.maintenance_queries, manager.speculative_queries
         )

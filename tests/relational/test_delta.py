@@ -82,12 +82,6 @@ class TestParts:
         delta.merge(delta.negated())
         assert delta.is_empty()
 
-    def test_scaled(self):
-        delta = Delta.insertion(R, [("x", "y")])
-        assert delta.scaled(3).count(("x", "y")) == 3
-        assert delta.scaled(-1).count(("x", "y")) == -1
-        assert delta.scaled(0).is_empty()
-
     def test_copy_is_independent(self):
         delta = Delta.insertion(R, [("x", "y")])
         duplicate = delta.copy()
@@ -167,12 +161,10 @@ class TestValidatedItems:
         duplicate.add((9, 9), 1)
         assert delta.validated_items() is items
         assert len(duplicate.validated_items()) == 3
-        for derived in (delta.negated(), delta.scaled(2)):
-            assert derived._validated is None
+        assert delta.negated()._validated is None
         assert delta.negated().validated_items() == (
             ((1, 50.0), -2), ((2, None), 1),
         )
-        assert delta.scaled(2).validated_items()[0] == ((1, 50.0), 4)
 
     def test_equality_and_repr_do_not_see_it(self):
         warm, cold = self._priced(), self._priced()

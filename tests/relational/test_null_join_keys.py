@@ -33,13 +33,13 @@ from repro.relational.query import JoinCondition, RelationRef, SPJQuery
 from repro.relational.schema import Attribute, RelationSchema
 from repro.relational.table import Table
 from repro.relational.types import AttributeType
-from repro.sim.costs import CostModel
 from repro.sim.engine import SimEngine
 from repro.sources.messages import DataUpdate
 from repro.sources.source import DataSource
 from repro.sources.sqlite_source import SqliteDataSource
 from repro.views.definition import ViewDefinition
 from repro.views.manager import ViewManager, _UMQView
+from tests.builders import free_cost_model
 from tests.kernel_oracle import execute_naive
 
 R = RelationSchema(
@@ -101,7 +101,7 @@ def test_kernels_agree_with_sqlite(kernel, two_keys):
 
 @pytest.mark.parametrize("backend", [DataSource, SqliteDataSource])
 def test_a_probe_sweep_agrees_with_sqlite(backend):
-    engine = SimEngine(CostModel.free())
+    engine = SimEngine(free_cost_model())
     source = engine.add_source(backend("s"))
     source.create_relation(R, [])
     source.create_relation(T, T_ROWS)

@@ -124,15 +124,6 @@ class TestEvolution:
         with pytest.raises(DuplicateAttributeError):
             item.add_attribute(Attribute("Book"))
 
-    def test_project(self, item):
-        projected = item.project(["Price", "SID"])
-        assert projected.attribute_names == ("Price", "SID")
-        assert projected.attribute("SID").type is AttributeType.INT
-
-    def test_project_unknown_raises(self, item):
-        with pytest.raises(UnknownAttributeError):
-            item.project(["Missing"])
-
 
 class TestRendering:
     def test_sql(self, item):

@@ -12,7 +12,7 @@ from repro.sources.errors import BrokenQueryError
 from repro.sources.messages import DataUpdate, RenameRelation
 from repro.sources.source import DataSource
 from repro.sources.workload import FixedUpdate, Workload, WorkloadItem
-from tests.builders import drain_events
+from tests.builders import drain_events, free_cost_model
 
 R = RelationSchema.of("R", ["a"])
 
@@ -155,7 +155,7 @@ class TestWorkloadScheduling:
         assert len(engine.source("s").log) == 0
 
     def test_trace_records_commits(self):
-        engine = SimEngine(CostModel.free(), trace=True)
+        engine = SimEngine(free_cost_model(), trace=True)
         source = engine.add_source(DataSource("s"))
         source.create_relation(R)
         workload = Workload()

@@ -27,12 +27,6 @@ class TestTracer:
             "c",
         ]
 
-    def test_between(self):
-        tracer = Tracer(enabled=True)
-        for at in (1.0, 2.0, 3.0, 4.0):
-            tracer.record(at, QUERY, str(at))
-        assert [e.at for e in tracer.between(2.0, 3.0)] == [2.0, 3.0]
-
     def test_timeline_limit(self):
         tracer = Tracer(enabled=True)
         for at in range(5):

@@ -6,9 +6,9 @@ from repro.dyda import DyDaError, DyDaSystem
 from repro.relational.errors import QueryError
 from repro.relational.schema import RelationSchema
 from repro.relational.types import AttributeType
-from repro.sim.costs import CostModel
 from repro.sources.messages import DataUpdate, DropAttribute, RenameRelation
 from repro.sources.sqlite_source import SqliteDataSource
+from tests.builders import free_cost_model
 
 ITEM = RelationSchema.of(
     "Item",
@@ -30,7 +30,7 @@ SELECT I.Book FROM retailer.Item I WHERE I.Price < 45
 
 
 def build(*views: str, **kwargs) -> DyDaSystem:
-    system = DyDaSystem(cost_model=CostModel.free(), **kwargs)
+    system = DyDaSystem(cost_model=free_cost_model(), **kwargs)
     retailer = system.add_source("retailer")
     retailer.create_relation(
         ITEM, [(1, "Databases", 50.0), (2, "Compilers", 40.0)]
@@ -68,7 +68,7 @@ class TestLifecycle:
             system.add_source("x", backend="oracle8i")
 
     def test_sqlite_backend(self):
-        system = DyDaSystem(cost_model=CostModel.free())
+        system = DyDaSystem(cost_model=free_cost_model())
         source = system.add_source("retailer", backend="sqlite")
         assert isinstance(source, SqliteDataSource)
 

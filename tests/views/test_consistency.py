@@ -1,13 +1,13 @@
 """The convergence oracle."""
 
 from repro.relational.delta import Delta
-from repro.sim.costs import CostModel
 from repro.views.consistency import check_convergence
+from tests.builders import free_cost_model
 from tests.conftest import build_bookstore
 
 
 def test_consistent_after_initial_load():
-    _engine, manager = build_bookstore(CostModel.free())
+    _engine, manager = build_bookstore(free_cost_model())
     report = check_convergence(manager)
     assert report.consistent
     assert report.expected_rows == report.actual_rows == 2
@@ -15,7 +15,7 @@ def test_consistent_after_initial_load():
 
 
 def test_detects_missing_rows():
-    _engine, manager = build_bookstore(CostModel.free())
+    _engine, manager = build_bookstore(free_cost_model())
     schema = manager.mv.extent.schema
     row = next(iter(manager.mv.extent))
     delta = Delta(schema)
@@ -28,7 +28,7 @@ def test_detects_missing_rows():
 
 
 def test_detects_unexpected_rows():
-    _engine, manager = build_bookstore(CostModel.free())
+    _engine, manager = build_bookstore(free_cost_model())
     schema = manager.mv.extent.schema
     delta = Delta(schema)
     ghost = tuple(
@@ -43,7 +43,7 @@ def test_detects_unexpected_rows():
 
 
 def test_sample_bounds_reported_rows():
-    _engine, manager = build_bookstore(CostModel.free())
+    _engine, manager = build_bookstore(free_cost_model())
     schema = manager.mv.extent.schema
     delta = Delta(schema)
     for index in range(20):

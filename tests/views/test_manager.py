@@ -12,25 +12,26 @@ from repro.sources.messages import (
     RenameRelation,
 )
 from repro.views.umq import MaintenanceUnit
+from tests.builders import free_cost_model
 from tests.conftest import CATALOG_SCHEMA, ITEM_SCHEMA, build_bookstore
 
 
 class TestInitialLoad:
     def test_initial_extent_matches_recompute(self):
-        engine, manager = build_bookstore(CostModel.free())
+        engine, manager = build_bookstore(free_cost_model())
         assert manager.mv.extent == manager.recompute_reference()
         assert len(manager.mv.extent) == 2
         assert manager.mv.refresh_count == 0
 
     def test_wrappers_feed_umq(self):
-        engine, manager = build_bookstore(CostModel.free())
+        engine, manager = build_bookstore(free_cost_model())
         engine.source("retailer").commit(
             DataUpdate.insert(ITEM_SCHEMA, [(9, "X", "Y", 1.0)]), at=0.0
         )
         assert len(manager.umq) == 1
 
     def test_schema_lookup(self):
-        engine, manager = build_bookstore(CostModel.free())
+        engine, manager = build_bookstore(free_cost_model())
         schema = manager._schema_lookup("retailer", "Item")
         assert schema is not None and "Book" in schema
         assert manager._schema_lookup("retailer", "Nope") is None
@@ -39,7 +40,7 @@ class TestInitialLoad:
 
 class TestDataUnitMaintenance:
     def test_du_unit_refreshes_view(self):
-        engine, manager = build_bookstore(CostModel.free())
+        engine, manager = build_bookstore(free_cost_model())
         engine.source("retailer").commit(
             DataUpdate.insert(
                 ITEM_SCHEMA, [(1, "Databases", "Again", 9.0)]
@@ -53,7 +54,7 @@ class TestDataUnitMaintenance:
         assert engine.metrics.maintained_updates == 1
 
     def test_irrelevant_du_no_refresh(self):
-        engine, manager = build_bookstore(CostModel.free())
+        engine, manager = build_bookstore(free_cost_model())
         reader = engine.source("digest").schema_of("ReaderDigest")
         engine.source("digest").commit(
             DataUpdate.insert(reader, [("A", "B")]), at=0.0
@@ -66,7 +67,7 @@ class TestDataUnitMaintenance:
 
 class TestSchemaUnitMaintenance:
     def test_sc_unit_installs_definition_and_extent(self):
-        engine, manager = build_bookstore(CostModel.free())
+        engine, manager = build_bookstore(free_cost_model())
         engine.source("library").commit(
             DropAttribute("Catalog", "Review"), at=0.0
         )
@@ -98,7 +99,7 @@ class TestSchemaUnitMaintenance:
         assert len(manager.mv.extent) == before_rows
 
     def test_non_conflicting_sc_is_cheap_noop(self):
-        engine, manager = build_bookstore(CostModel.free())
+        engine, manager = build_bookstore(free_cost_model())
         engine.source("library").commit(
             DropAttribute("Catalog", "Author"), at=0.0
         )
@@ -108,7 +109,7 @@ class TestSchemaUnitMaintenance:
         assert engine.metrics.maintained_updates == 1
 
     def test_batch_with_noop_sc_still_maintains_dus(self):
-        engine, manager = build_bookstore(CostModel.free())
+        engine, manager = build_bookstore(free_cost_model())
         source = engine.source("retailer")
         source.commit(
             DataUpdate.insert(ITEM_SCHEMA, [(1, "Databases", "Z", 3.0)]),
@@ -125,7 +126,7 @@ class TestSchemaUnitMaintenance:
         assert engine.metrics.maintained_updates == 2
 
     def test_batch_du_and_sc(self):
-        engine, manager = build_bookstore(CostModel.free())
+        engine, manager = build_bookstore(free_cost_model())
         engine.source("retailer").commit(
             DataUpdate.insert(ITEM_SCHEMA, [(1, "Databases", "Z", 3.0)]),
             at=0.0,
@@ -146,7 +147,7 @@ class TestSharedTranslations:
     maintains it: whoever is handed one builds new deltas."""
 
     def test_stale_batch_is_maintained_without_touching_a_payload(self):
-        engine, manager = build_bookstore(CostModel.free())
+        engine, manager = build_bookstore(free_cost_model())
         retailer = engine.source("retailer")
         retailer.commit(RenameAttribute("Item", "Price", "Cost"), at=0.0)
         engine.run_process(manager.build_maintenance(manager.umq.head()))
@@ -216,7 +217,7 @@ class TestSpeculativeQueries:
     def test_cannot_repair_means_no_rewrite(self):
         from repro.maintenance.vs import ViewSynchronizationError
 
-        engine, manager = build_bookstore(CostModel.free())
+        engine, manager = build_bookstore(free_cost_model())
         manager.synchronizer = self._Failing(
             ViewSynchronizationError("no replacement")
         )
@@ -225,7 +226,7 @@ class TestSpeculativeQueries:
         )
 
     def test_any_other_error_propagates(self):
-        engine, manager = build_bookstore(CostModel.free())
+        engine, manager = build_bookstore(free_cost_model())
         manager.synchronizer = self._Failing(RuntimeError("a bug in VS"))
         with pytest.raises(RuntimeError, match="a bug in VS"):
             manager.speculative_queries(self._message(engine))
@@ -236,7 +237,7 @@ class TestConnect:
         from repro.relational.schema import RelationSchema
         from repro.sources.source import DataSource
 
-        engine, manager = build_bookstore(CostModel.free())
+        engine, manager = build_bookstore(free_cost_model())
         newcomer = DataSource("late")
         newcomer.create_relation(RelationSchema.of("Extra", ["a"]))
         manager.connect(newcomer)

@@ -18,6 +18,7 @@ from repro.sources.source import DataSource
 from repro.sources.workload import FixedUpdate, Workload
 from repro.views.definition import ViewDefinition
 from repro.views.multi import MultiViewManager
+from tests.builders import free_cost_model
 from tests.conftest import (
     CATALOG_SCHEMA,
     ITEM_SCHEMA,
@@ -41,7 +42,7 @@ def cheap_books_query() -> SPJQuery:
 
 
 def build_multi(cost=None):
-    engine = SimEngine(cost or CostModel.free())
+    engine = SimEngine(cost or free_cost_model())
     retailer = engine.add_source(DataSource("retailer"))
     library = engine.add_source(DataSource("library"))
     digest = engine.add_source(DataSource("digest"))
@@ -89,12 +90,12 @@ def assert_all_consistent(engine, multi):
 
 class TestConstruction:
     def test_needs_views(self):
-        engine = SimEngine(CostModel.free())
+        engine = SimEngine(free_cost_model())
         with pytest.raises(ValueError):
             MultiViewManager(engine, [])
 
     def test_duplicate_names_rejected(self):
-        engine = SimEngine(CostModel.free())
+        engine = SimEngine(free_cost_model())
         engine.add_source(DataSource("retailer")).create_relation(
             ITEM_SCHEMA
         )
@@ -224,7 +225,7 @@ class TestMaintenance:
     def test_du_footprint_unions_views(self):
         """A DU on Store (only in BookInfo) still conflicts with a
         queued SC on Catalog because BookInfo probes Catalog."""
-        from repro.core.detection import detect
+        from tests.detection_oracle import detect
 
         engine, multi = build_multi()
         engine.source("retailer").commit(
