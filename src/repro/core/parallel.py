@@ -121,8 +121,13 @@ class ParallelScheduler(DynoScheduler):
         self._pending_policies: list[
             tuple[MaintenanceUnit, BrokenQueryError]
         ] = []
-        #: an SC-bearing or batch unit is running solo
+        #: an SC-bearing unit is running solo
         self._barrier_in_flight = False
+        #: UMQ mutations seen by the listener methods below
+        self._umq_mutations = 0
+        #: the inputs of the last scan that picked nothing (the no-pick
+        #: verdict): while they are unchanged, the scan is not repeated
+        self._no_pick: tuple | None = None
         self.umq.add_listener(self)
 
     def detach(self) -> None:
@@ -130,27 +135,30 @@ class ParallelScheduler(DynoScheduler):
         self.umq.remove_listener(self)
 
     # ------------------------------------------------------------------
-    # UMQ listener: keep every in-flight overlay current
+    # UMQ listener: keep every in-flight overlay current, and count the
+    # mutations (an input of the no-pick verdict)
     # ------------------------------------------------------------------
 
     def umq_received(self, message: UpdateMessage) -> None:
+        self._umq_mutations += 1
         for worker in self.pool.busy_workers():
             worker.add_pending(message)
 
     def umq_requeued_front(self, unit: MaintenanceUnit) -> None:
+        self._umq_mutations += 1
         # A requeued abort is now serialized after everything in flight.
         for worker in self.pool.busy_workers():
             for message in unit:
                 worker.add_pending(message)
 
     def umq_removed_head(self, unit: MaintenanceUnit) -> None:
-        pass
+        self._umq_mutations += 1
 
     def umq_removed_unit(self, unit: MaintenanceUnit, index: int) -> None:
-        pass
+        self._umq_mutations += 1
 
     def umq_reordered(self, units: list[MaintenanceUnit]) -> None:
-        pass
+        self._umq_mutations += 1
 
     # ------------------------------------------------------------------
     # time accounting
@@ -204,12 +212,13 @@ class ParallelScheduler(DynoScheduler):
         already enforce, so they stay leapfrog-eligible."""
         return unit.has_schema_change
 
-    def _touched_keys(self, unit: MaintenanceUnit) -> set[tuple[str, str]]:
-        return {
+    @staticmethod
+    def _touched_keys(unit: MaintenanceUnit) -> frozenset[tuple[str, str]]:
+        return frozenset(
             (message.source, relation)
             for message in unit
             for relation in message.touched_relations()
-        }
+        )
 
     def _quarantine_blocked(self, unit: MaintenanceUnit) -> bool:
         if not self._quarantined:
@@ -239,8 +248,8 @@ class ParallelScheduler(DynoScheduler):
         if not units:
             return None
         busy_keys: set[tuple[str, str]] = set()
-        for running in self.pool.in_flight_units():
-            busy_keys |= self._touched_keys(running)
+        for worker in self.pool.workers:
+            busy_keys |= worker.touched
         for index in self.substrate.ready_units():
             unit = units[index]
             if self._quarantine_blocked(unit):
@@ -249,10 +258,44 @@ class ParallelScheduler(DynoScheduler):
                 if self.pool.any_busy:
                     return None  # barrier: drain first, no leapfrogging
                 return unit
-            if self._touched_keys(unit) & busy_keys:
+            if not busy_keys.isdisjoint(self._touched_keys(unit)):
                 continue
             return unit
         return None
+
+    def _scan_inputs(self) -> tuple:
+        """Everything :meth:`_pick_unit` reads that can change between
+        rounds: the queue and the substrate that mirrors it (the
+        mutation count), the in-flight units (the worker generations),
+        the barrier, the parked policies, the view versions footprints
+        are cached under, and the quarantined sources."""
+        return (
+            self._umq_mutations,
+            tuple(worker.generation for worker in self.pool.workers),
+            self._barrier_in_flight,
+            len(self._pending_policies),
+            self.manager.detection_epoch,
+            frozenset(self._quarantined),
+        )
+
+    def _verdict_holds(self, inputs: tuple) -> bool:
+        """The last scan found nothing on these very inputs."""
+        return inputs == self._no_pick
+
+    def _next_unit(self) -> MaintenanceUnit | None:
+        """:meth:`_pick_unit`, unless it already found nothing on
+        unchanged inputs (ALGORITHMS.md §Dispatch gating, the no-pick
+        verdict).  An idle pool's round scans in full: its charges
+        advance the clock, so events fire inside the round."""
+        if not self.pool.any_busy:
+            return self._pick_unit()
+        inputs = self._scan_inputs()
+        if self._verdict_holds(inputs):
+            return None
+        unit = self._pick_unit()
+        if unit is None:
+            self._no_pick = inputs
+        return unit
 
     def _dispatch_round(self) -> int:
         """Hand ready units to idle workers; returns dispatch count."""
@@ -283,7 +326,7 @@ class ParallelScheduler(DynoScheduler):
             worker = self.pool.idle_worker()
             if worker is None:
                 break
-            unit = self._pick_unit()
+            unit = self._next_unit()
             if unit is None:
                 break
             self._dispatch(worker, unit)
@@ -318,7 +361,9 @@ class ParallelScheduler(DynoScheduler):
         snapshot = self.umq.messages()
         # Re-read the clock: charging with an idle pool advances it.
         start_at = max(self.engine.clock.now, self._coordinator_free_at)
-        worker.assign(unit, None, start_at, snapshot)
+        worker.assign(
+            unit, None, start_at, snapshot, self._touched_keys(unit)
+        )
         worker.process = self.manager.compute_unit(
             unit, pending_feed=worker.pending_feed()
         )

@@ -64,8 +64,3 @@ class RetryPolicy:
             return raw
         rng = random.Random(f"{self.seed}:{salt}:{failures}")
         return raw * (1.0 - self.jitter * rng.random())
-
-    @classmethod
-    def none(cls) -> "RetryPolicy":
-        """Retries disabled: the first transient failure is terminal."""
-        return cls(max_attempts=1, deadline=0.0)

@@ -24,7 +24,8 @@ This module holds the timeline primitives; the scheduling *policy*
   ``CostModel.source_channel_limit`` concurrent trips, so parallel
   speedup saturates realistically; waiting *batchable* jobs coalesce
   when a slot frees — contention is exactly what creates batches;
-* :class:`WorkerPool` — the worker set plus peak-parallelism tracking.
+* :class:`WorkerPool` — the worker set, its busy count and
+  peak-parallelism tracking.
 """
 
 from __future__ import annotations
@@ -44,6 +45,8 @@ class WorkerState:
     """One simulated maintenance worker."""
 
     index: int
+    #: the pool told of every assign and release (keeps its busy count)
+    pool: WorkerPool = field(repr=False, compare=False)
     #: unit being maintained (None = idle)
     unit: MaintenanceUnit | None = None
     process: MaintenanceProcess | None = None
@@ -72,6 +75,9 @@ class WorkerState:
     #: prepared outcome parked until this unit's turn in dispatch order
     outcome: object = None
     outcome_ready: bool = False
+    #: the unit's ``(source, relation)`` keys, computed once at dispatch:
+    #: no other unit touching one of them may dispatch beside it
+    touched: frozenset[tuple[str, str]] = frozenset()
 
     @property
     def idle(self) -> bool:
@@ -83,7 +89,10 @@ class WorkerState:
         process: MaintenanceProcess,
         at: float,
         pending: list[UpdateMessage],
+        touched: frozenset[tuple[str, str]] = frozenset(),
     ) -> None:
+        if self.unit is None:
+            self.pool.note_busy(self)
         self.unit = unit
         self.process = process
         self.dispatched_at = at
@@ -92,6 +101,7 @@ class WorkerState:
         self.wire_trips = 0
         self.outcome = None
         self.outcome_ready = False
+        self.touched = touched
         self.pending = []
         self._pending_ids = set()
         for message in pending:
@@ -110,6 +120,7 @@ class WorkerState:
     def release(self) -> MaintenanceUnit:
         unit = self.unit
         assert unit is not None
+        self.pool.note_idle(self)
         self.unit = None
         self.process = None
         self.generation += 1
@@ -117,6 +128,7 @@ class WorkerState:
         self.wire_trips = 0
         self.outcome = None
         self.outcome_ready = False
+        self.touched = frozenset()
         self.pending = []
         self._pending_ids = set()
         return unit
@@ -228,42 +240,51 @@ class SourceChannel:
 
 
 class WorkerPool:
-    """N workers plus cross-worker accounting."""
+    """N workers plus cross-worker accounting.
+
+    Every assign and release reports here, so the busy count and the
+    idle set are kept, not recounted: ``any_busy`` and ``idle_worker``
+    are asked several times per event and read no worker.
+    """
 
     def __init__(self, count: int) -> None:
         if count < 1:
             raise ValueError("worker count must be >= 1")
-        self.workers = [WorkerState(index) for index in range(count)]
+        self.workers = [WorkerState(index, self) for index in range(count)]
+        self.busy = 0
+        #: bit ``i`` set <=> worker ``i`` is idle
+        self._idle_bits = (1 << count) - 1
         self.peak_parallelism = 0
 
     def __len__(self) -> int:
         return len(self.workers)
 
+    def note_busy(self, worker: WorkerState) -> None:
+        self.busy += 1
+        self._idle_bits &= ~(1 << worker.index)
+
+    def note_idle(self, worker: WorkerState) -> None:
+        self.busy -= 1
+        self._idle_bits |= 1 << worker.index
+
     def idle_worker(self) -> WorkerState | None:
-        for worker in self.workers:
-            if worker.idle:
-                return worker
-        return None
+        """The lowest-numbered idle worker, or ``None``."""
+        bits = self._idle_bits
+        if not bits:
+            return None
+        return self.workers[(bits & -bits).bit_length() - 1]
 
     def busy_workers(self) -> list[WorkerState]:
         return [worker for worker in self.workers if not worker.idle]
 
     @property
     def any_busy(self) -> bool:
-        return any(not worker.idle for worker in self.workers)
+        return self.busy > 0
 
     @property
     def all_idle(self) -> bool:
-        return not self.any_busy
+        return self.busy == 0
 
     def note_parallelism(self) -> None:
-        busy = len(self.busy_workers())
-        if busy > self.peak_parallelism:
-            self.peak_parallelism = busy
-
-    def in_flight_units(self) -> list[MaintenanceUnit]:
-        return [
-            worker.unit
-            for worker in self.workers
-            if worker.unit is not None
-        ]
+        if self.busy > self.peak_parallelism:
+            self.peak_parallelism = self.busy

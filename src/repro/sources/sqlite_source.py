@@ -55,10 +55,12 @@ _SQL_TYPE = {
     AttributeType.BOOL: "INTEGER",  # SQLite stores booleans as 0/1
 }
 
-#: what turns a stored value back into its attribute's type; INT and
-#: STRING come back as they went in (and ``sqlite3`` binds a ``bool`` as
-#: 0/1 by itself, so nothing is converted on the way in)
-_FROM_SQLITE = {AttributeType.BOOL: bool, AttributeType.FLOAT: float}
+#: what turns a stored value back into its attribute's type.  INT and
+#: STRING come back as they went in, and a REAL column's affinity stores
+#: every number as a float (an inserted ``2`` and an ``ADD COLUMN ...
+#: DEFAULT 3`` read back ``2.0`` and ``3.0``), so only a BOOL, bound as
+#: 0/1 by ``sqlite3`` itself, is converted
+_FROM_SQLITE = {AttributeType.BOOL: bool}
 
 def _converters(schema: RelationSchema) -> tuple | None:
     """One converter per column, or ``None`` when no column needs one."""

@@ -221,10 +221,3 @@ class Workload:
 
     def __len__(self) -> int:
         return len(self.items)
-
-    @property
-    def span(self) -> float:
-        if not self.items:
-            return 0.0
-        times = [item.at for item in self.items]
-        return max(times) - min(times)

@@ -46,6 +46,11 @@ def aggressive_retry_policy() -> RetryPolicy:
     )
 
 
+def no_retry_policy() -> RetryPolicy:
+    """Retries disabled: the first transient failure is terminal."""
+    return RetryPolicy(max_attempts=1, deadline=0.0)
+
+
 def free_cost_model() -> CostModel:
     """Zero-cost model for pure-logic unit tests: every duration 0 (the
     two capacities, channels per source and read servers, keep their

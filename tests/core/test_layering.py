@@ -78,9 +78,11 @@ TEST_ONLY_ALLOWED = {
 }
 
 _DOTTED = re.compile(r"[A-Za-z_]\w*(?:\.[A-Za-z_]\w*)+")
-#: ... and outside the package a bare name too: the spine's tracer binds
-#: methods by name (``vars(cls)[name]``)
+#: ... and in the spine's tracer a bare name too: it binds methods by
+#: name (``vars(cls)[name]``)
 _NAMED = re.compile(r"[A-Za-z_]\w*(?:\.[A-Za-z_]\w*)*")
+#: the one file outside the package that looks a name up by its bare text
+_BINDS_BY_NAME = REPO / "benchmarks" / "spine" / "tracing.py"
 
 
 def _definitions(tree):
@@ -119,7 +121,8 @@ def _test_only_definitions():
     """Definitions under ``src/repro`` whose name nothing outside
     ``tests/`` reads: not ``src/`` outside the definition's own body,
     not ``benchmarks/`` or ``examples/`` (code only: a word in a comment
-    or a docstring reaches nothing).  By name, so a name defined twice
+    or a docstring reaches nothing; a bare-name string counts only in
+    the tracer, which binds by name).  By name, so a name defined twice
     passes when either is used; dunders are implicit protocol.  A
     definition in a class body is reached only through an attribute
     (``.name``) or a string: a bare name is some other function or
@@ -135,7 +138,8 @@ def _test_only_definitions():
     for folder in ("benchmarks", "examples"):
         for path in (REPO / folder).rglob("*.py"):
             tree = ast.parse(path.read_text())
-            for name, _line, bare in _uses(tree, _NAMED):
+            strings = _NAMED if path == _BINDS_BY_NAME else _DOTTED
+            for name, _line, bare in _uses(tree, strings):
                 used_at[name].append((folder, 0, bare))
     flagged = {}
     for module, tree in trees.items():

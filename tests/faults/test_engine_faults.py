@@ -18,7 +18,7 @@ from repro.sources.errors import (
     TransientSourceError,
 )
 from repro.sources.source import DataSource
-from tests.builders import free_cost_model
+from tests.builders import free_cost_model, no_retry_policy
 
 R = RelationSchema.of("R", ["a"])
 
@@ -132,7 +132,7 @@ class TestRetryLoop:
     def test_no_retries_policy_is_terminal_on_first_fault(self):
         engine = build_engine(
             FaultPlan(transients=(TransientFault("s", 0),)),
-            RetryPolicy.none(),
+            no_retry_policy(),
         )
         with pytest.raises(SourceUnavailableError):
             engine.perform(query_effect())
@@ -151,7 +151,7 @@ class TestRetryLoop:
             FaultInjector(
                 FaultPlan(transients=(TransientFault("late", 0),))
             ),
-            RetryPolicy.none(),
+            no_retry_policy(),
         )
         late = engine.add_source(DataSource("late"))
         late.create_relation(R, [("x",)])

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.faults.retry import RetryPolicy
-from tests.builders import aggressive_retry_policy
+from tests.builders import aggressive_retry_policy, no_retry_policy
 
 
 class TestBackoff:
@@ -53,7 +53,7 @@ class TestValidation:
 
 class TestPresets:
     def test_none_disables_retries(self):
-        policy = RetryPolicy.none()
+        policy = no_retry_policy()
         assert policy.max_attempts == 1
         assert policy.deadline == 0.0
 

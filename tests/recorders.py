@@ -6,6 +6,8 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 
+from repro.core.incremental import IncrementalDependencyGraph
+from repro.core.parallel import ParallelScheduler
 from repro.maintenance import compensation, va, vm
 from repro.relational.errors import RelationalError
 from repro.relational.executor import BagProbe
@@ -26,9 +28,9 @@ def record_dispatches(scheduler) -> list[dict]:
             {
                 "unit": list(unit.messages),
                 "in_flight": [
-                    list(running.messages)
-                    for running in scheduler.pool.in_flight_units()
-                    if running is not unit
+                    list(worker.unit.messages)
+                    for worker in scheduler.pool.workers
+                    if worker.unit is not None and worker.unit is not unit
                 ],
             }
         )
@@ -36,6 +38,25 @@ def record_dispatches(scheduler) -> list[dict]:
 
     manager.compute_unit = recording
     return records
+
+
+@contextmanager
+def counted_ready_units():
+    """Count every ``IncrementalDependencyGraph.ready_units`` call inside
+    the block (the parallel dispatcher's ready-set scan); yields a
+    one-entry list holding the count."""
+    calls = [0]
+    original = IncrementalDependencyGraph.ready_units
+
+    def counted(substrate):
+        calls[0] += 1
+        return original(substrate)
+
+    IncrementalDependencyGraph.ready_units = counted
+    try:
+        yield calls
+    finally:
+        IncrementalDependencyGraph.ready_units = original
 
 
 def record_local_serves(engine, scheduler=lambda: None) -> list[dict]:
@@ -121,6 +142,34 @@ def commit_order_guarded():
         yield violations
     finally:
         UpdateMessageQueue.__init__ = original
+
+
+@contextmanager
+def verdict_guarded():
+    """Check every skipped ready-set scan of a parallel scheduler built
+    or run inside the block: wherever the no-pick verdict holds, run the
+    full scan anyway and assert it finds nothing.  The skipped round's
+    flag-check and detection charges are paid live, as in a full round,
+    so no charge is replayed and the scan is all there is to check.
+    Yields a one-entry list counting the skips checked."""
+    skips = [0]
+    original = ParallelScheduler._verdict_holds
+
+    def guarded(scheduler, inputs):
+        holds = original(scheduler, inputs)
+        if holds:
+            skips[0] += 1
+            unit = scheduler._pick_unit()
+            assert unit is None, (
+                f"the skipped scan would dispatch {unit.describe()}"
+            )
+        return holds
+
+    ParallelScheduler._verdict_holds = guarded
+    try:
+        yield skips
+    finally:
+        ParallelScheduler._verdict_holds = original
 
 
 def _keeps_a_row(query, alias, delta) -> bool:

@@ -1,5 +1,7 @@
 """SQLite-backed sources: same contract, real SQL engine."""
 
+import sqlite3
+
 import pytest
 
 from repro.core.scheduler import DynoScheduler
@@ -21,6 +23,7 @@ from repro.sources.messages import (
     RenameRelation,
     RestructureRelations,
 )
+from repro.sources.source import DataSource
 from repro.sources.sqlite_source import SqliteDataSource
 from repro.views.consistency import check_convergence
 from repro.views.definition import ViewDefinition
@@ -134,6 +137,64 @@ class TestSchemaChanges:
         source.commit(change)
         assert source.has_relation("Flat")
         assert "Item" in change.dropped_extents
+
+
+class TestFloatAffinity:
+    """A FLOAT column reads back as ``float`` with no conversion of
+    ours: a REAL column's affinity stores every number as a float.
+    ``type(...) is float`` is asserted, since ``5 == 5.0``."""
+
+    def test_stdlib_real_affinity(self):
+        db = sqlite3.connect(":memory:")
+        db.execute("CREATE TABLE t (a INTEGER, b REAL)")
+        db.executemany("INSERT INTO t VALUES (?, ?)", [(1, 2), (2, None)])
+        db.execute("ALTER TABLE t ADD COLUMN c REAL DEFAULT 3")
+        rows = db.execute("SELECT a, b, c FROM t ORDER BY a").fetchall()
+        assert rows == [(1, 2.0, 3.0), (2, None, 3.0)]
+        assert type(rows[0][1]) is float
+        assert type(rows[0][2]) is float
+        assert type(rows[1][2]) is float
+
+    @staticmethod
+    def _twins():
+        memory, sqlite = DataSource("retailer"), SqliteDataSource("retailer")
+        for twin in (memory, sqlite):
+            twin.create_relation(ITEM, [(1, "Databases", 50, True)])
+            twin.commit(DataUpdate.insert(ITEM, [(2, "Compilers", 7, False)]))
+            twin.commit(
+                DataUpdate.insert(ITEM, [(3, "Datalog", None, True)])
+            )
+            twin.commit(
+                AddAttribute(
+                    "Item", Attribute("Weight", AttributeType.FLOAT), 3
+                )
+            )
+        return memory, sqlite
+
+    def test_source_answers_match_the_memory_backend(self):
+        memory, sqlite = self._twins()
+        query = SPJQuery(
+            relations=(RelationRef("retailer", "Item", "I"),),
+            projection=(
+                attr("I", "SID"),
+                attr("I", "Price"),
+                attr("I", "Weight"),
+            ),
+        )
+        expected = sorted(memory.execute(query).rows())
+        answered = sorted(sqlite.execute(query).rows())
+        assert answered == expected == [
+            (1, 50.0, 3.0),
+            (2, 7.0, 3.0),
+            (3, None, 3.0),
+        ]
+        for rows in (expected, answered):
+            assert [type(price) for _sid, price, _w in rows] == [
+                float,
+                float,
+                type(None),
+            ]
+            assert {type(weight) for _sid, _p, weight in rows} == {float}
 
 
 class TestQueries:

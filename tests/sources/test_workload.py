@@ -282,10 +282,11 @@ class TestWorkload:
 
     def test_span(self):
         workload = Workload()
-        assert workload.span == 0.0
-        workload.add(1.0, "s", FixedUpdate(DropAttribute("R", "s")))
-        workload.add(5.0, "s", FixedUpdate(DropAttribute("R", "f")))
-        assert workload.span == 4.0
+        workload.add(5.0, "s", FixedUpdate(DropAttribute("R", "s")))
+        workload.add(1.0, "s", FixedUpdate(DropAttribute("R", "f")))
+        times = [item.at for item in workload.items]
+        assert max(times) - min(times) == 4.0
+        assert [item.at for item in workload] == [1.0, 5.0]
 
     def test_extend_and_len(self):
         workload = Workload()
