@@ -19,197 +19,145 @@ Quickstart::
 See ``examples/quickstart.py`` for a complete runnable scenario.
 """
 
-from .dyda import DyDaError, DyDaSystem
-from .core import (
-    BLIND_MERGE,
-    NAIVE,
-    OPTIMISTIC,
-    PESSIMISTIC,
-    AnomalyType,
-    Dependency,
-    DependencyKind,
-    DynoScheduler,
-    ParallelScheduler,
-    Shard,
-    ShardRouter,
-    ShardedWarehouse,
-    Strategy,
-    assign_views,
-    correct,
-)
-from .frontend import (
-    READ_COMMITTED_VERSION,
-    READ_LATEST,
-    ReadFrontEnd,
-    ReadReport,
-    ReadWorkload,
-)
-from .relational import (
-    AttrRef,
-    Attribute,
-    AttributeType,
-    Comparison,
-    Delta,
-    InPredicate,
-    JoinCondition,
-    RelationRef,
-    RelationSchema,
-    SPJQuery,
-    Table,
-    attr,
-    execute,
-    parse_query,
-    parse_view,
-)
-from .faults import (
-    CrashWindow,
-    FaultInjector,
-    FaultPlan,
-    FaultStats,
-    LinkFault,
-    RetryPolicy,
-    TransientFault,
-)
-from .sim import CostModel, SimEngine
-from .sources import (
-    AddAttribute,
-    AttributeReplacement,
-    BrokenQueryError,
-    CreateRelation,
-    DataSource,
-    DataUpdate,
-    DropAttribute,
-    DropRelation,
-    MetaKnowledgeBase,
-    QueryTimeoutError,
-    RelationReplacement,
-    RenameAttribute,
-    RenameRelation,
-    RestructureRelations,
-    SourceUnavailableError,
-    SqliteDataSource,
-    TransientSourceError,
-    UpdateMessage,
-    Workload,
-    WorkloadItem,
-    Wrapper,
-)
-from .views.audit import AuditingScheduler, StrongConsistencyViolation
-from .views import (
-    ConsistencyReport,
-    MaintenanceUnit,
-    MaterializedView,
-    MultiViewManager,
-    UpdateMessageQueue,
-    ViewDefinition,
-    ViewManager,
-    check_convergence,
-)
+from importlib import import_module
 
-# after .views: the cache rides on maintenance/compensation, which the
-# views package is mid-way through importing at the top of this module
-from .cache import SnapshotCache
-from .maintenance.grouping import BatchPolicy
-from .recovery import (
-    CRASH_POINTS,
-    CrashInjector,
-    CrashPlan,
-    FileCheckpointStore,
-    FileJournalSink,
-    MaintenanceJournal,
-    MemoryCheckpointStore,
-    MemoryJournalSink,
-    RecoveryHarness,
-    RecoveryReport,
-    SchedulerCrash,
-    recover,
-    simulate_crash,
-)
+
+def bind_on_first_use(namespace: dict, table: dict) -> tuple:
+    """A package's PEP 562 ``(__getattr__, __all__)``, given its
+    ``globals()``: ``table`` maps each submodule (a tuple of its path's
+    names when nested deeper) to the names it exports through the
+    package.  A name is imported on first use and then bound in the
+    package, as an eager import would have bound it; ``__all__`` is
+    every name of the table."""
+    package = namespace["__name__"]
+    where = {
+        name: module if isinstance(module, str) else ".".join(module)
+        for module, names in table.items()
+        for name in names
+    }
+
+    def __getattr__(name: str):
+        if name not in where:
+            raise AttributeError(
+                f"module {package!r} has no attribute {name!r}"
+            )
+        value = getattr(import_module(f".{where[name]}", package), name)
+        namespace[name] = value
+        return value
+
+    return __getattr__, list(where)
+
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "AddAttribute",
-    "AnomalyType",
-    "AttrRef",
-    "Attribute",
-    "AuditingScheduler",
-    "AttributeReplacement",
-    "AttributeType",
-    "BLIND_MERGE",
-    "BatchPolicy",
-    "BrokenQueryError",
-    "CRASH_POINTS",
-    "Comparison",
-    "ConsistencyReport",
-    "CostModel",
-    "CrashInjector",
-    "CrashPlan",
-    "CrashWindow",
-    "CreateRelation",
-    "DataSource",
-    "DataUpdate",
-    "Delta",
-    "Dependency",
-    "DependencyKind",
-    "DropAttribute",
-    "DropRelation",
-    "DyDaError",
-    "DyDaSystem",
-    "DynoScheduler",
-    "ParallelScheduler",
-    "FaultInjector",
-    "FaultPlan",
-    "FaultStats",
-    "FileCheckpointStore",
-    "FileJournalSink",
-    "InPredicate",
-    "JoinCondition",
-    "LinkFault",
-    "MaintenanceJournal",
-    "MaintenanceUnit",
-    "MaterializedView",
-    "MemoryCheckpointStore",
-    "MemoryJournalSink",
-    "MetaKnowledgeBase",
-    "MultiViewManager",
-    "NAIVE",
-    "OPTIMISTIC",
-    "PESSIMISTIC",
-    "QueryTimeoutError",
-    "RecoveryHarness",
-    "RecoveryReport",
-    "RelationRef",
-    "RelationReplacement",
-    "RelationSchema",
-    "RenameAttribute",
-    "RenameRelation",
-    "RestructureRelations",
-    "RetryPolicy",
-    "SPJQuery",
-    "SchedulerCrash",
-    "SimEngine",
-    "SnapshotCache",
-    "SourceUnavailableError",
-    "SqliteDataSource",
-    "Strategy",
-    "StrongConsistencyViolation",
-    "Table",
-    "TransientFault",
-    "TransientSourceError",
-    "UpdateMessage",
-    "UpdateMessageQueue",
-    "ViewDefinition",
-    "ViewManager",
-    "Workload",
-    "WorkloadItem",
-    "Wrapper",
-    "attr",
-    "check_convergence",
-    "correct",
-    "execute",
-    "parse_query",
-    "parse_view",
-    "recover",
-    "simulate_crash",
-]
+__getattr__, __all__ = bind_on_first_use(
+    globals(),
+    {
+        "cache": ("SnapshotCache",),
+        "core": (
+            "BLIND_MERGE",
+            "NAIVE",
+            "OPTIMISTIC",
+            "PESSIMISTIC",
+            "AnomalyType",
+            "Dependency",
+            "DependencyKind",
+            "DynoScheduler",
+            "ParallelScheduler",
+            "Shard",
+            "ShardRouter",
+            "ShardedWarehouse",
+            "Strategy",
+            "assign_views",
+            "correct",
+        ),
+        "dyda": ("DyDaError", "DyDaSystem"),
+        "faults": (
+            "CrashWindow",
+            "FaultInjector",
+            "FaultPlan",
+            "FaultStats",
+            "LinkFault",
+            "RetryPolicy",
+            "TransientFault",
+        ),
+        "frontend": (
+            "READ_COMMITTED_VERSION",
+            "READ_LATEST",
+            "ReadFrontEnd",
+            "ReadReport",
+            "ReadWorkload",
+        ),
+        "maintenance": ("BatchPolicy",),
+        "recovery": (
+            "CRASH_POINTS",
+            "CrashInjector",
+            "CrashPlan",
+            "FileCheckpointStore",
+            "FileJournalSink",
+            "MaintenanceJournal",
+            "MemoryCheckpointStore",
+            "MemoryJournalSink",
+            "RecoveryHarness",
+            "RecoveryReport",
+            "SchedulerCrash",
+            "recover",
+            "simulate_crash",
+        ),
+        "relational": (
+            "AttrRef",
+            "Attribute",
+            "AttributeType",
+            "Comparison",
+            "Delta",
+            "InPredicate",
+            "JoinCondition",
+            "RelationRef",
+            "RelationSchema",
+            "SPJQuery",
+            "Table",
+            "attr",
+            "execute",
+            "parse_query",
+            "parse_view",
+        ),
+        "sim": ("CostModel", "SimEngine"),
+        "sources": (
+            "AddAttribute",
+            "AttributeReplacement",
+            "BrokenQueryError",
+            "CreateRelation",
+            "DataSource",
+            "DataUpdate",
+            "DropAttribute",
+            "DropRelation",
+            "MetaKnowledgeBase",
+            "QueryTimeoutError",
+            "RelationReplacement",
+            "RenameAttribute",
+            "RenameRelation",
+            "RestructureRelations",
+            "SourceUnavailableError",
+            "SqliteDataSource",
+            "TransientSourceError",
+            "UpdateMessage",
+            "Workload",
+            "WorkloadItem",
+            "Wrapper",
+        ),
+        "views": (
+            "ConsistencyReport",
+            "MaintenanceUnit",
+            "MaterializedView",
+            "MultiViewManager",
+            "UpdateMessageQueue",
+            "ViewDefinition",
+            "ViewManager",
+            "check_convergence",
+        ),
+        ("views", "audit"): (
+            "AuditingScheduler",
+            "StrongConsistencyViolation",
+        ),
+    },
+)

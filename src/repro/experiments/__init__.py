@@ -2,40 +2,29 @@
 
 :data:`EXPERIMENTS` (:mod:`.table`) lists every figure and ablation
 with its runner, sweep shapes and acceptance bar; the ablation runners
-themselves live in :mod:`.ablations` and :mod:`.runtime_abl`."""
+themselves live in :mod:`.ablations` and :mod:`.runtime_abl`.  Every
+export is imported on first use, so building a testbed does not load
+the figure and ablation harnesses."""
 
-from .config import WarehouseConfig
-from .fig08 import run_figure as run_fig08
-from .fig09 import run_figure as run_fig09
-from .fig10 import run_figure as run_fig10
-from .fig11 import run_figure as run_fig11
-from .fig12 import run_figure as run_fig12
-from .runner import ArmResult, FigureResult, SeriesPoint, run_arm
-from .table import EXPERIMENTS, Experiment
-from .testbed import (
-    ShardedTestbed,
-    Testbed,
-    build_sharded_testbed,
-    build_testbed,
-    sharded_config,
+from .. import bind_on_first_use
+
+__getattr__, __all__ = bind_on_first_use(
+    globals(),
+    {
+        "config": ("WarehouseConfig",),
+        "fig08": ("run_fig08",),
+        "fig09": ("run_fig09",),
+        "fig10": ("run_fig10",),
+        "fig11": ("run_fig11",),
+        "fig12": ("run_fig12",),
+        "runner": ("ArmResult", "FigureResult", "SeriesPoint", "run_arm"),
+        "table": ("EXPERIMENTS", "Experiment"),
+        "testbed": (
+            "ShardedTestbed",
+            "Testbed",
+            "build_sharded_testbed",
+            "build_testbed",
+            "sharded_config",
+        ),
+    },
 )
-
-__all__ = [
-    "ArmResult",
-    "EXPERIMENTS",
-    "Experiment",
-    "FigureResult",
-    "SeriesPoint",
-    "ShardedTestbed",
-    "Testbed",
-    "WarehouseConfig",
-    "build_sharded_testbed",
-    "build_testbed",
-    "run_arm",
-    "run_fig08",
-    "run_fig09",
-    "run_fig10",
-    "run_fig11",
-    "run_fig12",
-    "sharded_config",
-]

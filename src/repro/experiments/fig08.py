@@ -26,7 +26,7 @@ DEFAULT_DU_COUNTS = (500, 1000, 1500, 2000, 2500, 3000)
 QUICK_DU_COUNTS = (100, 200, 400)
 
 
-def run_figure(
+def run_fig08(
     config: WarehouseConfig = WarehouseConfig(),
     du_counts: tuple[int, ...] = DEFAULT_DU_COUNTS,
     du_interval: float = 0.2,

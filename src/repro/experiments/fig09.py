@@ -58,7 +58,7 @@ def conflict_workload(kind: str, spacing: float, key_range: int) -> Workload:
     return workload
 
 
-def run_figure(
+def run_fig09(
     config: WarehouseConfig = WarehouseConfig(),
     conflict_spacing: float = 0.0,
 ) -> FigureResult:

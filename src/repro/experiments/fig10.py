@@ -26,7 +26,7 @@ DEFAULT_INTERVALS = (0.0, 3.0, 9.0, 17.0, 23.0, 29.0, 41.0)
 QUICK_INTERVALS = (0.0, 17.0, 41.0)
 
 
-def run_figure(
+def run_fig10(
     config: WarehouseConfig = WarehouseConfig(),
     intervals: tuple[float, ...] = DEFAULT_INTERVALS,
     du_count: int = 200,

@@ -21,7 +21,7 @@ QUICK_SC_COUNTS = (5, 15)
 SC_INTERVAL = 25.0
 
 
-def run_figure(
+def run_fig11(
     config: WarehouseConfig = WarehouseConfig(),
     sc_counts: tuple[int, ...] = DEFAULT_SC_COUNTS,
     du_count: int = 200,

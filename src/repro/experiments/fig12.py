@@ -21,7 +21,7 @@ SC_COUNT = 5
 SC_INTERVAL = 25.0
 
 
-def run_figure(
+def run_fig12(
     config: WarehouseConfig = WarehouseConfig(),
     du_counts: tuple[int, ...] = DEFAULT_DU_COUNTS,
     sc_count: int = SC_COUNT,

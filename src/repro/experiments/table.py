@@ -96,13 +96,15 @@ def _sharded(tuples: int, **knobs) -> WarehouseConfig:
     return sharded_config(tuples_per_relation=tuples, **knobs)
 
 
-def _figure(id: str, module, **quick) -> Experiment:
-    """FIG-8..12: 500 tuples and the module's quick sweep, or the
+def _figure(
+    id: str, run: Callable[..., FigureResult], **quick
+) -> Experiment:
+    """FIG-8..12: 500 tuples and the figure's quick sweep, or the
     paper's 2 000 tuples and the runner's own (paper) defaults.  Their
     shape bars live in ``benchmarks/bench_fig*.py``."""
     return Experiment(
         id,
-        module.run_figure,
+        run,
         quick={"config": _scale(500), **quick},
         full={"config": _scale(2000)},
         timebase="virtual",
@@ -115,11 +117,17 @@ _DU_HEAVY_QUICK = {"config": _scale(200), "du_counts": (60, 120, 240)}
 _DU_HEAVY_FULL = {"config": _scale(400), "du_counts": (120, 240, 480)}
 
 EXPERIMENTS = (
-    _figure("fig08", fig08, du_counts=fig08.QUICK_DU_COUNTS),
-    _figure("fig09", fig09),
-    _figure("fig10", fig10, intervals=fig10.QUICK_INTERVALS, du_count=60),
-    _figure("fig11", fig11, sc_counts=fig11.QUICK_SC_COUNTS, du_count=60),
-    _figure("fig12", fig12, du_counts=fig12.QUICK_DU_COUNTS),
+    _figure("fig08", fig08.run_fig08, du_counts=fig08.QUICK_DU_COUNTS),
+    _figure("fig09", fig09.run_fig09),
+    _figure(
+        "fig10", fig10.run_fig10, intervals=fig10.QUICK_INTERVALS,
+        du_count=60,
+    ),
+    _figure(
+        "fig11", fig11.run_fig11, sc_counts=fig11.QUICK_SC_COUNTS,
+        du_count=60,
+    ),
+    _figure("fig12", fig12.run_fig12, du_counts=fig12.QUICK_DU_COUNTS),
     Experiment(
         "abl-blind-merge",
         ablations.run_blind_merge_ablation,

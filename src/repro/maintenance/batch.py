@@ -25,6 +25,8 @@ optimization the paper describes.
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 from ..sources.messages import (
     AddAttribute,
     CreateRelation,
@@ -36,8 +38,10 @@ from ..sources.messages import (
     SchemaChange,
     UpdateMessage,
 )
-from ..views.umq import MaintenanceUnit
 from .history import Lineage, SchemaHistory
+
+if TYPE_CHECKING:
+    from ..views.umq import MaintenanceUnit
 
 
 def combine_schema_changes(

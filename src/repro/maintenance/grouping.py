@@ -39,11 +39,13 @@ batch simply drop out of the probe traffic.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from ..relational.delta import Delta
 from ..sources.messages import DataUpdate, UpdateMessage
-from ..views.umq import MaintenanceUnit
+
+if TYPE_CHECKING:
+    from ..views.umq import MaintenanceUnit
 
 
 @dataclass(frozen=True)
@@ -101,6 +103,10 @@ def merge_runs(
     round as messages trickle in) are not recounted.  Runs must be
     disjoint and sorted (as :func:`find_safe_runs` yields them).
     """
+    # not at module level: importing the views package loads the
+    # manager, which imports this module
+    from ..views.umq import MaintenanceUnit
+
     order: list[MaintenanceUnit] = []
     grouped = 0
     cursor = 0

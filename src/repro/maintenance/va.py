@@ -24,15 +24,19 @@ atomic batch); only the final round's extent is installed.
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 from ..relational.executor import execute
 from ..relational.table import Table
 from ..sim.costs import CostModel
 from ..sim.effects import Delay, SourceQuery
 from ..sim.engine import MaintenanceProcess, QueryAnswer
-from ..views.definition import ViewDefinition
-from ..views.umq import MaintenanceUnit, UpdateMessageQueue
 from .compensation import CompensationLog, compensate_answer
 from .decompose import scan_query
+
+if TYPE_CHECKING:
+    from ..views.definition import ViewDefinition
+    from ..views.umq import MaintenanceUnit, UpdateMessageQueue
 
 
 def adapt_view(

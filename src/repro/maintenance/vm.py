@@ -27,6 +27,8 @@ the generator — the scheduler's in-exec detection.
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 from ..relational.delta import Delta
 # Not called here any more; the spine's smoke test pins the binding
 # (benchmarks/spine/test_spine_smoke.py).
@@ -34,10 +36,12 @@ from ..relational.executor import execute  # noqa: F401
 from ..sim.effects import SourceQuery
 from ..sim.engine import MaintenanceProcess, QueryAnswer
 from ..sources.messages import DataUpdate
-from ..views.definition import ViewDefinition
-from ..views.umq import MaintenanceUnit, UpdateMessageQueue
 from .compensation import CompensationLog, compensate_answer
 from .decompose import probe_sweep
+
+if TYPE_CHECKING:
+    from ..views.definition import ViewDefinition
+    from ..views.umq import MaintenanceUnit, UpdateMessageQueue
 
 
 def _fold(stage, rows, answers, parameters):

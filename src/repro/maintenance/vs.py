@@ -21,6 +21,8 @@ all timing is charged by the scheduler.
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 from dataclasses import dataclass, field
 
 from ..relational.errors import ReproError
@@ -38,8 +40,10 @@ from ..sources.messages import (
     UpdateMessage,
 )
 from ..sources.mkb import MetaKnowledgeBase, RelationReplacement
-from ..views.definition import ViewDefinition
 from .decompose import selection_conjuncts
+
+if TYPE_CHECKING:
+    from ..views.definition import ViewDefinition
 
 
 class ViewSynchronizationError(ReproError):

@@ -9,7 +9,7 @@ schema knowledge has broken.
 
 from __future__ import annotations
 
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .errors import DuplicateRelationError, UnknownRelationError
 from .schema import RelationSchema
@@ -27,13 +27,13 @@ class Catalog:
     # DDL
     # ------------------------------------------------------------------
 
-    def create(self, schema: RelationSchema) -> Table:
+    def create(self, schema: RelationSchema, rows: Iterable = ()) -> Table:
         if schema.name in self._tables:
             raise DuplicateRelationError(
                 f"relation {schema.name!r} already exists"
                 + (f" at source {self.source_name!r}" if self.source_name else "")
             )
-        table = Table(schema)
+        table = Table(schema, rows)
         self._tables[schema.name] = table
         return table
 

@@ -10,7 +10,18 @@ def validated_row(schema: RelationSchema, row: tuple) -> tuple:
     """``row`` as a table over ``schema`` stores it: the arity checked
     (:class:`~repro.relational.errors.ArityError`), every value
     validated and coerced for its attribute's type
-    (:class:`~repro.relational.errors.TypeMismatchError`)."""
+    (:class:`~repro.relational.errors.TypeMismatchError`).
+
+    A tuple whose every value is ``None`` or of its column's exact type
+    (:attr:`RelationSchema.exact_types`) is that row already and is
+    returned as it is; any other row is checked value by value."""
+    types = schema.exact_types
+    if type(row) is tuple and len(row) == len(types):
+        for value, exact in zip(row, types):
+            if type(value) is not exact and value is not None:
+                break
+        else:
+            return row
     attributes = schema.attributes
     if len(row) != len(attributes):
         raise ArityError(

@@ -21,7 +21,7 @@ from .errors import (
     SchemaError,
     UnknownAttributeError,
 )
-from .types import AttributeType, Memoised
+from .types import EXACT_TYPE, AttributeType, Memoised
 
 _IDENTIFIER = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
 
@@ -120,6 +120,14 @@ class RelationSchema(Memoised):
     def _names(self) -> frozenset[str]:
         # Every admitted query asks once per attribute reference.
         return frozenset(attribute.name for attribute in self.attributes)
+
+    @cached_property
+    def exact_types(self) -> tuple[type, ...]:
+        """Each column's exact Python type (``EXACT_TYPE``): a row of
+        these, or of ``None``, is stored as it is given."""
+        return tuple(
+            EXACT_TYPE[attribute.type] for attribute in self.attributes
+        )
 
     def index_of(self, attribute_name: str) -> int:
         """Position of the attribute, raising if absent."""

@@ -12,6 +12,7 @@ source drops an attribute, every stored row is projected accordingly.
 from __future__ import annotations
 
 from collections import Counter
+from functools import partial
 from typing import Iterable, Iterator
 
 from .delta import Delta, Row
@@ -42,11 +43,13 @@ class Table:
         rows: Iterable[Row] = (),
     ) -> None:
         self.schema = schema
-        self._counts: Counter[Row] = Counter()
+        #: the bulk load: every row checked as :meth:`insert` checks
+        #: it, the bag counted in one C pass
+        self._counts: Counter[Row] = Counter(
+            map(partial(validated_row, schema), rows)
+        )
         #: attribute name -> (column position, value -> set of rows)
         self._indexes: dict[str, tuple[int, dict]] = {}
-        for row in rows:
-            self.insert(row)
 
     @classmethod
     def from_counts(cls, schema: RelationSchema, counts) -> "Table":
@@ -58,10 +61,12 @@ class Table:
         validated tables; re-validating every value on the way back in
         is pure per-row overhead.  Counts must be positive.
         """
-        table = cls(schema)
+        table = cls.__new__(cls)
+        table.schema = schema
         table._counts = (
             counts if isinstance(counts, Counter) else Counter(counts)
         )
+        table._indexes = {}
         return table
 
     # ------------------------------------------------------------------
@@ -180,9 +185,8 @@ class Table:
 
     def copy(self, name: str | None = None) -> "Table":
         schema = self.schema if name is None else self.schema.renamed(name)
-        duplicate = Table(schema)
-        duplicate._counts = Counter(self._counts)
-        return duplicate  # indexes are rebuilt lazily on the copy
+        # indexes are rebuilt lazily on the copy
+        return Table.from_counts(schema, Counter(self._counts))
 
     def __eq__(self, other: object) -> bool:
         """Extent equality: same bag of rows (schema names may differ)."""

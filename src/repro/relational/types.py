@@ -85,3 +85,15 @@ class AttributeType(enum.Enum):
             AttributeType.STRING: "VARCHAR",
             AttributeType.BOOL: "BOOLEAN",
         }[self]
+
+
+#: The Python type whose values :meth:`AttributeType.validate` returns
+#: as they are, checked with ``type(value) is``: not a ``bool`` for INT,
+#: not an ``int`` for FLOAT (it is widened).  A value of any other type
+#: goes through ``validate``.
+EXACT_TYPE = {
+    AttributeType.INT: int,
+    AttributeType.FLOAT: float,
+    AttributeType.STRING: str,
+    AttributeType.BOOL: bool,
+}

@@ -94,10 +94,7 @@ class DataSource:
         self, schema: RelationSchema, rows: Iterable = ()
     ) -> Table:
         """Initial (pre-integration) table creation; not logged."""
-        table = self.catalog.create(schema)
-        for row in rows:
-            table.insert(row)
-        return table
+        return self.catalog.create(schema, rows)
 
     def subscribe(self, subscriber: Subscriber) -> None:
         """Register a wrapper callback invoked after every commit."""
@@ -166,16 +163,12 @@ class DataSource:
             dropped = self.catalog.drop(update.relation)
             update.dropped_extent = dropped.copy()
         elif isinstance(update, CreateRelation):
-            table = self.catalog.create(update.schema)
-            for row in update.rows:
-                table.insert(row)
+            self.catalog.create(update.schema, update.rows)
         elif isinstance(update, RestructureRelations):
             for relation in update.dropped:
                 dropped = self.catalog.drop(relation)
                 update.dropped_extents[relation] = dropped.copy()
-            table = self.catalog.create(update.new_schema)
-            for row in update.new_rows:
-                table.insert(row)
+            self.catalog.create(update.new_schema, update.new_rows)
         else:
             raise UpdateApplicationError(
                 f"unknown update type {type(update).__name__}"

@@ -78,11 +78,39 @@ TEST_ONLY_ALLOWED = {
 }
 
 _DOTTED = re.compile(r"[A-Za-z_]\w*(?:\.[A-Za-z_]\w*)+")
-#: ... and in the spine's tracer a bare name too: it binds methods by
-#: name (``vars(cls)[name]``)
+#: ... and in the spine tracer's binding tables a bare name too: it
+#: binds methods by name (``vars(cls)[name]``)
 _NAMED = re.compile(r"[A-Za-z_]\w*(?:\.[A-Za-z_]\w*)*")
 #: the one file outside the package that looks a name up by its bare text
 _BINDS_BY_NAME = REPO / "benchmarks" / "spine" / "tracing.py"
+
+
+def _tracer_bound_names() -> set[str]:
+    """Every name a string in the tracer's binding tables spells:
+    ``TARGETS``, the tuples it splices in (``for method in
+    _INCREMENTAL``) and ``_BINDERS``.  Its other strings (the kind
+    labels ``SPAN = "span"``, ...) bind nothing."""
+    assigned = {
+        node.targets[0].id: node.value
+        for node in ast.parse(_BINDS_BY_NAME.read_text()).body
+        if isinstance(node, ast.Assign)
+        and isinstance(node.targets[0], ast.Name)
+    }
+    spliced = {
+        node.iter.id
+        for node in ast.walk(assigned["TARGETS"])
+        if isinstance(node, ast.comprehension)
+        and isinstance(node.iter, ast.Name)
+    }
+    return {
+        part
+        for table in {"TARGETS", "_BINDERS", *spliced}
+        for node in ast.walk(assigned[table])
+        if isinstance(node, ast.Constant)
+        and isinstance(node.value, str)
+        and _NAMED.fullmatch(node.value)
+        for part in node.value.split(".")
+    }
 
 
 def _definitions(tree):
@@ -122,7 +150,7 @@ def _test_only_definitions():
     ``tests/`` reads: not ``src/`` outside the definition's own body,
     not ``benchmarks/`` or ``examples/`` (code only: a word in a comment
     or a docstring reaches nothing; a bare-name string counts only in
-    the tracer, which binds by name).  By name, so a name defined twice
+    the tracer's binding tables, which bind by name).  By name, so a name defined twice
     passes when either is used; dunders are implicit protocol.  A
     definition in a class body is reached only through an attribute
     (``.name``) or a string: a bare name is some other function or
@@ -137,10 +165,10 @@ def _test_only_definitions():
             used_at[name].append((module, line, bare))
     for folder in ("benchmarks", "examples"):
         for path in (REPO / folder).rglob("*.py"):
-            tree = ast.parse(path.read_text())
-            strings = _NAMED if path == _BINDS_BY_NAME else _DOTTED
-            for name, _line, bare in _uses(tree, strings):
+            for name, _line, bare in _uses(ast.parse(path.read_text())):
                 used_at[name].append((folder, 0, bare))
+    for name in _tracer_bound_names():
+        used_at[name].append(("benchmarks", 0, False))
     flagged = {}
     for module, tree in trees.items():
         for qualified, node in _definitions(tree):
@@ -164,3 +192,10 @@ def test_src_definitions_have_a_non_test_caller():
     package that only tests call is either dead or a second statement of
     a rule the system runs elsewhere."""
     assert set(_test_only_definitions()) == set(TEST_ONLY_ALLOWED)
+
+
+def test_the_census_counts_only_the_tracers_binding_tables():
+    # Guard the guard: a kind label binds nothing, a table entry does.
+    bound = _tracer_bound_names()
+    assert bound.isdisjoint({"span", "leaf", "gen"})
+    assert {"unit_successors", "umq_reordered", "prepare", "audit"} <= bound
