@@ -638,12 +638,13 @@ class ParallelScheduler(DynoScheduler):
         now = self.engine.clock.now
         unit = worker.unit
         assert unit is not None
-        self.engine.tracer.record(
-            now,
-            trace_kinds.FAULT,
-            f"abandoned {unit.describe()} after "
-            f"{now - worker.dispatched_at:.3f}s: {down}",
-        )
+        if self.engine.tracer.enabled:
+            self.engine.tracer.record(
+                now,
+                trace_kinds.FAULT,
+                f"abandoned {unit.describe()} after "
+                f"{now - worker.dispatched_at:.3f}s: {down}",
+            )
         self._teardown(worker)
         self._restart_tainted()
         self.umq.requeue_front(unit)
@@ -671,12 +672,13 @@ class ParallelScheduler(DynoScheduler):
         for candidate in tainted:
             unit = candidate.unit
             self.stats.tainted_restarts += 1
-            self.engine.tracer.record(
-                self.engine.clock.now,
-                trace_kinds.ABORT,
-                f"taint restart of {unit.describe()} "
-                f"(worker {candidate.index})",
-            )
+            if self.engine.tracer.enabled:
+                self.engine.tracer.record(
+                    self.engine.clock.now,
+                    trace_kinds.ABORT,
+                    f"taint restart of {unit.describe()} "
+                    f"(worker {candidate.index})",
+                )
             self._teardown(candidate)
             self.umq.requeue_front(unit)
 

@@ -220,12 +220,12 @@ class DynoScheduler:
             if unit.has_schema_change
             else AnomalyType.SC_CONFLICTS_WITH_M_DU
         ] += 1
-        self.stats.abort_events.append((now, unit.describe()))
-        self.engine.tracer.record(
-            now,
-            trace_kinds.ABORT,
-            f"wasted {wasted:.3f}s on {unit.describe()}",
-        )
+        described = unit.describe()
+        self.stats.abort_events.append((now, described))
+        if self.engine.tracer.enabled:
+            self.engine.tracer.record(
+                now, trace_kinds.ABORT, f"wasted {wasted:.3f}s on {described}"
+            )
 
     def _record_commit(
         self, unit: MaintenanceUnit, self_maintained: bool
@@ -588,12 +588,13 @@ class DynoScheduler:
             # An outage, not an anomaly: retries are exhausted and the
             # partial work is discarded, but no broken-query flag is
             # raised and none of the paper's abort metrics move.
-            wasted = self.engine.clock.now - started_at
-            self.engine.tracer.record(
-                self.engine.clock.now,
-                trace_kinds.FAULT,
-                f"abandoned {unit.describe()} after {wasted:.3f}s: {down}",
-            )
+            if self.engine.tracer.enabled:
+                wasted = self.engine.clock.now - started_at
+                self.engine.tracer.record(
+                    self.engine.clock.now,
+                    trace_kinds.FAULT,
+                    f"abandoned {unit.describe()} after {wasted:.3f}s: {down}",
+                )
             self._handle_broken_query(unit, down)
             return True
         # Success: line 12, remove the head.

@@ -6,18 +6,19 @@ engine records at unit-install time
 (:class:`~repro.sim.engine.InstallRecord`), at ``read_latest`` or
 ``read_committed_version``.  docs/ALGORITHMS.md,
 *The read-serving front end*, states the two levels, the staleness rule,
-the queueing model, and why the one-pass replay equals the per-read loop
+the queueing model, and why the bucketed replay equals the per-read loop
 kept in ``tests/read_oracle.py``.
 """
 
 from __future__ import annotations
 
 import random
+from array import array
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from heapq import heapreplace
 from itertools import islice
-from math import inf
+from math import inf, isfinite
 from operator import eq, itemgetter
 
 from ..sim.costs import CostModel
@@ -28,6 +29,11 @@ READ_LATEST = "read_latest"
 READ_COMMITTED_VERSION = "read_committed_version"
 
 CONSISTENCY_LEVELS = (READ_LATEST, READ_COMMITTED_VERSION)
+
+#: reads per time bucket of ``ReadFrontEnd.serve`` across all shards:
+#: the replay holds every read as two array slots and one bucket of
+#: them as tuples (docs/ALGORITHMS.md, *The read-serving front end*)
+BUCKET_READS = 512
 
 
 class ShardTimeline:
@@ -226,10 +232,12 @@ class ReadFrontEnd:
         level: str = READ_LATEST,
         metrics: Metrics | None = None,
     ) -> ReadReport:
-        """Serve one seeded workload at the given consistency level, in
-        one pass per shard over its reads in arrival order.  Why each
-        step equals the per-read loop (same draws, same order, same
-        float sums): docs/ALGORITHMS.md, *The read-serving front end*."""
+        """Serve one seeded workload at the given consistency level: draw
+        every read into its shard's time bucket, then serve each shard's
+        buckets in order, each sorted into arrival order and freed once
+        served.  Why this equals the per-read loop (same draws, same
+        order, same float sums) and what it holds in memory:
+        docs/ALGORITHMS.md, *The read-serving front end*."""
         if level not in CONSISTENCY_LEVELS:
             raise ValueError(
                 f"unknown consistency level {level!r}; "
@@ -240,17 +248,40 @@ class ReadFrontEnd:
             if workload.horizon is not None
             else self.default_horizon
         )
-        span = max(horizon - workload.start, 0.0)
-        # A read is ``(at, kind)`` on its shard's list, ``kind`` being
-        # ``2 * i + scan`` for the shard's ``i``-th view by name, so it
-        # sorts like ``(at, view, scan)``.
-        per_shard: dict[int, list[tuple[float, int]]] = {
-            shard_id: [] for shard_id in self.timelines
+        start = workload.start
+        span = max(horizon - start, 0.0)
+        if not (isfinite(start) and isfinite(span)):
+            raise ValueError(
+                f"reads need a finite start and horizon, got {start!r} "
+                f"and {horizon!r}"
+            )
+        # A read is stored in its shard's time bucket: its arrival time
+        # in ``ats`` and its ``kind`` in ``kinds``, ``kind`` being
+        # ``2 * i + scan`` for the shard's ``i``-th view by name, so
+        # ``(at, kind)`` sorts like ``(at, view, scan)``.  The bucket
+        # index is monotone in ``at`` alone, so serving the buckets in
+        # order, each sorted, is serving every read in arrival order.
+        buckets = max(1, -(-workload.count // BUCKET_READS))
+        scale = buckets / span if span > 0.0 else inf
+        if not scale < inf:  # a zero or subnormal span: one bucket
+            buckets, scale = 1, 0.0
+        last = buckets - 1
+        widest = max(
+            (len(timeline.views) for timeline in self.timelines.values()),
+            default=0,
+        )
+        kind_code = "B" if 2 * widest <= 256 else "Q"
+        per_shard: dict[int, tuple[list[array], list[array]]] = {
+            shard_id: (
+                [array("d") for _ in range(buckets)],
+                [array(kind_code) for _ in range(buckets)],
+            )
+            for shard_id in self.timelines
         }
         targets = [
             (
                 2 * self.timelines[shard_id].views.index(view),
-                per_shard[shard_id].append,
+                *per_shard[shard_id],
             )
             for view, shard_id in sorted(self.view_shard.items())
         ]
@@ -262,7 +293,6 @@ class ReadFrontEnd:
         bits = rng.getrandbits
         width = view_count.bit_length()
         scan_fraction = workload.scan_fraction
-        start = workload.start
         for _ in range(workload.count):
             at = start + uniform() * span
             # ``Random._randbelow(view_count)`` inlined: the draw
@@ -270,8 +300,12 @@ class ReadFrontEnd:
             drawn = bits(width)
             while drawn >= view_count:
                 drawn = bits(width)
-            kind, append = targets[drawn]
-            append((at, kind + (uniform() < scan_fraction)))
+            kind, ats, kinds = targets[drawn]
+            index = int((at - start) * scale)
+            if index > last:  # rounding may land a read on the horizon
+                index = last
+            ats[index].append(at)
+            kinds[index].append(kind + (uniform() < scan_fraction))
         committed = level == READ_COMMITTED_VERSION
         cost = self.cost
         point_cost = cost.point_read()
@@ -285,15 +319,9 @@ class ReadFrontEnd:
         max_staleness = 0.0
         stale_reads = 0
         at_of = itemgetter(0)
-        for shard_id, reads in per_shard.items():
-            if not reads:
+        for shard_id, (ats, kinds) in per_shard.items():
+            if not any(ats):
                 continue
-            # Arrival order is ``(at, kind)`` order; reads sharing an
-            # instant stay in draw order under the key sort.
-            reads.sort(key=at_of)
-            later = map(at_of, islice(reads, 1, None))
-            if any(map(eq, map(at_of, reads), later)):
-                reads.sort()
             timeline = self.timelines[shard_id]
             if committed:
                 bounds, versions = self._committed_steps(timeline)
@@ -326,30 +354,37 @@ class ReadFrontEnd:
             next_at = bounds[0]
             row, stale = steps[0]
             free_at = [0.0] * servers  # heap of server-free times
-            for at, kind in reads:
-                if at >= next_at:
-                    step += 1
-                    while at >= bounds[step]:
+            for index in range(buckets):
+                # Arrival order is ``(at, kind)`` order; reads sharing
+                # an instant stay in draw order under the key sort.
+                reads = sorted(zip(ats[index], kinds[index]), key=at_of)
+                ats[index] = kinds[index] = None  # served below: free it
+                later = map(at_of, islice(reads, 1, None))
+                if any(map(eq, map(at_of, reads), later)):
+                    reads.sort()
+                for at, kind in reads:
+                    if at >= next_at:
                         step += 1
-                    next_at = bounds[step]
-                    row, stale = steps[step]
-                service = row[kind]
-                if stale < at:
-                    staleness = at - stale
-                    stale_reads += 1
-                    total_staleness += staleness
-                    if staleness > max_staleness:
-                        max_staleness = staleness
-                earliest = free_at[0]
-                if earliest > at:
-                    wait = earliest - at
-                    heapreplace(free_at, at + wait + service)
-                    total_wait += wait
-                    add_latency(wait + service)
-                else:  # ``at + 0.0 + service`` and ``0.0 + service``
-                    heapreplace(free_at, at + service)
-                    add_latency(service)
-            reads.clear()
+                        while at >= bounds[step]:
+                            step += 1
+                        next_at = bounds[step]
+                        row, stale = steps[step]
+                    service = row[kind]
+                    if stale < at:
+                        staleness = at - stale
+                        stale_reads += 1
+                        total_staleness += staleness
+                        if staleness > max_staleness:
+                            max_staleness = staleness
+                    earliest = free_at[0]
+                    if earliest > at:
+                        wait = earliest - at
+                        heapreplace(free_at, at + wait + service)
+                        total_wait += wait
+                        add_latency(wait + service)
+                    else:  # ``at + 0.0 + service`` and ``0.0 + service``
+                        heapreplace(free_at, at + service)
+                        add_latency(service)
         latencies.sort()
         count = len(latencies)
         total_latency = sum(latencies)

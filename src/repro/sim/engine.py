@@ -261,9 +261,10 @@ class SimEngine:
                     self.clock.now, trace_kinds.COMMIT, f"FAILED: {exc}"
                 )
                 return
-            self.tracer.record(
-                self.clock.now, trace_kinds.COMMIT, message.describe()
-            )
+            if self.tracer.enabled:
+                self.tracer.record(
+                    self.clock.now, trace_kinds.COMMIT, message.describe()
+                )
 
         self.schedule(item.at, fire)
 
@@ -386,12 +387,13 @@ class SimEngine:
         else:
             return None
         answered_at = self.clock.now
-        self.tracer.record(
-            answered_at,
-            trace_kinds.QUERY,
-            f"{effect.source_name} -> {len(hit.table)} tuples "
-            f"({hit.tier}, {hit.rows} rolled forward)",
-        )
+        if self.tracer.enabled:
+            self.tracer.record(
+                answered_at,
+                trace_kinds.QUERY,
+                f"{effect.source_name} -> {len(hit.table)} tuples "
+                f"({hit.tier}, {hit.rows} rolled forward)",
+            )
         price = (
             self.cost_model.aux_serve
             if hit.tier == "aux"
@@ -430,11 +432,12 @@ class SimEngine:
             self.snapshot_cache.store(
                 source, effect.query, result, source.commit_version
             )
-        self.tracer.record(
-            self.clock.now,
-            trace_kinds.QUERY,
-            f"{effect.source_name} -> {len(result)} tuples",
-        )
+        if self.tracer.enabled:
+            self.tracer.record(
+                self.clock.now,
+                trace_kinds.QUERY,
+                f"{effect.source_name} -> {len(result)} tuples",
+            )
         return result
 
     def transfer_cost(self, result: Table) -> float:

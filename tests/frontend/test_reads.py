@@ -1,6 +1,8 @@
 """The read-serving front end: timelines, watermarks, consistency
 levels, staleness and queueing latency."""
 
+import gc
+import tracemalloc
 from bisect import bisect_right
 
 import pytest
@@ -8,6 +10,7 @@ import pytest
 from repro.core.strategies import PESSIMISTIC
 from repro.experiments.testbed import build_sharded_testbed
 from repro.frontend.reads import (
+    CONSISTENCY_LEVELS,
     READ_COMMITTED_VERSION,
     READ_LATEST,
     ReadFrontEnd,
@@ -311,3 +314,49 @@ class TestServeIsBisectFree:
             assert frontend.serve(workload, level) == serve_reference(
                 again, workload, level
             )
+
+
+class TestReplayMemory:
+    """The replay holds each read as two array slots and only one time
+    bucket of reads as tuples: 100 000 reads peak near 1.6 MiB (one
+    shard) and 1.1 MiB (four shards) above where the serve started.
+    Holding every read as an ``(at, kind)`` tuple peaks near 10 MiB."""
+
+    BOUND_MIB = 3.0
+
+    @staticmethod
+    def _one_view_per_shard(shards: int) -> ReadFrontEnd:
+        views = {f"V{shard}": shard for shard in range(shards)}
+        logs = {
+            shard: [
+                _record(
+                    1.0 + 0.5 * step,
+                    40 + step,
+                    ("src1", 10 * shard + step, 0.5 + 0.5 * step),
+                    view=f"V{shard}",
+                )
+                for step in range(8)
+            ]
+            for shard in range(shards)
+        }
+        return ReadFrontEnd.from_install_logs(
+            logs, views, dict.fromkeys(views, 40), CostModel(), 10.0
+        )
+
+    @pytest.mark.parametrize("shards", [1, 4])
+    def test_peak_of_one_serve_stays_under_the_bound(self, shards):
+        front_end = self._one_view_per_shard(shards)
+        for level in CONSISTENCY_LEVELS:
+            front_end.serve(ReadWorkload(count=10), level)  # warm steps
+            gc.collect()
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                report = front_end.serve(
+                    ReadWorkload(count=100_000, seed=17), level
+                )
+                peak = tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+            assert report.count == 100_000
+            assert peak < self.BOUND_MIB * 2**20, (level, peak / 2**20)

@@ -77,3 +77,29 @@ class TestEndToEndTrace:
         # chronological order
         times = [event.at for event in engine.tracer]
         assert times == sorted(times)
+
+
+class TestDisabledTracerFormatsNothing:
+    def test_du_only_run_describes_no_message(self, monkeypatch):
+        # A commit's trace detail is ``message.describe()``, a pass over
+        # the whole delta: with the tracer off no site may build it.
+        from repro.core.strategies import PESSIMISTIC
+        from repro.experiments.testbed import build_testbed
+        from repro.sources.messages import UpdateMessage
+
+        calls = []
+        describe = UpdateMessage.describe
+
+        def counted(message):
+            calls.append(message)
+            return describe(message)
+
+        monkeypatch.setattr(UpdateMessage, "describe", counted)
+        testbed = build_testbed(PESSIMISTIC, tuples_per_relation=40)
+        testbed.engine.schedule_workload(
+            testbed.random_du_workload(12, start=0.05, interval=0.05)
+        )
+        testbed.run()
+        assert not testbed.engine.tracer.enabled
+        assert testbed.engine.install_log
+        assert calls == []
