@@ -2,7 +2,7 @@
 
 These are classic repeated-timing benchmarks (unlike the figure benches,
 which run a whole simulated experiment once): the hash-join executor,
-delta application, probe compensation, the snapshot cache's fold, one
+delta application, a table's lazy index build, probe compensation, the snapshot cache's fold, one
 DU's probe sweep over prepared answers, one end-to-end DU maintenance,
 the detection substrate (graph build, legal order, the class-graph
 order, one rename arrival, a legal reorder, a burst of forty), a
@@ -157,6 +157,22 @@ def test_micro_sqlite_probe(benchmark):
     rows_of_key = Counter(row[0] for row in table)
     assert benchmark(sweep) == sum(rows_of_key[key] for key in keys)
     assert len(source._statements) == 1
+
+
+@pytest.mark.parametrize("distinct", [2_000, 200])
+def test_micro_index_build(benchmark, distinct):
+    """The index build a first probe pays on a 2 000-row table: one row
+    per key (the testbed's join key: every bucket a lone row) or ten
+    rows per key (every bucket a set)."""
+    table = Table(R, [(i % distinct, f"v{i}") for i in range(2_000)])
+
+    def first_probe(fresh):
+        return dict(fresh.probe("k", (0, 1)))
+
+    hits = benchmark.pedantic(
+        first_probe, setup=lambda: ((table.copy(),), {}), rounds=200
+    )
+    assert len(hits) == 2 * 2_000 // distinct
 
 
 def test_micro_delta_apply(benchmark):

@@ -77,7 +77,6 @@ class SchedulerStats:
     corrections: int = 0
     forced_merges: int = 0
     skipped_updates: int = 0
-    abort_events: list[tuple[float, str]] = field(default_factory=list)
     # -- fault handling (retries and backoff are counted on Metrics) --
     #: transient failures that reached the abort handler and were
     #: classified as outages instead of broken-query flags — each one a
@@ -211,7 +210,6 @@ class DynoScheduler:
     def _record_abort(self, unit: MaintenanceUnit, wasted: float) -> None:
         """A query of ``unit`` broke after ``wasted`` virtual seconds of
         maintenance: the paper's abort metrics and anomaly type 3 / 4."""
-        now = self.engine.clock.now
         metrics = self.manager.metrics
         metrics.aborts += 1
         metrics.abort_cost += wasted
@@ -220,11 +218,11 @@ class DynoScheduler:
             if unit.has_schema_change
             else AnomalyType.SC_CONFLICTS_WITH_M_DU
         ] += 1
-        described = unit.describe()
-        self.stats.abort_events.append((now, described))
         if self.engine.tracer.enabled:
             self.engine.tracer.record(
-                now, trace_kinds.ABORT, f"wasted {wasted:.3f}s on {described}"
+                self.engine.clock.now,
+                trace_kinds.ABORT,
+                f"wasted {wasted:.3f}s on {unit.describe()}",
             )
 
     def _record_commit(

@@ -378,36 +378,35 @@ class _Join:
                     row = left_row + right_row
                     joined[row] = get(row, 0) + left_count * right_count
             return joined
-        # Columnar build: one bucket per distinct key holding parallel
-        # row/count columns, multiplied in bulk at probe time.  A key
-        # holding NULL is never built, so it matches nothing (SQL ``=``).
+        # Build: a key held by one distinct row maps to its ``(row,
+        # count)`` pair itself, a repeated key to a list of pairs in
+        # build order.  A key holding NULL is never built, so it
+        # matches nothing (SQL ``=``).
         right_key = self.right_key
         index: dict = {}
-        for right_row, right_count in right_rows.items():
-            key = right_key(right_row)
+        setdefault = index.setdefault
+        for pair in right_rows.items():
+            key = right_key(pair[0])
             if key is None or type(key) is tuple and None in key:
                 continue
-            bucket = index.get(key)
-            if bucket is None:
-                index[key] = ([right_row], [right_count])
-            else:
-                bucket[0].append(right_row)
-                bucket[1].append(right_count)
+            bucket = setdefault(key, pair)
+            if bucket is not pair:
+                if type(bucket) is list:
+                    bucket.append(pair)
+                else:
+                    index[key] = [bucket, pair]
         left_key = self.left_key
         for left_row, left_count in left_rows.items():
             bucket = index.get(left_key(left_row))
             if bucket is None:
                 continue
-            bucket_rows, bucket_counts = bucket
-            if len(bucket_rows) == 1:
-                row = left_row + bucket_rows[0]
-                joined[row] = get(row, 0) + left_count * bucket_counts[0]
-            else:
-                for right_row, right_count in zip(
-                    bucket_rows, bucket_counts
-                ):
+            if type(bucket) is list:
+                for right_row, right_count in bucket:
                     row = left_row + right_row
                     joined[row] = get(row, 0) + left_count * right_count
+            else:
+                row = left_row + bucket[0]
+                joined[row] = get(row, 0) + left_count * bucket[1]
         return joined
 
 

@@ -22,6 +22,21 @@ from .schema import Attribute, RelationSchema
 from .types import Value
 
 
+def _index(buckets: dict, position: int, rows) -> None:
+    """Add ``rows``, distinct and none of them indexed yet, to the
+    ``value -> bucket`` map of the column at ``position``."""
+    setdefault = buckets.setdefault
+    for row in rows:
+        value = row[position]
+        bucket = setdefault(value, row)
+        if bucket is not row:
+            if type(bucket) is set:
+                bucket.add(row)
+            else:
+                buckets[value] = {bucket, row}
+    buckets.pop(None, None)  # NULL matches nothing: never indexed
+
+
 class Table:
     """A named bag of typed rows.
 
@@ -33,6 +48,13 @@ class Table:
     model assumes).  Each index stores the attribute's column position
     at build time, so per-row maintenance never re-resolves the
     attribute name against the schema.
+
+    A bucket is the row itself while one distinct row holds the value
+    and a ``set`` of rows once a second one arrives; it stays a set,
+    built in add order, until its last row goes.  NULL is never
+    indexed (it matches nothing), and deleting the last copy of a
+    value's last row removes its entry, so an index holds exactly one
+    entry per live distinct non-NULL value.
     """
 
     __slots__ = ("schema", "_counts", "_indexes")
@@ -48,7 +70,8 @@ class Table:
         self._counts: Counter[Row] = Counter(
             map(partial(validated_row, schema), rows)
         )
-        #: attribute name -> (column position, value -> set of rows)
+        #: attribute name -> (column position, value -> bucket), a
+        #: bucket being a lone row or, from a second row on, a set
         self._indexes: dict[str, tuple[int, dict]] = {}
 
     @classmethod
@@ -78,9 +101,11 @@ class Table:
         if count <= 0:
             raise DataError(f"insert count must be positive, got {count}")
         row = validated_row(self.schema, row)
-        self._counts[row] += count
-        for position, buckets in self._indexes.values():
-            buckets.setdefault(row[position], set()).add(row)
+        present = self._counts.get(row, 0)
+        self._counts[row] = present + count
+        if not present:  # a known row is in its buckets already
+            for position, buckets in self._indexes.values():
+                _index(buckets, position, (row,))
 
     def delete(self, row: Row, count: int = 1) -> None:
         """Delete ``count`` copies of ``row``; raise if not present."""
@@ -96,9 +121,14 @@ class Table:
         if present == count:
             del self._counts[row]
             for position, buckets in self._indexes.values():
-                bucket = buckets.get(row[position])
-                if bucket is not None:
+                value = row[position]
+                bucket = buckets.get(value)
+                if type(bucket) is set:
                     bucket.discard(row)
+                    if bucket:
+                        continue
+                if bucket is not None:
+                    del buckets[value]
         else:
             self._counts[row] = present - count
 
@@ -170,18 +200,20 @@ class Table:
         if entry is None:
             position = self.schema.index_of(attribute_name)
             buckets: dict = {}
-            for row in self._counts:
-                buckets.setdefault(row[position], set()).add(row)
+            _index(buckets, position, self._counts)
             entry = (position, buckets)
             self._indexes[attribute_name] = entry
         counts = self._counts
+        get = entry[1].get
         for value in values:
-            if value is None:
+            bucket = get(value)
+            if bucket is None:
                 continue
-            for row in entry[1].get(value, ()):
-                count = counts.get(row, 0)
-                if count:
-                    yield row, count
+            if type(bucket) is set:
+                for row in bucket:
+                    yield row, counts[row]
+            else:
+                yield bucket, counts[bucket]
 
     def copy(self, name: str | None = None) -> "Table":
         schema = self.schema if name is None else self.schema.renamed(name)

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.anomalies import AnomalyType
 from repro.core.scheduler import DynoScheduler
 from repro.core.strategies import (
     BLIND_MERGE,
@@ -189,7 +190,13 @@ class TestAccounting:
         metrics = engine.metrics
         assert 0 < metrics.abort_cost < metrics.maintenance_cost
         assert metrics.aborts >= 1
-        assert len(scheduler.stats.abort_events) == metrics.aborts
+        assert metrics.aborts == sum(
+            metrics.anomalies[kind]
+            for kind in (
+                AnomalyType.SC_CONFLICTS_WITH_M_DU,
+                AnomalyType.SC_CONFLICTS_WITH_M_SC,
+            )
+        )
 
     def test_stats_iterations_counted(self):
         engine, manager = build_bookstore(free_cost_model())

@@ -102,7 +102,6 @@ class TestQuarantine:
         system.run()
         assert system.metrics.aborts == 0
         assert system.metrics.abort_cost == 0.0
-        assert system.stats.abort_events == []
         assert sum(system.metrics.anomalies.values()) == 0
 
     def test_repeated_exhaustion_drains_transient_slots(self, strategy):

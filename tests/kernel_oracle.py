@@ -8,6 +8,10 @@
   result schema and exception class.
 * ``holds`` — the one three-valued evaluation of a predicate over a
   binding, which the naive evaluator filters with.
+* ``columnar_join_run`` — ``relational.plan._Join.run`` as it was
+  before a build key held by one row kept that ``(row, count)`` pair as
+  its own bucket: parallel row / count columns per key.  The join
+  suite holds the shipped build equal to it in row order.
 * ``naive_kernel()`` — run a block, whole warehouse runs included, with
   ``execute_naive`` in place of the shipped ``execute`` wherever a
   ``repro`` module binds it, and every ``BagProbe`` on its table path.
@@ -249,6 +253,39 @@ def _hash_join(
         for right_row, right_count in index.get(key, ()):
             joined[left_row + right_row] += left_count * right_count
     return _Intermediate(columns, joined)
+
+
+def columnar_join_run(join, left_rows: dict, right_rows: dict) -> dict:
+    """``join.run(left_rows, right_rows)`` over the columnar build."""
+    if join.error is not None:
+        raise join.error
+    joined: dict = {}
+    get = joined.get
+    if join.left_key is None:  # bag cartesian product
+        for left_row, left_count in left_rows.items():
+            for right_row, right_count in right_rows.items():
+                row = left_row + right_row
+                joined[row] = get(row, 0) + left_count * right_count
+        return joined
+    index: dict = {}
+    for right_row, right_count in right_rows.items():
+        key = join.right_key(right_row)
+        if key is None or type(key) is tuple and None in key:
+            continue
+        bucket = index.get(key)
+        if bucket is None:
+            index[key] = ([right_row], [right_count])
+        else:
+            bucket[0].append(right_row)
+            bucket[1].append(right_count)
+    for left_row, left_count in left_rows.items():
+        bucket = index.get(join.left_key(left_row))
+        if bucket is None:
+            continue
+        for right_row, right_count in zip(*bucket):
+            row = left_row + right_row
+            joined[row] = get(row, 0) + left_count * right_count
+    return joined
 
 
 def execute_naive(query: SPJQuery, tables: dict[str, Table]) -> Table:

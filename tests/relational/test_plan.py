@@ -8,6 +8,7 @@ from repro.relational.errors import DataError, UnknownAttributeError
 from repro.relational.plan import (
     PLAN_CACHE,
     PlanCache,
+    _Join,
     compile_plan,
     execute_compiled,
     plan_cache_stats,
@@ -22,7 +23,7 @@ from repro.relational.query import JoinCondition, RelationRef, SPJQuery
 from repro.relational.schema import Attribute, RelationSchema
 from repro.relational.table import Table
 from repro.relational.types import AttributeType
-from tests.kernel_oracle import execute_naive
+from tests.kernel_oracle import columnar_join_run, execute_naive
 
 R = RelationSchema.of("R", [("k", AttributeType.INT), "a"])
 S = RelationSchema.of("S", [("k", AttributeType.INT), "c"])
@@ -248,6 +249,83 @@ class TestPlacement:
             execute_compiled(self.QUERY, bound)
         with pytest.raises(UnknownAttributeError):
             execute_naive(self.QUERY, bound)
+
+
+class TestJoinBuild:
+    """One pinned build side: keys held by 1, 2 and 3 distinct rows,
+    counts above 1, a NULL key, and composite keys with a NULL
+    component.  The shipped build (a lone ``(row, count)`` pair as its
+    own bucket, a list of pairs for a repeated key) must equal the naive
+    kernel in bag and the columnar build it replaced in row order."""
+
+    L = RelationSchema.of("L", [("A", AttributeType.INT), "B", "C"])
+    M = RelationSchema.of("M", [("A", AttributeType.INT), "X"])
+    N = RelationSchema.of("N", ["B", "C", "Y"])
+
+    QUERY = SPJQuery(
+        relations=(
+            RelationRef("s", "L", "L"),
+            RelationRef("s", "M", "M"),
+            RelationRef("s", "N", "N"),
+        ),
+        projection=(attr("L", "A"), attr("M", "X"), attr("N", "Y")),
+        joins=(
+            JoinCondition(attr("L", "A"), attr("M", "A")),
+            JoinCondition(attr("L", "B"), attr("N", "B")),
+            JoinCondition(attr("N", "C"), attr("L", "C")),
+        ),
+    )
+
+    def tables(self):
+        left = Table(self.L)
+        for row, count in [
+            ((1, "b1", "c1"), 2),
+            ((2, "b2", "c2"), 1),
+            ((3, "b3", "c3"), 3),
+            ((3, "b1", "c1"), 1),
+            ((None, "b1", "c1"), 2),
+            ((1, "b1", None), 1),
+            ((2, None, "c2"), 1),
+        ]:
+            left.insert(row, count)
+        middle = Table(self.M)
+        for row, count in [
+            ((3, "x3a"), 2),
+            ((1, "x1"), 2),
+            ((2, "x2a"), 1),
+            ((3, "x3b"), 1),
+            ((None, "x0"), 4),
+            ((2, "x2b"), 3),
+            ((3, "x3c"), 2),
+        ]:
+            middle.insert(row, count)
+        right = Table(self.N)
+        for row, count in [
+            (("b2", "c2", "y2a"), 1),
+            (("b1", "c1", "y1"), 3),
+            (("b3", "c3", "y3a"), 2),
+            (("b2", "c2", "y2b"), 2),
+            (("b1", None, "y0"), 5),
+            ((None, "c2", "y0"), 5),
+            (("b3", "c3", "y3b"), 1),
+            (("b3", "c3", "y3c"), 4),
+        ]:
+            right.insert(row, count)
+        return {"L": left, "M": middle, "N": right}
+
+    def test_a_plan_equals_the_naive_kernel_and_the_columnar_order(
+        self, monkeypatch
+    ):
+        bound = self.tables()
+        PLAN_CACHE.clear()
+        result = execute_compiled(self.QUERY, bound)
+        assert result == execute_naive(self.QUERY, bound)
+        assert len(result) == 2 * 2 * 3 + 1 * 4 * 3 + 3 * 5 * 7 + 1 * 5 * 3
+        PLAN_CACHE.clear()
+        monkeypatch.setattr(_Join, "run", columnar_join_run)
+        columnar = execute_compiled(self.QUERY, bound)
+        PLAN_CACHE.clear()
+        assert list(result.items()) == list(columnar.items())
 
 
 class TestIndexMaintenance:

@@ -103,3 +103,41 @@ class TestDisabledTracerFormatsNothing:
         assert not testbed.engine.tracer.enabled
         assert testbed.engine.install_log
         assert calls == []
+
+    def test_sc_run_that_aborts_describes_no_unit(self, monkeypatch):
+        # An abort's trace detail is ``unit.describe()``, a pass over
+        # every message of the unit: with the tracer off no abort may
+        # build it.
+        from repro.core.scheduler import DynoScheduler
+        from repro.core.strategies import OPTIMISTIC
+        from repro.sources.messages import (
+            DropAttribute,
+            RenameRelation,
+            UpdateMessage,
+        )
+        from repro.sources.workload import FixedUpdate, Workload
+        from repro.views.umq import MaintenanceUnit
+        from tests.conftest import build_bookstore
+
+        calls = []
+        for cls in (UpdateMessage, MaintenanceUnit):
+            describe = cls.describe
+
+            def counted(self, _describe=describe):
+                calls.append(self)
+                return _describe(self)
+
+            monkeypatch.setattr(cls, "describe", counted)
+        engine, manager = build_bookstore(CostModel(query_base=1.0))
+        workload = Workload()
+        workload.add(
+            0.0, "library", FixedUpdate(DropAttribute("Catalog", "Review"))
+        )
+        workload.add(
+            3.5, "retailer", FixedUpdate(RenameRelation("Item", "Item2"))
+        )
+        engine.schedule_workload(workload)
+        DynoScheduler(manager, OPTIMISTIC).run()
+        assert not engine.tracer.enabled
+        assert engine.metrics.aborts >= 1
+        assert calls == []
