@@ -33,7 +33,7 @@ from repro.maintenance.vm import maintain_data_update
 from repro.maintenance.vs import ViewSynchronizer
 from repro.relational.delta import Delta
 from repro.relational.executor import execute
-from repro.relational.plan import PLAN_CACHE
+from repro.relational.plan import PlanCache
 from repro.relational.predicate import InPredicate, attr
 from repro.relational.query import JoinCondition, RelationRef, SPJQuery
 from repro.relational.schema import Attribute, RelationSchema
@@ -49,6 +49,7 @@ from repro.sources.messages import (
 )
 from repro.sources.replica import VersionedEntry
 from repro.sim.engine import QueryAnswer
+from repro.sim.metrics import Metrics
 from repro.sources.sqlite_source import SqliteDataSource
 from repro.experiments.testbed import build_sharded_testbed, build_testbed
 from repro.frontend.reads import CONSISTENCY_LEVELS, ReadWorkload
@@ -117,12 +118,13 @@ def test_micro_fresh_probes(benchmark):
     lists = set()
     while len(lists) < 1_000:
         lists.add(frozenset(rng.sample(range(2_000), rng.randint(1, 3))))
+    plans = PlanCache(Metrics())
 
     def sweep():
         rows = 0
         for values in lists:
             probe = probe_query(view, "R", {"k": values})
-            rows += len(execute(probe, {"R": table}))
+            rows += len(execute(probe, {"R": table}, plans))
         return rows
 
     rows_of_key = Counter(row[0] for row in table)
@@ -244,7 +246,7 @@ def test_micro_cache_fold(benchmark, gap, miss):
         else:
             answer.insert(row)
             deltas.append(Delta.deletion(R, [row]))
-    cache = SnapshotCache()
+    cache = SnapshotCache(plans=PlanCache(Metrics()))
     # every other key is probed: half the gap's rows are effect rows
     folded = lambda: cache._fold(VersionedEntry(0, answer), query, deltas)
     assert benchmark(folded) == (0 if miss else len(range(0, gap, 2)))
@@ -360,7 +362,9 @@ def test_micro_probe_sweep(benchmark, width):
     nothing_leaked = SimpleNamespace(leaked=lambda *_args: [])
 
     def sweep(answer):
-        process = maintain_data_update(view, unit, nothing_leaked)
+        process = maintain_data_update(
+            view, unit, nothing_leaked, plans=testbed.engine.plans
+        )
         try:
             effect = next(process)
             while True:
@@ -525,9 +529,9 @@ def test_micro_va_rounds(benchmark, monkeypatch):
     adapted = manager.synchronizer.synchronize(manager.view, message)
     joins = []
 
-    def counted(query, tables):
+    def counted(query, tables, plans):
         joins.append(query)
-        return execute(query, tables)
+        return execute(query, tables, plans)
 
     monkeypatch.setattr(va_module, "execute", counted)
 
@@ -540,6 +544,7 @@ def test_micro_va_rounds(benchmark, monkeypatch):
                 _UMQView(manager, manager.umq.head(), []),
                 engine.cost_model,
                 rounds=7,
+                plans=engine.plans,
             )
         )
 
@@ -561,7 +566,8 @@ def test_micro_full_scan_read(benchmark, leaked):
     source = testbed.engine.source(ref.source)
     table = source.catalog.table(ref.relation)
     scan = scan_query(view, alias)
-    plan = PLAN_CACHE.plan_for(scan, {alias: table})
+    plans = testbed.engine.plans  # the world's: source.execute's too
+    plan = plans.plan_of(scan.prepared[0], table.schema)
     assert plan.stages[-1].projection(scan.projection)[0] is None
     clean = source.execute(scan)
     resident = sorted(table.items())
@@ -576,7 +582,9 @@ def test_micro_full_scan_read(benchmark, leaked):
         messages.append(source.commit(update, at=0.0))
 
     def read():
-        return compensate_answer(source.execute(scan), scan, alias, messages)
+        return compensate_answer(
+            source.execute(scan), scan, alias, messages, plans=plans
+        )
 
     assert benchmark(read) == clean
 

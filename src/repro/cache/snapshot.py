@@ -42,6 +42,7 @@ from ..maintenance.compensation import by_schema, effect_on_answer
 from ..relational.delta import Delta, Row
 from ..relational.errors import ArityError
 from ..relational.executor import BagProbe
+from ..relational.plan import PlanCache
 from ..relational.query import SPJQuery
 from ..relational.sql import parse_query, sourced_sql
 from ..relational.table import Table
@@ -71,12 +72,13 @@ class SnapshotCache(VersionedStore):
         self,
         metrics: Metrics | None = None,
         max_entries: int = DEFAULT_MAX_ENTRIES,
+        plans: PlanCache | None = None,
     ) -> None:
         if max_entries < 1:
             raise ValueError(
                 f"max_entries must be at least 1, got {max_entries}"
             )
-        super().__init__(metrics)
+        super().__init__(metrics, plans)
         self.max_entries = max_entries
 
     @staticmethod
@@ -149,7 +151,7 @@ class SnapshotCache(VersionedStore):
         alias = query.relations[0].alias
         effects: list[tuple[int, Table | Delta]] = []
         for members in by_schema(deltas):
-            probe = BagProbe(query, alias, members[0].schema)
+            probe = BagProbe(query, alias, members[0].schema, self.plans)
             keep = probe.keep
             positive: dict[Row, int] = {}
             negative: dict[Row, int] = {}
@@ -161,7 +163,8 @@ class SnapshotCache(VersionedStore):
                 if len(signs) > 1:
                     # Both signs among its kept rows: they may cancel on
                     # an answer row, which the tally must see.
-                    effects.append((1, effect_on_answer(query, alias, delta)))
+                    effect = effect_on_answer(query, alias, delta, self.plans)
+                    effects.append((1, effect))
                     continue
                 bag = positive if True in signs else negative
                 for row, count in items:

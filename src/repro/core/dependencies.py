@@ -111,9 +111,6 @@ class NameResolver:
         )
 
 
-_IDENTITY_RESOLVER: "NameResolver" = NameResolver()
-
-
 @dataclass(frozen=True)
 class Dependency:
     """``before`` must be maintained before ``after``."""
@@ -151,10 +148,7 @@ class Footprint:
         return names
 
     def conflicted_by(
-        self,
-        source: str,
-        change: SchemaChange,
-        resolver: NameResolver = _IDENTITY_RESOLVER,
+        self, source: str, change: SchemaChange, resolver: NameResolver
     ) -> bool:
         """Does ``change`` invalidate this (already normalized)
         footprint?  The change's names are rooted via ``resolver``."""
@@ -249,8 +243,8 @@ def _union(footprints: list[Footprint]) -> Footprint:
 def footprint_of_update(
     message: UpdateMessage,
     view_queries,
-    rewritten_queries: Callable[[UpdateMessage], object] | None = None,
-    resolver: NameResolver = _IDENTITY_RESOLVER,
+    rewritten_queries: Callable[[UpdateMessage], object] | None,
+    resolver: NameResolver,
     of_query=footprint_of_query,
 ) -> Footprint:
     """The maintenance footprint of one queued update.

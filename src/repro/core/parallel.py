@@ -716,7 +716,7 @@ class ParallelScheduler(DynoScheduler):
         Returns ``False`` at quiescence (nothing running, nothing
         queued and dispatchable, nothing scheduled).  Invoked through
         the base class's :meth:`~repro.core.scheduler.DynoScheduler
-        .step`, which wraps every step with plan-cache accounting."""
+        .step`."""
         self._lift_due_quarantines()
         progressed = self._dispatch_round() > 0
         if self.engine.advance_to_next_event():

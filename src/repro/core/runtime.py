@@ -30,18 +30,13 @@ transport — pipes to OS worker processes that own the shard worlds:
   accessors then answer from the records.
 
 **Determinism / bit-identity argument.**  Shard worlds are fully
-independent (each owns its engine, sources, UMQ, caches and journal;
-the router filters only *delivery* into the local UMQ), so a shard's
-trace — extent, committed set, install log, virtual clock — depends
-only on the sequence of commands it is sent, never on when peers
-execute theirs.  Policy, loop and command interpreter are the inline
+independent (each owns its engine, sources, UMQ, caches, plan cache and
+journal; the router filters only *delivery* into the local UMQ), so a
+shard's trace — extent, committed set, install log, virtual clock —
+depends only on the sequence of commands it is sent, never on when
+peers execute theirs.  Policy, loop and command interpreter are the inline
 warehouse's own, so that sequence is the same and every per-shard
-result *and* counter is identical.  The one exception is the
-``plan_cache_*`` trio of :class:`~repro.sim.metrics.Metrics`: the
-compiled-plan cache is process-global, so how many compilations a shard
-is charged depends on which shards share its process.  The cache is
-value-transparent, and all virtual costs come from the cost model
-inside each world, so the virtual clock cannot move.
+result *and* counter is identical, the plan cache's counts included.
 
 Crashed *schedulers* (seeded :class:`~repro.recovery.crash.CrashPlan`)
 recover inside the worker from the shard's own journal, exactly as

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..relational.plan import PLAN_CACHE
 from ..sim import trace as trace_kinds
 from ..sim.effects import Delay
 from ..sim.engine import SimEngine
@@ -530,22 +529,10 @@ class DynoScheduler:
         Returns ``False`` when fully quiescent (nothing queued, nothing
         scheduled).  Useful for driving the system incrementally —
         monitoring dashboards, interleaved test assertions — instead of
-        running to completion.
-
-        The public entry wraps the strategy-specific ``_step_impl``
-        with plan-cache accounting: the process-global compiled-plan
-        cache's hit/miss/eviction deltas across the step are harvested
-        into this scheduler's metrics, so interleaved multi-shard runs
-        attribute kernel cache efficiency to the shard that stepped.
+        running to completion.  Every loop steps through here; the loop
+        itself is ``_step_impl``.
         """
-        before = (PLAN_CACHE.hits, PLAN_CACHE.misses, PLAN_CACHE.evictions)
-        try:
-            return self._step_impl()
-        finally:
-            metrics = self.manager.metrics
-            metrics.plan_cache_hits += PLAN_CACHE.hits - before[0]
-            metrics.plan_cache_recompiles += PLAN_CACHE.misses - before[1]
-            metrics.plan_cache_evictions += PLAN_CACHE.evictions - before[2]
+        return self._step_impl()
 
     def _step_impl(self) -> bool:
         metrics = self.manager.metrics

@@ -31,6 +31,7 @@ from itertools import chain
 from ..relational.delta import Delta, Row
 from ..relational.errors import RelationalError
 from ..relational.executor import BagProbe
+from ..relational.plan import PlanCache
 from ..relational.query import SPJQuery
 from ..relational.schema import RelationSchema
 from ..relational.table import Table
@@ -93,9 +94,11 @@ def _effect(
     return answer.schema, effect
 
 
-def effect_on_answer(query: SPJQuery, alias: str, delta: Delta) -> Delta:
+def effect_on_answer(
+    query: SPJQuery, alias: str, delta: Delta, plans: PlanCache | None = None
+) -> Delta:
     """Signed effect of ``delta`` on the answer of probe ``query``."""
-    probe = BagProbe(query, alias, delta.schema)
+    probe = BagProbe(query, alias, delta.schema, plans)
     return Delta(*_effect(probe, [delta.validated_items()]))
 
 
@@ -120,7 +123,7 @@ def by_schema(deltas: list[Delta]) -> list[list[Delta]]:
 
 
 def _admitted_effect(
-    query: SPJQuery, alias: str, members: list[Delta]
+    query: SPJQuery, alias: str, members: list[Delta], plans: PlanCache | None
 ) -> dict[Row, int]:
     """The effect of ``members`` (non-empty deltas of one schema) on the
     probe's answer, read from the members with a row the probe admits.
@@ -129,7 +132,7 @@ def _admitted_effect(
     its schema raises here as it does on every use; none admitted: an
     empty effect, without a kernel call.
     """
-    probe = BagProbe(query, alias, members[0].schema)
+    probe = BagProbe(query, alias, members[0].schema, plans)
     bags = probe.admitted([delta.validated_items() for delta in members])
     return _effect(probe, bags)[1] if bags else {}
 
@@ -141,12 +144,14 @@ def compensate_answer(
     leaked: list[UpdateMessage],
     log: CompensationLog | None = None,
     extra_deltas: list[Delta] | None = None,
+    plans: PlanCache | None = None,
 ) -> Table:
     """Subtract the effect of leaked updates from a probe answer.
 
     ``extra_deltas`` lets the caller compensate effects that are not UMQ
     messages — the self-join case where the update's own delta must be
-    removed from probes of later occurrences of the same relation.
+    removed from probes of later occurrences of the same relation;
+    ``plans`` is the world's plan cache.
 
     Only the deltas with a row the probe's IN-list admits are netted;
     with no effect, ``answer`` itself is returned — never mutate the
@@ -167,7 +172,7 @@ def compensate_answer(
     # An empty delta leaked nothing: it is neither evaluated nor skipped.
     for members in by_schema([d for d in deltas if not d.is_empty()]):
         try:
-            effect = _admitted_effect(query, alias, members)
+            effect = _admitted_effect(query, alias, members, plans)
         except RelationalError as exc:
             if log is not None:
                 log.skipped_incompatible += len(members)

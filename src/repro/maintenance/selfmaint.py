@@ -53,6 +53,7 @@ from collections import Counter
 
 from ..relational.delta import Delta
 from ..relational.executor import execute
+from ..relational.plan import PlanCache
 from ..relational.predicate import TruePredicate
 from ..relational.query import SPJQuery
 from ..relational.schema import RelationSchema
@@ -76,8 +77,10 @@ class SelfMaintenanceStore(VersionedStore):
 
     tier = "aux"
 
-    def __init__(self, metrics: Metrics | None = None) -> None:
-        super().__init__(metrics)
+    def __init__(
+        self, metrics: Metrics | None = None, plans: PlanCache | None = None
+    ) -> None:
+        super().__init__(metrics, plans)
         #: (source, relation) -> union of column names any registered
         #: view's maintenance can reference on that relation
         self._required: dict[tuple[str, str], set[str]] = {}
@@ -170,7 +173,7 @@ class SelfMaintenanceStore(VersionedStore):
             return None
         self._count("aux_applied_rows", applied)
         alias = query.relations[0].alias
-        answer = execute(query, {alias: self._entries[key].table})
+        answer = execute(query, {alias: self._entries[key].table}, self.plans)
         return self._hit(answer, applied)
 
     def _fold(

@@ -27,6 +27,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from ..relational.executor import execute
+from ..relational.plan import PlanCache
 from ..relational.table import Table
 from ..sim.costs import CostModel
 from ..sim.effects import Delay, SourceQuery
@@ -46,6 +47,7 @@ def adapt_view(
     cost: CostModel,
     rounds: int = 1,
     log: CompensationLog | None = None,
+    plans: PlanCache | None = None,
 ) -> MaintenanceProcess:
     """Adaptation process: returns the rebuilt extent for ``view``.
 
@@ -70,10 +72,10 @@ def adapt_view(
                 unit, ref.source, ref.relation, answer.answered_at
             )
             fetched[alias] = compensate_answer(
-                answer.table, source_query, alias, leaked, log
+                answer.table, source_query, alias, leaked, log, plans=plans
             )
         if fetched != joined:
-            extent = execute(query, fetched)
+            extent = execute(query, fetched, plans)
             joined = fetched
         yield Delay(
             cost.va_base + cost.va_per_tuple * len(extent),

@@ -33,6 +33,7 @@ from ..relational.delta import Delta
 # Not called here any more; the spine's smoke test pins the binding
 # (benchmarks/spine/test_spine_smoke.py).
 from ..relational.executor import execute  # noqa: F401
+from ..relational.plan import PlanCache
 from ..sim.effects import SourceQuery
 from ..sim.engine import MaintenanceProcess, QueryAnswer
 from ..sources.messages import DataUpdate
@@ -58,6 +59,7 @@ def maintain_data_update(
     unit: MaintenanceUnit,
     umq: UpdateMessageQueue,
     log: CompensationLog | None = None,
+    plans: PlanCache | None = None,
 ) -> MaintenanceProcess:
     """Maintenance process for a single data update unit.
 
@@ -130,7 +132,8 @@ def maintain_data_update(
             answers.append((
                 step.stage,
                 compensate_answer(
-                    answer.table, source_query, alias, leaked, log, extra
+                    answer.table, source_query, alias, leaked, log, extra,
+                    plans,
                 ),
             ))
 

@@ -23,13 +23,7 @@ from .errors import (
     UnknownRelationError,
 )
 from .executor import execute
-from .plan import (
-    CompiledPlan,
-    PlanCache,
-    compile_plan,
-    execute_compiled,
-    plan_cache_stats,
-)
+from .plan import CompiledPlan, PlanCache, compile_plan
 from .predicate import (
     TRUE,
     AttrComparison,
@@ -88,8 +82,6 @@ __all__ = [
     "compile_plan",
     "conjunction",
     "execute",
-    "execute_compiled",
     "parse_query",
     "parse_view",
-    "plan_cache_stats",
 ]

@@ -4,7 +4,9 @@
 semantics — a row that can be derived in *k* ways appears with
 multiplicity *k*, which is what makes incremental maintenance correct
 under duplicates (Griffin & Libkin) — through the compiled kernel of
-:mod:`repro.relational.plan`.
+:mod:`repro.relational.plan`.  Both take the world's
+:class:`~repro.relational.plan.PlanCache` from their caller, so a world
+compiles each plan once and counts its own hits.
 
 The kernel is deliberately independent of *where* tables come from: the
 view manager binds some aliases to source query answers and some to
@@ -16,15 +18,31 @@ from __future__ import annotations
 from typing import Iterable
 
 from .delta import Row
-from .plan import PLAN_CACHE, execute_compiled
+from .errors import QueryError
+from .plan import CompiledPlan, PlanCache, compile_plan
 from .query import SPJQuery
 from .schema import RelationSchema
 from .table import Table
 
 
-def execute(query: SPJQuery, tables: dict[str, Table]) -> Table:
-    """Evaluate ``query`` with each alias bound to a table."""
-    return execute_compiled(query, tables)
+def _plan(plans: PlanCache | None, shape: SPJQuery, schemas) -> CompiledPlan:
+    """From the world's cache ``plans``, or compiled for this call."""
+    if plans is None:
+        return compile_plan(shape, dict(zip(shape.aliases, schemas)))
+    return plans.plan_of(shape, *schemas)
+
+
+def execute(
+    query: SPJQuery, tables: dict[str, Table], plans: PlanCache | None = None
+) -> Table:
+    """Evaluate ``query`` with each alias bound to a table, compiled
+    through the world's plan cache ``plans`` (a one-off passes none)."""
+    for alias in query.aliases:
+        if alias not in tables:
+            raise QueryError(f"alias {alias!r} not bound to a table")
+    shape, parameters = query.prepared
+    schemas = [tables[alias].schema for alias in shape.aliases]
+    return _plan(plans, shape, schemas).execute(tables, parameters)
 
 
 def signed_parts(
@@ -54,16 +72,23 @@ class BagProbe:
     exact.
     """
 
-    __slots__ = ("query", "alias", "schema", "_plan", "_parameters", "_probe")
+    __slots__ = (
+        "query", "alias", "schema", "plans", "_plan", "_parameters", "_probe"
+    )
 
     def __init__(
-        self, query: SPJQuery, alias: str, schema: RelationSchema
+        self,
+        query: SPJQuery,
+        alias: str,
+        schema: RelationSchema,
+        plans: PlanCache | None = None,
     ) -> None:
         self.query, self.alias, self.schema = query, alias, schema
+        self.plans = plans
         self._plan = self._probe = None
         if query.aliases == (alias,):
             shape, parameters = query.prepared
-            plan = PLAN_CACHE.plan_of(shape, schema)
+            plan = _plan(plans, shape, [schema])
             if plan.total:
                 self._plan, self._parameters = plan, parameters
                 self._probe = plan.stages[0].scan.smallest_list(parameters)
@@ -107,7 +132,8 @@ class BagProbe:
             answers = []
             for sign, part in parts or [(1, {})]:
                 table = Table.from_counts(self.schema, part)
-                answers.append((sign, execute(self.query, {self.alias: table})))
+                answer = execute(self.query, {self.alias: table}, self.plans)
+                answers.append((sign, answer))
             return answers
         if not parts:
             return [(1, Table(plan.result_schema))]

@@ -1,15 +1,16 @@
 """The relational kernel: compiled query plans and the columnar hash join.
 
 :func:`repro.relational.execute` runs every query through here.  A
-:class:`CompiledPlan` is compiled once per ``(query shape, bound
-schemas)`` — the shape (:attr:`SPJQuery.prepared`) lifts every IN-list
-into a parameter bound per execute, and immutable schemas are the
-cache's epoch.  A plan is a chain of stages (:class:`Stage`, the one
-stage type, which a probe sweep chains too).  A reference that does
-not resolve compiles to a *deferred raiser* at the stage that meets
-it.  docs/ALGORITHMS.md §Wall-clock kernel says why each piece is
-exact; the oracles are test-side (``tests/kernel_oracle.py``) and
-stdlib ``sqlite3`` (``tests/property/test_sqlite_differential.py``).
+:class:`CompiledPlan` is compiled once per world (its
+:class:`PlanCache`) and ``(query shape, bound schemas)`` — the shape
+(:attr:`SPJQuery.prepared`) lifts every IN-list into a parameter bound
+per execute, and immutable schemas are the cache's epoch.  A plan is a
+chain of stages (:class:`Stage`, the one stage type, which a probe
+sweep chains too).  A reference that does not resolve compiles to a
+*deferred raiser* at the stage that meets it.  docs/ALGORITHMS.md
+§Wall-clock kernel says why each piece is exact; the oracles are
+test-side (``tests/kernel_oracle.py``) and stdlib ``sqlite3``
+(``tests/property/test_sqlite_differential.py``).
 """
 
 from __future__ import annotations
@@ -726,7 +727,7 @@ def compile_plan(
 
 
 class PlanCache:
-    """LRU of compiled plans keyed by ``(shape, bound schemas)``.
+    """A world's LRU of compiled plans keyed by ``(shape, bound schemas)``.
 
     The shape (:attr:`SPJQuery.prepared`) carries everything of a query
     but its IN-lists, so the probes of one view version over one updated
@@ -738,76 +739,48 @@ class PlanCache:
     Immutable schemas *are* the epoch: any physical schema change swaps
     a table's schema object, so the lookup key changes and the stale
     plan can never be served (it ages out of the LRU).  ``max_plans``
-    bounds memory; nothing depends on it for correctness.
+    bounds memory; nothing depends on it for correctness.  Hits,
+    compilations and evictions count on ``metrics``, the world's
+    :class:`~repro.sim.metrics.Metrics`.
     """
 
-    __slots__ = ("max_plans", "_plans", "hits", "misses", "evictions")
+    __slots__ = ("max_plans", "metrics", "_plans")
 
-    def __init__(self, max_plans: int = DEFAULT_MAX_PLANS) -> None:
+    def __init__(self, metrics, max_plans: int = DEFAULT_MAX_PLANS) -> None:
         if max_plans < 1:
             raise ValueError(f"max_plans must be at least 1, got {max_plans}")
         self.max_plans = max_plans
+        self.metrics = metrics
         self._plans: OrderedDict = OrderedDict()
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-
-    def __len__(self) -> int:
-        return len(self._plans)
-
-    def plan_for(
-        self, query: SPJQuery, tables: dict[str, Table]
-    ) -> CompiledPlan:
-        shape = query.prepared[0]
-        return self.plan_of(
-            shape, *[tables[alias].schema for alias in shape.aliases]
-        )
 
     def plan_of(
         self, shape: SPJQuery, *schemas: RelationSchema
     ) -> CompiledPlan:
-        """The plan of ``shape`` over ``schemas``, one per alias in
-        order."""
+        """The plan of ``shape`` over ``schemas``, one per alias in order."""
         key = (shape, *schemas)
         plan = self._plans.get(key)
+        metrics = self.metrics
         if plan is not None:
-            self.hits += 1
+            metrics.plan_cache_hits += 1
+            _PROCESS_COUNTS["hits"] += 1
             self._plans.move_to_end(key)
             return plan
-        self.misses += 1
+        metrics.plan_cache_recompiles += 1
+        _PROCESS_COUNTS["misses"] += 1
         plan = compile_plan(shape, dict(zip(shape.aliases, schemas)))
         self._plans[key] = plan
         while len(self._plans) > self.max_plans:
             self._plans.popitem(last=False)
-            self.evictions += 1
+            metrics.plan_cache_evictions += 1
+            _PROCESS_COUNTS["evictions"] += 1
         return plan
 
-    def clear(self) -> None:
-        self._plans.clear()
 
-    def stats(self) -> dict[str, int]:
-        return {
-            "plans": len(self._plans),
-            "hits": self.hits,
-            "misses": self.misses,
-            "evictions": self.evictions,
-        }
-
-
-#: the process-wide plan cache used by :func:`execute_compiled`
-PLAN_CACHE = PlanCache()
+#: every plan cache's counts in this process, never a plan: the
+#: benchmark spine's child reads their delta over a maintain phase
+_PROCESS_COUNTS = {"hits": 0, "misses": 0, "evictions": 0}
 
 
 def plan_cache_stats() -> dict[str, int]:
-    return PLAN_CACHE.stats()
-
-
-def execute_compiled(query: SPJQuery, tables: dict[str, Table]) -> Table:
-    """Evaluate ``query`` with each alias bound to a table: a counted
-    result, a row derivable in *k* ways appearing *k* times."""
-    for alias in query.aliases:
-        if alias not in tables:
-            raise QueryError(f"alias {alias!r} not bound to a table")
-    return PLAN_CACHE.plan_for(query, tables).execute(
-        tables, query.prepared[1]
-    )
+    """Every plan cache's hits, misses and evictions so far (monotone)."""
+    return dict(_PROCESS_COUNTS)

@@ -24,6 +24,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Callable, Generator, Iterable
 
+from ..relational.plan import PlanCache
 from ..relational.predicate import Conjunction, InPredicate
 from ..relational.query import SPJQuery
 from ..relational.table import Table
@@ -96,6 +97,8 @@ class SimEngine:
         self.clock = SimClock()
         self.cost_model = cost_model or CostModel.paper_default()
         self.metrics = Metrics()
+        #: the world's plan cache, shared by its warehouse and its sources
+        self.plans = PlanCache(self.metrics)
         self.sources: dict[str, DataSource] = {}
         self._events: list[
             tuple[float, int, Callable[[], None], str | None]
@@ -147,6 +150,7 @@ class SimEngine:
 
     def add_source(self, source: DataSource) -> DataSource:
         self.sources[source.name] = source
+        source.plans = self.plans
         if self.injector is not None:
             source.fault_gate = self._fault_gate
         return source
@@ -183,7 +187,7 @@ class SimEngine:
         round trip entirely."""
         from ..cache.snapshot import SnapshotCache
 
-        self.snapshot_cache = SnapshotCache(metrics=self.metrics)
+        self.snapshot_cache = SnapshotCache(self.metrics, plans=self.plans)
         return self.snapshot_cache
 
     def install_self_maintenance(self) -> "SelfMaintenanceStore":
@@ -192,7 +196,7 @@ class SimEngine:
         queries with zero round trips, ahead of the snapshot cache."""
         from ..maintenance.selfmaint import SelfMaintenanceStore
 
-        self.selfmaint = SelfMaintenanceStore(metrics=self.metrics)
+        self.selfmaint = SelfMaintenanceStore(self.metrics, self.plans)
         return self.selfmaint
 
     @property

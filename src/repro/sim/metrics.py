@@ -137,14 +137,12 @@ class Metrics:
     #: barrier deadlock-avoidance releases (the earliest-SC shard was
     #: allowed to proceed although peers still held pre-SC messages)
     barrier_releases: int = 0
-    #: compiled-plan cache hits harvested while this scheduler stepped
-    #: (the process-global :data:`~repro.relational.plan.PLAN_CACHE`
-    #: deltas are attributed to the shard whose step incurred them, so
-    #: sharded runs report kernel cache efficiency per shard)
+    #: hits of this world's compiled-plan cache (one per engine, so a
+    #: sharded run counts per shard)
     plan_cache_hits: int = 0
-    #: plan compilations (cache misses) harvested while stepping
+    #: plan compilations (cache misses) of this world's plan cache
     plan_cache_recompiles: int = 0
-    #: plan-cache evictions harvested while stepping
+    #: plan-cache evictions of this world's plan cache
     plan_cache_evictions: int = 0
     #: point/scan reads served by the read front end
     reads_served: int = 0

@@ -30,6 +30,7 @@ from dataclasses import dataclass
 
 from ..relational.delta import Delta
 from ..relational.errors import RelationalError
+from ..relational.plan import PlanCache
 from ..relational.query import SPJQuery
 from ..relational.table import Table
 from ..sim.metrics import Metrics
@@ -62,13 +63,16 @@ class VersionedStore:
     Subclasses set :attr:`tier` (which also prefixes their counters on
     the engine :class:`~repro.sim.metrics.Metrics`), define ``serve``
     (key + coverage), :meth:`_fold` (apply gap deltas to an entry) and
-    their own seeding.
+    their own seeding; their kernel calls compile through ``plans``.
     """
 
     tier: str
 
-    def __init__(self, metrics: Metrics | None = None) -> None:
+    def __init__(
+        self, metrics: Metrics | None = None, plans: PlanCache | None = None
+    ) -> None:
         self.metrics = metrics if metrics is not None else Metrics()
+        self.plans = plans
         #: ``(source name, sub-key)`` -> entry; the sub-key is the
         #: policy's (a relation name, a query's ``prepared`` pair)
         self._entries: dict[tuple, VersionedEntry] = {}

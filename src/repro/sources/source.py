@@ -24,6 +24,7 @@ from ..relational.catalog import Catalog
 from ..relational.delta import Delta, Row
 from ..relational.errors import SchemaError, UnknownRelationError
 from ..relational.executor import execute
+from ..relational.plan import PlanCache
 from ..relational.query import SPJQuery
 from ..relational.schema import RelationSchema
 from ..relational.table import Table
@@ -83,6 +84,8 @@ class DataSource:
         #: raise :class:`~repro.sources.errors.TransientSourceError` to
         #: simulate outages, timeouts and crash windows.
         self.fault_gate: Callable[[str], None] | None = None
+        #: the world's plan cache, handed in by the engine's add_source
+        self.plans: PlanCache | None = None
         #: ``(query shape, *current schemas)`` keys already admitted
         self._admitted: set[tuple] = set()
 
@@ -193,6 +196,7 @@ class DataSource:
                 ref.alias: self.catalog.table(ref.relation)
                 for ref in query.relations
             },
+            self.plans,
         )
 
     def admitted_schemas(self, query: SPJQuery) -> dict[str, RelationSchema]:

@@ -283,12 +283,14 @@ class ViewManager:
 
     def initial_load(self) -> None:
         """Populate the extent from the current source states (free)."""
-        extent = execute(self.view.query, self._direct_tables(self.view))
+        tables = self._direct_tables(self.view)
+        extent = execute(self.view.query, tables, self.engine.plans)
         self.mv.replace_extent(extent, self.view.version)
         self.mv.refresh_count = 0
 
     def recompute_reference(self) -> Table:
-        """Oracle: what the extent *should* be right now (zero cost)."""
+        """Oracle: what the extent *should* be right now (zero cost,
+        outside the world's plan cache: a check counts nothing)."""
         return execute(self.view.query, self._direct_tables(self.view))
 
     # ------------------------------------------------------------------
@@ -407,6 +409,7 @@ class ViewManager:
                     self, anchor, messages[index + 1 :], pending_feed
                 ),
                 self.compensation_log,
+                self.engine.plans,
             )
             delta = yield from process
             if delta is None or delta.is_empty():
@@ -470,6 +473,7 @@ class ViewManager:
             self.cost,
             rounds=effective_changes,
             log=self.compensation_log,
+            plans=self.engine.plans,
         )
         assert isinstance(extent, Table)
         return MaintenanceOutcome(

@@ -3,6 +3,7 @@
 from repro.core.dependencies import (
     Dependency,
     DependencyKind,
+    NameResolver,
     footprint_of_query,
     footprint_of_update,
 )
@@ -24,6 +25,8 @@ from tests.conftest import (
 from tests.detection_oracle import find_dependencies, is_unsafe
 
 QUERY = bookinfo_query()
+#: no rename queued: every name is its own root
+IDENTITY = NameResolver()
 
 
 def message(source, seqno, payload) -> UpdateMessage:
@@ -69,13 +72,13 @@ class TestFootprints:
         du = message(
             "library", 1, DataUpdate.insert(CATALOG_SCHEMA, [])
         )
-        footprint = footprint_of_update(du, QUERY)
+        footprint = footprint_of_update(du, QUERY, None, IDENTITY)
         assert ("library", "Catalog") not in footprint.relations
         assert ("retailer", "Item") in footprint.relations
 
     def test_sc_footprint_covers_whole_view(self):
         sc = message("library", 1, DropAttribute("Catalog", "Review"))
-        footprint = footprint_of_update(sc, QUERY)
+        footprint = footprint_of_update(sc, QUERY, None, IDENTITY)
         assert ("library", "Catalog") in footprint.relations
 
     def test_sc_footprint_includes_speculative_rewrite(self):
@@ -84,29 +87,30 @@ class TestFootprints:
         def rewritten(_message):
             return QUERY.with_relation_renamed("library", "Catalog", "Cat2")
 
-        footprint = footprint_of_update(sc, QUERY, rewritten)
+        footprint = footprint_of_update(sc, QUERY, rewritten, IDENTITY)
         assert ("library", "Cat2") in footprint.relations
         assert ("library", "Catalog") in footprint.relations  # old too
 
     def test_conflict_tests(self):
         footprint = footprint_of_query(QUERY)
         assert footprint.conflicted_by(
-            "retailer", RenameRelation("Store", "S2")
+            "retailer", RenameRelation("Store", "S2"), IDENTITY
         )
         assert not footprint.conflicted_by(
-            "retailer", RenameRelation("Other", "O2")
+            "retailer", RenameRelation("Other", "O2"), IDENTITY
         )
         assert footprint.conflicted_by(
-            "library", DropAttribute("Catalog", "Review")
+            "library", DropAttribute("Catalog", "Review"), IDENTITY
         )
         assert not footprint.conflicted_by(
-            "library", DropAttribute("Catalog", "Year")
+            "library", DropAttribute("Catalog", "Year"), IDENTITY
         )
         assert footprint.conflicted_by(
             "retailer",
             RestructureRelations(
                 dropped=("Store",), new_schema=STOREITEMS_SCHEMA
             ),
+            IDENTITY,
         )
 
 

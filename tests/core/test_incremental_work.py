@@ -459,9 +459,9 @@ def test_du_only_burst_executes_per_probe_not_per_pending(monkeypatch):
 
     counts = {"execute": 0}
 
-    def counted(query, tables):
+    def counted(query, tables, plans=None):
         counts["execute"] += 1
-        return execute(query, tables)
+        return execute(query, tables, plans)
 
     for module, name in bindings_of(execute):
         monkeypatch.setattr(module, name, counted)
@@ -481,7 +481,8 @@ def test_du_only_burst_executes_per_probe_not_per_pending(monkeypatch):
 def _counted_du_run(monkeypatch, du_count, renames=0):
     """Run the same DU-only burst (optionally with relation renames
     mid-stream) from a cold plan cache and count what depends on the
-    view version only: plan compilations and the sweep's decomposition.
+    view version only: plan compilations and the sweep's decomposition
+    (a fresh world is a cold plan cache).
     Returns ``(counts, view versions maintained under)``."""
     import repro.maintenance.decompose as decompose_module
     import repro.relational.plan as plan_module
@@ -498,8 +499,6 @@ def _counted_du_run(monkeypatch, du_count, renames=0):
 
         patch.setattr(module, name, counted)
 
-    plan_module.PLAN_CACHE.clear()
-    evictions = plan_module.plan_cache_stats()["evictions"]
     with monkeypatch.context() as patch:
         counting(patch, plan_module, "compile_plan")
         counting(patch, decompose_module, "needed_columns")
@@ -517,9 +516,7 @@ def _counted_du_run(monkeypatch, du_count, renames=0):
         testbed.run()
     assert testbed.metrics.maintained_updates == du_count + renames
     assert testbed.check_consistency()
-    counts["evictions"] = (
-        plan_module.plan_cache_stats()["evictions"] - evictions
-    )
+    counts["evictions"] = testbed.metrics.plan_cache_evictions
     return counts, testbed.manager.view.version
 
 

@@ -2,17 +2,24 @@
 not even a lazy import inside a worker process — may reach up into
 ``repro.experiments``.  The process runtime is handed its world builder
 and workload factories as callables instead.  Three census guards ride
-along: no module-level switches, ``BatchPolicy`` knobs, and definitions
-that only tests reach."""
+along: no module-level switches or shared mutable instances,
+``BatchPolicy`` knobs, and definitions that only tests reach."""
 
 import ast
+import importlib
+import pkgutil
 import re
 from collections import defaultdict
 from dataclasses import fields
+from enum import Enum
 from pathlib import Path
 
+import repro
 import repro.core
+from repro.core.strategies import PESSIMISTIC
 from repro.maintenance.grouping import BatchPolicy
+from repro.relational.plan import PlanCache
+from repro.sim.metrics import Metrics
 
 CORE = Path(repro.core.__file__).parent
 SRC = CORE.parent
@@ -62,6 +69,45 @@ def test_no_module_level_switch_under_src():
         for name in node.names
     }
     assert not globals_declared
+
+
+def _shared_instances(modules) -> set[str]:
+    """``module.name`` for every module-level binding to an instance of
+    a mutable ``src/`` class: one object every world in the process
+    shares.  Enum members, tuples and frozen dataclasses are immutable."""
+    shared = set()
+    for module_name, namespace in modules:
+        for name, value in namespace.items():
+            kind = type(value)
+            params = getattr(kind, "__dataclass_params__", None)
+            if (
+                kind.__module__.startswith("repro.")
+                and not isinstance(value, (type, Enum, tuple))
+                and not (params is not None and params.frozen)
+            ):
+                shared.add(f"{module_name}.{name}")
+    return shared
+
+
+def test_no_module_level_instance_of_a_mutable_class_under_src():
+    """A world owns its state (its plan cache, its name resolver): none
+    lives in a module, where every world in the process would share it."""
+    names = [
+        info.name
+        for info in pkgutil.walk_packages(repro.__path__, "repro.")
+        if not info.name.endswith(".__main__")
+    ]
+    modules = [
+        (name, vars(importlib.import_module(name)))
+        for name in ["repro", *names]
+    ]
+    assert _shared_instances(modules) == set()
+
+
+def test_the_instance_census_refuses_a_shared_cache():
+    # Guard the guard: a frozen constant passes, a plan cache does not.
+    namespace = {"PESSIMISTIC": PESSIMISTIC, "PLANS": PlanCache(Metrics())}
+    assert _shared_instances([("m", namespace)]) == {"m.PLANS"}
 
 
 def test_batch_policy_has_one_knob():

@@ -288,8 +288,11 @@ def columnar_join_run(join, left_rows: dict, right_rows: dict) -> dict:
     return joined
 
 
-def execute_naive(query: SPJQuery, tables: dict[str, Table]) -> Table:
-    """The reference evaluator: straightforward, per-row, uncompiled.
+def execute_naive(
+    query: SPJQuery, tables: dict[str, Table], plans=None
+) -> Table:
+    """The reference evaluator: straightforward, per-row, uncompiled
+    (``plans``, the shipped kernel's plan cache, is not read).
 
     Raises the schema errors (:class:`UnknownAttributeError` and kin)
     when the bound tables no longer provide what the query asks for —
@@ -392,10 +395,13 @@ def bindings_of(function) -> list[tuple[object, str]]:
     ]
 
 
-def _table_path(self, query: SPJQuery, alias: str, schema) -> None:
+def _table_path(
+    self, query: SPJQuery, alias: str, schema, plans=None
+) -> None:
     """``BagProbe.__init__`` with no plan: every bag goes through
     ``execute``, as it does for a plan that is not total."""
     self.query, self.alias, self.schema = query, alias, schema
+    self.plans = plans
     self._plan = self._probe = None
 
 

@@ -492,9 +492,9 @@ def _no_probe_after_an_empty_stage(monkeypatch):
     monkeypatch.setattr(Stage, "in_lists", watched)
     maintain = vm.maintain_data_update
 
-    def skipping(view, unit, umq, log=None):
+    def skipping(view, unit, umq, log=None, plans=None):
         emptied.clear()
-        process = maintain(view, unit, umq, log)
+        process = maintain(view, unit, umq, log, plans)
         answer = None
         while True:
             try:

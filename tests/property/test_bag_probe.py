@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from repro.relational.errors import RelationalError
 from repro.relational.executor import BagProbe
-from repro.relational.plan import PLAN_CACHE
+from repro.relational.plan import compile_plan
 from repro.relational.predicate import (
     Comparison,
     InPredicate,
@@ -122,7 +122,7 @@ def test_a_total_plan_reads_only_admitted_rows(data, query):
     """Over a total plan nothing raises, a kept row is one the probed
     IN-list admits, and a bag with none left costs no kernel execute."""
     items = data.draw(bags(FULL))
-    plan = PLAN_CACHE.plan_of(query.prepared[0], FULL)
+    plan = compile_plan(query.prepared[0], {"R": FULL})
     if not plan.total:
         return  # the table path: test_bag_probe_equals_the_table_path
     probe = BagProbe(query, "R", FULL)
@@ -160,7 +160,7 @@ def test_each_dangling_reference_takes_the_table_path():
             projection=projection,
             selection=selection,
         )
-        assert not PLAN_CACHE.plan_of(query.prepared[0], FULL).total
+        assert not compile_plan(query.prepared[0], {"R": FULL}).total
         probe = BagProbe(query, "R", FULL)
         assert probe.keep(items) is items, where
         expected = _outcome(

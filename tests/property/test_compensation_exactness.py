@@ -740,10 +740,10 @@ def _admitted_on_the_wrong_column(self, bags):
     ]
 
 
-def _misses_left_unvalidated(query, alias, members):
+def _misses_left_unvalidated(query, alias, members, plans):
     """Mutation: admission reads raw rows, and only the admitted members
     are validated."""
-    probe = BagProbe(query, alias, members[0].schema)
+    probe = BagProbe(query, alias, members[0].schema, plans)
     admitted = [d for d in members if probe.admitted([tuple(d.items())])]
     bags = [delta.validated_items() for delta in admitted]
     return compensation._effect(probe, bags)[1] if bags else {}

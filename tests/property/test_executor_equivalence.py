@@ -33,12 +33,8 @@ from repro.cache import SnapshotCache
 from repro.relational import plan
 from repro.relational.delta import Delta
 from repro.relational.errors import RelationalError
-from repro.relational.plan import (
-    PLAN_CACHE,
-    execute_compiled,
-    plan_cache_stats,
-    result_schema,
-)
+from repro.relational.executor import execute
+from repro.relational.plan import PlanCache, compile_plan, result_schema
 from repro.relational.predicate import (
     AttrComparison,
     Comparison,
@@ -51,6 +47,7 @@ from repro.relational.query import JoinCondition, RelationRef, SPJQuery
 from repro.relational.schema import RelationSchema
 from repro.relational.table import Table
 from repro.relational.types import AttributeType
+from repro.sim.metrics import Metrics
 from repro.sources.messages import DataUpdate
 from repro.sources.source import DataSource
 from tests.kernel_oracle import execute_naive
@@ -134,7 +131,7 @@ def _outcome(executor, query, tables):
 
 def assert_equivalent(query, tables):
     naive = _outcome(execute_naive, query, tables)
-    compiled = _outcome(execute_compiled, query, tables)
+    compiled = _outcome(execute, query, tables)
     assert naive == compiled
 
 
@@ -246,7 +243,7 @@ def test_error_classes_match_exactly(projection_kind):
     }
     query = _query(0, projection_kind, 1)
     naive = _outcome(execute_naive, query, tables)
-    compiled = _outcome(execute_compiled, query, tables)
+    compiled = _outcome(execute, query, tables)
     assert naive[0] == "raised"
     assert naive == compiled
 
@@ -369,21 +366,22 @@ def test_one_plan_rebinds_exactly(r_data, s_data, counts, placement, data):
     for table in tables.values():
         assert len(wide) * 4 >= table.distinct_count() > len(one) * 4
 
-    PLAN_CACHE.clear()
-    misses = plan_cache_stats()["misses"]
+    plans = PlanCache(Metrics())
     for first, second in bindings:
         query = _rebinding_query(placement, first, second)
         naive = _outcome_and_probes(execute_naive, query, tables)
-        compiled = _outcome_and_probes(execute_compiled, query, tables)
+        compiled = _outcome_and_probes(
+            lambda query, tables: execute(query, tables, plans), query, tables
+        )
         assert naive == compiled
-    assert plan_cache_stats()["misses"] == misses + 1  # one plan did it all
+    assert plans.metrics.plan_cache_recompiles == 1  # one plan did it all
 
 
 def test_rebinding_takes_both_scan_paths():
     """The property above is not vacuous: on one plan a one-value list
     goes through the index and a wide one does not, in either order."""
     rows = [(key, "p", 0.5) for key in range(12)]
-    PLAN_CACHE.clear()
+    plans = PlanCache(Metrics())
     for lists in ([{3}, set(range(6)), {4}], [set(range(6)), {3}]):
         table = Table(R, rows)  # fresh: no index yet
         for values in lists:
@@ -393,11 +391,13 @@ def test_rebinding_takes_both_scan_paths():
                 selection=InPredicate(attr("R", "k"), frozenset(values)),
             )
             (outcome, probes) = _outcome_and_probes(
-                execute_compiled, query, {"R": table}
+                lambda query, tables: execute(query, tables, plans),
+                query,
+                {"R": table},
             )
             assert outcome[1] == Counter({(key,): 1 for key in values})
             assert bool(probes) == (len(values) == 1)
-    assert plan_cache_stats()["plans"] == 1
+    assert len(plans._plans) == 1
 
 
 # ----------------------------------------------------------------------
@@ -477,7 +477,7 @@ def _per_row_projection(projection, columns, resolve, schemas):
 
 def _ordered(query, tables):
     try:
-        table = execute_compiled(query, tables)
+        table = execute(query, tables)
     except RelationalError as error:
         return ("raised", type(error).__name__)
     return list(table.items()), tuple(table.schema.attribute_names)
@@ -505,12 +505,9 @@ def test_identity_projections_adopt_exactly(
     }
     query = _shaped_query(shape, selection, threshold)
     assert_equivalent(query, tables)
-    PLAN_CACHE.clear()
     adopted = _ordered(query, tables)
-    PLAN_CACHE.clear()
     with mock.patch.object(plan, "_projection", _per_row_projection):
         looped = _ordered(query, tables)
-    PLAN_CACHE.clear()
     assert adopted == looped
 
 
@@ -519,7 +516,8 @@ def test_only_identities_are_adopted(shape):
     """The property above is not vacuous: exactly the identities
     compile to an adopting plan."""
     tables = {"R": Table(R), "S": Table(S), "U": Table(U)}
-    compiled = PLAN_CACHE.plan_for(_shaped_query(shape, 0, 0), tables)
+    schemas = {alias: table.schema for alias, table in tables.items()}
+    compiled = compile_plan(_shaped_query(shape, 0, 0), schemas)
     project, _schema, error = compiled.stages[-1].projection(
         compiled.shape.projection
     )
@@ -537,14 +535,14 @@ def _assert_answers_own_their_rows():
     source.create_relation(R, [(1, "p", 0.5), (2, "q", 1.5), (2, "q", 1.5)])
     query = _shaped_query("identity", 0, 0)
     table = source.catalog.table("R")
-    stored = execute_compiled(query, {"R": table})
+    stored = execute(query, {"R": table})
     rows = list(stored.items())
     cache = SnapshotCache()
     cache.store(source, query, stored)
     source.commit(DataUpdate.insert(R, [(3, "r", 2.5)]))
     source.commit(DataUpdate.delete(R, [(1, "p", 0.5)]))
     assert list(stored.items()) == rows
-    fresh = execute_compiled(query, {"R": table})
+    fresh = execute(query, {"R": table})
     extent = list(table.items())
     assert list(fresh.items()) == extent
     stored.insert((9, "z", 0.5))
@@ -554,7 +552,6 @@ def _assert_answers_own_their_rows():
 
 
 def test_an_adopted_answer_never_aliases_source_state():
-    PLAN_CACHE.clear()
     _assert_answers_own_their_rows()
 
 
@@ -568,7 +565,5 @@ def test_the_aliasing_guard_catches_an_uncopied_adoption(monkeypatch):
             rows if project is None else projected(rows, project)
         ),
     )
-    PLAN_CACHE.clear()
     with pytest.raises(AssertionError):
         _assert_answers_own_their_rows()
-    PLAN_CACHE.clear()

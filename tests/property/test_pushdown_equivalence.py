@@ -22,7 +22,6 @@ from hypothesis import strategies as st
 
 from repro.relational import plan
 from repro.relational.executor import execute
-from repro.relational.plan import PLAN_CACHE
 from repro.relational.predicate import (
     TRUE,
     Comparison,
@@ -60,17 +59,12 @@ def _no_split(selection: Predicate):
 def _without_pushdown(query: SPJQuery, tables: dict[str, Table]) -> Counter:
     """Evaluate through a plan compiled with nothing pushed down: no
     scan filters, so no probe candidates (checked)."""
-    PLAN_CACHE.clear()
-    try:
-        with mock.patch.object(plan, "_single_alias_conjuncts", _no_split):
-            compiled = PLAN_CACHE.plan_for(query, tables)
-            scans = [stage.scan for stage in compiled.stages]
-            assert all(
-                scan.filter is None and not scan.probes for scan in scans
-            )
-            return as_counter(execute(query, tables))
-    finally:
-        PLAN_CACHE.clear()
+    schemas = {alias: table.schema for alias, table in tables.items()}
+    with mock.patch.object(plan, "_single_alias_conjuncts", _no_split):
+        compiled = plan.compile_plan(query, schemas)
+        scans = [stage.scan for stage in compiled.stages]
+        assert all(scan.filter is None and not scan.probes for scan in scans)
+        return as_counter(execute(query, tables))
 
 
 def _probe_choice(table: Table, alias: str, predicates: list[Predicate]):
@@ -175,10 +169,8 @@ def test_a_probe_that_skips_the_scan_filter_is_caught(monkeypatch):
         return found
 
     monkeypatch.setattr(plan._Scan, "run", unfiltered_probe)
-    PLAN_CACHE.clear()
     with pytest.raises(AssertionError):
         test_in_list_probe_matches_full_scan()
-    PLAN_CACHE.clear()
 
 
 def test_pick_probe_fires_only_when_selective():

@@ -199,13 +199,6 @@ def test_both_drivers_answer_the_same_surface():
         assert testbed.initial_sizes == sizes_before_run
         return testbed
 
-    # The compiled-plan cache is process-global: what a shard is
-    # charged for it depends on which shards share its process.
-    process_global = {
-        "plan_cache_hits",
-        "plan_cache_recompiles",
-        "plan_cache_evictions",
-    }
     for strategy in (PESSIMISTIC, OPTIMISTIC):
         inline, processed = quiescent(strategy, 0), quiescent(strategy, 2)
         assert inline.runtime is None and processed.warehouse is None
@@ -226,11 +219,17 @@ def test_both_drivers_answer_the_same_surface():
                 processed.driver, accessor
             )(), accessor
         assert inline.metrics.barrier_deferrals > 0
-        for spec in fields(Metrics):
-            if spec.name not in process_global:
-                assert getattr(inline.metrics, spec.name) == getattr(
-                    processed.metrics, spec.name
-                ), (strategy.name, spec.name)
+        # Every count, per shard: each world owns its plan cache, so even
+        # its hits do not depend on which shards share a process.
+        shards = inline.driver._states(), processed.driver._states()
+        assert shards[0].keys() == shards[1].keys()
+        for shard_id, state in shards[0].items():
+            ours = shards[1][shard_id]["metrics"]
+            for spec in fields(Metrics):
+                assert getattr(state["metrics"], spec.name) == getattr(
+                    ours, spec.name
+                ), (strategy.name, shard_id, spec.name)
+        assert inline.metrics == processed.metrics
 
 
 # ----------------------------------------------------------------------

@@ -39,7 +39,6 @@ from hypothesis import strategies as st
 
 from repro.relational import plan
 from repro.relational.executor import BagProbe, execute
-from repro.relational.plan import PLAN_CACHE
 from repro.relational.predicate import (
     AttrComparison,
     Comparison,
@@ -392,9 +391,5 @@ def test_each_seeded_mutation_fails_the_differential(monkeypatch, mutation):
             phases=(Phase.explicit, Phase.generate),
         ),
     )
-    PLAN_CACHE.clear()
-    try:
-        with pytest.raises(AssertionError):
-            test_the_kernel_answers_what_sqlite_answers()
-    finally:
-        PLAN_CACHE.clear()
+    with pytest.raises(AssertionError):
+        test_the_kernel_answers_what_sqlite_answers()

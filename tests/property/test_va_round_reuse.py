@@ -180,9 +180,9 @@ def joins(monkeypatch):
     ``execute`` it must keep calling (the tracer rebinds that name)."""
     calls = []
 
-    def counting(query, tables):
+    def counting(query, tables, plans=None):
         calls.append(query)
-        return execute(query, tables)
+        return execute(query, tables, plans)
 
     monkeypatch.setattr(va_module, "execute", counting)
     return calls

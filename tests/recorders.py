@@ -191,7 +191,9 @@ def recorded_compensations():
     shipped, parts = compensation.compensate_answer, BagProbe.parts
     inside: list[dict] = []
 
-    def recording(answer, query, alias, leaked, log=None, extra=None):
+    def recording(
+        answer, query, alias, leaked, log=None, extra=None, plans=None
+    ):
         deltas = [message.payload.delta for message in leaked]
         deltas += extra or []
         record = {
@@ -202,7 +204,7 @@ def recorded_compensations():
         records.append(record)
         inside.append(record)
         try:
-            return shipped(answer, query, alias, leaked, log, extra)
+            return shipped(answer, query, alias, leaked, log, extra, plans)
         finally:
             inside.pop()
 

@@ -4,9 +4,8 @@ The equivalence runs (``test_executor_mode_invariance``, the sqlite
 schema parity module, the ABL-12 bench) compare whole warehouse runs on
 the compiled kernel with runs under ``tests/kernel_oracle.naive_kernel``.
 That comparison means something only if nothing under the binding still
-reaches the compiled kernel: not ``execute_compiled`` through a module
-that imported ``execute`` by name, and not a compiled plan through
-``BagProbe``.
+reaches the compiled kernel: not a compiled plan through a module that
+imported ``execute`` by name, and not one through ``BagProbe``.
 """
 
 from collections import Counter
@@ -14,7 +13,7 @@ from collections import Counter
 from repro.core.strategies import PESSIMISTIC
 from repro.experiments.testbed import build_testbed
 from repro.relational import executor
-from repro.relational.plan import CompiledPlan, execute_compiled
+from repro.relational.plan import CompiledPlan
 from tests import kernel_oracle
 from tests.kernel_oracle import bindings_of, naive_kernel
 
@@ -30,10 +29,6 @@ def _counting(monkeypatch) -> Counter:
 
         return entry
 
-    for module, name in bindings_of(execute_compiled):
-        monkeypatch.setattr(
-            module, name, counted("execute_compiled", execute_compiled)
-        )
     for method in ("execute", "execute_rows"):
         monkeypatch.setattr(
             CompiledPlan,
@@ -73,7 +68,6 @@ def test_a_run_under_the_oracle_never_enters_the_compiled_kernel(
     with naive_kernel():
         _run()
     assert entries["execute_naive"] > 0
-    assert entries["execute_compiled"] == 0
     assert entries["plan.execute"] == entries["plan.execute_rows"] == 0
     # every binding is the shipped kernel's again
     assert not bindings_of(kernel_oracle.execute_naive)
@@ -86,6 +80,5 @@ def test_the_same_run_enters_every_counted_path_unbound(monkeypatch):
     entries = _counting(monkeypatch)
     _run()
     assert entries["execute_naive"] == 0
-    assert entries["execute_compiled"] > 0
     assert entries["plan.execute"] > 0
     assert entries["plan.execute_rows"] > 0

@@ -21,7 +21,7 @@ from collections import Counter
 import pytest
 
 from repro.maintenance.vm import maintain_data_update
-from repro.relational.plan import execute_compiled
+from repro.relational.executor import execute
 from repro.relational.predicate import (
     Comparison,
     InPredicate,
@@ -74,11 +74,19 @@ def _sqlite(query: SPJQuery, tables: dict) -> Counter:
     return Counter(db.execute(query.sql()).fetchall())
 
 
+#: the shipped compiled kernel and its naive oracle, by those names
+KERNELS = pytest.mark.parametrize(
+    "kernel",
+    [execute, execute_naive],
+    ids=["execute_compiled", "execute_naive"],
+)
+
+
 def test_sqlite_drops_the_null_key():
     assert _sqlite(QUERY, {R: R_ROWS, T: T_ROWS}) == Counter({("r1", "t1"): 1})
 
 
-@pytest.mark.parametrize("kernel", [execute_compiled, execute_naive])
+@KERNELS
 @pytest.mark.parametrize("two_keys", [False, True])
 def test_kernels_agree_with_sqlite(kernel, two_keys):
     query = QUERY
@@ -189,7 +197,7 @@ def test_sqlite_answers_three_valued(case):
     assert answer == Counter({(a,): 1 for a in expected})
 
 
-@pytest.mark.parametrize("kernel", [execute_compiled, execute_naive])
+@KERNELS
 @pytest.mark.parametrize("case", sorted(THREE_VALUED))
 def test_kernels_pass_only_true_rows(kernel, case):
     query = _selecting(THREE_VALUED[case][0])
@@ -198,7 +206,7 @@ def test_kernels_pass_only_true_rows(kernel, case):
     )
 
 
-@pytest.mark.parametrize("kernel", [execute_compiled, execute_naive])
+@KERNELS
 def test_an_index_probe_serves_no_null(kernel):
     """A one-value-plus-NULL list over a wider table takes the index
     probe: the NULL rows must not come back through it."""

@@ -5,14 +5,8 @@ from collections import Counter
 import pytest
 
 from repro.relational.errors import DataError, UnknownAttributeError
-from repro.relational.plan import (
-    PLAN_CACHE,
-    PlanCache,
-    _Join,
-    compile_plan,
-    execute_compiled,
-    plan_cache_stats,
-)
+from repro.relational.executor import execute
+from repro.relational.plan import PlanCache, _Join, compile_plan
 from repro.relational.predicate import (
     AttrComparison,
     Comparison,
@@ -23,6 +17,7 @@ from repro.relational.query import JoinCondition, RelationRef, SPJQuery
 from repro.relational.schema import Attribute, RelationSchema
 from repro.relational.table import Table
 from repro.relational.types import AttributeType
+from repro.sim.metrics import Metrics
 from tests.kernel_oracle import columnar_join_run, execute_naive
 
 R = RelationSchema.of("R", [("k", AttributeType.INT), "a"])
@@ -45,39 +40,48 @@ def tables():
     }
 
 
+def plan_for(cache: PlanCache, query: SPJQuery, bound: dict):
+    """The cached plan of ``query`` over the bound tables' schemas."""
+    shape = query.prepared[0]
+    return cache.plan_of(shape, *[bound[a].schema for a in shape.aliases])
+
+
+def counts(cache: PlanCache) -> tuple[int, int, int, int]:
+    """``(plans, hits, misses, evictions)`` of one cache."""
+    metrics = cache.metrics
+    return (
+        len(cache._plans),
+        metrics.plan_cache_hits,
+        metrics.plan_cache_recompiles,
+        metrics.plan_cache_evictions,
+    )
+
+
 class TestPlanCache:
     def test_same_query_and_schemas_reuse_the_compiled_plan(self):
-        PLAN_CACHE.clear()
+        cache = PlanCache(Metrics())
         bound = tables()
         query = two_way_query()
-        before = plan_cache_stats()
-        execute_compiled(query, bound)
-        first = dict(PLAN_CACHE._plans)
-        execute_compiled(query, bound)
-        stats = plan_cache_stats()
-        assert stats["plans"] == 1
-        assert stats["hits"] == before["hits"] + 1
+        execute(query, bound, cache)
+        first = dict(cache._plans)
+        execute(query, bound, cache)
+        assert counts(cache) == (1, 1, 1, 0)
         # identity, not just equality: the plan object is reused
-        assert list(PLAN_CACHE._plans.values()) == list(first.values())
+        assert list(cache._plans.values()) == list(first.values())
 
     def test_equal_schemas_share_plans_across_table_objects(self):
-        PLAN_CACHE.clear()
+        cache = PlanCache(Metrics())
         query = two_way_query()
-        before = plan_cache_stats()
-        execute_compiled(query, tables())
-        execute_compiled(query, tables())  # fresh Table objects, same schemas
-        stats = plan_cache_stats()
-        assert stats["plans"] == 1
-        assert stats["hits"] == before["hits"] + 1
-        assert stats["misses"] == before["misses"] + 1
+        execute(query, tables(), cache)
+        execute(query, tables(), cache)  # fresh Table objects, same schemas
+        assert counts(cache) == (1, 1, 1, 0)
 
     def test_schema_change_compiles_a_fresh_plan(self):
-        PLAN_CACHE.clear()
+        cache = PlanCache(Metrics())
         bound = tables()
         query = two_way_query()
-        before = execute_compiled(query, bound)
+        before = execute(query, bound, cache)
         assert sorted(before.rows()) == [("p", "x"), ("q", "y"), ("q", "y")]
-        misses_before = plan_cache_stats()["misses"]
         bound["S"].rename_attribute("c", "c2")
         # the old plan keys on the old schema object — a new one compiles
         query2 = SPJQuery(
@@ -86,53 +90,58 @@ class TestPlanCache:
             joins=query.joins,
             selection=query.selection,
         )
-        after = execute_compiled(query2, bound)
+        after = execute(query2, bound, cache)
         assert sorted(after.rows()) == sorted(before.rows())
-        assert plan_cache_stats()["misses"] == misses_before + 1
+        assert cache.metrics.plan_cache_recompiles == 2
         # a change the query survives: the very same query recompiles
         bound["R"].add_attribute(Attribute("d"))
-        assert execute_compiled(query2, bound) == after
-        assert plan_cache_stats()["misses"] == misses_before + 2
+        assert execute(query2, bound, cache) == after
+        assert cache.metrics.plan_cache_recompiles == 3
 
     def test_stale_plan_never_served_after_schema_change(self):
-        PLAN_CACHE.clear()
+        cache = PlanCache(Metrics())
         bound = tables()
         query = two_way_query()
-        execute_compiled(query, bound)
+        execute(query, bound, cache)
         bound["S"].drop_attribute("c")
         # same query object, changed schema: recompiles (cache miss) and
         # reports the dangling projection exactly like the naive oracle
-        from repro.relational.errors import UnknownAttributeError
-
         with pytest.raises(UnknownAttributeError):
-            execute_compiled(query, bound)
+            execute(query, bound, cache)
+        assert cache.metrics.plan_cache_recompiles == 2
         with pytest.raises(UnknownAttributeError):
             execute_naive(query, bound)
 
     def test_lru_bound_evicts_oldest(self):
-        cache = PlanCache(max_plans=2)
+        cache = PlanCache(Metrics(), max_plans=2)
         bound = tables()
-        schemas = {alias: table.schema for alias, table in bound.items()}
         for threshold in range(4):
-            cache.plan_for(two_way_query(threshold), bound)
-        assert len(cache) == 2
-        stats = cache.stats()
-        assert stats["evictions"] == 2
-        assert stats["misses"] == 4
+            plan_for(cache, two_way_query(threshold), bound)
+        assert counts(cache) == (2, 0, 4, 2)
         # oldest (threshold=0) was evicted: fetching recompiles
-        cache.plan_for(two_way_query(0), bound)
-        assert cache.stats()["misses"] == 5
-        del schemas
+        plan_for(cache, two_way_query(0), bound)
+        assert cache.metrics.plan_cache_recompiles == 5
+
+    def test_counts_land_on_the_metrics_handed_in(self):
+        metrics = Metrics()
+        cache = PlanCache(metrics)
+        execute(two_way_query(), tables(), cache)
+        execute(two_way_query(), tables())  # a one-off: no cache, no count
+        assert cache.metrics is metrics
+        assert (metrics.plan_cache_hits, metrics.plan_cache_recompiles) == (
+            0,
+            1,
+        )
 
     def test_max_plans_below_one_is_refused(self):
         for max_plans in (0, -2):
             with pytest.raises(ValueError, match="max_plans"):
-                PlanCache(max_plans=max_plans)
+                PlanCache(Metrics(), max_plans=max_plans)
 
     def test_in_lists_are_parameters_not_part_of_the_key(self):
         """Probes that differ only in their IN-list share one plan; a
         comparison constant is part of the shape and does not."""
-        cache = PlanCache(max_plans=2)
+        cache = PlanCache(Metrics(), max_plans=2)
         bound = {"R": Table(R, [(i % 50, "v") for i in range(200)])}
 
         def probe(values, threshold=0):
@@ -143,15 +152,13 @@ class TestPlanCache:
                 & InPredicate(attr("R", "k"), frozenset(values)),
             )
 
-        plans = {id(cache.plan_for(probe({v}), bound)) for v in range(40)}
+        plans = {id(plan_for(cache, probe({v}), bound)) for v in range(40)}
         assert len(plans) == 1
-        assert cache.stats() == {
-            "plans": 1, "hits": 39, "misses": 1, "evictions": 0
-        }
-        assert cache.plan_for(probe({1}, threshold=7), bound).shape == (
+        assert counts(cache) == (1, 39, 1, 0)
+        assert plan_for(cache, probe({1}, threshold=7), bound).shape == (
             probe({2, 3}, threshold=7).prepared[0]
         )
-        assert cache.stats()["misses"] == 2
+        assert cache.metrics.plan_cache_recompiles == 2
 
     def test_executing_an_unbound_shape_is_an_error(self):
         from repro.relational.errors import QueryError
@@ -165,7 +172,7 @@ class TestPlanCache:
         assert parameters == (frozenset({1}),)
         assert shape.bind(parameters) == query
         bound = {"R": Table(R, [(1, "p")])}
-        for executor in (execute_compiled, execute_naive):
+        for executor in (execute, execute_naive):
             with pytest.raises(QueryError, match="unbound parameter"):
                 executor(shape, bound)
 
@@ -190,7 +197,6 @@ class TestPlanCache:
             compile_plan(query, {"R": R})
 
     def test_probe_path_used_for_small_in_lists(self):
-        PLAN_CACHE.clear()
         big = Table(R, [(i % 50, "v") for i in range(200)])
         bound = {"R": big}
         query = SPJQuery(
@@ -198,7 +204,7 @@ class TestPlanCache:
             projection=(attr("R", "k"), attr("R", "a")),
             selection=InPredicate(attr("R", "k"), frozenset({3})),
         )
-        result = execute_compiled(query, bound)
+        result = execute(query, bound)
         assert "k" in big._indexes  # the compiled scan probed the index
         assert set(result.rows()) == {(3, "v")}
         assert result.count((3, "v")) == 4
@@ -237,16 +243,14 @@ class TestPlacement:
         }
 
     def test_a_later_empty_join_reads_no_dangling_reference(self):
-        PLAN_CACHE.clear()
         bound = self.tables([])
-        assert list(execute_compiled(self.QUERY, bound).items()) == []
+        assert list(execute(self.QUERY, bound).items()) == []
         assert list(execute_naive(self.QUERY, bound).items()) == []
 
     def test_a_row_the_whole_join_keeps_raises(self):
-        PLAN_CACHE.clear()
         bound = self.tables([("c", "d")])
         with pytest.raises(UnknownAttributeError):
-            execute_compiled(self.QUERY, bound)
+            execute(self.QUERY, bound)
         with pytest.raises(UnknownAttributeError):
             execute_naive(self.QUERY, bound)
 
@@ -317,14 +321,11 @@ class TestJoinBuild:
         self, monkeypatch
     ):
         bound = self.tables()
-        PLAN_CACHE.clear()
-        result = execute_compiled(self.QUERY, bound)
+        result = execute(self.QUERY, bound)
         assert result == execute_naive(self.QUERY, bound)
         assert len(result) == 2 * 2 * 3 + 1 * 4 * 3 + 3 * 5 * 7 + 1 * 5 * 3
-        PLAN_CACHE.clear()
         monkeypatch.setattr(_Join, "run", columnar_join_run)
-        columnar = execute_compiled(self.QUERY, bound)
-        PLAN_CACHE.clear()
+        columnar = execute(self.QUERY, bound)
         assert list(result.items()) == list(columnar.items())
 
 

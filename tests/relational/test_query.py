@@ -354,24 +354,24 @@ class TestMemos:
 
 _CHILD = """
 import pickle, sys
-from repro.relational.plan import (
-    PLAN_CACHE, execute_compiled, plan_cache_stats,
-)
+from repro.relational.executor import execute
+from repro.relational.plan import PlanCache
 from repro.relational.table import Table
+from repro.sim.metrics import Metrics
 from tests.relational.test_query import SCHEMAS, probing
 
 query, schemas = pickle.loads(sys.stdin.buffer.read())
 assert {probing({"u"}): "found"}[query] == "found"
 for alias, schema in schemas.items():
     assert {SCHEMAS[alias]: alias}[schema] == alias
-PLAN_CACHE.clear()
+plans = PlanCache(Metrics())
 fresh = {alias: Table(schema) for alias, schema in SCHEMAS.items()}
 shipped = {alias: Table(schema) for alias, schema in schemas.items()}
 fresh["R"].insert((1, "u")), fresh["T"].insert(("x", "u"))
 shipped["R"].insert((1, "u")), shipped["T"].insert(("x", "u"))
-assert execute_compiled(probing({"v"}), fresh).rows() == []
-assert execute_compiled(query, shipped).rows() == [(1, "x")]
-stats = plan_cache_stats()
-assert (stats["plans"], stats["misses"]) == (1, 1), stats
+assert execute(probing({"v"}), fresh, plans).rows() == []
+assert execute(query, shipped, plans).rows() == [(1, "x")]
+stats = (len(plans._plans), plans.metrics.plan_cache_recompiles)
+assert stats == (1, 1), stats
 print(hash("R.k"))
 """

@@ -2,7 +2,7 @@
 conflict with a query (Definition 3) is the one test detection runs:
 :meth:`Footprint.conflicted_by` over the query's footprint."""
 
-from repro.core.dependencies import footprint_of_query
+from repro.core.dependencies import NameResolver, footprint_of_query
 from repro.relational.schema import Attribute, RelationSchema
 from repro.relational.types import AttributeType
 from repro.sources.messages import (
@@ -28,7 +28,9 @@ def envelope(source: str, payload) -> UpdateMessage:
 
 
 def conflicts(message: UpdateMessage) -> bool:
-    return FOOTPRINT.conflicted_by(message.source, message.payload)
+    return FOOTPRINT.conflicted_by(
+        message.source, message.payload, NameResolver()
+    )
 
 
 class TestDataUpdate:
