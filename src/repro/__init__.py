@@ -24,17 +24,12 @@ from importlib import import_module
 
 def bind_on_first_use(namespace: dict, table: dict) -> tuple:
     """A package's PEP 562 ``(__getattr__, __all__)``, given its
-    ``globals()``: ``table`` maps each submodule (a tuple of its path's
-    names when nested deeper) to the names it exports through the
-    package.  A name is imported on first use and then bound in the
-    package, as an eager import would have bound it; ``__all__`` is
-    every name of the table."""
+    ``globals()``: ``table`` maps each submodule to the names it exports
+    through the package.  A name is imported on first use and then
+    bound in the package, as an eager import would have bound it;
+    ``__all__`` is every name of the table."""
     package = namespace["__name__"]
-    where = {
-        name: module if isinstance(module, str) else ".".join(module)
-        for module, names in table.items()
-        for name in names
-    }
+    where = {name: module for module, names in table.items() for name in names}
 
     def __getattr__(name: str):
         if name not in where:
@@ -154,10 +149,6 @@ __getattr__, __all__ = bind_on_first_use(
             "ViewDefinition",
             "ViewManager",
             "check_convergence",
-        ),
-        ("views", "audit"): (
-            "AuditingScheduler",
-            "StrongConsistencyViolation",
         ),
     },
 )

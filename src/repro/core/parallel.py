@@ -82,7 +82,7 @@ from ..sources.messages import UpdateMessage
 from ..views.manager import ViewManager
 from ..views.umq import MaintenanceUnit
 from .scheduler import DynoScheduler, SchedulerStats
-from .strategies import PESSIMISTIC, Strategy
+from .strategies import PESSIMISTIC, Strategy, check_parallel_strategy
 
 
 class ParallelScheduler(DynoScheduler):
@@ -102,6 +102,7 @@ class ParallelScheduler(DynoScheduler):
         max_iterations: int = 1_000_000,
         batch_policy=None,
     ) -> None:
+        check_parallel_strategy(strategy, workers)
         super().__init__(
             manager,
             strategy,

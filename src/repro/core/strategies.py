@@ -58,3 +58,22 @@ BLIND_MERGE = Strategy(
     pre_exec=False,
     on_broken_query=BrokenQueryPolicy.MERGE_ALL,
 )
+
+
+def check_parallel_strategy(
+    strategy: Strategy, workers: int | None
+) -> None:
+    """Refuse a strategy that would not mean the same under the parallel
+    executor: its dispatcher corrects a dependency cycle with
+    ``detect_and_correct()`` whatever the strategy, so naive and
+    blind-merge there would run partly as Dyno under a baseline's
+    name."""
+    if workers is not None and (
+        strategy.on_broken_query is not BrokenQueryPolicy.CORRECT
+    ):
+        raise ValueError(
+            f"strategy {strategy.name!r} cannot run with "
+            f"parallel_workers={workers}: the parallel executor corrects "
+            "dependency cycles, so only 'pessimistic' and 'optimistic' "
+            "mean the same there as in the serial loop"
+        )

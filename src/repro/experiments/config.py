@@ -13,7 +13,11 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 
-from ..core.strategies import PESSIMISTIC, Strategy
+from ..core.strategies import (
+    PESSIMISTIC,
+    Strategy,
+    check_parallel_strategy,
+)
 from ..faults.plan import FaultPlan
 from ..maintenance.grouping import BatchPolicy
 from ..recovery.crash import CrashPlan
@@ -79,6 +83,7 @@ class WarehouseConfig:
             raise ValueError(
                 f"parallel_workers must be >= 1, got {self.parallel_workers}"
             )
+        check_parallel_strategy(self.strategy, self.parallel_workers)
         if self.checkpoint_every < 1:
             raise ValueError(
                 f"checkpoint_every must be >= 1, got {self.checkpoint_every}"

@@ -1,94 +1,7 @@
-"""Audit mode: runtime verification of strong consistency.
-
-An :class:`AuditingScheduler` is a drop-in Dyno scheduler that, after
-every successfully maintained unit, replays the units maintained so far
-(in maintenance order) onto pristine copies of the initial sources and
-checks that the materialized extent equals the current definition
-evaluated over the replayed state — i.e. that every intermediate view
-state corresponds to a *legal prefix* of the update stream, the paper's
-strong-consistency guarantee.
-
-Auditing is expensive (a full replay + recompute per unit) and meant
-for tests, debugging and demos — not for measuring costs.
-
-Replay order is well-defined because correction only reorders updates
-that commute at the sources: per-relation commit order is pinned by
-semantic dependencies, and updates of different relations commute.
+"""Holds no definition.  The measurement spine's tracer imports this
+module by name before it rebinds (``_BINDERS`` in
+``benchmarks/spine/tracing.py``), so it stays until the tracer's table
+drops it.  Strong consistency — after every install, each view equals
+its current definition over a legal prefix of the updates — is checked
+by ``tests/extent_oracle.py`` against stdlib ``sqlite3``.
 """
-
-from __future__ import annotations
-
-from ..core.scheduler import DynoScheduler
-from ..core.strategies import PESSIMISTIC, Strategy
-from ..relational.errors import ReproError
-from ..relational.executor import execute
-from ..sources.source import DataSource
-from .manager import ViewManager
-
-
-class StrongConsistencyViolation(ReproError):
-    """An intermediate view state did not match any maintained prefix."""
-
-
-def clone_source(source) -> DataSource:
-    """A pristine in-memory copy of a source's current state."""
-    duplicate = DataSource(source.name)
-    for table in source.catalog:
-        duplicate.catalog.add_table(table.copy())
-    return duplicate
-
-
-class AuditingScheduler(DynoScheduler):
-    """Dyno with the strong-consistency invariant checked per unit."""
-
-    def __init__(
-        self,
-        manager: ViewManager,
-        strategy: Strategy = PESSIMISTIC,
-        **kwargs,
-    ) -> None:
-        super().__init__(manager, strategy, **kwargs)
-        # Snapshot the sources as they are NOW (before any audited
-        # maintenance): the replay baseline.
-        self._baseline = {
-            name: clone_source(source)
-            for name, source in manager.engine.sources.items()
-        }
-        self.maintained_messages: list = []
-        self.audited_states = 0
-
-    def step(self) -> bool:
-        before_messages = list(self.umq.messages())
-        before_count = self.manager.metrics.maintained_updates
-        alive = super().step()
-        maintained = self.manager.metrics.maintained_updates - before_count
-        if maintained > 0:
-            after_ids = {id(m) for m in self.umq.messages()}
-            removed = [
-                m for m in before_messages if id(m) not in after_ids
-            ]
-            removed.sort(key=lambda m: (m.committed_at, m.source, m.seqno))
-            self.maintained_messages.extend(removed)
-            self._audit()
-        return alive
-
-    def _audit(self) -> None:
-        replayed = {
-            name: clone_source(source)
-            for name, source in self._baseline.items()
-        }
-        for message in self.maintained_messages:
-            replayed[message.source].commit(message.payload, at=0.0)
-        tables = {}
-        for ref in self.manager.view.query.relations:
-            tables[ref.alias] = replayed[ref.source].catalog.table(
-                ref.relation
-            )
-        expected = execute(self.manager.view.query, tables)
-        if self.manager.mv.extent != expected:
-            raise StrongConsistencyViolation(
-                f"after {len(self.maintained_messages)} maintained "
-                f"updates the extent has {len(self.manager.mv.extent)} "
-                f"rows but the maintained prefix yields {len(expected)}"
-            )
-        self.audited_states += 1

@@ -116,13 +116,6 @@ def test_batch_policy_has_one_knob():
 
 # --- definitions only tests reach ---------------------------------------
 
-#: Kept on purpose although nothing outside ``tests/`` reaches them.
-TEST_ONLY_ALLOWED = {
-    "views/audit.py: AuditingScheduler":
-        "the spine's tracer imports repro.views.audit; an independent "
-        "oracle replaces its body (ROADMAP 1(b))",
-}
-
 _DOTTED = re.compile(r"[A-Za-z_]\w*(?:\.[A-Za-z_]\w*)+")
 #: ... and in the spine tracer's binding tables a bare name too: it
 #: binds methods by name (``vars(cls)[name]``)
@@ -237,7 +230,7 @@ def test_src_definitions_have_a_non_test_caller():
     """Oracles and test helpers live in ``tests/``: a definition in the
     package that only tests call is either dead or a second statement of
     a rule the system runs elsewhere."""
-    assert set(_test_only_definitions()) == set(TEST_ONLY_ALLOWED)
+    assert set(_test_only_definitions()) == set()
 
 
 def test_the_census_counts_only_the_tracers_binding_tables():

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.parallel import ParallelScheduler
-from repro.core.strategies import OPTIMISTIC, PESSIMISTIC
+from repro.core.strategies import BLIND_MERGE, NAIVE, OPTIMISTIC, PESSIMISTIC
 from repro.experiments.testbed import (
     build_testbed,
     fixed_drop_attribute,
@@ -29,6 +29,15 @@ def test_worker_count_validation():
     testbed = build_testbed(PESSIMISTIC, tuples_per_relation=10)
     with pytest.raises(ValueError):
         ParallelScheduler(testbed.manager, PESSIMISTIC, workers=0)
+
+
+@pytest.mark.parametrize("strategy", [NAIVE, BLIND_MERGE], ids=str)
+def test_baseline_strategies_are_refused(strategy):
+    """The dispatcher runs ``detect_and_correct()`` on a cycle whatever
+    the strategy: a baseline is refused rather than run partly as Dyno."""
+    testbed = build_testbed(PESSIMISTIC, tuples_per_relation=10)
+    with pytest.raises(ValueError, match=f"{strategy.name}.*parallel_workers"):
+        ParallelScheduler(testbed.manager, strategy, workers=2)
 
 
 def test_makespan_beats_serial_arm():

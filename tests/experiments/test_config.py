@@ -5,7 +5,7 @@ import pickle
 
 import pytest
 
-from repro.core.strategies import OPTIMISTIC, PESSIMISTIC
+from repro.core.strategies import BLIND_MERGE, NAIVE, OPTIMISTIC, PESSIMISTIC
 from repro.experiments import (
     WarehouseConfig,
     build_sharded_testbed,
@@ -39,6 +39,29 @@ class TestValidation:
             build_testbed(PESSIMISTIC, **knobs)
         with pytest.raises(ValueError):
             build_sharded_testbed(PESSIMISTIC, **knobs)
+
+    @pytest.mark.parametrize("strategy", [NAIVE, BLIND_MERGE], ids=str)
+    @pytest.mark.parametrize("workers", [1, 4])
+    def test_baselines_refuse_parallel_workers(self, strategy, workers):
+        """The parallel dispatcher corrects cycles whatever the strategy,
+        so a baseline there would run partly as Dyno under its name."""
+        for build in (WarehouseConfig, build_testbed, build_sharded_testbed):
+            with pytest.raises(ValueError) as refused:
+                build(strategy=strategy, parallel_workers=workers)
+            assert strategy.name in str(refused.value)
+            assert "parallel_workers" in str(refused.value)
+        with pytest.raises(ValueError):
+            WarehouseConfig(strategy=strategy).replace(parallel_workers=2)
+
+    @pytest.mark.parametrize(
+        "strategy", [PESSIMISTIC, OPTIMISTIC, NAIVE, BLIND_MERGE], ids=str
+    )
+    def test_every_other_strategy_pair_constructs(self, strategy):
+        WarehouseConfig(strategy=strategy)
+        WarehouseConfig(strategy=strategy, shards=2, spans=((0, 2), (2, 4)))
+        if strategy in (PESSIMISTIC, OPTIMISTIC):
+            WarehouseConfig(strategy=strategy, parallel_workers=1)
+            WarehouseConfig(strategy=strategy, parallel_workers=4)
 
     @pytest.mark.parametrize(
         "build", [WarehouseConfig, build_testbed, build_sharded_testbed]

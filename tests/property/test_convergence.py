@@ -6,7 +6,10 @@ source states — for *any* interleaving of data updates and schema
 changes, under both the pessimistic and the optimistic strategy.  The
 blind-merge baseline must also converge (it merges more than needed but
 never reorders illegally).  No run may queue two updates of one
-relation against their commit order (``tests/recorders.py``).
+relation against their commit order (``tests/recorders.py``), and in
+every run of :func:`test_mixed_workload_converges` each install is
+judged by the sqlite extent oracle (``tests/extent_oracle.py``): the
+view state is the definition over a legal prefix of the updates.
 """
 
 from hypothesis import given, settings
@@ -15,6 +18,7 @@ from hypothesis import strategies as st
 from repro.core.strategies import BLIND_MERGE, OPTIMISTIC, PESSIMISTIC
 from repro.experiments.testbed import build_testbed
 from repro.views.consistency import check_convergence
+from tests.extent_oracle import check_all, watch
 from tests.recorders import commit_order_guarded
 
 strategies = st.sampled_from([PESSIMISTIC, OPTIMISTIC, BLIND_MERGE])
@@ -34,6 +38,7 @@ def test_mixed_workload_converges(
 ):
     with commit_order_guarded() as inversions:
         testbed = build_testbed(strategy, tuples_per_relation=30, seed=seed)
+        oracles = watch(testbed)
         testbed.engine.schedule_workload(
             testbed.random_du_workload(
                 du_count, start=0.0, interval=du_interval, seed=seed
@@ -49,6 +54,7 @@ def test_mixed_workload_converges(
     assert testbed.manager.umq.is_empty()
     report = check_convergence(testbed.manager)
     assert report.consistent, report.summary()
+    check_all(oracles)
 
 
 @given(

@@ -13,7 +13,9 @@ relation) keys, and SC-bearing units must have run solo (the barrier
 rule that covers all conflict-dependency edges; DU-only batches stay
 leapfrog-eligible).  Every parallel arm runs under the no-pick verdict
 guard: wherever a round skips its ready-set scan, the full scan runs
-anyway and must find nothing.
+anyway and must find nothing.  Every arm, serial and parallel, is
+judged at each install and at quiescence by the sqlite extent oracle
+(``tests/extent_oracle.py``).
 """
 
 from hypothesis import example, given, settings
@@ -25,6 +27,7 @@ from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan
 from repro.maintenance.grouping import BatchPolicy
 from repro.views.consistency import check_convergence
+from tests.extent_oracle import check_all, watch
 from tests.recorders import (
     commit_order_guarded,
     record_dispatches,
@@ -72,8 +75,10 @@ def _run(
             )
         if workers is not None:
             testbed.dispatches = record_dispatches(testbed.scheduler)
+        oracles = watch(testbed)
         testbed.run()
     assert not inversions, inversions
+    check_all(oracles)
     testbed.verdict_skips = skips[0]
     extent = tuple(sorted(map(tuple, testbed.manager.mv.extent.rows())))
     processed = testbed.committed_updates()

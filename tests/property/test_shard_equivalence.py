@@ -6,7 +6,9 @@ restricted to each shard's footprint — so for ANY shard count, broken-
 query strategy, worker count, fault plan or crash plan, the final
 per-view extents and the union of committed (source, seqno) sets must
 be byte-identical to the 1-shard oracle.  Checked end to end on
-randomized DU/SC streams.
+randomized DU/SC streams.  Every shard world is also judged by the
+sqlite extent oracle (``tests/extent_oracle.py``): at each install
+unless a crash plan replays installs, and at quiescence.
 """
 
 from hypothesis import given, settings
@@ -16,6 +18,7 @@ from repro.core.strategies import OPTIMISTIC, PESSIMISTIC
 from repro.experiments.testbed import build_sharded_testbed
 from repro.faults.plan import FaultPlan
 from repro.recovery import CrashPlan
+from tests.extent_oracle import check_all, watch
 
 strategies = st.sampled_from([PESSIMISTIC, OPTIMISTIC])
 
@@ -51,6 +54,7 @@ def _run(
         parallel_workers=workers,
         **kwargs,
     )
+    oracles = watch(testbed, per_install=crash_seed is None)
     testbed.schedule_du_workload(
         du_count, start=0.05, interval=0.05, seed=seed
     )
@@ -60,6 +64,7 @@ def _run(
         )
     testbed.run()
     assert testbed.check_consistency()
+    check_all(oracles)
     return testbed.extent_rows(), testbed.committed_updates()
 
 

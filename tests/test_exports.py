@@ -5,7 +5,9 @@ definition deleted from the package cannot leave a dangling export.
 ``repro``, ``repro.experiments`` and ``repro.sources`` bind their
 exports on first use, so a warehouse's cold start loads only the
 modules its world runs: building a memory-backend testbed loads no
-figure or ablation harness, no facade, no auditor and no sqlite source.
+figure or ablation harness, no facade and no sqlite source, nor the
+definition-less ``repro.views.audit`` that only the spine's tracer
+imports.
 Each package still imports on its own, first in a fresh interpreter."""
 
 import importlib
