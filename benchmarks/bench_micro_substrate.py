@@ -2,12 +2,13 @@
 
 These are classic repeated-timing benchmarks (unlike the figure benches,
 which run a whole simulated experiment once): the hash-join executor,
-delta application, a table's lazy index build, probe compensation, the snapshot cache's fold, one
-DU's probe sweep over prepared answers, one end-to-end DU maintenance,
-the detection substrate (graph build, legal order, the class-graph
-order, one rename arrival, a legal reorder, a burst of forty), a
-seven-round view adaptation, one of its compensated full-relation
-reads, and the read front end's replay of 50 000 reads.
+delta application, a table's lazy index build, its kept row total, a
+key-range delete's kept candidates, probe compensation, the snapshot
+cache's fold, one DU's probe sweep over prepared answers, one
+end-to-end DU maintenance, the detection substrate (graph build, legal
+order, the class-graph order, one rename arrival, a legal reorder, a
+burst of forty), a seven-round view adaptation, one of its compensated
+full-relation reads, and the read front end's replay of 50 000 reads.
 """
 
 import random
@@ -48,6 +49,8 @@ from repro.sources.messages import (
     UpdateMessage,
 )
 from repro.sources.replica import VersionedEntry
+from repro.sources.source import DataSource
+from repro.sources.workload import DeleteRandomRow
 from repro.sim.engine import QueryAnswer
 from repro.sim.metrics import Metrics
 from repro.sources.sqlite_source import SqliteDataSource
@@ -186,6 +189,43 @@ def test_micro_delta_apply(benchmark):
         table.apply_delta(delta)
 
     benchmark(apply_round)
+
+
+@pytest.mark.parametrize("rows", [2_000, 20_000])
+def test_micro_table_len(benchmark, rows):
+    """One insert, ``len`` and delete on a table of ``rows`` rows — what
+    an install's size record reads after each applied delta.  Flat in
+    ``rows``: the table keeps its total."""
+    table = _table(R, rows, 10)
+    row = (-1, "new")
+
+    def insert_len_delete():
+        table.insert(row)
+        size = len(table)
+        table.delete(row)
+        return size
+
+    assert benchmark(insert_len_delete) == rows + 1
+
+
+@pytest.mark.parametrize("rows", [2_000, 20_000])
+def test_micro_key_range_delete(benchmark, rows):
+    """One key-range delete over a source relation of ``rows`` rows with
+    a hot domain of eight keys (the testbed's ``key_domain`` deletes):
+    the intent materialized and committed, then its victim committed
+    back.  Flat in ``rows``: the source keeps the in-range rows."""
+    source = DataSource("s")
+    source.create_relation(R, _table(R, rows, 11).rows())
+    intent = DeleteRandomRow(random.Random(12), "R", key_range=(1, 8))
+
+    def delete_and_restore():
+        update = intent.materialize(source)
+        source.commit(update)
+        (victim,) = update.delta.rows()
+        source.commit(DataUpdate.insert(R, [victim]))
+        return victim
+
+    assert 1 <= benchmark(delete_and_restore)[0] <= 8
 
 
 #: ``miss``: a one-value IN-list no leaked or gap row matches — the

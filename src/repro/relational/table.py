@@ -55,9 +55,13 @@ class Table:
     indexed (it matches nothing), and deleting the last copy of a
     value's last row removes its entry, so an index holds exactly one
     entry per live distinct non-NULL value.
+
+    A table keeps its row total: the first :func:`len` sums the counts
+    once and every mutation keeps the sum from then on, so reading it
+    costs nothing per call (docs/ALGORITHMS.md §Per-update work).
     """
 
-    __slots__ = ("schema", "_counts", "_indexes")
+    __slots__ = ("schema", "_counts", "_indexes", "_size")
 
     def __init__(
         self,
@@ -73,16 +77,23 @@ class Table:
         #: attribute name -> (column position, value -> bucket), a
         #: bucket being a lone row or, from a second row on, a set
         self._indexes: dict[str, tuple[int, dict]] = {}
+        #: the sum of the counts, ``None`` until the first :func:`len`
+        self._size: int | None = None
 
     @classmethod
-    def from_counts(cls, schema: RelationSchema, counts) -> "Table":
+    def from_counts(
+        cls, schema: RelationSchema, counts, size: int | None = None
+    ) -> "Table":
         """Trusted bulk constructor: adopt pre-validated ``(row, count)``
         multiplicities without per-row type validation.
 
         The compiled executor, the snapshot cache's patch path and the
         self-maintenance replicas all produce rows that *came out of*
         validated tables; re-validating every value on the way back in
-        is pure per-row overhead.  Counts must be positive.
+        is pure per-row overhead.  Counts must be positive, and an
+        adopted ``Counter`` belongs to the table from then on.  ``size``
+        is the counts' sum when the caller knows it; else the first
+        :func:`len` sums them.
         """
         table = cls.__new__(cls)
         table.schema = schema
@@ -90,6 +101,7 @@ class Table:
             counts if isinstance(counts, Counter) else Counter(counts)
         )
         table._indexes = {}
+        table._size = size
         return table
 
     # ------------------------------------------------------------------
@@ -103,6 +115,8 @@ class Table:
         row = validated_row(self.schema, row)
         present = self._counts.get(row, 0)
         self._counts[row] = present + count
+        if self._size is not None:
+            self._size += count
         if not present:  # a known row is in its buckets already
             for position, buckets in self._indexes.values():
                 _index(buckets, position, (row,))
@@ -118,6 +132,8 @@ class Table:
                 f"cannot delete {count} x {row!r} from "
                 f"{self.schema.name!r}: only {present} present"
             )
+        if self._size is not None:
+            self._size -= count
         if present == count:
             del self._counts[row]
             for position, buckets in self._indexes.values():
@@ -153,6 +169,7 @@ class Table:
     def clear(self) -> None:
         self._counts.clear()
         self._indexes.clear()
+        self._size = 0
 
     # ------------------------------------------------------------------
     # inspection
@@ -160,7 +177,10 @@ class Table:
 
     def __len__(self) -> int:
         """Total number of rows counting duplicates."""
-        return sum(self._counts.values())
+        size = self._size
+        if size is None:
+            size = self._size = sum(self._counts.values())
+        return size
 
     def distinct_count(self) -> int:
         return len(self._counts)
@@ -218,7 +238,7 @@ class Table:
     def copy(self, name: str | None = None) -> "Table":
         schema = self.schema if name is None else self.schema.renamed(name)
         # indexes are rebuilt lazily on the copy
-        return Table.from_counts(schema, Counter(self._counts))
+        return Table.from_counts(schema, Counter(self._counts), self._size)
 
     def __eq__(self, other: object) -> bool:
         """Extent equality: same bag of rows (schema names may differ)."""

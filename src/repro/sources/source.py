@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import bisect
 import itertools
+from functools import partial
 from typing import Callable, Iterable
 
 from ..relational.catalog import Catalog
@@ -26,6 +27,7 @@ from ..relational.errors import SchemaError, UnknownRelationError
 from ..relational.executor import execute
 from ..relational.plan import PlanCache
 from ..relational.query import SPJQuery
+from ..relational.rows import validated_row
 from ..relational.schema import RelationSchema
 from ..relational.table import Table
 from ..relational.types import Value
@@ -51,19 +53,38 @@ KeyRange = tuple[Value, Value]
 ADMITTED_MEMO_CAPACITY = 1 << 12
 
 
-def _in_key_range(table: Table, key_range: KeyRange) -> list[Row]:
-    """The distinct rows of ``table`` whose key lies in the range, in
-    first-occurrence order."""
-    lo, hi = key_range
-    return [
-        row
-        for row, _count in table.items()
-        if (key := row[0]) is not None and lo <= key <= hi
-    ]
+def _follow(
+    ranges: dict[KeyRange, dict[Row, None]], table: Table, delta: Delta
+) -> bool:
+    """Bring the key-range candidates of ``table`` past ``delta``, just
+    applied to it; ``False`` when they cannot follow and must go."""
+    validate = partial(validated_row, table.schema)
+    items = [(validate(row), count) for row, count in delta.items()]
+    if len(items) > 1 and len({row for row, _ in items}) < len(items):
+        # two rows stored as one (integers beyond 2**53 in a FLOAT
+        # column): the apply may have moved that row to the end
+        return False
+    for row, count in items:
+        key = row[0]
+        if key is None:
+            continue
+        for (lo, hi), candidates in ranges.items():
+            if lo <= key <= hi:
+                if count > 0:
+                    candidates.setdefault(row)  # its first copy
+                elif not table.count(row):
+                    del candidates[row]  # its last copy
+    return True
 
 
 class DataSource:
-    """One autonomous source server."""
+    """One autonomous source server.
+
+    A key-range delete picks from kept candidates: per ``(relation,
+    key_range)`` asked about, the relation's distinct in-range rows in
+    first-occurrence order, built by one scan on first use, followed
+    per data update and dropped on every schema change
+    (docs/ALGORITHMS.md §Per-update work)."""
 
     def __init__(self, name: str) -> None:
         self.name = name
@@ -88,6 +109,9 @@ class DataSource:
         self.plans: PlanCache | None = None
         #: ``(query shape, *current schemas)`` keys already admitted
         self._admitted: set[tuple] = set()
+        #: relation -> key range -> its distinct in-range rows (as keys,
+        #: in first-occurrence order): what a key-range delete picks from
+        self._candidates: dict[str, dict[KeyRange, dict[Row, None]]] = {}
 
     # ------------------------------------------------------------------
     # setup
@@ -147,8 +171,14 @@ class DataSource:
     def _dispatch(self, update: SourceUpdate) -> None:
         if isinstance(update, DataUpdate):
             table = self.catalog.table(update.relation)
+            # held apart while the delta applies: a failed apply drops them
+            ranges = self._candidates.pop(update.relation, None)
             table.apply_delta(update.delta)
-        elif isinstance(update, RenameRelation):
+            if ranges is not None and _follow(ranges, table, update.delta):
+                self._candidates[update.relation] = ranges
+            return
+        self._candidates.clear()
+        if isinstance(update, RenameRelation):
             self.catalog.rename(update.old, update.new)
         elif isinstance(update, RenameAttribute):
             self.catalog.table(update.relation).rename_attribute(
@@ -323,7 +353,7 @@ class DataSource:
         the closed range (a NULL key lies in none)."""
         table = self.catalog.table(relation)
         if key_range is not None:
-            rows = _in_key_range(table, key_range)
+            rows = self._in_key_range(relation, key_range)
             return len(rows) if distinct else sum(map(table.count, rows))
         return table.distinct_count() if distinct else len(table)
 
@@ -333,9 +363,10 @@ class DataSource:
         """The ``index``-th distinct row of ``relation`` (of those in
         ``key_range``, as :meth:`row_count` counts them) in
         first-occurrence order (what a delete intent picks from)."""
-        table = self.catalog.table(relation)
         if key_range is not None:
-            return _in_key_range(table, key_range)[index]
+            rows = self._in_key_range(relation, key_range)
+            return next(itertools.islice(rows, index, None))
+        table = self.catalog.table(relation)
         return next(itertools.islice(table.items(), index, None))[0]
 
     def pick_distinct_row(
@@ -347,13 +378,32 @@ class DataSource:
         """``distinct_row(relation, pick(n), key_range)``, where ``n`` is
         what ``row_count(relation, distinct=True, key_range=key_range)``
         counts — or ``None``, without calling ``pick``, when ``n`` is 0.
-        Here one pass over the relation counts and picks."""
-        table = self.catalog.table(relation)
+        Here the kept candidates count and pick."""
         if key_range is None:
-            count = table.distinct_count()
+            count = self.catalog.table(relation).distinct_count()
             return self.distinct_row(relation, pick(count)) if count else None
-        rows = _in_key_range(table, key_range)
-        return rows[pick(len(rows))] if rows else None
+        rows = self._in_key_range(relation, key_range)
+        if not rows:
+            return None
+        return next(itertools.islice(rows, pick(len(rows)), None))
+
+    def _in_key_range(
+        self, relation: str, key_range: KeyRange
+    ) -> dict[Row, None]:
+        """The distinct rows of ``relation`` whose key lies in the closed
+        range, in first-occurrence order: one scan on the first call,
+        kept from then on."""
+        table = self.catalog.table(relation)
+        ranges = self._candidates.setdefault(relation, {})
+        rows = ranges.get(key_range)
+        if rows is None:
+            lo, hi = key_range
+            rows = ranges[key_range] = {
+                row: None
+                for row, _count in table.items()
+                if (key := row[0]) is not None and lo <= key <= hi
+            }
+        return rows
 
     def __repr__(self) -> str:
         return (

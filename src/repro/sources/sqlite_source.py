@@ -210,10 +210,13 @@ class SqliteDataSource(DataSource):
             for row, count in items:
                 if count > 0:
                     continue
+                # the latest copies go: a row's first one, and so its
+                # place in the ORDER BY MIN(rowid) a delete picks by,
+                # stays while any copy is left (as a Counter's does)
                 cursor = self._db.execute(
                     f"DELETE FROM {update.relation} WHERE rowid IN ("
                     f"SELECT rowid FROM {update.relation} "
-                    f"WHERE {predicate} LIMIT ?)",
+                    f"WHERE {predicate} ORDER BY rowid DESC LIMIT ?)",
                     (*row, -count),
                 )
                 if cursor.rowcount != -count:

@@ -175,8 +175,9 @@ class TestDeleteIntent:
         assert intent.rng.getstate() == rng.getstate()
 
     def test_a_key_range_delete_reads_the_relation_once(self, monkeypatch):
-        """In memory, counting the candidates and picking one is a
-        single pass over the relation."""
+        """In memory, the first key-range delete reads the relation in
+        one pass; the source keeps its candidates, so the next delete,
+        committed after the first, reads it not at all."""
         from repro.relational.table import Table
 
         source, reads = _keyed_source("memory"), []
@@ -185,6 +186,10 @@ class TestDeleteIntent:
             Table, "items", lambda table: reads.append(table) or items(table)
         )
         intent = DeleteRandomRow(random.Random(3), "R", key_range=(1, 3))
+        update = intent.materialize(source)
+        assert update is not None
+        assert len(reads) == 1
+        source.commit(update)
         assert intent.materialize(source) is not None
         assert len(reads) == 1
 
