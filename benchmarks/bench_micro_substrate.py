@@ -318,11 +318,9 @@ def test_micro_leak_lookup(benchmark, depth, history):
     if history != "plain":
         schema_history.record("s", RenameRelation("R1", "R1b"))
         probed = "R1b"
-    manager = SimpleNamespace(
-        umq=umq, schema_history=schema_history, _in_flight_messages=list
-    )
+    stack = SimpleNamespace(umq=umq, in_flight_messages=list)
     head = umq.head()
-    facade = _UMQView(manager, head, [])
+    facade = _UMQView(stack, schema_history, head, [])
     leaked = benchmark(facade.leaked, head, "s", probed, float(depth))
     assert [message.seqno for message in leaked] == list(
         range(1, depth + 1, 6)
@@ -389,7 +387,8 @@ def test_micro_probe_sweep(benchmark, width):
     nor the sources' execution is timed: what remains is the sweep's
     per-call floor and its cost per delta row."""
     testbed = build_testbed(PESSIMISTIC, tuples_per_relation=500)
-    view = testbed.manager.view
+    (view_manager,) = testbed.manager.view_managers()
+    view = view_manager.view
     ref = view.query.relations[0]
     sources = testbed.engine.sources
     table = sources[ref.source].catalog.table(ref.relation)
@@ -562,7 +561,8 @@ def test_micro_va_rounds(benchmark, monkeypatch):
     relations of the testbed view: 42 compensated scans and — nothing
     committing in between — one 6-way join."""
     testbed = build_testbed(PESSIMISTIC, tuples_per_relation=2_000)
-    engine, manager = testbed.engine, testbed.manager
+    engine, stack = testbed.engine, testbed.manager
+    (manager,) = stack.view_managers()
     message = engine.source("src1").commit(
         RenameRelation("R1", "R1__v2"), at=0.0
     )
@@ -580,8 +580,8 @@ def test_micro_va_rounds(benchmark, monkeypatch):
         return engine.run_process(
             va_module.adapt_view(
                 adapted.definition,
-                manager.umq.head(),
-                _UMQView(manager, manager.umq.head(), []),
+                stack.umq.head(),
+                _UMQView(stack, manager.schema_history, stack.umq.head(), []),
                 engine.cost_model,
                 rounds=7,
                 plans=engine.plans,

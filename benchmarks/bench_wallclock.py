@@ -105,7 +105,7 @@ def _best_of(
 def _recompute_arm(config: WarehouseConfig, repeats: int, mode: str):
     """Time a full 6-way join recompute of the view (join-heavy arm)."""
     with kernel(mode):
-        manager = testbed.Testbed.build(config).manager
+        (manager,) = testbed.Testbed.build(config).manager.view_managers()
         best = float("inf")
         table = None
         for _ in range(repeats + 1):  # one extra: warm caches/compile once

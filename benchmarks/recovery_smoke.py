@@ -67,7 +67,8 @@ def _testbed(workers: int | None, **recovery_kwargs):
 
 
 def _state(testbed):
-    extent = tuple(sorted(map(tuple, testbed.manager.mv.extent.rows())))
+    (manager,) = testbed.manager.view_managers()
+    extent = tuple(sorted(map(tuple, manager.mv.extent.rows())))
     return extent, testbed.committed_updates()
 
 

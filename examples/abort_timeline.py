@@ -47,7 +47,7 @@ def main() -> None:
     )
     for anomaly, count in metrics.anomalies.items():
         print(f"  anomaly type {anomaly.value} ({anomaly.name}): {count}")
-    print(" ", check_convergence(testbed.manager).summary())
+    print(" ", check_convergence(testbed.manager.manager_for("V")).summary())
 
 
 if __name__ == "__main__":

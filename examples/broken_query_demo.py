@@ -25,6 +25,7 @@ from repro import (
     DynoScheduler,
     JoinCondition,
     MetaKnowledgeBase,
+    MultiViewManager,
     NAIVE,
     PESSIMISTIC,
     RelationRef,
@@ -34,7 +35,6 @@ from repro import (
     SPJQuery,
     SimEngine,
     ViewDefinition,
-    ViewManager,
     Workload,
     attr,
     check_convergence,
@@ -59,7 +59,7 @@ STOREITEMS = RelationSchema.of(
 )
 
 
-def build(strategy_name: str) -> tuple[SimEngine, ViewManager]:
+def build(strategy_name: str) -> tuple[SimEngine, MultiViewManager]:
     engine = SimEngine(CostModel.paper_default())
     retailer = engine.add_source(DataSource("retailer"))
     library = engine.add_source(DataSource("library"))
@@ -104,8 +104,8 @@ def build(strategy_name: str) -> tuple[SimEngine, ViewManager]:
             },
         )
     )
-    manager = ViewManager(engine, ViewDefinition("BookInfo", query), mkb)
-    return engine, manager
+    stack = MultiViewManager(engine, [ViewDefinition("BookInfo", query)], mkb)
+    return engine, stack
 
 
 def workload() -> Workload:
@@ -176,9 +176,10 @@ def cascade_workload() -> Workload:
 
 
 def run(strategy, label: str, items: Workload, cost=None) -> None:
-    engine, manager = build(label) if cost is None else build_with(cost)
+    engine, stack = build(label) if cost is None else build_with(cost)
     engine.schedule_workload(items)
-    stats = DynoScheduler(manager, strategy).run()
+    stats = DynoScheduler(stack, strategy).run()
+    manager = stack.manager_for("BookInfo")
     report = check_convergence(manager)
     print(f"--- {label} ---")
     print("  final definition:", manager.view.query.sql())
@@ -193,10 +194,10 @@ def run(strategy, label: str, items: Workload, cost=None) -> None:
     print()
 
 
-def build_with(cost) -> tuple[SimEngine, ViewManager]:
-    engine, manager = build("cascade")
+def build_with(cost) -> tuple[SimEngine, MultiViewManager]:
+    engine, stack = build("cascade")
     engine.cost_model = cost
-    return engine, manager
+    return engine, stack
 
 
 def main() -> None:

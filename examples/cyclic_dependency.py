@@ -26,6 +26,7 @@ from repro import (
     DynoScheduler,
     JoinCondition,
     MetaKnowledgeBase,
+    MultiViewManager,
     PESSIMISTIC,
     RelationRef,
     RelationReplacement,
@@ -34,7 +35,6 @@ from repro import (
     SPJQuery,
     SimEngine,
     ViewDefinition,
-    ViewManager,
     Workload,
     attr,
     check_convergence,
@@ -132,7 +132,8 @@ def main() -> None:
         )
     )
 
-    manager = ViewManager(engine, ViewDefinition("BookInfo", query), mkb)
+    stack = MultiViewManager(engine, [ViewDefinition("BookInfo", query)], mkb)
+    manager = stack.manager_for("BookInfo")
     print("original definition (Query 1):")
     print(" ", manager.view.sql())
 
@@ -160,8 +161,8 @@ def main() -> None:
     # Peek at the scheduler's dependency graph before running: there
     # is a cycle.
     engine.advance_to_next_event()
-    scheduler = DynoScheduler(manager, PESSIMISTIC)
-    result = correct(manager.umq.messages(), scheduler.substrate.detection())
+    scheduler = DynoScheduler(stack, PESSIMISTIC)
+    result = correct(stack.umq.messages(), scheduler.substrate.detection())
     print("\ndependency analysis of the queue:")
     print(f"  nodes: {result.node_count}, edges: {result.edge_count}")
     print(f"  cycles merged into batches: {result.merges}")

@@ -31,7 +31,7 @@ def run_strategy(strategy):
         )
     )
     testbed.run()
-    report = check_convergence(testbed.manager)
+    report = check_convergence(testbed.manager.manager_for("V"))
     metrics = testbed.metrics
     return {
         "strategy": strategy.name,

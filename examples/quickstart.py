@@ -13,13 +13,13 @@ from repro import (
     DropAttribute,
     DynoScheduler,
     JoinCondition,
+    MultiViewManager,
     PESSIMISTIC,
     RelationRef,
     RelationSchema,
     SPJQuery,
     SimEngine,
     ViewDefinition,
-    ViewManager,
     Workload,
     attr,
     check_convergence,
@@ -85,7 +85,9 @@ def main() -> None:
             JoinCondition(attr("I", "Book"), attr("C", "Title")),
         ),
     )
-    manager = ViewManager(engine, ViewDefinition("BookInfo", query))
+    # The stack: the view manager, its UMQ and the wrappers that feed it.
+    stack = MultiViewManager(engine, [ViewDefinition("BookInfo", query)])
+    manager = stack.manager_for("BookInfo")
     print("view definition:")
     print(" ", manager.view.sql())
     print(f"initial extent: {len(manager.mv.extent)} rows")
@@ -123,7 +125,7 @@ def main() -> None:
     # ------------------------------------------------------------------
     # 4. Run Dyno (pessimistic strategy, the paper's choice).
     # ------------------------------------------------------------------
-    scheduler = DynoScheduler(manager, PESSIMISTIC)
+    scheduler = DynoScheduler(stack, PESSIMISTIC)
     scheduler.run()
 
     print("\nafter maintenance:")

@@ -3,19 +3,19 @@
 Self-maintenance fast path: most maintenance queries re-ask sources
 near-identical questions — the same IN-list probe recurs across adjacent
 UMQ messages that touch the same join keys, and across the views of a
-:class:`~repro.views.multi.MultiViewManager` maintaining one unit for
-every view.  The cache memoizes probe and scan answers keyed by
+stack (:class:`~repro.views.multi.MultiViewManager`) maintaining one
+unit for every view.  The cache memoizes probe and scan answers keyed by
 ``(source, query.prepared)`` and stamped with the source's monotone
 *commit version* at evaluation time.
 
 The core trick is **local delta patching**: a cached answer stamped at
 version *v* < current is not a miss.  The committed updates in the gap
-``(v, current]`` are exactly the source's log suffix — state the view
-manager already holds for SWEEP compensation — so the answer is brought
-forward *locally* by applying the gap deltas' effect on the probe query,
-the same exact single-relation evaluation compensation relies on
-(:class:`~repro.relational.executor.BagProbe`), run in the opposite
-direction (forward in time instead of backward).  No round trip, no
+``(v, current]`` are exactly the source's log suffix — state the
+stack's UMQ already holds for SWEEP compensation — so the answer is
+brought forward *locally* by applying the gap deltas' effect on the
+probe query, the same exact single-relation evaluation compensation
+relies on (:class:`~repro.relational.executor.BagProbe`), run in the
+opposite direction (forward in time instead of backward).  No round trip, no
 channel occupancy, no fault exposure.  The gap is pooled per sign, never
 netted across signs: the tally a fold returns is the gross number of
 effect rows, which is priced (docs/ALGORITHMS.md §Compensation).

@@ -79,7 +79,7 @@ from ..sources.errors import (
     TransientSourceError,
 )
 from ..sources.messages import UpdateMessage
-from ..views.manager import ViewManager
+from ..views.multi import MultiViewManager
 from ..views.umq import MaintenanceUnit
 from .scheduler import DynoScheduler, SchedulerStats
 from .strategies import PESSIMISTIC, Strategy, check_parallel_strategy
@@ -96,7 +96,7 @@ class ParallelScheduler(DynoScheduler):
 
     def __init__(
         self,
-        manager: ViewManager,
+        manager: MultiViewManager,
         strategy: Strategy = PESSIMISTIC,
         workers: int = 2,
         max_iterations: int = 1_000_000,

@@ -38,7 +38,7 @@ from ..maintenance.grouping import (
     merge_runs,
 )
 from ..sources.messages import UpdateMessage
-from ..views.manager import ViewManager
+from ..views.multi import MultiViewManager
 from ..views.umq import MaintenanceUnit
 from .anomalies import AnomalyType
 from .correction import CorrectionResult, correct, merge_all
@@ -99,11 +99,12 @@ class SchedulerStats:
 
 
 class DynoScheduler:
-    """Drives a :class:`ViewManager` under one strategy."""
+    """Drives a stack (:class:`~repro.views.multi.MultiViewManager`)
+    under one strategy."""
 
     def __init__(
         self,
-        manager: ViewManager,
+        manager: MultiViewManager,
         strategy: Strategy = PESSIMISTIC,
         max_iterations: int = 1_000_000,
         defer_du_interval: float | None = None,
@@ -664,9 +665,8 @@ class DynoScheduler:
         policy = self.strategy.on_broken_query
         if policy is BrokenQueryPolicy.SKIP:
             self.umq.remove_unit(unit)
-            journal = getattr(self.manager, "journal", None)
-            if journal is not None:
-                journal.record_skip(unit)
+            if self.manager.journal is not None:
+                self.manager.journal.record_skip(unit)
             self.stats.skipped_updates += 1
             return
         if policy is BrokenQueryPolicy.MERGE_ALL:

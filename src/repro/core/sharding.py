@@ -25,7 +25,7 @@ snapshot cache, self-maintenance store and journal — across N scheduler
   router only *decides* (:meth:`ShardRouter.accepts`, the ``accepts``
   of the shard's stack description); a delivery is *counted* where it
   happens, in the wrapper sink
-  (:func:`~repro.views.manager.filtered_sink`).
+  (:func:`~repro.views.multi.filtered_sink`).
 
 * :class:`ShardCoordinator` — the coordinator, written once.  Each
   round, :func:`plan_round` decides from :class:`ShardStatus` snapshots
@@ -66,6 +66,7 @@ from ..sim.engine import SimEngine
 from ..sim.metrics import Metrics
 from ..sources.messages import RenameRelation, UpdateMessage
 from ..views.definition import ViewDefinition
+from ..views.multi import MultiViewManager
 from .scheduler import DynoScheduler
 
 
@@ -285,7 +286,7 @@ class Shard:
 
     shard_id: int
     engine: SimEngine
-    manager: object  # ViewManager | MultiViewManager
+    manager: MultiViewManager
     scheduler: DynoScheduler
     view_names: tuple[str, ...]
     recovery: object | None = None

@@ -1,10 +1,12 @@
 """One warehouse stack, one constructor.
 
 A *stack* is the paper's view manager + UMQ + Dyno loop (Figures 3, 6
-and 7) over one engine: a ``(manager, scheduler)`` pair.  What shapes
-it beyond its view definitions is one frozen :class:`StackDescription`,
-and :func:`build_stack` is the only place in the package that picks
-single- vs multi-view manager and serial vs parallel scheduler.
+and 7) over one engine: a ``(manager, scheduler)`` pair, the manager
+being a :class:`~repro.views.multi.MultiViewManager` over one or more
+views.  What shapes it beyond its view definitions is one frozen
+:class:`StackDescription`, and :func:`build_stack` is the only place in
+the package that constructs a stack and picks the serial or the
+parallel scheduler.
 Experiment worlds, the :class:`~repro.dyda.DyDaSystem` facade and crash
 recovery all build through it, so the stack ``recover()`` rebuilds *is*
 the stack that crashed: a rebuild path that is the build path cannot
@@ -22,7 +24,6 @@ from ..sim.engine import SimEngine
 from ..sources.messages import UpdateMessage
 from ..sources.mkb import MetaKnowledgeBase
 from ..views.definition import ViewDefinition
-from ..views.manager import ViewManager
 from ..views.multi import MultiViewManager
 from .parallel import ParallelScheduler
 from .scheduler import DynoScheduler
@@ -41,7 +42,7 @@ class StackDescription:
     mkb: MetaKnowledgeBase | None = None
     #: the world's *pure* delivery predicate, consulted by the live
     #: wrappers and again by recovery
-    #: (:func:`~repro.views.manager.filtered_sink`); ``None``: unrouted,
+    #: (:func:`~repro.views.multi.filtered_sink`); ``None``: unrouted,
     #: every message is delivered
     accepts: Callable[[UpdateMessage], bool] | None = None
 
@@ -52,7 +53,7 @@ def build_stack(
     description: StackDescription,
     extents: Sequence[Table] | None = None,
     backlog: Iterable[UpdateMessage] = (),
-) -> tuple[ViewManager | MultiViewManager, DynoScheduler]:
+) -> tuple[MultiViewManager, DynoScheduler]:
     """Build the ``(manager, scheduler)`` pair ``description`` names.
 
     ``extents`` (one per definition) restores the views verbatim
@@ -62,25 +63,16 @@ def build_stack(
     it is constructed over in one rebuild, while arrivals after
     construction are each charged as an incremental update.
     """
-    if len(definitions) == 1:
-        manager = ViewManager(
-            engine,
-            definitions[0],
-            description.mkb,
-            initial_extent=extents[0] if extents else None,
-            message_filter=description.accepts,
-        )
-    else:
-        manager = MultiViewManager(
-            engine,
-            list(definitions),
-            description.mkb,
-            initial_extents={
-                definition.name: extent
-                for definition, extent in zip(definitions, extents or ())
-            },
-            message_filter=description.accepts,
-        )
+    manager = MultiViewManager(
+        engine,
+        list(definitions),
+        description.mkb,
+        initial_extents={
+            definition.name: extent
+            for definition, extent in zip(definitions, extents or ())
+        },
+        message_filter=description.accepts,
+    )
     for message in backlog:
         manager.umq.receive(message)
     if description.parallel_workers is None:

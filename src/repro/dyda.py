@@ -81,7 +81,7 @@ class DyDaSystem:
         self._view_definitions: list[ViewDefinition] = []
         # The live warehouse stack, in the shape repro.recovery swaps a
         # recovered one into: manager, scheduler, recovery harness.
-        self.manager: ViewManager | MultiViewManager | None = None
+        self.manager: MultiViewManager | None = None
         self.scheduler: DynoScheduler | None = None
         self.recovery = None
         self.crash_reports: list = []

@@ -21,7 +21,6 @@ from ..core.strategies import (
 from ..faults.plan import FaultPlan
 from ..maintenance.grouping import BatchPolicy
 from ..recovery.crash import CrashPlan
-from ..sim.costs import CostModel
 
 BACKENDS = ("memory", "sqlite")
 
@@ -42,8 +41,6 @@ class WarehouseConfig:
     seed: int = 3
     #: source implementation: in-process engine or stdlib ``sqlite3``
     backend: str = "memory"
-    #: virtual-cost model; ``None`` calibrates one to the scale
-    cost_model: CostModel | None = None
     #: ``None`` = serial Dyno loop, N = parallel executor with N workers
     #: (1 is the honest serial arm of the parallel model)
     parallel_workers: int | None = None

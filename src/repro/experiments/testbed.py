@@ -59,7 +59,6 @@ from ..sources.workload import (
 from ..sources.messages import DropAttribute, RenameRelation
 from ..views.consistency import check_convergence
 from ..views.definition import ViewDefinition
-from ..views.manager import ViewManager
 from ..views.multi import MultiViewManager
 from .config import ShardPlan, WarehouseConfig
 
@@ -290,9 +289,7 @@ def build_shard_world(
     every message is delivered (the classic unrouted testbed).
     """
     config = plan.config
-    engine = SimEngine(
-        config.cost_model or CostModel.calibrated(config.tuples_per_relation)
-    )
+    engine = SimEngine(CostModel.calibrated(config.tuples_per_relation))
     if config.snapshot_cache:
         engine.install_snapshot_cache()
     _load_sources(engine, config)
@@ -385,7 +382,7 @@ class Testbed:
 
     config: WarehouseConfig
     engine: SimEngine
-    manager: ViewManager | MultiViewManager
+    manager: MultiViewManager
     scheduler: DynoScheduler
     #: crash-recovery harness (``None`` unless the journal is armed)
     recovery: object | None = None

@@ -154,13 +154,17 @@ class Table:
         self.insert(new_row)
 
     def apply_delta(self, delta: Delta) -> None:
-        """Apply a signed delta: positive counts insert, negative delete."""
+        """Apply a signed delta as its netted, validated items
+        (:meth:`Delta.validated_items`, the rows the sqlite source
+        writes): positive counts insert, negative delete.  Rows that
+        store as one (integers beyond 2**53 in a FLOAT column) are
+        summed before anything is written."""
         if delta.schema.arity != self.schema.arity:
             raise ArityError(
                 f"delta arity {delta.schema.arity} does not match relation "
                 f"{self.schema.name!r} arity {self.schema.arity}"
             )
-        for row, count in delta.items():
+        for row, count in delta.validated_items():
             if count > 0:
                 self.insert(row, count)
             else:

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import bisect
 import itertools
-from functools import partial
 from typing import Callable, Iterable
 
 from ..relational.catalog import Catalog
@@ -27,7 +26,6 @@ from ..relational.errors import SchemaError, UnknownRelationError
 from ..relational.executor import execute
 from ..relational.plan import PlanCache
 from ..relational.query import SPJQuery
-from ..relational.rows import validated_row
 from ..relational.schema import RelationSchema
 from ..relational.table import Table
 from ..relational.types import Value
@@ -54,16 +52,10 @@ ADMITTED_MEMO_CAPACITY = 1 << 12
 
 
 def _follow(
-    ranges: dict[KeyRange, dict[Row, None]], table: Table, delta: Delta
-) -> bool:
-    """Bring the key-range candidates of ``table`` past ``delta``, just
-    applied to it; ``False`` when they cannot follow and must go."""
-    validate = partial(validated_row, table.schema)
-    items = [(validate(row), count) for row, count in delta.items()]
-    if len(items) > 1 and len({row for row, _ in items}) < len(items):
-        # two rows stored as one (integers beyond 2**53 in a FLOAT
-        # column): the apply may have moved that row to the end
-        return False
+    ranges: dict[KeyRange, dict[Row, None]], table: Table, items
+) -> None:
+    """Bring the key-range candidates of ``table`` past the netted
+    ``(row, count)`` items just applied to it."""
     for row, count in items:
         key = row[0]
         if key is None:
@@ -74,7 +66,6 @@ def _follow(
                     candidates.setdefault(row)  # its first copy
                 elif not table.count(row):
                     del candidates[row]  # its last copy
-    return True
 
 
 class DataSource:
@@ -174,7 +165,8 @@ class DataSource:
             # held apart while the delta applies: a failed apply drops them
             ranges = self._candidates.pop(update.relation, None)
             table.apply_delta(update.delta)
-            if ranges is not None and _follow(ranges, table, update.delta):
+            if ranges is not None:
+                _follow(ranges, table, update.delta.validated_items())
                 self._candidates[update.relation] = ranges
             return
         self._candidates.clear()

@@ -1,8 +1,8 @@
-"""The view manager (Figure 3).
+"""One view's state and maintenance work (the view manager of Figure 3).
 
-Owns the materialized view, the UMQ, the synchronizer and the
-connections to the sources, and builds one *maintenance process*
-(a generator of effects) per maintenance unit:
+A :class:`ViewManager` owns one materialized view, its synchronizer,
+compensation log and schema history, and computes one *maintenance
+process* (a generator of effects) per maintenance unit:
 
 * a data-update unit runs the probe sweep of
   :mod:`repro.maintenance.vm` and refreshes the view with the resulting
@@ -16,11 +16,15 @@ connections to the sources, and builds one *maintenance process*
   automatically (they are already committed at the sources and are not
   compensated away, because they are not *behind* the unit).
 
-The Dyno scheduler (:mod:`repro.core.scheduler`) drives these processes
-and decides their order.
+The stack that owns it (:class:`~repro.views.multi.MultiViewManager`)
+holds the UMQ, the wrappers and the journal, and installs every view's
+outcome of a unit together; the Dyno scheduler
+(:mod:`repro.core.scheduler`) drives the stack and decides the order.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 from ..relational.delta import Delta
 from ..relational.executor import execute
@@ -32,8 +36,6 @@ from ..sim.engine import MaintenanceProcess, SimEngine
 from ..sim.metrics import Metrics
 from ..sources.messages import SchemaChange
 from ..sources.mkb import MetaKnowledgeBase
-from ..sources.source import DataSource
-from ..sources.wrapper import Wrapper
 from ..maintenance.batch import (
     combine_schema_changes,
     data_updates_of,
@@ -47,10 +49,7 @@ from ..maintenance.vm import maintain_data_update
 from ..maintenance.vs import ViewSynchronizationError, ViewSynchronizer
 from .definition import ViewDefinition
 from .materialized import MaterializedView
-from .umq import COMMIT_EPSILON, MaintenanceUnit, UpdateMessageQueue
-
-
-from dataclasses import dataclass
+from .umq import COMMIT_EPSILON, MaintenanceUnit
 
 
 @dataclass
@@ -75,104 +74,37 @@ class MaintenanceOutcome:
     applied_changes: list = None  # list[(source, SchemaChange)] | None
 
 
-def filtered_sink(umq: UpdateMessageQueue, message_filter, metrics: Metrics):
-    """Wrapper sink delivering into ``umq`` through an optional filter.
-
-    With ``message_filter=None`` this is exactly ``umq.receive``; with a
-    predicate, messages the filter rejects are not enqueued (the source
-    commit itself is untouched — filtering is a delivery concern, so
-    maintenance queries still observe full source state).  The filter
-    must be pure up to idempotent effects: crash recovery asks it again
-    about every unresolved log message.  So a routed delivery is counted
-    here (``metrics.router_delivered`` / ``router_dropped``), once per
-    commit that reaches the sink, never in the predicate (a delivery a
-    crash purged in flight re-enters past the sink, uncounted)."""
-    if message_filter is None:
-        return umq.receive
-
-    def sink(message) -> None:
-        if message_filter(message):
-            metrics.router_delivered += 1
-            umq.receive(message)
-        else:
-            metrics.router_dropped += 1
-
-    return sink
-
-
-def install_write_ahead(
-    manager, outcomes: list, unit: MaintenanceUnit
-) -> None:
-    """Install one prepared outcome per view of ``manager`` atomically.
-
-    Write-ahead rule: with a maintenance journal armed, one entry covering
-    the whole unit across every view hits the sink *before* any extent
-    is touched, so a crash at any point here is recoverable (either the
-    entry is absent and the unit re-runs, or it is present and replay
-    re-applies every recorded effect)."""
-    engine = manager.engine
-    engine.crash_point("install.pre_journal")
-    if manager.journal is not None:
-        manager.journal.record_install(unit, outcomes)
-        engine.crash_point("install.post_journal")
-    views = manager.view_managers()
-    for index, (view, outcome) in enumerate(zip(views, outcomes)):
-        view.apply_outcome(
-            outcome, counted_updates=len(unit) if index == 0 else 0
-        )
-    engine.record_install(
-        {view.view.name: len(view.mv.extent) for view in views},
-        tuple((m.source, m.seqno, m.committed_at) for m in unit.messages),
+def _driven_by_the_stack(*_args, **_kwargs):
+    raise TypeError(
+        "a ViewManager holds one view's state and work; units are "
+        "maintained through its stack (repro.views.multi.MultiViewManager)"
     )
-    engine.crash_point("install.post_apply")
 
 
 class ViewManager:
-    """Maintains one materialized view over autonomous sources."""
+    """One materialized view: its definition, extent, synchronizer,
+    compensation log and schema history, and the work of maintaining
+    it.  The stack that owns it (:class:`~repro.views.multi
+    .MultiViewManager`) holds the UMQ, the wrappers and the journal."""
 
     def __init__(
         self,
         engine: SimEngine,
         view: ViewDefinition,
         mkb: MetaKnowledgeBase | None = None,
-        umq: UpdateMessageQueue | None = None,
-        attach_wrappers: bool = True,
         initial_extent: "Table | None" = None,
-        message_filter=None,
     ) -> None:
-        """``umq``/``attach_wrappers`` let several managers share one
-        queue (see :class:`~repro.views.multi.MultiViewManager`).
-
-        ``initial_extent`` is the crash-recovery restore path: the
+        """``initial_extent`` is the crash-recovery restore path: the
         extent is installed verbatim (no ``result_schema`` resolution
         against live sources — the definition may reference renamed
-        relations — and no initial load).
-
-        ``message_filter`` (``Callable[[UpdateMessage], bool] | None``)
-        sits between the wrappers and the UMQ: a message is enqueued
-        only when the filter accepts it.  Shard routers use this to
-        deliver each shard only the slice of the committed stream its
-        registered views reference (see :func:`filtered_sink`)."""
+        relations — and no initial load)."""
         self.engine = engine
         self.view = view
-        #: write-ahead maintenance journal (armed by a RecoveryHarness)
-        self.journal = None
-        # NOTE: ``umq or ...`` would discard a shared-but-empty queue
-        # (UpdateMessageQueue defines __len__), hence the identity test.
-        self.umq = umq if umq is not None else UpdateMessageQueue()
-        self.mkb = mkb or MetaKnowledgeBase()
         self.synchronizer = ViewSynchronizer(
-            self.mkb, schema_lookup=self._schema_lookup
+            mkb, schema_lookup=self._schema_lookup
         )
         self.compensation_log = CompensationLog()
         self.schema_history = SchemaHistory()
-        self._sink = filtered_sink(self.umq, message_filter, engine.metrics)
-        self.wrappers: list[Wrapper] = []
-        if attach_wrappers:
-            for source in engine.sources.values():
-                self.wrappers.append(
-                    Wrapper(source, self._sink, engine=engine)
-                )
         if initial_extent is not None:
             self.mv = MaterializedView(view.name, initial_extent.schema)
             self.mv.replace_extent(initial_extent, view.version)
@@ -183,9 +115,9 @@ class ViewManager:
             )
             self.initial_load()
 
-    # ------------------------------------------------------------------
-    # plumbing
-    # ------------------------------------------------------------------
+    #: placeholders for the benchmark spine's tracer, which pins these
+    #: names through ``vars(ViewManager)`` (ROADMAP 12(e))
+    build_maintenance = compute_unit = install_unit = _driven_by_the_stack
 
     @property
     def cost(self) -> CostModel:
@@ -195,21 +127,6 @@ class ViewManager:
     def metrics(self) -> Metrics:
         return self.engine.metrics
 
-    def view_managers(self) -> "list[ViewManager]":
-        """The per-view managers of this stack (same call on
-        :class:`~repro.views.multi.MultiViewManager`)."""
-        return [self]
-
-    def install_self_maintenance(self):
-        """Arm the auxiliary store and register this view's coverage
-        requirements.  Like the snapshot cache, the store lives on the
-        engine (:meth:`~repro.sim.engine.SimEngine
-        .install_self_maintenance`), so every view manager sharing the
-        engine shares one set of replicas."""
-        store = self.engine.install_self_maintenance()
-        store.register_view(self.view.query)
-        return store
-
     def _schema_lookup(
         self, source: str, relation: str
     ) -> RelationSchema | None:
@@ -217,46 +134,6 @@ class ViewManager:
         if owner is None or not owner.has_relation(relation):
             return None
         return owner.schema_of(relation)
-
-    def connect(self, source: DataSource) -> None:
-        """Attach a source that joined after construction."""
-        self.engine.add_source(source)
-        self.wrappers.append(
-            Wrapper(source, self._sink, engine=self.engine)
-        )
-
-    def _in_flight_messages(self) -> list:
-        """Committed-but-undelivered messages across all wrappers.
-
-        Link faults (and wrapper latency) open a window where an update
-        is committed at its source — and therefore visible to
-        maintenance queries — but not yet in the UMQ.  Compensation must
-        see those messages as *behind* every unit, or the duplication
-        anomaly of Example 1.a reappears under transmission delay.
-        """
-        pending: list = []
-        for wrapper in self.wrappers:
-            pending.extend(wrapper.pending_messages())
-        return pending
-
-    # ------------------------------------------------------------------
-    # the scheduler protocol (shared with MultiViewManager)
-    # ------------------------------------------------------------------
-
-    @property
-    def maintenance_queries(self) -> tuple:
-        """The view queries dependency detection must consider."""
-        return (self.view.query,)
-
-    @property
-    def detection_epoch(self) -> tuple:
-        """Version key for cached detection metadata.
-
-        Bumps whenever a committed (or speculatively installed) schema
-        rewrite changes the view definition; cached maintenance
-        footprints are valid only within one epoch.
-        """
-        return (self.view.version,)
 
     def speculative_queries(self, message) -> tuple:
         """What the view queries would look like after this schema
@@ -294,60 +171,29 @@ class ViewManager:
         return execute(self.view.query, self._direct_tables(self.view))
 
     # ------------------------------------------------------------------
-    # maintenance process construction
+    # maintenance: compute, then install
     # ------------------------------------------------------------------
 
-    def build_maintenance(
-        self, unit: MaintenanceUnit, pending_feed=None
-    ) -> MaintenanceProcess:
-        """The maintenance process for one unit (Definition 1).
-
-        The process is *compute then install*: all source queries and
-        compensation happen first, the materialized view and the view
-        definition are only written at the very end (``w(MV) c(MV)``) —
-        an abort mid-way leaves both untouched.
-
-        ``pending_feed`` (zero-argument callable) overrides where
-        compensation finds the messages pending *behind* this unit: the
-        parallel executor removes a unit from the UMQ at dispatch, so
-        the queue no longer answers for it — the executor supplies the
-        dispatch-time snapshot plus later arrivals instead.
-        """
-        outcome = yield from self.compute_unit(unit, pending_feed)
-        self.install_unit(outcome, unit)
-        return outcome
-
-    def compute_unit(
-        self, unit: MaintenanceUnit, pending_feed=None
-    ) -> MaintenanceProcess:
-        """Manager-agnostic compute seam (same protocol as
-        :meth:`~repro.views.multi.MultiViewManager.compute_unit`): the
-        parallel executor drives this generator, holds the returned
-        prepared outcome, and calls :meth:`install_unit` only when the
-        unit's turn comes in dispatch order."""
-        return self.compute_maintenance(unit, pending_feed)
-
-    def install_unit(self, prepared, unit: MaintenanceUnit) -> None:
-        """Install a prepared outcome from :meth:`compute_unit`
-        (:func:`install_write_ahead`)."""
-        install_write_ahead(self, [prepared], unit)
-
     def compute_maintenance(
-        self, unit: MaintenanceUnit, pending_feed=None
+        self, unit: MaintenanceUnit, stack, pending_feed=None
     ) -> MaintenanceProcess:
         """Compute (but do not install) the effect of one unit.
 
-        Returns a :class:`MaintenanceOutcome`; multi-view deployments
-        compute outcomes for every view before installing any of them,
-        preserving unit atomicity across views.
+        Returns a :class:`MaintenanceOutcome`.  ``stack`` is the owning
+        :class:`~repro.views.multi.MultiViewManager`: compensation asks
+        its queue and its wrappers what is pending behind ``unit``
+        (:class:`_UMQView`), unless ``pending_feed`` (zero-argument
+        callable) answers for the queue — the parallel executor removes
+        a unit from the UMQ at dispatch and supplies the dispatch-time
+        snapshot plus later arrivals instead.
         """
         if unit.has_schema_change:
             outcome = yield from self._compute_schema_unit(
-                unit, pending_feed
+                unit, stack, pending_feed
             )
         else:
             outcome = yield from self._compute_data_unit(
-                unit, pending_feed=pending_feed
+                unit, stack, pending_feed=pending_feed
             )
         return outcome
 
@@ -376,6 +222,7 @@ class ViewManager:
     def _compute_data_unit(
         self,
         unit: MaintenanceUnit,
+        stack,
         anchor: MaintenanceUnit | None = None,
         pending_feed=None,
     ) -> MaintenanceProcess:
@@ -406,7 +253,11 @@ class ViewManager:
                 self.view,
                 sub_unit,
                 _UMQView(
-                    self, anchor, messages[index + 1 :], pending_feed
+                    stack,
+                    self.schema_history,
+                    anchor,
+                    messages[index + 1 :],
+                    pending_feed,
                 ),
                 self.compensation_log,
                 self.engine.plans,
@@ -423,7 +274,7 @@ class ViewManager:
         return MaintenanceOutcome(delta=total)
 
     def _compute_schema_unit(
-        self, unit: MaintenanceUnit, pending_feed=None
+        self, unit: MaintenanceUnit, stack, pending_feed=None
     ) -> MaintenanceProcess:
         """M(SC) / batch maintenance: VS per combined change, then VA.
 
@@ -452,6 +303,7 @@ class ViewManager:
             if data_updates:
                 outcome = yield from self._compute_data_unit(
                     MaintenanceUnit(data_updates),
+                    stack,
                     anchor=unit,
                     pending_feed=pending_feed,
                 )
@@ -469,7 +321,7 @@ class ViewManager:
         extent = yield from adapt_view(
             candidate,
             unit,
-            _UMQView(self, unit, [], pending_feed),
+            _UMQView(stack, self.schema_history, unit, [], pending_feed),
             self.cost,
             rounds=effective_changes,
             log=self.compensation_log,
@@ -500,9 +352,11 @@ class _UMQView:
       the worker's live ``pending_feed`` overlay in the queue's place;
     * the wrappers' *in-flight* messages, committed but not delivered.
 
-    An update matches by the name it committed under: the manager's
-    schema history says which past names are the probed relation today
-    (a dropped relation's updates match nothing).  Only the matches that
+    The queue and the in-flight messages are the stack's
+    (``stack.umq``, ``stack.in_flight_messages()``).  An update matches
+    by the name it committed under: the view's schema history says which
+    past names are the probed relation today (a dropped relation's
+    updates match nothing).  Only the matches that
     had committed when the answer was evaluated are then translated to
     the current names and layout — once per message and installed
     schema change (:meth:`~repro.maintenance.history.SchemaHistory
@@ -512,9 +366,10 @@ class _UMQView:
     """
 
     def __init__(
-        self, manager: "ViewManager", unit, extra, pending_feed=None
+        self, stack, history: SchemaHistory, unit, extra, pending_feed=None
     ) -> None:
-        self._manager = manager
+        self._stack = stack
+        self._history = history
         self._unit = unit
         self._extra = list(extra)
         #: parallel executor's override: the unit left the real queue at
@@ -524,8 +379,7 @@ class _UMQView:
     def leaked(
         self, _sub_unit, source: str, relation: str, answered_at: float
     ) -> list:
-        manager = self._manager
-        history = manager.schema_history
+        stack, history = self._stack, self._history
         names = history.committed_names(source, relation)
         cutoff = answered_at + COMMIT_EPSILON
 
@@ -546,12 +400,12 @@ class _UMQView:
             # A bucket holds this source's data updates under ``names``.
             leaked += [
                 message
-                for message in manager.umq.data_updates_behind(
+                for message in stack.umq.data_updates_behind(
                     self._unit, source, names
                 )
                 if message.committed_at <= cutoff
             ]
-        leaked += matching(manager._in_flight_messages())
+        leaked += matching(stack.in_flight_messages())
         if history.is_empty():
             return leaked
         return list(map(history.translate_message, leaked))

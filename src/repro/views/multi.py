@@ -1,10 +1,13 @@
-"""Multiple materialized views over one update stream.
+"""The warehouse stack: one or more materialized views over one update
+stream.
 
-The paper closes by noting Dyno "is a general strategy ... and thus has
-the potential to be plugged into any view system".  This module realizes
-that claim: a :class:`MultiViewManager` maintains several materialized
-views over the same autonomous sources, sharing **one** UMQ and one Dyno
-scheduler.
+The paper's Figure 3 has one view manager over one UMQ, and its
+conclusion notes Dyno "is a general strategy ... and thus has the
+potential to be plugged into any view system".  A
+:class:`MultiViewManager` is that stack for any number of views: it
+owns the UMQ, the wrappers and their (optionally filtered) sink and the
+journal, and one :class:`~repro.views.manager.ViewManager` per view;
+one Dyno scheduler drives it.
 
 Semantics:
 
@@ -20,6 +23,7 @@ Semantics:
 from __future__ import annotations
 
 from ..relational.query import SPJQuery
+from ..relational.table import Table
 from ..sim.costs import CostModel
 from ..sim.engine import MaintenanceProcess, SimEngine
 from ..sim.metrics import Metrics
@@ -28,22 +32,41 @@ from ..sources.mkb import MetaKnowledgeBase
 from ..sources.source import DataSource
 from ..sources.wrapper import Wrapper
 from .definition import ViewDefinition
-from .manager import (
-    MaintenanceOutcome,
-    ViewManager,
-    filtered_sink,
-    install_write_ahead,
-)
+from .manager import MaintenanceOutcome, ViewManager
+from .materialized import MaterializedView
 from .umq import MaintenanceUnit, UpdateMessageQueue
 
 
-class MultiViewManager:
-    """Maintains a set of materialized views over shared sources.
+def filtered_sink(umq: UpdateMessageQueue, message_filter, metrics: Metrics):
+    """Wrapper sink delivering into ``umq`` through an optional filter.
 
-    Exposes the same protocol :class:`~repro.core.scheduler
-    .DynoScheduler` drives (``umq``, ``maintenance_queries``,
-    ``speculative_queries``, ``build_maintenance``, ``cost``,
-    ``metrics``), so the scheduler works unchanged.
+    With ``message_filter=None`` this is exactly ``umq.receive``; with a
+    predicate, messages the filter rejects are not enqueued (the source
+    commit itself is untouched — filtering is a delivery concern, so
+    maintenance queries still observe full source state).  The filter
+    must be pure up to idempotent effects: crash recovery asks it again
+    about every unresolved log message.  So a routed delivery is counted
+    here (``metrics.router_delivered`` / ``router_dropped``), once per
+    commit that reaches the sink, never in the predicate (a delivery a
+    crash purged in flight re-enters past the sink, uncounted)."""
+    if message_filter is None:
+        return umq.receive
+
+    def sink(message) -> None:
+        if message_filter(message):
+            metrics.router_delivered += 1
+            umq.receive(message)
+        else:
+            metrics.router_dropped += 1
+
+    return sink
+
+
+class MultiViewManager:
+    """The stack :class:`~repro.core.scheduler.DynoScheduler` drives:
+    ``umq``, ``maintenance_queries``, ``detection_epoch``,
+    ``speculative_queries``, ``build_maintenance`` / ``compute_unit`` /
+    ``install_unit``, ``cost`` and ``metrics``, over one or more views.
     """
 
     def __init__(
@@ -57,9 +80,11 @@ class MultiViewManager:
         """``initial_extents`` (view name -> Table) is the crash-recovery
         restore path; see :class:`~repro.views.manager.ViewManager`.
 
-        ``message_filter`` gates wrapper delivery into the shared UMQ
-        (see :class:`~repro.views.manager.ViewManager`); shard routers
-        use it to keep out-of-footprint messages off this queue."""
+        ``message_filter`` (``Callable[[UpdateMessage], bool] | None``)
+        sits between the wrappers and the UMQ: a message is enqueued
+        only when the filter accepts it.  Shard routers use this to
+        deliver each shard only the slice of the committed stream its
+        registered views reference (see :func:`filtered_sink`)."""
         if not views:
             raise ValueError("MultiViewManager needs at least one view")
         names = [view.name for view in views]
@@ -76,20 +101,9 @@ class MultiViewManager:
         ]
         extents = initial_extents or {}
         self.managers: list[ViewManager] = [
-            ViewManager(
-                engine,
-                view,
-                mkb,
-                umq=self.umq,
-                attach_wrappers=False,
-                initial_extent=extents.get(view.name),
-            )
+            ViewManager(engine, view, mkb, extents.get(view.name))
             for view in views
         ]
-        for manager in self.managers:
-            # Share the wrapper list (by reference — connect() extends
-            # it) so each manager's compensation sees in-flight messages.
-            manager.wrappers = self.wrappers
 
     # ------------------------------------------------------------------
     # plumbing
@@ -104,17 +118,8 @@ class MultiViewManager:
         return self.engine.metrics
 
     def view_managers(self) -> list[ViewManager]:
-        """The per-view managers of this stack (same call on
-        :class:`~repro.views.manager.ViewManager`)."""
+        """The per-view managers of this stack, in definition order."""
         return list(self.managers)
-
-    def install_self_maintenance(self):
-        """Arm the shared auxiliary store: replicas cover the union of
-        all views' requirements, so one store serves every sibling."""
-        store = self.engine.install_self_maintenance()
-        for manager in self.managers:
-            store.register_view(manager.view.query)
-        return store
 
     def manager_for(self, view_name: str) -> ViewManager:
         for manager in self.managers:
@@ -122,14 +127,57 @@ class MultiViewManager:
                 return manager
         raise KeyError(view_name)
 
-    def view(self, view_name: str) -> ViewDefinition:
-        return self.manager_for(view_name).view
+    def install_self_maintenance(self):
+        """Arm the auxiliary store and register every view's coverage
+        requirements.  Like the snapshot cache, the store lives on the
+        engine (:meth:`~repro.sim.engine.SimEngine
+        .install_self_maintenance`): replicas cover the union of all
+        views' requirements, so one store serves every sibling."""
+        store = self.engine.install_self_maintenance()
+        for manager in self.managers:
+            store.register_view(manager.view.query)
+        return store
 
     def connect(self, source: DataSource) -> None:
+        """Attach a source that joined after construction."""
         self.engine.add_source(source)
         self.wrappers.append(
             Wrapper(source, self._sink, engine=self.engine)
         )
+
+    def in_flight_messages(self) -> list:
+        """Committed-but-undelivered messages across all wrappers.
+
+        Link faults (and wrapper latency) open a window where an update
+        is committed at its source — and therefore visible to
+        maintenance queries — but not yet in the UMQ.  Compensation must
+        see those messages as *behind* every unit, or the duplication
+        anomaly of Example 1.a reappears under transmission delay.
+        """
+        pending: list = []
+        for wrapper in self.wrappers:
+            pending.extend(wrapper.pending_messages())
+        return pending
+
+    # ------------------------------------------------------------------
+    # one-view reads the benchmark spine makes of its one-view worlds
+    # (ROADMAP 12(e)); everything else asks view_managers()
+    # ------------------------------------------------------------------
+
+    def _only_view(self) -> ViewManager:
+        if len(self.managers) != 1:
+            raise TypeError(
+                f"{len(self.managers)} views: ask view_managers() or "
+                "manager_for(name)"
+            )
+        return self.managers[0]
+
+    @property
+    def mv(self) -> MaterializedView:
+        return self._only_view().mv
+
+    def recompute_reference(self) -> Table:
+        return self._only_view().recompute_reference()
 
     # ------------------------------------------------------------------
     # the scheduler protocol
@@ -137,11 +185,15 @@ class MultiViewManager:
 
     @property
     def maintenance_queries(self) -> tuple[SPJQuery, ...]:
+        """The view queries dependency detection must consider."""
         return tuple(manager.view.query for manager in self.managers)
 
     @property
     def detection_epoch(self) -> tuple:
-        """Version key for cached detection metadata (all views)."""
+        """Version key for cached detection metadata: bumps whenever a
+        committed (or speculatively installed) schema rewrite changes a
+        view definition; cached maintenance footprints are valid only
+        within one epoch."""
         return tuple(manager.view.version for manager in self.managers)
 
     def speculative_queries(
@@ -155,11 +207,14 @@ class MultiViewManager:
     def build_maintenance(
         self, unit: MaintenanceUnit, pending_feed=None
     ) -> MaintenanceProcess:
-        """Maintain one unit for every view, atomically.
+        """The maintenance process for one unit (Definition 1), for
+        every view atomically.
 
-        Compute-then-install: a broken query during any view's compute
-        phase aborts the whole unit with no view touched; the update is
-        counted as maintained exactly once.
+        Compute-then-install: all source queries and compensation
+        happen first, the extents and definitions are only written at
+        the very end (``w(MV) c(MV)``) — a broken query during any
+        view's compute phase aborts the whole unit with no view touched;
+        the update is counted as maintained exactly once.
         """
         outcomes = yield from self.compute_unit(unit, pending_feed)
         self.install_unit(outcomes, unit)
@@ -168,11 +223,14 @@ class MultiViewManager:
     def compute_unit(
         self, unit: MaintenanceUnit, pending_feed=None
     ) -> MaintenanceProcess:
-        """Compute (but do not install) one unit's effect on every view."""
+        """Compute (but do not install) one unit's effect on every view:
+        the parallel executor drives this generator, holds the returned
+        outcomes, and calls :meth:`install_unit` only when the unit's
+        turn comes in dispatch order."""
         outcomes: list[MaintenanceOutcome] = []
         for manager in self.managers:
             outcome = yield from manager.compute_maintenance(
-                unit, pending_feed
+                unit, self, pending_feed
             )
             outcomes.append(outcome)
         return outcomes
@@ -180,6 +238,29 @@ class MultiViewManager:
     def install_unit(
         self, prepared: list[MaintenanceOutcome], unit: MaintenanceUnit
     ) -> None:
-        """Install every view's prepared outcome atomically
-        (:func:`~repro.views.manager.install_write_ahead`)."""
-        install_write_ahead(self, list(prepared), unit)
+        """Install every view's prepared outcome atomically.
+
+        Write-ahead rule: with a maintenance journal armed, one entry
+        covering the whole unit across every view hits the sink *before*
+        any extent is touched, so a crash at any point here is
+        recoverable (either the entry is absent and the unit re-runs, or
+        it is present and replay re-applies every recorded effect)."""
+        engine = self.engine
+        engine.crash_point("install.pre_journal")
+        if self.journal is not None:
+            self.journal.record_install(unit, prepared)
+            engine.crash_point("install.post_journal")
+        for index, (manager, outcome) in enumerate(
+            zip(self.managers, prepared)
+        ):
+            manager.apply_outcome(
+                outcome, counted_updates=len(unit) if index == 0 else 0
+            )
+        engine.record_install(
+            {
+                manager.view.name: len(manager.mv.extent)
+                for manager in self.managers
+            },
+            tuple((m.source, m.seqno, m.committed_at) for m in unit.messages),
+        )
+        engine.crash_point("install.post_apply")

@@ -12,13 +12,13 @@ from repro import (
     DataSource,
     JoinCondition,
     MetaKnowledgeBase,
+    MultiViewManager,
     RelationRef,
     RelationReplacement,
     RelationSchema,
     SPJQuery,
     SimEngine,
     ViewDefinition,
-    ViewManager,
     attr,
 )
 from tests.builders import free_cost_model
@@ -128,8 +128,9 @@ def bookstore_mkb() -> MetaKnowledgeBase:
 
 def build_bookstore(
     cost_model: CostModel | None = None,
-) -> tuple[SimEngine, ViewManager]:
-    """Three sources, the BookInfo view, and the replacement MKB."""
+) -> tuple[SimEngine, MultiViewManager]:
+    """Three sources, the BookInfo view, and the replacement MKB, behind
+    one stack (no scheduler: each test drives it as it needs)."""
     engine = SimEngine(cost_model or CostModel.paper_default())
     retailer = engine.add_source(DataSource("retailer"))
     library = engine.add_source(DataSource("library"))
@@ -154,18 +155,18 @@ def build_bookstore(
             ("Data Integration Guide", "timely"),
         ],
     )
-    manager = ViewManager(
-        engine, ViewDefinition("BookInfo", bookinfo_query()), bookstore_mkb()
+    stack = MultiViewManager(
+        engine, [ViewDefinition("BookInfo", bookinfo_query())], bookstore_mkb()
     )
-    return engine, manager
+    return engine, stack
 
 
 @pytest.fixture
-def bookstore() -> tuple[SimEngine, ViewManager]:
+def bookstore() -> tuple[SimEngine, MultiViewManager]:
     return build_bookstore()
 
 
 @pytest.fixture
-def bookstore_free() -> tuple[SimEngine, ViewManager]:
+def bookstore_free() -> tuple[SimEngine, MultiViewManager]:
     """Bookstore with a zero-cost model (pure-logic tests)."""
     return build_bookstore(free_cost_model())

@@ -27,8 +27,9 @@ def sc() -> UpdateMessage:
 
 def recorded_on_abort(message: UpdateMessage) -> dict:
     """The anomaly counts after ``M(message)`` aborts once."""
-    _engine, manager = build_bookstore(free_cost_model())
-    DynoScheduler(manager)._record_abort(MaintenanceUnit([message]), 0.0)
+    _engine, stack = build_bookstore(free_cost_model())
+    [manager] = stack.view_managers()
+    DynoScheduler(stack)._record_abort(MaintenanceUnit([message]), 0.0)
     return {kind: n for kind, n in manager.metrics.anomalies.items() if n}
 
 

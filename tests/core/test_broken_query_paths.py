@@ -66,44 +66,44 @@ def broken(source: str) -> BrokenQueryError:
 class TestClassification:
     @BOTH
     def test_genuine_flag_feeds_correction(self, strategy):
-        engine, manager = build_bookstore(free_cost_model())
+        engine, stack = build_bookstore(free_cost_model())
         queue(engine, [("library", catalog_insert())])
-        scheduler = DynoScheduler(manager, strategy)
-        scheduler._handle_broken_query(manager.umq.head(), broken("library"))
+        scheduler = DynoScheduler(stack, strategy)
+        scheduler._handle_broken_query(stack.umq.head(), broken("library"))
         assert scheduler.stats.genuine_broken_flags == 1
         assert scheduler.stats.false_flags_avoided == 0
         assert scheduler.stats.corrections == 1  # CORRECT policy ran
 
     @BOTH
     def test_transient_is_quarantined_not_corrected(self, strategy):
-        engine, manager = build_bookstore(free_cost_model())
+        engine, stack = build_bookstore(free_cost_model())
         queue(engine, [("library", catalog_insert())])
-        scheduler = DynoScheduler(manager, strategy)
+        scheduler = DynoScheduler(stack, strategy)
         error = TransientSourceError("library", "hiccup", retry_at=5.0)
-        scheduler._handle_broken_query(manager.umq.head(), error)
+        scheduler._handle_broken_query(stack.umq.head(), error)
         assert scheduler.stats.false_flags_avoided == 1
         assert scheduler.stats.genuine_broken_flags == 0
         assert scheduler.stats.corrections == 0
         assert scheduler._quarantined["library"] == pytest.approx(5.0)
-        assert len(manager.umq) == 1  # queue untouched
+        assert len(stack.umq) == 1  # queue untouched
 
     @BOTH
     def test_exhausted_retries_use_recovery_hint(self, strategy):
-        engine, manager = build_bookstore(free_cost_model())
+        engine, stack = build_bookstore(free_cost_model())
         queue(engine, [("library", catalog_insert())])
-        scheduler = DynoScheduler(manager, strategy)
+        scheduler = DynoScheduler(stack, strategy)
         last = TransientSourceError("retailer", "crashed", retry_at=7.5)
         down = SourceUnavailableError(
             "retailer", 4, "exhausted", last_error=last
         )
-        scheduler._handle_broken_query(manager.umq.head(), down)
+        scheduler._handle_broken_query(stack.umq.head(), down)
         assert scheduler._quarantined["retailer"] == pytest.approx(7.5)
         assert scheduler.stats.quarantine_events == [(0.0, "retailer", 7.5)]
 
     @BOTH
     def test_requarantine_only_extends(self, strategy):
-        engine, manager = build_bookstore(free_cost_model())
-        scheduler = DynoScheduler(manager, strategy)
+        engine, stack = build_bookstore(free_cost_model())
+        scheduler = DynoScheduler(stack, strategy)
         scheduler._quarantine("library", 5.0)
         scheduler._quarantine("library", 2.0)  # earlier hint: ignored
         assert scheduler._quarantined["library"] == pytest.approx(5.0)
@@ -111,18 +111,18 @@ class TestClassification:
 
 class TestPolicies:
     def test_naive_skips_the_head(self):
-        engine, manager = build_bookstore(free_cost_model())
+        engine, stack = build_bookstore(free_cost_model())
         queue(
             engine,
             [("library", catalog_insert()), ("library", catalog_insert())],
         )
-        scheduler = DynoScheduler(manager, NAIVE)
-        scheduler._handle_broken_query(manager.umq.head(), broken("library"))
+        scheduler = DynoScheduler(stack, NAIVE)
+        scheduler._handle_broken_query(stack.umq.head(), broken("library"))
         assert scheduler.stats.skipped_updates == 1
-        assert len(manager.umq) == 1
+        assert len(stack.umq) == 1
 
     def test_blind_merge_collapses_the_queue(self):
-        engine, manager = build_bookstore(free_cost_model())
+        engine, stack = build_bookstore(free_cost_model())
         queue(
             engine,
             [
@@ -131,10 +131,10 @@ class TestPolicies:
                 ("library", catalog_insert()),
             ],
         )
-        scheduler = DynoScheduler(manager, BLIND_MERGE)
-        scheduler._handle_broken_query(manager.umq.head(), broken("retailer"))
-        assert len(list(manager.umq.units)) == 1
-        assert manager.umq.head().is_batch
+        scheduler = DynoScheduler(stack, BLIND_MERGE)
+        scheduler._handle_broken_query(stack.umq.head(), broken("retailer"))
+        assert len(list(stack.umq.units)) == 1
+        assert stack.umq.head().is_batch
 
 
 class TestForcedProgress:
@@ -143,7 +143,7 @@ class TestForcedProgress:
         """Correction that leaves the breaking head in place twice in a
         row triggers the safety valve: the head absorbs the breaking
         source's queued schema changes into one atomic batch."""
-        engine, manager = build_bookstore(free_cost_model())
+        engine, stack = build_bookstore(free_cost_model())
         queue(
             engine,
             [
@@ -153,19 +153,19 @@ class TestForcedProgress:
                 ("library", DropAttribute("Catalog", "Author")),
             ],
         )
-        scheduler = DynoScheduler(manager, strategy)
-        head = manager.umq.head()
+        scheduler = DynoScheduler(stack, strategy)
+        head = stack.umq.head()
         scheduler._handle_broken_query(head, broken("library"))
         assert scheduler.stats.forced_merges == 0  # first break: corrected
         # Correction rebuilds unit objects but keeps the same messages
         # at the head (the scheduler's repeat test uses message ids).
-        assert [id(m) for m in manager.umq.head()] == [id(m) for m in head]
+        assert [id(m) for m in stack.umq.head()] == [id(m) for m in head]
         scheduler._handle_broken_query(head, broken("library"))
         assert scheduler.stats.forced_merges == 1
-        merged = manager.umq.head()
+        merged = stack.umq.head()
         assert merged.is_batch
         assert len(merged) == 2  # DU + absorbed SC
-        assert len(list(manager.umq.units)) == 1
+        assert len(list(stack.umq.units)) == 1
 
     @BOTH
     def test_repeat_break_absorbs_what_must_precede_the_change(
@@ -175,7 +175,7 @@ class TestForcedProgress:
         breaking source's schema change committed before the change:
         the forced batch absorbs it too, so no update is queued behind
         a change that committed after it."""
-        engine, manager = build_bookstore(free_cost_model())
+        engine, stack = build_bookstore(free_cost_model())
         queue(
             engine,
             [
@@ -185,12 +185,12 @@ class TestForcedProgress:
                 ("library", DropAttribute("Catalog", "Author")),
             ],
         )
-        first, unrelated, earlier, change = manager.umq.messages()
-        scheduler = DynoScheduler(manager, strategy)
-        scheduler._handle_broken_query(manager.umq.head(), broken("library"))
-        scheduler._handle_broken_query(manager.umq.head(), broken("library"))
+        first, unrelated, earlier, change = stack.umq.messages()
+        scheduler = DynoScheduler(stack, strategy)
+        scheduler._handle_broken_query(stack.umq.head(), broken("library"))
+        scheduler._handle_broken_query(stack.umq.head(), broken("library"))
         assert scheduler.stats.forced_merges == 1
-        merged, *rest = manager.umq.units
+        merged, *rest = stack.umq.units
         assert list(merged) == [first, earlier, change]
         assert [list(unit) for unit in rest] == [[unrelated]]
 
@@ -198,7 +198,7 @@ class TestForcedProgress:
     def test_cyclic_dependencies_merge_into_batch(self, strategy):
         """Figure 4's cycle, reached through the broken-query path: the
         correction round inside the handler merges the cycle."""
-        engine, manager = build_bookstore(free_cost_model())
+        engine, stack = build_bookstore(free_cost_model())
         queue(
             engine,
             [
@@ -213,13 +213,13 @@ class TestForcedProgress:
                 ("library", DropAttribute("Catalog", "Review")),
             ],
         )
-        scheduler = DynoScheduler(manager, strategy)
+        scheduler = DynoScheduler(stack, strategy)
         scheduler._handle_broken_query(
-            manager.umq.head(), broken("retailer")
+            stack.umq.head(), broken("retailer")
         )
         assert engine.metrics.cycle_merges >= 1
-        assert len(list(manager.umq.units)) == 1
-        batch = manager.umq.head()
+        assert len(list(stack.umq.units)) == 1
+        batch = stack.umq.head()
         assert batch.is_batch
         assert len(batch) == 3
         # Commit order survives inside the merged batch.
@@ -227,12 +227,12 @@ class TestForcedProgress:
 
     @BOTH
     def test_nothing_to_absorb_waits_for_arrival(self, strategy):
-        engine, manager = build_bookstore(free_cost_model())
+        engine, stack = build_bookstore(free_cost_model())
         queue(engine, [("library", catalog_insert())])
         engine.schedule(1.0, lambda: None)
-        scheduler = DynoScheduler(manager, strategy)
-        before = list(manager.umq.messages())
+        scheduler = DynoScheduler(stack, strategy)
+        before = list(stack.umq.messages())
         scheduler._force_progress("retailer")  # no retailer SC queued
-        assert manager.umq.messages() == before
+        assert stack.umq.messages() == before
         assert scheduler.stats.forced_merges == 0
         assert engine.clock.now == pytest.approx(1.0)  # waited instead

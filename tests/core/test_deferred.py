@@ -5,7 +5,6 @@ import pytest
 from repro.core.scheduler import DynoScheduler
 from repro.core.strategies import PESSIMISTIC
 from repro.experiments.testbed import build_testbed
-from repro.views.consistency import check_convergence
 
 
 def loaded_testbed(defer=None, du_count=20, sc=False, seed=3):
@@ -30,11 +29,9 @@ class TestDeferredMode:
         eager.run()
         deferred = loaded_testbed(defer=20.0)
         deferred.run()
-        assert check_convergence(eager.manager).consistent
-        assert check_convergence(deferred.manager).consistent
-        assert sorted(deferred.manager.mv.extent.rows()) == sorted(
-            eager.manager.mv.extent.rows()
-        )
+        assert eager.check_consistency()
+        assert deferred.check_consistency()
+        assert deferred.extent_rows() == eager.extent_rows()
         assert (
             deferred.metrics.view_refreshes < eager.metrics.view_refreshes
         )
@@ -43,13 +40,13 @@ class TestDeferredMode:
         testbed = loaded_testbed(defer=5.0, du_count=20)
         refresh_times = []
 
-        original_apply = testbed.manager.mv.apply
+        original_apply = testbed.manager.manager_for("V").mv.apply
 
         def recording_apply(delta):
             refresh_times.append(testbed.engine.clock.now)
             original_apply(delta)
 
-        testbed.manager.mv.apply = recording_apply
+        testbed.manager.manager_for("V").mv.apply = recording_apply
         testbed.run()
         # refreshes land at/after the 5s boundaries, not per update
         assert refresh_times
@@ -61,8 +58,8 @@ class TestDeferredMode:
         testbed = loaded_testbed(defer=1000.0, du_count=10, sc=True)
         testbed.run()
         # the SC at t=3 forced processing long before the 1000s deferral
-        assert testbed.manager.view.version >= 1
-        assert check_convergence(testbed.manager).consistent
+        assert testbed.manager.manager_for("V").view.version >= 1
+        assert testbed.check_consistency()
         assert testbed.metrics.maintained_updates == 11
 
     def test_disabled_by_default(self):

@@ -186,7 +186,7 @@ class TestSchedulerIntegration:
         assert metrics.batches_formed > 0
         assert metrics.grouped_messages > 0
         assert metrics.maintenance_rounds < 30
-        report = check_convergence(testbed.manager)
+        report = check_convergence(testbed.manager.manager_for("V"))
         assert report.consistent, report.summary()
 
     def test_no_policy_means_no_batches(self):
@@ -217,5 +217,5 @@ class TestSchedulerIntegration:
         testbed.run()
         assert testbed.metrics.broken_queries >= 1
         assert testbed.metrics.aborts >= 1
-        report = check_convergence(testbed.manager)
+        report = check_convergence(testbed.manager.manager_for("V"))
         assert report.consistent, report.summary()

@@ -517,7 +517,7 @@ def _counted_du_run(monkeypatch, du_count, renames=0):
     assert testbed.metrics.maintained_updates == du_count + renames
     assert testbed.check_consistency()
     counts["evictions"] = testbed.metrics.plan_cache_evictions
-    return counts, testbed.manager.view.version
+    return counts, testbed.manager.manager_for("V").view.version
 
 
 #: plans one view version can need: per updated relation, one partial
@@ -612,7 +612,7 @@ def test_rename_arrival_through_a_scheduler_rewrites_once(monkeypatch):
     assert len(derived) - seen == 1
     keys = [key[:2] for key in derived]
     assert len(keys) == len(set(keys))
-    assert testbed.manager.synchronizer.consults == 0
+    assert testbed.manager.manager_for("V").synchronizer.consults == 0
     assert got == edge_set(
         find_dependencies(
             umq.messages(),
@@ -625,11 +625,11 @@ def test_rename_arrival_through_a_scheduler_rewrites_once(monkeypatch):
 def _bookstore_with_replacement():
     """The bookstore stack with the MKB's ``StoreItems`` stand-in live
     at the retailer, so a relation replacement validates against it."""
-    engine, manager = build_bookstore(free_cost_model())
+    engine, stack = build_bookstore(free_cost_model())
     engine.source("retailer").create_relation(
         STOREITEMS_SCHEMA, [("Amazon", "Databases", "Gray", 50.0)]
     )
-    return engine, manager, DynoScheduler(manager, PESSIMISTIC)
+    return engine, stack, DynoScheduler(stack, PESSIMISTIC)
 
 
 def test_a_rewrite_that_consulted_live_schemas_is_not_kept():
@@ -640,7 +640,8 @@ def test_a_rewrite_that_consulted_live_schemas_is_not_kept():
     queued drop's footprint is re-derived and agrees with the oracle —
     a rewrite kept across that arrival would still read
     ``StoreItems.Price``."""
-    engine, manager, scheduler = _bookstore_with_replacement()
+    engine, stack, scheduler = _bookstore_with_replacement()
+    [manager] = stack.view_managers()
     substrate = scheduler.substrate
     retailer = engine.source("retailer")
     price = ("retailer", "StoreItems", "Price")
@@ -659,8 +660,8 @@ def test_a_rewrite_that_consulted_live_schemas_is_not_kept():
     assert manager.synchronizer.consults > consults
     assert edge_set(substrate.dependencies()) == edge_set(
         find_dependencies(
-            manager.umq.messages(),
-            manager.maintenance_queries,
+            stack.umq.messages(),
+            stack.maintenance_queries,
             manager.speculative_queries,
         )
     )
@@ -670,19 +671,19 @@ def test_a_departing_schema_change_takes_its_rewrite_along():
     """``FootprintCache.discard`` drops the remembered rewrite with the
     footprint: the entry pins its message, so one left behind would be
     a leak (never a stale answer for a reused ``id``)."""
-    engine, manager, scheduler = _bookstore_with_replacement()
+    engine, stack, scheduler = _bookstore_with_replacement()
     cache = scheduler.substrate.cache
     engine.source("library").commit(DropAttribute("Catalog", "Review"), at=0.0)
     engine.source("library").commit(
         RenameRelation("Catalog", "Catalog__v2"), at=0.0
     )
     scheduler.substrate.dependencies()
-    first, second = manager.umq.messages()
+    first, second = stack.umq.messages()
     assert set(cache._rewrites) == {id(first), id(second)}
     assert cache._rewrites[id(first)][0] is first
-    manager.umq.remove_unit(manager.umq.units[1])
+    stack.umq.remove_unit(stack.umq.units[1])
     assert set(cache._rewrites) == {id(first)}
-    manager.umq.remove_head()
+    stack.umq.remove_head()
     assert not cache._rewrites
 
 
@@ -693,7 +694,8 @@ def test_mkb_rules_are_read_when_a_rewrite_is_made():
     seen by that change's remembered rewrite (the rule set is not part
     of what the memo is keyed on) — only by the real synchronization
     when the unit is maintained, which still converges."""
-    engine, manager, scheduler = _bookstore_with_replacement()
+    engine, stack, scheduler = _bookstore_with_replacement()
+    [manager] = stack.view_managers()
     substrate = scheduler.substrate
     library = engine.source("library")
     digest = ("digest", "ReaderDigest")
@@ -703,7 +705,7 @@ def test_mkb_rules_are_read_when_a_rewrite_is_made():
 
     library.commit(DropAttribute("Catalog", "Category"), at=0.0)
     assert digest not in substrate.footprint_at(1).relations  # no rule: pruned
-    manager.mkb.add_attribute_replacement(
+    manager.synchronizer.mkb.add_attribute_replacement(
         AttributeReplacement(
             source="library",
             relation="Catalog",

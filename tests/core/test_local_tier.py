@@ -55,17 +55,17 @@ def test_one_function_prices_a_local_hit():
     ]
 
 
-def _run_serial(manager, process) -> None:
-    manager.engine.run_process(process)
+def _run_serial(stack, process) -> None:
+    stack.engine.run_process(process)
 
 
-def _run_parallel(manager, process) -> None:
-    scheduler = ParallelScheduler(manager, PESSIMISTIC, workers=2)
+def _run_parallel(stack, process) -> None:
+    scheduler = ParallelScheduler(stack, PESSIMISTIC, workers=2)
     worker = scheduler.pool.idle_worker()
-    unit = MaintenanceUnit(list(manager.umq.messages()))
-    worker.assign(unit, process, manager.engine.clock.now, [])
+    unit = MaintenanceUnit(list(stack.umq.messages()))
+    worker.assign(unit, process, stack.engine.clock.now, [])
     scheduler._advance_process(worker)
-    drain_events(manager.engine)
+    drain_events(stack.engine)
 
 
 @pytest.mark.parametrize(
@@ -76,9 +76,9 @@ def test_sc_in_the_gap_drops_both_entries_and_ships_the_probe(run):
     change commits; the probe must miss both (entries dropped, both
     invalidations counted) and travel, so in-exec detection sees the
     broken query (Theorem 1)."""
-    engine, manager = build_bookstore()
+    engine, stack = build_bookstore()
     library = engine.sources["library"]
-    aux = manager.install_self_maintenance()
+    aux = stack.install_self_maintenance()
     aux.seed_from_source(library)
     cache = engine.install_snapshot_cache()
     probe = SPJQuery(
@@ -100,7 +100,7 @@ def test_sc_in_the_gap_drops_both_entries_and_ships_the_probe(run):
             outcome.append(broken)
 
     served = record_local_serves(engine)
-    run(manager, process())
+    run(stack, process())
 
     metrics = engine.metrics
     assert (len(aux), len(cache)) == (0, 0)

@@ -1,17 +1,32 @@
 """One warehouse stack, one constructor — checked on the source.
 
 ``repro.core.stack.build_stack`` is the only place in the package that
-picks a manager class and a scheduler class; experiment worlds, the
-facade and crash recovery all build through it, so what ``recover()``
-rebuilds cannot drift from what was built.  Nothing asks a manager what
-shape it has (both answer ``view_managers()``), and the recovery harness
-carries the stack's description, not a hand-picked subset of its knobs.
+constructs a stack (one class, ``MultiViewManager``, for any number of
+views) and picks a scheduler class; experiment worlds, the facade and
+crash recovery all build through it, so what ``recover()`` rebuilds
+cannot drift from what was built.  Nothing asks a manager what shape it
+has, and the recovery harness carries the stack's description, not a
+hand-picked subset of its knobs.
 """
 
 import ast
 from pathlib import Path
 
+import pytest
+
 import repro
+from repro import (
+    DataSource,
+    DynoScheduler,
+    MultiViewManager,
+    RelationRef,
+    SPJQuery,
+    SimEngine,
+    ViewDefinition,
+    attr,
+)
+from repro.core.stack import StackDescription, build_stack
+from tests.conftest import CATALOG_SCHEMA
 
 PACKAGE = Path(repro.__file__).parent
 STACK_CLASSES = {
@@ -20,10 +35,14 @@ STACK_CLASSES = {
     "DynoScheduler",
     "ParallelScheduler",
 }
-#: who may construct what: the builder, plus the multi-view manager for
-#: its inner per-view managers
+#: who may construct what: the builder builds the stack and its
+#: scheduler, the stack its per-view managers
 ALLOWED = {
-    ("core/stack.py", "build_stack"): STACK_CLASSES,
+    ("core/stack.py", "build_stack"): {
+        "MultiViewManager",
+        "DynoScheduler",
+        "ParallelScheduler",
+    },
     ("views/multi.py", "__init__"): {"ViewManager"},
 }
 FORWARDED_KNOBS = {"strategy", "parallel_workers", "batch_policy", "mkb"}
@@ -79,22 +98,61 @@ def test_only_the_builder_constructs_managers_and_schedulers():
 
 
 def test_the_guard_sees_the_builder():
-    # Guard the guard: the walk must find the four constructions.
+    # Guard the guard: the walk must find the three constructions.
     tree = ast.parse((PACKAGE / "core" / "stack.py").read_text())
     found = {
         _called_name(node)
         for node in ast.walk(tree)
         if isinstance(node, ast.Call)
-    }
-    assert STACK_CLASSES <= found
+    } & STACK_CLASSES
+    assert found == ALLOWED[("core/stack.py", "build_stack")]
+
+
+def _library_engine() -> SimEngine:
+    engine = SimEngine()
+    library = engine.add_source(DataSource("library"))
+    library.create_relation(
+        CATALOG_SCHEMA, [("Databases", "Gray", "CS", "MIT", "good")]
+    )
+    return engine
+
+
+def _catalog_views(count: int) -> list[ViewDefinition]:
+    """``count`` one-relation views over the library's catalog."""
+    query = SPJQuery(
+        relations=(RelationRef("library", "Catalog", "C"),),
+        projection=(attr("C", "Title"), attr("C", "Review")),
+    )
+    return [ViewDefinition(f"V{index}", query) for index in range(count)]
+
+
+@pytest.mark.parametrize("count", [1, 3])
+def test_one_stack_class_for_any_number_of_views(count):
+    views = _catalog_views(count)
+    stack, scheduler = build_stack(
+        _library_engine(), views, StackDescription()
+    )
+    assert type(stack) is MultiViewManager
+    assert type(scheduler) is DynoScheduler
+    assert [manager.view for manager in stack.view_managers()] == views
+
+
+def test_the_one_view_reads_refuse_several_views():
+    """The stack's ``mv`` / ``recompute_reference`` answer a one-view
+    stack only (the benchmark spine reads them; ROADMAP 12(e) deletes
+    them, and then the attribute error is the refusal)."""
+    stack, _scheduler = build_stack(
+        _library_engine(), _catalog_views(2), StackDescription()
+    )
+    with pytest.raises((TypeError, AttributeError)):
+        stack.mv
+    with pytest.raises((TypeError, AttributeError)):
+        stack.recompute_reference()
 
 
 def test_nothing_probes_a_manager_for_its_shape():
-    """No ``getattr`` / ``hasattr`` on ``"managers"``; both manager
-    classes answer ``view_managers()``."""
-    from repro.views.manager import ViewManager
-    from repro.views.multi import MultiViewManager
-
+    """No ``getattr`` / ``hasattr`` on ``"managers"``; the stack
+    answers ``view_managers()``."""
     offenders = [
         f"{name}:{node.lineno}"
         for name, tree in _trees()
@@ -108,8 +166,7 @@ def test_nothing_probes_a_manager_for_its_shape():
         )
     ]
     assert not offenders
-    for cls in (ViewManager, MultiViewManager):
-        assert "view_managers" in vars(cls)
+    assert "view_managers" in vars(MultiViewManager)
 
 
 def test_the_harness_holds_the_description_not_its_knobs():

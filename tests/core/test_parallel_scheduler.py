@@ -9,7 +9,6 @@ from repro.experiments.testbed import (
     fixed_drop_attribute,
     fixed_rename_relation,
 )
-from repro.views.consistency import check_convergence
 from tests.recorders import record_dispatches
 
 
@@ -48,9 +47,7 @@ def test_makespan_beats_serial_arm():
     assert parallel.metrics.makespan < serial.metrics.makespan
     assert parallel.metrics.peak_parallelism > 1
     # Identical observable outcome.
-    assert sorted(map(tuple, parallel.manager.mv.extent.rows())) == sorted(
-        map(tuple, serial.manager.mv.extent.rows())
-    )
+    assert parallel.extent_rows() == serial.extent_rows()
 
 
 def test_makespan_bounded_by_busy_time():
@@ -98,7 +95,7 @@ def test_sc_units_run_as_barriers():
     # Correction may merge the two SCs into one batch unit; at least
     # one barrier dispatch must have happened, always with no company.
     assert barrier_dispatches >= 1
-    assert check_convergence(testbed.manager).consistent
+    assert testbed.check_consistency()
 
 
 def test_broken_query_aborts_only_one_worker():
@@ -114,7 +111,7 @@ def test_broken_query_aborts_only_one_worker():
     testbed.engine.schedule_workload(workload)
     testbed.run()
     assert testbed.manager.umq.is_empty()
-    assert check_convergence(testbed.manager).consistent
+    assert testbed.check_consistency()
     # Every message committed exactly once despite any aborts.
     processed = [
         (source, seqno)

@@ -34,15 +34,15 @@ def catalog_insert() -> DataUpdate:
 
 class TestQuiescence:
     def test_empty_run_terminates(self):
-        engine, manager = build_bookstore(free_cost_model())
-        stats = DynoScheduler(manager, PESSIMISTIC).run()
+        engine, stack = build_bookstore(free_cost_model())
+        stats = DynoScheduler(stack, PESSIMISTIC).run()
         assert stats.iterations == 0
 
     def test_processes_pending_events(self):
-        engine, manager = build_bookstore(free_cost_model())
+        engine, stack = build_bookstore(free_cost_model())
         schedule(engine, [(5.0, "library", catalog_insert())])
-        DynoScheduler(manager, PESSIMISTIC).run()
-        assert manager.umq.is_empty()
+        DynoScheduler(stack, PESSIMISTIC).run()
+        assert stack.umq.is_empty()
         assert engine.metrics.maintained_updates == 1
 
 
@@ -50,7 +50,8 @@ class TestPessimistic:
     def test_co_arrival_avoids_abort(self):
         """DU and conflicting SC flood in together: pre-exec detection
         reorders before any doomed query is sent (Figure 9's point)."""
-        engine, manager = build_bookstore(CostModel.paper_default())
+        engine, stack = build_bookstore(CostModel.paper_default())
+        [manager] = stack.view_managers()
         schedule(
             engine,
             [
@@ -58,22 +59,22 @@ class TestPessimistic:
                 (0.0, "retailer", DropAttribute("Item", "Price")),
             ],
         )
-        DynoScheduler(manager, PESSIMISTIC).run()
+        DynoScheduler(stack, PESSIMISTIC).run()
         assert engine.metrics.aborts == 0
         assert check_convergence(manager).consistent
 
     def test_detection_skipped_without_flag(self):
-        engine, manager = build_bookstore(free_cost_model())
+        engine, stack = build_bookstore(free_cost_model())
         schedule(
             engine,
             [(0.0, "library", catalog_insert()),
              (0.0, "library", catalog_insert())],
         )
-        DynoScheduler(manager, PESSIMISTIC).run()
+        DynoScheduler(stack, PESSIMISTIC).run()
         assert engine.metrics.detection_rounds == 0  # DU-only: O(1) path
 
     def test_flag_triggers_detection_once(self):
-        engine, manager = build_bookstore(free_cost_model())
+        engine, stack = build_bookstore(free_cost_model())
         schedule(
             engine,
             [
@@ -83,13 +84,14 @@ class TestPessimistic:
                 (0.0, "library", DropAttribute("Catalog", "Author")),
             ],
         )
-        DynoScheduler(manager, PESSIMISTIC).run()
+        DynoScheduler(stack, PESSIMISTIC).run()
         assert engine.metrics.detection_rounds == 1
 
 
 class TestOptimistic:
     def test_broken_query_aborts_then_corrects(self):
-        engine, manager = build_bookstore(CostModel.paper_default())
+        engine, stack = build_bookstore(CostModel.paper_default())
+        [manager] = stack.view_managers()
         schedule(
             engine,
             [
@@ -97,22 +99,22 @@ class TestOptimistic:
                 (0.0, "retailer", DropAttribute("Item", "Price")),
             ],
         )
-        DynoScheduler(manager, OPTIMISTIC).run()
+        DynoScheduler(stack, OPTIMISTIC).run()
         assert engine.metrics.aborts >= 1
         assert engine.metrics.abort_cost > 0
         assert check_convergence(manager).consistent
 
     def test_never_checks_flag(self):
-        engine, manager = build_bookstore(free_cost_model())
+        engine, stack = build_bookstore(free_cost_model())
         schedule(engine, [(0.0, "library", catalog_insert())])
-        DynoScheduler(manager, OPTIMISTIC).run()
-        assert manager.umq.new_schema_change_flag is False
+        DynoScheduler(stack, OPTIMISTIC).run()
+        assert stack.umq.new_schema_change_flag is False
         assert engine.metrics.detection_rounds == 0
 
 
 class TestNaive:
     def test_broken_query_skips_update(self):
-        engine, manager = build_bookstore(CostModel.paper_default())
+        engine, stack = build_bookstore(CostModel.paper_default())
         schedule(
             engine,
             [
@@ -120,7 +122,7 @@ class TestNaive:
                 (0.0, "retailer", DropAttribute("Item", "Price")),
             ],
         )
-        scheduler = DynoScheduler(manager, NAIVE)
+        scheduler = DynoScheduler(stack, NAIVE)
         stats = scheduler.run()
         # The broken-query anomaly occurred and the update was lost —
         # the failure mode the paper sets out to fix.
@@ -130,7 +132,8 @@ class TestNaive:
 
 class TestBlindMerge:
     def test_merges_whole_queue_on_break(self):
-        engine, manager = build_bookstore(CostModel.paper_default())
+        engine, stack = build_bookstore(CostModel.paper_default())
+        [manager] = stack.view_managers()
         schedule(
             engine,
             [
@@ -141,7 +144,7 @@ class TestBlindMerge:
                 (0.0, "retailer", DropAttribute("Item", "Price")),
             ],
         )
-        DynoScheduler(manager, BLIND_MERGE).run()
+        DynoScheduler(stack, BLIND_MERGE).run()
         assert engine.metrics.cycle_merges >= 1
         assert check_convergence(manager).consistent
 
@@ -150,7 +153,8 @@ class TestForcedProgress:
     def test_repeat_breaking_head_gets_merged(self):
         """A schema change committing mid-maintenance repeatedly breaks
         the same head; the safety valve merges and converges."""
-        engine, manager = build_bookstore(CostModel.paper_default())
+        engine, stack = build_bookstore(CostModel.paper_default())
+        [manager] = stack.view_managers()
         schedule(
             engine,
             [
@@ -160,14 +164,14 @@ class TestForcedProgress:
                 (10.0, "retailer", RenameRelation("Item2", "Item3")),
             ],
         )
-        scheduler = DynoScheduler(manager, PESSIMISTIC)
+        scheduler = DynoScheduler(stack, PESSIMISTIC)
         scheduler.run()
         assert check_convergence(manager).consistent
 
     def test_max_iterations_guard(self):
-        engine, manager = build_bookstore(free_cost_model())
+        engine, stack = build_bookstore(free_cost_model())
         schedule(engine, [(0.0, "library", catalog_insert())])
-        scheduler = DynoScheduler(manager, PESSIMISTIC, max_iterations=0)
+        scheduler = DynoScheduler(stack, PESSIMISTIC, max_iterations=0)
         stats = scheduler.run()
         assert stats.iterations == 0
         assert engine.metrics.maintained_updates == 0
@@ -177,7 +181,7 @@ class TestAccounting:
     def test_abort_cost_below_total(self):
         # query_base=1.0 stretches the adaptation scans so the rename
         # at t=3.5 lands inside the Item scan window and breaks it.
-        engine, manager = build_bookstore(CostModel(query_base=1.0))
+        engine, stack = build_bookstore(CostModel(query_base=1.0))
         schedule(
             engine,
             [
@@ -185,7 +189,7 @@ class TestAccounting:
                 (3.5, "retailer", RenameRelation("Item", "Item2")),
             ],
         )
-        scheduler = DynoScheduler(manager, OPTIMISTIC)
+        scheduler = DynoScheduler(stack, OPTIMISTIC)
         scheduler.run()
         metrics = engine.metrics
         assert 0 < metrics.abort_cost < metrics.maintenance_cost
@@ -199,38 +203,39 @@ class TestAccounting:
         )
 
     def test_stats_iterations_counted(self):
-        engine, manager = build_bookstore(free_cost_model())
+        engine, stack = build_bookstore(free_cost_model())
         schedule(
             engine,
             [(0.0, "library", catalog_insert()) for _ in range(3)],
         )
-        scheduler = DynoScheduler(manager, PESSIMISTIC)
+        scheduler = DynoScheduler(stack, PESSIMISTIC)
         stats = scheduler.run()
         assert stats.iterations == 3
 
 
 class TestStepAPI:
     def test_step_processes_one_unit(self):
-        engine, manager = build_bookstore(free_cost_model())
+        engine, stack = build_bookstore(free_cost_model())
         schedule(
             engine,
             [(0.0, "library", catalog_insert()) for _ in range(3)],
         )
-        scheduler = DynoScheduler(manager, PESSIMISTIC)
+        scheduler = DynoScheduler(stack, PESSIMISTIC)
         assert scheduler.step()  # fire the commits
         assert scheduler.step()  # maintain unit 1
         assert engine.metrics.maintained_updates == 1
-        assert len(manager.umq) == 2
+        assert len(stack.umq) == 2
 
     def test_step_false_when_quiescent(self):
-        engine, manager = build_bookstore(free_cost_model())
-        scheduler = DynoScheduler(manager, PESSIMISTIC)
+        engine, stack = build_bookstore(free_cost_model())
+        scheduler = DynoScheduler(stack, PESSIMISTIC)
         assert not scheduler.step()
 
     def test_stepping_to_completion_equals_run(self):
         results = []
         for mode in ("run", "step"):
-            engine, manager = build_bookstore(CostModel.paper_default())
+            engine, stack = build_bookstore(CostModel.paper_default())
+            [manager] = stack.view_managers()
             schedule(
                 engine,
                 [
@@ -238,7 +243,7 @@ class TestStepAPI:
                     (0.5, "retailer", DropAttribute("Item", "Price")),
                 ],
             )
-            scheduler = DynoScheduler(manager, PESSIMISTIC)
+            scheduler = DynoScheduler(stack, PESSIMISTIC)
             if mode == "run":
                 scheduler.run()
             else:
@@ -258,7 +263,7 @@ class TestForceProgressPreservesQueue:
     def test_nothing_to_absorb_keeps_other_units(self):
         """The safety valve must never drop queued units when the
         breaking source has no queued schema changes."""
-        engine, manager = build_bookstore(free_cost_model())
+        engine, stack = build_bookstore(free_cost_model())
         schedule(
             engine,
             [
@@ -268,13 +273,13 @@ class TestForceProgressPreservesQueue:
             ],
         )
         drain_events(engine)
-        scheduler = DynoScheduler(manager, PESSIMISTIC)
-        before = list(manager.umq.messages())
+        scheduler = DynoScheduler(stack, PESSIMISTIC)
+        before = list(stack.umq.messages())
         scheduler._force_progress("retailer")  # no retailer SC queued
-        assert manager.umq.messages() == before  # untouched
+        assert stack.umq.messages() == before  # untouched
 
     def test_absorbing_keeps_unrelated_units(self):
-        engine, manager = build_bookstore(free_cost_model())
+        engine, stack = build_bookstore(free_cost_model())
         schedule(
             engine,
             [
@@ -284,10 +289,10 @@ class TestForceProgressPreservesQueue:
             ],
         )
         drain_events(engine)
-        scheduler = DynoScheduler(manager, PESSIMISTIC)
-        before = set(id(m) for m in manager.umq.messages())
+        scheduler = DynoScheduler(stack, PESSIMISTIC)
+        before = set(id(m) for m in stack.umq.messages())
         scheduler._force_progress("retailer")
-        after = set(id(m) for m in manager.umq.messages())
+        after = set(id(m) for m in stack.umq.messages())
         assert before == after  # multiset preserved
         assert scheduler.stats.forced_merges == 1
-        assert manager.umq.head().is_batch  # head absorbed the SC
+        assert stack.umq.head().is_batch  # head absorbed the SC

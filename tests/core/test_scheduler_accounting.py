@@ -43,11 +43,11 @@ def _item_du(seqno: int) -> UpdateMessage:
 
 class TestDeferralPassAccounting:
     def test_pass_without_demotion_is_charged_and_counted(self):
-        engine, manager = build_bookstore()
-        scheduler = DynoScheduler(manager)
+        engine, stack = build_bookstore()
+        scheduler = DynoScheduler(stack)
         # Active unit already ahead of the deferred one: no demotion.
-        manager.umq.receive(_catalog_du(1))
-        manager.umq.receive(_item_du(1))
+        stack.umq.receive(_catalog_du(1))
+        stack.umq.receive(_item_du(1))
         scheduler._quarantine("library", engine.clock.now + 50.0)
 
         builds = engine.metrics.graph_builds
@@ -57,10 +57,10 @@ class TestDeferralPassAccounting:
         assert engine.metrics.busy_time["detection"] > charged
 
     def test_all_deferred_pass_is_charged_and_counted(self):
-        engine, manager = build_bookstore()
-        scheduler = DynoScheduler(manager)
-        manager.umq.receive(_catalog_du(1))
-        manager.umq.receive(_item_du(1))
+        engine, stack = build_bookstore()
+        scheduler = DynoScheduler(stack)
+        stack.umq.receive(_catalog_du(1))
+        stack.umq.receive(_item_du(1))
         # Every unit's footprint reads retailer: nothing is runnable.
         scheduler._quarantine("retailer", engine.clock.now + 50.0)
 
@@ -71,26 +71,26 @@ class TestDeferralPassAccounting:
         assert engine.metrics.busy_time["detection"] > charged
 
     def test_demotion_reorders_and_charges(self):
-        engine, manager = build_bookstore()
-        scheduler = DynoScheduler(manager)
+        engine, stack = build_bookstore()
+        scheduler = DynoScheduler(stack)
         deferred_head = _item_du(1)
         runnable = _catalog_du(1)
-        manager.umq.receive(deferred_head)
-        manager.umq.receive(runnable)
+        stack.umq.receive(deferred_head)
+        stack.umq.receive(runnable)
         scheduler._quarantine("library", engine.clock.now + 50.0)
 
         charged = engine.metrics.busy_time["detection"]
         assert scheduler._make_runnable_head() is True
-        assert manager.umq.head().head_message is runnable
+        assert stack.umq.head().head_message is runnable
         assert engine.metrics.busy_time["detection"] > charged
 
 
 class TestDeferredUnitCounting:
     def test_counted_once_per_stay_not_once_per_pass(self):
-        engine, manager = build_bookstore()
-        scheduler = DynoScheduler(manager)
-        manager.umq.receive(_catalog_du(1))
-        manager.umq.receive(_item_du(1))
+        engine, stack = build_bookstore()
+        scheduler = DynoScheduler(stack)
+        stack.umq.receive(_catalog_du(1))
+        stack.umq.receive(_item_du(1))
         scheduler._quarantine("library", engine.clock.now + 50.0)
 
         scheduler._make_runnable_head()
@@ -101,23 +101,23 @@ class TestDeferredUnitCounting:
         assert scheduler.stats.deferred_units == 1
 
     def test_new_unit_joining_the_outage_is_counted(self):
-        engine, manager = build_bookstore()
-        scheduler = DynoScheduler(manager)
-        manager.umq.receive(_catalog_du(1))
-        manager.umq.receive(_item_du(1))
+        engine, stack = build_bookstore()
+        scheduler = DynoScheduler(stack)
+        stack.umq.receive(_catalog_du(1))
+        stack.umq.receive(_item_du(1))
         scheduler._quarantine("library", engine.clock.now + 50.0)
 
         scheduler._make_runnable_head()
         assert scheduler.stats.deferred_units == 1
-        manager.umq.receive(_item_du(2))
+        stack.umq.receive(_item_du(2))
         scheduler._make_runnable_head()
         assert scheduler.stats.deferred_units == 2
 
     def test_next_outage_counts_afresh(self):
-        engine, manager = build_bookstore()
-        scheduler = DynoScheduler(manager)
-        manager.umq.receive(_catalog_du(1))
-        manager.umq.receive(_item_du(1))
+        engine, stack = build_bookstore()
+        scheduler = DynoScheduler(stack)
+        stack.umq.receive(_catalog_du(1))
+        stack.umq.receive(_item_du(1))
         scheduler._quarantine("library", engine.clock.now + 1.0)
         scheduler._make_runnable_head()
         assert scheduler.stats.deferred_units == 1
@@ -149,13 +149,13 @@ class TestDeferredRefreshCadence:
         )
 
         refresh_times = []
-        original_apply = testbed.manager.mv.apply
+        original_apply = testbed.manager.manager_for("V").mv.apply
 
         def recording_apply(delta):
             refresh_times.append(testbed.engine.clock.now)
             original_apply(delta)
 
-        testbed.manager.mv.apply = recording_apply
+        testbed.manager.manager_for("V").mv.apply = recording_apply
         testbed.run()
 
         # Catch-up processing at ~12, then the anchored deadline at 15;

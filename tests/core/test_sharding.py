@@ -16,7 +16,7 @@ from repro.relational.query import RelationRef, SPJQuery
 from repro.sim.metrics import Metrics
 from repro.sources.messages import DataUpdate, RenameRelation, UpdateMessage
 from repro.views.definition import ViewDefinition
-from repro.views.manager import filtered_sink
+from repro.views.multi import filtered_sink
 from repro.views.umq import UpdateMessageQueue
 
 

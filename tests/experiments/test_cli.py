@@ -77,7 +77,6 @@ NOT_ON_THE_COMMAND_LINE = {
     "tuples_per_relation",
     "seed",
     "backend",
-    "cost_model",
     "parallel_workers",
     "journal_dir",
     "fault_plan",

@@ -115,7 +115,7 @@ class TestDerivation:
     def test_option_count_does_not_grow(self):
         # The distinct knob names the three pre-config builders took,
         # less the evaluator switch (one relational kernel ships).
-        assert len(dataclasses.fields(WarehouseConfig)) <= 17
+        assert len(dataclasses.fields(WarehouseConfig)) <= 16
 
 
 class TestEntryPoints:
@@ -127,8 +127,9 @@ class TestEntryPoints:
         assert config.spans is None and config.shards == 1
         testbed = build_testbed(PESSIMISTIC, tuples_per_relation=10)
         assert testbed.config == config.replace(tuples_per_relation=10)
-        assert testbed.manager.view.name == "V"
-        assert len(testbed.manager.view.query.relations) == 6
+        [manager] = testbed.manager.view_managers()
+        assert manager.view.name == "V"
+        assert len(manager.view.query.relations) == 6
 
     def test_sharded_defaults(self):
         config = sharded_config()

@@ -96,12 +96,11 @@ class TestWorkloadGenerators:
 class TestBuild:
     def test_initial_view_is_one_to_one(self):
         testbed = build_testbed(PESSIMISTIC, tuples_per_relation=25)
-        assert len(testbed.manager.mv.extent) == 25
+        assert len(testbed.manager.manager_for("V").mv.extent) == 25
 
     def test_seed_controls_data(self):
         first = build_testbed(PESSIMISTIC, tuples_per_relation=10, seed=1)
         second = build_testbed(PESSIMISTIC, tuples_per_relation=10, seed=1)
         third = build_testbed(PESSIMISTIC, tuples_per_relation=10, seed=2)
-        rows_first = sorted(first.manager.mv.extent.rows())
-        assert rows_first == sorted(second.manager.mv.extent.rows())
-        assert rows_first != sorted(third.manager.mv.extent.rows())
+        assert first.extent_rows() == second.extent_rows()
+        assert first.extent_rows() != third.extent_rows()

@@ -60,7 +60,8 @@ class TestExample1a:
     """Duplication anomaly: concurrent DU leaks into the probe answer."""
 
     def test_compensation_prevents_duplicate(self):
-        engine, manager = build_bookstore(CostModel.paper_default())
+        engine, stack = build_bookstore(CostModel.paper_default())
+        [manager] = stack.view_managers()
         schedule(
             engine,
             [
@@ -69,7 +70,7 @@ class TestExample1a:
                 (0.005, "retailer", new_item()),
             ],
         )
-        DynoScheduler(manager, PESSIMISTIC).run()
+        DynoScheduler(stack, PESSIMISTIC).run()
         report = check_convergence(manager)
         assert report.consistent, report.summary()
         matches = [
@@ -84,7 +85,7 @@ class TestExample1b:
     """Broken query anomaly: the XML remapping breaks Query (2)."""
 
     def test_naive_loses_the_update(self):
-        engine, manager = build_bookstore(CostModel.paper_default())
+        engine, stack = build_bookstore(CostModel.paper_default())
         schedule(
             engine,
             [
@@ -92,12 +93,13 @@ class TestExample1b:
                 (0.0, "retailer", storeitems_restructure()),
             ],
         )
-        stats = DynoScheduler(manager, NAIVE).run()
+        stats = DynoScheduler(stack, NAIVE).run()
         assert stats.skipped_updates >= 1
 
     @pytest.mark.parametrize("strategy", [PESSIMISTIC, OPTIMISTIC])
     def test_dyno_reorders_and_produces_query_3_shape(self, strategy):
-        engine, manager = build_bookstore(CostModel.paper_default())
+        engine, stack = build_bookstore(CostModel.paper_default())
+        [manager] = stack.view_managers()
         schedule(
             engine,
             [
@@ -105,7 +107,7 @@ class TestExample1b:
                 (0.0, "retailer", storeitems_restructure()),
             ],
         )
-        DynoScheduler(manager, strategy).run()
+        DynoScheduler(stack, strategy).run()
         query = manager.view.query
         assert query.references_relation("retailer", "StoreItems")
         assert not query.references_relation("retailer", "Store")
@@ -118,7 +120,8 @@ class TestSection35Cycle:
     rewrites form a dependency cycle; the batch yields Query (5)."""
 
     def test_cycle_merged_and_query_5_produced(self):
-        engine, manager = build_bookstore(CostModel.paper_default())
+        engine, stack = build_bookstore(CostModel.paper_default())
+        [manager] = stack.view_managers()
         restructure = RestructureRelations(
             dropped=("Store", "Item"),
             new_schema=STOREITEMS_SCHEMA,
@@ -137,7 +140,7 @@ class TestSection35Cycle:
                 (0.03, "library", DropAttribute("Catalog", "Review")),
             ],
         )
-        DynoScheduler(manager, PESSIMISTIC).run()
+        DynoScheduler(stack, PESSIMISTIC).run()
         query = manager.view.query
         # Query (5): StoreItems ⋈ Catalog ⋈ ReaderDigest
         assert query.references_relation("retailer", "StoreItems")
@@ -157,7 +160,8 @@ class TestSection35Cycle:
         assert any("timely" in row for row in rows)
 
     def test_final_extent_matches_paper_data(self):
-        engine, manager = build_bookstore(CostModel.paper_default())
+        engine, stack = build_bookstore(CostModel.paper_default())
+        [manager] = stack.view_managers()
         restructure = RestructureRelations(
             dropped=("Store", "Item"),
             new_schema=STOREITEMS_SCHEMA,
@@ -174,7 +178,7 @@ class TestSection35Cycle:
                 (0.01, "library", DropAttribute("Catalog", "Review")),
             ],
         )
-        DynoScheduler(manager, PESSIMISTIC).run()
+        DynoScheduler(stack, PESSIMISTIC).run()
         rows = set(manager.mv.extent.rows())
         assert (
             "Amazon",

@@ -27,8 +27,9 @@ class TestTestbedShape:
 
     def test_one_to_one_join_view(self):
         testbed = build_testbed(PESSIMISTIC, tuples_per_relation=10)
-        assert len(testbed.manager.mv.extent) == 10
-        assert testbed.manager.mv.extent.schema.arity == 24
+        extent = testbed.manager.manager_for("V").mv.extent
+        assert len(extent) == 10
+        assert extent.schema.arity == 24
 
     def test_source_of_relation_round_robin(self):
         assert source_of_relation(0) == "src1"
@@ -67,7 +68,7 @@ class TestDeterminism:
                 (
                     round(testbed.metrics.maintenance_cost, 9),
                     testbed.metrics.aborts,
-                    sorted(testbed.manager.mv.extent.rows())[:3],
+                    testbed.extent_rows()["V"][:3],
                 )
             )
         assert results[0] == results[1]
@@ -86,7 +87,7 @@ class TestStrategiesConverge:
             testbed.schema_change_workload(4, 0.0, 8.0, seed=6)
         )
         testbed.run()
-        report = check_convergence(testbed.manager)
+        report = check_convergence(testbed.manager.manager_for("V"))
         assert report.consistent, report.summary()
 
     def test_targeted_drop_and_rename(self, strategy):
@@ -100,10 +101,11 @@ class TestStrategiesConverge:
             testbed.random_du_workload(10, 0.0, 1.0, seed=8)
         )
         testbed.run()
-        report = check_convergence(testbed.manager)
+        report = check_convergence(testbed.manager.manager_for("V"))
         assert report.consistent, report.summary()
         # B4 was dropped: the view lost one projected column
-        assert testbed.manager.mv.extent.schema.arity == 23
+        extent = testbed.manager.manager_for("V").mv.extent
+        assert extent.schema.arity == 23
 
     def test_rename_chain_on_one_relation(self, strategy):
         from repro.sources.messages import RenameRelation
@@ -120,5 +122,5 @@ class TestStrategiesConverge:
             )
         testbed.engine.schedule_workload(workload)
         testbed.run()
-        report = check_convergence(testbed.manager)
+        report = check_convergence(testbed.manager.manager_for("V"))
         assert report.consistent, report.summary()

@@ -22,7 +22,7 @@ from repro.sources.source import DataSource
 from repro.sources.workload import FixedUpdate, Workload
 from repro.views.consistency import check_convergence
 from repro.views.definition import ViewDefinition
-from repro.views.manager import ViewManager
+from repro.views.multi import MultiViewManager
 
 ITEM = RelationSchema.of(
     "Item",
@@ -51,13 +51,13 @@ def build_selective():
         projection=(attr("I", "Book"), attr("I", "Price")),
         selection=Comparison(attr("I", "Price"), "<", 45.0),
     )
-    manager = ViewManager(engine, ViewDefinition("Cheap", query))
-    return engine, manager
+    return engine, MultiViewManager(engine, [ViewDefinition("Cheap", query)])
 
 
 class TestSelectiveView:
     def test_updates_crossing_the_predicate(self):
-        engine, manager = build_selective()
+        engine, stack = build_selective()
+        [manager] = stack.view_managers()
         assert len(manager.mv.extent) == 2
         workload = Workload()
         # below the threshold: enters the view
@@ -85,19 +85,20 @@ class TestSelectiveView:
             ),
         )
         engine.schedule_workload(workload)
-        DynoScheduler(manager, PESSIMISTIC).run()
+        DynoScheduler(stack, PESSIMISTIC).run()
         rows = sorted(manager.mv.extent.rows())
         assert rows == [("Datalog", 30.0), ("Types", 20.0)]
         assert check_convergence(manager).consistent
 
     def test_dropping_the_predicate_attribute(self):
-        engine, manager = build_selective()
+        engine, stack = build_selective()
+        [manager] = stack.view_managers()
         workload = Workload()
         workload.add(
             1.0, "retailer", FixedUpdate(DropAttribute("Item", "Price"))
         )
         engine.schedule_workload(workload)
-        DynoScheduler(manager, PESSIMISTIC).run()
+        DynoScheduler(stack, PESSIMISTIC).run()
         # Price pruned from projection AND selection: all books qualify
         assert manager.view.version == 2
         assert len(manager.mv.extent) == 3
@@ -124,19 +125,22 @@ def build_selfjoin():
         projection=(attr("L", "Book"), attr("R", "Book")),
         joins=(JoinCondition(attr("L", "Author"), attr("R", "Author")),),
     )
-    manager = ViewManager(engine, ViewDefinition("SameAuthor", query))
-    return engine, manager
+    return engine, MultiViewManager(
+        engine, [ViewDefinition("SameAuthor", query)]
+    )
 
 
 class TestSelfJoinView:
     def test_initial_extent(self):
-        _engine, manager = build_selfjoin()
+        _engine, stack = build_selfjoin()
+        [manager] = stack.view_managers()
         # Gray x Gray gives 4 pairs, Aho x Aho gives 1
         assert len(manager.mv.extent) == 5
 
     @pytest.mark.parametrize("strategy", [PESSIMISTIC, OPTIMISTIC])
     def test_insert_maintains_both_occurrences(self, strategy):
-        engine, manager = build_selfjoin()
+        engine, stack = build_selfjoin()
+        [manager] = stack.view_managers()
         workload = Workload()
         workload.add(
             0.0,
@@ -146,13 +150,14 @@ class TestSelfJoinView:
             ),
         )
         engine.schedule_workload(workload)
-        DynoScheduler(manager, strategy).run()
+        DynoScheduler(stack, strategy).run()
         # Gray now has 3 books -> 9 pairs; plus Aho's 1 pair
         assert len(manager.mv.extent) == 10
         assert check_convergence(manager).consistent
 
     def test_delete_maintains_both_occurrences(self):
-        engine, manager = build_selfjoin()
+        engine, stack = build_selfjoin()
+        [manager] = stack.view_managers()
         workload = Workload()
         workload.add(
             0.0,
@@ -164,14 +169,15 @@ class TestSelfJoinView:
             ),
         )
         engine.schedule_workload(workload)
-        DynoScheduler(manager, PESSIMISTIC).run()
+        DynoScheduler(stack, PESSIMISTIC).run()
         assert len(manager.mv.extent) == 2  # Gray solo pair + Aho pair
         assert check_convergence(manager).consistent
 
     def test_concurrent_inserts_same_author(self):
         """Two close inserts of the same author: the self-join
         compensation rule must prevent double counting."""
-        engine, manager = build_selfjoin()
+        engine, stack = build_selfjoin()
+        [manager] = stack.view_managers()
         workload = Workload()
         workload.add(
             0.0,
@@ -188,7 +194,7 @@ class TestSelfJoinView:
             ),
         )
         engine.schedule_workload(workload)
-        DynoScheduler(manager, PESSIMISTIC).run()
+        DynoScheduler(stack, PESSIMISTIC).run()
         # Gray has 4 books -> 16 pairs; Aho 1 pair
         assert len(manager.mv.extent) == 17
         report = check_convergence(manager)

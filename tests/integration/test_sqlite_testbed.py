@@ -24,7 +24,7 @@ def test_mixed_workload_on_sqlite(strategy):
         testbed.schema_change_workload(3, start=1.0, interval=8.0, seed=6)
     )
     testbed.run()
-    report = check_convergence(testbed.manager)
+    report = check_convergence(testbed.manager.manager_for("V"))
     assert report.consistent, report.summary()
 
 
@@ -45,7 +45,7 @@ def test_backends_agree_on_final_state():
             testbed.schema_change_workload(2, 1.0, 9.0, seed=10)
         )
         testbed.run()
-        extents.append(sorted(testbed.manager.mv.extent.rows()))
+        extents.append(testbed.extent_rows())
     assert extents[0] == extents[1]
 
 
@@ -63,4 +63,4 @@ def test_failed_commit_counted_not_fatal():
     testbed.engine.schedule_workload(workload)
     testbed.run()
     assert testbed.metrics.failed_commits == 1
-    assert check_convergence(testbed.manager).consistent
+    assert testbed.check_consistency()

@@ -19,7 +19,7 @@ def test_long_mixed_storm(strategy):
     )
     testbed.run()
     assert testbed.manager.umq.is_empty()
-    report = check_convergence(testbed.manager)
+    report = check_convergence(testbed.manager.manager_for("V"))
     assert report.consistent, report.summary()
     assert testbed.metrics.maintained_updates >= 500
 
@@ -46,7 +46,7 @@ def test_poisson_arrival_storm():
         testbed.schema_change_workload(5, start=5.0, interval=12.0, seed=23)
     )
     testbed.run()
-    report = check_convergence(testbed.manager)
+    report = check_convergence(testbed.manager.manager_for("V"))
     assert report.consistent, report.summary()
 
 
@@ -70,5 +70,5 @@ def test_deep_rename_chains():
         testbed.random_du_workload(60, start=0.0, interval=1.0, seed=31)
     )
     testbed.run()
-    report = check_convergence(testbed.manager)
+    report = check_convergence(testbed.manager.manager_for("V"))
     assert report.consistent, report.summary()

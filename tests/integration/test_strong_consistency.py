@@ -151,8 +151,8 @@ def test_violation_is_detected():
     )
 
     # sabotage: silently drop one row from the materialized extent
-    row = next(iter(testbed.manager.mv.extent))
-    testbed.manager.mv.extent.delete(row)
+    extent = testbed.manager.manager_for("V").mv.extent
+    extent.delete(next(iter(extent)))
 
     testbed.run()
     with pytest.raises(ExtentMismatch) as caught:

@@ -58,7 +58,7 @@ def translated(history, message: UpdateMessage) -> UpdateMessage | None:
 
 
 def facade_messages_behind(
-    manager, unit: MaintenanceUnit, extra=(), pending_feed=None
+    stack, history, unit: MaintenanceUnit, extra=(), pending_feed=None
 ) -> list[UpdateMessage]:
     """Everything pending behind ``unit`` as the view manager's facade
     used to report it: in-unit extras, the queue tail (or the parallel
@@ -67,17 +67,17 @@ def facade_messages_behind(
     behind = (
         pending_feed()
         if pending_feed is not None
-        else messages_behind(manager.umq, unit)
+        else messages_behind(stack.umq, unit)
     )
-    pending = list(extra) + behind + manager._in_flight_messages()
-    if manager.schema_history.is_empty():
+    pending = list(extra) + behind + stack.in_flight_messages()
+    if history.is_empty():
         return pending
     mapped = []
     for message in pending:
         if not message.is_data_update:
             mapped.append(message)
             continue
-        current = translated(manager.schema_history, message)
+        current = translated(history, message)
         if current is not None:
             mapped.append(current)
     return mapped
@@ -134,11 +134,9 @@ def leaked_behind_head(
     return leaked
 
 
-def bare_manager(umq, history, in_flight=list) -> SimpleNamespace:
-    """All of a view manager that its ``_UMQView`` facade reads."""
-    return SimpleNamespace(
-        umq=umq, schema_history=history, _in_flight_messages=in_flight
-    )
+def bare_stack(umq, in_flight=list) -> SimpleNamespace:
+    """All of a stack that a view's ``_UMQView`` facade reads."""
+    return SimpleNamespace(umq=umq, in_flight_messages=in_flight)
 
 
 def assert_index_consistent(umq: UpdateMessageQueue) -> None:

@@ -168,7 +168,7 @@ class TestCompensateAnswer:
             (OPTIMISTIC, True),
         ):
             testbed = build_testbed(strategy, tuples_per_relation=10)
-            log = testbed.manager.compensation_log
+            log = testbed.manager.manager_for("V").compensation_log
             assert log.strict is strict, strategy.name
         # And a non-strict log clamps exactly as before.
         answer = Table(R)

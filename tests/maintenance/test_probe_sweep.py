@@ -68,7 +68,8 @@ from repro.sim.engine import QueryAnswer, SimEngine
 from repro.sources.messages import DataUpdate, UpdateMessage
 from repro.sources.source import DataSource
 from repro.views.definition import ViewDefinition
-from repro.views.manager import ViewManager, _UMQView
+from repro.views.manager import _UMQView
+from repro.views.multi import MultiViewManager
 from tests.builders import free_cost_model, subquery_over
 from tests.property.test_sqlite_differential import _sqlite
 
@@ -610,25 +611,26 @@ def _chain_world():
         sources[index % 2].create_relation(
             SCHEMAS[name], [(1, 1, 1, 1)[: SCHEMAS[name].arity]]
         )
-    manager = ViewManager(
-        engine, ViewDefinition("V", _view(graph=0, selection=0, projected=0))
+    stack = MultiViewManager(
+        engine, [ViewDefinition("V", _view(graph=0, selection=0, projected=0))]
     )
-    return engine, manager
+    return engine, stack
 
 
 @pytest.mark.parametrize("maintain", ["running", "per_prefix"])
 def test_an_emptied_running_join_still_issues_every_probe(maintain):
-    engine, manager = _chain_world()
+    engine, stack = _chain_world()
+    [manager] = stack.view_managers()
     # R.k = 7 joins no row of S: the running join empties after S
     engine.source("src0").commit(
         DataUpdate.insert(SCHEMAS["r"], [(7, 1, 1)]), at=engine.clock.now
     )
-    head = manager.umq.head()
+    head = stack.umq.head()
     process = (
         vm.maintain_data_update
         if maintain == "running"
         else _per_prefix_maintenance
-    )(manager.view, head, _UMQView(manager, head, []))
+    )(manager.view, head, _UMQView(stack, manager.schema_history, head, []))
     delta = engine.run_process(process)
     assert delta is not None and delta.is_empty()
     # S, T and U each probed once, T and U with empty IN-lists

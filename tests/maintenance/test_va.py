@@ -93,17 +93,18 @@ class TestTelescopingDelta:
 
 class TestAdaptView:
     def test_rebuilds_extent_for_rewritten_definition(self):
-        engine, manager = build_bookstore(free_cost_model())
+        engine, stack = build_bookstore(free_cost_model())
+        [manager] = stack.view_managers()
         # Drop Catalog.Review at the source, rewrite the view, adapt.
         change = DropAttribute("Catalog", "Review")
         message = engine.source("library").commit(change, at=0.0)
-        unit = manager.umq.head()
+        unit = stack.umq.head()
         result = manager.synchronizer.synchronize(manager.view, message)
         extent = engine.run_process(
             adapt_view(
                 result.definition,
                 unit,
-                _UMQView(manager, unit, []),
+                _UMQView(stack, manager.schema_history, unit, []),
                 engine.cost_model,
             )
         )
@@ -112,7 +113,7 @@ class TestAdaptView:
         assert extent == manager.recompute_reference()
 
     def test_rounds_multiply_scan_cost(self):
-        engine, manager = build_bookstore(
+        engine, stack = build_bookstore(
             CostModel(
                 query_base=1.0,
                 query_per_scanned_tuple=0.0,
@@ -121,15 +122,16 @@ class TestAdaptView:
                 va_per_tuple=0.0,
             )
         )
+        [manager] = stack.view_managers()
         change = DropAttribute("Catalog", "Review")
         message = engine.source("library").commit(change, at=0.0)
-        unit = manager.umq.head()
+        unit = stack.umq.head()
         result = manager.synchronizer.synchronize(manager.view, message)
         engine.run_process(
             adapt_view(
                 result.definition,
                 unit,
-                _UMQView(manager, unit, []),
+                _UMQView(stack, manager.schema_history, unit, []),
                 engine.cost_model,
                 rounds=3,
             )
@@ -138,7 +140,8 @@ class TestAdaptView:
         assert engine.clock.now == pytest.approx(12.0)
 
     def test_adaptation_folds_in_batch_data_updates(self):
-        engine, manager = build_bookstore(free_cost_model())
+        engine, stack = build_bookstore(free_cost_model())
+        [manager] = stack.view_managers()
         from tests.conftest import ITEM_SCHEMA
 
         source = engine.source("retailer")
@@ -151,15 +154,15 @@ class TestAdaptView:
         )
         # Merge both into one batch unit (as correction would).
         batch = MaintenanceUnit(
-            [manager.umq.messages()[0], manager.umq.messages()[1]]
+            [stack.umq.messages()[0], stack.umq.messages()[1]]
         )
-        manager.umq.replace_order([batch])
+        stack.umq.replace_order([batch])
         result = manager.synchronizer.synchronize(manager.view, sc_message)
         extent = engine.run_process(
             adapt_view(
                 result.definition,
                 batch,
-                _UMQView(manager, batch, []),
+                _UMQView(stack, manager.schema_history, batch, []),
                 engine.cost_model,
             )
         )

@@ -68,7 +68,8 @@ class TestPolicyOn:
 
 class TestEndToEnd:
     def test_extension_flows_through_adaptation(self):
-        engine, manager = build_bookstore(free_cost_model())
+        engine, stack = build_bookstore(free_cost_model())
+        [manager] = stack.view_managers()
         manager.synchronizer.extend_on_add = True
         workload = Workload()
         workload.add(
@@ -79,7 +80,7 @@ class TestEndToEnd:
             ),
         )
         engine.schedule_workload(workload)
-        DynoScheduler(manager, PESSIMISTIC).run()
+        DynoScheduler(stack, PESSIMISTIC).run()
         assert manager.view.version == 2
         assert manager.mv.extent.schema.arity == 8  # 7 + Year
         assert all("2004" in row for row in manager.mv.extent.rows())

@@ -851,7 +851,8 @@ def test_cache_fold_and_installed_extent_keep_the_coerced_rows():
     assert _typed(cache.serve(source, query).table) == _typed(current())
     assert "((1, 'a', 50.0), 1)" in _typed(current())
 
-    engine, manager = build_bookstore(free_cost_model())
+    engine, stack = build_bookstore(free_cost_model())
+    [manager] = stack.view_managers()
     engine.source("retailer").commit(
         DataUpdate.insert(
             ITEM_SCHEMA,
@@ -859,7 +860,7 @@ def test_cache_fold_and_installed_extent_keep_the_coerced_rows():
         ),
         at=0.0,
     )
-    engine.run_process(manager.build_maintenance(manager.umq.head()))
+    engine.run_process(stack.build_maintenance(stack.umq.head()))
     assert _typed(manager.mv.extent) == _typed(manager.recompute_reference())
     assert any("60.0" in item for item in _typed(manager.mv.extent))
 

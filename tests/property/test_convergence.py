@@ -52,7 +52,7 @@ def test_mixed_workload_converges(
         testbed.run()
     assert not inversions, inversions
     assert testbed.manager.umq.is_empty()
-    report = check_convergence(testbed.manager)
+    report = check_convergence(testbed.manager.manager_for("V"))
     assert report.consistent, report.summary()
     check_all(oracles)
 
@@ -74,7 +74,7 @@ def test_du_only_stream_converges_with_compensation(seed, du_count):
         )
         testbed.run()
     assert not inversions, inversions
-    report = check_convergence(testbed.manager)
+    report = check_convergence(testbed.manager.manager_for("V"))
     assert report.consistent, report.summary()
     assert testbed.metrics.aborts == 0  # DUs never break queries
 
@@ -96,5 +96,5 @@ def test_sc_only_stream_converges(seed, sc_count, sc_interval):
         )
         testbed.run()
     assert not inversions, inversions
-    report = check_convergence(testbed.manager)
+    report = check_convergence(testbed.manager.manager_for("V"))
     assert report.consistent, report.summary()

@@ -63,7 +63,7 @@ def _drive(strategy, seed, du_count, sc_count, workers, fault_seed):
             )
         )
     testbed.run()
-    extent = tuple(sorted(map(tuple, testbed.manager.mv.extent.rows())))
+    extent = testbed.extent_rows()["V"]
     committed = testbed.committed_updates()
     return testbed, extent, committed, testbed.metrics.elapsed
 
@@ -74,7 +74,7 @@ def assert_invariant(arm_kwargs):
     assert compiled[1] == naive[1]  # extent
     assert compiled[2] == naive[2]  # committed (source, seqno) set
     assert compiled[3] == naive[3]  # final virtual clock, bit-identical
-    report = check_convergence(compiled[0].manager)
+    report = check_convergence(compiled[0].manager.manager_for("V"))
     assert report.consistent, report.summary()
 
 

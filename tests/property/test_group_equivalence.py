@@ -68,7 +68,7 @@ def _run(
             )
         )
     testbed.run()
-    extent = tuple(sorted(map(tuple, testbed.manager.mv.extent.rows())))
+    extent = testbed.extent_rows()["V"]
     processed = testbed.committed_updates()
     return testbed, extent, processed
 
@@ -91,7 +91,7 @@ def test_batching_matches_unbatched_serial(
     )
     assert extent_on == extent_off
     assert processed_on == processed_off
-    report = check_convergence(on.manager)
+    report = check_convergence(on.manager.manager_for("V"))
     assert report.consistent, report.summary()
     # Batching can only remove maintenance rounds, never add them.
     assert (
@@ -120,7 +120,7 @@ def test_batching_matches_unbatched_parallel(
     assert on.manager.umq.is_empty()
     assert extent_on == extent_off
     assert processed_on == processed_off
-    report = check_convergence(on.manager)
+    report = check_convergence(on.manager.manager_for("V"))
     assert report.consistent, report.summary()
 
 
@@ -146,7 +146,7 @@ def test_batching_matches_unbatched_under_faults(
     )
     assert extent_on == extent_off
     assert processed_on == processed_off
-    report = check_convergence(on.manager)
+    report = check_convergence(on.manager.manager_for("V"))
     assert report.consistent, report.summary()
 
 
@@ -170,7 +170,7 @@ def test_batching_composes_with_snapshot_cache(
     )
     assert extent_on == extent_off
     assert processed_on == processed_off
-    report = check_convergence(on.manager)
+    report = check_convergence(on.manager.manager_for("V"))
     assert report.consistent, report.summary()
 
 

@@ -45,7 +45,7 @@ from repro.views.manager import _UMQView
 from repro.views.umq import MaintenanceUnit, UpdateMessageQueue
 from tests.leak_oracle import (
     assert_index_consistent,
-    bare_manager,
+    bare_stack,
     facade_messages_behind,
     messages_behind,
     pending_data_updates,
@@ -77,9 +77,7 @@ class World:
         self.names = {source: {"A", "X"} for source in SOURCES}
         self.removed: list[MaintenanceUnit] = []
         self.in_flight: list[UpdateMessage] = []
-        self.manager = bare_manager(
-            self.umq, self.history, lambda: list(self.in_flight)
-        )
+        self.stack = bare_stack(self.umq, lambda: list(self.in_flight))
 
     # -- messages ------------------------------------------------------
 
@@ -258,7 +256,7 @@ def test_queue_buckets_equal_the_tail_scan(rnd, steps):
 @settings(max_examples=120, deadline=None)
 def test_leaked_equals_flatten_translate_then_filter(rnd, steps):
     world = World(rnd)
-    umq, manager = world.umq, world.manager
+    umq, stack, history = world.umq, world.stack, world.history
     for _ in range(steps):
         world.mutate()
         if umq.is_empty():
@@ -274,8 +272,10 @@ def test_leaked_equals_flatten_translate_then_filter(rnd, steps):
             for message in queued
         ] + world.extras()
         for feed in (None, lambda: list(overlay)):
-            facade = _UMQView(manager, unit, extras, feed)
-            pending = facade_messages_behind(manager, unit, extras, feed)
+            facade = _UMQView(stack, history, unit, extras, feed)
+            pending = facade_messages_behind(
+                stack, history, unit, extras, feed
+            )
             for source, relation, answered_at in world.questions():
                 assert_same_leak(
                     facade.leaked(unit, source, relation, answered_at),
@@ -353,28 +353,28 @@ def _stale_world():
     for message in messages:
         umq.receive(message)
     history.record("s", RenameRelation("A", "B"))
-    return bare_manager(umq, history), messages
+    return bare_stack(umq), history, messages
 
 
 def test_two_committed_names_interleave_in_queue_order():
-    manager, messages = _stale_world()
-    umq = manager.umq
+    stack, history, messages = _stale_world()
+    umq = stack.umq
     # the reorder moves the late stale update ahead of the fresh one and
     # merges the other two: queue order is no longer commit order
     head, x, y, z = umq.units
     umq.replace_order([head, z, MaintenanceUnit.merged([y, x])])
     found = umq.data_updates_behind(head, "s", ["A", "B"])
     assert [m.seqno for m in found] == [4, 3, 2]
-    leaked = _UMQView(manager, head, []).leaked(head, "s", "B", 9.0)
+    leaked = _UMQView(stack, history, head, []).leaked(head, "s", "B", 9.0)
     assert [m.seqno for m in leaked] == [4, 3, 2]
     assert [m.payload.relation for m in leaked] == ["B", "B", "B"]
     assert leaked[1] is messages[2]  # committed under the current name
-    assert _UMQView(manager, head, []).leaked(head, "s", "A", 9.0) == []
+    assert _UMQView(stack, history, head, []).leaked(head, "s", "A", 9.0) == []
 
 
 def test_a_message_is_translated_once_per_installed_change(monkeypatch):
-    manager, _ = _stale_world()
-    history, head = manager.schema_history, manager.umq.head()
+    stack, history, _ = _stale_world()
+    head = stack.umq.head()
     calls = []
     translate = history.translate_data_update
     monkeypatch.setattr(
@@ -382,12 +382,12 @@ def test_a_message_is_translated_once_per_installed_change(monkeypatch):
         "translate_data_update",
         lambda source, update: calls.append(update) or translate(source, update),
     )
-    facade = _UMQView(manager, head, [])
+    facade = _UMQView(stack, history, head, [])
     first = facade.leaked(head, "s", "B", 9.0)
     assert len(calls) == 3
     # asked again — by this probe or any later unit's — nothing is
     # translated again and the same (shared) messages come back
-    again = _UMQView(manager, head, []).leaked(head, "s", "B", 9.0)
+    again = _UMQView(stack, history, head, []).leaked(head, "s", "B", 9.0)
     assert len(calls) == 3
     assert [id(m) for m in again] == [id(m) for m in first]
     # filter first: the cut-off and the relation keep a message from

@@ -80,7 +80,7 @@ def _run(
     assert not inversions, inversions
     check_all(oracles)
     testbed.verdict_skips = skips[0]
-    extent = tuple(sorted(map(tuple, testbed.manager.mv.extent.rows())))
+    extent = testbed.extent_rows()["V"]
     processed = testbed.committed_updates()
     return testbed, extent, processed
 
@@ -136,7 +136,7 @@ def test_parallel_matches_serial_oracle(
     assert parallel.manager.umq.is_empty()
     assert extent == serial_extent
     assert processed == serial_processed
-    report = check_convergence(parallel.manager)
+    report = check_convergence(parallel.manager.manager_for("V"))
     assert report.consistent, report.summary()
     _audit(parallel)
 
@@ -168,7 +168,7 @@ def test_parallel_matches_serial_oracle_under_faults(
     assert parallel.manager.umq.is_empty()
     assert extent == serial_extent
     assert processed == serial_processed
-    report = check_convergence(parallel.manager)
+    report = check_convergence(parallel.manager.manager_for("V"))
     assert report.consistent, report.summary()
     _audit(parallel)
 
@@ -197,7 +197,7 @@ def test_parallel_matches_serial_oracle_with_batches(
     assert parallel.manager.umq.is_empty()
     assert extent == serial_extent
     assert processed == serial_processed
-    report = check_convergence(parallel.manager)
+    report = check_convergence(parallel.manager.manager_for("V"))
     assert report.consistent, report.summary()
     _audit(parallel)
 

@@ -83,7 +83,7 @@ def _run(
         )
         testbed.run()
     assert not inversions, inversions
-    extent = tuple(sorted(map(tuple, testbed.manager.mv.extent.rows())))
+    extent = testbed.extent_rows()["V"]
     committed = testbed.committed_updates()
     return testbed, extent, committed
 
@@ -110,7 +110,7 @@ def test_aux_matches_bare_serial(
     )
     assert extent_on == extent_off
     assert committed_on == committed_off
-    report = check_convergence(on.manager)
+    report = check_convergence(on.manager.manager_for("V"))
     assert report.consistent, report.summary()
     # On a DU-only stream the store can only remove round trips.  (With
     # SCs in the mix the *count* may legitimately differ either way:
@@ -151,7 +151,7 @@ def test_aux_matches_bare_parallel(
     assert on.manager.umq.is_empty()
     assert extent_on == extent_off
     assert committed_on == committed_off
-    report = check_convergence(on.manager)
+    report = check_convergence(on.manager.manager_for("V"))
     assert report.consistent, report.summary()
     assert_local_serves_are_free(on)
     if snapshot_cache:
@@ -187,7 +187,7 @@ def test_aux_matches_bare_under_faults(
     )
     assert extent_on == extent_off
     assert committed_on == committed_off
-    report = check_convergence(on.manager)
+    report = check_convergence(on.manager.manager_for("V"))
     assert report.consistent, report.summary()
 
 
@@ -225,7 +225,7 @@ def test_aux_matches_bare_across_crashes(
     )
     assert extent_on == extent_off
     assert committed_on == committed_off
-    report = check_convergence(on.manager)
+    report = check_convergence(on.manager.manager_for("V"))
     assert report.consistent, report.summary()
 
 
@@ -249,5 +249,5 @@ def test_schema_change_invalidates_then_reseeds():
     with_sc, _extent, _committed = _run(PESSIMISTIC, True, 5, 40, 2)
     assert with_sc.metrics.aux_invalidations_sc >= 1
     assert with_sc.metrics.aux_hits > 0
-    report = check_convergence(with_sc.manager)
+    report = check_convergence(with_sc.manager.manager_for("V"))
     assert report.consistent, report.summary()

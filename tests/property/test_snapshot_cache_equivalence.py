@@ -96,7 +96,7 @@ def _run(
         )
         testbed.run()
     assert not inversions, inversions
-    extent = tuple(sorted(map(tuple, testbed.manager.mv.extent.rows())))
+    extent = testbed.extent_rows()["V"]
     processed = testbed.committed_updates()
     return testbed, extent, processed
 
@@ -117,7 +117,7 @@ def test_cache_matches_uncached_serial(strategy, seed, du_count, sc_count):
     )
     assert extent_on == extent_off
     assert processed_on == processed_off
-    report = check_convergence(on.manager)
+    report = check_convergence(on.manager.manager_for("V"))
     assert report.consistent, report.summary()
     # The cache can only remove round trips, never add them.
     assert (
@@ -148,7 +148,7 @@ def test_cache_matches_uncached_parallel(
     assert on.manager.umq.is_empty()
     assert extent_on == extent_off
     assert processed_on == processed_off
-    report = check_convergence(on.manager)
+    report = check_convergence(on.manager.manager_for("V"))
     assert report.consistent, report.summary()
     assert_local_serves_are_free(on)
     assert {record["tier"] for record in on.local_serves} <= {
@@ -177,7 +177,7 @@ def test_cache_matches_uncached_under_faults(
     )
     assert extent_on == extent_off
     assert processed_on == processed_off
-    report = check_convergence(on.manager)
+    report = check_convergence(on.manager.manager_for("V"))
     assert report.consistent, report.summary()
 
 
@@ -193,5 +193,5 @@ def test_hot_key_stream_actually_hits_and_patches():
 
     with_sc, _extent, _processed = _run(PESSIMISTIC, True, 5, 40, 2)
     assert with_sc.metrics.cache_invalidations_sc >= 0  # SC path exercised
-    report = check_convergence(with_sc.manager)
+    report = check_convergence(with_sc.manager.manager_for("V"))
     assert report.consistent, report.summary()

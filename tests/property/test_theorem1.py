@@ -24,7 +24,7 @@ class _TheoremCheckingScheduler(DynoScheduler):
     def _handle_broken_query(self, unit, broken):
         result = detect(
             self.umq.messages(),
-            self.manager.view.query,
+            self.manager.manager_for("V").view.query,
             rewritten_query=self._speculative_rewrite,
         )
         assert result.unsafe, (

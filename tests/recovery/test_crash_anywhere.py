@@ -72,7 +72,7 @@ def run_config(
             )
         testbed.run()
     assert not inversions, inversions
-    extent = tuple(sorted(map(tuple, testbed.manager.mv.extent.rows())))
+    extent = testbed.extent_rows()["V"]
     return extent, testbed.committed_updates(), testbed
 
 
@@ -199,7 +199,7 @@ def test_crash_during_replay_recovers():
     testbed.scheduler = recovered.scheduler
     testbed.recovery = recovered.harness
     testbed.run()
-    extent = tuple(sorted(map(tuple, testbed.manager.mv.extent.rows())))
+    extent = testbed.extent_rows()["V"]
     assert attempts >= 1, "replay crash never fired"
     assert extent == oracle_extent
     assert testbed.committed_updates() == oracle_committed
@@ -257,7 +257,7 @@ def test_file_backed_journal_and_checkpoint(tmp_path):
         testbed.random_du_workload(8, start=0.0, interval=0.01, seed=1)
     )
     testbed.run()
-    extent = tuple(sorted(map(tuple, testbed.manager.mv.extent.rows())))
+    extent = testbed.extent_rows()["V"]
     assert extent == oracle_extent
     assert testbed.committed_updates() == oracle_committed
     assert (tmp_path / "journal.jsonl").exists()
@@ -282,9 +282,7 @@ def test_journal_on_no_crash_run_is_bit_identical_to_journal_off():
         journaled.random_du_workload(8, start=0.0, interval=0.01, seed=1)
     )
     journaled.run()
-    assert tuple(sorted(map(tuple, plain.manager.mv.extent.rows()))) == (
-        tuple(sorted(map(tuple, journaled.manager.mv.extent.rows())))
-    )
+    assert plain.extent_rows() == journaled.extent_rows()
     assert plain.committed_updates() == journaled.committed_updates()
     assert plain.engine.clock.now == journaled.engine.clock.now
     assert journaled.metrics.journal_entries > 0
@@ -328,7 +326,7 @@ def _assert_install_log_is_committed_set(testbed, oracle_committed):
     assert frozenset(logged) == testbed.committed_updates()
     assert testbed.committed_updates() == oracle_committed
     timeline = ShardTimeline(
-        engine.install_log, {testbed.manager.view.name: 0}
+        engine.install_log, {"V": 0}
     )
     assert timeline.commits == sorted(
         engine.sources[source].log[seqno - 1].committed_at

@@ -70,7 +70,7 @@ def test_delta_roundtrip_preserves_signed_counts():
 
 def test_definition_roundtrip_through_sourced_sql():
     testbed = build_testbed(PESSIMISTIC, tuples_per_relation=3)
-    definition = testbed.manager.view
+    definition = testbed.manager.manager_for("V").view
     back = definition_from_json(
         json.loads(json.dumps(definition_to_json(definition)))
     )

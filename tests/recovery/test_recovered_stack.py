@@ -217,7 +217,8 @@ def test_a_recovered_substrate_derives_everything_afresh():
     with pytest.raises(SchedulerCrash):
         testbed.scheduler.run()
     crashed = testbed.scheduler.substrate.cache
-    assert testbed.manager.view.query.references_relation("src1", "R1__v2")
+    view = testbed.manager.manager_for("V").view
+    assert view.query.references_relation("src1", "R1__v2")
     assert len(crashed._rewrites) == 2  # both queued renames, remembered
 
     recover_in_place(testbed)
@@ -240,4 +241,5 @@ def test_a_recovered_substrate_derives_everything_afresh():
     )
     testbed.run()
     assert testbed.check_consistency()
-    assert manager.view.query.references_relation("src1", "R1__v3")
+    view = manager.manager_for("V").view
+    assert view.query.references_relation("src1", "R1__v3")

@@ -38,7 +38,8 @@ from repro.sources.messages import DataUpdate
 from repro.sources.source import DataSource
 from repro.sources.sqlite_source import SqliteDataSource
 from repro.views.definition import ViewDefinition
-from repro.views.manager import ViewManager, _UMQView
+from repro.views.manager import _UMQView
+from repro.views.multi import MultiViewManager
 from tests.builders import free_cost_model
 from tests.kernel_oracle import execute_naive
 
@@ -113,11 +114,12 @@ def test_a_probe_sweep_agrees_with_sqlite(backend):
     source = engine.add_source(backend("s"))
     source.create_relation(R, [])
     source.create_relation(T, T_ROWS)
-    manager = ViewManager(engine, ViewDefinition("V", QUERY))
+    stack = MultiViewManager(engine, [ViewDefinition("V", QUERY)])
+    [manager] = stack.view_managers()
     source.commit(DataUpdate.insert(R, R_ROWS), at=engine.clock.now)
-    head = manager.umq.head()
+    head = stack.umq.head()
     process = maintain_data_update(
-        manager.view, head, _UMQView(manager, head, [])
+        manager.view, head, _UMQView(stack, manager.schema_history, head, [])
     )
     delta = engine.run_process(process)
     # the view delta of an insert into an empty R: the view over it

@@ -55,7 +55,7 @@ class TestEndToEndTrace:
         from repro.sources.workload import FixedUpdate, Workload
         from tests.conftest import build_bookstore
 
-        engine, manager = build_bookstore(CostModel(query_base=1.0))
+        engine, stack = build_bookstore(CostModel(query_base=1.0))
         engine.tracer.enabled = True
         workload = Workload()
         workload.add(
@@ -65,7 +65,7 @@ class TestEndToEndTrace:
             3.5, "retailer", FixedUpdate(RenameRelation("Item", "Item2"))
         )
         engine.schedule_workload(workload)
-        DynoScheduler(manager, OPTIMISTIC).run()
+        DynoScheduler(stack, OPTIMISTIC).run()
 
         assert engine.tracer.of_kind(COMMIT)
         assert engine.tracer.of_kind(QUERY)
@@ -128,7 +128,7 @@ class TestDisabledTracerFormatsNothing:
                 return _describe(self)
 
             monkeypatch.setattr(cls, "describe", counted)
-        engine, manager = build_bookstore(CostModel(query_base=1.0))
+        engine, stack = build_bookstore(CostModel(query_base=1.0))
         workload = Workload()
         workload.add(
             0.0, "library", FixedUpdate(DropAttribute("Catalog", "Review"))
@@ -137,7 +137,7 @@ class TestDisabledTracerFormatsNothing:
             3.5, "retailer", FixedUpdate(RenameRelation("Item", "Item2"))
         )
         engine.schedule_workload(workload)
-        DynoScheduler(manager, OPTIMISTIC).run()
+        DynoScheduler(stack, OPTIMISTIC).run()
         assert not engine.tracer.enabled
         assert engine.metrics.aborts >= 1
         assert calls == []

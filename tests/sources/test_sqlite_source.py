@@ -27,7 +27,7 @@ from repro.sources.source import DataSource
 from repro.sources.sqlite_source import SqliteDataSource
 from repro.views.consistency import check_convergence
 from repro.views.definition import ViewDefinition
-from repro.views.manager import ViewManager
+from repro.views.multi import MultiViewManager
 
 ITEM = RelationSchema.of(
     "Item",
@@ -290,13 +290,14 @@ class TestEndToEndWithViewManager:
             ),
             joins=(JoinCondition(attr("I", "Book"), attr("C", "Title")),),
         )
-        manager = ViewManager(engine, ViewDefinition("V", query))
-        return engine, manager, catalog
+        stack = MultiViewManager(engine, [ViewDefinition("V", query)])
+        return engine, stack, catalog
 
     def test_du_and_sc_maintenance_converges(self):
         from repro.sources.workload import FixedUpdate, Workload
 
-        engine, manager, catalog = self.build()
+        engine, stack, catalog = self.build()
+        [manager] = stack.view_managers()
         workload = Workload()
         workload.add(
             0.0,
@@ -316,7 +317,7 @@ class TestEndToEndWithViewManager:
             1.0, "retailer", FixedUpdate(RenameRelation("Item", "Stock"))
         )
         engine.schedule_workload(workload)
-        DynoScheduler(manager, PESSIMISTIC).run()
+        DynoScheduler(stack, PESSIMISTIC).run()
         report = check_convergence(manager)
         assert report.consistent, report.summary()
         assert manager.view.query.references_relation("retailer", "Stock")

@@ -23,7 +23,6 @@ from repro.sources.workload import (
     random_row,
     random_value,
 )
-from repro.views.consistency import check_convergence
 from tests.builders import poisson_arrival_times
 
 R = RelationSchema.of(
@@ -359,7 +358,7 @@ class TestDeletesAcrossBackends:
                 for source in testbed.engine.sources.values()
                 for message in source.log
             ]
-            assert check_convergence(testbed.manager).consistent
+            assert testbed.check_consistency()
         assert logs["memory"] == logs["sqlite"]
         deletes = [
             payload

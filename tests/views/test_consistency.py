@@ -7,7 +7,8 @@ from tests.conftest import build_bookstore
 
 
 def test_consistent_after_initial_load():
-    _engine, manager = build_bookstore(free_cost_model())
+    _engine, stack = build_bookstore(free_cost_model())
+    [manager] = stack.view_managers()
     report = check_convergence(manager)
     assert report.consistent
     assert report.expected_rows == report.actual_rows == 2
@@ -15,7 +16,8 @@ def test_consistent_after_initial_load():
 
 
 def test_detects_missing_rows():
-    _engine, manager = build_bookstore(free_cost_model())
+    _engine, stack = build_bookstore(free_cost_model())
+    [manager] = stack.view_managers()
     schema = manager.mv.extent.schema
     row = next(iter(manager.mv.extent))
     delta = Delta(schema)
@@ -28,7 +30,8 @@ def test_detects_missing_rows():
 
 
 def test_detects_unexpected_rows():
-    _engine, manager = build_bookstore(free_cost_model())
+    _engine, stack = build_bookstore(free_cost_model())
+    [manager] = stack.view_managers()
     schema = manager.mv.extent.schema
     delta = Delta(schema)
     ghost = tuple(
@@ -43,7 +46,8 @@ def test_detects_unexpected_rows():
 
 
 def test_sample_bounds_reported_rows():
-    _engine, manager = build_bookstore(free_cost_model())
+    _engine, stack = build_bookstore(free_cost_model())
+    [manager] = stack.view_managers()
     schema = manager.mv.extent.schema
     delta = Delta(schema)
     for index in range(20):

@@ -23,7 +23,8 @@ def test_sql_renders_create_view():
 
 
 def test_result_schema_resolves_types():
-    engine, manager = build_bookstore()
+    engine, stack = build_bookstore()
+    [manager] = stack.view_managers()
     schema = manager.view.result_schema(engine.sources)
     assert schema.name == "BookInfo"
     assert schema.attribute("Price").type is AttributeType.FLOAT
@@ -42,7 +43,8 @@ def test_result_schema_qualifies_collisions():
     from repro.relational.predicate import attr
     from repro.relational.query import SPJQuery
 
-    engine, manager = build_bookstore()
+    engine, stack = build_bookstore()
+    [manager] = stack.view_managers()
     query = manager.view.query
     collided = SPJQuery(
         relations=query.relations,

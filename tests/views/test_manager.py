@@ -18,20 +18,22 @@ from tests.conftest import CATALOG_SCHEMA, ITEM_SCHEMA, build_bookstore
 
 class TestInitialLoad:
     def test_initial_extent_matches_recompute(self):
-        engine, manager = build_bookstore(free_cost_model())
+        engine, stack = build_bookstore(free_cost_model())
+        [manager] = stack.view_managers()
         assert manager.mv.extent == manager.recompute_reference()
         assert len(manager.mv.extent) == 2
         assert manager.mv.refresh_count == 0
 
     def test_wrappers_feed_umq(self):
-        engine, manager = build_bookstore(free_cost_model())
+        engine, stack = build_bookstore(free_cost_model())
         engine.source("retailer").commit(
             DataUpdate.insert(ITEM_SCHEMA, [(9, "X", "Y", 1.0)]), at=0.0
         )
-        assert len(manager.umq) == 1
+        assert len(stack.umq) == 1
 
     def test_schema_lookup(self):
-        engine, manager = build_bookstore(free_cost_model())
+        engine, stack = build_bookstore(free_cost_model())
+        [manager] = stack.view_managers()
         schema = manager._schema_lookup("retailer", "Item")
         assert schema is not None and "Book" in schema
         assert manager._schema_lookup("retailer", "Nope") is None
@@ -40,45 +42,48 @@ class TestInitialLoad:
 
 class TestDataUnitMaintenance:
     def test_du_unit_refreshes_view(self):
-        engine, manager = build_bookstore(free_cost_model())
+        engine, stack = build_bookstore(free_cost_model())
+        [manager] = stack.view_managers()
         engine.source("retailer").commit(
             DataUpdate.insert(
                 ITEM_SCHEMA, [(1, "Databases", "Again", 9.0)]
             ),
             at=0.0,
         )
-        unit = manager.umq.head()
-        engine.run_process(manager.build_maintenance(unit))
+        unit = stack.umq.head()
+        engine.run_process(stack.build_maintenance(unit))
         assert manager.mv.extent == manager.recompute_reference()
         assert engine.metrics.view_refreshes == 1
         assert engine.metrics.maintained_updates == 1
 
     def test_irrelevant_du_no_refresh(self):
-        engine, manager = build_bookstore(free_cost_model())
+        engine, stack = build_bookstore(free_cost_model())
         reader = engine.source("digest").schema_of("ReaderDigest")
         engine.source("digest").commit(
             DataUpdate.insert(reader, [("A", "B")]), at=0.0
         )
-        unit = manager.umq.head()
-        engine.run_process(manager.build_maintenance(unit))
+        unit = stack.umq.head()
+        engine.run_process(stack.build_maintenance(unit))
         assert engine.metrics.view_refreshes == 0
         assert engine.metrics.maintained_updates == 1
 
 
 class TestSchemaUnitMaintenance:
     def test_sc_unit_installs_definition_and_extent(self):
-        engine, manager = build_bookstore(free_cost_model())
+        engine, stack = build_bookstore(free_cost_model())
+        [manager] = stack.view_managers()
         engine.source("library").commit(
             DropAttribute("Catalog", "Review"), at=0.0
         )
-        unit = manager.umq.head()
-        engine.run_process(manager.build_maintenance(unit))
+        unit = stack.umq.head()
+        engine.run_process(stack.build_maintenance(unit))
         assert manager.view.version == 2
         assert manager.mv.definition_version == 2
         assert manager.mv.extent == manager.recompute_reference()
 
     def test_view_untouched_on_abort(self):
-        engine, manager = build_bookstore(CostModel(query_base=1.0))
+        engine, stack = build_bookstore(CostModel(query_base=1.0))
+        [manager] = stack.view_managers()
         engine.source("library").commit(
             DropAttribute("Catalog", "Review"), at=0.0
         )
@@ -89,27 +94,29 @@ class TestSchemaUnitMaintenance:
                 RenameRelation("Item", "Item2"), at=3.5
             ),
         )
-        unit = manager.umq.head()
+        unit = stack.umq.head()
         from repro.sources.errors import BrokenQueryError
 
         before_rows = len(manager.mv.extent)
         with pytest.raises(BrokenQueryError):
-            engine.run_process(manager.build_maintenance(unit))
+            engine.run_process(stack.build_maintenance(unit))
         assert manager.view.version == 1  # w(VD) stayed in-memory
         assert len(manager.mv.extent) == before_rows
 
     def test_non_conflicting_sc_is_cheap_noop(self):
-        engine, manager = build_bookstore(free_cost_model())
+        engine, stack = build_bookstore(free_cost_model())
+        [manager] = stack.view_managers()
         engine.source("library").commit(
             DropAttribute("Catalog", "Author"), at=0.0
         )
-        unit = manager.umq.head()
-        engine.run_process(manager.build_maintenance(unit))
+        unit = stack.umq.head()
+        engine.run_process(stack.build_maintenance(unit))
         assert manager.view.version == 1
         assert engine.metrics.maintained_updates == 1
 
     def test_batch_with_noop_sc_still_maintains_dus(self):
-        engine, manager = build_bookstore(free_cost_model())
+        engine, stack = build_bookstore(free_cost_model())
+        [manager] = stack.view_managers()
         source = engine.source("retailer")
         source.commit(
             DataUpdate.insert(ITEM_SCHEMA, [(1, "Databases", "Z", 3.0)]),
@@ -118,15 +125,16 @@ class TestSchemaUnitMaintenance:
         engine.source("library").commit(
             DropAttribute("Catalog", "Author"), at=0.0
         )
-        messages = manager.umq.messages()
-        manager.umq.replace_order([MaintenanceUnit(list(messages))])
-        unit = manager.umq.head()
-        engine.run_process(manager.build_maintenance(unit))
+        messages = stack.umq.messages()
+        stack.umq.replace_order([MaintenanceUnit(list(messages))])
+        unit = stack.umq.head()
+        engine.run_process(stack.build_maintenance(unit))
         assert manager.mv.extent == manager.recompute_reference()
         assert engine.metrics.maintained_updates == 2
 
     def test_batch_du_and_sc(self):
-        engine, manager = build_bookstore(free_cost_model())
+        engine, stack = build_bookstore(free_cost_model())
+        [manager] = stack.view_managers()
         engine.source("retailer").commit(
             DataUpdate.insert(ITEM_SCHEMA, [(1, "Databases", "Z", 3.0)]),
             at=0.0,
@@ -134,9 +142,9 @@ class TestSchemaUnitMaintenance:
         engine.source("library").commit(
             DropAttribute("Catalog", "Review"), at=0.0
         )
-        messages = manager.umq.messages()
-        manager.umq.replace_order([MaintenanceUnit(list(messages))])
-        engine.run_process(manager.build_maintenance(manager.umq.head()))
+        messages = stack.umq.messages()
+        stack.umq.replace_order([MaintenanceUnit(list(messages))])
+        engine.run_process(stack.build_maintenance(stack.umq.head()))
         assert manager.view.version == 2
         assert manager.mv.extent == manager.recompute_reference()
 
@@ -147,11 +155,12 @@ class TestSharedTranslations:
     maintains it: whoever is handed one builds new deltas."""
 
     def test_stale_batch_is_maintained_without_touching_a_payload(self):
-        engine, manager = build_bookstore(free_cost_model())
+        engine, stack = build_bookstore(free_cost_model())
+        [manager] = stack.view_managers()
         retailer = engine.source("retailer")
         retailer.commit(RenameAttribute("Item", "Price", "Cost"), at=0.0)
-        engine.run_process(manager.build_maintenance(manager.umq.head()))
-        manager.umq.remove_head()
+        engine.run_process(stack.build_maintenance(stack.umq.head()))
+        stack.umq.remove_head()
         # Two updates still speaking the layout from before the rename
         # (a source applies a delta by position), one that needs no
         # translation; maintained as one batch.
@@ -168,8 +177,8 @@ class TestSharedTranslations:
             ),
             at=0.0,
         )
-        batch = MaintenanceUnit.merged(manager.umq.units)
-        manager.umq.replace_order([batch])
+        batch = MaintenanceUnit.merged(stack.umq.units)
+        stack.umq.replace_order([batch])
 
         history = manager.schema_history
         translated = [history.translate_message(m) for m in batch]
@@ -186,7 +195,7 @@ class TestSharedTranslations:
             merged[0].payload.delta is not t.payload.delta
             for t in translated
         )
-        engine.run_process(manager.build_maintenance(batch))
+        engine.run_process(stack.build_maintenance(batch))
         assert manager.mv.extent == manager.recompute_reference()
 
         # the same shared objects, as they were handed out
@@ -217,7 +226,8 @@ class TestSpeculativeQueries:
     def test_cannot_repair_means_no_rewrite(self):
         from repro.maintenance.vs import ViewSynchronizationError
 
-        engine, manager = build_bookstore(free_cost_model())
+        engine, stack = build_bookstore(free_cost_model())
+        [manager] = stack.view_managers()
         manager.synchronizer = self._Failing(
             ViewSynchronizationError("no replacement")
         )
@@ -226,7 +236,8 @@ class TestSpeculativeQueries:
         )
 
     def test_any_other_error_propagates(self):
-        engine, manager = build_bookstore(free_cost_model())
+        engine, stack = build_bookstore(free_cost_model())
+        [manager] = stack.view_managers()
         manager.synchronizer = self._Failing(RuntimeError("a bug in VS"))
         with pytest.raises(RuntimeError, match="a bug in VS"):
             manager.speculative_queries(self._message(engine))
@@ -237,11 +248,11 @@ class TestConnect:
         from repro.relational.schema import RelationSchema
         from repro.sources.source import DataSource
 
-        engine, manager = build_bookstore(free_cost_model())
+        engine, stack = build_bookstore(free_cost_model())
         newcomer = DataSource("late")
         newcomer.create_relation(RelationSchema.of("Extra", ["a"]))
-        manager.connect(newcomer)
+        stack.connect(newcomer)
         newcomer.commit(
             DataUpdate.insert(newcomer.schema_of("Extra"), [("v",)]), at=0.0
         )
-        assert len(manager.umq) == 1
+        assert len(stack.umq) == 1

@@ -163,8 +163,8 @@ class TestMaintenance:
         )
         engine.schedule_workload(workload)
         DynoScheduler(multi, PESSIMISTIC).run()
-        assert multi.view("BookInfo").version == 2
-        assert multi.view("CheapBooks").version == 1
+        assert multi.manager_for("BookInfo").view.version == 2
+        assert multi.manager_for("CheapBooks").view.version == 1
         assert_all_consistent(engine, multi)
 
     def test_sc_affecting_both_views(self):
@@ -177,8 +177,8 @@ class TestMaintenance:
         )
         engine.schedule_workload(workload)
         DynoScheduler(multi, PESSIMISTIC).run()
-        assert multi.view("BookInfo").version == 2
-        assert multi.view("CheapBooks").version == 2
+        assert multi.manager_for("BookInfo").view.version == 2
+        assert multi.manager_for("CheapBooks").view.version == 2
         assert_all_consistent(engine, multi)
 
     def test_mixed_storm_converges(self):

@@ -9,7 +9,7 @@ from repro.views.manager import _UMQView
 from repro.views.umq import MaintenanceUnit, UMQError, UpdateMessageQueue
 from tests.leak_oracle import (
     assert_index_consistent,
-    bare_manager,
+    bare_stack,
     messages_behind,
 )
 
@@ -88,7 +88,7 @@ class TestQueueOps:
         assert umq.data_updates_behind(head, "s", ["T"]) == []
         assert umq.data_updates_behind(head, "other", ["R"]) == []
         # committed no later than the answer was evaluated, inclusive
-        facade = _UMQView(bare_manager(umq, SchemaHistory()), head, [])
+        facade = _UMQView(bare_stack(umq), SchemaHistory(), head, [])
         assert facade.leaked(head, "s", "R", answered_at=2.0) == [b]
 
     def test_messages_behind_unknown_unit(self):
