@@ -252,6 +252,17 @@ def _row():
     )
 
 
+def profile_listing(profile_dir: Path) -> list[str]:
+    """The ``.prof`` files in ``profile_dir``, sorted: repository-relative
+    inside the repository, absolute outside it."""
+    listed = []
+    for path in profile_dir.glob("*.prof"):
+        path = path.resolve()
+        inside = path.is_relative_to(REPO_ROOT)
+        listed.append(str(path.relative_to(REPO_ROOT) if inside else path))
+    return sorted(listed)
+
+
 def _run(full_scale: bool, profile_dir=None):
     return _row()(full_scale, profile_dir=profile_dir)
 
@@ -344,12 +355,9 @@ def main(argv=None) -> int:
     (RESULTS_DIR / f"{stem}.txt").write_text(result.table() + "\n")
     (RESULTS_DIR / f"{stem}.json").write_text(result.to_json() + "\n")
 
-    profiles = []
-    if arguments.profile:
-        profiles = sorted(
-            str(path.resolve().relative_to(REPO_ROOT))
-            for path in arguments.profile_dir.glob("*.prof")
-        )
+    profiles = (
+        profile_listing(arguments.profile_dir) if arguments.profile else []
+    )
     summary = {
         "figure": json.loads(result.to_json()),
         "commit": _current_commit(),

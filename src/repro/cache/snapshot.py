@@ -44,6 +44,7 @@ from ..relational.errors import ArityError
 from ..relational.executor import BagProbe
 from ..relational.plan import PlanCache
 from ..relational.query import SPJQuery
+from ..relational.schema import RelationSchema
 from ..relational.sql import parse_query, sourced_sql
 from ..relational.table import Table
 from ..sim.metrics import Metrics
@@ -150,12 +151,20 @@ class SnapshotCache(VersionedStore):
     ) -> int:
         alias = query.relations[0].alias
         effects: list[tuple[int, Table | Delta]] = []
+        # the answer schemas of the groups nothing was kept from
+        unread: list[RelationSchema] = []
+        # Empty deltas are grouped too: a drifted schema raises even
+        # when its deltas are empty.
         for members in by_schema(deltas):
             probe = BagProbe(query, alias, members[0].schema, self.plans)
+            admitted = probe.admitted(members)
+            if not admitted and probe.result_schema is not None:
+                unread.append(probe.result_schema)
+                continue
             keep = probe.keep
             positive: dict[Row, int] = {}
             negative: dict[Row, int] = {}
-            for delta in members:
+            for delta in admitted:
                 items = keep(delta.validated_items())
                 if not items:
                     continue
@@ -172,14 +181,17 @@ class SnapshotCache(VersionedStore):
             effects += probe.parts([*positive.items(), *negative.items()])
         # Every bag is evaluated: only now may the entry change.
         arity = entry.table.schema.arity
-        rows = 0
-        for _sign, effect in effects:
-            if effect.schema.arity != arity:
+        for schema in [*unread, *(effect.schema for _sign, effect in effects)]:
+            if schema.arity != arity:
                 raise ArityError(
-                    f"cannot fold effect of arity {effect.schema.arity} "
+                    f"cannot fold effect of arity {schema.arity} "
                     f"into answer of arity {arity}"
                 )
-            rows += sum(abs(count) for _row, count in effect.items())
+        rows = sum(
+            abs(count)
+            for _sign, effect in effects
+            for _row, count in effect.items()
+        )
         if rows:
             corrected = dict(entry.table.items())
             for sign, effect in effects:

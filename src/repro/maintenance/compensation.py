@@ -28,7 +28,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from itertools import chain
 
-from ..relational.delta import Delta, Row
+from ..relational.delta import Delta, Row, validated_bags
 from ..relational.errors import RelationalError
 from ..relational.executor import BagProbe
 from ..relational.plan import PlanCache
@@ -107,8 +107,18 @@ def by_schema(deltas: list[Delta]) -> list[list[Delta]]:
 
     Schemas group by equality (translated deltas carry equal but
     distinct schema objects); identity is tried first because hashing or
-    comparing a schema costs more than netting a one-row delta.
+    comparing a schema costs more than netting a one-row delta.  In the
+    common case every delta shares one schema object: ``[deltas]``
+    itself.
     """
+    if not deltas:
+        return []
+    first = deltas[0].schema
+    for delta in deltas:
+        if delta.schema is not first:
+            break
+    else:
+        return [deltas]
     groups: list[list[Delta]] = []
     for delta in deltas:
         schema = delta.schema
@@ -133,8 +143,8 @@ def _admitted_effect(
     empty effect, without a kernel call.
     """
     probe = BagProbe(query, alias, members[0].schema, plans)
-    bags = probe.admitted([delta.validated_items() for delta in members])
-    return _effect(probe, bags)[1] if bags else {}
+    admitted = probe.admitted(members)
+    return _effect(probe, validated_bags(admitted))[1] if admitted else {}
 
 
 def compensate_answer(
@@ -162,15 +172,16 @@ def compensate_answer(
     happens (see tests), but baseline strategies that skip correction
     can hit it.
     """
+    # An empty delta leaked nothing: it is neither evaluated nor skipped.
     deltas: list[Delta] = [
-        message.payload.delta  # type: ignore[union-attr]
+        delta
         for message in leaked
+        if (delta := message.payload.delta)._counts  # type: ignore[union-attr]
     ]
     if extra_deltas:
-        deltas.extend(extra_deltas)
+        deltas += [delta for delta in extra_deltas if not delta.is_empty()]
     effects: list[dict[Row, int]] = []
-    # An empty delta leaked nothing: it is neither evaluated nor skipped.
-    for members in by_schema([d for d in deltas if not d.is_empty()]):
+    for members in by_schema(deltas):
         try:
             effect = _admitted_effect(query, alias, members, plans)
         except RelationalError as exc:

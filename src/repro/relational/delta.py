@@ -14,6 +14,8 @@ the paper's maintenance substrate [1, 20] builds on.
 from __future__ import annotations
 
 from collections import Counter
+from itertools import islice
+from operator import is_not
 from typing import Iterable, Iterator
 
 from .errors import ArityError
@@ -189,3 +191,36 @@ class Delta:
         duplicate._validated = self._validated
         return duplicate
 
+
+def validated_bags(
+    deltas: Iterable[Delta],
+) -> list[tuple[tuple[Row, int], ...]]:
+    """:meth:`Delta.validated_items` of each of ``deltas``, in order — a
+    delta validated before is read without a method call."""
+    return [delta._validated or delta.validated_items() for delta in deltas]
+
+
+def with_value_in(
+    deltas: list[Delta], position: int, values: frozenset
+) -> list[Delta]:
+    """The deltas of ``deltas`` with a validated row whose value at
+    ``position`` is in ``values``, in order.
+
+    One comprehension validates every delta, kept or not, and builds
+    nothing for a delta it rejects.
+    """
+    hits = [
+        delta
+        for delta in deltas
+        for row, _count in delta._validated or delta.validated_items()
+        if row[position] in values
+    ]
+    # A delta is listed once per kept row, so a run of one delta is one
+    # with several kept rows (or one listed twice): list each once.
+    if len(hits) < 2 or all(map(is_not, hits, islice(hits, 1, None))):
+        return hits
+    return [
+        delta
+        for delta, bag in zip(deltas, validated_bags(deltas))
+        if any(row[position] in values for row, _count in bag)
+    ]

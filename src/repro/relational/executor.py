@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from .delta import Row
+from .delta import Delta, Row, validated_bags, with_value_in
 from .errors import QueryError
 from .plan import CompiledPlan, PlanCache, compile_plan
 from .query import SPJQuery
@@ -73,7 +73,8 @@ class BagProbe:
     """
 
     __slots__ = (
-        "query", "alias", "schema", "plans", "_plan", "_parameters", "_probe"
+        "query", "alias", "schema", "plans", "result_schema", "_plan",
+        "_parameters", "_probe",
     )
 
     def __init__(
@@ -85,12 +86,14 @@ class BagProbe:
     ) -> None:
         self.query, self.alias, self.schema = query, alias, schema
         self.plans = plans
-        self._plan = self._probe = None
+        #: the answer's schema, known up front over a total plan only
+        self.result_schema = self._plan = self._probe = None
         if query.aliases == (alias,):
             shape, parameters = query.prepared
             plan = _plan(plans, shape, [schema])
             if plan.total:
                 self._plan, self._parameters = plan, parameters
+                self.result_schema = plan.result_schema
                 self._probe = plan.stages[0].scan.smallest_list(parameters)
 
     def keep(
@@ -103,22 +106,16 @@ class BagProbe:
         _name, position, values = self._probe
         return [item for item in items if item[0][position] in values]
 
-    def admitted(
-        self, bags: list[tuple[tuple[Row, int], ...]]
-    ) -> list[tuple[tuple[Row, int], ...]]:
-        """The bags :meth:`keep` would keep an item of, each read up to
-        its first such item: ``bags`` itself when nothing can be
-        dropped."""
+    def admitted(self, deltas: list[Delta]) -> list[Delta]:
+        """The deltas of ``deltas`` (of :attr:`schema`) with an item
+        :meth:`keep` would keep, in order — ``deltas`` itself when
+        nothing can be dropped.  Every delta is validated, admitted or
+        not."""
         if self._probe is None:
-            return bags
+            validated_bags(deltas)
+            return deltas
         _name, position, values = self._probe
-        admitted = []
-        for bag in bags:
-            for row, _count in bag:
-                if row[position] in values:
-                    admitted.append(bag)
-                    break
-        return admitted
+        return with_value_in(deltas, position, values)
 
     def parts(
         self, items: Iterable[tuple[Row, int]]

@@ -379,33 +379,39 @@ class _UMQView:
     def leaked(
         self, _sub_unit, source: str, relation: str, answered_at: float
     ) -> list:
-        stack, history = self._stack, self._history
-        names = history.committed_names(source, relation)
+        history = self._history
+        # While nothing was recorded, a relation has only its own name
+        # and no message needs translating.
+        plain = history.is_empty()
+        names = (
+            (relation,) if plain else history.committed_names(source, relation)
+        )
         cutoff = answered_at + COMMIT_EPSILON
-
-        def matching(messages) -> list:
-            return [
-                message
-                for message in messages
-                if message.committed_at <= cutoff
-                and message.is_data_update
-                and message.source == source
-                and message.payload.relation in names
-            ]
-
-        leaked = matching(self._extra)
-        if self._pending_feed is not None:
-            leaked += matching(self._pending_feed())
-        else:
+        if self._pending_feed is None:
             # A bucket holds this source's data updates under ``names``.
-            leaked += [
-                message
-                for message in stack.umq.data_updates_behind(
-                    self._unit, source, names
-                )
-                if message.committed_at <= cutoff
-            ]
-        leaked += matching(stack.in_flight_messages())
-        if history.is_empty():
+            leaked = self._stack.umq.data_updates_behind(
+                self._unit, source, names, cutoff
+            )
+        else:
+            leaked = _matching(self._pending_feed(), source, names, cutoff)
+        if self._extra:
+            leaked = _matching(self._extra, source, names, cutoff) + leaked
+        in_flight = self._stack.in_flight_messages()
+        if in_flight:
+            leaked += _matching(in_flight, source, names, cutoff)
+        if plain:
             return leaked
         return list(map(history.translate_message, leaked))
+
+
+def _matching(messages, source: str, names, cutoff: float) -> list:
+    """The data updates of ``messages`` that ``source`` committed under
+    one of ``names`` no later than ``cutoff``."""
+    return [
+        message
+        for message in messages
+        if message.committed_at <= cutoff
+        and message.is_data_update
+        and message.source == source
+        and message.payload.relation in names
+    ]

@@ -154,10 +154,11 @@ class MultiViewManager:
         see those messages as *behind* every unit, or the duplication
         anomaly of Example 1.a reappears under transmission delay.
         """
-        pending: list = []
-        for wrapper in self.wrappers:
-            pending.extend(wrapper.pending_messages())
-        return pending
+        return [
+            message
+            for wrapper in self.wrappers
+            for message in wrapper.pending_messages()
+        ]
 
     # ------------------------------------------------------------------
     # one-view reads the benchmark spine makes of its one-view worlds

@@ -30,9 +30,10 @@ structural change.
 
 from __future__ import annotations
 
+import math
 from collections import Counter, deque
 from dataclasses import dataclass, field
-from itertools import islice
+from itertools import chain, islice
 from typing import Iterable, Iterator, Protocol
 
 from ..relational.errors import ReproError
@@ -291,32 +292,38 @@ class UpdateMessageQueue:
             listener.umq_requeued_front(unit)
 
     def data_updates_behind(
-        self, unit: MaintenanceUnit, source: str, relations: Iterable[str]
+        self,
+        unit: MaintenanceUnit,
+        source: str,
+        relations: Iterable[str],
+        committed_by: float = math.inf,
     ) -> list[UpdateMessage]:
         """Queued data updates of ``source`` committed under any of the
-        names ``relations``, in units strictly after ``unit``, in queue
-        order (a fresh list).  Costs the buckets asked for, not the
-        queue."""
+        names ``relations`` no later than ``committed_by``, in units
+        strictly after ``unit``, in queue order (a fresh list).  Costs
+        the buckets asked for, not the queue."""
         absolute = self._unit_pos.get(id(unit))
         if absolute is None:
             raise UMQError("unit not in UMQ")
         owner, position = self._owner, self._unit_pos
-        runs: list[list[UpdateMessage]] = []
+        runs: list[Iterable[UpdateMessage]] = []
         for relation in relations:
             bucket = self._data_updates.get((source, relation), ())
             # Queue order: what is not behind ``unit`` leads the bucket.
             for skip, message in enumerate(bucket):
                 if position[id(owner[id(message)])] > absolute:
-                    runs.append(bucket[skip:])
+                    runs.append(islice(bucket, skip, None))
                     break
-        if len(runs) <= 1:
-            return runs[0] if runs else []
-        # One relation queued under several names (a rename overtook
-        # updates committed before it): interleave by queue position.
-        return sorted(
-            (message for run in runs for message in run),
-            key=self._queue_rank,
-        )
+        if len(runs) > 1:
+            # One relation queued under several names (a rename overtook
+            # updates committed before it): interleave by queue position.
+            runs = [sorted(chain.from_iterable(runs), key=self._queue_rank)]
+        return [
+            message
+            for run in runs
+            for message in run
+            if message.committed_at <= committed_by
+        ]
 
     def _queue_rank(self, message: UpdateMessage) -> tuple[int, int]:
         unit = self._owner[id(message)]

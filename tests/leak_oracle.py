@@ -124,11 +124,9 @@ def leaked_behind_head(
     umq.receive(UpdateMessage(source, 0, 0.0, head))
     for message in behind:
         umq.receive(message)
-    leaked = [
-        message
-        for message in umq.data_updates_behind(umq.head(), source, (relation,))
-        if message.committed_at <= answered_at + COMMIT_EPSILON
-    ]
+    leaked = umq.data_updates_behind(
+        umq.head(), source, (relation,), answered_at + COMMIT_EPSILON
+    )
     scanned = pending_data_updates(behind, source, relation, answered_at)
     assert [id(m) for m in leaked] == [id(m) for m in scanned]
     return leaked

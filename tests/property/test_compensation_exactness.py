@@ -728,15 +728,18 @@ def test_admission_first_equals_the_netting_oracle(data):
     _check_admission(data)
 
 
-def _admitted_on_the_wrong_column(self, bags):
+def _admitted_on_the_wrong_column(self, deltas):
     """Mutation: admission reads the column before the probed one."""
     if self._probe is None:
-        return bags
+        return deltas
     _name, position, values = self._probe
     return [
-        bag
-        for bag in bags
-        if any(row[position - 1] in values for row, _count in bag)
+        delta
+        for delta in deltas
+        if any(
+            row[position - 1] in values
+            for row, _count in delta.validated_items()
+        )
     ]
 
 
@@ -744,7 +747,7 @@ def _misses_left_unvalidated(query, alias, members, plans):
     """Mutation: admission reads raw rows, and only the admitted members
     are validated."""
     probe = BagProbe(query, alias, members[0].schema, plans)
-    admitted = [d for d in members if probe.admitted([tuple(d.items())])]
+    admitted = [d for d in members if probe.keep(tuple(d.items()))]
     bags = [delta.validated_items() for delta in admitted]
     return compensation._effect(probe, bags)[1] if bags else {}
 

@@ -11,13 +11,14 @@ clock: an insert the same gap later deletes counts two rows, not none.
 """
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.cache import SnapshotCache
+from repro.cache import SnapshotCache, snapshot
+from repro.maintenance.compensation import by_schema
 from repro.relational.delta import Delta
 from repro.relational.errors import ArityError, RelationalError
-from repro.relational.executor import execute
+from repro.relational.executor import BagProbe, execute
 from repro.relational.predicate import InPredicate, attr
 from repro.relational.query import RelationRef, SPJQuery
 from repro.relational.schema import RelationSchema
@@ -163,10 +164,96 @@ def gaps(draw):
     return answer, query, deltas
 
 
+#: a gap row the probe admits: screened on another column, it is missed
+_WRONG_COLUMN_WITNESS = (
+    Table(SCHEMA, [(1, "a")]),
+    probe({1}),
+    [Delta.insertion(SCHEMA, [(1, "new")])],
+)
+#: a gap row failing its own schema that the probe does not admit: it
+#: raises all the same
+_UNVALIDATED_MISS_WITNESS = (
+    Table(SCHEMA, [(1, "a")]),
+    probe({1}),
+    [Delta.insertion(SCHEMA, [(1, "new")]), Delta(SCHEMA, {("one", "b"): 1})],
+)
+#: an empty delta of a drifted schema: it raises all the same
+_EMPTY_DRIFT_WITNESS = (
+    Table(SCHEMA, [(1, "a")]),
+    probe({1}),
+    [Delta.insertion(SCHEMA, [(1, "new")]), Delta(NARROW)],
+)
+
+
 @given(gaps())
+@example(_WRONG_COLUMN_WITNESS)
+@example(_UNVALIDATED_MISS_WITNESS)
+@example(_EMPTY_DRIFT_WITNESS)
 @settings(max_examples=400, deadline=None)
 def test_pooled_fold_equals_per_delta_oracle(data):
     assert_same_fold(*data)
+
+
+# ----------------------------------------------------------------------
+# seeded mutations of the screen
+# ----------------------------------------------------------------------
+
+
+def _screened_on_the_wrong_column(self, deltas):
+    """Mutation: the screen reads the column before the probed one."""
+    if self._probe is None:
+        return deltas
+    _name, position, values = self._probe
+    return [
+        delta
+        for delta in deltas
+        if any(
+            row[position - 1] in values
+            for row, _count in delta.validated_items()
+        )
+    ]
+
+
+def _validates_only_the_admitted(self, deltas):
+    """Mutation: the screen reads raw rows, and only the deltas it
+    admits are validated."""
+    if self._probe is None:
+        return deltas
+    _name, position, values = self._probe
+    admitted = [
+        delta
+        for delta in deltas
+        if any(row[position] in values for row, _count in delta.items())
+    ]
+    for delta in admitted:
+        delta.validated_items()
+    return admitted
+
+
+def _drops_empty_deltas_first(deltas):
+    """Mutation: empty deltas leave the gap before it is grouped, so an
+    empty delta's drifted schema is never checked."""
+    return by_schema([delta for delta in deltas if not delta.is_empty()])
+
+
+@pytest.mark.parametrize(
+    "owner, name, mutant, witness",
+    [
+        (BagProbe, "admitted", _screened_on_the_wrong_column,
+         _WRONG_COLUMN_WITNESS),
+        (BagProbe, "admitted", _validates_only_the_admitted,
+         _UNVALIDATED_MISS_WITNESS),
+        (snapshot, "by_schema", _drops_empty_deltas_first,
+         _EMPTY_DRIFT_WITNESS),
+    ],
+    ids=["wrong-column", "misses-unvalidated", "empty-deltas-dropped"],
+)
+def test_seeded_screen_mutations_fail_on_their_pinned_example(
+    owner, name, mutant, witness, monkeypatch
+):
+    monkeypatch.setattr(owner, name, mutant)
+    with pytest.raises(AssertionError):
+        assert_same_fold(*witness)
 
 
 # ----------------------------------------------------------------------

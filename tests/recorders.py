@@ -6,6 +6,8 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 
+from repro.cache import snapshot
+from repro.cache.snapshot import SnapshotCache
 from repro.core.incremental import IncrementalDependencyGraph
 from repro.core.parallel import ParallelScheduler
 from repro.maintenance import compensation, va, vm
@@ -220,3 +222,50 @@ def recorded_compensations():
     finally:
         vm.compensate_answer = va.compensate_answer = shipped
         BagProbe.parts = parts
+
+
+@contextmanager
+def recorded_folds():
+    """One record per ``SnapshotCache._fold`` call inside the block: the
+    gap deltas it was handed, how many of them have a row the probe
+    keeps, and the ``BagProbe.parts`` and ``effect_on_answer`` calls it
+    made (the parts inside ``effect_on_answer`` included)."""
+    records: list[dict] = []
+    fold, parts = SnapshotCache._fold, BagProbe.parts
+    effect_on_answer = snapshot.effect_on_answer
+    inside: list[dict] = []
+
+    def recording(cache, entry, query, deltas):
+        alias = query.relations[0].alias
+        record = {
+            "deltas": len(deltas),
+            "admitted": sum(_keeps_a_row(query, alias, d) for d in deltas),
+            "parts": 0,
+            "effects": 0,
+        }
+        records.append(record)
+        inside.append(record)
+        try:
+            return fold(cache, entry, query, deltas)
+        finally:
+            inside.pop()
+
+    def counted_parts(probe, items):
+        if inside:
+            inside[-1]["parts"] += 1
+        return parts(probe, items)
+
+    def counted_effect(*arguments):
+        if inside:
+            inside[-1]["effects"] += 1
+        return effect_on_answer(*arguments)
+
+    SnapshotCache._fold = recording
+    BagProbe.parts = counted_parts
+    snapshot.effect_on_answer = counted_effect
+    try:
+        yield records
+    finally:
+        SnapshotCache._fold = fold
+        BagProbe.parts = parts
+        snapshot.effect_on_answer = effect_on_answer

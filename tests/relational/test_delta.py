@@ -6,7 +6,7 @@ import pickle
 import pytest
 
 from repro.recovery.codec import delta_from_json, delta_to_json
-from repro.relational.delta import Delta
+from repro.relational.delta import Delta, validated_bags, with_value_in
 from repro.relational.executor import signed_parts
 from repro.relational.errors import ArityError, TypeMismatchError
 from repro.relational.schema import RelationSchema
@@ -202,3 +202,48 @@ class TestValidatedItems:
         delta.add((2, big), 1)
         delta.add((2, big + 1), -1)
         assert delta.validated_items() == (((1, float(big)), 3),)
+
+
+class TestListHelpers:
+    """``validated_bags`` and ``with_value_in`` read a list of deltas in
+    one pass each, as the per-delta method would."""
+
+    def test_validated_bags_follow_the_method(self):
+        deltas = [Delta(PRICED, {(1, 5): 1}), Delta(PRICED), Delta(R)]
+        deltas[0].validated_items()  # one remembered, one cold
+        assert validated_bags(deltas) == [
+            delta.validated_items() for delta in deltas
+        ]
+        assert validated_bags(deltas)[0] is deltas[0].validated_items()
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [[(1, 5)], [(2, 5)], [(1, 6)]],  # one kept row each
+            [[(1, 5), (1, 6)], [(2, 5)], [(1, 7)]],  # two in one delta
+            [[(2, 5)], [(3, 5), (1, 5)], [(1, 8), (4, 1), (1, 9)]],
+        ],
+    )
+    def test_with_value_in_lists_each_kept_delta_once(self, rows):
+        deltas = [Delta(PRICED, {row: 1 for row in bag}) for bag in rows]
+        twice = [deltas[0], deltas[0], *deltas[1:], deltas[2]]
+        for listed in (deltas, twice):
+            expected = [
+                delta
+                for delta in listed
+                if any(row[0] == 1 for row, _ in delta.validated_items())
+            ]
+            kept = with_value_in(listed, 0, frozenset({1}))
+            assert [id(delta) for delta in kept] == [
+                id(delta) for delta in expected
+            ]
+
+    def test_with_value_in_validates_every_delta_kept_or_not(self):
+        failing = Delta(PRICED, {("one", 5): 1})
+        with pytest.raises(TypeMismatchError):
+            with_value_in([Delta(PRICED, {(1, 5): 1}), failing], 0, {2})
+        # coerced: an int key in a FLOAT column is screened as stored
+        big = 2**53
+        floats = RelationSchema.of("F", [("k", AttributeType.FLOAT)])
+        delta = Delta(floats, {(big + 1,): 1})
+        assert with_value_in([delta], 0, frozenset({float(big)})) == [delta]

@@ -8,9 +8,13 @@ source and its sqlite twin, and after every commit holds what both
 count and pick equal to the displaced scan (``tests/key_range_oracle``)
 over the in-memory relation: NULL keys, int keys into a FLOAT column,
 rows deleted to nothing and re-inserted, copies deleted one at a time,
+int keys beyond 2**53 that a FLOAT column stores as one row (across
+deltas, and within one delta that deletes one and inserts the other),
 renames, drops and a restructure.  A memo that keeps a row after its
 last copy is deleted fails it on a pinned draw, and so does a sqlite
-delete that takes a row's first copy instead of its latest.
+delete that takes a row's first copy instead of its latest, and a table
+that applies a delta's raw rows one by one instead of netting the rows
+that store as one.
 """
 
 import random
@@ -39,9 +43,12 @@ from tests.key_range_oracle import in_key_range
 
 R = RelationSchema.of("R", [("k", AttributeType.INT), "v"])
 F = RelationSchema.of("F", [("k", AttributeType.FLOAT), "v"])
-#: a FLOAT range over int keys, a one-key range, a wide and an empty one
-RANGES = ((0.5, 2.5), (2, 2), (-9, 9), (4, 6))
-KEYS = (None, 0, 1, 2, 3)
+#: int keys from here on store as one FLOAT row with a neighbour
+BIG = 2**53
+#: a FLOAT range over int keys, a one-key range, one over every key and
+#: an empty one
+RANGES = ((0.5, 2.5), (2, 2), (-9, 2 * BIG), (4, 6))
+KEYS = (None, 0, 1, 2, 3, BIG, BIG + 1)
 
 
 def _typed(row) -> list:
@@ -112,6 +119,9 @@ ops = st.lists(
             st.integers(0, 5),
             st.integers(0, 15),
         ),
+        st.tuples(
+            st.just("twin"), st.integers(0, 3), st.integers(0, 15), st.booleans()
+        ),
         st.tuples(st.just("pick"), st.integers(0, 3), st.integers(0, 99)),
         st.tuples(
             st.sampled_from(
@@ -130,7 +140,11 @@ def _run(ops) -> None:
     for source in (memory, sqlite):
         for schema in (R, F):
             source.create_relation(
-                schema, [(1, "x"), (2, "y"), (None, "x"), (1, "x"), (3, None)]
+                schema,
+                [
+                    (1, "x"), (BIG, "x"), (2, "y"), (None, "x"), (1, "x"),
+                    (3, None),
+                ],
             )
     created = 0
     _check(memory, sqlite)
@@ -177,6 +191,25 @@ def _run(ops) -> None:
                     return DataUpdate(relation, delta)
 
                 _commit(memory, sqlite, swap)
+        elif kind == "twin":
+            # one delta deleting a live row and inserting its twin: the
+            # next int key, which a FLOAT column beyond 2**53 stores as
+            # the same row; the delete first or last
+            _, _, victim, delete_first = op
+            live = sorted(memory.catalog.table(relation).items(), key=repr)
+            if live:
+                gone = live[victim % len(live)][0]
+                if isinstance(gone[0], (int, float)):
+                    twin = (int(gone[0]) + 1,) + gone[1:]
+
+                    def twins():
+                        delta = Delta(schema)
+                        items = [(gone, -1), (twin, 1)]
+                        for item in items if delete_first else items[::-1]:
+                            delta.add(*item)
+                        return DataUpdate(relation, delta)
+
+                    _commit(memory, sqlite, twins)
         elif kind == "pick":
             # a key-range delete drawn by the workload intent, same seed
             key_range = RANGES[op[2] % len(RANGES)]
@@ -239,6 +272,7 @@ def _run(ops) -> None:
 @given(ops)
 @example([("delete", 0, 0, True), ("insert", 0, 0, 0, 1)])
 @example([("delete", 0, 0, False)])
+@example([("twin", 1, 3, True)])  # F's BIG row deleted, BIG + 1 inserted
 def test_kept_candidates_are_the_scan(ops):
     _run(ops)
 
